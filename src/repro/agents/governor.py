@@ -183,15 +183,11 @@ class Governor:
         offered here; the sparse path serves the streaming/scale-mode
         engines, which use the full view.
         """
-        for collector in topology.collectors:
-            self.book.register_collector_sparse(
-                collector, topology.providers_of(collector)
-            )
-        self._linked = {
-            provider: tuple(topology.collectors_of(provider))
-            for provider in topology.providers
-        }
-        self._visible = frozenset(topology.collectors)
+        self.register_streaming(
+            {c: topology.providers_of(c) for c in topology.collectors}
+        )
+        for provider in topology.providers:
+            self.link_provider(provider, topology.collectors_of(provider))
 
     def register_streaming(self, collector_members: dict[str, object]) -> None:
         """Streaming-population setup: sparse books, no materialized links.
@@ -220,10 +216,6 @@ class Governor:
         weights; only the O(active) link map shrinks.
         """
         self._linked.pop(provider, None)
-
-    def can_see(self, collector: str) -> bool:
-        """Whether this governor receives the collector's uploads."""
-        return collector in getattr(self, "_visible", frozenset())
 
     # -- collector churn (crash retirement / re-admission) ----------------
 
@@ -459,6 +451,11 @@ class Governor:
             decision.labels,
             true_label,
         )
+
+    def reveal_pending(self, oracle: ValidityOracle) -> None:
+        """Reveal every unchecked truth still pending (closes the loss books)."""
+        for tx_id in list(self._pending_unchecked):
+            self.reveal_truth(tx_id, oracle)
 
     def _account_unchecked_truth(
         self, decision: ScreeningDecision, true_label: Label

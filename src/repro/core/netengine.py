@@ -1,22 +1,22 @@
 """Packet-level protocol engine over the simulated synchronous network.
 
-:class:`NetworkedProtocolEngine` executes the same protocol as
-:class:`repro.core.protocol.ProtocolEngine`, but every interaction is a
-real message through :class:`~repro.network.simnet.SyncNetwork` +
-:class:`~repro.network.broadcast.AtomicBroadcast`, with the timing
-structure of Algorithm 2:
+:class:`NetworkedProtocolEngine` takes the round's steps from
+:class:`~repro.core.roundcore.RoundCore` and puts real messages
+(:class:`~repro.network.simnet.SyncNetwork` +
+:class:`~repro.network.broadcast.AtomicBroadcast`) between them.  What
+differs from the in-process :class:`~repro.core.protocol.ProtocolEngine`:
 
-* providers broadcast into per-collector *feed* groups at round start;
-* collectors label on delivery and atomically broadcast uploads to the
-  *uploads* group (all governors);
-* each governor starts a Δ timer on the **first** report of a
-  transaction (``starttime(tx, Δ)``) and screens it when the timer
+* **transport** — providers broadcast into per-collector *feed* groups
+  at round start; collectors label on delivery and atomically broadcast
+  to the *uploads* group (all governors); the block travels on the
+  *blocks* group and every governor appends on delivery; providers send
+  ``argue`` messages point-to-point to every governor;
+* **timers** — each governor starts a Δ timer on the **first** report
+  of a transaction (``starttime(tx, Δ)``) and screens it when the timer
   fires (``endtime(tx)``) — per-transaction, not per-batch;
-* at the round cutoff the leader packs its screened records into a
-  block and broadcasts it on the *blocks* group; every governor appends
-  on delivery;
-* providers then read the block from the store and send ``argue``
-  messages point-to-point to every governor.
+* **cutoff** — the leader packs at a fixed simulated time after round
+  start, against the published tip; a record screened after the cutoff
+  carries to a later block instead of being lost.
 
 Message counts come from the network's real counters
 (``engine.network.stats``), which lets tests cross-check the in-process
@@ -66,22 +66,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from repro import perf
 from repro.agents.behaviors import CollectorBehavior, HonestBehavior
 from repro.agents.collector import Collector
-from repro.agents.governor import Governor
-from repro.agents.provider import Provider
 from repro.audit import config as audit_config
 from repro.audit.auditor import AuditViolation, SafetyAuditor, ViolationType
 from repro.audit.config import AuditConfig
 from repro.consensus.messages import CommitVote
-from repro.consensus.pos import LeaderElection
-from repro.consensus.stake import StakeLedger
 from repro.core.params import ProtocolParams
 from repro.core.rewards import distribute_rewards
-from repro.crypto.identity import IdentityManager, Role
+from repro.core.roundcore import RoundCore
+from repro.crypto.identity import Role
 from repro.crypto.signatures import sign
 from repro.exceptions import (
     ConfigurationError,
@@ -92,7 +87,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.ledger.block import Block
 from repro.ledger.chain import Ledger
-from repro.ledger.properties import RunTranscript
 from repro.ledger.store import BlockStore
 from repro.ledger.sync import sync_replica
 from repro.ledger.transaction import (
@@ -103,12 +97,11 @@ from repro.ledger.transaction import (
     TxRecord,
     make_signed_transaction,
 )
-from repro.ledger.validation import CountingOracle, GroundTruthOracle
-from repro.network.broadcast import AtomicBroadcast
+from repro.network.broadcast import AtomicBroadcast, walk_recovery_drain
 from repro.network.reliable import ReliableChannel
 from repro.network.simnet import Message, Simulator, SyncNetwork
 from repro.network.topology import Topology
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.storage.checkpoints import reputation_digest
 from repro.storage.durable import StorageConfig, open_durable_store, storage_metrics
 from repro.storage.recovery import RecoveryReport
@@ -180,7 +173,7 @@ class RoundContext:
     leader: str = ""
 
 
-class NetworkedProtocolEngine:
+class NetworkedProtocolEngine(RoundCore):
     """The protocol over real (simulated) packets.
 
     Args:
@@ -243,12 +236,8 @@ class NetworkedProtocolEngine:
                 f"screening timer delta={params.delta} must be >= 2*max_delay="
                 f"{2 * max_delay} to cover the report spread"
             )
+        super().__init__(params, seed, obs)
         self.topology = topology
-        self.params = params
-        self.obs = obs if obs is not None else NULL_REGISTRY
-        self.im = IdentityManager(seed=seed, obs=self.obs)
-        self.oracle = GroundTruthOracle()
-        self.transcript = RunTranscript()
         # The storage_* family registers unconditionally (like audit_*)
         # so the telemetry inventory is identical with durability off.
         self._m_storage = storage_metrics(self.obs)
@@ -290,20 +279,7 @@ class NetworkedProtocolEngine:
             if resilience
             else None
         )
-        self._m_rounds = self.obs.counter(
-            "engine_rounds_total", "Protocol rounds executed"
-        )
-        self._m_tx_offered = self.obs.counter(
-            "engine_tx_offered_total", "Workload transactions offered to providers"
-        )
-        self._m_engine_argues = self.obs.counter(
-            "engine_argues_total", "Argue messages raised by providers"
-        )
-        self._m_block_size = self.obs.histogram(
-            "engine_block_size",
-            "Records packed per block",
-            buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-        )
+        self._register_engine_metrics()
         self._m_crash_events = self.obs.counter(
             "engine_crash_events_total",
             "Node crash/recover transitions applied by the engine",
@@ -338,10 +314,10 @@ class NetworkedProtocolEngine:
         self._vote_strategies: dict = {}
         # evidence-forward dedup: (forwarder, vote governor, serial, hash)
         self._forwarded_votes: set[tuple] = set()
-        self._master = np.random.default_rng(seed)
-        self._round = 0
-        self._reevaluated_queue: dict[str, TxRecord] = {}
-        self._round_records: dict[str, list[TxRecord]] = {}
+        # gid -> records screened but not yet packed.
+        self._round_records: dict[str, list[TxRecord]] = {
+            gid: [] for gid in topology.governors
+        }
         # tx ids already packed into some block: the pack-time dedup
         # filter that lets late-screened records carry across rounds
         # without a later leader re-packing an on-chain transaction.
@@ -355,7 +331,9 @@ class NetworkedProtocolEngine:
         self._xshard_relay: str | None = None
         self._relay_key = None
         # gid -> receipt_id -> receipt awaiting pack at that governor.
-        self._receipt_buffers: dict[str, dict[str, object]] = {}
+        self._receipt_buffers: dict[str, dict[str, object]] = {
+            gid: {} for gid in topology.governors
+        }
         # receipt ids already committed here (replay-proofing).
         self._applied_receipt_ids: set[str] = set()
         # Live collector -> provider links.  Starts as the topology's
@@ -366,46 +344,14 @@ class NetworkedProtocolEngine:
             cid: topology.providers_of(cid) for cid in topology.collectors
         }
 
-        behaviors = dict(behaviors or {})
-        unknown = set(behaviors) - set(topology.collectors)
-        if unknown:
-            raise ConfigurationError(f"behaviours for unknown collectors: {sorted(unknown)}")
-
-        # -- enrolment and agents ---------------------------------------
-        self.providers: dict[str, Provider] = {}
-        for pid in topology.providers:
-            key = self.im.enroll(pid, Role.PROVIDER)
-            self.providers[pid] = Provider(
-                provider_id=pid, key=key, linked_collectors=topology.collectors_of(pid)
-            )
-        self.collectors: dict[str, Collector] = {}
-        for cid in topology.collectors:
-            key = self.im.enroll(cid, Role.COLLECTOR)
-            self.collectors[cid] = Collector(
-                collector_id=cid,
-                key=key,
-                linked_providers=topology.providers_of(cid),
-                behavior=behaviors.get(cid, HonestBehavior()),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-            )
-            for pid in topology.providers_of(cid):
-                self.im.register_link(cid, pid)
-        self.governors: dict[str, Governor] = {}
-        for gid in topology.governors:
-            key = self.im.enroll(gid, Role.GOVERNOR)
-            gov = Governor(
-                governor_id=gid,
-                key=key,
-                params=params,
-                im=self.im,
-                oracle=CountingOracle(inner=self.oracle),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-                obs=self.obs,
-            )
-            gov.register_topology(topology)
-            self.governors[gid] = gov
-            self._round_records[gid] = []
-            self._receipt_buffers[gid] = {}
+        self._enroll(
+            topology,
+            topology.providers,
+            topology.providers_of,
+            lambda governor: governor.register_topology(topology),
+            behaviors,
+            stake,
+        )
         # One auditor per governor (created even when disabled, so the
         # audit_* metric families are always registered; disabled
         # configs simply never call into them).
@@ -440,10 +386,6 @@ class NetworkedProtocolEngine:
             )
             self._restore_books_from_checkpoint()
 
-        initial_stake = dict(stake) if stake else {g: 1 for g in topology.governors}
-        self.stake = StakeLedger.from_balances(initial_stake)
-        self.election = LeaderElection(im=self.im, governor_order=list(topology.governors))
-
         # -- network wiring ----------------------------------------------
         for cid in topology.collectors:
             self.broadcast.create_group(f"feed:{cid}", [cid])
@@ -453,7 +395,9 @@ class NetworkedProtocolEngine:
         # With resilience on, nodes register behind the reliable channel
         # (plain traffic passes through it untouched) and the lossless
         # groups ride the ack/retransmit transport.
-        register = self.channel.register if self.channel is not None else self.network.register
+        register = self._register = (
+            self.channel.register if self.channel is not None else self.network.register
+        )
         for cid in topology.collectors:
             register(cid, self._collector_on_message(cid))
             self.broadcast.register_handler(
@@ -643,10 +587,7 @@ class NetworkedProtocolEngine:
             )
         self._xshard_relay = relay_id
         self._relay_key = self.im.enroll(relay_id, Role.PROVIDER)
-        register = (
-            self.channel.register if self.channel is not None else self.network.register
-        )
-        register(relay_id, lambda message: None)
+        self._register(relay_id, lambda message: None)
 
     def inject_receipts(self, receipts: Sequence) -> None:
         """Fan relayed cross-shard receipts out to every governor.
@@ -1117,24 +1058,6 @@ class NetworkedProtocolEngine:
 
     # -- epoch migration (sharded deployments) -----------------------------
 
-    def collector_masses(self) -> dict[str, float]:
-        """Each live collector's reputation mass (mean over governors).
-
-        A collector's mass at one governor is the sum of its per-provider
-        weights; averaging across governors gives the shard-assignment
-        signal (RepChain-style reputation-balanced sharding) without
-        privileging any single governor's book.
-        """
-        totals: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for governor in self.governors.values():
-            book = governor.book
-            for cid in book.collectors():
-                mass = float(sum(book.vector(cid).provider_weights.values()))
-                totals[cid] = totals.get(cid, 0.0) + mass
-                counts[cid] = counts.get(cid, 0) + 1
-        return {cid: totals[cid] / counts[cid] for cid in sorted(totals)}
-
     def release_collector(self, cid: str) -> tuple[tuple[str, ...], CollectorBehavior]:
         """Expel a collector for migration to another shard.
 
@@ -1188,7 +1111,7 @@ class NetworkedProtocolEngine:
             key=key,
             linked_providers=providers,
             behavior=behavior if behavior is not None else HonestBehavior(),
-            rng=np.random.default_rng(self._master.integers(2**63)),
+            rng=self._draw_rng(),
         )
         for pid in providers:
             self.im.register_link(cid, pid)
@@ -1200,10 +1123,7 @@ class NetworkedProtocolEngine:
             self.broadcast.create_group(group, [cid])
             if self.resilience:
                 self.broadcast.add_reliable_group(group)
-        register = (
-            self.channel.register if self.channel is not None else self.network.register
-        )
-        register(cid, self._collector_on_message(cid))
+        self._register(cid, self._collector_on_message(cid))
         self.broadcast.register_handler(group, cid, self._collector_on_feed(cid))
         # A returning collector must not replay the feed it missed.
         self.broadcast.skip_to(group, cid, self.broadcast.current_seqno(group))
@@ -1237,13 +1157,14 @@ class NetworkedProtocolEngine:
         """Execute one full round in simulated time.
 
         Composed from the phase-split API (:meth:`begin_round` /
-        :meth:`begin_argue` / :meth:`complete_round`) with this engine's
-        own simulator driving the drains; single-engine behaviour is
-        bit-identical to the pre-split monolithic implementation.
+        :meth:`begin_argue` / :meth:`complete_round`), draining through
+        ``network.run_until`` — the one call whose meaning differs
+        between transport backends (pure event stepping vs physically
+        mediated stepping), so this method is the same over either.
         """
         ctx = self.begin_round(specs)
-        self.sim.run(until=ctx.drain_until)
-        self.sim.run(until=self.begin_argue(ctx))
+        self.network.run_until(ctx.drain_until)
+        self.network.run_until(self.begin_argue(ctx))
         return self.complete_round(ctx)
 
     def begin_round(self, specs: Sequence[TxSpec]) -> RoundContext:
@@ -1254,23 +1175,13 @@ class NetworkedProtocolEngine:
         lets a :class:`~repro.sharding.ShardCoordinator` overlap all
         shards' rounds on one shared clock.
         """
-        if len(specs) + len(self._reevaluated_queue) > self.params.b_limit:
-            raise ConfigurationError("round exceeds b_limit")
-        self._round += 1
-        round_number = self._round
+        round_number = self._begin_round(specs)
         t0 = self.sim.now
         cutoff = t0 + 2 * self.network.max_delay + self.params.delta + 0.001
 
         # Phase 1: providers broadcast at t0.
-        round_txs: list = []
-        for spec in specs:
-            provider = self.providers[spec.provider]
-            tx = provider.create_transaction(spec.payload, timestamp=t0)
-            round_txs.append(tx)
-            self.oracle.assign(tx, spec.is_valid)
-            self.transcript.provider_broadcasts.add(tx.tx_id)
-            if spec.is_valid and provider.active:
-                self.transcript.honest_valid_tx.add(tx.tx_id)
+        originated = self._originate(specs, self.providers.__getitem__, t0)
+        for provider, tx in originated:
             for cid in provider.linked_collectors:
                 self.broadcast.broadcast(f"feed:{cid}", provider.provider_id, tx)
         # Pre-warm the IM's verification cache with this round's provider
@@ -1281,7 +1192,7 @@ class NetworkedProtocolEngine:
         if perf.ACTIVE.signature_cache:
             self.im.verify_batch(
                 (tx.provider, tx.signed_message_bytes(), tx.provider_signature)
-                for tx in round_txs
+                for _provider, tx in originated
             )
         # Forgery opportunities: once per live collector per round.
         for collector in self.collectors.values():
@@ -1325,24 +1236,15 @@ class NetworkedProtocolEngine:
             # this a no-op.
             receipts = self._receipt_records(live, max(budget, 0))
             fresh = fresh[: max(budget - len(receipts), 0)]
-            records = list(self._reevaluated_queue.values()) + receipts + fresh
-            self._reevaluated_queue.clear()
             # Pack against the canonical published tip.  A leader that
             # somehow lags (e.g. healed from a partition) must extend the
             # agreed chain, not its stale local copy; in a synchronous
             # deployment the two coincide.  ``tip_hash`` also covers a
             # store anchored at a compacted checkpoint base.
-            prev_hash = self.store.tip_hash()
-            block = Block(
-                serial=self.store.height + 1,
-                tx_list=tuple(records),
-                prev_hash=prev_hash,
-                proposer=live,
-                round_number=round_number,
-                b_limit=self.params.b_limit,
+            block = self._pack(
+                live, self.store.tip_hash(), receipts + fresh, round_number
             )
-            self.store.publish(block)
-            for record in records:
+            for record in block.tx_list:
                 self._packed_tx_ids.add(record.tx.tx_id)
             packed["block"] = block
             self.broadcast.broadcast("blocks", live, block)
@@ -1387,18 +1289,11 @@ class NetworkedProtocolEngine:
 
         ctx.argue_start = self.sim.now
         ctx.argues_before = self._argues_sent
-        for provider in self.providers.values():
-            fresh = self.store.next_for(provider.provider_id)
-            while fresh is not None:
-                for tx_id in provider.review_block(fresh, self.oracle):
-                    self.transcript.argue_calls.add(tx_id)
-                    self._argues_sent += 1
-                    request = ArgueRequest(
-                        provider=provider.provider_id, tx_id=tx_id, serial=fresh.serial
-                    )
-                    for gid in self.topology.governors:
-                        self.network.send(provider.provider_id, gid, request)
-                fresh = self.store.next_for(provider.provider_id)
+        for pid, tx_id, serial in self._argue_scan():
+            self._argues_sent += 1
+            request = ArgueRequest(provider=pid, tx_id=tx_id, serial=serial)
+            for gid in self.topology.governors:
+                self.network.send(pid, gid, request)
         return self.sim.now + self.network.max_delay + 0.001
 
     def complete_round(self, ctx: RoundContext) -> NetworkedRoundResult:
@@ -1441,24 +1336,13 @@ class NetworkedProtocolEngine:
         """
         if not self.resilience:
             return
-        if grace is None:
-            grace = 40 * self.network.max_delay
         drain_start = self.sim.now
-        # Several scan/run cycles: a repair NACK (or its answer) can be
-        # crossing a link the moment a crashed endpoint heals, and the
-        # first NACKs for a gap target the primary sequencer, which may
-        # itself be dead — failover only kicks in after repeated
-        # attempts.  The exit test needs both a zero scan (no member
-        # lags its group tip — catches invisible gaps with nothing
-        # buffered behind them) and empty gap buffers.
-        cycles = 6
-        for _ in range(cycles):
-            if (
-                self.broadcast.force_repair_scan() == 0
-                and self.broadcast.pending_gap_total() == 0
-            ):
-                break
-            self.sim.run(until=self.sim.now + grace / cycles)
+        walk_recovery_drain(
+            self.recovery_lagging,
+            lambda dt: self.network.run_until(self.sim.now + dt),
+            self.network.max_delay,
+            grace,
+        )
         self.obs.record_span("drain_recovery", drain_start, self.sim.now)
 
     def finalize(self, drain: bool = True) -> None:
@@ -1472,10 +1356,4 @@ class NetworkedProtocolEngine:
         """
         if drain:
             self.drain_recovery()
-        for governor in self.governors.values():
-            for tx_id in list(governor._pending_unchecked):
-                governor.reveal_truth(tx_id, self.oracle)
-
-    def ledgers(self) -> list:
-        """Every governor's replica, for property checks."""
-        return [g.ledger for g in self.governors.values()]
+        self._reveal_pending()

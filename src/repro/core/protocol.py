@@ -3,22 +3,8 @@
 :class:`ProtocolEngine` wires the whole hierarchy together — Identity
 Manager, topology, provider/collector/governor agents, PoS leader
 election, block store, reward distribution, optional stake-transform
-consensus — and executes rounds:
-
-1. **Collecting** — workload transactions are signed by their providers
-   and delivered to the providers' ``r`` linked collectors.
-2. **Uploading** — each collector labels per his behaviour (possibly
-   concealing or forging) and uploads to every governor.
-3. **Processing** — every governor verifies uploads and screens each
-   transaction (its *own* draw, updating its *local* reputations); the
-   round leader — elected via the VRF/PoS scheme — packs *his* records
-   (plus any transactions re-validated after argues) into the block,
-   which every governor appends (Agreement by construction, as the
-   paper assumes governors do not subvert the chain).
-4. **Arguing** — active providers scan the new block and argue about
-   valid-but-unchecked-invalid records; admitted argues are re-validated,
-   trigger case-3 reputation updates on every governor, and the records
-   enter the *next* block.
+consensus — and executes the round of :mod:`repro.core.roundcore` with
+every hand-off delivered at once.
 
 Message accounting in this in-process engine is analytic: each phase
 adds exactly the messages the real exchange would send, so the E7
@@ -33,30 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from repro.agents.behaviors import CollectorBehavior, HonestBehavior
-from repro.agents.collector import Collector
+from repro.agents.behaviors import CollectorBehavior
 from repro.agents.governor import Governor
-from repro.agents.provider import Provider
-from repro.audit import config as audit_config
-from repro.consensus.pos import LeaderElection
-from repro.consensus.stake import StakeLedger, StakeTransfer
+from repro.consensus.stake import StakeTransfer
 from repro.consensus.messages import NewStateProposal
 from repro.consensus.stake_consensus import StakeConsensusRound, make_proposal
 from repro.core.params import ProtocolParams
 from repro.core.rewards import distribute_rewards
-from repro.crypto.identity import IdentityManager, Role
+from repro.core.roundcore import RoundCore
 from repro.crypto.signatures import sign
 from repro.exceptions import ConfigurationError, LeaderMisbehaviourError
 from repro.ledger.block import Block
-from repro.ledger.properties import RunTranscript
 from repro.ledger.store import BlockStore
-from repro.ledger.transaction import LabeledTransaction, TxRecord
-from repro.ledger.validation import CountingOracle, GroundTruthOracle
+from repro.ledger.transaction import LabeledTransaction
 from repro.network.topology import Topology
 from repro.network.visibility import VisibilityMap
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.workloads.generator import TxSpec
 
 __all__ = ["RoundResult", "EngineMetrics", "ProtocolEngine"]
@@ -97,7 +75,7 @@ class EngineMetrics:
     rewards_paid: dict[str, float] = field(default_factory=dict)
 
 
-class ProtocolEngine:
+class ProtocolEngine(RoundCore):
     """In-process execution of the full three-tier protocol.
 
     Args:
@@ -137,259 +115,107 @@ class ProtocolEngine:
         obs: MetricsRegistry | None = None,
         sparse_reputation: bool = False,
     ):
-        self.topology = topology
-        self.params = params
-        self.seed = seed
-        self.leader_rotation = leader_rotation
-        self.sparse_reputation = sparse_reputation
-        self.visibility = visibility
         if sparse_reputation and visibility is not None:
             raise ConfigurationError(
                 "sparse_reputation does not support partial visibility"
             )
         if visibility is not None:
             visibility.validate(topology)
-        self.obs = obs if obs is not None else NULL_REGISTRY
-        self.im = IdentityManager(seed=seed, obs=self.obs)
-        self.oracle = GroundTruthOracle()
-        self.transcript = RunTranscript()
+        super().__init__(params, seed, obs)
+        self.topology = topology
+        self.leader_rotation = leader_rotation
+        self.sparse_reputation = sparse_reputation
+        self.visibility = visibility
         self.store = BlockStore()
         self.metrics = EngineMetrics()
         # Harness-level AuditReport, filled by finalize() when the
         # safety auditor is enabled (repro.audit.config).
         self.audit_report = None
-        self._round = 0
-        self._reevaluated_queue: dict[str, TxRecord] = {}
-        self._master = np.random.default_rng(seed)
-        self._m_rounds = self.obs.counter(
-            "engine_rounds_total", "Protocol rounds executed"
-        )
-        self._m_tx_offered = self.obs.counter(
-            "engine_tx_offered_total", "Workload transactions offered to providers"
-        )
-        self._m_engine_argues = self.obs.counter(
-            "engine_argues_total", "Argue messages raised by providers"
-        )
-        self._m_block_size = self.obs.histogram(
-            "engine_block_size",
-            "Records packed per block",
-            buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-        )
+        self._register_engine_metrics()
 
-        behaviors = dict(behaviors or {})
-        unknown = set(behaviors) - set(topology.collectors)
-        if unknown:
-            raise ConfigurationError(
-                f"behaviours supplied for unknown collectors: {sorted(unknown)}"
-            )
-
-        abusive = dict(abusive_providers or {})
-        unknown_prov = set(abusive) - set(topology.providers)
-        if unknown_prov:
-            raise ConfigurationError(
-                f"abuse rates for unknown providers: {sorted(unknown_prov)}"
-            )
-        self.providers: dict[str, Provider] = {}
-        for pid in topology.providers:
-            key = self.im.enroll(pid, Role.PROVIDER)
-            rate = abusive.get(pid, 0.0)
-            self.providers[pid] = Provider(
-                provider_id=pid,
-                key=key,
-                linked_collectors=topology.collectors_of(pid),
-                argue_abuse_rate=rate,
-                abuse_rng=(
-                    np.random.default_rng(self._master.integers(2**63))
-                    if rate > 0.0
-                    else None
-                ),
-            )
-        self.collectors: dict[str, Collector] = {}
-        for cid in topology.collectors:
-            key = self.im.enroll(cid, Role.COLLECTOR)
-            self.collectors[cid] = Collector(
-                collector_id=cid,
-                key=key,
-                linked_providers=topology.providers_of(cid),
-                behavior=behaviors.get(cid, HonestBehavior()),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-            )
-            for pid in topology.providers_of(cid):
-                self.im.register_link(cid, pid)
-        self.governors: dict[str, Governor] = {}
-        for gid in topology.governors:
-            key = self.im.enroll(gid, Role.GOVERNOR)
-            gov = Governor(
-                governor_id=gid,
-                key=key,
-                params=params,
-                im=self.im,
-                oracle=CountingOracle(inner=self.oracle),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-                obs=self.obs,
-            )
+        def register_books(governor: Governor) -> None:
             if sparse_reputation:
                 # Value-for-value the same registration (default rows at
                 # initial reputation, identical member order), so seeded
                 # runs are bit-identical to the dense path — locked by
                 # tests/test_streaming.py's equivalence suite.
-                gov.register_topology_sparse(topology)
+                governor.register_topology_sparse(topology)
+            elif visibility is None:
+                governor.register_topology(topology)
             else:
-                gov.register_topology(
-                    topology,
-                    None if visibility is None else visibility.collectors_for(gid),
+                governor.register_topology(
+                    topology, visibility.collectors_for(governor.governor_id)
                 )
-            self.governors[gid] = gov
 
-        initial_stake = dict(stake) if stake else {g: 1 for g in topology.governors}
-        unknown_gov = set(initial_stake) - set(topology.governors)
-        if unknown_gov:
-            raise ConfigurationError(f"stake for unknown governors: {sorted(unknown_gov)}")
-        self.stake = StakeLedger.from_balances(initial_stake)
-        self.election = LeaderElection(
-            im=self.im, governor_order=list(topology.governors)
+        self._enroll(
+            topology,
+            topology.providers,
+            topology.providers_of,
+            register_books,
+            behaviors,
+            stake,
+            abusive_providers,
         )
         self._stake_nonce = 0
         self._byzantine: set[str] = set()
-        self._expelled: set[str] = set()
         self.expulsions: list[tuple[str, str]] = []
 
     # -- round execution -------------------------------------------------
 
     def run_round(self, specs: Sequence[TxSpec]) -> RoundResult:
         """Execute one full round over the given workload batch."""
-        if len(specs) + len(self._reevaluated_queue) > self.params.b_limit:
-            raise ConfigurationError(
-                f"round batch of {len(specs)} plus {len(self._reevaluated_queue)} "
-                f"re-evaluated records exceeds b_limit={self.params.b_limit}"
-            )
-        self._round += 1
-        round_number = self._round
-        m = self.topology.m
-
-        # Phase 1: collecting.
-        timestamp = float(round_number)
-        deliveries: list[tuple[str, object]] = []  # (collector, tx)
-        for spec in specs:
-            provider = self.providers[spec.provider]
-            tx = provider.create_transaction(spec.payload, timestamp)
-            self.oracle.assign(tx, spec.is_valid)
-            self.transcript.provider_broadcasts.add(tx.tx_id)
-            if spec.is_valid and provider.active:
-                self.transcript.honest_valid_tx.add(tx.tx_id)
-            for cid in provider.linked_collectors:
-                deliveries.append((cid, tx))
-            self.metrics.provider_messages += len(provider.linked_collectors)
-
-        # Phase 2: uploading.
-        uploads: list[LabeledTransaction] = []
-        for cid, tx in deliveries:
-            collector = self.collectors[cid]
-            for labeled in collector.process_all(tx, self.oracle):
-                uploads.append(labeled)
-                self.transcript.collector_uploads.add(tx.tx_id)
-        # Forgery opportunities: once per collector per round.
-        for collector in self.collectors.values():
-            forged = collector.maybe_forge(timestamp)
-            if forged is not None:
-                uploads.append(forged)
-                self.metrics.forged_uploads += 1
-        self.metrics.collector_messages += len(uploads) * m
-
-        # Phase 3: processing — every governor screens independently.
-        leader_id = self._elect_leader(round_number)
-        leader = self.governors[leader_id]
-        leader_records: list[TxRecord] = []
-        for gid, governor in self.governors.items():
-            for upload in uploads:
-                if self.visibility is not None and not self.visibility.sees(
-                    gid, upload.collector
-                ):
-                    continue
-                governor.ingest_upload(upload)
-            records = governor.screen_pending()
-            if gid == leader_id:
-                leader_records = records
-        block_records = list(self._reevaluated_queue.values()) + leader_records
-        self._reevaluated_queue.clear()
-        block = Block(
-            serial=self.store.height + 1,
-            tx_list=tuple(block_records),
-            prev_hash=leader.ledger.tip_hash(),
-            proposer=leader_id,
-            round_number=round_number,
-            b_limit=self.params.b_limit,
+        sees = None if self.visibility is None else self.visibility.sees
+        done = self._run_zero_latency_round(
+            specs, self.providers.__getitem__, sees, self._elect_leader
         )
-        for governor in self.governors.values():
-            governor.ledger.append(block)
-        self.store.publish(block)
+        m = self.topology.m
+        metrics = self.metrics
+        metrics.provider_messages += done.deliveries
+        metrics.forged_uploads += done.forged
+        metrics.collector_messages += len(done.uploads) * m
         # Leader broadcasts the block to the other m-1 governors; the
         # paper's O(b_limit * m) term counts the payload size times m.
-        self.metrics.governor_messages += m - 1
-
-        # Phase 4: arguing.
-        argues_admitted = 0
-        for provider in self.providers.values():
-            fresh = self.store.next_for(provider.provider_id)
-            while fresh is not None:
-                for tx_id in provider.review_block(fresh, self.oracle):
-                    self.transcript.argue_calls.add(tx_id)
-                    self.metrics.argues_total += 1
-                    self._m_engine_argues.inc()
-                    admitted_record: TxRecord | None = None
-                    for governor in self.governors.values():
-                        record = governor.handle_argue(tx_id)
-                        if record is not None:
-                            admitted_record = record
-                    if admitted_record is not None:
-                        argues_admitted += 1
-                        self._reevaluated_queue[tx_id] = admitted_record
-                fresh = self.store.next_for(provider.provider_id)
+        metrics.governor_messages += m - 1
+        metrics.argues_total += done.argues
 
         # Rewards from the leader's reputation view.
-        rewards = distribute_rewards(self.params, leader.book)
+        block = done.block
+        rewards = distribute_rewards(self.params, self.governors[block.proposer].book)
         for cid, amount in rewards.items():
-            self.metrics.rewards_paid[cid] = (
-                self.metrics.rewards_paid.get(cid, 0.0) + amount
-            )
+            metrics.rewards_paid[cid] = metrics.rewards_paid.get(cid, 0.0) + amount
 
-        self.metrics.rounds += 1
-        self.metrics.transactions_offered += len(specs)
+        metrics.rounds += 1
+        metrics.transactions_offered += len(specs)
         self._m_rounds.inc()
         self._m_tx_offered.inc(len(specs))
-        self._m_block_size.observe(float(len(block_records)))
+        self._m_engine_argues.inc(done.argues)
+        self._m_block_size.observe(float(len(block.tx_list)))
 
         return RoundResult(
-            round_number=round_number,
-            leader=leader_id,
+            round_number=block.round_number,
+            leader=block.proposer,
             block=block,
             transactions_offered=len(specs),
-            argues_admitted=argues_admitted,
+            argues_admitted=done.argues_admitted,
             rewards=rewards,
-            uploads=tuple(uploads),
+            uploads=tuple(done.uploads),
         )
 
     def _elect_leader(self, round_number: int) -> str:
-        eligible = [
-            g for g in self.topology.governors if g not in self._expelled
-        ]
+        # The election's order is the not-yet-expelled governors
+        # (expel_governor shrinks it), which also fixes the VRF index j.
+        eligible = self.election.governor_order
         if self.leader_rotation:
             return eligible[(round_number - 1) % len(eligible)]
         # VRF announcements: every staked eligible governor broadcasts
         # y_j outputs to the other m-1 governors.
-        staked = [g for g in eligible if self.stake.balance(g) > 0]
-        self.metrics.governor_messages += len(staked) * (self.topology.m - 1)
+        staked = sum(1 for g in eligible if self.stake.balance(g) > 0)
+        self.metrics.governor_messages += staked * (self.topology.m - 1)
         if not staked:
             # All stake sits with expelled governors: fall back to
             # round-robin among the eligible so the chain stays live.
             return eligible[(round_number - 1) % len(eligible)]
-        from repro.consensus.stake import StakeLedger
-
-        filtered = StakeLedger.from_balances(
-            {g: self.stake.balance(g) for g in staked}
-        )
-        election = LeaderElection(im=self.im, governor_order=eligible)
-        return election.run(filtered, round_number)
+        return self.election.run(self.stake, round_number)
 
     # -- stake transfers ---------------------------------------------------
 
@@ -450,7 +276,7 @@ class ProtocolEngine:
             return total_messages
         raise LeaderMisbehaviourError(
             "no honest leader could be elected for the stake transfer "
-            f"(expelled: {sorted(self._expelled)})"
+            f"(expelled: {sorted(self.expelled_governors)})"
         )
 
     # -- failure injection & expulsion ---------------------------------------
@@ -472,79 +298,26 @@ class ProtocolEngine:
         """
         if gid not in self.governors:
             raise ConfigurationError(f"unknown governor {gid!r}")
-        remaining = [
-            g for g in self.topology.governors
-            if g != gid and g not in self._expelled
-        ]
+        remaining = [g for g in self.election.governor_order if g != gid]
         if not remaining:
             raise ConfigurationError("cannot expel the last eligible governor")
-        self._expelled.add(gid)
+        self.election.governor_order = remaining
         self.expulsions.append((gid, reason))
 
     @property
     def expelled_governors(self) -> frozenset[str]:
         """Governors removed from leadership."""
-        return frozenset(self._expelled)
+        return frozenset(gid for gid, _reason in self.expulsions)
 
     # -- finalisation -------------------------------------------------------
 
     def finalize(self) -> None:
-        """Reveal every still-pending unchecked truth for loss accounting.
-
-        Theorem 1 assumes all real states are revealed "sometime"; calling
-        this at the end of a run closes the books so governor metrics
-        reflect the full stream.  When the safety auditor is enabled
-        (:mod:`repro.audit.config`, the default) it then runs the
-        harness-level audit — cross-replica agreement plus the Theorem-1
-        regret guardrail — and leaves the verdict in ``audit_report``.
-        """
-        for governor in self.governors.values():
-            for tx_id in list(governor._pending_unchecked):
-                governor.reveal_truth(tx_id, self.oracle)
-        cfg = audit_config.get_config()
-        if cfg.enabled:
-            from repro.audit.auditor import harness_audit
-
-            self.audit_report = harness_audit(
-                "harness",
-                self.ledgers(),
-                list(self.governors.values()),
-                r=self.topology.r,
-                beta=self.params.beta,
-                round_number=self._round,
-                s_min=cfg.s_min,
-                obs=self.obs,
-            )
+        """Close the books: reveal every still-pending unchecked truth, then
+        run the harness audit into ``audit_report`` (unless disabled)."""
+        self._close_books("harness", r=self.topology.r)
 
     # -- convenience accessors -----------------------------------------------
-
-    @property
-    def round_number(self) -> int:
-        """Rounds executed so far."""
-        return self._round
 
     def governor(self, gid: str) -> Governor:
         """Agent lookup helper."""
         return self.governors[gid]
-
-    def ledgers(self) -> list:
-        """Every governor's ledger replica (for property checks)."""
-        return [g.ledger for g in self.governors.values()]
-
-    def collector_masses(self) -> dict[str, float]:
-        """Each collector's reputation mass (mean over governors).
-
-        Same contract as
-        :meth:`repro.core.netengine.NetworkedProtocolEngine.collector_masses`
-        — the reputation-weighted shard-assignment signal, exposed on
-        both engines so sharding analyses can use either.
-        """
-        totals: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for governor in self.governors.values():
-            book = governor.book
-            for cid in book.collectors():
-                mass = float(sum(book.vector(cid).provider_weights.values()))
-                totals[cid] = totals.get(cid, 0.0) + mass
-                counts[cid] = counts.get(cid, 0) + 1
-        return {cid: totals[cid] / counts[cid] for cid in sorted(totals)}

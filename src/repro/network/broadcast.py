@@ -44,7 +44,41 @@ from repro.exceptions import SimulationError
 from repro.network.simnet import Message, SyncNetwork
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
-__all__ = ["SequencedPayload", "GapRepairRequest", "AtomicBroadcast"]
+__all__ = [
+    "SequencedPayload",
+    "GapRepairRequest",
+    "AtomicBroadcast",
+    "walk_recovery_drain",
+]
+
+#: The end-of-run recovery drain allows ``RECOVERY_GRACE_DELAYS *
+#: max_delay`` simulated seconds (several repair round trips), walked in
+#: ``RECOVERY_DRAIN_CYCLES`` equal slices.
+RECOVERY_GRACE_DELAYS = 40
+RECOVERY_DRAIN_CYCLES = 6
+
+
+def walk_recovery_drain(
+    lagging: Callable[[], bool],
+    advance: Callable[[float], object],
+    max_delay: float,
+    grace: float | None = None,
+) -> None:
+    """Advance the clock slice by slice until ``lagging()`` turns false.
+
+    ``lagging`` probes for members behind their group tip or holding gap
+    buffers (and NACKs them, see :meth:`AtomicBroadcast.force_repair_scan`);
+    ``advance(dt)`` moves the caller's clock ``dt`` on, its own way.
+    Several probe/run cycles, not one long run: a NACK or its answer can
+    be crossing a link the moment a crashed endpoint heals, and failover
+    from a dead primary sequencer needs repeated attempts.
+    """
+    if grace is None:
+        grace = RECOVERY_GRACE_DELAYS * max_delay
+    for _ in range(RECOVERY_DRAIN_CYCLES):
+        if not lagging():
+            break
+        advance(grace / RECOVERY_DRAIN_CYCLES)
 
 
 @dataclass(frozen=True)

@@ -142,14 +142,12 @@ def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandl
 
 
 def _drive(engine: NetworkedProtocolEngine, scenario: ClusterScenario) -> dict:
-    """Run the scenario through the phase-split API on either backend.
+    """Run the scenario on either backend.
 
-    All clock advancement goes through ``network.run_until`` — the one
-    method whose meaning differs between backends (pure event stepping
-    vs physically-mediated stepping) — so the engine itself stays
-    byte-identical across them.
+    The engine advances its clock only through ``network.run_until`` —
+    the one method whose meaning differs between backends — so the
+    same calls drive the simulated and the real transport.
     """
-    network = engine.network
     if scenario.workload_factory is not None:
         next_batch = scenario.workload_factory(scenario, engine.topology)
     else:
@@ -163,19 +161,9 @@ def _drive(engine: NetworkedProtocolEngine, scenario: ClusterScenario) -> dict:
 
     committed = 0
     for rnd in range(1, scenario.rounds + 1):
-        ctx = engine.begin_round(next_batch(rnd))
-        network.run_until(ctx.drain_until)
-        network.run_until(engine.begin_argue(ctx))
-        result = engine.complete_round(ctx)
+        result = engine.run_round(next_batch(rnd))
         committed += len(result.block.tx_list)
-    # The recovery drain, walked in bounded slices so realnet conveyance
-    # gates apply inside it too (mirrors ShardCoordinator._drain_recovery).
-    grace = 40 * network.max_delay
-    for _ in range(6):
-        if not engine.recovery_lagging():
-            break
-        network.run_until(engine.sim.now + grace / 6)
-    engine.finalize(drain=False)
+    engine.finalize()
     height = engine.store.height
     return {
         "tip": engine.store.retrieve(height).hash().hex() if height else "",

@@ -64,6 +64,7 @@ from repro.audit.xshard import CrossShardAuditor
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan
+from repro.network.broadcast import walk_recovery_drain
 from repro.network.topology import ShardedTopology
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.parallel.backend import SerialBackend, ShardChainStats
@@ -524,20 +525,20 @@ class ShardCoordinator:
     def _drain_recovery(self) -> None:
         """Walk each shard's end-of-run recovery drain at shared targets.
 
-        Mirrors :meth:`~repro.core.netengine.NetworkedProtocolEngine.
-        drain_recovery` shard by shard, but issues the clock advances
-        through the backend so *every* engine reaches the same barrier
-        times — the final simulated clock (and sim-time throughput) is
-        then identical between the serial and parallel backends.  Cheap
-        when resilience is off: one probe per shard, no advances.
+        The same policy as :meth:`~repro.core.netengine.
+        NetworkedProtocolEngine.drain_recovery`, shard by shard, with the
+        clock advances issued through the backend so *every* engine
+        reaches the same barrier times — the final simulated clock (and
+        sim-time throughput) is then identical between the serial and
+        parallel backends.  Cheap when resilience is off: one probe per
+        shard, no advances.
         """
-        grace = 40 * self._max_delay
-        cycles = 6
         for k in range(self.topology.num_shards):
-            for _ in range(cycles):
-                if not self.backend.repair_scan(k):
-                    break
-                self.backend.run_until(self.now + grace / cycles)
+            walk_recovery_drain(
+                lambda: self.backend.repair_scan(k),
+                lambda dt: self.backend.run_until(self.now + dt),
+                self._max_delay,
+            )
 
     def close(self) -> None:
         """Tear down the execution backend (shuts worker processes down)."""

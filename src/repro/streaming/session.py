@@ -1,20 +1,20 @@
 """Streaming protocol session: lazy provider lifecycle over virtual populations.
 
-:class:`StreamingSession` executes the same four-phase round the
-in-process :class:`~repro.core.protocol.ProtocolEngine` runs — collect,
-upload, screen/pack, argue — but its provider population is a
-:class:`~repro.streaming.universe.VirtualUniverse`: a provider agent is
-**instantiated on first arrival** (key enrolment, link registration,
-governor link maps) and **retired after a configurable idle window**
-(agent dropped, cursors forgotten, link maps shrunk), so resident
-memory is bounded by the *active set* plus the reputation rows
-Algorithm 3 has actually touched — never by the universe size.  The
-sparse reputation books
+:class:`StreamingSession` runs :class:`~repro.core.roundcore.RoundCore`'s
+zero-latency round — the very body
+:class:`~repro.core.protocol.ProtocolEngine` runs — over a provider
+population that is a :class:`~repro.streaming.universe.VirtualUniverse`:
+a provider agent is **instantiated on first arrival** (key enrolment,
+link registration, governor link maps) and **retired after a
+configurable idle window** (agent dropped, cursors forgotten, link maps
+shrunk), so resident memory is bounded by the *active set* plus the
+reputation rows Algorithm 3 has actually touched — never by the
+universe size.  The sparse reputation books
 (:class:`~repro.core.reputation.SparseWeightMap` over
 :class:`~repro.streaming.universe.CollectorMembers`) make the governor
 side equally lazy.
 
-What deliberately differs from the materialized engine:
+What differs from the materialized engine (everything else is shared):
 
 * arrivals exceeding ``b_limit`` spill into a FIFO **backlog** drained
   in later rounds (open-loop offered load vs. the engine's hard
@@ -22,10 +22,11 @@ What deliberately differs from the materialized engine:
 * per-round **reward distribution is skipped** — ``log_score`` walks a
   collector's full membership, which is O(universe) here; rewards can
   be computed offline from the books;
+* leaders rotate round-robin by default, with unit stake otherwise;
 * retirement saves only the provider's signing nonce: a retired
   provider is *inactive* in the paper's sense (the Validity property
   does not quantify over it), and any still-unchecked truth it leaves
-  behind is revealed at :meth:`finalize` exactly as the engine does.
+  behind is revealed at :meth:`finalize`.
 
 Identity keys are stable across retire/re-arrive cycles (the Identity
 Manager keeps the enrolment record), so old signatures keep verifying.
@@ -36,24 +37,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.agents.behaviors import CollectorBehavior, HonestBehavior
-from repro.agents.collector import Collector
-from repro.agents.governor import Governor
+from repro.agents.behaviors import CollectorBehavior
 from repro.agents.provider import Provider
-from repro.audit import config as audit_config
-from repro.consensus.pos import LeaderElection
-from repro.consensus.stake import StakeLedger
 from repro.core.params import ProtocolParams
-from repro.crypto.identity import IdentityManager, Role
+from repro.core.roundcore import RoundCore
+from repro.crypto.identity import Role
 from repro.exceptions import ConfigurationError
-from repro.ledger.block import Block
-from repro.ledger.properties import RunTranscript
 from repro.ledger.store import BlockStore
-from repro.ledger.transaction import LabeledTransaction, TxRecord
-from repro.ledger.validation import CountingOracle, GroundTruthOracle
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.streaming.universe import VirtualUniverse, parse_provider_index
 from repro.streaming.workload import StreamingWorkload
 from repro.workloads.generator import TxSpec
@@ -106,14 +97,7 @@ class StreamMetrics:
     argues_admitted: int = 0
 
 
-@dataclass
-class _RetiredState:
-    """What survives a provider's retirement: its signing continuity."""
-
-    nonce: int
-
-
-class StreamingSession:
+class StreamingSession(RoundCore):
     """Open-loop streaming execution over a virtual provider population.
 
     Args:
@@ -153,94 +137,57 @@ class StreamingSession:
             raise ConfigurationError(
                 f"retirement_rounds must be >= 1 or None, got {retirement_rounds}"
             )
+        super().__init__(params, seed, obs)
         self.universe = universe
-        self.params = params
         self.workload = workload
-        self.seed = seed
         self.retirement_rounds = retirement_rounds
         self.leader_rotation = leader_rotation
-        self.obs = obs if obs is not None else NULL_REGISTRY
-        self.im = IdentityManager(seed=seed, obs=self.obs)
-        self.oracle = GroundTruthOracle()
-        self.transcript = RunTranscript()
         self.store = BlockStore()
         self.metrics = StreamMetrics()
         self.audit_report = None
-        self._round = 0
         self._backlog: deque[TxSpec] = deque()
-        self._reevaluated_queue: dict[str, TxRecord] = {}
-        self._master = np.random.default_rng(seed)
         self._m = stream_metrics(self.obs)
         self._m_inst_first = self._m["instantiated"].labels(kind="first")
         self._m_inst_re = self._m["instantiated"].labels(kind="rearrival")
 
-        behaviors = dict(behaviors or {})
-        unknown = set(behaviors) - set(universe.collectors)
-        if unknown:
-            raise ConfigurationError(
-                f"behaviours supplied for unknown collectors: {sorted(unknown)}"
-            )
-
         members = universe.collector_members()
-        # Enrolment order mirrors the materialized engine minus the
-        # up-front provider sweep: collectors first, then governors;
-        # provider keys are drawn lazily at first arrival.
-        self.collectors: dict[str, Collector] = {}
-        for cid in universe.collectors:
-            key = self.im.enroll(cid, Role.COLLECTOR)
-            self.collectors[cid] = Collector(
-                collector_id=cid,
-                key=key,
-                linked_providers=members[cid],
-                behavior=behaviors.get(cid, HonestBehavior()),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-            )
-        self.governors: dict[str, Governor] = {}
-        for gid in universe.governors:
-            key = self.im.enroll(gid, Role.GOVERNOR)
-            gov = Governor(
-                governor_id=gid,
-                key=key,
-                params=params,
-                im=self.im,
-                oracle=CountingOracle(inner=self.oracle),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-                obs=self.obs,
-            )
-            gov.register_streaming(dict(members))
-            self.governors[gid] = gov
-
-        self.election = LeaderElection(
-            im=self.im, governor_order=list(universe.governors)
+        # No up-front provider sweep: provider keys are drawn lazily at
+        # first arrival, after the collectors' and governors'.
+        self._enroll(
+            universe,
+            (),
+            members.__getitem__,
+            lambda governor: governor.register_streaming(dict(members)),
+            behaviors,
         )
-        self.stake = StakeLedger.from_balances(
-            {g: 1 for g in universe.governors}
-        )
-        # Active provider agents and their idle clocks.
-        self.providers: dict[str, Provider] = {}
+        # Idle clocks of the active provider agents (``self.providers``).
         self._last_seen: dict[str, int] = {}
-        self._retired: dict[str, _RetiredState] = {}
-        self._linked_registered: set[str] = set()
+        # What survives a provider's retirement: its signing nonce.
+        self._retired: dict[str, int] = {}
 
     # -- provider lifecycle ----------------------------------------------
 
-    def _instantiate(self, pid: str) -> Provider:
-        """Materialize a virtual provider on arrival (idempotent)."""
+    def _arrive(self, pid: str) -> Provider:
+        """The round's provider lookup: materialize if new, stamp the idle clock."""
         provider = self.providers.get(pid)
-        if provider is not None:
-            return provider
+        if provider is None:
+            provider = self._instantiate(pid)
+        self._last_seen[pid] = self._round
+        return provider
+
+    def _instantiate(self, pid: str) -> Provider:
+        """Materialize a virtual provider on arrival."""
         k = parse_provider_index(pid)
         if k is None or not self.universe.contains_provider(pid):
             raise ConfigurationError(
                 f"provider {pid!r} is outside the registered universe"
             )
         linked = self.universe.collectors_of_index(k)
-        retired = self._retired.pop(pid, None)
-        if retired is None and pid not in self._linked_registered:
+        nonce = self._retired.pop(pid, None)
+        if nonce is None:
             key = self.im.enroll(pid, Role.PROVIDER)
             for cid in linked:
                 self.im.register_link(cid, pid)
-            self._linked_registered.add(pid)
             self.metrics.instantiations += 1
             self._m_inst_first.inc()
         else:
@@ -250,8 +197,8 @@ class StreamingSession:
             self.metrics.reinstantiations += 1
             self._m_inst_re.inc()
         provider = Provider(provider_id=pid, key=key, linked_collectors=linked)
-        if retired is not None:
-            provider._nonce = retired.nonce
+        if nonce is not None:
+            provider._nonce = nonce
         self.providers[pid] = provider
         for gov in self.governors.values():
             gov.link_provider(pid, linked)
@@ -267,7 +214,7 @@ class StreamingSession:
             p for p, seen in self._last_seen.items() if seen <= cutoff
         ]:
             provider = self.providers.pop(pid)
-            self._retired[pid] = _RetiredState(nonce=provider._nonce)
+            self._retired[pid] = provider._nonce
             del self._last_seen[pid]
             self.store.forget_reader(pid)
             for gov in self.governors.values():
@@ -303,86 +250,19 @@ class StreamingSession:
         """
         if specs:
             self.offer(list(specs))
-        self._round += 1
-        round_number = self._round
         budget = self.params.b_limit - len(self._reevaluated_queue)
         batch = [self._backlog.popleft() for _ in range(min(budget, len(self._backlog)))]
         self._m["backlog"].set(float(len(self._backlog)))
-        m = self.universe.m
-
-        # Phase 1: collecting — instantiating arrivals as needed.
-        timestamp = float(round_number)
-        deliveries: list[tuple[str, object]] = []
-        for spec in batch:
-            provider = self._instantiate(spec.provider)
-            self._last_seen[spec.provider] = round_number
-            tx = provider.create_transaction(spec.payload, timestamp)
-            self.oracle.assign(tx, spec.is_valid)
-            self.transcript.provider_broadcasts.add(tx.tx_id)
-            if spec.is_valid and provider.active:
-                self.transcript.honest_valid_tx.add(tx.tx_id)
-            for cid in provider.linked_collectors:
-                deliveries.append((cid, tx))
-
-        # Phase 2: uploading.
-        uploads: list[LabeledTransaction] = []
-        for cid, tx in deliveries:
-            collector = self.collectors[cid]
-            for labeled in collector.process_all(tx, self.oracle):
-                uploads.append(labeled)
-                self.transcript.collector_uploads.add(tx.tx_id)
-        for collector in self.collectors.values():
-            forged = collector.maybe_forge(timestamp)
-            if forged is not None:
-                uploads.append(forged)
-
-        # Phase 3: processing — every governor screens; the leader packs.
-        leader_id = self._elect_leader(round_number)
-        leader = self.governors[leader_id]
-        leader_records: list[TxRecord] = []
-        for gid, governor in self.governors.items():
-            for upload in uploads:
-                governor.ingest_upload(upload)
-            records = governor.screen_pending()
-            if gid == leader_id:
-                leader_records = records
-        block_records = list(self._reevaluated_queue.values()) + leader_records
-        self._reevaluated_queue.clear()
-        block = Block(
-            serial=self.store.height + 1,
-            tx_list=tuple(block_records),
-            prev_hash=leader.ledger.tip_hash(),
-            proposer=leader_id,
-            round_number=round_number,
-            b_limit=self.params.b_limit,
+        # Full view, and only instantiated (active) providers scan blocks.
+        done = self._run_zero_latency_round(
+            batch, self._arrive, None, self._elect_leader
         )
-        for governor in self.governors.values():
-            governor.ledger.append(block)
-        self.store.publish(block)
-
-        # Phase 4: arguing — only instantiated (active) providers scan.
-        argues_admitted = 0
-        for provider in self.providers.values():
-            fresh = self.store.next_for(provider.provider_id)
-            while fresh is not None:
-                for tx_id in provider.review_block(fresh, self.oracle):
-                    self.transcript.argue_calls.add(tx_id)
-                    admitted_record: TxRecord | None = None
-                    for governor in self.governors.values():
-                        record = governor.handle_argue(tx_id)
-                        if record is not None:
-                            admitted_record = record
-                    if admitted_record is not None:
-                        argues_admitted += 1
-                        self._reevaluated_queue[tx_id] = admitted_record
-                fresh = self.store.next_for(provider.provider_id)
-
-        self._retire_idle(round_number)
+        self._retire_idle(self._round)
         self.metrics.rounds += 1
         self.metrics.transactions += len(batch)
-        self.metrics.argues_admitted += argues_admitted
+        self.metrics.argues_admitted += done.argues_admitted
         self._m["tx"].inc(len(batch))
-        return block
+        return done.block
 
     def run(self, rounds: int) -> None:
         """Drive ``rounds`` rounds from the configured workload's arrivals."""
@@ -392,7 +272,7 @@ class StreamingSession:
             self.run_round(self.workload.for_round(self._round + 1))
 
     def _elect_leader(self, round_number: int) -> str:
-        order = list(self.universe.governors)
+        order = self.election.governor_order
         if self.leader_rotation:
             return order[(round_number - 1) % len(order)]
         return self.election.run(self.stake, round_number)
@@ -400,15 +280,12 @@ class StreamingSession:
     # -- finalisation ------------------------------------------------------
 
     def finalize(self) -> None:
-        """Reveal pending truths, sample peak RSS, run the harness audit.
+        """Sample peak RSS, reveal pending truths, run the harness audit.
 
         The audit checks cross-replica agreement and the Theorem-1
         regret guardrail; neither walks the reputation books, so the
         cost is independent of the universe size.
         """
-        for governor in self.governors.values():
-            for tx_id in list(governor._pending_unchecked):
-                governor.reveal_truth(tx_id, self.oracle)
         import resource
         import sys
 
@@ -416,31 +293,9 @@ class StreamingSession:
         # ru_maxrss is bytes on macOS, kilobytes on Linux.
         scale = 1 if sys.platform == "darwin" else 1024
         self._m["peak_rss"].set(float(rss_kb * scale))
-        cfg = audit_config.get_config()
-        if cfg.enabled:
-            from repro.audit.auditor import harness_audit
-
-            self.audit_report = harness_audit(
-                "streaming-harness",
-                self.ledgers(),
-                list(self.governors.values()),
-                r=self.universe.r,
-                beta=self.params.beta,
-                round_number=self._round,
-                s_min=cfg.s_min,
-                obs=self.obs,
-            )
+        self._close_books("streaming-harness", r=self.universe.r)
 
     # -- accessors ---------------------------------------------------------
-
-    @property
-    def round_number(self) -> int:
-        """Rounds executed so far."""
-        return self._round
-
-    def ledgers(self) -> list:
-        """Every governor's ledger replica (for property checks)."""
-        return [g.ledger for g in self.governors.values()]
 
     def touched_rows(self) -> int:
         """Total sparse-override entries across all books (memory proxy)."""

@@ -41,6 +41,23 @@ class TestConstruction:
                 behaviors={"zz": MisreportBehavior(0.1)},
             )
 
+    def test_stake_for_unknown_governor_rejected(self):
+        topo = Topology.regular(l=8, n=4, m=3, r=2)
+        with pytest.raises(ConfigurationError, match=r"unknown governors.*'g9'"):
+            NetworkedProtocolEngine(
+                topo, ProtocolParams(delta=0.2), stake={"g0": 2, "g9": 1}
+            )
+
+    def test_oversized_batch_reports_batch_and_queue_sizes(self):
+        topo = Topology.regular(l=8, n=4, m=3, r=2)
+        engine = NetworkedProtocolEngine(topo, ProtocolParams(delta=0.2, b_limit=4))
+        workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=1)
+        with pytest.raises(
+            ConfigurationError, match=r"batch of 5 plus 0 re-evaluated.*b_limit=4"
+        ):
+            engine.run_round(workload.take(5))
+        assert engine.store.height == 0
+
 
 class TestRounds:
     def test_blocks_flow_to_all_governors(self):
