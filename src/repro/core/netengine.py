@@ -463,7 +463,13 @@ class NetworkedProtocolEngine(RoundCore):
 
     def _collector_on_feed(self, cid: str):
         def handle(sender: str, tx: SignedTransaction) -> None:
-            for labeled in self.collectors[cid].process_all(tx, self.oracle):
+            collector = self.collectors.get(cid)
+            if collector is None:
+                # Released to another shard while this feed (or a
+                # retransmission of it) was in flight: the delivery is
+                # lost, as one to a crashed collector is.
+                return
+            for labeled in collector.process_all(tx, self.oracle):
                 self.transcript.collector_uploads.add(tx.tx_id)
                 self.broadcast.broadcast("uploads", cid, labeled)
         return handle

@@ -70,6 +70,23 @@ class TestRounds:
             assert gov.ledger.height == 4
         check_agreement(engine.ledgers())
 
+    def test_feed_in_flight_to_a_released_collector_is_dropped(self):
+        """A feed that outlives the collector's migration must not crash the shard."""
+        engine, topo = make_engine()
+        workload = BernoulliWorkload(topo.providers, p_valid=1.0, seed=3)
+        engine.run_round(workload.take(8))
+        ctx = engine.begin_round(workload.take(8))  # feeds are on the wire
+        engine.release_collector("c0")
+        engine.network.run_until(ctx.drain_until)  # KeyError before the fix
+        engine.network.run_until(engine.begin_argue(ctx))
+        engine.complete_round(ctx)
+        engine.run_round([])
+        assert engine.store.height == 3
+        check_agreement(engine.ledgers())
+        # r = 2: the other linked collector still uploaded every tx.
+        packed = sum(len(engine.store.retrieve(s)) for s in (1, 2, 3))
+        assert packed == 16
+
     def test_every_offered_valid_tx_lands(self):
         engine, topo = make_engine(f=0.3)
         workload = BernoulliWorkload(topo.providers, p_valid=1.0, seed=2)
