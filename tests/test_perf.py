@@ -1,27 +1,28 @@
-"""The perf layer's contract: caches change speed, never semantics.
+"""The caches are the implementation; these tests hold them to the primitives.
 
-Three guarantees, each enforced here:
+* streaming ``hash_many`` equals ``hash_value`` of the tuple;
+* ``IdentityManager.verify`` (an LRU in front of the HMAC) agrees, verdict
+  for verdict, with ``signatures.verify_with_key`` under the sender's
+  enrolled key, on random payload / tamper pairs;
+* a cached reputation row equals a freshly built one after every kind of
+  change to the vectors under it.
 
-* the :mod:`repro.perf` switchboard actually flips/restores knobs;
-* cached verification agrees with uncached verification on random
-  payload/tamper pairs (property test);
-* seeded end-to-end runs are bit-identical with every cache enabled
-  vs. force-disabled, for both engines.
+End states of whole seeded runs are pinned by ``tests/test_golden_matrix.py``.
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro import ProtocolEngine, ProtocolParams, Topology, perf
 from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
 from repro.core.netengine import NetworkedProtocolEngine
+from repro.core.reputation import ReputationBook
 from repro.crypto.hashing import hash_many, hash_value
 from repro.crypto.identity import IdentityManager, Role
-from repro.crypto.signatures import Signature, sign
+from repro.crypto.signatures import Signature, sign, verify_with_key
 from repro.ledger.codec import dump_chain
 from repro.obs import MetricsRegistry
 from repro.workloads.generator import BernoulliWorkload
@@ -121,14 +122,21 @@ def _tampered(rng: random.Random, message, signature: Signature):
     return mutated, signature
 
 
+def _reference_verify(im: IdentityManager, sender: str, message, signature) -> bool:
+    """What ``verify`` means: the HMAC primitive under the sender's enrolled key."""
+    if not im.is_enrolled(sender):
+        return False
+    return verify_with_key(im.record(sender).key, message, signature)
+
+
 class TestVerifyCacheEquivalence:
-    """Property: cached verify == uncached verify, verdict for verdict."""
+    """Property: ``im.verify`` == ``verify_with_key``, verdict for verdict."""
 
     def test_random_payload_and_tamper_pairs(self):
         rng = random.Random(0xC0FFEE)
         im = IdentityManager(seed=1)
         key = im.enroll("p0", Role.PROVIDER)
-        im.enroll("p_other", Role.PROVIDER)
+        other = im.enroll("p_other", Role.PROVIDER)
         for _ in range(200):
             message = _random_message(rng)
             signature = sign(key, message)
@@ -136,13 +144,28 @@ class TestVerifyCacheEquivalence:
             cases.append(("p0", *_tampered(rng, message, signature)))
             # Honest signature presented for the wrong sender id.
             cases.append(("p_other", message, signature))
+            # A real member signing in its own name, presented as p0's.
+            cases.append(("p0", message, sign(other, message)))
             cases.append(("nobody", message, signature))
             for sender, msg, sig in cases:
-                cached = im.verify(sender, msg, sig)
-                # Ask twice so the second cached call exercises a hit.
-                assert im.verify(sender, msg, sig) == cached
-                with perf.overridden(signature_cache=False):
-                    assert im.verify(sender, msg, sig) == cached
+                expected = _reference_verify(im, sender, msg, sig)
+                assert im.verify(sender, msg, sig) == expected
+                # Ask twice so the second call exercises a hit.
+                assert im.verify(sender, msg, sig) == expected
+
+    def test_tampered_tag_after_a_cached_true(self):
+        im = IdentityManager(seed=4)
+        key = im.enroll("p0", Role.PROVIDER)
+        message = ("tx", b"\x01" * 32, 0.5)
+        signature = sign(key, message)
+        assert im.verify("p0", message, signature)
+        assert im.verify("p0", message, signature)  # now a cached True
+        tag = bytearray(signature.tag)
+        tag[0] ^= 1
+        forged = Signature(signer="p0", tag=bytes(tag))
+        assert not verify_with_key(key, message, forged)
+        assert not im.verify("p0", message, forged)
+        assert im.verify("p0", message, signature)
 
     def test_hit_and_miss_counters(self):
         obs = MetricsRegistry()
@@ -156,9 +179,6 @@ class TestVerifyCacheEquivalence:
         assert (misses.value, hits.value) == (1, 0)
         assert im.verify("p0", message, signature)
         assert (misses.value, hits.value) == (1, 1)
-        with perf.overridden(signature_cache=False):
-            assert im.verify("p0", message, signature)
-        assert (misses.value, hits.value) == (1, 1)
 
     def test_lru_eviction_bound(self):
         im = IdentityManager(seed=3)
@@ -168,6 +188,38 @@ class TestVerifyCacheEquivalence:
             message = i.to_bytes(4, "big")
             assert im.verify("p0", message, sign(key, message))
         assert len(im._verify_cache) <= 8
+
+
+class TestRowCacheEquivalence:
+    """A cached ``selection_row`` equals a fresh ``_build_row``."""
+
+    def test_row_follows_every_change_to_the_vectors(self):
+        collectors = ("c0", "c1", "c2")
+        book = ReputationBook("g0")
+        for cid in collectors:
+            book.register_collector(cid, ["p0", "p1"])
+
+        def check():
+            for provider in ("p0", "p1"):
+                live = tuple(c for c in collectors if book.is_registered(c))
+                row = book.selection_row(provider, live)
+                again = book.selection_row(provider, live)
+                fresh = book._build_row(provider, live)
+                for got in (row, again):
+                    assert got.weights.tolist() == fresh.weights.tolist()
+                    assert got.total == fresh.total
+                assert book.total_weight(provider, live) == sum(
+                    book.weight(c, provider) for c in live
+                )
+
+        check()
+        book.apply_revealed_truth("p0", {"c0": "wrong", "c1": "missed"}, 0.9, 0.5)
+        check()
+        retired = book.retire_collector("c1")
+        check()
+        book.readmit_collector("c1", ["p0", "p1"], bootstrap="min")
+        assert book.vector("c1") is not retired
+        check()
 
 
 def _inprocess_tip_and_chain(rounds: int = 3, per_round: int = 8):

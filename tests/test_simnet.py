@@ -119,6 +119,25 @@ class TestSyncNetwork:
         sim.run()
         assert all(len(v) == 1 for v in got.values())
 
+    def test_multicast_draws_match_scalar_sends(self):
+        """One batched draw per multicast == one scalar draw per edge."""
+        def schedule(batched):
+            sim, net = make_net(seed=5)
+            got = []
+            for name in "bcde":
+                net.register(name, got.append)
+            for payload in ("x", "y"):
+                if batched:
+                    net.multicast("a", list("bcde"), payload)
+                else:
+                    for name in "bcde":
+                        net.send("a", name, payload)
+            sim.run()
+            # The next draw shows both left the generator in the same state.
+            return [(m.receiver, m.payload, m.deliver_at) for m in got], net._rng.random()
+
+        assert schedule(batched=True) == schedule(batched=False)
+
     def test_stats_counting(self):
         sim, net = make_net()
         net.register("b", lambda m: None)
