@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import perf
 from repro.crypto.hashing import hash_value
 from repro.crypto.merkle import MerkleTree
 from repro.exceptions import BlockLimitExceededError, LedgerError
-from repro.ledger.transaction import TxRecord
+from repro.ledger.transaction import TxRecord, memoized
 
 __all__ = ["Block", "GENESIS_PREV_HASH", "block_hash"]
 
@@ -76,27 +75,17 @@ class Block:
             len(self.tx_list),
         )
 
+    @memoized("_canonical")
     def canonical_bytes(self) -> bytes:
         """Stable encoding: header plus every record."""
-        cached = self.__dict__.get("_canonical")
-        if cached is not None and perf.ACTIVE.encode_cache:
-            return cached
-        raw = hash_value(
+        return hash_value(
             (self.header_tuple(), tuple(rec.canonical_bytes() for rec in self.tx_list))
         )
-        if perf.ACTIVE.encode_cache:
-            object.__setattr__(self, "_canonical", raw)
-        return raw
 
+    @memoized("_hash")
     def hash(self) -> bytes:
         """``H(B)`` — the CRHF over the whole block, memoized per instance."""
-        cached = self.__dict__.get("_hash")
-        if cached is not None and perf.ACTIVE.encode_cache:
-            return cached
-        raw = hash_value(("block-hash", self.canonical_bytes()))
-        if perf.ACTIVE.encode_cache:
-            object.__setattr__(self, "_hash", raw)
-        return raw
+        return hash_value(("block-hash", self.canonical_bytes()))
 
     def prove_inclusion(self, index: int):
         """Merkle proof that ``tx_list[index]`` is committed by ``tx_root``."""

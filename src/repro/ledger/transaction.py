@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import wraps
+from typing import Callable, TypeVar
 
-from repro import perf
 from repro.crypto.hashing import canonical_encode, hash_value
 from repro.crypto.signatures import Signature, SigningKey, sign
 
 __all__ = [
+    "memoized",
     "Label",
     "CheckStatus",
     "TransactionBody",
@@ -30,6 +32,33 @@ __all__ = [
     "make_signed_transaction",
     "make_labeled_transaction",
 ]
+
+_T = TypeVar("_T")
+
+
+def memoized(slot: str) -> Callable[[Callable[..., _T]], Callable[..., _T]]:
+    """Decorator: run ``method(self)`` once per instance; keep it in ``__dict__[slot]``.
+
+    For the frozen ledger dataclasses: their fields never change, so a
+    value derived from the fields alone is the same on every call.  The
+    memo is no field — ``==``, ``hash`` and ``dataclasses.replace`` ignore
+    it — but it is instance state, so ``pickle`` and ``copy`` carry it
+    (``slot`` is part of what crosses pool pipes and TCP frames).
+    """
+
+    def decorate(method: Callable[..., _T]) -> Callable[..., _T]:
+        @wraps(method)
+        def cached(self) -> _T:
+            memo = self.__dict__  # written directly: a frozen __setattr__ raises
+            try:
+                return memo[slot]
+            except KeyError:
+                value = memo[slot] = method(self)
+                return value
+
+        return cached
+
+    return decorate
 
 
 class Label(enum.IntEnum):
@@ -65,6 +94,7 @@ class TransactionBody:
     payload: object
     nonce: int
 
+    @memoized("_canonical")
     def canonical_bytes(self) -> bytes:
         """Stable encoding used for hashing and signing.
 
@@ -72,13 +102,7 @@ class TransactionBody:
         then hashed into every downstream id, signature, and record, so
         the cache turns the dominant hot-path cost into a dict lookup.
         """
-        cached = self.__dict__.get("_canonical")
-        if cached is not None and perf.ACTIVE.encode_cache:
-            return cached
-        raw = hash_value(("tx-body", self.provider, self.payload, self.nonce))
-        if perf.ACTIVE.encode_cache:
-            object.__setattr__(self, "_canonical", raw)
-        return raw
+        return hash_value(("tx-body", self.provider, self.payload, self.nonce))
 
 
 @dataclass(frozen=True)
@@ -101,20 +125,16 @@ class SignedTransaction:
         return self.body.provider
 
     @property
+    @memoized("_tx_id")
     def tx_id(self) -> str:
         """Content-derived unique id (hash of body + timestamp)."""
-        cached = self.__dict__.get("_tx_id")
-        if cached is not None and perf.ACTIVE.encode_cache:
-            return cached
-        raw = hash_value(("tx-id", self.body.canonical_bytes(), self.timestamp)).hex()[:32]
-        if perf.ACTIVE.encode_cache:
-            object.__setattr__(self, "_tx_id", raw)
-        return raw
+        return hash_value(("tx-id", self.body.canonical_bytes(), self.timestamp)).hex()[:32]
 
     def signed_message(self) -> tuple:
         """The exact structure the provider's signature covers."""
         return ("tx", self.body.canonical_bytes(), self.timestamp)
 
+    @memoized("_signed_msg")
     def signed_message_bytes(self) -> bytes:
         """Canonical encoding of :meth:`signed_message`, memoized.
 
@@ -122,26 +142,15 @@ class SignedTransaction:
         be handed to ``IdentityManager.verify`` directly — encode once,
         verify many (once per linked collector and again per governor).
         """
-        cached = self.__dict__.get("_signed_msg")
-        if cached is not None and perf.ACTIVE.encode_cache:
-            return cached
-        raw = canonical_encode(self.signed_message())
-        if perf.ACTIVE.encode_cache:
-            object.__setattr__(self, "_signed_msg", raw)
-        return raw
+        return canonical_encode(self.signed_message())
 
+    @memoized("_canonical")
     def canonical_bytes(self) -> bytes:
         """Stable encoding (includes the signature tag)."""
-        cached = self.__dict__.get("_canonical")
-        if cached is not None and perf.ACTIVE.encode_cache:
-            return cached
-        raw = hash_value(
+        return hash_value(
             ("signed-tx", self.body.canonical_bytes(), self.timestamp,
              self.provider_signature.signer, self.provider_signature.tag)
         )
-        if perf.ACTIVE.encode_cache:
-            object.__setattr__(self, "_canonical", raw)
-        return raw
 
 
 @dataclass(frozen=True)
@@ -157,28 +166,18 @@ class LabeledTransaction:
         """The structure the collector's signature covers: (tx, label)."""
         return ("labeled-tx", self.tx.canonical_bytes(), int(self.label))
 
+    @memoized("_signed_msg")
     def signed_message_bytes(self) -> bytes:
         """Canonical encoding of :meth:`signed_message`, memoized."""
-        cached = self.__dict__.get("_signed_msg")
-        if cached is not None and perf.ACTIVE.encode_cache:
-            return cached
-        raw = canonical_encode(self.signed_message())
-        if perf.ACTIVE.encode_cache:
-            object.__setattr__(self, "_signed_msg", raw)
-        return raw
+        return canonical_encode(self.signed_message())
 
+    @memoized("_canonical")
     def canonical_bytes(self) -> bytes:
         """Stable encoding of the labeled transaction."""
-        cached = self.__dict__.get("_canonical")
-        if cached is not None and perf.ACTIVE.encode_cache:
-            return cached
-        raw = hash_value(
+        return hash_value(
             ("Tx", self.tx.canonical_bytes(), int(self.label),
              self.collector, self.collector_signature.tag)
         )
-        if perf.ACTIVE.encode_cache:
-            object.__setattr__(self, "_canonical", raw)
-        return raw
 
     def parse(self) -> tuple[SignedTransaction, Label]:
         """The paper's ``parse(Tx)``: the original tx and the label."""
@@ -198,17 +197,12 @@ class TxRecord:
         """Whether the governor skipped validation for this record."""
         return self.status is CheckStatus.UNCHECKED
 
+    @memoized("_canonical")
     def canonical_bytes(self) -> bytes:
         """Stable encoding for block hashing."""
-        cached = self.__dict__.get("_canonical")
-        if cached is not None and perf.ACTIVE.encode_cache:
-            return cached
-        raw = hash_value(
+        return hash_value(
             ("tx-record", self.tx.canonical_bytes(), int(self.label), self.status.value)
         )
-        if perf.ACTIVE.encode_cache:
-            object.__setattr__(self, "_canonical", raw)
-        return raw
 
 
 def make_signed_transaction(

@@ -4,6 +4,9 @@
 * ``IdentityManager.verify`` (an LRU in front of the HMAC) agrees, verdict
   for verdict, with ``signatures.verify_with_key`` under the sender's
   enrolled key, on random payload / tamper pairs;
+* a memoised encoding on a frozen ledger object equals a fresh
+  computation on an equal, un-memoised copy, and survives ``pickle`` (the
+  form in which these objects cross pool pipes and TCP frames);
 * a cached reputation row equals a freshly built one after every kind of
   change to the vectors under it.
 
@@ -12,6 +15,8 @@ End states of whole seeded runs are pinned by ``tests/test_golden_matrix.py``.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -22,8 +27,16 @@ from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.reputation import ReputationBook
 from repro.crypto.hashing import hash_many, hash_value
 from repro.crypto.identity import IdentityManager, Role
-from repro.crypto.signatures import Signature, sign, verify_with_key
+from repro.crypto.signatures import Signature, SigningKey, sign, verify_with_key
+from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.codec import dump_chain
+from repro.ledger.transaction import (
+    CheckStatus,
+    Label,
+    TxRecord,
+    make_labeled_transaction,
+    make_signed_transaction,
+)
 from repro.obs import MetricsRegistry
 from repro.workloads.generator import BernoulliWorkload
 
@@ -188,6 +201,60 @@ class TestVerifyCacheEquivalence:
             message = i.to_bytes(4, "big")
             assert im.verify("p0", message, sign(key, message))
         assert len(im._verify_cache) <= 8
+
+
+def _ledger_objects() -> dict:
+    """One of each memoising ledger type, built bottom-up from one tx."""
+    provider = SigningKey(owner="p0", secret=b"\x01" * 32)
+    collector = SigningKey(owner="c0", secret=b"\x02" * 32)
+    tx = make_signed_transaction(provider, {"amount": 7}, timestamp=1.5, nonce=3)
+    record = TxRecord(tx=tx, label=Label.VALID, status=CheckStatus.UNCHECKED)
+    return {
+        "TransactionBody": tx.body,
+        "SignedTransaction": tx,
+        "LabeledTransaction": make_labeled_transaction(collector, tx, Label.INVALID),
+        "TxRecord": record,
+        "Block": Block(
+            serial=1, tx_list=(record,), prev_hash=GENESIS_PREV_HASH,
+            proposer="g0", round_number=1,
+        ),
+    }
+
+
+def _derived_values(obj) -> dict:
+    """Every memoised value ``obj`` offers, by name."""
+    out = {"canonical_bytes": obj.canonical_bytes()}
+    if hasattr(obj, "signed_message_bytes"):
+        out["signed_message_bytes"] = obj.signed_message_bytes()
+    if hasattr(obj, "tx_id"):
+        out["tx_id"] = obj.tx_id
+    if isinstance(obj, Block):
+        out["hash"] = obj.hash()
+    return out
+
+
+class TestMemoisedEncodings:
+    @pytest.mark.parametrize(
+        "kind",
+        ["TransactionBody", "SignedTransaction", "LabeledTransaction", "TxRecord", "Block"],
+    )
+    def test_memo_equals_fresh_computation_and_survives_pickle(self, kind):
+        obj = _ledger_objects()[kind]
+        first = _derived_values(obj)
+        assert _derived_values(obj) == first  # second read comes from the memo
+        # An equal copy built from the fields alone carries no memo of its own.
+        fields = {f.name for f in dataclasses.fields(obj)}
+        fresh = dataclasses.replace(obj)
+        assert fresh == obj
+        assert set(vars(fresh)) == fields
+        assert _derived_values(fresh) == first
+        # The memo is instance state: it travels with the pickle and still
+        # agrees with a recomputation on the far side.
+        shipped = pickle.loads(pickle.dumps(obj))
+        assert shipped == obj
+        assert len(set(vars(shipped)) - fields) == len(first)
+        assert _derived_values(shipped) == first
+        assert _derived_values(dataclasses.replace(shipped)) == first
 
 
 class TestRowCacheEquivalence:
