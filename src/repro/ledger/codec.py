@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro import perf
 from repro.crypto.signatures import Signature
 from repro.exceptions import LedgerError
 from repro.ledger.block import Block
@@ -34,6 +33,7 @@ from repro.ledger.transaction import (
     SignedTransaction,
     TransactionBody,
     TxRecord,
+    memoized,
 )
 
 __all__ = [
@@ -59,8 +59,19 @@ def _sig_to_json(sig: Signature) -> dict:
 def _sig_from_json(obj: dict) -> Signature:
     try:
         return Signature(signer=obj["signer"], tag=bytes.fromhex(obj["tag"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise LedgerError(f"malformed signature object: {exc}") from exc
+
+
+@memoized("_codec_json")
+def _tx_json(tx: SignedTransaction) -> dict:
+    return {
+        "provider": tx.body.provider,
+        "payload": tx.body.payload,
+        "nonce": tx.body.nonce,
+        "timestamp": tx.timestamp,
+        "signature": _sig_to_json(tx.provider_signature),
+    }
 
 
 def encode_transaction(tx: SignedTransaction) -> dict:
@@ -70,30 +81,12 @@ def encode_transaction(tx: SignedTransaction) -> dict:
     the encoding is memoized on the object — every governor replica
     serialising its copy of the chain reuses one encoding.  The top
     level and the signature sub-object are copied per call so callers
-    may edit them (the tamper tests do); ``payload`` is shared exactly
-    as in the uncached path.
+    may edit them (the tamper tests do); ``payload`` is shared with the
+    transaction itself.
     """
-    cached = tx.__dict__.get("_codec_json")
-    if cached is not None and perf.ACTIVE.codec_fast_path:
-        out = dict(cached)
-        out["signature"] = dict(cached["signature"])
-        return out
-    obj = {
-        "provider": tx.body.provider,
-        "payload": tx.body.payload,
-        "nonce": tx.body.nonce,
-        "timestamp": tx.timestamp,
-        "signature": _sig_to_json(tx.provider_signature),
-    }
-    if perf.ACTIVE.codec_fast_path:
-        cached = dict(obj)
-        cached["signature"] = dict(obj["signature"])
-        object.__setattr__(tx, "_codec_json", cached)
-    return obj
-
-
-#: Key set of the dominant (well-formed) transaction object shape.
-_TX_SHAPE = frozenset(("provider", "payload", "nonce", "timestamp", "signature"))
+    out = dict(_tx_json(tx))
+    out["signature"] = dict(out["signature"])
+    return out
 
 
 def decode_transaction(obj: dict) -> SignedTransaction:
@@ -102,16 +95,6 @@ def decode_transaction(obj: dict) -> SignedTransaction:
     Raises:
         LedgerError: on missing or malformed fields.
     """
-    if perf.ACTIVE.codec_fast_path and obj.keys() == _TX_SHAPE:
-        # Dominant shape: every field present, so the KeyError scaffold
-        # below cannot trigger; construct directly.
-        return SignedTransaction(
-            body=TransactionBody(
-                provider=obj["provider"], payload=obj["payload"], nonce=obj["nonce"]
-            ),
-            timestamp=obj["timestamp"],
-            provider_signature=_sig_from_json(obj["signature"]),
-        )
     try:
         body = TransactionBody(
             provider=obj["provider"], payload=obj["payload"], nonce=obj["nonce"]
@@ -121,8 +104,8 @@ def decode_transaction(obj: dict) -> SignedTransaction:
             timestamp=obj["timestamp"],
             provider_signature=_sig_from_json(obj["signature"]),
         )
-    except KeyError as exc:
-        raise LedgerError(f"transaction object missing field {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise LedgerError(f"malformed transaction object: {exc}") from exc
 
 
 def encode_labeled(labeled: LabeledTransaction) -> dict:
@@ -144,7 +127,7 @@ def decode_labeled(obj: dict) -> LabeledTransaction:
             collector=obj["collector"],
             collector_signature=_sig_from_json(obj["signature"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise LedgerError(f"malformed labeled transaction: {exc}") from exc
 
 
@@ -165,7 +148,7 @@ def decode_record(obj: dict) -> TxRecord:
             label=Label(obj["label"]),
             status=CheckStatus(obj["status"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise LedgerError(f"malformed tx record: {exc}") from exc
 
 
@@ -197,7 +180,7 @@ def decode_block(obj: dict) -> Block:
             round_number=obj["round_number"],
             b_limit=obj["b_limit"],
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise LedgerError(f"malformed block object: {exc}") from exc
     recorded = obj.get("hash")
     if recorded is not None and block.hash().hex() != recorded:
@@ -235,10 +218,13 @@ def load_chain(text: str, owner: str | None = None) -> Ledger:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LedgerError(f"chain file is not valid JSON: {exc}") from exc
+    blocks = doc.get("blocks", []) if isinstance(doc, dict) else None
+    if not isinstance(blocks, list):
+        raise LedgerError("chain file is not a chain document")
     if doc.get("format") != _FORMAT_VERSION:
         raise LedgerError(f"unsupported chain format {doc.get('format')!r}")
     ledger = Ledger(owner=owner or doc.get("owner", "imported"))
-    for block_obj in doc.get("blocks", []):
+    for block_obj in blocks:
         ledger.append(decode_block(block_obj))
     if ledger.height != doc.get("height"):
         raise LedgerError(

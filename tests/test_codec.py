@@ -120,6 +120,40 @@ class TestRecordAndBlock:
             decode_block(obj)
 
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ((), []),
+            ((), None),
+            ((), "x"),
+            (("tx_list",), 5),
+            (("tx_list", 0), "x"),
+            (("tx_list", 0, "tx"), []),
+            (("tx_list", 0, "tx"), None),
+            (("tx_list", 0, "tx"), "x"),
+            (("tx_list", 0, "tx", "signature"), ["p0", "00"]),
+            (("tx_list", 0, "tx", "signature", "tag"), 7),
+            (("tx_list", 0, "label"), [1]),
+            (("tx_list", 0, "status"), {}),
+            (("serial",), "1"),
+            (("prev_hash",), 0),
+            (("b_limit",), None),
+        ],
+    )
+    def test_wrong_shaped_value_is_a_ledger_error(self, path, value):
+        """Untrusted JSON of the wrong shape never escapes as another exception."""
+        obj = encode_block(make_chain(1).retrieve(1))
+        if not path:
+            obj = value
+        else:
+            holder = obj
+            for key in path[:-1]:
+                holder = holder[key]
+            holder[path[-1]] = value
+        with pytest.raises(LedgerError):
+            decode_block(obj)
+
+
 class TestChainFiles:
     def test_dump_load_roundtrip(self):
         ledger = make_chain(4)
@@ -155,6 +189,11 @@ class TestChainFiles:
     def test_garbage_rejected(self):
         with pytest.raises(LedgerError):
             load_chain("this is not json")
+
+    @pytest.mark.parametrize("text", ["[]", "null", '{"format": 1, "blocks": 3}'])
+    def test_json_that_is_no_chain_document_rejected(self, text):
+        with pytest.raises(LedgerError):
+            load_chain(text)
 
     def test_height_mismatch_rejected(self):
         ledger = make_chain(2)

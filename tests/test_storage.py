@@ -306,6 +306,20 @@ class TestRecoveryStateMachine:
         assert report.height == 2
         assert any(c.kind == "chain-break" for c in report.corruptions)
 
+    def test_crc_valid_frame_of_the_wrong_shape_is_a_decode_corruption(self, tmp_path):
+        """A frame whose JSON is well formed but not a block is reported, not raised."""
+        from repro.ledger.codec import encode_block
+
+        cfg = durable(tmp_path, checkpoint_interval=0, segment_bytes=10_000)
+        store, _ = open_durable_store(cfg)
+        blocks = grow(store, 2)
+        obj = encode_block(make_block(3, blocks[-1].hash()))
+        obj["tx_list"][0]["tx"] = []  # a JSON list where the tx object belongs
+        store._log.append(3, json.dumps(obj, sort_keys=True).encode())
+        report = recover(tmp_path)
+        assert report.height == 2
+        assert any(c.kind == "record-decode" for c in report.corruptions)
+
     def test_unanchored_segments_degrade_to_checkpoint(self, tmp_path):
         cfg = durable(tmp_path)
         store, _ = open_durable_store(cfg)
