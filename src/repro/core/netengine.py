@@ -66,7 +66,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from repro import perf
 from repro.agents.behaviors import CollectorBehavior, HonestBehavior
 from repro.agents.collector import Collector
 from repro.audit import config as audit_config
@@ -1195,11 +1194,10 @@ class NetworkedProtocolEngine(RoundCore):
         # fan-out and every governor re-checks each upload, they all hit
         # the cached verdict instead of redoing the HMAC.  Verification
         # consumes no randomness, so the drain is unaffected otherwise.
-        if perf.ACTIVE.signature_cache:
-            self.im.verify_batch(
-                (tx.provider, tx.signed_message_bytes(), tx.provider_signature)
-                for _provider, tx in originated
-            )
+        self.im.verify_batch(
+            (tx.provider, tx.signed_message_bytes(), tx.provider_signature)
+            for _provider, tx in originated
+        )
         # Forgery opportunities: once per live collector per round.
         for collector in self.collectors.values():
             if collector.collector_id in self._crashed:

@@ -22,7 +22,6 @@ from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro import perf
 from repro.crypto.hashing import canonical_encode, sha256
 from repro.crypto.signatures import Signature, SigningKey, sign, verify_with_key
 from repro.exceptions import UnknownIdentityError
@@ -68,8 +67,7 @@ class IdentityManager:
     the per-governor re-verification of the same upload hit the cache
     instead of redoing identical HMACs.  The cache is sound because
     credentials are immutable once enrolled (re-enrolment of an id
-    raises), and it can be force-disabled via
-    :data:`repro.perf.ACTIVE` ``.signature_cache``.
+    raises): a first-seen key always goes through ``verify_with_key``.
 
     Args:
         seed: Seed for credential generation, for reproducible runs.
@@ -178,8 +176,6 @@ class IdentityManager:
         record = self._records.get(sender_id)
         if record is None:
             return False
-        if not perf.ACTIVE.signature_cache:
-            return verify_with_key(record.key, message, signature)
         if signature.signer != sender_id:
             return False  # verify_with_key rejects this unconditionally
         raw = message if isinstance(message, bytes) else canonical_encode(message)
