@@ -27,7 +27,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro import perf
 from repro.exceptions import ConfigurationError, ProtocolViolationError
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
@@ -191,8 +190,8 @@ class WeightRow:
     """A contiguous snapshot of collector weights w.r.t. one provider.
 
     ``weights[i]`` is the weight of the i-th collector of the row's key,
-    ``total`` is ``float(weights.sum())`` (NumPy pairwise order, exactly
-    as the uncached path computes it), and :meth:`probabilities` /
+    ``total`` is ``float(weights.sum())`` (NumPy pairwise order),
+    and :meth:`probabilities` /
     :meth:`python_sum` are computed lazily once and reused — this is
     what makes screening's source-selection normalization O(1) amortized.
     """
@@ -212,7 +211,7 @@ class WeightRow:
 
     def python_sum(self) -> float:
         """Sequential (Python ``sum``) total, for callers that always
-        summed left-to-right — bit-identical to the uncached loop."""
+        summed left-to-right — not the pairwise :attr:`total`."""
         if self._psum is None:
             self._psum = sum(self.weights.tolist())
         return self._psum
@@ -393,17 +392,14 @@ class ReputationBook:
         any underlying vector changes (identity *or* version — churn
         swaps vector objects, updates bump versions), so repeated
         screenings of the same reporter set skip both the per-collector
-        dict walk and the re-normalization.  With the cache disabled the
-        row is rebuilt every call; either way the numbers are computed by
-        the exact same operations, keeping seeded runs bit-identical.
+        dict walk and the re-normalization.  A cached row holds the
+        numbers a fresh :meth:`_build_row` would compute.
 
         Raises:
             ProtocolViolationError: unknown collector, or no entry for
                 ``provider`` in some collector's vector.
         """
         collectors = tuple(collectors)
-        if not perf.ACTIVE.reputation_cache:
-            return self._build_row(provider, collectors)
         key = (provider, collectors)
         row = self._row_cache.get(key)
         if row is not None:
@@ -474,15 +470,12 @@ class ReputationBook:
     def total_weight(self, provider: str, collectors: Iterable[str]) -> float:
         """Sum of weights w.r.t. ``provider`` over ``collectors``.
 
-        Routed through the row cache; the sequential (left-to-right)
-        Python sum is preserved so totals stay bit-identical with the
-        cache on or off.
+        Routed through the row cache; summed left to right
+        (:meth:`WeightRow.python_sum`), as ``sum(weight(c, provider))``.
         """
         collectors = tuple(collectors)
         if not collectors:
             return 0
-        if not perf.ACTIVE.reputation_cache:
-            return sum(self.weight(c, provider) for c in collectors)
         return self.selection_row(provider, collectors).python_sum()
 
     # -- membership churn -------------------------------------------------
