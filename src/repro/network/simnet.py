@@ -17,7 +17,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro import perf
 from repro.exceptions import SimulationError, SynchronyViolationError
 from repro.network.clock import GlobalClock
 from repro.network.events import Event, EventQueue
@@ -403,8 +402,7 @@ class SyncNetwork:
         :meth:`send` calls it replaces.
         """
         if (
-            perf.ACTIVE.batched_delays
-            and len(receivers) > 1
+            len(receivers) > 1
             and self.fault_filter is None
             and not self._partitioned
             and self.max_delay != self.min_delay
