@@ -1,7 +1,7 @@
 """Runtime safety auditor: invariant monitoring, structured verdicts, quarantine feed.
 
 See :mod:`repro.audit.auditor` for the monitored invariants and
-:mod:`repro.audit.config` for the ``repro.perf``-style switchboard
+:mod:`repro.audit.config` for its switchboard
 (auditor on by default, force-disableable, bit-identical seeded runs
 either way when no violations occur).
 """

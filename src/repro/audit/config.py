@@ -1,7 +1,7 @@
 """Runtime knobs for the safety auditor.
 
-Mirrors :mod:`repro.perf`: a frozen config dataclass, a process-wide
-``ACTIVE`` instance, and scoped/global override helpers.  The auditor is
+A frozen config dataclass, a process-wide ``ACTIVE`` instance, and
+scoped/global override helpers.  The auditor is
 **on by default** — every networked engine constructed without an
 explicit ``audit=`` argument snapshots the active config — and force-
 disableable for the bit-identity regression tests

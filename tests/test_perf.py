@@ -21,15 +21,11 @@ import random
 
 import pytest
 
-from repro import ProtocolEngine, ProtocolParams, Topology, perf
-from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
-from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.reputation import ReputationBook
 from repro.crypto.hashing import hash_many, hash_value
 from repro.crypto.identity import IdentityManager, Role
 from repro.crypto.signatures import Signature, SigningKey, sign, verify_with_key
 from repro.ledger.block import GENESIS_PREV_HASH, Block
-from repro.ledger.codec import dump_chain
 from repro.ledger.transaction import (
     CheckStatus,
     Label,
@@ -38,54 +34,6 @@ from repro.ledger.transaction import (
     make_signed_transaction,
 )
 from repro.obs import MetricsRegistry
-from repro.workloads.generator import BernoulliWorkload
-
-
-class TestPerfConfig:
-    def test_all_knobs_default_on(self):
-        cfg = perf.PerfConfig()
-        assert all(
-            getattr(cfg, knob)
-            for knob in (
-                "encode_cache",
-                "signature_cache",
-                "reputation_cache",
-                "batched_delays",
-                "codec_fast_path",
-            )
-        )
-
-    def test_overridden_flips_and_restores(self):
-        prior = perf.get_config()
-        with perf.overridden(signature_cache=False) as cfg:
-            assert cfg.signature_cache is False
-            assert cfg.encode_cache is prior.encode_cache
-            assert perf.ACTIVE is cfg
-        assert perf.get_config() == prior
-
-    def test_all_disabled_turns_everything_off(self):
-        prior = perf.get_config()
-        with perf.all_disabled() as cfg:
-            assert not any(
-                (
-                    cfg.encode_cache,
-                    cfg.signature_cache,
-                    cfg.reputation_cache,
-                    cfg.batched_delays,
-                    cfg.codec_fast_path,
-                )
-            )
-        assert perf.get_config() == prior
-
-    def test_configure_flips_one_knob_globally(self):
-        prior = perf.get_config()
-        try:
-            cfg = perf.configure(reputation_cache=False)
-            assert perf.get_config() is cfg
-            assert cfg.reputation_cache is False
-            assert cfg.encode_cache is prior.encode_cache
-        finally:
-            perf.set_config(prior)
 
 
 class TestHashManyStreaming:
@@ -287,53 +235,3 @@ class TestRowCacheEquivalence:
         book.readmit_collector("c1", ["p0", "p1"], bootstrap="min")
         assert book.vector("c1") is not retired
         check()
-
-
-def _inprocess_tip_and_chain(rounds: int = 3, per_round: int = 8):
-    topo = Topology.regular(l=8, n=4, m=3, r=2)
-    engine = ProtocolEngine(
-        topo,
-        ProtocolParams(f=0.5, b_limit=256),
-        behaviors={"c0": MisreportBehavior(0.4), "c1": ConcealBehavior(0.4)},
-        seed=7,
-    )
-    workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=8)
-    for _ in range(rounds):
-        engine.run_round(workload.take(per_round))
-    engine.finalize()
-    ledger = next(iter(engine.governors.values())).ledger
-    return ledger.tip_hash(), dump_chain(ledger)
-
-
-def _networked_tip_and_chain(rounds: int = 3, per_round: int = 4):
-    topo = Topology.regular(l=8, n=4, m=3, r=2)
-    engine = NetworkedProtocolEngine(topo, ProtocolParams(f=0.5, delta=0.2), seed=3)
-    workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=4)
-    for _ in range(rounds):
-        engine.run_round(workload.take(per_round))
-    ledger = next(iter(engine.governors.values())).ledger
-    return ledger.tip_hash(), dump_chain(ledger)
-
-
-class TestSeededRunsBitIdentical:
-    """The headline determinism contract from PERFORMANCE.md."""
-
-    @pytest.mark.parametrize(
-        "runner",
-        [_inprocess_tip_and_chain, _networked_tip_and_chain],
-        ids=["inprocess", "networked"],
-    )
-    def test_caches_on_vs_off(self, runner):
-        tip_on, chain_on = runner()
-        with perf.all_disabled():
-            tip_off, chain_off = runner()
-        assert tip_on == tip_off
-        assert chain_on == chain_off
-
-    def test_single_knob_off_matches_too(self):
-        # batched_delays is the subtlest knob (vectorized RNG draws must
-        # reproduce the sequential stream exactly) — check it alone.
-        tip_on, _ = _networked_tip_and_chain()
-        with perf.overridden(batched_delays=False):
-            tip_off, _ = _networked_tip_and_chain()
-        assert tip_on == tip_off
