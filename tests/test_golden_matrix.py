@@ -12,7 +12,10 @@ covers each execution shape the paper's round runs under:
   under an installed ``FaultPlan`` with loss, duplication and a crash);
 * ``StreamingSession`` on every ``STREAM_SCENARIOS`` preset over a small
   universe with retirement on;
-* one ``SHARD_SCENARIOS`` preset on the serial backend;
+* one ``SHARD_SCENARIOS`` preset on the serial backend, and the S=4
+  preset with epoch reshuffles under a seeded per-shard ``FaultPlan``
+  with ``resilience`` on — once in-process and once on two worker
+  processes (two shards each), pinned to the same values;
 * one ``DURABLE_SCENARIOS`` preset across a close / reopen.
 
 The expected values live in ``tests/golden_matrix.json``.  A refactor
@@ -39,16 +42,19 @@ from repro.core import ProtocolEngine, ProtocolParams
 from repro.core.netengine import NetworkedProtocolEngine
 from repro.faults import FaultPlan, LinkFaultSpec
 from repro.network import Topology
+from repro.sharding import ShardCoordinator
 from repro.network.visibility import VisibilityMap
 from repro.storage.checkpoints import reputation_digest
 from repro.streaming.scenarios import STREAM_SCENARIOS, build_streaming_session
 from repro.workloads import BernoulliWorkload
 from repro.workloads.scenarios import (
     SCENARIOS,
+    SHARD_SCENARIOS,
     build_durable_engine,
     build_engine,
     build_shard_deployment,
 )
+from repro.workloads.xshard import CrossShardWorkload
 
 GOLDEN_FILE = Path(__file__).with_name("golden_matrix.json")
 SEED = 7
@@ -147,6 +153,50 @@ def _sharded() -> dict:
         coordinator.close()
 
 
+def _sharded_quad_faults(workers: int | None) -> dict:
+    """What either backend can report: engines may live in other processes."""
+    scenario = SHARD_SCENARIOS["sharded-quad"]
+    sharded = Topology.sharded(
+        l=scenario.l, n=scenario.n, m=scenario.m, r=scenario.r, shards=scenario.shards
+    )
+    coordinator = ShardCoordinator(
+        sharded,
+        scenario.params,
+        seed=SEED,
+        epoch_rounds=scenario.epoch_rounds,
+        resilience=True,
+        workers=workers,
+    )
+    try:
+        for k in range(scenario.shards):
+            coordinator.install_faults(
+                k,
+                FaultPlan(seed=SEED + 50 + k).with_default_link(
+                    LinkFaultSpec(loss=0.02, duplicate=0.05)
+                ),
+            )
+        providers = [p for topo in sharded.shards for p in topo.providers]
+        workload = CrossShardWorkload(
+            BernoulliWorkload(providers, p_valid=0.8, seed=SEED + 1),
+            sharded.provider_shard,
+            p_cross=scenario.p_cross,
+            seed=SEED + 2,
+        )
+        for _ in range(scenario.rounds):
+            coordinator.submit(workload.take(scenario.batch))
+            coordinator.run_super_round()
+        coordinator.finalize()
+        assert coordinator.reshuffle_log, "no epoch reshuffle exercised"
+        return {
+            "tips": coordinator.tip_hashes(),
+            "heights": [s.height for s in coordinator.chain_stats()],
+            "committed": coordinator.committed_total,
+            "clock": repr(coordinator.now),
+        }
+    finally:
+        coordinator.close()
+
+
 def _durable_reopen() -> dict:
     with tempfile.TemporaryDirectory() as directory:
         first, workload, scenario = build_durable_engine(
@@ -175,6 +225,8 @@ CASES = {
     "networked/resilient-faults": partial(_networked, resilience=True),
     **{f"streaming/{name}": partial(_streaming, name) for name in sorted(STREAM_SCENARIOS)},
     "sharded/sharded-smoke": _sharded,
+    "sharded/quad-faults-inprocess": partial(_sharded_quad_faults, None),
+    "sharded/quad-faults-workers2": partial(_sharded_quad_faults, 2),
     "durable/durable-smoke-reopen": _durable_reopen,
 }
 
@@ -184,6 +236,14 @@ def test_golden_matrix(case):
     expected = json.loads(GOLDEN_FILE.read_text())
     assert case in expected, f"{case} missing from {GOLDEN_FILE.name}; see header"
     assert CASES[case]() == expected[case]
+
+
+def test_sharded_quad_is_pinned_identically_on_both_backends():
+    expected = json.loads(GOLDEN_FILE.read_text())
+    assert (
+        expected["sharded/quad-faults-workers2"]
+        == expected["sharded/quad-faults-inprocess"]
+    )
 
 
 def test_golden_file_has_no_stale_cases():
