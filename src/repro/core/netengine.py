@@ -42,8 +42,7 @@ and re-admitted under the membership churn rules (median bootstrap)
 when it returns.  A crashed elected leader fails over deterministically
 to the next live governor at pack time.
 
-**Safety auditing & quarantine** (``audit``, on by default — see
-:mod:`repro.audit.config`): every governor runs a
+**Safety auditing & quarantine**: every governor runs a
 :class:`~repro.audit.SafetyAuditor`.  After appending a block each
 governor sends a signed :class:`~repro.consensus.messages.CommitVote`
 to every peer; a governor that signs two different hashes for one
@@ -57,8 +56,7 @@ leader election, and (for collectors) it is retired from every
 reputation book.  Readmission goes through the same median-bootstrap
 churn path as crash recovery (:meth:`release_quarantine`).  Audit
 traffic rides a fixed-delay, fault-exempt path that consumes no RNG
-from any simulation stream, so seeded ledgers are bit-identical with
-the auditor on or off (locked in by ``tests/test_audit.py``).
+from any simulation stream.
 """
 
 from __future__ import annotations
@@ -68,9 +66,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.agents.behaviors import CollectorBehavior, HonestBehavior
 from repro.agents.collector import Collector
-from repro.audit import config as audit_config
 from repro.audit.auditor import AuditViolation, SafetyAuditor, ViolationType
-from repro.audit.config import AuditConfig
 from repro.consensus.messages import CommitVote
 from repro.core.params import ProtocolParams
 from repro.core.rewards import distribute_rewards
@@ -196,10 +192,6 @@ class NetworkedProtocolEngine(RoundCore):
             and sim-time spans (``round`` / ``pack`` / ``drain_recovery``).
             Same no-op convention as ``resilience``: absent or disabled,
             runs are bit-identical (see OBSERVABILITY.md).
-        audit: Safety-auditor knobs; None snapshots the process-wide
-            :mod:`repro.audit.config` switchboard (auditor ON by
-            default).  With no violations present, auditor-on and
-            auditor-off seeded runs produce bit-identical ledgers.
         sim: Optional externally owned :class:`~repro.network.simnet.Simulator`.
             When given, the engine schedules on that shared clock instead
             of creating its own — this is how a
@@ -225,7 +217,6 @@ class NetworkedProtocolEngine(RoundCore):
         stake: Mapping[str, int] | None = None,
         resilience: bool = False,
         obs: MetricsRegistry | None = None,
-        audit: AuditConfig | None = None,
         sim: Simulator | None = None,
         storage: StorageConfig | None = None,
         network_factory: Callable[..., SyncNetwork] | None = None,
@@ -303,7 +294,6 @@ class NetworkedProtocolEngine(RoundCore):
         # (sim time, "crash"/"recover", node id, blocks synced on recovery)
         self.fault_log: list[tuple[float, str, str, int]] = []
         # -- safety auditing / quarantine -------------------------------
-        self.audit = audit if audit is not None else audit_config.get_config()
         self.harness_auditor = SafetyAuditor("harness", im=None, obs=self.obs)
         self._quarantined: set[str] = set()
         # (sim time, round, node id, violation type)
@@ -351,9 +341,6 @@ class NetworkedProtocolEngine(RoundCore):
             behaviors,
             stake,
         )
-        # One auditor per governor (created even when disabled, so the
-        # audit_* metric families are always registered; disabled
-        # configs simply never call into them).
         self.auditors: dict[str, SafetyAuditor] = {
             gid: SafetyAuditor(gid, im=self.im, obs=self.obs)
             for gid in topology.governors
@@ -498,15 +485,10 @@ class NetworkedProtocolEngine(RoundCore):
             # traffic behind it keeps flowing.)
             if sender in self._quarantined:
                 return
-            if self.audit.enabled and self.audit.commit_votes:
-                violation = self.auditors[gid].observe_upload(upload, self._round)
-                if (
-                    violation is not None
-                    and violation.provable
-                    and self.audit.quarantine
-                ):
-                    self.quarantine_node(violation.culprit, violation)
-                    return
+            violation = self.auditors[gid].observe_upload(upload, self._round)
+            if violation is not None and violation.provable:
+                self.quarantine_node(violation.culprit, violation)
+                return
             governor = self.governors[gid]
             tx_id = upload.tx.tx_id
             fresh = not governor.has_buffered(tx_id)
@@ -535,36 +517,30 @@ class NetworkedProtocolEngine(RoundCore):
         def handle(sender: str, block: Block) -> None:
             governor = self.governors[gid]
             deliver = block
-            if self.audit.enabled and self.audit.block_integrity:
-                store_hash = (
-                    self.store.retrieve(block.serial).hash()
-                    if self.store.base_serial < block.serial <= self.store.height
-                    else None
-                )
-                violations = self.auditors[gid].audit_block(
-                    block,
-                    expected_serial=governor.ledger.height + 1,
-                    expected_prev=governor.ledger.tip_hash(),
-                    round_number=self._round,
-                    store_hash=store_hash,
-                )
-                # Containment for in-flight block tampering: fall back to
-                # the authentic published copy so the local chain stays
-                # intact (the tampered copy's own hash would poison the
-                # next append).
-                if (
-                    any(v.type is ViolationType.BLOCK_TAMPER for v in violations)
-                    and store_hash is not None
-                ):
-                    deliver = self.store.retrieve(block.serial)
+            store_hash = (
+                self.store.retrieve(block.serial).hash()
+                if self.store.base_serial < block.serial <= self.store.height
+                else None
+            )
+            violations = self.auditors[gid].audit_block(
+                block,
+                expected_serial=governor.ledger.height + 1,
+                expected_prev=governor.ledger.tip_hash(),
+                round_number=self._round,
+                store_hash=store_hash,
+            )
+            # Containment for in-flight block tampering: fall back to
+            # the authentic published copy so the local chain stays
+            # intact (the tampered copy's own hash would poison the
+            # next append).
+            if (
+                any(v.type is ViolationType.BLOCK_TAMPER for v in violations)
+                and store_hash is not None
+            ):
+                deliver = self.store.retrieve(block.serial)
             governor.ledger.append(deliver)
             self._clear_packed_receipts(gid, deliver)
-            if (
-                self.audit.enabled
-                and self.audit.commit_votes
-                and gid not in self._crashed
-                and gid not in self._quarantined
-            ):
+            if gid not in self._crashed and gid not in self._quarantined:
                 self._send_commit_votes(gid, deliver)
         return handle
 
@@ -769,8 +745,6 @@ class NetworkedProtocolEngine(RoundCore):
 
     def _on_commit_vote(self, gid: str, vote: CommitVote) -> None:
         """Receiver side of the vote flow: audit, forward evidence, contain."""
-        if not (self.audit.enabled and self.audit.commit_votes):
-            return
         if gid in self._crashed or gid in self._quarantined:
             return
         if vote.governor in self._quarantined:
@@ -789,7 +763,7 @@ class NetworkedProtocolEngine(RoundCore):
             # it verbatim so peers holding the *other* signed vote can
             # complete the two-signatures proof.
             self._forward_evidence(gid, vote)
-        if violation is not None and violation.provable and self.audit.quarantine:
+        if violation is not None and violation.provable:
             self.quarantine_node(violation.culprit, violation)
 
     def _forward_evidence(self, gid: str, vote: CommitVote) -> None:
@@ -865,19 +839,15 @@ class NetworkedProtocolEngine(RoundCore):
 
     def _end_of_round_audit(self, round_number: int) -> None:
         """Per-round invariant sweep (books, agreement, Theorem-1 bound)."""
-        cfg = self.audit
         down = self._crashed | self._quarantined
         honest = [g for g in self.topology.governors if g not in down]
-        if cfg.reputation_invariants:
-            for gid in honest:
-                self.auditors[gid].audit_book(
-                    self.governors[gid].book, round_number
-                )
+        for gid in honest:
+            self.auditors[gid].audit_book(self.governors[gid].book, round_number)
         if len(honest) >= 2:
             self.harness_auditor.audit_agreement(
                 [self.governors[gid].ledger for gid in honest], round_number
             )
-        if cfg.theorem_guardrail and honest:
+        if honest:
             measured = max(
                 self.governors[gid].metrics.expected_loss for gid in honest
             )
@@ -886,7 +856,7 @@ class NetworkedProtocolEngine(RoundCore):
                 r=self.topology.r,
                 beta=self.params.beta,
                 round_number=round_number,
-                s_min=cfg.s_min,
+                s_min=0.0,  # the paper's premise: one well-behaved collector
             )
 
     # -- fault injection & crash recovery ---------------------------------
@@ -1012,7 +982,7 @@ class NetworkedProtocolEngine(RoundCore):
             self._round = max(
                 self._round, self.store.retrieve(self.store.height).round_number
             )
-            if self.audit.enabled and len(self.governors) >= 2:
+            if len(self.governors) >= 2:
                 self.harness_auditor.audit_agreement(
                     [gov.ledger for gov in self.governors.values()], self._round
                 )
@@ -1309,8 +1279,7 @@ class NetworkedProtocolEngine(RoundCore):
         for cid, amount in rewards.items():
             self.rewards_paid[cid] = self.rewards_paid.get(cid, 0.0) + amount
 
-        if self.audit.enabled:
-            self._end_of_round_audit(round_number)
+        self._end_of_round_audit(round_number)
 
         self._m_rounds.inc()
         self._m_tx_offered.inc(ctx.specs_count)

@@ -128,8 +128,7 @@ class ProtocolEngine(RoundCore):
         self.visibility = visibility
         self.store = BlockStore()
         self.metrics = EngineMetrics()
-        # Harness-level AuditReport, filled by finalize() when the
-        # safety auditor is enabled (repro.audit.config).
+        # Harness-level AuditReport, filled by finalize().
         self.audit_report = None
         self._register_engine_metrics()
 
@@ -313,7 +312,7 @@ class ProtocolEngine(RoundCore):
 
     def finalize(self) -> None:
         """Close the books: reveal every still-pending unchecked truth, then
-        run the harness audit into ``audit_report`` (unless disabled)."""
+        run the harness audit into ``audit_report``."""
         self._close_books("harness", r=self.topology.r)
 
     # -- convenience accessors -----------------------------------------------

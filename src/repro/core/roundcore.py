@@ -42,7 +42,6 @@ from repro.agents.behaviors import CollectorBehavior, HonestBehavior
 from repro.agents.collector import Collector
 from repro.agents.governor import Governor
 from repro.agents.provider import Provider
-from repro.audit import config as audit_config
 from repro.audit.auditor import harness_audit
 from repro.consensus.pos import LeaderElection
 from repro.consensus.stake import StakeLedger
@@ -326,21 +325,19 @@ class RoundCore:
             governor.reveal_pending(self.oracle)
 
     def _close_books(self, owner: str, r: int) -> None:
-        """Reveal pending truths, then — if :mod:`repro.audit.config` enables
-        it — audit replica agreement and Theorem-1 regret into ``audit_report``."""
+        """Reveal pending truths, then audit replica agreement and Theorem-1
+        regret into ``audit_report``."""
         self._reveal_pending()
-        cfg = audit_config.get_config()
-        if cfg.enabled:
-            self.audit_report = harness_audit(
-                owner,
-                self.ledgers(),
-                list(self.governors.values()),
-                r=r,
-                beta=self.params.beta,
-                round_number=self._round,
-                s_min=cfg.s_min,
-                obs=self.obs,
-            )
+        self.audit_report = harness_audit(
+            owner,
+            self.ledgers(),
+            list(self.governors.values()),
+            r=r,
+            beta=self.params.beta,
+            round_number=self._round,
+            s_min=0.0,  # the paper's premise: one well-behaved collector
+            obs=self.obs,
+        )
 
     # -- accessors ---------------------------------------------------------
 

@@ -184,7 +184,6 @@ def build_shard_engine(
     max_delay: float,
     resilience: bool,
     obs=None,
-    audit=None,
     sim: Simulator | None = None,
     storage=None,
 ) -> "NetworkedProtocolEngine":
@@ -210,7 +209,6 @@ def build_shard_engine(
         max_delay=max_delay,
         resilience=resilience,
         obs=obs,
-        audit=audit,
         sim=sim,
         storage=storage,
     )
@@ -313,7 +311,6 @@ class SerialBackend:
         max_delay: float = 0.05,
         resilience: bool = False,
         obs=None,
-        audit=None,
         storage: Sequence[object | None] | None = None,
     ):
         self.topology = topology
@@ -333,7 +330,6 @@ class SerialBackend:
                 max_delay,
                 resilience,
                 obs=obs,
-                audit=audit,
                 sim=self.sim,
                 storage=storage[k],
             )

@@ -127,7 +127,6 @@ class ParallelBackend:
         max_delay: float = 0.05,
         resilience: bool = False,
         obs: MetricsRegistry | None = None,
-        audit=None,
         storage: Sequence[object | None] | None = None,
         workers: int = 2,
         phase_timeout: float = 60.0,
@@ -172,7 +171,6 @@ class ParallelBackend:
                 min_delay=min_delay,
                 max_delay=max_delay,
                 resilience=resilience,
-                audit=audit,
                 provider_shard=dict(topology.provider_shard),
                 storage=tuple(self._storage[k] for k in shards),
             )

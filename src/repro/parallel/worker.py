@@ -64,7 +64,6 @@ class WorkerInit:
     min_delay: float
     max_delay: float
     resilience: bool
-    audit: object | None
     #: provider id -> home shard (receipt-minting target lookup).
     provider_shard: Mapping[str, int]
     #: Per-hosted-shard :class:`~repro.storage.StorageConfig` (or None).
@@ -96,7 +95,6 @@ class _WorkerHost:
                 init.max_delay,
                 init.resilience,
                 obs=None,
-                audit=init.audit,
                 sim=sim,
                 storage=storage,
             )

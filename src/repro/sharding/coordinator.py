@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.agents.behaviors import CollectorBehavior
-from repro.audit.config import AuditConfig
 from repro.audit.xshard import CrossShardAuditor
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
@@ -132,7 +131,7 @@ class ShardCoordinator:
             from it, and reshuffle permutations mix in the epoch.
         epoch_rounds: Reshuffle every this many super-rounds (None:
             only on explicit :meth:`reshuffle` calls).
-        min_delay / max_delay / resilience / obs / audit: Forwarded to
+        min_delay / max_delay / resilience / obs: Forwarded to
             every shard engine (see
             :class:`~repro.core.netengine.NetworkedProtocolEngine`).
         workers: ``None`` or ``1`` selects the serial in-process
@@ -156,7 +155,6 @@ class ShardCoordinator:
         max_delay: float = 0.05,
         resilience: bool = False,
         obs: MetricsRegistry | None = None,
-        audit: AuditConfig | None = None,
         workers: int | None = None,
         storage: Sequence[object | None] | None = None,
         worker_timeout: float = 60.0,
@@ -180,7 +178,6 @@ class ShardCoordinator:
                 max_delay=max_delay,
                 resilience=resilience,
                 obs=self.obs,
-                audit=audit,
                 storage=storage,
                 workers=workers,
                 phase_timeout=worker_timeout,
@@ -195,7 +192,6 @@ class ShardCoordinator:
                 max_delay=max_delay,
                 resilience=resilience,
                 obs=self.obs,
-                audit=audit,
                 storage=storage,
             )
         self.obs.bind_clock(lambda: self.now)

@@ -329,28 +329,6 @@ class TestGovernorEquivocation:
         ]
         check_agreement(honest)
 
-    def test_detection_without_containment_when_quarantine_off(self):
-        from repro.audit import AuditConfig
-
-        topo = Topology.regular(l=8, n=4, m=3, r=2)
-        engine = NetworkedProtocolEngine(
-            topo,
-            ProtocolParams(f=0.5, delta=0.2),
-            seed=70,
-            max_delay=0.05,
-            audit=AuditConfig(quarantine=False),
-        )
-        install_equivocation(engine, "g2", serial=3)
-        run_rounds(engine, topo, 6, seed=71)
-        engine.finalize()
-        proofs = [
-            v
-            for auditor in engine.auditors.values()
-            for v in auditor.report.by_type(ViolationType.GOVERNOR_EQUIVOCATION)
-        ]
-        assert proofs  # still detected...
-        assert not engine.quarantined_nodes  # ...but never contained
-
     def test_honest_votes_never_trip_the_auditor(self):
         engine, topo = make_engine(seed=80)
         run_rounds(engine, topo, 4, seed=81)
