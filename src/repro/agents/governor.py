@@ -252,6 +252,17 @@ class Governor:
                 if not decision.labels:
                     del self._pending_unchecked[tx_id]
 
+    def last_reports(self, collector: str) -> list[str]:
+        """Buffered transactions :meth:`drop_collector` would forget for good:
+        ``collector``'s is the only report held, and no other collector is
+        linked with the provider who could still send one."""
+        return [
+            tx_id
+            for tx_id, (tx, labels) in self._received.items()
+            if list(labels) == [collector]
+            and all(c == collector for c in self._linked.get(tx.provider, ()))
+        ]
+
     def admit_collector(
         self, collector: str, providers: Iterable[str], bootstrap: str = "median"
     ) -> None:

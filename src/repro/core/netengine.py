@@ -405,8 +405,10 @@ class NetworkedProtocolEngine(RoundCore):
                 timeout=4 * max_delay,
             )
 
-        # Per-governor Δ timers: (gid, tx_id) -> scheduled (once).
+        # Per-governor Δ timers: (gid, tx_id) -> scheduled (once), and the
+        # ones that have not fired yet.
         self._timers_started: set[tuple[str, str]] = set()
+        self._timers_pending: set[tuple[str, str]] = set()
 
     def _restore_books_from_checkpoint(self) -> None:
         """Re-seed reputation books from the recovered checkpoint payload.
@@ -497,6 +499,7 @@ class NetworkedProtocolEngine(RoundCore):
                 key = (gid, tx_id)
                 if key not in self._timers_started:
                     self._timers_started.add(key)
+                    self._timers_pending.add(key)
                     self.sim.schedule_after(
                         self.params.delta,
                         lambda: self._governor_endtime(gid, tx_id),
@@ -506,6 +509,7 @@ class NetworkedProtocolEngine(RoundCore):
 
     def _governor_endtime(self, gid: str, tx_id: str) -> None:
         """Algorithm 2's endtime(tx): screen when the Δ timer fires."""
+        self._timers_pending.discard((gid, tx_id))
         governor = self.governors[gid]
         if not governor.has_buffered(tx_id):
             return  # already screened (defensive; timers arm only once)
@@ -1046,6 +1050,7 @@ class NetworkedProtocolEngine(RoundCore):
         if cid not in self.collectors:
             raise ConfigurationError(f"unknown collector {cid!r}")
         providers = self.collector_providers.pop(cid)
+        self._screen_before_release(cid)
         for governor in self.governors.values():
             if governor.book.is_registered(cid):
                 governor.drop_collector(cid)
@@ -1058,6 +1063,39 @@ class NetworkedProtocolEngine(RoundCore):
         self._crashed.discard(cid)
         self.store.forget_reader(cid)
         return providers, collector.behavior
+
+    def _screen_before_release(self, cid: str) -> None:
+        """Screen now what dropping ``cid`` would make every governor forget.
+
+        A migration, unlike a crash, must not lose a delivered
+        transaction.  When a reshuffle releases every collector that
+        reported a transaction whose Δ timers are still pending, each
+        governor's drop scrubs the last label, the timers no-op, nobody
+        re-offers it and audits stay clean.  So governors about to lose
+        their last report screen first — but only where no governor
+        keeps the transaction, so a run that strands nothing keeps its
+        ledgers.  (An entry re-buffered by an upload that arrived after
+        its screening has no pending timer.)
+        """
+        doomed = [
+            (gid, tx_id)
+            for gid, governor in self.governors.items()
+            for tx_id in governor.last_reports(cid)
+            if (gid, tx_id) in self._timers_pending
+        ]
+
+        def keeps(gid: str, tx_id: str) -> bool:
+            key = (gid, tx_id)
+            if key in self._timers_pending:  # holds a report the drop leaves?
+                return key not in doomed and self.governors[gid].has_buffered(tx_id)
+            return key in self._timers_started  # screened already
+
+        stranded = [
+            key for key in doomed
+            if not any(keeps(gid, key[1]) for gid in self.governors)
+        ]
+        for gid, tx_id in stranded:
+            self._governor_endtime(gid, tx_id)
 
     def adopt_collector(
         self,

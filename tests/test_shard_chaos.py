@@ -146,6 +146,64 @@ class TestReceiptReplayRegression:
         assert a.committed_total == b.committed_total
 
 
+class TestReshuffleKeepsDeliveredTransactions:
+    """Pin PR 12's "stranded transaction", root-caused in PR 15.
+
+    ``Governor.drop_collector`` forgets a buffered transaction once its
+    last label is scrubbed.  In this schedule p14's round-12 transaction
+    was reported by c3 and c5 to g0/g2/g4/g6 with the Δ timers pending
+    across the barrier; both collectors migrate at the round-12 reshuffle,
+    every governor forgot it, and one valid spec never committed while
+    every audit stayed clean.  ``release_collector`` now screens such a
+    transaction before the drop.
+    """
+
+    def test_pinned_schedule_commits_every_valid_spec(self):
+        sharded = Topology.sharded(l=24, n=8, m=8, r=2, shards=2, seed=50)
+        coordinator = ShardCoordinator(
+            sharded, PARAMS, seed=51, epoch_rounds=4, resilience=True
+        )
+        for k, shard in enumerate(sharded.shards):
+            plan = FaultPlan(seed=350 + k).with_default_link(
+                LinkFaultSpec(loss=0.02, duplicate=0.05)
+            )
+            if k == 0:
+                plan.with_crash(shard.governors[-1], at=0.8, recover_at=1.6)
+            coordinator.install_faults(k, plan)
+        providers = [p for topo in sharded.shards for p in topo.providers]
+        workload = CrossShardWorkload(
+            BernoulliWorkload(providers, p_valid=0.8, seed=52),
+            sharded.provider_shard,
+            p_cross=0.15,
+            seed=53,
+        )
+        offered = []
+        for _ in range(12):
+            offered.extend(workload.take(24))
+            coordinator.submit(offered[-24:])
+            coordinator.run_super_round()
+        for _ in range(8):
+            coordinator.run_super_round()
+        report = coordinator.finalize()
+        assert report.clean, [str(v) for v in report.violations]
+
+        def seq(payload):
+            return payload["body"]["seq"] if "xshard_to" in payload else payload["seq"]
+
+        committed = {
+            seq(record.tx.body.payload)
+            for engine in coordinator.engines
+            for serial in range(1, engine.store.height + 1)
+            for record in engine.store.retrieve(serial).tx_list
+            if "xshard_receipt" not in record.tx.body.payload
+        }
+        stranded = [
+            spec for spec in offered
+            if spec.is_valid and seq(spec.payload) not in committed
+        ]
+        assert stranded == []
+
+
 class TestRelayRacesLeaderCrash:
     def test_remote_leader_crash_mid_relay(self):
         coordinator, workload = build(seed=7)
