@@ -51,6 +51,26 @@ class TestCheckerBehaviour:
         assert any("b.md#nope" in e for e in errors)
         assert any("#zzz" in e for e in errors)
 
+    def test_detects_stale_code_references(self, checker, tmp_path):
+        package = tmp_path / "src" / "repro" / "pkg"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("from repro.pkg.mod import Thing\n")
+        (package / "mod.py").write_text(
+            "LIMIT = 3\n\nclass Thing:\n    def run(self):\n        pass\n"
+        )
+        live = (
+            "`repro.pkg` `repro.pkg.mod.Thing.run` `repro.pkg.Thing` "
+            "`repro.pkg.mod.LIMIT` `pkg/mod.py` `src/repro/pkg/mod.py::Thing` "
+            "`repro.bench.v2` `bench_*.py`\n"
+        )
+        stale = "`repro.pkg.Gone` `repro.pkg.mod.Thing.stop` `repro.nope` `pkg/gone.py`\n"
+        (tmp_path / "a.md").write_text(live + stale + "```\n`repro.fenced`\n```\n")
+        errors = checker.check_file(tmp_path / "a.md", tmp_path)
+        assert len(errors) == 4 and all(e.startswith("a.md:2: stale") for e in errors)
+        # History and plans name removed code on purpose.
+        (tmp_path / "CHANGES.md").write_text(stale)
+        assert checker.check_file(tmp_path / "CHANGES.md", tmp_path) == []
+
     def test_github_slugs(self, checker):
         assert checker.github_slug("3. Metric reference") == "3-metric-reference"
         assert (

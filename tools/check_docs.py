@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Link and anchor checker for the repository's markdown docs.
+"""Link, anchor and code-reference checker for the repository's markdown docs.
 
 Stdlib-only, no network: validates that every relative link in every
 tracked ``*.md`` file points at an existing file, and that every
 ``#fragment`` (same-file or cross-file) matches a real heading under
 GitHub's slugification rules.  External ``http(s)://`` / ``mailto:``
-targets are skipped.
+targets are skipped.  Also fails on a stale code reference: a backticked
+``repro.*`` dotted name or ``dir/file.py`` path that no longer resolves
+in the tree (names are resolved statically, nothing is imported).
 
 Usage::
 
@@ -18,6 +20,7 @@ tests/test_docs_links.py so local pytest catches doc rot too.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import sys
@@ -28,6 +31,14 @@ SKIP_DIRS = {".git", ".pytest_cache", "__pycache__", "node_modules", ".benchmark
 _LINK = re.compile(r"(?<!\!)\[[^\]^\[]*\]\(([^()\s]+(?:\([^()]*\))?)\)")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
 _FENCE = re.compile(r"^(```|~~~)")
+
+#: Docs that name removed code on purpose (history, plans, the work
+#: order of the PR in flight): their code references are not checked.
+HISTORY_DOCS = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
+
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_DOTTED = re.compile(r"\brepro(?:\.\w+)+")
+_PY_PATH = re.compile(r"[\w./-]*/[\w.-]+\.py\b")
 
 
 def _strip_fences(text: str) -> list[str]:
@@ -74,9 +85,80 @@ def markdown_files(root: pathlib.Path) -> list[pathlib.Path]:
     return files
 
 
+def _bound_names(body: list[ast.stmt]) -> dict[str, ast.stmt]:
+    """Names a module or class body binds: defs, assignments, imports."""
+    names: dict[str, ast.stmt] = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        names[leaf.id] = node
+    return names
+
+
+def dotted_name_resolves(dotted: str, src: pathlib.Path) -> bool:
+    """Whether ``repro.a.b.Name`` is a package, module or a name bound in one.
+
+    Walks packages and modules on disk, then the module's top-level
+    bindings (re-exports count) and, for a class, its body.  Anything
+    reached through an import or an assignment is taken on trust.
+    """
+    here = src
+    parts = dotted.split(".")
+    while parts and (here / parts[0]).is_dir():
+        here = here / parts.pop(0)
+    if not parts:
+        return True
+    module = here / f"{parts[0]}.py"
+    if module.is_file():
+        parts.pop(0)
+    else:
+        module = here / "__init__.py"
+    if not module.is_file():
+        return False
+    body = ast.parse(module.read_text(encoding="utf-8")).body
+    for part in parts:
+        node = _bound_names(body).get(part)
+        if node is None:
+            return False
+        if not isinstance(node, ast.ClassDef):
+            return True
+        body = node.body
+    return True
+
+
+def check_code_refs(line: str, path: pathlib.Path, root: pathlib.Path) -> list[str]:
+    """Stale ``repro.*`` names and ``dir/file.py`` paths in code spans."""
+    stale = []
+    for span in _CODE_SPAN.findall(line):
+        for dotted in _DOTTED.findall(span):
+            # repro.bench.v1 / .v2 are result-schema ids, not modules.
+            if not dotted.startswith("repro.bench.v") and not dotted_name_resolves(
+                dotted, root / "src"
+            ):
+                stale.append(f"stale name {dotted!r}")
+        for py_path in _PY_PATH.findall(span):
+            bases = (root, root / "src", root / "src" / "repro", path.parent)
+            if not any((base / py_path).exists() for base in bases):
+                stale.append(f"stale path {py_path!r}")
+    return stale
+
+
 def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
     errors = []
     for lineno, line in enumerate(_strip_fences(path.read_text(encoding="utf-8")), 1):
+        if path.name not in HISTORY_DOCS:
+            errors.extend(
+                f"{path.relative_to(root)}:{lineno}: {stale}"
+                for stale in check_code_refs(line, path, root)
+            )
         for match in _LINK.finditer(line):
             target = match.group(1)
             if target.startswith(("http://", "https://", "mailto:")):
@@ -104,7 +186,7 @@ def main(argv: list[str]) -> int:
         errors.extend(check_file(path, root))
     for error in errors:
         print(error)
-    print(f"check_docs: {len(files)} markdown files, {len(errors)} broken links")
+    print(f"check_docs: {len(files)} markdown files, {len(errors)} broken references")
     return 1 if errors else 0
 
 
