@@ -66,17 +66,19 @@ class CrossShardAuditor:
     # -- the two commit legs --------------------------------------------
 
     def record_home_commit(
-        self, receipt, im, round_number: int
+        self, receipt, verified: bool, round_number: int
     ) -> AuditViolation | None:
         """Register a receipt minted from a home-shard commit.
 
-        ``im`` is the *home* shard's identity manager — the proposer
-        signature must verify there before the receipt may be relayed.
-        Returns a violation (also recorded) when the signature fails or
-        a conflicting receipt already exists for the id.
+        ``verified`` is the *home* shard's identity manager's verdict on
+        the proposer signature, computed where the keys live (the scan
+        ships it with the receipt) — it must hold before the receipt may
+        be relayed.  Returns a violation (also recorded) when the
+        signature failed or a conflicting receipt already exists for
+        the id.
         """
         self._check("receipt-signature")
-        if not im.verify(receipt.proposer, receipt.signed_message(), receipt.signature):
+        if not verified:
             return self._record(
                 AuditViolation(
                     type=ViolationType.BAD_SIGNATURE,

@@ -577,10 +577,10 @@ class NetworkedProtocolEngine(RoundCore):
     def inject_receipts(self, receipts: Sequence) -> None:
         """Fan relayed cross-shard receipts out to every governor.
 
-        The barrier-time injection point of the shard executors: a
-        :class:`~repro.parallel.SerialBackend` calls it directly and a
-        :class:`~repro.parallel.ParallelBackend` worker calls it when a
-        pickled relay batch arrives over its command pipe.  Receipts are
+        The barrier-time injection point of a
+        :class:`~repro.parallel.ShardHost` (in-process, or in a pool
+        worker when a pickled relay batch arrives over its command
+        pipe).  Receipts are
         sent from the relay endpoint to the **full** governor set (so a
         relay survives any single governor crash) in batch order —
         latency draws consume this engine's network RNG in exactly the

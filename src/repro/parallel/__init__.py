@@ -1,14 +1,15 @@
-"""Multi-core shard execution: pluggable backends for the shard driver.
+"""Multi-core shard execution: shard hosts behind the shard driver.
 
 The :class:`~repro.sharding.ShardCoordinator` drives its shard engines
-through a narrow :class:`ShardExecutionBackend` protocol with two
-implementations:
+through the ops of one class, :class:`ShardHost` — a subset of the shard
+engines on one simulator, built from one picklable :class:`HostSpec`:
 
-* :class:`SerialBackend` — every engine in-process on one shared
-  simulator (the original coordinator execution model, bit-for-bit);
-* :class:`ParallelBackend` — one engine per shard in spawned worker
-  processes, synchronized at the ``begin_round`` / ``begin_argue`` /
-  ``complete_round`` phase barriers, receipts batched over pipes.
+* in-process, the coordinator's backend *is* a :class:`ShardHost` over
+  every shard, called directly (``kind == "serial"``);
+* :class:`ParallelBackend` spreads the shards over spawned worker
+  processes, each a :class:`ShardHost` over its share, synchronized at
+  the ``begin_round`` / ``begin_argue`` / ``complete_round`` phase
+  barriers, receipts batched over pipes.
 
 Both produce bit-identical ledgers for the same seed; the parallel
 backend turns E14's sim-time shard scaling into *wall-clock* scaling
@@ -16,25 +17,24 @@ on multi-core hosts (benchmark E16).
 """
 
 from repro.parallel.backend import (
-    SerialBackend,
+    HostSpec,
     ShardChainStats,
-    ShardExecutionBackend,
+    ShardHost,
     ShardRoundInfo,
     ShardScan,
     build_shard_engine,
     scan_shard_commits,
 )
 from repro.parallel.pool import ParallelBackend, parallel_metrics
-from repro.parallel.worker import WorkerInit, worker_main
+from repro.parallel.worker import worker_main
 
 __all__ = [
-    "ShardExecutionBackend",
-    "SerialBackend",
+    "HostSpec",
+    "ShardHost",
     "ParallelBackend",
     "ShardRoundInfo",
     "ShardScan",
     "ShardChainStats",
-    "WorkerInit",
     "worker_main",
     "build_shard_engine",
     "scan_shard_commits",

@@ -1,45 +1,43 @@
-"""The pluggable shard execution surface and its in-process backend.
+"""Shard ops, written once: :class:`ShardHost` runs shard engines in phases.
 
 :class:`~repro.sharding.ShardCoordinator` is split into a *driver*
 (workload routing, receipt bookkeeping, auditing, epoch reshuffles) and
-an *execution backend* that actually runs the ``S`` protocol engines
-through the phase-split round API.  :class:`ShardExecutionBackend` is
-the narrow protocol between the two — the thin-Protocol-over-richer-
-engine idiom: the driver only ever speaks in phase commands and plain
-picklable results, so the same driver logic runs against
+the *hosts* that run the ``S`` protocol engines through the phase-split
+round API.  A :class:`ShardHost` is a subset of the deployment's shard
+engines on **one** :class:`~repro.network.simnet.Simulator`, built from
+one picklable :class:`HostSpec`; every op takes and returns plain
+picklable ``{shard: value}`` data, so the same class serves as
 
-* :class:`SerialBackend` — all engines in this process on one shared
-  :class:`~repro.network.simnet.Simulator` (the original coordinator
-  behaviour, bit-for-bit), and
-* :class:`~repro.parallel.pool.ParallelBackend` — one engine per shard
-  in spawned worker processes, synchronized at the phase barriers over
-  command pipes.
+* the **in-process backend** — one host over all shards, called
+  directly by the driver (``kind == "serial"``), and
+* a **pool worker** — one host over the worker's shards behind the pipe
+  loop of :mod:`repro.parallel.worker`, with
+  :class:`~repro.parallel.pool.ParallelBackend` routing each op by shard
+  and merging the replies.
 
-Every value that crosses the interface (specs in, drain targets,
-round summaries, scan events, receipts) is picklable by construction;
-nothing in the driver ever holds a live engine reference through this
-interface, which is exactly what makes the process-pool backend a
-drop-in.
-
-**Why parallel == serial, bit for bit.**  Shard engines are sovereign:
-each owns its network, broadcast fabric, identity manager, RNG streams,
-and ledger family.  In the serial coordinator they share only the
-simulator *clock*, and every phase ends with the clock parked at the
-barrier maximum (``Simulator.run(until=...)`` always parks).  Since the
-shared simulator's own RNG is never consumed, a shard's event stream
-depends only on (a) its own seeded state and (b) the barrier times —
-so a worker that runs the same engine on a private clock, advanced to
-the same barrier targets, reproduces the exact event history.  The one
-cross-shard interaction — receipt relays — happens only while the
-clock is parked between super-rounds, and the driver preserves the
-per-remote-shard relay order, so each remote network's latency-RNG
-draw sequence is unchanged.
+**Why the partition of shards over hosts cannot change a ledger.**
+Shard engines are sovereign: each owns its network, broadcast fabric,
+identity manager, RNG streams and ledger family.  Engines on one host
+share only the simulator — its clock and its event heap.  The
+simulator's own RNG is never consumed; no event of one engine reads or
+writes another engine's state; and the heap breaks ties at equal times
+by insertion order, which any interleaving with another engine's events
+preserves *within* each engine.  Every phase ends with the clock parked
+at the barrier maximum (``Simulator.run(until=...)`` always parks).  So
+a shard's event history depends only on (a) its own seeded state and
+(b) the barrier times — the same on a host that runs every shard, a
+host that runs two of four, and a host that runs one.  The one
+cross-shard interaction — receipt relays — happens only while the clock
+is parked between super-rounds, and the driver preserves the
+per-remote-shard relay order, so each remote network's latency-RNG draw
+sequence is unchanged.  The in-process backend is the reference every
+parallel parity test compares against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.ledger.properties import check_all_properties
@@ -51,8 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports)
     from repro.core.netengine import NetworkedProtocolEngine
 
 __all__ = [
-    "ShardExecutionBackend",
-    "SerialBackend",
+    "HostSpec",
+    "ShardHost",
     "ShardRoundInfo",
     "ShardScan",
     "ShardChainStats",
@@ -62,13 +60,35 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class HostSpec:
+    """Everything a host needs to build its shard engines from scratch.
+
+    The one place the engines' construction arguments are named.  Pure
+    picklable data, so the spec that spawned a pool worker can respawn
+    its replacement after a crash (engines then re-anchor from their
+    durable checkpoints, when storage is configured).
+    """
+
+    topology: ShardedTopology
+    params: object
+    #: Global behaviour map; each engine filters to its own collectors.
+    behaviors: Mapping[str, object]
+    seed: int
+    min_delay: float
+    max_delay: float
+    resilience: bool
+    #: Per-shard :class:`~repro.storage.StorageConfig` (or None).
+    storage: tuple
+    #: Global shard indices this host runs, in driver order.
+    shards: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class ShardRoundInfo:
     """Picklable outcome of one shard's round, as the driver sees it.
 
-    The parallel backend returns these instead of full
-    :class:`~repro.core.netengine.NetworkedRoundResult` objects — the
-    driver needs the summary (and ``carryover`` for next round's spec
-    budget), not the block body, which stays worker-side.
+    The driver needs the summary (and ``carryover`` for next round's
+    spec budget), not the block body, which stays with the host.
     """
 
     shard: int
@@ -117,100 +137,32 @@ class ShardChainStats:
     properties_hold: bool
 
 
-class ShardExecutionBackend(Protocol):
-    """What a shard driver needs from an execution substrate — no more.
-
-    One round trip per phase; all arguments and results picklable.  The
-    driver calls, in super-round order: :meth:`relay` (retries),
-    :meth:`carryover`, :meth:`begin_round`, :meth:`run_until`,
-    :meth:`begin_argue`, :meth:`run_until`, :meth:`complete_round`,
-    :meth:`scan_commits`, :meth:`relay` (first sends) — then, on epoch
-    boundaries, :meth:`collector_masses` / :meth:`release_collectors` /
-    :meth:`adopt_collectors`.
-    """
-
-    @property
-    def num_shards(self) -> int: ...
-
-    @property
-    def kind(self) -> str: ...
-
-    def carryover(self) -> list[int]: ...
-
-    def begin_round(self, specs: Sequence[Sequence[TxSpec]]) -> list[float]: ...
-
-    def run_until(self, until: float) -> None: ...
-
-    def begin_argue(self) -> list[float]: ...
-
-    def complete_round(self) -> list: ...
-
-    def scan_commits(self, cursors: Sequence[int]) -> list[ShardScan]: ...
-
-    def relay(self, batches: Mapping[int, Sequence]) -> None: ...
-
-    def repair_scan(self, shard: int) -> bool: ...
-
-    def collector_masses(self) -> dict[str, float]: ...
-
-    def release_collectors(
-        self, by_shard: Mapping[int, Sequence[str]]
-    ) -> dict[str, tuple[tuple[str, ...], object]]: ...
-
-    def adopt_collectors(
-        self, assignments: Sequence[tuple[int, str, tuple[str, ...], object]]
-    ) -> None: ...
-
-    def install_faults(self, shard: int, plan, tamperer=None): ...
-
-    def tip_hashes(self) -> list[str]: ...
-
-    def chain_stats(self) -> list[ShardChainStats]: ...
-
-    def finalize_engines(self) -> None: ...
-
-    def now(self) -> float: ...
-
-    def close(self) -> None: ...
-
-
 def build_shard_engine(
-    shard: int,
-    topology,
-    params,
-    behaviors: Mapping[str, object],
-    seed: int,
-    min_delay: float,
-    max_delay: float,
-    resilience: bool,
-    obs=None,
-    sim: Simulator | None = None,
-    storage=None,
+    spec: HostSpec, shard: int, sim: Simulator, obs=None
 ) -> "NetworkedProtocolEngine":
-    """Construct shard ``k``'s engine exactly as every backend must.
+    """Construct shard ``k``'s engine exactly as every host must.
 
     Single source of truth for the per-shard derived seed
     (``seed + 7919 * (k + 1)``), the behaviour filtering, and the relay
-    enrolment order — any divergence here would break serial/parallel
-    bit-identity, so both backends call this one function.
+    enrolment order — any divergence here would break bit-identity
+    between hosts.
     """
     from repro.core.netengine import NetworkedProtocolEngine
 
-    shard_behaviors = {
-        cid: b for cid, b in dict(behaviors or {}).items()
-        if cid in topology.collectors
-    }
+    topology = spec.topology.shards[shard]
     engine = NetworkedProtocolEngine(
         topology,
-        params,
-        behaviors=shard_behaviors,
-        seed=seed + 7919 * (shard + 1),
-        min_delay=min_delay,
-        max_delay=max_delay,
-        resilience=resilience,
+        spec.params,
+        behaviors={
+            cid: b for cid, b in spec.behaviors.items() if cid in topology.collectors
+        },
+        seed=spec.seed + 7919 * (shard + 1),
+        min_delay=spec.min_delay,
+        max_delay=spec.max_delay,
+        resilience=spec.resilience,
         obs=obs,
         sim=sim,
-        storage=storage,
+        storage=spec.storage[shard],
     )
     engine.enable_xshard(relay_id=f"relay-s{shard}")
     return engine
@@ -266,7 +218,7 @@ def scan_shard_commits(
 def shard_chain_stats(
     engine: "NetworkedProtocolEngine", shard: int
 ) -> ShardChainStats:
-    """Reporting summary of one shard engine (shared by both backends)."""
+    """Reporting summary of one shard engine."""
     origin = cross_out = receipts_in = 0
     for serial in range(1, engine.store.height + 1):
         for record in engine.store.retrieve(serial).tx_list:
@@ -289,138 +241,120 @@ def shard_chain_stats(
     )
 
 
-class SerialBackend:
-    """All shard engines in-process on one shared simulator clock.
+class ShardHost:
+    """Some of a deployment's shard engines on one simulator clock.
 
-    The original :class:`~repro.sharding.ShardCoordinator` execution
-    model, factored behind :class:`ShardExecutionBackend`.  Seeded runs
-    are bit-identical to pre-split builds: engine construction order,
-    per-shard seeds, relay enrolment, and the per-remote receipt-relay
-    order are all unchanged.
+    Ops mirror the driver's super-round: :meth:`relay` (retries),
+    :meth:`begin_round`, :meth:`run_until`, :meth:`begin_argue`,
+    :meth:`run_until`, :meth:`complete_round`, :meth:`scan_commits`,
+    :meth:`relay` (first sends) — then, on epoch boundaries,
+    :meth:`collector_masses` / :meth:`release_collectors` /
+    :meth:`adopt_collectors`.  Engines run with ``obs`` when the host is
+    the in-process backend and without in a pool worker (registries are
+    process-local; the no-op registry is behaviour-neutral).
     """
 
+    #: As a coordinator's backend: every shard, called directly.
     kind = "serial"
 
-    def __init__(
-        self,
-        topology: ShardedTopology,
-        params,
-        behaviors: Mapping[str, object] | None = None,
-        seed: int = 0,
-        min_delay: float = 0.005,
-        max_delay: float = 0.05,
-        resilience: bool = False,
-        obs=None,
-        storage: Sequence[object | None] | None = None,
-    ):
-        self.topology = topology
-        self.provider_shard = dict(topology.provider_shard)
-        self.sim = Simulator(seed=seed)
-        if obs is not None:
-            obs.bind_clock(lambda: self.sim.now)
-        storage = list(storage) if storage is not None else [None] * topology.num_shards
-        self.engines: list = [
-            build_shard_engine(
-                k,
-                shard_topo,
-                params,
-                behaviors or {},
-                seed,
-                min_delay,
-                max_delay,
-                resilience,
-                obs=obs,
-                sim=self.sim,
-                storage=storage[k],
-            )
-            for k, shard_topo in enumerate(topology.shards)
-        ]
-        self._ctxs: list | None = None
+    def __init__(self, spec: HostSpec, obs=None):
+        self.provider_shard = spec.topology.provider_shard
+        self.sim = Simulator(seed=spec.seed)
+        self.engines: dict[int, "NetworkedProtocolEngine"] = {
+            k: build_shard_engine(spec, k, self.sim, obs) for k in spec.shards
+        }
+        self._ctxs: dict[int, object] = {}
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.engines)
-
-    def carryover(self) -> list[int]:
-        return [engine.carryover_depth() for engine in self.engines]
-
-    def begin_round(self, specs: Sequence[Sequence[TxSpec]]) -> list[float]:
-        self._ctxs = [
-            engine.begin_round(batch) for engine, batch in zip(self.engines, specs)
-        ]
-        return [ctx.drain_until for ctx in self._ctxs]
+    def begin_round(self, specs: Mapping[int, Sequence[TxSpec]]) -> dict[int, float]:
+        self._ctxs = {k: self.engines[k].begin_round(batch) for k, batch in specs.items()}
+        return {k: ctx.drain_until for k, ctx in self._ctxs.items()}
 
     def run_until(self, until: float) -> None:
         self.sim.run(until=until)
 
-    def begin_argue(self) -> list[float]:
-        if self._ctxs is None:
+    def begin_argue(self) -> dict[int, float]:
+        if not self._ctxs:
             raise ConfigurationError("begin_argue before begin_round")
-        return [
-            engine.begin_argue(ctx) for engine, ctx in zip(self.engines, self._ctxs)
-        ]
+        return {k: self.engines[k].begin_argue(ctx) for k, ctx in self._ctxs.items()}
 
-    def complete_round(self) -> list:
-        if self._ctxs is None:
+    def complete_round(self) -> dict[int, ShardRoundInfo]:
+        if not self._ctxs:
             raise ConfigurationError("complete_round before begin_round")
-        results = [
-            engine.complete_round(ctx)
-            for engine, ctx in zip(self.engines, self._ctxs)
-        ]
-        self._ctxs = None
-        return results
+        infos = {}
+        for k, ctx in self._ctxs.items():
+            engine = self.engines[k]
+            result = engine.complete_round(ctx)
+            infos[k] = ShardRoundInfo(
+                shard=k,
+                round_number=result.round_number,
+                leader=result.leader,
+                block_serial=result.block.serial,
+                block_size=len(result.block.tx_list),
+                argues_sent=result.argues_sent,
+                carryover=engine.carryover_depth(),
+            )
+        self._ctxs = {}
+        return infos
 
-    def scan_commits(self, cursors: Sequence[int]) -> list[ShardScan]:
-        return [
-            scan_shard_commits(engine, k, cursors[k], self.provider_shard)
-            for k, engine in enumerate(self.engines)
-        ]
+    def scan_commits(self, cursors: Mapping[int, int]) -> dict[int, ShardScan]:
+        return {
+            k: scan_shard_commits(self.engines[k], k, cursor, self.provider_shard)
+            for k, cursor in cursors.items()
+        }
 
     def relay(self, batches: Mapping[int, Sequence]) -> None:
-        for shard, receipts in batches.items():
-            self.engines[shard].inject_receipts(receipts)
+        for k, receipts in batches.items():
+            self.engines[k].inject_receipts(receipts)
 
     def repair_scan(self, shard: int) -> bool:
         return self.engines[shard].recovery_lagging()
 
     def collector_masses(self) -> dict[str, float]:
         masses: dict[str, float] = {}
-        for engine in self.engines:
+        for engine in self.engines.values():
             masses.update(engine.collector_masses())
         return masses
 
     def release_collectors(
         self, by_shard: Mapping[int, Sequence[str]]
     ) -> dict[str, tuple[tuple[str, ...], object]]:
-        released: dict[str, tuple[tuple[str, ...], object]] = {}
-        for shard, cids in by_shard.items():
-            for cid in cids:
-                released[cid] = self.engines[shard].release_collector(cid)
-        return released
+        return {
+            cid: self.engines[k].release_collector(cid)
+            for k, cids in by_shard.items()
+            for cid in cids
+        }
 
     def adopt_collectors(
-        self, assignments: Sequence[tuple[int, str, tuple[str, ...], object]]
+        self, by_shard: Mapping[int, Sequence[tuple[str, tuple[str, ...], object]]]
     ) -> None:
-        for shard, cid, slots, behavior in assignments:
-            self.engines[shard].adopt_collector(cid, slots, behavior=behavior)
+        for k, arrivals in by_shard.items():
+            for cid, slots, behavior in arrivals:
+                self.engines[k].adopt_collector(cid, slots, behavior=behavior)
 
-    def install_faults(self, shard: int, plan, tamperer=None):
-        return self.engines[shard].install_faults(plan, tamperer=tamperer)
+    def install_faults(self, shard: int, plan, tamperer=None) -> None:
+        self.engines[shard].install_faults(plan, tamperer=tamperer)
 
-    def tip_hashes(self) -> list[str]:
-        tips = []
-        for engine in self.engines:
+    def fault_stats(self) -> dict[int, object]:
+        """Per-shard injector stats (None where no plan is installed)."""
+        return {
+            k: None if engine.injector is None else engine.injector.stats
+            for k, engine in self.engines.items()
+        }
+
+    def tip_hashes(self) -> dict[int, str]:
+        tips = {}
+        for k, engine in self.engines.items():
             height = engine.store.height
-            tips.append(engine.store.retrieve(height).hash().hex() if height else "")
+            tips[k] = engine.store.retrieve(height).hash().hex() if height else ""
         return tips
 
-    def chain_stats(self) -> list[ShardChainStats]:
-        return [shard_chain_stats(engine, k) for k, engine in enumerate(self.engines)]
+    def chain_stats(self) -> dict[int, ShardChainStats]:
+        return {k: shard_chain_stats(engine, k) for k, engine in self.engines.items()}
 
     def finalize_engines(self) -> None:
         # The driver already ran the barrier-synchronized recovery drain
         # (see ShardCoordinator.finalize), so engines skip their own.
-        for engine in self.engines:
+        for engine in self.engines.values():
             engine.finalize(drain=False)
 
     def now(self) -> float:

@@ -1,12 +1,15 @@
 """Process-pool shard execution: spawned workers behind phase barriers.
 
-:class:`ParallelBackend` implements
-:class:`~repro.parallel.backend.ShardExecutionBackend` by hosting the
-``S`` shard engines in ``N`` spawned worker processes (shards assigned
-round-robin, so ``N`` may be smaller than ``S``).  Every phase of the
-super-round is one broadcast of pickled ``(op, payload)`` commands —
-one message per worker, receipts and specs batched inside it — followed
-by a barrier collect of the replies.
+:class:`ParallelBackend` spreads the ``S`` shard engines over ``N``
+spawned worker processes (shards assigned round-robin, so ``N`` may be
+smaller than ``S``), each a :class:`~repro.parallel.backend.ShardHost`
+over its share.  It offers the driver the host's own ops and owns only
+what a process boundary adds: spawn / crash / restart, the barrier call
+(:meth:`ParallelBackend._call`), and routing a ``{shard: arg}`` payload
+to the hosting workers and merging their ``{shard: value}`` replies.
+Every phase of the super-round is one broadcast of pickled ``(op,
+args)`` commands — one message per worker, receipts and specs batched
+inside it — followed by a barrier collect of the replies.
 
 **Crash handling.**  A worker that dies (SIGKILL, OOM, bug) or hangs
 past the per-phase barrier timeout surfaces as a structured
@@ -15,17 +18,18 @@ its hosted shards, and the in-flight phase — a *detected* fault, the
 same contract the in-process :class:`~repro.faults.FaultInjector` gives
 for simulated crashes, never a hung barrier.  With durable storage
 configured, :meth:`restart_worker` respawns the replacement from the
-same :class:`~repro.parallel.worker.WorkerInit`; its engines re-anchor
+same :class:`~repro.parallel.backend.HostSpec`; its engines re-anchor
 from their on-disk checkpoints and any fault plans installed on its
 shards are re-applied to the replacement (crash semantics: the
 continuation is correct but not bit-identical — the fresh injector
 replays its plan's RNG from the start).
 
-**Determinism.**  Workers advance private simulator clocks to the exact
-barrier targets the serial backend would use, and the driver preserves
-per-remote-shard receipt-relay order inside each batch, so a parallel
-run's ledgers are bit-identical to a serial run with the same seed (the
-full argument lives in :mod:`repro.parallel.backend`).
+**Determinism.**  Each worker's host advances its one simulator to the
+exact barrier targets the in-process host would use, and the driver
+preserves per-remote-shard receipt-relay order inside each batch, so a
+parallel run's ledgers are bit-identical to a serial run with the same
+seed however the shards are spread over workers (the full argument
+lives in :mod:`repro.parallel.backend`).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 import time
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 from repro.exceptions import (
@@ -40,11 +45,9 @@ from repro.exceptions import (
     WorkerCrashError,
     WorkerOpError,
 )
-from repro.network.topology import ShardedTopology
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.parallel.backend import ShardChainStats, ShardRoundInfo, ShardScan
-from repro.parallel.worker import WorkerInit, worker_main
-from repro.workloads.generator import TxSpec
+from repro.parallel.backend import HostSpec, ShardRoundInfo
+from repro.parallel.worker import worker_main
 
 __all__ = ["ParallelBackend", "parallel_metrics"]
 
@@ -98,18 +101,22 @@ def parallel_metrics(obs: MetricsRegistry) -> dict[str, object]:
 class _WorkerHandle:
     """Driver-side state of one spawned worker."""
 
-    __slots__ = ("index", "shards", "init", "proc", "conn", "alive", "seq")
+    __slots__ = ("index", "spec", "proc", "conn", "alive", "seq")
 
-    def __init__(self, index: int, shards: tuple[int, ...], init: WorkerInit):
+    def __init__(self, index: int, spec: HostSpec):
         self.index = index
-        self.shards = shards
-        self.init = init
+        #: The deployment's spec narrowed to this worker's shards.
+        self.spec = spec
         self.proc = None
         self.conn = None
         self.alive = False
         #: Last command sequence number sent; replies echo it, so stale
         #: replies left over from a crash-aborted phase are discardable.
         self.seq = 0
+
+    @property
+    def shards(self) -> tuple[int, ...]:
+        return self.spec.shards
 
 
 class ParallelBackend:
@@ -119,62 +126,41 @@ class ParallelBackend:
 
     def __init__(
         self,
-        topology: ShardedTopology,
-        params,
-        behaviors: Mapping[str, object] | None = None,
-        seed: int = 0,
-        min_delay: float = 0.005,
-        max_delay: float = 0.05,
-        resilience: bool = False,
+        spec: HostSpec,
         obs: MetricsRegistry | None = None,
-        storage: Sequence[object | None] | None = None,
         workers: int = 2,
         phase_timeout: float = 60.0,
     ):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.topology = topology
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.phase_timeout = phase_timeout
         self._metrics = parallel_metrics(self.obs)
         self._now = 0.0
-        self._storage = (
-            list(storage) if storage is not None else [None] * topology.num_shards
-        )
-        behaviors = dict(behaviors or {})
+        self._storage = spec.storage
         try:
-            pickle.dumps(behaviors, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dumps(spec.behaviors, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             raise ConfigurationError(
                 "collector behaviours must be picklable to cross the worker "
                 f"process boundary (workers={workers}): {exc}"
             ) from exc
-        num_workers = min(workers, topology.num_shards)
+        num_workers = min(workers, len(spec.shards))
         #: shard index -> hosting worker index (round-robin).
-        self.worker_for_shard = {
-            k: k % num_workers for k in range(topology.num_shards)
-        }
+        self.worker_for_shard = {k: k % num_workers for k in spec.shards}
         self._ctx = mp.get_context("spawn")
-        self._workers: list[_WorkerHandle] = []
-        for w in range(num_workers):
-            shards = tuple(
-                k for k in range(topology.num_shards)
-                if self.worker_for_shard[k] == w
+        self._workers = [
+            _WorkerHandle(
+                w,
+                replace(
+                    spec,
+                    shards=tuple(
+                        k for k in spec.shards if self.worker_for_shard[k] == w
+                    ),
+                ),
             )
-            init = WorkerInit(
-                worker=w,
-                shards=shards,
-                topologies=tuple(topology.shards[k] for k in shards),
-                params=params,
-                behaviors=behaviors,
-                seed=seed,
-                min_delay=min_delay,
-                max_delay=max_delay,
-                resilience=resilience,
-                provider_shard=dict(topology.provider_shard),
-                storage=tuple(self._storage[k] for k in shards),
-            )
-            self._workers.append(_WorkerHandle(w, shards, init))
+            for w in range(num_workers)
+        ]
         # Per-worker accumulated compute seconds this super-round.
         self._round_wall = [0.0] * num_workers
         #: shard index -> installed FaultPlan, so a respawned worker can
@@ -190,7 +176,7 @@ class ParallelBackend:
         parent, child = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child, handle.init),
+            args=(child, handle.spec),
             name=f"shard-worker-{handle.index}",
             daemon=True,
         )
@@ -212,7 +198,7 @@ class ParallelBackend:
         """Kill (if needed) and respawn one worker from durable storage.
 
         The replacement rebuilds its engines from the same
-        :class:`WorkerInit`; with a :class:`~repro.storage.StorageConfig`
+        :class:`HostSpec`; with a :class:`~repro.storage.StorageConfig`
         per hosted shard the engines re-anchor to their checkpointed
         chains and resume committing.  Without storage there is nothing
         to hand off, so the restart is refused.  Fault plans previously
@@ -237,11 +223,7 @@ class ParallelBackend:
         for shard in handle.shards:
             plan = self._fault_plans.get(shard)
             if plan is not None:
-                self._call(
-                    "install_faults",
-                    {handle.index: (shard, plan)},
-                    phase="install_faults",
-                )
+                self._call("install_faults", {handle.index: (shard, plan)})
         self._metrics["restarts"].inc()
 
     def close(self) -> None:
@@ -250,7 +232,7 @@ class ParallelBackend:
             if not handle.alive:
                 continue
             try:
-                self._send(handle, "shutdown", None)
+                self._send(handle, "shutdown", ())
                 self._recv(handle, "shutdown", timeout=5.0)
             except Exception:
                 pass
@@ -266,10 +248,10 @@ class ParallelBackend:
 
     # -- pipe plumbing -----------------------------------------------------
 
-    def _send(self, handle: _WorkerHandle, op: str, payload) -> None:
+    def _send(self, handle: _WorkerHandle, op: str, args: tuple) -> None:
         handle.seq += 1
         blob = pickle.dumps(
-            (handle.seq, op, payload), protocol=pickle.HIGHEST_PROTOCOL
+            (handle.seq, op, args), protocol=pickle.HIGHEST_PROTOCOL
         )
         try:
             handle.conn.send_bytes(blob)
@@ -318,26 +300,26 @@ class ParallelBackend:
             handle.index, handle.shards, phase, detail=detail, exitcode=exitcode
         )
 
-    def _call(self, op: str, payloads: Mapping[int, object], phase: str | None = None):
-        """Broadcast one op to the given workers, collect at the barrier.
+    def _call(self, op: str, calls: Mapping[int, tuple]) -> dict[int, object]:
+        """Run host op ``op`` on the given workers, collect at the barrier.
 
-        Sends every command before reading any reply — workers compute
+        ``calls`` maps worker index to the op's argument tuple.  Sends
+        every command before reading any reply — workers compute
         concurrently — then drains replies in worker order, recording
         arrival skew (barrier wait) and per-worker compute seconds.
         Returns ``{worker_index: result}``.
         """
-        phase = phase or op
-        handles = [self._workers[w] for w in payloads]
+        handles = [self._workers[w] for w in calls]
         for handle in handles:
             if not handle.alive:
                 raise WorkerCrashError(
-                    handle.index, handle.shards, phase, detail="worker already dead"
+                    handle.index, handle.shards, op, detail="worker already dead"
                 )
-            self._send(handle, op, payloads[handle.index])
+            self._send(handle, op, calls[handle.index])
         results: dict[int, object] = {}
         arrivals: list[float] = []
         for handle in handles:
-            _, result, wall = self._recv(handle, phase)
+            _, result, wall = self._recv(handle, op)
             arrivals.append(time.perf_counter())
             self._round_wall[handle.index] += wall
             results[handle.index] = result
@@ -345,150 +327,94 @@ class ParallelBackend:
             self._metrics["barrier_wait"].observe(max(arrivals) - min(arrivals))
         return results
 
-    def _call_all(self, op: str, payload=None, phase: str | None = None):
-        return self._call(
-            op, {h.index: payload for h in self._workers}, phase=phase
-        )
+    def _on_all(self, op: str, *args) -> dict:
+        """The same call on every worker; their dict replies merged."""
+        return self._merged(self._call(op, {h.index: args for h in self._workers}))
 
-    def _by_shard(self, results: Mapping[int, dict]) -> dict:
-        """Merge per-worker ``{shard: value}`` replies into one dict."""
+    def _by_shard(self, op: str, by_shard: Mapping[int, object]) -> dict:
+        """A ``{shard: arg}`` call split over the hosting workers — one
+        message per worker, its shards' arguments batched in payload
+        order — and their dict replies merged."""
+        parts: dict[int, dict] = {}
+        for shard, arg in by_shard.items():
+            parts.setdefault(self.worker_for_shard[shard], {})[shard] = arg
+        return self._merged(self._call(op, {w: (part,) for w, part in parts.items()}))
+
+    @staticmethod
+    def _merged(replies: Mapping[int, dict | None]) -> dict:
         merged: dict = {}
-        for part in results.values():
-            merged.update(part)
+        for part in replies.values():
+            merged.update(part or {})
         return merged
 
-    # -- ShardExecutionBackend ---------------------------------------------
-
-    @property
-    def num_shards(self) -> int:
-        return self.topology.num_shards
+    # -- the ShardHost ops, routed ---------------------------------------------
 
     @property
     def num_workers(self) -> int:
         return len(self._workers)
 
-    def carryover(self) -> list[int]:
-        merged = self._by_shard(self._call_all("carryover"))
-        return [merged[k] for k in range(self.num_shards)]
-
-    def begin_round(self, specs: Sequence[Sequence[TxSpec]]) -> list[float]:
-        payloads: dict[int, dict[int, list]] = {h.index: {} for h in self._workers}
-        for k, batch in enumerate(specs):
-            payloads[self.worker_for_shard[k]][k] = list(batch)
-        merged = self._by_shard(self._call("begin_round", payloads))
-        return [merged[k] for k in range(self.num_shards)]
+    def begin_round(self, specs: Mapping[int, Sequence]) -> dict[int, float]:
+        return self._by_shard("begin_round", specs)
 
     def run_until(self, until: float) -> None:
-        self._call_all("run_until", until)
+        self._on_all("run_until", until)
         self._now = until
 
-    def begin_argue(self) -> list[float]:
-        merged = self._by_shard(self._call_all("begin_argue"))
-        return [merged[k] for k in range(self.num_shards)]
+    def begin_argue(self) -> dict[int, float]:
+        return self._on_all("begin_argue")
 
-    def complete_round(self) -> list[ShardRoundInfo]:
-        merged = self._by_shard(self._call_all("complete_round"))
-        for w, handle in enumerate(self._workers):
+    def complete_round(self) -> dict[int, ShardRoundInfo]:
+        infos = self._on_all("complete_round")
+        for w in range(self.num_workers):
             self._metrics["worker_round"].labels(worker=str(w)).observe(
                 self._round_wall[w]
             )
             self._round_wall[w] = 0.0
-        return [
-            ShardRoundInfo(
-                shard=k,
-                round_number=merged[k][0],
-                leader=merged[k][1],
-                block_serial=merged[k][2],
-                block_size=merged[k][3],
-                argues_sent=merged[k][4],
-                carryover=merged[k][5],
-            )
-            for k in range(self.num_shards)
-        ]
+        return infos
 
-    def scan_commits(self, cursors: Sequence[int]) -> list[ShardScan]:
-        payloads: dict[int, dict[int, int]] = {h.index: {} for h in self._workers}
-        for k, cursor in enumerate(cursors):
-            payloads[self.worker_for_shard[k]][k] = cursor
-        merged = self._by_shard(self._call("scan", payloads, phase="scan"))
-        return [merged[k] for k in range(self.num_shards)]
+    def scan_commits(self, cursors: Mapping[int, int]) -> dict:
+        return self._by_shard("scan_commits", cursors)
 
     def relay(self, batches: Mapping[int, Sequence]) -> None:
-        # Satellite: one message per (driver, worker) pair per phase —
-        # all receipts bound for a worker's shards travel together, in
-        # per-shard relay order (the order the remote network draws
-        # latencies in, hence part of the determinism contract).
-        payloads: dict[int, dict[int, list]] = {}
-        for shard, receipts in batches.items():
-            if not receipts:
-                continue
-            worker = self.worker_for_shard[shard]
-            payloads.setdefault(worker, {})[shard] = list(receipts)
-        if payloads:
-            self._call("relay", payloads)
+        # Per-shard relay order is the order the remote network draws
+        # latencies in, hence part of the determinism contract.
+        self._by_shard("relay", {k: r for k, r in batches.items() if r})
 
     def repair_scan(self, shard: int) -> bool:
         worker = self.worker_for_shard[shard]
-        return self._call("repair_scan", {worker: shard})[worker]
+        return self._call("repair_scan", {worker: (shard,)})[worker]
 
     def collector_masses(self) -> dict[str, float]:
-        masses: dict[str, float] = {}
-        for part in self._call_all("masses").values():
-            masses.update(part)
-        return masses
+        return self._on_all("collector_masses")
 
-    def release_collectors(
-        self, by_shard: Mapping[int, Sequence[str]]
-    ) -> dict[str, tuple]:
-        payloads: dict[int, dict[int, list]] = {}
-        for shard, cids in by_shard.items():
-            worker = self.worker_for_shard[shard]
-            payloads.setdefault(worker, {})[shard] = list(cids)
-        released: dict[str, tuple] = {}
-        if payloads:
-            for part in self._call("release", payloads, phase="release").values():
-                released.update(part)
-        return released
+    def release_collectors(self, by_shard: Mapping[int, Sequence[str]]) -> dict:
+        return self._by_shard("release_collectors", by_shard)
 
-    def adopt_collectors(
-        self, assignments: Sequence[tuple[int, str, tuple[str, ...], object]]
-    ) -> None:
-        payloads: dict[int, list] = {}
-        for shard, cid, slots, behavior in assignments:
-            worker = self.worker_for_shard[shard]
-            payloads.setdefault(worker, []).append((shard, cid, slots, behavior))
-        if payloads:
-            self._call("adopt", payloads, phase="adopt")
+    def adopt_collectors(self, by_shard: Mapping[int, Sequence[tuple]]) -> None:
+        self._by_shard("adopt_collectors", by_shard)
 
-    def install_faults(self, shard: int, plan, tamperer=None):
+    def install_faults(self, shard: int, plan, tamperer=None) -> None:
         if tamperer is not None:
             raise ConfigurationError(
                 "message tamperers hold live callbacks and cannot cross the "
                 "worker process boundary; run Byzantine tampering on the "
                 "serial backend"
             )
-        worker = self.worker_for_shard[shard]
-        self._call(
-            "install_faults", {worker: (shard, plan)}, phase="install_faults"
-        )
+        self._call("install_faults", {self.worker_for_shard[shard]: (shard, plan)})
         self._fault_plans[shard] = plan
-        return None  # the injector lives (and stays) worker-side
 
     def fault_stats(self) -> dict[int, object]:
         """Per-shard worker-side injector stats (None where no plan)."""
-        merged = self._by_shard(self._call_all("fault_stats"))
-        return {k: merged[k] for k in range(self.num_shards)}
+        return self._on_all("fault_stats")
 
-    def tip_hashes(self) -> list[str]:
-        merged = self._by_shard(self._call_all("tips"))
-        return [merged[k] for k in range(self.num_shards)]
+    def tip_hashes(self) -> dict[int, str]:
+        return self._on_all("tip_hashes")
 
-    def chain_stats(self) -> list[ShardChainStats]:
-        merged = self._by_shard(self._call_all("chain_stats"))
-        return [merged[k] for k in range(self.num_shards)]
+    def chain_stats(self) -> dict:
+        return self._on_all("chain_stats")
 
     def finalize_engines(self) -> None:
-        self._call_all("finalize")
+        self._on_all("finalize_engines")
 
     def now(self) -> float:
         return self._now

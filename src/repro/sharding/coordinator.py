@@ -2,17 +2,17 @@
 
 :class:`ShardCoordinator` routes workload, mints/relays cross-shard
 receipts, audits atomicity, and reshuffles collectors by reputation
-mass — while the actual protocol engines run behind a pluggable
-:class:`~repro.parallel.ShardExecutionBackend`:
+mass — while the actual protocol engines run on shard hosts
+(:class:`~repro.parallel.ShardHost`):
 
-* the **serial** backend (default, ``workers=None`` or ``1``) hosts all
-  ``S`` engines in-process on one shared
-  :class:`~repro.network.simnet.Simulator` — the original coordinator
-  execution model, bit for bit;
-* the **parallel** backend (``workers >= 2``) hosts each shard's engine
-  in a spawned worker process with deterministic barrier sync at the
-  phase boundaries (:mod:`repro.parallel`), turning sim-time shard
-  scaling into *wall-clock* scaling on multi-core hosts.
+* the **serial** backend (default, ``workers=None`` or ``1``) is one
+  host over all ``S`` engines, in-process, called directly;
+* the **parallel** backend (``workers >= 2``) is a
+  :class:`~repro.parallel.ParallelBackend` that spawns worker
+  processes, each a host over its share of the shards, with
+  deterministic barrier sync at the phase boundaries
+  (:mod:`repro.parallel`), turning sim-time shard scaling into
+  *wall-clock* scaling on multi-core hosts.
 
 Both backends produce **bit-identical ledgers** for the same seed: the
 driver issues the same phase targets, preserves per-remote-shard
@@ -66,7 +66,12 @@ from repro.faults.plan import FaultPlan
 from repro.network.broadcast import walk_recovery_drain
 from repro.network.topology import ShardedTopology
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.parallel.backend import SerialBackend, ShardChainStats
+from repro.parallel.backend import (
+    HostSpec,
+    ShardChainStats,
+    ShardHost,
+    ShardRoundInfo,
+)
 from repro.parallel.pool import ParallelBackend, parallel_metrics
 from repro.sharding.assignment import (
     Migration,
@@ -84,10 +89,8 @@ class SuperRoundResult:
     """Outcome of one super-round across all shards."""
 
     round_number: int
-    #: Per-shard round outcomes: :class:`~repro.core.netengine.
-    #: NetworkedRoundResult` under the serial backend, picklable
-    #: :class:`~repro.parallel.ShardRoundInfo` under the parallel one.
-    shard_results: list
+    #: Per-shard round outcomes, in shard order.
+    shard_results: list[ShardRoundInfo]
     #: Origin (non-receipt) records committed this super-round.
     committed_tx: int
     #: Receipts minted from fresh home-shard commits this super-round.
@@ -96,26 +99,6 @@ class SuperRoundResult:
     receipts_committed: int
     #: Migrations applied by an epoch reshuffle at the end of the round.
     migrations: list[Migration] = field(default_factory=list)
-
-
-class _VerifiedIM:
-    """Stand-in identity manager carrying a pre-computed verdict.
-
-    Receipt signatures are verified where the home shard's keys live —
-    in-process for the serial backend, worker-side for the parallel one
-    — and the verdict travels with the scan event.  This shim lets the
-    driver-side :class:`CrossShardAuditor` run its usual
-    ``im.verify(...)`` check (same ``checks_run`` accounting) against
-    that verdict without needing a live identity manager.
-    """
-
-    __slots__ = ("_verdict",)
-
-    def __init__(self, verdict: bool):
-        self._verdict = verdict
-
-    def verify(self, node_id, message, signature) -> bool:
-        return self._verdict
 
 
 class ShardCoordinator:
@@ -168,32 +151,23 @@ class ShardCoordinator:
         self.obs = obs if obs is not None else NULL_REGISTRY
         self._behaviors = dict(behaviors or {})
         self._max_delay = max_delay
+        spec = HostSpec(
+            topology=topology,
+            params=params,
+            behaviors=self._behaviors,
+            seed=seed,
+            min_delay=min_delay,
+            max_delay=max_delay,
+            resilience=resilience,
+            storage=tuple(storage or [None] * topology.num_shards),
+            shards=tuple(range(topology.num_shards)),
+        )
         if workers is not None and workers >= 2:
             self.backend = ParallelBackend(
-                topology,
-                params,
-                behaviors=self._behaviors,
-                seed=seed,
-                min_delay=min_delay,
-                max_delay=max_delay,
-                resilience=resilience,
-                obs=self.obs,
-                storage=storage,
-                workers=workers,
-                phase_timeout=worker_timeout,
+                spec, obs=self.obs, workers=workers, phase_timeout=worker_timeout
             )
         else:
-            self.backend = SerialBackend(
-                topology,
-                params,
-                behaviors=self._behaviors,
-                seed=seed,
-                min_delay=min_delay,
-                max_delay=max_delay,
-                resilience=resilience,
-                obs=self.obs,
-                storage=storage,
-            )
+            self.backend = ShardHost(spec, obs=self.obs)
         self.obs.bind_clock(lambda: self.now)
         self.auditor = CrossShardAuditor(obs=self.obs)
         self.provider_shard = dict(topology.provider_shard)
@@ -201,7 +175,9 @@ class ShardCoordinator:
         self._round = 0
         self._epoch = 0
         # Per-shard scan cursor into the published store (receipt minting).
-        self._cursors = [0] * topology.num_shards
+        self._cursors = dict.fromkeys(range(topology.num_shards), 0)
+        # Per-shard re-evaluated-record queue depth after the last round.
+        self._carryover = dict.fromkeys(range(topology.num_shards), 0)
         # Per-shard offered-but-not-yet-started workload.
         self._backlog: list[deque[TxSpec]] = [deque() for _ in topology.shards]
         # receipt_id -> (receipt, home-commit sim time) awaiting remote leg.
@@ -263,7 +239,7 @@ class ShardCoordinator:
 
     @property
     def engines(self):
-        """The live shard engines — serial backend only.
+        """The live shard engines, in shard order — serial backend only.
 
         Under the parallel backend the engines live in worker
         processes; use :meth:`chain_stats`, :meth:`tip_hashes`, or
@@ -274,7 +250,7 @@ class ShardCoordinator:
                 "shard engines live in worker processes under the parallel "
                 "backend; use chain_stats()/tip_hashes() instead"
             )
-        return self.backend.engines
+        return list(self.backend.engines.values())
 
     @property
     def sim(self):
@@ -320,20 +296,17 @@ class ShardCoordinator:
                 retry.setdefault(receipt.remote_shard, []).append(receipt)
                 self._m_relays.labels(attempt="retry").inc()
             self.backend.relay(retry)
-        carryover = self.backend.carryover()
-        specs: list[list[TxSpec]] = []
+        specs: dict[int, list[TxSpec]] = {}
+        for k, queue in enumerate(self._backlog):
+            capacity = self.params.b_limit - self._carryover[k]
+            specs[k] = [
+                queue.popleft() for _ in range(min(max(capacity, 0), len(queue)))
+            ]
+        self.backend.run_until(max(self.backend.begin_round(specs).values()))
+        self.backend.run_until(max(self.backend.begin_argue().values()))
+        infos = self.backend.complete_round()
         for k in range(self.topology.num_shards):
-            capacity = self.params.b_limit - carryover[k]
-            queue = self._backlog[k]
-            specs.append(
-                [queue.popleft() for _ in range(min(max(capacity, 0), len(queue)))]
-            )
-        drain_until = self.backend.begin_round(specs)
-        self.backend.run_until(max(drain_until))
-        argue_until = self.backend.begin_argue()
-        self.backend.run_until(max(argue_until))
-        results = self.backend.complete_round()
-        for k in range(self.topology.num_shards):
+            self._carryover[k] = infos[k].carryover
             self._m_rounds.labels(shard=str(k)).inc()
         minted, receipts_in, origin = self._ingest_scans()
         self.committed_total += origin
@@ -343,7 +316,7 @@ class ShardCoordinator:
         self._update_mass_gauge()
         return SuperRoundResult(
             round_number=self._round,
-            shard_results=results,
+            shard_results=[infos[k] for k in range(self.topology.num_shards)],
             committed_tx=origin,
             receipts_minted=minted,
             receipts_committed=receipts_in,
@@ -362,8 +335,9 @@ class ShardCoordinator:
         """
         minted = receipts_in = origin = 0
         first: dict[int, list[CrossShardReceipt]] = {}
-        for scan in self.backend.scan_commits(self._cursors):
-            k = scan.shard
+        scans = self.backend.scan_commits(self._cursors)
+        for k in range(self.topology.num_shards):
+            scan = scans[k]
             self._cursors[k] = scan.cursor
             origin += scan.origin
             if scan.origin:
@@ -381,16 +355,11 @@ class ShardCoordinator:
                     )
                     continue
                 _, receipt, verified = event
+                self.auditor.record_home_commit(receipt, verified, self._round)
                 if not verified:
-                    self.auditor.record_home_commit(
-                        receipt, _VerifiedIM(False), self._round
-                    )
                     raise ConfigurationError(
                         f"refusing to relay unverifiable receipt {receipt.receipt_id}"
                     )
-                self.auditor.record_home_commit(
-                    receipt, _VerifiedIM(True), self._round
-                )
                 minted += 1
                 self._m_cross_out.labels(shard=str(k)).inc()
                 self._pending[receipt.receipt_id] = (receipt, self.now)
@@ -434,11 +403,13 @@ class ShardCoordinator:
         for move in moves:
             providers, _ = released[move.collector]
             vacancies.setdefault(move.source, deque()).append(providers)
-        adoptions = []
+        adoptions: dict[int, list[tuple]] = {}
         for move in moves:
             slots = vacancies[move.target].popleft()
             _, behavior = released[move.collector]
-            adoptions.append((move.target, move.collector, slots, behavior))
+            adoptions.setdefault(move.target, []).append(
+                (move.collector, slots, behavior)
+            )
         self.backend.adopt_collectors(adoptions)
         self.collector_shard = dict(target)
         self.reshuffle_log.append((self._round, self._epoch, moves))
@@ -463,15 +434,18 @@ class ShardCoordinator:
 
     # -- faults, finalisation, reporting -----------------------------------
 
-    def install_faults(self, shard: int, plan: FaultPlan, tamperer=None):
+    def install_faults(self, shard: int, plan: FaultPlan, tamperer=None) -> None:
         """Install a seeded fault plan on one shard's engine.
 
-        Serial backend: returns the live
-        :class:`~repro.faults.FaultInjector`.  Parallel backend: the
-        injector lives worker-side and ``None`` is returned; tamperers
-        (live callbacks) are rejected there.
+        The injector lives with the engine; read what fired through
+        :meth:`fault_stats`.  Tamperers (live callbacks) are rejected by
+        the parallel backend.
         """
-        return self.backend.install_faults(shard, plan, tamperer=tamperer)
+        self.backend.install_faults(shard, plan, tamperer=tamperer)
+
+    def fault_stats(self) -> dict[int, object]:
+        """Per-shard injector stats (None where no plan is installed)."""
+        return self.backend.fault_stats()
 
     def restart_worker(self, worker: int) -> None:
         """Respawn a crashed worker from durable storage (parallel only)."""
@@ -548,8 +522,10 @@ class ShardCoordinator:
 
     def tip_hashes(self) -> list[str]:
         """Each shard's chain tip hash (the determinism fingerprint)."""
-        return self.backend.tip_hashes()
+        tips = self.backend.tip_hashes()
+        return [tips[k] for k in range(self.topology.num_shards)]
 
     def chain_stats(self) -> list[ShardChainStats]:
         """Per-shard chain summaries (works on every backend)."""
-        return self.backend.chain_stats()
+        stats = self.backend.chain_stats()
+        return [stats[k] for k in range(self.topology.num_shards)]

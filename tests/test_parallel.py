@@ -80,6 +80,8 @@ def fingerprint(coordinator, workload, rounds=4, **kwargs):
         "now": coordinator.now,
         "clean": report.clean,
         "stats": coordinator.chain_stats(),
+        # Injector stats read the one backend-neutral way.
+        "faults": coordinator.fault_stats(),
         "reshuffles": [
             (r, e, moves) for r, e, moves in coordinator.reshuffle_log
         ],
@@ -101,8 +103,8 @@ class TestBitIdentity:
         assert all(s.properties_hold for s in serial["stats"])
 
     def test_multiple_shards_per_worker(self):
-        # 4 shards on 2 workers: co-hosted engines keep private clocks
-        # and stay bit-identical to the serial run.
+        # 4 shards on 2 workers: co-hosted engines share their worker's
+        # one simulator and stay bit-identical to the serial run.
         serial = fingerprint(
             *build(shards=4, workers=None, l=16, n=8, m=8, epoch_rounds=3)
         )
@@ -279,7 +281,7 @@ class TestCrashHandling:
             for _ in range(2):
                 coordinator.submit(workload.take(32))
                 coordinator.run_super_round()
-            before = coordinator.backend.fault_stats()
+            before = coordinator.fault_stats()
             assert all(s is not None for s in before.values())
             victim = coordinator.backend._workers[0]
             os.kill(victim.proc.pid, signal.SIGKILL)
@@ -290,7 +292,7 @@ class TestCrashHandling:
             coordinator.restart_worker(0)
             # The replacement got shard 0's plan back: a live injector is
             # installed immediately after the respawn...
-            stats = coordinator.backend.fault_stats()
+            stats = coordinator.fault_stats()
             assert all(s is not None for s in stats.values())
             restarted_seen = stats[0].messages_seen
             for _ in range(3):
@@ -298,7 +300,7 @@ class TestCrashHandling:
                 coordinator.run_super_round()
             # ...and it keeps filtering traffic (the old behaviour ran the
             # replacement fault-free, so seen/dropped stayed frozen).
-            after = coordinator.backend.fault_stats()
+            after = coordinator.fault_stats()
             assert after[0].messages_seen > restarted_seen
             assert after[0].dropped + after[0].duplicated > 0
             report = coordinator.finalize()
