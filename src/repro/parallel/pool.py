@@ -137,7 +137,6 @@ class ParallelBackend:
         self.phase_timeout = phase_timeout
         self._metrics = parallel_metrics(self.obs)
         self._now = 0.0
-        self._storage = spec.storage
         try:
             pickle.dumps(spec.behaviors, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
@@ -207,7 +206,7 @@ class ParallelBackend:
         its seed — the schedule stays seeded, not bit-continuous).
         """
         handle = self._workers[worker]
-        missing = [k for k in handle.shards if self._storage[k] is None]
+        missing = [k for k in handle.shards if handle.spec.storage[k] is None]
         if missing:
             raise ConfigurationError(
                 f"cannot restart worker {worker}: shards {missing} have no "
@@ -378,7 +377,7 @@ class ParallelBackend:
     def relay(self, batches: Mapping[int, Sequence]) -> None:
         # Per-shard relay order is the order the remote network draws
         # latencies in, hence part of the determinism contract.
-        self._by_shard("relay", {k: r for k, r in batches.items() if r})
+        self._by_shard("relay", batches)
 
     def repair_scan(self, shard: int) -> bool:
         worker = self.worker_for_shard[shard]

@@ -10,10 +10,9 @@ The command loop speaks length-prefixed pickles over a
 ``multiprocessing.Pipe``: the driver sends ``(seq, op, args)`` — ``op``
 names a host method — and the worker replies ``(seq, "ok", result,
 wall_seconds)`` or ``(seq, "err", type, message, traceback)``.  The
-echoed sequence number lets the
-driver discard stale replies after a sibling worker's crash aborted a
-phase mid-collect — survivors' unread replies are skipped, not misread
-as answers to later commands.  ``wall_seconds`` is the worker-side
+echoed sequence number lets the driver discard stale replies after a
+sibling worker's crash aborted a phase mid-collect — survivors' unread
+replies are skipped, not misread as answers to later commands.  ``wall_seconds`` is the worker-side
 compute time for the op, which the driver accumulates into the
 ``par_worker_round_seconds`` histogram — barrier skew (fast workers
 idling at the barrier) is then the difference between the slowest and

@@ -149,12 +149,11 @@ class ShardCoordinator:
         self.seed = seed
         self.epoch_rounds = epoch_rounds
         self.obs = obs if obs is not None else NULL_REGISTRY
-        self._behaviors = dict(behaviors or {})
         self._max_delay = max_delay
         spec = HostSpec(
             topology=topology,
             params=params,
-            behaviors=self._behaviors,
+            behaviors=dict(behaviors or {}),
             seed=seed,
             min_delay=min_delay,
             max_delay=max_delay,

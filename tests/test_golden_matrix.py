@@ -42,8 +42,8 @@ from repro.core import ProtocolEngine, ProtocolParams
 from repro.core.netengine import NetworkedProtocolEngine
 from repro.faults import FaultPlan, LinkFaultSpec
 from repro.network import Topology
-from repro.sharding import ShardCoordinator
 from repro.network.visibility import VisibilityMap
+from repro.sharding import ShardCoordinator
 from repro.storage.checkpoints import reputation_digest
 from repro.streaming.scenarios import STREAM_SCENARIOS, build_streaming_session
 from repro.workloads import BernoulliWorkload

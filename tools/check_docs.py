@@ -153,8 +153,9 @@ def check_code_refs(line: str, path: pathlib.Path, root: pathlib.Path) -> list[s
 
 def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
     errors = []
+    check_refs = path.name not in HISTORY_DOCS
     for lineno, line in enumerate(_strip_fences(path.read_text(encoding="utf-8")), 1):
-        if path.name not in HISTORY_DOCS:
+        if check_refs:
             errors.extend(
                 f"{path.relative_to(root)}:{lineno}: {stale}"
                 for stale in check_code_refs(line, path, root)
