@@ -37,7 +37,7 @@ parallel parity test compares against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.ledger.properties import check_all_properties
@@ -83,12 +83,13 @@ class HostSpec:
     shards: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ShardRoundInfo:
+class ShardRoundInfo(NamedTuple):
     """Picklable outcome of one shard's round, as the driver sees it.
 
     The driver needs the summary (and ``carryover`` for next round's
-    spec budget), not the block body, which stays with the host.
+    spec budget), not the block body, which stays with the host.  A
+    tuple on the wire: one crosses a worker's pipe every round, and a
+    dataclass would pickle its field names along each time.
     """
 
     shard: int
