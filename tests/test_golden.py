@@ -21,6 +21,8 @@ from repro.agents.behaviors import (
     HonestBehavior,
     MisreportBehavior,
 )
+from repro.baselines.base import PolicySimulation, ReputationPolicy
+from repro.cli import MIXES
 from repro.core import ProtocolEngine, ProtocolParams
 from repro.core.game import ReputationGame
 from repro.crypto.hashing import hash_value
@@ -74,6 +76,66 @@ def test_golden_game_losses_and_weights():
     assert result.final_weights["c1"] == pytest.approx(3.861414422033345e-28, rel=1e-9)
     assert result.final_weights["c2"] == pytest.approx(3.8896904024495416e-21, rel=1e-9)
     assert result.final_weights["c3"] == pytest.approx(1.7711179113991065e-64, rel=1e-9)
+
+
+# -- E8 policy goldens ---------------------------------------------------------
+
+GOLDEN_POLICY_RUNS = {
+    # mix: (first-stream stats, second-stream stats, final weights); stats are
+    # (validations, unchecked, mistakes, realized_loss) over 400 transactions.
+    "hostile": (
+        (355, 45, 8, 16.0),
+        (313, 87, 0, 0.0),
+        {
+            "c0": 1.0,
+            "c1": 1.0,
+            "c2": 1.2289921231048547e-09,
+            "c3": 1.2289921231048547e-09,
+            "c4": 1.2289921231048547e-09,
+            "c6": 1.2289921231048547e-09,
+            "c7": 1.2289921231048547e-09,
+            "c8": 1.0656030117070476e-07,
+        },
+    ),
+    "zoo": (
+        (354, 46, 5, 10.0),
+        (331, 69, 0, 0.0),
+        {
+            "c0": 1.0,
+            "c1": 1.0,
+            "c2": 0.0016530991083190346,
+            "c3": 0.014780882941434608,
+            "c4": 1.5268324500371742e-08,
+            "c6": 1.8721194092651674e-07,
+            "c7": 3.279185047850314e-05,
+            "c8": 4.085529049801371e-05,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(GOLDEN_POLICY_RUNS))
+def test_golden_policy_stats_and_weights_across_churn(mix):
+    """E8's reputation policy reproduces its exact stats and final weights
+    over two streams with a median admission and a retirement in between."""
+    policy = ReputationPolicy(
+        params=ProtocolParams(f=0.7), collector_ids=[f"c{i}" for i in range(8)]
+    )
+
+    def stats_of(seed):
+        stats = PolicySimulation(MIXES[mix](), horizon=400, seed=seed).run(
+            policy, policy_seed=seed + 1
+        )
+        assert stats.transactions == 400
+        return (
+            stats.validations, stats.unchecked, stats.mistakes, stats.realized_loss
+        )
+
+    first = stats_of(21)
+    policy.add_collector("c8", bootstrap="median")
+    policy.retire_collector("c5")
+    second = stats_of(23)
+    assert (first, second, dict(policy.weights)) == GOLDEN_POLICY_RUNS[mix]
 
 
 # -- crypto goldens --------------------------------------------------------------
