@@ -173,24 +173,8 @@ class Governor:
         }
         self._visible = frozenset(visible)
 
-    def register_topology_sparse(self, topology: Topology) -> None:
-        """Like :meth:`register_topology`, but with sparse default rows.
-
-        Same collectors, same member sets, same ``_linked`` map — only
-        the vector representation differs (default-row + overrides), so
-        every seeded run is bit-identical to the dense registration while
-        untouched members cost no memory.  Partial visibility is not
-        offered here; the sparse path serves the streaming/scale-mode
-        engines, which use the full view.
-        """
-        self.register_streaming(
-            {c: topology.providers_of(c) for c in topology.collectors}
-        )
-        for provider in topology.providers:
-            self.link_provider(provider, topology.collectors_of(provider))
-
     def register_streaming(self, collector_members: dict[str, object]) -> None:
-        """Streaming-population setup: sparse books, no materialized links.
+        """Streaming-population setup: lazy members, no materialized links.
 
         ``collector_members`` maps collector id → a lazy membership view
         (:class:`repro.streaming.universe.CollectorMembers`).  The
@@ -199,7 +183,7 @@ class Governor:
         governor memory is bounded by the *active* provider set.
         """
         for collector, members in collector_members.items():
-            self.book.register_collector_sparse(collector, members)
+            self.book.register_collector(collector, members)
         self._linked = {}
         self._visible = frozenset(collector_members)
 
@@ -210,7 +194,7 @@ class Governor:
     def unlink_provider(self, provider: str) -> None:
         """Forget a retired provider's linked set (frees active-set memory).
 
-        Reputation overrides for the provider stay in the sparse book —
+        Reputation overrides for the provider stay in the book —
         membership is universe-based, so a late truth reveal after the
         provider re-arrives (or even while retired) still finds its
         weights; only the O(active) link map shrinks.

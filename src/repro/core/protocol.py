@@ -113,18 +113,12 @@ class ProtocolEngine(RoundCore):
         visibility: VisibilityMap | None = None,
         abusive_providers: Mapping[str, float] | None = None,
         obs: MetricsRegistry | None = None,
-        sparse_reputation: bool = False,
     ):
-        if sparse_reputation and visibility is not None:
-            raise ConfigurationError(
-                "sparse_reputation does not support partial visibility"
-            )
         if visibility is not None:
             visibility.validate(topology)
         super().__init__(params, seed, obs)
         self.topology = topology
         self.leader_rotation = leader_rotation
-        self.sparse_reputation = sparse_reputation
         self.visibility = visibility
         self.store = BlockStore()
         self.metrics = EngineMetrics()
@@ -133,13 +127,7 @@ class ProtocolEngine(RoundCore):
         self._register_engine_metrics()
 
         def register_books(governor: Governor) -> None:
-            if sparse_reputation:
-                # Value-for-value the same registration (default rows at
-                # initial reputation, identical member order), so seeded
-                # runs are bit-identical to the dense path — locked by
-                # tests/test_streaming.py's equivalence suite.
-                governor.register_topology_sparse(topology)
-            elif visibility is None:
+            if visibility is None:
                 governor.register_topology(topology)
             else:
                 governor.register_topology(

@@ -44,83 +44,32 @@ WEIGHT_FLOOR = 1e-300
 _ROW_CACHE_SIZE = 4096
 
 
-class _VersionedDict(dict):
-    """Provider→weight map that bumps its owner vector's version on mutation.
-
-    Reputation weights are mutated through :meth:`ReputationVector.scale`
-    *and* directly (gossip reconciliation, tests), so cache invalidation
-    cannot rely on a choke-point method — instead every mutating dict
-    operation advances the owning vector's ``_version``, which the
-    book-level row cache checks before reusing a snapshot.
-    """
-
-    __slots__ = ("owner",)
-
-    def __init__(self, data=(), owner=None):
-        super().__init__(data)
-        self.owner = owner
-
-    def _bump(self) -> None:
-        if self.owner is not None:
-            self.owner._version += 1
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self._bump()
-
-    def __delitem__(self, key):
-        super().__delitem__(key)
-        self._bump()
-
-    def update(self, *args, **kwargs):
-        super().update(*args, **kwargs)
-        self._bump()
-
-    def setdefault(self, key, default=None):
-        result = super().setdefault(key, default)
-        self._bump()
-        return result
-
-    def pop(self, *args):
-        result = super().pop(*args)
-        self._bump()
-        return result
-
-    def popitem(self):
-        result = super().popitem()
-        self._bump()
-        return result
-
-    def clear(self):
-        super().clear()
-        self._bump()
-
-
 class SparseWeightMap(MutableMapping):
     """Default-row + touched-overrides provider→weight map.
 
-    The dense representation (one dict entry per overseen provider, as
-    :meth:`ReputationVector.fresh` builds) costs memory proportional to
-    the collector's whole membership; with a streaming universe of
-    10^5–10^6 registered providers that is the scaling wall.  This map
-    stores only the entries Algorithm 3 has actually *touched*
-    (``overrides``) on top of a shared ``default`` weight, against a
-    ``members`` view that answers containment/iteration/length without
-    materializing the population (see
-    :class:`repro.streaming.universe.CollectorMembers`).
+    The one representation of a vector's first ``s`` entries.  It stores
+    only the entries Algorithm 3 has actually *touched* (``overrides``)
+    on top of a shared ``default`` weight, against a ``members``
+    container that answers containment/iteration/length: the keys of a
+    dict for a materialised provider list (same order, O(1) ``in``), or
+    a lazy view that never materializes the population (see
+    :class:`repro.streaming.universe.CollectorMembers`), so a collector
+    overseeing 10^6 providers costs O(touched) memory.
 
-    Semantics are exactly those of the dense dict:
+    Semantics are exactly those of a plain dict over the members:
 
     * lookup of an untouched member returns ``default``; a non-member
       raises ``KeyError`` (:meth:`ReputationVector.weight` converts that
       to the protocol violation);
     * iteration yields the members in their canonical registration
-      order — the same order a dense book inserts them in — so every
-      order-sensitive float reduction (``sum(values())``, digests) is
-      bit-identical to the dense path;
-    * every mutation bumps the owning vector's ``_version`` exactly like
-      :class:`_VersionedDict`, so the book-level row cache invalidates
-      identically.
+      order, so every order-sensitive float reduction
+      (``sum(values())``, digests) is the same whether or not an entry
+      was ever touched;
+    * every mutation bumps the owning vector's ``_version`` — weights
+      are mutated through :meth:`ReputationVector.scale` *and* directly
+      (gossip reconciliation, tests), so cache invalidation cannot rely
+      on a choke-point method; the book-level row cache checks the
+      version before reusing a snapshot.
     """
 
     __slots__ = ("members", "default", "overrides", "owner")
@@ -130,7 +79,9 @@ class SparseWeightMap(MutableMapping):
             raise ConfigurationError(
                 f"default reputation must be positive, got {default}"
             )
-        self.members = members
+        self.members = (
+            dict.fromkeys(members) if isinstance(members, (list, tuple)) else members
+        )
         self.default = float(default)
         self.overrides: dict[str, float] = dict(overrides or {})
         self.owner = owner
@@ -148,6 +99,8 @@ class SparseWeightMap(MutableMapping):
         raise KeyError(key)
 
     def __setitem__(self, key, value):
+        if key not in self.members:
+            raise KeyError(key)
         self.overrides[key] = value
         self._bump()
 
@@ -158,7 +111,7 @@ class SparseWeightMap(MutableMapping):
         self._bump()
 
     def __contains__(self, key):
-        return key in self.overrides or key in self.members
+        return key in self.members
 
     def __iter__(self):
         return iter(self.members)
@@ -221,29 +174,24 @@ class WeightRow:
 class ReputationVector:
     """One collector's reputation as seen by one governor."""
 
-    provider_weights: dict[str, float]
+    provider_weights: SparseWeightMap
     misreport: int = 0
     forge: int = 0
 
     def __post_init__(self) -> None:
         # Version counter consulted by ReputationBook's row cache; bumped
-        # by every provider_weights mutation via _VersionedDict or
-        # SparseWeightMap.
+        # by every provider_weights mutation.
         self._version = 0
-        if isinstance(self.provider_weights, SparseWeightMap):
-            self.provider_weights.owner = self
-        elif not (
-            isinstance(self.provider_weights, _VersionedDict)
-            and self.provider_weights.owner is self
-        ):
-            self.provider_weights = _VersionedDict(self.provider_weights, self)
+        self.provider_weights.owner = self
 
     @staticmethod
-    def fresh(providers: Iterable[str], initial: float = 1.0) -> "ReputationVector":
-        """A new collector's vector: every provider entry at ``initial``."""
-        if initial <= 0:
-            raise ConfigurationError(f"initial reputation must be positive, got {initial}")
-        return ReputationVector(provider_weights={p: initial for p in providers})
+    def fresh(providers, initial: float = 1.0) -> "ReputationVector":
+        """A new collector's vector: every provider entry at ``initial``.
+
+        ``providers`` is the list of overseen provider ids or a lazy
+        membership view (see :class:`SparseWeightMap`).
+        """
+        return ReputationVector(SparseWeightMap(providers, initial))
 
     def weight(self, provider: str) -> float:
         """``w_{j,i,k}`` for provider ``k``.
@@ -313,32 +261,21 @@ class ReputationBook:
             "Reputation weight-row cache misses (row rebuilt from vectors)",
         )
 
-    def register_collector(self, collector: str, providers: Iterable[str]) -> None:
-        """Create the fresh (s+2)-vector for a newly known collector."""
-        if collector in self._vectors:
-            raise ProtocolViolationError(
-                f"collector {collector!r} already registered with {self.governor!r}"
-            )
-        self._vectors[collector] = ReputationVector.fresh(providers, self.initial)
+    def register_collector(self, collector: str, providers) -> None:
+        """Create the fresh (s+2)-vector for a newly known collector.
 
-    def register_collector_sparse(self, collector: str, members) -> None:
-        """Register a collector over a *virtual* membership view.
-
-        ``members`` only needs ``__contains__`` / ``__iter__`` /
+        ``providers`` is the list of overseen ids or a *virtual*
+        membership view needing only ``__contains__`` / ``__iter__`` /
         ``__len__`` (see :class:`repro.streaming.universe.CollectorMembers`);
         the vector starts as a pure default row, so registering a
         collector overseeing 10^6 providers costs O(1) memory and the
         book grows with the entries Algorithm 3 actually touches.
-        Value-for-value this is exactly :meth:`register_collector` — at
-        small N the two paths are bit-identical.
         """
         if collector in self._vectors:
             raise ProtocolViolationError(
                 f"collector {collector!r} already registered with {self.governor!r}"
             )
-        self._vectors[collector] = ReputationVector(
-            provider_weights=SparseWeightMap(members, self.initial)
-        )
+        self._vectors[collector] = ReputationVector.fresh(providers, self.initial)
 
     def vector(self, collector: str) -> ReputationVector:
         """The full vector for ``collector``.
@@ -498,11 +435,12 @@ class ReputationBook:
     ) -> None:
         """Re-admit a collector after churn (recovered from a crash).
 
-        The per-provider bootstrap weight follows the same churn rules
-        as :meth:`repro.baselines.base.ReputationPolicy.add_collector`:
-        ``"median"`` inherits the typical incumbent's standing w.r.t.
-        each provider, ``"initial"`` restarts at genesis trust, ``"min"``
-        makes trust be re-earned from the worst incumbent's level.
+        The one site of the per-provider bootstrap rule (E8's
+        :meth:`repro.baselines.base.ReputationPolicy.add_collector`
+        admits through here too): ``"median"`` inherits the typical
+        incumbent's standing w.r.t. each provider, ``"initial"`` restarts
+        at genesis trust, ``"min"`` makes trust be re-earned from the
+        worst incumbent's level.
 
         Raises:
             ProtocolViolationError: the collector is still registered.
@@ -514,48 +452,40 @@ class ReputationBook:
             )
         if bootstrap not in ("median", "initial", "min"):
             raise ConfigurationError(f"unknown bootstrap rule {bootstrap!r}")
-        weights: dict[str, float] = {}
-        for provider in providers:
+        vector = ReputationVector.fresh(tuple(providers), self.initial)
+        for provider in vector.provider_weights:
             incumbents = [
                 v.provider_weights[provider]
                 for v in self._vectors.values()
                 if provider in v.provider_weights
             ]
             if bootstrap == "initial" or not incumbents:
-                weight = self.initial
-            elif bootstrap == "median":
-                weight = float(np.median(incumbents))
-            else:
-                weight = min(incumbents)
-            weights[provider] = max(weight, WEIGHT_FLOOR)
-        self._vectors[collector] = ReputationVector(provider_weights=weights)
+                continue
+            weight = (
+                float(np.median(incumbents)) if bootstrap == "median" else min(incumbents)
+            )
+            vector.provider_weights[provider] = max(weight, WEIGHT_FLOOR)
+        self._vectors[collector] = vector
 
     # -- durable state (checkpoint persistence) ---------------------------
 
     def export_state(self) -> dict:
         """JSON-safe sparse row payload for checkpoint pinning.
 
-        Dense vectors are encoded sparsely too — entries still at the
-        registration default are elided — so the payload size tracks the
-        number of *touched* rows regardless of representation.  Floats
+        Only the touched entries are written, so the payload size tracks
+        the number of *touched* rows, not the membership.  Floats
         survive the JSON round trip exactly (``repr`` round-trips), so a
         restored book is weight-for-weight identical.
         """
-        collectors: dict[str, dict] = {}
-        for cid, vec in self._vectors.items():
-            pw = vec.provider_weights
-            if isinstance(pw, SparseWeightMap):
-                default = pw.default
-                overrides = dict(pw.overrides)
-            else:
-                default = self.initial
-                overrides = {p: w for p, w in pw.items() if w != default}
-            collectors[cid] = {
-                "default": default,
-                "overrides": overrides,
+        collectors = {
+            cid: {
+                "default": vec.provider_weights.default,
+                "overrides": dict(vec.provider_weights.overrides),
                 "misreport": vec.misreport,
                 "forge": vec.forge,
             }
+            for cid, vec in self._vectors.items()
+        }
         return {"initial": self.initial, "collectors": collectors}
 
     def restore_state(self, state: Mapping) -> None:
@@ -563,8 +493,7 @@ class ReputationBook:
 
         Collectors must already be registered (the engine rebuilds the
         topology before restoring); entries absent from the payload's
-        overrides keep their registration default, which is exactly the
-        elision rule :meth:`export_state` applied.
+        overrides keep the payload's default.
 
         Raises:
             ProtocolViolationError: the payload names an unregistered
@@ -572,15 +501,9 @@ class ReputationBook:
         """
         for cid, row in state.get("collectors", {}).items():
             vec = self.vector(cid)
-            overrides = row.get("overrides", {})
-            pw = vec.provider_weights
-            if isinstance(pw, SparseWeightMap):
-                pw.overrides = dict(overrides)
-                pw.default = float(row.get("default", self.initial))
-                pw._bump()
-            else:
-                default = float(row.get("default", self.initial))
-                for provider in pw:
-                    pw[provider] = overrides.get(provider, default)
+            weights = vec.provider_weights
+            weights.overrides = dict(row.get("overrides", {}))
+            weights.default = float(row.get("default", self.initial))
+            weights._bump()
             vec.misreport = int(row.get("misreport", 0))
             vec.forge = int(row.get("forge", 0))

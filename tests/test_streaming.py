@@ -2,14 +2,12 @@
 
 The load-bearing claims, each locked by a test class here:
 
-* ``SparseWeightMap`` is a drop-in ``MutableMapping`` row store whose
-  iteration order (canonical registration order) makes every float
-  reduction bit-identical to the dense ``_VersionedDict`` path;
+* ``SparseWeightMap`` — the only weight-map representation — behaves
+  as a plain ``dict`` over its members: registration-order iteration,
+  left-to-right float reductions, ``KeyError`` for non-members, one
+  version bump per mutation (a hypothesis model test);
 * ``CollectorMembers`` answers membership queries for the circulant
   topology in O(1) memory, agreeing exactly with ``Topology.regular``;
-* ``ProtocolEngine(sparse_reputation=True)`` commits bit-identical
-  ledgers and books to the dense engine for every seeded small-N
-  scenario (the ISSUE's equivalence suite);
 * ``StreamingWorkload`` with round-robin selection emits the identical
   ``TxSpec`` stream as the materialized generators for N <= 64 across
   all three validity models (satellite property test);
@@ -29,10 +27,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
+from repro.agents.behaviors import MisreportBehavior
 from repro.core.params import ProtocolParams
-from repro.core.protocol import ProtocolEngine
-from repro.core.reputation import ReputationBook, SparseWeightMap
+from repro.core.reputation import (
+    ReputationBook,
+    ReputationVector,
+    SparseWeightMap,
+)
 from repro.exceptions import ConfigurationError, TopologyError
 from repro.ledger.properties import check_all_properties
 from repro.network.topology import Topology, provider_id
@@ -105,7 +106,7 @@ class TestSparseWeightMap:
 
     def test_mutation_bumps_owner_version(self):
         book = ReputationBook(governor="g0", initial=1.0)
-        book.register_collector_sparse("c0", ["p0", "p1"])
+        book.register_collector("c0", ["p0", "p1"])
         vec = book.vector("c0")
         before = vec._version
         vec.provider_weights["p0"] = 0.5
@@ -113,12 +114,12 @@ class TestSparseWeightMap:
 
     def test_export_restore_roundtrip_sparse(self):
         book = ReputationBook(governor="g0", initial=1.0)
-        book.register_collector_sparse("c0", ["p0", "p1", "p2"])
+        book.register_collector("c0", ["p0", "p1", "p2"])
         book.vector("c0").provider_weights["p2"] = 0.125
         state = book.export_state()
         assert state["collectors"]["c0"]["overrides"] == {"p2": 0.125}
         other = ReputationBook(governor="g0", initial=1.0)
-        other.register_collector_sparse("c0", ["p0", "p1", "p2"])
+        other.register_collector("c0", ["p0", "p1", "p2"])
         other.restore_state(state)
         assert dict(other.vector("c0").provider_weights) == {
             "p0": 1.0, "p1": 1.0, "p2": 0.125,
@@ -135,6 +136,56 @@ class TestSparseWeightMap:
         assert dict(other.vector("c0").provider_weights) == {
             "p0": 1.0, "p1": 0.75,
         }
+
+
+_MEMBERS = [f"p{k}" for k in (4, 0, 2, 7, 1)]
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "reset", "get"]),
+        st.sampled_from(_MEMBERS + ["p9", "x"]),
+        st.floats(min_value=1e-300, max_value=4.0, allow_nan=False),
+    ),
+    max_size=40,
+)
+
+
+class TestSparseWeightMapModel:
+    """``SparseWeightMap`` against a plain ``dict`` of its members."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(default=st.floats(min_value=1e-3, max_value=4.0), ops=_OPS)
+    def test_behaves_as_a_dict_over_its_members(self, default, ops):
+        vec = ReputationVector.fresh(_MEMBERS, default)
+        sparse = vec.provider_weights
+        model = dict.fromkeys(_MEMBERS, default)
+        for op, key, value in ops:
+            before = vec._version
+            bumps = 0
+            if key not in model:
+                with pytest.raises(KeyError):
+                    if op == "set":
+                        sparse[key] = value
+                    elif op == "reset":
+                        del sparse[key]
+                    else:
+                        sparse[key]
+            elif op == "set":
+                sparse[key] = model[key] = value
+                bumps = 1
+            elif op == "reset":
+                if key in sparse.overrides:
+                    del sparse[key]
+                    model[key] = default
+                    bumps = 1
+            else:
+                assert sparse[key] == model[key]
+            assert vec._version == before + bumps
+            assert list(sparse) == list(model)
+            assert list(sparse.items()) == list(model.items())
+            assert sum(sparse.values()) == sum(model.values())
+            assert len(sparse) == len(model)
+            assert (key in sparse) == (key in model)
+            assert sparse.touched <= len(model)
 
 
 # ---------------------------------------------------------------------------
@@ -193,82 +244,6 @@ class TestCollectorMembers:
         assert members[0] in members
         assert universe.contains_provider("p999999")
         assert not universe.contains_provider("p1000000")
-
-
-# ---------------------------------------------------------------------------
-# Sparse/dense engine equivalence (the ISSUE's acceptance criterion)
-
-
-def _run_engine(sparse: bool, seed: int, behaviors_for, rounds: int = 8):
-    topo = Topology.regular(l=12, n=4, m=3, r=2)
-    engine = ProtocolEngine(
-        topo,
-        ProtocolParams(f=0.5, b_limit=16),
-        seed=seed,
-        behaviors=behaviors_for(topo),
-        sparse_reputation=sparse,
-    )
-    workload = BernoulliWorkload(topo.providers, p_valid=0.7, seed=seed)
-    for _ in range(rounds):
-        engine.run_round(workload.take(10))
-    engine.run_round([])  # flush argued re-evaluations into a final block
-    engine.finalize()
-    tips = [g.ledger.tip_hash() for g in engine.governors.values()]
-    books = {
-        gid: {
-            cid: (
-                dict(gov.book.vector(cid).provider_weights),
-                gov.book.vector(cid).misreport,
-                gov.book.vector(cid).forge,
-            )
-            for cid in topo.collectors
-        }
-        for gid, gov in engine.governors.items()
-    }
-    return engine, tips, books
-
-
-MIXES = {
-    "honest": lambda topo: {},
-    "misreport": lambda topo: {topo.collectors[0]: MisreportBehavior(0.8)},
-    "conceal": lambda topo: {topo.collectors[1]: ConcealBehavior(0.6)},
-    "hostile": lambda topo: {
-        topo.collectors[0]: MisreportBehavior(0.5),
-        topo.collectors[2]: ConcealBehavior(0.5),
-    },
-}
-
-
-class TestSparseDenseEquivalence:
-    @pytest.mark.parametrize("mix", sorted(MIXES))
-    @pytest.mark.parametrize("seed", [0, 7, 23])
-    def test_bit_identical_ledgers_and_books(self, mix, seed):
-        dense_eng, dense_tips, dense_books = _run_engine(
-            False, seed, MIXES[mix]
-        )
-        sparse_eng, sparse_tips, sparse_books = _run_engine(
-            True, seed, MIXES[mix]
-        )
-        assert dense_tips == sparse_tips
-        assert dense_books == sparse_books
-        report = check_all_properties(
-            sparse_eng.ledgers(), sparse_eng.transcript
-        )
-        assert report.all_hold
-
-    def test_sparse_rejects_partial_visibility(self):
-        from repro.network.visibility import VisibilityMap
-
-        topo = Topology.regular(l=8, n=4, m=2, r=2)
-        visibility = VisibilityMap.random_partial(topo, keep_fraction=0.5, seed=0)
-        with pytest.raises(ConfigurationError):
-            ProtocolEngine(
-                topo,
-                ProtocolParams(f=0.5),
-                seed=0,
-                visibility=visibility,
-                sparse_reputation=True,
-            )
 
 
 # ---------------------------------------------------------------------------
