@@ -7,7 +7,8 @@ mechanism behind one interface lets E8 compare them on identical
 transaction streams:
 
 * :class:`ReputationPolicy` — the paper (reputation-proportional source
-  selection, f-tuned skipping, multiplicative updates);
+  selection, f-tuned skipping, and the governors' own multiplicative
+  update on a one-provider book);
 * check-all / check-none / uniform-no-reputation / majority-vote /
   static-trust — in the sibling modules.
 
@@ -18,12 +19,16 @@ pairs through a policy and accounts mistakes, validations and loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from repro.agents.behaviors import CollectorBehavior
-from repro.core.params import ProtocolParams, gamma_for
+from repro.core.game import PROVIDER, theorem1_book
+from repro.core.params import ProtocolParams
+from repro.core.reputation import ReputationBook
+from repro.core.updating import apply_reveal_update
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label
 
@@ -67,24 +72,34 @@ class ScreeningPolicy(Protocol):
 
 @dataclass
 class ReputationPolicy:
-    """The paper's mechanism as a policy (one provider's collector group)."""
+    """The paper's mechanism as a policy (one provider's collector group).
+
+    The weights live in a one-provider
+    :class:`~repro.core.reputation.ReputationBook` and move only through
+    the governors' own update and churn code, so E8 measures the
+    mechanism the engines run.
+    """
 
     params: ProtocolParams
     collector_ids: Sequence[str]
-    weights: dict[str, float] = field(init=False)
+    book: ReputationBook = field(init=False)
 
     def __post_init__(self) -> None:
-        self.weights = {c: self.params.initial_reputation for c in self.collector_ids}
+        self.book = theorem1_book(self.collector_ids, self.params.initial_reputation)
+
+    @property
+    def weights(self) -> Mapping[str, float]:
+        """collector id -> current weight (a read-only snapshot)."""
+        return MappingProxyType(self.book.weights_for(PROVIDER, self.book.collectors()))
 
     def screen(
         self, labels: Mapping[str, Label], rng: np.random.Generator
     ) -> PolicyDecision:
-        reporters = sorted(c for c in labels if c in self.weights)
+        reporters = sorted(c for c in labels if self.book.is_registered(c))
         if not reporters:
             # No known reporter: the conservative fallback is to check.
             return PolicyDecision(recorded_label=Label.VALID, checked=True)
-        w = np.array([self.weights[c] for c in reporters])
-        probs = w / w.sum()
+        probs = self.book.selection_row(PROVIDER, reporters).probabilities()
         drawn_idx = int(rng.choice(len(reporters), p=probs))
         drawn = reporters[drawn_idx]
         label = labels[drawn]
@@ -98,7 +113,8 @@ class ReputationPolicy:
         """Membership churn: admit a new collector mid-stream.
 
         The paper assumes a static collector set; real alliances churn.
-        The bootstrap weight decides the newcomer's standing:
+        The bootstrap weight decides the newcomer's standing, by the rule
+        of :meth:`repro.core.reputation.ReputationBook.readmit_collector`:
 
         * ``"median"`` — the population median (a newcomer neither
           dominates selection nor starves: it inherits the credibility
@@ -111,23 +127,10 @@ class ReputationPolicy:
         Raises:
             ConfigurationError: duplicate id or unknown bootstrap rule.
         """
-        import numpy as _np
-
-        if collector_id in self.weights:
+        if self.book.is_registered(collector_id):
             raise ConfigurationError(f"collector {collector_id!r} already present")
-        incumbents = list(self.weights.values())
-        if bootstrap == "median":
-            weight = float(_np.median(incumbents)) if incumbents else (
-                self.params.initial_reputation
-            )
-        elif bootstrap == "initial":
-            weight = self.params.initial_reputation
-        elif bootstrap == "min":
-            weight = min(incumbents) if incumbents else self.params.initial_reputation
-        else:
-            raise ConfigurationError(f"unknown bootstrap rule {bootstrap!r}")
-        self.weights[collector_id] = max(weight, 1e-300)
-        self.collector_ids = tuple(self.weights)
+        self.book.readmit_collector(collector_id, (PROVIDER,), bootstrap)
+        self.collector_ids = tuple(self.book.collectors())
 
     def retire_collector(self, collector_id: str) -> None:
         """Membership churn: remove a collector (e.g. left the alliance).
@@ -135,10 +138,10 @@ class ReputationPolicy:
         Raises:
             ConfigurationError: unknown collector.
         """
-        if collector_id not in self.weights:
+        if not self.book.is_registered(collector_id):
             raise ConfigurationError(f"collector {collector_id!r} not present")
-        del self.weights[collector_id]
-        self.collector_ids = tuple(self.weights)
+        self.book.retire_collector(collector_id)
+        self.collector_ids = tuple(self.book.collectors())
 
     def on_truth(
         self, labels: Mapping[str, Label], truth: Label, was_checked: bool
@@ -148,18 +151,10 @@ class ReputationPolicy:
             # feed back into source selection; selection weights are the
             # first-s entries, updated only on unchecked reveals.
             return
-        known = {c: lab for c, lab in labels.items() if c in self.weights}
-        w_right = sum(self.weights[c] for c, lab in known.items() if lab is truth)
-        w_wrong = sum(self.weights[c] for c, lab in known.items() if lab is not truth)
-        total = w_right + w_wrong
-        loss = 0.0 if total == 0 else 2.0 * w_wrong / total
-        gamma = gamma_for(self.params.beta, loss)
-        for cid in self.collector_ids:
-            lab = known.get(cid)
-            if lab is None:
-                self.weights[cid] = max(self.weights[cid] * self.params.beta, 1e-300)
-            elif lab is not truth:
-                self.weights[cid] = max(self.weights[cid] * gamma, 1e-300)
+        known = {c: lab for c, lab in labels.items() if self.book.is_registered(c)}
+        apply_reveal_update(
+            self.params, self.book, PROVIDER, self.collector_ids, known, truth
+        )
 
 
 @dataclass

@@ -16,7 +16,9 @@ accumulated loss ``S_min_T`` plus ``O(sqrt(T))``.
 * the truth is revealed after a configurable latency of ``reveal_lag``
   transactions (0 = immediately, the theorem's idealisation; positive
   values reproduce the paper's U-latency discussion), triggering the
-  case-3 multiplicative update with the paper's ``gamma_tx`` rule;
+  case-3 multiplicative update with the paper's ``gamma_tx`` rule —
+  the governors' own :func:`repro.core.updating.apply_reveal_update`
+  on a one-provider :class:`~repro.core.reputation.ReputationBook`;
 * collector losses accrue 2 per wrong label and 1 per concealment
   (matching the potential argument, where a miss costs ``beta`` =
   ``beta^1`` and a wrong label costs ``gamma >= beta^2``).
@@ -33,12 +35,26 @@ from typing import Sequence
 import numpy as np
 
 from repro.agents.behaviors import CollectorBehavior
-from repro.core.params import gamma_for, tuned_beta
+from repro.core.params import ProtocolParams, tuned_beta
 from repro.core.regret import rwm_bound, theorem1_bound
+from repro.core.reputation import ReputationBook
+from repro.core.updating import apply_reveal_update
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label
 
-__all__ = ["GameResult", "ReputationGame"]
+__all__ = ["GameResult", "ReputationGame", "PROVIDER", "theorem1_book"]
+
+#: Theorem 1's one provider ``p_k``.
+PROVIDER = "p_k"
+
+
+def theorem1_book(collector_ids: Sequence[str], initial: float = 1.0) -> ReputationBook:
+    """The governor's table in Theorem 1's setting: the ``r`` collectors
+    overseeing :data:`PROVIDER`, every weight at ``initial``."""
+    book = ReputationBook(governor="g", initial=initial)
+    for cid in collector_ids:
+        book.register_collector(cid, (PROVIDER,))
+    return book
 
 
 @dataclass
@@ -134,7 +150,8 @@ class ReputationGame:
         r = len(self.behaviors)
         beta = self.beta if self.beta is not None else tuned_beta(r, self.horizon)
         rng = np.random.default_rng(self.seed)
-        weights = {c: 1.0 for c in self.collector_ids}
+        book = theorem1_book(self.collector_ids)
+        params = ProtocolParams(beta=beta)
         collector_losses = {c: 0.0 for c in self.collector_ids}
         expected_loss = 0.0
         realized_loss = 0.0
@@ -142,6 +159,12 @@ class ReputationGame:
         best_curve = np.zeros(self.horizon) if self.track_curves else np.zeros(0)
         # Reveal pipeline: list of (due_step, labels, truth) awaiting update.
         pending: list[tuple[int, dict[str, Label], Label]] = []
+
+        def reveal(labels: dict[str, Label], truth: Label) -> None:
+            apply_reveal_update(
+                params, book, PROVIDER, self.collector_ids, labels, truth,
+                gamma_override=self.gamma_override,
+            )
 
         for t in range(self.horizon):
             truth_valid = bool(rng.random() < self.p_valid)
@@ -159,23 +182,22 @@ class ReputationGame:
 
             if labels:
                 reporters = sorted(labels)
-                w = np.array([weights[c] for c in reporters])
-                mass = float(w.sum())
+                row = book.selection_row(PROVIDER, reporters)
                 if self.selection == "proportional":
-                    probs = w / mass
+                    probs = row.probabilities()
                 elif self.selection == "uniform":
                     probs = np.full(len(reporters), 1.0 / len(reporters))
                 elif self.selection == "wmajority":
                     # Deterministic WM: all mass on the side with more
                     # reputation; model as choosing any reporter whose
                     # label equals the weighted-majority label.
-                    from repro.ledger.transaction import Label as _L
-
                     mass_valid = sum(
-                        weights[c] for c in reporters if labels[c] is _L.VALID
+                        w
+                        for c, w in zip(reporters, row.weights.tolist())
+                        if labels[c] is Label.VALID
                     )
                     majority = (
-                        _L.VALID if mass_valid * 2 >= mass else _L.INVALID
+                        Label.VALID if mass_valid * 2 >= row.total else Label.INVALID
                     )
                     probs = np.array(
                         [1.0 if labels[c] is majority else 0.0 for c in reporters]
@@ -183,16 +205,12 @@ class ReputationGame:
                     probs = probs / probs.sum()
                 else:  # greedy: all mass on the max-weight reporter
                     probs = np.zeros(len(reporters))
-                    probs[int(np.argmax(w))] = 1.0
-                w_wrong = sum(
-                    weights[c] for c in reporters if labels[c] is not truth
-                )
+                    probs[int(np.argmax(row.weights))] = 1.0
                 # Expected loss under the governor's *actual* rule uses the
                 # actual selection probabilities.
                 expected_loss += 2.0 * float(
                     sum(p for p, c in zip(probs, reporters) if labels[c] is not truth)
                 )
-                del w_wrong
                 drawn = reporters[int(rng.choice(len(reporters), p=probs))]
                 if labels[drawn] is not truth:
                     realized_loss += 2.0
@@ -202,7 +220,7 @@ class ReputationGame:
             pending.append((t + self.reveal_lag, labels, truth))
             while pending and pending[0][0] <= t:
                 _due, old_labels, old_truth = pending.pop(0)
-                self._apply_reveal(weights, old_labels, old_truth, beta)
+                reveal(old_labels, old_truth)
 
             if self.track_curves:
                 expected_curve[t] = expected_loss
@@ -210,7 +228,7 @@ class ReputationGame:
 
         # Flush remaining reveals (the theorem reveals everything "sometime").
         for _due, old_labels, old_truth in pending:
-            self._apply_reveal(weights, old_labels, old_truth, beta)
+            reveal(old_labels, old_truth)
 
         return GameResult(
             horizon=self.horizon,
@@ -219,31 +237,7 @@ class ReputationGame:
             expected_loss=expected_loss,
             realized_loss=realized_loss,
             collector_losses=collector_losses,
-            final_weights=dict(weights),
+            final_weights=book.weights_for(PROVIDER, self.collector_ids),
             expected_loss_curve=expected_curve,
             best_collector_curve=best_curve,
         )
-
-    def _apply_reveal(
-        self,
-        weights: dict[str, float],
-        labels: dict[str, Label],
-        truth: Label,
-        beta: float,
-    ) -> None:
-        """Case-3 multiplicative update for one revealed transaction."""
-        w_right = sum(weights[c] for c, lab in labels.items() if lab is truth)
-        w_wrong = sum(weights[c] for c, lab in labels.items() if lab is not truth)
-        total = w_right + w_wrong
-        loss = 0.0 if total == 0.0 else 2.0 * w_wrong / total
-        gamma = (
-            self.gamma_override
-            if self.gamma_override is not None
-            else gamma_for(beta, loss)
-        )
-        for cid in self.collector_ids:
-            label = labels.get(cid)
-            if label is None:
-                weights[cid] = max(weights[cid] * beta, 1e-300)
-            elif label is not truth:
-                weights[cid] = max(weights[cid] * gamma, 1e-300)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.reputation import ReputationBook
+from repro.core.reputation import WEIGHT_FLOOR, ReputationBook
 from repro.crypto.identity import IdentityManager
 from repro.crypto.signatures import Signature, SigningKey, sign
 from repro.exceptions import ConfigurationError, ProtocolViolationError
@@ -123,7 +123,7 @@ class ReputationGossip:
                     self.alpha * peer_geomean_log
                 )
                 vector.provider_weights[provider] = max(
-                    math.exp(fused_log), 1e-300
+                    math.exp(fused_log), WEIGHT_FLOOR
                 )
         self.folded += len(accepted)
         return len(accepted)

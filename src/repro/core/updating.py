@@ -97,8 +97,14 @@ def apply_reveal_update(
     linked_collectors: Sequence[str],
     labels: Mapping[str, Label],
     true_label: Label,
+    gamma_override: float | None = None,
 ) -> RevealSummary:
     """Case 3: apply the multiplicative update for a revealed truth.
+
+    The one site of the update: the engines' governors, the Theorem-1
+    game (:mod:`repro.core.game`) and the E8 policy
+    (:class:`repro.baselines.base.ReputationPolicy`) all step through
+    here, so the bound is measured on the mechanism that runs.
 
     Args:
         params: Supplies ``beta`` (and thus the gamma rule).
@@ -108,12 +114,15 @@ def apply_reveal_update(
             silent ones are discounted by ``beta``.
         labels: collector -> label uploaded for the transaction.
         true_label: The revealed true status.
+        gamma_override: A fixed mislabel discount in place of the
+            paper's ``gamma_tx`` rule (the ablation that violates the
+            inequality chain on purpose).
 
     Returns:
         A :class:`RevealSummary` with the realised loss and gamma.
     """
     loss, w_right, w_wrong = compute_loss(book, provider, labels, true_label)
-    gamma = gamma_for(params.beta, loss)
+    gamma = gamma_for(params.beta, loss) if gamma_override is None else gamma_override
     outcomes: dict[str, str] = {}
     for collector in linked_collectors:
         label = labels.get(collector)

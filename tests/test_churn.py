@@ -7,6 +7,7 @@ import pytest
 
 from repro.agents.behaviors import AlwaysInvertBehavior, HonestBehavior
 from repro.baselines.base import PolicySimulation, ReputationPolicy
+from repro.core.game import PROVIDER
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label
@@ -18,23 +19,28 @@ def make_policy(ids=("c0", "c1", "c2"), f=0.7):
     )
 
 
+def seed_weights(policy, weights):
+    for cid, weight in weights.items():
+        policy.book.vector(cid).provider_weights[PROVIDER] = weight
+
+
 class TestAddCollector:
     def test_median_bootstrap(self):
         policy = make_policy()
-        policy.weights.update({"c0": 1.0, "c1": 0.5, "c2": 0.01})
+        seed_weights(policy, {"c0": 1.0, "c1": 0.5, "c2": 0.01})
         policy.add_collector("c9", bootstrap="median")
         assert policy.weights["c9"] == pytest.approx(0.5)
         assert "c9" in policy.collector_ids
 
     def test_initial_bootstrap(self):
         policy = make_policy()
-        policy.weights.update({"c0": 1e-9, "c1": 1e-9, "c2": 1e-9})
+        seed_weights(policy, {"c0": 1e-9, "c1": 1e-9, "c2": 1e-9})
         policy.add_collector("c9", bootstrap="initial")
         assert policy.weights["c9"] == policy.params.initial_reputation
 
     def test_min_bootstrap(self):
         policy = make_policy()
-        policy.weights.update({"c0": 1.0, "c1": 0.5, "c2": 0.02})
+        seed_weights(policy, {"c0": 1.0, "c1": 0.5, "c2": 0.02})
         policy.add_collector("c9", bootstrap="min")
         assert policy.weights["c9"] == pytest.approx(0.02)
 
