@@ -493,17 +493,36 @@ class ReputationBook:
 
         Collectors must already be registered (the engine rebuilds the
         topology before restoring); entries absent from the payload's
-        overrides keep the payload's default.
+        overrides keep the payload's default.  The payload comes off a
+        disk, so each row is checked before it is applied: an override
+        for a provider its collector does not oversee would be served by
+        :meth:`weight` yet skipped by every digest, which iterates
+        members.  (A caller that must not keep a half-restored book
+        restores a known-good payload on error, as the engine does.)
 
         Raises:
-            ProtocolViolationError: the payload names an unregistered
-                collector.
+            ProtocolViolationError: the payload is malformed, names an
+                unregistered collector or a non-member provider, or
+                holds a weight that is not finite and positive.
         """
-        for cid, row in state.get("collectors", {}).items():
-            vec = self.vector(cid)
-            weights = vec.provider_weights
-            weights.overrides = dict(row.get("overrides", {}))
-            weights.default = float(row.get("default", self.initial))
-            weights._bump()
-            vec.misreport = int(row.get("misreport", 0))
-            vec.forge = int(row.get("forge", 0))
+        try:
+            for cid, row in state.get("collectors", {}).items():
+                vec = self.vector(cid)
+                weights = vec.provider_weights
+                default = float(row.get("default", self.initial))
+                overrides = {p: float(w) for p, w in row.get("overrides", {}).items()}
+                foreign = [p for p in overrides if p not in weights]
+                if foreign:
+                    raise ProtocolViolationError(
+                        f"book state for {cid!r} names non-member providers {foreign}"
+                    )
+                if not all(0.0 < w < math.inf for w in (default, *overrides.values())):
+                    raise ProtocolViolationError(
+                        f"book state for {cid!r} holds a non-positive or non-finite weight"
+                    )
+                misreport, forge = int(row.get("misreport", 0)), int(row.get("forge", 0))
+                weights.default, weights.overrides = default, overrides
+                weights._bump()
+                vec.misreport, vec.forge = misreport, forge
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ProtocolViolationError(f"malformed book state: {exc}") from None

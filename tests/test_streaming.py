@@ -14,14 +14,17 @@ The load-bearing claims, each locked by a test class here:
 * ``StreamingSession`` instantiates on arrival, retires on idleness,
   and keeps signing continuity across retire/re-arrive cycles;
 * durable checkpoints carry the sparse book payload, so a restarted
-  engine resumes with equal books (satellite 1);
+  engine resumes with equal books, and a tampered payload is rejected
+  whole (satellite 1);
 * the flash-sale chaos soak holds tip parity through socket chaos
   (satellite 6; ``chaos``+``realnet`` marked, wall-clock budgeted).
 """
 
 from __future__ import annotations
 
+import json
 import os
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +37,11 @@ from repro.core.reputation import (
     ReputationVector,
     SparseWeightMap,
 )
-from repro.exceptions import ConfigurationError, TopologyError
+from repro.exceptions import (
+    ConfigurationError,
+    ProtocolViolationError,
+    TopologyError,
+)
 from repro.ledger.properties import check_all_properties
 from repro.network.topology import Topology, provider_id
 from repro.obs import MetricsRegistry
@@ -136,6 +143,32 @@ class TestSparseWeightMap:
         assert dict(other.vector("c0").provider_weights) == {
             "p0": 1.0, "p1": 0.75,
         }
+
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"overrides": {"p9": 0.5}},  # a provider c0 does not oversee
+            {"overrides": {"p1": float("nan")}},
+            {"overrides": {"p1": 0.0}},
+            {"overrides": {"p1": -0.25}},
+            {"overrides": {"p1": float("inf")}},
+            {"default": float("nan")},
+            {"default": 0.0},
+            {"overrides": ["p1"]},  # wrong shape
+        ],
+    )
+    def test_restore_rejects_untrusted_rows(self, row):
+        book = ReputationBook(governor="g0", initial=1.0)
+        book.register_collector("c0", ["p0", "p1", "p2"])
+        with pytest.raises(ProtocolViolationError):
+            book.restore_state({"collectors": {"c0": row}})
+        # Nothing of the rejected row is served or summed.
+        assert dict(book.vector("c0").provider_weights) == {
+            "p0": 1.0, "p1": 1.0, "p2": 1.0,
+        }
+        with pytest.raises(ProtocolViolationError):
+            book.weight("c0", "p9")
 
 
 _MEMBERS = [f"p{k}" for k in (4, 0, 2, 7, 1)]
@@ -555,6 +588,61 @@ class TestBookCheckpointRestart:
         assert all(
             w == 1.0
             for g in books.values() for row in g.values() for w in row.values()
+        )
+
+    def test_planted_non_member_override_is_rejected_and_counted(self, tmp_path):
+        # A planted override for a provider the collector does not
+        # oversee leaves the pinned digest intact (digests iterate
+        # members), so the digest check alone would accept it.
+        from repro.core.netengine import NetworkedProtocolEngine
+        from repro.storage.durable import StorageConfig
+        from repro.workloads.scenarios import DURABLE_SCENARIOS
+
+        sc = DURABLE_SCENARIOS["durable-smoke"]
+        topo = Topology.regular(l=sc.l, n=sc.n, m=sc.m, r=sc.r)
+
+        def open_engine():
+            return NetworkedProtocolEngine(
+                topo, sc.params, seed=7, max_delay=sc.max_delay,
+                storage=StorageConfig(
+                    directory=str(tmp_path),
+                    checkpoint_interval=sc.checkpoint_interval,
+                    segment_bytes=sc.segment_bytes,
+                ),
+                obs=MetricsRegistry(),
+            )
+
+        engine = open_engine()
+        workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=8)
+        for _ in range(sc.rounds):
+            engine.run_round(workload.take(sc.batch))
+        mismatches = lambda e: e._m_storage["corruptions"].value_of(  # noqa: E731
+            kind="book-state-mismatch"
+        )
+        assert mismatches(open_engine()) == 0  # the untampered reopen is clean
+
+        ckpt = sorted(tmp_path.glob("checkpoint-*.json"))[-1]
+        doc = json.loads(ckpt.read_text())
+        body = doc["checkpoint"]
+        gid = topo.governors[0]
+        cid = topo.collectors[0]
+        foreign = next(
+            p for p in topo.providers if p not in topo.providers_of(cid)
+        )
+        body["book_state"][gid]["collectors"][cid]["overrides"][foreign] = 0.001
+        encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        doc["crc"] = zlib.crc32(encoded.encode())
+        ckpt.write_text(json.dumps(doc, sort_keys=True))
+
+        restarted = open_engine()
+        assert restarted.store.height == engine.store.height
+        assert mismatches(restarted) == 1
+        with pytest.raises(ProtocolViolationError):
+            restarted.governors[gid].book.weight(cid, foreign)
+        assert all(
+            w == sc.params.initial_reputation
+            for g in self._books(topo, restarted).values()
+            for row in g.values() for w in row.values()
         )
 
     def test_old_checkpoints_without_book_state_still_load(self, tmp_path):
