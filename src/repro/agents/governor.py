@@ -247,17 +247,15 @@ class Governor:
             and all(c == collector for c in self._linked.get(tx.provider, ()))
         ]
 
-    def admit_collector(
-        self, collector: str, providers: Iterable[str], bootstrap: str = "median"
-    ) -> None:
+    def admit_collector(self, collector: str, providers: Iterable[str]) -> None:
         """Re-admit a churned collector under the membership churn rules.
 
-        The reputation bootstrap (median / initial / min) matches
-        :meth:`repro.core.reputation.ReputationBook.readmit_collector`;
+        Its vector starts at the incumbents' median
+        (:meth:`repro.core.reputation.ReputationBook.readmit_collector`);
         the collector rejoins the linked sets of exactly ``providers``.
         """
         providers = tuple(providers)
-        self.book.readmit_collector(collector, providers, bootstrap=bootstrap)
+        self.book.readmit_collector(collector, providers)
         self._visible = frozenset(getattr(self, "_visible", frozenset()) | {collector})
         self._linked = {
             provider: (

@@ -804,10 +804,7 @@ class NetworkedProtocolEngine(RoundCore):
             role = "governor"
         elif node_id in self.collectors:
             role = "collector"
-            for governor in self.governors.values():
-                if governor.book.is_registered(node_id):
-                    governor.drop_collector(node_id)
-            self.store.forget_reader(node_id)
+            self._retire_collector(node_id)
         else:
             role = "other"
         self.quarantine_log.append(
@@ -834,12 +831,7 @@ class NetworkedProtocolEngine(RoundCore):
                     group, node_id, self.broadcast.current_seqno(group)
                 )
         elif node_id in self.collectors:
-            group = f"feed:{node_id}"
-            self.broadcast.skip_to(group, node_id, self.broadcast.current_seqno(group))
-            providers = self.collector_providers[node_id]
-            for governor in self.governors.values():
-                if not governor.book.is_registered(node_id):
-                    governor.admit_collector(node_id, providers, bootstrap="median")
+            self._admit_collector(node_id, self.collector_providers[node_id])
 
     def _end_of_round_audit(self, round_number: int) -> None:
         """Per-round invariant sweep (books, agreement, Theorem-1 bound)."""
@@ -992,46 +984,44 @@ class NetworkedProtocolEngine(RoundCore):
                 )
         return pulled
 
-    def crash_collector(self, cid: str, retire: bool = True) -> None:
-        """Crash-stop a collector; by default churn it out immediately.
+    def _retire_collector(self, cid: str) -> None:
+        """Churn ``cid`` out: every governor retires its reputation vector
+        and scrubs its buffered labels (late in-flight uploads from it
+        are then dropped at ingestion), and the store forgets its read
+        cursor, which would otherwise leak forever under churn soaks."""
+        for governor in self.governors.values():
+            if governor.book.is_registered(cid):
+                governor.drop_collector(cid)
+        self.store.forget_reader(cid)
 
-        With ``retire=True`` every governor retires the collector's
-        reputation vector and scrubs its buffered labels (the churn
-        rules); late in-flight uploads from it are then dropped at
-        ingestion.  Idempotent.
-        """
+    def _admit_collector(self, cid: str, providers: Sequence[str]) -> None:
+        """Churn ``cid`` in: its feed cursor skips what was broadcast
+        while it was away (its peers labelled that), and every governor
+        that retired it registers a vector at the incumbents' **median**
+        weight — admission never restores or imports earlier standing."""
+        group = f"feed:{cid}"
+        self.broadcast.skip_to(group, cid, self.broadcast.current_seqno(group))
+        for governor in self.governors.values():
+            if not governor.book.is_registered(cid):
+                governor.admit_collector(cid, providers)
+
+    def crash_collector(self, cid: str) -> None:
+        """Crash-stop a collector and churn it out.  Idempotent."""
         if cid in self._crashed:
             return
         self._crashed.add(cid)
         self.network.partition(cid)
-        if retire:
-            for governor in self.governors.values():
-                if governor.book.is_registered(cid):
-                    governor.drop_collector(cid)
-            # A retired node's read cursor would otherwise leak forever
-            # under churn soaks (same class as the PR-5 pending scrub).
-            self.store.forget_reader(cid)
+        self._retire_collector(cid)
         self.fault_log.append((self.sim.now, "crash", cid, 0))
         self._m_crash_events.labels(event="crash").inc()
 
-    def recover_collector(self, cid: str, bootstrap: str = "median") -> None:
-        """Re-admit a recovered collector under the churn rules.
-
-        Its feed cursor skips the transactions broadcast while it was
-        down (they were labelled by its surviving peers), and every
-        governor that retired it re-registers its reputation vector
-        with the ``bootstrap`` weight (median of incumbents by default).
-        """
+    def recover_collector(self, cid: str) -> None:
+        """Re-admit a recovered collector under the churn rules."""
         if cid not in self._crashed:
             return
         self._crashed.discard(cid)
         self.network.heal(cid)
-        group = f"feed:{cid}"
-        self.broadcast.skip_to(group, cid, self.broadcast.current_seqno(group))
-        providers = self.collector_providers[cid]
-        for governor in self.governors.values():
-            if not governor.book.is_registered(cid):
-                governor.admit_collector(cid, providers, bootstrap=bootstrap)
+        self._admit_collector(cid, self.collector_providers[cid])
         self.fault_log.append((self.sim.now, "recover", cid, 0))
         self._m_crash_events.labels(event="recover").inc()
 
@@ -1051,9 +1041,7 @@ class NetworkedProtocolEngine(RoundCore):
             raise ConfigurationError(f"unknown collector {cid!r}")
         providers = self.collector_providers.pop(cid)
         self._screen_before_release(cid)
-        for governor in self.governors.values():
-            if governor.book.is_registered(cid):
-                governor.drop_collector(cid)
+        self._retire_collector(cid)
         collector = self.collectors.pop(cid)
         for pid in providers:
             provider = self.providers[pid]
@@ -1061,7 +1049,6 @@ class NetworkedProtocolEngine(RoundCore):
                 c for c in provider.linked_collectors if c != cid
             )
         self._crashed.discard(cid)
-        self.store.forget_reader(cid)
         return providers, collector.behavior
 
     def _screen_before_release(self, cid: str) -> None:
@@ -1138,11 +1125,7 @@ class NetworkedProtocolEngine(RoundCore):
                 self.broadcast.add_reliable_group(group)
         self._register(cid, self._collector_on_message(cid))
         self.broadcast.register_handler(group, cid, self._collector_on_feed(cid))
-        # A returning collector must not replay the feed it missed.
-        self.broadcast.skip_to(group, cid, self.broadcast.current_seqno(group))
-        for governor in self.governors.values():
-            if not governor.book.is_registered(cid):
-                governor.admit_collector(cid, providers, bootstrap="median")
+        self._admit_collector(cid, providers)
         self.collector_providers[cid] = providers
 
     def _live_leader(self, elected: str) -> str:
