@@ -156,27 +156,20 @@ class Governor:
                 the visible set, since a governor cannot fault a
                 collector he never hears from.
         """
-        visible = (
-            set(topology.collectors) if visible_collectors is None
-            else set(visible_collectors)
+        visible = set(
+            topology.collectors if visible_collectors is None else visible_collectors
         )
-        for collector in topology.collectors:
-            if collector in visible:
-                self.book.register_collector(
-                    collector, topology.providers_of(collector)
-                )
-        self._linked = {
-            provider: tuple(
-                c for c in topology.collectors_of(provider) if c in visible
-            )
-            for provider in topology.providers
-        }
-        self._visible = frozenset(visible)
+        self.register_streaming(
+            {c: topology.providers_of(c) for c in topology.collectors if c in visible}
+        )
+        for provider in topology.providers:
+            self.link_provider(provider, topology.collectors_of(provider))
 
     def register_streaming(self, collector_members: dict[str, object]) -> None:
         """Streaming-population setup: lazy members, no materialized links.
 
-        ``collector_members`` maps collector id → a lazy membership view
+        ``collector_members`` maps collector id → its provider ids or a
+        lazy membership view
         (:class:`repro.streaming.universe.CollectorMembers`).  The
         ``_linked`` map starts empty and is populated per provider by
         :meth:`link_provider` as arrivals instantiate identities, so
@@ -408,15 +401,7 @@ class Governor:
         self.metrics.validations += 1
         is_valid = self.oracle.validate(decision.tx)
         true_label = Label.from_bool(is_valid)
-        self._account_unchecked_truth(decision, true_label)
-        apply_reveal_update(
-            self.params,
-            self.book,
-            decision.provider,
-            self._linked.get(decision.provider, tuple(sorted(decision.labels))),
-            decision.labels,
-            true_label,
-        )
+        self._on_unchecked_truth(decision, true_label)
         if is_valid:
             return TxRecord(
                 tx=decision.tx, label=Label.VALID, status=CheckStatus.REEVALUATED
@@ -435,25 +420,17 @@ class Governor:
             return
         self.argues.resolve_silently(tx_id)
         true_label = Label.from_bool(oracle.validate(decision.tx))
-        self._account_unchecked_truth(decision, true_label)
-        apply_reveal_update(
-            self.params,
-            self.book,
-            decision.provider,
-            self._linked.get(decision.provider, tuple(sorted(decision.labels))),
-            decision.labels,
-            true_label,
-        )
+        self._on_unchecked_truth(decision, true_label)
 
     def reveal_pending(self, oracle: ValidityOracle) -> None:
         """Reveal every unchecked truth still pending (closes the loss books)."""
         for tx_id in list(self._pending_unchecked):
             self.reveal_truth(tx_id, oracle)
 
-    def _account_unchecked_truth(
+    def _on_unchecked_truth(
         self, decision: ScreeningDecision, true_label: Label
     ) -> None:
-        """Update mistake/loss counters when an unchecked truth arrives.
+        """An unchecked truth arrives: book the loss, apply the case-3 update.
 
         The theorem's per-transaction expected loss is
         ``L_t = 2 W_wrong / (W_right + W_wrong)`` with right/wrong
@@ -468,3 +445,11 @@ class Governor:
             self.metrics.mistakes += 1
             self._m_mistakes.inc()
             self.metrics.realized_loss += 2.0
+        apply_reveal_update(
+            self.params,
+            self.book,
+            decision.provider,
+            self._linked.get(decision.provider, tuple(sorted(decision.labels))),
+            decision.labels,
+            true_label,
+        )

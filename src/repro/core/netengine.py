@@ -437,7 +437,9 @@ class NetworkedProtocolEngine(RoundCore):
             )
             if ckpt.book_digest and digest != ckpt.book_digest:
                 raise ValueError("restored books do not match the pinned digest")
-        except (KeyError, ValueError, TypeError, ProtocolViolationError):
+        except (
+            AttributeError, KeyError, ValueError, TypeError, ProtocolViolationError
+        ):
             for gid, gov in self.governors.items():
                 gov.book.restore_state(pristine[gid])
             self._m_storage["corruptions"].labels(kind="book-state-mismatch").inc()

@@ -74,7 +74,7 @@ class SparseWeightMap(MutableMapping):
 
     __slots__ = ("members", "default", "overrides", "owner")
 
-    def __init__(self, members, default: float, overrides=None, owner=None):
+    def __init__(self, members, default: float):
         if default <= 0:
             raise ConfigurationError(
                 f"default reputation must be positive, got {default}"
@@ -83,8 +83,8 @@ class SparseWeightMap(MutableMapping):
             dict.fromkeys(members) if isinstance(members, (list, tuple)) else members
         )
         self.default = float(default)
-        self.overrides: dict[str, float] = dict(overrides or {})
-        self.owner = owner
+        self.overrides: dict[str, float] = {}
+        self.owner = None
 
     def _bump(self) -> None:
         if self.owner is not None:
@@ -186,11 +186,7 @@ class ReputationVector:
 
     @staticmethod
     def fresh(providers, initial: float = 1.0) -> "ReputationVector":
-        """A new collector's vector: every provider entry at ``initial``.
-
-        ``providers`` is the list of overseen provider ids or a lazy
-        membership view (see :class:`SparseWeightMap`).
-        """
+        """A new collector's vector: every provider entry at ``initial``."""
         return ReputationVector(SparseWeightMap(providers, initial))
 
     def weight(self, provider: str) -> float:
@@ -262,15 +258,9 @@ class ReputationBook:
         )
 
     def register_collector(self, collector: str, providers) -> None:
-        """Create the fresh (s+2)-vector for a newly known collector.
-
-        ``providers`` is the list of overseen ids or a *virtual*
-        membership view needing only ``__contains__`` / ``__iter__`` /
-        ``__len__`` (see :class:`repro.streaming.universe.CollectorMembers`);
-        the vector starts as a pure default row, so registering a
-        collector overseeing 10^6 providers costs O(1) memory and the
-        book grows with the entries Algorithm 3 actually touches.
-        """
+        """Create the fresh (s+2)-vector for a newly known collector:
+        a pure default row over ``providers``, an id list or a lazy
+        membership view (see :class:`SparseWeightMap`)."""
         if collector in self._vectors:
             raise ProtocolViolationError(
                 f"collector {collector!r} already registered with {self.governor!r}"
@@ -388,19 +378,16 @@ class ReputationBook:
             beta: Conceal discount.
             gamma: Mislabel discount ``gamma_tx`` for this transaction.
         """
+        factors = {"wrong": gamma, "missed": beta}
         for collector, outcome in outcomes.items():
             if outcome == "correct":
                 continue
-            if outcome == "wrong":
-                factor = gamma
-                self.vector(collector).scale(provider, gamma)
-            elif outcome == "missed":
-                factor = beta
-                self.vector(collector).scale(provider, beta)
-            else:
+            factor = factors.get(outcome)
+            if factor is None:
                 raise ProtocolViolationError(
                     f"unknown reveal outcome {outcome!r} for {collector!r}"
                 )
+            self.vector(collector).scale(provider, factor)
             self._m_updates.labels(case="reveal").inc()
             self._m_magnitude.observe(-math.log(factor))
 
@@ -461,10 +448,8 @@ class ReputationBook:
             ]
             if bootstrap == "initial" or not incumbents:
                 continue
-            weight = (
-                float(np.median(incumbents)) if bootstrap == "median" else min(incumbents)
-            )
-            vector.provider_weights[provider] = max(weight, WEIGHT_FLOOR)
+            weight = np.median(incumbents) if bootstrap == "median" else min(incumbents)
+            vector.provider_weights[provider] = max(float(weight), WEIGHT_FLOOR)
         self._vectors[collector] = vector
 
     # -- durable state (checkpoint persistence) ---------------------------
@@ -518,11 +503,11 @@ class ReputationBook:
                     )
                 if not all(0.0 < w < math.inf for w in (default, *overrides.values())):
                     raise ProtocolViolationError(
-                        f"book state for {cid!r} holds a non-positive or non-finite weight"
+                        f"book state for {cid!r} holds a weight outside (0, inf)"
                     )
-                misreport, forge = int(row.get("misreport", 0)), int(row.get("forge", 0))
+                counters = int(row.get("misreport", 0)), int(row.get("forge", 0))
                 weights.default, weights.overrides = default, overrides
                 weights._bump()
-                vec.misreport, vec.forge = misreport, forge
+                vec.misreport, vec.forge = counters
         except (AttributeError, TypeError, ValueError) as exc:
             raise ProtocolViolationError(f"malformed book state: {exc}") from None

@@ -117,8 +117,8 @@ def write_checkpoint(
         "root": ckpt.root.hex(),
     }
     if ckpt.book_state is not None:
-        # Sparse payload: rows equal to the default are elided at export
-        # time, so size tracks touched rows, not the registered universe.
+        # Sparse payload: only touched rows are exported, so size tracks
+        # them, not the registered universe.
         body["book_state"] = ckpt.book_state
     encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
     doc = {"checkpoint": body, "crc": zlib.crc32(encoded.encode())}

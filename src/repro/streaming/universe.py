@@ -5,10 +5,10 @@ A :class:`VirtualUniverse` describes the same circulant link structure
 feeds collectors ``(k*r % n + offset) % n`` — but *analytically*: no id
 tuples or link dicts are materialized, so a universe of 10^6 registered
 providers costs O(n) memory.  :class:`CollectorMembers` is the per-
-collector membership view the sparse reputation books index against:
-O(1) containment, O(1) length, lazy iteration in exactly the order the
+collector membership view the reputation books index against: O(1)
+containment, O(1) length, lazy iteration in exactly the order the
 materialized ``providers_of`` tuple would list — which is what keeps
-small-N streaming runs bit-identical to the dense path
+small-N streaming runs bit-identical to a materialized topology
 (``tests/test_streaming.py`` locks the two structures against each
 other).
 """

@@ -590,7 +590,8 @@ class TestBookCheckpointRestart:
             for g in books.values() for row in g.values() for w in row.values()
         )
 
-    def test_planted_non_member_override_is_rejected_and_counted(self, tmp_path):
+    @pytest.mark.parametrize("tamper", ["non-member-override", "wrong-shape"])
+    def test_untrusted_book_state_is_rejected_and_counted(self, tmp_path, tamper):
         # A planted override for a provider the collector does not
         # oversee leaves the pinned digest intact (digests iterate
         # members), so the digest check alone would accept it.
@@ -629,7 +630,10 @@ class TestBookCheckpointRestart:
         foreign = next(
             p for p in topo.providers if p not in topo.providers_of(cid)
         )
-        body["book_state"][gid]["collectors"][cid]["overrides"][foreign] = 0.001
+        if tamper == "wrong-shape":
+            body["book_state"] = [gid]
+        else:
+            body["book_state"][gid]["collectors"][cid]["overrides"][foreign] = 0.001
         encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
         doc["crc"] = zlib.crc32(encoded.encode())
         ckpt.write_text(json.dumps(doc, sort_keys=True))
