@@ -9,7 +9,10 @@ covers each execution shape the paper's round runs under:
 * ``ProtocolEngine`` on every ``SCENARIOS`` preset, plus a partial-
   visibility run and an abusive-provider run;
 * ``NetworkedProtocolEngine`` with ``resilience`` off and on (the latter
-  under an installed ``FaultPlan`` with loss, duplication and a crash);
+  under an installed ``FaultPlan`` with loss, duplication and a crash),
+  and once through every way a node leaves and rejoins: a collector
+  and a governor crash and recover, a second governor equivocates, is
+  quarantined on forwarded evidence and is released again;
 * ``StreamingSession`` on every ``STREAM_SCENARIOS`` preset over a small
   universe with retirement on;
 * one ``SHARD_SCENARIOS`` preset on the serial backend, and the S=4
@@ -38,6 +41,7 @@ from pathlib import Path
 import pytest
 
 from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
+from repro.byzantine.scenario import install_equivocation
 from repro.core import ProtocolEngine, ProtocolParams
 from repro.core.netengine import NetworkedProtocolEngine
 from repro.faults import FaultPlan, LinkFaultSpec
@@ -128,6 +132,43 @@ def _networked(resilience: bool) -> dict:
     engine.run_round([])
     engine.finalize()
     return _fingerprint(engine, clock=engine.sim.now)
+
+
+def _networked_churn_quarantine() -> dict:
+    """Crash/recover a collector and a governor, quarantine/release another."""
+    topo = Topology.regular(l=8, n=4, m=4, r=2)
+    engine = NetworkedProtocolEngine(
+        topo,
+        ProtocolParams(f=0.6, delta=0.2),
+        behaviors={"c0": MisreportBehavior(0.4), "c1": ConcealBehavior(0.4)},
+        seed=SEED,
+        resilience=True,
+    )
+    engine.install_faults(
+        FaultPlan(seed=SEED + 2)
+        .with_default_link(LinkFaultSpec(loss=0.05, duplicate=0.1))
+        .with_crash("c2", at=0.5, recover_at=1.3)
+        .with_crash("g1", at=1.0, recover_at=1.8)
+    )
+    # g3 sends its real hash to g0 and a signed fake to g1 and g2, so g0
+    # can only complete the proof from a vote one of them forwards.
+    install_equivocation(engine, "g3", serial=2)
+    workload = BernoulliWorkload(topo.providers, p_valid=0.6, seed=SEED + 1)
+    for _ in range(3):
+        engine.run_round(workload.take(8))
+    assert engine.quarantined_nodes == {"g3"}
+    for _ in range(2):
+        engine.run_round(workload.take(8))
+    engine.release_quarantine("g3")
+    for _ in range(2):
+        engine.run_round(workload.take(8))
+    engine.finalize()
+    assert not engine.crashed_nodes and not engine.quarantined_nodes
+    return {
+        **_fingerprint(engine, clock=engine.sim.now),
+        "fault_log": [[repr(t), *rest] for t, *rest in engine.fault_log],
+        "quarantine_log": [[repr(t), *rest] for t, *rest in engine.quarantine_log],
+    }
 
 
 def _streaming(name: str) -> dict:
@@ -223,6 +264,7 @@ CASES = {
     ),
     "networked/plain": partial(_networked, resilience=False),
     "networked/resilient-faults": partial(_networked, resilience=True),
+    "networked/churn-quarantine": _networked_churn_quarantine,
     **{f"streaming/{name}": partial(_streaming, name) for name in sorted(STREAM_SCENARIOS)},
     "sharded/sharded-smoke": _sharded,
     "sharded/quad-faults-inprocess": partial(_sharded_quad_faults, None),
