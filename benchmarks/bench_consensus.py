@@ -2,8 +2,8 @@
 
 E7 (Section 4.1): ordinary-block consensus costs O(b_limit * m)
 messages; a stake-transform block costs O(m^2).  We count messages as m
-grows, fit growth laws, and compare against the PBFT baseline (which
-pays Theta(m^2) *every* block).
+grows, fit growth laws, and set them beside the closed-form per-block
+costs of PBFT and Tendermint (Theta(m^2) *every* block) and Raft.
 
 E10 (Section 3.4.3): VRF/PoS leadership is proportional to stake —
 checked with a chi-squared test over 600 rounds.
@@ -15,7 +15,6 @@ from _helpers import emit
 from repro.analysis.complexity import fit_linear, fit_power_law, fit_quadratic
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import chi_squared_uniformity
-from repro.consensus.pbft import PBFTCluster
 from repro.consensus.pos import LeaderElection
 from repro.consensus.stake import StakeLedger
 from repro.core.params import ProtocolParams
@@ -80,37 +79,16 @@ def _vrf_messages(m: int) -> int:
     return m * (m - 1)
 
 
-def _tendermint_messages(m: int) -> int:
-    from repro.consensus.tendermint import TendermintCluster
-
-    im = IdentityManager(seed=4)
-    ids = [f"v{i}" for i in range(m)]
-    for vid in ids:
-        im.enroll(vid, Role.GOVERNOR)
-    cluster = TendermintCluster(im=im, validator_ids=ids)
-    cluster.run({"block": 1})
-    return cluster.messages_exchanged
+def _bft_messages(m: int) -> int:
+    """One PBFT or Tendermint instance: the proposer's pre-prepare to
+    m - 1 peers, then two all-to-all phases of m(m - 1) each."""
+    return (m - 1) * (2 * m + 1)
 
 
 def _raft_entry_messages(m: int) -> int:
-    """Steady-state Raft cost for one committed entry (crash model)."""
-    from repro.consensus.raft import RaftCluster
-
-    cluster = RaftCluster(node_ids=[f"n{i}" for i in range(m)], seed=6)
-    cluster.run_until_leader()
-    before = cluster.messages_exchanged
-    cluster.submit("entry")
-    return cluster.messages_exchanged - before
-
-
-def _pbft_messages(m: int) -> int:
-    im = IdentityManager(seed=3)
-    ids = [f"r{i}" for i in range(m)]
-    for rid in ids:
-        im.enroll(rid, Role.GOVERNOR)
-    cluster = PBFTCluster(im=im, replica_ids=ids)
-    cluster.run({"block": 1})
-    return cluster.messages_exchanged
+    """One committed Raft entry in steady state (crash model): the
+    leader's AppendEntries to m - 1 followers and their acks."""
+    return 2 * (m - 1)
 
 
 def _complexity_table() -> str:
@@ -119,8 +97,7 @@ def _complexity_table() -> str:
     for m in M_GRID:
         o = _ordinary_block_units(m)
         s = _stake_block_messages(m)
-        p = _pbft_messages(m)
-        t = _tendermint_messages(m)
+        p = t = _bft_messages(m)
         ra = _raft_entry_messages(m)
         ordinary.append(o)
         stake.append(s)
@@ -205,20 +182,6 @@ def test_e10_leader_proportionality(benchmark):
         "E10 (Section 3.4.3): VRF/PoS leadership vs stake share, 800 rounds",
         table,
     )
-
-
-def test_e7_pbft_single_instance(benchmark):
-    """Timing target: one PBFT instance at m = 16."""
-    im = IdentityManager(seed=7)
-    ids = [f"r{i}" for i in range(16)]
-    for rid in ids:
-        im.enroll(rid, Role.GOVERNOR)
-
-    def run():
-        cluster = PBFTCluster(im=im, replica_ids=ids)
-        return cluster.run({"b": 1})
-
-    benchmark(run)
 
 
 def test_e10_election_round(benchmark):

@@ -1,5 +1,5 @@
-"""Consensus substrate: stake, PoS/VRF leader election, stake-transform
-consensus, and the PBFT comparison baseline."""
+"""Consensus substrate: stake, PoS/VRF leader election and stake-transform
+consensus."""
 
 from repro.consensus.messages import (
     BlockProposal,
@@ -9,17 +9,8 @@ from repro.consensus.messages import (
     StateCommit,
     VRFAnnouncement,
 )
-from repro.consensus.pbft import (
-    PBFTCluster,
-    PBFTMessage,
-    PBFTPhase,
-    PBFTReplica,
-    pbft_quorum,
-)
 from repro.consensus.pos import LeaderElection, announce_stakes, elect_leader
-from repro.consensus.raft import RaftCluster, RaftNode, RaftRole
 from repro.consensus.stake import StakeLedger, StakeTransfer
-from repro.consensus.tendermint import TendermintCluster, TMStep, TMVote, tm_quorum
 from repro.consensus.stake_consensus import (
     StakeConsensusRound,
     evaluate_proposal,
@@ -34,29 +25,17 @@ __all__ = [
     "ExpelEvidence",
     "LeaderElection",
     "NewStateProposal",
-    "PBFTCluster",
-    "PBFTMessage",
-    "PBFTPhase",
-    "PBFTReplica",
-    "RaftCluster",
-    "RaftNode",
-    "RaftRole",
     "StakeConsensusRound",
     "StakeLedger",
     "StakeTransfer",
     "StateAck",
     "StateCommit",
-    "TMStep",
-    "TMVote",
-    "TendermintCluster",
     "VRFAnnouncement",
     "announce_stakes",
     "elect_leader",
     "evaluate_proposal",
     "make_commit",
     "make_proposal",
-    "pbft_quorum",
-    "tm_quorum",
     "transfers_digest",
     "verify_commit",
 ]
