@@ -160,10 +160,10 @@ class RoundContext:
     drain_until: float
     specs_count: int
     elected: str
-    packed: dict
-    actual_leader: dict
     argue_start: float = 0.0
     argues_before: int = 0
+    #: Set by the pack at ``cutoff``: the block and who packed it (the
+    #: elected leader, or its failover).
     block: Block | None = None
     leader: str = ""
 
@@ -721,13 +721,9 @@ class NetworkedProtocolEngine(RoundCore):
         """Override ``gid``'s commit-vote behaviour (Byzantine hook).
 
         ``strategy(gid, block, peers) -> {peer: CommitVote}`` replaces
-        the honest send-same-vote-to-everyone flow; pass ``None`` to
-        restore honesty.
+        the honest send-same-vote-to-everyone flow.
         """
-        if strategy is None:
-            self._vote_strategies.pop(gid, None)
-        else:
-            self._vote_strategies[gid] = strategy
+        self._vote_strategies[gid] = strategy
 
     def _send_commit_votes(self, gid: str, block: Block) -> None:
         """Send ``gid``'s post-append commit vote to every peer governor.
@@ -1199,66 +1195,61 @@ class NetworkedProtocolEngine(RoundCore):
             if forged is not None:
                 self.broadcast.broadcast("uploads", collector.collector_id, forged)
 
-        # Phase 3 trigger: leader packs at the cutoff.
-        leader_id = self.election.run(self.stake, round_number)
-        packed: dict[str, Block] = {}
-        actual_leader: dict[str, str] = {}
-
-        def pack_block() -> None:
-            # Failover is resolved at pack time: the elected leader may
-            # have crashed mid-round, in which case the next live
-            # governor in the (deterministic, globally known) order
-            # packs instead.
-            live = self._live_leader(leader_id)
-            actual_leader["id"] = live
-            # The leader packs every record it has screened that is not
-            # already on chain — including records carried over from
-            # earlier rounds whose uploads arrived late (retransmits and
-            # reordering can push the Δ timer past that round's cutoff;
-            # destroying those records would silently drop the
-            # transaction forever, defeating reliable delivery).
-            fresh: list[TxRecord] = []
-            seen: set[str] = set()
-            for record in self._round_records[live]:
-                tx_id = record.tx.tx_id
-                if tx_id in self._packed_tx_ids or tx_id in seen:
-                    continue
-                seen.add(tx_id)
-                fresh.append(record)
-            budget = self.params.b_limit - len(self._reevaluated_queue)
-            # Buffered cross-shard receipts commit ahead of fresh local
-            # records: the remote leg of an already-home-committed
-            # transaction must not starve behind new traffic (atomicity
-            # latency), and an empty list on non-sharded engines keeps
-            # this a no-op.
-            receipts = self._receipt_records(live, max(budget, 0))
-            fresh = fresh[: max(budget - len(receipts), 0)]
-            # Pack against the canonical published tip.  A leader that
-            # somehow lags (e.g. healed from a partition) must extend the
-            # agreed chain, not its stale local copy; in a synchronous
-            # deployment the two coincide.  ``tip_hash`` also covers a
-            # store anchored at a compacted checkpoint base.
-            block = self._pack(
-                live, self.store.tip_hash(), receipts + fresh, round_number
-            )
-            for record in block.tx_list:
-                self._packed_tx_ids.add(record.tx.tx_id)
-            packed["block"] = block
-            self.broadcast.broadcast("blocks", live, block)
-
-        self.sim.schedule_at(cutoff, pack_block, label=f"pack:{round_number}")
-        # Drain target: block dissemination takes one more hop past the
-        # pack cutoff.
-        return RoundContext(
+        # Phase 3 trigger: leader packs at the cutoff.  Drain target:
+        # block dissemination takes one more hop past the pack.
+        ctx = RoundContext(
             round_number=round_number,
             t0=t0,
             cutoff=cutoff,
             drain_until=cutoff + self.network.max_delay + 0.001,
             specs_count=len(specs),
-            elected=leader_id,
-            packed=packed,
-            actual_leader=actual_leader,
+            elected=self.election.run(self.stake, round_number),
         )
+        self.sim.schedule_at(
+            cutoff, lambda: self._pack_block(ctx), label=f"pack:{round_number}"
+        )
+        return ctx
+
+    def _pack_block(self, ctx: RoundContext) -> None:
+        """Phase 3, at ``ctx.cutoff``: the live leader packs and broadcasts."""
+        # Failover is resolved at pack time: the elected leader may
+        # have crashed mid-round, in which case the next live
+        # governor in the (deterministic, globally known) order
+        # packs instead.
+        live = ctx.leader = self._live_leader(ctx.elected)
+        # The leader packs every record it has screened that is not
+        # already on chain — including records carried over from
+        # earlier rounds whose uploads arrived late (retransmits and
+        # reordering can push the Δ timer past that round's cutoff;
+        # destroying those records would silently drop the
+        # transaction forever, defeating reliable delivery).
+        fresh: list[TxRecord] = []
+        seen: set[str] = set()
+        for record in self._round_records[live]:
+            tx_id = record.tx.tx_id
+            if tx_id in self._packed_tx_ids or tx_id in seen:
+                continue
+            seen.add(tx_id)
+            fresh.append(record)
+        budget = self.params.b_limit - len(self._reevaluated_queue)
+        # Buffered cross-shard receipts commit ahead of fresh local
+        # records: the remote leg of an already-home-committed
+        # transaction must not starve behind new traffic (atomicity
+        # latency), and an empty list on non-sharded engines keeps
+        # this a no-op.
+        receipts = self._receipt_records(live, max(budget, 0))
+        fresh = fresh[: max(budget - len(receipts), 0)]
+        # Pack against the canonical published tip.  A leader that
+        # somehow lags (e.g. healed from a partition) must extend the
+        # agreed chain, not its stale local copy; in a synchronous
+        # deployment the two coincide.  ``tip_hash`` also covers a
+        # store anchored at a compacted checkpoint base.
+        ctx.block = self._pack(
+            live, self.store.tip_hash(), receipts + fresh, ctx.round_number
+        )
+        for record in ctx.block.tx_list:
+            self._packed_tx_ids.add(record.tx.tx_id)
+        self.broadcast.broadcast("blocks", live, ctx.block)
 
     def begin_argue(self, ctx: RoundContext) -> float:
         """Phase 4: providers read the packed block and raise argues.
@@ -1278,11 +1269,8 @@ class NetworkedProtocolEngine(RoundCore):
                 for r in self._round_records[gid]
                 if r.tx.tx_id not in self._packed_tx_ids
             ]
-        block = ctx.packed.get("block")
-        if block is None:
+        if ctx.block is None:
             raise SimulationError("leader failed to pack a block")
-        ctx.block = block
-        ctx.leader = ctx.actual_leader["id"]
 
         ctx.argue_start = self.sim.now
         ctx.argues_before = self._argues_sent
@@ -1323,12 +1311,12 @@ class NetworkedProtocolEngine(RoundCore):
             rewards=rewards,
         )
 
-    def drain_recovery(self, grace: float | None = None) -> None:
+    def drain_recovery(self) -> None:
         """Let in-flight retransmits and gap repairs complete.
 
-        Runs the simulator for ``grace`` more simulated seconds (default
-        covers several repair round trips).  With resilience on, call
-        before asserting the zero-stuck-gap invariant; a no-op otherwise.
+        Runs the simulator on for up to several repair round trips.
+        With resilience on, call before asserting the zero-stuck-gap
+        invariant; a no-op otherwise.
         """
         if not self.resilience:
             return
@@ -1337,7 +1325,6 @@ class NetworkedProtocolEngine(RoundCore):
             self.recovery_lagging,
             lambda dt: self.network.run_until(self.sim.now + dt),
             self.network.max_delay,
-            grace,
         )
         self.obs.record_span("drain_recovery", drain_start, self.sim.now)
 

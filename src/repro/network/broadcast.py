@@ -62,7 +62,6 @@ def walk_recovery_drain(
     lagging: Callable[[], bool],
     advance: Callable[[float], object],
     max_delay: float,
-    grace: float | None = None,
 ) -> None:
     """Advance the clock slice by slice until ``lagging()`` turns false.
 
@@ -73,12 +72,10 @@ def walk_recovery_drain(
     be crossing a link the moment a crashed endpoint heals, and failover
     from a dead primary sequencer needs repeated attempts.
     """
-    if grace is None:
-        grace = RECOVERY_GRACE_DELAYS * max_delay
     for _ in range(RECOVERY_DRAIN_CYCLES):
         if not lagging():
             break
-        advance(grace / RECOVERY_DRAIN_CYCLES)
+        advance(RECOVERY_GRACE_DELAYS * max_delay / RECOVERY_DRAIN_CYCLES)
 
 
 @dataclass(frozen=True)
