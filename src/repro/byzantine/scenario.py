@@ -28,18 +28,18 @@ def install_equivocation(engine, gid: str, serial: int) -> None:
     def strategy(_gid: str, block, peers):
         real = block.hash()
         if block.serial != serial or len(peers) < 2:
-            vote = engine.make_commit_vote(gid, block.serial, real)
+            vote = engine.votes.mint(gid, block.serial, real)
             return {peer: vote for peer in peers}
         fake = hashlib.sha256(b"equivocate|" + real).digest()
-        honest_vote = engine.make_commit_vote(gid, block.serial, real)
-        fake_vote = engine.make_commit_vote(gid, block.serial, fake)
+        honest_vote = engine.votes.mint(gid, block.serial, real)
+        fake_vote = engine.votes.mint(gid, block.serial, fake)
         half = len(peers) // 2
         return {
             peer: (honest_vote if i < half else fake_vote)
             for i, peer in enumerate(peers)
         }
 
-    engine.set_vote_strategy(gid, strategy)
+    engine.votes.set_strategy(gid, strategy)
 
 
 def reputation_probe(engine, gid: str, cid: str):

@@ -122,7 +122,7 @@ class RoundCore:
 
     # -- enrolment ---------------------------------------------------------
 
-    def _draw_rng(self) -> np.random.Generator:
+    def draw_rng(self) -> np.random.Generator:
         """An agent's private RNG, seeded by the next master draw."""
         return np.random.default_rng(self._master.integers(2**63))
 
@@ -161,7 +161,7 @@ class RoundCore:
                 key=key,
                 linked_collectors=population.collectors_of(pid),
                 argue_abuse_rate=rate,
-                abuse_rng=self._draw_rng() if rate > 0.0 else None,
+                abuse_rng=self.draw_rng() if rate > 0.0 else None,
             )
         for cid in collectors:
             key = self.im.enroll(cid, Role.COLLECTOR)
@@ -170,7 +170,7 @@ class RoundCore:
                 key=key,
                 linked_providers=members_of(cid),
                 behavior=behaviors.get(cid, HonestBehavior()),
-                rng=self._draw_rng(),
+                rng=self.draw_rng(),
             )
         for pid, provider in self.providers.items():
             for cid in provider.linked_collectors:
@@ -183,7 +183,7 @@ class RoundCore:
                 params=self.params,
                 im=self.im,
                 oracle=CountingOracle(inner=self.oracle),
-                rng=self._draw_rng(),
+                rng=self.draw_rng(),
                 obs=self.obs,
             )
             register_books(governor)

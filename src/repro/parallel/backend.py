@@ -46,6 +46,7 @@ from repro.network.topology import ShardedTopology
 from repro.workloads.generator import TxSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports)
+    from repro.core.lifecycle import Departure
     from repro.core.netengine import NetworkedProtocolEngine
 
 __all__ = [
@@ -146,9 +147,11 @@ def build_shard_engine(
     Single source of truth for the per-shard derived seed
     (``seed + 7919 * (k + 1)``), the behaviour filtering, and the relay
     enrolment order — any divergence here would break bit-identity
-    between hosts.
+    between hosts.  The receipt inbox is what makes the engine a *shard*
+    engine; no other deployment builds one.
     """
     from repro.core.netengine import NetworkedProtocolEngine
+    from repro.sharding.inbox import ReceiptInbox  # lazily: see scan_shard_commits
 
     topology = spec.topology.shards[shard]
     engine = NetworkedProtocolEngine(
@@ -165,7 +168,7 @@ def build_shard_engine(
         sim=sim,
         storage=spec.storage[shard],
     )
-    engine.enable_xshard(relay_id=f"relay-s{shard}")
+    engine.receipts = ReceiptInbox(engine, relay_id=f"relay-s{shard}")
     return engine
 
 
@@ -318,19 +321,26 @@ class ShardHost:
 
     def release_collectors(
         self, by_shard: Mapping[int, Sequence[str]]
-    ) -> dict[str, tuple[tuple[str, ...], object]]:
+    ) -> dict[str, Departure]:
         return {
-            cid: self.engines[k].release_collector(cid)
+            cid: self.engines[k].lifecycle.release(cid)
             for k, cids in by_shard.items()
             for cid in cids
         }
 
     def adopt_collectors(
-        self, by_shard: Mapping[int, Sequence[tuple[str, tuple[str, ...], object]]]
+        self, by_shard: Mapping[int, Sequence[tuple[str, Departure]]]
     ) -> None:
+        """Each arrival is ``(collector, what it carries)``, its provider
+        slots already replaced by the ones it fills on this shard."""
         for k, arrivals in by_shard.items():
-            for cid, slots, behavior in arrivals:
-                self.engines[k].adopt_collector(cid, slots, behavior=behavior)
+            for cid, departure in arrivals:
+                self.engines[k].lifecycle.adopt(cid, *departure)
+
+    def quarantine_logs(self) -> dict[int, list[tuple]]:
+        """Per-shard ``quarantine_log``: verdicts reached on, or carried
+        onto, each shard."""
+        return {k: list(engine.quarantine_log) for k, engine in self.engines.items()}
 
     def install_faults(self, shard: int, plan, tamperer=None) -> None:
         self.engines[shard].install_faults(plan, tamperer=tamperer)

@@ -392,6 +392,9 @@ class ParallelBackend:
     def adopt_collectors(self, by_shard: Mapping[int, Sequence[tuple]]) -> None:
         self._by_shard("adopt_collectors", by_shard)
 
+    def quarantine_logs(self) -> dict[int, list[tuple]]:
+        return self._on_all("quarantine_logs")
+
     def install_faults(self, shard: int, plan, tamperer=None) -> None:
         if tamperer is not None:
             raise ConfigurationError(

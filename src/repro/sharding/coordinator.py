@@ -49,7 +49,8 @@ masses from every engine, recomputes the balanced assignment
 (:mod:`repro.sharding.assignment`), and migrates collectors: the source
 engine retires them through the churn rules, the destination admits
 them into the vacated provider slots via the **median-bootstrap**
-readmission path — reputation never travels across shards.
+readmission path — reputation never travels across shards, a
+quarantine always does (:mod:`repro.core.lifecycle`).
 """
 
 from __future__ import annotations
@@ -390,24 +391,25 @@ class ShardCoordinator:
             epoch=self._epoch,
         )
         moves = migration_moves(self.collector_shard, target)
-        # Release every migrant first (capturing its provider slots and
-        # live behaviour), then fill each shard's vacancies in sorted
-        # arrival order — deterministic slot inheritance.  Per-engine
-        # call order follows the sorted move order on both backends.
+        # Release every migrant first (capturing its provider slots,
+        # live behaviour and standing), then fill each shard's vacancies
+        # in sorted arrival order — deterministic slot inheritance.
+        # Per-engine call order follows the sorted move order on both
+        # backends.
         release_order: dict[int, list[str]] = {}
         for move in moves:
             release_order.setdefault(move.source, []).append(move.collector)
         released = self.backend.release_collectors(release_order)
         vacancies: dict[int, deque[tuple[str, ...]]] = {}
         for move in moves:
-            providers, _ = released[move.collector]
-            vacancies.setdefault(move.source, deque()).append(providers)
+            vacancies.setdefault(move.source, deque()).append(
+                released[move.collector].providers
+            )
         adoptions: dict[int, list[tuple]] = {}
         for move in moves:
             slots = vacancies[move.target].popleft()
-            _, behavior = released[move.collector]
             adoptions.setdefault(move.target, []).append(
-                (move.collector, slots, behavior)
+                (move.collector, released[move.collector]._replace(providers=slots))
             )
         self.backend.adopt_collectors(adoptions)
         self.collector_shard = dict(target)
@@ -445,6 +447,12 @@ class ShardCoordinator:
     def fault_stats(self) -> dict[int, object]:
         """Per-shard injector stats (None where no plan is installed)."""
         return self.backend.fault_stats()
+
+    def quarantine_logs(self) -> list[list[tuple]]:
+        """Each shard's ``quarantine_log``, in shard order: the verdicts
+        reached on it and those that arrived with a migrating collector."""
+        logs = self.backend.quarantine_logs()
+        return [logs[k] for k in range(self.topology.num_shards)]
 
     def restart_worker(self, worker: int) -> None:
         """Respawn a crashed worker from durable storage (parallel only)."""

@@ -290,7 +290,7 @@ class TestQuarantine:
             type=ViolationType.COLLECTOR_EQUIVOCATION, culprit="c0",
             round_number=1, detail="test", provable=True,
         )
-        engine.quarantine_node("c0", violation)
+        engine.lifecycle.quarantine("c0", violation)
         assert "c0" in engine.quarantined_nodes
         for gov in engine.governors.values():
             assert not gov.book.is_registered("c0")
@@ -298,7 +298,7 @@ class TestQuarantine:
         _t, _rnd, node, vtype = engine.quarantine_log[-1]
         assert node == "c0" and vtype == "collector-equivocation"
         # Quarantine is idempotent.
-        engine.quarantine_node("c0", violation)
+        engine.lifecycle.quarantine("c0", violation)
         assert len(engine.quarantine_log) == 1
         run_rounds(engine, topo, 2, seed=33)
         assert engine.store.height == 3
@@ -314,7 +314,7 @@ class TestQuarantine:
             type=ViolationType.GOVERNOR_EQUIVOCATION, culprit="g0",
             round_number=0, detail="test", provable=True,
         )
-        engine.quarantine_node("g0", violation)
+        engine.lifecycle.quarantine("g0", violation)
         run_rounds(engine, topo, 4, seed=42)
         for serial in range(1, engine.store.height + 1):
             assert engine.store.retrieve(serial).proposer != "g0"
@@ -326,9 +326,9 @@ class TestQuarantine:
             type=ViolationType.COLLECTOR_EQUIVOCATION, culprit="c1",
             round_number=2, detail="test", provable=True,
         )
-        engine.quarantine_node("c1", violation)
+        engine.lifecycle.quarantine("c1", violation)
         run_rounds(engine, topo, 1, seed=53)
-        engine.release_quarantine("c1")
+        engine.lifecycle.release_quarantine("c1")
         assert "c1" not in engine.quarantined_nodes
         for gov in engine.governors.values():
             assert gov.book.is_registered("c1")
@@ -343,10 +343,10 @@ class TestQuarantine:
             type=ViolationType.GOVERNOR_EQUIVOCATION, culprit="g2",
             round_number=1, detail="test", provable=True,
         )
-        engine.quarantine_node("g2", violation)
+        engine.lifecycle.quarantine("g2", violation)
         run_rounds(engine, topo, 2, seed=63)
         # Quarantined governors still receive blocks (ledgers never stall).
         assert engine.governors["g2"].ledger.height == engine.store.height
-        engine.release_quarantine("g2")
+        engine.lifecycle.release_quarantine("g2")
         run_rounds(engine, topo, 1, seed=64)
         assert engine.governors["g2"].ledger.height == engine.store.height == 4

@@ -146,12 +146,12 @@ class TestCollectorChurn:
         engine.install_faults(FaultPlan(seed=71))  # clean links, manual crash
         workload = BernoulliWorkload(topo.providers, p_valid=0.9, seed=72)
         engine.run_round(workload.take(8))
-        engine.crash_collector("c0")
+        engine.lifecycle.crash("c0")
         for gov in engine.governors.values():
             assert not gov.book.is_registered("c0")
             assert all("c0" not in linked for linked in gov._linked.values())
         engine.run_round(workload.take(8))  # screening must not blow up
-        engine.recover_collector("c0")
+        engine.lifecycle.recover("c0")
         for gov in engine.governors.values():
             assert gov.book.is_registered("c0")
         engine.run_round(workload.take(8))

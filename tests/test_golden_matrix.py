@@ -159,7 +159,7 @@ def _networked_churn_quarantine() -> dict:
     assert engine.quarantined_nodes == {"g3"}
     for _ in range(2):
         engine.run_round(workload.take(8))
-    engine.release_quarantine("g3")
+    engine.lifecycle.release_quarantine("g3")
     for _ in range(2):
         engine.run_round(workload.take(8))
     engine.finalize()

@@ -97,7 +97,7 @@ def test_sigkill_mid_round_then_restart_reaches_identical_tip(tmp_path):
         assert bad.kind in ("torn-tail", "dropped-suffix"), bad
 
     # Rejoin: pull exactly the suffix the disk lacks from the reference.
-    pulled = engine.sync_from_peer(reference.store)
+    pulled = engine.handoff.sync_from_peer(reference.store)
     assert pulled == ref_height - report.height
     assert engine.store.height == ref_height
     assert engine.store.tip_hash() == ref_tip
@@ -122,7 +122,7 @@ def test_restarted_node_keeps_committing(tmp_path):
     engine, workload, _ = build_durable_engine(
         SCENARIO, seed=SEED, storage_dir=ledger_dir
     )
-    engine.sync_from_peer(reference.store)
+    engine.handoff.sync_from_peer(reference.store)
     # Skip the workload prefix the reference already committed so the
     # extra rounds carry fresh (not duplicate-filtered) transactions.
     for _ in range(scenario.rounds):
@@ -185,7 +185,7 @@ def test_restart_races_in_flight_checkpoint(tmp_path):
     for block in report.blocks:
         assert block.hash() == reference.store.retrieve(block.serial).hash()
 
-    engine.sync_from_peer(reference.store)
+    engine.handoff.sync_from_peer(reference.store)
     assert engine.store.height == reference.store.height
     assert engine.store.tip_hash() == reference.store.tip_hash()
     assert engine.harness_auditor.report.clean, (

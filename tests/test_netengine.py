@@ -48,6 +48,13 @@ class TestConstruction:
                 topo, ProtocolParams(delta=0.2), stake={"g0": 2, "g9": 1}
             )
 
+    def test_plain_engine_holds_no_receipt_state(self):
+        """Only ``build_shard_engine`` gives an engine a receipt inbox."""
+        engine, _ = make_engine()
+        assert engine.receipts is None
+        with pytest.raises(ConfigurationError, match="no cross-shard receipt inbox"):
+            engine.inject_receipts([])
+
     def test_oversized_batch_reports_batch_and_queue_sizes(self):
         topo = Topology.regular(l=8, n=4, m=3, r=2)
         engine = NetworkedProtocolEngine(topo, ProtocolParams(delta=0.2, b_limit=4))
@@ -76,7 +83,7 @@ class TestRounds:
         workload = BernoulliWorkload(topo.providers, p_valid=1.0, seed=3)
         engine.run_round(workload.take(8))
         ctx = engine.begin_round(workload.take(8))  # feeds are on the wire
-        engine.release_collector("c0")
+        engine.lifecycle.release("c0")
         engine.network.run_until(ctx.drain_until)  # KeyError before the fix
         engine.network.run_until(engine.begin_argue(ctx))
         engine.complete_round(ctx)

@@ -107,9 +107,9 @@ class TestReceiptReplayRegression:
     At S=4, seed=11, ``FaultPlan(seed=61+k)`` with loss=0.02/dup=0.05, a
     duplicated relay arriving between one leader's pack and the block's
     observation used to be re-buffered at the *next* round's leader —
-    whose ``_ingest_receipt`` dedup ran before ``_applied_receipt_ids``
+    whose ``ReceiptInbox.ingest`` dedup ran before the applied set
     learned the id — and committed twice (a ``receipt-replay`` auditor
-    violation). ``_receipt_records`` now re-checks the applied set at
+    violation). ``ReceiptInbox.take`` now re-checks the applied set at
     pack time; this schedule reproduced the replay deterministically
     before the fix.
     """
@@ -154,7 +154,7 @@ class TestReshuffleKeepsDeliveredTransactions:
     was reported by c3 and c5 to g0/g2/g4/g6 with the Δ timers pending
     across the barrier; both collectors migrate at the round-12 reshuffle,
     every governor forgot it, and one valid spec never committed while
-    every audit stayed clean.  ``release_collector`` now screens such a
+    every audit stayed clean.  ``NodeLifecycle.release`` now screens such a
     transaction before the drop.
     """
 
@@ -216,10 +216,10 @@ class TestRelayRacesLeaderCrash:
         # Crash the remote shard's current leader before it can pack
         # them — volatile receipt buffers are lost with it.
         victim = remote.election.run(remote.stake, remote._round + 1)
-        remote.crash_governor(victim)
+        remote.lifecycle.crash(victim)
         coordinator.submit(workload.take(16))
         coordinator.run_super_round()
-        remote.recover_governor(victim)
+        remote.lifecycle.recover(victim)
         for _ in range(2):
             coordinator.submit(workload.take(16))
             coordinator.run_super_round()
@@ -233,10 +233,10 @@ class TestRelayRacesLeaderCrash:
             coordinator.submit(workload.take(16))
             coordinator.run_super_round()
             victim = remote.election.run(remote.stake, remote._round + 1)
-            remote.crash_governor(victim)
+            remote.lifecycle.crash(victim)
             coordinator.submit(workload.take(16))
             coordinator.run_super_round()
-            remote.recover_governor(victim)
+            remote.lifecycle.recover(victim)
             coordinator.submit(workload.take(16))
             coordinator.run_super_round()
             coordinator.finalize()

@@ -122,9 +122,9 @@ class TestReceipts:
         key = home.governors[home.topology.governors[0]].key
         receipt = make_receipt(key, 0, 1, "tx-1", home_serial=1)
         gid = engine.topology.governors[0]
-        engine._ingest_receipt(gid, receipt)
-        engine._ingest_receipt(gid, receipt)  # duplicate delivery
-        assert list(engine._receipt_buffers[gid]) == [receipt.receipt_id]
+        engine.receipts.ingest(gid, receipt)
+        engine.receipts.ingest(gid, receipt)  # duplicate delivery
+        assert list(engine.receipts.buffers[gid]) == [receipt.receipt_id]
 
 
 class TestCoordinator:
@@ -246,12 +246,12 @@ class TestMigration:
         source = coordinator.engines[0]
         target = coordinator.engines[1]
         cid = source.topology.collectors[0]
-        providers, behavior = source.release_collector(cid)
+        providers, behavior, _ = source.lifecycle.release(cid)
         assert cid not in source.collectors
         # The vacated slots move with the collector to the new shard.
         swap_providers = target.topology.providers[: len(providers)]
-        target.adopt_collector(cid, swap_providers, behavior=behavior)
-        assert target.collector_providers[cid] == tuple(swap_providers)
+        target.lifecycle.adopt(cid, swap_providers, behavior=behavior)
+        assert target.collectors[cid].linked_providers == tuple(swap_providers)
 
     def test_mass_conserving_masses_surface(self):
         coordinator, workload = build_coordinator(seed=5)

@@ -424,7 +424,7 @@ class TestEngineDurability:
             "durable-smoke", seed=7, storage_dir=tmp_path
         )
         assert restarted.store.height == 3  # disk had the prefix
-        pulled = restarted.sync_from_peer(reference.store)
+        pulled = restarted.handoff.sync_from_peer(reference.store)
         assert pulled == sc.rounds - 3
         assert restarted.store.tip_hash() == reference.store.tip_hash()
         assert restarted.harness_auditor.report.clean

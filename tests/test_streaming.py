@@ -617,9 +617,9 @@ class TestBookCheckpointRestart:
         workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=8)
         for _ in range(sc.rounds):
             engine.run_round(workload.take(sc.batch))
-        mismatches = lambda e: e._m_storage["corruptions"].value_of(  # noqa: E731
-            kind="book-state-mismatch"
-        )
+        mismatches = lambda e: e.obs.get(  # noqa: E731
+            "storage_corruptions_detected_total"
+        ).value_of(kind="book-state-mismatch")
         assert mismatches(open_engine()) == 0  # the untampered reopen is clean
 
         ckpt = sorted(tmp_path.glob("checkpoint-*.json"))[-1]
