@@ -37,7 +37,7 @@ __all__ = ["CommitVoteAudit"]
 class CommitVoteAudit:
     """Mint, send, receive and forward one engine's commit votes."""
 
-    def __init__(self, engine: "NetworkedProtocolEngine"):
+    def __init__(self, engine: NetworkedProtocolEngine):
         self.engine = engine
         # gid -> vote strategy override (Byzantine equivocation hook);
         # called as strategy(gid, block, peers) -> {peer: CommitVote}.

@@ -79,7 +79,7 @@ class Departure(NamedTuple):
 class NodeLifecycle:
     """Crash, quarantine and migration state of one engine's nodes."""
 
-    def __init__(self, engine: "NetworkedProtocolEngine"):
+    def __init__(self, engine: NetworkedProtocolEngine):
         self.engine = engine
         #: Nodes currently crash-stopped.
         self.crashed_nodes: set[str] = set()

@@ -29,8 +29,7 @@ integration tests and the Δ-timing experiments.
 
 What surrounds the round lives beside it, each in an object that owns
 its own state: who is crashed, quarantined or migrating
-(:mod:`repro.core.lifecycle`, with ``resilience=True``'s crash-recovery
-wiring), commit votes and the end-of-round sweep
+(:mod:`repro.core.lifecycle`), commit votes and the end-of-round sweep
 (:mod:`repro.audit.votes`), the restart-from-disk hand-off
 (:mod:`repro.storage.handoff`) and, on shard engines only, cross-shard
 receipts (:mod:`repro.sharding.inbox`).
@@ -70,7 +69,7 @@ __all__ = [
     "ArgueRequest",
     "NetworkedRoundResult",
     "NetworkedProtocolEngine",
-    "ReceiptInbox",
+    "ReceiptInboxProtocol",
     "RoundContext",
     "SEQUENCER_PRIMARY",
     "SEQUENCER_BACKUP",
@@ -133,7 +132,7 @@ class RoundContext:
     leader: str = ""
 
 
-class ReceiptInbox(Protocol):
+class ReceiptInboxProtocol(Protocol):
     """What the round asks of a shard engine's cross-shard receipt inbox.
 
     The implementation is :class:`repro.sharding.inbox.ReceiptInbox`;
@@ -263,7 +262,7 @@ class NetworkedProtocolEngine(RoundCore):
         self.votes = CommitVoteAudit(self)
         self.handoff = RestartHandoff(self)
         #: Cross-shard receipt inbox; only ``build_shard_engine`` sets one.
-        self.receipts: ReceiptInbox | None = None
+        self.receipts: ReceiptInboxProtocol | None = None
         # gid -> records screened but not yet packed.
         self._round_records: dict[str, list[TxRecord]] = {
             gid: [] for gid in topology.governors

@@ -45,13 +45,13 @@ class ReceiptInbox:
     record) with a send-only endpoint on the engine's network.
     """
 
-    def __init__(self, engine: "NetworkedProtocolEngine", relay_id: str):
+    def __init__(self, engine: NetworkedProtocolEngine, relay_id: str):
         self.engine = engine
         self.relay_id = relay_id
         self._relay_key = engine.im.enroll(relay_id, Role.PROVIDER)
         engine.register(relay_id, lambda message: None)
         # gid -> receipt_id -> receipt awaiting pack at that governor.
-        self.buffers: dict[str, dict[str, "CrossShardReceipt"]] = {
+        self.buffers: dict[str, dict[str, CrossShardReceipt]] = {
             gid: {} for gid in engine.topology.governors
         }
         # receipt ids already committed here (replay-proofing).
@@ -61,7 +61,7 @@ class ReceiptInbox:
             "Duplicate cross-shard receipt deliveries discarded at a governor",
         )
 
-    def ingest(self, gid: str, receipt: "CrossShardReceipt") -> None:
+    def ingest(self, gid: str, receipt: CrossShardReceipt) -> None:
         """Buffer a relayed receipt at ``gid`` for the next pack, deduped.
 
         Replay-proofing happens here and at pack time: a receipt id that
@@ -102,7 +102,7 @@ class ReceiptInbox:
         )
         return [self._record(receipt) for receipt in buffered[:budget]]
 
-    def _record(self, receipt: "CrossShardReceipt") -> TxRecord:
+    def _record(self, receipt: CrossShardReceipt) -> TxRecord:
         """Materialise a buffered receipt as a committable ledger record.
 
         The transaction is signed by the shard's relay identity with a

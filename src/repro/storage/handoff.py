@@ -36,7 +36,7 @@ __all__ = ["RestartHandoff"]
 class RestartHandoff:
     """One engine's way back from its own disk and, past that, a peer."""
 
-    def __init__(self, engine: "NetworkedProtocolEngine"):
+    def __init__(self, engine: NetworkedProtocolEngine):
         self.engine = engine
         # The storage_* family registers unconditionally (like audit_*)
         # so the telemetry inventory is identical with durability off.
