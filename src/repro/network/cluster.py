@@ -7,7 +7,10 @@ localhost cluster — drive the same seeded workload through the
 phase-split round API, and compare committed chain tips byte for byte.
 
 Custodian peers are real processes (``python -m repro serve``) by
-default; :func:`run_scenario` also accepts pre-started in-process
+default — :func:`launch_custodians` starts them all, then reads their
+address announcements as they arrive against one deadline, and on the
+first failure reaps them all, so a launch costs the slowest peer's boot,
+not the sum; :func:`run_scenario` also accepts pre-started in-process
 servers (tests) or :class:`~repro.faults.proxy.TransportFaultProxy`
 addresses (socket chaos).  The distribution split is deliberate and
 documented: the driver hosts the agents' logical state, the peers are
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import os
 import re
+import selectors
 import subprocess
 import sys
 import time
@@ -98,10 +102,12 @@ class ClusterHandle:
 def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandle:
     """Spawn ``count`` ``repro serve`` peer processes on localhost.
 
-    Each peer binds an OS-assigned port and announces it on stdout; the
-    harness parses the announcement.  A peer that fails to announce
-    within the timeout aborts the launch (cluster torn down) with a
-    structured :class:`~repro.exceptions.PeerUnreachableError`.
+    Every peer is started before any is awaited; each binds an
+    OS-assigned port and announces it on stdout.  ``startup_timeout`` is
+    the deadline of the whole launch: a peer that has exited or is still
+    silent by then aborts it — every started process terminated and
+    waited for — with a structured
+    :class:`~repro.exceptions.PeerUnreachableError` naming the first.
     """
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
     env = dict(os.environ)
@@ -109,35 +115,47 @@ def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandl
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     handle = ClusterHandle()
+    heard = [b""] * count  # stdout so far, by launch index
+    addresses: dict[int, tuple[str, str, int]] = {}
     try:
-        for i in range(count):
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", "serve",
-                 "--host", "127.0.0.1", "--port", "0"],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
-                env=env,
-            )
-            handle.procs.append(proc)
-            deadline = time.monotonic() + startup_timeout
-            line = ""
-            while time.monotonic() < deadline:
-                line = proc.stdout.readline()
-                if line or proc.poll() is not None:
-                    break
-            match = _LISTENING.search(line or "")
-            if match is None:
-                raise PeerUnreachableError(
-                    f"peer-{i}",
-                    f"serve process announced {line!r} instead of an address",
+        with selectors.DefaultSelector() as selector:
+            for i in range(count):
+                proc = subprocess.Popen(
+                    [sys.executable, "-m", "repro", "serve",
+                     "--host", "127.0.0.1", "--port", "0"],
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL,
+                    env=env,
                 )
-            handle.addresses.append(
-                (f"peer-{i}", match.group(1), int(match.group(2)))
-            )
+                handle.procs.append(proc)
+                selector.register(proc.stdout, selectors.EVENT_READ, i)
+            deadline = time.monotonic() + startup_timeout
+            while len(addresses) < count:
+                events = selector.select(max(0.0, deadline - time.monotonic()))
+                if not events:
+                    silent = min(key.data for key in selector.get_map().values())
+                    raise PeerUnreachableError(
+                        f"peer-{silent}",
+                        f"serve process announced nothing within {startup_timeout:.0f}s",
+                    )
+                for key, _ in events:
+                    i = key.data
+                    chunk = os.read(key.fd, 4096)  # readable, so never blocks
+                    heard[i] += chunk
+                    if chunk and b"\n" not in heard[i]:
+                        continue  # a partial line: keep listening
+                    selector.unregister(key.fileobj)
+                    match = _LISTENING.search(heard[i].decode(errors="replace"))
+                    if match is None:
+                        raise PeerUnreachableError(
+                            f"peer-{i}",
+                            f"serve process announced {heard[i]!r} instead of an address",
+                        )
+                    addresses[i] = (f"peer-{i}", match.group(1), int(match.group(2)))
     except BaseException:
         handle.close()
         raise
+    handle.addresses = [addresses[i] for i in range(count)]  # launch order
     return handle
 
 

@@ -4,12 +4,21 @@
 spawned worker processes (shards assigned round-robin, so ``N`` may be
 smaller than ``S``), each a :class:`~repro.parallel.backend.ShardHost`
 over its share.  It offers the driver the host's own ops and owns only
-what a process boundary adds: spawn / crash / restart, the barrier call
+what a process boundary adds: boot / crash / restart, the barrier call
 (:meth:`ParallelBackend._call`), and routing a ``{shard: arg}`` payload
 to the hosting workers and merging their ``{shard: value}`` replies.
 Every phase of the super-round is one broadcast of pickled ``(op,
 args)`` commands — one message per worker, receipts and specs batched
 inside it — followed by a barrier collect of the replies.
+
+**Boot.**  :meth:`ParallelBackend._boot` starts every worker, then
+collects the ``ready`` replies as they arrive against one deadline — the
+slowest interpreter's boot, not the sum — and on the first failure reaps
+every worker it started (:meth:`ParallelBackend._reap`, which is also
+:meth:`close`: every ``shutdown`` sent before any reply is read).
+``spawn`` is the only start method: ``fork`` is unsafe beside
+``RealNetwork``'s IO thread, and ``forkserver`` workers would be the
+server's children, invisible to the driver's ``RUSAGE_CHILDREN``.
 
 **Crash handling.**  A worker that dies (SIGKILL, OOM, bug) or hangs
 past the per-phase barrier timeout surfaces as a structured
@@ -37,11 +46,14 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 import time
+from contextlib import suppress
 from dataclasses import replace
+from multiprocessing.connection import wait
 from typing import Mapping, Sequence
 
 from repro.exceptions import (
     ConfigurationError,
+    ParallelExecutionError,
     WorkerCrashError,
     WorkerOpError,
 )
@@ -51,8 +63,8 @@ from repro.parallel.worker import worker_main
 
 __all__ = ["ParallelBackend", "parallel_metrics"]
 
-#: Extra slack over the phase timeout for worker construction — spawning
-#: an interpreter and replaying a durable store takes longer than a phase.
+#: Floor of the one deadline a whole boot gets — spawning interpreters
+#: and replaying a durable store takes longer than a phase.
 _READY_TIMEOUT_FLOOR = 120.0
 
 
@@ -94,6 +106,13 @@ def parallel_metrics(obs: MetricsRegistry) -> dict[str, object]:
         "restarts": obs.counter(
             "par_worker_restarts_total",
             "Worker processes respawned from durable checkpoints after a crash",
+        ),
+        "boot": obs.histogram(
+            "par_worker_boot_seconds",
+            "Wall-clock worker boot per spawn and respawn, by part: host = "
+            "engine build plus durable replay, process = interpreter and imports",
+            labels=("part",),
+            buckets=(0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 10.0),
         ),
     }
 
@@ -166,32 +185,81 @@ class ParallelBackend:
         #: have its shards' plans re-applied (tamperers never cross the
         #: process boundary, so a plan is the whole fault state).
         self._fault_plans: dict[int, object] = {}
-        for handle in self._workers:
-            self._spawn(handle)
+        self._boot(self._workers)
 
     # -- process lifecycle -------------------------------------------------
 
-    def _spawn(self, handle: _WorkerHandle) -> None:
-        parent, child = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(child, handle.spec),
-            name=f"shard-worker-{handle.index}",
-            daemon=True,
-        )
-        proc.start()
-        child.close()
-        handle.proc = proc
-        handle.conn = parent
-        handle.alive = True
-        handle.seq = 0  # fresh process, fresh sequence space
-        ready_timeout = max(self.phase_timeout, _READY_TIMEOUT_FLOOR)
-        reply = self._recv(handle, "spawn", timeout=ready_timeout)
-        if reply[1] != "ready":  # pragma: no cover - defensive
-            raise WorkerCrashError(
-                handle.index, handle.shards, "spawn",
-                detail=f"unexpected ready reply {reply[1]!r}",
-            )
+    def _boot(self, handles: Sequence[_WorkerHandle]) -> None:
+        """Start every worker, then collect every ``ready`` as it arrives.
+
+        One deadline covers the whole boot.  The first failure — a
+        construction error, a death, the missed deadline — reaps every
+        worker started here before its structured error is re-raised.
+        """
+        started = {}
+        try:
+            for handle in handles:
+                handle.conn, child = self._ctx.Pipe(duplex=True)
+                proc = self._ctx.Process(
+                    target=worker_main,
+                    args=(child, handle.spec),
+                    name=f"shard-worker-{handle.index}",
+                    daemon=True,
+                )
+                started[handle.conn] = time.perf_counter()
+                proc.start()
+                child.close()
+                handle.proc = proc
+                handle.seq = 0  # fresh process, fresh sequence space
+            timeout = max(self.phase_timeout, _READY_TIMEOUT_FLOOR)
+            deadline = time.monotonic() + timeout
+            pending = {handle.conn: handle for handle in handles}
+            while pending:
+                arrived = wait(list(pending), max(0.0, deadline - time.monotonic()))
+                if not arrived:
+                    self._crash(
+                        next(iter(pending.values())), "spawn",
+                        f"not ready within the {timeout:.0f}s boot deadline",
+                    )
+                for conn in arrived:
+                    handle = pending.pop(conn)
+                    _, result, host_s = self._recv(handle, "spawn", timeout=0.0)
+                    if result != "ready":  # pragma: no cover - defensive
+                        self._crash(handle, "spawn", f"unexpected ready reply {result!r}")
+                    handle.alive = True
+                    self._metrics["boot"].labels(part="host").observe(host_s)
+                    self._metrics["boot"].labels(part="process").observe(
+                        time.perf_counter() - started[conn] - host_s
+                    )
+        except BaseException:
+            self._reap(handles)
+            raise
+
+    def _reap(self, handles: Sequence[_WorkerHandle]) -> None:
+        """Shut down the workers that serve, terminate the rest, join all.
+
+        Every ``shutdown`` goes out before any reply is read, so the
+        workers exit together.
+        """
+        serving = [handle for handle in handles if handle.alive]
+        for handle in serving:
+            with suppress(ParallelExecutionError):
+                self._send(handle, "shutdown", ())
+        for handle in serving:
+            with suppress(ParallelExecutionError):
+                if handle.alive:  # the send reached it
+                    self._recv(handle, "shutdown", timeout=5.0)
+        for handle in handles:
+            handle.alive = False
+            if handle.proc is not None:
+                if handle not in serving:  # booting, hung or already dead
+                    handle.proc.terminate()
+                handle.proc.join(timeout=5.0)
+                if handle.proc.is_alive():
+                    handle.proc.kill()
+                    handle.proc.join(timeout=5.0)
+            if handle.conn is not None:
+                handle.conn.close()
 
     def restart_worker(self, worker: int) -> None:
         """Kill (if needed) and respawn one worker from durable storage.
@@ -212,13 +280,8 @@ class ParallelBackend:
                 f"cannot restart worker {worker}: shards {missing} have no "
                 "durable storage to hand off from"
             )
-        if handle.proc is not None:
-            handle.proc.terminate()
-            handle.proc.join(timeout=10.0)
-        if handle.conn is not None:
-            handle.conn.close()
-        handle.alive = False
-        self._spawn(handle)
+        self._reap([handle])
+        self._boot([handle])
         for shard in handle.shards:
             plan = self._fault_plans.get(shard)
             if plan is not None:
@@ -227,23 +290,7 @@ class ParallelBackend:
 
     def close(self) -> None:
         """Shut every worker down; terminate stragglers."""
-        for handle in self._workers:
-            if not handle.alive:
-                continue
-            try:
-                self._send(handle, "shutdown", ())
-                self._recv(handle, "shutdown", timeout=5.0)
-            except Exception:
-                pass
-            handle.alive = False
-        for handle in self._workers:
-            if handle.proc is not None:
-                handle.proc.join(timeout=5.0)
-                if handle.proc.is_alive():
-                    handle.proc.terminate()
-                    handle.proc.join(timeout=5.0)
-            if handle.conn is not None:
-                handle.conn.close()
+        self._reap(self._workers)
 
     # -- pipe plumbing -----------------------------------------------------
 

@@ -16,7 +16,10 @@ replies are skipped, not misread as answers to later commands.  ``wall_seconds``
 compute time for the op, which the driver accumulates into the
 ``par_worker_round_seconds`` histogram — barrier skew (fast workers
 idling at the barrier) is then the difference between the slowest and
-fastest worker, exported as ``par_barrier_wait_seconds``.
+fastest worker, exported as ``par_barrier_wait_seconds``.  The first
+message, ``(0, "ok", "ready", wall_seconds)``, is unprompted: the driver
+starts every worker before it reads any, and this one's ``wall_seconds``
+is the host build (engines plus, after a restart, durable replay).
 
 Engines run with observability **disabled** in workers (metrics
 registries are process-local and the no-op registry is guaranteed
@@ -46,6 +49,7 @@ def worker_main(conn, spec: HostSpec) -> None:
     worker context attached.  The loop exits on ``"shutdown"`` or when
     the driver end of the pipe closes.
     """
+    start = time.perf_counter()
     try:
         host = ShardHost(spec)
     except BaseException as exc:  # construction failed: report, don't hang
@@ -54,7 +58,7 @@ def worker_main(conn, spec: HostSpec) -> None:
         )
         conn.close()
         return
-    _send(conn, (0, "ok", "ready", 0.0))
+    _send(conn, (0, "ok", "ready", time.perf_counter() - start))
     while True:
         try:
             raw = conn.recv_bytes()

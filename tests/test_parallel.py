@@ -10,6 +10,8 @@ The tentpole guarantees under test:
   structured :class:`~repro.exceptions.WorkerCrashError` at the phase
   barrier, never a hang, and (with durable storage) the worker can be
   respawned from its checkpoints and the deployment keeps committing;
+* **boot** — every worker is started before any ``ready`` is collected,
+  and a boot that fails leaves no sibling worker behind;
 * **IPC discipline** — commands and receipt batches travel as one
   message per worker per phase, accounted by the ``par_ipc_*``
   counters.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import os
 import signal
+from multiprocessing.context import SpawnProcess
 
 import pytest
 
@@ -29,10 +32,12 @@ from repro.core.params import ProtocolParams
 from repro.exceptions import (
     ConfigurationError,
     WorkerCrashError,
+    WorkerOpError,
 )
 from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.network.topology import Topology
 from repro.obs import MetricsRegistry
+from repro.parallel.pool import ParallelBackend
 from repro.sharding import ShardCoordinator
 from repro.storage import StorageConfig
 from repro.workloads.generator import BernoulliWorkload
@@ -119,6 +124,70 @@ class TestBitIdentity:
         report = drive(coordinator, workload, rounds=2)
         assert report.clean
         coordinator.close()
+
+
+class TestBoot:
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(shards=2), dict(shards=4, l=16, n=8, m=8)],
+        ids=["2-shards", "4-shards-on-2-workers"],
+    )
+    def test_every_worker_starts_before_any_ready_is_collected(
+        self, shape, monkeypatch
+    ):
+        events = []
+        start, recv = SpawnProcess.start, ParallelBackend._recv
+
+        def recording_start(proc):
+            events.append(("start", proc.name))
+            start(proc)
+
+        def recording_recv(backend, handle, phase, timeout=None):
+            if phase == "spawn":
+                events.append(("ready", f"shard-worker-{handle.index}"))
+            return recv(backend, handle, phase, timeout)
+
+        monkeypatch.setattr(SpawnProcess, "start", recording_start)
+        monkeypatch.setattr(ParallelBackend, "_recv", recording_recv)
+        registry = MetricsRegistry()
+        parallel, workload = build(workers=2, obs=registry, **shape)
+        try:
+            assert [kind for kind, _ in events] == ["start"] * 2 + ["ready"] * 2
+            assert {name for _, name in events} == {
+                "shard-worker-0", "shard-worker-1"
+            }
+            assert parallel.backend.worker_for_shard == {
+                k: k % 2 for k in range(shape["shards"])
+            }
+            boot = registry.get("par_worker_boot_seconds")
+            for part in ("host", "process"):
+                state = boot.state_of(part=part)
+                assert state.count == 2 and state.sum > 0
+            drive(parallel, workload, rounds=2)
+            serial, workload = build(workers=None, **shape)
+            drive(serial, workload, rounds=2)
+            assert parallel.tip_hashes() == serial.tip_hashes()
+            assert [s.height for s in parallel.chain_stats()] == [
+                s.height for s in serial.chain_stats()
+            ]
+        finally:
+            parallel.close()
+
+    def test_failed_boot_reaps_its_siblings(self, tmp_path, live_shard_workers):
+        blocker = tmp_path / "a-regular-file"
+        blocker.write_text("")
+        storage = [
+            StorageConfig(directory=tmp_path / "shard-0", fsync=False),
+            StorageConfig(directory=blocker, fsync=False),
+        ]
+        with pytest.raises(WorkerOpError) as err:
+            build(shards=2, workers=2, storage=storage)
+        # ``err`` still holds the exception, and through its traceback the
+        # half-built backend: nothing may depend on that being collected.
+        assert live_shard_workers() == []
+        assert err.value.worker == 1
+        assert err.value.phase == "spawn"
+        assert err.value.exc_type == "FileExistsError"
 
 
 class TestBackendSurface:

@@ -19,6 +19,8 @@ stay inside the tier-1 wall-clock envelope.
 from __future__ import annotations
 
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -27,7 +29,8 @@ import pytest
 from repro.exceptions import ConfigurationError, FrameError, PeerUnreachableError
 from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.faults.proxy import start_proxy_thread
-from repro.network.cluster import ClusterScenario, run_scenario
+from repro.network import cluster
+from repro.network.cluster import ClusterScenario, launch_custodians, run_scenario
 from repro.network.realnet import (
     FRAME_HEADER,
     KIND_ACK,
@@ -319,6 +322,85 @@ FAULTED = ClusterScenario(
         LinkFaultSpec(loss=0.02, duplicate=0.05)
     ),
 )
+
+
+# -- launching custodian processes ---------------------------------------------
+
+_SILENT = "import time; time.sleep(20)"  # exits by itself: a miss cannot hang the suite
+_EXITS = "pass"
+
+
+def _announces(port, after=0.0):
+    return (
+        f"import time; time.sleep({after}); "
+        f"print('listening host=127.0.0.1 port={port}', flush=True); time.sleep(20)"
+    )
+
+
+def _stand_ins(monkeypatch, scripts, events=None):
+    """Make the launcher start ``python -c script`` children, in launch order."""
+    real_popen, started = subprocess.Popen, []
+
+    def popen(argv, **kwargs):
+        if events is not None:
+            events.append("popen")
+        script = scripts[len(started)]
+        started.append(real_popen([sys.executable, "-c", script], **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(cluster.subprocess, "Popen", popen)
+    return started
+
+
+@pytest.mark.realnet
+class TestLaunch:
+    def test_every_custodian_starts_before_any_announcement_is_parsed(
+        self, monkeypatch
+    ):
+        events = []
+
+        class RecordingPattern:
+            @staticmethod
+            def search(text, pattern=cluster._LISTENING):
+                match = pattern.search(text)
+                events.append(int(match.group(2)))
+                return match
+
+        # peer-0 announces last, peer-2 first
+        scripts = [_announces(7000, 0.8), _announces(7001, 0.4), _announces(7002)]
+        _stand_ins(monkeypatch, scripts, events)
+        monkeypatch.setattr(cluster, "_LISTENING", RecordingPattern)
+        handle = launch_custodians(3)
+        try:
+            assert events == ["popen"] * 3 + [7002, 7001, 7000]
+            assert handle.addresses == [
+                (f"peer-{i}", "127.0.0.1", 7000 + i) for i in range(3)
+            ]
+        finally:
+            handle.close()
+        assert all(proc.poll() is not None for proc in handle.procs)
+
+    def test_silent_custodian_trips_the_launch_deadline(self, monkeypatch):
+        started = _stand_ins(monkeypatch, [_SILENT, _SILENT])
+        began = time.monotonic()
+        with pytest.raises(PeerUnreachableError) as err:
+            launch_custodians(2, startup_timeout=1.0)
+        assert time.monotonic() - began < 5.0
+        assert err.value.peer == "peer-0"
+        assert len(started) == 2
+        assert all(proc.poll() is not None for proc in started)
+
+    def test_custodian_that_exits_unannounced_is_named_and_its_sibling_reaped(
+        self, monkeypatch
+    ):
+        started = _stand_ins(monkeypatch, [_SILENT, _EXITS])
+        began = time.monotonic()
+        with pytest.raises(PeerUnreachableError) as err:
+            launch_custodians(2, startup_timeout=10.0)
+        assert time.monotonic() - began < 5.0
+        assert err.value.peer == "peer-1"
+        assert len(started) == 2
+        assert all(proc.poll() is not None for proc in started)
 
 
 def _servers(count):
