@@ -97,6 +97,7 @@ class ClusterHandle:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=5.0)
+            proc.stdout.close()
 
 
 def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandle:
@@ -114,9 +115,10 @@ def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandl
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    handle = ClusterHandle()
+    # Peers are named by launch index, so the addresses keep launch order
+    # whatever order the announcements arrive in.
+    handle = ClusterHandle(addresses=[None] * count)
     heard = [b""] * count  # stdout so far, by launch index
-    addresses: dict[int, tuple[str, str, int]] = {}
     try:
         with selectors.DefaultSelector() as selector:
             for i in range(count):
@@ -130,7 +132,7 @@ def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandl
                 handle.procs.append(proc)
                 selector.register(proc.stdout, selectors.EVENT_READ, i)
             deadline = time.monotonic() + startup_timeout
-            while len(addresses) < count:
+            while selector.get_map():  # a peer stays registered until it announces
                 events = selector.select(max(0.0, deadline - time.monotonic()))
                 if not events:
                     silent = min(key.data for key in selector.get_map().values())
@@ -151,11 +153,10 @@ def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandl
                             f"peer-{i}",
                             f"serve process announced {heard[i]!r} instead of an address",
                         )
-                    addresses[i] = (f"peer-{i}", match.group(1), int(match.group(2)))
+                    handle.addresses[i] = (f"peer-{i}", match.group(1), int(match.group(2)))
     except BaseException:
         handle.close()
         raise
-    handle.addresses = [addresses[i] for i in range(count)]  # launch order
     return handle
 
 

@@ -196,7 +196,7 @@ class ParallelBackend:
         construction error, a death, the missed deadline — reaps every
         worker started here before its structured error is re-raised.
         """
-        started = {}
+        pending = {}  # parent pipe end -> (handle, when its process was started)
         try:
             for handle in handles:
                 handle.conn, child = self._ctx.Pipe(duplex=True)
@@ -206,30 +206,30 @@ class ParallelBackend:
                     name=f"shard-worker-{handle.index}",
                     daemon=True,
                 )
-                started[handle.conn] = time.perf_counter()
+                pending[handle.conn] = (handle, time.perf_counter())
                 proc.start()
                 child.close()
                 handle.proc = proc
                 handle.seq = 0  # fresh process, fresh sequence space
             timeout = max(self.phase_timeout, _READY_TIMEOUT_FLOOR)
             deadline = time.monotonic() + timeout
-            pending = {handle.conn: handle for handle in handles}
+            boot = self._metrics["boot"]
             while pending:
                 arrived = wait(list(pending), max(0.0, deadline - time.monotonic()))
                 if not arrived:
                     self._crash(
-                        next(iter(pending.values())), "spawn",
+                        next(iter(pending.values()))[0], "spawn",
                         f"not ready within the {timeout:.0f}s boot deadline",
                     )
                 for conn in arrived:
-                    handle = pending.pop(conn)
+                    handle, started = pending.pop(conn)
                     _, result, host_s = self._recv(handle, "spawn", timeout=0.0)
                     if result != "ready":  # pragma: no cover - defensive
                         self._crash(handle, "spawn", f"unexpected ready reply {result!r}")
                     handle.alive = True
-                    self._metrics["boot"].labels(part="host").observe(host_s)
-                    self._metrics["boot"].labels(part="process").observe(
-                        time.perf_counter() - started[conn] - host_s
+                    boot.labels(part="host").observe(host_s)
+                    boot.labels(part="process").observe(
+                        time.perf_counter() - started - host_s
                     )
         except BaseException:
             self._reap(handles)

@@ -46,24 +46,14 @@ def params() -> ProtocolParams:
     return ProtocolParams(f=0.5, beta=0.9)
 
 
-def _live_shard_workers() -> list[str]:
-    return sorted(
-        proc.name
-        for proc in multiprocessing.active_children()
-        if proc.name.startswith("shard-worker-") and proc.is_alive()
-    )
-
-
-@pytest.fixture
-def live_shard_workers():
-    """The probe itself, for a test that must look before it lets go."""
-    return _live_shard_workers
-
-
 @pytest.fixture(autouse=True)
 def _no_worker_left_behind(request):
     """A ``parallel`` test reaps every shard worker it started."""
     yield
     if request.node.get_closest_marker("parallel") is not None:
-        left = _live_shard_workers()
+        left = [
+            proc.name
+            for proc in multiprocessing.active_children()  # the live ones
+            if proc.name.startswith("shard-worker-")
+        ]
         assert not left, f"{request.node.nodeid} left workers behind: {left}"

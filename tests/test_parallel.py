@@ -22,6 +22,7 @@ Everything here spawns real processes, so the module is marked
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 from multiprocessing.context import SpawnProcess
@@ -173,7 +174,7 @@ class TestBoot:
         finally:
             parallel.close()
 
-    def test_failed_boot_reaps_its_siblings(self, tmp_path, live_shard_workers):
+    def test_failed_boot_reaps_its_siblings(self, tmp_path):
         blocker = tmp_path / "a-regular-file"
         blocker.write_text("")
         storage = [
@@ -184,7 +185,7 @@ class TestBoot:
             build(shards=2, workers=2, storage=storage)
         # ``err`` still holds the exception, and through its traceback the
         # half-built backend: nothing may depend on that being collected.
-        assert live_shard_workers() == []
+        assert [proc.name for proc in multiprocessing.active_children()] == []
         assert err.value.worker == 1
         assert err.value.phase == "spawn"
         assert err.value.exc_type == "FileExistsError"

@@ -357,12 +357,12 @@ class TestLaunch:
     def test_every_custodian_starts_before_any_announcement_is_parsed(
         self, monkeypatch
     ):
-        events = []
+        events, listening = [], cluster._LISTENING
 
         class RecordingPattern:
             @staticmethod
-            def search(text, pattern=cluster._LISTENING):
-                match = pattern.search(text)
+            def search(text):
+                match = listening.search(text)
                 events.append(int(match.group(2)))
                 return match
 
