@@ -48,7 +48,6 @@ import pickle
 import time
 from contextlib import suppress
 from dataclasses import replace
-from multiprocessing.connection import wait
 from typing import Mapping, Sequence
 
 from repro.exceptions import (
@@ -196,6 +195,11 @@ class ParallelBackend:
         construction error, a death, the missed deadline — reaps every
         worker started here before its structured error is re-raised.
         """
+        # Not a module-level import: custodians and single-process drivers
+        # import this module too, and must not pay for a pipe layer they
+        # never use (the first Pipe() below imports it anyway).
+        from multiprocessing.connection import wait
+
         pending = {}  # parent pipe end -> (handle, when its process was started)
         try:
             for handle in handles:

@@ -191,6 +191,19 @@ class TestBoot:
         assert err.value.exc_type == "FileExistsError"
 
 
+    def test_missed_boot_deadline_names_a_worker_and_reaps_them_all(
+        self, monkeypatch
+    ):
+        # One deadline for the whole boot, set shorter than an interpreter
+        # takes to start: nobody is ready when it passes.
+        monkeypatch.setattr("repro.parallel.pool._READY_TIMEOUT_FLOOR", 0.05)
+        with pytest.raises(WorkerCrashError, match="boot deadline") as err:
+            build(shards=2, workers=2, worker_timeout=0.05)
+        assert [proc.name for proc in multiprocessing.active_children()] == []
+        assert err.value.worker == 0
+        assert err.value.phase == "spawn"
+
+
 class TestBackendSurface:
     def test_engines_and_sim_are_serial_only(self):
         coordinator, _ = build(shards=2, workers=2)
