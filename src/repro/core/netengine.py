@@ -230,7 +230,7 @@ class NetworkedProtocolEngine(RoundCore):
             )
         else:
             self.store = BlockStore()
-        self.sim = sim if sim is not None else Simulator(seed=seed)
+        self.sim = sim if sim is not None else Simulator()
         self.obs.bind_clock(lambda: self.sim.now)
         # The transport backend is pluggable behind the narrow
         # repro.network.transport.Transport surface: the default is the
@@ -398,7 +398,6 @@ class NetworkedProtocolEngine(RoundCore):
                     self.sim.schedule_after(
                         self.params.delta,
                         lambda: self._governor_endtime(gid, tx_id),
-                        label=f"endtime:{gid}:{tx_id[:8]}",
                     )
         return handle
 
@@ -621,9 +620,7 @@ class NetworkedProtocolEngine(RoundCore):
             specs_count=len(specs),
             elected=self.election.run(self.stake, round_number),
         )
-        self.sim.schedule_at(
-            cutoff, lambda: self._pack_block(ctx), label=f"pack:{round_number}"
-        )
+        self.sim.schedule_at(cutoff, lambda: self._pack_block(ctx))
         return ctx
 
     def _pack_block(self, ctx: RoundContext) -> None:

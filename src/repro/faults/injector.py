@@ -110,20 +110,16 @@ class FaultInjector:
         crash = self.on_crash or network.partition
         recover = self.on_recover or network.heal
 
-        def at(time: float, callback: Callable[[], None], label: str) -> None:
-            sim.schedule_at(max(time, sim.now), callback, label=label)
+        def at(time: float, callback: Callable[[], None]) -> None:
+            sim.schedule_at(max(time, sim.now), callback)
 
         for nf in self.plan.node_faults:
-            at(nf.crash_at, self._node_event(crash, nf.node, "crashes"), f"crash:{nf.node}")
+            at(nf.crash_at, self._node_event(crash, nf.node, "crashes"))
             if nf.recover_at is not None:
-                at(
-                    nf.recover_at,
-                    self._node_event(recover, nf.node, "recoveries"),
-                    f"recover:{nf.node}",
-                )
+                at(nf.recover_at, self._node_event(recover, nf.node, "recoveries"))
         for window in self.plan.partitions:
-            at(window.start, self._window_event(network, window, True), "partition:open")
-            at(window.end, self._window_event(network, window, False), "partition:heal")
+            at(window.start, self._window_event(network, window, True))
+            at(window.end, self._window_event(network, window, False))
         return self
 
     def _node_event(self, action: Callable[[str], None], node: str, counter: str):

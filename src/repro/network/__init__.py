@@ -1,13 +1,11 @@
 """Synchronous network substrate.
 
-Discrete-event simulation, bounded-drift clocks, point-to-point channels
-with the synchrony bound Delta, atomic (total-order) broadcast, and the
-Figure-1 topology builder.
+One discrete-event loop and clock (:class:`Simulator`), point-to-point
+channels with the synchrony bound Delta, atomic (total-order) broadcast,
+the reliable channel, and the Figure-1 topology builder.
 """
 
 from repro.network.broadcast import AtomicBroadcast, GapRepairRequest, SequencedPayload
-from repro.network.clock import GlobalClock, LocalClock
-from repro.network.events import Event, EventQueue
 from repro.network.reliable import (
     ReliableAck,
     ReliableChannel,
@@ -21,11 +19,7 @@ from repro.network.visibility import VisibilityMap
 
 __all__ = [
     "AtomicBroadcast",
-    "Event",
-    "EventQueue",
     "GapRepairRequest",
-    "GlobalClock",
-    "LocalClock",
     "Message",
     "NetworkStats",
     "ReliableAck",

@@ -410,13 +410,8 @@ class AtomicBroadcast:
             state.repair_attempts = 0
             return
         state.repair_scheduled = True
-        group, member = key
         delay = self._repair_timeout * (1.5 ** min(state.repair_attempts, 8))
-        self.network.sim.schedule_after(
-            delay,
-            lambda: self._repair_check(key),
-            label=f"gap-check:{group}:{member}",
-        )
+        self.network.sim.schedule_after(delay, lambda: self._repair_check(key))
 
     def _repair_check(self, key: tuple[str, str]) -> None:
         state = self._state.get(key)

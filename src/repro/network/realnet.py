@@ -627,7 +627,7 @@ class RealNetwork(SyncNetwork):
             with self._cond:
                 if self._failure is not None:
                     raise self._failure
-            next_time = self.sim.queue.peek_time()
+            next_time = self.sim.next_time()
             if next_time is None or next_time > until:
                 break
             with self._cond:
@@ -642,7 +642,7 @@ class RealNetwork(SyncNetwork):
                     f"exceeded max_events={max_events}; runaway simulation?"
                 )
         if self.sim.now < until:
-            self.sim.clock.advance_to(until)
+            self.sim.advance_to(until)
         return executed
 
     def _await_conveyance(self, gate: tuple[float, int]) -> None:

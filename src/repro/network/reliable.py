@@ -195,11 +195,7 @@ class ReliableChannel:
         )
         timeout = self.base_timeout * (self.backoff ** pending.attempts)
         self._m_backoff.observe(timeout)
-        self.network.sim.schedule_after(
-            timeout,
-            lambda: self._retry(msg_id),
-            label=f"rel-timer:{pending.sender}->{pending.receiver}:{msg_id}",
-        )
+        self.network.sim.schedule_after(timeout, lambda: self._retry(msg_id))
 
     def _retry(self, msg_id: int) -> None:
         pending = self._pending.get(msg_id)

@@ -12,14 +12,15 @@ the atomic-broadcast layer builds on.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.exceptions import SimulationError, SynchronyViolationError
-from repro.network.clock import GlobalClock
-from repro.network.events import Event, EventQueue
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 __all__ = ["Message", "Simulator", "SyncNetwork", "NetworkStats"]
@@ -87,48 +88,58 @@ class NetworkStats:
 
 
 class Simulator:
-    """Deterministic discrete-event loop.
+    """Deterministic discrete-event loop: one clock, one heap.
 
-    Runs callbacks in (time, schedule-order); the global clock is only
-    ever advanced by the loop, so all code observes a consistent notion
-    of "now".
+    Callbacks run in (time, schedule order), so two events scheduled
+    for the same instant execute in the order they were scheduled —
+    the determinism that makes whole-protocol runs reproducible
+    bit-for-bit from a seed.  ``now`` is the one clock every node
+    reads (Section 3.1's bounded clock drift is assumed away, not
+    modelled) and only :meth:`advance_to` moves it.
     """
 
-    def __init__(self, seed: int = 0):
-        self.clock = GlobalClock()
-        self.queue = EventQueue()
-        self.rng = np.random.default_rng(seed)
-        self._steps = 0
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._seq = itertools.count()
 
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.clock.now
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` at absolute time ``time`` (>= now).
 
-    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` at absolute time ``time`` (>= now)."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
-        return self.queue.schedule(time, callback, label)
+        Raises:
+            SimulationError: for a past, negative, NaN or infinite time.
+        """
+        if not self.now <= time < math.inf:
+            raise SimulationError(
+                f"cannot schedule at {time!r}: need {self.now} <= time < inf"
+            )
+        heapq.heappush(self._heap, (time, next(self._seq), callback))
 
-    def schedule_after(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
+    def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after a relative ``delay`` (>= 0)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        return self.queue.schedule(self.now + delay, callback, label)
+        self.schedule_at(self.now + delay, callback)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event."""
-        self.queue.cancel(event)
+    def next_time(self) -> float | None:
+        """Time of the earliest scheduled event, or None when drained."""
+        return self._heap[0][0] if self._heap else None
+
+    def advance_to(self, time: float) -> None:
+        """Move the clock forward to ``time`` without running anything.
+
+        Raises:
+            SimulationError: on an attempt to move time backwards.
+        """
+        if not time >= self.now:
+            raise SimulationError(f"clock cannot move backwards: {time} < {self.now}")
+        self.now = time
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
-        if not self.queue:
+        if not self._heap:
             return False
-        event = self.queue.pop()
-        self.clock.advance_to(event.time)
-        event.callback()
-        self._steps += 1
+        time, _, callback = heapq.heappop(self._heap)
+        self.advance_to(time)
+        callback()
         return True
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> int:
@@ -145,17 +156,14 @@ class Simulator:
         runaway guard: exceeding it raises instead of hanging a bench.
         """
         executed = 0
-        while self.queue:
-            next_time = self.queue.peek_time()
-            if until is not None and next_time is not None and next_time > until:
-                break
-            if not self.step():
-                break
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
+            self.step()
             executed += 1
             if executed > max_events:
                 raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
         if until is not None and self.now < until:
-            self.clock.advance_to(until)
+            self.advance_to(until)
         return executed
 
 
@@ -360,11 +368,7 @@ class SyncNetwork:
             self._m_sent.labels(kind=kind).inc()
             self._m_bytes.inc(size_hint)
             self._m_delay.observe(message.latency)
-            self.sim.schedule_at(
-                at,
-                lambda m=message: self._deliver(m),
-                label=f"deliver:{sender}->{receiver}",
-            )
+            self.sim.schedule_at(at, lambda m=message: self._deliver(m))
             self._convey(message, size_hint)
 
     def _convey(self, message: Message, size_hint: int) -> None:

@@ -263,7 +263,7 @@ class ShardHost:
 
     def __init__(self, spec: HostSpec, obs=None):
         self.provider_shard = spec.topology.provider_shard
-        self.sim = Simulator(seed=spec.seed)
+        self.sim = Simulator()
         self.engines: dict[int, "NetworkedProtocolEngine"] = {
             k: build_shard_engine(spec, k, self.sim, obs) for k in spec.shards
         }

@@ -10,7 +10,7 @@ from repro.network.simnet import Simulator, SyncNetwork
 
 
 def build(members=("x", "y", "z"), max_delay=0.5, seed=3):
-    sim = Simulator(seed=0)
+    sim = Simulator()
     net = SyncNetwork(sim, min_delay=0.0, max_delay=max_delay, seed=seed)
     ab = AtomicBroadcast(net)
     ab.create_group("G", list(members))
@@ -99,7 +99,7 @@ class TestTotalOrder:
         assert ab.delivered_count("G", "nobody") == 0
 
     def test_independent_groups_have_independent_orders(self):
-        sim = Simulator(seed=0)
+        sim = Simulator()
         net = SyncNetwork(sim, min_delay=0.0, max_delay=0.1, seed=5)
         ab = AtomicBroadcast(net)
         ab.create_group("G1", ["a"])
@@ -169,7 +169,7 @@ class TestMisroutedPayloads:
 
 class TestGapRepair:
     def build_repair(self, members=("x", "y", "z"), **kwargs):
-        sim = Simulator(seed=0)
+        sim = Simulator()
         net = SyncNetwork(sim, min_delay=0.0, max_delay=0.05, seed=3)
         ab = AtomicBroadcast(net)
         ab.create_group("G", list(members))
@@ -210,7 +210,7 @@ class TestGapRepair:
         assert ab.pending_gap_total() == 0
 
     def test_repair_timeout_required_positive(self):
-        sim = Simulator(seed=0)
+        sim = Simulator()
         net = SyncNetwork(sim)
         ab = AtomicBroadcast(net)
         with pytest.raises(SimulationError):
@@ -272,7 +272,7 @@ class TestGapRepair:
         assert delivered["z"] == ["m0"]
 
     def test_retention_eviction_counts_expired(self):
-        sim = Simulator(seed=0)
+        sim = Simulator()
         net = SyncNetwork(sim, min_delay=0.0, max_delay=0.05, seed=3)
         ab = AtomicBroadcast(net, retention=2)
         ab.create_group("G", ["z"])

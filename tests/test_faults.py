@@ -16,7 +16,7 @@ from repro.network.simnet import Simulator, SyncNetwork
 
 
 def make_net(seed=0):
-    sim = Simulator(seed=seed)
+    sim = Simulator()
     net = SyncNetwork(sim, min_delay=0.01, max_delay=0.05, seed=seed + 1)
     return sim, net
 

@@ -33,7 +33,7 @@ def wired_world():
     topo = Topology.regular(l=4, n=4, m=3, r=2)
     im = IdentityManager(seed=13)
     oracle = GroundTruthOracle()
-    sim = Simulator(seed=0)
+    sim = Simulator()
     net = SyncNetwork(sim, min_delay=0.001, max_delay=0.05, seed=17)
     ab = AtomicBroadcast(net)
 

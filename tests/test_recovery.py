@@ -17,7 +17,7 @@ from repro.network.simnet import Simulator, SyncNetwork
 
 
 def build_group(members=("a", "b", "c")):
-    sim = Simulator(seed=0)
+    sim = Simulator()
     net = SyncNetwork(sim, min_delay=0.0, max_delay=0.05, seed=2)
     ab = AtomicBroadcast(net)
     ab.create_group("G", list(members))

@@ -12,7 +12,7 @@ from repro.network.simnet import Simulator, SyncNetwork
 
 
 def make_channel(max_retries=4, seed=0):
-    sim = Simulator(seed=seed)
+    sim = Simulator()
     net = SyncNetwork(sim, min_delay=0.01, max_delay=0.05, seed=seed + 1)
     channel = ReliableChannel(net, max_retries=max_retries)
     return sim, net, channel

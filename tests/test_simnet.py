@@ -9,7 +9,7 @@ from repro.network.simnet import Message, Simulator, SyncNetwork
 
 
 def make_net(min_delay=0.01, max_delay=0.1, seed=1):
-    sim = Simulator(seed=0)
+    sim = Simulator()
     net = SyncNetwork(sim, min_delay=min_delay, max_delay=max_delay, seed=seed)
     return sim, net
 
@@ -60,13 +60,80 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
 
-    def test_cancel(self):
+    def test_fires_in_time_order(self):
         sim = Simulator()
-        hits = []
-        ev = sim.schedule_after(1.0, lambda: hits.append(1))
-        sim.cancel(ev)
+        fired = []
+        sim.schedule_at(2.0, lambda: fired.append("b"))
+        sim.schedule_at(1.0, lambda: fired.append("a"))
+        sim.schedule_at(3.0, lambda: fired.append("c"))
         sim.run()
-        assert hits == []
+        assert fired == ["a", "b", "c"]
+
+    def test_ties_fire_in_schedule_order(self):
+        sim = Simulator()
+        fired = []
+        for name in "abcde":
+            sim.schedule_at(1.0, lambda n=name: fired.append(n))
+        sim.run()
+        assert fired == list("abcde")
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule_at(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("schedule", ["schedule_at", "schedule_after"])
+    def test_nan_and_inf_rejected(self, schedule):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            getattr(sim, schedule)(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            getattr(sim, schedule)(float("inf"), lambda: None)
+        assert sim.next_time() is None
+
+    def test_step_on_empty_queue_returns_false(self):
+        sim = Simulator()
+        assert sim.step() is False
+        assert sim.now == 0.0
+
+    def test_next_time_none_when_drained(self):
+        sim = Simulator()
+        assert sim.next_time() is None
+        sim.schedule_at(5.0, lambda: None)
+        sim.schedule_at(1.0, lambda: None)
+        assert sim.next_time() == 1.0
+        sim.run()
+        assert sim.next_time() is None
+
+    def test_run_until_parks_on_empty_queue(self):
+        sim = Simulator()
+        assert sim.run(until=2.5) == 0
+        assert sim.now == 2.5
+        sim.schedule_at(3.0, lambda: None)
+        assert sim.run(until=4.0) == 1
+        assert sim.now == 4.0
+
+    def test_clock_starts_at_zero(self):
+        assert Simulator().now == 0.0
+
+    def test_advance_to_moves_clock(self):
+        sim = Simulator()
+        sim.advance_to(1.5)
+        assert sim.now == 1.5
+
+    def test_advance_to_same_time_ok(self):
+        sim = Simulator()
+        sim.advance_to(2.0)
+        sim.advance_to(2.0)
+        assert sim.now == 2.0
+
+    def test_advance_backwards_rejected(self):
+        sim = Simulator()
+        sim.advance_to(3.0)
+        with pytest.raises(SimulationError):
+            sim.advance_to(2.9)
+        with pytest.raises(SimulationError):
+            sim.advance_to(float("nan"))
+        assert sim.now == 3.0
 
 
 class TestSyncNetwork:
@@ -227,7 +294,7 @@ class TestDropAccounting:
     """Satellite fix: drops must not inflate the sent counters."""
 
     def make(self):
-        sim = Simulator(seed=0)
+        sim = Simulator()
         net = SyncNetwork(sim, min_delay=0.01, max_delay=0.05, seed=7)
         net.register("a", lambda m: None)
         net.register("b", lambda m: None)

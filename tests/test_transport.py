@@ -104,7 +104,7 @@ class TestFraming:
 
 class TestTransportProtocol:
     def test_syncnetwork_satisfies_transport(self):
-        sim = Simulator(seed=0)
+        sim = Simulator()
         net = SyncNetwork(sim, seed=1)
         assert isinstance(net, Transport)
         net.recv("a", lambda *args: None)
@@ -113,7 +113,7 @@ class TestTransportProtocol:
 
     def test_realnetwork_requires_custodians(self):
         with pytest.raises(ConfigurationError, match="custodian"):
-            RealNetwork(Simulator(seed=0))
+            RealNetwork(Simulator())
 
 
 # -- real sockets: conveyance and robustness ---------------------------------
@@ -170,11 +170,11 @@ def _blackhole():
 @pytest.mark.realnet
 class TestRealNetwork:
     def test_conveyed_delivery_matches_simulator(self):
-        sim_log = _twin_sends(SyncNetwork(Simulator(seed=0), seed=1))
+        sim_log = _twin_sends(SyncNetwork(Simulator(), seed=1))
         server, stop = start_server_thread()
         reg = MetricsRegistry()
         net = RealNetwork(
-            Simulator(seed=0),
+            Simulator(),
             seed=1,
             custodians=(("p0", server.host, server.port),),
             config=FAST,
@@ -206,7 +206,7 @@ class TestRealNetwork:
             stall_timeout=5.0,
         )
         net = RealNetwork(
-            Simulator(seed=0),
+            Simulator(),
             seed=1,
             custodians=(("ghost", "127.0.0.1", dead_port),),
             config=cfg,
@@ -226,7 +226,7 @@ class TestRealNetwork:
         port = server.port
         reg = MetricsRegistry()
         net = RealNetwork(
-            Simulator(seed=0),
+            Simulator(),
             seed=1,
             custodians=(("p0", "127.0.0.1", port),),
             config=FAST,
@@ -264,7 +264,7 @@ class TestRealNetwork:
             stall_timeout=5.0,
         )
         net = RealNetwork(
-            Simulator(seed=0),
+            Simulator(),
             seed=1,
             custodians=(("mute", "127.0.0.1", port),),
             config=cfg,
@@ -290,7 +290,7 @@ class TestRealNetwork:
         proxy, pstop = start_proxy_thread("127.0.0.1", server.port, plan)
         reg = MetricsRegistry()
         net = RealNetwork(
-            Simulator(seed=0),
+            Simulator(),
             seed=1,
             custodians=(("p0", "127.0.0.1", proxy.port),),
             config=FAST,
