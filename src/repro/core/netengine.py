@@ -232,12 +232,11 @@ class NetworkedProtocolEngine(RoundCore):
             self.store = BlockStore()
         self.sim = sim if sim is not None else Simulator()
         self.obs.bind_clock(lambda: self.sim.now)
-        # The transport backend is pluggable behind the narrow
-        # repro.network.transport.Transport surface: the default is the
+        # The transport backend is pluggable: the default is the
         # discrete-event SyncNetwork; a harness passes a factory that
-        # builds e.g. repro.network.realnet.RealNetwork with the same
-        # delay bounds and seed, so the engine (and every layer above
-        # the network) runs unmodified over real sockets.
+        # builds its subclass repro.network.realnet.RealNetwork with the
+        # same delay bounds and seed, so the engine (and every layer
+        # above the network) runs unmodified over real sockets.
         factory = network_factory if network_factory is not None else SyncNetwork
         self.network = factory(
             self.sim, min_delay=min_delay, max_delay=max_delay, seed=seed + 1,

@@ -14,7 +14,6 @@ from repro.network.reliable import (
 )
 from repro.network.simnet import Message, NetworkStats, Simulator, SyncNetwork
 from repro.network.topology import Topology, collector_id, governor_id, provider_id
-from repro.network.transport import Transport
 from repro.network.visibility import VisibilityMap
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "Simulator",
     "SyncNetwork",
     "Topology",
-    "Transport",
     "VisibilityMap",
     "collector_id",
     "governor_id",

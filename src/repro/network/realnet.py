@@ -553,8 +553,6 @@ class RealNetwork(SyncNetwork):
         finally:
             self._loop.close()
 
-    # -- Transport surface -------------------------------------------------
-
     def close(self) -> None:
         """Stop supervisors, drop connections, join the IO thread."""
         if self._closed:

@@ -233,15 +233,6 @@ class SyncNetwork:
         """Attach a node's message handler; overwrites any previous one."""
         self._handlers[node_id] = handler
 
-    # ``recv`` is the Transport-protocol name for handler registration
-    # (see repro.network.transport); ``register`` predates the protocol
-    # and stays as the primary spelling.
-    recv = register
-
-    def peers(self) -> tuple[str, ...]:
-        """Node ids with a registered handler, in registration order."""
-        return tuple(self._handlers)
-
     def close(self) -> None:
         """Release backend resources — nothing to do for pure simulation."""
 
