@@ -16,12 +16,15 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.exceptions import SimulationError, SynchronyViolationError
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - repro.faults imports this module
+    from repro.faults.plan import FaultAction
 
 __all__ = ["Message", "Simulator", "SyncNetwork", "NetworkStats"]
 
@@ -54,37 +57,21 @@ class NetworkStats:
     bytes_sent: int = 0
     messages_dropped: int = 0
     messages_by_kind: dict[str, int] = field(default_factory=dict)
-    latencies: list[float] = field(default_factory=list)
 
-    def record(self, message: Message, size_hint: int) -> None:
-        """Account for one sent message."""
+    def record(self, kind: str, size_hint: int) -> None:
+        """Account for one sent message copy."""
         self.messages_sent += 1
         self.bytes_sent += size_hint
-        self.latencies.append(message.latency)
-        kind = getattr(message.payload, "kind", type(message.payload).__name__)
         self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + 1
 
     def record_drop(self) -> None:
         """Account for one message that was dropped before delivery.
 
-        Dropped messages never contribute to ``messages_sent``,
-        ``bytes_sent`` or the latency percentiles — they never crossed
-        the wire, so counting them would inflate the complexity
-        experiments (E7) and skew latency tails.
+        Dropped messages never contribute to ``messages_sent`` or
+        ``bytes_sent`` — they never crossed the wire, so counting them
+        would inflate the complexity experiments (E7).
         """
         self.messages_dropped += 1
-
-    def latency_percentile(self, q: float) -> float:
-        """The q-th latency percentile (q in [0, 100]) over sent messages.
-
-        Raises:
-            SimulationError: no messages recorded or q out of range.
-        """
-        if not self.latencies:
-            raise SimulationError("no messages recorded yet")
-        if not 0.0 <= q <= 100.0:
-            raise SimulationError(f"percentile must be in [0, 100], got {q}")
-        return float(np.percentile(self.latencies, q))
 
 
 class Simulator:
@@ -223,11 +210,9 @@ class SyncNetwork:
         self._channel_front: dict[tuple[str, str], float] = {}
         self._partitioned: set[str] = set()
         # Optional fault-interception hook (see repro.faults): called as
-        # fault_filter(sender, receiver, payload) and may return an
-        # object with ``drop`` / ``duplicates`` / ``extra_delay``
-        # attributes.  None (no hook, or the hook declines) means
-        # deliver normally.
-        self.fault_filter: Callable[[str, str, Any], Any] | None = None
+        # fault_filter(sender, receiver, payload); returns a
+        # repro.faults.plan.FaultAction, or None to deliver normally.
+        self.fault_filter: Callable[[str, str, Any], FaultAction | None] | None = None
 
     def register(self, node_id: str, handler: Callable[[Message], None]) -> None:
         """Attach a node's message handler; overwrites any previous one."""
@@ -294,21 +279,21 @@ class SyncNetwork:
             self.stats.record_drop()
             self._m_dropped.labels(reason="partition").inc()
             return
+        copies, extra_delay = 1, 0.0
         action = (
             self.fault_filter(sender, receiver, payload)
             if self.fault_filter is not None
             else None
         )
-        if action is not None and getattr(action, "drop", False):
-            self.stats.record_drop()
-            self._m_dropped.labels(reason="fault").inc()
-            return
         if action is not None:
-            replacement = getattr(action, "replace", None)
-            if replacement is not None:
-                payload = replacement
-        copies = 1 + (int(getattr(action, "duplicates", 0)) if action is not None else 0)
-        extra_delay = float(getattr(action, "extra_delay", 0.0)) if action is not None else 0.0
+            if action.drop:
+                self.stats.record_drop()
+                self._m_dropped.labels(reason="fault").inc()
+                return
+            if action.replace is not None:
+                payload = action.replace
+            copies += action.duplicates
+            extra_delay = action.extra_delay
         delay = float(fixed_delay) if fixed_delay is not None else self._draw_delay()
         self._schedule_delivery(
             sender, receiver, payload, size_hint,
@@ -348,14 +333,14 @@ class SyncNetwork:
         # bound: faults model exactly the failures the paper assumes
         # away.
         deliver_at += extra_delay
+        kind = getattr(payload, "kind", type(payload).__name__)
         for copy in range(copies):
             at = deliver_at if copy == 0 else deliver_at + copy * self._draw_delay()
             message = Message(
                 sender=sender, receiver=receiver, payload=payload,
                 sent_at=now, deliver_at=at,
             )
-            self.stats.record(message, size_hint)
-            kind = getattr(payload, "kind", type(payload).__name__)
+            self.stats.record(kind, size_hint)
             self._m_sent.labels(kind=kind).inc()
             self._m_bytes.inc(size_hint)
             self._m_delay.observe(message.latency)
