@@ -479,13 +479,6 @@ class AtomicBroadcast:
             issued += 1
         return issued
 
-    def pending_gap_count(self, group: str, member: str) -> int:
-        """Messages buffered behind a sequence gap for one member."""
-        state = self._state.get((group, member))
-        if state is None:
-            raise SimulationError(f"{member!r} is not a member of group {group!r}")
-        return len(state.pending)
-
     def pending_gap_total(self) -> int:
         """Messages stuck in gap buffers across every group and member."""
         return sum(len(state.pending) for state in self._state.values())
