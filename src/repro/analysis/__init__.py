@@ -2,7 +2,6 @@
 regret curves, and paper-style table formatting."""
 
 from repro.analysis.complexity import FitResult, fit_linear, fit_power_law, fit_quadratic
-from repro.analysis.experiments import Experiment, load_result, missing_results, registry
 from repro.analysis.metrics import (
     GovernorSummary,
     RunSummary,
@@ -22,7 +21,6 @@ from repro.analysis.stats import (
 
 __all__ = [
     "ChiSquaredResult",
-    "Experiment",
     "FitResult",
     "GovernorSummary",
     "RegretCurve",
@@ -39,10 +37,7 @@ __all__ = [
     "fit_quadratic",
     "format_sweep",
     "format_table",
-    "load_result",
     "loglog_slope",
-    "missing_results",
-    "registry",
     "run_regret_curve",
     "summarize_run",
 ]

@@ -247,50 +247,3 @@ class TestSparkline:
         line = sparkline([1.0, 1e-50, 1e-100], log_scale=True)
         assert len(line) == 3
         assert line[0] != line[2]
-
-
-class TestExperimentRegistry:
-    def test_ids_unique(self):
-        from repro.analysis.experiments import registry
-
-        ids = [e.exp_id for e in registry()]
-        assert len(ids) == len(set(ids))
-        assert "E1" in ids and "X4" in ids
-
-    def test_bench_files_exist(self):
-        import pathlib
-
-        from repro.analysis.experiments import registry
-
-        bench_dir = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
-        for exp in registry():
-            bench_file = exp.bench.split("::")[0]
-            assert (bench_dir / bench_file).exists(), exp.exp_id
-
-    def test_missing_results_empty_dir(self, tmp_path):
-        from repro.analysis.experiments import missing_results, registry
-
-        missing = missing_results(results_dir=tmp_path)
-        assert len(missing) == len(registry())
-
-    def test_load_result_roundtrip(self, tmp_path):
-        from repro.analysis.experiments import load_result
-
-        (tmp_path / "E1_regret.txt").write_text("the table")
-        assert load_result("E1", results_dir=tmp_path) == "the table"
-
-    def test_load_result_errors(self, tmp_path):
-        from repro.analysis.experiments import load_result
-
-        with pytest.raises(ConfigurationError):
-            load_result("E1", results_dir=tmp_path)  # not generated
-        with pytest.raises(ConfigurationError):
-            load_result("E99", results_dir=tmp_path)  # unknown
-
-    def test_generated_results_complete(self):
-        """After a bench run, every registered experiment has a table."""
-        from repro.analysis.experiments import RESULTS_DIR, missing_results
-
-        if not RESULTS_DIR.exists():
-            pytest.skip("benches not run yet")
-        assert missing_results() == []
