@@ -18,7 +18,6 @@ from repro.ledger.transaction import (
 from repro.ledger.validation import (
     CountingOracle,
     GroundTruthOracle,
-    RuleOracle,
     ValidityOracle,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "LabeledTransaction",
     "Ledger",
     "PropertyReport",
-    "RuleOracle",
     "RunTranscript",
     "SignedTransaction",
     "TransactionBody",

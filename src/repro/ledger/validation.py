@@ -7,8 +7,6 @@ ground truth as a :class:`ValidityOracle` strategy object so that:
 
 * synthetic workloads fix validity at generation time
   (:class:`GroundTruthOracle`);
-* domain applications derive validity from payload semantics
-  (:class:`RuleOracle` wraps a predicate over the payload);
 * experiments can count every governor-side validation
   (:class:`CountingOracle`), which is what the efficiency benches
   measure — the paper's whole point is reducing these calls.
@@ -17,7 +15,7 @@ ground truth as a :class:`ValidityOracle` strategy object so that:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Protocol
 
 from repro.exceptions import LedgerError
 from repro.ledger.transaction import SignedTransaction
@@ -25,7 +23,6 @@ from repro.ledger.transaction import SignedTransaction
 __all__ = [
     "ValidityOracle",
     "GroundTruthOracle",
-    "RuleOracle",
     "CountingOracle",
 ]
 
@@ -66,21 +63,6 @@ class GroundTruthOracle:
 
     def __len__(self) -> int:
         return len(self._truth)
-
-
-@dataclass
-class RuleOracle:
-    """Validity derived from payload semantics via a predicate.
-
-    Domain apps use this: e.g. an insurance application is valid iff its
-    declared history is consistent with the registry.
-    """
-
-    predicate: Callable[[SignedTransaction], bool]
-
-    def validate(self, tx: SignedTransaction) -> bool:
-        """Apply the domain rule."""
-        return bool(self.predicate(tx))
 
 
 @dataclass

@@ -7,7 +7,7 @@ import pytest
 from repro.crypto.signatures import SigningKey
 from repro.exceptions import LedgerError
 from repro.ledger.transaction import make_signed_transaction
-from repro.ledger.validation import CountingOracle, GroundTruthOracle, RuleOracle
+from repro.ledger.validation import CountingOracle, GroundTruthOracle
 
 KEY = SigningKey(owner="p0", secret=b"\x0f" * 32)
 
@@ -42,17 +42,6 @@ class TestGroundTruthOracle:
         oracle.assign(t, True)
         with pytest.raises(LedgerError):
             oracle.assign(t, False)
-
-
-class TestRuleOracle:
-    def test_predicate_applied(self):
-        oracle = RuleOracle(predicate=lambda t: t.body.payload == "good")
-        assert oracle.validate(tx("good"))
-        assert not oracle.validate(tx("bad", nonce=1))
-
-    def test_truthiness_coerced(self):
-        oracle = RuleOracle(predicate=lambda t: 1)
-        assert oracle.validate(tx()) is True
 
 
 class TestCountingOracle:
