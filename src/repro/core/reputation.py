@@ -124,19 +124,6 @@ class SparseWeightMap(MutableMapping):
         """How many entries deviate from the default row (memory cost)."""
         return len(self.overrides)
 
-    def mass(self) -> float:
-        """Total weight over all members in O(touched).
-
-        Computed as ``default * untouched + sum(overrides)`` — the same
-        value as ``sum(self.values())`` up to float summation order, in
-        time and memory independent of the universe size.  Streaming
-        telemetry uses this; bit-identical paths (screening rows,
-        digests) still reduce in canonical member order.
-        """
-        return self.default * (len(self.members) - len(self.overrides)) + sum(
-            self.overrides.values()
-        )
-
 
 @dataclass(slots=True)
 class WeightRow:

@@ -102,11 +102,6 @@ class TestSparseWeightMap:
         assert list(m) == members
         assert list(m.values()) == [1.0, 1.0, 0.5]
 
-    def test_mass_counts_default_and_overrides(self):
-        m = self._map()
-        m["p0"] = 0.5
-        assert m.mass() == pytest.approx(0.5 + 2 * 1.0)
-
     def test_nonpositive_default_rejected(self):
         with pytest.raises(ConfigurationError):
             SparseWeightMap(["p0"], 0.0)
