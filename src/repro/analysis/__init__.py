@@ -9,7 +9,7 @@ from repro.analysis.metrics import (
     summarize_run,
 )
 from repro.analysis.regret_curves import RegretCurve, RegretPoint, run_regret_curve
-from repro.analysis.reporting import banner, format_sweep, format_table
+from repro.analysis.reporting import format_sweep, format_table
 from repro.analysis.tracing import RunTracer
 from repro.analysis.stats import (
     ChiSquaredResult,
@@ -28,7 +28,6 @@ __all__ = [
     "RunSummary",
     "RunTracer",
     "SweepTable",
-    "banner",
     "bootstrap_ci",
     "chi_squared_uniformity",
     "empirical_tail",

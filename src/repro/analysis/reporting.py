@@ -14,7 +14,7 @@ from typing import Sequence
 from repro.analysis.metrics import SweepTable
 from repro.exceptions import ConfigurationError
 
-__all__ = ["format_table", "format_sweep", "banner", "sparkline"]
+__all__ = ["format_table", "format_sweep", "sparkline"]
 
 
 def _cell(value: object) -> str:
@@ -60,14 +60,6 @@ def format_sweep(table: SweepTable) -> str:
         for value, metrics in table.rows()
     ]
     return format_table(headers, rows)
-
-
-def banner(title: str, width: int = 72) -> str:
-    """A section banner for bench stdout."""
-    pad = max(width - len(title) - 2, 0)
-    left = pad // 2
-    right = pad - left
-    return f"{'=' * left} {title} {'=' * right}"
 
 
 _SPARK_BARS = "▁▂▃▄▅▆▇█"

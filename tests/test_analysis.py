@@ -10,7 +10,7 @@ import pytest
 from repro.analysis.complexity import fit_linear, fit_power_law, fit_quadratic
 from repro.analysis.metrics import SweepTable, summarize_run
 from repro.analysis.regret_curves import run_regret_curve
-from repro.analysis.reporting import banner, format_sweep, format_table
+from repro.analysis.reporting import format_sweep, format_table
 from repro.analysis.stats import (
     bootstrap_ci,
     chi_squared_uniformity,
@@ -173,11 +173,6 @@ class TestReporting:
         table.add(0.1, {"m": 1.0})
         text = format_sweep(table)
         assert "f" in text and "m" in text
-
-    def test_banner(self):
-        line = banner("Theorem 1")
-        assert "Theorem 1" in line
-        assert line.startswith("=")
 
 
 class TestRunSummary:
