@@ -99,6 +99,7 @@ class Governor:
         default_factory=dict, repr=False
     )
     _linked: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
+    _visible: frozenset[str] = field(default=frozenset(), repr=False)
 
     def __post_init__(self) -> None:
         if self.key.owner != self.governor_id:
@@ -207,7 +208,7 @@ class Governor:
         contributing silent mass ``W_0``.
         """
         self.book.retire_collector(collector)
-        self._visible = frozenset(getattr(self, "_visible", frozenset()) - {collector})
+        self._visible = self._visible - {collector}
         self._linked = {
             provider: tuple(c for c in linked if c != collector)
             for provider, linked in self._linked.items()
@@ -249,7 +250,7 @@ class Governor:
         """
         providers = tuple(providers)
         self.book.readmit_collector(collector, providers)
-        self._visible = frozenset(getattr(self, "_visible", frozenset()) | {collector})
+        self._visible = self._visible | {collector}
         self._linked = {
             provider: (
                 linked + (collector,)

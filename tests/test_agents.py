@@ -345,6 +345,18 @@ class TestGovernor:
         # A later argue is rejected: already resolved.
         assert gov.handle_argue(tx.tx_id) is None
 
+    def test_fresh_governor_links_before_any_registration(self, world):
+        _topo, im, oracle = world
+        gov = Governor(
+            governor_id="g0", key=im.record("g0").key,
+            params=ProtocolParams(f=0.5), im=im,
+            oracle=CountingOracle(inner=oracle), rng=np.random.default_rng(99),
+        )
+        gov.link_provider("p0", ("c0",))  # nothing visible yet: links nobody
+        assert gov._linked["p0"] == ()
+        gov.admit_collector("c0", ["p0"])
+        assert gov._linked["p0"] == ("c0",)
+
 
 class TestAbusiveArguer:
     def _invalid_unchecked_block(self, world, provider):
