@@ -1,4 +1,4 @@
-"""E14/E16 — throughput scaling of the sharded deployment.
+"""E14/E16 — sharded deployment: sim-time scaling and backend parity.
 
 **E14 (sim-time).**  Fixes the deployment totals (l=24 providers, n=8
 collectors, m=8 governors, r=2) and splits them across S ∈ {1, 2, 4}
@@ -8,17 +8,14 @@ shared simulator clock, S shards commit up to ``S * b_limit`` records
 in the sim-time one shard commits ``b_limit`` — the table reports the
 realised aggregate origin-tx throughput and its speedup over S=1.
 
-**E16 (wall-clock, ``--workers N``).**  The same fixed workload swept
-over S ∈ {1, 2, 4} × execution backends {serial, N-process}: the
+**E16 (backend parity, ``--workers N``).**  The same fixed workload
+swept over S ∈ {1, 2, 4} × execution backends {serial, N-process}: the
 parallel backend (:mod:`repro.parallel`) hosts each shard's engine in
-its own spawned worker, so the sim-time scaling of E14 becomes
-*wall-clock* scaling on multi-core hosts.  The table reports measured
-wall-clock throughput of the drive loop (worker spawn/teardown
-excluded, reported separately) and asserts that the parallel ledger
-tips are **bit-identical** to the serial ones for every S.  The ≥2x
-speedup assertion is enforced only when the host actually has ≥4 CPU
-cores (recorded in the JSON twin); tip identity and a clean
-cross-shard audit are asserted unconditionally.
+its own spawned worker.  The table asserts that the parallel ledger
+tips, committed counts and simulated clock are **bit-identical** to the
+serial ones for every S, with a clean cross-shard audit.  It times
+nothing: the wall-clock comparison of the two backends is ``perfbench``'s
+``shard_par`` workload (``parallel.speedup_vs_serial``).
 
 Every configuration runs under an active fault plan (link loss +
 duplication on every shard, plus a governor crash/recovery on shard 0)
@@ -38,7 +35,7 @@ Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_shards.py              # E14 full
     PYTHONPATH=src python benchmarks/bench_shards.py --quick      # CI smoke
-    PYTHONPATH=src python benchmarks/bench_shards.py --workers 4  # E16 full
+    PYTHONPATH=src python benchmarks/bench_shards.py --workers 4  # + E16
 
 or through pytest-benchmark like the other benches::
 
@@ -47,7 +44,6 @@ or through pytest-benchmark like the other benches::
 
 from __future__ import annotations
 
-import os
 import pathlib
 import sys
 import time
@@ -106,8 +102,13 @@ def run_config(
     rounds: int,
     seed: int = SEED,
     registry: MetricsRegistry | None = None,
+    workers: int = 1,
 ) -> dict:
-    """One sharded deployment at fixed totals; returns its stats."""
+    """One sharded deployment at fixed totals; returns its stats.
+
+    ``workers=1`` runs the serial in-process backend; ``workers>1``
+    spawns that many shard worker processes (E16).
+    """
     sharded = Topology.sharded(l=L, n=N, m=M, r=R, shards=shards, seed=seed)
     coordinator = ShardCoordinator(
         sharded,
@@ -116,6 +117,7 @@ def run_config(
         epoch_rounds=EPOCH_ROUNDS,
         resilience=True,
         obs=registry,
+        workers=workers if workers > 1 else None,
     )
     _install_faults(coordinator, sharded, seed)
     providers = [p for topo in sharded.shards for p in topo.providers]
@@ -132,10 +134,12 @@ def run_config(
         result = coordinator.run_super_round()
         minted += result.receipts_minted
     report = coordinator.finalize()
-    return {
+    stats = {
         "shards": shards,
+        "workers": workers,
+        "backend": coordinator.backend.kind,
         "committed": coordinator.committed_total,
-        "sim_seconds": round(coordinator.sim.now, 6),
+        "sim_seconds": round(coordinator.now, 6),
         "throughput": round(coordinator.throughput(), 4),
         "receipts_minted": minted,
         "receipts_pending": len(coordinator.auditor.pending()),
@@ -144,6 +148,8 @@ def run_config(
         "audit_clean": report.clean,
         "tips": coordinator.tip_hashes(),
     }
+    coordinator.close()
+    return stats
 
 
 def run_suite(quick: bool = False) -> dict:
@@ -221,175 +227,72 @@ def run_suite(quick: bool = False) -> dict:
     return metrics
 
 
-def run_wallclock_config(
-    shards: int,
-    workers: int,
-    rounds: int,
-    seed: int = SEED,
-    registry: MetricsRegistry | None = None,
-) -> dict:
-    """One E16 deployment: fixed workload, measured in wall-clock.
-
-    ``workers=1`` runs the serial in-process backend (the single-core
-    baseline); ``workers>1`` spawns that many shard worker processes.
-    The drive loop (submit + super-rounds + finalize) is timed; backend
-    spawn/teardown is reported separately as ``setup_seconds``.
-    """
-    sharded = Topology.sharded(l=L, n=N, m=M, r=R, shards=shards, seed=seed)
-    t_setup = time.perf_counter()
-    coordinator = ShardCoordinator(
-        sharded,
-        PARAMS,
-        seed=seed,
-        epoch_rounds=EPOCH_ROUNDS,
-        resilience=True,
-        obs=registry,
-        workers=workers if workers > 1 else None,
-    )
-    setup_seconds = time.perf_counter() - t_setup
-    _install_faults(coordinator, sharded, seed)
-    providers = [p for topo in sharded.shards for p in topo.providers]
-    inner = BernoulliWorkload(providers, p_valid=0.8, seed=seed + 1)
-    workload = CrossShardWorkload(
-        inner,
-        sharded.provider_shard,
-        p_cross=P_CROSS if shards > 1 else 0.0,
-        seed=seed + 2,
-    )
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        coordinator.submit(workload.take(OFFERED))
-        coordinator.run_super_round()
-    report = coordinator.finalize()
-    wall_seconds = time.perf_counter() - t0
-    stats = {
-        "shards": shards,
-        "workers": workers,
-        "backend": coordinator.backend.kind,
-        "committed": coordinator.committed_total,
-        "wall_seconds": round(wall_seconds, 4),
-        "setup_seconds": round(setup_seconds, 4),
-        "wall_throughput": round(coordinator.committed_total / wall_seconds, 2),
-        "sim_throughput": round(coordinator.throughput(), 2),
-        "atomicity_violations": len(coordinator.auditor.atomicity_violations()),
-        "audit_clean": report.clean,
-        "tips": coordinator.tip_hashes(),
-    }
-    coordinator.close()
-    return stats
-
-
-def run_e16_suite(workers: int, quick: bool = False) -> dict:
-    """E16: wall-clock serial-vs-parallel sweep; emits the result twins.
+def run_parity_suite(workers: int, quick: bool = False) -> dict:
+    """E16: serial-vs-parallel parity sweep; emits the result twins.
 
     For every S in the shard sweep, runs the identical seeded workload
-    on the serial backend and on a ``min(workers, S)``-process parallel
-    backend, asserting bit-identical chain tips between the two.  The
-    ≥2x wall-clock speedup criterion applies to the largest sweep point
-    and is enforced only on hosts with ≥4 CPU cores — a single-core
-    container cannot exhibit multi-core scaling, so there the bench
-    still validates identity, audit cleanliness, and the IPC machinery,
-    and records ``cpu_count`` in the JSON twin for the reader.
+    and fault plan on the serial backend and on a ``min(workers, S)``
+    -process parallel backend, and requires the same chain tips,
+    committed count and simulated clock from both.
     """
     scale = SCALES["quick" if quick else "full"]
-    cpus = os.cpu_count() or 1
     t0 = time.perf_counter()
 
     registry = MetricsRegistry()
     sweep = []
-    tips_identical = True
     for shards in SHARD_COUNTS:
+        serial = run_config(shards, scale["rounds"])
+        sweep.append({**serial, "tips_match_serial": None})
         nworkers = min(workers, shards)
-        serial = run_wallclock_config(shards, 1, scale["rounds"])
-        row = {**serial, "parallel": None}
         if nworkers > 1:
-            parallel = run_wallclock_config(
-                shards, nworkers, scale["rounds"],
+            parallel = run_config(
+                shards, scale["rounds"], workers=nworkers,
                 registry=registry if shards == SHARD_COUNTS[-1] else None,
             )
-            identical = parallel["tips"] == serial["tips"] and (
-                parallel["committed"] == serial["committed"]
+            parallel["tips_match_serial"] = all(
+                parallel[key] == serial[key]
+                for key in ("tips", "committed", "sim_seconds")
             )
-            tips_identical = tips_identical and identical
-            row["parallel"] = {**parallel, "tips_match_serial": identical}
-        sweep.append(row)
+            sweep.append(parallel)
 
-    top = sweep[-1]
-    speedup = (
-        round(top["parallel"]["wall_throughput"] / top["wall_throughput"], 4)
-        if top["parallel"] is not None
-        else 1.0
+    tips_identical = all(
+        s["tips_match_serial"] for s in sweep if s["backend"] == "parallel"
     )
-    # A 1-core host cannot speed up by adding processes; the scaling
-    # claim is only falsifiable with >= 4 cores under S=4.
-    speedup_enforced = cpus >= 4 and top["parallel"] is not None
-    speedup_ok = speedup >= 2.0 if speedup_enforced else True
-
     all_ok = (
         tips_identical
-        and speedup_ok
         and all(s["audit_clean"] for s in sweep)
-        and all(
-            s["parallel"] is None or s["parallel"]["audit_clean"] for s in sweep
-        )
         and all(s["atomicity_violations"] == 0 for s in sweep)
     )
 
-    rows = []
-    for s in sweep:
-        rows.append((
-            s["shards"], 1, "serial", s["committed"],
-            f"{s['wall_seconds']:.3f}", f"{s['wall_throughput']:.0f}",
-            "1.00x", "—", s["audit_clean"],
-        ))
-        p = s["parallel"]
-        if p is not None:
-            rows.append((
-                p["shards"], p["workers"], "parallel", p["committed"],
-                f"{p['wall_seconds']:.3f}", f"{p['wall_throughput']:.0f}",
-                f"{p['wall_throughput'] / s['wall_throughput']:.2f}x",
-                "yes" if p["tips_match_serial"] else "NO",
-                p["audit_clean"],
-            ))
     table = format_table(
-        ["shards", "workers", "backend", "committed", "wall s",
-         "wall tx/s", "speedup", "tips=serial", "audit clean"],
-        rows,
+        ["shards", "workers", "backend", "committed", "tips=serial", "audit clean"],
+        [
+            (
+                s["shards"], s["workers"], s["backend"], s["committed"],
+                {None: "—", True: "yes", False: "NO"}[s["tips_match_serial"]],
+                s["audit_clean"],
+            )
+            for s in sweep
+        ],
     )
     table += (
-        f"\nhost cpu cores: {cpus} — the >=2x wall-clock criterion is "
-        f"{'ENFORCED' if speedup_enforced else 'not enforced (needs >=4 cores)'}\n"
-        f"identical seeded workload and fault plan on both backends; "
-        f"speedup compares the drive loop only (worker spawn excluded)\n"
+        f"\nidentical seeded workload and fault plan on both backends; "
+        f"wall-clock figures: perfbench `shard_par`\n"
         f"parallel tips bit-identical to serial: "
         f"{'yes' if tips_identical else 'NO'}\n"
     )
     metrics = {
-        "cpu_count": cpus,
         "workers_requested": workers,
-        "wallclock_sweep": [
-            {
-                **{k: v for k, v in s.items() if k not in ("tips", "parallel")},
-                "parallel": (
-                    None
-                    if s["parallel"] is None
-                    else {
-                        k: v for k, v in s["parallel"].items() if k != "tips"
-                    }
-                ),
-            }
-            for s in sweep
+        "parity_sweep": [
+            {k: v for k, v in s.items() if k != "tips"} for s in sweep
         ],
-        "wall_speedup_top": speedup,
-        "speedup_enforced": speedup_enforced,
-        "speedup_ok": speedup_ok,
         "tips_identical": tips_identical,
         "all_ok": all_ok,
     }
     emit(
         "E16_shards_parallel",
-        "E16 — wall-clock shard throughput: serial vs multi-process "
-        "backends at identical seeds (bit-identical ledgers)",
+        "E16 — serial vs multi-process shard backends at identical seeds: "
+        "bit-identical ledgers",
         table,
         metrics=metrics,
         registry=registry,
@@ -416,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="also run the E16 wall-clock sweep with up to N worker "
+        help="also run the E16 parity sweep with up to N worker "
              "processes per deployment (E14 alone when omitted)",
     )
     args = parser.parse_args(argv)
@@ -425,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         print("FATAL: E14 acceptance criteria not met", file=sys.stderr)
         return 1
     if args.workers is not None:
-        e16 = run_e16_suite(args.workers, quick=args.quick)
+        e16 = run_parity_suite(args.workers, quick=args.quick)
         if not e16["all_ok"]:
             print("FATAL: E16 acceptance criteria not met", file=sys.stderr)
             return 1

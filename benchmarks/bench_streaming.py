@@ -20,7 +20,7 @@ Acceptance criteria asserted directly:
 * two identically-seeded small runs commit bit-identical ledger tips
   (streaming determinism).
 
-The table reports committed transactions, throughput, peak active /
+The table reports committed transactions, peak active /
 touched reputation rows, and the traced-heap peak per scale; process
 peak RSS (monotone high-water, so only meaningful once) is recorded in
 the JSON twin.  ``--quick`` runs the 10^5 scale only and asserts the
@@ -89,7 +89,6 @@ def _run_scale(universe: int, rounds: int, seed: int = SEED) -> dict:
     """One streaming run at ``universe`` registered providers."""
     obs = MetricsRegistry()
     tracemalloc.start()
-    t0 = time.perf_counter()
     virtual = VirtualUniverse(universe=universe, n=8, m=4, r=4)
     workload = StreamingWorkload(
         virtual,
@@ -109,7 +108,6 @@ def _run_scale(universe: int, rounds: int, seed: int = SEED) -> dict:
     )
     session.run(rounds)
     session.finalize()
-    wall = time.perf_counter() - t0
     _, traced_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     m = session.metrics
@@ -117,7 +115,6 @@ def _run_scale(universe: int, rounds: int, seed: int = SEED) -> dict:
         "universe": universe,
         "rounds": m.rounds,
         "committed": m.transactions,
-        "tx_per_s": m.transactions / wall if wall > 0 else 0.0,
         "peak_active": m.peak_active,
         "instantiations": m.instantiations,
         "retirements": m.retirements,
@@ -130,7 +127,6 @@ def _run_scale(universe: int, rounds: int, seed: int = SEED) -> dict:
             session.audit_report is None
             or not session.audit_report.violations
         ),
-        "wall_s": wall,
     }
 
 
@@ -167,7 +163,7 @@ def run_suite(quick: bool = False) -> dict:
     rows = [
         (
             f"{r['universe']:.0e}", r["rounds"], r["committed"],
-            f"{r['tx_per_s']:.1f}", r["peak_active"], r["retirements"],
+            r["peak_active"], r["retirements"],
             r["touched_rows"],
             f"{r['traced_peak_bytes'] / 1024 / 1024:.2f}",
             r["audit_clean"],
@@ -175,7 +171,7 @@ def run_suite(quick: bool = False) -> dict:
         for r in runs
     ]
     table = format_table(
-        ["universe", "rounds", "committed", "tx/s", "peak active",
+        ["universe", "rounds", "committed", "peak active",
          "retired", "touched rows", "heap peak MiB", "audit clean"],
         rows,
     )

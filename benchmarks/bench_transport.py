@@ -21,8 +21,9 @@ The acceptance criteria of the transport backend are asserted directly:
   frames at the proxy, retransmissions and reconnect-backoffs at the
   driver) rather than the run merely getting lucky.
 
-The table reports wall-clock cost of physical conveyance next to the
-sim baseline, plus the ``tpt_*`` counters for both real runs.
+The table reports the three end states side by side, plus the
+``tpt_*`` counters for both real runs; what physical conveyance costs
+in wall-clock is ``perfbench``'s ``tcp_cluster`` workload.
 
 Run as a script::
 
@@ -83,13 +84,6 @@ CONFIG = TransportConfig(
 )
 
 
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    result["wall_s"] = time.perf_counter() - t0
-    return result
-
-
 def _tpt_snapshot(registry: MetricsRegistry, peers: list[str]) -> dict:
     metrics = transport_metrics(registry)
     return {
@@ -119,14 +113,14 @@ def run_suite(quick: bool = False) -> dict:
         rounds=scale["rounds"], batch=scale["batch"], seed=SEED
     )
 
-    sim = _timed(run_scenario, scenario, backend="sim")
+    sim = run_scenario(scenario, backend="sim")
 
     handle = launch_custodians(PEERS)
     peer_names = [name for name, _, _ in handle.addresses]
     try:
         real_reg = MetricsRegistry()
-        real = _timed(
-            run_scenario, scenario, backend="real",
+        real = run_scenario(
+            scenario, backend="real",
             custodians=handle.addresses, config=CONFIG, obs=real_reg,
         )
         real_tpt = _tpt_snapshot(real_reg, peer_names)
@@ -149,8 +143,8 @@ def run_suite(quick: bool = False) -> dict:
                 for (name, _, _), (proxy, _) in zip(handle.addresses, proxies)
             ]
             chaos_reg = MetricsRegistry()
-            chaos = _timed(
-                run_scenario, scenario, backend="real",
+            chaos = run_scenario(
+                scenario, backend="real",
                 custodians=proxied, config=CONFIG, obs=chaos_reg,
             )
             chaos_tpt = _tpt_snapshot(chaos_reg, peer_names)
@@ -188,13 +182,12 @@ def run_suite(quick: bool = False) -> dict:
     rows = [
         (
             name, r["committed"], r["height"], f"{r['clock']:.3f}",
-            f"{r['wall_s']:.2f}", r["tip"][:16],
-            r["tip"] == sim["tip"], r["audit_clean"],
+            r["tip"][:16], r["tip"] == sim["tip"], r["audit_clean"],
         )
         for name, r in runs.items()
     ]
     table = format_table(
-        ["backend", "committed", "height", "sim clock", "wall s",
+        ["backend", "committed", "height", "sim clock",
          "tip (prefix)", "tip == sim", "audit clean"],
         rows,
     )

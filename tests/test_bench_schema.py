@@ -188,35 +188,28 @@ class TestShippedResults:
         assert "shard_receipt_relays_total" in names
 
     def test_e16_parallel_twin_is_well_formed(self, helpers):
-        """The E16 sweep's structured metrics back its headline claims:
+        """The E16 sweep's structured metrics back its headline claim:
         the multi-process backend commits bit-identical ledgers to the
-        serial one at every shard count, atomicity intact, and the
-        >=2x wall-clock criterion is enforced whenever the host has the
-        cores to make it physically meaningful."""
+        serial one at every shard count, atomicity intact."""
         path = helpers.RESULTS_DIR / "BENCH_E16_shards_parallel.json"
         if not path.exists():
             pytest.skip("E16 results not generated")
         doc = json.loads(path.read_text())
         assert doc["schema"] == helpers.BENCH_SCHEMA
-        assert doc["metrics"]["cpu_count"] >= 1
-        sweep = doc["metrics"]["wallclock_sweep"]
-        assert [row["shards"] for row in sweep] == [1, 2, 4]
+        sweep = doc["metrics"]["parity_sweep"]
+        serial = {r["shards"]: r for r in sweep if r["backend"] == "serial"}
+        assert sorted(serial) == [1, 2, 4]
+        assert any(r["backend"] == "parallel" for r in sweep)
         for row in sweep:
-            assert row["backend"] == "serial"
             assert row["audit_clean"], row
             assert row["atomicity_violations"] == 0, row
-            if row["parallel"] is not None:
-                par = row["parallel"]
-                assert par["tips_match_serial"], par
-                assert par["audit_clean"], par
-                assert par["atomicity_violations"] == 0, par
+            if row["backend"] == "parallel":
+                assert row["tips_match_serial"], row
                 # Same seed, same protocol: identical sim-time results.
-                assert par["committed"] == row["committed"], par
-                assert par["sim_throughput"] == row["sim_throughput"], par
+                twin = serial[row["shards"]]
+                assert row["committed"] == twin["committed"], row
+                assert row["sim_seconds"] == twin["sim_seconds"], row
         assert doc["metrics"]["tips_identical"]
-        if doc["metrics"]["speedup_enforced"]:
-            assert doc["metrics"]["wall_speedup_top"] >= 2.0
-        assert doc["metrics"]["speedup_ok"]
         assert doc["metrics"]["all_ok"]
         # The parallel harness telemetry rode along in the snapshot.
         names = set(doc["observability"]["metrics"])
