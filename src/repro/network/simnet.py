@@ -1,9 +1,10 @@
 """Discrete-event simulator and synchronous message-passing network.
 
 The paper assumes a synchronous system (Section 3.1): known upper bounds
-on processing and transmission delays.  :class:`Simulator` provides the
-event loop; :class:`SyncNetwork` layers message delivery with per-message
-delays drawn in ``(min_delay, max_delay]`` where ``max_delay`` plays the
+on processing and transmission delays.  :class:`Simulator` is the whole
+discrete-event substrate — the clock and the one event heap under every
+networked, sharded, durable and real-TCP run; :class:`SyncNetwork`
+layers message delivery with per-message delays drawn in ``(min_delay, max_delay]`` where ``max_delay`` plays the
 role of the paper's synchrony bound.  Delivery order between distinct
 (sender, receiver) pairs is by delivery time; per-channel FIFO is
 enforced so a node never observes reordering from a single peer, which
@@ -163,9 +164,9 @@ class SyncNetwork:
         max_delay: The synchrony bound Delta-net; every message arrives
             within it.  Screening's per-transaction window must be at
             least the spread collectors' uploads can exhibit.
-        seed: Per-network RNG seed for latency draws (independent of the
-            simulator's RNG so workload randomness does not perturb
-            network timing and vice versa).
+        seed: Per-network RNG seed for latency draws — the network's
+            own stream, so workload randomness does not perturb network
+            timing and vice versa.
         obs: Metrics registry (see OBSERVABILITY.md); defaults to the
             no-op registry, leaving the hot path untouched.
     """
