@@ -208,7 +208,7 @@ class Governor:
         contributing silent mass ``W_0``.
         """
         self.book.retire_collector(collector)
-        self._visible = self._visible - {collector}
+        self._visible -= {collector}
         self._linked = {
             provider: tuple(c for c in linked if c != collector)
             for provider, linked in self._linked.items()
@@ -250,7 +250,7 @@ class Governor:
         """
         providers = tuple(providers)
         self.book.readmit_collector(collector, providers)
-        self._visible = self._visible | {collector}
+        self._visible |= {collector}
         self._linked = {
             provider: (
                 linked + (collector,)
