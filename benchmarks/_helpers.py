@@ -28,12 +28,8 @@ import time
 
 import numpy as np
 
-from repro.agents.behaviors import (
-    AlwaysInvertBehavior,
-    ConcealBehavior,
-    HonestBehavior,
-    MisreportBehavior,
-)
+# Re-exported: the benches import the standard mix from here.
+from repro.agents.behaviors import standard_adversary_mix
 from repro.obs import snapshot
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -185,17 +181,3 @@ def emit(
     (RESULTS_DIR / f"BENCH_{name}.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
     )
-
-
-def standard_adversary_mix():
-    """The r = 8 collector mix used across experiments: 2 honest, 6 bad."""
-    return [
-        HonestBehavior(),
-        HonestBehavior(),
-        MisreportBehavior(0.4),
-        ConcealBehavior(0.4),
-        AlwaysInvertBehavior(),
-        AlwaysInvertBehavior(),
-        MisreportBehavior(0.8),
-        ConcealBehavior(0.8),
-    ]

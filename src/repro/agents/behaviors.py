@@ -37,6 +37,7 @@ __all__ = [
     "SleeperBehavior",
     "AlwaysInvertBehavior",
     "behavior_registry",
+    "standard_adversary_mix",
 ]
 
 
@@ -213,6 +214,20 @@ class AlwaysInvertBehavior:
 
     def should_forge(self, rng: np.random.Generator) -> bool:
         return False
+
+
+def standard_adversary_mix() -> list[CollectorBehavior]:
+    """The r = 8 collector mix used across experiments: 2 honest, 6 bad."""
+    return [
+        HonestBehavior(),
+        HonestBehavior(),
+        MisreportBehavior(0.4),
+        ConcealBehavior(0.4),
+        AlwaysInvertBehavior(),
+        AlwaysInvertBehavior(),
+        MisreportBehavior(0.8),
+        ConcealBehavior(0.8),
+    ]
 
 
 def behavior_registry() -> dict[str, type]:

@@ -35,10 +35,10 @@ from typing import Sequence
 
 from repro.agents.behaviors import (
     AlwaysInvertBehavior,
-    ConcealBehavior,
     HonestBehavior,
     MisreportBehavior,
     SleeperBehavior,
+    standard_adversary_mix,
 )
 from repro.analysis.metrics import SweepTable, summarize_run
 from repro.analysis.reporting import format_sweep, format_table
@@ -66,16 +66,7 @@ MIXES = {
     "hostile": lambda: [HonestBehavior()] * 2 + [AlwaysInvertBehavior()] * 6,
     "sleepers": lambda: [HonestBehavior()] * 2
     + [SleeperBehavior(150) for _ in range(6)],
-    "zoo": lambda: [
-        HonestBehavior(),
-        HonestBehavior(),
-        MisreportBehavior(0.4),
-        ConcealBehavior(0.4),
-        AlwaysInvertBehavior(),
-        AlwaysInvertBehavior(),
-        MisreportBehavior(0.8),
-        ConcealBehavior(0.8),
-    ],
+    "zoo": standard_adversary_mix,
 }
 
 

@@ -26,10 +26,10 @@ from typing import Callable, Mapping
 from repro.agents.behaviors import (
     AlwaysInvertBehavior,
     CollectorBehavior,
-    ConcealBehavior,
     ForgeBehavior,
     MisreportBehavior,
     SleeperBehavior,
+    standard_adversary_mix,
 )
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
@@ -85,15 +85,7 @@ def _no_adversaries(_topo: Topology) -> dict:
 
 
 def _standard_mix(topo: Topology) -> dict:
-    c = topo.collectors
-    return {
-        c[2]: MisreportBehavior(0.4),
-        c[3]: ConcealBehavior(0.4),
-        c[4]: AlwaysInvertBehavior(),
-        c[5]: AlwaysInvertBehavior(),
-        c[6]: MisreportBehavior(0.8),
-        c[7]: ConcealBehavior(0.8),
-    }
+    return dict(zip(topo.collectors, standard_adversary_mix()))
 
 
 def _hostile_majority(topo: Topology) -> dict:

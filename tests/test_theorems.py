@@ -11,9 +11,9 @@ import pytest
 
 from repro.agents.behaviors import (
     AlwaysInvertBehavior,
-    ConcealBehavior,
     HonestBehavior,
     MisreportBehavior,
+    standard_adversary_mix,
 )
 from repro.analysis.stats import empirical_tail, loglog_slope
 from repro.baselines.base import PolicySimulation, ReputationPolicy
@@ -21,19 +21,6 @@ from repro.core.game import ReputationGame
 from repro.core.params import ProtocolParams
 from repro.core.regret import hoeffding_tail, theorem4_bound
 from repro.exceptions import ConfigurationError
-
-
-def adversarial_mix():
-    return [
-        HonestBehavior(),
-        HonestBehavior(),
-        MisreportBehavior(0.4),
-        ConcealBehavior(0.4),
-        AlwaysInvertBehavior(),
-        AlwaysInvertBehavior(),
-        MisreportBehavior(0.8),
-        ConcealBehavior(0.8),
-    ]
 
 
 class TestTheorem1Scaling:
@@ -44,7 +31,7 @@ class TestTheorem1Scaling:
         regrets = []
         for horizon in horizons:
             per_seed = [
-                ReputationGame(adversarial_mix(), horizon=horizon, seed=s).run().regret
+                ReputationGame(standard_adversary_mix(), horizon=horizon, seed=s).run().regret
                 for s in range(5)
             ]
             regrets.append(float(np.mean(per_seed)))
@@ -53,7 +40,7 @@ class TestTheorem1Scaling:
 
     def test_every_run_within_theorem1_bound(self):
         for seed in range(8):
-            result = ReputationGame(adversarial_mix(), horizon=1000, seed=seed).run()
+            result = ReputationGame(standard_adversary_mix(), horizon=1000, seed=seed).run()
             assert result.expected_loss <= result.theorem1_rhs()
 
     def test_bound_requires_well_behaved_collector(self):
@@ -72,7 +59,7 @@ class TestLemma2:
     @pytest.mark.parametrize("f", [0.2, 0.5, 0.8])
     def test_unchecked_rate_below_f(self, f):
         params = ProtocolParams(f=f)
-        sim = PolicySimulation(adversarial_mix(), horizon=3000, p_valid=0.5, seed=4)
+        sim = PolicySimulation(standard_adversary_mix(), horizon=3000, p_valid=0.5, seed=4)
         stats = sim.run(
             ReputationPolicy(params=params, collector_ids=[f"c{i}" for i in range(8)])
         )
@@ -88,7 +75,7 @@ class TestTheorem3:
         counts = []
         for seed in range(40):
             sim = PolicySimulation(
-                adversarial_mix(), horizon=n, p_valid=0.5, seed=seed
+                standard_adversary_mix(), horizon=n, p_valid=0.5, seed=seed
             )
             stats = sim.run(
                 ReputationPolicy(
@@ -109,7 +96,7 @@ class TestTheorem4:
 
     def test_loss_within_theorem4_bound(self):
         f, n, delta, r = 0.5, 2000, 0.05, 8
-        game = ReputationGame(adversarial_mix(), horizon=n, seed=3)
+        game = ReputationGame(standard_adversary_mix(), horizon=n, seed=3)
         result = game.run()
         # The game reveals every transaction, the worst case for the
         # bound (all N effectively unchecked).
@@ -138,6 +125,6 @@ class TestGammaAblation:
     def test_invalid_gamma_override_still_runs(self):
         # The override is an experiment hook, deliberately unvalidated.
         result = ReputationGame(
-            adversarial_mix(), horizon=50, seed=1, beta=0.9, gamma_override=0.99
+            standard_adversary_mix(), horizon=50, seed=1, beta=0.9, gamma_override=0.99
         ).run()
         assert result.expected_loss >= 0
