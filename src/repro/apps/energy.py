@@ -28,9 +28,7 @@ import numpy as np
 
 from repro.agents.behaviors import CollectorBehavior, ConcealBehavior, MisreportBehavior
 from repro.core.params import ProtocolParams
-from repro.streaming.session import StreamingSession
-from repro.streaming.universe import VirtualUniverse
-from repro.streaming.workload import StreamingWorkload
+from repro.streaming.app import StreamingApp
 from repro.workloads.arrivals import DiurnalArrivals
 from repro.workloads.generator import TxSpec
 
@@ -72,74 +70,52 @@ class EnergyReport:
 
 
 @dataclass
-class EnergyMarket:
+class EnergyMarket(StreamingApp):
     """A streaming energy-trading deployment.
 
+    Prosumers, aggregators and settlers are the base's ``universe``,
+    ``n`` and ``m``; ``r`` is the aggregators per prosumer.
+
     Args:
-        universe: Registered (virtual) prosumer population.
-        n_aggregators / n_settlers: Collector / governor counts.
-        aggregators_per_prosumer: Link degree ``r``.
-        base_rate / day_period / amplitude: The diurnal arrival cycle.
+        base_rate / day_period / amplitude: The diurnal arrival cycle
+            (a prosumer idle for one ``day_period`` is retired).
         tamper_misreport / tamper_conceal: Aggregator indices in the
             tampering ring, by conduct.
-        seed: Master seed.
     """
 
-    universe: int = 10_000
-    n_aggregators: int = 8
-    n_settlers: int = 4
-    aggregators_per_prosumer: int = 4
+    params: ProtocolParams = field(default_factory=lambda: ProtocolParams(f=0.5, b_limit=64))
     base_rate: float = 20.0
     day_period: int = 12
     amplitude: float = 0.7
     tamper_misreport: tuple[int, ...] = (5, 6)
     tamper_conceal: tuple[int, ...] = (7,)
-    params: ProtocolParams = field(default_factory=lambda: ProtocolParams(f=0.5, b_limit=64))
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        self.virtual = VirtualUniverse(
-            universe=self.universe,
-            n=self.n_aggregators,
-            m=self.n_settlers,
-            r=self.aggregators_per_prosumer,
-        )
         self._exported = 0.0
         self._imported = 0.0
         self._committed = 0
         self._tampered = 0
-        self.workload = StreamingWorkload(
-            self.virtual,
-            arrivals=DiurnalArrivals(
+        self.retirement_rounds = self.day_period
+        super().__post_init__()
+
+    def offered_load(self) -> dict:
+        return {
+            "arrivals": DiurnalArrivals(
                 self.base_rate,
                 period=self.day_period,
                 amplitude=self.amplitude,
                 seed=self.seed,
             ),
-            validity="bernoulli",
-            selection="uniform",
-            seed=self.seed,
-            p_valid=0.85,
-            spec_hook=self._enrich,
-        )
-        self.session = StreamingSession(
-            self.virtual,
-            self.params,
-            workload=self.workload,
-            behaviors=self.adversary_mix(),
-            seed=self.seed,
-            retirement_rounds=self.day_period,
-        )
+            "validity": "bernoulli",
+            "p_valid": 0.85,
+        }
 
     def adversary_mix(self) -> Mapping[str, CollectorBehavior]:
         """The tampering aggregators' behaviours."""
-        collectors = self.virtual.collectors
-        mix: dict[str, CollectorBehavior] = {}
-        for i in self.tamper_misreport:
-            mix[collectors[i]] = MisreportBehavior(0.5)
-        for i in self.tamper_conceal:
-            mix[collectors[i]] = ConcealBehavior(0.4)
-        return mix
+        return {
+            **self._seat(self.tamper_misreport, lambda: MisreportBehavior(0.5)),
+            **self._seat(self.tamper_conceal, lambda: ConcealBehavior(0.4)),
+        }
 
     def _phase(self) -> float:
         """Daylight fraction for the round currently being generated."""
@@ -169,25 +145,19 @@ class EnergyMarket:
             is_valid=spec.is_valid,
         )
 
-    def run(self, rounds: int) -> None:
-        """Drive the streaming session for ``rounds`` rounds."""
-        for _ in range(rounds):
-            block = self.session.run_round(
-                self.workload.for_round(self.session.round_number + 1)
-            )
-            for rec in block.tx_list:
-                payload = rec.tx.body.payload
-                self._committed += 1
-                if not payload.get("genuine", True):
-                    self._tampered += 1
-                elif payload.get("direction") == "export":
-                    self._exported += payload.get("kwh", 0.0)
-                else:
-                    self._imported += payload.get("kwh", 0.0)
+    def _tally(self, rec) -> None:
+        payload = rec.tx.body.payload
+        self._committed += 1
+        if not payload.get("genuine", True):
+            self._tampered += 1
+        elif payload.get("direction") == "export":
+            self._exported += payload.get("kwh", 0.0)
+        else:
+            self._imported += payload.get("kwh", 0.0)
 
     def report(self) -> EnergyReport:
         """Domain metrics so far (finalises the session's audit)."""
-        self.session.finalize()
+        self.finalize()
         return EnergyReport(
             trades_committed=self._committed,
             exported_kwh=round(self._exported, 3),
@@ -197,8 +167,5 @@ class EnergyMarket:
             ),
             peak_active_prosumers=self.session.metrics.peak_active,
             retirements=self.session.metrics.retirements,
-            audit_clean=(
-                self.session.audit_report is None
-                or not self.session.audit_report.violations
-            ),
+            audit_clean=self.audit_clean,
         )

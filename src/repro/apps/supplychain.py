@@ -30,9 +30,7 @@ from repro.agents.behaviors import CollectorBehavior, ConcealBehavior, Misreport
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.network.topology import provider_id
-from repro.streaming.session import StreamingSession
-from repro.streaming.universe import VirtualUniverse
-from repro.streaming.workload import StreamingWorkload
+from repro.streaming.app import StreamingApp
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.generator import TxSpec
 
@@ -73,71 +71,47 @@ class ProvenanceReport:
 
 
 @dataclass
-class SupplyChainProvenance:
+class SupplyChainProvenance(StreamingApp):
     """A streaming supply-chain deployment.
 
+    Suppliers, bureaus and auditors are the base's ``universe``, ``n``
+    and ``m``; ``r`` is the bureaus per supplier.
+
     Args:
-        universe: Registered (virtual) supplier population.
-        n_bureaus / n_auditors: Collector / governor counts.
-        bureaus_per_supplier: Link degree ``r``.
         arrival_rate: Poisson lots offered per round.
         max_hops: Longest custody chain (2..max_hops custodians).
         ring_misreport / ring_conceal: Bureau indices in the laundering
             ring, by conduct.
-        seed: Master seed.
     """
 
-    universe: int = 10_000
-    n_bureaus: int = 8
-    n_auditors: int = 4
-    bureaus_per_supplier: int = 4
+    params: ProtocolParams = field(default_factory=lambda: ProtocolParams(f=0.5, b_limit=64))
     arrival_rate: float = 24.0
     max_hops: int = 4
     ring_misreport: tuple[int, ...] = (2, 3)
     ring_conceal: tuple[int, ...] = (4,)
-    params: ProtocolParams = field(default_factory=lambda: ProtocolParams(f=0.5, b_limit=64))
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_hops < 2:
             raise ConfigurationError(f"max_hops must be >= 2, got {self.max_hops}")
-        self.virtual = VirtualUniverse(
-            universe=self.universe,
-            n=self.n_bureaus,
-            m=self.n_auditors,
-            r=self.bureaus_per_supplier,
-        )
         self._hops_sum = 0
         self._committed = 0
         self._counterfeit = 0
-        self.workload = StreamingWorkload(
-            self.virtual,
-            arrivals=PoissonArrivals(self.arrival_rate, seed=self.seed),
-            validity="per_provider",
-            selection="uniform",
-            seed=self.seed,
-            alpha=9.0,
-            beta=1.5,
-            spec_hook=self._enrich,
-        )
-        self.session = StreamingSession(
-            self.virtual,
-            self.params,
-            workload=self.workload,
-            behaviors=self.adversary_mix(),
-            seed=self.seed,
-            retirement_rounds=6,
-        )
+        super().__post_init__()
+
+    def offered_load(self) -> dict:
+        return {
+            "arrivals": PoissonArrivals(self.arrival_rate, seed=self.seed),
+            "validity": "per_provider",
+            "alpha": 9.0,
+            "beta": 1.5,
+        }
 
     def adversary_mix(self) -> Mapping[str, CollectorBehavior]:
         """The counterfeit-laundering ring's bureau behaviours."""
-        collectors = self.virtual.collectors
-        mix: dict[str, CollectorBehavior] = {}
-        for i in self.ring_misreport:
-            mix[collectors[i]] = MisreportBehavior(0.6)
-        for i in self.ring_conceal:
-            mix[collectors[i]] = ConcealBehavior(0.5)
-        return mix
+        return {
+            **self._seat(self.ring_misreport, lambda: MisreportBehavior(0.6)),
+            **self._seat(self.ring_conceal, lambda: ConcealBehavior(0.5)),
+        }
 
     def _enrich(
         self, spec: TxSpec, index: int, rng: np.random.Generator
@@ -163,20 +137,14 @@ class SupplyChainProvenance:
             counterparty=consignee,
         )
 
-    def run(self, rounds: int) -> None:
-        """Drive the streaming session for ``rounds`` rounds."""
-        for _ in range(rounds):
-            block = self.session.run_round(
-                self.workload.for_round(self.session.round_number + 1)
-            )
-            for rec in block.tx_list:
-                self._committed += 1
-                if not rec.tx.body.payload.get("certified", True):
-                    self._counterfeit += 1
+    def _tally(self, rec) -> None:
+        self._committed += 1
+        if not rec.tx.body.payload.get("certified", True):
+            self._counterfeit += 1
 
     def report(self) -> ProvenanceReport:
         """Domain metrics so far (finalises the session's audit)."""
-        self.session.finalize()
+        self.finalize()
         offered = self.workload.emitted
         return ProvenanceReport(
             shipments_committed=self._committed,
@@ -186,8 +154,5 @@ class SupplyChainProvenance:
             mean_chain_hops=(self._hops_sum / offered if offered else 0.0),
             distinct_suppliers=self.session.metrics.instantiations,
             peak_active_suppliers=self.session.metrics.peak_active,
-            audit_clean=(
-                self.session.audit_report is None
-                or not self.session.audit_report.violations
-            ),
+            audit_clean=self.audit_clean,
         )

@@ -24,17 +24,14 @@ misreport to wave their own bots through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from repro.agents.behaviors import CollectorBehavior, MisreportBehavior
 from repro.byzantine.strategies import CartelPlan, ColludingCollectorBehavior
-from repro.core.params import ProtocolParams
-from repro.streaming.session import StreamingSession
-from repro.streaming.universe import VirtualUniverse
-from repro.streaming.workload import StreamingWorkload
+from repro.streaming.app import StreamingApp
 from repro.workloads.arrivals import BurstyArrivals
 from repro.workloads.generator import TxSpec
 
@@ -75,23 +72,19 @@ class TicketingReport:
 
 
 @dataclass
-class FlashSaleTicketing:
+class FlashSaleTicketing(StreamingApp):
     """A streaming flash-sale deployment.
 
+    Buyers, gateways and clearers are the base's ``universe``, ``n``
+    and ``m``; ``r`` is the gateways per buyer.
+
     Args:
-        universe: Registered (virtual) buyer population.
-        n_gateways / n_clearers: Collector / governor counts.
-        gateways_per_buyer: Link degree ``r``.
         trickle_rate / spike_rate: Background and on-sale arrival rates.
         victim: Buyer index the scalper cartel acts against.
         cartel / scalper_bots: Gateway indices by conduct.
-        seed: Master seed.
     """
 
     universe: int = 100_000
-    n_gateways: int = 8
-    n_clearers: int = 4
-    gateways_per_buyer: int = 4
     trickle_rate: float = 6.0
     spike_rate: float = 120.0
     p_spike: float = 0.15
@@ -99,58 +92,36 @@ class FlashSaleTicketing:
     victim: int = 0
     cartel: tuple[int, ...] = (2, 3, 4)
     scalper_bots: tuple[int, ...] = (6, 7)
-    params: ProtocolParams = field(default_factory=lambda: ProtocolParams(f=0.5, b_limit=48))
-    seed: int = 0
+
+    retirement_rounds = 4  # flash buyers churn fast
 
     def __post_init__(self) -> None:
-        self.virtual = VirtualUniverse(
-            universe=self.universe,
-            n=self.n_gateways,
-            m=self.n_clearers,
-            r=self.gateways_per_buyer,
-        )
         self.victim_id = f"p{self.victim}"
         self.plan = CartelPlan(target_provider=self.victim_id, mode="conceal")
-        self._cartel_members: list[ColludingCollectorBehavior] = []
         self._committed = 0
         self._tickets = 0
         self._bots = 0
         self._victim_on_chain = 0
-        self.workload = StreamingWorkload(
-            self.virtual,
-            arrivals=BurstyArrivals(
+        super().__post_init__()
+
+    def offered_load(self) -> dict:
+        return {
+            "arrivals": BurstyArrivals(
                 self.trickle_rate,
                 self.spike_rate,
                 p_burst=self.p_spike,
                 p_end=self.p_spike_end,
                 seed=self.seed,
             ),
-            validity="bernoulli",
-            selection="uniform",
-            seed=self.seed,
-            p_valid=0.75,
-            spec_hook=self._enrich,
-        )
-        self.session = StreamingSession(
-            self.virtual,
-            self.params,
-            workload=self.workload,
-            behaviors=self.adversary_mix(),
-            seed=self.seed,
-            retirement_rounds=4,  # flash buyers churn fast
-        )
+            "validity": "bernoulli",
+            "p_valid": 0.75,
+        }
 
     def adversary_mix(self) -> Mapping[str, CollectorBehavior]:
         """Scalper cartel (one shared plan) plus misreporting bot lanes."""
-        collectors = self.virtual.collectors
-        mix: dict[str, CollectorBehavior] = {}
-        for i in self.cartel:
-            member = ColludingCollectorBehavior(self.plan)
-            self._cartel_members.append(member)
-            mix[collectors[i]] = member
-        for i in self.scalper_bots:
-            mix[collectors[i]] = MisreportBehavior(0.6)
-        return mix
+        cartel = self._seat(self.cartel, lambda: ColludingCollectorBehavior(self.plan))
+        self._cartel_members = list(cartel.values())
+        return {**cartel, **self._seat(self.scalper_bots, lambda: MisreportBehavior(0.6))}
 
     def _enrich(
         self, spec: TxSpec, index: int, rng: np.random.Generator
@@ -176,25 +147,19 @@ class FlashSaleTicketing:
             is_valid=spec.is_valid,
         )
 
-    def run(self, rounds: int) -> None:
-        """Drive the streaming session for ``rounds`` rounds."""
-        for _ in range(rounds):
-            block = self.session.run_round(
-                self.workload.for_round(self.session.round_number + 1)
-            )
-            for rec in block.tx_list:
-                payload = rec.tx.body.payload
-                self._committed += 1
-                if payload.get("buyer") == self.victim_id:
-                    self._victim_on_chain += 1
-                if payload.get("human", True):
-                    self._tickets += payload.get("quantity", 0)
-                else:
-                    self._bots += 1
+    def _tally(self, rec) -> None:
+        payload = rec.tx.body.payload
+        self._committed += 1
+        if payload.get("buyer") == self.victim_id:
+            self._victim_on_chain += 1
+        if payload.get("human", True):
+            self._tickets += payload.get("quantity", 0)
+        else:
+            self._bots += 1
 
     def report(self) -> TicketingReport:
         """Domain metrics so far (finalises the session's audit)."""
-        self.session.finalize()
+        self.finalize()
         return TicketingReport(
             orders_committed=self._committed,
             tickets_sold=self._tickets,
@@ -203,8 +168,5 @@ class FlashSaleTicketing:
             peak_active_buyers=self.session.metrics.peak_active,
             victim_orders_on_chain=self._victim_on_chain,
             cartel_suppressions=sum(m.suppressed for m in self._cartel_members),
-            audit_clean=(
-                self.session.audit_report is None
-                or not self.session.audit_report.violations
-            ),
+            audit_clean=self.audit_clean,
         )

@@ -7,6 +7,7 @@ the sparse reputation layer (:class:`~repro.core.reputation.SparseWeightMap`)
 keeps governor state proportional to the rows actually touched.
 """
 
+from repro.streaming.app import StreamingApp
 from repro.streaming.session import StreamingSession, StreamMetrics, stream_metrics
 from repro.streaming.universe import CollectorMembers, VirtualUniverse
 from repro.streaming.workload import StreamingWorkload, derived_rates, provider_rate
@@ -14,6 +15,7 @@ from repro.streaming.workload import StreamingWorkload, derived_rates, provider_
 __all__ = [
     "CollectorMembers",
     "StreamMetrics",
+    "StreamingApp",
     "StreamingSession",
     "StreamingWorkload",
     "VirtualUniverse",

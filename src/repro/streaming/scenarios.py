@@ -14,13 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
-from repro.streaming.session import StreamingSession
-from repro.streaming.universe import VirtualUniverse
-from repro.streaming.workload import StreamingWorkload
-from repro.workloads.arrivals import PoissonArrivals
+from repro.streaming.app import StreamingApp
 
 __all__ = [
     "StreamScenario",
@@ -30,52 +26,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class _SyntheticRunner:
-    """Plain streaming run (no domain payloads) for smoke and benches."""
-
-    session: StreamingSession
-    workload: StreamingWorkload
-
-    def run(self, rounds: int) -> None:
-        self.session.run(rounds)
-
-    def report(self) -> dict:
-        self.session.finalize()
-        m = self.session.metrics
-        return {
-            "rounds": m.rounds,
-            "transactions": m.transactions,
-            "instantiations": m.instantiations,
-            "retirements": m.retirements,
-            "peak_active": m.peak_active,
-            "peak_backlog": m.peak_backlog,
-            "audit_clean": (
-                self.session.audit_report is None
-                or not self.session.audit_report.violations
-            ),
-        }
-
-
-def _build_synthetic(universe: int, seed: int, obs) -> _SyntheticRunner:
-    virtual = VirtualUniverse(universe=universe, n=8, m=4, r=4)
-    workload = StreamingWorkload(
-        virtual,
-        arrivals=PoissonArrivals(20.0, seed=seed),
-        validity="bernoulli",
-        selection="uniform",
-        seed=seed,
-        p_valid=0.8,
-    )
-    session = StreamingSession(
-        virtual,
-        ProtocolParams(f=0.5, b_limit=48),
-        workload=workload,
-        seed=seed,
-        retirement_rounds=6,
-        obs=obs,
-    )
-    return _SyntheticRunner(session=session, workload=workload)
+def _build_synthetic(universe: int, seed: int, obs) -> StreamingApp:
+    return StreamingApp(universe=universe, seed=seed, obs=obs)
 
 
 def _build_supplychain(universe: int, seed: int, obs):
