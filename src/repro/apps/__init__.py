@@ -2,8 +2,10 @@
 
 Car-sharing and insurance are the paper's own use cases (materialized
 populations on :class:`~repro.core.protocol.ProtocolEngine`); supply
-chain, energy and ticketing are streaming-population domains on
-:class:`~repro.streaming.session.StreamingSession`.
+chain, energy and ticketing are streaming-population domains, each a
+:class:`~repro.streaming.app.StreamingApp` subclass.  A ``stream``
+:class:`~repro.workloads.scenarios.Scenario` names the class here that
+runs it (``app=``), the synthetic ``StreamingApp`` included.
 """
 
 from repro.apps.carsharing import (
@@ -26,6 +28,7 @@ from repro.apps.supplychain import (
     SupplyChainProvenance,
 )
 from repro.apps.ticketing import FlashSaleTicketing, TicketingReport, TicketOrder
+from repro.streaming.app import StreamingApp
 
 __all__ = [
     "Application",
@@ -42,6 +45,7 @@ __all__ = [
     "ProvenanceReport",
     "RideRequest",
     "ShipmentRecord",
+    "StreamingApp",
     "SupplyChainProvenance",
     "TicketOrder",
     "TicketingReport",

@@ -2,18 +2,17 @@
 
 Subcommands:
 
-* ``run`` — execute the full three-tier protocol and print the
-  per-governor summary plus the five property checks;
+* ``run [PRESET]`` — build a named preset from the one scenario registry
+  (:mod:`repro.workloads.scenarios`; default ``paper-default``), drive it
+  for its rounds on whichever host it names — in-process, networked
+  (on an fsynced segment log with ``--dir``; the kill-restart chaos
+  harness drives that as a subprocess and SIGKILLs it mid-round),
+  sharded (``--workers`` for a process pool) or streaming — and print
+  that host's report.  The shape flags override the preset's fields;
 * ``regret`` — play the Theorem-1 reputation game against a named
   adversary mix and print loss / S_min / bound rows;
 * ``sweep-f`` — the E5 efficiency table over an f grid;
 * ``baselines`` — the E8 policy comparison on one adversary mix;
-* ``scenario`` — run a named preset from the scenario registry;
-* ``shard`` — run an S-shard deployment (named preset or explicit
-  shape) and print per-shard + aggregate statistics;
-* ``durable`` — run a durable-ledger preset committing every block to
-  an on-disk segment log (the kill-restart chaos harness drives this
-  as a subprocess and SIGKILLs it mid-round);
 * ``recover`` — replay and verify a durable ledger directory, printing
   the recovery report without starting an engine;
 * ``serve`` — run a custodian peer for the real-socket transport: it
@@ -24,6 +23,7 @@ Subcommands:
 Example::
 
     python -m repro run --rounds 20 --batch 32 --f 0.6 --misreporters 2
+    python -m repro run durable-smoke --dir /tmp/ledger
     python -m repro regret --horizon 2000 --mix zoo
 """
 
@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from dataclasses import asdict, is_dataclass, replace
 from typing import Sequence
 
 from repro.agents.behaviors import (
@@ -53,9 +55,11 @@ from repro.baselines import (
 from repro.core.game import ReputationGame
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
+from repro.exceptions import ReproError
 from repro.ledger.properties import check_all_properties
 from repro.network.topology import Topology
 from repro.workloads.generator import BernoulliWorkload
+from repro.workloads.scenarios import SCENARIOS, build, reject_unread, scenario_names
 
 __all__ = ["main", "build_parser"]
 
@@ -78,18 +82,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the full protocol")
-    run.add_argument("--providers", type=int, default=16)
-    run.add_argument("--collectors", type=int, default=8)
-    run.add_argument("--governors", type=int, default=4)
-    run.add_argument("--r", type=int, default=4, help="collectors per provider")
-    run.add_argument("--rounds", type=int, default=20)
-    run.add_argument("--batch", type=int, default=32, help="transactions per round")
-    run.add_argument("--f", type=float, default=0.5)
-    run.add_argument("--p-valid", type=float, default=0.8)
-    run.add_argument("--misreporters", type=int, default=0,
-                     help="collectors flipped to MisreportBehavior(0.5)")
+    run = sub.add_parser("run", help="run a named scenario preset on its host")
+    run.add_argument("preset", nargs="?", choices=scenario_names(),
+                     default="paper-default")
     run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--rounds", type=int, help="override the preset's round count")
+    # Shape overrides: each replaces one field of the preset.
+    run.add_argument("--providers", type=int, dest="l",
+                     help="providers (the registered universe on a stream preset)")
+    run.add_argument("--collectors", type=int, dest="n")
+    run.add_argument("--governors", type=int, dest="m")
+    run.add_argument("--r", type=int, help="collectors per provider")
+    run.add_argument("--batch", type=int, help="transactions offered per round")
+    run.add_argument("--f", type=float)
+    run.add_argument("--misreporters", type=int,
+                     help="the first k collectors run MisreportBehavior(0.5) "
+                          "in place of the preset's mix")
+    run.add_argument("--round-delay", type=float,
+                     help="wall-clock sleep after each round (lets a chaos "
+                          "harness land a SIGKILL mid-run)")
+    # Read by one host each; an error on a preset of any other.
+    run.add_argument("--dir", help="net presets: ledger directory (segments + "
+                                   "checkpoints; default: in memory)")
+    run.add_argument("--workers", type=int,
+                     help="shard presets: run the shard engines in this many "
+                          "worker processes (default: serial in-process; "
+                          "ledgers are bit-identical either way)")
 
     regret = sub.add_parser("regret", help="play the Theorem-1 game")
     regret.add_argument("--horizon", type=int, default=1000)
@@ -109,61 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     baselines.add_argument("--f", type=float, default=0.7)
     baselines.add_argument("--seed", type=int, default=0)
 
-    from repro.workloads.scenarios import scenario_names
-
-    scenario = sub.add_parser("scenario", help="run a named scenario preset")
-    scenario.add_argument("name", choices=scenario_names())
-    scenario.add_argument("--seed", type=int, default=0)
-    scenario.add_argument("--rounds", type=int, default=None,
-                          help="override the preset's round count")
-
-    from repro.workloads.scenarios import shard_scenario_names
-
-    shard = sub.add_parser("shard", help="run an S-shard deployment")
-    shard.add_argument("--preset", choices=shard_scenario_names(),
-                       default="sharded-smoke",
-                       help="named sharded scenario to run")
-    shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument("--rounds", type=int, default=None,
-                       help="override the preset's super-round count")
-    shard.add_argument("--workers", type=int, default=None,
-                       help="run shard engines in this many worker "
-                            "processes (default: serial in-process; "
-                            "ledgers are bit-identical either way)")
-
-    from repro.workloads.scenarios import durable_scenario_names
-
-    durable = sub.add_parser(
-        "durable", help="run a durable-ledger preset against a storage dir"
-    )
-    durable.add_argument("--preset", choices=durable_scenario_names(),
-                         default="durable-smoke")
-    durable.add_argument("--dir", required=True,
-                         help="ledger directory (segments + checkpoints)")
-    durable.add_argument("--seed", type=int, default=0)
-    durable.add_argument("--rounds", type=int, default=None,
-                         help="override the preset's round count")
-    durable.add_argument("--round-delay", type=float, default=0.0,
-                         help="wall-clock sleep after each round (lets a "
-                              "chaos harness land a SIGKILL mid-run)")
-
     recover = sub.add_parser(
         "recover", help="verify a durable ledger directory and print the report"
     )
     recover.add_argument("--dir", required=True)
-
-    from repro.streaming.scenarios import stream_scenario_names
-
-    stream = sub.add_parser(
-        "stream", help="run a streaming-population preset (virtual providers)"
-    )
-    stream.add_argument("--preset", choices=stream_scenario_names(),
-                        default="stream-smoke")
-    stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument("--rounds", type=int, default=None,
-                        help="override the preset's round count")
-    stream.add_argument("--universe", type=int, default=None,
-                        help="override the registered (virtual) population")
 
     serve = sub.add_parser(
         "serve",
@@ -178,19 +145,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    topo = Topology.regular(
-        l=args.providers, n=args.collectors, m=args.governors, r=args.r
-    )
-    behaviors = {
-        topo.collectors[i]: MisreportBehavior(0.5)
-        for i in range(min(args.misreporters, topo.n))
+    scenario = SCENARIOS[args.preset]
+    reject_unread(scenario, misreporters=args.misreporters)
+    overrides = {
+        name: getattr(args, name)
+        for name in ("l", "n", "m", "r", "batch", "rounds")
+        if getattr(args, name) is not None
     }
-    engine = ProtocolEngine(
-        topo, ProtocolParams(f=args.f), behaviors=behaviors, seed=args.seed
+    if args.f is not None:
+        overrides["params"] = replace(scenario.params, f=args.f)
+    if args.misreporters is not None:
+        overrides["behavior_factory"] = lambda topo: {
+            c: MisreportBehavior(0.5) for c in topo.collectors[: args.misreporters]
+        }
+    deployment, workload, scenario = build(
+        replace(scenario, **overrides),
+        args.seed, storage_dir=args.dir, workers=args.workers,
     )
-    workload = BernoulliWorkload(topo.providers, p_valid=args.p_valid, seed=args.seed + 1)
-    for _ in range(args.rounds):
-        engine.run_round(workload.take(args.batch))
+    try:
+        print(f"scenario: {scenario.name} [{scenario.host}] — {scenario.description}")
+        print(f"shape: l={scenario.l} n={scenario.n} m={scenario.m} r={scenario.r}; "
+              f"f={scenario.params.f}, {scenario.rounds} rounds, batch {scenario.batch}")
+        store = getattr(deployment, "store", None)
+        for _ in range(scenario.rounds):
+            deployment.run_round(workload.take(scenario.batch))
+            if store is not None:
+                # The flushed marker is the chaos harness's kill cue: on a
+                # durable store, "round k" on stdout means block k was fsynced.
+                print(f"round {store.height} tip={store.tip_hash().hex()}", flush=True)
+            if args.round_delay:
+                time.sleep(args.round_delay)
+        return 0 if _REPORTS[scenario.host](deployment, scenario) else 1
+    finally:
+        if scenario.host == "shard":
+            deployment.close()  # reaps the worker pool, also after a failed round
+
+
+def _report_inproc(engine, scenario) -> bool:
     engine.run_round([])  # flush argued re-evaluations into a final block
     engine.finalize()
     summary = summarize_run(engine)
@@ -207,7 +198,62 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"properties hold: {report.all_hold}")
     for violation in report.violations:
         print(f"  !! {violation}")
-    return 0 if report.all_hold else 1
+    return report.all_hold
+
+
+def _report_net(engine, scenario) -> bool:
+    engine.finalize()
+    if engine.recovery_report is not None:
+        print(f"recovery at open: {engine.recovery_report.summary()}")
+    print(f"final height {engine.store.height} "
+          f"tip={engine.store.tip_hash().hex()}")
+    clean = engine.harness_auditor.report.clean
+    print(f"auditor clean: {clean}")
+    return clean
+
+
+def _report_shard(coordinator, scenario) -> bool:
+    report = coordinator.finalize()
+    # Backend-neutral reporting: chain_stats works whether the engines
+    # are in-process or in worker processes.
+    stats = coordinator.chain_stats()
+    print(f"{scenario.shards} shards, p_cross={scenario.p_cross} "
+          f"[{coordinator.backend.kind} backend]")
+    print(format_table(
+        ["shard", "height", "committed", "cross-out", "cross-in", "rep mass"],
+        [(s.shard, s.height, s.origin, s.cross_out, s.receipts_in,
+          f"{s.reputation_mass:.3f}") for s in stats],
+    ))
+    migrations = sum(len(moves) for _, _, moves in coordinator.reshuffle_log)
+    print(f"\naggregate committed: {coordinator.committed_total} tx, "
+          f"throughput {coordinator.throughput():.2f} tx/sim-s")
+    print(f"reshuffles: {len(coordinator.reshuffle_log)} "
+          f"({migrations} collector migrations)")
+    print(f"cross-shard atomicity clean: {report.clean}")
+    all_hold = all(s.properties_hold for s in stats)
+    print(f"properties hold on all shards: {all_hold}")
+    for violation in report.violations:
+        print(f"  !! {violation}")
+    return report.clean and all_hold
+
+
+def _report_stream(app, scenario) -> bool:
+    report = app.report()
+    items = asdict(report) if is_dataclass(report) else report
+    width = max(len(k) for k in items)
+    for key, value in items.items():
+        print(f"  {key:<{width}}  {value}")
+    print(f"touched reputation rows: {app.session.touched_rows()} "
+          f"(universe x collectors = {app.universe * app.n})")
+    return app.audit_clean
+
+
+_REPORTS = {
+    "inproc": _report_inproc,
+    "net": _report_net,
+    "shard": _report_shard,
+    "stream": _report_stream,
+}
 
 
 def _cmd_regret(args: argparse.Namespace) -> int:
@@ -279,103 +325,6 @@ def _cmd_baselines(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.workloads.scenarios import build_engine
-
-    engine, workload, scenario = build_engine(args.name, seed=args.seed)
-    rounds = args.rounds if args.rounds is not None else scenario.rounds
-    print(f"scenario: {scenario.name} — {scenario.description}")
-    print(f"topology: l={scenario.l} n={scenario.n} m={scenario.m} r={scenario.r}; "
-          f"f={scenario.params.f}, {rounds} rounds x {scenario.batch} tx")
-    for _ in range(rounds):
-        engine.run_round(workload.take(scenario.batch))
-    engine.run_round([])  # flush argued re-evaluations into a final block
-    engine.finalize()
-    summary = summarize_run(engine)
-    rows = [
-        (g.governor, g.screened, g.validations, g.unchecked, g.mistakes)
-        for g in summary.governors
-    ]
-    print(format_table(
-        ["governor", "screened", "validated", "unchecked", "mistakes"], rows
-    ))
-    report = check_all_properties(engine.ledgers(), engine.transcript)
-    print(f"properties hold: {report.all_hold}")
-    return 0 if report.all_hold else 1
-
-
-def _cmd_shard(args: argparse.Namespace) -> int:
-    from repro.workloads.scenarios import build_shard_deployment
-
-    coordinator, workload, scenario = build_shard_deployment(
-        args.preset, seed=args.seed, workers=args.workers
-    )
-    rounds = args.rounds if args.rounds is not None else scenario.rounds
-    print(f"shard scenario: {scenario.name} — {scenario.description}")
-    print(f"topology: l={scenario.l} n={scenario.n} m={scenario.m} r={scenario.r} "
-          f"across {scenario.shards} shards; p_cross={scenario.p_cross}, "
-          f"{rounds} super-rounds x {scenario.batch} tx "
-          f"[{coordinator.backend.kind} backend]")
-    for _ in range(rounds):
-        coordinator.submit(workload.take(scenario.batch))
-        coordinator.run_super_round()
-    report = coordinator.finalize()
-
-    # Backend-neutral reporting: chain_stats works whether the engines
-    # are in-process or in worker processes.
-    rows = []
-    all_hold = True
-    for stats in coordinator.chain_stats():
-        rows.append((stats.shard, stats.height, stats.origin, stats.cross_out,
-                     stats.receipts_in, f"{stats.reputation_mass:.3f}"))
-        all_hold = all_hold and stats.properties_hold
-    coordinator.close()
-    print(format_table(
-        ["shard", "height", "committed", "cross-out", "cross-in", "rep mass"],
-        rows,
-    ))
-    migrations = sum(len(moves) for _, _, moves in coordinator.reshuffle_log)
-    print(f"\naggregate committed: {coordinator.committed_total} tx, "
-          f"throughput {coordinator.throughput():.2f} tx/sim-s")
-    print(f"reshuffles: {len(coordinator.reshuffle_log)} "
-          f"({migrations} collector migrations)")
-    print(f"cross-shard atomicity clean: {report.clean}")
-    print(f"properties hold on all shards: {all_hold}")
-    for violation in report.violations:
-        print(f"  !! {violation}")
-    return 0 if report.clean and all_hold else 1
-
-
-def _cmd_durable(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.workloads.scenarios import build_durable_engine
-
-    engine, workload, scenario = build_durable_engine(
-        args.preset, seed=args.seed, storage_dir=args.dir
-    )
-    rounds = args.rounds if args.rounds is not None else scenario.rounds
-    report = engine.recovery_report
-    print(f"durable scenario: {scenario.name} — {scenario.description}")
-    print(f"storage: {args.dir} (checkpoint every "
-          f"{scenario.checkpoint_interval} blocks)")
-    print(f"recovery: {report.summary()}", flush=True)
-    for _ in range(rounds):
-        engine.run_round(workload.take(scenario.batch))
-        # The flushed marker is the chaos harness's kill cue: seeing
-        # "round k" on stdout guarantees block k was fsynced.
-        print(f"round {engine.store.height} tip={engine.store.tip_hash().hex()}",
-              flush=True)
-        if args.round_delay > 0:
-            _time.sleep(args.round_delay)
-    engine.finalize()
-    clean = engine.harness_auditor.report.clean
-    print(f"final height {engine.store.height} "
-          f"tip={engine.store.tip_hash().hex()}")
-    print(f"auditor clean: {clean}")
-    return 0 if clean else 1
-
-
 def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.storage import recover
 
@@ -391,33 +340,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     for bad in report.corruptions:
         print(f"  !! {bad.kind} in {bad.target} @ {bad.offset}: {bad.detail}")
     return 0 if report.clean else 1
-
-
-def _cmd_stream(args: argparse.Namespace) -> int:
-    from dataclasses import asdict, is_dataclass
-
-    from repro.obs.registry import MetricsRegistry
-    from repro.streaming.scenarios import build_streaming_session
-
-    obs = MetricsRegistry()
-    runner, scenario = build_streaming_session(
-        args.preset, seed=args.seed, universe=args.universe, obs=obs
-    )
-    rounds = args.rounds if args.rounds is not None else scenario.rounds
-    size = args.universe if args.universe is not None else scenario.universe
-    print(f"stream scenario: {scenario.name} — {scenario.description}")
-    print(f"universe: {size} virtual providers, {rounds} rounds")
-    runner.run(rounds)
-    report = runner.report()
-    items = asdict(report) if is_dataclass(report) else dict(report)
-    width = max(len(k) for k in items)
-    for key, value in items.items():
-        print(f"  {key:<{width}}  {value}")
-    session = runner.session
-    print(f"touched reputation rows: {session.touched_rows()} "
-          f"(universe x collectors = {size * len(session.collectors)})")
-    clean = bool(items.get("audit_clean", True))
-    return 0 if clean else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -445,19 +367,19 @@ _COMMANDS = {
     "regret": _cmd_regret,
     "sweep-f": _cmd_sweep_f,
     "baselines": _cmd_baselines,
-    "scenario": _cmd_scenario,
-    "shard": _cmd_shard,
-    "durable": _cmd_durable,
     "recover": _cmd_recover,
-    "stream": _cmd_stream,
     "serve": _cmd_serve,
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code (2 for a rejected configuration)."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -405,6 +405,16 @@ class ShardedTopology:
         """How many shards the deployment is split into."""
         return len(self.shards)
 
+    @property
+    def providers(self) -> tuple[str, ...]:
+        """Every provider, shard by shard (what a deployment-wide workload draws from)."""
+        return tuple(p for topo in self.shards for p in topo.providers)
+
+    @property
+    def collectors(self) -> tuple[str, ...]:
+        """Every collector, shard by shard (what a behaviour map is keyed by)."""
+        return tuple(c for topo in self.shards for c in topo.collectors)
+
     def shard_of(self, node_id: str) -> int:
         """The home shard index of any node id."""
         for mapping in (self.provider_shard, self.collector_shard, self.governor_shard):

@@ -283,6 +283,11 @@ class ShardCoordinator:
 
     # -- super-round execution --------------------------------------------
 
+    def run_round(self, specs: Sequence[TxSpec]) -> SuperRoundResult:
+        """:meth:`submit` then :meth:`run_super_round`: the engines' drive call."""
+        self.submit(specs)
+        return self.run_super_round()
+
     def run_super_round(self) -> SuperRoundResult:
         """Run one protocol round on every shard, overlapped in sim time."""
         self._round += 1

@@ -12,7 +12,7 @@ from repro.workloads.replay import (
     dump_specs,
     load_specs,
 )
-from repro.workloads.scenarios import SCENARIOS, Scenario, build_engine, scenario_names
+from repro.workloads.scenarios import SCENARIOS, Scenario, build, scenario_names
 from repro.workloads.generator import (
     BernoulliWorkload,
     BurstyWorkload,
@@ -35,7 +35,7 @@ __all__ = [
     "Scenario",
     "TxSpec",
     "WorkloadGenerator",
-    "build_engine",
+    "build",
     "dump_specs",
     "load_specs",
     "scenario_names",

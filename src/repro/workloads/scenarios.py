@@ -1,21 +1,27 @@
-"""Named end-to-end scenarios: reproducible experiment presets.
+"""Named end-to-end scenarios: one preset type, one registry, one builder.
 
-A scenario bundles everything a full-protocol run needs — topology
-shape, parameters, collector behaviours, workload, stake split, rounds —
-under a name, so benches, the CLI, and downstream users launch identical
-configurations.  :func:`build_engine` materialises a scenario into a
-ready :class:`~repro.core.protocol.ProtocolEngine` plus its workload.
+The paper defines one deployment — ``l`` providers, ``n`` collectors,
+``m`` governors, link degree ``r``, the tunables of
+:class:`~repro.core.params.ProtocolParams` — and a :class:`Scenario`
+names one instance of it plus the collector behaviours, the workload,
+the round count and the *host* that executes the round:
 
-The registry covers the configurations the experiments use:
+* ``inproc`` — :class:`~repro.core.protocol.ProtocolEngine`;
+* ``net`` — :class:`~repro.core.netengine.NetworkedProtocolEngine`, on an
+  fsynced segment log when built with a ``storage_dir``, otherwise the
+  in-memory control a durable run must match bit for bit (tip hash);
+* ``shard`` — :class:`~repro.sharding.ShardCoordinator`; the node counts
+  are deployment-wide totals, split evenly across ``shards``;
+* ``stream`` — a :class:`~repro.streaming.app.StreamingApp`; ``l`` is the
+  registered (virtual) universe, and the app brings its own behaviours
+  and draws its own arrivals (``batch`` specs are offered on top).
 
-* ``smoke`` — tiny and fast, for CI sanity;
-* ``paper-default`` — the Figure-1 shape (r = 8 collectors per provider
-  slice) with the standard 2-honest/6-adversarial mix;
-* ``hostile-majority`` — most collectors invert labels;
-* ``sleeper-attack`` — reputation farming then defection;
-* ``forgery-storm`` — aggressive fabrication attempts;
-* ``carsharing-rush`` / ``insurance-fraud`` — the Section-5 domains'
-  protocol-level equivalents (diurnal load / directional whitewashing).
+:func:`build` materialises a preset into ``(deployment, workload,
+scenario)``, and every deployment is driven the same way::
+
+    for _ in range(scenario.rounds):
+        deployment.run_round(workload.take(scenario.batch))
+    deployment.finalize()
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from repro.agents.behaviors import (
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.exceptions import ConfigurationError
-from repro.network.topology import Topology
+from repro.network.topology import ShardedTopology, Topology
 from repro.workloads.generator import (
     BernoulliWorkload,
     BurstyWorkload,
@@ -42,25 +48,28 @@ from repro.workloads.generator import (
     WorkloadGenerator,
 )
 
-__all__ = [
-    "Scenario",
-    "SCENARIOS",
-    "DurableScenario",
-    "DURABLE_SCENARIOS",
-    "ShardScenario",
-    "SHARD_SCENARIOS",
-    "scenario_names",
-    "durable_scenario_names",
-    "shard_scenario_names",
-    "build_engine",
-    "build_durable_engine",
-    "build_shard_deployment",
-]
+__all__ = ["Scenario", "SCENARIOS", "scenario_names", "build", "reject_unread"]
+
+#: What each host reads besides a preset's shape, rounds, seed and ``obs``.
+HOST_READS = {
+    "inproc": {"misreporters"},
+    "net": {"misreporters", "storage_dir"},
+    "shard": {"misreporters", "workers"},
+    "stream": {"universe"},
+}
+
+
+def _no_adversaries(_topo: Topology) -> dict:
+    return {}
+
+
+def _mostly_valid(topo: Topology, seed: int) -> WorkloadGenerator:
+    return BernoulliWorkload(topo.providers, p_valid=0.8, seed=seed)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named experiment preset."""
+    """One named experiment preset (the module docstring has the hosts)."""
 
     name: str
     description: str
@@ -70,18 +79,31 @@ class Scenario:
     r: int
     params: ProtocolParams
     rounds: int
+    #: Specs offered per round (router-buffered beyond a shard's capacity).
     batch: int
-    behavior_factory: Callable[[Topology], Mapping[str, CollectorBehavior]]
-    workload_factory: Callable[[Topology, int], WorkloadGenerator]
-    stake: Mapping[str, int] | None = None
+    behavior_factory: Callable[[Topology], Mapping[str, CollectorBehavior]] = (
+        _no_adversaries
+    )
+    workload_factory: Callable[[Topology, int], WorkloadGenerator] = _mostly_valid
+    host: str = "inproc"
+    max_delay: float = 0.05
+    # ``shard`` hosts.
+    shards: int = 1
+    p_cross: float = 0.0
+    epoch_rounds: int | None = None
+    # ``net`` hosts built with a ``storage_dir``.
+    checkpoint_interval: int = 8
+    segment_bytes: int = 1 << 20
+    #: ``stream`` hosts: the :mod:`repro.apps` class that runs the preset.
+    app: str = "StreamingApp"
 
-    def topology(self) -> Topology:
-        """The scenario's link structure."""
+    def topology(self) -> Topology | ShardedTopology:
+        """The scenario's link structure (partitioned on a ``shard`` host)."""
+        if self.host == "shard":
+            return Topology.sharded(
+                l=self.l, n=self.n, m=self.m, r=self.r, shards=self.shards
+            )
         return Topology.regular(l=self.l, n=self.n, m=self.m, r=self.r)
-
-
-def _no_adversaries(_topo: Topology) -> dict:
-    return {}
 
 
 def _standard_mix(topo: Topology) -> dict:
@@ -186,98 +208,71 @@ SCENARIOS: dict[str, Scenario] = {
                 topo.providers, alpha=6.0, beta=2.0, seed=seed
             ),
         ),
-    ]
-}
-
-
-@dataclass(frozen=True)
-class ShardScenario:
-    """A named sharded-deployment preset.
-
-    Materialised by :func:`build_shard_deployment` into a
-    :class:`~repro.sharding.ShardCoordinator` plus a
-    :class:`~repro.workloads.xshard.CrossShardWorkload`; the node
-    counts are deployment-wide totals, split evenly across ``shards``.
-    """
-
-    name: str
-    description: str
-    l: int
-    n: int
-    m: int
-    r: int
-    shards: int
-    params: ProtocolParams
-    rounds: int
-    #: Specs offered per super-round (router-buffered beyond capacity).
-    batch: int
-    p_cross: float
-    epoch_rounds: int | None = None
-
-
-SHARD_SCENARIOS: dict[str, ShardScenario] = {
-    s.name: s
-    for s in [
-        ShardScenario(
+        Scenario(
             name="sharded-smoke",
             description="two tiny shards with light cross-shard traffic",
+            host="shard",
             l=8, n=4, m=4, r=2, shards=2,
             params=ProtocolParams(f=0.5, delta=0.2, b_limit=16),
             rounds=5, batch=16, p_cross=0.2,
         ),
-        ShardScenario(
+        Scenario(
             name="sharded-quad",
             description="four shards, saturating load, epoch reshuffles",
+            host="shard",
             l=24, n=8, m=8, r=2, shards=4,
             params=ProtocolParams(f=0.5, delta=0.2, b_limit=16),
             rounds=12, batch=80, p_cross=0.15, epoch_rounds=4,
         ),
-    ]
-}
-
-
-@dataclass(frozen=True)
-class DurableScenario:
-    """A named durable-ledger preset for the networked engine.
-
-    Materialised by :func:`build_durable_engine`; the same preset run
-    with ``storage_dir=None`` is the in-memory control that durable runs
-    must match bit-for-bit (tip hash), which is what the kill-restart
-    chaos harness asserts.
-    """
-
-    name: str
-    description: str
-    l: int
-    n: int
-    m: int
-    r: int
-    params: ProtocolParams
-    rounds: int
-    batch: int
-    max_delay: float
-    checkpoint_interval: int
-    segment_bytes: int
-
-
-DURABLE_SCENARIOS: dict[str, DurableScenario] = {
-    s.name: s
-    for s in [
-        DurableScenario(
+        Scenario(
             name="durable-smoke",
             description="small networked run committing to a segment log",
+            host="net",
             l=8, n=4, m=3, r=2,
             params=ProtocolParams(f=0.5, delta=0.2),
             rounds=6, batch=8, max_delay=0.05,
             checkpoint_interval=2, segment_bytes=4096,
         ),
-        DurableScenario(
+        Scenario(
             name="durable-soak",
             description="longer durable run with frequent checkpoints",
+            host="net",
             l=12, n=6, m=3, r=3,
             params=ProtocolParams(f=0.5, delta=0.2),
             rounds=20, batch=12, max_delay=0.05,
             checkpoint_interval=4, segment_bytes=8192,
+        ),
+        Scenario(
+            name="stream-smoke",
+            description="synthetic uniform arrivals over a 10^4 universe",
+            host="stream",
+            l=10_000, n=8, m=4, r=4,
+            params=ProtocolParams(f=0.5, b_limit=48),
+            rounds=8, batch=0,
+        ),
+        Scenario(
+            name="supply-chain",
+            description="multi-hop provenance with a counterfeit ring",
+            host="stream", app="SupplyChainProvenance",
+            l=10_000, n=8, m=4, r=4,
+            params=ProtocolParams(f=0.5, b_limit=64),
+            rounds=12, batch=0,
+        ),
+        Scenario(
+            name="energy-trading",
+            description="diurnal bidirectional flows, tampering aggregators",
+            host="stream", app="EnergyMarket",
+            l=10_000, n=8, m=4, r=4,
+            params=ProtocolParams(f=0.5, b_limit=64),
+            rounds=24, batch=0,
+        ),
+        Scenario(
+            name="flash-sale",
+            description="extreme burst arrivals with a scalper cartel",
+            host="stream", app="FlashSaleTicketing",
+            l=100_000, n=8, m=4, r=4,
+            params=ProtocolParams(f=0.5, b_limit=48),
+            rounds=16, batch=0,
         ),
     ]
 }
@@ -288,134 +283,97 @@ def scenario_names() -> list[str]:
     return sorted(SCENARIOS)
 
 
-def durable_scenario_names() -> list[str]:
-    """All registered durable-scenario names."""
-    return sorted(DURABLE_SCENARIOS)
-
-
-def build_durable_engine(name: str, seed: int = 0, storage_dir=None):
-    """Materialise a named durable scenario on the networked engine.
-
-    With ``storage_dir`` set, the engine opens (and, on restart,
-    recovers) a :class:`~repro.storage.DurableBlockStore` in that
-    directory; with ``None`` it runs the identical configuration purely
-    in memory — the bit-identical control for recovery tests.
-
-    Returns:
-        ``(engine, workload, scenario)``; run it with
-        ``for _ in range(scenario.rounds):
-        engine.run_round(workload.take(scenario.batch))``.
-
-    Raises:
-        ConfigurationError: unknown scenario name.
-    """
-    # Imported here: the networked engine stack (and with it the storage
-    # package) is not needed by in-process scenario users.
-    from repro.core.netengine import NetworkedProtocolEngine
-    from repro.storage import StorageConfig
-
-    scenario = DURABLE_SCENARIOS.get(name)
-    if scenario is None:
+def reject_unread(scenario: Scenario, **options) -> None:
+    """``ConfigurationError`` for a set option ``scenario``'s host does not read."""
+    unread = [
+        name for name, value in options.items()
+        if value is not None and name not in HOST_READS[scenario.host]
+    ]
+    if unread:
         raise ConfigurationError(
-            f"unknown durable scenario {name!r}; available: {durable_scenario_names()}"
+            f"scenario {scenario.name!r} runs on the {scenario.host!r} host, "
+            f"which does not read {', '.join(unread)}"
         )
-    topo = Topology.regular(l=scenario.l, n=scenario.n, m=scenario.m, r=scenario.r)
-    storage = (
-        StorageConfig(
-            directory=storage_dir,
-            checkpoint_interval=scenario.checkpoint_interval,
-            segment_bytes=scenario.segment_bytes,
-        )
-        if storage_dir is not None
-        else None
-    )
-    engine = NetworkedProtocolEngine(
-        topo,
-        scenario.params,
-        seed=seed,
-        max_delay=scenario.max_delay,
-        storage=storage,
-    )
-    workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=seed + 1)
-    return engine, workload, scenario
 
 
-def shard_scenario_names() -> list[str]:
-    """All registered sharded-scenario names."""
-    return sorted(SHARD_SCENARIOS)
-
-
-def build_shard_deployment(name: str, seed: int = 0, workers: int | None = None):
-    """Materialise a named sharded scenario.
+def build(
+    preset: str | Scenario,
+    seed: int = 0,
+    *,
+    storage_dir=None,
+    workers: int | None = None,
+    universe: int | None = None,
+    obs=None,
+):
+    """Materialise a preset (a registered name, or a :class:`Scenario`).
 
     Args:
-        workers: forwarded to :class:`~repro.sharding.ShardCoordinator` —
-            ``None``/``1`` runs every shard engine in-process, ``>= 2``
-            spawns that many worker processes (same seed, bit-identical
-            ledgers, multi-core wall-clock).
+        storage_dir: ``net`` hosts — open (and, on restart, recover) a
+            :class:`~repro.storage.DurableBlockStore` in this directory.
+        workers: ``shard`` hosts — ``None``/``1`` runs every shard engine
+            in-process, ``>= 2`` spawns that many worker processes (same
+            seed, bit-identical ledgers); ``close()`` the coordinator.
+        universe: ``stream`` hosts — the registered population, in place
+            of the preset's ``l``.
+        obs: Metrics registry handed to the deployment.
 
     Returns:
-        ``(coordinator, workload, scenario)``; run it with
-        ``coordinator.submit(workload.take(scenario.batch))`` +
-        ``coordinator.run_super_round()`` per round, then
-        ``coordinator.finalize()``.
+        ``(deployment, workload, scenario)``.
 
     Raises:
-        ConfigurationError: unknown scenario name.
+        ConfigurationError: unknown preset name, or an option the
+            preset's host does not read.
     """
-    # Imported here: repro.sharding pulls in the networked engine stack,
-    # which the in-process scenario users never need.
+    scenario = SCENARIOS.get(preset) if isinstance(preset, str) else preset
+    if scenario is None:
+        raise ConfigurationError(
+            f"unknown scenario {preset!r}; available: {scenario_names()}"
+        )
+    reject_unread(scenario, storage_dir=storage_dir, workers=workers, universe=universe)
+    # Each stack is imported where it is built: in-process users (and
+    # perfbench's tracer, which preloads this module) never pay for the
+    # networked, sharded or streaming packages.
+    if scenario.host == "stream":
+        import repro.apps
+
+        deployment = getattr(repro.apps, scenario.app)(
+            universe=scenario.l if universe is None else universe,
+            n=scenario.n, m=scenario.m, r=scenario.r,
+            params=scenario.params, seed=seed, obs=obs,
+        )
+        return deployment, deployment.workload, scenario
+    topo = scenario.topology()
+    workload = scenario.workload_factory(topo, seed + 1)
+    common = {"behaviors": scenario.behavior_factory(topo), "seed": seed, "obs": obs}
+    if scenario.host == "inproc":
+        return ProtocolEngine(topo, scenario.params, **common), workload, scenario
+    if scenario.host == "net":
+        from repro.core.netengine import NetworkedProtocolEngine
+        from repro.storage import StorageConfig
+
+        storage = None
+        if storage_dir is not None:
+            storage = StorageConfig(
+                directory=storage_dir,
+                checkpoint_interval=scenario.checkpoint_interval,
+                segment_bytes=scenario.segment_bytes,
+            )
+        engine = NetworkedProtocolEngine(
+            topo, scenario.params,
+            max_delay=scenario.max_delay, storage=storage, **common,
+        )
+        return engine, workload, scenario
     from repro.sharding import ShardCoordinator
     from repro.workloads.xshard import CrossShardWorkload
 
-    scenario = SHARD_SCENARIOS.get(name)
-    if scenario is None:
-        raise ConfigurationError(
-            f"unknown shard scenario {name!r}; available: {shard_scenario_names()}"
-        )
-    sharded = Topology.sharded(
-        l=scenario.l, n=scenario.n, m=scenario.m, r=scenario.r,
-        shards=scenario.shards,
+    # The workload before the coordinator: a bad ``p_cross`` must not
+    # leave a worker pool behind.
+    workload = CrossShardWorkload(
+        workload, topo.provider_shard, p_cross=scenario.p_cross, seed=seed + 2
     )
     coordinator = ShardCoordinator(
-        sharded,
-        scenario.params,
-        seed=seed,
-        epoch_rounds=scenario.epoch_rounds,
-        workers=workers,
-    )
-    providers = [p for topo in sharded.shards for p in topo.providers]
-    inner = BernoulliWorkload(providers, p_valid=0.8, seed=seed + 1)
-    workload = CrossShardWorkload(
-        inner, sharded.provider_shard, p_cross=scenario.p_cross, seed=seed + 2
+        topo, scenario.params,
+        epoch_rounds=scenario.epoch_rounds, max_delay=scenario.max_delay,
+        workers=workers, **common,
     )
     return coordinator, workload, scenario
-
-
-def build_engine(
-    name: str, seed: int = 0
-) -> tuple[ProtocolEngine, WorkloadGenerator, Scenario]:
-    """Materialise a named scenario.
-
-    Returns:
-        (engine, workload, scenario); run it with
-        ``for _ in range(scenario.rounds): engine.run_round(workload.take(scenario.batch))``.
-
-    Raises:
-        ConfigurationError: unknown scenario name.
-    """
-    scenario = SCENARIOS.get(name)
-    if scenario is None:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; available: {scenario_names()}"
-        )
-    topo = scenario.topology()
-    engine = ProtocolEngine(
-        topo,
-        scenario.params,
-        behaviors=scenario.behavior_factory(topo),
-        seed=seed,
-        stake=dict(scenario.stake) if scenario.stake else None,
-    )
-    workload = scenario.workload_factory(topo, seed + 1)
-    return engine, workload, scenario

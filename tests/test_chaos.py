@@ -30,7 +30,7 @@ from repro.network.topology import Topology
 from repro.workloads.generator import BernoulliWorkload
 
 
-def build_engine(seed=0, f=0.6, behaviors=None, resilience=True):
+def make_engine(seed=0, f=0.6, behaviors=None, resilience=True):
     topo = Topology.regular(l=8, n=4, m=3, r=2)
     engine = NetworkedProtocolEngine(
         topo,
@@ -71,7 +71,7 @@ class TestChaosSmoke:
     """Fast seeded smoke run — stays in the tier-1 suite."""
 
     def test_lossy_run_completes_and_stays_safe(self):
-        engine, topo = build_engine(seed=20)
+        engine, topo = make_engine(seed=20)
         engine.install_faults(lossy_plan(seed=21))
         run_rounds(engine, topo, rounds=4, seed=22)
         engine.finalize()
@@ -83,7 +83,7 @@ class TestChaosSmoke:
 @pytest.mark.chaos
 class TestGovernorCrashRecovery:
     def test_crash_recover_rejoins_and_agrees(self):
-        engine, topo = build_engine(seed=30)
+        engine, topo = make_engine(seed=30)
         plan = lossy_plan(seed=31).with_crash("g1", at=0.5, recover_at=1.6)
         engine.install_faults(plan)
         run_rounds(engine, topo, rounds=6, seed=32)
@@ -97,7 +97,7 @@ class TestGovernorCrashRecovery:
         assert_safety(engine, f=0.6)
 
     def test_crashed_leader_fails_over(self):
-        engine, topo = build_engine(seed=40)
+        engine, topo = make_engine(seed=40)
         # Crash every governor's turn will eventually hit the elected
         # leader; crash g0 across rounds 1-3 to force at least one
         # failover window, then recover it.
@@ -116,7 +116,7 @@ class TestGovernorCrashRecovery:
 @pytest.mark.chaos
 class TestSequencerFailover:
     def test_primary_sequencer_crash_repairs_via_backup(self):
-        engine, topo = build_engine(seed=50)
+        engine, topo = make_engine(seed=50)
         plan = lossy_plan(seed=51).with_crash(SEQUENCER_PRIMARY, at=0.3)
         engine.install_faults(plan)
         run_rounds(engine, topo, rounds=6, seed=52)
@@ -130,7 +130,7 @@ class TestSequencerFailover:
 class TestCollectorChurn:
     def test_collector_crash_is_retired_and_readmitted(self):
         behaviors = {"c0": MisreportBehavior(0.3), "c1": ConcealBehavior(0.3)}
-        engine, topo = build_engine(seed=60, behaviors=behaviors)
+        engine, topo = make_engine(seed=60, behaviors=behaviors)
         plan = lossy_plan(seed=61).with_crash("c2", at=0.5, recover_at=1.6)
         engine.install_faults(plan)
         run_rounds(engine, topo, rounds=6, seed=62)
@@ -142,7 +142,7 @@ class TestCollectorChurn:
         assert_safety(engine, f=0.6)
 
     def test_retired_collector_labels_are_scrubbed(self):
-        engine, topo = build_engine(seed=70)
+        engine, topo = make_engine(seed=70)
         engine.install_faults(FaultPlan(seed=71))  # clean links, manual crash
         workload = BernoulliWorkload(topo.providers, p_valid=0.9, seed=72)
         engine.run_round(workload.take(8))
@@ -165,7 +165,7 @@ class TestAcceptanceScenario:
     sequencer failover in one seeded multi-round run."""
 
     def test_full_fault_plan_run(self):
-        engine, topo = build_engine(seed=80, f=0.6)
+        engine, topo = make_engine(seed=80, f=0.6)
         plan = (
             lossy_plan(seed=81, loss=0.10)
             .with_crash("g2", at=0.6, recover_at=1.8)
@@ -182,7 +182,7 @@ class TestAcceptanceScenario:
 
     def test_seeded_chaos_is_deterministic(self):
         def tip_hashes(run_seed):
-            engine, topo = build_engine(seed=run_seed)
+            engine, topo = make_engine(seed=run_seed)
             engine.install_faults(
                 lossy_plan(seed=90).with_crash("g1", at=0.5, recover_at=1.5)
             )
@@ -205,7 +205,7 @@ class TestFaultEdgeCases:
         by a partition spanning the pack/commit window: the failover
         leader packs, the partitioned governor repairs its gap on the
         next multicast, and everyone converges."""
-        engine, topo = build_engine(seed=100)
+        engine, topo = make_engine(seed=100)
         plan = (
             lossy_plan(seed=101, loss=0.05)
             .with_crash("g0", at=0.1, recover_at=1.4)
@@ -228,7 +228,7 @@ class TestFaultEdgeCases:
         """Heavy loss keeps gap-repair NACK traffic in flight when the
         primary sequencer crash-stops mid-run; the backup must answer
         from the same retained buffer and close every gap."""
-        engine, topo = build_engine(seed=110)
+        engine, topo = make_engine(seed=110)
         plan = FaultPlan(seed=111).with_default_link(
             LinkFaultSpec(loss=0.28, reorder=0.10, reorder_delay=0.1)
         ).with_crash(SEQUENCER_PRIMARY, at=0.5)
@@ -270,7 +270,7 @@ class TestByzantineAcceptance:
             "c2": ColludingCollectorBehavior(plan),
             "c3": adaptive,
         }
-        engine, topo = build_engine(seed=seed, f=0.6, behaviors=behaviors)
+        engine, topo = make_engine(seed=seed, f=0.6, behaviors=behaviors)
         adaptive.bind_probe(reputation_probe(engine, "g0", "c3"))
         tamperer = MessageTamperer(
             TamperSpec(strip_signature=0.05, flip_label=0.05, replay=0.05,

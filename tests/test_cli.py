@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import MIXES, build_parser, main
+from repro.sharding import ShardCoordinator
 
 
 class TestParser:
@@ -12,11 +15,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_exactly_six_subcommands(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        assert sorted(sub.choices) == [
+            "baselines", "recover", "regret", "run", "serve", "sweep-f",
+        ]
+
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.command == "run"
-        assert args.governors == 4
-        assert args.f == 0.5
+        assert args.preset == "paper-default"
+        # Overrides are unset until given: the preset supplies the shape.
+        assert args.m is None and args.f is None and args.rounds is None
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "does-not-exist"])
 
     def test_regret_mix_choices(self):
         args = build_parser().parse_args(["regret", "--mix", "hostile"])
@@ -25,22 +40,13 @@ class TestParser:
             build_parser().parse_args(["regret", "--mix", "nonsense"])
 
     def test_all_mixes_buildable(self):
+        assert sorted(MIXES) == ["honest", "hostile", "mild", "sleepers", "zoo"]
         for factory in MIXES.values():
             behaviors = factory()
             assert len(behaviors) == 8
 
 
 class TestCommands:
-    def test_run_small(self, capsys):
-        code = main([
-            "run", "--providers", "8", "--collectors", "4", "--governors", "3",
-            "--r", "2", "--rounds", "3", "--batch", "8", "--misreporters", "1",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "properties hold: True" in out
-        assert "chain height: 4" in out  # 3 rounds + the argue-flush round
-
     def test_regret_small(self, capsys):
         code = main(["regret", "--horizon", "200", "--mix", "mild", "--seeds", "2"])
         out = capsys.readouterr().out
@@ -61,35 +67,68 @@ class TestCommands:
         assert "reputation (paper)" in out
         assert "majority" in out
 
-
-class TestScenarioCommand:
-    def test_scenario_smoke(self, capsys):
-        code = main(["scenario", "smoke"])
+    def test_recover_empty_dir_is_clean(self, tmp_path, capsys):
+        code = main(["recover", "--dir", str(tmp_path / "nothing")])
         out = capsys.readouterr().out
         assert code == 0
-        assert "properties hold: True" in out
+        assert "(empty)" in out
 
-    def test_scenario_rounds_override(self, capsys):
-        code = main(["scenario", "paper-default", "--rounds", "2"])
+
+#: One `run` per host: argv and what the host's report must say.
+RUN_CASES = {
+    "inproc-shape-overrides": (
+        ["run", "--providers", "8", "--collectors", "4", "--governors", "3",
+         "--r", "2", "--rounds", "3", "--batch", "8", "--misreporters", "1"],
+        ["scenario: paper-default", "l=8 n=4 m=3 r=2", "properties hold: True",
+         "chain height: 4"],  # 3 rounds + the argue-flush round
+    ),
+    "inproc-preset": (["run", "smoke"], ["properties hold: True"]),
+    "inproc-rounds-override": (
+        ["run", "paper-default", "--rounds", "2"],
+        ["2 rounds", "properties hold: True"],
+    ),
+    "net-in-memory": (
+        ["run", "durable-smoke", "--seed", "3", "--rounds", "2"],
+        ["scenario: durable-smoke", "final height 2", "auditor clean: True"],
+    ),
+    "shard": (
+        ["run", "sharded-smoke", "--rounds", "3"],
+        ["[serial backend]", "aggregate committed: 45 tx",
+         "cross-shard atomicity clean: True",
+         "properties hold on all shards: True"],
+    ),
+    "stream-synthetic": (
+        ["run", "stream-smoke", "--rounds", "4", "--providers", "2000",
+         "--seed", "3"],
+        ["scenario: stream-smoke", "l=2000", "4 rounds", "transactions    76",
+         "touched reputation rows:"],
+    ),
+    "stream-oracle": (
+        ["run", "flash-sale", "--rounds", "4", "--providers", "2000"],
+        ["cartel_suppressions", "audit_clean"],
+    ),
+}
+
+
+class TestRunCommand:
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    def test_run_on_every_host(self, case, capsys):
+        argv, expected = RUN_CASES[case]
+        code = main(argv)
         out = capsys.readouterr().out
         assert code == 0
-        assert "2 rounds" in out
+        for text in expected:
+            assert text in out
 
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["scenario", "does-not-exist"])
-
-
-class TestDurableCommand:
     def test_durable_run_then_recover(self, tmp_path, capsys):
         ledger = tmp_path / "ledger"
         code = main([
-            "durable", "--preset", "durable-smoke", "--seed", "3",
+            "run", "durable-smoke", "--seed", "3",
             "--dir", str(ledger), "--rounds", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "durable scenario: durable-smoke" in out
+        assert "scenario: durable-smoke" in out
         assert "auditor clean: True" in out
         assert out.count("round ") >= 2
 
@@ -101,15 +140,10 @@ class TestDurableCommand:
 
     def test_durable_resume_appends(self, tmp_path, capsys):
         ledger = tmp_path / "ledger"
-        assert main([
-            "durable", "--preset", "durable-smoke", "--seed", "3",
-            "--dir", str(ledger), "--rounds", "2",
-        ]) == 0
+        argv = ["run", "durable-smoke", "--seed", "3", "--dir", str(ledger)]
+        assert main([*argv, "--rounds", "2"]) == 0
         first = capsys.readouterr().out
-        assert main([
-            "durable", "--preset", "durable-smoke", "--seed", "3",
-            "--dir", str(ledger), "--rounds", "1",
-        ]) == 0
+        assert main([*argv, "--rounds", "1"]) == 0
         second = capsys.readouterr().out
 
         def height(text):
@@ -117,34 +151,33 @@ class TestDurableCommand:
 
         assert height(second) > height(first)
 
-    def test_recover_empty_dir_is_clean(self, tmp_path, capsys):
-        code = main(["recover", "--dir", str(tmp_path / "nothing")])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "(empty)" in out
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--providers", "5", "--collectors", "4", "--r", "3"], "not divisible"),
+            (["stream-smoke", "--providers", "7"], "not divisible"),
+            (["--batch", "2000"], "exceeds b_limit"),
+            (["flash-sale", "--collectors", "4", "--r", "2"], "seats collector"),
+            (["smoke", "--workers", "2"], "does not read workers"),
+            (["sharded-quad", "--dir", "x"], "does not read storage_dir"),
+            (["stream-smoke", "--misreporters", "1"], "does not read misreporters"),
+        ],
+    )
+    def test_bad_configuration_is_a_one_line_error(self, argv, message, capsys):
+        assert main(["run", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_unknown_preset_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["durable", "--preset", "nope", "--dir", "x"])
+    @pytest.mark.parallel
+    def test_failed_sharded_run_reaps_its_workers(self, monkeypatch):
+        def boom(self):
+            raise RuntimeError("super-round failed")
 
-
-class TestStreamCommand:
-    def test_stream_smoke(self, capsys):
-        code = main(["stream", "--preset", "stream-smoke", "--rounds", "4",
-                     "--universe", "2000", "--seed", "3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "stream scenario: stream-smoke" in out
-        assert "2000 virtual providers, 4 rounds" in out
-        assert "touched reputation rows:" in out
-
-    def test_stream_domain_preset(self, capsys):
-        code = main(["stream", "--preset", "flash-sale", "--rounds", "4",
-                     "--universe", "2000"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "cartel_suppressions" in out
-
-    def test_unknown_stream_preset_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["stream", "--preset", "nope"])
+        monkeypatch.setattr(ShardCoordinator, "run_super_round", boom)
+        with pytest.raises(RuntimeError, match="super-round failed"):
+            main(["run", "sharded-smoke", "--workers", "2", "--rounds", "1"])
+        assert not [
+            child.name for child in multiprocessing.active_children()
+            if child.name.startswith("shard-worker-")
+        ]

@@ -6,20 +6,20 @@ This file pins the *end state* — tip hash, height, and the
 simulated clock where there is one) — of a small seeded matrix that
 covers each execution shape the paper's round runs under:
 
-* ``ProtocolEngine`` on every ``SCENARIOS`` preset, plus a partial-
-  visibility run and an abusive-provider run;
+* ``ProtocolEngine`` on every ``inproc`` preset of ``SCENARIOS``, plus a
+  partial-visibility run and an abusive-provider run;
 * ``NetworkedProtocolEngine`` with ``resilience`` off and on (the latter
   under an installed ``FaultPlan`` with loss, duplication and a crash),
   and once through every way a node leaves and rejoins: a collector
   and a governor crash and recover, a second governor equivocates, is
   quarantined on forwarded evidence and is released again;
-* ``StreamingSession`` on every ``STREAM_SCENARIOS`` preset over a small
+* ``StreamingSession`` on every ``stream`` preset over a small
   universe with retirement on;
-* one ``SHARD_SCENARIOS`` preset on the serial backend, and the S=4
+* one ``shard`` preset on the serial backend, and the S=4
   preset with epoch reshuffles under a seeded per-shard ``FaultPlan``
   with ``resilience`` on — once in-process and once on two worker
   processes (two shards each), pinned to the same values;
-* one ``DURABLE_SCENARIOS`` preset across a close / reopen.
+* one ``net`` preset on a segment log, across a close / reopen.
 
 The expected values live in ``tests/golden_matrix.json``.  A refactor
 must leave them byte-for-byte unchanged.  If a change legitimately
@@ -49,15 +49,8 @@ from repro.network import Topology
 from repro.network.visibility import VisibilityMap
 from repro.sharding import ShardCoordinator
 from repro.storage.checkpoints import reputation_digest
-from repro.streaming.scenarios import STREAM_SCENARIOS, build_streaming_session
 from repro.workloads import BernoulliWorkload
-from repro.workloads.scenarios import (
-    SCENARIOS,
-    SHARD_SCENARIOS,
-    build_durable_engine,
-    build_engine,
-    build_shard_deployment,
-)
+from repro.workloads.scenarios import SCENARIOS, build
 from repro.workloads.xshard import CrossShardWorkload
 
 GOLDEN_FILE = Path(__file__).with_name("golden_matrix.json")
@@ -86,7 +79,7 @@ def _fingerprint(engine, clock: float | None = None) -> dict:
 
 
 def _inproc_preset(name: str) -> dict:
-    engine, workload, scenario = build_engine(name, seed=SEED)
+    engine, workload, scenario = build(name, seed=SEED)
     for _ in range(INPROC_ROUNDS):
         engine.run_round(workload.take(scenario.batch))
     engine.finalize()
@@ -172,9 +165,7 @@ def _networked_churn_quarantine() -> dict:
 
 
 def _streaming(name: str) -> dict:
-    runner, scenario = build_streaming_session(
-        name, seed=SEED, universe=STREAM_UNIVERSE
-    )
+    runner, _, scenario = build(name, seed=SEED, universe=STREAM_UNIVERSE)
     runner.run(scenario.rounds)
     runner.session.finalize()
     assert runner.session.metrics.retirements > 0, "retirement never exercised"
@@ -182,7 +173,7 @@ def _streaming(name: str) -> dict:
 
 
 def _sharded() -> dict:
-    coordinator, workload, scenario = build_shard_deployment("sharded-smoke", seed=SEED)
+    coordinator, workload, scenario = build("sharded-smoke", seed=SEED)
     try:
         for _ in range(scenario.rounds):
             coordinator.submit(workload.take(scenario.batch))
@@ -196,7 +187,7 @@ def _sharded() -> dict:
 
 def _sharded_quad_faults(workers: int | None) -> dict:
     """What either backend can report: engines may live in other processes."""
-    scenario = SHARD_SCENARIOS["sharded-quad"]
+    scenario = SCENARIOS["sharded-quad"]
     sharded = Topology.sharded(
         l=scenario.l, n=scenario.n, m=scenario.m, r=scenario.r, shards=scenario.shards
     )
@@ -240,15 +231,13 @@ def _sharded_quad_faults(workers: int | None) -> dict:
 
 def _durable_reopen() -> dict:
     with tempfile.TemporaryDirectory() as directory:
-        first, workload, scenario = build_durable_engine(
+        first, workload, scenario = build(
             "durable-smoke", seed=SEED, storage_dir=directory
         )
         for _ in range(4):
             first.run_round(workload.take(scenario.batch))
         del first
-        engine, _, _ = build_durable_engine(
-            "durable-smoke", seed=SEED, storage_dir=directory
-        )
+        engine, _, _ = build("durable-smoke", seed=SEED, storage_dir=directory)
         assert engine.recovery_report.clean
         for _ in range(2):
             engine.run_round(workload.take(scenario.batch))
@@ -256,8 +245,12 @@ def _durable_reopen() -> dict:
         return _fingerprint(engine)
 
 
+def _presets(host: str) -> list[str]:
+    return sorted(name for name, s in SCENARIOS.items() if s.host == host)
+
+
 CASES = {
-    **{f"inproc/{name}": partial(_inproc_preset, name) for name in sorted(SCENARIOS)},
+    **{f"inproc/{name}": partial(_inproc_preset, name) for name in _presets("inproc")},
     "inproc/visibility": partial(_inproc_custom, partial_view=True),
     "inproc/abusive-providers": partial(
         _inproc_custom, abusive_providers={f"p{k}": 0.9 for k in range(8)}
@@ -265,7 +258,7 @@ CASES = {
     "networked/plain": partial(_networked, resilience=False),
     "networked/resilient-faults": partial(_networked, resilience=True),
     "networked/churn-quarantine": _networked_churn_quarantine,
-    **{f"streaming/{name}": partial(_streaming, name) for name in sorted(STREAM_SCENARIOS)},
+    **{f"streaming/{name}": partial(_streaming, name) for name in _presets("stream")},
     "sharded/sharded-smoke": _sharded,
     "sharded/quad-faults-inprocess": partial(_sharded_quad_faults, None),
     "sharded/quad-faults-workers2": partial(_sharded_quad_faults, 2),

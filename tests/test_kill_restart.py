@@ -1,7 +1,7 @@
 """Kill-restart chaos harness: SIGKILL a live node, restart, converge.
 
-A subprocess runs the CLI ``durable`` scenario against a temp ledger
-directory, printing a flushed ``round k tip=...`` marker after every
+A subprocess runs the CLI's ``run durable-smoke --dir`` against a temp
+ledger directory, printing a flushed ``round k tip=...`` marker after every
 fsynced round. The harness SIGKILLs it mid-run (after at least one
 marker, i.e. with durable state guaranteed on disk), then restarts the
 node *in-process* on the same directory and lets it rejoin from an
@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.workloads.scenarios import DURABLE_SCENARIOS, build_durable_engine
+from repro.workloads.scenarios import SCENARIOS, build
 
 SCENARIO = "durable-smoke"
 SEED = 11
@@ -29,7 +29,7 @@ _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _run_reference():
-    engine, workload, scenario = build_durable_engine(SCENARIO, seed=SEED)
+    engine, workload, scenario = build(SCENARIO, seed=SEED)
     for _ in range(scenario.rounds):
         engine.run_round(workload.take(scenario.batch))
     engine.finalize()
@@ -42,8 +42,7 @@ def _spawn_node(directory):
     env["PYTHONPATH"] = os.path.join(_REPO, "src")
     return subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "durable",
-            "--preset", SCENARIO, "--seed", str(SEED),
+            sys.executable, "-m", "repro", "run", SCENARIO, "--seed", str(SEED),
             "--dir", str(directory), "--round-delay", "0.25",
         ],
         cwd=_REPO, env=env,
@@ -85,7 +84,7 @@ def test_sigkill_mid_round_then_restart_reaches_identical_tip(tmp_path):
 
     # Restart on the crash-scarred directory. Recovery must only ever
     # hand back a verified prefix of the reference chain.
-    engine, _, _ = build_durable_engine(SCENARIO, seed=SEED, storage_dir=ledger_dir)
+    engine, _, _ = build(SCENARIO, seed=SEED, storage_dir=ledger_dir)
     report = engine.recovery_report
     assert report is not None
     assert engine.store.height <= ref_height
@@ -119,7 +118,7 @@ def test_restarted_node_keeps_committing(tmp_path):
     proc = _spawn_node(ledger_dir)
     assert _kill_after_marker(proc, markers_wanted=1) >= 1
 
-    engine, workload, _ = build_durable_engine(
+    engine, workload, _ = build(
         SCENARIO, seed=SEED, storage_dir=ledger_dir
     )
     engine.handoff.sync_from_peer(reference.store)
@@ -135,7 +134,7 @@ def test_restarted_node_keeps_committing(tmp_path):
     assert engine.harness_auditor.report.clean
 
     # And those post-recovery blocks are durable in their own right.
-    reopened = build_durable_engine(SCENARIO, seed=SEED, storage_dir=ledger_dir)[0]
+    reopened = build(SCENARIO, seed=SEED, storage_dir=ledger_dir)[0]
     assert reopened.store.tip_hash() == engine.store.tip_hash()
     assert reopened.recovery_report.clean
 
@@ -153,7 +152,7 @@ def test_restart_races_in_flight_checkpoint(tmp_path):
     """
     reference, scenario = _run_reference()
     ledger_dir = tmp_path / "ledger"
-    writer, workload, _ = build_durable_engine(
+    writer, workload, _ = build(
         SCENARIO, seed=SEED, storage_dir=ledger_dir
     )
     for _ in range(scenario.rounds):
@@ -168,7 +167,7 @@ def test_restart_races_in_flight_checkpoint(tmp_path):
     torn = ckpts[-1]
     torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
 
-    engine, _, _ = build_durable_engine(SCENARIO, seed=SEED, storage_dir=ledger_dir)
+    engine, _, _ = build(SCENARIO, seed=SEED, storage_dir=ledger_dir)
     report = engine.recovery_report
     assert report is not None
     assert any(
@@ -194,5 +193,5 @@ def test_restart_races_in_flight_checkpoint(tmp_path):
 
 
 def test_durable_scenarios_registered():
-    assert SCENARIO in DURABLE_SCENARIOS
-    assert DURABLE_SCENARIOS[SCENARIO].rounds >= 4
+    assert SCENARIOS[SCENARIO].host == "net"
+    assert SCENARIOS[SCENARIO].rounds >= 4

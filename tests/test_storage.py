@@ -380,10 +380,10 @@ class TestAnchoredLedger:
 
 class TestEngineDurability:
     def test_durable_run_bit_identical_to_memory(self, tmp_path):
-        from repro.workloads.scenarios import build_durable_engine
+        from repro.workloads.scenarios import build
 
-        mem, wl_mem, sc = build_durable_engine("durable-smoke", seed=7)
-        dur, wl_dur, _ = build_durable_engine(
+        mem, wl_mem, sc = build("durable-smoke", seed=7)
+        dur, wl_dur, _ = build(
             "durable-smoke", seed=7, storage_dir=tmp_path
         )
         for _ in range(3):
@@ -393,12 +393,12 @@ class TestEngineDurability:
         assert dur.store.height == mem.store.height == 3
 
     def test_restart_reanchors_governor_replicas(self, tmp_path):
-        from repro.workloads.scenarios import build_durable_engine
+        from repro.workloads.scenarios import build
 
-        first, wl, sc = build_durable_engine("durable-smoke", seed=7, storage_dir=tmp_path)
+        first, wl, sc = build("durable-smoke", seed=7, storage_dir=tmp_path)
         for _ in range(4):
             first.run_round(wl.take(sc.batch))
-        restarted, _, _ = build_durable_engine(
+        restarted, _, _ = build(
             "durable-smoke", seed=7, storage_dir=tmp_path
         )
         assert restarted.recovery_report.clean
@@ -409,18 +409,18 @@ class TestEngineDurability:
             gov.ledger.verify_integrity()
 
     def test_sync_from_peer_fills_suffix_only(self, tmp_path):
-        from repro.workloads.scenarios import build_durable_engine
+        from repro.workloads.scenarios import build
 
-        reference, wl_ref, sc = build_durable_engine("durable-smoke", seed=7)
+        reference, wl_ref, sc = build("durable-smoke", seed=7)
         for _ in range(sc.rounds):
             reference.run_round(wl_ref.take(sc.batch))
 
-        crashed, wl_c, _ = build_durable_engine(
+        crashed, wl_c, _ = build(
             "durable-smoke", seed=7, storage_dir=tmp_path
         )
         for _ in range(3):
             crashed.run_round(wl_c.take(sc.batch))
-        restarted, _, _ = build_durable_engine(
+        restarted, _, _ = build(
             "durable-smoke", seed=7, storage_dir=tmp_path
         )
         assert restarted.store.height == 3  # disk had the prefix

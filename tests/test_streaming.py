@@ -52,11 +52,6 @@ from repro.streaming import (
     VirtualUniverse,
     derived_rates,
 )
-from repro.streaming.scenarios import (
-    STREAM_SCENARIOS,
-    build_streaming_session,
-    stream_scenario_names,
-)
 from repro.streaming.universe import parse_provider_index
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.generator import (
@@ -65,6 +60,9 @@ from repro.workloads.generator import (
     PerProviderWorkload,
     TxSpec,
 )
+from repro.workloads.scenarios import SCENARIOS, build, scenario_names
+
+STREAM_PRESETS = sorted(n for n, s in SCENARIOS.items() if s.host == "stream")
 
 # ---------------------------------------------------------------------------
 # SparseWeightMap
@@ -446,21 +444,18 @@ class TestStreamingSession:
 # Scenario registry + domain oracles
 
 
-class TestStreamScenarios:
+class TestStreamPresets:
     def test_registry_names(self):
-        assert stream_scenario_names() == sorted(STREAM_SCENARIOS)
         assert {"stream-smoke", "supply-chain", "energy-trading",
-                "flash-sale"} <= set(stream_scenario_names())
+                "flash-sale"} == set(STREAM_PRESETS) <= set(scenario_names())
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_streaming_session("nope")
+            build("nope")
 
-    @pytest.mark.parametrize("name", sorted(STREAM_SCENARIOS))
+    @pytest.mark.parametrize("name", STREAM_PRESETS)
     def test_preset_smoke(self, name):
-        runner, scenario = build_streaming_session(
-            name, seed=2, universe=2_000
-        )
+        runner, _, scenario = build(name, seed=2, universe=2_000)
         runner.run(4)
         report = runner.report()
         audit_clean = (
@@ -592,9 +587,7 @@ class TestBookCheckpointRestart:
         # members), so the digest check alone would accept it.
         from repro.core.netengine import NetworkedProtocolEngine
         from repro.storage.durable import StorageConfig
-        from repro.workloads.scenarios import DURABLE_SCENARIOS
-
-        sc = DURABLE_SCENARIOS["durable-smoke"]
+        sc = SCENARIOS["durable-smoke"]
         topo = Topology.regular(l=sc.l, n=sc.n, m=sc.m, r=sc.r)
 
         def open_engine():
