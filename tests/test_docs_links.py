@@ -71,6 +71,34 @@ class TestCheckerBehaviour:
         (tmp_path / "CHANGES.md").write_text(stale)
         assert checker.check_file(tmp_path / "CHANGES.md", tmp_path) == []
 
+    def test_detects_removed_subcommands_and_unknown_presets(self, checker, tmp_path):
+        package = tmp_path / "src" / "repro"
+        (package / "workloads").mkdir(parents=True)
+        (package / "cli.py").write_text(
+            'sub.add_parser("run", help="x")\nsub.add_parser("serve")\n'
+        )
+        (package / "workloads" / "scenarios.py").write_text(
+            'S = [Scenario(name="flash-sale", l=1), Scenario(name="smoke", l=2)]\n'
+        )
+        live = (
+            "`python -m repro run flash-sale` `repro serve` `repro run [PRESET]` "
+            "`repro run --rounds 3` `repro.cli` `src/repro cli`\n"
+            "```\npython -m repro run smoke --seed 7\nfrom repro import main\n```\n"
+        )
+        stale = (
+            "`python -m repro stream --preset x` and `repro run durable-smoke`\n"
+            "```\nPYTHONPATH=src python -m repro shard --rounds 6\n```\n"
+        )
+        (tmp_path / "a.md").write_text(live + stale)
+        errors = checker.check_file(tmp_path / "a.md", tmp_path)
+        assert errors == [
+            "a.md:6: stale subcommand 'repro stream'",
+            "a.md:6: unknown preset 'repro run durable-smoke'",
+            "a.md:8: stale subcommand 'repro shard'",
+        ]
+        (tmp_path / "CHANGES.md").write_text(stale)
+        assert checker.check_file(tmp_path / "CHANGES.md", tmp_path) == []
+
     def test_github_slugs(self, checker):
         assert checker.github_slug("3. Metric reference") == "3-metric-reference"
         assert (

@@ -7,7 +7,10 @@ tracked ``*.md`` file points at an existing file, and that every
 GitHub's slugification rules.  External ``http(s)://`` / ``mailto:``
 targets are skipped.  Also fails on a stale code reference: a backticked
 ``repro.*`` dotted name or ``dir/file.py`` path that no longer resolves
-in the tree (names are resolved statically, nothing is imported).
+in the tree, or — in a code span or a fenced block — a ``repro <word>``
+command line whose subcommand ``src/repro/cli.py`` does not register or
+whose ``repro run <preset>`` is not in ``workloads/scenarios.py`` (all
+resolved statically, nothing is imported).
 
 Usage::
 
@@ -21,6 +24,7 @@ tests/test_docs_links.py so local pytest catches doc rot too.
 from __future__ import annotations
 
 import ast
+import functools
 import pathlib
 import re
 import sys
@@ -39,6 +43,12 @@ HISTORY_DOCS = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
 _CODE_SPAN = re.compile(r"`([^`]+)`")
 _DOTTED = re.compile(r"\brepro(?:\.\w+)+")
 _PY_PATH = re.compile(r"[\w./-]*/[\w.-]+\.py\b")
+#: ``repro <subcommand> [<first argument>]`` — not ``repro.x``, a path
+#: ending in ``repro``, or ``from repro import``.
+_CLI_CALL = re.compile(
+    r"(?<![\w./-])(?<!from )(?<!import )repro +([a-z][\w-]*)(?: +([^\s`]+))?"
+)
+_PRESET_WORD = re.compile(r"[a-z][a-z0-9-]*$")
 
 
 def _strip_fences(text: str) -> list[str]:
@@ -151,15 +161,63 @@ def check_code_refs(line: str, path: pathlib.Path, root: pathlib.Path) -> list[s
     return stale
 
 
+def _string_literals(source: pathlib.Path, callee: str, keyword: str | None) -> set[str]:
+    """String literals passed to calls of ``callee``: first argument, or ``keyword=``."""
+    found = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        if name != callee:
+            continue
+        values = (
+            node.args[:1] if keyword is None
+            else [k.value for k in node.keywords if k.arg == keyword]
+        )
+        found.update(
+            v.value for v in values
+            if isinstance(v, ast.Constant) and isinstance(v.value, str)
+        )
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def cli_vocabulary(root: pathlib.Path) -> tuple[set[str], set[str]] | None:
+    """``(subcommands, presets)`` read off the source; None without a CLI."""
+    cli = root / "src" / "repro" / "cli.py"
+    scenarios = root / "src" / "repro" / "workloads" / "scenarios.py"
+    if not cli.is_file():
+        return None
+    presets = _string_literals(scenarios, "Scenario", "name") if scenarios.is_file() else set()
+    return _string_literals(cli, "add_parser", None), presets
+
+
+def check_cli_calls(text: str, root: pathlib.Path) -> list[str]:
+    """Removed subcommands and unknown presets in ``repro ...`` command lines."""
+    vocabulary = cli_vocabulary(root)
+    if vocabulary is None:
+        return []
+    subcommands, presets = vocabulary
+    stale = []
+    for command, argument in _CLI_CALL.findall(text):
+        if command not in subcommands:
+            stale.append(f"stale subcommand 'repro {command}'")
+        elif command == "run" and _PRESET_WORD.match(argument) and argument not in presets:
+            stale.append(f"unknown preset 'repro run {argument}'")
+    return stale
+
+
 def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
     errors = []
     check_refs = path.name not in HISTORY_DOCS
-    for lineno, line in enumerate(_strip_fences(path.read_text(encoding="utf-8")), 1):
+    text = path.read_text(encoding="utf-8")
+    for lineno, (raw, line) in enumerate(zip(text.split("\n"), _strip_fences(text)), 1):
         if check_refs:
-            errors.extend(
-                f"{path.relative_to(root)}:{lineno}: {stale}"
-                for stale in check_code_refs(line, path, root)
-            )
+            stale = check_code_refs(line, path, root)
+            # A line blanked by _strip_fences is fenced code: all of it is checked.
+            for code in _CODE_SPAN.findall(line) if line else [raw]:
+                stale.extend(check_cli_calls(code, root))
+            errors.extend(f"{path.relative_to(root)}:{lineno}: {s}" for s in stale)
         for match in _LINK.finditer(line):
             target = match.group(1)
             if target.startswith(("http://", "https://", "mailto:")):
