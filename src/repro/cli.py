@@ -148,9 +148,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = SCENARIOS[args.preset]
     reject_unread(scenario, misreporters=args.misreporters)
     overrides = {
-        name: getattr(args, name)
+        name: value
         for name in ("l", "n", "m", "r", "batch", "rounds")
-        if getattr(args, name) is not None
+        if (value := getattr(args, name)) is not None
     }
     if args.f is not None:
         overrides["params"] = replace(scenario.params, f=args.f)
@@ -175,13 +175,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 print(f"round {store.height} tip={store.tip_hash().hex()}", flush=True)
             if args.round_delay:
                 time.sleep(args.round_delay)
-        return 0 if _REPORTS[scenario.host](deployment, scenario) else 1
+        return 0 if _REPORTS[scenario.host](deployment) else 1
     finally:
         if scenario.host == "shard":
             deployment.close()  # reaps the worker pool, also after a failed round
 
 
-def _report_inproc(engine, scenario) -> bool:
+def _report_inproc(engine) -> bool:
     engine.run_round([])  # flush argued re-evaluations into a final block
     engine.finalize()
     summary = summarize_run(engine)
@@ -201,7 +201,7 @@ def _report_inproc(engine, scenario) -> bool:
     return report.all_hold
 
 
-def _report_net(engine, scenario) -> bool:
+def _report_net(engine) -> bool:
     engine.finalize()
     if engine.recovery_report is not None:
         print(f"recovery at open: {engine.recovery_report.summary()}")
@@ -212,13 +212,12 @@ def _report_net(engine, scenario) -> bool:
     return clean
 
 
-def _report_shard(coordinator, scenario) -> bool:
+def _report_shard(coordinator) -> bool:
     report = coordinator.finalize()
     # Backend-neutral reporting: chain_stats works whether the engines
     # are in-process or in worker processes.
     stats = coordinator.chain_stats()
-    print(f"{scenario.shards} shards, p_cross={scenario.p_cross} "
-          f"[{coordinator.backend.kind} backend]")
+    print(f"{len(stats)} shards [{coordinator.backend.kind} backend]")
     print(format_table(
         ["shard", "height", "committed", "cross-out", "cross-in", "rep mass"],
         [(s.shard, s.height, s.origin, s.cross_out, s.receipts_in,
@@ -237,7 +236,7 @@ def _report_shard(coordinator, scenario) -> bool:
     return report.clean and all_hold
 
 
-def _report_stream(app, scenario) -> bool:
+def _report_stream(app) -> bool:
     report = app.report()
     items = asdict(report) if is_dataclass(report) else report
     width = max(len(k) for k in items)

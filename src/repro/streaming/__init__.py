@@ -7,7 +7,6 @@ the sparse reputation layer (:class:`~repro.core.reputation.SparseWeightMap`)
 keeps governor state proportional to the rows actually touched.
 """
 
-from repro.streaming.app import StreamingApp
 from repro.streaming.session import StreamingSession, StreamMetrics, stream_metrics
 from repro.streaming.universe import CollectorMembers, VirtualUniverse
 from repro.streaming.workload import StreamingWorkload, derived_rates, provider_rate
@@ -15,7 +14,6 @@ from repro.streaming.workload import StreamingWorkload, derived_rates, provider_
 __all__ = [
     "CollectorMembers",
     "StreamMetrics",
-    "StreamingApp",
     "StreamingSession",
     "StreamingWorkload",
     "VirtualUniverse",
