@@ -146,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = SCENARIOS[args.preset]
-    reject_unread(scenario, misreporters=args.misreporters)
     overrides = {
         name: value
         for name in ("l", "n", "m", "r", "batch", "rounds")
@@ -155,6 +154,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.f is not None:
         overrides["params"] = replace(scenario.params, f=args.f)
     if args.misreporters is not None:
+        reject_unread(scenario, behavior_factory=args.misreporters)
         overrides["behavior_factory"] = lambda topo: {
             c: MisreportBehavior(0.5) for c in topo.collectors[: args.misreporters]
         }

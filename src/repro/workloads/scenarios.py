@@ -50,11 +50,12 @@ from repro.workloads.generator import (
 
 __all__ = ["Scenario", "SCENARIOS", "scenario_names", "build", "reject_unread"]
 
-#: What each host reads besides a preset's shape, rounds, seed and ``obs``.
+#: What each host reads besides a preset's shape, rounds, seed and ``obs``
+#: (a ``stream`` app brings its own behaviours and workload).
 HOST_READS = {
-    "inproc": {"misreporters"},
-    "net": {"misreporters", "storage_dir"},
-    "shard": {"misreporters", "workers"},
+    "inproc": {"behavior_factory"},
+    "net": {"behavior_factory", "storage_dir"},
+    "shard": {"behavior_factory", "workers"},
     "stream": {"universe"},
 }
 

@@ -160,7 +160,7 @@ class TestRunCommand:
             (["flash-sale", "--collectors", "4", "--r", "2"], "seats collector"),
             (["smoke", "--workers", "2"], "does not read workers"),
             (["sharded-quad", "--dir", "x"], "does not read storage_dir"),
-            (["stream-smoke", "--misreporters", "1"], "does not read misreporters"),
+            (["stream-smoke", "--misreporters", "1"], "does not read behavior_factory"),
         ],
     )
     def test_bad_configuration_is_a_one_line_error(self, argv, message, capsys):
