@@ -187,6 +187,151 @@ class TestObserveUpload:
         assert auditor.report.clean
 
 
+class TestEvidenceScript:
+    """One scripted sequence per evidence buffer, checked step by step:
+    the returned verdict, ``report.violations`` and ``report.checks_run``.
+    Pins what the auditor holds and re-reports, at any distance in rounds."""
+
+    def setup_method(self):
+        self.im = IdentityManager(seed=9)
+        self.auditor = SafetyAuditor("g9", im=self.im)
+
+    def expect(self, checks_run, violations):
+        report = self.auditor.report
+        assert (report.checks_run, len(report.violations)) == (checks_run, violations)
+
+    def assert_provable(self, violation, vtype, culprit, rnd, first, second):
+        assert violation is self.auditor.report.violations[-1]
+        assert violation.type is vtype
+        assert violation.provable and violation.culprit == culprit
+        assert violation.round_number == rnd
+        assert violation.evidence == (first, second)
+        assert violation.evidence[0] is first and violation.evidence[1] is second
+
+    def test_observe_upload_script(self):
+        from dataclasses import replace
+
+        c0 = self.im.enroll("c0", Role.COLLECTOR)
+        c1 = self.im.enroll("c1", Role.COLLECTOR)
+        provider = self.im.enroll("p0", Role.PROVIDER)
+        tx, tx2, tx3, tx4 = (
+            make_signed_transaction(provider, "x", 1.0, nonce=i) for i in range(4)
+        )
+        observe = self.auditor.observe_upload
+        kind = ViolationType.COLLECTOR_EQUIVOCATION
+
+        first = make_labeled_transaction(c0, tx, Label.VALID)
+        assert observe(first, 1) is None
+        self.expect(1, 0)
+        # A byte-identical replay (a retransmission) is no conflict.
+        assert observe(make_labeled_transaction(c0, tx, Label.VALID), 1) is None
+        self.expect(2, 0)
+        second = make_labeled_transaction(c0, tx, Label.INVALID)
+        self.assert_provable(observe(second, 2), kind, "c0", 2, first, second)
+        self.expect(3, 1)
+        # Once proven, every further upload for (c0, tx) re-reports the
+        # same pair, whichever label it carries.
+        again = make_labeled_transaction(c0, tx, Label.VALID)
+        self.assert_provable(observe(again, 3), kind, "c0", 3, first, second)
+        self.expect(4, 2)
+        again = make_labeled_transaction(c0, tx, Label.INVALID)
+        self.assert_provable(observe(again, 3), kind, "c0", 3, first, second)
+        self.expect(5, 3)
+        # Another collector disagreeing about the same tx is no equivocation.
+        assert observe(make_labeled_transaction(c1, tx, Label.INVALID), 3) is None
+        self.expect(6, 3)
+        # Nor is the same collector's other label on another tx.
+        assert observe(make_labeled_transaction(c0, tx2, Label.INVALID), 3) is None
+        self.expect(7, 3)
+        # A tampered upload is no evidence, before or after the honest one:
+        # it cannot frame c1 and it does not occupy c1's slot.
+        honest = make_labeled_transaction(c1, tx3, Label.VALID)
+        flipped = replace(honest, label=Label.INVALID)
+        stripped = replace(
+            flipped, collector_signature=Signature(signer="c1", tag=b"\x00" * 32)
+        )
+        assert observe(flipped, 4) is None
+        assert observe(honest, 4) is None
+        assert observe(stripped, 4) is None
+        assert observe(flipped, 4) is None
+        self.expect(11, 3)
+        other = make_labeled_transaction(c1, tx3, Label.INVALID)
+        self.assert_provable(observe(other, 5), kind, "c1", 5, honest, other)
+        self.expect(12, 4)
+        # Evidence is held for the life of the run: a conflict 500 rounds
+        # after the first label is as provable as one in the same round.
+        early = make_labeled_transaction(c0, tx4, Label.INVALID)
+        assert observe(early, 6) is None
+        late = make_labeled_transaction(c0, tx4, Label.VALID)
+        violation = observe(late, 506)
+        self.assert_provable(violation, kind, "c0", 506, early, late)
+        self.expect(14, 5)
+        for upload in violation.evidence:
+            assert self.im.verify(
+                "c0", upload.signed_message_bytes(), upload.collector_signature
+            )
+        assert {u.label for u in violation.evidence} == {Label.VALID, Label.INVALID}
+        assert all(v.type is kind for v in self.auditor.report.violations)
+
+    def test_ingest_vote_script(self):
+        g0 = self.im.enroll("g0", Role.GOVERNOR)
+        g1 = self.im.enroll("g1", Role.GOVERNOR)
+        g2 = self.im.enroll("g2", Role.GOVERNOR)
+        a, b, c = (bytes([i]) * 32 for i in (3, 4, 5))
+        ingest = self.auditor.ingest_vote
+        kind = ViolationType.GOVERNOR_EQUIVOCATION
+
+        first = make_vote(g0, 1, a)
+        assert ingest(first, a, 1) == (None, False)
+        self.expect(1, 0)
+        assert ingest(make_vote(g0, 1, a), a, 1) == (None, False)  # replay
+        self.expect(2, 0)
+        second = make_vote(g0, 1, b)
+        violation, mismatch = ingest(second, a, 2)
+        assert mismatch
+        self.assert_provable(violation, kind, "g0", 2, first, second)
+        assert violation.serial == 1
+        self.expect(3, 1)
+        # Re-reported on every further vote for (g0, 1): either hash
+        # already held, or a third one — the pair stays the first two.
+        violation, mismatch = ingest(make_vote(g0, 1, a), a, 3)
+        assert not mismatch
+        self.assert_provable(violation, kind, "g0", 3, first, second)
+        self.expect(4, 2)
+        violation, mismatch = ingest(make_vote(g0, 1, c), a, 3)
+        assert mismatch
+        self.assert_provable(violation, kind, "g0", 3, first, second)
+        self.expect(5, 3)
+        # Another governor voting the other hash: a mismatch to forward,
+        # not an equivocation.
+        assert ingest(make_vote(g1, 1, b), a, 3) == (None, True)
+        self.expect(6, 3)
+        # Another serial, nothing committed locally yet.
+        assert ingest(make_vote(g0, 2, b), None, 3) == (None, False)
+        self.expect(7, 3)
+        # A forged vote is recorded as a bad signature naming nobody; it
+        # cannot frame g2 and does not occupy g2's slot.
+        forger = SigningKey(owner="g2", secret=b"\x09" * 32)
+        assert ingest(make_vote(forger, 1, b), a, 4) == (None, False)
+        self.expect(8, 4)
+        bad = self.auditor.report.violations[-1]
+        assert bad.type is ViolationType.BAD_SIGNATURE
+        assert bad.culprit == "unknown" and not bad.provable and bad.evidence == ()
+        assert ingest(make_vote(g2, 1, a), a, 4) == (None, False)
+        self.expect(9, 4)
+        # Held for the life of the run: 500 rounds apart is still provable.
+        early = make_vote(g1, 3, a, rnd=5)
+        assert ingest(early, a, 5) == (None, False)
+        late = make_vote(g1, 3, b, rnd=505)
+        violation, mismatch = ingest(late, a, 505)
+        assert mismatch
+        self.assert_provable(violation, kind, "g1", 505, early, late)
+        self.expect(11, 5)
+        for vote in violation.evidence:
+            assert self.im.verify("g1", vote.signed_message(), vote.signature)
+        assert violation.evidence[0].block_hash != violation.evidence[1].block_hash
+
+
 class TestBookAndRegret:
     def test_healthy_book_is_clean(self):
         engine, topo = make_engine(seed=3)
