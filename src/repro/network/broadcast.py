@@ -227,7 +227,9 @@ class AtomicBroadcast:
             retained = self._sent.setdefault(group, {})
             retained[seqno] = (payload, size_hint)
             if len(retained) > self.retention:
-                del retained[min(retained)]
+                # Seqnos are inserted in increasing order: the first key
+                # is the oldest (``min`` would scan the whole log).
+                del retained[next(iter(retained))]
         reliable = self._transport is not None and group in self._reliable_groups
         if reliable:
             for member in self._members[group]:

@@ -296,3 +296,26 @@ class TestGapRepair:
         ab.skip_to("G", "z", 3)
         sim.run()
         assert got == ["m3", "m4"]
+
+    def test_full_log_holds_exactly_the_newest_retention_seqnos(self):
+        sim = Simulator()
+        net = SyncNetwork(sim, min_delay=0.0, max_delay=0.05, seed=3)
+        retention = 64
+        ab = AtomicBroadcast(net, retention=retention)
+        ab.create_group("G", ["z"])
+        net.register("z", lambda msg: ab.on_message("z", msg))
+        ab.enable_gap_repair("seq0")
+        net.partition("z")
+        total = retention + 50
+        for i in range(total):
+            assert ab.broadcast("G", "x", f"m{i}") == i
+        sim.run()
+        assert list(ab._sent["G"]) == list(range(total - retention, total))
+        # A request reaching below the horizon is served where it can be
+        # and counted where it cannot.
+        net.heal("z")
+        assert ab.force_repair_scan() == 1
+        sim.run()
+        assert ab.repairs_expired >= total - retention
+        assert ab.repairs_served >= 1
+
