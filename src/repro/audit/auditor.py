@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.core.regret import rwm_bound
 from repro.crypto.merkle import MerkleTree
 from repro.ledger.chain import Ledger, check_agreement
-from repro.ledger.transaction import Label, LabeledTransaction
+from repro.ledger.transaction import LabeledTransaction
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -183,10 +183,11 @@ class SafetyAuditor:
         self.im = im
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.report = AuditReport(auditor=owner)
-        # (governor, serial) -> {block_hash: CommitVote}
-        self._votes: dict[tuple[str, int], dict[bytes, "CommitVote"]] = {}
-        # (collector, tx_id) -> {label: LabeledTransaction}
-        self._labels: dict[tuple[str, str], dict[Label, LabeledTransaction]] = {}
+        # Evidence, held for the life of the run (nothing is pruned): per
+        # serial / tx_id, each signer's first verified message — replaced
+        # by the ``(first, second)`` pair once a conflicting one arrives.
+        self._votes: dict[int, dict[str, "CommitVote | tuple"]] = {}
+        self._labels: dict[str, dict[str, "LabeledTransaction | tuple"]] = {}
         # collector -> last observed reputation-vector version
         self._book_versions: dict[str, int] = {}
         self._m_checks = self.obs.counter(
@@ -199,6 +200,12 @@ class SafetyAuditor:
             "Invariant violations detected, by type",
             labels=("type",),
         )
+        self._m_evidence = self.obs.gauge(
+            "audit_evidence_entries",
+            "Transactions and block serials an auditor holds signed evidence "
+            "for, as of the last closed round",
+            labels=("auditor",),
+        ).labels(auditor=owner)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -210,6 +217,10 @@ class SafetyAuditor:
         self.report.violations.append(violation)
         self._m_violations.labels(type=violation.type.value).inc()
         return violation
+
+    def report_evidence_size(self) -> None:
+        """Publish ``audit_evidence_entries``; the engine calls it once a round."""
+        self._m_evidence.set(len(self._labels) + len(self._votes))
 
     # -- block integrity (Algorithm 2's append path) ---------------------
 
@@ -336,12 +347,12 @@ class SafetyAuditor:
                 )
             )
             return None, False
-        key = (vote.governor, vote.serial)
-        held = self._votes.setdefault(key, {})
-        held.setdefault(vote.block_hash, vote)
+        by_governor = self._votes.setdefault(vote.serial, {})
+        held = by_governor.setdefault(vote.governor, vote)
         mismatch = own_hash is not None and vote.block_hash != own_hash
-        if len(held) > 1:
-            pair = tuple(held.values())[:2]
+        if type(held) is not tuple and held.block_hash != vote.block_hash:
+            held = by_governor[vote.governor] = (held, vote)
+        if type(held) is tuple:
             return (
                 self._record(
                     AuditViolation(
@@ -354,7 +365,7 @@ class SafetyAuditor:
                             f"votes for serial {vote.serial}"
                         ),
                         provable=True,
-                        evidence=pair,
+                        evidence=held,
                     )
                 ),
                 mismatch,
@@ -377,11 +388,11 @@ class SafetyAuditor:
             upload.collector, upload.signed_message_bytes(), upload.collector_signature
         ):
             return None
-        key = (upload.collector, upload.tx.tx_id)
-        held = self._labels.setdefault(key, {})
-        held.setdefault(upload.label, upload)
-        if len(held) > 1:
-            pair = tuple(held.values())[:2]
+        by_collector = self._labels.setdefault(upload.tx.tx_id, {})
+        held = by_collector.setdefault(upload.collector, upload)
+        if type(held) is not tuple and held.label != upload.label:
+            held = by_collector[upload.collector] = (held, upload)
+        if type(held) is tuple:
             return self._record(
                 AuditViolation(
                     type=ViolationType.COLLECTOR_EQUIVOCATION,
@@ -392,7 +403,7 @@ class SafetyAuditor:
                         f"for tx {upload.tx.tx_id}"
                     ),
                     provable=True,
-                    evidence=pair,
+                    evidence=held,
                 )
             )
         return None
