@@ -284,6 +284,14 @@ class NetworkedProtocolEngine(RoundCore):
             gid: SafetyAuditor(gid, im=self.im, obs=self.obs)
             for gid in topology.governors
         }
+        # Per-governor Δ timers: the tx_ids scheduled (once), and the ones
+        # that have not fired yet.
+        self._timers_started: dict[str, set[str]] = {
+            gid: set() for gid in topology.governors
+        }
+        self._timers_pending: dict[str, set[str]] = {
+            gid: set() for gid in topology.governors
+        }
 
         self.handoff.reanchor()
 
@@ -312,11 +320,6 @@ class NetworkedProtocolEngine(RoundCore):
                 backup=SEQUENCER_BACKUP,
                 timeout=4 * max_delay,
             )
-
-        # Per-governor Δ timers: (gid, tx_id) -> scheduled (once), and the
-        # ones that have not fired yet.
-        self._timers_started: set[tuple[str, str]] = set()
-        self._timers_pending: set[tuple[str, str]] = set()
 
     def wire_collector(self, cid: str) -> None:
         """Give ``cid`` its feed group and its endpoint on the fabric
@@ -374,6 +377,8 @@ class NetworkedProtocolEngine(RoundCore):
         return handle
 
     def _governor_on_upload(self, gid: str):
+        started, pending = self._timers_started[gid], self._timers_pending[gid]
+
         def handle(sender: str, upload: LabeledTransaction) -> None:
             # Quarantine containment: a provably-Byzantine collector's
             # uploads are suppressed at every honest receiver.  (The
@@ -390,10 +395,9 @@ class NetworkedProtocolEngine(RoundCore):
             fresh = not governor.has_buffered(tx_id)
             if governor.ingest_upload(upload) and fresh:
                 # Algorithm 2's starttime(tx, Δ) — first report arms it.
-                key = (gid, tx_id)
-                if key not in self._timers_started:
-                    self._timers_started.add(key)
-                    self._timers_pending.add(key)
+                if tx_id not in started:
+                    started.add(tx_id)
+                    pending.add(tx_id)
                     self.sim.schedule_after(
                         self.params.delta,
                         lambda: self._governor_endtime(gid, tx_id),
@@ -402,7 +406,7 @@ class NetworkedProtocolEngine(RoundCore):
 
     def _governor_endtime(self, gid: str, tx_id: str) -> None:
         """Algorithm 2's endtime(tx): screen when the Δ timer fires."""
-        self._timers_pending.discard((gid, tx_id))
+        self._timers_pending[gid].discard(tx_id)
         governor = self.governors[gid]
         if not governor.has_buffered(tx_id):
             return  # already screened (defensive; timers arm only once)
@@ -418,7 +422,7 @@ class NetworkedProtocolEngine(RoundCore):
         self._round_records[gid].clear()
         if self.receipts is not None:
             self.receipts.forget(gid)
-        self._timers_started = {k for k in self._timers_started if k[0] != gid}
+        self._timers_started[gid].clear()
 
     def screen_before_release(self, cid: str) -> None:
         """Screen now what dropping ``cid`` would make every governor forget.
@@ -437,14 +441,16 @@ class NetworkedProtocolEngine(RoundCore):
             (gid, tx_id)
             for gid, governor in self.governors.items()
             for tx_id in governor.last_reports(cid)
-            if (gid, tx_id) in self._timers_pending
+            if tx_id in self._timers_pending[gid]
         ]
 
         def keeps(gid: str, tx_id: str) -> bool:
-            key = (gid, tx_id)
-            if key in self._timers_pending:  # holds a report the drop leaves?
-                return key not in doomed and self.governors[gid].has_buffered(tx_id)
-            return key in self._timers_started  # screened already
+            if tx_id in self._timers_pending[gid]:  # holds a report the drop leaves?
+                return (
+                    (gid, tx_id) not in doomed
+                    and self.governors[gid].has_buffered(tx_id)
+                )
+            return tx_id in self._timers_started[gid]  # screened already
 
         stranded = [
             key for key in doomed
@@ -710,6 +716,9 @@ class NetworkedProtocolEngine(RoundCore):
         self._m_tx_offered.inc(ctx.specs_count)
         self._m_engine_argues.inc(self._argues_sent - ctx.argues_before)
         self._m_block_size.observe(float(len(block.tx_list)))
+        for auditor in self.auditors.values():
+            auditor.report_evidence_size()
+        self.im.report_cache_size()
         self.obs.record_span(
             "argue_phase", ctx.argue_start, self.sim.now, round=round_number
         )

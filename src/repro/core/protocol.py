@@ -177,6 +177,7 @@ class ProtocolEngine(RoundCore):
         self._m_tx_offered.inc(len(specs))
         self._m_engine_argues.inc(done.argues)
         self._m_block_size.observe(float(len(block.tx_list)))
+        self.im.report_cache_size()
 
         return RoundResult(
             round_number=block.round_number,

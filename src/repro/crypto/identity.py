@@ -72,11 +72,12 @@ class IdentityManager:
     Args:
         seed: Seed for credential generation, for reproducible runs.
         obs: Metrics registry receiving the ``crypto_sig_cache_*``
-            hit/miss counters (defaults to the no-op registry).
+            hit/miss counters and size gauge (defaults to the no-op
+            registry).
     """
 
     #: Maximum number of cached verification verdicts before LRU eviction.
-    VERIFY_CACHE_SIZE = 1 << 16
+    VERIFY_CACHE_SIZE = 1 << 13
 
     seed: int = 0
     _records: dict[str, NodeRecord] = field(default_factory=dict)
@@ -94,6 +95,10 @@ class IdentityManager:
         self._m_sig_misses = self.obs.counter(
             "crypto_sig_cache_misses",
             "Identity Manager verification-cache misses (full HMAC recomputed)",
+        )
+        self._m_sig_entries = self.obs.gauge(
+            "crypto_sig_cache_entries",
+            "Verdicts the verification cache holds, as of the last closed round",
         )
 
     # -- enrolment ----------------------------------------------------
@@ -193,6 +198,10 @@ class IdentityManager:
         if len(cache) > self.VERIFY_CACHE_SIZE:
             cache.popitem(last=False)
         return result
+
+    def report_cache_size(self) -> None:
+        """Publish ``crypto_sig_cache_entries``; the engines call it once a round."""
+        self._m_sig_entries.set(len(self._verify_cache))
 
     def verify_batch(
         self, items: Iterable[tuple[str, Any, Signature]]

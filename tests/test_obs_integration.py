@@ -130,11 +130,23 @@ class TestInstrumentation:
         for outer, inner in zip(obs.spans_of("round"), obs.spans_of("argue_phase")):
             assert outer.start <= inner.start <= inner.end <= outer.end
 
+    def test_resident_state_gauges_match_what_is_held(self, run):
+        # Set where a round closes: finalize() and the recovery drain
+        # verify nothing and observe no upload, so the last round's
+        # reading is still the truth.
+        engine, obs = run
+        assert obs.get("crypto_sig_cache_entries").value == len(engine.im._verify_cache)
+        held = obs.get("audit_evidence_entries")
+        for gid, auditor in engine.auditors.items():
+            assert held.value_of(auditor=gid) == len(auditor._labels) + len(auditor._votes)
+            assert held.value_of(auditor=gid) >= ROUNDS * PER_ROUND
+
     def test_abstract_engine_exports_counters(self):
         obs = MetricsRegistry()
         _run_abstract(obs=obs)
         assert obs.get("engine_rounds_total").value == ROUNDS
         assert {"gov_screenings_total", "rep_updates_total"} <= set(obs.names())
+        assert 0 < obs.get("crypto_sig_cache_entries").value
         assert obs.spans == []  # no clock, no spans
 
 
