@@ -31,7 +31,7 @@ from typing import Any
 from repro.crypto.hashing import canonical_encode
 from repro.exceptions import SignatureError
 
-__all__ = ["SigningKey", "Signature", "sign", "verify_with_key"]
+__all__ = ["SigningKey", "FrozenSlots", "Signature", "sign", "verify_with_key"]
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,33 @@ class SigningKey:
         return f"{self.owner}:{digest[:16]}"
 
 
+class FrozenSlots:
+    """``pickle`` / ``copy`` state for a frozen dataclass that declares ``__slots__``.
+
+    Signatures and the ledger records are alive by the handful per
+    transaction per replica, so they carry no ``__dict__``.  The default
+    restore of slot state goes through ``setattr``, which a frozen class
+    refuses; the state here is the dict a ``__dict__`` instance would have
+    had — the fields, plus whichever other slots are filled.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self) -> dict:
+        return {
+            name: getattr(self, name) for name in self.__slots__ if hasattr(self, name)
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
-class Signature:
+class Signature(FrozenSlots):
     """A signature tag over a message, attributable to ``signer``."""
+
+    __slots__ = ("signer", "tag")
 
     signer: str
     tag: bytes

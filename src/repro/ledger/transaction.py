@@ -19,7 +19,7 @@ from functools import wraps
 from typing import Callable, TypeVar
 
 from repro.crypto.hashing import canonical_encode, hash_value
-from repro.crypto.signatures import Signature, SigningKey, sign
+from repro.crypto.signatures import FrozenSlots, Signature, SigningKey, sign
 
 __all__ = [
     "memoized",
@@ -37,23 +37,24 @@ _T = TypeVar("_T")
 
 
 def memoized(slot: str) -> Callable[[Callable[..., _T]], Callable[..., _T]]:
-    """Decorator: run ``method(self)`` once per instance; keep it in ``__dict__[slot]``.
+    """Decorator: run ``method(self)`` once per instance; keep it in attribute ``slot``.
 
     For the frozen ledger dataclasses: their fields never change, so a
     value derived from the fields alone is the same on every call.  The
     memo is no field — ``==``, ``hash`` and ``dataclasses.replace`` ignore
     it — but it is instance state, so ``pickle`` and ``copy`` carry it
-    (``slot`` is part of what crosses pool pipes and TCP frames).
+    (``slot`` is part of what crosses pool pipes and TCP frames).  On a
+    slotted class ``slot`` must be one of its ``__slots__``.
     """
 
     def decorate(method: Callable[..., _T]) -> Callable[..., _T]:
         @wraps(method)
         def cached(self) -> _T:
-            memo = self.__dict__  # written directly: a frozen __setattr__ raises
             try:
-                return memo[slot]
-            except KeyError:
-                value = memo[slot] = method(self)
+                return getattr(self, slot)
+            except AttributeError:
+                value = method(self)
+                object.__setattr__(self, slot, value)  # a frozen __setattr__ raises
                 return value
 
         return cached
@@ -82,13 +83,15 @@ class CheckStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TransactionBody:
+class TransactionBody(FrozenSlots):
     """The application payload a provider wants recorded.
 
     ``payload`` is any canonically-hashable structure; domain apps (car
     sharing, insurance) put their request objects here.  ``nonce`` keeps
     bodies from identical (provider, payload) pairs distinct.
     """
+
+    __slots__ = ("provider", "payload", "nonce", "_canonical")
 
     provider: str
     payload: object
@@ -100,13 +103,13 @@ class TransactionBody:
 
         Memoized on the (frozen) instance: bodies are encoded once and
         then hashed into every downstream id, signature, and record, so
-        the cache turns the dominant hot-path cost into a dict lookup.
+        the cache turns the dominant hot-path cost into a slot read.
         """
         return hash_value(("tx-body", self.provider, self.payload, self.nonce))
 
 
 @dataclass(frozen=True)
-class SignedTransaction:
+class SignedTransaction(FrozenSlots):
     """The paper's ``tx``: body + timestamp + provider signature.
 
     The signature covers (body, timestamp), so replaying a transaction
@@ -114,6 +117,12 @@ class SignedTransaction:
     transaction since it is signed together with the timestamp" — breaks
     the signature.
     """
+
+    # ``_codec_json`` is :mod:`repro.ledger.codec`'s memo of the JSON form.
+    __slots__ = (
+        "body", "timestamp", "provider_signature",
+        "_tx_id", "_signed_msg", "_canonical", "_codec_json",
+    )
 
     body: TransactionBody
     timestamp: float
@@ -154,8 +163,13 @@ class SignedTransaction:
 
 
 @dataclass(frozen=True)
-class LabeledTransaction:
+class LabeledTransaction(FrozenSlots):
     """The paper's ``Tx``: a signed tx + the collector's label + signature."""
+
+    __slots__ = (
+        "tx", "label", "collector", "collector_signature",
+        "_signed_msg", "_canonical",
+    )
 
     tx: SignedTransaction
     label: Label
@@ -185,8 +199,10 @@ class LabeledTransaction:
 
 
 @dataclass(frozen=True)
-class TxRecord:
+class TxRecord(FrozenSlots):
     """One TXList entry: how a transaction appears in a block."""
+
+    __slots__ = ("tx", "label", "status", "_canonical")
 
     tx: SignedTransaction
     label: Label

@@ -15,6 +15,7 @@ End states of whole seeded runs are pinned by ``tests/test_golden_matrix.py``.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import pickle
 import random
@@ -181,6 +182,13 @@ def _derived_values(obj) -> dict:
     return out
 
 
+def _state(obj) -> set:
+    """Names of the instance state ``obj`` holds: fields and filled memos."""
+    if hasattr(obj, "__dict__"):
+        return set(vars(obj))
+    return {name for name in obj.__slots__ if hasattr(obj, name)}
+
+
 class TestMemoisedEncodings:
     @pytest.mark.parametrize(
         "kind",
@@ -194,15 +202,30 @@ class TestMemoisedEncodings:
         fields = {f.name for f in dataclasses.fields(obj)}
         fresh = dataclasses.replace(obj)
         assert fresh == obj
-        assert set(vars(fresh)) == fields
+        assert _state(fresh) == fields
         assert _derived_values(fresh) == first
-        # The memo is instance state: it travels with the pickle and still
-        # agrees with a recomputation on the far side.
-        shipped = pickle.loads(pickle.dumps(obj))
-        assert shipped == obj
-        assert len(set(vars(shipped)) - fields) == len(first)
-        assert _derived_values(shipped) == first
-        assert _derived_values(dataclasses.replace(shipped)) == first
+        # The memo is instance state: it travels with the pickle (and with
+        # ``copy``) and still agrees with a recomputation on the far side.
+        for shipped in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):
+            assert shipped == obj
+            assert len(_state(shipped) - fields) == len(first)
+            assert _derived_values(shipped) == first
+            assert _derived_values(dataclasses.replace(shipped)) == first
+
+    @pytest.mark.parametrize(
+        "kind", ["TransactionBody", "SignedTransaction", "LabeledTransaction", "TxRecord"]
+    )
+    def test_records_are_slotted_and_stay_frozen(self, kind):
+        obj = _ledger_objects()[kind]
+        signature = sign(SigningKey(owner="p0", secret=b"\x01" * 32), b"m")
+        for slotted in (obj, signature):
+            assert not hasattr(slotted, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                slotted.extra = 1
+        assert pickle.loads(pickle.dumps(signature)) == signature
+        # A memo name is a slot, never a field: ``==`` and ``hash`` ignore it.
+        memo = set(obj.__slots__) - {f.name for f in dataclasses.fields(obj)}
+        assert memo and all(name.startswith("_") for name in memo)
 
 
 class TestRowCacheEquivalence:
