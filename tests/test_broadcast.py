@@ -318,4 +318,3 @@ class TestGapRepair:
         sim.run()
         assert ab.repairs_expired >= total - retention
         assert ab.repairs_served >= 1
-

@@ -5,7 +5,7 @@ at window boundaries) on the ``paper-default`` shape, 32 tx per round.
 Windows are short here to keep tier-1 quick, so they read above the
 40-round windows PERFORMANCE.md quotes; each budget is a quarter over what
 this configuration reads on Python 3.11, and the parent commit of the PR
-that introduced them read 3.2 KB and 10.2 KB.  The nightly soak checks that
+that introduced them read 3.2 KB and 9.3 KB.  The nightly soak checks that
 the figure stays flat as history grows.
 """
 
@@ -43,10 +43,10 @@ def test_inproc_host_budget(heap):
 
 
 def test_net_host_budget(heap):
-    # In-memory store; rounds 21-40, so the verify cache is still filling.
+    # In-memory store; rounds 11-20, so the verify cache is still filling.
     scenario = dataclasses.replace(PAPER_DEFAULT, host="net")
-    _engine, (window,) = heap.measure(scenario, rounds=20)
-    assert window.bytes_per_tx <= 6_900
+    _engine, (window,) = heap.measure(scenario, rounds=10)
+    assert window.bytes_per_tx <= 5_750
 
 
 def test_verify_cache_is_bounded_and_costs_no_hmac(monkeypatch):
