@@ -45,7 +45,6 @@ from repro.ledger.block import Block
 from repro.ledger.transaction import CheckStatus, Label, TxRecord, make_signed_transaction
 from repro.obs import MetricsRegistry
 from repro.storage import StorageConfig, open_durable_store, recover
-from repro.storage.durable import storage_metrics
 
 KEY = SigningKey(owner="p0", secret=b"\x44" * 32)
 SEED = 11
@@ -155,9 +154,7 @@ def run_torn_tail_case(n: int, registry: MetricsRegistry | None = None) -> dict:
         for block in blocks[store.height :]:
             store.publish(block)
             peer_filled += 1
-        if registry is not None:
-            handles = storage_metrics(registry)
-            handles["recovered"].labels(source="peer").inc(peer_filled)
+        store.recovered["peer"] += peer_filled
         converged = store.tip_hash() == blocks[-1].hash()
     stats.update(
         blocks=n,

@@ -113,32 +113,37 @@ class Governor:
         )
         self.ledger = Ledger(owner=self.governor_id)
         self.argues = ArgueManager(window=self.params.argue_window)
-        gid = self.governor_id
-        screenings = self.obs.counter(
+        gid, m = self.governor_id, self.metrics
+        self.obs.counter(
             "gov_screenings_total",
             "Transactions screened, by governor and outcome",
             labels=("governor", "outcome"),
+            read=lambda: {
+                (gid, "checked"): m.transactions_screened - m.unchecked,
+                (gid, "unchecked"): m.unchecked,
+            },
         )
-        self._m_checked = screenings.labels(governor=gid, outcome="checked")
-        self._m_skipped = screenings.labels(governor=gid, outcome="unchecked")
-        self._m_unchecked_ratio = self.obs.gauge(
+        self.obs.gauge(
             "gov_unchecked_ratio",
             "Running unchecked fraction per governor (Lemma 2 bounds E[.] by f)",
             labels=("governor",),
-        ).labels(governor=gid)
-        self._m_forgeries = self.obs.counter(
-            "gov_forgeries_total", "Forged uploads caught", labels=("governor",)
-        ).labels(governor=gid)
-        self._m_argues = self.obs.counter(
-            "gov_argues_served_total",
-            "Admitted argue calls re-validated",
-            labels=("governor",),
-        ).labels(governor=gid)
-        self._m_mistakes = self.obs.counter(
-            "gov_mistakes_total",
-            "Unchecked records whose revealed truth contradicted the label",
-            labels=("governor",),
-        ).labels(governor=gid)
+            read=lambda: {
+                gid: m.unchecked / m.transactions_screened
+                if m.transactions_screened
+                else 0.0
+            },
+        )
+        for name, field_name, help in (
+            ("gov_forgeries_total", "forgeries_caught", "Forged uploads caught"),
+            ("gov_argues_served_total", "argues_served",
+             "Admitted argue calls re-validated"),
+            ("gov_mistakes_total", "mistakes",
+             "Unchecked records whose revealed truth contradicted the label"),
+        ):
+            self.obs.counter(
+                name, help, labels=("governor",),
+                read=lambda f=field_name: {gid: getattr(m, f)},
+            )
 
     # -- setup ----------------------------------------------------------
 
@@ -303,7 +308,6 @@ class Governor:
         if not provider_ok:
             apply_forge_update(self.book, upload.collector)
             self.metrics.forgeries_caught += 1
-            self._m_forgeries.inc()
             return False
         _tx, labels = self._received.setdefault(tx.tx_id, (tx, {}))
         if upload.collector in labels:
@@ -341,17 +345,12 @@ class Governor:
         self.metrics.transactions_screened += 1
         if decision.checked:
             self.metrics.validations += 1
-            self._m_checked.inc()
             true_label = Label.from_bool(bool(decision.validation_result))
             apply_checked_update(self.book, decision.labels, true_label)
         else:
             self.metrics.unchecked += 1
-            self._m_skipped.inc()
             self._pending_unchecked[tx_id] = decision
             self.argues.record_unchecked(tx_id)
-        self._m_unchecked_ratio.set(
-            self.metrics.unchecked / self.metrics.transactions_screened
-        )
         return decision_to_record(decision)
 
     def screen_pending(self) -> list[TxRecord]:
@@ -398,7 +397,6 @@ class Governor:
                 f"argue admitted for {tx_id} but no pending decision is held"
             )
         self.metrics.argues_served += 1
-        self._m_argues.inc()
         self.metrics.validations += 1
         is_valid = self.oracle.validate(decision.tx)
         true_label = Label.from_bool(is_valid)
@@ -444,7 +442,6 @@ class Governor:
         if true_label is Label.VALID:
             # Recorded invalid-unchecked but actually valid: a mistake.
             self.metrics.mistakes += 1
-            self._m_mistakes.inc()
             self.metrics.realized_loss += 2.0
         apply_reveal_update(
             self.params,

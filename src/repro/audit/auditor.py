@@ -33,6 +33,7 @@ Verdicts are structured (:class:`AuditViolation` inside an
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
@@ -132,7 +133,28 @@ class AuditReport:
 
     auditor: str
     violations: list[AuditViolation] = field(default_factory=list)
-    checks_run: int = 0
+    #: Check name -> times executed.
+    checks: dict[str, int] = field(default_factory=lambda: defaultdict(int))
+
+    @property
+    def checks_run(self) -> int:
+        """Invariant checks executed, of every kind."""
+        return sum(self.checks.values())
+
+    def declare(self, obs: MetricsRegistry) -> None:
+        """Add this report to what ``audit_checks_total`` / ``audit_violations_total`` read."""
+        obs.counter(
+            "audit_checks_total",
+            "Auditor invariant checks executed, by check",
+            labels=("check",),
+            read=lambda: self.checks,
+        )
+        obs.counter(
+            "audit_violations_total",
+            "Invariant violations detected, by type",
+            labels=("type",),
+            read=lambda: Counter(v.type.value for v in self.violations),
+        )
 
     @property
     def clean(self) -> bool:
@@ -190,37 +212,23 @@ class SafetyAuditor:
         self._labels: dict[str, dict[str, "LabeledTransaction | tuple"]] = {}
         # collector -> last observed reputation-vector version
         self._book_versions: dict[str, int] = {}
-        self._m_checks = self.obs.counter(
-            "audit_checks_total",
-            "Auditor invariant checks executed, by check",
-            labels=("check",),
-        )
-        self._m_violations = self.obs.counter(
-            "audit_violations_total",
-            "Invariant violations detected, by type",
-            labels=("type",),
-        )
-        self._m_evidence = self.obs.gauge(
+        self.report.declare(self.obs)
+        self.obs.gauge(
             "audit_evidence_entries",
             "Transactions and block serials an auditor holds signed evidence "
             "for, as of the last closed round",
             labels=("auditor",),
-        ).labels(auditor=owner)
+            read=lambda: {owner: len(self._labels) + len(self._votes)},
+        )
 
     # -- bookkeeping ----------------------------------------------------
 
     def _check(self, name: str) -> None:
-        self.report.checks_run += 1
-        self._m_checks.labels(check=name).inc()
+        self.report.checks[name] += 1
 
     def _record(self, violation: AuditViolation) -> AuditViolation:
         self.report.violations.append(violation)
-        self._m_violations.labels(type=violation.type.value).inc()
         return violation
-
-    def report_evidence_size(self) -> None:
-        """Publish ``audit_evidence_entries``; the engine calls it once a round."""
-        self._m_evidence.set(len(self._labels) + len(self._votes))
 
     # -- block integrity (Algorithm 2's append path) ---------------------
 

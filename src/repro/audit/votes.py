@@ -22,6 +22,7 @@ per-round invariant sweep over the governors still standing.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING
 
 from repro.consensus.messages import CommitVote
@@ -44,10 +45,13 @@ class CommitVoteAudit:
         self._strategies: dict = {}
         # evidence-forward dedup: (forwarder, vote governor, serial, hash)
         self._forwarded: set[tuple] = set()
-        self._m_votes = engine.obs.counter(
+        #: ``own`` / ``forward`` -> votes sent.
+        self.sent: dict[str, int] = defaultdict(int)
+        engine.obs.counter(
             "audit_commit_votes_total",
             "Commit votes sent, by origin (own vote vs forwarded evidence)",
             labels=("origin",),
+            read=lambda: self.sent,
         )
 
     def mint(self, gid: str, serial: int, block_hash: bytes) -> CommitVote:
@@ -78,7 +82,7 @@ class CommitVoteAudit:
     def _send(self, gid: str, peer: str, vote: CommitVote, origin: str) -> None:
         network = self.engine.network
         network.send(gid, peer, vote, fixed_delay=network.max_delay)
-        self._m_votes.labels(origin=origin).inc()
+        self.sent[origin] += 1
 
     def send(self, gid: str, block: Block) -> None:
         """Send ``gid``'s post-append commit vote to every peer governor.

@@ -43,24 +43,13 @@ class CrossShardAuditor:
         self._home: dict[str, object] = {}
         # receipt_id -> (remote shard, serial) of the first remote commit.
         self._remote: dict[str, tuple[int, int]] = {}
-        self._m_checks = self.obs.counter(
-            "audit_checks_total",
-            "Auditor invariant checks executed, by check",
-            labels=("check",),
-        )
-        self._m_violations = self.obs.counter(
-            "audit_violations_total",
-            "Invariant violations detected, by type",
-            labels=("type",),
-        )
+        self.report.declare(self.obs)
 
     def _check(self, name: str) -> None:
-        self.report.checks_run += 1
-        self._m_checks.labels(check=name).inc()
+        self.report.checks[name] += 1
 
     def _record(self, violation: AuditViolation) -> AuditViolation:
         self.report.violations.append(violation)
-        self._m_violations.labels(type=violation.type.value).inc()
         return violation
 
     # -- the two commit legs --------------------------------------------

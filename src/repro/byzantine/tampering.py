@@ -138,14 +138,26 @@ class MessageTamperer:
         self._rng = np.random.default_rng(seed)
         # receiver -> recent uploads, the replay candidate pool
         self._history: dict[str, deque[LabeledTransaction]] = {}
-        self._m_seen = self.obs.counter(
+        stats = self.stats
+        self.obs.counter(
             "byz_messages_seen_total",
             "Messages inspected by the Byzantine tamperer",
+            read=lambda: stats.inspected,
         )
-        self._m_tampered = self.obs.counter(
+        self.obs.counter(
             "byz_tampered_total",
             "Messages rewritten in flight, by tamper mode",
             labels=("mode",),
+            read=lambda: {
+                mode: count
+                for mode, count in (
+                    ("strip-signature", stats.stripped),
+                    ("flip-label", stats.flipped),
+                    ("replay", stats.replayed),
+                    ("corrupt-block", stats.blocks_corrupted),
+                )
+                if count
+            },
         )
 
     # -- wrapper plumbing ------------------------------------------------
@@ -177,13 +189,11 @@ class MessageTamperer:
         :attr:`~repro.faults.plan.FaultAction.replace`.
         """
         self.stats.inspected += 1
-        self._m_seen.inc()
         inner, rebuild = self._unwrap(payload)
         spec = self.spec
         if isinstance(inner, Block):
             if spec.corrupt_block and self._rng.random() < spec.corrupt_block:
                 self.stats.blocks_corrupted += 1
-                self._m_tampered.labels(mode="corrupt-block").inc()
                 return rebuild(self._corrupt(inner))
             return None
         if not isinstance(inner, LabeledTransaction):
@@ -194,12 +204,10 @@ class MessageTamperer:
                 stale = history[int(self._rng.integers(len(history)))]
                 self._remember(receiver, inner)
                 self.stats.replayed += 1
-                self._m_tampered.labels(mode="replay").inc()
                 return rebuild(stale)
         self._remember(receiver, inner)
         if spec.strip_signature and self._rng.random() < spec.strip_signature:
             self.stats.stripped += 1
-            self._m_tampered.labels(mode="strip-signature").inc()
             stripped = dc_replace(
                 inner,
                 collector_signature=Signature(
@@ -209,7 +217,6 @@ class MessageTamperer:
             return rebuild(stripped)
         if spec.flip_label and self._rng.random() < spec.flip_label:
             self.stats.flipped += 1
-            self._m_tampered.labels(mode="flip-label").inc()
             # The original signature stays: it no longer covers the
             # content, so governors drop the upload — the attacker
             # cannot frame the collector without its key.

@@ -51,6 +51,7 @@ the verdict that is meant to decide who is trusted.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from repro.agents.behaviors import CollectorBehavior, HonestBehavior
@@ -91,15 +92,19 @@ class NodeLifecycle:
         self.fault_log: list[tuple[float, str, str, int]] = []
         #: (sim time, round, node id, violation type)
         self.quarantine_log: list[tuple[float, int, str, str]] = []
-        self._m_crash_events = engine.obs.counter(
+        #: ``governor`` / ``collector`` / ``other`` -> nodes contained.
+        self.quarantines_by_role: dict[str, int] = defaultdict(int)
+        engine.obs.counter(
             "engine_crash_events_total",
             "Node crash/recover transitions applied by the engine",
             labels=("event",),
+            read=lambda: Counter(event for _t, event, _n, _s in self.fault_log),
         )
-        self._m_quarantines = engine.obs.counter(
+        engine.obs.counter(
             "audit_quarantines_total",
             "Nodes quarantined on a provable violation, by role",
             labels=("role",),
+            read=lambda: self.quarantines_by_role,
         )
 
     # -- what the round asks -------------------------------------------------
@@ -175,7 +180,6 @@ class NodeLifecycle:
             self.engine.drop_volatile(node_id)
         self._retire(node_id)
         self.fault_log.append((self.engine.sim.now, "crash", node_id, 0))
-        self._m_crash_events.labels(event="crash").inc()
 
     def recover(self, node_id: str) -> None:
         """Rejoin a crashed node; a no-op for one that is not crashed."""
@@ -185,7 +189,6 @@ class NodeLifecycle:
         self.engine.network.heal(node_id)
         synced = self._rejoin(node_id)
         self.fault_log.append((self.engine.sim.now, "recover", node_id, synced))
-        self._m_crash_events.labels(event="recover").inc()
 
     # -- quarantine / release ----------------------------------------------------
 
@@ -206,7 +209,7 @@ class NodeLifecycle:
             else "collector" if node_id in engine.collectors
             else "other"
         )
-        self._m_quarantines.labels(role=role).inc()
+        self.quarantines_by_role[role] += 1
 
     def release_quarantine(self, node_id: str) -> None:
         """Readmit a quarantined node through the churn path.

@@ -249,7 +249,14 @@ class NetworkedProtocolEngine(RoundCore):
             if resilience
             else None
         )
-        self._register_engine_metrics()
+        # Rounds closed and specs offered by *this* engine (``_round``
+        # also counts the rounds a restart resumed past).
+        self.rounds_closed = self.tx_offered = 0
+        self._register_engine_metrics(
+            lambda: self.rounds_closed,
+            lambda: self.tx_offered,
+            lambda: self._argues_sent,
+        )
         self.injector: FaultInjector | None = None
         self.lifecycle = NodeLifecycle(self)
         # Live views of the lifecycle's state, where harnesses look for it.
@@ -712,13 +719,9 @@ class NetworkedProtocolEngine(RoundCore):
 
         self.votes.end_of_round(round_number)
 
-        self._m_rounds.inc()
-        self._m_tx_offered.inc(ctx.specs_count)
-        self._m_engine_argues.inc(self._argues_sent - ctx.argues_before)
+        self.rounds_closed += 1
+        self.tx_offered += ctx.specs_count
         self._m_block_size.observe(float(len(block.tx_list)))
-        for auditor in self.auditors.values():
-            auditor.report_evidence_size()
-        self.im.report_cache_size()
         self.obs.record_span(
             "argue_phase", ctx.argue_start, self.sim.now, round=round_number
         )

@@ -124,7 +124,12 @@ class ProtocolEngine(RoundCore):
         self.metrics = EngineMetrics()
         # Harness-level AuditReport, filled by finalize().
         self.audit_report = None
-        self._register_engine_metrics()
+        metrics = self.metrics
+        self._register_engine_metrics(
+            lambda: metrics.rounds,
+            lambda: metrics.transactions_offered,
+            lambda: metrics.argues_total,
+        )
 
         def register_books(governor: Governor) -> None:
             if visibility is None:
@@ -173,11 +178,7 @@ class ProtocolEngine(RoundCore):
 
         metrics.rounds += 1
         metrics.transactions_offered += len(specs)
-        self._m_rounds.inc()
-        self._m_tx_offered.inc(len(specs))
-        self._m_engine_argues.inc(done.argues)
         self._m_block_size.observe(float(len(block.tx_list)))
-        self.im.report_cache_size()
 
         return RoundResult(
             round_number=block.round_number,

@@ -225,23 +225,34 @@ class ReputationBook:
 
     def __post_init__(self) -> None:
         self._row_cache: dict[tuple[str, tuple[str, ...]], WeightRow] = {}
-        self._m_updates = self.obs.counter(
+        # Plain counts the registry reads: Algorithm-3 updates applied,
+        # by case, and selection-row cache hits / misses.
+        self.forge_updates = self.checked_updates = self.reveal_updates = 0
+        self.row_hits = self.row_misses = 0
+        self.obs.counter(
             "rep_updates_total",
             "Reputation updates applied, by Algorithm-3 case",
             labels=("case",),
+            read=lambda: {
+                case: count
+                for case in ("forge", "checked", "reveal")
+                if (count := getattr(self, f"{case}_updates"))
+            },
         )
         self._m_magnitude = self.obs.histogram(
             "rep_update_magnitude",
             "Multiplicative discount size -ln(factor) per scaled entry",
             buckets=(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0),
         )
-        self._m_norm_hits = self.obs.counter(
+        self.obs.counter(
             "rep_norm_cache_hits",
             "Reputation weight-row/normalization cache hits during screening",
+            read=lambda: self.row_hits,
         )
-        self._m_norm_misses = self.obs.counter(
+        self.obs.counter(
             "rep_norm_cache_misses",
             "Reputation weight-row cache misses (row rebuilt from vectors)",
+            read=lambda: self.row_misses,
         )
 
     def register_collector(self, collector: str, providers) -> None:
@@ -324,9 +335,9 @@ class ReputationBook:
                     row = None
                     break
         if row is not None:
-            self._m_norm_hits.inc()
+            self.row_hits += 1
             return row
-        self._m_norm_misses.inc()
+        self.row_misses += 1
         row = self._build_row(provider, collectors)
         if len(self._row_cache) >= _ROW_CACHE_SIZE:
             self._row_cache.clear()
@@ -338,12 +349,12 @@ class ReputationBook:
     def record_forge(self, collector: str) -> None:
         """Case 1: decrement ``w_forge`` for a forged upload."""
         self.vector(collector).forge -= 1
-        self._m_updates.labels(case="forge").inc()
+        self.forge_updates += 1
 
     def record_checked(self, collector: str, labeled_correctly: bool) -> None:
         """Case 2: ±1 on ``w_misreport`` for a checked transaction."""
         self.vector(collector).misreport += 1 if labeled_correctly else -1
-        self._m_updates.labels(case="checked").inc()
+        self.checked_updates += 1
 
     def apply_revealed_truth(
         self,
@@ -375,7 +386,7 @@ class ReputationBook:
                     f"unknown reveal outcome {outcome!r} for {collector!r}"
                 )
             self.vector(collector).scale(provider, factor)
-            self._m_updates.labels(case="reveal").inc()
+            self.reveal_updates += 1
             self._m_magnitude.observe(-math.log(factor))
 
     def total_weight(self, provider: str, collectors: Iterable[str]) -> float:

@@ -103,16 +103,17 @@ class RoundCore:
         self._reevaluated_queue: dict[str, TxRecord] = {}
         self._master = np.random.default_rng(seed)
 
-    def _register_engine_metrics(self) -> None:
-        """The ``engine_*`` family (see OBSERVABILITY.md)."""
-        self._m_rounds = self.obs.counter(
-            "engine_rounds_total", "Protocol rounds executed"
+    def _register_engine_metrics(self, rounds, offered, argues) -> None:
+        """The ``engine_*`` family: three readers off the subclass's own
+        record, and the one histogram (see OBSERVABILITY.md)."""
+        self.obs.counter("engine_rounds_total", "Protocol rounds executed", read=rounds)
+        self.obs.counter(
+            "engine_tx_offered_total",
+            "Workload transactions offered to providers",
+            read=offered,
         )
-        self._m_tx_offered = self.obs.counter(
-            "engine_tx_offered_total", "Workload transactions offered to providers"
-        )
-        self._m_engine_argues = self.obs.counter(
-            "engine_argues_total", "Argue messages raised by providers"
+        self.obs.counter(
+            "engine_argues_total", "Argue messages raised by providers", read=argues
         )
         self._m_block_size = self.obs.histogram(
             "engine_block_size",

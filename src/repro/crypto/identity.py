@@ -88,17 +88,21 @@ class IdentityManager:
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
         self._verify_cache: OrderedDict[tuple[str, bytes, bytes], bool] = OrderedDict()
-        self._m_sig_hits = self.obs.counter(
+        self.sig_cache_hits = self.sig_cache_misses = 0
+        self.obs.counter(
             "crypto_sig_cache_hits",
             "Identity Manager verification-cache hits (HMAC skipped)",
+            read=lambda: self.sig_cache_hits,
         )
-        self._m_sig_misses = self.obs.counter(
+        self.obs.counter(
             "crypto_sig_cache_misses",
             "Identity Manager verification-cache misses (full HMAC recomputed)",
+            read=lambda: self.sig_cache_misses,
         )
-        self._m_sig_entries = self.obs.gauge(
+        self.obs.gauge(
             "crypto_sig_cache_entries",
             "Verdicts the verification cache holds, as of the last closed round",
+            read=lambda: len(self._verify_cache),
         )
 
     # -- enrolment ----------------------------------------------------
@@ -189,19 +193,15 @@ class IdentityManager:
         cached = cache.get(key, _MISS)
         if cached is not _MISS:
             cache.move_to_end(key)
-            self._m_sig_hits.inc()
+            self.sig_cache_hits += 1
             return cached  # type: ignore[return-value]
         # Credentials are immutable, so both verdicts are cacheable.
         result = verify_with_key(record.key, raw, signature)
-        self._m_sig_misses.inc()
+        self.sig_cache_misses += 1
         cache[key] = result
         if len(cache) > self.VERIFY_CACHE_SIZE:
             cache.popitem(last=False)
         return result
-
-    def report_cache_size(self) -> None:
-        """Publish ``crypto_sig_cache_entries``; the engines call it once a round."""
-        self._m_sig_entries.set(len(self._verify_cache))
 
     def verify_batch(
         self, items: Iterable[tuple[str, Any, Signature]]

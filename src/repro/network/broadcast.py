@@ -105,6 +105,8 @@ class _ReceiverState:
     """Delivery buffer of one receiver within one group."""
 
     next_seqno: int = 0
+    #: In-order deliveries made (``next_seqno`` also moves on ``skip_to``).
+    delivered: int = 0
     pending: list[tuple[int, int, SequencedPayload, Message]] = field(default_factory=list)
     tiebreak: itertools.count = field(default_factory=itertools.count)
     # Gap-repair bookkeeping: whether a repair timer is outstanding and
@@ -136,29 +138,6 @@ class AtomicBroadcast:
         self.network = network
         self.retention = retention
         self.obs = obs if obs is not None else NULL_REGISTRY
-        self._m_broadcasts = self.obs.counter(
-            "abcast_broadcasts_total",
-            "Payloads sequenced per broadcast group",
-            labels=("group",),
-        )
-        self._m_delivered = self.obs.counter(
-            "abcast_delivered_total",
-            "In-order deliveries (cursor advances) per broadcast group",
-            labels=("group",),
-        )
-        self._m_misrouted = self.obs.counter(
-            "abcast_misrouted_dropped_total",
-            "Sequenced payloads dropped at a non-member receiver",
-        )
-        self._m_repairs = self.obs.counter(
-            "abcast_repairs_total",
-            "Gap-repair (NACK) events by outcome",
-            labels=("event",),
-        )
-        self._m_failover_nacks = self.obs.counter(
-            "abcast_failover_nacks_total",
-            "Repair requests addressed to the backup sequencer endpoint",
-        )
         self._members: dict[str, list[str]] = {}
         self._deliver: dict[tuple[str, str], Callable[[str, Any], None]] = {}
         self._state: dict[tuple[str, str], _ReceiverState] = {}
@@ -176,10 +155,53 @@ class AtomicBroadcast:
         self.repairs_served = 0
         self.repairs_expired = 0
         self.repairs_gave_up = 0
+        self.failover_nacks = 0
+        self._declare_metrics()
         # Optional reliable transport (repro.network.reliable) for a
         # subset of groups; all other groups use plain network.send.
         self._transport = None
         self._reliable_groups: set[str] = set()
+
+    def _declare_metrics(self) -> None:
+        def delivered() -> dict[str, int]:
+            by_group: dict[str, int] = {}
+            for (group, _member), state in self._state.items():
+                if state.delivered:
+                    by_group[group] = by_group.get(group, 0) + state.delivered
+            return by_group
+
+        self.obs.counter(
+            "abcast_broadcasts_total",
+            "Payloads sequenced per broadcast group",
+            labels=("group",),
+            read=lambda: {g: n for g, n in self._next_seqno.items() if n},
+        )
+        self.obs.counter(
+            "abcast_delivered_total",
+            "In-order deliveries (cursor advances) per broadcast group",
+            labels=("group",),
+            read=delivered,
+        )
+        self.obs.counter(
+            "abcast_misrouted_dropped_total",
+            "Sequenced payloads dropped at a non-member receiver",
+            read=lambda: self.misrouted_dropped,
+        )
+        self.obs.counter(
+            "abcast_repairs_total",
+            "Gap-repair (NACK) events by outcome",
+            labels=("event",),
+            read=lambda: {
+                event: count
+                for event in ("requested", "served", "expired", "gave_up")
+                if (count := getattr(self, f"repairs_{event}"))
+            },
+        )
+        self.obs.counter(
+            "abcast_failover_nacks_total",
+            "Repair requests addressed to the backup sequencer endpoint",
+            read=lambda: self.failover_nacks,
+        )
 
     def create_group(self, group: str, members: list[str]) -> None:
         """Declare a broadcast group with a fixed receiver set."""
@@ -221,7 +243,6 @@ class AtomicBroadcast:
             raise SimulationError(f"unknown broadcast group {group!r}")
         seqno = self._next_seqno[group]
         self._next_seqno[group] = seqno + 1
-        self._m_broadcasts.labels(group=group).inc()
         payload = SequencedPayload(group=group, seqno=seqno, sender=sender, body=body)
         if self._repair_primary is not None:
             retained = self._sent.setdefault(group, {})
@@ -263,7 +284,6 @@ class AtomicBroadcast:
             # handler: fault-injected duplicates or misrouted repairs
             # would corrupt it.  Drop and count.
             self.misrouted_dropped += 1
-            self._m_misrouted.inc()
             return True
         heapq.heappush(
             state.pending, (payload.seqno, next(state.tiebreak), payload, message)
@@ -280,7 +300,7 @@ class AtomicBroadcast:
                 # Duplicate delivery attempt; integrity says drop it.
                 continue
             state.next_seqno = seqno + 1
-            self._m_delivered.labels(group=key[0]).inc()
+            state.delivered += 1
             if handler is not None:
                 handler(payload.sender, payload.body)
 
@@ -382,11 +402,9 @@ class AtomicBroadcast:
                     # Evicted past the retention horizon: unrepairable
                     # here, the member needs ledger sync + skip_to.
                     self.repairs_expired += 1
-                    self._m_repairs.labels(event="expired").inc()
                     continue
                 payload, size_hint = entry
                 self.repairs_served += 1
-                self._m_repairs.labels(event="served").inc()
                 self.network.send(seq_id, request.requester, payload, size_hint=size_hint)
         return handle
 
@@ -426,15 +444,13 @@ class AtomicBroadcast:
             return
         if state.repair_attempts >= self._repair_max_attempts:
             self.repairs_gave_up += 1
-            self._m_repairs.labels(event="gave_up").inc()
             return
         group, member = key
         target = self._active_repair_target(state)
         state.repair_attempts += 1
         self.repairs_requested += 1
-        self._m_repairs.labels(event="requested").inc()
         if target == self._repair_backup:
-            self._m_failover_nacks.inc()
+            self.failover_nacks += 1
         request = GapRepairRequest(
             group=group,
             requester=member,
@@ -465,9 +481,8 @@ class AtomicBroadcast:
             target = self._active_repair_target(state)
             state.repair_attempts += 1
             self.repairs_requested += 1
-            self._m_repairs.labels(event="requested").inc()
             if target == self._repair_backup:
-                self._m_failover_nacks.inc()
+                self.failover_nacks += 1
             self.network.send(
                 member,
                 target,

@@ -57,7 +57,8 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import (
@@ -142,49 +143,64 @@ class FrameReader:
 # -- telemetry --------------------------------------------------------------
 
 
-def transport_metrics(obs: MetricsRegistry) -> dict[str, object]:
-    """Fetch-or-register the ``tpt_*`` metric family on ``obs``."""
+@dataclass
+class TransportStats:
+    """What one :class:`RealNetwork`'s conveyance layer did (wall-clock
+    side).  Written by the loop thread only; the registry reads it."""
+
+    frames: dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    bytes: dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    reconnects: dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    backoff_sleeps: int = 0
+    deadline_expiries: int = 0
+    retransmits: int = 0
+    heartbeat_misses: dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    suspects: int = 0
+    crc_errors: int = 0
+
+
+#: (:class:`TransportStats` field, family, label names, help).
+_TPT_FAMILIES = (
+    ("frames", "tpt_frames_total", ("direction",),
+     "Wire frames moved by the transport, by direction"),
+    ("bytes", "tpt_bytes_total", ("direction",),
+     "Wire bytes moved by the transport, by direction"),
+    ("reconnects", "tpt_reconnects_total", ("peer",),
+     "Successful peer re-connections after a lost session, by peer"),
+    ("backoff_sleeps", "tpt_backoff_sleeps_total", (),
+     "Exponential-backoff sleeps taken before (re)connect attempts"),
+    ("deadline_expiries", "tpt_send_deadline_expiries_total", (),
+     "Frames whose acknowledgement missed the send deadline"),
+    ("retransmits", "tpt_retransmits_total", (),
+     "Frame retransmissions (deadline expiry or session recycle)"),
+    ("heartbeat_misses", "tpt_heartbeat_misses_total", ("peer",),
+     "Heartbeat intervals that elapsed without a pong, by peer"),
+    ("suspects", "tpt_suspect_transitions_total", (),
+     "Peers marked suspect after exhausting the heartbeat budget"),
+    ("crc_errors", "tpt_crc_errors_total", (),
+     "Frames rejected for CRC or structural errors"),
+)
+
+
+def transport_metrics(
+    obs: MetricsRegistry, stats: TransportStats | None = None
+) -> dict[str, object]:
+    """Declare the ``tpt_*`` family on ``obs``, by :class:`TransportStats` field.
+
+    A :class:`RealNetwork` passes its ``stats`` for the counters to read;
+    a labelled reader copies its dict, which the loop thread may grow.
+    """
+
+    def read(name: str, labelled: bool):
+        if stats is None:
+            return None
+        if labelled:
+            return lambda: dict(getattr(stats, name))
+        return lambda: getattr(stats, name)
+
     return {
-        "frames": obs.counter(
-            "tpt_frames_total",
-            "Wire frames moved by the transport, by direction",
-            labels=("direction",),
-        ),
-        "bytes": obs.counter(
-            "tpt_bytes_total",
-            "Wire bytes moved by the transport, by direction",
-            labels=("direction",),
-        ),
-        "reconnects": obs.counter(
-            "tpt_reconnects_total",
-            "Successful peer re-connections after a lost session, by peer",
-            labels=("peer",),
-        ),
-        "backoff_sleeps": obs.counter(
-            "tpt_backoff_sleeps_total",
-            "Exponential-backoff sleeps taken before (re)connect attempts",
-        ),
-        "deadline_expiries": obs.counter(
-            "tpt_send_deadline_expiries_total",
-            "Frames whose acknowledgement missed the send deadline",
-        ),
-        "retransmits": obs.counter(
-            "tpt_retransmits_total",
-            "Frame retransmissions (deadline expiry or session recycle)",
-        ),
-        "heartbeat_misses": obs.counter(
-            "tpt_heartbeat_misses_total",
-            "Heartbeat intervals that elapsed without a pong, by peer",
-            labels=("peer",),
-        ),
-        "suspects": obs.counter(
-            "tpt_suspect_transitions_total",
-            "Peers marked suspect after exhausting the heartbeat budget",
-        ),
-        "crc_errors": obs.counter(
-            "tpt_crc_errors_total",
-            "Frames rejected for CRC or structural errors",
-        ),
+        name: obs.counter(family, help, labels=labels, read=read(name, bool(labels)))
+        for name, family, labels, help in _TPT_FAMILIES
     }
 
 
@@ -306,7 +322,7 @@ class _PeerSupervisor:
                 await self._backoff(attempt)
                 continue
             if self._sessions > 0:
-                self.metrics["reconnects"].labels(peer=self.name).inc()
+                self.metrics.reconnects[self.name] += 1
             self._sessions += 1
             attempt = 0
             if self.suspect:
@@ -315,7 +331,7 @@ class _PeerSupervisor:
             # Everything unacknowledged rides again on the new session.
             requeued = sorted(set(self._unacked) - set(self._queue))
             if requeued:
-                self.metrics["retransmits"].inc(len(requeued))
+                self.metrics.retransmits += len(requeued)
             self._queue = sorted(set(self._queue) | set(requeued))
             self._wake.set()
             started = time.monotonic()
@@ -347,7 +363,7 @@ class _PeerSupervisor:
             self.cfg.backoff_base * (2 ** (attempt - 1)), self.cfg.backoff_max
         )
         sleep *= 1.0 + self._rng.uniform(0.0, self.cfg.backoff_jitter)
-        self.metrics["backoff_sleeps"].inc()
+        self.metrics.backoff_sleeps += 1
         try:
             await asyncio.sleep(sleep)
         except asyncio.CancelledError:
@@ -375,8 +391,8 @@ class _PeerSupervisor:
             while self._control:
                 frame = self._control.pop(0)
                 writer.write(frame)
-                self.metrics["frames"].labels(direction="out").inc()
-                self.metrics["bytes"].labels(direction="out").inc(len(frame))
+                self.metrics.frames["out"] += 1
+                self.metrics.bytes["out"] += len(frame)
             while self._queue:
                 seq = self._queue.pop(0)
                 pending = self._unacked.get(seq)
@@ -385,10 +401,8 @@ class _PeerSupervisor:
                 pending.attempts += 1
                 pending.sent_at = time.monotonic()
                 writer.write(pending.frame)
-                self.metrics["frames"].labels(direction="out").inc()
-                self.metrics["bytes"].labels(direction="out").inc(
-                    len(pending.frame)
-                )
+                self.metrics.frames["out"] += 1
+                self.metrics.bytes["out"] += len(pending.frame)
             await writer.drain()
             self._wake.clear()
             try:
@@ -407,7 +421,7 @@ class _PeerSupervisor:
                 continue
             if now - pending.sent_at < self.cfg.send_deadline:
                 continue
-            self.metrics["deadline_expiries"].inc()
+            self.metrics.deadline_expiries += 1
             if pending.attempts > self.cfg.max_retries:
                 self.network._fail(
                     PeerUnreachableError(
@@ -418,7 +432,7 @@ class _PeerSupervisor:
                     )
                 )
                 return
-            self.metrics["retransmits"].inc()
+            self.metrics.retransmits += 1
             self._queue.append(seq)
             queued.add(seq)
         if self._queue:
@@ -430,14 +444,14 @@ class _PeerSupervisor:
             data = await reader.read(65536)
             if not data:
                 return  # peer closed; outer loop reconnects
-            self.metrics["bytes"].labels(direction="in").inc(len(data))
+            self.metrics.bytes["in"] += len(data)
             try:
                 decoded = frames.feed(data)
             except FrameError:
-                self.metrics["crc_errors"].inc()
+                self.metrics.crc_errors += 1
                 return  # corrupted stream: recycle the session
             for seq, kind, _body in decoded:
-                self.metrics["frames"].labels(direction="in").inc()
+                self.metrics.frames["in"] += 1
                 if kind == KIND_ACK:
                     if self._unacked.pop(seq, None) is not None:
                         self.network._acked(seq)
@@ -449,11 +463,11 @@ class _PeerSupervisor:
         while True:
             await asyncio.sleep(self.cfg.heartbeat_interval)
             if self._misses:
-                self.metrics["heartbeat_misses"].labels(peer=self.name).inc()
+                self.metrics.heartbeat_misses[self.name] += 1
             if self._misses >= self.cfg.heartbeat_budget:
                 if not self.suspect:
                     self.suspect = True
-                    self.metrics["suspects"].inc()
+                    self.metrics.suspects += 1
                 return  # recycle the session; frames stay buffered
             self._misses += 1
             seq += 1
@@ -515,7 +529,8 @@ class RealNetwork(SyncNetwork):
                 "SyncNetwork for pure simulation"
             )
         self.config = config if config is not None else TransportConfig()
-        self.metrics = transport_metrics(self.obs)
+        self.metrics = TransportStats()
+        transport_metrics(self.obs, self.metrics)
         self._seq = 0
         #: seq -> (logical stamp, custodian name) for in-flight frames.
         self._outstanding: dict[int, tuple[float, str]] = {}

@@ -109,27 +109,25 @@ class ReliableChannel:
         self._pending: dict[int, _Pending] = {}
         self._seen: dict[str, set[int]] = {}
         self.obs = obs if obs is not None else NULL_REGISTRY
-        self._m_sent = self.obs.counter(
-            "rel_sent_total", "Application payloads submitted for reliable delivery"
-        )
-        self._m_delivered = self.obs.counter(
-            "rel_delivered_total", "Envelopes delivered to application handlers"
-        )
-        self._m_retransmits = self.obs.counter(
-            "rel_retransmits_total", "Envelope retransmissions after timeout"
-        )
-        self._m_dups = self.obs.counter(
-            "rel_duplicates_suppressed_total",
-            "Envelope replays suppressed by msg_id dedup",
-        )
-        self._m_acks = self.obs.counter(
-            "rel_acks_total", "Acknowledgements sent by receivers"
-        )
-        self._m_gave_up = self.obs.counter(
-            "rel_gave_up_total", "Envelopes abandoned after the full retry budget"
-        )
-        self._m_unacked = self.obs.gauge(
-            "rel_unacked", "Envelopes currently awaiting an ack"
+        stats = self.stats
+        for name, field, help in (
+            ("rel_sent_total", "sent",
+             "Application payloads submitted for reliable delivery"),
+            ("rel_delivered_total", "delivered",
+             "Envelopes delivered to application handlers"),
+            ("rel_retransmits_total", "retransmits",
+             "Envelope retransmissions after timeout"),
+            ("rel_duplicates_suppressed_total", "duplicates_suppressed",
+             "Envelope replays suppressed by msg_id dedup"),
+            ("rel_acks_total", "acks_sent", "Acknowledgements sent by receivers"),
+            ("rel_gave_up_total", "gave_up",
+             "Envelopes abandoned after the full retry budget"),
+        ):
+            self.obs.counter(name, help, read=lambda f=field: getattr(stats, f))
+        self.obs.gauge(
+            "rel_unacked",
+            "Envelopes currently awaiting an ack",
+            read=lambda: len(self._pending),
         )
         self._m_backoff = self.obs.histogram(
             "rel_backoff_wait_seconds",
@@ -150,21 +148,17 @@ class ReliableChannel:
         def wrapped(message: Message) -> None:
             payload = message.payload
             if isinstance(payload, ReliableAck):
-                if self._pending.pop(payload.msg_id, None) is not None:
-                    self._m_unacked.set(len(self._pending))
+                self._pending.pop(payload.msg_id, None)
                 return
             if isinstance(payload, ReliableEnvelope):
                 self.stats.acks_sent += 1
-                self._m_acks.inc()
                 self.network.send(node_id, payload.sender, ReliableAck(payload.msg_id))
                 seen = self._seen[node_id]
                 if payload.msg_id in seen:
                     self.stats.duplicates_suppressed += 1
-                    self._m_dups.inc()
                     return
                 seen.add(payload.msg_id)
                 self.stats.delivered += 1
-                self._m_delivered.inc()
                 handler(replace(message, payload=payload.body))
                 return
             handler(message)
@@ -181,8 +175,6 @@ class ReliableChannel:
             sender=sender, receiver=receiver, envelope=envelope, size_hint=size_hint
         )
         self.stats.sent += 1
-        self._m_sent.inc()
-        self._m_unacked.set(len(self._pending))
         self._transmit(msg_id)
         return msg_id
 
@@ -204,12 +196,9 @@ class ReliableChannel:
         if pending.attempts >= self.max_retries:
             del self._pending[msg_id]
             self.stats.gave_up += 1
-            self._m_gave_up.inc()
-            self._m_unacked.set(len(self._pending))
             return
         pending.attempts += 1
         self.stats.retransmits += 1
-        self._m_retransmits.inc()
         self._transmit(msg_id)
 
     @property

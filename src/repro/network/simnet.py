@@ -56,8 +56,9 @@ class NetworkStats:
 
     messages_sent: int = 0
     bytes_sent: int = 0
-    messages_dropped: int = 0
     messages_by_kind: dict[str, int] = field(default_factory=dict)
+    #: ``partition`` / ``fault`` / ``in_flight`` -> messages destroyed.
+    drops_by_reason: dict[str, int] = field(default_factory=dict)
 
     def record(self, kind: str, size_hint: int) -> None:
         """Account for one sent message copy."""
@@ -65,14 +66,19 @@ class NetworkStats:
         self.bytes_sent += size_hint
         self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + 1
 
-    def record_drop(self) -> None:
+    def record_drop(self, reason: str) -> None:
         """Account for one message that was dropped before delivery.
 
         Dropped messages never contribute to ``messages_sent`` or
         ``bytes_sent`` — they never crossed the wire, so counting them
         would inflate the complexity experiments (E7).
         """
-        self.messages_dropped += 1
+        self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
+
+    @property
+    def messages_dropped(self) -> int:
+        """Messages destroyed before delivery, whatever the cause."""
+        return sum(self.drops_by_reason.values())
 
 
 class Simulator:
@@ -188,18 +194,23 @@ class SyncNetwork:
         self.max_delay = max_delay
         self.stats = NetworkStats()
         self.obs = obs if obs is not None else NULL_REGISTRY
-        self._m_sent = self.obs.counter(
+        stats = self.stats
+        self.obs.counter(
             "net_messages_sent_total",
             "Messages scheduled for delivery, by payload kind",
             labels=("kind",),
+            read=lambda: stats.messages_by_kind,
         )
-        self._m_bytes = self.obs.counter(
-            "net_bytes_sent_total", "Sum of size hints over sent messages"
+        self.obs.counter(
+            "net_bytes_sent_total",
+            "Sum of size hints over sent messages",
+            read=lambda: stats.bytes_sent,
         )
-        self._m_dropped = self.obs.counter(
+        self.obs.counter(
             "net_messages_dropped_total",
             "Messages destroyed before delivery, by cause",
             labels=("reason",),
+            read=lambda: stats.drops_by_reason,
         )
         self._m_delay = self.obs.histogram(
             "net_delay_seconds", "Per-message transmission delay (sim seconds)"
@@ -277,8 +288,7 @@ class SyncNetwork:
         if receiver not in self._handlers:
             raise SimulationError(f"no handler registered for receiver {receiver!r}")
         if sender in self._partitioned or receiver in self._partitioned:
-            self.stats.record_drop()
-            self._m_dropped.labels(reason="partition").inc()
+            self.stats.record_drop("partition")
             return
         copies, extra_delay = 1, 0.0
         action = (
@@ -288,8 +298,7 @@ class SyncNetwork:
         )
         if action is not None:
             if action.drop:
-                self.stats.record_drop()
-                self._m_dropped.labels(reason="fault").inc()
+                self.stats.record_drop("fault")
                 return
             if action.replace is not None:
                 payload = action.replace
@@ -342,8 +351,6 @@ class SyncNetwork:
                 sent_at=now, deliver_at=at,
             )
             self.stats.record(kind, size_hint)
-            self._m_sent.labels(kind=kind).inc()
-            self._m_bytes.inc(size_hint)
             self._m_delay.observe(message.latency)
             self.sim.schedule_at(at, lambda m=message: self._deliver(m))
             self._convey(message, size_hint)
@@ -366,8 +373,7 @@ class SyncNetwork:
         crash does not destroy packets already on the wire).
         """
         if message.receiver in self._partitioned:
-            self.stats.record_drop()
-            self._m_dropped.labels(reason="in_flight").inc()
+            self.stats.record_drop("in_flight")
             return
         self._handlers[message.receiver](message)
 

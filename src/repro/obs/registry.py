@@ -3,17 +3,25 @@
 The observability layer the experiments and benches share.  Design
 constraints, in order:
 
-1. **Dependency-free and deterministic.**  Pure stdlib; no wall-clock
-   reads anywhere.  Export ordering is fully deterministic (sorted by
-   metric name, then label values), so two identical seeded runs
-   produce byte-identical exports.
-2. **A disabled registry is a no-op.**  Components accept an optional
-   registry and default to :data:`NULL_REGISTRY`, whose metric handles
-   swallow every call.  Instrumentation never draws randomness, never
-   branches on metric values, and never reorders protocol work, so a
-   seeded run's ledger and RNG consumption are bit-identical whether
-   observability is off, on, or absent — the same convention as the
-   fault machinery's ``resilience=False`` default.
+1. **Dependency-free and deterministic.**  Pure stdlib.  Export
+   ordering is fully deterministic (sorted by metric name, then label
+   values), so two identical seeded runs produce byte-identical exports
+   of every family that measures the simulated protocol.  The families
+   that measure the host instead — recovery replay seconds, the
+   ``par_*`` wall histograms, ``tpt_*``, peak RSS — are listed in
+   OBSERVABILITY.md.
+2. **A component counts once, in its own record; the registry reads.**
+   A counter or gauge is a name bound to reader functions
+   (``registry.counter(name, help, labels, read=fn)``): the plain
+   ``+= 1`` on the component's record is the only bookkeeping, it costs
+   the same with a live registry, a disabled one or none, and the
+   exporters evaluate the readers when asked.  Histograms and spans are
+   the only things pushed — a distribution has no plain twin.  On a
+   disabled registry (:data:`NULL_REGISTRY`, what ``obs=None`` means)
+   declaring retains nothing and histogram handles swallow ``observe``.
+   Readers draw no randomness and the protocol never reads the
+   registry, so a seeded run's ledger and RNG consumption are
+   bit-identical whether observability is on, disabled, or absent.
 3. **Prometheus-compatible naming.**  ``*_total`` counters, base-unit
    histograms, label sets declared at registration.  The exporters in
    :mod:`repro.obs.export` emit the standard text exposition format.
@@ -31,6 +39,7 @@ be measured in simulated seconds.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Callable, Iterable, Mapping
 
@@ -75,149 +84,91 @@ class _Metric:
         self.name = name
         self.help = help
         self.label_names = label_names
-        self._children: dict[tuple[str, ...], "_Metric"] = {}
-
-    def labels(self, **values: str) -> "_Metric":
-        """The child bound to one label-value combination (cached)."""
-        key = _label_key(self, values)
-        child = self._children.get(key)
-        if child is None:
-            child = self._make_child(key)
-            self._children[key] = child
-        return child
-
-    def _make_child(self, key: tuple[str, ...]) -> "_Metric":
-        raise NotImplementedError
 
     def _require_unlabeled(self) -> None:
         if self.label_names:
             raise ConfigurationError(
-                f"metric {self.name!r} needs labels {self.label_names}; "
-                "call .labels(...) first"
+                f"metric {self.name!r} needs labels {self.label_names}"
             )
 
     def samples(self) -> Iterable[tuple[tuple[str, ...], object]]:
         """(label values, value) pairs in deterministic (sorted) order."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Zero every child (registrations survive)."""
+
+class _ReadMetric(_Metric):
+    """A counter or gauge: a name bound to the readers that know its value.
+
+    The registry stores no number.  A reader is a zero-argument callable
+    returning the family's current value off the record of the component
+    that attached it: a number for an unlabelled family, or a mapping
+    ``label values -> number`` for a labelled one (the key is the bare
+    value for one label name, a tuple in declaration order for several;
+    values are coerced to ``str``).  A series exists once some reader
+    returns its key, so label values that first appear mid-run need no
+    pre-registration; an unlabelled family always has its one series.
+    """
+
+    def __init__(self, name: str, help: str, label_names: tuple[str, ...] = ()):
+        super().__init__(name, help, label_names)
+        self._readers: list[Callable[[], float | Mapping]] = []
+
+    @staticmethod
+    def _fold(earlier: float, later: float) -> float:
+        """Two readers returned the same series: the family's value."""
         raise NotImplementedError
 
+    def _series(self, reader: Callable[[], float | Mapping]) -> dict:
+        got = reader()
+        if not self.label_names:
+            return {(): float(got)}
+        series = {}
+        for key, value in got.items():
+            key = key if isinstance(key, tuple) else (key,)
+            if len(key) != len(self.label_names):
+                raise ConfigurationError(
+                    f"metric {self.name!r} takes labels {self.label_names}, "
+                    f"a reader returned {key}"
+                )
+            series[tuple(str(part) for part in key)] = float(value)
+        return series
 
-class Counter(_Metric):
-    """A monotonically increasing count."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str, label_names: tuple[str, ...] = ()):
-        super().__init__(name, help, label_names)
-        self._values: dict[tuple[str, ...], float] = {}
-        if not label_names:
-            self._values[()] = 0.0
-
-    def _make_child(self, key: tuple[str, ...]) -> "_BoundCounter":
-        self._values.setdefault(key, 0.0)
-        return _BoundCounter(self, key)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (>= 0) to the unlabeled series."""
-        self._require_unlabeled()
-        self._add((), amount)
-
-    def _add(self, key: tuple[str, ...], amount: float) -> None:
-        if amount < 0:
-            raise ConfigurationError(
-                f"counter {self.name!r} cannot decrease (amount={amount})"
-            )
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    @property
-    def value(self) -> float:
-        """The unlabeled series' current count."""
-        self._require_unlabeled()
-        return self._values.get((), 0.0)
-
-    def value_of(self, **values: str) -> float:
-        """One labeled series' current count (0 if never touched)."""
-        return self._values.get(_label_key(self, values), 0.0)
-
-    def samples(self) -> Iterable[tuple[tuple[str, ...], float]]:
-        return sorted(self._values.items())
-
-    def reset(self) -> None:
-        for key in self._values:
-            self._values[key] = 0.0
-
-
-class _BoundCounter:
-    __slots__ = ("_metric", "_key")
-
-    def __init__(self, metric: Counter, key: tuple[str, ...]):
-        self._metric = metric
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._metric._add(self._key, amount)
-
-
-class Gauge(_Metric):
-    """A value that can go up and down (set to the latest observation)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str, label_names: tuple[str, ...] = ()):
-        super().__init__(name, help, label_names)
-        self._values: dict[tuple[str, ...], float] = {}
-        if not label_names:
-            self._values[()] = 0.0
-
-    def _make_child(self, key: tuple[str, ...]) -> "_BoundGauge":
-        self._values.setdefault(key, 0.0)
-        return _BoundGauge(self, key)
-
-    def set(self, value: float) -> None:
-        """Overwrite the unlabeled series."""
-        self._require_unlabeled()
-        self._values[()] = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Shift the unlabeled series by ``amount`` (may be negative)."""
-        self._require_unlabeled()
-        self._values[()] = self._values.get((), 0.0) + amount
+    def _collect(self) -> dict[tuple[str, ...], float]:
+        values: dict[tuple[str, ...], float] = {} if self.label_names else {(): 0.0}
+        for reader in self._readers:
+            for key, value in self._series(reader).items():
+                values[key] = self._fold(values[key], value) if key in values else value
+        return values
 
     @property
     def value(self) -> float:
         """The unlabeled series' current value."""
         self._require_unlabeled()
-        return self._values.get((), 0.0)
+        return self._collect()[()]
 
     def value_of(self, **values: str) -> float:
-        """One labeled series' current value (0 if never set)."""
-        return self._values.get(_label_key(self, values), 0.0)
+        """One labeled series' current value (0 if no reader returns it)."""
+        return self._collect().get(_label_key(self, values), 0.0)
 
     def samples(self) -> Iterable[tuple[tuple[str, ...], float]]:
-        return sorted(self._values.items())
-
-    def reset(self) -> None:
-        for key in self._values:
-            self._values[key] = 0.0
+        return sorted(self._collect().items())
 
 
-class _BoundGauge:
-    __slots__ = ("_metric", "_key")
+class Counter(_ReadMetric):
+    """A monotonically increasing count; several readers' values add."""
 
-    def __init__(self, metric: Gauge, key: tuple[str, ...]):
-        self._metric = metric
-        self._key = key
+    kind = "counter"
+    _fold = staticmethod(operator.add)
 
-    def set(self, value: float) -> None:
-        self._metric._values[self._key] = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._metric._values[self._key] = (
-            self._metric._values.get(self._key, 0.0) + amount
-        )
+class Gauge(_ReadMetric):
+    """A value that can go up and down; the reader attached last wins."""
+
+    kind = "gauge"
+
+    @staticmethod
+    def _fold(earlier: float, later: float) -> float:
+        return later
 
 
 class _HistogramState:
@@ -253,12 +204,18 @@ class Histogram(_Metric):
             )
         self.buckets = tuple(float(b) for b in buckets)
         self._states: dict[tuple[str, ...], _HistogramState] = {}
+        self._children: dict[tuple[str, ...], _BoundHistogram] = {}
         if not label_names:
             self._states[()] = _HistogramState(len(self.buckets))
 
-    def _make_child(self, key: tuple[str, ...]) -> "_BoundHistogram":
-        self._states.setdefault(key, _HistogramState(len(self.buckets)))
-        return _BoundHistogram(self, key)
+    def labels(self, **values: str) -> "_BoundHistogram":
+        """The child bound to one label-value combination (cached)."""
+        key = _label_key(self, values)
+        child = self._children.get(key)
+        if child is None:
+            self._states.setdefault(key, _HistogramState(len(self.buckets)))
+            child = self._children[key] = _BoundHistogram(self, key)
+        return child
 
     def observe(self, value: float) -> None:
         """Record one observation on the unlabeled series."""
@@ -279,24 +236,8 @@ class Histogram(_Metric):
         key = _label_key(self, values)
         return self._states.setdefault(key, _HistogramState(len(self.buckets)))
 
-    @property
-    def count(self) -> int:
-        """Observations on the unlabeled series."""
-        self._require_unlabeled()
-        return self._states[()].count
-
-    @property
-    def sum(self) -> float:
-        """Sum of observations on the unlabeled series."""
-        self._require_unlabeled()
-        return self._states[()].sum
-
     def samples(self) -> Iterable[tuple[tuple[str, ...], _HistogramState]]:
         return sorted(self._states.items())
-
-    def reset(self) -> None:
-        for key in self._states:
-            self._states[key] = _HistogramState(len(self.buckets))
 
 
 class _BoundHistogram:
@@ -311,18 +252,12 @@ class _BoundHistogram:
 
 
 class _NullHandle:
-    """Accepts the full metric/child API and does nothing."""
+    """Accepts the histogram / child API and does nothing."""
 
     __slots__ = ()
 
     def labels(self, **values: str) -> "_NullHandle":
         return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
 
     def observe(self, value: float) -> None:
         pass
@@ -366,19 +301,42 @@ class MetricsRegistry:
         self._metrics[name] = metric
         return metric
 
-    def counter(
-        self, name: str, help: str, labels: Iterable[str] = ()
-    ) -> Counter:
-        """Register (or fetch) a counter."""
+    def _declare(self, cls, name, help, labels, read):
         if not self.enabled:
-            return _NULL_HANDLE
-        return self._register(Counter, name, help, labels)
+            return None  # nothing retained: no family, no reader
+        metric = self._register(cls, name, help, labels)
+        if read is not None:
+            metric._readers.append(read)
+        return metric
 
-    def gauge(self, name: str, help: str, labels: Iterable[str] = ()) -> Gauge:
-        """Register (or fetch) a gauge."""
-        if not self.enabled:
-            return _NULL_HANDLE
-        return self._register(Gauge, name, help, labels)
+    def counter(
+        self,
+        name: str,
+        help: str,
+        labels: Iterable[str] = (),
+        read: Callable[[], float | Mapping] | None = None,
+    ) -> Counter | None:
+        """Declare a counter and attach ``read`` as one of its readers.
+
+        Readers of one counter add per series: S shard engines on one
+        registry, or the engine before and after a restart, each report
+        their own record and the family is the sum.
+        """
+        return self._declare(Counter, name, help, labels, read)
+
+    def gauge(
+        self,
+        name: str,
+        help: str,
+        labels: Iterable[str] = (),
+        read: Callable[[], float | Mapping] | None = None,
+    ) -> Gauge | None:
+        """Declare a gauge and attach ``read`` as its latest reader.
+
+        Per series the reader attached last replaces the earlier ones —
+        the component built last is the one whose state is current.
+        """
+        return self._declare(Gauge, name, help, labels, read)
 
     def histogram(
         self,
@@ -454,12 +412,6 @@ class MetricsRegistry:
     def metrics(self) -> Iterable[_Metric]:
         """Registered metrics in name order (deterministic)."""
         return [self._metrics[name] for name in self.names()]
-
-    def reset(self) -> None:
-        """Zero all metric values and clear spans; keep registrations."""
-        for metric in self._metrics.values():
-            metric.reset()
-        self.spans.clear()
 
 
 #: The shared disabled registry every un-instrumented component uses.

@@ -46,6 +46,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 import time
+from collections import defaultdict
 from contextlib import suppress
 from dataclasses import replace
 from typing import Mapping, Sequence
@@ -67,14 +68,29 @@ __all__ = ["ParallelBackend", "parallel_metrics"]
 _READY_TIMEOUT_FLOOR = 120.0
 
 
-def parallel_metrics(obs: MetricsRegistry) -> dict[str, object]:
-    """Fetch-or-register the ``par_*`` metric family on ``obs``.
+def parallel_metrics(
+    obs: MetricsRegistry, backend: "ParallelBackend | None" = None
+) -> dict[str, object]:
+    """Declare the ``par_*`` family on ``obs``; returns its histograms.
 
-    Called by the coordinator for every backend (so the metrics appear —
+    Called by the coordinator for every backend (so the family appears —
     at zero — in serial runs too, keeping OBSERVABILITY.md coverage
-    honest) and by :class:`ParallelBackend` to obtain the same
-    instances.
+    honest) and by :class:`ParallelBackend` with itself as ``backend``,
+    whose plain counts the counters then read.
     """
+
+    for family, attribute, labels, help in (
+        ("par_ipc_msgs_total", "ipc_msgs", ("direction",),
+         "Pipe messages between driver and workers, by direction"),
+        ("par_ipc_bytes_total", "ipc_bytes", ("direction",),
+         "Pickled payload bytes between driver and workers, by direction"),
+        ("par_worker_crashes_total", "crashes", ("phase",),
+         "Worker processes detected dead or hung at a phase barrier, by phase"),
+        ("par_worker_restarts_total", "restarts", (),
+         "Worker processes respawned from durable checkpoints after a crash"),
+    ):
+        read = None if backend is None else lambda a=attribute: getattr(backend, a)
+        obs.counter(family, help, labels=labels, read=read)
     return {
         "barrier_wait": obs.histogram(
             "par_barrier_wait_seconds",
@@ -86,25 +102,6 @@ def parallel_metrics(obs: MetricsRegistry) -> dict[str, object]:
             "Worker-side wall-clock compute per super-round, by worker",
             labels=("worker",),
             buckets=(0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0),
-        ),
-        "ipc_msgs": obs.counter(
-            "par_ipc_msgs_total",
-            "Pipe messages between driver and workers, by direction",
-            labels=("direction",),
-        ),
-        "ipc_bytes": obs.counter(
-            "par_ipc_bytes_total",
-            "Pickled payload bytes between driver and workers, by direction",
-            labels=("direction",),
-        ),
-        "crashes": obs.counter(
-            "par_worker_crashes_total",
-            "Worker processes detected dead or hung at a phase barrier, by phase",
-            labels=("phase",),
-        ),
-        "restarts": obs.counter(
-            "par_worker_restarts_total",
-            "Worker processes respawned from durable checkpoints after a crash",
         ),
         "boot": obs.histogram(
             "par_worker_boot_seconds",
@@ -153,7 +150,13 @@ class ParallelBackend:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.phase_timeout = phase_timeout
-        self._metrics = parallel_metrics(self.obs)
+        #: ``send`` / ``recv`` -> pipe messages and pickled bytes moved.
+        self.ipc_msgs: dict[str, int] = defaultdict(int)
+        self.ipc_bytes: dict[str, int] = defaultdict(int)
+        #: In-flight phase name -> workers found dead or hung there.
+        self.crashes: dict[str, int] = defaultdict(int)
+        self.restarts = 0
+        self._metrics = parallel_metrics(self.obs, self)
         self._now = 0.0
         try:
             pickle.dumps(spec.behaviors, protocol=pickle.HIGHEST_PROTOCOL)
@@ -290,7 +293,7 @@ class ParallelBackend:
             plan = self._fault_plans.get(shard)
             if plan is not None:
                 self._call("install_faults", {handle.index: (shard, plan)})
-        self._metrics["restarts"].inc()
+        self.restarts += 1
 
     def close(self) -> None:
         """Shut every worker down; terminate stragglers."""
@@ -307,8 +310,8 @@ class ParallelBackend:
             handle.conn.send_bytes(blob)
         except (BrokenPipeError, OSError) as exc:
             self._crash(handle, op, str(exc))
-        self._metrics["ipc_msgs"].labels(direction="send").inc()
-        self._metrics["ipc_bytes"].labels(direction="send").inc(len(blob))
+        self.ipc_msgs["send"] += 1
+        self.ipc_bytes["send"] += len(blob)
 
     def _recv(self, handle: _WorkerHandle, phase: str, timeout: float | None = None):
         timeout = self.phase_timeout if timeout is None else timeout
@@ -322,8 +325,8 @@ class ParallelBackend:
                 blob = handle.conn.recv_bytes()
             except (EOFError, BrokenPipeError, OSError) as exc:
                 self._crash(handle, phase, str(exc) or type(exc).__name__)
-            self._metrics["ipc_msgs"].labels(direction="recv").inc()
-            self._metrics["ipc_bytes"].labels(direction="recv").inc(len(blob))
+            self.ipc_msgs["recv"] += 1
+            self.ipc_bytes["recv"] += len(blob)
             reply = pickle.loads(blob)
             if reply[0] == handle.seq:
                 break
@@ -345,7 +348,7 @@ class ParallelBackend:
             handle.proc.kill()
             handle.proc.join(timeout=5.0)
             exitcode = handle.proc.exitcode
-        self._metrics["crashes"].labels(phase=phase).inc()
+        self.crashes[phase] += 1
         raise WorkerCrashError(
             handle.index, handle.shards, phase, detail=detail, exitcode=exitcode
         )

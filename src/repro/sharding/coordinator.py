@@ -55,7 +55,7 @@ quarantine always does (:mod:`repro.core.lifecycle`).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -184,51 +184,53 @@ class ShardCoordinator:
         self._pending: dict[str, tuple[CrossShardReceipt, float]] = {}
         # (super-round, epoch, migrations applied)
         self.reshuffle_log: list[tuple[int, int, list[Migration]]] = []
-        self.committed_total = 0
-        self._m_rounds = self.obs.counter(
-            "shard_rounds_total", "Per-shard rounds executed", labels=("shard",)
+        # Plain per-shard / per-attempt counts; the registry reads them.
+        self.committed: dict[int, int] = defaultdict(int)
+        self.cross_out: dict[int, int] = defaultdict(int)
+        self.cross_in: dict[int, int] = defaultdict(int)
+        self.relays: dict[str, int] = defaultdict(int)
+        # Per-shard reputation mass as of the last barrier (live registry only).
+        self._mass_totals: list[float] = []
+        shards = range(topology.num_shards)
+        self.obs.counter(
+            "shard_rounds_total", "Per-shard rounds executed", labels=("shard",),
+            read=lambda: dict.fromkeys(shards, self._round) if self._round else {},
         )
-        self._m_committed = self.obs.counter(
-            "shard_committed_tx_total",
-            "Origin (non-receipt) records committed, by shard",
-            labels=("shard",),
-        )
-        self._m_cross_out = self.obs.counter(
-            "shard_cross_tx_out_total",
-            "Cross-shard transactions home-committed (receipts minted), by home shard",
-            labels=("shard",),
-        )
-        self._m_cross_in = self.obs.counter(
-            "shard_cross_tx_in_total",
-            "Cross-shard receipts committed on their remote shard, by that shard",
-            labels=("shard",),
-        )
-        self._m_relays = self.obs.counter(
-            "shard_receipt_relays_total",
-            "Receipt relay fan-outs, first sends vs retries",
-            labels=("attempt",),
-        )
+        for family, record, label, help in (
+            ("shard_committed_tx_total", self.committed, "shard",
+             "Origin (non-receipt) records committed, by shard"),
+            ("shard_cross_tx_out_total", self.cross_out, "shard",
+             "Cross-shard transactions home-committed (receipts minted), by home shard"),
+            ("shard_cross_tx_in_total", self.cross_in, "shard",
+             "Cross-shard receipts committed on their remote shard, by that shard"),
+            ("shard_receipt_relays_total", self.relays, "attempt",
+             "Receipt relay fan-outs, first sends vs retries"),
+        ):
+            self.obs.counter(family, help, labels=(label,), read=lambda r=record: r)
         self._m_cross_latency = self.obs.histogram(
             "shard_cross_latency_seconds",
             "Sim-time from home-shard commit to remote-shard commit",
             buckets=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
         )
-        self._m_reshuffles = self.obs.counter(
-            "shard_reshuffles_total", "Epoch reshuffles executed"
+        self.obs.counter(
+            "shard_reshuffles_total", "Epoch reshuffles executed",
+            read=lambda: len(self.reshuffle_log),
         )
-        self._m_migrations = self.obs.counter(
-            "shard_migrations_total", "Collector migrations applied by reshuffles"
+        self.obs.counter(
+            "shard_migrations_total", "Collector migrations applied by reshuffles",
+            read=lambda: sum(len(moves) for _, _, moves in self.reshuffle_log),
         )
-        self._m_mass = self.obs.gauge(
+        self.obs.gauge(
             "shard_reputation_mass",
             "Total live collector reputation mass hosted, by shard",
             labels=("shard",),
+            read=lambda: dict(enumerate(self._mass_totals)),
         )
         # Register the par_* family on every backend so serial runs
         # export them (at zero) too — OBSERVABILITY.md coverage is
         # backend-independent.
         parallel_metrics(self.obs)
-        self._update_mass_gauge()
+        self._read_masses()
 
     # -- backend access ----------------------------------------------------
 
@@ -299,7 +301,7 @@ class ShardCoordinator:
             for rid in sorted(self._pending):
                 receipt = self._pending[rid][0]
                 retry.setdefault(receipt.remote_shard, []).append(receipt)
-                self._m_relays.labels(attempt="retry").inc()
+                self.relays["retry"] += 1
             self.backend.relay(retry)
         specs: dict[int, list[TxSpec]] = {}
         for k, queue in enumerate(self._backlog):
@@ -312,13 +314,11 @@ class ShardCoordinator:
         infos = self.backend.complete_round()
         for k in range(self.topology.num_shards):
             self._carryover[k] = infos[k].carryover
-            self._m_rounds.labels(shard=str(k)).inc()
         minted, receipts_in, origin = self._ingest_scans()
-        self.committed_total += origin
         migrations: list[Migration] = []
         if self.epoch_rounds is not None and self._round % self.epoch_rounds == 0:
             migrations = self.reshuffle()
-        self._update_mass_gauge()
+        self._read_masses()
         return SuperRoundResult(
             round_number=self._round,
             shard_results=[infos[k] for k in range(self.topology.num_shards)],
@@ -346,12 +346,12 @@ class ShardCoordinator:
             self._cursors[k] = scan.cursor
             origin += scan.origin
             if scan.origin:
-                self._m_committed.labels(shard=str(k)).inc(scan.origin)
+                self.committed[k] += scan.origin
             for event in scan.events:
                 if event[0] == "r":
                     _, rid, serial = event
                     receipts_in += 1
-                    self._m_cross_in.labels(shard=str(k)).inc()
+                    self.cross_in[k] += 1
                     pending = self._pending.pop(rid, None)
                     if pending is not None:
                         self._m_cross_latency.observe(self.now - pending[1])
@@ -366,10 +366,10 @@ class ShardCoordinator:
                         f"refusing to relay unverifiable receipt {receipt.receipt_id}"
                     )
                 minted += 1
-                self._m_cross_out.labels(shard=str(k)).inc()
+                self.cross_out[k] += 1
                 self._pending[receipt.receipt_id] = (receipt, self.now)
                 first.setdefault(receipt.remote_shard, []).append(receipt)
-                self._m_relays.labels(attempt="first").inc()
+                self.relays["first"] += 1
         if first:
             self.backend.relay(first)
         return minted, receipts_in, origin
@@ -419,24 +419,27 @@ class ShardCoordinator:
         self.backend.adopt_collectors(adoptions)
         self.collector_shard = dict(target)
         self.reshuffle_log.append((self._round, self._epoch, moves))
-        self._m_reshuffles.inc()
-        self._m_migrations.inc(len(moves))
-        self._update_mass_gauge()
+        self._read_masses()
         return moves
+
+    @property
+    def committed_total(self) -> int:
+        """Origin (non-receipt) records committed so far, over every shard."""
+        return sum(self.committed.values())
 
     def collector_masses(self) -> dict[str, float]:
         """Live reputation mass per collector, across every shard."""
         return self.backend.collector_masses()
 
-    def _update_mass_gauge(self) -> None:
-        if self.obs is NULL_REGISTRY:
+    def _read_masses(self) -> None:
+        """Store what ``shard_reputation_mass`` reads — at a barrier, because
+        a reader must not touch a worker's pipe."""
+        if not self.obs.enabled:
             return  # skip the (possibly cross-process) mass read
-        masses = self.backend.collector_masses()
         totals = [0.0] * self.topology.num_shards
-        for cid, mass in masses.items():
+        for cid, mass in self.backend.collector_masses().items():
             totals[self.collector_shard[cid]] += mass
-        for k, total in enumerate(totals):
-            self._m_mass.labels(shard=str(k)).set(total)
+        self._mass_totals = totals
 
     # -- faults, finalisation, reporting -----------------------------------
 

@@ -56,9 +56,12 @@ class ReceiptInbox:
         }
         # receipt ids already committed here (replay-proofing).
         self._applied: set[str] = set()
-        self._m_dups = engine.obs.counter(
+        #: Duplicate deliveries discarded (already buffered or applied).
+        self.dups = 0
+        engine.obs.counter(
             "shard_receipt_dups_total",
             "Duplicate cross-shard receipt deliveries discarded at a governor",
+            read=lambda: self.dups,
         )
 
     def ingest(self, gid: str, receipt: CrossShardReceipt) -> None:
@@ -71,7 +74,7 @@ class ReceiptInbox:
         """
         rid = receipt.receipt_id
         if rid in self._applied or rid in self.buffers[gid]:
-            self._m_dups.inc()
+            self.dups += 1
             return
         self.buffers[gid][rid] = receipt
 
@@ -95,7 +98,7 @@ class ReceiptInbox:
         stale = [rid for rid in buffer if rid in self._applied]
         for rid in stale:
             del buffer[rid]
-            self._m_dups.inc()
+            self.dups += 1
         buffered = sorted(
             buffer.values(),
             key=lambda r: (r.home_serial, r.receipt_id),

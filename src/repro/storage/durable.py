@@ -16,6 +16,7 @@ and "recover from crash" are the same operation.
 from __future__ import annotations
 
 import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -57,51 +58,43 @@ class StorageConfig:
     retain_checkpoints: int = CHECKPOINT_RETAIN
 
 
-def storage_metrics(registry: MetricsRegistry) -> dict[str, object]:
-    """Register (or fetch) the ``storage_*`` metric family.
+#: (short name, type, family, label names, help) of the ``storage_*`` family.
+_FAMILIES = (
+    ("records", "counter", "storage_records_appended_total", (),
+     "Block records appended to the segment log"),
+    ("segments", "counter", "storage_segments_total", (),
+     "Segment files created (rolls) beyond the initial one"),
+    ("bytes", "counter", "storage_bytes_written_total", (),
+     "Bytes of framed records written to segments"),
+    ("checkpoints", "counter", "storage_checkpoints_total", (),
+     "Merkle checkpoints written"),
+    ("compacted", "counter", "storage_compacted_segments_total", (),
+     "Sealed segment files deleted by checkpoint compaction"),
+    ("corruptions", "counter", "storage_corruptions_detected_total", ("kind",),
+     "On-disk defects detected during recovery, by kind"),
+    ("recovered", "counter", "storage_recovered_blocks_total", ("source",),
+     "Blocks restored after a restart, by source"),
+    ("ckpt_age", "gauge", "storage_checkpoint_age_blocks", (),
+     "Blocks committed since the last checkpoint"),
+    ("replay_s", "gauge", "storage_recovery_replay_seconds", (),
+     "Wall-clock duration of the last recovery replay"),
+)
 
-    Shared by the engine (which registers unconditionally so the
-    telemetry inventory is stable) and the durable store itself.
+
+def storage_metrics(registry: MetricsRegistry, **readers) -> dict[str, object]:
+    """Declare the ``storage_*`` family; returns it by short name.
+
+    ``readers`` maps a short name to the reader a component attaches for
+    it.  The engine's hand-off declares the family unconditionally (the
+    telemetry inventory is the same with durability off) and a durable
+    store declares it again with the readers of its own record; both
+    count corruptions and recovered blocks, and counter readers add.
     """
     return {
-        "records": registry.counter(
-            "storage_records_appended_total",
-            "Block records appended to the segment log",
-        ),
-        "segments": registry.counter(
-            "storage_segments_total",
-            "Segment files created (rolls) beyond the initial one",
-        ),
-        "bytes": registry.counter(
-            "storage_bytes_written_total",
-            "Bytes of framed records written to segments",
-        ),
-        "checkpoints": registry.counter(
-            "storage_checkpoints_total",
-            "Merkle checkpoints written",
-        ),
-        "compacted": registry.counter(
-            "storage_compacted_segments_total",
-            "Sealed segment files deleted by checkpoint compaction",
-        ),
-        "corruptions": registry.counter(
-            "storage_corruptions_detected_total",
-            "On-disk defects detected during recovery, by kind",
-            labels=("kind",),
-        ),
-        "recovered": registry.counter(
-            "storage_recovered_blocks_total",
-            "Blocks restored after a restart, by source",
-            labels=("source",),
-        ),
-        "ckpt_age": registry.gauge(
-            "storage_checkpoint_age_blocks",
-            "Blocks committed since the last checkpoint",
-        ),
-        "replay_s": registry.gauge(
-            "storage_recovery_replay_seconds",
-            "Wall-clock duration of the last recovery replay",
-        ),
+        short: getattr(registry, kind)(
+            family, help, labels=labels, read=readers.get(short)
+        )
+        for short, kind, family, labels, help in _FAMILIES
     }
 
 
@@ -121,7 +114,28 @@ class DurableBlockStore(BlockStore):
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.book_digest_fn = book_digest_fn
         self.book_state_fn = book_state_fn
-        self._metrics = storage_metrics(self.obs)
+        # Plain counts of what this open of the directory did; the
+        # ``storage_*`` family reads them.
+        self.records_appended = self.bytes_written = 0
+        self.checkpoints_written = self.segments_compacted = 0
+        #: ``StorageCorruption.kind`` -> defects the recovery at open found.
+        self.corruptions: Counter[str] = Counter()
+        #: Blocks restored at open (``disk``) and since from a peer's copy
+        #: (``peer`` — whoever publishes them here counts them here; an
+        #: engine's hand-off counts its own pulls).
+        self.recovered: dict[str, int] = defaultdict(int)
+        storage_metrics(
+            self.obs,
+            records=lambda: self.records_appended,
+            segments=lambda: self._log.segments_created,
+            bytes=lambda: self.bytes_written,
+            checkpoints=lambda: self.checkpoints_written,
+            compacted=lambda: self.segments_compacted,
+            corruptions=lambda: self.corruptions,
+            recovered=lambda: self.recovered,
+            ckpt_age=lambda: self.height - self.last_checkpoint_serial,
+            replay_s=lambda: self.recovery.replay_seconds if self.recovery else 0.0,
+        )
         self._log = SegmentLog(
             config.directory,
             segment_bytes=config.segment_bytes,
@@ -155,17 +169,12 @@ class DurableBlockStore(BlockStore):
         payload = json.dumps(
             encode_block(block), sort_keys=True, separators=(",", ":")
         ).encode()
-        rolls_before = self._log.segments_created
-        written = self._log.append(block.serial, payload)
-        self._metrics["records"].inc()
-        self._metrics["bytes"].inc(written)
-        if self._log.segments_created > rolls_before:
-            self._metrics["segments"].inc(self._log.segments_created - rolls_before)
+        self.bytes_written += self._log.append(block.serial, payload)
+        self.records_appended += 1
         self._window.append(block.hash())
         interval = self.config.checkpoint_interval
         if interval > 0 and block.serial - self._window_start >= interval:
             self._write_checkpoint()
-        self._metrics["ckpt_age"].set(self.height - self.last_checkpoint_serial)
 
     def _write_checkpoint(self) -> None:
         digest = self.book_digest_fn() if self.book_digest_fn is not None else b""
@@ -186,15 +195,13 @@ class DurableBlockStore(BlockStore):
             fsync=self.config.fsync,
             retain=self.config.retain_checkpoints,
         )
-        self._metrics["checkpoints"].inc()
+        self.checkpoints_written += 1
         self.last_checkpoint_serial = ckpt.serial
         self._prev_root = ckpt.root
         self._window_start = ckpt.serial
         self._window = []
         if self.config.compact:
-            removed = self._log.truncate_before(ckpt.serial)
-            if removed:
-                self._metrics["compacted"].inc(removed)
+            self.segments_compacted += self._log.truncate_before(ckpt.serial)
 
     # -- recovery hand-off ---------------------------------------------
 
@@ -209,12 +216,9 @@ class DurableBlockStore(BlockStore):
         self._window_start = report.resume_window_start
         self._window = list(report.resume_window)
         self.last_checkpoint_serial = report.resume_window_start
-        for bad in report.corruptions:
-            self._metrics["corruptions"].labels(kind=bad.kind).inc()
+        self.corruptions.update(bad.kind for bad in report.corruptions)
         if report.blocks:
-            self._metrics["recovered"].labels(source="disk").inc(len(report.blocks))
-        self._metrics["replay_s"].set(report.replay_seconds)
-        self._metrics["ckpt_age"].set(self.height - self.last_checkpoint_serial)
+            self.recovered["disk"] += len(report.blocks)
 
 
 def open_durable_store(

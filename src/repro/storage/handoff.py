@@ -18,6 +18,7 @@ rest of the way into a
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from repro.exceptions import ProtocolViolationError
@@ -38,9 +39,17 @@ class RestartHandoff:
 
     def __init__(self, engine: NetworkedProtocolEngine):
         self.engine = engine
+        #: Restored books the pinned digest rejected, by corruption kind.
+        self.corruptions: Counter[str] = Counter()
+        #: Blocks :meth:`sync_from_peer` pulled.
+        self.peer_blocks = 0
         # The storage_* family registers unconditionally (like audit_*)
         # so the telemetry inventory is identical with durability off.
-        self._metrics = storage_metrics(engine.obs)
+        storage_metrics(
+            engine.obs,
+            corruptions=lambda: self.corruptions,
+            recovered=lambda: {"peer": self.peer_blocks} if self.peer_blocks else {},
+        )
 
     def reanchor(self) -> None:
         """Bring a freshly built engine up to what its store recovered.
@@ -99,7 +108,7 @@ class RestartHandoff:
         ):
             for gid, gov in governors.items():
                 gov.book.restore_state(pristine[gid])
-            self._metrics["corruptions"].labels(kind="book-state-mismatch").inc()
+            self.corruptions["book-state-mismatch"] += 1
 
     def sync_from_peer(self, peer_store: BlockStore) -> int:
         """Pull the chain suffix this node lacks from a live peer.
@@ -122,7 +131,7 @@ class RestartHandoff:
             block = peer_store.retrieve(store.height + 1)
             store.publish(block)
             engine.resume_past([block])
-            self._metrics["recovered"].labels(source="peer").inc()
+            self.peer_blocks += 1
             pulled += 1
         if pulled:
             for gov in engine.governors.values():

@@ -52,40 +52,58 @@ from repro.workloads.generator import TxSpec
 __all__ = ["StreamingSession", "StreamMetrics", "stream_metrics"]
 
 
-def stream_metrics(registry: MetricsRegistry) -> dict[str, object]:
-    """Fetch-or-register the ``stream_*`` metric family on ``registry``."""
-    return {
-        "active": registry.gauge(
-            "stream_active_providers",
-            "Provider agents currently instantiated (the resident active set)",
-        ),
-        "instantiated": registry.counter(
-            "stream_instantiations_total",
-            "Provider instantiations, by kind (first arrival vs. re-arrival)",
-            labels=("kind",),
-        ),
-        "retired": registry.counter(
-            "stream_retirements_total",
-            "Providers retired after the idle window",
-        ),
-        "backlog": registry.gauge(
-            "stream_backlog",
-            "Arrived transactions awaiting a block slot (b_limit spill)",
-        ),
-        "tx": registry.counter(
-            "stream_tx_total",
-            "Streaming workload transactions committed into rounds",
-        ),
-        "peak_rss": registry.gauge(
-            "stream_peak_rss_bytes",
-            "Process peak RSS sampled at session finalize (ru_maxrss)",
-        ),
-    }
+def stream_metrics(
+    registry: MetricsRegistry, session: "StreamingSession | None" = None
+) -> None:
+    """Declare the ``stream_*`` family on ``registry``.
+
+    A :class:`StreamingSession` passes itself, and the family reads its
+    plain record (``session.metrics``, the live provider and backlog
+    sizes); with no session the family is declared and reads nothing.
+    """
+
+    def read(fn):
+        return None if session is None else lambda: fn(session)
+
+    registry.gauge(
+        "stream_active_providers",
+        "Provider agents currently instantiated (the resident active set)",
+        read=read(lambda s: len(s.providers)),
+    )
+    registry.counter(
+        "stream_instantiations_total",
+        "Provider instantiations, by kind (first arrival vs. re-arrival)",
+        labels=("kind",),
+        read=read(lambda s: {
+            "first": s.metrics.instantiations,
+            "rearrival": s.metrics.reinstantiations,
+        }),
+    )
+    registry.counter(
+        "stream_retirements_total",
+        "Providers retired after the idle window",
+        read=read(lambda s: s.metrics.retirements),
+    )
+    registry.gauge(
+        "stream_backlog",
+        "Arrived transactions awaiting a block slot (b_limit spill)",
+        read=read(lambda s: len(s._backlog)),
+    )
+    registry.counter(
+        "stream_tx_total",
+        "Streaming workload transactions committed into rounds",
+        read=read(lambda s: s.metrics.transactions),
+    )
+    registry.gauge(
+        "stream_peak_rss_bytes",
+        "Process peak RSS sampled at session finalize (ru_maxrss)",
+        read=read(lambda s: s.metrics.peak_rss_bytes),
+    )
 
 
 @dataclass
 class StreamMetrics:
-    """Run-level streaming counters (plain numbers; obs mirrors them)."""
+    """Run-level streaming counters (plain numbers; obs reads them)."""
 
     rounds: int = 0
     transactions: int = 0
@@ -95,6 +113,8 @@ class StreamMetrics:
     peak_active: int = 0
     peak_backlog: int = 0
     argues_admitted: int = 0
+    #: ``ru_maxrss`` as of the last :meth:`StreamingSession.finalize`.
+    peak_rss_bytes: int = 0
 
 
 class StreamingSession(RoundCore):
@@ -146,9 +166,7 @@ class StreamingSession(RoundCore):
         self.metrics = StreamMetrics()
         self.audit_report = None
         self._backlog: deque[TxSpec] = deque()
-        self._m = stream_metrics(self.obs)
-        self._m_inst_first = self._m["instantiated"].labels(kind="first")
-        self._m_inst_re = self._m["instantiated"].labels(kind="rearrival")
+        stream_metrics(self.obs, self)
 
         members = universe.collector_members()
         # No up-front provider sweep: provider keys are drawn lazily at
@@ -189,13 +207,11 @@ class StreamingSession(RoundCore):
             for cid in linked:
                 self.im.register_link(cid, pid)
             self.metrics.instantiations += 1
-            self._m_inst_first.inc()
         else:
             # Re-arrival: the enrolment record (and its key) persists in
             # the Identity Manager, so old signatures keep verifying.
             key = self.im.record(pid).key
             self.metrics.reinstantiations += 1
-            self._m_inst_re.inc()
         provider = Provider(provider_id=pid, key=key, linked_collectors=linked)
         if nonce is not None:
             provider._nonce = nonce
@@ -203,7 +219,6 @@ class StreamingSession(RoundCore):
         for gov in self.governors.values():
             gov.link_provider(pid, linked)
         self.metrics.peak_active = max(self.metrics.peak_active, len(self.providers))
-        self._m["active"].set(float(len(self.providers)))
         return provider
 
     def _retire_idle(self, round_number: int) -> None:
@@ -220,8 +235,6 @@ class StreamingSession(RoundCore):
             for gov in self.governors.values():
                 gov.unlink_provider(pid)
             self.metrics.retirements += 1
-            self._m["retired"].inc()
-        self._m["active"].set(float(len(self.providers)))
 
     @property
     def active_providers(self) -> int:
@@ -239,7 +252,6 @@ class StreamingSession(RoundCore):
         """Queue arrived transactions (open-loop: never rejects)."""
         self._backlog.extend(specs)
         self.metrics.peak_backlog = max(self.metrics.peak_backlog, len(self._backlog))
-        self._m["backlog"].set(float(len(self._backlog)))
 
     def run_round(self, specs: list[TxSpec] | None = None):
         """Execute one streaming round.
@@ -252,7 +264,6 @@ class StreamingSession(RoundCore):
             self.offer(list(specs))
         budget = self.params.b_limit - len(self._reevaluated_queue)
         batch = [self._backlog.popleft() for _ in range(min(budget, len(self._backlog)))]
-        self._m["backlog"].set(float(len(self._backlog)))
         # Full view, and only instantiated (active) providers scan blocks.
         done = self._run_zero_latency_round(
             batch, self._arrive, None, self._elect_leader
@@ -261,7 +272,6 @@ class StreamingSession(RoundCore):
         self.metrics.rounds += 1
         self.metrics.transactions += len(batch)
         self.metrics.argues_admitted += done.argues_admitted
-        self._m["tx"].inc(len(batch))
         return done.block
 
     def run(self, rounds: int) -> None:
@@ -292,7 +302,7 @@ class StreamingSession(RoundCore):
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         # ru_maxrss is bytes on macOS, kilobytes on Linux.
         scale = 1 if sys.platform == "darwin" else 1024
-        self._m["peak_rss"].set(float(rss_kb * scale))
+        self.metrics.peak_rss_bytes = rss_kb * scale
         self._close_books("streaming-harness", r=self.universe.r)
 
     # -- accessors ---------------------------------------------------------

@@ -69,7 +69,7 @@ class TestEmit:
         monkeypatch.setattr(helpers, "RESULTS_DIR", tmp_path)
         table = format_table(["f", "ok"], [(0.5, True)])
         reg = MetricsRegistry()
-        reg.counter("hits_total", "hits").inc(3)
+        reg.counter("hits_total", "hits", read=lambda: 3)
         helpers.emit(
             "T1_demo",
             "demo experiment",

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
@@ -19,32 +21,66 @@ from repro.obs import (
 
 
 class TestCounters:
-    def test_unlabelled_inc(self):
+    def test_unlabelled_reader(self):
         reg = MetricsRegistry()
-        c = reg.counter("hits_total", "hits")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
+        record = {"hits": 0}
+        c = reg.counter("hits_total", "hits", read=lambda: record["hits"])
+        assert c.value == 0
+        record["hits"] += 3
+        assert c.value == 3  # evaluated when asked, nothing was pushed
 
     def test_labelled_series_are_independent(self):
         reg = MetricsRegistry()
-        c = reg.counter("req_total", "requests", labels=("node",))
-        c.labels(node="a").inc()
-        c.labels(node="b").inc(4)
+        by_node = {"a": 1}
+        c = reg.counter("req_total", "requests", labels=("node",), read=lambda: by_node)
+        by_node["b"] = 4  # a label value that first appears mid-run
         assert c.value_of(node="a") == 1
         assert c.value_of(node="b") == 4
+        assert c.value_of(node="never") == 0
+        assert c.samples() == [(("a",), 1.0), (("b",), 4.0)]
+
+    def test_several_label_names_key_by_tuple_and_coerce_to_str(self):
+        reg = MetricsRegistry()
+        c = reg.counter(
+            "req_total", "requests", labels=("shard", "outcome"),
+            read=lambda: {(0, "ok"): 2},
+        )
+        assert c.value_of(shard="0", outcome="ok") == 2
 
     def test_unknown_label_name_rejected(self):
         reg = MetricsRegistry()
-        c = reg.counter("req_total", "requests", labels=("node",))
+        c = reg.counter("req_total", "requests", labels=("node",), read=dict)
         with pytest.raises(ConfigurationError):
-            c.labels(zone="a")
+            c.value_of(zone="a")
 
-    def test_negative_increment_rejected(self):
+    def test_reader_key_of_the_wrong_arity_rejected(self):
         reg = MetricsRegistry()
-        c = reg.counter("hits_total", "hits")
+        c = reg.counter(
+            "req_total", "requests", labels=("node",), read=lambda: {("a", "b"): 1}
+        )
         with pytest.raises(ConfigurationError):
-            c.inc(-1)
+            c.samples()
+
+    def test_counter_readers_add_per_series(self):
+        # S shard engines on one registry; an engine before and after a restart.
+        reg = MetricsRegistry()
+        reg.counter("req_total", "requests", labels=("node",), read=lambda: {"a": 1, "b": 2})
+        c = reg.counter("req_total", "requests", labels=("node",), read=lambda: {"b": 5})
+        assert c.samples() == [(("a",), 1.0), (("b",), 7.0)]
+        total = reg.counter("hits_total", "hits", read=lambda: 2)
+        reg.counter("hits_total", "hits", read=lambda: 3)
+        assert total.value == 5
+
+    def test_unlabelled_family_without_a_reader_exports_zero(self):
+        reg = MetricsRegistry()
+        assert reg.counter("hits_total", "hits").samples() == [((), 0.0)]
+        assert reg.counter("req_total", "requests", labels=("node",)).samples() == []
+
+    def test_there_is_no_push_api(self):
+        reg = MetricsRegistry()
+        for metric in (reg.counter("hits_total", "hits"), reg.gauge("depth", "d")):
+            assert not hasattr(metric, "inc") and not hasattr(metric, "set")
+        assert not hasattr(reg, "reset")
 
 
 class TestRegistration:
@@ -64,16 +100,26 @@ class TestRegistration:
         reg = MetricsRegistry()
         reg.counter("x_total", "x", labels=("k",))
         with pytest.raises(ConfigurationError):
-            reg.counter("x_total", "x", labels=("j",))
+            reg.counter("x_total", "x", labels=("j",), read=dict)
 
 
 class TestGaugesAndHistograms:
-    def test_gauge_set_and_inc(self):
+    def test_gauge_reads_the_current_value(self):
         reg = MetricsRegistry()
-        g = reg.gauge("depth", "queue depth")
-        g.set(7)
-        g.inc(-2)
-        assert g.value == 5
+        queue = [1, 2, 3]
+        g = reg.gauge("depth", "queue depth", read=lambda: len(queue))
+        queue.pop()
+        assert g.value == 2
+
+    def test_a_later_gauge_reader_replaces_per_series(self):
+        # What "last set wins" did: the component built last is current.
+        reg = MetricsRegistry()
+        reg.gauge("depth", "queue depth", read=lambda: 7)
+        g = reg.gauge("depth", "queue depth", read=lambda: 4)
+        assert g.value == 4
+        reg.gauge("mass", "m", labels=("shard",), read=lambda: {"0": 1.0, "1": 2.0})
+        m = reg.gauge("mass", "m", labels=("shard",), read=lambda: {"1": 9.0})
+        assert m.samples() == [(("0",), 1.0), (("1",), 9.0)]
 
     def test_histogram_buckets_fill(self):
         reg = MetricsRegistry()
@@ -85,33 +131,19 @@ class TestGaugesAndHistograms:
         assert state.count == 3
         assert state.sum == pytest.approx(5.55)
 
+    def test_labelled_histogram_children_are_cached(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("lat", "latency", labels=("part",), buckets=(1.0,))
+        assert h.labels(part="a") is h.labels(part="a")
+        h.labels(part="a").observe(0.5)
+        assert h.state_of(part="a").count == 1
+        with pytest.raises(ConfigurationError):
+            h.labels(zone="a")
+
     def test_histogram_buckets_must_ascend(self):
         reg = MetricsRegistry()
         with pytest.raises(ConfigurationError):
             reg.histogram("lat", "latency", buckets=(1.0, 0.5))
-
-
-class TestReset:
-    def test_reset_zeroes_but_keeps_registrations(self):
-        reg = MetricsRegistry()
-        c = reg.counter("hits_total", "hits", labels=("k",))
-        c.labels(k="a").inc(3)
-        with reg.span("phase"):
-            pass
-        reg.reset()
-        assert reg.get("hits_total") is c
-        assert c.value_of(k="a") == 0
-        assert reg.spans == []
-
-    def test_series_survive_reset_at_zero(self):
-        # A bound child from before the reset keeps working.
-        reg = MetricsRegistry()
-        c = reg.counter("hits_total", "hits", labels=("k",))
-        bound = c.labels(k="a")
-        bound.inc(3)
-        reg.reset()
-        bound.inc()
-        assert c.value_of(k="a") == 1
 
 
 class TestSpans:
@@ -135,11 +167,10 @@ class TestSpans:
 
 class TestDisabledRegistry:
     def test_null_registry_is_noop(self):
-        c = NULL_REGISTRY.counter("x_total", "x", labels=("k",))
-        c.inc()
-        c.labels(k="a").inc(5)
-        NULL_REGISTRY.gauge("g", "g").set(1)
+        assert NULL_REGISTRY.counter("x_total", "x", labels=("k",), read=dict) is None
+        assert NULL_REGISTRY.gauge("g", "g", read=lambda: 1) is None
         NULL_REGISTRY.histogram("h", "h").observe(1)
+        NULL_REGISTRY.histogram("h", "h", labels=("k",)).labels(k="a").observe(1)
         NULL_REGISTRY.record_span("s", 0.0, 1.0)
         with NULL_REGISTRY.span("s"):
             pass
@@ -148,20 +179,34 @@ class TestDisabledRegistry:
 
     def test_disabled_registry_exports_empty(self):
         reg = MetricsRegistry(enabled=False)
-        reg.counter("x_total", "x").inc()
+        reg.counter("x_total", "x", read=lambda: 1)
         assert to_prometheus(reg) == ""
         assert snapshot(reg) == {"metrics": {}, "spans": []}
+
+    def test_disabled_registry_retains_no_reader(self):
+        # An untraced run must not keep its engine alive through obs.
+        class Component:
+            count = 1
+
+        component = Component()
+        alive = weakref.ref(component)
+        for reg in (NULL_REGISTRY, MetricsRegistry(enabled=False)):
+            reg.counter("x_total", "x", read=lambda c=component: c.count)
+            reg.gauge("g", "g", read=lambda c=component: c.count)
+        del component
+        gc.collect()
+        assert alive() is None
 
 
 class TestExportDeterminism:
     @staticmethod
     def _populated():
         reg = MetricsRegistry()
-        c = reg.counter("req_total", "requests", labels=("node",))
         # Insertion order b-then-a must not leak into the export.
-        c.labels(node="b").inc(2)
-        c.labels(node="a").inc(1)
-        reg.gauge("depth", "queue depth").set(4)
+        reg.counter(
+            "req_total", "requests", labels=("node",), read=lambda: {"b": 2, "a": 1}
+        )
+        reg.gauge("depth", "queue depth", read=lambda: 4)
         reg.histogram("lat", "latency", buckets=(0.1, 1.0)).observe(0.5)
         reg.record_span("phase", 0.0, 2.0, node="a")
         return reg

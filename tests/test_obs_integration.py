@@ -71,12 +71,103 @@ def _fingerprint(engine):
     return blocks, draws, float(engine._master.random())
 
 
+def _governors(engine, field):
+    return sum(getattr(g.metrics, field) for g in engine.governors.values())
+
+
+def _books(engine, field):
+    return sum(getattr(g.book, field) for g in engine.governors.values())
+
+
+def _reports(engine):
+    return [a.report for a in engine.auditors.values()] + [engine.harness_auditor.report]
+
+
+#: Family -> what the plain records of the faulted networked run say its
+#: series add up to.  Every counter and gauge the run exports is here.
+RECORDS = {
+    "net_messages_sent_total": lambda e: e.network.stats.messages_sent,
+    "net_bytes_sent_total": lambda e: e.network.stats.bytes_sent,
+    "net_messages_dropped_total": lambda e: e.network.stats.messages_dropped,
+    "abcast_broadcasts_total": lambda e: sum(e.broadcast._next_seqno.values()),
+    "abcast_delivered_total": lambda e: sum(
+        state.delivered for state in e.broadcast._state.values()
+    ),
+    "abcast_misrouted_dropped_total": lambda e: e.broadcast.misrouted_dropped,
+    "abcast_repairs_total": lambda e: e.broadcast.repairs_requested
+    + e.broadcast.repairs_served
+    + e.broadcast.repairs_expired
+    + e.broadcast.repairs_gave_up,
+    "abcast_failover_nacks_total": lambda e: e.broadcast.failover_nacks,
+    "rel_sent_total": lambda e: e.channel.stats.sent,
+    "rel_delivered_total": lambda e: e.channel.stats.delivered,
+    "rel_retransmits_total": lambda e: e.channel.stats.retransmits,
+    "rel_duplicates_suppressed_total": lambda e: e.channel.stats.duplicates_suppressed,
+    "rel_acks_total": lambda e: e.channel.stats.acks_sent,
+    "rel_gave_up_total": lambda e: e.channel.stats.gave_up,
+    "rel_unacked": lambda e: e.channel.unacked,
+    "engine_rounds_total": lambda e: ROUNDS,
+    "engine_tx_offered_total": lambda e: ROUNDS * PER_ROUND,
+    "engine_argues_total": lambda e: e._argues_sent,
+    "engine_crash_events_total": lambda e: len(e.fault_log),
+    "gov_screenings_total": lambda e: _governors(e, "transactions_screened"),
+    "gov_unchecked_ratio": lambda e: sum(
+        g.metrics.unchecked / g.metrics.transactions_screened
+        for g in e.governors.values()
+    ),
+    "gov_forgeries_total": lambda e: _governors(e, "forgeries_caught"),
+    "gov_argues_served_total": lambda e: _governors(e, "argues_served"),
+    "gov_mistakes_total": lambda e: _governors(e, "mistakes"),
+    "rep_updates_total": lambda e: _books(e, "forge_updates")
+    + _books(e, "checked_updates")
+    + _books(e, "reveal_updates"),
+    "rep_norm_cache_hits": lambda e: _books(e, "row_hits"),
+    "rep_norm_cache_misses": lambda e: _books(e, "row_misses"),
+    "crypto_sig_cache_hits": lambda e: e.im.sig_cache_hits,
+    "crypto_sig_cache_misses": lambda e: e.im.sig_cache_misses,
+    "crypto_sig_cache_entries": lambda e: len(e.im._verify_cache),
+    "audit_checks_total": lambda e: sum(r.checks_run for r in _reports(e)),
+    "audit_violations_total": lambda e: sum(len(r.violations) for r in _reports(e)),
+    "audit_evidence_entries": lambda e: sum(
+        len(a._labels) + len(a._votes) for a in e.auditors.values()
+    ),
+    "audit_commit_votes_total": lambda e: sum(e.votes.sent.values()),
+    "audit_quarantines_total": lambda e: len(e.quarantine_log),
+    # An in-memory run: declared, and nothing to read.
+    **dict.fromkeys(
+        (
+            "storage_records_appended_total",
+            "storage_segments_total",
+            "storage_bytes_written_total",
+            "storage_checkpoints_total",
+            "storage_compacted_segments_total",
+            "storage_corruptions_detected_total",
+            "storage_recovered_blocks_total",
+            "storage_checkpoint_age_blocks",
+            "storage_recovery_replay_seconds",
+        ),
+        lambda e: 0,
+    ),
+}
+
+
 class TestInstrumentation:
     @pytest.fixture(scope="class")
     def run(self):
         obs = MetricsRegistry()
         engine = _run_networked(obs=obs, faults=True)
         return engine, obs
+
+    def test_every_counter_and_gauge_has_a_record(self, run):
+        _engine, obs = run
+        read = {m.name for m in obs.metrics() if m.kind != "histogram"}
+        assert read == set(RECORDS)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_family_reads_its_record(self, run, name):
+        engine, obs = run
+        total = sum(value for _labels, value in obs.get(name).samples())
+        assert total == pytest.approx(RECORDS[name](engine))
 
     def test_every_subsystem_exports(self, run):
         _engine, obs = run
@@ -131,9 +222,6 @@ class TestInstrumentation:
             assert outer.start <= inner.start <= inner.end <= outer.end
 
     def test_resident_state_gauges_match_what_is_held(self, run):
-        # Set where a round closes: finalize() and the recovery drain
-        # verify nothing and observe no upload, so the last round's
-        # reading is still the truth.
         engine, obs = run
         assert obs.get("crypto_sig_cache_entries").value == len(engine.im._verify_cache)
         held = obs.get("audit_evidence_entries")

@@ -89,10 +89,7 @@ class TestDuplicateReceiptDelivery:
         assert_exactly_once(coordinator, report)
         # The dedup layer actually fired: duplicated deliveries (and the
         # coordinator's own retry relays) were absorbed at the buffer.
-        dups = registry.counter(
-            "shard_receipt_dups_total", "Receipt deliveries dropped as duplicates"
-        )
-        assert sum(dups._values.values()) > 0
+        assert registry.get("shard_receipt_dups_total").value > 0
 
     def test_schedule_is_deterministic(self):
         a, _, _ = self.run_once()

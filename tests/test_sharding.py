@@ -15,6 +15,7 @@ from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.ledger.properties import check_all_properties
 from repro.network.topology import Topology
+from repro.obs import MetricsRegistry
 from repro.sharding import (
     Migration,
     ShardCoordinator,
@@ -214,6 +215,24 @@ class TestCoordinator:
         result = coordinator.run_super_round()
         assert result.receipts_minted == 0
         assert coordinator._pending == {}
+
+    @pytest.mark.parametrize(
+        "obs, reads_per_round",
+        [(None, 0), (MetricsRegistry(enabled=False), 0), (MetricsRegistry(), 1)],
+        ids=["absent", "disabled", "live"],
+    )
+    def test_mass_read_only_for_a_live_registry(self, obs, reads_per_round):
+        # The per-round read behind shard_reputation_mass is a pipe round
+        # trip on a worker pool: a registry that is off, however it is
+        # spelt, must not pay it.
+        coordinator, workload = build_coordinator(obs=obs)
+        calls = []
+        read = coordinator.backend.collector_masses
+        coordinator.backend.collector_masses = lambda: calls.append(1) or read()
+        for _ in range(3):
+            coordinator.submit(workload.take(16))
+            coordinator.run_super_round()
+        assert len(calls) == 3 * reads_per_round
 
 
 class TestMigration:
