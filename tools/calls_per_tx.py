@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Python-level calls a deployment makes per committed transaction.
+
+Builds each preset with :func:`repro.workloads.scenarios.build` (obs
+absent), drives its rounds and ``finalize()`` under ``cProfile`` and prints
+committed transactions, the profile's ``total_calls`` and their ratio —
+the deterministic stand-in for a clock this host cannot hold (ROADMAP
+item 1 (iii)), and the table PERFORMANCE.md's "Calls per committed
+transaction" quotes.  Every preset runs twice, each time in a fresh
+interpreter (a process's first run also pays the lazy imports and warms
+the module-level caches, so two runs in one process differ); the exit
+status is 1 if the two counts of any preset differ.
+
+Usage::
+
+    PYTHONPATH=src python tools/calls_per_tx.py paper-default durable-smoke sharded-quad --seed 1
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import pstats
+import subprocess
+import sys
+
+
+def _committed(deployment) -> int:
+    """Origin (non-receipt) records in the deployment's committed blocks."""
+    total = getattr(deployment, "committed_total", None)  # a ShardCoordinator
+    if total is not None:
+        return total
+    store = deployment.store
+    return sum(
+        "xshard_receipt" not in record.tx.body.payload
+        for serial in range(store.base_serial + 1, store.height + 1)
+        for record in store.retrieve(serial).tx_list
+    )
+
+
+def measure(preset: str, seed: int) -> tuple[int, int]:
+    """``(committed tx, total_calls)`` of one profiled run of ``preset``."""
+    from repro.workloads.scenarios import build
+
+    deployment, workload, scenario = build(preset, seed=seed)
+    profile = cProfile.Profile()
+    try:
+        profile.enable()
+        for _ in range(scenario.rounds):
+            deployment.run_round(workload.take(scenario.batch))
+        deployment.finalize()
+        profile.disable()
+        return _committed(deployment), pstats.Stats(profile).total_calls
+    finally:
+        getattr(deployment, "close", lambda: None)()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("presets", nargs="+", metavar="PRESET")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--once", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.once:  # the child: one measurement, two integers on stdout
+        print(*measure(args.presets[0], args.seed))
+        return 0
+
+    def fresh(preset: str) -> tuple[int, ...]:
+        child = [sys.executable, __file__, preset, "--seed", str(args.seed), "--once"]
+        out = subprocess.run(child, check=True, capture_output=True, text=True).stdout
+        return tuple(int(field) for field in out.split())
+
+    status = 0
+    print(f"{'preset':<18}{'committed tx':>14}{'total_calls':>14}{'calls/tx':>12}")
+    for preset in args.presets:
+        first, second = fresh(preset), fresh(preset)
+        committed, calls = first
+        per_tx = calls / committed if committed else float("nan")
+        print(f"{preset:<18}{committed:>14,}{calls:>14,}{per_tx:>12,.1f}")
+        if first != second:
+            print(f"FAIL: {preset} read {first} then {second}", file=sys.stderr)
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
