@@ -1,28 +1,23 @@
 #!/usr/bin/env python3
-"""Operational tooling: persistence, replay, and tracing.
+"""Operational tooling: persistence and replay.
 
-Three workflows a deployment needs that go beyond the paper:
+Two workflows a deployment needs that go beyond the paper:
 
 1. **Chain persistence** — dump a governor's ledger to JSON, reload it,
    verify integrity; tampering is detected at import.
 2. **Workload replay** — capture the exact transaction stream of a run,
    then re-run it under a *different* f to answer "what would the
    validation bill have been?" counterfactually.
-3. **Run tracing** — a JSONL event log; follow one mislabeled
-   transaction from upload to argue to re-evaluation, and watch a
-   misreporter's reputation decay as an ASCII sparkline.
 
 Run:  python examples/chain_persistence.py
 """
 
 from __future__ import annotations
 
-import io
 import json
 
 from repro.agents.behaviors import AlwaysInvertBehavior
-from repro.analysis import RunTracer, format_table
-from repro.analysis.reporting import sparkline
+from repro.analysis import format_table
 from repro.core import ProtocolEngine, ProtocolParams
 from repro.ledger.codec import dump_chain, load_chain
 from repro.network import Topology
@@ -34,12 +29,11 @@ def main() -> None:
     behaviors = {"c0": AlwaysInvertBehavior()}
     params = ProtocolParams(f=0.8)
 
-    # --- run with recording + tracing --------------------------------
+    # --- run with recording ------------------------------------------
     engine = ProtocolEngine(topo, params, behaviors=behaviors, seed=21)
     recorder = RecordingWorkload(BernoulliWorkload(topo.providers, p_valid=0.9, seed=22))
-    tracer = RunTracer(watch_collectors=("c0", "c1"))
     for _ in range(15):
-        tracer.observe_round(engine, engine.run_round(recorder.take(12)))
+        engine.run_round(recorder.take(12))
     engine.finalize()
 
     # --- 1. persistence -------------------------------------------------
@@ -74,27 +68,6 @@ def main() -> None:
         rows.append((f, validations, mistakes))
     print(format_table(["f", "total validations", "mistakes"], rows))
     print("identical 180-tx stream; only the screening aggressiveness differs.")
-    print()
-
-    # --- 3. tracing ---------------------------------------------------------
-    print("=== 3. run tracing (JSONL) ===")
-    buffer = io.StringIO()
-    lines = tracer.dump(buffer)
-    print(f"{lines} events captured; event kinds: "
-          + ", ".join(sorted({e['kind'] for e in tracer.events})))
-    provider = topo.providers_of("c0")[0]
-    series = tracer.reputation_series("c0", provider)
-    print(f"c0 (inverter) weight on {provider} over 15 rounds, log scale:")
-    print("  " + sparkline(series, log_scale=True))
-    print(f"  start {series[0]:.3f} -> end {series[-1]:.2e}")
-    argued = [e for e in tracer.events if e["kind"] == "record"
-              and e["status"] == "reevaluated"]
-    if argued:
-        tx_id = argued[0]["tx_id"]
-        print(f"history of re-evaluated tx {tx_id[:12]}…:")
-        for event in tracer.tx_history(tx_id):
-            detail = {k: v for k, v in event.items() if k not in ("kind", "tx_id")}
-            print(f"  {event['kind']:7s} {detail}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.regret_curves import RegretCurve, RegretPoint, run_regret_curve
 from repro.analysis.reporting import format_sweep, format_table
-from repro.analysis.tracing import RunTracer
 from repro.analysis.stats import (
     ChiSquaredResult,
     bootstrap_ci,
@@ -26,7 +25,6 @@ __all__ = [
     "RegretCurve",
     "RegretPoint",
     "RunSummary",
-    "RunTracer",
     "SweepTable",
     "bootstrap_ci",
     "chi_squared_uniformity",

@@ -7,7 +7,7 @@ Three renderings of one :class:`~repro.obs.registry.MetricsRegistry`:
 * :func:`snapshot` — a nested plain-dict form, the shape embedded in
   the benches' ``BENCH_*.json`` files;
 * :func:`to_jsonl` — one JSON object per sample and per span, for jq /
-  pandas streaming (the same consumption style as ``RunTracer``).
+  pandas streaming.
 
 All three are deterministic: metrics sort by name, series by label
 values, spans keep record order.  See OBSERVABILITY.md for the schema
