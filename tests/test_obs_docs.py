@@ -24,10 +24,12 @@ from repro.workloads.generator import BernoulliWorkload
 
 DOC = pathlib.Path(__file__).parent.parent / "OBSERVABILITY.md"
 
-#: Anything shaped like one of our metric names.
-_METRIC_TOKEN = re.compile(
-    r"\b(?:net|abcast|rel|gov|rep|engine|audit|byz|shard|storage|par|tpt|stream)_[a-z0-9_]+\b"
-)
+
+def _metric_tokens(doc: str, names: list[str]) -> set[str]:
+    """Anything in ``doc`` shaped like a metric name: a registered
+    family's subsystem prefix, then an underscore-separated tail."""
+    prefixes = sorted({name.split("_", 1)[0] for name in names})
+    return set(re.findall(rf"\b(?:{'|'.join(prefixes)})_[a-z0-9_]+\b", doc))
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +81,7 @@ def test_no_stale_metric_names_in_doc(registered):
     stale = sorted(
         {
             token
-            for token in _METRIC_TOKEN.findall(doc)
+            for token in _metric_tokens(doc, registered.names())
             if token not in known
             # histogram series suffixes appear in the format description
             and not token.endswith(("_bucket", "_sum", "_count"))
