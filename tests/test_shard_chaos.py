@@ -65,6 +65,55 @@ def assert_exactly_once(coordinator, report):
         assert check_all_properties(engine.ledgers(), engine.transcript).all_hold
 
 
+def stranded_specs(seed, rounds, flush):
+    """``(provider, payload seq)`` of each valid spec the nightly soak's
+    schedule at ``seed`` offered and never committed; the cross-shard
+    audit must be clean either way."""
+    sharded = Topology.sharded(l=24, n=8, m=8, r=2, shards=2, seed=seed)
+    coordinator = ShardCoordinator(
+        sharded, PARAMS, seed=seed + 1, epoch_rounds=4, resilience=True
+    )
+    for k, shard in enumerate(sharded.shards):
+        plan = FaultPlan(seed=7 * seed + k).with_default_link(
+            LinkFaultSpec(loss=0.02, duplicate=0.05)
+        )
+        if k == 0:
+            plan.with_crash(shard.governors[-1], at=0.8, recover_at=1.6)
+        coordinator.install_faults(k, plan)
+    providers = [p for topo in sharded.shards for p in topo.providers]
+    workload = CrossShardWorkload(
+        BernoulliWorkload(providers, p_valid=0.8, seed=seed + 2),
+        sharded.provider_shard,
+        p_cross=0.15,
+        seed=seed + 3,
+    )
+    offered = []
+    for _ in range(rounds):
+        offered.extend(workload.take(24))
+        coordinator.submit(offered[-24:])
+        coordinator.run_super_round()
+    for _ in range(flush):
+        coordinator.run_super_round()
+    report = coordinator.finalize()
+    assert report.clean, [str(v) for v in report.violations]
+
+    def seq(payload):
+        return payload["body"]["seq"] if "xshard_to" in payload else payload["seq"]
+
+    committed = {
+        seq(record.tx.body.payload)
+        for engine in coordinator.engines
+        for serial in range(1, engine.store.height + 1)
+        for record in engine.store.retrieve(serial).tx_list
+        if "xshard_receipt" not in record.tx.body.payload
+    }
+    return [
+        (spec.provider, seq(spec.payload))
+        for spec in offered
+        if spec.is_valid and seq(spec.payload) not in committed
+    ]
+
+
 class TestDuplicateReceiptDelivery:
     def run_once(self, seed=3):
         registry = MetricsRegistry()
@@ -156,49 +205,25 @@ class TestReshuffleKeepsDeliveredTransactions:
     """
 
     def test_pinned_schedule_commits_every_valid_spec(self):
-        sharded = Topology.sharded(l=24, n=8, m=8, r=2, shards=2, seed=50)
-        coordinator = ShardCoordinator(
-            sharded, PARAMS, seed=51, epoch_rounds=4, resilience=True
-        )
-        for k, shard in enumerate(sharded.shards):
-            plan = FaultPlan(seed=350 + k).with_default_link(
-                LinkFaultSpec(loss=0.02, duplicate=0.05)
-            )
-            if k == 0:
-                plan.with_crash(shard.governors[-1], at=0.8, recover_at=1.6)
-            coordinator.install_faults(k, plan)
-        providers = [p for topo in sharded.shards for p in topo.providers]
-        workload = CrossShardWorkload(
-            BernoulliWorkload(providers, p_valid=0.8, seed=52),
-            sharded.provider_shard,
-            p_cross=0.15,
-            seed=53,
-        )
-        offered = []
-        for _ in range(12):
-            offered.extend(workload.take(24))
-            coordinator.submit(offered[-24:])
-            coordinator.run_super_round()
-        for _ in range(8):
-            coordinator.run_super_round()
-        report = coordinator.finalize()
-        assert report.clean, [str(v) for v in report.violations]
+        assert stranded_specs(seed=50, rounds=12, flush=8) == []
 
-        def seq(payload):
-            return payload["body"]["seq"] if "xshard_to" in payload else payload["seq"]
 
-        committed = {
-            seq(record.tx.body.payload)
-            for engine in coordinator.engines
-            for serial in range(1, engine.store.height + 1)
-            for record in engine.store.retrieve(serial).tx_list
-            if "xshard_receipt" not in record.tx.body.payload
-        }
-        stranded = [
-            spec for spec in offered
-            if spec.is_valid and seq(spec.payload) not in committed
-        ]
-        assert stranded == []
+class TestLeaderStarvationWait:
+    """Pin seed 159: a screened transaction waits for its governor's turn.
+
+    The same soak schedule at seed 159 leaves ``p16``'s transaction
+    (payload ``seq`` 944) screened but parked in one governor's
+    carry-over queue until the stake-weighted election picks that
+    governor: 8 flush super-rounds end the run before it does, 24 do
+    not.  This pins today's wait, not a promise — it is the regression
+    anchor for the liveness decision ROADMAP item 3 still has to take
+    (forward screened records to the leader, or bound the claim by the
+    election's expected return time).
+    """
+
+    @pytest.mark.parametrize("flush, stranded", [(8, [("p16", 944)]), (24, [])])
+    def test_one_valid_spec_commits_only_after_a_long_flush(self, flush, stranded):
+        assert stranded_specs(seed=159, rounds=40, flush=flush) == stranded
 
 
 class TestRelayRacesLeaderCrash:
