@@ -21,6 +21,7 @@ Each governor ``g_j`` keeps, for each collector ``c_i``, an
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -225,19 +226,16 @@ class ReputationBook:
 
     def __post_init__(self) -> None:
         self._row_cache: dict[tuple[str, tuple[str, ...]], WeightRow] = {}
-        # Plain counts the registry reads: Algorithm-3 updates applied,
-        # by case, and selection-row cache hits / misses.
-        self.forge_updates = self.checked_updates = self.reveal_updates = 0
+        # Plain counts the registry reads: Algorithm-3 updates applied
+        # (``forge`` / ``checked`` / ``reveal`` -> count), and selection-row
+        # cache hits / misses.
+        self.updates: dict[str, int] = defaultdict(int)
         self.row_hits = self.row_misses = 0
         self.obs.counter(
             "rep_updates_total",
             "Reputation updates applied, by Algorithm-3 case",
             labels=("case",),
-            read=lambda: {
-                case: count
-                for case in ("forge", "checked", "reveal")
-                if (count := getattr(self, f"{case}_updates"))
-            },
+            read=lambda: self.updates,
         )
         self._m_magnitude = self.obs.histogram(
             "rep_update_magnitude",
@@ -349,12 +347,12 @@ class ReputationBook:
     def record_forge(self, collector: str) -> None:
         """Case 1: decrement ``w_forge`` for a forged upload."""
         self.vector(collector).forge -= 1
-        self.forge_updates += 1
+        self.updates["forge"] += 1
 
     def record_checked(self, collector: str, labeled_correctly: bool) -> None:
         """Case 2: ±1 on ``w_misreport`` for a checked transaction."""
         self.vector(collector).misreport += 1 if labeled_correctly else -1
-        self.checked_updates += 1
+        self.updates["checked"] += 1
 
     def apply_revealed_truth(
         self,
@@ -386,7 +384,7 @@ class ReputationBook:
                     f"unknown reveal outcome {outcome!r} for {collector!r}"
                 )
             self.vector(collector).scale(provider, factor)
-            self.reveal_updates += 1
+            self.updates["reveal"] += 1
             self._m_magnitude.observe(-math.log(factor))
 
     def total_weight(self, provider: str, collectors: Iterable[str]) -> float:

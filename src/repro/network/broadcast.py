@@ -193,8 +193,13 @@ class AtomicBroadcast:
             labels=("event",),
             read=lambda: {
                 event: count
-                for event in ("requested", "served", "expired", "gave_up")
-                if (count := getattr(self, f"repairs_{event}"))
+                for event, count in (
+                    ("requested", self.repairs_requested),
+                    ("served", self.repairs_served),
+                    ("expired", self.repairs_expired),
+                    ("gave_up", self.repairs_gave_up),
+                )
+                if count
             },
         )
         self.obs.counter(

@@ -118,9 +118,9 @@ RECORDS = {
     "gov_forgeries_total": lambda e: _governors(e, "forgeries_caught"),
     "gov_argues_served_total": lambda e: _governors(e, "argues_served"),
     "gov_mistakes_total": lambda e: _governors(e, "mistakes"),
-    "rep_updates_total": lambda e: _books(e, "forge_updates")
-    + _books(e, "checked_updates")
-    + _books(e, "reveal_updates"),
+    "rep_updates_total": lambda e: sum(
+        sum(g.book.updates.values()) for g in e.governors.values()
+    ),
     "rep_norm_cache_hits": lambda e: _books(e, "row_hits"),
     "rep_norm_cache_misses": lambda e: _books(e, "row_misses"),
     "crypto_sig_cache_hits": lambda e: e.im.sig_cache_hits,
