@@ -23,16 +23,14 @@ import numpy as np
 from repro.agents.behaviors import HonestBehavior, MisreportBehavior, SleeperBehavior
 from repro.analysis import format_table
 from repro.baselines import PolicySimulation, ReputationPolicy
-from repro.core import (
-    AdaptiveF,
-    ProtocolEngine,
-    ProtocolParams,
-    ReputationGossip,
-    make_summary,
-)
+from repro.core.adaptive import AdaptiveF
+from repro.core.gossip import ReputationGossip, make_summary
+from repro.core.params import ProtocolParams
+from repro.core.protocol import ProtocolEngine
 from repro.ledger.transaction import Label
-from repro.network import Topology, VisibilityMap
-from repro.workloads import BernoulliWorkload
+from repro.network.topology import Topology
+from repro.network.visibility import VisibilityMap
+from repro.workloads.generator import BernoulliWorkload
 
 
 def demo_adaptive_f() -> None:

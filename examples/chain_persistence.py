@@ -18,10 +18,12 @@ import json
 
 from repro.agents.behaviors import AlwaysInvertBehavior
 from repro.analysis import format_table
-from repro.core import ProtocolEngine, ProtocolParams
+from repro.core.params import ProtocolParams
+from repro.core.protocol import ProtocolEngine
 from repro.ledger.codec import dump_chain, load_chain
-from repro.network import Topology
-from repro.workloads import BernoulliWorkload, RecordingWorkload, ReplayWorkload
+from repro.network.topology import Topology
+from repro.workloads.generator import BernoulliWorkload
+from repro.workloads.replay import RecordingWorkload, ReplayWorkload
 
 
 def main() -> None:

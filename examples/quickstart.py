@@ -11,11 +11,13 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import ProtocolEngine, ProtocolParams, Topology
 from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
 from repro.analysis import format_table, summarize_run
+from repro.core.params import ProtocolParams
+from repro.core.protocol import ProtocolEngine
 from repro.ledger import check_all_properties
-from repro.workloads import BernoulliWorkload
+from repro.network.topology import Topology
+from repro.workloads.generator import BernoulliWorkload
 
 
 def main() -> None:

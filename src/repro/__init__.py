@@ -10,8 +10,10 @@ than the best collector (Theorem 1).
 
 Quickstart::
 
-    from repro import ProtocolEngine, ProtocolParams, Topology
-    from repro.workloads import BernoulliWorkload
+    from repro.core.params import ProtocolParams
+    from repro.core.protocol import ProtocolEngine
+    from repro.network.topology import Topology
+    from repro.workloads.generator import BernoulliWorkload
 
     topo = Topology.regular(l=16, n=8, m=4, r=4)
     engine = ProtocolEngine(topo, ProtocolParams(f=0.5))
@@ -20,40 +22,12 @@ Quickstart::
         engine.run_round(workload.take(32))
     engine.finalize()
 
+This init and those of ``repro.core``, ``repro.network`` and
+``repro.workloads`` import nothing: each name there has one import path,
+its defining module, and a custodian peer (:mod:`repro.network.custodian`)
+boots without loading the engines.
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.core import (
-    DEFAULT_PARAMS,
-    ProtocolEngine,
-    ProtocolParams,
-    ReputationBook,
-    ReputationGame,
-    gamma_for,
-    theorem1_bound,
-    tuned_beta,
-)
-from repro.crypto import IdentityManager, Role
-from repro.ledger import Block, Label, Ledger
-from repro.network import Topology
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Block",
-    "DEFAULT_PARAMS",
-    "IdentityManager",
-    "Label",
-    "Ledger",
-    "ProtocolEngine",
-    "ProtocolParams",
-    "ReputationBook",
-    "ReputationGame",
-    "Role",
-    "Topology",
-    "__version__",
-    "gamma_for",
-    "theorem1_bound",
-    "tuned_beta",
-]

@@ -15,10 +15,11 @@ Subcommands:
 * ``baselines`` — the E8 policy comparison on one adversary mix;
 * ``recover`` — replay and verify a durable ledger directory, printing
   the recovery report without starting an engine;
-* ``serve`` — run a custodian peer for the real-socket transport: it
-  CRC-validates and acknowledges conveyed frames and answers
-  heartbeats (the localhost-cluster harness spawns ``n`` of these; see
-  DESIGN.md, "Transport backend").
+* ``serve`` — run a custodian peer for the real-socket transport on a
+  chosen address: it CRC-validates and acknowledges conveyed frames and
+  answers heartbeats (:func:`repro.network.custodian.serve`; the
+  localhost-cluster harness spawns ``n`` of these as ``python -m
+  repro.network.custodian``; see DESIGN.md, "Transport backend").
 
 Example::
 
@@ -342,22 +343,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+    from repro.network.custodian import serve
 
-    from repro.network.realnet import NodeServer
-
-    async def serve() -> None:
-        server = NodeServer(host=args.host, port=args.port)
-        await server.start()
-        # The flushed announcement is the cluster harness's readiness
-        # cue (and carries the OS-assigned port when --port 0).
-        print(f"listening host={server.host} port={server.port}", flush=True)
-        await server.serve_forever()
-
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:
-        pass
+    serve(args.host, args.port)
     return 0
 
 

@@ -1,90 +1,16 @@
 """The paper's contribution: reputation mechanism, screening, protocol.
 
-Public entry points:
+Import from the defining modules (this init imports nothing):
 
-* :class:`ProtocolParams` — all tunables (f, beta, mu, nu, U, b_limit).
-* :class:`ReputationBook` / :class:`ReputationVector` — the (s+2)-vectors.
-* :func:`screen_transaction` — Algorithm 2.
+* :mod:`repro.core.params` — ``ProtocolParams``, all tunables (f, beta,
+  mu, nu, U, b_limit).
+* :mod:`repro.core.reputation` — ``ReputationBook`` /
+  ``ReputationVector``, the (s+2)-vectors.
+* :mod:`repro.core.screening` — ``screen_transaction``, Algorithm 2.
 * :mod:`repro.core.updating` — Algorithm 3's three cases.
-* :class:`ReputationGame` — Theorem 1's focused simulation.
-* :class:`ProtocolEngine` — the full three-tier round loop.
+* :mod:`repro.core.game` — ``ReputationGame``, Theorem 1's focused
+  simulation.
+* :mod:`repro.core.protocol` / :mod:`repro.core.netengine` — the full
+  three-tier round loop, in-process and networked.
 * :mod:`repro.core.regret` — the paper's bounds as formulas.
 """
-
-from repro.core.adaptive import AdaptiveF
-from repro.core.arguing import ArgueManager, ArgueOutcome
-from repro.core.gossip import ReputationGossip, ReputationSummary, make_summary
-from repro.core.netengine import NetworkedProtocolEngine, NetworkedRoundResult
-from repro.core.game import GameResult, ReputationGame
-from repro.core.params import (
-    DEFAULT_PARAMS,
-    ProtocolParams,
-    gamma_for,
-    tuned_beta,
-    validate_discounts,
-)
-from repro.core.protocol import EngineMetrics, ProtocolEngine, RoundResult
-from repro.core.regret import (
-    hoeffding_tail,
-    log_beta_linearisation_holds,
-    rwm_bound,
-    theorem1_bound,
-    theorem3_threshold,
-    theorem4_bound,
-)
-from repro.core.reputation import ReputationBook, ReputationVector
-from repro.core.rewards import distribute_rewards, log_score, reputation_score
-from repro.core.screening import (
-    ReportSet,
-    ScreeningDecision,
-    decision_to_record,
-    screen_transaction,
-)
-from repro.core.updating import (
-    RevealSummary,
-    apply_checked_update,
-    apply_forge_update,
-    apply_reveal_update,
-    compute_loss,
-)
-
-__all__ = [
-    "AdaptiveF",
-    "ArgueManager",
-    "ArgueOutcome",
-    "DEFAULT_PARAMS",
-    "EngineMetrics",
-    "GameResult",
-    "NetworkedProtocolEngine",
-    "NetworkedRoundResult",
-    "ProtocolEngine",
-    "ProtocolParams",
-    "ReportSet",
-    "ReputationBook",
-    "ReputationGame",
-    "ReputationGossip",
-    "ReputationSummary",
-    "ReputationVector",
-    "RevealSummary",
-    "RoundResult",
-    "ScreeningDecision",
-    "apply_checked_update",
-    "apply_forge_update",
-    "apply_reveal_update",
-    "compute_loss",
-    "decision_to_record",
-    "make_summary",
-    "distribute_rewards",
-    "gamma_for",
-    "hoeffding_tail",
-    "log_beta_linearisation_holds",
-    "log_score",
-    "reputation_score",
-    "rwm_bound",
-    "screen_transaction",
-    "theorem1_bound",
-    "theorem3_threshold",
-    "theorem4_bound",
-    "tuned_beta",
-    "validate_discounts",
-]

@@ -41,7 +41,7 @@ from typing import Callable
 
 from repro.exceptions import FrameError, PeerUnreachableError
 from repro.faults.plan import FaultPlan
-from repro.network.realnet import FrameReader, encode_frame
+from repro.network.custodian import FrameReader, encode_frame
 
 __all__ = ["TransportFaultProxy", "start_proxy_thread"]
 

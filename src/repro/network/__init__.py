@@ -1,36 +1,10 @@
 """Synchronous network substrate.
 
-One discrete-event loop and clock (:class:`Simulator`), point-to-point
-channels with the synchrony bound Delta, atomic (total-order) broadcast,
-the reliable channel, and the Figure-1 topology builder.
+One discrete-event loop and clock (:mod:`~repro.network.simnet`),
+point-to-point channels with the synchrony bound Delta, atomic
+(total-order) broadcast (:mod:`~repro.network.broadcast`), the reliable
+channel (:mod:`~repro.network.reliable`), the Figure-1 topology builder
+(:mod:`~repro.network.topology`), and the real-socket transport
+(:mod:`~repro.network.realnet`) with its stdlib-only custodian peer
+(:mod:`~repro.network.custodian`).  This init imports nothing.
 """
-
-from repro.network.broadcast import AtomicBroadcast, GapRepairRequest, SequencedPayload
-from repro.network.reliable import (
-    ReliableAck,
-    ReliableChannel,
-    ReliableEnvelope,
-    ReliableStats,
-)
-from repro.network.simnet import Message, NetworkStats, Simulator, SyncNetwork
-from repro.network.topology import Topology, collector_id, governor_id, provider_id
-from repro.network.visibility import VisibilityMap
-
-__all__ = [
-    "AtomicBroadcast",
-    "GapRepairRequest",
-    "Message",
-    "NetworkStats",
-    "ReliableAck",
-    "ReliableChannel",
-    "ReliableEnvelope",
-    "ReliableStats",
-    "SequencedPayload",
-    "Simulator",
-    "SyncNetwork",
-    "Topology",
-    "VisibilityMap",
-    "collector_id",
-    "governor_id",
-    "provider_id",
-]

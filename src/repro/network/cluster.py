@@ -6,7 +6,8 @@ once on :class:`~repro.network.realnet.RealNetwork` wired to an n-peer
 localhost cluster — drive the same seeded workload through the
 phase-split round API, and compare committed chain tips byte for byte.
 
-Custodian peers are real processes (``python -m repro serve``) by
+Custodian peers are real processes (``python -m
+repro.network.custodian``, which boots on the standard library) by
 default — :func:`launch_custodians` starts them all, then reads their
 address announcements as they arrive against one deadline, and on the
 first failure reaps them all, so a launch costs the slowest peer's boot,
@@ -22,7 +23,6 @@ peers is the ROADMAP's next step, not this one's.
 from __future__ import annotations
 
 import os
-import re
 import selectors
 import subprocess
 import sys
@@ -34,6 +34,7 @@ from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
 from repro.exceptions import PeerUnreachableError
 from repro.faults.plan import FaultPlan
+from repro.network.custodian import LISTENING as _LISTENING
 from repro.network.realnet import RealNetwork, TransportConfig
 from repro.network.topology import Topology
 from repro.obs.registry import MetricsRegistry
@@ -46,9 +47,6 @@ __all__ = [
     "launch_custodians",
     "run_scenario",
 ]
-
-_LISTENING = re.compile(r"listening host=(\S+) port=(\d+)")
-
 
 @dataclass(frozen=True)
 class ClusterScenario:
@@ -101,7 +99,7 @@ class ClusterHandle:
 
 
 def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandle:
-    """Spawn ``count`` ``repro serve`` peer processes on localhost.
+    """Spawn ``count`` custodian peer processes on localhost.
 
     Every peer is started before any is awaited; each binds an
     OS-assigned port and announces it on stdout.  ``startup_timeout`` is
@@ -123,8 +121,7 @@ def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandl
         with selectors.DefaultSelector() as selector:
             for i in range(count):
                 proc = subprocess.Popen(
-                    [sys.executable, "-m", "repro", "serve",
-                     "--host", "127.0.0.1", "--port", "0"],
+                    [sys.executable, "-m", "repro.network.custodian"],
                     stdout=subprocess.PIPE,
                     stderr=subprocess.DEVNULL,
                     env=env,
@@ -138,7 +135,7 @@ def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandl
                     silent = min(key.data for key in selector.get_map().values())
                     raise PeerUnreachableError(
                         f"peer-{silent}",
-                        f"serve process announced nothing within {startup_timeout:.0f}s",
+                        f"custodian announced nothing within {startup_timeout:.0f}s",
                     )
                 for key, _ in events:
                     i = key.data
@@ -151,7 +148,7 @@ def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandl
                     if match is None:
                         raise PeerUnreachableError(
                             f"peer-{i}",
-                            f"serve process announced {heard[i]!r} instead of an address",
+                            f"custodian announced {heard[i]!r} instead of an address",
                         )
                     handle.addresses[i] = (f"peer-{i}", match.group(1), int(match.group(2)))
     except BaseException:

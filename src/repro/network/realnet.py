@@ -6,9 +6,10 @@
 produce the same latency stamps, the same FIFO fronts, the same total
 order — and adds **physical conveyance**: every admitted message copy is
 framed (length-prefixed, CRC-checked, the storage segment-log header
-reused verbatim) and shipped over a real TCP connection to the custodian
-peer process hosting the receiver, which validates the frame and
-acknowledges it.  Logical delivery of a message is gated on the physical
+reused verbatim; the wire format lives in :mod:`repro.network.custodian`)
+and shipped over a real TCP connection to the custodian peer process
+hosting the receiver, which validates the frame and acknowledges it.
+Logical delivery of a message is gated on the physical
 acknowledgement of its frame: :meth:`RealNetwork.run_until` refuses to
 execute a delivery event whose frame has not yet made the wire round
 trip, so protocol progress is *physically mediated* — a dead custodian
@@ -53,13 +54,11 @@ import asyncio
 import heapq
 import pickle
 import random
-import struct
 import threading
 import time
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.exceptions import (
     ConfigurationError,
@@ -67,78 +66,18 @@ from repro.exceptions import (
     PeerUnreachableError,
     SimulationError,
 )
+from repro.network.custodian import (
+    KIND_ACK,
+    KIND_MSG,
+    KIND_PING,
+    KIND_PONG,
+    FrameReader,
+    encode_frame,
+)
 from repro.network.simnet import Message, Simulator, SyncNetwork
 from repro.obs.registry import MetricsRegistry
 
-__all__ = [
-    "FRAME_HEADER",
-    "MAX_FRAME_PAYLOAD",
-    "FrameReader",
-    "NodeServer",
-    "RealNetwork",
-    "TransportConfig",
-    "encode_frame",
-    "transport_metrics",
-]
-
-# -- wire framing -----------------------------------------------------------
-
-#: Same header as the storage segment log: u32 payload length | u32 crc32
-#: of the payload | u64 sequence number.  One codec for disk and wire.
-FRAME_HEADER = struct.Struct("<IIQ")
-
-#: Refuse absurd lengths before allocating (matches the segment log).
-MAX_FRAME_PAYLOAD = 1 << 26
-
-#: Frame kinds — first payload byte.  ``MSG`` carries a pickled
-#: (sender, receiver, payload) triple; the control frames carry nothing.
-KIND_MSG = b"M"
-KIND_ACK = b"A"
-KIND_PING = b"P"
-KIND_PONG = b"O"
-
-
-def encode_frame(seq: int, kind: bytes, body: bytes = b"") -> bytes:
-    """One wire frame: header + kind byte + body, CRC over kind+body."""
-    payload = kind + body
-    if len(payload) > MAX_FRAME_PAYLOAD:
-        raise FrameError(
-            f"frame payload {len(payload)} exceeds cap {MAX_FRAME_PAYLOAD}"
-        )
-    return FRAME_HEADER.pack(len(payload), zlib.crc32(payload), seq) + payload
-
-
-class FrameReader:
-    """Incremental frame decoder over a byte stream.
-
-    Feed it chunks as they arrive; it yields complete ``(seq, kind,
-    body)`` frames and raises :class:`~repro.exceptions.FrameError` on a
-    malformed header, an oversized length, or a CRC mismatch — the
-    caller then drops the connection (TCP preserves ordering, so a bad
-    frame means a corrupted or hostile stream, not a resumable gap).
-    """
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[tuple[int, bytes, bytes]]:
-        self._buf.extend(data)
-        frames: list[tuple[int, bytes, bytes]] = []
-        while True:
-            if len(self._buf) < FRAME_HEADER.size:
-                return frames
-            length, crc, seq = FRAME_HEADER.unpack_from(self._buf)
-            if length == 0 or length > MAX_FRAME_PAYLOAD:
-                raise FrameError(f"frame length {length} out of range")
-            end = FRAME_HEADER.size + length
-            if len(self._buf) < end:
-                return frames
-            payload = bytes(self._buf[FRAME_HEADER.size:end])
-            del self._buf[:end]
-            if zlib.crc32(payload) != crc:
-                raise FrameError(f"frame {seq} CRC mismatch")
-            frames.append((seq, payload[:1], payload[1:]))
-
+__all__ = ["RealNetwork", "TransportConfig", "transport_metrics"]
 
 # -- telemetry --------------------------------------------------------------
 
@@ -503,8 +442,9 @@ class RealNetwork(SyncNetwork):
     Args:
         sim: Shared simulator (clock authority), as for the base class.
         custodians: ``(name, host, port)`` triples — the peer processes
-            (started with ``repro serve`` or in-process
-            :class:`NodeServer`) that custody node identities.  Node ids
+            (started with ``python -m repro.network.custodian`` or
+            in-process :class:`~repro.network.custodian.NodeServer`) that
+            custody node identities.  Node ids
             are assigned round-robin in registration order, so the
             assignment is deterministic for a deterministic build order.
         config: Robustness knobs (:class:`TransportConfig`).
@@ -674,105 +614,3 @@ class RealNetwork(SyncNetwork):
                         f"(stall watchdog; frame {seq}, stamp {stamp:.4f})",
                     )
                 self._cond.wait(timeout=0.05)
-
-
-# -- custodian peer ---------------------------------------------------------
-
-
-class NodeServer:
-    """A custodian peer: validates and acknowledges conveyed frames.
-
-    The ``repro serve`` subcommand runs one of these per cluster
-    process.  For every CRC-valid ``MSG`` frame it returns an ``ACK``
-    carrying the same sequence number (acknowledging *conveyance* — the
-    custodied identities' logical state lives with the driving engine;
-    see DESIGN.md on the split).  ``PING`` frames earn a ``PONG``.
-    Malformed or CRC-corrupt input drops the connection, which pushes
-    the sender down its retransmit/reconnect path.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self.host = host
-        self.port = port
-        self.frames_acked = 0
-        self._server: asyncio.AbstractServer | None = None
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def _serve_connection(self, reader, writer) -> None:
-        frames = FrameReader()
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                try:
-                    decoded = frames.feed(data)
-                except FrameError:
-                    break  # corrupt stream: force the client to resend
-                for seq, kind, _body in decoded:
-                    if kind == KIND_MSG:
-                        self.frames_acked += 1
-                        writer.write(encode_frame(seq, KIND_ACK))
-                    elif kind == KIND_PING:
-                        writer.write(encode_frame(seq, KIND_PONG))
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-
-
-def start_server_thread(
-    host: str = "127.0.0.1", port: int = 0
-) -> tuple[NodeServer, Any]:
-    """Run a :class:`NodeServer` on a background thread (tests, harness).
-
-    Returns ``(server, stop)`` where ``server.port`` is bound and
-    ``stop()`` shuts the loop down and joins the thread.  ``port=0``
-    binds an OS-assigned port; a fixed port supports restart tests.
-    """
-    server = NodeServer(host=host, port=port)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def main() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(server.start())
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            server.close()
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True)
-                )
-            loop.close()
-
-    thread = threading.Thread(target=main, name="node-server", daemon=True)
-    thread.start()
-    if not started.wait(timeout=10.0):  # pragma: no cover - defensive
-        raise PeerUnreachableError("node-server", "server thread failed to bind")
-
-    def stop() -> None:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10.0)
-
-    return server, stop

@@ -1,42 +1,7 @@
-"""Workload generators and arrival processes."""
+"""Workload generators, arrival processes and the preset registry.
 
-from repro.workloads.arrivals import (
-    ArrivalProcess,
-    ConstantArrivals,
-    DiurnalArrivals,
-    PoissonArrivals,
-)
-from repro.workloads.replay import (
-    RecordingWorkload,
-    ReplayWorkload,
-    dump_specs,
-    load_specs,
-)
-from repro.workloads.scenarios import SCENARIOS, Scenario, build, scenario_names
-from repro.workloads.generator import (
-    BernoulliWorkload,
-    BurstyWorkload,
-    PerProviderWorkload,
-    TxSpec,
-    WorkloadGenerator,
-)
-
-__all__ = [
-    "ArrivalProcess",
-    "BernoulliWorkload",
-    "BurstyWorkload",
-    "ConstantArrivals",
-    "DiurnalArrivals",
-    "PerProviderWorkload",
-    "PoissonArrivals",
-    "RecordingWorkload",
-    "ReplayWorkload",
-    "SCENARIOS",
-    "Scenario",
-    "TxSpec",
-    "WorkloadGenerator",
-    "build",
-    "dump_specs",
-    "load_specs",
-    "scenario_names",
-]
+Import from the defining modules (this init imports nothing):
+:mod:`~repro.workloads.generator`, :mod:`~repro.workloads.arrivals`,
+:mod:`~repro.workloads.replay`, :mod:`~repro.workloads.scenarios`,
+:mod:`~repro.workloads.xshard`.
+"""

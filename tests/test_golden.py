@@ -23,13 +23,14 @@ from repro.agents.behaviors import (
 )
 from repro.baselines.base import PolicySimulation, ReputationPolicy
 from repro.cli import MIXES
-from repro.core import ProtocolEngine, ProtocolParams
 from repro.core.game import ReputationGame
+from repro.core.params import ProtocolParams
+from repro.core.protocol import ProtocolEngine
 from repro.crypto.hashing import hash_value
 from repro.crypto.signatures import SigningKey, sign
 from repro.crypto.vrf import vrf_evaluate
-from repro.network import Topology
-from repro.workloads import BernoulliWorkload
+from repro.network.topology import Topology
+from repro.workloads.generator import BernoulliWorkload
 
 # -- protocol-run goldens ----------------------------------------------------
 

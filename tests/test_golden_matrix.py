@@ -42,14 +42,15 @@ import pytest
 
 from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
 from repro.byzantine.scenario import install_equivocation
-from repro.core import ProtocolEngine, ProtocolParams
 from repro.core.netengine import NetworkedProtocolEngine
+from repro.core.params import ProtocolParams
+from repro.core.protocol import ProtocolEngine
 from repro.faults import FaultPlan, LinkFaultSpec
-from repro.network import Topology
+from repro.network.topology import Topology
 from repro.network.visibility import VisibilityMap
 from repro.sharding import ShardCoordinator
 from repro.storage.checkpoints import reputation_digest
-from repro.workloads import BernoulliWorkload
+from repro.workloads.generator import BernoulliWorkload
 from repro.workloads.scenarios import SCENARIOS, build
 from repro.workloads.xshard import CrossShardWorkload
 

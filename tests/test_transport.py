@@ -31,18 +31,16 @@ from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.faults.proxy import start_proxy_thread
 from repro.network import cluster
 from repro.network.cluster import ClusterScenario, launch_custodians, run_scenario
-from repro.network.realnet import (
+from repro.network.custodian import (
     FRAME_HEADER,
     KIND_ACK,
     KIND_MSG,
     MAX_FRAME_PAYLOAD,
     FrameReader,
-    RealNetwork,
-    TransportConfig,
     encode_frame,
     start_server_thread,
-    transport_metrics,
 )
+from repro.network.realnet import RealNetwork, TransportConfig, transport_metrics
 from repro.network.simnet import Simulator, SyncNetwork
 from repro.obs.registry import MetricsRegistry
 
