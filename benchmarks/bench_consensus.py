@@ -49,25 +49,18 @@ def _stake_block_messages(m: int) -> int:
     round (each governor transacting) — so the bench submits one
     transfer per governor.
     """
-    from repro.consensus.stake import StakeLedger, StakeTransfer
+    from repro.consensus.stake import make_transfer
     from repro.consensus.stake_consensus import StakeConsensusRound
-    from repro.crypto.signatures import sign
 
     im = IdentityManager(seed=2)
     govs = [f"g{j}" for j in range(m)]
     for g in govs:
         im.enroll(g, Role.GOVERNOR)
     ledger = StakeLedger.from_balances({g: 4 for g in govs})
-    transfers = []
-    for i, g in enumerate(govs):
-        receiver = govs[(i + 1) % m]
-        message = ("stake-transfer", g, receiver, 1, i)
-        transfers.append(
-            StakeTransfer(
-                sender=g, receiver=receiver, amount=1, nonce=i,
-                signature=sign(im.record(g).key, message),
-            )
-        )
+    transfers = [
+        make_transfer(im.record(g).key, govs[(i + 1) % m], 1, nonce=i)
+        for i, g in enumerate(govs)
+    ]
     consensus = StakeConsensusRound(im=im, governors=govs)
     consensus.run(govs[0], ledger, transfers)
     return consensus.messages_exchanged

@@ -24,6 +24,7 @@ from repro.ledger.transaction import (
     SignedTransaction,
     TransactionBody,
     make_labeled_transaction,
+    tx_message,
 )
 from repro.ledger.validation import ValidityOracle
 
@@ -136,8 +137,7 @@ class Collector:
         self._forge_nonce += 1
         # Fabricated provider signature: signed with the collector's key
         # but claiming the victim as signer -> never verifies.
-        bogus_message = ("tx", body.canonical_bytes(), timestamp)
-        bogus_sig_raw = sign(self.key, bogus_message)
+        bogus_sig_raw = sign(self.key, tx_message(body.digest, timestamp))
         forged_provider_sig = type(bogus_sig_raw)(signer=victim, tag=bogus_sig_raw.tag)
         forged_tx = SignedTransaction(
             body=body, timestamp=timestamp, provider_signature=forged_provider_sig

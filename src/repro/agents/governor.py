@@ -295,15 +295,15 @@ class Governor:
             # dropped before any attribution is attempted.
             return False
         tx, label = upload.parse()
-        # The memoized signed-message encodings feed the IM's verification
-        # cache: every governor checks the same bytes, only the first pays.
+        # The signed bytes are derived once per record and feed the IM's
+        # verification cache: every governor checks them, only the first pays.
         collector_ok = self.im.verify(
-            upload.collector, upload.signed_message_bytes(), upload.collector_signature
+            upload.collector, upload.message, upload.collector_signature
         )
         if not collector_ok:
             return False
         provider_ok = self.im.verify(
-            tx.provider, tx.signed_message_bytes(), tx.provider_signature
+            tx.provider, tx.message, tx.provider_signature
         ) and self.im.is_linked(upload.collector, tx.provider)
         if not provider_ok:
             apply_forge_update(self.book, upload.collector)

@@ -270,7 +270,7 @@ class SafetyAuditor:
                 )
             )
         self._check("merkle-root")
-        recomputed = MerkleTree(list(block.tx_list)).root
+        recomputed = MerkleTree([rec.hash() for rec in block.tx_list]).root
         if recomputed != block.tx_root:
             found.append(
                 AuditViolation(
@@ -285,9 +285,7 @@ class SafetyAuditor:
             self._check("record-signatures")
             for rec in block.tx_list:
                 tx = rec.tx
-                if not self.im.verify(
-                    tx.provider, tx.signed_message_bytes(), tx.provider_signature
-                ):
+                if not self.im.verify(tx.provider, tx.message, tx.provider_signature):
                     found.append(
                         AuditViolation(
                             type=ViolationType.BAD_SIGNATURE,
@@ -393,7 +391,7 @@ class SafetyAuditor:
         """
         self._check("upload-label")
         if self.im is not None and not self.im.verify(
-            upload.collector, upload.signed_message_bytes(), upload.collector_signature
+            upload.collector, upload.message, upload.collector_signature
         ):
             return None
         by_collector = self._labels.setdefault(upload.tx.tx_id, {})

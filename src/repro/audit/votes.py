@@ -25,8 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
-from repro.consensus.messages import CommitVote
-from repro.crypto.signatures import sign
+from repro.consensus.messages import CommitVote, make_vote
 from repro.ledger.block import Block
 
 if TYPE_CHECKING:  # pragma: no cover - the engine builds its vote audit
@@ -61,15 +60,8 @@ class CommitVoteAudit:
         mint *validly signed* conflicting votes — the provable-violation
         definition requires real signatures on both sides.
         """
-        round_number = self.engine.round_number
-        message = ("audit-commit", gid, serial, block_hash, round_number)
-        return CommitVote(
-            governor=gid,
-            serial=serial,
-            block_hash=block_hash,
-            round_number=round_number,
-            signature=sign(self.engine.governors[gid].key, message),
-        )
+        key = self.engine.governors[gid].key
+        return make_vote(key, serial, block_hash, self.engine.round_number)
 
     def set_strategy(self, gid: str, strategy) -> None:
         """Override ``gid``'s commit-vote behaviour (Byzantine hook).

@@ -2,14 +2,17 @@
 
 Each message dataclass carries a ``kind`` tag used by the network layer's
 per-kind counters, which is how the complexity experiments (E7) separate
-ordinary-block traffic from stake-transform traffic.
+ordinary-block traffic from stake-transform traffic.  Each signed message
+is spelled once, by a ``*_message`` function that both its maker and its
+verifier call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.signatures import Signature
+from repro.crypto.hashing import canonical_encode
+from repro.crypto.signatures import Signature, SigningKey, sign
 from repro.crypto.vrf import VRFOutput
 from repro.ledger.block import Block
 
@@ -21,7 +24,32 @@ __all__ = [
     "StateAck",
     "StateCommit",
     "ExpelEvidence",
+    "vote_message",
+    "proposal_message",
+    "ack_message",
+    "make_vote",
 ]
+
+
+def vote_message(
+    governor: str, serial: int, block_hash: bytes, round_number: int
+) -> bytes:
+    """The bytes a governor signs to commit to ``block_hash`` at ``serial``."""
+    return canonical_encode(
+        ("audit-commit", governor, serial, block_hash, round_number)
+    )
+
+
+def proposal_message(
+    round_number: int, new_state: dict[str, int], transfers_digest: bytes
+) -> bytes:
+    """The bytes a leader signs to propose NEW_STATE."""
+    return canonical_encode(("new-state", round_number, new_state, transfers_digest))
+
+
+def ack_message(round_number: int, proposal_digest: bytes) -> bytes:
+    """The bytes a non-leader signs to acknowledge a proposal."""
+    return canonical_encode(("state-ack", round_number, proposal_digest))
 
 
 @dataclass(frozen=True)
@@ -67,15 +95,19 @@ class CommitVote:
     signature: Signature
     kind: str = field(default="audit-commit", repr=False)
 
-    def signed_message(self) -> tuple:
-        """The structure the governor's signature covers."""
-        return (
-            "audit-commit",
-            self.governor,
-            self.serial,
-            self.block_hash,
-            self.round_number,
+    def signed_message(self) -> bytes:
+        """The bytes the governor's signature covers."""
+        return vote_message(
+            self.governor, self.serial, self.block_hash, self.round_number
         )
+
+
+def make_vote(
+    key: SigningKey, serial: int, block_hash: bytes, round_number: int
+) -> CommitVote:
+    """``key.owner``'s signed commit vote for ``block_hash`` at ``serial``."""
+    signature = sign(key, vote_message(key.owner, serial, block_hash, round_number))
+    return CommitVote(key.owner, serial, block_hash, round_number, signature)
 
 
 @dataclass(frozen=True)
@@ -89,9 +121,11 @@ class NewStateProposal:
     signature: Signature
     kind: str = field(default="new-state", repr=False)
 
-    def signed_message(self) -> tuple:
-        """The structure the leader's signature covers."""
-        return ("new-state", self.round_number, self.new_state, self.transfers_digest)
+    def signed_message(self) -> bytes:
+        """The bytes the leader's signature covers."""
+        return proposal_message(
+            self.round_number, self.new_state, self.transfers_digest
+        )
 
 
 @dataclass(frozen=True)
@@ -104,9 +138,9 @@ class StateAck:
     signature: Signature
     kind: str = field(default="state-ack", repr=False)
 
-    def signed_message(self) -> tuple:
-        """The structure the acker's signature covers."""
-        return ("state-ack", self.round_number, self.proposal_digest)
+    def signed_message(self) -> bytes:
+        """The bytes the acker's signature covers."""
+        return ack_message(self.round_number, self.proposal_digest)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from repro.crypto.hashing import hash_value
-from repro.crypto.signatures import Signature
+from repro.crypto.hashing import canonical_encode, hash_value, sha256
+from repro.crypto.signatures import Signature, SigningKey, sign
 from repro.exceptions import StakeError
 
-__all__ = ["StakeTransfer", "StakeLedger"]
+__all__ = ["StakeTransfer", "StakeLedger", "transfer_message", "make_transfer"]
+
+
+def transfer_message(sender: str, receiver: str, amount: int, nonce: int) -> bytes:
+    """The bytes a sender signs to move ``amount`` stake to ``receiver``."""
+    return canonical_encode(("stake-transfer", sender, receiver, amount, nonce))
 
 
 @dataclass(frozen=True)
@@ -38,13 +43,21 @@ class StakeTransfer:
         if self.sender == self.receiver:
             raise StakeError("self-transfers are meaningless")
 
-    def signed_message(self) -> tuple:
-        """The structure the sender signed."""
-        return ("stake-transfer", self.sender, self.receiver, self.amount, self.nonce)
+    def signed_message(self) -> bytes:
+        """The bytes the sender signed."""
+        return transfer_message(self.sender, self.receiver, self.amount, self.nonce)
 
     def canonical_bytes(self) -> bytes:
-        """Stable encoding (for inclusion in NEW_STATE hashing)."""
-        return hash_value(self.signed_message())
+        """Stable digest (for inclusion in NEW_STATE hashing)."""
+        return sha256(self.signed_message())
+
+
+def make_transfer(
+    key: SigningKey, receiver: str, amount: int, nonce: int
+) -> StakeTransfer:
+    """Sign a transfer of ``amount`` stake from ``key.owner`` to ``receiver``."""
+    signature = sign(key, transfer_message(key.owner, receiver, amount, nonce))
+    return StakeTransfer(key.owner, receiver, amount, nonce, signature)
 
 
 @dataclass

@@ -29,6 +29,8 @@ from repro.consensus.messages import (
     NewStateProposal,
     StateAck,
     StateCommit,
+    ack_message,
+    proposal_message,
 )
 from repro.consensus.stake import StakeLedger, StakeTransfer
 from repro.crypto.hashing import hash_value
@@ -67,13 +69,12 @@ def make_proposal(
     ordered = sorted(transfers, key=lambda t: t.canonical_bytes())
     new_state = prev_state.applied(ordered).snapshot()
     digest = transfers_digest(transfers)
-    message = ("new-state", round_number, new_state, digest)
     return NewStateProposal(
         round_number=round_number,
         leader=key.owner,
         new_state=new_state,
         transfers_digest=digest,
-        signature=sign(key, message),
+        signature=sign(key, proposal_message(round_number, new_state, digest)),
     )
 
 
@@ -108,12 +109,11 @@ def evaluate_proposal(
             proposal=proposal,
         )
     digest = hash_value(("proposal", proposal.new_state, proposal.transfers_digest))
-    message = ("state-ack", proposal.round_number, digest)
     return StateAck(
         round_number=proposal.round_number,
         governor=key.owner,
         proposal_digest=digest,
-        signature=sign(key, message),
+        signature=sign(key, ack_message(proposal.round_number, digest)),
     )
 
 

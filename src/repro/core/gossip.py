@@ -30,11 +30,18 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.reputation import WEIGHT_FLOOR, ReputationBook
+from repro.crypto.hashing import canonical_encode
 from repro.crypto.identity import IdentityManager
 from repro.crypto.signatures import Signature, SigningKey, sign
 from repro.exceptions import ConfigurationError, ProtocolViolationError
 
-__all__ = ["ReputationSummary", "ReputationGossip"]
+__all__ = ["ReputationSummary", "ReputationGossip", "summary_message"]
+
+
+def summary_message(governor: str, entries: dict[tuple[str, str], float]) -> bytes:
+    """The bytes a governor signs over its entries (sorted for stability)."""
+    flat = tuple(sorted((c, p, w) for (c, p), w in entries.items()))
+    return canonical_encode(("reputation-summary", governor, flat))
 
 
 @dataclass(frozen=True)
@@ -45,10 +52,9 @@ class ReputationSummary:
     entries: dict[tuple[str, str], float]  # (collector, provider) -> weight
     signature: Signature
 
-    def signed_message(self) -> tuple:
-        """The structure the signature covers (sorted for stability)."""
-        flat = tuple(sorted((c, p, w) for (c, p), w in self.entries.items()))
-        return ("reputation-summary", self.governor, flat)
+    def signed_message(self) -> bytes:
+        """The bytes the signature covers."""
+        return summary_message(self.governor, self.entries)
 
 
 def make_summary(key: SigningKey, book: ReputationBook) -> ReputationSummary:
@@ -57,11 +63,8 @@ def make_summary(key: SigningKey, book: ReputationBook) -> ReputationSummary:
     for collector in book.collectors():
         for provider, weight in book.vector(collector).provider_weights.items():
             entries[(collector, provider)] = weight
-    flat = tuple(sorted((c, p, w) for (c, p), w in entries.items()))
-    message = ("reputation-summary", key.owner, flat)
-    return ReputationSummary(
-        governor=key.owner, entries=entries, signature=sign(key, message)
-    )
+    signature = sign(key, summary_message(key.owner, entries))
+    return ReputationSummary(governor=key.owner, entries=entries, signature=signature)
 
 
 @dataclass

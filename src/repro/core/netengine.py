@@ -611,7 +611,7 @@ class NetworkedProtocolEngine(RoundCore):
         # the cached verdict instead of redoing the HMAC.  Verification
         # consumes no randomness, so the drain is unaffected otherwise.
         self.im.verify_batch(
-            (tx.provider, tx.signed_message_bytes(), tx.provider_signature)
+            (tx.provider, tx.message, tx.provider_signature)
             for _provider, tx in originated
         )
         # Forgery opportunities: once per live collector per round.

@@ -21,13 +21,12 @@ from typing import Mapping, Sequence
 
 from repro.agents.behaviors import CollectorBehavior
 from repro.agents.governor import Governor
-from repro.consensus.stake import StakeTransfer
+from repro.consensus.stake import make_transfer
 from repro.consensus.messages import NewStateProposal
 from repro.consensus.stake_consensus import StakeConsensusRound, make_proposal
 from repro.core.params import ProtocolParams
 from repro.core.rewards import distribute_rewards
 from repro.core.roundcore import RoundCore
-from repro.crypto.signatures import sign
 from repro.exceptions import ConfigurationError, LeaderMisbehaviourError
 from repro.ledger.block import Block
 from repro.ledger.store import BlockStore
@@ -221,14 +220,7 @@ class ProtocolEngine(RoundCore):
         the E7 bench accumulates against the O(m^2) claim.
         """
         key = self.im.record(sender).key
-        message = ("stake-transfer", sender, receiver, amount, self._stake_nonce)
-        transfer = StakeTransfer(
-            sender=sender,
-            receiver=receiver,
-            amount=amount,
-            nonce=self._stake_nonce,
-            signature=sign(key, message),
-        )
+        transfer = make_transfer(key, receiver, amount, self._stake_nonce)
         self._stake_nonce += 1
         total_messages = 0
         for _attempt in range(self.topology.m):

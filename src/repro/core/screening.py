@@ -117,7 +117,7 @@ def screen_transaction(
     provider = reports.provider
     reporters = sorted(reports.labels)  # deterministic ordering for the draw
     # Amortized-O(1) snapshot: weights, NumPy-order mass, and normalized
-    # probabilities are all memoized per (provider, reporters) row and
+    # probabilities are all cached per (provider, reporters) row and
     # reused until some underlying reputation entry changes.
     row = book.selection_row(provider, reporters)
     weights = row.weights

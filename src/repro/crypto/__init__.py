@@ -11,7 +11,6 @@ from repro.crypto.hashing import (
     canonical_encode,
     hash_many,
     hash_value,
-    hexdigest,
     sha256,
 )
 from repro.crypto.identity import IdentityManager, NodeRecord, Role
@@ -37,7 +36,6 @@ __all__ = [
     "canonical_encode",
     "hash_many",
     "hash_value",
-    "hexdigest",
     "merkle_root",
     "sha256",
     "sign",

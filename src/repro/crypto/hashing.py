@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Iterable
 
-__all__ = ["DIGEST_SIZE", "sha256", "hash_value", "hash_many", "hexdigest"]
+__all__ = ["DIGEST_SIZE", "sha256", "canonical_encode", "hash_value", "hash_many"]
 
 #: Size in bytes of every digest produced by this module.
 DIGEST_SIZE = 32
@@ -85,10 +85,6 @@ def _encode(value: Any, out: list[bytes]) -> None:
         for key, val in items:
             _encode(key, out)
             _encode(val, out)
-    elif hasattr(value, "canonical_bytes"):
-        # Domain objects (transactions, blocks) expose their own stable
-        # encoding; treat it as opaque bytes.
-        _encode(value.canonical_bytes(), out)
     else:
         raise TypeError(f"cannot canonically hash value of type {type(value)!r}")
 
@@ -109,28 +105,23 @@ def hash_value(value: Any) -> bytes:
     return sha256(canonical_encode(value))
 
 
-def hash_many(values: Iterable[Any]) -> bytes:
+def hash_many(items: Iterable[Any]) -> bytes:
     """Hash an iterable of values as an ordered sequence.
 
     Streams each member's canonical encoding into one incremental
     SHA-256 instead of materialising an intermediate tuple and one big
     concatenated buffer; the digest is identical to
-    ``hash_value(tuple(values))``.
+    ``hash_value(tuple(items))``.
     """
-    if not hasattr(values, "__len__"):
-        values = list(values)
+    if not hasattr(items, "__len__"):
+        items = list(items)
     hasher = hashlib.sha256()
     hasher.update(_TAG_SEQ)
-    hasher.update(len(values).to_bytes(8, "big"))
+    hasher.update(len(items).to_bytes(8, "big"))
     parts: list[bytes] = []
-    for item in values:
+    for item in items:
         _encode(item, parts)
         for part in parts:
             hasher.update(part)
         parts.clear()
     return hasher.digest()
-
-
-def hexdigest(value: Any) -> str:
-    """Hex form of :func:`hash_value`, convenient for logging and ids."""
-    return hash_value(value).hex()

@@ -8,9 +8,11 @@ standard PKI methods and play the role of a Certificate Authority."*
 
 The :class:`IdentityManager` here is that component: it enrolls nodes
 with a role, issues signing credentials, and offers a global
-``verify(d, m)`` matching the paper's function — including the extra
-collector rule that a collector-uploaded message must carry a signature
-by a provider that collector is actually linked with.
+``verify(d, m)`` matching the paper's function over the bytes ``m``.
+The extra collector rule — a collector-uploaded message must carry a
+signature by a provider that collector is actually linked with — is
+checked by :meth:`repro.agents.governor.Governor.ingest_upload` against
+the IM's link table.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.crypto.hashing import canonical_encode, sha256
-from repro.crypto.signatures import Signature, SigningKey, sign, verify_with_key
+from repro.crypto.hashing import sha256
+from repro.crypto.signatures import Signature, SigningKey, verify_with_key
 from repro.exceptions import UnknownIdentityError
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 
@@ -62,7 +64,7 @@ class IdentityManager:
     simulation keeps all secrets in one registry; nodes only ever receive
     their own :class:`SigningKey`.
 
-    Verification is memoized in a bounded LRU keyed on
+    Verdicts are cached in a bounded LRU keyed on
     ``(signer, payload digest, tag)``: the r-fold collector fan-out and
     the per-governor re-verification of the same upload hit the cache
     instead of redoing identical HMACs.  The cache is sound because
@@ -149,19 +151,11 @@ class IdentityManager:
         """Whether ``node_id`` is a member of the chain."""
         return node_id in self._records
 
-    def role_of(self, node_id: str) -> Role:
-        """Role the member was enrolled with."""
-        return self.record(node_id).role
-
     def members(self, role: Role | None = None) -> Iterator[str]:
         """Iterate enrolled node ids, optionally filtered by role."""
         for node_id, rec in self._records.items():
             if role is None or rec.role is role:
                 yield node_id
-
-    def links_of(self, collector_id: str) -> frozenset[str]:
-        """The providers a collector is registered as linked with."""
-        return frozenset(self._links.get(collector_id, frozenset()))
 
     def is_linked(self, collector_id: str, provider_id: str) -> bool:
         """Whether the IM knows a collector-provider link."""
@@ -169,26 +163,18 @@ class IdentityManager:
 
     # -- authentication -----------------------------------------------
 
-    def sign_as(self, node_id: str, message: Any) -> Signature:
-        """Sign on behalf of an enrolled node (test/simulation helper)."""
-        return sign(self.record(node_id).key, message)
-
-    def verify(self, sender_id: str, message: Any, signature: Signature) -> bool:
-        """The paper's ``verify(d, m)``: authenticate ``message`` from ``d``.
+    def verify(self, sender_id: str, message: bytes, signature: Signature) -> bool:
+        """The paper's ``verify(d, m)``: authenticate the bytes ``message`` from ``d``.
 
         Returns False when the signature does not check out against the
         registered credential of ``sender_id`` or the sender is unknown.
-        The collector-specific embedded-provider rule is implemented by
-        :meth:`verify_collector_upload` because it needs the message
-        structure, not just bytes.
         """
         record = self._records.get(sender_id)
         if record is None:
             return False
         if signature.signer != sender_id:
             return False  # verify_with_key rejects this unconditionally
-        raw = message if isinstance(message, bytes) else canonical_encode(message)
-        key = (sender_id, sha256(raw), signature.tag)
+        key = (sender_id, sha256(message), signature.tag)
         cache = self._verify_cache
         cached = cache.get(key, _MISS)
         if cached is not _MISS:
@@ -196,7 +182,7 @@ class IdentityManager:
             self.sig_cache_hits += 1
             return cached  # type: ignore[return-value]
         # Credentials are immutable, so both verdicts are cacheable.
-        result = verify_with_key(record.key, raw, signature)
+        result = verify_with_key(record.key, message, signature)
         self.sig_cache_misses += 1
         cache[key] = result
         if len(cache) > self.VERIFY_CACHE_SIZE:
@@ -204,7 +190,7 @@ class IdentityManager:
         return result
 
     def verify_batch(
-        self, items: Iterable[tuple[str, Any, Signature]]
+        self, items: Iterable[tuple[str, bytes, Signature]]
     ) -> list[bool]:
         """Verify many ``(sender_id, message, signature)`` triples at once.
 
@@ -218,28 +204,3 @@ class IdentityManager:
             self.verify(sender_id, message, signature)
             for sender_id, message, signature in items
         ]
-
-    def verify_collector_upload(
-        self,
-        collector_id: str,
-        message: Any,
-        signature: Signature,
-        embedded_provider: str,
-        embedded_signature: Signature,
-        embedded_message: Any,
-    ) -> bool:
-        """Full ``verify`` for collector uploads.
-
-        Checks, per Section 3.1: (1) the collector's own signature over
-        the upload, (2) that the upload embeds a provider signature that
-        verifies, and (3) that the collector is linked with that provider.
-        """
-        if not self.verify(collector_id, message, signature):
-            return False
-        if not self.is_linked(collector_id, embedded_provider):
-            return False
-        return self.verify(embedded_provider, embedded_message, embedded_signature)
-
-    def export_directory(self) -> Mapping[str, str]:
-        """Public directory: node id -> role name (no secrets)."""
-        return {nid: rec.role.value for nid, rec in self._records.items()}

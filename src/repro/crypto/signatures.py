@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, fields
 
-from repro.crypto.hashing import canonical_encode
 from repro.exceptions import SignatureError
 
 __all__ = ["SigningKey", "FrozenSlots", "Signature", "sign", "verify_with_key"]
@@ -59,25 +57,19 @@ class SigningKey:
 
 
 class FrozenSlots:
-    """``pickle`` / ``copy`` state for a frozen dataclass that declares ``__slots__``.
+    """``pickle`` / ``copy`` for a frozen dataclass that declares ``__slots__``.
 
     Signatures and the ledger records are alive by the handful per
-    transaction per replica, so they carry no ``__dict__``.  The default
-    restore of slot state goes through ``setattr``, which a frozen class
-    refuses; the state here is the dict a ``__dict__`` instance would have
-    had — the fields, plus whichever other slots are filled.
+    transaction per replica, so they carry no ``__dict__``.  A copy is a
+    constructor call on the fields: it re-runs the class's checks and
+    re-derives every value computed from the fields, so state that
+    arrives by pickle is never trusted over what the fields say.
     """
 
     __slots__ = ()
 
-    def __getstate__(self) -> dict:
-        return {
-            name: getattr(self, name) for name in self.__slots__ if hasattr(self, name)
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -98,25 +90,14 @@ class Signature(FrozenSlots):
         return self.tag.hex()
 
 
-def _message_bytes(message: Any) -> bytes:
-    """Canonical bytes of an arbitrary (hashable-structure) message."""
-    if isinstance(message, bytes):
-        return message
-    return canonical_encode(message)
-
-
-def sign(key: SigningKey, message: Any) -> Signature:
-    """Sign ``message`` with ``key``.
-
-    ``message`` may be raw bytes or any structure supported by the
-    canonical encoder (str/int/float/tuple/dict/...).
-    """
-    tag = hmac.new(key.secret, _message_bytes(message), hashlib.sha256).digest()
+def sign(key: SigningKey, message: bytes) -> Signature:
+    """Sign the bytes ``message`` with ``key``."""
+    tag = hmac.new(key.secret, message, hashlib.sha256).digest()
     return Signature(signer=key.owner, tag=tag)
 
 
-def verify_with_key(key: SigningKey, message: Any, signature: Signature) -> bool:
-    """Verify ``signature`` over ``message`` against ``key``.
+def verify_with_key(key: SigningKey, message: bytes, signature: Signature) -> bool:
+    """Verify ``signature`` over the bytes ``message`` against ``key``.
 
     Returns False (never raises) on any mismatch, including a signature
     claiming a different signer than the key owner.  Constant-time tag
@@ -124,5 +105,5 @@ def verify_with_key(key: SigningKey, message: Any, signature: Signature) -> bool
     """
     if signature.signer != key.owner:
         return False
-    expected = hmac.new(key.secret, _message_bytes(message), hashlib.sha256).digest()
+    expected = hmac.new(key.secret, message, hashlib.sha256).digest()
     return hmac.compare_digest(expected, signature.tag)

@@ -1,6 +1,6 @@
 """Ledger substrate: transactions, blocks, chains, stores, validity, properties."""
 
-from repro.ledger.block import GENESIS_PREV_HASH, Block, block_hash
+from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.chain import Ledger, check_agreement
 from repro.ledger.properties import PropertyReport, RunTranscript, check_all_properties
 from repro.ledger.store import BlockStore
@@ -37,7 +37,6 @@ __all__ = [
     "TransactionBody",
     "TxRecord",
     "ValidityOracle",
-    "block_hash",
     "check_agreement",
     "check_all_properties",
     "make_labeled_transaction",

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from repro.crypto.hashing import hash_value
 from repro.crypto.merkle import MerkleTree
 from repro.exceptions import BlockLimitExceededError, LedgerError
-from repro.ledger.transaction import TxRecord, memoized
+from repro.ledger.transaction import TxRecord
 
-__all__ = ["Block", "GENESIS_PREV_HASH", "block_hash"]
+__all__ = ["Block", "GENESIS_PREV_HASH"]
 
 #: The previous-hash value carried by the genesis block.
 GENESIS_PREV_HASH = b"\x00" * 32
@@ -35,6 +35,9 @@ class Block:
         proposer: Governor id of the round leader that packed the block.
         round_number: Protocol round that produced the block.
         b_limit: The universal transaction-count bound in force.
+
+    The Merkle tree over the records' digests and ``H(B)`` are derived
+    once, at construction.
     """
 
     serial: int
@@ -44,6 +47,7 @@ class Block:
     round_number: int
     b_limit: int = 1024
     _tree: MerkleTree = field(init=False, repr=False, compare=False, hash=False)
+    _hash: bytes = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.serial < 1:
@@ -56,39 +60,27 @@ class Block:
             raise BlockLimitExceededError(
                 f"block holds {len(self.tx_list)} transactions, over b_limit={self.b_limit}"
             )
-        object.__setattr__(self, "_tree", MerkleTree(list(self.tx_list)))
+        leaves = [rec.hash() for rec in self.tx_list]
+        tree = MerkleTree(leaves)
+        header = (
+            "block", self.serial, self.prev_hash, tree.root,
+            self.proposer, self.round_number, len(leaves),
+        )
+        body = hash_value((header, tuple(leaves)))
+        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "_hash", hash_value(("block-hash", body)))
 
     @property
     def tx_root(self) -> bytes:
         """Merkle root committing to the TXList."""
         return self._tree.root
 
-    def header_tuple(self) -> tuple:
-        """The fields the block hash covers."""
-        return (
-            "block",
-            self.serial,
-            self.prev_hash,
-            self.tx_root,
-            self.proposer,
-            self.round_number,
-            len(self.tx_list),
-        )
-
-    @memoized("_canonical")
-    def canonical_bytes(self) -> bytes:
-        """Stable encoding: header plus every record."""
-        return hash_value(
-            (self.header_tuple(), tuple(rec.canonical_bytes() for rec in self.tx_list))
-        )
-
-    @memoized("_hash")
     def hash(self) -> bytes:
-        """``H(B)`` — the CRHF over the whole block, memoized per instance."""
-        return hash_value(("block-hash", self.canonical_bytes()))
+        """``H(B)`` — the CRHF over the header and every record."""
+        return self._hash
 
     def prove_inclusion(self, index: int):
-        """Merkle proof that ``tx_list[index]`` is committed by ``tx_root``."""
+        """Merkle proof that ``tx_list[index].hash()`` is committed by ``tx_root``."""
         return self._tree.prove(index)
 
     def find_tx(self, tx_id: str) -> TxRecord | None:
@@ -101,7 +93,3 @@ class Block:
     def __len__(self) -> int:
         return len(self.tx_list)
 
-
-def block_hash(block: Block) -> bytes:
-    """Module-level alias for ``block.hash()`` (the paper's ``H``)."""
-    return block.hash()

@@ -29,18 +29,14 @@ from repro.ledger.chain import Ledger
 from repro.ledger.transaction import (
     CheckStatus,
     Label,
-    LabeledTransaction,
     SignedTransaction,
     TransactionBody,
     TxRecord,
-    memoized,
 )
 
 __all__ = [
     "encode_transaction",
     "decode_transaction",
-    "encode_labeled",
-    "decode_labeled",
     "encode_record",
     "decode_record",
     "encode_block",
@@ -63,8 +59,8 @@ def _sig_from_json(obj: dict) -> Signature:
         raise LedgerError(f"malformed signature object: {exc}") from exc
 
 
-@memoized("_codec_json")
-def _tx_json(tx: SignedTransaction) -> dict:
+def encode_transaction(tx: SignedTransaction) -> dict:
+    """Serialise a signed transaction."""
     return {
         "provider": tx.body.provider,
         "payload": tx.body.payload,
@@ -72,21 +68,6 @@ def _tx_json(tx: SignedTransaction) -> dict:
         "timestamp": tx.timestamp,
         "signature": _sig_to_json(tx.provider_signature),
     }
-
-
-def encode_transaction(tx: SignedTransaction) -> dict:
-    """Serialise a signed transaction.
-
-    A transaction's JSON shape never changes (frozen dataclasses), so
-    the encoding is memoized on the object — every governor replica
-    serialising its copy of the chain reuses one encoding.  The top
-    level and the signature sub-object are copied per call so callers
-    may edit them (the tamper tests do); ``payload`` is shared with the
-    transaction itself.
-    """
-    out = dict(_tx_json(tx))
-    out["signature"] = dict(out["signature"])
-    return out
 
 
 def decode_transaction(obj: dict) -> SignedTransaction:
@@ -106,29 +87,6 @@ def decode_transaction(obj: dict) -> SignedTransaction:
         )
     except (KeyError, TypeError) as exc:
         raise LedgerError(f"malformed transaction object: {exc}") from exc
-
-
-def encode_labeled(labeled: LabeledTransaction) -> dict:
-    """Serialise a labeled transaction (collector upload)."""
-    return {
-        "tx": encode_transaction(labeled.tx),
-        "label": int(labeled.label),
-        "collector": labeled.collector,
-        "signature": _sig_to_json(labeled.collector_signature),
-    }
-
-
-def decode_labeled(obj: dict) -> LabeledTransaction:
-    """Deserialise a labeled transaction."""
-    try:
-        return LabeledTransaction(
-            tx=decode_transaction(obj["tx"]),
-            label=Label(obj["label"]),
-            collector=obj["collector"],
-            collector_signature=_sig_from_json(obj["signature"]),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise LedgerError(f"malformed labeled transaction: {exc}") from exc
 
 
 def encode_record(record: TxRecord) -> dict:

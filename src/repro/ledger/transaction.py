@@ -15,51 +15,32 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import wraps
-from typing import Callable, TypeVar
 
 from repro.crypto.hashing import canonical_encode, hash_value
 from repro.crypto.signatures import FrozenSlots, Signature, SigningKey, sign
 
 __all__ = [
-    "memoized",
     "Label",
     "CheckStatus",
     "TransactionBody",
     "SignedTransaction",
     "LabeledTransaction",
     "TxRecord",
+    "tx_message",
+    "labeled_message",
     "make_signed_transaction",
     "make_labeled_transaction",
 ]
 
-_T = TypeVar("_T")
+
+def tx_message(body_digest: bytes, timestamp: float) -> bytes:
+    """The bytes a provider signs: (body, timestamp)."""
+    return canonical_encode(("tx", body_digest, timestamp))
 
 
-def memoized(slot: str) -> Callable[[Callable[..., _T]], Callable[..., _T]]:
-    """Decorator: run ``method(self)`` once per instance; keep it in attribute ``slot``.
-
-    For the frozen ledger dataclasses: their fields never change, so a
-    value derived from the fields alone is the same on every call.  The
-    memo is no field — ``==``, ``hash`` and ``dataclasses.replace`` ignore
-    it — but it is instance state, so ``pickle`` and ``copy`` carry it
-    (``slot`` is part of what crosses pool pipes and TCP frames).  On a
-    slotted class ``slot`` must be one of its ``__slots__``.
-    """
-
-    def decorate(method: Callable[..., _T]) -> Callable[..., _T]:
-        @wraps(method)
-        def cached(self) -> _T:
-            try:
-                return getattr(self, slot)
-            except AttributeError:
-                value = method(self)
-                object.__setattr__(self, slot, value)  # a frozen __setattr__ raises
-                return value
-
-        return cached
-
-    return decorate
+def labeled_message(tx_digest: bytes, label: int) -> bytes:
+    """The bytes a collector signs: (tx, label)."""
+    return canonical_encode(("labeled-tx", tx_digest, int(label)))
 
 
 class Label(enum.IntEnum):
@@ -88,24 +69,20 @@ class TransactionBody(FrozenSlots):
 
     ``payload`` is any canonically-hashable structure; domain apps (car
     sharing, insurance) put their request objects here.  ``nonce`` keeps
-    bodies from identical (provider, payload) pairs distinct.
+    bodies from identical (provider, payload) pairs distinct.  ``digest``
+    is derived at construction: every id, signature and record downstream
+    hashes it.
     """
 
-    __slots__ = ("provider", "payload", "nonce", "_canonical")
+    __slots__ = ("provider", "payload", "nonce", "digest")
 
     provider: str
     payload: object
     nonce: int
 
-    @memoized("_canonical")
-    def canonical_bytes(self) -> bytes:
-        """Stable encoding used for hashing and signing.
-
-        Memoized on the (frozen) instance: bodies are encoded once and
-        then hashed into every downstream id, signature, and record, so
-        the cache turns the dominant hot-path cost into a slot read.
-        """
-        return hash_value(("tx-body", self.provider, self.payload, self.nonce))
+    def __post_init__(self) -> None:
+        digest = hash_value(("tx-body", self.provider, self.payload, self.nonce))
+        object.__setattr__(self, "digest", digest)
 
 
 @dataclass(frozen=True)
@@ -115,83 +92,53 @@ class SignedTransaction(FrozenSlots):
     The signature covers (body, timestamp), so replaying a transaction
     under a different timestamp — the paper's "cannot simply replicate a
     transaction since it is signed together with the timestamp" — breaks
-    the signature.
+    the signature.  Derived at construction: ``tx_id`` (hash of body +
+    timestamp), ``message`` (the bytes the provider signed, checked once
+    per linked collector and again per governor) and ``digest`` (covers
+    the signature too; what a label or a record commits to).
     """
 
-    # ``_codec_json`` is :mod:`repro.ledger.codec`'s memo of the JSON form.
     __slots__ = (
-        "body", "timestamp", "provider_signature",
-        "_tx_id", "_signed_msg", "_canonical", "_codec_json",
+        "body", "timestamp", "provider_signature", "tx_id", "message", "digest",
     )
 
     body: TransactionBody
     timestamp: float
     provider_signature: Signature
 
+    def __post_init__(self) -> None:
+        body_digest, timestamp = self.body.digest, self.timestamp
+        signature = self.provider_signature
+        tx_id = hash_value(("tx-id", body_digest, timestamp)).hex()[:32]
+        digest = hash_value(
+            ("signed-tx", body_digest, timestamp, signature.signer, signature.tag)
+        )
+        object.__setattr__(self, "tx_id", tx_id)
+        object.__setattr__(self, "message", tx_message(body_digest, timestamp))
+        object.__setattr__(self, "digest", digest)
+
     @property
     def provider(self) -> str:
         """Originating provider's node id."""
         return self.body.provider
 
-    @property
-    @memoized("_tx_id")
-    def tx_id(self) -> str:
-        """Content-derived unique id (hash of body + timestamp)."""
-        return hash_value(("tx-id", self.body.canonical_bytes(), self.timestamp)).hex()[:32]
-
-    def signed_message(self) -> tuple:
-        """The exact structure the provider's signature covers."""
-        return ("tx", self.body.canonical_bytes(), self.timestamp)
-
-    @memoized("_signed_msg")
-    def signed_message_bytes(self) -> bytes:
-        """Canonical encoding of :meth:`signed_message`, memoized.
-
-        These are the exact bytes the provider's HMAC covers, so they can
-        be handed to ``IdentityManager.verify`` directly — encode once,
-        verify many (once per linked collector and again per governor).
-        """
-        return canonical_encode(self.signed_message())
-
-    @memoized("_canonical")
-    def canonical_bytes(self) -> bytes:
-        """Stable encoding (includes the signature tag)."""
-        return hash_value(
-            ("signed-tx", self.body.canonical_bytes(), self.timestamp,
-             self.provider_signature.signer, self.provider_signature.tag)
-        )
-
 
 @dataclass(frozen=True)
 class LabeledTransaction(FrozenSlots):
-    """The paper's ``Tx``: a signed tx + the collector's label + signature."""
+    """The paper's ``Tx``: a signed tx + the collector's label + signature.
 
-    __slots__ = (
-        "tx", "label", "collector", "collector_signature",
-        "_signed_msg", "_canonical",
-    )
+    ``message``, the bytes the collector signed, is derived at construction.
+    """
+
+    __slots__ = ("tx", "label", "collector", "collector_signature", "message")
 
     tx: SignedTransaction
     label: Label
     collector: str
     collector_signature: Signature
 
-    def signed_message(self) -> tuple:
-        """The structure the collector's signature covers: (tx, label)."""
-        return ("labeled-tx", self.tx.canonical_bytes(), int(self.label))
-
-    @memoized("_signed_msg")
-    def signed_message_bytes(self) -> bytes:
-        """Canonical encoding of :meth:`signed_message`, memoized."""
-        return canonical_encode(self.signed_message())
-
-    @memoized("_canonical")
-    def canonical_bytes(self) -> bytes:
-        """Stable encoding of the labeled transaction."""
-        return hash_value(
-            ("Tx", self.tx.canonical_bytes(), int(self.label),
-             self.collector, self.collector_signature.tag)
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "message", labeled_message(self.tx.digest, self.label))
 
     def parse(self) -> tuple[SignedTransaction, Label]:
         """The paper's ``parse(Tx)``: the original tx and the label."""
@@ -202,7 +149,7 @@ class LabeledTransaction(FrozenSlots):
 class TxRecord(FrozenSlots):
     """One TXList entry: how a transaction appears in a block."""
 
-    __slots__ = ("tx", "label", "status", "_canonical")
+    __slots__ = ("tx", "label", "status", "_hash")
 
     tx: SignedTransaction
     label: Label
@@ -213,12 +160,22 @@ class TxRecord(FrozenSlots):
         """Whether the governor skipped validation for this record."""
         return self.status is CheckStatus.UNCHECKED
 
-    @memoized("_canonical")
-    def canonical_bytes(self) -> bytes:
-        """Stable encoding for block hashing."""
-        return hash_value(
-            ("tx-record", self.tx.canonical_bytes(), int(self.label), self.status.value)
-        )
+    def hash(self) -> bytes:
+        """The record's digest: its Merkle leaf and its share of the block hash.
+
+        Derived on first call, not at construction: governors build a
+        record for every transaction they screen, and only the ones a
+        leader packs into a block are ever hashed.  Kept once derived:
+        every auditor re-derives a delivered block's Merkle root from it.
+        """
+        try:
+            return self._hash
+        except AttributeError:
+            digest = hash_value(
+                ("tx-record", self.tx.digest, int(self.label), self.status.value)
+            )
+            object.__setattr__(self, "_hash", digest)
+            return digest
 
 
 def make_signed_transaction(
@@ -226,8 +183,7 @@ def make_signed_transaction(
 ) -> SignedTransaction:
     """Create and sign a transaction as provider ``key.owner``."""
     body = TransactionBody(provider=key.owner, payload=payload, nonce=nonce)
-    message = ("tx", body.canonical_bytes(), timestamp)
-    signature = sign(key, message)
+    signature = sign(key, tx_message(body.digest, timestamp))
     return SignedTransaction(body=body, timestamp=timestamp, provider_signature=signature)
 
 
@@ -235,8 +191,7 @@ def make_labeled_transaction(
     key: SigningKey, tx: SignedTransaction, label: Label
 ) -> LabeledTransaction:
     """Label ``tx`` and sign (tx, label) as collector ``key.owner``."""
-    message = ("labeled-tx", tx.canonical_bytes(), int(label))
-    signature = sign(key, message)
+    signature = sign(key, labeled_message(tx.digest, label))
     return LabeledTransaction(
         tx=tx, label=label, collector=key.owner, collector_signature=signature
     )

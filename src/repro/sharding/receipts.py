@@ -21,10 +21,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.hashing import hash_value
+from repro.crypto.hashing import canonical_encode, hash_value
 from repro.crypto.signatures import Signature, SigningKey, sign
 
-__all__ = ["CrossShardReceipt", "make_receipt", "receipt_id_for", "verify_receipt"]
+__all__ = [
+    "CrossShardReceipt", "make_receipt", "receipt_id_for", "receipt_message",
+    "verify_receipt",
+]
+
+
+def receipt_message(
+    receipt_id: str, home_shard: int, remote_shard: int, tx_id: str,
+    home_serial: int, proposer: str,
+) -> bytes:
+    """The bytes a home-shard proposer signs to certify one commit."""
+    return canonical_encode(
+        ("xshard-receipt", receipt_id, home_shard, remote_shard, tx_id,
+         home_serial, proposer)
+    )
 
 
 @dataclass(frozen=True)
@@ -54,16 +68,11 @@ class CrossShardReceipt:
     #: dedup/retry machinery, not exemption, provides exactly-once.
     kind: str = field(default="xshard-receipt", repr=False)
 
-    def signed_message(self) -> tuple:
-        """The canonical tuple ``signature`` covers."""
-        return (
-            "xshard-receipt",
-            self.receipt_id,
-            self.home_shard,
-            self.remote_shard,
-            self.tx_id,
-            self.home_serial,
-            self.proposer,
+    def signed_message(self) -> bytes:
+        """The bytes ``signature`` covers."""
+        return receipt_message(
+            self.receipt_id, self.home_shard, self.remote_shard,
+            self.tx_id, self.home_serial, self.proposer,
         )
 
 
@@ -81,14 +90,8 @@ def make_receipt(
 ) -> CrossShardReceipt:
     """Mint the signed receipt for a home-committed cross-shard tx."""
     receipt_id = receipt_id_for(home_shard, tx_id)
-    message = (
-        "xshard-receipt",
-        receipt_id,
-        home_shard,
-        remote_shard,
-        tx_id,
-        home_serial,
-        key.owner,
+    message = receipt_message(
+        receipt_id, home_shard, remote_shard, tx_id, home_serial, key.owner
     )
     return CrossShardReceipt(
         receipt_id=receipt_id,

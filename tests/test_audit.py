@@ -13,7 +13,8 @@ from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.core.regret import rwm_bound
-from repro.crypto.signatures import Signature, SigningKey, sign
+from repro.crypto.signatures import Signature, SigningKey
+from repro.consensus import messages
 from repro.consensus.messages import CommitVote
 from repro.crypto.identity import IdentityManager, Role
 from repro.ledger.block import GENESIS_PREV_HASH, Block
@@ -46,14 +47,7 @@ def run_rounds(engine, topo, rounds, seed=1, per_round=8):
 
 
 def make_vote(key: SigningKey, serial: int, block_hash: bytes, rnd=1) -> CommitVote:
-    message = ("audit-commit", key.owner, serial, block_hash, rnd)
-    return CommitVote(
-        governor=key.owner,
-        serial=serial,
-        block_hash=block_hash,
-        round_number=rnd,
-        signature=sign(key, message),
-    )
+    return messages.make_vote(key, serial, block_hash, rnd)
 
 
 class TestAuditBlock:
@@ -268,7 +262,7 @@ class TestEvidenceScript:
         self.expect(14, 5)
         for upload in violation.evidence:
             assert self.im.verify(
-                "c0", upload.signed_message_bytes(), upload.collector_signature
+                "c0", upload.message, upload.collector_signature
             )
         assert {u.label for u in violation.evidence} == {Label.VALID, Label.INVALID}
         assert all(v.type is kind for v in self.auditor.report.violations)

@@ -50,3 +50,7 @@ def test_both_dataclass_inits_are_counted():
     assert inits == [1, 1]  # two code objects that share one pstats key
     # _construct_both, the two __init__s and profile.disable itself
     assert _tool().total_calls(profile) == 4
+    # The per-function table sums the code objects behind one label.
+    by_function = _tool().calls_by_function(profile)
+    assert by_function["<string>:2(__init__)"] == 2
+    assert sum(by_function.values()) == 4

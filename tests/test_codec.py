@@ -14,12 +14,10 @@ from repro.ledger.block import Block
 from repro.ledger.chain import Ledger
 from repro.ledger.codec import (
     decode_block,
-    decode_labeled,
     decode_record,
     decode_transaction,
     dump_chain,
     encode_block,
-    encode_labeled,
     encode_record,
     encode_transaction,
     load_chain,
@@ -28,12 +26,10 @@ from repro.ledger.transaction import (
     CheckStatus,
     Label,
     TxRecord,
-    make_labeled_transaction,
     make_signed_transaction,
 )
 
 PROVIDER_KEY = SigningKey(owner="p0", secret=b"\x16" * 32)
-COLLECTOR_KEY = SigningKey(owner="c0", secret=b"\x17" * 32)
 _NONCE = iter(range(100_000))
 
 
@@ -61,7 +57,8 @@ class TestTransactionRoundTrip:
         tx = make_tx({"amount": 12, "note": "hello"})
         back = decode_transaction(encode_transaction(tx))
         assert back.tx_id == tx.tx_id
-        assert back.canonical_bytes() == tx.canonical_bytes()
+        assert back.digest == tx.digest
+        assert back.message == tx.message
         assert back.provider_signature == tx.provider_signature
 
     def test_json_serialisable(self):
@@ -81,29 +78,13 @@ class TestTransactionRoundTrip:
             decode_transaction(obj)
 
 
-class TestLabeledRoundTrip:
-    def test_roundtrip(self):
-        labeled = make_labeled_transaction(COLLECTOR_KEY, make_tx(), Label.INVALID)
-        back = decode_labeled(encode_labeled(labeled))
-        assert back.canonical_bytes() == labeled.canonical_bytes()
-        assert back.label is Label.INVALID
-
-    def test_bad_label_rejected(self):
-        obj = encode_labeled(
-            make_labeled_transaction(COLLECTOR_KEY, make_tx(), Label.VALID)
-        )
-        obj["label"] = 7
-        with pytest.raises(LedgerError):
-            decode_labeled(obj)
-
-
 class TestRecordAndBlock:
     def test_record_roundtrip_all_statuses(self):
         for status in CheckStatus:
             rec = TxRecord(tx=make_tx(), label=Label.INVALID, status=status)
             back = decode_record(encode_record(rec))
             assert back.status is status
-            assert back.canonical_bytes() == rec.canonical_bytes()
+            assert back.hash() == rec.hash()
 
     def test_block_roundtrip_preserves_hash(self):
         ledger = make_chain(1)

@@ -26,7 +26,7 @@ from repro.cli import MIXES
 from repro.core.game import ReputationGame
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
-from repro.crypto.hashing import hash_value
+from repro.crypto.hashing import canonical_encode, hash_value
 from repro.crypto.signatures import SigningKey, sign
 from repro.crypto.vrf import vrf_evaluate
 from repro.network.topology import Topology
@@ -155,8 +155,8 @@ def test_golden_signature_and_vrf_determinism():
     """Fixed key + fixed input -> fixed tag and VRF value, stable across
     runs and platforms (pure HMAC-SHA256)."""
     key = SigningKey(owner="gold", secret=b"\x42" * 32)
-    tag1 = sign(key, ("msg", 7)).tag
-    tag2 = sign(key, ("msg", 7)).tag
+    tag1 = sign(key, canonical_encode(("msg", 7))).tag
+    tag2 = sign(key, canonical_encode(("msg", 7))).tag
     assert tag1 == tag2
     out1 = vrf_evaluate(key, 3, 1, 2)
     out2 = vrf_evaluate(key, 3, 1, 2)

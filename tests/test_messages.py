@@ -39,7 +39,7 @@ class TestKindTags:
         assert msg.kind == "block-proposal"
 
     def test_state_messages(self):
-        sig = sign(KEY, ("x",))
+        sig = sign(KEY, b"x")
         proposal = NewStateProposal(
             round_number=1, leader="g0", new_state={"g0": 1},
             transfers_digest=bytes(32), signature=sig,
@@ -61,7 +61,7 @@ class TestKindTags:
 
 class TestSignedShapes:
     def test_proposal_signed_message_covers_state(self):
-        sig = sign(KEY, ("x",))
+        sig = sign(KEY, b"x")
         a = NewStateProposal(
             round_number=1, leader="g0", new_state={"g0": 1},
             transfers_digest=bytes(32), signature=sig,
@@ -73,7 +73,7 @@ class TestSignedShapes:
         assert a.signed_message() != b.signed_message()
 
     def test_proposal_signed_message_covers_round(self):
-        sig = sign(KEY, ("x",))
+        sig = sign(KEY, b"x")
         a = NewStateProposal(
             round_number=1, leader="g0", new_state={"g0": 1},
             transfers_digest=bytes(32), signature=sig,
@@ -85,7 +85,7 @@ class TestSignedShapes:
         assert a.signed_message() != b.signed_message()
 
     def test_ack_signed_message_covers_digest(self):
-        sig = sign(KEY, ("x",))
+        sig = sign(KEY, b"x")
         a = StateAck(round_number=1, governor="g1",
                      proposal_digest=bytes(32), signature=sig)
         b = StateAck(round_number=1, governor="g1",

@@ -136,11 +136,11 @@ class TestUploadFlow:
         assert len(received) == 2
         for upload in received:
             assert im.verify(
-                upload.collector, upload.signed_message(), upload.collector_signature
+                upload.collector, upload.message, upload.collector_signature
             )
             inner = upload.tx
             assert im.verify(
-                inner.provider, inner.signed_message(), inner.provider_signature
+                inner.provider, inner.message, inner.provider_signature
             )
 
     def test_delta_window_covers_report_spread(self, wired_world):

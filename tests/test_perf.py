@@ -4,9 +4,10 @@
 * ``IdentityManager.verify`` (an LRU in front of the HMAC) agrees, verdict
   for verdict, with ``signatures.verify_with_key`` under the sender's
   enrolled key, on random payload / tamper pairs;
-* a memoised encoding on a frozen ledger object equals a fresh
-  computation on an equal, un-memoised copy, and survives ``pickle`` (the
-  form in which these objects cross pool pipes and TCP frames);
+* a value a ledger record derives from its fields equals the same value
+  on a fresh build, and survives ``pickle`` and ``copy`` (the forms in
+  which these objects cross pool pipes and TCP frames), which carry the
+  fields only;
 * a cached reputation row equals a freshly built one after every kind of
   change to the vectors under it.
 
@@ -23,7 +24,7 @@ import random
 import pytest
 
 from repro.core.reputation import ReputationBook
-from repro.crypto.hashing import hash_many, hash_value
+from repro.crypto.hashing import canonical_encode, hash_many, hash_value
 from repro.crypto.identity import IdentityManager, Role
 from repro.crypto.signatures import Signature, SigningKey, sign, verify_with_key
 from repro.ledger.block import GENESIS_PREV_HASH, Block
@@ -54,18 +55,18 @@ class TestHashManyStreaming:
         assert hash_many(["a", "b"]) != hash_many(["b", "a"])
 
 
-def _random_message(rng: random.Random):
-    """A random sign/verify message: raw bytes or a canonical tuple."""
+def _random_message(rng: random.Random) -> bytes:
+    """A random sign/verify message: raw bytes or a canonical encoding."""
     kind = rng.randrange(3)
     if kind == 0:
         return rng.randbytes(rng.randrange(1, 64))
     if kind == 1:
-        return ("tx", rng.randbytes(32), rng.random())
-    return (
+        return canonical_encode(("tx", rng.randbytes(32), rng.random()))
+    return canonical_encode((
         "upload",
         {"amount": rng.randrange(10_000), "memo": "x" * rng.randrange(8)},
         rng.randrange(1 << 30),
-    )
+    ))
 
 
 def _tampered(rng: random.Random, message, signature: Signature):
@@ -78,10 +79,7 @@ def _tampered(rng: random.Random, message, signature: Signature):
         return message, Signature(signer=signature.signer, tag=bytes(tag))
     if kind == 1:
         return message, Signature(signer="p_other", tag=signature.tag)
-    mutated = (
-        message + b"\x00" if isinstance(message, bytes) else (*message, "extra")
-    )
-    return mutated, signature
+    return message + b"\x00", signature
 
 
 def _reference_verify(im: IdentityManager, sender: str, message, signature) -> bool:
@@ -118,7 +116,7 @@ class TestVerifyCacheEquivalence:
     def test_tampered_tag_after_a_cached_true(self):
         im = IdentityManager(seed=4)
         key = im.enroll("p0", Role.PROVIDER)
-        message = ("tx", b"\x01" * 32, 0.5)
+        message = canonical_encode(("tx", b"\x01" * 32, 0.5))
         signature = sign(key, message)
         assert im.verify("p0", message, signature)
         assert im.verify("p0", message, signature)  # now a cached True
@@ -153,7 +151,7 @@ class TestVerifyCacheEquivalence:
 
 
 def _ledger_objects() -> dict:
-    """One of each memoising ledger type, built bottom-up from one tx."""
+    """One of each ledger type that derives values, built bottom-up from one tx."""
     provider = SigningKey(owner="p0", secret=b"\x01" * 32)
     collector = SigningKey(owner="c0", secret=b"\x02" * 32)
     tx = make_signed_transaction(provider, {"amount": 7}, timestamp=1.5, nonce=3)
@@ -171,25 +169,16 @@ def _ledger_objects() -> dict:
 
 
 def _derived_values(obj) -> dict:
-    """Every memoised value ``obj`` offers, by name."""
-    out = {"canonical_bytes": obj.canonical_bytes()}
-    if hasattr(obj, "signed_message_bytes"):
-        out["signed_message_bytes"] = obj.signed_message_bytes()
-    if hasattr(obj, "tx_id"):
-        out["tx_id"] = obj.tx_id
-    if isinstance(obj, Block):
-        out["hash"] = obj.hash()
-    return out
-
-
-def _state(obj) -> set:
-    """Names of the instance state ``obj`` holds: fields and filled memos."""
-    if hasattr(obj, "__dict__"):
-        return set(vars(obj))
-    return {name for name in obj.__slots__ if hasattr(obj, name)}
+    """Every value ``obj`` derives from its fields, by name."""
+    if isinstance(obj, (TxRecord, Block)):
+        return {"hash": obj.hash()}
+    names = ("digest", "tx_id", "message")
+    return {name: getattr(obj, name) for name in names if hasattr(obj, name)}
 
 
 class TestMemoisedEncodings:
+    """Derived values: computed from the fields, never carried beside them."""
+
     @pytest.mark.parametrize(
         "kind",
         ["TransactionBody", "SignedTransaction", "LabeledTransaction", "TxRecord", "Block"],
@@ -197,20 +186,23 @@ class TestMemoisedEncodings:
     def test_memo_equals_fresh_computation_and_survives_pickle(self, kind):
         obj = _ledger_objects()[kind]
         first = _derived_values(obj)
-        assert _derived_values(obj) == first  # second read comes from the memo
-        # An equal copy built from the fields alone carries no memo of its own.
-        fields = {f.name for f in dataclasses.fields(obj)}
-        fresh = dataclasses.replace(obj)
-        assert fresh == obj
-        assert _state(fresh) == fields
+        assert first and _derived_values(obj) == first
+        # A fresh build from the fields alone derives the same values.
+        fresh = _ledger_objects()[kind]
+        assert fresh == obj and fresh is not obj
         assert _derived_values(fresh) == first
-        # The memo is instance state: it travels with the pickle (and with
-        # ``copy``) and still agrees with a recomputation on the far side.
-        for shipped in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):
-            assert shipped == obj
-            assert len(_state(shipped) - fields) == len(first)
-            assert _derived_values(shipped) == first
-            assert _derived_values(dataclasses.replace(shipped)) == first
+        assert _derived_values(dataclasses.replace(obj)) == first
+        shipped = (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj))
+        for copied in shipped:
+            assert copied == obj
+            assert _derived_values(copied) == first
+        if isinstance(obj, Block):
+            return
+        # A record pickles as a constructor call on its fields: no derived
+        # byte string rides along, the far side re-derives it.
+        wire = pickle.dumps(obj)
+        for value in first.values():
+            assert (value.encode() if isinstance(value, str) else value) not in wire
 
     @pytest.mark.parametrize(
         "kind", ["TransactionBody", "SignedTransaction", "LabeledTransaction", "TxRecord"]
@@ -222,10 +214,17 @@ class TestMemoisedEncodings:
             assert not hasattr(slotted, "__dict__")
             with pytest.raises(dataclasses.FrozenInstanceError):
                 slotted.extra = 1
+        for name in _derived_values(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, b"forged")
         assert pickle.loads(pickle.dumps(signature)) == signature
-        # A memo name is a slot, never a field: ``==`` and ``hash`` ignore it.
-        memo = set(obj.__slots__) - {f.name for f in dataclasses.fields(obj)}
-        assert memo and all(name.startswith("_") for name in memo)
+        # A derived name is a slot, never a field: ``==`` ignores it.
+        derived = set(obj.__slots__) - {f.name for f in dataclasses.fields(obj)}
+        assert derived
+        twin = dataclasses.replace(obj)
+        for name in derived:
+            object.__setattr__(twin, name, b"other")
+        assert twin == obj
 
 
 class TestRowCacheEquivalence:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.crypto.hashing import canonical_encode
 from repro.crypto.signatures import Signature, SigningKey, sign, verify_with_key
 from repro.exceptions import SignatureError
+from repro.ledger.transaction import make_signed_transaction
 
 
 @pytest.fixture
@@ -36,7 +40,7 @@ class TestSignVerify:
         assert verify_with_key(key, b"hello", sig)
 
     def test_roundtrip_structured(self, key):
-        message = ("tx", 42, {"k": "v"})
+        message = canonical_encode(("tx", 42, {"k": "v"}))
         sig = sign(key, message)
         assert verify_with_key(key, message, sig)
 
@@ -91,3 +95,22 @@ def test_property_verification_separates_messages(a, b):
     key = SigningKey(owner="p", secret=b"\x07" * 32)
     sig = sign(key, a)
     assert verify_with_key(key, b, sig) == (a == b)
+
+
+class TestStateFromPickle:
+    """A pickle carries fields only; loading one re-runs the constructor."""
+
+    def test_rewritten_tx_id_is_rederived(self, key):
+        tx = make_signed_transaction(key, {"amount": 3}, timestamp=1.0, nonce=0)
+        tx_id = tx.tx_id
+        wire = pickle.dumps(tx, protocol=3)
+        loaded = pickle.loads(wire.replace(tx_id.encode(), b"f" * len(tx_id)))
+        assert loaded.tx_id == tx_id
+
+    def test_short_tag_is_rejected_on_load(self, key):
+        sig = sign(key, b"m")
+        wire = pickle.dumps(sig, protocol=3)  # SHORT_BINBYTES, no framing
+        short = wire.replace(b"C\x20" + sig.tag, b"C\x10" + sig.tag[:16])
+        assert short != wire
+        with pytest.raises(SignatureError):
+            pickle.loads(short)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consensus.stake import StakeLedger, StakeTransfer
+from repro.consensus.stake import StakeLedger, StakeTransfer, transfer_message
+from repro.crypto.hashing import hash_value
 from repro.crypto.signatures import SigningKey, sign
 from repro.exceptions import StakeError
 
@@ -12,10 +13,9 @@ KEY = SigningKey(owner="g0", secret=b"\x11" * 32)
 
 
 def transfer(sender="g0", receiver="g1", amount=2, nonce=0):
-    message = ("stake-transfer", sender, receiver, amount, nonce)
     return StakeTransfer(
         sender=sender, receiver=receiver, amount=amount, nonce=nonce,
-        signature=sign(KEY, message),
+        signature=sign(KEY, transfer_message(sender, receiver, amount, nonce)),
     )
 
 
@@ -86,3 +86,7 @@ class TestStakeTransfer:
 
     def test_canonical_bytes_depend_on_nonce(self):
         assert transfer(nonce=0).canonical_bytes() != transfer(nonce=1).canonical_bytes()
+        # The digest is the hash of the signed bytes.
+        assert transfer().canonical_bytes() == hash_value(
+            ("stake-transfer", "g0", "g1", 2, 0)
+        )

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consensus.stake import StakeLedger, StakeTransfer
+from repro.consensus.stake import StakeLedger
+from repro.consensus.stake import make_transfer as signed_transfer
 from repro.consensus.stake_consensus import (
     StakeConsensusRound,
     evaluate_proposal,
@@ -15,7 +16,6 @@ from repro.consensus.stake_consensus import (
 )
 from repro.consensus.messages import ExpelEvidence, NewStateProposal, StateAck
 from repro.crypto.identity import IdentityManager, Role
-from repro.crypto.signatures import sign
 from repro.exceptions import LeaderMisbehaviourError, ProtocolViolationError
 
 GOVS = ["g0", "g1", "g2", "g3"]
@@ -30,12 +30,7 @@ def gov_im():
 
 
 def make_transfer(im, sender="g0", receiver="g1", amount=1, nonce=0):
-    key = im.record(sender).key
-    message = ("stake-transfer", sender, receiver, amount, nonce)
-    return StakeTransfer(
-        sender=sender, receiver=receiver, amount=amount, nonce=nonce,
-        signature=sign(key, message),
-    )
+    return signed_transfer(im.record(sender).key, receiver, amount, nonce)
 
 
 @pytest.fixture
