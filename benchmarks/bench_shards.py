@@ -11,7 +11,7 @@ realised aggregate origin-tx throughput and its speedup over S=1.
 **E16 (backend parity, ``--workers N``).**  The same fixed workload
 swept over S ∈ {1, 2, 4} × execution backends {serial, N-process}: the
 parallel backend (:mod:`repro.parallel`) hosts each shard's engine in
-its own spawned worker.  The table asserts that the parallel ledger
+its own worker process.  The table asserts that the parallel ledger
 tips, committed counts and simulated clock are **bit-identical** to the
 serial ones for every S, with a clean cross-shard audit.  It times
 nothing: the wall-clock comparison of the two backends is ``perfbench``'s

@@ -504,7 +504,7 @@ class NetworkedProtocolEngine(RoundCore):
         """Fan relayed cross-shard receipts out to every governor.
 
         The barrier-time injection point of a
-        :class:`~repro.parallel.ShardHost` (in-process, or in a pool
+        :class:`~repro.parallel.backend.ShardHost` (in-process, or in a pool
         worker when a pickled relay batch arrives over its command
         pipe).  Receipts are
         sent from the relay endpoint to the **full** governor set (so a

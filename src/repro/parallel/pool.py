@@ -1,7 +1,7 @@
-"""Process-pool shard execution: spawned workers behind phase barriers.
+"""Process-pool shard execution: forked workers behind phase barriers.
 
 :class:`ParallelBackend` spreads the ``S`` shard engines over ``N``
-spawned worker processes (shards assigned round-robin, so ``N`` may be
+worker processes (shards assigned round-robin, so ``N`` may be
 smaller than ``S``), each a :class:`~repro.parallel.backend.ShardHost`
 over its share.  It offers the driver the host's own ops and owns only
 what a process boundary adds: boot / crash / restart, the barrier call
@@ -11,14 +11,20 @@ Every phase of the super-round is one broadcast of pickled ``(op,
 args)`` commands — one message per worker, receipts and specs batched
 inside it — followed by a barrier collect of the replies.
 
-**Boot.**  :meth:`ParallelBackend._boot` starts every worker, then
-collects the ``ready`` replies as they arrive against one deadline — the
-slowest interpreter's boot, not the sum — and on the first failure reaps
-every worker it started (:meth:`ParallelBackend._reap`, which is also
-:meth:`close`: every ``shutdown`` sent before any reply is read).
-``spawn`` is the only start method: ``fork`` is unsafe beside
-``RealNetwork``'s IO thread, and ``forkserver`` workers would be the
-server's children, invisible to the driver's ``RUSAGE_CHILDREN``.
+**Boot.**  :meth:`ParallelBackend._boot` spawns one *boot process*
+(:func:`~repro.parallel.worker.boot_main`), which imports the engines
+once and forks every worker it is handed, then collects the ``ready``
+replies as they arrive against one deadline, and on the first failure
+reaps every worker it started (:meth:`ParallelBackend._reap`, which is
+also :meth:`close`: every ``shutdown`` sent before any reply is read).
+The boot process is the workers' parent: it reports their pids and exit
+codes and does every kill, so no kill can hit a recycled pid.
+``spawn`` is the only start method of the boot process: no process
+ever forks beside ``RealNetwork``'s IO thread (the boot process is a
+fresh, thread-free interpreter), and every worker is reaped by a
+process the driver reaps, so its CPU and ``ru_maxrss`` reach the
+driver's ``RUSAGE_CHILDREN`` — which ``forkserver`` workers, the
+server's children, would not.
 
 **Crash handling.**  A worker that dies (SIGKILL, OOM, bug) or hangs
 past the per-phase barrier timeout surfaces as a structured
@@ -27,7 +33,8 @@ its hosted shards, and the in-flight phase — a *detected* fault, the
 same contract the in-process :class:`~repro.faults.FaultInjector` gives
 for simulated crashes, never a hung barrier.  With durable storage
 configured, :meth:`restart_worker` respawns the replacement from the
-same :class:`~repro.parallel.backend.HostSpec`; its engines re-anchor
+same :class:`~repro.parallel.backend.HostSpec` (a fresh boot process
+for the one worker); its engines re-anchor
 from their on-disk checkpoints and any fault plans installed on its
 shards are re-applied to the replacement (crash semantics: the
 continuation is correct but not bit-identical — the fresh injector
@@ -59,11 +66,11 @@ from repro.exceptions import (
 )
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.parallel.backend import HostSpec, ShardRoundInfo
-from repro.parallel.worker import worker_main
+from repro.parallel.worker import boot_main
 
 __all__ = ["ParallelBackend", "parallel_metrics"]
 
-#: Floor of the one deadline a whole boot gets — spawning interpreters
+#: Floor of the one deadline a whole boot gets — spawning an interpreter
 #: and replaying a durable store takes longer than a phase.
 _READY_TIMEOUT_FLOOR = 120.0
 
@@ -113,8 +120,105 @@ def parallel_metrics(
     }
 
 
+class _BootProcess:
+    """Driver side of one boot process: its control pipe and reports.
+
+    Starting it hands each of ``handles`` the driver end of a fresh pipe;
+    the boot process forks one worker per other end.
+    """
+
+    def __init__(self, ctx, handles: Sequence["_WorkerHandle"]):
+        self.control, control = ctx.Pipe(duplex=True)
+        ends = []
+        for handle in handles:
+            handle.conn, end = ctx.Pipe(duplex=True)
+            ends.append((handle.index, end, handle.spec))
+        self.process = ctx.Process(
+            target=boot_main, args=(control, ends), name="shard-boot", daemon=True
+        )
+        self.process.start()
+        control.close()
+        for _, end, _ in ends:
+            end.close()
+        self.indices = {handle.index for handle in handles}
+        self.released: set[int] = set()
+        #: worker index -> pid, and -> exit code once reaped.
+        self.pids: dict[int, int] = {}
+        self.exitcodes: dict[int, int] = {}
+
+    def _pump(self, timeout: float) -> bool:
+        """Read one report within ``timeout``; False if none came."""
+        if self.control.closed or not self.control.poll(timeout):
+            return False
+        try:
+            kind, *report = self.control.recv()
+        except (EOFError, OSError):  # exited: every report is read
+            self.control.close()
+            return False
+        if kind == "pids":
+            self.pids.update(report[0])
+        else:
+            index, exitcode = report
+            self.exitcodes[index] = exitcode
+        return True
+
+    def wait_for(self, done, timeout: float) -> None:
+        """Read reports until ``done()`` or ``timeout`` passes without one."""
+        deadline = time.monotonic() + timeout
+        while not done() and self._pump(max(0.0, deadline - time.monotonic())):
+            pass
+
+    def kill(self, index: int) -> None:
+        with suppress(OSError):  # closed or gone: nothing left to kill
+            self.control.send(("kill", index))
+
+    def release(self, index: int) -> None:
+        """The driver is done with worker ``index``; after the last, join."""
+        self.released.add(index)
+        if self.released != self.indices:
+            return
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():  # a worker it could not reap: its
+            self.process.terminate()  # SIGTERM handler kills them all
+            self.process.join(timeout=5.0)
+        while self._pump(0.0):
+            pass
+        self.control.close()
+
+
+class _ForkedWorker:
+    """A worker process as the driver sees it: an index its boot process
+    forked, reaps, reports on and kills."""
+
+    __slots__ = ("boot", "index")
+
+    def __init__(self, boot: _BootProcess, index: int):
+        self.boot = boot
+        self.index = index
+
+    @property
+    def pid(self) -> int | None:
+        self.boot.wait_for(lambda: self.index in self.boot.pids, 5.0)
+        return self.boot.pids.get(self.index)
+
+    @property
+    def exitcode(self) -> int | None:
+        self.boot.wait_for(lambda: self.index in self.boot.exitcodes, 0.0)
+        return self.boot.exitcodes.get(self.index)
+
+    def is_alive(self) -> bool:
+        # A boot process gone without reporting took its worker with it.
+        return self.exitcode is None and not self.boot.control.closed
+
+    def join(self, timeout: float) -> None:
+        self.boot.wait_for(lambda: self.index in self.boot.exitcodes, timeout)
+
+    def kill(self) -> None:
+        self.boot.kill(self.index)
+
+
 class _WorkerHandle:
-    """Driver-side state of one spawned worker."""
+    """Driver-side state of one worker."""
 
     __slots__ = ("index", "spec", "proc", "conn", "alive", "seq")
 
@@ -122,7 +226,7 @@ class _WorkerHandle:
         self.index = index
         #: The deployment's spec narrowed to this worker's shards.
         self.spec = spec
-        self.proc = None
+        self.proc: _ForkedWorker | None = None
         self.conn = None
         self.alive = False
         #: Last command sequence number sent; replies echo it, so stale
@@ -135,7 +239,7 @@ class _WorkerHandle:
 
 
 class ParallelBackend:
-    """Run shard engines in spawned worker processes with barrier sync."""
+    """Run shard engines in forked worker processes with barrier sync."""
 
     kind = "parallel"
 
@@ -192,7 +296,8 @@ class ParallelBackend:
     # -- process lifecycle -------------------------------------------------
 
     def _boot(self, handles: Sequence[_WorkerHandle]) -> None:
-        """Start every worker, then collect every ``ready`` as it arrives.
+        """Start one boot process for ``handles``, then collect every
+        ``ready`` as it arrives.
 
         One deadline covers the whole boot.  The first failure — a
         construction error, a death, the missed deadline — reaps every
@@ -203,39 +308,31 @@ class ParallelBackend:
         # never use (the first Pipe() below imports it anyway).
         from multiprocessing.connection import wait
 
-        pending = {}  # parent pipe end -> (handle, when its process was started)
         try:
+            started = time.perf_counter()
+            boot = _BootProcess(self._ctx, handles)
             for handle in handles:
-                handle.conn, child = self._ctx.Pipe(duplex=True)
-                proc = self._ctx.Process(
-                    target=worker_main,
-                    args=(child, handle.spec),
-                    name=f"shard-worker-{handle.index}",
-                    daemon=True,
-                )
-                pending[handle.conn] = (handle, time.perf_counter())
-                proc.start()
-                child.close()
-                handle.proc = proc
+                handle.proc = _ForkedWorker(boot, handle.index)
                 handle.seq = 0  # fresh process, fresh sequence space
+            pending = {handle.conn: handle for handle in handles}
             timeout = max(self.phase_timeout, _READY_TIMEOUT_FLOOR)
             deadline = time.monotonic() + timeout
-            boot = self._metrics["boot"]
+            boot_seconds = self._metrics["boot"]
             while pending:
                 arrived = wait(list(pending), max(0.0, deadline - time.monotonic()))
                 if not arrived:
                     self._crash(
-                        next(iter(pending.values()))[0], "spawn",
+                        next(iter(pending.values())), "spawn",
                         f"not ready within the {timeout:.0f}s boot deadline",
                     )
                 for conn in arrived:
-                    handle, started = pending.pop(conn)
+                    handle = pending.pop(conn)
                     _, result, host_s = self._recv(handle, "spawn", timeout=0.0)
                     if result != "ready":  # pragma: no cover - defensive
                         self._crash(handle, "spawn", f"unexpected ready reply {result!r}")
                     handle.alive = True
-                    boot.labels(part="host").observe(host_s)
-                    boot.labels(part="process").observe(
+                    boot_seconds.labels(part="host").observe(host_s)
+                    boot_seconds.labels(part="process").observe(
                         time.perf_counter() - started - host_s
                     )
         except BaseException:
@@ -243,10 +340,11 @@ class ParallelBackend:
             raise
 
     def _reap(self, handles: Sequence[_WorkerHandle]) -> None:
-        """Shut down the workers that serve, terminate the rest, join all.
+        """Shut down the workers that serve, kill the rest, join all.
 
         Every ``shutdown`` goes out before any reply is read, so the
-        workers exit together.
+        workers exit together; a boot process is joined once none of its
+        workers is left.
         """
         serving = [handle for handle in handles if handle.alive]
         for handle in serving:
@@ -260,11 +358,12 @@ class ParallelBackend:
             handle.alive = False
             if handle.proc is not None:
                 if handle not in serving:  # booting, hung or already dead
-                    handle.proc.terminate()
+                    handle.proc.kill()
                 handle.proc.join(timeout=5.0)
                 if handle.proc.is_alive():
                     handle.proc.kill()
                     handle.proc.join(timeout=5.0)
+                handle.proc.boot.release(handle.index)
             if handle.conn is not None:
                 handle.conn.close()
 
@@ -343,8 +442,9 @@ class ParallelBackend:
         handle.alive = False
         exitcode = handle.proc.exitcode if handle.proc is not None else None
         if handle.proc is not None and handle.proc.is_alive():
-            # Hung past the barrier: SIGKILL reaps it even if the
-            # process is wedged or stopped, so the driver never blocks.
+            # Hung past the barrier, or dead but not yet reported: its
+            # boot process SIGKILLs it, which ends even a wedged or
+            # stopped process, so the driver never blocks.
             handle.proc.kill()
             handle.proc.join(timeout=5.0)
             exitcode = handle.proc.exitcode

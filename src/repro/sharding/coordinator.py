@@ -3,12 +3,12 @@
 :class:`ShardCoordinator` routes workload, mints/relays cross-shard
 receipts, audits atomicity, and reshuffles collectors by reputation
 mass — while the actual protocol engines run on shard hosts
-(:class:`~repro.parallel.ShardHost`):
+(:class:`~repro.parallel.backend.ShardHost`):
 
 * the **serial** backend (default, ``workers=None`` or ``1``) is one
   host over all ``S`` engines, in-process, called directly;
 * the **parallel** backend (``workers >= 2``) is a
-  :class:`~repro.parallel.ParallelBackend` that spawns worker
+  :class:`~repro.parallel.pool.ParallelBackend` that runs worker
   processes, each a host over its share of the shards, with
   deterministic barrier sync at the phase boundaries
   (:mod:`repro.parallel`), turning sim-time shard scaling into

@@ -48,12 +48,16 @@ def params() -> ProtocolParams:
 
 @pytest.fixture(autouse=True)
 def _no_worker_left_behind(request):
-    """A ``parallel`` test reaps every shard worker it started."""
+    """A ``parallel`` test reaps every shard worker it started.
+
+    A boot process exits only once it has reaped every worker it forked,
+    so no live boot process means no live worker.
+    """
     yield
     if request.node.get_closest_marker("parallel") is not None:
         left = [
             proc.name
             for proc in multiprocessing.active_children()  # the live ones
-            if proc.name.startswith("shard-worker-")
+            if proc.name == "shard-boot"
         ]
-        assert not left, f"{request.node.nodeid} left workers behind: {left}"
+        assert not left, f"{request.node.nodeid} left boot processes behind: {left}"

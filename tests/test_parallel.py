@@ -10,8 +10,10 @@ The tentpole guarantees under test:
   structured :class:`~repro.exceptions.WorkerCrashError` at the phase
   barrier, never a hang, and (with durable storage) the worker can be
   respawned from its checkpoints and the deployment keeps committing;
-* **boot** — every worker is started before any ``ready`` is collected,
-  and a boot that fails leaves no sibling worker behind;
+* **boot** — one boot process forks every worker before any ``ready``
+  is collected, and no worker outlives ``close()`` or a failed boot;
+* **accounting** — workers are reaped by a process the driver reaps, so
+  their CPU time reaches the driver's ``RUSAGE_CHILDREN``;
 * **IPC discipline** — commands and receipt batches travel as one
   message per worker per phase, accounted by the ``par_ipc_*``
   counters.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import resource
 import signal
 from multiprocessing.context import SpawnProcess
 
@@ -96,6 +99,38 @@ def fingerprint(coordinator, workload, rounds=4, **kwargs):
     return state
 
 
+def gone(pid):
+    """True once no process has ``pid`` (reaped, not merely dead)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def parent_of(pid):
+    with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+        return int(stat.read().rsplit(")", 1)[1].split()[1])
+
+
+def worker_pids(coordinator):
+    return [handle.proc.pid for handle in coordinator.backend._workers]
+
+
+@pytest.fixture
+def reaped_pids(monkeypatch):
+    """Every worker pid a backend's ``_reap`` saw, read after the reap."""
+    pids = []
+    reap = ParallelBackend._reap
+
+    def recording_reap(backend, handles):
+        reap(backend, handles)
+        pids.extend(handle.proc.pid for handle in handles)
+
+    monkeypatch.setattr(ParallelBackend, "_reap", recording_reap)
+    return pids
+
+
 class TestBitIdentity:
     def test_parallel_matches_serial_under_faults_and_reshuffles(self):
         serial = fingerprint(
@@ -136,6 +171,8 @@ class TestBoot:
     def test_every_worker_starts_before_any_ready_is_collected(
         self, shape, monkeypatch
     ):
+        # One process is started: the boot process, which forks both
+        # workers before the driver collects either's ready.
         events = []
         start, recv = SpawnProcess.start, ParallelBackend._recv
 
@@ -153,10 +190,15 @@ class TestBoot:
         registry = MetricsRegistry()
         parallel, workload = build(workers=2, obs=registry, **shape)
         try:
-            assert [kind for kind, _ in events] == ["start"] * 2 + ["ready"] * 2
-            assert {name for _, name in events} == {
+            assert [kind for kind, _ in events] == ["start"] + ["ready"] * 2
+            assert {name for kind, name in events if kind == "ready"} == {
                 "shard-worker-0", "shard-worker-1"
             }
+            (boot,) = {handle.proc.boot for handle in parallel.backend._workers}
+            assert events[0] == ("start", boot.process.name)
+            assert [parent_of(pid) for pid in worker_pids(parallel)] == [
+                boot.process.pid
+            ] * 2
             assert parallel.backend.worker_for_shard == {
                 k: k % 2 for k in range(shape["shards"])
             }
@@ -174,7 +216,7 @@ class TestBoot:
         finally:
             parallel.close()
 
-    def test_failed_boot_reaps_its_siblings(self, tmp_path):
+    def test_failed_boot_reaps_its_siblings(self, tmp_path, reaped_pids):
         blocker = tmp_path / "a-regular-file"
         blocker.write_text("")
         storage = [
@@ -186,13 +228,14 @@ class TestBoot:
         # ``err`` still holds the exception, and through its traceback the
         # half-built backend: nothing may depend on that being collected.
         assert [proc.name for proc in multiprocessing.active_children()] == []
+        assert len(reaped_pids) == 2 and all(gone(pid) for pid in reaped_pids)
         assert err.value.worker == 1
         assert err.value.phase == "spawn"
         assert err.value.exc_type == "FileExistsError"
 
 
     def test_missed_boot_deadline_names_a_worker_and_reaps_them_all(
-        self, monkeypatch
+        self, monkeypatch, reaped_pids
     ):
         # One deadline for the whole boot, set shorter than an interpreter
         # takes to start: nobody is ready when it passes.
@@ -200,8 +243,38 @@ class TestBoot:
         with pytest.raises(WorkerCrashError, match="boot deadline") as err:
             build(shards=2, workers=2, worker_timeout=0.05)
         assert [proc.name for proc in multiprocessing.active_children()] == []
+        assert len(reaped_pids) == 2 and all(gone(pid) for pid in reaped_pids)
         assert err.value.worker == 0
         assert err.value.phase == "spawn"
+
+    def test_close_leaves_no_worker_process(self):
+        coordinator, workload = build(shards=2, workers=2)
+        drive(coordinator, workload, rounds=1)
+        pids = worker_pids(coordinator)
+        coordinator.close()
+        assert [proc.name for proc in multiprocessing.active_children()] == []
+        assert len(pids) == 2 and all(gone(pid) for pid in pids)
+
+    def test_worker_cpu_reaches_the_drivers_rusage_children(self):
+        # What rules out ``forkserver``: its workers are the server's
+        # children, so their CPU (and ru_maxrss) never reach the driver's
+        # RUSAGE_CHILDREN, which perfbench's peak_rss_mib and
+        # driver.cpu_ms_per_tx read.
+        def children_cpu():
+            usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+            return usage.ru_utime + usage.ru_stime
+
+        registry = MetricsRegistry()
+        before = children_cpu()
+        coordinator, workload = build(shards=2, workers=2, obs=registry)
+        try:
+            drive(coordinator, workload, rounds=4)
+        finally:
+            coordinator.close()
+        rounds = registry.get("par_worker_round_seconds")
+        worked = sum(rounds.state_of(worker=str(w)).sum for w in range(2))
+        assert worked > 0
+        assert children_cpu() - before >= worked / 2
 
 
 class TestBackendSurface:
@@ -265,9 +338,11 @@ class TestCrashHandling:
         try:
             coordinator.submit(workload.take(32))
             coordinator.run_super_round()
+            pids = worker_pids(coordinator)
             victim = coordinator.backend._workers[0]
             os.kill(victim.proc.pid, signal.SIGKILL)
             victim.proc.join(timeout=10.0)
+            assert not victim.proc.is_alive()
             coordinator.submit(workload.take(32))
             with pytest.raises(WorkerCrashError) as err:
                 coordinator.run_super_round()
@@ -278,6 +353,8 @@ class TestCrashHandling:
             assert sum(v for _, v in crashes.samples()) == 1
         finally:
             coordinator.close()
+        assert err.value.exitcode == -signal.SIGKILL
+        assert all(gone(pid) for pid in pids)
 
     def test_hung_worker_trips_barrier_timeout(self):
         coordinator, workload = build(
