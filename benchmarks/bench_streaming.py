@@ -39,7 +39,6 @@ or through pytest-benchmark like the other benches::
 from __future__ import annotations
 
 import pathlib
-import resource
 import sys
 import time
 import tracemalloc
@@ -58,7 +57,7 @@ import pytest
 from repro.analysis.reporting import format_table
 from repro.core.params import ProtocolParams
 from repro.obs import MetricsRegistry
-from repro.streaming import StreamingSession, StreamingWorkload, VirtualUniverse
+from repro.streaming.app import StreamingApp
 from repro.workloads.arrivals import PoissonArrivals
 
 SEED = 18
@@ -80,37 +79,28 @@ ACTIVE_SLACK = 0.25
 QUICK_RSS_CEILING_BYTES = 512 * 1024 * 1024
 
 
-def _peak_rss_bytes() -> int:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return int(peak) * (1 if sys.platform == "darwin" else 1024)
+class _E18App(StreamingApp):
+    """The synthetic stream at E18's offered load."""
+
+    def offered_load(self) -> dict:
+        return {
+            **super().offered_load(),
+            "arrivals": PoissonArrivals(ARRIVAL_RATE, seed=self.seed),
+        }
 
 
 def _run_scale(universe: int, rounds: int, seed: int = SEED) -> dict:
     """One streaming run at ``universe`` registered providers."""
-    obs = MetricsRegistry()
     tracemalloc.start()
-    virtual = VirtualUniverse(universe=universe, n=8, m=4, r=4)
-    workload = StreamingWorkload(
-        virtual,
-        arrivals=PoissonArrivals(ARRIVAL_RATE, seed=seed),
-        validity="bernoulli",
-        selection="uniform",
-        seed=seed,
-        p_valid=0.8,
+    app = _E18App(
+        universe=universe, n=8, m=4, r=4,
+        params=ProtocolParams(f=0.5, b_limit=96), seed=seed, obs=MetricsRegistry(),
     )
-    session = StreamingSession(
-        virtual,
-        ProtocolParams(f=0.5, b_limit=96),
-        workload=workload,
-        seed=seed,
-        retirement_rounds=6,
-        obs=obs,
-    )
-    session.run(rounds)
-    session.finalize()
+    app.run(rounds)
+    app.finalize()
     _, traced_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    m = session.metrics
+    m = app.metrics
     return {
         "universe": universe,
         "rounds": m.rounds,
@@ -119,14 +109,11 @@ def _run_scale(universe: int, rounds: int, seed: int = SEED) -> dict:
         "instantiations": m.instantiations,
         "retirements": m.retirements,
         "peak_backlog": m.peak_backlog,
-        "touched_rows": session.touched_rows(),
+        "touched_rows": app.touched_rows(),
         "traced_peak_bytes": traced_peak,
-        "peak_rss_bytes": _peak_rss_bytes(),
-        "tip": session.ledgers()[0].tip_hash().hex(),
-        "audit_clean": (
-            session.audit_report is None
-            or not session.audit_report.violations
-        ),
+        "peak_rss_bytes": m.peak_rss_bytes,
+        "tip": app.ledgers()[0].tip_hash().hex(),
+        "audit_clean": app.audit_clean,
     }
 
 

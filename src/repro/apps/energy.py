@@ -119,7 +119,7 @@ class EnergyMarket(StreamingApp):
 
     def _phase(self) -> float:
         """Daylight fraction for the round currently being generated."""
-        round_number = self.session.round_number + 1 if hasattr(self, "session") else 1
+        round_number = self.round_number + 1
         return math.sin(
             2.0 * math.pi * (round_number % self.day_period) / self.day_period
         )
@@ -156,7 +156,7 @@ class EnergyMarket(StreamingApp):
             self._imported += payload.get("kwh", 0.0)
 
     def report(self) -> EnergyReport:
-        """Domain metrics so far (finalises the session's audit)."""
+        """Domain metrics so far (finalises the harness audit)."""
         self.finalize()
         return EnergyReport(
             trades_committed=self._committed,
@@ -165,7 +165,7 @@ class EnergyMarket(StreamingApp):
             tamper_rate=(
                 self._tampered / self._committed if self._committed else 0.0
             ),
-            peak_active_prosumers=self.session.metrics.peak_active,
-            retirements=self.session.metrics.retirements,
+            peak_active_prosumers=self.metrics.peak_active,
+            retirements=self.metrics.retirements,
             audit_clean=self.audit_clean,
         )

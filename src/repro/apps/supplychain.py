@@ -11,7 +11,7 @@ are the invalid transactions the alliance must catch.
 Every shipment names a **consignee**: the next custodian in the
 multi-hop chain, carried in :attr:`TxSpec.counterparty`.  On a sharded
 deployment these settle as cross-shard receipts (the consignee's home
-shard commits the receipt); the flat streaming session records them in
+shard commits the receipt); the flat streaming deployment records them in
 the payload, so the same workload exercises both paths.
 
 The adversary mix is a **counterfeit-laundering ring**: a slice of
@@ -143,7 +143,7 @@ class SupplyChainProvenance(StreamingApp):
             self._counterfeit += 1
 
     def report(self) -> ProvenanceReport:
-        """Domain metrics so far (finalises the session's audit)."""
+        """Domain metrics so far (finalises the harness audit)."""
         self.finalize()
         offered = self.workload.emitted
         return ProvenanceReport(
@@ -152,7 +152,7 @@ class SupplyChainProvenance(StreamingApp):
                 self._counterfeit / self._committed if self._committed else 0.0
             ),
             mean_chain_hops=(self._hops_sum / offered if offered else 0.0),
-            distinct_suppliers=self.session.metrics.instantiations,
-            peak_active_suppliers=self.session.metrics.peak_active,
+            distinct_suppliers=self.metrics.instantiations,
+            peak_active_suppliers=self.metrics.peak_active,
             audit_clean=self.audit_clean,
         )

@@ -10,7 +10,7 @@ purchases are the invalid transactions.
 Load is **extremely bursty**: a quiet trickle punctuated by on-sale
 spikes an order of magnitude above ``b_limit``, driven by
 :class:`~repro.workloads.arrivals.BurstyArrivals`.  Spikes spill into
-the session's backlog and drain over subsequent rounds — the open-loop
+the deployment's backlog and drain over subsequent rounds — the open-loop
 behaviour the ``stream_backlog`` gauge measures.  Buyer selection is
 uniform over the universe: a flash sale is exactly the workload where
 most arrivals are first-time identities, so this preset maximises
@@ -158,14 +158,14 @@ class FlashSaleTicketing(StreamingApp):
             self._bots += 1
 
     def report(self) -> TicketingReport:
-        """Domain metrics so far (finalises the session's audit)."""
+        """Domain metrics so far (finalises the harness audit)."""
         self.finalize()
         return TicketingReport(
             orders_committed=self._committed,
             tickets_sold=self._tickets,
             bot_rate=(self._bots / self._committed if self._committed else 0.0),
-            peak_backlog=self.session.metrics.peak_backlog,
-            peak_active_buyers=self.session.metrics.peak_active,
+            peak_backlog=self.metrics.peak_backlog,
+            peak_active_buyers=self.metrics.peak_active,
             victim_orders_on_chain=self._victim_on_chain,
             cartel_suppressions=sum(m.suppressed for m in self._cartel_members),
             audit_clean=self.audit_clean,

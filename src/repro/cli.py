@@ -178,8 +178,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 time.sleep(args.round_delay)
         return 0 if _REPORTS[scenario.host](deployment) else 1
     finally:
-        if scenario.host == "shard":
-            deployment.close()  # reaps the worker pool, also after a failed round
+        deployment.close()  # a worker pool is reaped, also after a failed round
 
 
 def _report_inproc(engine) -> bool:
@@ -243,7 +242,7 @@ def _report_stream(app) -> bool:
     width = max(len(k) for k in items)
     for key, value in items.items():
         print(f"  {key:<{width}}  {value}")
-    print(f"touched reputation rows: {app.session.touched_rows()} "
+    print(f"touched reputation rows: {app.touched_rows()} "
           f"(universe x collectors = {app.universe * app.n})")
     return app.audit_clean
 

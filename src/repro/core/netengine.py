@@ -766,3 +766,7 @@ class NetworkedProtocolEngine(RoundCore):
         if drain:
             self.drain_recovery()
         self._reveal_pending()
+
+    def close(self) -> None:
+        """Close the network (a real-socket one releases its connections)."""
+        self.network.close()

@@ -18,7 +18,7 @@
    enter the *next* block.
 
 The engines are shells around it.  ``ProtocolEngine`` and
-``StreamingSession`` run :meth:`RoundCore._run_zero_latency_round`;
+``StreamingApp`` run :meth:`RoundCore._run_zero_latency_round`;
 ``NetworkedProtocolEngine`` puts timed messages between the same steps,
 so it calls them one at a time (``_begin_round``, ``_originate``,
 ``_pack``, ``_argue_scan``, ``_reveal_pending``).
@@ -350,6 +350,9 @@ class RoundCore:
     def ledgers(self) -> list:
         """Every governor's ledger replica (for property checks)."""
         return [g.ledger for g in self.governors.values()]
+
+    def close(self) -> None:
+        """Release what the deployment holds outside the process (nothing here)."""
 
     def collector_masses(self) -> dict[str, float]:
         """Each registered collector's reputation mass (mean over governors).

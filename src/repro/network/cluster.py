@@ -232,7 +232,7 @@ def run_scenario(
     try:
         result = _drive(engine, scenario)
     finally:
-        engine.network.close()
+        engine.close()
     result["backend"] = backend
     return result
 

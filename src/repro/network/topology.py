@@ -29,6 +29,7 @@ __all__ = [
     "Topology",
     "ShardedTopology",
     "balanced_groups",
+    "check_circulant_shape",
     "provider_id",
     "collector_id",
     "governor_id",
@@ -48,6 +49,26 @@ def collector_id(i: int) -> str:
 def governor_id(j: int) -> str:
     """Canonical node id of governor ``g_j`` (0-based)."""
     return f"g{j}"
+
+
+def check_circulant_shape(l: int, n: int, m: int, r: int) -> None:
+    """Reject a shape no circulant design realises.
+
+    Every size must be >= 1, ``r <= n``, and ``r * l % n == 0`` so that
+    ``s = r * l / n`` is integral (the paper's ``r*l == s*n``).
+
+    Raises:
+        TopologyError: naming the first condition that fails.
+    """
+    if min(l, n, m, r) < 1:
+        raise TopologyError(f"all sizes must be >= 1, got l={l} n={n} m={m} r={r}")
+    if r > n:
+        raise TopologyError(f"provider degree r={r} exceeds collector count n={n}")
+    if (r * l) % n != 0:
+        raise TopologyError(
+            f"r*l = {r * l} is not divisible by n = {n}; "
+            "the paper requires r*l == s*n with integral s"
+        )
 
 
 @dataclass(frozen=True)
@@ -84,15 +105,7 @@ class Topology:
         Raises:
             TopologyError: when the degree equation cannot be satisfied.
         """
-        if min(l, n, m, r) < 1:
-            raise TopologyError(f"all sizes must be >= 1, got l={l} n={n} m={m} r={r}")
-        if r > n:
-            raise TopologyError(f"provider degree r={r} exceeds collector count n={n}")
-        if (r * l) % n != 0:
-            raise TopologyError(
-                f"r*l = {r * l} is not divisible by n = {n}; "
-                "the paper requires r*l == s*n with integral s"
-            )
+        check_circulant_shape(l, n, m, r)
         providers = tuple(provider_id(k) for k in range(l))
         collectors = tuple(collector_id(i) for i in range(n))
         governors = tuple(governor_id(j) for j in range(m))
@@ -124,12 +137,7 @@ class Topology:
         deterministic in ``seed``; overlap patterns vary with the seed,
         which is what the sensitivity experiments need.
         """
-        if min(l, n, m, r) < 1:
-            raise TopologyError(f"all sizes must be >= 1, got l={l} n={n} m={m} r={r}")
-        if r > n:
-            raise TopologyError(f"provider degree r={r} exceeds collector count n={n}")
-        if (r * l) % n != 0:
-            raise TopologyError(f"r*l = {r * l} not divisible by n = {n}")
+        check_circulant_shape(l, n, m, r)
         rng = np.random.default_rng(seed)
         providers = tuple(provider_id(k) for k in range(l))
         collectors = tuple(collector_id(i) for i in range(n))

@@ -1,23 +1,11 @@
-"""Streaming million-provider workload subsystem.
+"""Streaming populations: the paper's round over a virtual universe.
 
-Open-loop transaction streams over *virtual* provider populations:
+Open-loop transaction streams (:mod:`~repro.streaming.workload`) over
+*virtual* provider populations (:mod:`~repro.streaming.universe`), run
+by one deployment class, :class:`~repro.streaming.app.StreamingApp`:
 identities instantiate on first arrival and retire on inactivity, so
 resident memory is bounded by the active set — not the universe — while
 the sparse reputation layer (:class:`~repro.core.reputation.SparseWeightMap`)
-keeps governor state proportional to the rows actually touched.
+keeps governor state proportional to the rows actually touched.  This
+init imports nothing.
 """
-
-from repro.streaming.session import StreamingSession, StreamMetrics, stream_metrics
-from repro.streaming.universe import CollectorMembers, VirtualUniverse
-from repro.streaming.workload import StreamingWorkload, derived_rates, provider_rate
-
-__all__ = [
-    "CollectorMembers",
-    "StreamMetrics",
-    "StreamingSession",
-    "StreamingWorkload",
-    "VirtualUniverse",
-    "derived_rates",
-    "provider_rate",
-    "stream_metrics",
-]

@@ -1,7 +1,7 @@
 """Nightly chaos soak: the flash-sale load shape over a chaotic TCP cluster.
 
-The PR-9 transport parity gate proved one seeded scenario commits the
-bit-identical tip through socket chaos.  This soak hardens that claim
+The transport parity gate (``compare_backends``) proves one seeded
+scenario commits the bit-identical tip through socket chaos.  This soak hardens that claim
 against the streaming subsystem's nastiest traffic: the **flash-sale
 oracle's** load shape — :class:`~repro.workloads.arrivals.BurstyArrivals`
 spikes, uniform buyer selection over a virtual universe, ticket-order
@@ -10,7 +10,7 @@ adversary mix, replayed over and over through
 :class:`~repro.faults.proxy.TransportFaultProxy` chaos (frame loss,
 duplication, reordering) until a wall-clock budget runs out.
 
-Every iteration uses a fresh seed and asserts the PR-9 contract from
+Every iteration uses a fresh seed and asserts the parity contract from
 scratch: the chaotic real run must commit the same tip, height and sim
 clock as the pure simulator run of the identical scenario, with a clean
 safety audit on both sides.  The budget, not an iteration count, bounds
@@ -60,7 +60,7 @@ def _flash_sale_workload(scenario: ClusterScenario, topology: Topology):
     The virtual universe is sized to the cluster topology, so every
     emitted provider id names a real enrolled provider; spikes beyond
     the packing budget are clipped (the cluster engine, unlike
-    :class:`~repro.streaming.session.StreamingSession`, has no backlog).
+    :class:`~repro.streaming.app.StreamingApp`, has no backlog).
     """
     virtual = VirtualUniverse(
         universe=len(topology.providers),
@@ -87,7 +87,6 @@ def _flash_sale_workload(scenario: ClusterScenario, topology: Topology):
             seed=scenario.seed + 1,
         ),
         validity="bernoulli",
-        selection="uniform",
         seed=scenario.seed + 1,
         p_valid=0.75,
         spec_hook=enrich,

@@ -20,7 +20,12 @@ from math import gcd
 from typing import Iterator
 
 from repro.exceptions import TopologyError
-from repro.network.topology import collector_id, governor_id, provider_id
+from repro.network.topology import (
+    check_circulant_shape,
+    collector_id,
+    governor_id,
+    provider_id,
+)
 
 __all__ = ["VirtualUniverse", "CollectorMembers", "parse_provider_index"]
 
@@ -118,20 +123,7 @@ class VirtualUniverse:
     r: int
 
     def __post_init__(self) -> None:
-        if min(self.universe, self.n, self.m, self.r) < 1:
-            raise TopologyError(
-                f"all sizes must be >= 1, got universe={self.universe} "
-                f"n={self.n} m={self.m} r={self.r}"
-            )
-        if self.r > self.n:
-            raise TopologyError(
-                f"provider degree r={self.r} exceeds collector count n={self.n}"
-            )
-        if (self.r * self.universe) % self.n != 0:
-            raise TopologyError(
-                f"r*universe = {self.r * self.universe} is not divisible by "
-                f"n = {self.n}; degrees must balance exactly"
-            )
+        check_circulant_shape(self.universe, self.n, self.m, self.r)
 
     @property
     def collectors(self) -> tuple[str, ...]:

@@ -1,17 +1,15 @@
 """Open-loop streaming workload over a virtual provider population.
 
-:class:`StreamingWorkload` emits the same :class:`TxSpec` stream the
-materialized generators in :mod:`repro.workloads.generator` would — the
-validity models (``bernoulli`` / ``per_provider`` / ``bursty``) draw
-from the identical main RNG stream in the identical order — but the
-provider population is a :class:`~repro.streaming.universe.VirtualUniverse`:
+:class:`StreamingWorkload` emits :class:`TxSpec` streams whose provider
+population is a :class:`~repro.streaming.universe.VirtualUniverse`:
 nothing is allocated per provider until a transaction actually names
-one.  The three auxiliary streams a streaming run needs (lazy
-per-provider validity rates, uniform provider selection, domain payload
-enrichment) are derived via tagged ``SeedSequence`` spawns so they never
-perturb the validity stream — which is what makes the round-robin
-small-N stream *bit-identical* to the materialized generators
-(satellite property test in ``tests/test_streaming.py``).
+one.  Each transaction's provider is drawn uniformly from the universe,
+and its validity is ``bernoulli`` (one rate for everyone) or
+``per_provider`` (a lazy Beta rate per provider).  The validity draws
+come from the main seeded stream; provider selection, the lazy rates
+and domain payload enrichment each draw from their own tagged
+``SeedSequence`` spawn, so however much randomness one of them consumes
+never perturbs another.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from repro.streaming.universe import VirtualUniverse
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.generator import TxSpec
 
-__all__ = ["StreamingWorkload", "provider_rate", "derived_rates"]
+__all__ = ["StreamingWorkload", "provider_rate"]
 
 #: Stream tags for the auxiliary RNGs (``SeedSequence([seed, TAG, ...])``).
 #: Frozen constants — changing one changes every seeded streaming run.
@@ -34,8 +32,7 @@ _RATE_TAG = 0x53545231  # "STR1": lazy per-provider Beta validity rates
 _SELECT_TAG = 0x53545232  # "STR2": uniform provider selection
 _DOMAIN_TAG = 0x53545233  # "STR3": domain-oracle payload enrichment
 
-VALIDITY_MODELS = ("bernoulli", "per_provider", "bursty")
-SELECTION_MODES = ("round_robin", "uniform")
+VALIDITY_MODELS = ("bernoulli", "per_provider")
 
 
 def provider_rate(
@@ -51,43 +48,16 @@ def provider_rate(
     return float(rng.beta(alpha, beta))
 
 
-def derived_rates(
-    providers, seed: int, alpha: float = 8.0, beta: float = 2.0
-) -> dict[str, float]:
-    """Materialized rate dict matching :func:`provider_rate` per id.
-
-    Feed this to ``PerProviderWorkload(rates=...)`` to get a dense
-    generator whose validity stream is bit-identical to the streaming
-    ``per_provider`` model (the equivalence tests do exactly that).
-    """
-    from repro.streaming.universe import parse_provider_index
-
-    rates = {}
-    for pid in providers:
-        k = parse_provider_index(pid)
-        if k is None:
-            raise ConfigurationError(f"non-canonical provider id {pid!r}")
-        rates[pid] = provider_rate(seed, k, alpha, beta)
-    return rates
-
-
 class StreamingWorkload:
     """Lazy seeded :class:`TxSpec` stream over a virtual universe.
 
     Args:
         universe: The virtual population and its link structure.
-        arrivals: Per-round offered-load process (:meth:`for_round`);
-            optional when the caller drives :meth:`take` directly.
-        validity: One of ``bernoulli`` / ``per_provider`` / ``bursty`` —
-            semantics identical to the materialized generator of the
-            same name.
-        selection: ``round_robin`` walks provider indices in order
-            (exactly the materialized base class' pick, which is what
-            the equivalence property quantifies over); ``uniform`` draws
-            indices from a dedicated selection stream, the realistic
-            open-population model.
-        seed: Seeds the main validity stream (same role as the
-            materialized generators' ``seed``) and, via stream tags, the
+        arrivals: Per-round offered-load process (:meth:`for_round`).
+        validity: ``bernoulli`` (every spec valid with ``p_valid``) or
+            ``per_provider`` (provider k valid with its
+            :func:`provider_rate` under ``alpha`` / ``beta``).
+        seed: Seeds the main validity stream and, via stream tags, the
             auxiliary streams.
         spec_hook: Optional ``(spec, index, rng) -> TxSpec`` transform a
             domain oracle uses to enrich payloads / set counterparties;
@@ -98,49 +68,30 @@ class StreamingWorkload:
     def __init__(
         self,
         universe: VirtualUniverse,
-        arrivals: ArrivalProcess | None = None,
+        arrivals: ArrivalProcess,
         validity: str = "bernoulli",
-        selection: str = "round_robin",
         seed: int = 0,
         p_valid: float = 0.5,
         alpha: float = 8.0,
         beta: float = 2.0,
-        p_good: float = 0.95,
-        p_bad: float = 0.2,
-        stay: float = 0.98,
         spec_hook: Callable[[TxSpec, int, np.random.Generator], TxSpec] | None = None,
     ):
         if validity not in VALIDITY_MODELS:
             raise ConfigurationError(
                 f"unknown validity model {validity!r}; choose from {VALIDITY_MODELS}"
             )
-        if selection not in SELECTION_MODES:
-            raise ConfigurationError(
-                f"unknown selection mode {selection!r}; choose from {SELECTION_MODES}"
-            )
-        for name, p in (
-            ("p_valid", p_valid),
-            ("p_good", p_good),
-            ("p_bad", p_bad),
-            ("stay", stay),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1], got {p}")
+        if not 0.0 <= p_valid <= 1.0:
+            raise ConfigurationError(f"p_valid must be in [0, 1], got {p_valid}")
         if alpha <= 0 or beta <= 0:
             raise ConfigurationError("Beta distribution parameters must be positive")
         self.universe = universe
         self.arrivals = arrivals
         self.validity = validity
-        self.selection = selection
         self.seed = seed
         self.p_valid = p_valid
         self.alpha = alpha
         self.beta = beta
-        self._regimes = ((p_good, stay), (p_bad, stay))
-        self._state = 0
         self.spec_hook = spec_hook
-        # Main validity stream: the exact counterpart of the materialized
-        # generators' self.rng.
         self.rng = np.random.default_rng(seed)
         self._select_rng = np.random.default_rng(
             np.random.SeedSequence([seed, _SELECT_TAG])
@@ -151,13 +102,6 @@ class StreamingWorkload:
         self._rates: dict[int, float] = {}
         self._count = 0
 
-    # -- stream mechanics -------------------------------------------------
-
-    def _next_index(self) -> int:
-        if self.selection == "round_robin":
-            return self._count % self.universe.universe
-        return int(self._select_rng.integers(self.universe.universe))
-
     def _rate(self, k: int) -> float:
         rate = self._rates.get(k)
         if rate is None:
@@ -165,26 +109,14 @@ class StreamingWorkload:
             self._rates[k] = rate
         return rate
 
-    def _validity_draw(self, k: int) -> bool:
-        if self.validity == "bernoulli":
-            return bool(self.rng.random() < self.p_valid)
-        if self.validity == "per_provider":
-            return bool(self.rng.random() < self._rate(k))
-        # bursty: one switch draw, then one validity draw — the same two
-        # main-stream draws in the same order as BurstyWorkload._validity.
-        p_valid, stay = self._regimes[self._state]
-        if self.rng.random() >= stay:
-            self._state = 1 - self._state
-            p_valid, stay = self._regimes[self._state]
-        return bool(self.rng.random() < p_valid)
-
     def _one(self) -> TxSpec:
-        k = self._next_index()
+        k = int(self._select_rng.integers(self.universe.universe))
         provider = provider_id(k)
+        rate = self.p_valid if self.validity == "bernoulli" else self._rate(k)
         spec = TxSpec(
             provider=provider,
             payload={"seq": self._count, "from": provider},
-            is_valid=self._validity_draw(k),
+            is_valid=bool(self.rng.random() < rate),
         )
         if self.spec_hook is not None:
             spec = self.spec_hook(spec, self._count, self._domain_rng)
@@ -196,15 +128,7 @@ class StreamingWorkload:
         return [self._one() for _ in range(n)]
 
     def for_round(self, round_number: int) -> list[TxSpec]:
-        """One round's arrivals: ``arrivals.count_for_round`` then take.
-
-        Raises:
-            ConfigurationError: no arrival process was configured.
-        """
-        if self.arrivals is None:
-            raise ConfigurationError(
-                "for_round() needs an arrival process; pass arrivals= or use take()"
-            )
+        """One round's arrivals: ``arrivals.count_for_round`` then take."""
         return self.take(self.arrivals.count_for_round(round_number))
 
     @property

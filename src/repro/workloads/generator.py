@@ -104,27 +104,12 @@ class PerProviderWorkload(WorkloadGenerator):
         alpha: float = 8.0,
         beta: float = 2.0,
         seed: int = 0,
-        rates: dict[str, float] | None = None,
     ):
         super().__init__(providers, seed)
         if alpha <= 0 or beta <= 0:
             raise ConfigurationError("Beta distribution parameters must be positive")
-        if rates is None:
-            # Default: rates drawn up-front from the validity stream —
-            # the historical behaviour every golden run pins.
-            self.rates = {
-                p: float(self.rng.beta(alpha, beta)) for p in self.providers
-            }
-        else:
-            # Injected rates (e.g. the streaming subsystem's lazily
-            # derived per-provider rates) leave the validity stream
-            # untouched: no up-front Beta draws are consumed.
-            missing = [p for p in self.providers if p not in rates]
-            if missing:
-                raise ConfigurationError(
-                    f"rates missing for providers: {missing[:5]}"
-                )
-            self.rates = {p: float(rates[p]) for p in self.providers}
+        # Drawn up-front from the validity stream, as every golden run pins.
+        self.rates = {p: float(self.rng.beta(alpha, beta)) for p in self.providers}
 
     def _validity(self, provider: str) -> bool:
         return bool(self.rng.random() < self.rates[provider])

@@ -3,7 +3,8 @@
 pstats keys a function by (file, line, name), so two dataclasses'
 generated ``__init__`` methods — both ``<string>:2:__init__`` — collapse
 into one entry and one of their counts is lost; the tool sums the
-profiler's raw entries instead.
+profiler's raw entries instead.  Every host's deployment is measurable:
+each has a ``store`` of committed blocks and a ``close()``.
 """
 
 from __future__ import annotations
@@ -54,3 +55,9 @@ def test_both_dataclass_inits_are_counted():
     by_function = _tool().calls_by_function(profile)
     assert by_function["<string>:2(__init__)"] == 2
     assert sum(by_function.values()) == 4
+
+
+def test_stream_preset_is_measured():
+    committed, counts = _tool().measure("stream-smoke", 1)
+    assert committed > 0
+    assert sum(counts.values()) > committed

@@ -13,8 +13,8 @@ covers each execution shape the paper's round runs under:
   and once through every way a node leaves and rejoins: a collector
   and a governor crash and recover, a second governor equivocates, is
   quarantined on forwarded evidence and is released again;
-* ``StreamingSession`` on every ``stream`` preset over a small
-  universe with retirement on;
+* ``StreamingApp`` (or the oracle subclass it names) on every
+  ``stream`` preset over a small universe with retirement on;
 * one ``shard`` preset on the serial backend, and the S=4
   preset with epoch reshuffles under a seeded per-shard ``FaultPlan``
   with ``resilience`` on — once in-process and once on two worker
@@ -168,9 +168,9 @@ def _networked_churn_quarantine() -> dict:
 def _streaming(name: str) -> dict:
     runner, _, scenario = build(name, seed=SEED, universe=STREAM_UNIVERSE)
     runner.run(scenario.rounds)
-    runner.session.finalize()
-    assert runner.session.metrics.retirements > 0, "retirement never exercised"
-    return _fingerprint(runner.session)
+    runner.finalize()
+    assert runner.metrics.retirements > 0, "retirement never exercised"
+    return _fingerprint(runner)
 
 
 def _sharded() -> dict:

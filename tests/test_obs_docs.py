@@ -63,7 +63,7 @@ def registered() -> MetricsRegistry:
 
     transport_metrics(reg)
     # The streaming family likewise exposes a fetch-or-register helper.
-    from repro.streaming import stream_metrics
+    from repro.streaming.app import stream_metrics
 
     stream_metrics(reg)
     return reg

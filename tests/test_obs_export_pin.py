@@ -62,7 +62,7 @@ def _drive(preset: str, obs: MetricsRegistry, rounds: int | None = None, **optio
             deployment.run_round(workload.take(scenario.batch))
         deployment.finalize()
     finally:
-        getattr(deployment, "close", lambda: None)()
+        deployment.close()
 
 
 def _paper_default(obs, _tmp_path):

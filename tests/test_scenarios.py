@@ -65,14 +65,11 @@ class TestRegistry:
                 deployment.finalize()
                 if scenario.host == "shard":
                     heights = [s.height for s in deployment.chain_stats()]
-                elif scenario.host == "stream":
-                    heights = [deployment.session.store.height]
                 else:
                     heights = [deployment.store.height]
                 assert all(h >= 1 for h in heights), name
             finally:
-                if scenario.host == "shard":
-                    deployment.close()
+                deployment.close()
 
 
 class TestExecution:

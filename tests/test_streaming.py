@@ -1,4 +1,4 @@
-"""Streaming subsystem: sparse reputation, virtual universe, sessions.
+"""Streaming subsystem: sparse reputation, virtual universe, the stream deployment.
 
 The load-bearing claims, each locked by a test class here:
 
@@ -8,16 +8,16 @@ The load-bearing claims, each locked by a test class here:
   version bump per mutation (a hypothesis model test);
 * ``CollectorMembers`` answers membership queries for the circulant
   topology in O(1) memory, agreeing exactly with ``Topology.regular``;
-* ``StreamingWorkload`` with round-robin selection emits the identical
-  ``TxSpec`` stream as the materialized generators for N <= 64 across
-  all three validity models (satellite property test);
-* ``StreamingSession`` instantiates on arrival, retires on idleness,
-  and keeps signing continuity across retire/re-arrive cycles;
+* ``StreamingWorkload`` accepts only its two validity models, and a
+  domain payload hook never perturbs provider selection or validity;
+* ``StreamingApp`` instantiates on arrival, retires on idleness, spills
+  past ``b_limit`` into a backlog, and keeps signing continuity across
+  retire/re-arrive cycles;
 * durable checkpoints carry the sparse book payload, so a restarted
   engine resumes with equal books, and a tampered payload is rejected
-  whole (satellite 1);
+  whole;
 * the flash-sale chaos soak holds tip parity through socket chaos
-  (satellite 6; ``chaos``+``realnet`` marked, wall-clock budgeted).
+  (``chaos``+``realnet`` marked, wall-clock budgeted).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -45,21 +46,15 @@ from repro.exceptions import (
 from repro.ledger.properties import check_all_properties
 from repro.network.topology import Topology, provider_id
 from repro.obs import MetricsRegistry
-from repro.streaming import (
+from repro.streaming.app import StreamingApp
+from repro.streaming.universe import (
     CollectorMembers,
-    StreamingSession,
-    StreamingWorkload,
     VirtualUniverse,
-    derived_rates,
+    parse_provider_index,
 )
-from repro.streaming.universe import parse_provider_index
-from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.generator import (
-    BernoulliWorkload,
-    BurstyWorkload,
-    PerProviderWorkload,
-    TxSpec,
-)
+from repro.streaming.workload import StreamingWorkload
+from repro.workloads.arrivals import ConstantArrivals
+from repro.workloads.generator import BernoulliWorkload, TxSpec
 from repro.workloads.scenarios import SCENARIOS, build, scenario_names
 
 STREAM_PRESETS = sorted(n for n, s in SCENARIOS.items() if s.host == "stream")
@@ -273,76 +268,58 @@ class TestCollectorMembers:
 
 
 # ---------------------------------------------------------------------------
-# Satellite 3: streaming vs materialized workload equivalence
+# StreamingWorkload
 
 
-def _materialized(model: str, providers, seed: int):
-    if model == "bernoulli":
-        return BernoulliWorkload(providers, p_valid=0.5, seed=seed)
-    if model == "per_provider":
-        return PerProviderWorkload(
-            providers, seed=seed, rates=derived_rates(providers, seed)
-        )
-    return BurstyWorkload(providers, seed=seed)
-
-
-class TestStreamingWorkloadEquivalence:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n_providers=st.integers(min_value=1, max_value=64),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        model=st.sampled_from(["bernoulli", "per_provider", "bursty"]),
-        count=st.integers(min_value=1, max_value=200),
-    )
-    def test_round_robin_stream_matches_materialized(
-        self, n_providers, seed, model, count
-    ):
-        providers = [provider_id(k) for k in range(n_providers)]
-        universe = VirtualUniverse(
-            universe=n_providers, n=n_providers, m=1, r=n_providers
-        )
-        streaming = StreamingWorkload(
-            universe, validity=model, selection="round_robin", seed=seed
-        )
-        materialized = _materialized(model, providers, seed)
-        assert streaming.take(count) == materialized.take(count)
-
-    def test_uniform_selection_leaves_validity_stream_alone(self):
-        # Selection draws come from a tagged side stream: the validity
-        # outcomes as a sequence must match round_robin's exactly.
-        universe = VirtualUniverse(universe=16, n=4, m=2, r=2)
-        rr = StreamingWorkload(universe, selection="round_robin", seed=9)
-        uni = StreamingWorkload(universe, selection="uniform", seed=9)
-        assert [s.is_valid for s in rr.take(64)] == [
-            s.is_valid for s in uni.take(64)
-        ]
-
+class TestStreamingWorkload:
     def test_unknown_model_rejected(self):
         universe = VirtualUniverse(universe=8, n=4, m=2, r=2)
-        with pytest.raises(ConfigurationError):
-            StreamingWorkload(universe, validity="weird")
-        with pytest.raises(ConfigurationError):
-            StreamingWorkload(universe, selection="weird")
+        for model in ("weird", "bursty"):
+            with pytest.raises(ConfigurationError):
+                StreamingWorkload(universe, ConstantArrivals(1), validity=model)
 
-    def test_for_round_requires_arrivals(self):
-        universe = VirtualUniverse(universe=8, n=4, m=2, r=2)
-        workload = StreamingWorkload(universe)
-        with pytest.raises(ConfigurationError):
-            workload.for_round(1)
+    @pytest.mark.parametrize("model", ["bernoulli", "per_provider"])
+    def test_domain_hook_leaves_selection_and_validity_alone(self, model):
+        universe = VirtualUniverse(universe=64, n=4, m=2, r=2)
+
+        def hungry(spec, index, rng):
+            rng.random(index + 1)  # a domain that consumes a lot
+            return spec
+
+        plain, hooked = (
+            StreamingWorkload(
+                universe, ConstantArrivals(16), validity=model, seed=9,
+                spec_hook=hook,
+            )
+            for hook in (None, hungry)
+        )
+        assert plain.for_round(1) == hooked.for_round(1)
+        assert hooked.emitted == 16
 
 
 # ---------------------------------------------------------------------------
-# StreamingSession lifecycle
+# StreamingApp: the provider lifecycle of a streaming session
+
+
+@dataclass
+class _Offered(StreamingApp):
+    """Draws no arrivals: a round packs only the specs offered to it."""
+
+    idle: int = 2
+
+    def __post_init__(self) -> None:
+        self.retirement_rounds = self.idle
+        super().__post_init__()
+
+    def offered_load(self) -> dict:
+        return {"arrivals": ConstantArrivals(0)}
 
 
 def _session(universe=64, retirement_rounds=2, seed=0, **kwargs):
-    virtual = VirtualUniverse(universe=universe, n=4, m=2, r=2)
-    return virtual, StreamingSession(
-        virtual,
-        ProtocolParams(f=0.5, b_limit=8),
-        seed=seed,
-        retirement_rounds=retirement_rounds,
-        **kwargs,
+    return _Offered(
+        universe=universe, n=4, m=2, r=2,
+        params=ProtocolParams(f=0.5, b_limit=8),
+        seed=seed, idle=retirement_rounds, **kwargs,
     )
 
 
@@ -354,24 +331,30 @@ def _specs(*pids, valid=True):
 
 
 class TestStreamingSession:
+    """One stream deployment run round by round: a streaming session."""
+
     def test_instantiation_on_first_arrival(self):
-        _, session = _session()
-        assert session.active_providers == 0
+        session = _session()
+        assert not session.providers
         session.run_round(_specs("p0", "p5"))
-        assert session.active_providers == 2
+        assert len(session.providers) == 2
         assert session.metrics.instantiations == 2
         assert session.metrics.reinstantiations == 0
 
     def test_retirement_after_idle_window(self):
-        _, session = _session(retirement_rounds=2)
+        session = _session(retirement_rounds=2)
         session.run_round(_specs("p0"))
         session.run_round(_specs("p1"))
         session.run_round(_specs("p1"))  # p0 idle for 2 rounds -> retired
-        assert session.active_providers == 1
+        assert list(session.providers) == ["p1"]
         assert session.metrics.retirements == 1
 
+    def test_retirement_window_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="retirement_rounds"):
+            _session(retirement_rounds=0)
+
     def test_rearrival_restores_signing_continuity(self):
-        _, session = _session(retirement_rounds=1)
+        session = _session(retirement_rounds=1)
         session.run_round(_specs("p0"))
         nonce_before = session.providers["p0"]._nonce
         session.run_round(_specs("p1"))
@@ -387,7 +370,7 @@ class TestStreamingSession:
         )
 
     def test_backlog_spills_and_drains(self):
-        _, session = _session(retirement_rounds=None)
+        session = _session(retirement_rounds=8)
         burst = _specs(*[f"p{k}" for k in range(20)])
         session.run_round(burst)  # b_limit=8
         assert session.backlog_depth == 12
@@ -398,24 +381,17 @@ class TestStreamingSession:
         assert session.metrics.peak_backlog == 20
 
     def test_outside_universe_arrival_rejected(self):
-        _, session = _session(universe=8)
+        session = _session(universe=8)
         with pytest.raises(ConfigurationError):
             session.run_round(_specs("p8"))
 
     def test_full_run_audits_clean_and_properties_hold(self):
-        virtual = VirtualUniverse(universe=128, n=4, m=2, r=2)
-        workload = StreamingWorkload(
-            virtual,
-            arrivals=PoissonArrivals(6.0, seed=3),
-            selection="uniform",
-            seed=3,
-            p_valid=0.8,
-        )
-        session = StreamingSession(
-            virtual, ProtocolParams(f=0.5, b_limit=16),
-            workload=workload, seed=3, retirement_rounds=3,
+        session = StreamingApp(
+            universe=128, n=4, m=2, r=2,
+            params=ProtocolParams(f=0.5, b_limit=16), seed=3,
         )
         session.run(10)
+        assert session.metrics.retirements > 0
         session.finalize()
         assert session.audit_report is not None
         assert not session.audit_report.violations
@@ -424,7 +400,7 @@ class TestStreamingSession:
 
     def test_metrics_registry_mirrors_counters(self):
         reg = MetricsRegistry()
-        _, session = _session(obs=reg)
+        session = _session(obs=reg)
         session.run_round(_specs("p0", "p1"))
         names = set(reg.names())
         assert {"stream_active_providers", "stream_instantiations_total",
@@ -432,12 +408,12 @@ class TestStreamingSession:
                 "stream_tx_total", "stream_peak_rss_bytes"} <= names
 
     def test_behaviors_for_unknown_collector_rejected(self):
-        virtual = VirtualUniverse(universe=8, n=4, m=2, r=2)
-        with pytest.raises(ConfigurationError):
-            StreamingSession(
-                virtual, ProtocolParams(f=0.5),
-                behaviors={"c9": MisreportBehavior(0.5)},
-            )
+        class Stray(_Offered):
+            def adversary_mix(self):
+                return {"c9": MisreportBehavior(0.5)}
+
+        with pytest.raises(ConfigurationError, match="unknown collectors"):
+            Stray(universe=8, n=4, m=2, r=2)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +439,7 @@ class TestStreamPresets:
             else report.audit_clean
         )
         assert audit_clean
-        assert runner.session.round_number >= 4
+        assert runner.round_number >= 4
 
     def test_supply_chain_counterparties_cross_linked(self):
         from repro.apps.supplychain import SupplyChainProvenance
@@ -495,7 +471,7 @@ class TestStreamPresets:
 
 
 # ---------------------------------------------------------------------------
-# Satellite 1: books ride durable checkpoints across restarts
+# Books ride durable checkpoints across restarts
 
 
 class TestBookCheckpointRestart:
@@ -663,7 +639,7 @@ class TestBookCheckpointRestart:
 
 
 # ---------------------------------------------------------------------------
-# Satellite 6: flash-sale chaos soak (nightly; tiny default budget here)
+# Flash-sale chaos soak (nightly; tiny default budget here)
 
 
 @pytest.mark.chaos

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import TopologyError
 from repro.network.topology import Topology
+from repro.streaming.universe import VirtualUniverse
 
 
 class TestRegular:
@@ -41,14 +42,20 @@ class TestRegular:
     def test_indivisible_degrees_rejected(self):
         with pytest.raises(TopologyError):
             Topology.regular(l=7, n=4, m=2, r=2)  # 14 not divisible by 4
+        with pytest.raises(TopologyError, match="not divisible"):
+            VirtualUniverse(universe=7, n=4, m=2, r=2)
 
     def test_r_exceeding_n_rejected(self):
         with pytest.raises(TopologyError):
             Topology.regular(l=4, n=2, m=2, r=3)
+        with pytest.raises(TopologyError, match="exceeds collector count"):
+            VirtualUniverse(universe=4, n=2, m=2, r=3)
 
     def test_zero_sizes_rejected(self):
         with pytest.raises(TopologyError):
             Topology.regular(l=0, n=2, m=2, r=1)
+        with pytest.raises(TopologyError, match=">= 1"):
+            VirtualUniverse(universe=0, n=2, m=2, r=1)
 
     def test_full_overlap_case(self):
         # r == n: every provider feeds every collector (paper's default

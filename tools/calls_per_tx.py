@@ -87,7 +87,7 @@ def measure(preset: str, seed: int) -> tuple[int, Counter]:
         profile.disable()
         return _committed(deployment), calls_by_function(profile)
     finally:
-        getattr(deployment, "close", lambda: None)()
+        deployment.close()
 
 
 def main(argv: list[str] | None = None) -> int:
