@@ -6,7 +6,8 @@ three times:
 1. **sim** — the discrete-event :class:`SyncNetwork` baseline;
 2. **real** — the same engine over :class:`RealNetwork`, every admitted
    message physically conveyed (framed, CRC-checked, acknowledged) to a
-   cluster of ``repro serve`` custodian subprocesses on localhost;
+   cluster of custodian subprocesses on localhost (``python -m
+   repro.network.custodian``);
 3. **chaos** — the real run again, but with every custodian fronted by
    a seeded :class:`~repro.faults.proxy.TransportFaultProxy` injecting
    frame loss, duplication, reordering and a partition blackout window
@@ -75,11 +76,7 @@ CONFIG = TransportConfig(
     backoff_base=0.02,
     backoff_max=0.25,
     send_deadline=0.3,
-    deadline_poll=0.02,
     max_retries=24,
-    heartbeat_interval=0.25,
-    heartbeat_budget=3,
-    session_floor=0.02,
     stall_timeout=30.0,
 )
 
@@ -97,10 +94,6 @@ def _tpt_snapshot(registry: MetricsRegistry, peers: list[str]) -> dict:
         "reconnects": sum(
             metrics["reconnects"].value_of(peer=p) for p in peers
         ),
-        "heartbeat_misses": sum(
-            metrics["heartbeat_misses"].value_of(peer=p) for p in peers
-        ),
-        "suspects": metrics["suspects"].value,
         "crc_errors": metrics["crc_errors"].value,
     }
 
@@ -192,7 +185,8 @@ def run_suite(quick: bool = False) -> dict:
         rows,
     )
     table += (
-        f"\nlocalhost cluster: {PEERS} `repro serve` custodian processes; "
+        f"\nlocalhost cluster: {PEERS} custodian processes "
+        f"(`python -m repro.network.custodian`); "
         f"chaos = 5% loss, 5% dup, 3% reorder,\n"
         f"partition blackout {scale['partition'][0]:.1f}s-"
         f"{scale['partition'][1]:.1f}s at the socket boundary\n"

@@ -16,8 +16,8 @@ Subcommands:
 * ``recover`` — replay and verify a durable ledger directory, printing
   the recovery report without starting an engine;
 * ``serve`` — run a custodian peer for the real-socket transport on a
-  chosen address: it CRC-validates and acknowledges conveyed frames and
-  answers heartbeats (:func:`repro.network.custodian.serve`; the
+  chosen address: it CRC-validates and acknowledges conveyed frames
+  (:func:`repro.network.custodian.serve`; the
   localhost-cluster harness spawns ``n`` of these as ``python -m
   repro.network.custodian``; see DESIGN.md, "Transport backend").
 

@@ -14,7 +14,7 @@ peer and applies a seeded :class:`~repro.faults.plan.FaultPlan` to the
   ``(0, reorder_delay]`` *wall* seconds while later frames overtake it;
 * partition windows and node crash schedules — reinterpreted on the
   **wall clock**, as seconds since proxy start: while a window is open
-  the proxy kills every live connection and refuses new ones, forcing
+  the proxy severs every live connection and refuses new ones, forcing
   the driver through its reconnect-backoff path until the window
   closes.
 
@@ -33,21 +33,31 @@ determinism a property of the *logical* layer only.
 
 from __future__ import annotations
 
-import asyncio
+import heapq
 import random
+import select
+import socket
 import threading
 import time
 from typing import Callable
 
-from repro.exceptions import FrameError, PeerUnreachableError
+from repro.exceptions import FrameError
 from repro.faults.plan import FaultPlan
-from repro.network.custodian import FrameReader, encode_frame
+from repro.network.custodian import ConnectionServer, FrameReader, encode_frame
 
 __all__ = ["TransportFaultProxy", "start_proxy_thread"]
 
+#: How often a pump waiting for input looks at the chaos clock.
+_PATROL = 0.02
 
-class TransportFaultProxy:
-    """A seeded chaos proxy in front of one custodian peer."""
+
+class TransportFaultProxy(ConnectionServer):
+    """A seeded chaos proxy in front of one custodian peer.
+
+    Each accepted connection gets an upstream connection and two pumps,
+    one per direction: the connection's own thread carries driver to
+    custodian, a second thread carries custodian to driver.
+    """
 
     def __init__(
         self,
@@ -60,12 +70,7 @@ class TransportFaultProxy:
         self.upstream_host = upstream_host
         self.upstream_port = upstream_port
         self.plan = plan
-        self.host = host
-        self.port = port
-        self._server: asyncio.AbstractServer | None = None
-        self._patrol: asyncio.Task | None = None
         self._t0 = time.monotonic()
-        self._writers: set[asyncio.StreamWriter] = set()
         #: (start, end) wall-second offsets during which the link is dark.
         self._blackouts: list[tuple[float, float]] = [
             (window.start, window.end) for window in plan.partitions
@@ -77,116 +82,72 @@ class TransportFaultProxy:
         self.frames_duplicated = 0
         self.frames_delayed = 0
         self.connections_killed = 0
-
-    # -- chaos clock -------------------------------------------------------
+        super().__init__(host, port)
 
     def _dark(self) -> bool:
         now = time.monotonic() - self._t0
         return any(start <= now < end for start, end in self._blackouts)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._on_client, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._t0 = time.monotonic()
-        if self._blackouts:
-            self._patrol = asyncio.ensure_future(self._blackout_patrol())
-
-    async def _blackout_patrol(self) -> None:
-        """Kill live connections the moment a dark window opens."""
-        while True:
-            await asyncio.sleep(0.02)
-            if self._dark():
-                for writer in list(self._writers):
-                    self.connections_killed += 1
-                    writer.close()
-                self._writers.clear()
-
-    def close(self) -> None:
-        if self._patrol is not None:
-            self._patrol.cancel()
-        if self._server is not None:
-            self._server.close()
-
-    # -- proxying ----------------------------------------------------------
-
-    async def _on_client(self, client_reader, client_writer) -> None:
+    def serve_connection(self, client: socket.socket) -> None:
         if self._dark():
-            client_writer.close()
-            return
-        try:
-            up_reader, up_writer = await asyncio.open_connection(
-                self.upstream_host, self.upstream_port
+            return  # refused: the server closes the connection
+        with socket.create_connection((self.upstream_host, self.upstream_port)) as up:
+            up.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            back = threading.Thread(
+                target=self._pump, args=(up, client, 1), name="fault-proxy-back"
             )
-        except OSError:
-            client_writer.close()
-            return
-        self._writers.update((client_writer, up_writer))
-        pumps = [
-            asyncio.ensure_future(
-                self._pump(client_reader, up_writer, direction=0)
-            ),
-            asyncio.ensure_future(
-                self._pump(up_reader, client_writer, direction=1)
-            ),
-        ]
-        await asyncio.wait(pumps, return_when=asyncio.FIRST_COMPLETED)
-        for pump in pumps:
-            pump.cancel()
-        await asyncio.gather(*pumps, return_exceptions=True)
-        for writer in (client_writer, up_writer):
-            self._writers.discard(writer)
-            writer.close()
+            back.start()
+            try:
+                self._pump(client, up, 0)
+            finally:
+                back.join()
+        if self._dark():
+            with self.lock:
+                self.connections_killed += 1
 
-    async def _pump(self, reader, writer, direction: int) -> None:
+    def _pump(self, src: socket.socket, dst: socket.socket, direction: int) -> None:
+        """Forward ``src``'s frames to ``dst`` under the plan; sever both
+        sockets when either side ends or a dark window opens."""
         rng = random.Random((self.plan.seed << 1) | direction)
         spec = self.plan.default_link
         frames = FrameReader()
-        lock = asyncio.Lock()
-
-        async def forward(frame: bytes) -> None:
-            async with lock:
-                writer.write(frame)
-                await writer.drain()
-
-        while True:
-            data = await reader.read(65536)
-            if not data:
-                return
-            try:
-                decoded = frames.feed(data)
-            except FrameError:
-                return  # corrupt stream: sever both sides
-            for seq, kind, body in decoded:
-                if self._dark():
-                    return  # window opened mid-pump: sever
-                frame = encode_frame(seq, kind, body)
-                if spec.loss and rng.random() < spec.loss:
-                    self.frames_dropped += 1
-                    continue
-                if spec.reorder and rng.random() < spec.reorder:
-                    self.frames_delayed += 1
-                    delay = rng.uniform(0.0, spec.reorder_delay)
-                    asyncio.get_running_loop().create_task(
-                        self._delayed(forward, frame, delay)
-                    )
-                    continue
-                await forward(frame)
-                if spec.duplicate and rng.random() < spec.duplicate:
-                    self.frames_duplicated += 1
-                    await forward(frame)
-
-    async def _delayed(
-        self, forward: Callable, frame: bytes, delay: float
-    ) -> None:
-        await asyncio.sleep(delay)
+        held: list[tuple[float, int, bytes]] = []  # (release time, seq, frame)
         try:
-            await forward(frame)
-        except (ConnectionError, RuntimeError):
-            pass  # connection died while the frame was held
+            while not self._dark():
+                now = time.monotonic()
+                while held and held[0][0] <= now:
+                    dst.sendall(heapq.heappop(held)[2])
+                wait = min(_PATROL, held[0][0] - now) if held else _PATROL
+                if not select.select([src], [], [], wait)[0]:
+                    continue
+                data = src.recv(65536)
+                if not data:
+                    return
+                for seq, kind, body in frames.feed(data):
+                    frame = encode_frame(seq, kind, body)
+                    if spec.loss and rng.random() < spec.loss:
+                        with self.lock:
+                            self.frames_dropped += 1
+                        continue
+                    if spec.reorder and rng.random() < spec.reorder:
+                        with self.lock:
+                            self.frames_delayed += 1
+                        delay = rng.uniform(0.0, spec.reorder_delay)
+                        heapq.heappush(held, (now + delay, seq, frame))
+                        continue
+                    dst.sendall(frame)
+                    if spec.duplicate and rng.random() < spec.duplicate:
+                        with self.lock:
+                            self.frames_duplicated += 1
+                        dst.sendall(frame)
+        except (OSError, FrameError):
+            pass  # a side closed or the stream is corrupt: sever both
+        finally:
+            for sock in (src, dst):
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 def start_proxy_thread(
@@ -197,33 +158,4 @@ def start_proxy_thread(
     Returns ``(proxy, stop)``; ``proxy.port`` is bound on return.
     """
     proxy = TransportFaultProxy(upstream_host, upstream_port, plan)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def main() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(proxy.start())
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            proxy.close()
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True)
-                )
-            loop.close()
-
-    thread = threading.Thread(target=main, name="fault-proxy", daemon=True)
-    thread.start()
-    if not started.wait(timeout=10.0):  # pragma: no cover - defensive
-        raise PeerUnreachableError("fault-proxy", "proxy thread failed to bind")
-
-    def stop() -> None:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10.0)
-
-    return proxy, stop
+    return proxy, proxy.start_thread("fault-proxy")

@@ -43,7 +43,6 @@ from repro.workloads.generator import BernoulliWorkload
 __all__ = [
     "ClusterHandle",
     "ClusterScenario",
-    "compare_backends",
     "launch_custodians",
     "run_scenario",
 ]
@@ -236,32 +235,3 @@ def run_scenario(
     result["backend"] = backend
     return result
 
-
-def compare_backends(
-    scenario: ClusterScenario,
-    peers: int | None = None,
-    config: TransportConfig | None = None,
-    obs: MetricsRegistry | None = None,
-) -> dict:
-    """The headline assertion: both backends commit the identical tip.
-
-    Launches a ``peers``-process localhost cluster (default 3), runs the
-    scenario on the simulator and on the real transport, and reports
-    both summaries plus the tip/height/clock comparison.
-    """
-    sim_result = run_scenario(scenario, backend="sim")
-    handle = launch_custodians(peers if peers is not None else 3)
-    try:
-        real_result = run_scenario(
-            scenario, backend="real", custodians=handle.addresses,
-            config=config, obs=obs,
-        )
-    finally:
-        handle.close()
-    return {
-        "sim": sim_result,
-        "real": real_result,
-        "tips_match": sim_result["tip"] == real_result["tip"]
-        and sim_result["height"] == real_result["height"]
-        and sim_result["clock"] == real_result["clock"],
-    }

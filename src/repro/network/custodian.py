@@ -2,9 +2,9 @@
 
 A custodian is the process at the far end of
 :class:`~repro.network.realnet.RealNetwork`'s sockets: it CRC-checks
-every conveyed frame, acknowledges it and answers heartbeats.  It holds
-no agent state (the driving engine does; see DESIGN.md, "The custodian
-split"), so this module imports nothing but the standard library and
+every conveyed frame and acknowledges it.  It holds no agent state (the
+driving engine does; see DESIGN.md, "The custodian split"), so this
+module imports nothing but the standard library and
 :mod:`repro.exceptions` — a peer boots without numpy and without the
 engines, and a custodian that one day runs engines will import the
 engine modules it runs, never the CLI.
@@ -17,24 +17,24 @@ serves until terminated.  ``repro serve --host H --port P`` is the same
 
 from __future__ import annotations
 
-import asyncio
 import re
+import socket
+import socketserver
 import struct
 import threading
 import zlib
-from typing import Any
+from typing import Callable
 
-from repro.exceptions import FrameError, PeerUnreachableError
+from repro.exceptions import FrameError
 
 __all__ = [
     "ANNOUNCEMENT",
     "FRAME_HEADER",
     "KIND_ACK",
     "KIND_MSG",
-    "KIND_PING",
-    "KIND_PONG",
     "LISTENING",
     "MAX_FRAME_PAYLOAD",
+    "ConnectionServer",
     "FrameReader",
     "NodeServer",
     "encode_frame",
@@ -52,11 +52,10 @@ FRAME_HEADER = struct.Struct("<IIQ")
 MAX_FRAME_PAYLOAD = 1 << 26
 
 #: Frame kinds — first payload byte.  ``MSG`` carries a pickled
-#: (sender, receiver, payload) triple; the control frames carry nothing.
+#: (sender, receiver, payload) triple; ``ACK`` carries nothing but the
+#: sequence number of the ``MSG`` it acknowledges.
 KIND_MSG = b"M"
 KIND_ACK = b"A"
-KIND_PING = b"P"
-KIND_PONG = b"O"
 
 
 def encode_frame(seq: int, kind: bytes, body: bytes = b"") -> bytes:
@@ -101,106 +100,115 @@ class FrameReader:
             frames.append((seq, payload[:1], payload[1:]))
 
 
+# -- a threaded TCP server ----------------------------------------------------
+
+
+class _Connection(socketserver.BaseRequestHandler):
+    def handle(self) -> None:
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            self.server.serve_connection(self.request)
+        except (OSError, FrameError):
+            pass  # the peer or stop() closed it, or the stream is corrupt
+
+
+class ConnectionServer(socketserver.ThreadingTCPServer):
+    """A TCP server that runs :meth:`serve_connection` on a thread per
+    connection and, on ``stop``, closes the connections still open.
+
+    The custodian and the fault proxy are the two subclasses.  Binding
+    happens in the constructor, so ``port`` is known at once (``0``
+    asks the OS for one; a fixed port may be rebound after a stop).
+    """
+
+    allow_reuse_address = True
+
+    def __init__(self, host: str, port: int):
+        self.live: set[socket.socket] = set()
+        #: Guards the counters that connection threads add to.
+        self.lock = threading.Lock()
+        super().__init__((host, port), _Connection)
+        self.host, self.port = self.server_address[:2]
+
+    def serve_connection(self, sock: socket.socket) -> None:
+        raise NotImplementedError
+
+    def process_request(self, request, client_address) -> None:
+        self.live.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        self.live.discard(request)
+        super().shutdown_request(request)
+
+    def start_thread(self, name: str) -> Callable[[], None]:
+        """Serve on a background thread; return the ``stop`` that ends it.
+
+        ``stop()`` stops accepting, shuts every live connection down so
+        its thread returns, and joins all of them.
+        """
+        thread = threading.Thread(
+            target=self.serve_forever, args=(0.05,), name=name, daemon=True
+        )
+        thread.start()
+
+        def stop() -> None:
+            self.shutdown()
+            for sock in list(self.live):
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+            self.server_close()  # joins the connection threads
+            thread.join()
+
+        return stop
+
+
 # -- custodian peer ---------------------------------------------------------
 
 
-class NodeServer:
+class NodeServer(ConnectionServer):
     """A custodian peer: validates and acknowledges conveyed frames.
 
     :func:`serve` runs one of these per cluster process.  For every
     CRC-valid ``MSG`` frame it returns an ``ACK`` carrying the same
     sequence number (acknowledging *conveyance* — the custodied
     identities' logical state lives with the driving engine; see
-    DESIGN.md on the split).  ``PING`` frames earn a ``PONG``.
-    Malformed or CRC-corrupt input drops the connection, which pushes
-    the sender down its retransmit/reconnect path.
+    DESIGN.md on the split).  Malformed or CRC-corrupt input drops the
+    connection, which pushes the sender down its retransmit/reconnect
+    path.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self.host = host
-        self.port = port
         self.frames_acked = 0
-        self._server: asyncio.AbstractServer | None = None
+        super().__init__(host, port)
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def _serve_connection(self, reader, writer) -> None:
+    def serve_connection(self, sock: socket.socket) -> None:
         frames = FrameReader()
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                try:
-                    decoded = frames.feed(data)
-                except FrameError:
-                    break  # corrupt stream: force the client to resend
-                for seq, kind, _body in decoded:
-                    if kind == KIND_MSG:
-                        self.frames_acked += 1
-                        writer.write(encode_frame(seq, KIND_ACK))
-                    elif kind == KIND_PING:
-                        writer.write(encode_frame(seq, KIND_PONG))
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
+        while data := sock.recv(65536):
+            acks = [
+                encode_frame(seq, KIND_ACK)
+                for seq, kind, _body in frames.feed(data)
+                if kind == KIND_MSG
+            ]
+            with self.lock:
+                self.frames_acked += len(acks)
+            sock.sendall(b"".join(acks))
 
 
 def start_server_thread(
     host: str = "127.0.0.1", port: int = 0
-) -> tuple[NodeServer, Any]:
+) -> tuple[NodeServer, Callable[[], None]]:
     """Run a :class:`NodeServer` on a background thread (tests, harness).
 
     Returns ``(server, stop)`` where ``server.port`` is bound and
-    ``stop()`` shuts the loop down and joins the thread.  ``port=0``
-    binds an OS-assigned port; a fixed port supports restart tests.
+    ``stop()`` closes the server and its connections and joins their
+    threads.  ``port=0`` binds an OS-assigned port; a fixed port
+    supports restart tests.
     """
     server = NodeServer(host=host, port=port)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def main() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(server.start())
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            server.close()
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True)
-                )
-            loop.close()
-
-    thread = threading.Thread(target=main, name="node-server", daemon=True)
-    thread.start()
-    if not started.wait(timeout=10.0):  # pragma: no cover - defensive
-        raise PeerUnreachableError("node-server", "server thread failed to bind")
-
-    def stop() -> None:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10.0)
-
-    return server, stop
+    return server, server.start_thread("node-server")
 
 
 # -- process entry ----------------------------------------------------------
@@ -215,17 +223,12 @@ LISTENING = re.compile(r"listening host=(\S+) port=(\d+)")
 
 def serve(host: str = "127.0.0.1", port: int = 0) -> None:
     """Bind a :class:`NodeServer`, announce its address, serve until killed."""
-
-    async def main() -> None:
-        server = NodeServer(host=host, port=port)
-        await server.start()
+    with NodeServer(host=host, port=port) as server:
         print(ANNOUNCEMENT.format(host=server.host, port=server.port), flush=True)
-        await server.serve_forever()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        pass
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
 
 
 if __name__ == "__main__":  # pragma: no cover - the launched peer process

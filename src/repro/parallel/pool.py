@@ -20,8 +20,9 @@ also :meth:`close`: every ``shutdown`` sent before any reply is read).
 The boot process is the workers' parent: it reports their pids and exit
 codes and does every kill, so no kill can hit a recycled pid.
 ``spawn`` is the only start method of the boot process: no process
-ever forks beside ``RealNetwork``'s IO thread (the boot process is a
-fresh, thread-free interpreter), and every worker is reaped by a
+ever forks beside a thread (the driver never forks, ``RealNetwork``
+starts no thread, and the boot process is a fresh, thread-free
+interpreter), and every worker is reaped by a
 process the driver reaps, so its CPU and ``ru_maxrss`` reach the
 driver's ``RUSAGE_CHILDREN`` — which ``forkserver`` workers, the
 server's children, would not.

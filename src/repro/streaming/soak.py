@@ -1,6 +1,7 @@
 """Nightly chaos soak: the flash-sale load shape over a chaotic TCP cluster.
 
-The transport parity gate (``compare_backends``) proves one seeded
+The transport parity gate
+(``tests/test_transport.py::TestBackendParity``) proves one seeded
 scenario commits the bit-identical tip through socket chaos.  This soak hardens that claim
 against the streaming subsystem's nastiest traffic: the **flash-sale
 oracle's** load shape — :class:`~repro.workloads.arrivals.BurstyArrivals`
@@ -45,11 +46,7 @@ SOAK_CONFIG = TransportConfig(
     backoff_base=0.02,
     backoff_max=0.25,
     send_deadline=0.3,
-    deadline_poll=0.02,
     max_retries=24,
-    heartbeat_interval=0.25,
-    heartbeat_budget=3,
-    session_floor=0.02,
     stall_timeout=30.0,
 )
 

@@ -18,8 +18,8 @@ import pytest
 
 from repro.network.cluster import launch_custodians
 from repro.network.custodian import (
-    KIND_PING,
-    KIND_PONG,
+    KIND_ACK,
+    KIND_MSG,
     LISTENING,
     FrameReader,
     encode_frame,
@@ -29,17 +29,17 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.realnet
-def test_launched_custodian_answers_a_ping():
+def test_launched_custodian_acknowledges_a_message_frame():
     handle = launch_custodians(1)
     try:
         _name, host, port = handle.addresses[0]
         with socket.create_connection((host, port), timeout=5.0) as sock:
             sock.settimeout(5.0)
-            sock.sendall(encode_frame(7, KIND_PING))
+            sock.sendall(encode_frame(7, KIND_MSG, b"payload"))
             reader, frames = FrameReader(), []
             while not frames:
                 frames = reader.feed(sock.recv(4096))
-        assert frames == [(7, KIND_PONG, b"")]
+        assert frames == [(7, KIND_ACK, b"")]
     finally:
         handle.close()
 

@@ -1,8 +1,9 @@
 """Import hygiene: what a process loads, and that no import order is load-bearing.
 
 A custodian peer boots on :mod:`repro.network.custodian` alone, so the
-modules it pulls in are pinned: the standard library, ``repro.exceptions``
-and the two package inits on the way.  A shard pool's boot process
+modules it pulls in are pinned: the standard library (without numpy,
+asyncio or ssl), ``repro.exceptions`` and the two package inits on the
+way.  A shard pool's boot process
 imports everything a worker's engines are built from once, before it
 forks the workers, so its module set is pinned too.  Every package init and every
 process entry module must also import as the *first* ``repro`` module of
@@ -12,6 +13,7 @@ here, naming the modules on it.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -35,16 +37,26 @@ def _run(script: str) -> object:
     return json.loads(out)
 
 
-def test_custodian_loads_only_the_standard_library_and_exceptions():
-    loaded = _run(
+@functools.cache
+def _custodian_modules() -> tuple[str, ...]:
+    return tuple(_run(
         "import json, sys\n"
         "import repro.network.custodian\n"
         "print(json.dumps(sorted(sys.modules)))\n"
-    )
+    ))
+
+
+def test_custodian_loads_only_the_standard_library_and_exceptions():
+    loaded = _custodian_modules()
     assert [name for name in loaded if name.split(".")[0] == "repro"] == [
         "repro", "repro.exceptions", "repro.network", "repro.network.custodian",
     ]
     assert not [name for name in loaded if name.split(".")[0] == "numpy"]
+
+
+def test_custodian_loads_neither_asyncio_nor_ssl():
+    loaded = _custodian_modules()
+    assert not [name for name in loaded if name.split(".")[0] in ("asyncio", "ssl")]
 
 
 #: What a boot process has imported when it forks: everything a

@@ -5,8 +5,8 @@ Three layers, cheapest first:
 * pure-function framing tests (no sockets);
 * :class:`RealNetwork` against in-process :class:`NodeServer` peers —
   conveyance, reconnect-with-backoff, send-deadline retransmission,
-  heartbeat suspicion, and the structured give-up
-  (:class:`PeerUnreachableError`, never a hang);
+  and the structured give-up (:class:`PeerUnreachableError`, never a
+  hang) of a dead peer and of a mute one;
 * the headline parity gate — the identical seeded scenario committed
   over the simulator and over real TCP (with and without logical fault
   plans, and under socket-boundary chaos) produces bit-identical tips.
@@ -45,17 +45,16 @@ from repro.network.simnet import Simulator, SyncNetwork
 from repro.obs.registry import MetricsRegistry
 
 #: Wall-clock-fast robustness knobs for the socket tests.
+#: Twelve connect attempts back off for 0.85 s in all, which outlasts
+#: the 0.5 s partition window of the socket-chaos case; a frame may go
+#: unacknowledged for 4 s (40 deadlines of 0.1 s) before the give-up.
 FAST = TransportConfig(
     connect_timeout=1.0,
-    connect_attempts=8,
+    connect_attempts=12,
     backoff_base=0.01,
     backoff_max=0.1,
-    send_deadline=0.25,
-    deadline_poll=0.02,
-    max_retries=16,
-    heartbeat_interval=0.2,
-    heartbeat_budget=3,
-    session_floor=0.02,
+    send_deadline=0.1,
+    max_retries=40,
     stall_timeout=15.0,
 )
 
@@ -167,6 +166,36 @@ def _blackhole():
 
 
 @pytest.mark.realnet
+def test_custodian_counts_every_ack_across_concurrent_connections():
+    before = threading.active_count()
+    server, stop = start_server_thread()
+    clients, frames = 8, 200
+    wire = b"".join(encode_frame(seq, KIND_MSG, b"x") for seq in range(frames))
+
+    def client():
+        with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+            sock.sendall(wire)
+            reader, acks = FrameReader(), []
+            while len(acks) < frames:
+                acks += reader.feed(sock.recv(65536))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client) for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        stop()
+    assert server.frames_acked == clients * frames
+    assert threading.active_count() == before  # stop() joined every thread
+
+
+@pytest.mark.realnet
 class TestRealNetwork:
     def test_conveyed_delivery_matches_simulator(self):
         sim_log = _twin_sends(SyncNetwork(Simulator(), seed=1))
@@ -249,38 +278,46 @@ class TestRealNetwork:
         metrics = transport_metrics(reg)
         assert metrics["reconnects"].value_of(peer="p0") >= 1
 
-    def test_silent_peer_goes_suspect_via_heartbeats(self):
+    def test_mute_peer_exhausts_the_retransmit_budget(self):
         port, stop, thread = _blackhole()
-        reg = MetricsRegistry()
-        cfg = TransportConfig(
-            connect_attempts=4,
-            backoff_base=0.01,
-            backoff_max=0.05,
-            heartbeat_interval=0.05,
-            heartbeat_budget=2,
-            session_floor=0.01,
-            stall_timeout=5.0,
-        )
+        cfg = TransportConfig(send_deadline=0.05, max_retries=3, stall_timeout=5.0)
         net = RealNetwork(
             Simulator(),
             seed=1,
             custodians=(("mute", "127.0.0.1", port),),
             config=cfg,
-            obs=reg,
         )
-        metrics = transport_metrics(reg)
+        began = time.monotonic()
         try:
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if metrics["suspects"].value >= 1:
-                    break
-                time.sleep(0.02)
+            net.register("a", lambda *args: None)
+            net.send("a", "a", "unheard")
+            with pytest.raises(PeerUnreachableError) as excinfo:
+                net.run_until(5.0)
         finally:
             net.close()
             stop.set()
             thread.join(timeout=2.0)
-        assert metrics["suspects"].value >= 1
-        assert metrics["heartbeat_misses"].value_of(peer="mute") >= cfg.heartbeat_budget
+        assert excinfo.value.peer == "mute"
+        assert excinfo.value.attempts == cfg.max_retries + 1
+        # Four transmissions, 0.05 s apart: far inside the stall watchdog.
+        assert time.monotonic() - began < 1.0
+
+    def test_conveyed_run_starts_no_thread(self):
+        handle = launch_custodians(1)
+        before = threading.active_count()
+        try:
+            net = RealNetwork(
+                Simulator(), seed=1, custodians=tuple(handle.addresses), config=FAST
+            )
+            try:
+                log = _twin_sends(net)
+                assert threading.active_count() == before
+            finally:
+                net.close()
+        finally:
+            handle.close()
+        assert len(log) == 12
+        assert threading.active_count() == before
 
     def test_lossy_proxy_forces_deadline_retransmits(self):
         server, stop = start_server_thread()
