@@ -17,15 +17,12 @@ from repro.agents.behaviors import (
     SleeperBehavior,
 )
 from repro.analysis.reporting import format_table
-from repro.baselines import (
-    CheckAllPolicy,
-    CheckNonePolicy,
-    MajorityVotePolicy,
-    PolicySimulation,
-    ReputationPolicy,
-    StaticTrustPolicy,
-    UniformSelectionPolicy,
-)
+from repro.baselines.base import PolicySimulation, ReputationPolicy
+from repro.baselines.check_all import CheckAllPolicy
+from repro.baselines.check_none import CheckNonePolicy
+from repro.baselines.majority_vote import MajorityVotePolicy
+from repro.baselines.no_reputation import UniformSelectionPolicy
+from repro.baselines.static_trust import StaticTrustPolicy
 from repro.core.params import ProtocolParams
 
 HORIZON = 3000

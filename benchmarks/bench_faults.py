@@ -24,19 +24,17 @@ from __future__ import annotations
 from _helpers import emit
 from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
 from repro.analysis.reporting import format_table
-from repro.byzantine import (
+from repro.byzantine.scenario import install_equivocation, reputation_probe
+from repro.byzantine.strategies import (
     AdaptiveAttackerBehavior,
     CartelPlan,
     ColludingCollectorBehavior,
-    MessageTamperer,
-    TamperSpec,
-    install_equivocation,
-    reputation_probe,
 )
+from repro.byzantine.tampering import MessageTamperer, TamperSpec
 from repro.core.netengine import SEQUENCER_PRIMARY, NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
 from repro.core.regret import rwm_bound, theorem4_bound
-from repro.faults import FaultPlan, LinkFaultSpec
+from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.ledger.chain import check_agreement
 from repro.network.topology import Topology
 from repro.obs import MetricsRegistry

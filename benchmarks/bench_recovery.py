@@ -40,7 +40,7 @@ from _helpers import emit
 
 from repro.analysis.reporting import format_table
 from repro.crypto.signatures import SigningKey
-from repro.faults import DiskFaultPlan
+from repro.faults.disk import DiskFaultPlan
 from repro.ledger.block import Block
 from repro.ledger.transaction import CheckStatus, Label, TxRecord, make_signed_transaction
 from repro.obs import MetricsRegistry

@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.agents.behaviors import HonestBehavior, MisreportBehavior, SleeperBehavior
-from repro.analysis import format_table
-from repro.baselines import PolicySimulation, ReputationPolicy
+from repro.analysis.reporting import format_table
+from repro.baselines.base import PolicySimulation, ReputationPolicy
 from repro.core.adaptive import AdaptiveF
 from repro.core.gossip import ReputationGossip, make_summary
 from repro.core.params import ProtocolParams

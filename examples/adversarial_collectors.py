@@ -22,7 +22,7 @@ from repro.agents.behaviors import (
     MisreportBehavior,
     SleeperBehavior,
 )
-from repro.analysis import format_table
+from repro.analysis.reporting import format_table
 from repro.core.game import ReputationGame
 
 

@@ -13,7 +13,7 @@ Run:  python examples/carsharing_market.py
 from __future__ import annotations
 
 from repro.agents.behaviors import MisreportBehavior, SleeperBehavior
-from repro.analysis import format_table
+from repro.analysis.reporting import format_table
 from repro.apps import CarSharingMarket
 from repro.core.params import ProtocolParams
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 
 from repro.agents.behaviors import AlwaysInvertBehavior
-from repro.analysis import format_table
+from repro.analysis.reporting import format_table
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.ledger.codec import dump_chain, load_chain

@@ -12,10 +12,11 @@ Run:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
-from repro.analysis import format_table, summarize_run
+from repro.analysis.metrics import summarize_run
+from repro.analysis.reporting import format_table
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
-from repro.ledger import check_all_properties
+from repro.ledger.properties import check_all_properties
 from repro.network.topology import Topology
 from repro.workloads.generator import BernoulliWorkload
 

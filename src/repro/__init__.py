@@ -22,10 +22,15 @@ Quickstart::
         engine.run_round(workload.take(32))
     engine.finalize()
 
-This init and those of ``repro.core``, ``repro.network`` and
-``repro.workloads`` import nothing: each name there has one import path,
-its defining module, and a custodian peer (:mod:`repro.network.custodian`)
-boots without loading the engines.
+Package inits import nothing, so each name has one import path (its
+defining module), importing a module loads only what it needs, and a
+custodian peer (:mod:`repro.network.custodian`) boots without loading
+the engines.  Four inits are the exception: ``repro.apps`` is the
+registry that ``build()`` looks up by ``Scenario.app``, and
+``repro.obs``, ``repro.sharding`` and ``repro.storage`` re-export the
+names the benchmark harness (``perfbench``) imports through them; its
+tracer also relies on the ``sharding`` and ``storage`` inits loading
+their layers.
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """

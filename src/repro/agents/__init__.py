@@ -1,34 +1,1 @@
 """Node agents: providers, collectors (with behaviour models), governors."""
-
-from repro.agents.behaviors import (
-    AlwaysInvertBehavior,
-    CollectorBehavior,
-    ConcealBehavior,
-    FlipFlopBehavior,
-    ForgeBehavior,
-    HonestBehavior,
-    MisreportBehavior,
-    MixedAdversary,
-    SleeperBehavior,
-    behavior_registry,
-)
-from repro.agents.collector import Collector
-from repro.agents.governor import Governor, GovernorMetrics
-from repro.agents.provider import Provider
-
-__all__ = [
-    "AlwaysInvertBehavior",
-    "Collector",
-    "CollectorBehavior",
-    "ConcealBehavior",
-    "FlipFlopBehavior",
-    "ForgeBehavior",
-    "Governor",
-    "GovernorMetrics",
-    "HonestBehavior",
-    "MisreportBehavior",
-    "MixedAdversary",
-    "Provider",
-    "SleeperBehavior",
-    "behavior_registry",
-]

@@ -1,27 +1,1 @@
 """Baseline screening policies and the comparison harness (E8)."""
-
-from repro.baselines.base import (
-    PolicyDecision,
-    PolicySimulation,
-    PolicyStats,
-    ReputationPolicy,
-    ScreeningPolicy,
-)
-from repro.baselines.check_all import CheckAllPolicy
-from repro.baselines.check_none import CheckNonePolicy
-from repro.baselines.majority_vote import MajorityVotePolicy
-from repro.baselines.no_reputation import UniformSelectionPolicy
-from repro.baselines.static_trust import StaticTrustPolicy
-
-__all__ = [
-    "CheckAllPolicy",
-    "CheckNonePolicy",
-    "MajorityVotePolicy",
-    "PolicyDecision",
-    "PolicySimulation",
-    "PolicyStats",
-    "ReputationPolicy",
-    "ScreeningPolicy",
-    "StaticTrustPolicy",
-    "UniformSelectionPolicy",
-]

@@ -5,7 +5,7 @@ Three escalating adversary layers over the fault subsystem
 
 * :mod:`~repro.byzantine.tampering` — in-flight *message* corruption
   (signature stripping, label flipping, replays, block corruption),
-  installed as the :class:`~repro.faults.FaultInjector`'s ``tamperer``;
+  installed as the :class:`~repro.faults.injector.FaultInjector`'s ``tamperer``;
 * :mod:`~repro.byzantine.strategies` — *agent-level* misbehaviour:
   a colluding collector cartel targeting one provider, an adaptive
   attacker conditioning on its own current reputation, and a two-faced
@@ -17,24 +17,3 @@ The :mod:`repro.audit` layer is the defence these adversaries exist to
 exercise; ``tests/test_byzantine.py`` and the chaos soak pin down what
 each attack can and cannot achieve.
 """
-
-from repro.byzantine.strategies import (
-    AdaptiveAttackerBehavior,
-    CartelPlan,
-    ColludingCollectorBehavior,
-    TwoFacedCollectorBehavior,
-)
-from repro.byzantine.tampering import MessageTamperer, TamperSpec, TamperStats
-from repro.byzantine.scenario import install_equivocation, reputation_probe
-
-__all__ = [
-    "AdaptiveAttackerBehavior",
-    "CartelPlan",
-    "ColludingCollectorBehavior",
-    "TwoFacedCollectorBehavior",
-    "MessageTamperer",
-    "TamperSpec",
-    "TamperStats",
-    "install_equivocation",
-    "reputation_probe",
-]

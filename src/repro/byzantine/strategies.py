@@ -134,7 +134,7 @@ class TwoFacedCollectorBehavior:
 
     Both uploads carry valid collector signatures, so any single
     governor holding the pair has a provable
-    :data:`~repro.audit.ViolationType.COLLECTOR_EQUIVOCATION` — the
+    :data:`~repro.audit.auditor.ViolationType.COLLECTOR_EQUIVOCATION` — the
     cheapest way to earn a quarantine, and the regression fixture for
     the two-signed-messages evidence rule.
     """

@@ -1,7 +1,7 @@
 """Seeded in-flight message tampering (the Byzantine network adversary).
 
 A :class:`MessageTamperer` plugs into the
-:class:`~repro.faults.FaultInjector` (``install_faults(plan,
+:class:`~repro.faults.injector.FaultInjector` (``install_faults(plan,
 tamperer=...)``) and rewrites payloads *in flight* — the model of a
 compromised relay rather than a misbehaving agent:
 
@@ -184,7 +184,7 @@ class MessageTamperer:
     def maybe_tamper(self, sender: str, receiver: str, payload: Any) -> Any | None:
         """Decide one message's fate; return the substitute or ``None``.
 
-        Called by :meth:`repro.faults.FaultInjector._filter` for every
+        Called by :meth:`repro.faults.injector.FaultInjector._filter` for every
         non-exempt message; the substitution (if any) flows through
         :attr:`~repro.faults.plan.FaultAction.replace`.
         """

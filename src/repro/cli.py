@@ -45,14 +45,11 @@ from repro.agents.behaviors import (
 )
 from repro.analysis.metrics import SweepTable, summarize_run
 from repro.analysis.reporting import format_sweep, format_table
-from repro.baselines import (
-    CheckAllPolicy,
-    CheckNonePolicy,
-    MajorityVotePolicy,
-    PolicySimulation,
-    ReputationPolicy,
-    UniformSelectionPolicy,
-)
+from repro.baselines.base import PolicySimulation, ReputationPolicy
+from repro.baselines.check_all import CheckAllPolicy
+from repro.baselines.check_none import CheckNonePolicy
+from repro.baselines.majority_vote import MajorityVotePolicy
+from repro.baselines.no_reputation import UniformSelectionPolicy
 from repro.core.game import ReputationGame
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine

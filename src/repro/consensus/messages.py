@@ -82,7 +82,7 @@ class CommitVote:
     observer holding both votes a *provable* violation (quarantine bar).
 
     Votes ride a fixed-delay, fault-exempt network path (kind
-    ``audit-commit`` is in :attr:`repro.faults.FaultInjector.EXEMPT_KINDS`
+    ``audit-commit`` is in :attr:`repro.faults.injector.FaultInjector.EXEMPT_KINDS`
     and their sends draw no latency RNG), so enabling the auditor leaves
     every seeded simulation stream — and therefore the ledgers —
     bit-identical.

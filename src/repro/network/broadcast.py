@@ -56,6 +56,9 @@ __all__ = [
 #: ``RECOVERY_DRAIN_CYCLES`` equal slices.
 RECOVERY_GRACE_DELAYS = 40
 RECOVERY_DRAIN_CYCLES = 6
+#: NACK budget per gap before a member gives up and waits for
+#: out-of-band recovery (``skip_to``).
+REPAIR_MAX_ATTEMPTS = 16
 
 
 def walk_recovery_drain(
@@ -148,7 +151,6 @@ class AtomicBroadcast:
         self._repair_primary: str | None = None
         self._repair_backup: str | None = None
         self._repair_timeout: float = 0.0
-        self._repair_max_attempts: int = 0
         self._repair_failover_after: int = 0
         self.misrouted_dropped = 0
         self.repairs_requested = 0
@@ -340,7 +342,6 @@ class AtomicBroadcast:
         primary: str,
         backup: str | None = None,
         timeout: float | None = None,
-        max_attempts: int = 16,
         failover_after: int = 2,
     ) -> None:
         """Turn on automatic NACK-based repair of sequence gaps.
@@ -358,8 +359,6 @@ class AtomicBroadcast:
             timeout: How long a gap must persist before the first NACK
                 (default ``4 * network.max_delay``); also the base of
                 the mildly-exponential re-NACK backoff.
-            max_attempts: NACK budget per gap before the member gives up
-                and waits for out-of-band recovery (``skip_to``).
             failover_after: Attempts addressed to ``primary`` before
                 failing over to ``backup``.
         """
@@ -370,7 +369,6 @@ class AtomicBroadcast:
         self._repair_primary = primary
         self._repair_backup = backup
         self._repair_timeout = timeout
-        self._repair_max_attempts = max_attempts
         self._repair_failover_after = failover_after
         self.network.register(primary, self._sequencer_handler(primary))
         if backup is not None:
@@ -447,7 +445,7 @@ class AtomicBroadcast:
         if head is None:
             state.repair_attempts = 0
             return
-        if state.repair_attempts >= self._repair_max_attempts:
+        if state.repair_attempts >= REPAIR_MAX_ATTEMPTS:
             self.repairs_gave_up += 1
             return
         group, member = key

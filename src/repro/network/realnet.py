@@ -22,7 +22,7 @@ statement about *which* messages arrive in *what order*, and real socket
 timing can never reproduce it.  So the schedule stays seeded and the
 sockets carry the bytes: `NetworkedProtocolEngine`, `ReliableChannel`
 and the broadcast layer run unmodified over either backend, chaos plans
-injected at the logical layer (:class:`~repro.faults.FaultInjector`)
+injected at the logical layer (:class:`~repro.faults.injector.FaultInjector`)
 behave identically on both, and *physical* faults (dropped frames, dead
 peers, partitions — see :class:`repro.faults.proxy.TransportFaultProxy`)
 exercise the robustness machinery below without being able to corrupt

@@ -31,7 +31,7 @@ server's children, would not.
 past the per-phase barrier timeout surfaces as a structured
 :class:`~repro.exceptions.WorkerCrashError` carrying the worker index,
 its hosted shards, and the in-flight phase — a *detected* fault, the
-same contract the in-process :class:`~repro.faults.FaultInjector` gives
+same contract the in-process :class:`~repro.faults.injector.FaultInjector` gives
 for simulated crashes, never a hung barrier.  With durable storage
 configured, :meth:`restart_worker` respawns the replacement from the
 same :class:`~repro.parallel.backend.HostSpec` (a fresh boot process

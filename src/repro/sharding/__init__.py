@@ -9,7 +9,7 @@ signed :class:`~repro.sharding.receipts.CrossShardReceipt` certificates
 for cross-shard transactions, and rebalances collectors across shards
 each epoch by live reputation mass (RepChain-style,
 :mod:`repro.sharding.assignment`).  Atomicity of the two-leg commit is
-certified by :class:`repro.audit.CrossShardAuditor`.
+certified by :class:`repro.audit.xshard.CrossShardAuditor`.
 """
 
 from repro.sharding.assignment import (

@@ -40,7 +40,7 @@ layered: content-derived receipt ids, per-governor buffer dedup, the
 engine-wide applied-id set, and the pack-time ``_packed_tx_ids``
 filter.  Receipts are *not* fault-exempt — lost relays are re-sent
 every super-round until the remote commit lands, and the
-:class:`~repro.audit.CrossShardAuditor` certifies no receipt was ever
+:class:`~repro.audit.xshard.CrossShardAuditor` certifies no receipt was ever
 half-applied or replayed.
 
 **Epoch reshuffling.**  Every ``epoch_rounds`` super-rounds (or on an
@@ -83,6 +83,9 @@ from repro.sharding.receipts import CrossShardReceipt
 from repro.workloads.generator import TxSpec
 
 __all__ = ["ShardCoordinator", "SuperRoundResult"]
+
+#: Empty super-rounds :meth:`ShardCoordinator.flush` runs at most.
+FLUSH_MAX_ROUNDS = 6
 
 
 @dataclass
@@ -470,11 +473,11 @@ class ShardCoordinator:
             )
         self.backend.restart_worker(worker)
 
-    def flush(self, max_rounds: int = 6) -> int:
+    def flush(self) -> int:
         """Run empty super-rounds until no receipt awaits its remote leg.
 
         Returns the number of flush rounds executed.  Bounded: a receipt
-        that cannot land within ``max_rounds`` (e.g. its remote shard
+        that cannot land within ``FLUSH_MAX_ROUNDS`` (e.g. its remote shard
         has no live governor) is left pending for :meth:`finalize`'s
         auditor to flag as half-applied.
         """
@@ -485,7 +488,7 @@ class ShardCoordinator:
         stashed = self._backlog
         self._backlog = [deque() for _ in range(self.topology.num_shards)]
         try:
-            while self._pending and executed < max_rounds:
+            while self._pending and executed < FLUSH_MAX_ROUNDS:
                 self.run_super_round()
                 executed += 1
         finally:

@@ -13,7 +13,7 @@ what makes the commit replay-proof.
 The signature is the home-shard proposer's, over the full receipt
 content, verifiable against the home shard's
 :class:`~repro.crypto.identity.IdentityManager` — a remote shard (or
-the :class:`~repro.audit.CrossShardAuditor`) accepts no receipt it
+the :class:`~repro.audit.xshard.CrossShardAuditor`) accepts no receipt it
 cannot authenticate.
 """
 

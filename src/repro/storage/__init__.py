@@ -19,7 +19,7 @@ from a live peer.  This package provides that property as three layers:
 :class:`~repro.ledger.store.BlockStore` interface; pure in-memory
 remains the default everywhere, so seeded runs without a
 :class:`StorageConfig` are bit-identical to pre-durability builds.
-Disk faults are injected by :class:`repro.faults.DiskFaultPlan` and
+Disk faults are injected by :class:`repro.faults.disk.DiskFaultPlan` and
 exercised in ``tests/test_disk_faults.py`` / ``tests/test_kill_restart.py``.
 """
 

@@ -183,10 +183,5 @@ def load_checkpoints(
     return good, bad
 
 
-def initial_root() -> bytes:
-    """Rolling-root seed used before any checkpoint exists."""
-    return EMPTY_ROOT
-
-
 #: Type of the callback a durable store uses to snapshot the books.
 BookDigestFn = Callable[[], bytes]

@@ -4,7 +4,7 @@
 the engine publishes and readers cursor through it exactly as before,
 but each append is also framed, CRC'd and fsynced into the segment log,
 and every ``checkpoint_interval`` blocks a Merkle checkpoint is written
-and (optionally) older segments are compacted away.
+and the segments it covers are compacted away.
 
 Construction goes through :func:`open_durable_store`, which first runs
 the :mod:`repro.storage.recovery` state machine against the directory,
@@ -26,11 +26,7 @@ from repro.exceptions import LedgerError
 from repro.ledger.codec import encode_block
 from repro.ledger.store import BlockStore
 from repro.obs import NULL_REGISTRY, MetricsRegistry
-from repro.storage.checkpoints import (
-    CHECKPOINT_RETAIN,
-    Checkpoint,
-    write_checkpoint,
-)
+from repro.storage.checkpoints import Checkpoint, write_checkpoint
 from repro.storage.recovery import RecoveryReport, apply_truncation, recover
 from repro.storage.segments import SegmentLog
 
@@ -54,8 +50,6 @@ class StorageConfig:
     checkpoint_interval: int = 8
     segment_bytes: int = 1 << 20
     fsync: bool = True
-    compact: bool = True
-    retain_checkpoints: int = CHECKPOINT_RETAIN
 
 
 #: (short name, type, family, label names, help) of the ``storage_*`` family.
@@ -189,19 +183,13 @@ class DurableBlockStore(BlockStore):
             root=Checkpoint.compute_root(self._prev_root, self._window),
             book_state=state,
         )
-        write_checkpoint(
-            self.config.directory,
-            ckpt,
-            fsync=self.config.fsync,
-            retain=self.config.retain_checkpoints,
-        )
+        write_checkpoint(self.config.directory, ckpt, fsync=self.config.fsync)
         self.checkpoints_written += 1
         self.last_checkpoint_serial = ckpt.serial
         self._prev_root = ckpt.root
         self._window_start = ckpt.serial
         self._window = []
-        if self.config.compact:
-            self.segments_compacted += self._log.truncate_before(ckpt.serial)
+        self.segments_compacted += self._log.truncate_before(ckpt.serial)
 
     # -- recovery hand-off ---------------------------------------------
 

@@ -143,8 +143,3 @@ class BurstyArrivals(ArrivalProcess):
             self._bursting = True
         lam = self.burst_rate if self._bursting else self.rate
         return int(self.rng.poisson(lam))
-
-    @property
-    def bursting(self) -> bool:
-        """Whether the process is currently inside a burst episode."""
-        return self._bursting

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.audit import (
+from repro.audit.auditor import (
     AuditReport,
     AuditViolation,
     SafetyAuditor,

@@ -10,15 +10,12 @@ from repro.agents.behaviors import (
     MisreportBehavior,
     SleeperBehavior,
 )
-from repro.baselines import (
-    CheckAllPolicy,
-    CheckNonePolicy,
-    MajorityVotePolicy,
-    PolicySimulation,
-    ReputationPolicy,
-    StaticTrustPolicy,
-    UniformSelectionPolicy,
-)
+from repro.baselines.base import PolicySimulation, ReputationPolicy
+from repro.baselines.check_all import CheckAllPolicy
+from repro.baselines.check_none import CheckNonePolicy
+from repro.baselines.majority_vote import MajorityVotePolicy
+from repro.baselines.no_reputation import UniformSelectionPolicy
+from repro.baselines.static_trust import StaticTrustPolicy
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 

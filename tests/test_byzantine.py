@@ -7,22 +7,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.audit import ViolationType
-from repro.byzantine import (
+from repro.audit.auditor import ViolationType
+from repro.byzantine.scenario import install_equivocation, reputation_probe
+from repro.byzantine.strategies import (
     AdaptiveAttackerBehavior,
     CartelPlan,
     ColludingCollectorBehavior,
-    MessageTamperer,
-    TamperSpec,
     TwoFacedCollectorBehavior,
-    install_equivocation,
-    reputation_probe,
 )
+from repro.byzantine.tampering import MessageTamperer, TamperSpec
 from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
 from repro.crypto.signatures import SigningKey
 from repro.exceptions import ConfigurationError
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.ledger.chain import check_agreement
 from repro.ledger.transaction import (
     Label,

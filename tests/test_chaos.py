@@ -24,7 +24,7 @@ from repro.core.netengine import (
     NetworkedProtocolEngine,
 )
 from repro.core.params import ProtocolParams
-from repro.faults import FaultPlan, LinkFaultSpec
+from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.ledger.chain import check_agreement
 from repro.network.topology import Topology
 from repro.workloads.generator import BernoulliWorkload
@@ -251,15 +251,13 @@ class TestByzantineAcceptance:
     EQUIVOCATE_AT = 3
 
     def build(self, seed=120):
-        from repro.byzantine import (
+        from repro.byzantine.scenario import install_equivocation, reputation_probe
+        from repro.byzantine.strategies import (
             AdaptiveAttackerBehavior,
             CartelPlan,
             ColludingCollectorBehavior,
-            MessageTamperer,
-            TamperSpec,
-            install_equivocation,
-            reputation_probe,
         )
+        from repro.byzantine.tampering import MessageTamperer, TamperSpec
 
         plan = CartelPlan(target_provider="p0", mode="conceal")
         adaptive = AdaptiveAttackerBehavior(defect_above=0.8, p_defect=0.5)

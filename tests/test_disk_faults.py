@@ -1,7 +1,7 @@
 """Adversarial disk-fault matrix: every corruption detected, never loaded.
 
 The contract under test (ISSUE 6): for every seeded
-:class:`~repro.faults.DiskFaultPlan` kind, at every crash point,
+:class:`~repro.faults.disk.DiskFaultPlan` kind, at every crash point,
 
 * recovery never silently loads a corrupt block — whatever it returns
   is a verified prefix of the original chain;
@@ -23,7 +23,7 @@ import pytest
 
 from repro.crypto.signatures import SigningKey
 from repro.exceptions import ConfigurationError
-from repro.faults import DISK_FAULT_KINDS, DiskFaultPlan
+from repro.faults.disk import DISK_FAULT_KINDS, DiskFaultPlan
 from repro.ledger.block import Block
 from repro.ledger.transaction import CheckStatus, Label, TxRecord, make_signed_transaction
 from repro.storage import StorageConfig, open_durable_store, recover

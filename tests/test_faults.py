@@ -5,13 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    LinkFaultSpec,
-    NodeFaultSpec,
-    PartitionWindow,
-)
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, LinkFaultSpec, NodeFaultSpec, PartitionWindow
 from repro.network.simnet import Simulator, SyncNetwork
 
 

@@ -45,7 +45,7 @@ from repro.byzantine.scenario import install_equivocation
 from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
-from repro.faults import FaultPlan, LinkFaultSpec
+from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.network.topology import Topology
 from repro.network.visibility import VisibilityMap
 from repro.sharding import ShardCoordinator

@@ -5,14 +5,17 @@ modules it pulls in are pinned: the standard library (without numpy,
 asyncio or ssl), ``repro.exceptions`` and the two package inits on the
 way.  A shard pool's boot process
 imports everything a worker's engines are built from once, before it
-forks the workers, so its module set is pinned too.  Every package init and every
-process entry module must also import as the *first* ``repro`` module of
+forks the workers, so its module set is pinned too.  Every module but
+``repro.__main__`` must also import as the *first* ``repro`` module of
 an interpreter — a cycle that only an earlier import's order hides fails
-here, naming the modules on it.
+here, naming the modules on it.  Each name has one import path, its
+defining module: a package init holds only its docstring, bar the four
+in ``REEXPORTING_INITS``.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import json
 import os
@@ -60,19 +63,21 @@ def test_custodian_loads_neither_asyncio_nor_ssl():
 
 
 #: What a boot process has imported when it forks: everything a
-#: ``ShardHost`` is built from.  Three names are here only because a
-#: package init re-exports them and perfbench, the benchmarks and the
-#: tests import them from the package: ``repro.obs.export`` (``from
-#: repro.obs import snapshot``) and, through ``repro.sharding``'s
-#: ``ShardCoordinator``, ``repro.sharding.coordinator`` and
-#: ``repro.parallel.pool``.  They load once, in the boot process.
+#: ``ShardHost`` is built from, and the package init above each module.
+#: Three names are here only because a package init re-exports them and
+#: perfbench, the benchmarks and the tests import them from the package:
+#: ``repro.obs.export`` (``from repro.obs import snapshot``) and, through
+#: ``repro.sharding``'s ``ShardCoordinator``, ``repro.sharding.coordinator``
+#: and ``repro.parallel.pool``.  They load once, in the boot process.
+#: Nothing a worker runs imports ``repro.consensus.stake_consensus`` or
+#: ``repro.faults.disk``, so neither is here.
 BOOT_MODULES = [
     "repro",
     "repro.agents", "repro.agents.behaviors", "repro.agents.collector",
     "repro.agents.governor", "repro.agents.provider",
     "repro.audit", "repro.audit.auditor", "repro.audit.votes", "repro.audit.xshard",
     "repro.consensus", "repro.consensus.messages", "repro.consensus.pos",
-    "repro.consensus.stake", "repro.consensus.stake_consensus",
+    "repro.consensus.stake",
     "repro.core", "repro.core.arguing", "repro.core.lifecycle",
     "repro.core.netengine", "repro.core.params", "repro.core.regret",
     "repro.core.reputation", "repro.core.rewards", "repro.core.roundcore",
@@ -80,7 +85,7 @@ BOOT_MODULES = [
     "repro.crypto", "repro.crypto.hashing", "repro.crypto.identity",
     "repro.crypto.merkle", "repro.crypto.signatures", "repro.crypto.vrf",
     "repro.exceptions",
-    "repro.faults", "repro.faults.disk", "repro.faults.injector", "repro.faults.plan",
+    "repro.faults", "repro.faults.injector", "repro.faults.plan",
     "repro.ledger", "repro.ledger.block", "repro.ledger.chain", "repro.ledger.codec",
     "repro.ledger.properties", "repro.ledger.store", "repro.ledger.sync",
     "repro.ledger.transaction", "repro.ledger.validation",
@@ -110,14 +115,40 @@ def test_boot_process_loads_the_engines_and_nothing_of_the_cli():
     assert [name for name in loaded if name.split(".")[0] == "repro"] == BOOT_MODULES
 
 
+#: Package inits that still re-export: ``apps`` is the registry ``build()``
+#: looks up by ``Scenario.app``; perfbench imports through the other three.
+REEXPORTING_INITS = ("repro.apps", "repro.obs", "repro.sharding", "repro.storage")
+
+
+def _module_name(path: pathlib.Path) -> str:
+    parts = path.relative_to(_SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_package_inits_hold_only_their_docstring():
+    offenders = []
+    for init in sorted((_SRC / "repro").rglob("__init__.py")):
+        package = _module_name(init)
+        if package in REEXPORTING_INITS:
+            continue
+        body = ast.parse(init.read_text(encoding="utf-8")).body
+        assert body and isinstance(body[0], ast.Expr), f"{package} has no docstring"
+        # The root init also keeps ``__version__``, which imports nothing.
+        rest = [node for node in body[1:] if not ast.unparse(node).startswith("__version__ =")]
+        if rest:
+            offenders.append(f"{package}: line {rest[0].lineno}")
+    assert offenders == []
+
+
 def test_every_package_init_and_entry_module_imports_first():
-    packages = sorted(
-        ".".join(init.parent.relative_to(_SRC).parts)
-        for init in (_SRC / "repro").rglob("__init__.py")
+    modules = sorted(
+        _module_name(path) for path in (_SRC / "repro").rglob("*.py")
+        if path.name != "__main__.py"
     )
+    assert set(ENTRY_MODULES) <= set(modules)
     failures = _run(
         "import importlib, json, sys, traceback\n"
-        f"names = {packages + list(ENTRY_MODULES)!r}\n"
+        f"names = {modules!r}\n"
         "failures = {}\n"
         "for name in names:\n"
         "    for loaded in [m for m in sys.modules if m.split('.')[0] == 'repro']:\n"
@@ -128,5 +159,5 @@ def test_every_package_init_and_entry_module_imports_first():
         "        failures[name] = traceback.format_exc()\n"
         "print(json.dumps(failures))\n"
     )
-    assert len(packages) >= 19
+    assert len(modules) >= 110
     assert failures == {}, "\n".join(failures.values())

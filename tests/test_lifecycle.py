@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.agents.governor import Governor
-from repro.audit import AuditViolation, ViolationType
+from repro.audit.auditor import AuditViolation, ViolationType
 from repro.byzantine.strategies import TwoFacedCollectorBehavior
 from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams

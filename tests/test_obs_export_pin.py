@@ -22,7 +22,7 @@ import pytest
 from repro.agents.behaviors import ConcealBehavior, ForgeBehavior, MisreportBehavior
 from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
-from repro.faults import FaultPlan, LinkFaultSpec
+from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.network.topology import Topology
 from repro.obs import MetricsRegistry, to_prometheus
 from repro.workloads.generator import BernoulliWorkload

@@ -8,7 +8,7 @@ from repro.agents.behaviors import ConcealBehavior, ForgeBehavior, MisreportBeha
 from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
-from repro.faults import FaultPlan, LinkFaultSpec
+from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.network.topology import Topology
 from repro.obs import MetricsRegistry
 from repro.workloads.generator import BernoulliWorkload

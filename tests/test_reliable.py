@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.faults import FaultPlan, FaultInjector, LinkFaultSpec
-from repro.faults.plan import FaultAction
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultAction, FaultPlan, LinkFaultSpec
 from repro.network.reliable import ReliableChannel, ReliableEnvelope
 from repro.network.simnet import Simulator, SyncNetwork
 

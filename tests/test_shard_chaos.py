@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.params import ProtocolParams
-from repro.faults import FaultPlan, LinkFaultSpec
+from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.ledger.properties import check_all_properties
 from repro.network.topology import Topology
 from repro.obs import MetricsRegistry
