@@ -187,8 +187,8 @@ def scan_shard_commits(
     replay the serial coordinator's audit/relay sequence.
     """
     # Imported here, not at module level: ``repro.sharding``'s package
-    # init pulls in the coordinator, which imports this module — spawned
-    # workers import ``repro.parallel`` first and would hit the cycle.
+    # init pulls in the coordinator, which imports this module — a
+    # process that imports ``repro.parallel`` first would hit the cycle.
     from repro.sharding.receipts import make_receipt, verify_receipt
 
     events: list[tuple] = []

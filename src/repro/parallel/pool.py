@@ -11,21 +11,20 @@ Every phase of the super-round is one broadcast of pickled ``(op,
 args)`` commands — one message per worker, receipts and specs batched
 inside it — followed by a barrier collect of the replies.
 
-**Boot.**  :meth:`ParallelBackend._boot` spawns one *boot process*
-(:func:`~repro.parallel.worker.boot_main`), which imports the engines
-once and forks every worker it is handed, then collects the ``ready``
-replies as they arrive against one deadline, and on the first failure
-reaps every worker it started (:meth:`ParallelBackend._reap`, which is
-also :meth:`close`: every ``shutdown`` sent before any reply is read).
-The boot process is the workers' parent: it reports their pids and exit
-codes and does every kill, so no kill can hit a recycled pid.
-``spawn`` is the only start method of the boot process: no process
-ever forks beside a thread (the driver never forks, ``RealNetwork``
-starts no thread, and the boot process is a fresh, thread-free
-interpreter), and every worker is reaped by a
-process the driver reaps, so its CPU and ``ru_maxrss`` reach the
-driver's ``RUSAGE_CHILDREN`` — which ``forkserver`` workers, the
-server's children, would not.
+**Boot.**  :meth:`ParallelBackend._boot` forks every worker straight
+from the driver (the ``fork`` start method, one
+:class:`multiprocessing.Process` per worker, named
+``shard-worker-<index>``), then collects the ``ready`` replies as they
+arrive against one deadline, and on the first failure reaps every worker
+it started (:meth:`ParallelBackend._reap`, which is also :meth:`close`:
+every ``shutdown`` sent before any reply is read).  The driver imports
+the engine modules once before the first fork, so the workers share that
+import instead of each paying for it.  It is every worker's parent: it
+reads their pids and exit codes and does every kill, so no kill can hit
+a recycled pid, and their CPU and ``ru_maxrss`` reach its
+``RUSAGE_CHILDREN``.  No process ever forks beside a thread: ``_boot``
+refuses to while any other Python thread is alive (``RealNetwork``
+starts none), and there is no other start method to fall back on.
 
 **Crash handling.**  A worker that dies (SIGKILL, OOM, bug) or hangs
 past the per-phase barrier timeout surfaces as a structured
@@ -34,8 +33,8 @@ its hosted shards, and the in-flight phase — a *detected* fault, the
 same contract the in-process :class:`~repro.faults.injector.FaultInjector` gives
 for simulated crashes, never a hung barrier.  With durable storage
 configured, :meth:`restart_worker` respawns the replacement from the
-same :class:`~repro.parallel.backend.HostSpec` (a fresh boot process
-for the one worker); its engines re-anchor
+same :class:`~repro.parallel.backend.HostSpec` (a fresh fork of the
+driver); its engines re-anchor
 from their on-disk checkpoints and any fault plans installed on its
 shards are re-applied to the replacement (crash semantics: the
 continuation is correct but not bit-identical — the fresh injector
@@ -53,6 +52,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
+import threading
 import time
 from collections import defaultdict
 from contextlib import suppress
@@ -67,11 +67,11 @@ from repro.exceptions import (
 )
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.parallel.backend import HostSpec, ShardRoundInfo
-from repro.parallel.worker import boot_main
+from repro.parallel.worker import worker_main
 
 __all__ = ["ParallelBackend", "parallel_metrics"]
 
-#: Floor of the one deadline a whole boot gets — spawning an interpreter
+#: Floor of the one deadline a whole boot gets — building the engines
 #: and replaying a durable store takes longer than a phase.
 _READY_TIMEOUT_FLOOR = 120.0
 
@@ -114,108 +114,11 @@ def parallel_metrics(
         "boot": obs.histogram(
             "par_worker_boot_seconds",
             "Wall-clock worker boot per spawn and respawn, by part: host = "
-            "engine build plus durable replay, process = interpreter and imports",
+            "engine build plus durable replay, process = fork to ready, less host",
             labels=("part",),
             buckets=(0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 10.0),
         ),
     }
-
-
-class _BootProcess:
-    """Driver side of one boot process: its control pipe and reports.
-
-    Starting it hands each of ``handles`` the driver end of a fresh pipe;
-    the boot process forks one worker per other end.
-    """
-
-    def __init__(self, ctx, handles: Sequence["_WorkerHandle"]):
-        self.control, control = ctx.Pipe(duplex=True)
-        ends = []
-        for handle in handles:
-            handle.conn, end = ctx.Pipe(duplex=True)
-            ends.append((handle.index, end, handle.spec))
-        self.process = ctx.Process(
-            target=boot_main, args=(control, ends), name="shard-boot", daemon=True
-        )
-        self.process.start()
-        control.close()
-        for _, end, _ in ends:
-            end.close()
-        self.indices = {handle.index for handle in handles}
-        self.released: set[int] = set()
-        #: worker index -> pid, and -> exit code once reaped.
-        self.pids: dict[int, int] = {}
-        self.exitcodes: dict[int, int] = {}
-
-    def _pump(self, timeout: float) -> bool:
-        """Read one report within ``timeout``; False if none came."""
-        if self.control.closed or not self.control.poll(timeout):
-            return False
-        try:
-            kind, *report = self.control.recv()
-        except (EOFError, OSError):  # exited: every report is read
-            self.control.close()
-            return False
-        if kind == "pids":
-            self.pids.update(report[0])
-        else:
-            index, exitcode = report
-            self.exitcodes[index] = exitcode
-        return True
-
-    def wait_for(self, done, timeout: float) -> None:
-        """Read reports until ``done()`` or ``timeout`` passes without one."""
-        deadline = time.monotonic() + timeout
-        while not done() and self._pump(max(0.0, deadline - time.monotonic())):
-            pass
-
-    def kill(self, index: int) -> None:
-        with suppress(OSError):  # closed or gone: nothing left to kill
-            self.control.send(("kill", index))
-
-    def release(self, index: int) -> None:
-        """The driver is done with worker ``index``; after the last, join."""
-        self.released.add(index)
-        if self.released != self.indices:
-            return
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # a worker it could not reap: its
-            self.process.terminate()  # SIGTERM handler kills them all
-            self.process.join(timeout=5.0)
-        while self._pump(0.0):
-            pass
-        self.control.close()
-
-
-class _ForkedWorker:
-    """A worker process as the driver sees it: an index its boot process
-    forked, reaps, reports on and kills."""
-
-    __slots__ = ("boot", "index")
-
-    def __init__(self, boot: _BootProcess, index: int):
-        self.boot = boot
-        self.index = index
-
-    @property
-    def pid(self) -> int | None:
-        self.boot.wait_for(lambda: self.index in self.boot.pids, 5.0)
-        return self.boot.pids.get(self.index)
-
-    @property
-    def exitcode(self) -> int | None:
-        self.boot.wait_for(lambda: self.index in self.boot.exitcodes, 0.0)
-        return self.boot.exitcodes.get(self.index)
-
-    def is_alive(self) -> bool:
-        # A boot process gone without reporting took its worker with it.
-        return self.exitcode is None and not self.boot.control.closed
-
-    def join(self, timeout: float) -> None:
-        self.boot.wait_for(lambda: self.index in self.boot.exitcodes, timeout)
-
-    def kill(self) -> None:
-        self.boot.kill(self.index)
 
 
 class _WorkerHandle:
@@ -227,7 +130,7 @@ class _WorkerHandle:
         self.index = index
         #: The deployment's spec narrowed to this worker's shards.
         self.spec = spec
-        self.proc: _ForkedWorker | None = None
+        self.proc: mp.Process | None = None
         self.conn = None
         self.alive = False
         #: Last command sequence number sent; replies echo it, so stale
@@ -273,7 +176,7 @@ class ParallelBackend:
         num_workers = min(workers, len(spec.shards))
         #: shard index -> hosting worker index (round-robin).
         self.worker_for_shard = {k: k % num_workers for k in spec.shards}
-        self._ctx = mp.get_context("spawn")
+        self._ctx = mp.get_context("fork")
         self._workers = [
             _WorkerHandle(
                 w,
@@ -297,8 +200,8 @@ class ParallelBackend:
     # -- process lifecycle -------------------------------------------------
 
     def _boot(self, handles: Sequence[_WorkerHandle]) -> None:
-        """Start one boot process for ``handles``, then collect every
-        ``ready`` as it arrives.
+        """Fork one worker per handle, then collect every ``ready`` as it
+        arrives.
 
         One deadline covers the whole boot.  The first failure — a
         construction error, a death, the missed deadline — reaps every
@@ -309,11 +212,33 @@ class ParallelBackend:
         # never use (the first Pipe() below imports it anyway).
         from multiprocessing.connection import wait
 
+        me = threading.current_thread()
+        others = [thread.name for thread in threading.enumerate() if thread is not me]
+        if others:
+            raise ConfigurationError(
+                f"cannot fork shard workers beside live threads {others}: "
+                "stop them before building or restarting a pool"
+            )
+        # What ShardHost imports lazily (the package inits would cycle at
+        # module level), imported once here so no worker imports it again.
+        import repro.core.netengine  # noqa: F401
+        import repro.sharding.inbox  # noqa: F401
+        import repro.sharding.receipts  # noqa: F401
+
         try:
             started = time.perf_counter()
-            boot = _BootProcess(self._ctx, handles)
             for handle in handles:
-                handle.proc = _ForkedWorker(boot, handle.index)
+                handle.conn, end = self._ctx.Pipe(duplex=True)
+                # The child closes every driver end it inherits, its own
+                # included, so a dead driver's EOF reaches every worker.
+                driver_ends = [h.conn for h in self._workers if h.conn is not None]
+                proc = self._ctx.Process(
+                    target=worker_main, args=(end, handle.spec, driver_ends),
+                    name=f"shard-worker-{handle.index}", daemon=True,
+                )
+                proc.start()
+                end.close()
+                handle.proc = proc
                 handle.seq = 0  # fresh process, fresh sequence space
             pending = {handle.conn: handle for handle in handles}
             timeout = max(self.phase_timeout, _READY_TIMEOUT_FLOOR)
@@ -344,8 +269,7 @@ class ParallelBackend:
         """Shut down the workers that serve, kill the rest, join all.
 
         Every ``shutdown`` goes out before any reply is read, so the
-        workers exit together; a boot process is joined once none of its
-        workers is left.
+        workers exit together.
         """
         serving = [handle for handle in handles if handle.alive]
         for handle in serving:
@@ -364,7 +288,6 @@ class ParallelBackend:
                 if handle.proc.is_alive():
                     handle.proc.kill()
                     handle.proc.join(timeout=5.0)
-                handle.proc.boot.release(handle.index)
             if handle.conn is not None:
                 handle.conn.close()
 
@@ -443,9 +366,9 @@ class ParallelBackend:
         handle.alive = False
         exitcode = handle.proc.exitcode if handle.proc is not None else None
         if handle.proc is not None and handle.proc.is_alive():
-            # Hung past the barrier, or dead but not yet reported: its
-            # boot process SIGKILLs it, which ends even a wedged or
-            # stopped process, so the driver never blocks.
+            # Hung past the barrier, or dead but not yet reaped: SIGKILL
+            # ends even a wedged or stopped process, so the driver never
+            # blocks.
             handle.proc.kill()
             handle.proc.join(timeout=5.0)
             exitcode = handle.proc.exitcode

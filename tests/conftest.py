@@ -50,14 +50,14 @@ def params() -> ProtocolParams:
 def _no_worker_left_behind(request):
     """A ``parallel`` test reaps every shard worker it started.
 
-    A boot process exits only once it has reaped every worker it forked,
-    so no live boot process means no live worker.
+    The driver forks every worker itself, so a live worker is a live
+    child of this process.
     """
     yield
     if request.node.get_closest_marker("parallel") is not None:
         left = [
             proc.name
             for proc in multiprocessing.active_children()  # the live ones
-            if proc.name == "shard-boot"
+            if proc.name.startswith("shard-worker-")
         ]
-        assert not left, f"{request.node.nodeid} left boot processes behind: {left}"
+        assert not left, f"{request.node.nodeid} left shard workers behind: {left}"

@@ -3,9 +3,7 @@
 A custodian peer boots on :mod:`repro.network.custodian` alone, so the
 modules it pulls in are pinned: the standard library (without numpy,
 asyncio or ssl), ``repro.exceptions`` and the two package inits on the
-way.  A shard pool's boot process
-imports everything a worker's engines are built from once, before it
-forks the workers, so its module set is pinned too.  Every module but
+way.  Every module but
 ``repro.__main__`` must also import as the *first* ``repro`` module of
 an interpreter — a cycle that only an earlier import's order hides fails
 here, naming the modules on it.  Each name has one import path, its
@@ -27,7 +25,7 @@ _REPO = pathlib.Path(__file__).resolve().parent.parent
 _SRC = _REPO / "src"
 
 #: Entry modules of the processes this package starts.
-ENTRY_MODULES = ("repro.network.custodian", "repro.parallel.worker", "repro.cli")
+ENTRY_MODULES = ("repro.network.custodian", "repro.cli")
 
 
 def _run(script: str) -> object:
@@ -60,59 +58,6 @@ def test_custodian_loads_only_the_standard_library_and_exceptions():
 def test_custodian_loads_neither_asyncio_nor_ssl():
     loaded = _custodian_modules()
     assert not [name for name in loaded if name.split(".")[0] in ("asyncio", "ssl")]
-
-
-#: What a boot process has imported when it forks: everything a
-#: ``ShardHost`` is built from, and the package init above each module.
-#: Three names are here only because a package init re-exports them and
-#: perfbench, the benchmarks and the tests import them from the package:
-#: ``repro.obs.export`` (``from repro.obs import snapshot``) and, through
-#: ``repro.sharding``'s ``ShardCoordinator``, ``repro.sharding.coordinator``
-#: and ``repro.parallel.pool``.  They load once, in the boot process.
-#: Nothing a worker runs imports ``repro.consensus.stake_consensus`` or
-#: ``repro.faults.disk``, so neither is here.
-BOOT_MODULES = [
-    "repro",
-    "repro.agents", "repro.agents.behaviors", "repro.agents.collector",
-    "repro.agents.governor", "repro.agents.provider",
-    "repro.audit", "repro.audit.auditor", "repro.audit.votes", "repro.audit.xshard",
-    "repro.consensus", "repro.consensus.messages", "repro.consensus.pos",
-    "repro.consensus.stake",
-    "repro.core", "repro.core.arguing", "repro.core.lifecycle",
-    "repro.core.netengine", "repro.core.params", "repro.core.regret",
-    "repro.core.reputation", "repro.core.rewards", "repro.core.roundcore",
-    "repro.core.screening", "repro.core.updating",
-    "repro.crypto", "repro.crypto.hashing", "repro.crypto.identity",
-    "repro.crypto.merkle", "repro.crypto.signatures", "repro.crypto.vrf",
-    "repro.exceptions",
-    "repro.faults", "repro.faults.injector", "repro.faults.plan",
-    "repro.ledger", "repro.ledger.block", "repro.ledger.chain", "repro.ledger.codec",
-    "repro.ledger.properties", "repro.ledger.store", "repro.ledger.sync",
-    "repro.ledger.transaction", "repro.ledger.validation",
-    "repro.network", "repro.network.broadcast", "repro.network.reliable",
-    "repro.network.simnet", "repro.network.topology",
-    "repro.obs", "repro.obs.export", "repro.obs.registry", "repro.obs.spans",
-    "repro.parallel", "repro.parallel.backend", "repro.parallel.pool",
-    "repro.parallel.worker",
-    "repro.sharding", "repro.sharding.assignment", "repro.sharding.coordinator",
-    "repro.sharding.inbox", "repro.sharding.receipts",
-    "repro.storage", "repro.storage.checkpoints", "repro.storage.durable",
-    "repro.storage.handoff", "repro.storage.recovery", "repro.storage.segments",
-    "repro.workloads", "repro.workloads.generator",
-]
-
-
-def test_boot_process_loads_the_engines_and_nothing_of_the_cli():
-    loaded = _run(
-        "import json, sys\n"
-        "from multiprocessing import Pipe\n"
-        "from repro.parallel.worker import boot_main\n"
-        "driver, control = Pipe()\n"
-        "boot_main(control, [])  # imports what it would, forks no worker\n"
-        "assert driver.recv() == ('pids', {})\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
-    assert [name for name in loaded if name.split(".")[0] == "repro"] == BOOT_MODULES
 
 
 #: Package inits that still re-export: ``apps`` is the registry ``build()``

@@ -10,10 +10,11 @@ The tentpole guarantees under test:
   structured :class:`~repro.exceptions.WorkerCrashError` at the phase
   barrier, never a hang, and (with durable storage) the worker can be
   respawned from its checkpoints and the deployment keeps committing;
-* **boot** — one boot process forks every worker before any ``ready``
-  is collected, and no worker outlives ``close()`` or a failed boot;
-* **accounting** — workers are reaped by a process the driver reaps, so
-  their CPU time reaches the driver's ``RUSAGE_CHILDREN``;
+* **boot** — the driver forks every worker before any ``ready`` is
+  collected, refuses to fork beside a live thread, and no worker
+  outlives ``close()``, a failed boot or the driver's own death;
+* **accounting** — workers are the driver's children, so their CPU time
+  reaches the driver's ``RUSAGE_CHILDREN``;
 * **IPC discipline** — commands and receipt batches travel as one
   message per worker per phase, accounted by the ``par_ipc_*``
   counters.
@@ -28,7 +29,10 @@ import multiprocessing
 import os
 import resource
 import signal
-from multiprocessing.context import SpawnProcess
+import subprocess
+import sys
+import time
+from multiprocessing.context import ForkProcess
 
 import pytest
 
@@ -39,8 +43,10 @@ from repro.exceptions import (
     WorkerOpError,
 )
 from repro.faults.plan import FaultPlan, LinkFaultSpec
+from repro.network.custodian import start_server_thread
 from repro.network.topology import Topology
 from repro.obs import MetricsRegistry
+from repro.parallel.backend import ShardHost
 from repro.parallel.pool import ParallelBackend
 from repro.sharding import ShardCoordinator
 from repro.storage import StorageConfig
@@ -50,6 +56,28 @@ from repro.workloads.xshard import CrossShardWorkload
 pytestmark = pytest.mark.parallel
 
 PARAMS = ProtocolParams(f=0.5, delta=0.2, b_limit=16)
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: A driver that boots three shards on three workers, prints their pids,
+#: stops the last one forked and SIGKILLs itself, so nothing of it can
+#: shut them down.  The stopped worker cannot exit, so only closing the
+#: copies of its siblings' driver ends lets their EOF through.
+DRIVER_THAT_DIES = """
+import os, signal, time
+from repro.core.params import ProtocolParams
+from repro.network.topology import Topology
+from repro.sharding import ShardCoordinator
+
+sharded = Topology.sharded(l=12, n=6, m=6, r=2, shards=3)
+params = ProtocolParams(f=0.5, delta=0.2, b_limit=16)
+coordinator = ShardCoordinator(sharded, params, seed=3, workers=3)
+pids = [handle.proc.pid for handle in coordinator.backend._workers]
+print(*pids, flush=True)
+os.kill(pids[-1], signal.SIGSTOP)
+while open(f"/proc/{pids[-1]}/stat").read().rsplit(")", 1)[1].split()[0] != "T":
+    time.sleep(0.01)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
 
 
 def build(shards=2, workers=None, seed=3, epoch_rounds=None, l=8, n=4, m=4,
@@ -108,9 +136,31 @@ def gone(pid):
     return False
 
 
-def parent_of(pid):
+def stat_fields(pid):
+    """``/proc/<pid>/stat`` after the command name: state, ppid, ..."""
     with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
-        return int(stat.read().rsplit(")", 1)[1].split()[1])
+        return stat.read().rsplit(")", 1)[1].split()
+
+
+def exited(pid):
+    """True once ``pid`` has exited, reaped or not (an orphan's reaper is
+    whatever adopted it)."""
+    try:
+        return stat_fields(pid)[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def still_running(pids, within):
+    """The ``pids`` that have not exited ``within`` seconds from now."""
+    deadline = time.monotonic() + within
+    while not all(map(exited, pids)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return [pid for pid in pids if not exited(pid)]
+
+
+def parent_of(pid):
+    return int(stat_fields(pid)[1])
 
 
 def worker_pids(coordinator):
@@ -171,10 +221,9 @@ class TestBoot:
     def test_every_worker_starts_before_any_ready_is_collected(
         self, shape, monkeypatch
     ):
-        # One process is started: the boot process, which forks both
-        # workers before the driver collects either's ready.
+        # The driver forks both workers before it collects either's ready.
         events = []
-        start, recv = SpawnProcess.start, ParallelBackend._recv
+        start, recv = ForkProcess.start, ParallelBackend._recv
 
         def recording_start(proc):
             events.append(("start", proc.name))
@@ -185,19 +234,17 @@ class TestBoot:
                 events.append(("ready", f"shard-worker-{handle.index}"))
             return recv(backend, handle, phase, timeout)
 
-        monkeypatch.setattr(SpawnProcess, "start", recording_start)
+        monkeypatch.setattr(ForkProcess, "start", recording_start)
         monkeypatch.setattr(ParallelBackend, "_recv", recording_recv)
         registry = MetricsRegistry()
         parallel, workload = build(workers=2, obs=registry, **shape)
         try:
-            assert [kind for kind, _ in events] == ["start"] + ["ready"] * 2
-            assert {name for kind, name in events if kind == "ready"} == {
-                "shard-worker-0", "shard-worker-1"
-            }
-            (boot,) = {handle.proc.boot for handle in parallel.backend._workers}
-            assert events[0] == ("start", boot.process.name)
+            assert [kind for kind, _ in events] == ["start"] * 2 + ["ready"] * 2
+            names = {"shard-worker-0", "shard-worker-1"}
+            assert {name for kind, name in events if kind == "start"} == names
+            assert {name for kind, name in events if kind == "ready"} == names
             assert [parent_of(pid) for pid in worker_pids(parallel)] == [
-                boot.process.pid
+                os.getpid()
             ] * 2
             assert parallel.backend.worker_for_shard == {
                 k: k % 2 for k in range(shape["shards"])
@@ -237,8 +284,16 @@ class TestBoot:
     def test_missed_boot_deadline_names_a_worker_and_reaps_them_all(
         self, monkeypatch, reaped_pids
     ):
-        # One deadline for the whole boot, set shorter than an interpreter
-        # takes to start: nobody is ready when it passes.
+        # One deadline for the whole boot, set shorter than a host takes
+        # to build: nobody is ready when it passes.  The workers are forks
+        # of the driver, so they inherit the slowed constructor.
+        init = ShardHost.__init__
+
+        def slow_init(host, spec):
+            time.sleep(5.0)
+            init(host, spec)
+
+        monkeypatch.setattr(ShardHost, "__init__", slow_init)
         monkeypatch.setattr("repro.parallel.pool._READY_TIMEOUT_FLOOR", 0.05)
         with pytest.raises(WorkerCrashError, match="boot deadline") as err:
             build(shards=2, workers=2, worker_timeout=0.05)
@@ -254,6 +309,46 @@ class TestBoot:
         coordinator.close()
         assert [proc.name for proc in multiprocessing.active_children()] == []
         assert len(pids) == 2 and all(gone(pid) for pid in pids)
+
+    def test_pool_refuses_to_fork_beside_a_live_thread(self):
+        server, stop = start_server_thread()
+        try:
+            with pytest.raises(ConfigurationError, match="live threads") as err:
+                build(shards=2, workers=2)
+            assert "node-server" in str(err.value)
+            assert [proc.name for proc in multiprocessing.active_children()] == []
+        finally:
+            stop()
+        coordinator, _ = build(shards=2, workers=2)
+        try:
+            workers = coordinator.backend._workers
+            assert [handle.proc.is_alive() for handle in workers] == [True, True]
+        finally:
+            coordinator.close()
+
+    def test_driver_death_takes_every_worker_with_it(self, tmp_path):
+        # A worker's pipe reads EOF only once no process holds the driver's
+        # end, so each must have closed the copies the fork handed it.
+        with open(tmp_path / "stderr", "w+", encoding="utf-8") as stderr:
+            driver = subprocess.Popen(
+                [sys.executable, "-c", DRIVER_THAT_DIES],
+                env=dict(os.environ, PYTHONPATH=_SRC),
+                stdout=subprocess.PIPE, stderr=stderr, text=True,
+            )
+            with driver:
+                pids = [int(pid) for pid in driver.stdout.readline().split()]
+                returncode = driver.wait(timeout=60)
+            stderr.seek(0)
+            assert (returncode, len(pids)) == (-signal.SIGKILL, 3), stderr.read()
+        *siblings, stopped = pids
+        try:
+            assert still_running(siblings, within=5.0) == []
+            os.kill(stopped, signal.SIGCONT)
+            assert still_running([stopped], within=5.0) == []
+        finally:
+            for pid in pids:  # orphans: nothing else will end them
+                if not exited(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_worker_cpu_reaches_the_drivers_rusage_children(self):
         # What rules out ``forkserver``: its workers are the server's
