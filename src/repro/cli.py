@@ -17,9 +17,9 @@ Subcommands:
   the recovery report without starting an engine;
 * ``serve`` — run a custodian peer for the real-socket transport on a
   chosen address: it CRC-validates and acknowledges conveyed frames
-  (:func:`repro.network.custodian.serve`; the
-  localhost-cluster harness spawns ``n`` of these as ``python -m
-  repro.network.custodian``; see DESIGN.md, "Transport backend").
+  (:func:`repro.network.custodian.serve`, the same server ``python -m
+  repro.network.custodian`` runs and the localhost-cluster harness forks
+  ``n`` of; see DESIGN.md, "Transport backend").
 
 Example::
 
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run a custodian peer: validate and ack conveyed frames "
-             "(the localhost-cluster harness spawns these)",
+             "(the localhost-cluster harness forks these)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,

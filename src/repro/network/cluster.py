@@ -6,27 +6,25 @@ once on :class:`~repro.network.realnet.RealNetwork` wired to an n-peer
 localhost cluster — drive the same seeded workload through the
 phase-split round API, and compare committed chain tips byte for byte.
 
-Custodian peers are real processes (``python -m
-repro.network.custodian``, which boots on the standard library) by
-default — :func:`launch_custodians` starts them all, then reads their
-address announcements as they arrive against one deadline, and on the
-first failure reaps them all, so a launch costs the slowest peer's boot,
-not the sum; :func:`run_scenario` also accepts pre-started in-process
-servers (tests) or :class:`~repro.faults.proxy.TransportFaultProxy`
-addresses (socket chaos).  The distribution split is deliberate and
-documented: the driver hosts the agents' logical state, the peers are
-transport custodians that every admitted message must physically reach
-— deterministic replay over a real wire; moving agent state into the
+Custodian peers are real processes by default — :func:`launch_custodians`
+binds every peer's port in the driver, forks one child per peer to serve
+it and closes the driver's copies, so a launch costs a fork per peer, not
+an interpreter start-up, and needs no announcement; a child serves until
+it is terminated or its driver is gone.  :func:`run_scenario` also
+accepts pre-started in-process servers (tests) or
+:class:`~repro.faults.proxy.TransportFaultProxy` addresses (socket
+chaos).  The distribution split is deliberate and documented: the
+driver hosts the agents' logical state, the peers are transport
+custodians that every admitted message must physically reach —
+deterministic replay over a real wire; moving agent state into the
 peers is the ROADMAP's next step, not this one's.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
-import selectors
-import subprocess
-import sys
-import time
+import signal
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,10 +32,11 @@ from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
 from repro.exceptions import PeerUnreachableError
 from repro.faults.plan import FaultPlan
-from repro.network.custodian import LISTENING as _LISTENING
+from repro.network.custodian import NodeServer
 from repro.network.realnet import RealNetwork, TransportConfig
 from repro.network.topology import Topology
 from repro.obs.registry import MetricsRegistry
+from repro.parallel.fork import refuse_beside_threads
 from repro.workloads.generator import BernoulliWorkload
 
 __all__ = [
@@ -79,80 +78,64 @@ class ClusterScenario:
 
 @dataclass
 class ClusterHandle:
-    """Live custodian subprocesses and their bound addresses."""
+    """Live custodian processes and their bound addresses."""
 
-    procs: list = field(default_factory=list)
+    procs: list = field(default_factory=list)  # multiprocessing.Process, by index
     addresses: list = field(default_factory=list)  # (name, host, port)
 
     def close(self) -> None:
         for proc in self.procs:
-            if proc.poll() is None:
-                proc.terminate()
+            proc.terminate()
         for proc in self.procs:
-            try:
-                proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
+            proc.join(10.0)
+            if proc.is_alive():
                 proc.kill()
-                proc.wait(timeout=5.0)
-            proc.stdout.close()
+                proc.join()
 
 
-def launch_custodians(count: int, startup_timeout: float = 30.0) -> ClusterHandle:
-    """Spawn ``count`` custodian peer processes on localhost.
+def _custodian_main(servers: list[NodeServer], index: int, driver: int) -> None:
+    """A forked custodian: serve until terminated or the ``driver`` pid is gone."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for other in servers[:index] + servers[index + 1:]:
+        other.server_close()  # or a dead peer's port would still connect
 
-    Every peer is started before any is awaited; each binds an
-    OS-assigned port and announces it on stdout.  ``startup_timeout`` is
-    the deadline of the whole launch: a peer that has exited or is still
-    silent by then aborts it — every started process terminated and
-    waited for — with a structured
-    :class:`~repro.exceptions.PeerUnreachableError` naming the first.
+    def exit_if_orphaned() -> None:
+        if os.getppid() != driver:
+            raise SystemExit(0)
+
+    with servers[index] as server:
+        server.service_actions = exit_if_orphaned
+        server.serve_forever(0.05)
+
+
+def launch_custodians(count: int) -> ClusterHandle:
+    """Fork ``count`` custodian peers (``custodian-<index>``) on localhost.
+
+    Every port is bound here before any fork, so ``peer-0..`` are known
+    at once (an early connection waits in the listen backlog); then the
+    driver closes its copies of the listening sockets.
     """
-    src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    # Peers are named by launch index, so the addresses keep launch order
-    # whatever order the announcements arrive in.
-    handle = ClusterHandle(addresses=[None] * count)
-    heard = [b""] * count  # stdout so far, by launch index
+    refuse_beside_threads("custodians")
+    servers: list[NodeServer] = []
+    handle = ClusterHandle()
     try:
-        with selectors.DefaultSelector() as selector:
-            for i in range(count):
-                proc = subprocess.Popen(
-                    [sys.executable, "-m", "repro.network.custodian"],
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL,
-                    env=env,
-                )
-                handle.procs.append(proc)
-                selector.register(proc.stdout, selectors.EVENT_READ, i)
-            deadline = time.monotonic() + startup_timeout
-            while selector.get_map():  # a peer stays registered until it announces
-                events = selector.select(max(0.0, deadline - time.monotonic()))
-                if not events:
-                    silent = min(key.data for key in selector.get_map().values())
-                    raise PeerUnreachableError(
-                        f"peer-{silent}",
-                        f"custodian announced nothing within {startup_timeout:.0f}s",
-                    )
-                for key, _ in events:
-                    i = key.data
-                    chunk = os.read(key.fd, 4096)  # readable, so never blocks
-                    heard[i] += chunk
-                    if chunk and b"\n" not in heard[i]:
-                        continue  # a partial line: keep listening
-                    selector.unregister(key.fileobj)
-                    match = _LISTENING.search(heard[i].decode(errors="replace"))
-                    if match is None:
-                        raise PeerUnreachableError(
-                            f"peer-{i}",
-                            f"custodian announced {heard[i]!r} instead of an address",
-                        )
-                    handle.addresses[i] = (f"peer-{i}", match.group(1), int(match.group(2)))
+        for i in range(count):
+            servers.append(NodeServer())
+            handle.addresses.append((f"peer-{i}", servers[i].host, servers[i].port))
+        context, driver = mp.get_context("fork"), os.getpid()
+        for i in range(count):
+            proc = context.Process(
+                target=_custodian_main, args=(servers, i, driver),
+                name=f"custodian-{i}", daemon=True,
+            )
+            proc.start()
+            handle.procs.append(proc)
     except BaseException:
         handle.close()
         raise
+    finally:
+        for server in servers:
+            server.server_close()
     return handle
 
 

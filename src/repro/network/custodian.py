@@ -213,10 +213,9 @@ def start_server_thread(
 
 # -- process entry ----------------------------------------------------------
 
-#: The line a serving process prints once bound — the launcher's
-#: readiness cue, carrying the OS-assigned port when ``port=0`` —
-#: and the pattern :func:`~repro.network.cluster.launch_custodians`
-#: reads it back with.
+#: The line a stand-alone serving process prints once bound — a
+#: launcher's readiness cue, carrying the OS-assigned port when
+#: ``port=0`` — and the pattern that reads it back.
 ANNOUNCEMENT = "listening host={host} port={port}"
 LISTENING = re.compile(r"listening host=(\S+) port=(\d+)")
 

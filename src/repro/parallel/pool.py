@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
-import threading
 import time
 from collections import defaultdict
 from contextlib import suppress
@@ -67,6 +66,7 @@ from repro.exceptions import (
 )
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.parallel.backend import HostSpec, ShardRoundInfo
+from repro.parallel.fork import refuse_beside_threads
 from repro.parallel.worker import worker_main
 
 __all__ = ["ParallelBackend", "parallel_metrics"]
@@ -212,13 +212,7 @@ class ParallelBackend:
         # never use (the first Pipe() below imports it anyway).
         from multiprocessing.connection import wait
 
-        me = threading.current_thread()
-        others = [thread.name for thread in threading.enumerate() if thread is not me]
-        if others:
-            raise ConfigurationError(
-                f"cannot fork shard workers beside live threads {others}: "
-                "stop them before building or restarting a pool"
-            )
+        refuse_beside_threads("shard workers")
         # What ShardHost imports lazily (the package inits would cycle at
         # module level), imported once here so no worker imports it again.
         import repro.core.netengine  # noqa: F401

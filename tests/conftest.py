@@ -48,16 +48,19 @@ def params() -> ProtocolParams:
 
 @pytest.fixture(autouse=True)
 def _no_worker_left_behind(request):
-    """A ``parallel`` test reaps every shard worker it started.
+    """A ``parallel`` test reaps every shard worker it started, and a
+    ``realnet`` test every custodian.
 
-    The driver forks every worker itself, so a live worker is a live
-    child of this process.
+    The driver forks both itself, so a live one is a live child of this
+    process.
     """
     yield
-    if request.node.get_closest_marker("parallel") is not None:
+    for marker, prefix in (("parallel", "shard-worker-"), ("realnet", "custodian-")):
+        if request.node.get_closest_marker(marker) is None:
+            continue
         left = [
             proc.name
             for proc in multiprocessing.active_children()  # the live ones
-            if proc.name.startswith("shard-worker-")
+            if proc.name.startswith(prefix)
         ]
-        assert not left, f"{request.node.nodeid} left shard workers behind: {left}"
+        assert not left, f"{request.node.nodeid} left {prefix}* behind: {left}"

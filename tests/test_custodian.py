@@ -1,9 +1,11 @@
-"""Custodian processes: the launched module and ``repro serve`` speak one format.
+"""Custodian processes: a forked peer acks, a stand-alone one announces.
 
-``launch_custodians`` starts ``python -m repro.network.custodian`` and
-``repro serve`` calls the same :func:`~repro.network.custodian.serve`; both
-announce with :data:`~repro.network.custodian.ANNOUNCEMENT`, which the
-launcher reads back with :data:`~repro.network.custodian.LISTENING`.
+``launch_custodians`` forks peers that serve ports the driver bound, so
+they announce nothing.  A stand-alone peer — ``python -m
+repro.network.custodian`` or ``repro serve``, both
+:func:`~repro.network.custodian.serve` — prints
+:data:`~repro.network.custodian.ANNOUNCEMENT`, which a launcher reads back
+with :data:`~repro.network.custodian.LISTENING`.
 """
 
 from __future__ import annotations

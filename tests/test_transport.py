@@ -18,6 +18,9 @@ stay inside the tier-1 wall-clock envelope.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import socket
 import subprocess
 import sys
@@ -29,7 +32,6 @@ import pytest
 from repro.exceptions import ConfigurationError, FrameError, PeerUnreachableError
 from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.faults.proxy import start_proxy_thread
-from repro.network import cluster
 from repro.network.cluster import ClusterScenario, launch_custodians, run_scenario
 from repro.network.custodian import (
     FRAME_HEADER,
@@ -43,6 +45,9 @@ from repro.network.custodian import (
 from repro.network.realnet import RealNetwork, TransportConfig, transport_metrics
 from repro.network.simnet import Simulator, SyncNetwork
 from repro.obs.registry import MetricsRegistry
+from tests.test_parallel import exited, still_running
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: Wall-clock-fast robustness knobs for the socket tests.
 #: Twelve connect attempts back off for 0.85 s in all, which outlasts
@@ -361,81 +366,97 @@ FAULTED = ClusterScenario(
 
 # -- launching custodian processes ---------------------------------------------
 
-_SILENT = "import time; time.sleep(20)"  # exits by itself: a miss cannot hang the suite
-_EXITS = "pass"
+CUSTODIAN_DRIVER_THAT_DIES = """
+import os, signal
+from repro.network.cluster import launch_custodians
+
+handle = launch_custodians(3)
+print(*[proc.pid for proc in handle.procs], flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
 
 
-def _announces(port, after=0.0):
-    return (
-        f"import time; time.sleep({after}); "
-        f"print('listening host=127.0.0.1 port={port}', flush=True); time.sleep(20)"
-    )
-
-
-def _stand_ins(monkeypatch, scripts, events=None):
-    """Make the launcher start ``python -c script`` children, in launch order."""
-    real_popen, started = subprocess.Popen, []
-
-    def popen(argv, **kwargs):
-        if events is not None:
-            events.append("popen")
-        script = scripts[len(started)]
-        started.append(real_popen([sys.executable, "-c", script], **kwargs))
-        return started[-1]
-
-    monkeypatch.setattr(cluster.subprocess, "Popen", popen)
-    return started
+def _ack(host, port):
+    """Convey one ``MSG`` frame to ``(host, port)``; return the frames read back."""
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        sock.settimeout(5.0)
+        sock.sendall(encode_frame(7, KIND_MSG, b"payload"))
+        reader, frames = FrameReader(), []
+        while not frames:
+            frames = reader.feed(sock.recv(4096))
+    return frames
 
 
 @pytest.mark.realnet
 class TestLaunch:
-    def test_every_custodian_starts_before_any_announcement_is_parsed(
-        self, monkeypatch
-    ):
-        events, listening = [], cluster._LISTENING
-
-        class RecordingPattern:
-            @staticmethod
-            def search(text):
-                match = listening.search(text)
-                events.append(int(match.group(2)))
-                return match
-
-        # peer-0 announces last, peer-2 first
-        scripts = [_announces(7000, 0.8), _announces(7001, 0.4), _announces(7002)]
-        _stand_ins(monkeypatch, scripts, events)
-        monkeypatch.setattr(cluster, "_LISTENING", RecordingPattern)
+    def test_custodians_are_named_in_launch_order_and_each_acks(self):
         handle = launch_custodians(3)
         try:
-            assert events == ["popen"] * 3 + [7002, 7001, 7000]
-            assert handle.addresses == [
-                (f"peer-{i}", "127.0.0.1", 7000 + i) for i in range(3)
+            assert [name for name, _, _ in handle.addresses] == [
+                "peer-0", "peer-1", "peer-2"
             ]
+            assert [proc.name for proc in handle.procs] == [
+                "custodian-0", "custodian-1", "custodian-2"
+            ]
+            for _, host, port in handle.addresses:
+                assert _ack(host, port) == [(7, KIND_ACK, b"")]
         finally:
             handle.close()
-        assert all(proc.poll() is not None for proc in handle.procs)
+        assert [proc.exitcode for proc in handle.procs] == [-signal.SIGTERM] * 3
 
-    def test_silent_custodian_trips_the_launch_deadline(self, monkeypatch):
-        started = _stand_ins(monkeypatch, [_SILENT, _SILENT])
-        began = time.monotonic()
-        with pytest.raises(PeerUnreachableError) as err:
-            launch_custodians(2, startup_timeout=1.0)
-        assert time.monotonic() - began < 5.0
-        assert err.value.peer == "peer-0"
-        assert len(started) == 2
-        assert all(proc.poll() is not None for proc in started)
+    def test_a_dead_custodians_port_refuses_at_once(self):
+        # Each child closes its siblings' listening sockets before it
+        # serves, and the driver its own copies, so once every peer has
+        # acked, only peer-0's process listens on peer-0's port.
+        handle = launch_custodians(3)
+        try:
+            for _, host, port in handle.addresses:
+                assert _ack(host, port) == [(7, KIND_ACK, b"")]
+            (_, host, port), (_, host1, port1) = handle.addresses[:2]
+            handle.procs[0].kill()
+            handle.procs[0].join()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection((host, port), timeout=5.0).close()
+            assert _ack(host1, port1) == [(7, KIND_ACK, b"")]
+        finally:
+            handle.close()
 
-    def test_custodian_that_exits_unannounced_is_named_and_its_sibling_reaped(
-        self, monkeypatch
-    ):
-        started = _stand_ins(monkeypatch, [_SILENT, _EXITS])
-        began = time.monotonic()
-        with pytest.raises(PeerUnreachableError) as err:
-            launch_custodians(2, startup_timeout=10.0)
-        assert time.monotonic() - began < 5.0
-        assert err.value.peer == "peer-1"
-        assert len(started) == 2
-        assert all(proc.poll() is not None for proc in started)
+    def test_launch_refuses_to_fork_beside_a_live_thread(self):
+        server, stop = start_server_thread()
+        try:
+            with pytest.raises(ConfigurationError, match="live threads") as err:
+                launch_custodians(2)
+            assert "node-server" in str(err.value)
+            assert [
+                proc.name for proc in multiprocessing.active_children()
+                if proc.name.startswith("custodian-")
+            ] == []
+        finally:
+            stop()
+        handle = launch_custodians(2)
+        try:
+            assert [proc.is_alive() for proc in handle.procs] == [True, True]
+        finally:
+            handle.close()
+
+    def test_driver_death_takes_every_custodian_with_it(self, tmp_path):
+        with open(tmp_path / "stderr", "w+", encoding="utf-8") as stderr:
+            driver = subprocess.Popen(
+                [sys.executable, "-c", CUSTODIAN_DRIVER_THAT_DIES],
+                env=dict(os.environ, PYTHONPATH=_SRC),
+                stdout=subprocess.PIPE, stderr=stderr, text=True,
+            )
+            with driver:
+                pids = [int(pid) for pid in driver.stdout.readline().split()]
+                returncode = driver.wait(timeout=60)
+            stderr.seek(0)
+            assert (returncode, len(pids)) == (-signal.SIGKILL, 3), stderr.read()
+        try:
+            assert still_running(pids, within=5.0) == []
+        finally:
+            for pid in pids:  # orphans: nothing else will end them
+                if not exited(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 def _servers(count):
