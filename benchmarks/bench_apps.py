@@ -11,7 +11,8 @@ from __future__ import annotations
 from _helpers import emit
 from repro.agents.behaviors import MisreportBehavior, SleeperBehavior
 from repro.analysis.reporting import format_table
-from repro.apps import CarSharingMarket, CommissionBiasedAgent, InsuranceAlliance
+from repro.apps.carsharing import CarSharingMarket
+from repro.apps.insurance import CommissionBiasedAgent, InsuranceAlliance
 from repro.core.params import ProtocolParams
 
 

@@ -2,8 +2,6 @@
 
 X1: adaptive f (AIMD) vs static f — does the controller find a larger f
     at the same mistake budget, and does it react to sleeper defection?
-X2: reputation gossip — how much faster do partially-informed governors
-    converge on a misreporter when they share views?
 X3: partial visibility — screening quality as each governor's collector
     view thins.
 """
@@ -15,11 +13,8 @@ from repro.agents.behaviors import HonestBehavior, MisreportBehavior, SleeperBeh
 from repro.analysis.reporting import format_table
 from repro.baselines.base import PolicySimulation, ReputationPolicy
 from repro.core.adaptive import AdaptiveF
-from repro.core.gossip import ReputationGossip, make_summary
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
-from repro.core.reputation import ReputationBook
-from repro.crypto.identity import IdentityManager, Role
 from repro.network.topology import Topology
 from repro.network.visibility import VisibilityMap
 from repro.workloads.generator import BernoulliWorkload
@@ -90,60 +85,6 @@ def test_x1_adaptive_f(benchmark):
         "X1_adaptive_f",
         "X1 (extension): adaptive f vs static f, 4 honest + 4 sleepers "
         "defecting at t = 600",
-        table,
-    )
-
-
-def _gossip_table() -> str:
-    """An informed governor observes the reveals about a misreporter; a
-    blind one (partial information) sees none.  Gossip propagates the
-    informed view to the blind governor, whose screening would otherwise
-    keep trusting the liar."""
-    im = IdentityManager(seed=61)
-    for j in range(2):
-        im.enroll(f"g{j}", Role.GOVERNOR)
-
-    def fresh_book(gid):
-        book = ReputationBook(governor=gid, initial=1.0)
-        book.register_collector("liar", ["p0"])
-        book.register_collector("honest", ["p0"])
-        return book
-
-    reveals = 200
-    rows = []
-    for label, use_gossip in [("no gossip", False), ("gossip every 10", True)]:
-        books = {"g0": fresh_book("g0"), "g1": fresh_book("g1")}
-        gossip = ReputationGossip(im=im, alpha=0.4)
-        for t in range(reveals):
-            # Only g0 observes truths (g1 has no argue path to p0).
-            books["g0"].apply_revealed_truth(
-                "p0", {"liar": "wrong", "honest": "correct"}, beta=0.9, gamma=0.855
-            )
-            if use_gossip and t % 10 == 9:
-                summaries = {
-                    g: make_summary(im.record(g).key, books[g]) for g in books
-                }
-                for gid, book in books.items():
-                    gossip.fold(book, [s for g, s in summaries.items() if g != gid])
-        rows.append(
-            (
-                label,
-                f"{books['g0'].weight('liar', 'p0'):.2e}",
-                f"{books['g1'].weight('liar', 'p0'):.2e}",
-            )
-        )
-    return format_table(
-        ["configuration", "informed g0's view of liar", "blind g1's view"], rows
-    )
-
-
-def test_x2_gossip(benchmark):
-    """X2: gossip accelerates convergence of split observations."""
-    table = benchmark.pedantic(_gossip_table, rounds=1, iterations=1)
-    emit(
-        "X2_gossip",
-        "X2 (extension): reputation gossip — an informed governor "
-        "propagates a liar's reputation to a blind peer",
         table,
     )
 

@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
-"""Extensions showcase: adaptive efficiency, gossip, partial visibility.
+"""Extensions showcase: adaptive efficiency, partial visibility.
 
-Three features this library adds beyond the paper, demonstrated on one
+Two features this library adds beyond the paper, demonstrated on one
 alliance:
 
 1. **Adaptive f** — an AIMD controller holds the unchecked-mistake rate
    at a 2 % target while pushing f (and thus efficiency) as high as the
    collector population allows, and slams f down when sleepers defect.
-2. **Reputation gossip** — governors with partial information import
-   peers' views of a misreporting collector via a signed,
-   geometric-mean fold.
-3. **Partial visibility** — the engine running with governors that each
+2. **Partial visibility** — the engine running with governors that each
    see only a coverage-preserving subset of collectors.
 
 Run:  python examples/adaptive_alliance.py
@@ -24,10 +21,8 @@ from repro.agents.behaviors import HonestBehavior, MisreportBehavior, SleeperBeh
 from repro.analysis.reporting import format_table
 from repro.baselines.base import PolicySimulation, ReputationPolicy
 from repro.core.adaptive import AdaptiveF
-from repro.core.gossip import ReputationGossip, make_summary
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
-from repro.ledger.transaction import Label
 from repro.network.topology import Topology
 from repro.network.visibility import VisibilityMap
 from repro.workloads.generator import BernoulliWorkload
@@ -73,41 +68,8 @@ def demo_adaptive_f() -> None:
     print()
 
 
-def demo_gossip() -> None:
-    print("=== 2. reputation gossip: informing a blind governor ===")
-    from repro.core.reputation import ReputationBook
-    from repro.crypto.identity import IdentityManager, Role
-
-    im = IdentityManager(seed=8)
-    for gid in ("g0", "g1"):
-        im.enroll(gid, Role.GOVERNOR)
-    books = {}
-    for gid in ("g0", "g1"):
-        book = ReputationBook(governor=gid)
-        book.register_collector("liar", ["p0"])
-        book.register_collector("honest", ["p0"])
-        books[gid] = book
-    gossip = ReputationGossip(im=im, alpha=0.4)
-    for t in range(100):
-        books["g0"].apply_revealed_truth(
-            "p0", {"liar": "wrong", "honest": "correct"}, beta=0.9, gamma=0.855
-        )
-        if t % 10 == 9:
-            summaries = [make_summary(im.record(g).key, books[g]) for g in books]
-            for book in books.values():
-                gossip.fold(book, summaries)
-    rows = [
-        (gid, f"{books[gid].weight('liar', 'p0'):.2e}",
-         f"{books[gid].weight('honest', 'p0'):.3f}")
-        for gid in ("g0", "g1")
-    ]
-    print(format_table(["governor", "view of liar", "view of honest"], rows))
-    print("g1 never saw a single reveal — its view of the liar came via gossip.")
-    print()
-
-
 def demo_partial_visibility() -> None:
-    print("=== 3. partial visibility: thin governor views still work ===")
+    print("=== 2. partial visibility: thin governor views still work ===")
     topo = Topology.regular(l=12, n=6, m=4, r=3)
     vmap = VisibilityMap.random_partial(topo, keep_fraction=0.0, seed=9)
     engine = ProtocolEngine(
@@ -134,7 +96,6 @@ def demo_partial_visibility() -> None:
 
 def main() -> None:
     demo_adaptive_f()
-    demo_gossip()
     demo_partial_visibility()
 
 

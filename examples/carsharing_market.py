@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.agents.behaviors import MisreportBehavior, SleeperBehavior
 from repro.analysis.reporting import format_table
-from repro.apps import CarSharingMarket
+from repro.apps.carsharing import CarSharingMarket
 from repro.core.params import ProtocolParams
 
 

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Operational tooling: persistence and replay.
+"""Operational tooling: persistence and counterfactual re-runs.
 
 Two workflows a deployment needs that go beyond the paper:
 
 1. **Chain persistence** — dump a governor's ledger to JSON, reload it,
    verify integrity; tampering is detected at import.
-2. **Workload replay** — capture the exact transaction stream of a run,
-   then re-run it under a *different* f to answer "what would the
-   validation bill have been?" counterfactually.
+2. **Counterfactual re-run** — re-seed the run's workload generator,
+   which replays the exact transaction stream, and re-run it under a
+   *different* f to answer "what would the validation bill have been?".
 
 Run:  python examples/chain_persistence.py
 """
@@ -23,7 +23,6 @@ from repro.core.protocol import ProtocolEngine
 from repro.ledger.codec import dump_chain, load_chain
 from repro.network.topology import Topology
 from repro.workloads.generator import BernoulliWorkload
-from repro.workloads.replay import RecordingWorkload, ReplayWorkload
 
 
 def main() -> None:
@@ -31,11 +30,11 @@ def main() -> None:
     behaviors = {"c0": AlwaysInvertBehavior()}
     params = ProtocolParams(f=0.8)
 
-    # --- run with recording ------------------------------------------
+    # --- the run ------------------------------------------------------
     engine = ProtocolEngine(topo, params, behaviors=behaviors, seed=21)
-    recorder = RecordingWorkload(BernoulliWorkload(topo.providers, p_valid=0.9, seed=22))
+    workload = BernoulliWorkload(topo.providers, p_valid=0.9, seed=22)
     for _ in range(15):
-        engine.run_round(recorder.take(12))
+        engine.run_round(workload.take(12))
     engine.finalize()
 
     # --- 1. persistence -------------------------------------------------
@@ -54,11 +53,12 @@ def main() -> None:
         print(f"tampered file rejected: {type(exc).__name__}")
     print()
 
-    # --- 2. counterfactual replay ---------------------------------------
-    print("=== 2. workload replay: same traffic, different f ===")
+    # --- 2. counterfactual re-run --------------------------------------
+    print("=== 2. re-seeded workload: same traffic, different f ===")
     rows = []
     for f in (0.2, 0.8):
-        replay = ReplayWorkload(recorder.recorded)
+        # The same seed draws the same 180 transactions again.
+        replay = BernoulliWorkload(topo.providers, p_valid=0.9, seed=22)
         engine2 = ProtocolEngine(
             topo, ProtocolParams(f=f), behaviors=dict(behaviors), seed=21
         )

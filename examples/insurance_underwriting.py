@@ -14,7 +14,7 @@ Run:  python examples/insurance_underwriting.py
 from __future__ import annotations
 
 from repro.analysis.reporting import format_table
-from repro.apps import CommissionBiasedAgent, InsuranceAlliance
+from repro.apps.insurance import CommissionBiasedAgent, InsuranceAlliance
 from repro.core.params import ProtocolParams
 
 

@@ -25,10 +25,9 @@ Quickstart::
 Package inits import nothing, so each name has one import path (its
 defining module), importing a module loads only what it needs, and a
 custodian peer (:mod:`repro.network.custodian`) boots without loading
-the engines.  Four inits are the exception: ``repro.apps`` is the
-registry that ``build()`` looks up by ``Scenario.app``, and
-``repro.obs``, ``repro.sharding`` and ``repro.storage`` re-export the
-names the benchmark harness (``perfbench``) imports through them; its
+the engines.  Three inits are the exception: ``repro.obs``,
+``repro.sharding`` and ``repro.storage`` re-export the names the
+benchmark harness (``perfbench``) imports through them; its
 tracer also relies on the ``sharding`` and ``storage`` inits loading
 their layers.
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -33,7 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from repro.agents.behaviors import (
@@ -235,9 +235,8 @@ def _report_shard(coordinator) -> bool:
 
 def _report_stream(app) -> bool:
     report = app.report()
-    items = asdict(report) if is_dataclass(report) else report
-    width = max(len(k) for k in items)
-    for key, value in items.items():
+    width = max(len(k) for k in report)
+    for key, value in report.items():
         print(f"  {key:<{width}}  {value}")
     print(f"touched reputation rows: {app.touched_rows()} "
           f"(universe x collectors = {app.universe * app.n})")

@@ -68,9 +68,9 @@ class SparseWeightMap(MutableMapping):
       was ever touched;
     * every mutation bumps the owning vector's ``_version`` — weights
       are mutated through :meth:`ReputationVector.scale` *and* directly
-      (gossip reconciliation, tests), so cache invalidation cannot rely
-      on a choke-point method; the book-level row cache checks the
-      version before reusing a snapshot.
+      (:meth:`ReputationBook.readmit_collector`'s bootstrap, tests), so
+      cache invalidation cannot rely on a choke-point method; the
+      book-level row cache checks the version before reusing a snapshot.
     """
 
     __slots__ = ("members", "default", "overrides", "owner")

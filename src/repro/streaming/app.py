@@ -29,21 +29,18 @@ What differs from the materialized engine (everything else is shared):
   are stable across retire/re-arrive cycles (the Identity Manager keeps
   the enrolment record), so old signatures keep verifying.
 
-As it stands the class *is* the synthetic run behind the
-``stream-smoke`` preset: Poisson arrivals, uniform selection, Bernoulli
-validity, plain payloads, no adversaries.  The domain oracles in
-:mod:`repro.apps` subclass it and supply only what makes them a domain —
-the offered load, the adversary mix, the payload hook and the
-per-record tally their report reads.
+The class *is* the synthetic run behind the ``stream-smoke`` preset:
+Poisson arrivals, uniform selection, Bernoulli validity, plain
+payloads, no adversaries.  A subclass changes the offered load by
+overriding :meth:`~StreamingApp.offered_load`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable
 
-from repro.agents.behaviors import CollectorBehavior
 from repro.agents.provider import Provider
 from repro.core.params import ProtocolParams
 from repro.core.roundcore import RoundCore
@@ -151,8 +148,6 @@ class StreamingApp(RoundCore):
 
     #: Idle rounds (>= 1) before an instantiated provider is retired.
     retirement_rounds = 6
-    #: ``(spec, index, rng) -> TxSpec`` payload hook (none: plain payloads).
-    _enrich = None
 
     def __post_init__(self) -> None:
         if self.retirement_rounds < 1:
@@ -163,10 +158,8 @@ class StreamingApp(RoundCore):
             universe=self.universe, n=self.n, m=self.m, r=self.r
         )
         self.workload = StreamingWorkload(
-            self.virtual, seed=self.seed, spec_hook=self._enrich,
-            **self.offered_load(),
+            self.virtual, seed=self.seed, **self.offered_load()
         )
-        behaviors = self.adversary_mix()
         RoundCore.__init__(self, self.params, self.seed, self.obs)
         self.store = BlockStore()
         self.metrics = StreamMetrics()
@@ -182,41 +175,21 @@ class StreamingApp(RoundCore):
             (),
             members.__getitem__,
             lambda governor: governor.register_streaming(dict(members)),
-            behaviors,
+            None,
         )
         # Idle clocks of the active provider agents (``self.providers``).
         self._last_seen: dict[str, int] = {}
         # What survives a provider's retirement: its signing nonce.
         self._retired: dict[str, int] = {}
 
-    # -- what a domain oracle overrides -----------------------------------
+    # -- what a subclass overrides ---------------------------------------
 
     def offered_load(self) -> dict:
-        """``StreamingWorkload`` keywords: arrival process and validity model."""
+        """``StreamingWorkload`` keywords: arrival process and validity rate."""
         return {
             "arrivals": PoissonArrivals(20.0, seed=self.seed),
-            "validity": "bernoulli",
             "p_valid": 0.8,
         }
-
-    def adversary_mix(self) -> Mapping[str, CollectorBehavior]:
-        """Collector id -> behaviour (the synthetic run has no adversaries)."""
-        return {}
-
-    def _tally(self, rec) -> None:
-        """Count one committed record into the domain report (nothing here)."""
-
-    def _seat(
-        self, indices: Sequence[int], behavior: Callable[[], CollectorBehavior]
-    ) -> dict[str, CollectorBehavior]:
-        """A fresh ``behavior()`` on each of the collectors at ``indices``."""
-        collectors = self.virtual.collectors
-        if indices and max(indices) >= len(collectors):
-            raise ConfigurationError(
-                f"{type(self).__name__}'s adversary mix seats collector "
-                f"{max(indices)}; the committee has n={len(collectors)}"
-            )
-        return {collectors[i]: behavior() for i in indices}
 
     # -- provider lifecycle ----------------------------------------------
 
@@ -291,8 +264,6 @@ class StreamingApp(RoundCore):
         self.metrics.rounds += 1
         self.metrics.transactions += len(batch)
         self.metrics.argues_admitted += done.argues_admitted
-        for rec in done.block.tx_list:
-            self._tally(rec)
         return done.block
 
     def run(self, rounds: int) -> None:

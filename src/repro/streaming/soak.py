@@ -1,13 +1,14 @@
-"""Nightly chaos soak: the flash-sale load shape over a chaotic TCP cluster.
+"""Nightly chaos soak: a flash-sale load shape over a chaotic TCP cluster.
 
 The transport parity gate
 (``tests/test_transport.py::TestBackendParity``) proves one seeded
 scenario commits the bit-identical tip through socket chaos.  This soak hardens that claim
-against the streaming subsystem's nastiest traffic: the **flash-sale
-oracle's** load shape — :class:`~repro.workloads.arrivals.BurstyArrivals`
-spikes, uniform buyer selection over a virtual universe, ticket-order
-payloads with a victim-buyer slice — plus its **scalper-cartel**
-adversary mix, replayed over and over through
+against the streaming subsystem's nastiest traffic, a load it builds
+itself: :class:`~repro.workloads.arrivals.BurstyArrivals` spikes,
+uniform buyer selection over a virtual universe, ticket-order payloads
+with a victim-buyer slice — plus a **scalper-cartel** adversary mix
+(a colluding collector concealing the victim's transactions beside a
+misreporter), replayed over and over through
 :class:`~repro.faults.proxy.TransportFaultProxy` chaos (frame loss,
 duplication, reordering) until a wall-clock budget runs out.
 
@@ -83,7 +84,6 @@ def _flash_sale_workload(scenario: ClusterScenario, topology: Topology):
             rate=4.0, burst_rate=40.0, p_burst=0.3, p_end=0.3,
             seed=scenario.seed + 1,
         ),
-        validity="bernoulli",
         seed=scenario.seed + 1,
         p_valid=0.75,
         spec_hook=enrich,

@@ -1,13 +1,11 @@
 """Arrival processes: how many transactions enter per round.
 
 The paper's rounds pack up to ``b_limit`` transactions; the arrival
-process controls offered load.  Four standard models:
+process controls offered load.  Three standard models:
 
 * :class:`ConstantArrivals` — fixed batch per round;
 * :class:`PoissonArrivals` — Poisson(rate) per round, the classic
   open-loop model;
-* :class:`DiurnalArrivals` — sinusoidally modulated Poisson, matching
-  the car-sharing scenario's rush hours;
 * :class:`BurstyArrivals` — two-state (background / burst) modulated
   Poisson, the flash-sale spike model.
 
@@ -19,8 +17,6 @@ draw from decorrelated streams and never perturb each other's counts.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -29,14 +25,12 @@ __all__ = [
     "ArrivalProcess",
     "ConstantArrivals",
     "PoissonArrivals",
-    "DiurnalArrivals",
     "BurstyArrivals",
 ]
 
 #: Per-class stream tags: spawn keys for ``SeedSequence([seed, TAG])``.
 #: Frozen constants — changing one changes every seeded arrival stream.
 _POISSON_TAG = 0x41525231  # "ARR1"
-_DIURNAL_TAG = 0x41525232  # "ARR2"
 _BURSTY_TAG = 0x41525233  # "ARR3"
 
 
@@ -78,34 +72,13 @@ class PoissonArrivals(ArrivalProcess):
         return int(self.rng.poisson(self.rate))
 
 
-class DiurnalArrivals(ArrivalProcess):
-    """Poisson with a sinusoidal day cycle: rate * (1 + amp * sin)."""
-
-    def __init__(self, rate: float, period: int = 24, amplitude: float = 0.5, seed: int = 0):
-        if rate < 0:
-            raise ConfigurationError(f"rate cannot be negative, got {rate}")
-        if period < 1:
-            raise ConfigurationError(f"period must be >= 1, got {period}")
-        if not 0.0 <= amplitude <= 1.0:
-            raise ConfigurationError(f"amplitude must be in [0, 1], got {amplitude}")
-        self.rate = rate
-        self.period = period
-        self.amplitude = amplitude
-        self.rng = _stream_rng(seed, _DIURNAL_TAG)
-
-    def count_for_round(self, round_number: int) -> int:
-        phase = 2.0 * math.pi * (round_number % self.period) / self.period
-        lam = self.rate * (1.0 + self.amplitude * math.sin(phase))
-        return int(self.rng.poisson(max(lam, 0.0)))
-
-
 class BurstyArrivals(ArrivalProcess):
     """Two-state modulated Poisson: quiet background, then flash bursts.
 
     A seeded Markov chain switches between a ``rate`` background and a
     ``burst_rate`` episode; ``p_burst`` is the per-round chance a burst
-    starts, ``p_end`` the per-round chance it ends.  The flash-sale
-    ticketing oracle drives its on-sale spikes with this.
+    starts, ``p_end`` the per-round chance it ends.  The chaos soak
+    (:mod:`repro.streaming.soak`) drives its on-sale spikes with this.
     """
 
     def __init__(

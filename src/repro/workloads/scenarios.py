@@ -13,8 +13,8 @@ the round count and the *host* that executes the round:
 * ``shard`` — :class:`~repro.sharding.ShardCoordinator`; the node counts
   are deployment-wide totals, split evenly across ``shards``;
 * ``stream`` — a :class:`~repro.streaming.app.StreamingApp`; ``l`` is the
-  registered (virtual) universe, and the app brings its own behaviours
-  and draws its own arrivals (``batch`` specs are offered on top).
+  registered (virtual) universe, the app has no adversaries and draws
+  its own arrivals (``batch`` specs are offered on top).
 
 :func:`build` materialises a preset into ``(deployment, workload,
 scenario)``, and every deployment is driven the same way::
@@ -51,7 +51,7 @@ from repro.workloads.generator import (
 __all__ = ["Scenario", "SCENARIOS", "scenario_names", "build", "reject_unread"]
 
 #: What each host reads besides a preset's shape, rounds, seed and ``obs``
-#: (a ``stream`` app brings its own behaviours and workload).
+#: (a ``stream`` app has no adversaries and draws its own workload).
 HOST_READS = {
     "inproc": {"behavior_factory"},
     "net": {"behavior_factory", "storage_dir"},
@@ -95,8 +95,6 @@ class Scenario:
     # ``net`` hosts built with a ``storage_dir``.
     checkpoint_interval: int = 8
     segment_bytes: int = 1 << 20
-    #: ``stream`` hosts: the :mod:`repro.apps` class that runs the preset.
-    app: str = "StreamingApp"
 
     def topology(self) -> Topology | ShardedTopology:
         """The scenario's link structure (partitioned on a ``shard`` host)."""
@@ -251,30 +249,6 @@ SCENARIOS: dict[str, Scenario] = {
             params=ProtocolParams(f=0.5, b_limit=48),
             rounds=8, batch=0,
         ),
-        Scenario(
-            name="supply-chain",
-            description="multi-hop provenance with a counterfeit ring",
-            host="stream", app="SupplyChainProvenance",
-            l=10_000, n=8, m=4, r=4,
-            params=ProtocolParams(f=0.5, b_limit=64),
-            rounds=12, batch=0,
-        ),
-        Scenario(
-            name="energy-trading",
-            description="diurnal bidirectional flows, tampering aggregators",
-            host="stream", app="EnergyMarket",
-            l=10_000, n=8, m=4, r=4,
-            params=ProtocolParams(f=0.5, b_limit=64),
-            rounds=24, batch=0,
-        ),
-        Scenario(
-            name="flash-sale",
-            description="extreme burst arrivals with a scalper cartel",
-            host="stream", app="FlashSaleTicketing",
-            l=100_000, n=8, m=4, r=4,
-            params=ProtocolParams(f=0.5, b_limit=48),
-            rounds=16, batch=0,
-        ),
     ]
 }
 
@@ -335,9 +309,9 @@ def build(
     # perfbench's tracer, which preloads this module) never pay for the
     # networked, sharded or streaming packages.
     if scenario.host == "stream":
-        import repro.apps
+        from repro.streaming.app import StreamingApp
 
-        deployment = getattr(repro.apps, scenario.app)(
+        deployment = StreamingApp(
             universe=scenario.l if universe is None else universe,
             n=scenario.n, m=scenario.m, r=scenario.r,
             params=scenario.params, seed=seed, obs=obs,

@@ -103,10 +103,6 @@ RUN_CASES = {
         ["scenario: stream-smoke", "l=2000", "4 rounds", "transactions    76",
          "touched reputation rows:"],
     ),
-    "stream-oracle": (
-        ["run", "flash-sale", "--rounds", "4", "--providers", "2000"],
-        ["cartel_suppressions", "audit_clean"],
-    ),
 }
 
 
@@ -157,7 +153,6 @@ class TestRunCommand:
             (["--providers", "5", "--collectors", "4", "--r", "3"], "not divisible"),
             (["stream-smoke", "--providers", "7"], "not divisible"),
             (["--batch", "2000"], "exceeds b_limit"),
-            (["flash-sale", "--collectors", "4", "--r", "2"], "seats collector"),
             (["smoke", "--workers", "2"], "does not read workers"),
             (["sharded-quad", "--dir", "x"], "does not read storage_dir"),
             (["stream-smoke", "--misreporters", "1"], "does not read behavior_factory"),

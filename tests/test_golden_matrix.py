@@ -13,8 +13,8 @@ covers each execution shape the paper's round runs under:
   and once through every way a node leaves and rejoins: a collector
   and a governor crash and recover, a second governor equivocates, is
   quarantined on forwarded evidence and is released again;
-* ``StreamingApp`` (or the oracle subclass it names) on every
-  ``stream`` preset over a small universe with retirement on;
+* ``StreamingApp`` on every ``stream`` preset over a small universe
+  with retirement on;
 * one ``shard`` preset on the serial backend, and the S=4
   preset with epoch reshuffles under a seeded per-shard ``FaultPlan``
   with ``resilience`` on — once in-process and once on two worker

@@ -7,7 +7,7 @@ way.  Every module but
 ``repro.__main__`` must also import as the *first* ``repro`` module of
 an interpreter — a cycle that only an earlier import's order hides fails
 here, naming the modules on it.  Each name has one import path, its
-defining module: a package init holds only its docstring, bar the four
+defining module: a package init holds only its docstring, bar the three
 in ``REEXPORTING_INITS``.
 """
 
@@ -60,9 +60,8 @@ def test_custodian_loads_neither_asyncio_nor_ssl():
     assert not [name for name in loaded if name.split(".")[0] in ("asyncio", "ssl")]
 
 
-#: Package inits that still re-export: ``apps`` is the registry ``build()``
-#: looks up by ``Scenario.app``; perfbench imports through the other three.
-REEXPORTING_INITS = ("repro.apps", "repro.obs", "repro.sharding", "repro.storage")
+#: Package inits that still re-export: perfbench imports through them.
+REEXPORTING_INITS = ("repro.obs", "repro.sharding", "repro.storage")
 
 
 def _module_name(path: pathlib.Path) -> str:

@@ -48,6 +48,15 @@ class TestConstruction:
                 topo, ProtocolParams(delta=0.2), stake={"g0": 2, "g9": 1}
             )
 
+    @pytest.mark.parametrize("engine_cls", [ProtocolEngine, NetworkedProtocolEngine])
+    def test_behaviors_for_unknown_collector_rejected(self, engine_cls):
+        topo = Topology.regular(l=8, n=4, m=3, r=2)
+        with pytest.raises(ConfigurationError, match=r"unknown collectors.*'c9'"):
+            engine_cls(
+                topo, ProtocolParams(delta=0.2),
+                behaviors={"c0": MisreportBehavior(0.5), "c9": MisreportBehavior(0.5)},
+            )
+
     def test_plain_engine_holds_no_receipt_state(self):
         """Only ``build_shard_engine`` gives an engine a receipt inbox."""
         engine, _ = make_engine()

@@ -21,10 +21,10 @@ def _build(name, seed=1, **options):
 class TestRegistry:
     def test_names_sorted_and_nonempty(self):
         names = scenario_names()
-        assert names == sorted(SCENARIOS) and len(names) == 15
+        assert names == sorted(SCENARIOS) and len(names) == 12
         assert {s.host for s in SCENARIOS.values()} == set(HOST_READS)
         for name in ("paper-default", "smoke", "sharded-smoke", "durable-smoke",
-                     "stream-smoke", "flash-sale"):
+                     "stream-smoke"):
             assert name in names
 
     def test_unknown_name_rejected(self):

@@ -1,6 +1,6 @@
 """One property over every signed message type.
 
-Each of the eight signed formats is spelled by one ``*_message`` function
+Each of the seven signed formats is spelled by one ``*_message`` function
 that both its maker and its verifier call.  So for every type: the bytes
 the object says it was signed over verify under the signer's enrolled
 key, and changing any field those bytes cover changes the bytes and
@@ -16,8 +16,6 @@ import pytest
 from repro.consensus.messages import make_vote
 from repro.consensus.stake import StakeLedger, make_transfer
 from repro.consensus.stake_consensus import evaluate_proposal, make_proposal
-from repro.core.gossip import make_summary
-from repro.core.reputation import ReputationBook
 from repro.crypto.identity import IdentityManager, Role
 from repro.crypto.signatures import SigningKey
 from repro.ledger.transaction import (
@@ -43,8 +41,6 @@ def _signed_objects() -> tuple[IdentityManager, dict]:
     prev_state = StakeLedger.from_balances({"g0": 3, "g1": 3})
     transfers = [make_transfer(keys["g0"], "g1", 1, nonce=0)]
     proposal = make_proposal(keys["g0"], 4, prev_state, transfers)
-    book = ReputationBook("g0")
-    book.register_collector("c0", ["p0"])
     return im, {
         "tx": tx,
         "labeled": make_labeled_transaction(keys["c0"], tx, Label.VALID),
@@ -52,7 +48,6 @@ def _signed_objects() -> tuple[IdentityManager, dict]:
         "vote": make_vote(keys["g0"], 3, b"\x05" * 32, round_number=9),
         "proposal": proposal,
         "ack": evaluate_proposal(im, keys["g1"], proposal, prev_state, transfers),
-        "summary": make_summary(keys["g0"], book),
         "transfer": transfers[0],
     }
 
@@ -83,9 +78,6 @@ SIGNED_TYPES = {
     "ack": ("governor", "signature", {
         "round_number": 5, "proposal_digest": b"\x08" * 32,
     }),
-    "summary": ("governor", "signature", {
-        "governor": "g1", "entries": {("c0", "p0"): 0.5},
-    }),
     "transfer": ("sender", "signature", {
         "sender": "p0", "receiver": "c0", "amount": 2, "nonce": 1,
     }),
@@ -104,7 +96,7 @@ def _verifies(im: IdentityManager, obj, signer: str, signature: str) -> bool:
 
 def test_every_signed_type_is_covered():
     assert set(_signed_objects()[1]) == set(SIGNED_TYPES)
-    assert len(SIGNED_TYPES) == 8
+    assert len(SIGNED_TYPES) == 7
 
 
 @pytest.mark.parametrize(

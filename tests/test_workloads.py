@@ -9,7 +9,6 @@ from repro.exceptions import ConfigurationError
 from repro.workloads.arrivals import (
     BurstyArrivals,
     ConstantArrivals,
-    DiurnalArrivals,
     PoissonArrivals,
 )
 from repro.workloads.generator import (
@@ -107,17 +106,6 @@ class TestArrivals:
         with pytest.raises(ConfigurationError):
             PoissonArrivals(rate=-1.0)
 
-    def test_diurnal_modulation(self):
-        arr = DiurnalArrivals(rate=20.0, period=24, amplitude=0.9, seed=6)
-        # Average counts at the peak phase vs the trough phase.
-        peak = np.mean([arr.count_for_round(6 + 24 * k) for k in range(300)])
-        trough = np.mean([arr.count_for_round(18 + 24 * k) for k in range(300)])
-        assert peak > trough * 1.5
-
-    def test_diurnal_invalid_amplitude(self):
-        with pytest.raises(ConfigurationError):
-            DiurnalArrivals(rate=1.0, amplitude=2.0)
-
     def test_bursty_mean_between_rates(self):
         arr = BurstyArrivals(5.0, 50.0, p_burst=0.2, p_end=0.3, seed=4)
         counts = [arr.count_for_round(r) for r in range(2000)]
@@ -149,12 +137,6 @@ class TestArrivalStreamIsolation:
             15, 4, 8, 8, 13, 9, 5, 9,
         ]
 
-    def test_golden_diurnal_stream(self):
-        arr = DiurnalArrivals(20.0, period=8, amplitude=0.5, seed=7)
-        assert [arr.count_for_round(r) for r in range(8)] == [
-            21, 26, 30, 27, 15, 12, 5, 7,
-        ]
-
     def test_golden_bursty_stream(self):
         arr = BurstyArrivals(5.0, 50.0, p_burst=0.2, p_end=0.3, seed=7)
         assert [arr.count_for_round(r) for r in range(8)] == [
@@ -162,18 +144,15 @@ class TestArrivalStreamIsolation:
         ]
 
     def test_same_seed_different_processes_decorrelated(self):
-        # Three processes that are all effectively Poisson(10) under one
+        # Two processes that are both effectively Poisson(10) under one
         # seed: identical sequences would mean a shared RNG stream.
         poisson = PoissonArrivals(10.0, seed=7)
-        flat_diurnal = DiurnalArrivals(10.0, amplitude=0.0, seed=7)
         flat_bursty = BurstyArrivals(10.0, 10.0, p_burst=0.0, seed=7)
         streams = [
             [arr.count_for_round(r) for r in range(12)]
-            for arr in (poisson, flat_diurnal, flat_bursty)
+            for arr in (poisson, flat_bursty)
         ]
         assert streams[0] != streams[1]
-        assert streams[0] != streams[2]
-        assert streams[1] != streams[2]
 
     def test_same_seed_same_process_reproduces(self):
         a = BurstyArrivals(5.0, 50.0, p_burst=0.2, p_end=0.3, seed=11)
