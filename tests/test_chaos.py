@@ -180,21 +180,6 @@ class TestAcceptanceScenario:
         assert engine.injector.stats.recoveries == 1
         assert_safety(engine, f=0.6)
 
-    def test_seeded_chaos_is_deterministic(self):
-        def tip_hashes(run_seed):
-            engine, topo = make_engine(seed=run_seed)
-            engine.install_faults(
-                lossy_plan(seed=90).with_crash("g1", at=0.5, recover_at=1.5)
-            )
-            run_rounds(engine, topo, rounds=4, seed=91)
-            engine.finalize()
-            return [
-                engine.store.retrieve(s).hash()
-                for s in range(1, engine.store.height + 1)
-            ]
-
-        assert tip_hashes(7) == tip_hashes(7)
-
 
 @pytest.mark.chaos
 class TestFaultEdgeCases:

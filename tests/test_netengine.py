@@ -122,17 +122,6 @@ class TestRounds:
         report = check_all_properties(engine.ledgers(), engine.transcript)
         assert report.all_hold, report.violations
 
-    def test_deterministic(self):
-        def run(seed):
-            engine, topo = make_engine(seed=seed)
-            workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=9)
-            hashes = []
-            for _ in range(3):
-                hashes.append(engine.run_round(workload.take(8)).block.hash())
-            return hashes
-
-        assert run(3) == run(3)
-
     def test_argue_roundtrip_over_network(self):
         behaviors = {f"c{i}": AlwaysInvertBehavior() for i in range(2)}
         engine, topo = make_engine(f=0.9, behaviors=behaviors, seed=6)

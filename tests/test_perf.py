@@ -11,7 +11,7 @@
 * a cached reputation row equals a freshly built one after every kind of
   change to the vectors under it.
 
-End states of whole seeded runs are pinned by ``tests/test_golden_matrix.py``.
+End states of whole seeded runs are pinned by ``tests/test_parity.py``.
 """
 
 from __future__ import annotations

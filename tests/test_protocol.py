@@ -58,13 +58,6 @@ class TestBasicExecution:
         report = check_all_properties(engine.ledgers(), engine.transcript)
         assert report.all_hold, report.violations
 
-    def test_deterministic_in_seed(self):
-        e1, t1 = make_engine(seed=3)
-        e2, t2 = make_engine(seed=3)
-        r1 = run_rounds(e1, t1, rounds=3)
-        r2 = run_rounds(e2, t2, rounds=3)
-        assert [r.block.hash() for r in r1] == [r.block.hash() for r in r2]
-
     def test_unknown_behavior_collector_rejected(self):
         topo = Topology.regular(l=8, n=4, m=4, r=2)
         with pytest.raises(ConfigurationError):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.crypto.signatures import SigningKey
 from repro.exceptions import LedgerError
-from repro.ledger.block import GENESIS_PREV_HASH, Block
+from repro.ledger.block import Block
 from repro.ledger.chain import Ledger, check_agreement
 from repro.ledger.store import BlockStore
 from repro.ledger.sync import sync_replica
@@ -379,19 +379,6 @@ class TestAnchoredLedger:
 
 
 class TestEngineDurability:
-    def test_durable_run_bit_identical_to_memory(self, tmp_path):
-        from repro.workloads.scenarios import build
-
-        mem, wl_mem, sc = build("durable-smoke", seed=7)
-        dur, wl_dur, _ = build(
-            "durable-smoke", seed=7, storage_dir=tmp_path
-        )
-        for _ in range(3):
-            mem.run_round(wl_mem.take(sc.batch))
-            dur.run_round(wl_dur.take(sc.batch))
-        assert dur.store.tip_hash() == mem.store.tip_hash()
-        assert dur.store.height == mem.store.height == 3
-
     def test_restart_reanchors_governor_replicas(self, tmp_path):
         from repro.workloads.scenarios import build
 
@@ -407,26 +394,3 @@ class TestEngineDurability:
         for gov in restarted.governors.values():
             assert gov.ledger.height == 4
             gov.ledger.verify_integrity()
-
-    def test_sync_from_peer_fills_suffix_only(self, tmp_path):
-        from repro.workloads.scenarios import build
-
-        reference, wl_ref, sc = build("durable-smoke", seed=7)
-        for _ in range(sc.rounds):
-            reference.run_round(wl_ref.take(sc.batch))
-
-        crashed, wl_c, _ = build(
-            "durable-smoke", seed=7, storage_dir=tmp_path
-        )
-        for _ in range(3):
-            crashed.run_round(wl_c.take(sc.batch))
-        restarted, _, _ = build(
-            "durable-smoke", seed=7, storage_dir=tmp_path
-        )
-        assert restarted.store.height == 3  # disk had the prefix
-        pulled = restarted.handoff.sync_from_peer(reference.store)
-        assert pulled == sc.rounds - 3
-        assert restarted.store.tip_hash() == reference.store.tip_hash()
-        assert restarted.harness_auditor.report.clean
-        for gov in restarted.governors.values():
-            assert gov.ledger.height == reference.store.height
