@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label
+from repro.rng import Generator
 
 __all__ = [
     "CollectorBehavior",
@@ -44,11 +43,11 @@ __all__ = [
 class CollectorBehavior(Protocol):
     """Strategy interface for a collector's per-transaction conduct."""
 
-    def label_for(self, true_valid: bool, rng: np.random.Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
         """The label to upload for a transaction, or None to conceal."""
         ...
 
-    def should_forge(self, rng: np.random.Generator) -> bool:
+    def should_forge(self, rng: Generator) -> bool:
         """Whether to also submit a forged transaction this opportunity."""
         ...
 
@@ -62,10 +61,10 @@ def _check_probability(name: str, p: float) -> None:
 class HonestBehavior:
     """Always report the true label, never forge — the well-behaved collector."""
 
-    def label_for(self, true_valid: bool, rng: np.random.Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: np.random.Generator) -> bool:
+    def should_forge(self, rng: Generator) -> bool:
         return False
 
 
@@ -78,12 +77,12 @@ class MisreportBehavior:
     def __post_init__(self) -> None:
         _check_probability("misreport probability p", self.p)
 
-    def label_for(self, true_valid: bool, rng: np.random.Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
         if rng.random() < self.p:
             return Label.from_bool(not true_valid)
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: np.random.Generator) -> bool:
+    def should_forge(self, rng: Generator) -> bool:
         return False
 
 
@@ -96,12 +95,12 @@ class ConcealBehavior:
     def __post_init__(self) -> None:
         _check_probability("conceal probability q", self.q)
 
-    def label_for(self, true_valid: bool, rng: np.random.Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
         if rng.random() < self.q:
             return None
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: np.random.Generator) -> bool:
+    def should_forge(self, rng: Generator) -> bool:
         return False
 
 
@@ -114,10 +113,10 @@ class ForgeBehavior:
     def __post_init__(self) -> None:
         _check_probability("forge probability w", self.w)
 
-    def label_for(self, true_valid: bool, rng: np.random.Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: np.random.Generator) -> bool:
+    def should_forge(self, rng: Generator) -> bool:
         return bool(rng.random() < self.w)
 
 
@@ -138,14 +137,14 @@ class MixedAdversary:
         _check_probability("p_conceal", self.p_conceal)
         _check_probability("p_forge", self.p_forge)
 
-    def label_for(self, true_valid: bool, rng: np.random.Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
         if rng.random() < self.p_conceal:
             return None
         if rng.random() < self.p_misreport:
             return Label.from_bool(not true_valid)
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: np.random.Generator) -> bool:
+    def should_forge(self, rng: Generator) -> bool:
         return bool(rng.random() < self.p_forge)
 
 
@@ -164,14 +163,14 @@ class FlipFlopBehavior:
         if self.period < 1:
             raise ConfigurationError(f"flip-flop period must be >= 1, got {self.period}")
 
-    def label_for(self, true_valid: bool, rng: np.random.Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
         phase = (self._seen // self.period) % 2
         self._seen += 1
         if phase == 0:
             return Label.from_bool(true_valid)
         return Label.from_bool(not true_valid)
 
-    def should_forge(self, rng: np.random.Generator) -> bool:
+    def should_forge(self, rng: Generator) -> bool:
         return False
 
 
@@ -193,7 +192,7 @@ class SleeperBehavior:
             raise ConfigurationError("honest_prefix cannot be negative")
         _check_probability("p_after", self.p_after)
 
-    def label_for(self, true_valid: bool, rng: np.random.Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
         self._seen += 1
         if self._seen <= self.honest_prefix:
             return Label.from_bool(true_valid)
@@ -201,7 +200,7 @@ class SleeperBehavior:
             return Label.from_bool(not true_valid)
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: np.random.Generator) -> bool:
+    def should_forge(self, rng: Generator) -> bool:
         return False
 
 
@@ -209,10 +208,10 @@ class SleeperBehavior:
 class AlwaysInvertBehavior:
     """Deterministically report the opposite label — maximal misreporting."""
 
-    def label_for(self, true_valid: bool, rng: np.random.Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
         return Label.from_bool(not true_valid)
 
-    def should_forge(self, rng: np.random.Generator) -> bool:
+    def should_forge(self, rng: Generator) -> bool:
         return False
 
 

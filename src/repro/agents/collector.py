@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.agents.behaviors import CollectorBehavior
 from repro.crypto.signatures import SigningKey, sign
 from repro.ledger.transaction import (
@@ -27,6 +25,7 @@ from repro.ledger.transaction import (
     tx_message,
 )
 from repro.ledger.validation import ValidityOracle
+from repro.rng import Generator
 
 __all__ = ["Collector"]
 
@@ -47,7 +46,7 @@ class Collector:
     key: SigningKey
     linked_providers: tuple[str, ...]
     behavior: CollectorBehavior
-    rng: np.random.Generator
+    rng: Generator
     uploads: int = field(default=0, repr=False)
     conceals: int = field(default=0, repr=False)
     forgeries: int = field(default=0, repr=False)

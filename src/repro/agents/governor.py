@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 from repro.core.arguing import ArgueManager
 from repro.core.params import ProtocolParams
 from repro.core.reputation import ReputationBook
@@ -38,6 +36,7 @@ from repro.ledger.transaction import (
 from repro.ledger.validation import CountingOracle, ValidityOracle
 from repro.network.topology import Topology
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.rng import Generator
 
 __all__ = ["GovernorMetrics", "Governor"]
 
@@ -84,7 +83,7 @@ class Governor:
     params: ProtocolParams
     im: IdentityManager
     oracle: CountingOracle
-    rng: np.random.Generator
+    rng: Generator
     obs: MetricsRegistry = field(default_factory=lambda: NULL_REGISTRY)
     book: ReputationBook = field(init=False)
     ledger: Ledger = field(init=False)

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 from repro.core.protocol import ProtocolEngine
 from repro.exceptions import ConfigurationError
+from repro.rng import pairwise_sum
 
 __all__ = ["GovernorSummary", "RunSummary", "summarize_run", "SweepTable"]
 
@@ -61,7 +60,7 @@ class RunSummary:
     def mean_unchecked_rate(self) -> float:
         """Average unchecked fraction across governors."""
         rates = [g.unchecked_rate for g in self.governors]
-        return float(np.mean(rates)) if rates else 0.0
+        return pairwise_sum(rates) / len(rates) if rates else 0.0
 
     @property
     def total_mistakes(self) -> int:

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.rng import default_rng
 
 __all__ = [
     "empirical_tail",
@@ -140,8 +141,9 @@ def bootstrap_ci(
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError("confidence must be in (0, 1)")
     arr = np.asarray(samples, dtype=float)
-    rng = np.random.default_rng(seed)
-    means = rng.choice(arr, size=(n_resamples, arr.size), replace=True).mean(axis=1)
+    # numpy's ``choice(arr, size, replace=True)`` draws exactly these indices.
+    picks = default_rng(seed).integers(0, arr.size, size=n_resamples * arr.size)
+    means = arr[np.array(picks).reshape(n_resamples, arr.size)].mean(axis=1)
     lo = (1.0 - confidence) / 2.0
     return (
         float(np.quantile(means, lo)),

@@ -20,14 +20,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.agents.behaviors import CollectorBehavior, HonestBehavior
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import CheckStatus, Label
 from repro.network.topology import Topology
+from repro.rng import default_rng
 from repro.workloads.generator import TxSpec
 
 __all__ = ["RideRequest", "GreedyDispatcher", "CarSharingMarket", "MarketReport"]
@@ -158,11 +157,11 @@ class CarSharingMarket:
         self.engine = ProtocolEngine(
             self.topology, self.params, behaviors=behaviors, seed=self.seed
         )
-        self._rng = np.random.default_rng(self.seed + 1)
+        self._rng = default_rng(self.seed + 1)
         self.driver_positions = {
             d: (
-                float(self._rng.uniform(0, self.city_size)),
-                float(self._rng.uniform(0, self.city_size)),
+                self._rng.uniform(0, self.city_size),
+                self._rng.uniform(0, self.city_size),
             )
             for d in self.topology.collectors
         }
@@ -174,12 +173,12 @@ class CarSharingMarket:
 
     def _make_request(self, rider: str) -> RideRequest:
         pickup = (
-            float(self._rng.uniform(0, self.city_size)),
-            float(self._rng.uniform(0, self.city_size)),
+            self._rng.uniform(0, self.city_size),
+            self._rng.uniform(0, self.city_size),
         )
         dropoff = (
-            float(self._rng.uniform(0, self.city_size)),
-            float(self._rng.uniform(0, self.city_size)),
+            self._rng.uniform(0, self.city_size),
+            self._rng.uniform(0, self.city_size),
         )
         funded = bool(self._rng.random() >= self.unfunded_rate)
         fare = 2.0 + 1.5 * math.dist(pickup, dropoff)

@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from repro.agents.behaviors import CollectorBehavior, HonestBehavior
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import CheckStatus, Label
 from repro.network.topology import Topology
+from repro.rng import Generator, default_rng
 from repro.workloads.generator import TxSpec
 
 __all__ = [
@@ -88,12 +87,12 @@ class CommissionBiasedAgent:
         if not 0.0 <= self.whitewash_rate <= 1.0:
             raise ConfigurationError("whitewash_rate must be in [0, 1]")
 
-    def label_for(self, true_valid: bool, rng: np.random.Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
         if not true_valid and rng.random() < self.whitewash_rate:
             return Label.VALID
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: np.random.Generator) -> bool:
+    def should_forge(self, rng: Generator) -> bool:
         return False
 
 
@@ -157,7 +156,7 @@ class InsuranceAlliance:
         self.engine = ProtocolEngine(
             self.topology, self.params, behaviors=behaviors, seed=self.seed
         )
-        self._rng = np.random.default_rng(self.seed + 7)
+        self._rng = default_rng(self.seed + 7)
         self.registry: dict[str, HealthRecord] = {
             p: self._random_record() for p in self.topology.providers
         }
@@ -168,10 +167,10 @@ class InsuranceAlliance:
 
     def _random_record(self) -> HealthRecord:
         return HealthRecord(
-            age=int(self._rng.integers(18, 80)),
+            age=self._rng.integers(18, 80),
             smoker=bool(self._rng.random() < 0.3),
             chronic_condition=bool(self._rng.random() < 0.2),
-            prior_claims=int(self._rng.poisson(0.5)),
+            prior_claims=self._rng.poisson(0.5),
         )
 
     def _declare(self, applicant: str) -> tuple[Application, bool]:

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Protocol, Sequence
 
-import numpy as np
-
 from repro.agents.behaviors import CollectorBehavior
 from repro.core.game import PROVIDER, theorem1_book
 from repro.core.params import ProtocolParams
@@ -31,6 +29,7 @@ from repro.core.reputation import ReputationBook
 from repro.core.updating import apply_reveal_update
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label
+from repro.rng import Generator, default_rng
 
 __all__ = [
     "PolicyDecision",
@@ -53,7 +52,7 @@ class ScreeningPolicy(Protocol):
     """A governor-side screening strategy."""
 
     def screen(
-        self, labels: Mapping[str, Label], rng: np.random.Generator
+        self, labels: Mapping[str, Label], rng: Generator
     ) -> PolicyDecision:
         """Decide on one transaction given the uploaded labels.
 
@@ -93,7 +92,7 @@ class ReputationPolicy:
         return MappingProxyType(self.book.weights_for(PROVIDER, self.book.collectors()))
 
     def screen(
-        self, labels: Mapping[str, Label], rng: np.random.Generator
+        self, labels: Mapping[str, Label], rng: Generator
     ) -> PolicyDecision:
         reporters = sorted(c for c in labels if self.book.is_registered(c))
         if not reporters:
@@ -201,7 +200,7 @@ class PolicySimulation:
 
     def stream(self) -> list[tuple[Label, dict[str, Label]]]:
         """Materialise the (truth, labels) stream."""
-        rng = np.random.default_rng(self.seed)
+        rng = default_rng(self.seed)
         ids = [f"c{i}" for i in range(len(self.behaviors))]
         out: list[tuple[Label, dict[str, Label]]] = []
         for _ in range(self.horizon):
@@ -221,7 +220,7 @@ class PolicySimulation:
         record whose provisional label contradicts the truth (checked
         transactions are never mistaken — validation reveals the truth).
         """
-        rng = np.random.default_rng(policy_seed)
+        rng = default_rng(policy_seed)
         stats = PolicyStats()
         for truth, labels in self.stream():
             stats.transactions += 1

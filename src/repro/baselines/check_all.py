@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from repro.baselines.base import PolicyDecision
 from repro.ledger.transaction import Label
+from repro.rng import Generator
 
 __all__ = ["CheckAllPolicy"]
 
@@ -23,7 +22,7 @@ class CheckAllPolicy:
     """Validate everything; labels are irrelevant."""
 
     def screen(
-        self, labels: Mapping[str, Label], rng: np.random.Generator
+        self, labels: Mapping[str, Label], rng: Generator
     ) -> PolicyDecision:
         return PolicyDecision(recorded_label=Label.VALID, checked=True)
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from repro.baselines.base import PolicyDecision
 from repro.ledger.transaction import Label
+from repro.rng import Generator
 
 __all__ = ["CheckNonePolicy"]
 
@@ -23,7 +22,7 @@ class CheckNonePolicy:
     """Trust a uniformly random reporter, never validate."""
 
     def screen(
-        self, labels: Mapping[str, Label], rng: np.random.Generator
+        self, labels: Mapping[str, Label], rng: Generator
     ) -> PolicyDecision:
         reporters = sorted(labels)
         drawn = reporters[int(rng.integers(len(reporters)))]

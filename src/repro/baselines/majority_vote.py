@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from repro.baselines.base import PolicyDecision
 from repro.ledger.transaction import Label
+from repro.rng import Generator
 
 __all__ = ["MajorityVotePolicy"]
 
@@ -25,7 +24,7 @@ class MajorityVotePolicy:
     """Record the unweighted majority label; check ties only."""
 
     def screen(
-        self, labels: Mapping[str, Label], rng: np.random.Generator
+        self, labels: Mapping[str, Label], rng: Generator
     ) -> PolicyDecision:
         ups = sum(1 for lab in labels.values() if lab is Label.VALID)
         downs = len(labels) - ups

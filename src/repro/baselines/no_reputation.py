@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from repro.baselines.base import PolicyDecision
 from repro.core.params import ProtocolParams
 from repro.ledger.transaction import Label
+from repro.rng import Generator
 
 __all__ = ["UniformSelectionPolicy"]
 
@@ -29,7 +28,7 @@ class UniformSelectionPolicy:
     params: ProtocolParams
 
     def screen(
-        self, labels: Mapping[str, Label], rng: np.random.Generator
+        self, labels: Mapping[str, Label], rng: Generator
     ) -> PolicyDecision:
         reporters = sorted(labels)
         probability = 1.0 / len(reporters)

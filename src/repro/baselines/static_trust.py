@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from repro.baselines.base import PolicyDecision
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label
+from repro.rng import Generator, pairwise_sum
 
 __all__ = ["StaticTrustPolicy"]
 
@@ -37,14 +36,15 @@ class StaticTrustPolicy:
             raise ConfigurationError("static trust weights must be positive")
 
     def screen(
-        self, labels: Mapping[str, Label], rng: np.random.Generator
+        self, labels: Mapping[str, Label], rng: Generator
     ) -> PolicyDecision:
         reporters = sorted(c for c in labels if c in self.trust)
         if not reporters:
             # Only unknown reporters: fall back to checking.
             return PolicyDecision(recorded_label=Label.VALID, checked=True)
-        w = np.array([self.trust[c] for c in reporters])
-        probs = w / w.sum()
+        w = [self.trust[c] for c in reporters]
+        total = pairwise_sum(w)
+        probs = [x / total for x in w]
         drawn_idx = int(rng.choice(len(reporters), p=probs))
         label = labels[reporters[drawn_idx]]
         if label is Label.VALID:

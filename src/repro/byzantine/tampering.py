@@ -39,8 +39,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.crypto.signatures import Signature
 from repro.exceptions import ConfigurationError
 from repro.ledger.block import Block
@@ -48,6 +46,7 @@ from repro.ledger.transaction import Label, LabeledTransaction
 from repro.network.broadcast import SequencedPayload
 from repro.network.reliable import ReliableEnvelope
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.rng import default_rng
 
 __all__ = ["TamperSpec", "TamperStats", "MessageTamperer"]
 
@@ -135,7 +134,7 @@ class MessageTamperer:
         self.spec = spec
         self.stats = TamperStats()
         self.obs = obs if obs is not None else NULL_REGISTRY
-        self._rng = np.random.default_rng(seed)
+        self._rng = default_rng(seed)
         # receiver -> recent uploads, the replay candidate pool
         self._history: dict[str, deque[LabeledTransaction]] = {}
         stats = self.stats
@@ -201,7 +200,7 @@ class MessageTamperer:
         if spec.replay and self._rng.random() < spec.replay:
             history = self._history.get(receiver)
             if history:
-                stale = history[int(self._rng.integers(len(history)))]
+                stale = history[self._rng.integers(len(history))]
                 self._remember(receiver, inner)
                 self.stats.replayed += 1
                 return rebuild(stale)

@@ -43,14 +43,8 @@ from repro.agents.behaviors import (
     SleeperBehavior,
     standard_adversary_mix,
 )
-from repro.analysis.metrics import SweepTable, summarize_run
-from repro.analysis.reporting import format_sweep, format_table
-from repro.baselines.base import PolicySimulation, ReputationPolicy
-from repro.baselines.check_all import CheckAllPolicy
-from repro.baselines.check_none import CheckNonePolicy
-from repro.baselines.majority_vote import MajorityVotePolicy
-from repro.baselines.no_reputation import UniformSelectionPolicy
-from repro.core.game import ReputationGame
+from repro.analysis.metrics import summarize_run
+from repro.analysis.reporting import format_table
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.exceptions import ReproError
@@ -252,6 +246,8 @@ _REPORTS = {
 
 
 def _cmd_regret(args: argparse.Namespace) -> int:
+    from repro.core.game import ReputationGame
+
     rows = []
     for seed in range(args.seeds):
         game = ReputationGame(
@@ -272,6 +268,9 @@ def _cmd_regret(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_f(args: argparse.Namespace) -> int:
+    from repro.analysis.metrics import SweepTable
+    from repro.analysis.reporting import format_sweep
+
     table = SweepTable(parameter="f")
     for f in (0.1, 0.3, 0.5, 0.7, 0.9):
         topo = Topology.regular(l=12, n=6, m=4, r=3)
@@ -297,6 +296,12 @@ def _cmd_sweep_f(args: argparse.Namespace) -> int:
 
 
 def _cmd_baselines(args: argparse.Namespace) -> int:
+    from repro.baselines.base import PolicySimulation, ReputationPolicy
+    from repro.baselines.check_all import CheckAllPolicy
+    from repro.baselines.check_none import CheckNonePolicy
+    from repro.baselines.majority_vote import MajorityVotePolicy
+    from repro.baselines.no_reputation import UniformSelectionPolicy
+
     params = ProtocolParams(f=args.f)
     collector_ids = [f"c{i}" for i in range(8)]
     policies = {

@@ -41,6 +41,7 @@ from repro.core.reputation import ReputationBook
 from repro.core.updating import apply_reveal_update
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label
+from repro.rng import default_rng
 
 __all__ = ["GameResult", "ReputationGame", "PROVIDER", "theorem1_book"]
 
@@ -149,7 +150,7 @@ class ReputationGame:
         """Play the game and return the losses and final weights."""
         r = len(self.behaviors)
         beta = self.beta if self.beta is not None else tuned_beta(r, self.horizon)
-        rng = np.random.default_rng(self.seed)
+        rng = default_rng(self.seed)
         book = theorem1_book(self.collector_ids)
         params = ProtocolParams(beta=beta)
         collector_losses = {c: 0.0 for c in self.collector_ids}
@@ -193,7 +194,7 @@ class ReputationGame:
                     # label equals the weighted-majority label.
                     mass_valid = sum(
                         w
-                        for c, w in zip(reporters, row.weights.tolist())
+                        for c, w in zip(reporters, row.weights)
                         if labels[c] is Label.VALID
                     )
                     majority = (

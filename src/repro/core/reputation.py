@@ -26,10 +26,9 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError, ProtocolViolationError
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.rng import pairwise_sum
 
 __all__ = ["ReputationVector", "ReputationBook", "SparseWeightMap", "WeightRow"]
 
@@ -126,35 +125,49 @@ class SparseWeightMap(MutableMapping):
         return len(self.overrides)
 
 
+def _median(values: list[float]) -> float:
+    """``np.median``: the middle value, or the pairwise mean of the two."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return pairwise_sum(ordered[mid - 1 : mid + 1]) / 2
+
+
 @dataclass(slots=True)
 class WeightRow:
-    """A contiguous snapshot of collector weights w.r.t. one provider.
+    """A snapshot of collector weights w.r.t. one provider.
 
-    ``weights[i]`` is the weight of the i-th collector of the row's key,
-    ``total`` is ``float(weights.sum())`` (NumPy pairwise order),
-    and :meth:`probabilities` /
+    ``weights[i]`` is the weight of the i-th collector of the row's key
+    (a tuple), ``total`` is their sum in numpy's pairwise order
+    (:func:`repro.rng.pairwise_sum`), and :meth:`probabilities` /
     :meth:`python_sum` are computed lazily once and reused — this is
     what makes screening's source-selection normalization O(1) amortized.
     """
 
-    weights: np.ndarray
+    weights: tuple[float, ...]
     total: float
     _vectors: tuple = ()
     _versions: tuple[int, ...] = ()
-    _probs: np.ndarray | None = None
+    _probs: tuple[float, ...] | None = None
     _psum: float | None = None
 
-    def probabilities(self) -> np.ndarray:
-        """``weights / total``, normalized once per snapshot."""
+    def probabilities(self) -> tuple[float, ...]:
+        """``weights[i] / total``, normalized once per snapshot."""
         if self._probs is None:
-            self._probs = self.weights / self.total
+            # A plain loop: a comprehension is one more call per row rebuilt.
+            total = self.total
+            probs = []
+            for w in self.weights:
+                probs += (w / total,)
+            self._probs = tuple(probs)
         return self._probs
 
     def python_sum(self) -> float:
         """Sequential (Python ``sum``) total, for callers that always
         summed left-to-right — not the pairwise :attr:`total`."""
         if self._psum is None:
-            self._psum = sum(self.weights.tolist())
+            self._psum = sum(self.weights)
         return self._psum
 
 
@@ -298,10 +311,10 @@ class ReputationBook:
 
     def _build_row(self, provider: str, collectors: tuple[str, ...]) -> WeightRow:
         vectors = tuple(self.vector(c) for c in collectors)
-        weights = np.array([v.weight(provider) for v in vectors], dtype=float)
+        weights = tuple([v.weight(provider) for v in vectors])
         return WeightRow(
             weights=weights,
-            total=float(weights.sum()),
+            total=pairwise_sum(weights),
             _vectors=vectors,
             _versions=tuple(v._version for v in vectors),
         )
@@ -444,8 +457,8 @@ class ReputationBook:
             ]
             if bootstrap == "initial" or not incumbents:
                 continue
-            weight = np.median(incumbents) if bootstrap == "median" else min(incumbents)
-            vector.provider_weights[provider] = max(float(weight), WEIGHT_FLOOR)
+            weight = _median(incumbents) if bootstrap == "median" else min(incumbents)
+            vector.provider_weights[provider] = max(weight, WEIGHT_FLOOR)
         self._vectors[collector] = vector
 
     # -- durable state (checkpoint persistence) ---------------------------

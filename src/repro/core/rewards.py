@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-import numpy as np
-
 from repro.core.params import ProtocolParams
 from repro.core.reputation import ReputationBook
 from repro.exceptions import ConfigurationError
+from repro.rng import pairwise_sum
 
 __all__ = [
     "log_score",
@@ -85,19 +84,18 @@ def distribute_rewards(
     collectors = sorted(book.collectors())
     if not collectors:
         return {}
-    logs = np.array([log_score(params, book, c) for c in collectors], dtype=float)
+    logs = [log_score(params, book, c) for c in collectors]
     # Softmax-style normalisation in log space: subtract the max so the
     # best collector's score is exp(0) = 1 and ratios are preserved.
-    finite = logs[np.isfinite(logs)]
-    if finite.size == 0:
+    finite = [x for x in logs if math.isfinite(x)]
+    if not finite:
         # Everyone is at the floor; split equally (degenerate but total-preserving).
         share = amount / len(collectors)
         return {c: share for c in collectors}
-    shifted = np.exp(logs - finite.max())
-    total = float(shifted.sum())
-    return {
-        c: amount * float(w) / total for c, w in zip(collectors, shifted, strict=True)
-    }
+    top = max(finite)
+    shifted = [math.exp(x - top) for x in logs]
+    total = pairwise_sum(shifted)
+    return {c: amount * w / total for c, w in zip(collectors, shifted, strict=True)}
 
 
 def pool_from_block(

@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from repro.agents.behaviors import CollectorBehavior, HonestBehavior
 from repro.agents.collector import Collector
 from repro.agents.governor import Governor
@@ -53,6 +51,7 @@ from repro.ledger.properties import RunTranscript
 from repro.ledger.transaction import LabeledTransaction, SignedTransaction, TxRecord
 from repro.ledger.validation import CountingOracle, GroundTruthOracle
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.rng import Generator, default_rng
 
 if TYPE_CHECKING:
     # repro.workloads imports the engines; a runtime import would cycle.
@@ -101,7 +100,7 @@ class RoundCore:
         self._round = 0
         # Records admitted by an argue, awaiting the next block.
         self._reevaluated_queue: dict[str, TxRecord] = {}
-        self._master = np.random.default_rng(seed)
+        self._master = default_rng(seed)
 
     def _register_engine_metrics(self, rounds, offered, argues) -> None:
         """The ``engine_*`` family: three readers off the subclass's own
@@ -123,9 +122,9 @@ class RoundCore:
 
     # -- enrolment ---------------------------------------------------------
 
-    def draw_rng(self) -> np.random.Generator:
+    def draw_rng(self) -> Generator:
         """An agent's private RNG, seeded by the next master draw."""
-        return np.random.default_rng(self._master.integers(2**63))
+        return default_rng(self._master.integers(2**63))
 
     def _enroll(
         self,

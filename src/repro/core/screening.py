@@ -26,12 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.params import ProtocolParams
 from repro.core.reputation import ReputationBook
 from repro.exceptions import ProtocolViolationError
 from repro.ledger.transaction import CheckStatus, Label, SignedTransaction, TxRecord
+from repro.rng import Generator
 
 __all__ = ["ReportSet", "ScreeningDecision", "screen_transaction", "decision_to_record"]
 
@@ -99,7 +98,7 @@ def screen_transaction(
     book: ReputationBook,
     reports: ReportSet,
     validate: Callable[[SignedTransaction], bool],
-    rng: np.random.Generator,
+    rng: Generator,
 ) -> ScreeningDecision:
     """Run Algorithm 2's screening step for one transaction.
 
@@ -116,7 +115,7 @@ def screen_transaction(
     """
     provider = reports.provider
     reporters = sorted(reports.labels)  # deterministic ordering for the draw
-    # Amortized-O(1) snapshot: weights, NumPy-order mass, and normalized
+    # Amortized-O(1) snapshot: weights, pairwise-order mass, and normalized
     # probabilities are all cached per (provider, reporters) row and
     # reused until some underlying reputation entry changes.
     row = book.selection_row(provider, reporters)
@@ -128,7 +127,7 @@ def screen_transaction(
         )
     w_plus = sum(
         w
-        for c, w in zip(reporters, weights.tolist())
+        for c, w in zip(reporters, weights)
         if reports.labels[c] is Label.VALID
     )
     w_minus = mass - w_plus
@@ -139,7 +138,7 @@ def screen_transaction(
     drawn_index = int(rng.choice(len(reporters), p=probabilities))
     chosen = reporters[drawn_index]
     chosen_label = reports.labels[chosen]
-    chosen_probability = float(probabilities[drawn_index])
+    chosen_probability = probabilities[drawn_index]
 
     if chosen_label is Label.VALID:
         checked = True

@@ -22,12 +22,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from repro.crypto.hashing import sha256
 from repro.crypto.signatures import Signature, SigningKey, verify_with_key
 from repro.exceptions import UnknownIdentityError
 from repro.obs import MetricsRegistry, NULL_REGISTRY
+from repro.rng import Generator, default_rng
 
 #: Sentinel distinguishing "not cached" from a cached ``False`` verdict.
 _MISS = object()
@@ -85,10 +84,10 @@ class IdentityManager:
     _records: dict[str, NodeRecord] = field(default_factory=dict)
     _links: dict[str, set[str]] = field(default_factory=dict)
     obs: MetricsRegistry = field(default=NULL_REGISTRY, repr=False, compare=False)
-    _rng: np.random.Generator = field(init=False, repr=False)
+    _rng: Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = default_rng(self.seed)
         self._verify_cache: OrderedDict[tuple[str, bytes, bytes], bool] = OrderedDict()
         self.sig_cache_hits = self.sig_cache_misses = 0
         self.obs.counter(

@@ -21,7 +21,7 @@ models a real storage failure mode:
 ``missing_checkpoint``
     The newest checkpoint file disappears entirely.
 
-All randomness flows from ``numpy.random.default_rng(seed)``, so a
+All randomness flows from ``repro.rng.default_rng(seed)``, so a
 given plan corrupts the same bytes on every run.  The contract tested
 by ``tests/test_disk_faults.py``: every fault is *detected* by
 :func:`repro.storage.recover` (surfaced in ``RecoveryReport``) — or, for
@@ -35,9 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
+from repro.rng import Generator, default_rng
 from repro.storage.segments import _HEADER, SEGMENT_GLOB, frame_spans
 
 __all__ = ["DISK_FAULT_KINDS", "AppliedDiskFault", "DiskFaultPlan"]
@@ -89,7 +88,7 @@ class DiskFaultPlan:
         the returned list.
         """
         directory = Path(directory)
-        rng = np.random.default_rng(self.seed)
+        rng = default_rng(self.seed)
         applied = []
         for kind in self.faults:
             result = _DISPATCH[kind](directory, rng)
@@ -106,7 +105,7 @@ def _checkpoints(directory: Path) -> list[Path]:
     return sorted(directory.glob("checkpoint-*.json"))
 
 
-def _torn_record(directory: Path, rng: np.random.Generator) -> AppliedDiskFault | None:
+def _torn_record(directory: Path, rng: Generator) -> AppliedDiskFault | None:
     segs = _segments(directory)
     if not segs:
         return None
@@ -118,7 +117,7 @@ def _torn_record(directory: Path, rng: np.random.Generator) -> AppliedDiskFault 
     # Cut strictly inside the final frame: past its header start, short
     # of its last byte.
     lo, hi = offset + 1, end - 1
-    cut = int(rng.integers(lo, hi + 1)) if hi > lo else hi
+    cut = rng.integers(lo, hi + 1) if hi > lo else hi
     with open(path, "r+b") as fh:
         fh.truncate(cut)
     return AppliedDiskFault(
@@ -128,7 +127,7 @@ def _torn_record(directory: Path, rng: np.random.Generator) -> AppliedDiskFault 
     )
 
 
-def _lost_fsync(directory: Path, rng: np.random.Generator) -> AppliedDiskFault | None:
+def _lost_fsync(directory: Path, rng: Generator) -> AppliedDiskFault | None:
     segs = _segments(directory)
     if not segs:
         return None
@@ -136,7 +135,7 @@ def _lost_fsync(directory: Path, rng: np.random.Generator) -> AppliedDiskFault |
     spans = frame_spans(path)
     if not spans:
         return None
-    drop = min(int(rng.integers(1, 3)), len(spans))
+    drop = min(rng.integers(1, 3), len(spans))
     keep_until = spans[-drop][0]
     with open(path, "r+b") as fh:
         fh.truncate(keep_until)
@@ -149,16 +148,16 @@ def _lost_fsync(directory: Path, rng: np.random.Generator) -> AppliedDiskFault |
 
 
 def _truncated_segment(
-    directory: Path, rng: np.random.Generator
+    directory: Path, rng: Generator
 ) -> AppliedDiskFault | None:
     segs = _segments(directory)
     if not segs:
         return None
     # Prefer a sealed segment so the damage is mid-log, not a torn tail.
     pool = segs[:-1] if len(segs) > 1 else segs
-    path = pool[int(rng.integers(len(pool)))]
+    path = pool[rng.integers(len(pool))]
     size = path.stat().st_size
-    cut = max(1, int(size * float(rng.uniform(0.2, 0.8))))
+    cut = max(1, int(size * rng.uniform(0.2, 0.8)))
     if cut >= size:
         cut = size - 1
     with open(path, "r+b") as fh:
@@ -170,17 +169,17 @@ def _truncated_segment(
     )
 
 
-def _bit_flip(directory: Path, rng: np.random.Generator) -> AppliedDiskFault | None:
+def _bit_flip(directory: Path, rng: Generator) -> AppliedDiskFault | None:
     segs = _segments(directory)
     if not segs:
         return None
-    path = segs[int(rng.integers(len(segs)))]
+    path = segs[rng.integers(len(segs))]
     data = bytearray(path.read_bytes())
     if len(data) <= _HEADER.size:
         return None
     # Land inside a payload region so the CRC (not just framing) is hit.
-    offset = int(rng.integers(_HEADER.size, len(data)))
-    bit = int(rng.integers(8))
+    offset = rng.integers(_HEADER.size, len(data))
+    bit = rng.integers(8)
     data[offset] ^= 1 << bit
     path.write_bytes(bytes(data))
     return AppliedDiskFault(
@@ -191,7 +190,7 @@ def _bit_flip(directory: Path, rng: np.random.Generator) -> AppliedDiskFault | N
 
 
 def _corrupt_checkpoint(
-    directory: Path, rng: np.random.Generator
+    directory: Path, rng: Generator
 ) -> AppliedDiskFault | None:
     ckpts = _checkpoints(directory)
     if not ckpts:
@@ -200,7 +199,7 @@ def _corrupt_checkpoint(
     data = bytearray(path.read_bytes())
     if not data:
         return None
-    offset = int(rng.integers(len(data)))
+    offset = rng.integers(len(data))
     data[offset] ^= 0xFF
     path.write_bytes(bytes(data))
     return AppliedDiskFault(
@@ -211,7 +210,7 @@ def _corrupt_checkpoint(
 
 
 def _missing_checkpoint(
-    directory: Path, rng: np.random.Generator
+    directory: Path, rng: Generator
 ) -> AppliedDiskFault | None:
     ckpts = _checkpoints(directory)
     if not ckpts:

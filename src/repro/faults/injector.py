@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.exceptions import SimulationError
 from repro.faults.plan import FaultAction, FaultPlan
 from repro.network.simnet import SyncNetwork
+from repro.rng import default_rng
 
 __all__ = ["FaultInjectionStats", "FaultInjector"]
 
@@ -83,7 +82,7 @@ class FaultInjector:
     stats: FaultInjectionStats = field(default_factory=FaultInjectionStats)
 
     def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.plan.seed)
+        self._rng = default_rng(self.plan.seed)
         self._installed_on: SyncNetwork | None = None
 
     # -- installation ---------------------------------------------------
@@ -168,7 +167,7 @@ class FaultInjector:
             duplicates = 1
         if spec.reorder and self._rng.random() < spec.reorder:
             self.stats.reordered += 1
-            extra_delay = float(self._rng.uniform(0.0, spec.reorder_delay)) or spec.reorder_delay
+            extra_delay = self._rng.uniform(0.0, spec.reorder_delay) or spec.reorder_delay
         if duplicates == 0 and extra_delay == 0.0 and replacement is None:
             return _CLEAN
         return FaultAction(

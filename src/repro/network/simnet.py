@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
 from repro.exceptions import SimulationError, SynchronyViolationError
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.rng import default_rng
 
 if TYPE_CHECKING:  # pragma: no cover - repro.faults imports this module
     from repro.faults.plan import FaultAction
@@ -212,10 +211,16 @@ class SyncNetwork:
             labels=("reason",),
             read=lambda: stats.drops_by_reason,
         )
-        self._m_delay = self.obs.histogram(
-            "net_delay_seconds", "Per-message transmission delay (sim seconds)"
+        # Bound only when obs records: a null histogram would still cost
+        # two calls per scheduled copy.
+        self._m_delay = (
+            self.obs.histogram(
+                "net_delay_seconds", "Per-message transmission delay (sim seconds)"
+            )
+            if self.obs.enabled
+            else None
         )
-        self._rng = np.random.default_rng(seed)
+        self._rng = default_rng(seed)
         self._handlers: dict[str, Callable[[Message], None]] = {}
         # Per (sender, receiver) channel: time of the latest scheduled
         # delivery, used to enforce FIFO per channel.
@@ -258,7 +263,7 @@ class SyncNetwork:
     def _draw_delay(self) -> float:
         if self.max_delay == self.min_delay:
             return self.max_delay
-        return float(self._rng.uniform(self.min_delay, self.max_delay))
+        return self._rng.uniform(self.min_delay, self.max_delay)
 
     def send(
         self,
@@ -351,7 +356,8 @@ class SyncNetwork:
                 sent_at=now, deliver_at=at,
             )
             self.stats.record(kind, size_hint)
-            self._m_delay.observe(message.latency)
+            if self._m_delay is not None:
+                self._m_delay.observe(message.latency)
             self.sim.schedule_at(at, lambda m=message: self._deliver(m))
             self._convey(message, size_hint)
 
@@ -381,12 +387,12 @@ class SyncNetwork:
         """Send the same payload to each receiver (independent delays).
 
         Fast path: with no fault hook, no partitions, and all receivers
-        registered, the per-edge latencies come from ONE vectorized RNG
-        call instead of one scalar draw per edge.  NumPy's
-        ``Generator.uniform(lo, hi, size=n)`` yields exactly the same
-        variates (and leaves the same generator state) as n sequential
-        scalar draws, so the fast path is bit-identical to the loop of
-        :meth:`send` calls it replaces.
+        registered, the per-edge latencies come from ONE batched RNG
+        call instead of one scalar draw per edge.
+        :meth:`repro.rng.Generator.uniform` with ``size=n`` yields exactly
+        the same variates (and leaves the same generator state) as n
+        sequential scalar draws, so the fast path is bit-identical to the
+        loop of :meth:`send` calls it replaces.
         """
         if (
             len(receivers) > 1
@@ -401,7 +407,7 @@ class SyncNetwork:
             )
             for receiver, delay in zip(receivers, delays):
                 self._schedule_delivery(
-                    sender, receiver, payload, size_hint, now, float(delay)
+                    sender, receiver, payload, size_hint, now, delay
                 )
             return
         for receiver in receivers:

@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from repro.exceptions import TopologyError
+from repro.rng import default_rng
 
 __all__ = [
     "Topology",
@@ -138,7 +137,7 @@ class Topology:
         which is what the sensitivity experiments need.
         """
         check_circulant_shape(l, n, m, r)
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         providers = tuple(provider_id(k) for k in range(l))
         collectors = tuple(collector_id(i) for i in range(n))
         governors = tuple(governor_id(j) for j in range(m))
@@ -146,9 +145,9 @@ class Topology:
         collector_perm = rng.permutation(n)
         provider_links = {}
         for k in range(l):
-            start = (int(provider_perm[k]) * r) % n
+            start = (provider_perm[k] * r) % n
             chosen = tuple(
-                collectors[int(collector_perm[(start + offset) % n])]
+                collectors[collector_perm[(start + offset) % n]]
                 for offset in range(r)
             )
             provider_links[providers[k]] = tuple(sorted(chosen))
@@ -200,9 +199,9 @@ class Topology:
         providers = [provider_id(k) for k in range(l)]
         collectors = [collector_id(i) for i in range(n)]
         governors = [governor_id(j) for j in range(m)]
-        rng = np.random.default_rng(seed) if seed is not None else None
+        rng = default_rng(seed) if seed is not None else None
         if rng is not None:
-            collectors = [collectors[int(i)] for i in rng.permutation(n)]
+            collectors = [collectors[i] for i in rng.permutation(n)]
         groups = balanced_groups(collectors, masses or {}, shards)
         shard_topos = []
         provider_shard: dict[str, int] = {}

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.exceptions import TopologyError
 from repro.network.topology import Topology
+from repro.rng import default_rng, pairwise_sum
 
 __all__ = ["VisibilityMap"]
 
@@ -55,7 +54,7 @@ class VisibilityMap:
         """
         if not 0.0 <= keep_fraction <= 1.0:
             raise TopologyError(f"keep_fraction must be in [0, 1], got {keep_fraction}")
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         visible: dict[str, frozenset[str]] = {}
         for governor in topology.governors:
             uncovered = set(topology.providers)
@@ -71,7 +70,7 @@ class VisibilityMap:
                         best_gain, candidates = gain, [collector]
                     elif gain == best_gain and gain > 0:
                         candidates.append(collector)
-                chosen = candidates[int(rng.integers(len(candidates)))]
+                chosen = candidates[rng.integers(len(candidates))]
                 keep.add(chosen)
                 uncovered -= set(topology.providers_of(chosen))
             for collector in topology.collectors:
@@ -123,6 +122,5 @@ class VisibilityMap:
     def mean_visibility(self, topology: Topology) -> float:
         """Average fraction of collectors visible per governor."""
         n = topology.n
-        return float(
-            np.mean([len(self.visible[g]) / n for g in topology.governors])
-        )
+        fractions = [len(self.visible[g]) / n for g in topology.governors]
+        return pairwise_sum(fractions) / len(fractions)

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 from repro.network.topology import balanced_groups
+from repro.rng import default_rng
 
 __all__ = ["Migration", "migration_moves", "reshuffle_assignment"]
 
@@ -55,8 +54,8 @@ def reshuffle_assignment(
         raise ConfigurationError(
             f"{len(ids)} collectors cannot split evenly into {shards} shards"
         )
-    rng = np.random.default_rng([seed, epoch])
-    permuted = [ids[int(i)] for i in rng.permutation(len(ids))]
+    rng = default_rng([seed, epoch])
+    permuted = [ids[i] for i in rng.permutation(len(ids))]
     groups = balanced_groups(permuted, masses, shards)
     return {cid: k for k, group in enumerate(groups) for cid in group}
 

@@ -73,7 +73,7 @@ def _flash_sale_workload(scenario: ClusterScenario, topology: Topology):
         payload = {
             "buyer": provider,
             "event": "soak-onsale",
-            "quantity": 1 + int(rng.integers(4)),
+            "quantity": 1 + rng.integers(4),
             "human": spec.is_valid,
         }
         return TxSpec(provider=provider, payload=payload, is_valid=spec.is_valid)

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 from repro.network.topology import provider_id
+from repro.rng import Generator, default_rng
 from repro.streaming.universe import VirtualUniverse
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.generator import TxSpec
@@ -51,7 +50,7 @@ class StreamingWorkload:
         arrivals: ArrivalProcess,
         seed: int = 0,
         p_valid: float = 0.5,
-        spec_hook: Callable[[TxSpec, int, np.random.Generator], TxSpec] | None = None,
+        spec_hook: Callable[[TxSpec, int, Generator], TxSpec] | None = None,
     ):
         if not 0.0 <= p_valid <= 1.0:
             raise ConfigurationError(f"p_valid must be in [0, 1], got {p_valid}")
@@ -59,17 +58,13 @@ class StreamingWorkload:
         self.arrivals = arrivals
         self.p_valid = p_valid
         self.spec_hook = spec_hook
-        self.rng = np.random.default_rng(seed)
-        self._select_rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _SELECT_TAG])
-        )
-        self._domain_rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _DOMAIN_TAG])
-        )
+        self.rng = default_rng(seed)
+        self._select_rng = default_rng([seed, _SELECT_TAG])
+        self._domain_rng = default_rng([seed, _DOMAIN_TAG])
         self._count = 0
 
     def _one(self) -> TxSpec:
-        k = int(self._select_rng.integers(self.universe.universe))
+        k = self._select_rng.integers(self.universe.universe)
         provider = provider_id(k)
         spec = TxSpec(
             provider=provider,

@@ -17,9 +17,8 @@ draw from decorrelated streams and never perturb each other's counts.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
+from repro.rng import Generator, default_rng
 
 __all__ = [
     "ArrivalProcess",
@@ -34,9 +33,9 @@ _POISSON_TAG = 0x41525231  # "ARR1"
 _BURSTY_TAG = 0x41525233  # "ARR3"
 
 
-def _stream_rng(seed: int, tag: int) -> np.random.Generator:
+def _stream_rng(seed: int, tag: int) -> Generator:
     """A generator keyed by (seed, stream-tag), decorrelated across tags."""
-    return np.random.default_rng(np.random.SeedSequence([seed, tag]))
+    return default_rng([seed, tag])
 
 
 class ArrivalProcess:
@@ -69,7 +68,7 @@ class PoissonArrivals(ArrivalProcess):
         self.rng = _stream_rng(seed, _POISSON_TAG)
 
     def count_for_round(self, round_number: int) -> int:
-        return int(self.rng.poisson(self.rate))
+        return self.rng.poisson(self.rate)
 
 
 class BurstyArrivals(ArrivalProcess):
@@ -115,4 +114,4 @@ class BurstyArrivals(ArrivalProcess):
         elif switch < self.p_burst:
             self._bursting = True
         lam = self.burst_rate if self._bursting else self.rate
-        return int(self.rng.poisson(lam))
+        return self.rng.poisson(lam)

@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
+from repro.rng import default_rng
 
 __all__ = ["TxSpec", "WorkloadGenerator", "BernoulliWorkload", "PerProviderWorkload", "BurstyWorkload"]
 
@@ -53,7 +52,7 @@ class WorkloadGenerator:
         if not providers:
             raise ConfigurationError("workload needs at least one provider")
         self.providers = list(providers)
-        self.rng = np.random.default_rng(seed)
+        self.rng = default_rng(seed)
         self._count = 0
 
     def _validity(self, provider: str) -> bool:
@@ -109,7 +108,7 @@ class PerProviderWorkload(WorkloadGenerator):
         if alpha <= 0 or beta <= 0:
             raise ConfigurationError("Beta distribution parameters must be positive")
         # Drawn up-front from the validity stream, as every golden run pins.
-        self.rates = {p: float(self.rng.beta(alpha, beta)) for p in self.providers}
+        self.rates = {p: self.rng.beta(alpha, beta) for p in self.providers}
 
     def _validity(self, provider: str) -> bool:
         return bool(self.rng.random() < self.rates[provider])

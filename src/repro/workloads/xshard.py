@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
+from repro.rng import default_rng
 from repro.workloads.generator import TxSpec, WorkloadGenerator
 
 __all__ = ["CrossShardWorkload"]
@@ -45,7 +44,7 @@ class CrossShardWorkload:
             raise ConfigurationError("cross-shard traffic needs at least two shards")
         self.inner = inner
         self.p_cross = p_cross
-        self.rng = np.random.default_rng(seed)
+        self.rng = default_rng(seed)
         self.provider_shard = dict(provider_shard)
         # shard -> its providers, in the deterministic map order.
         self._by_shard: dict[int, list[str]] = {}
@@ -70,7 +69,7 @@ class CrossShardWorkload:
             if shard != home
             for p in members
         ]
-        counterparty = remote[int(self.rng.integers(len(remote)))]
+        counterparty = remote[self.rng.integers(len(remote))]
         return TxSpec(
             provider=spec.provider,
             payload={"xshard_to": counterparty, "body": spec.payload},

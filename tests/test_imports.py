@@ -60,6 +60,31 @@ def test_custodian_loads_neither_asyncio_nor_ssl():
     assert not [name for name in loaded if name.split(".")[0] in ("asyncio", "ssl")]
 
 
+#: Modules on the path of ``repro run`` / ``recover`` / ``serve``, the
+#: deployments' hosts and the processes they fork: numpy stays in
+#: ``repro.analysis`` and the game's curves.
+ENGINE_MODULES = (
+    "repro.cli",
+    "repro.workloads.scenarios",
+    "repro.core.protocol",
+    "repro.core.netengine",
+    "repro.sharding.coordinator",
+    "repro.parallel.worker",
+    "repro.network.cluster",
+    "repro.storage",
+)
+
+
+def test_engine_modules_load_no_numpy():
+    loaded = _run(
+        "import importlib, json, sys\n"
+        f"for name in {ENGINE_MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert not [name for name in loaded if name.split(".")[0] == "numpy"]
+
+
 #: Package inits that still re-export: perfbench imports through them.
 REEXPORTING_INITS = ("repro.obs", "repro.sharding", "repro.storage")
 

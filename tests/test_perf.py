@@ -243,7 +243,7 @@ class TestRowCacheEquivalence:
                 again = book.selection_row(provider, live)
                 fresh = book._build_row(provider, live)
                 for got in (row, again):
-                    assert got.weights.tolist() == fresh.weights.tolist()
+                    assert got.weights == fresh.weights
                     assert got.total == fresh.total
                 assert book.total_weight(provider, live) == sum(
                     book.weight(c, provider) for c in live
