@@ -158,13 +158,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"scenario: {scenario.name} [{scenario.host}] — {scenario.description}")
         print(f"shape: l={scenario.l} n={scenario.n} m={scenario.m} r={scenario.r}; "
               f"f={scenario.params.f}, {scenario.rounds} rounds, batch {scenario.batch}")
-        store = getattr(deployment, "store", None)
-        for _ in range(scenario.rounds):
+        for k in range(1, scenario.rounds + 1):
             deployment.run_round(workload.take(scenario.batch))
-            if store is not None:
-                # The flushed marker is the chaos harness's kill cue: on a
-                # durable store, "round k" on stdout means block k was fsynced.
-                print(f"round {store.height} tip={store.tip_hash().hex()}", flush=True)
+            # The flushed marker is the chaos harness's kill cue: on a durable
+            # store, "round k" on stdout means this run's k-th block is fsynced.
+            print(f"round {k} tip={','.join(deployment.tip_hashes())}", flush=True)
             if args.round_delay:
                 time.sleep(args.round_delay)
         return 0 if _REPORTS[scenario.host](deployment) else 1

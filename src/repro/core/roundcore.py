@@ -353,6 +353,17 @@ class RoundCore:
     def close(self) -> None:
         """Release what the deployment holds outside the process (nothing here)."""
 
+    @property
+    def committed_total(self) -> int:
+        """Origin (non-receipt) records in the committed blocks."""
+        store = self.store
+        blocks = map(store.retrieve, range(store.base_serial + 1, store.height + 1))
+        return sum("xshard_receipt" not in r.tx.body.payload for b in blocks for r in b.tx_list)
+
+    def tip_hashes(self) -> list[str]:
+        """The chain's tip hash, as the one shard of a sharded deployment."""
+        return [self.store.tip_hash().hex()]
+
     def collector_masses(self) -> dict[str, float]:
         """Each registered collector's reputation mass (mean over governors).
 

@@ -16,8 +16,8 @@ the round count and the *host* that executes the round:
   registered (virtual) universe, the app has no adversaries and draws
   its own arrivals (``batch`` specs are offered on top).
 
-:func:`build` materialises a preset into ``(deployment, workload,
-scenario)``, and every deployment is driven the same way::
+:func:`build` materialises a preset, its fault plan installed, into ``(deployment,
+workload, scenario)``; every :class:`Deployment` is driven the same way::
 
     for _ in range(scenario.rounds):
         deployment.run_round(workload.take(scenario.batch))
@@ -27,7 +27,8 @@ scenario)``, and every deployment is driven the same way::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.agents.behaviors import (
     AlwaysInvertBehavior,
@@ -45,19 +46,38 @@ from repro.workloads.generator import (
     BernoulliWorkload,
     BurstyWorkload,
     PerProviderWorkload,
+    TxSpec,
     WorkloadGenerator,
 )
 
-__all__ = ["Scenario", "SCENARIOS", "scenario_names", "build", "reject_unread"]
+if TYPE_CHECKING:  # names only: in-process runs never load these stacks
+    from repro.faults.plan import FaultPlan
+    from repro.network.visibility import VisibilityMap
 
-#: What each host reads besides a preset's shape, rounds, seed and ``obs``
-#: (a ``stream`` app has no adversaries and draws its own workload).
+__all__ = [
+    "Deployment", "Scenario", "SCENARIOS", "scenario_names", "build", "reject_unread",
+]
+
+#: The optional preset fields and build options each host reads (a ``stream``
+#: app has no adversaries and draws its own workload).
 HOST_READS = {
-    "inproc": {"behavior_factory"},
-    "net": {"behavior_factory", "storage_dir"},
-    "shard": {"behavior_factory", "workers"},
-    "stream": {"universe"},
+    "inproc": {"behavior_factory", "visibility", "abusive_providers"},
+    "net": {"behavior_factory", "faults", "resilience", "storage_dir", "custodians"},
+    "shard": {"behavior_factory", "faults", "resilience", "workers"},
+    "stream": set(),
 }
+
+
+@runtime_checkable
+class Deployment(Protocol):
+    """What every deployment :func:`build` returns answers, on any host."""
+
+    def run_round(self, specs: Sequence[TxSpec]) -> object: ...
+    def finalize(self) -> object: ...
+    def close(self) -> None: ...
+    @property
+    def committed_total(self) -> int: ...  # origin records committed
+    def tip_hashes(self) -> list[str]: ...  # one per shard, in hex
 
 
 def _no_adversaries(_topo: Topology) -> dict:
@@ -95,6 +115,12 @@ class Scenario:
     # ``net`` hosts built with a ``storage_dir``.
     checkpoint_interval: int = 8
     segment_bytes: int = 1 << 20
+    # Engine arguments, read by the hosts HOST_READS names.  ``faults`` gets
+    # ``(topology(), seed)``: one plan on ``net``, one per shard on ``shard``.
+    faults: Callable[[Topology, int], FaultPlan | Sequence[FaultPlan]] | None = None
+    visibility: Callable[[Topology, int], VisibilityMap] | None = None
+    abusive_providers: Callable[[Topology], Mapping[str, float]] | None = None
+    resilience: bool = False
 
     def topology(self) -> Topology | ShardedTopology:
         """The scenario's link structure (partitioned on a ``shard`` host)."""
@@ -277,9 +303,9 @@ def build(
     *,
     storage_dir=None,
     workers: int | None = None,
-    universe: int | None = None,
+    custodians: Sequence[tuple[str, str, int]] | None = None,
     obs=None,
-):
+) -> tuple[Deployment, WorkloadGenerator, Scenario]:
     """Materialise a preset (a registered name, or a :class:`Scenario`).
 
     Args:
@@ -288,23 +314,34 @@ def build(
         workers: ``shard`` hosts — ``None``/``1`` runs every shard engine
             in-process, ``>= 2`` spawns that many worker processes (same
             seed, bit-identical ledgers); ``close()`` the coordinator.
-        universe: ``stream`` hosts — the registered population, in place
-            of the preset's ``l``.
+        custodians: ``net`` hosts — convey every message over real sockets
+            to these ``(name, host, port)`` custodian peers.
         obs: Metrics registry handed to the deployment.
 
     Returns:
-        ``(deployment, workload, scenario)``.
+        ``(deployment, workload, scenario)``, the preset's plans installed.
 
     Raises:
-        ConfigurationError: unknown preset name, or an option the
-            preset's host does not read.
+        ConfigurationError: unknown preset name, a run size out of range
+            (``rounds < 1``, ``batch < 0``, ``workers < 1``), or a preset
+            field or option the preset's host does not read.
     """
     scenario = SCENARIOS.get(preset) if isinstance(preset, str) else preset
     if scenario is None:
         raise ConfigurationError(
             f"unknown scenario {preset!r}; available: {scenario_names()}"
         )
-    reject_unread(scenario, storage_dir=storage_dir, workers=workers, universe=universe)
+    for name, value, least in (
+        ("rounds", scenario.rounds, 1), ("batch", scenario.batch, 0), ("workers", workers, 1)
+    ):
+        if value is not None and value < least:
+            raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+    reject_unread(
+        scenario, storage_dir=storage_dir, workers=workers, custodians=custodians,
+        faults=scenario.faults, visibility=scenario.visibility,
+        abusive_providers=scenario.abusive_providers,
+        resilience=scenario.resilience or None,
+    )
     # Each stack is imported where it is built: in-process users (and
     # perfbench's tracer, which preloads this module) never pay for the
     # networked, sharded or streaming packages.
@@ -312,8 +349,7 @@ def build(
         from repro.streaming.app import StreamingApp
 
         deployment = StreamingApp(
-            universe=scenario.l if universe is None else universe,
-            n=scenario.n, m=scenario.m, r=scenario.r,
+            universe=scenario.l, n=scenario.n, m=scenario.m, r=scenario.r,
             params=scenario.params, seed=seed, obs=obs,
         )
         return deployment, deployment.workload, scenario
@@ -321,7 +357,14 @@ def build(
     workload = scenario.workload_factory(topo, seed + 1)
     common = {"behaviors": scenario.behavior_factory(topo), "seed": seed, "obs": obs}
     if scenario.host == "inproc":
+        if scenario.visibility is not None:
+            common["visibility"] = scenario.visibility(topo, seed)
+        if scenario.abusive_providers is not None:
+            common["abusive_providers"] = scenario.abusive_providers(topo)
         return ProtocolEngine(topo, scenario.params, **common), workload, scenario
+    # What build() can refuse is drawn before the deployment exists, so a bad
+    # plan or ``p_cross`` leaves no worker pool or socket behind.
+    plans = None if scenario.faults is None else scenario.faults(topo, seed)
     if scenario.host == "net":
         from repro.core.netengine import NetworkedProtocolEngine
         from repro.storage import StorageConfig
@@ -333,22 +376,30 @@ def build(
                 checkpoint_interval=scenario.checkpoint_interval,
                 segment_bytes=scenario.segment_bytes,
             )
+        if custodians is not None:
+            from repro.network.realnet import RealNetwork
+
+            common["network_factory"] = partial(RealNetwork, custodians=custodians)
         engine = NetworkedProtocolEngine(
-            topo, scenario.params,
-            max_delay=scenario.max_delay, storage=storage, **common,
+            topo, scenario.params, max_delay=scenario.max_delay,
+            resilience=scenario.resilience, storage=storage, **common,
         )
+        if plans is not None:
+            engine.install_faults(plans)
         return engine, workload, scenario
     from repro.sharding import ShardCoordinator
     from repro.workloads.xshard import CrossShardWorkload
 
-    # The workload before the coordinator: a bad ``p_cross`` must not
-    # leave a worker pool behind.
     workload = CrossShardWorkload(
         workload, topo.provider_shard, p_cross=scenario.p_cross, seed=seed + 2
     )
+    if plans is not None and len(plans) != scenario.shards:
+        raise ConfigurationError(f"{len(plans)} fault plans for {scenario.shards} shards")
     coordinator = ShardCoordinator(
         topo, scenario.params,
         epoch_rounds=scenario.epoch_rounds, max_delay=scenario.max_delay,
-        workers=workers, **common,
+        resilience=scenario.resilience, workers=workers, **common,
     )
+    for shard, plan in enumerate(plans or ()):
+        coordinator.install_faults(shard, plan)
     return coordinator, workload, scenario

@@ -16,30 +16,33 @@ schedules carry the ``chaos`` marker.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
-from repro.core.netengine import (
-    SEQUENCER_PRIMARY,
-    NetworkedProtocolEngine,
-)
+from repro.core.netengine import SEQUENCER_PRIMARY
 from repro.core.params import ProtocolParams
 from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.ledger.chain import check_agreement
-from repro.network.topology import Topology
 from repro.workloads.generator import BernoulliWorkload
+from repro.workloads.scenarios import Scenario, build
 
 
-def make_engine(seed=0, f=0.6, behaviors=None, resilience=True):
-    topo = Topology.regular(l=8, n=4, m=3, r=2)
-    engine = NetworkedProtocolEngine(
-        topo,
-        ProtocolParams(f=f, delta=0.2),
-        behaviors=behaviors,
-        seed=seed,
-        resilience=resilience,
-    )
-    return engine, topo
+#: The smallest regular shape on the networked host, repair on.
+CHAOS = Scenario(
+    name="chaos", description="networked run under a seeded fault plan",
+    host="net", l=8, n=4, m=3, r=2, params=ProtocolParams(f=0.6, delta=0.2),
+    rounds=6, batch=8, resilience=True,
+)
+
+
+def make_engine(seed=0, behaviors=None, faults=None):
+    """The chaos deployment at ``seed``, running under ``faults``."""
+    plan = None if faults is None else lambda _topo, _seed: faults
+    scenario = replace(CHAOS, behavior_factory=lambda _topo: behaviors or {}, faults=plan)
+    engine, _, _ = build(scenario, seed)
+    return engine, engine.topology
 
 
 def lossy_plan(seed=0, loss=0.10):
@@ -71,8 +74,7 @@ class TestChaosSmoke:
     """Fast seeded smoke run — stays in the tier-1 suite."""
 
     def test_lossy_run_completes_and_stays_safe(self):
-        engine, topo = make_engine(seed=20)
-        engine.install_faults(lossy_plan(seed=21))
+        engine, topo = make_engine(seed=20, faults=lossy_plan(seed=21))
         run_rounds(engine, topo, rounds=4, seed=22)
         engine.finalize()
         assert_safety(engine, f=0.6)
@@ -83,9 +85,8 @@ class TestChaosSmoke:
 @pytest.mark.chaos
 class TestGovernorCrashRecovery:
     def test_crash_recover_rejoins_and_agrees(self):
-        engine, topo = make_engine(seed=30)
         plan = lossy_plan(seed=31).with_crash("g1", at=0.5, recover_at=1.6)
-        engine.install_faults(plan)
+        engine, topo = make_engine(seed=30, faults=plan)
         run_rounds(engine, topo, rounds=6, seed=32)
         engine.finalize()
         assert engine.injector.stats.crashes == 1
@@ -97,12 +98,11 @@ class TestGovernorCrashRecovery:
         assert_safety(engine, f=0.6)
 
     def test_crashed_leader_fails_over(self):
-        engine, topo = make_engine(seed=40)
         # Crash every governor's turn will eventually hit the elected
         # leader; crash g0 across rounds 1-3 to force at least one
         # failover window, then recover it.
         plan = FaultPlan(seed=41).with_crash("g0", at=0.1, recover_at=1.3)
-        engine.install_faults(plan)
+        engine, topo = make_engine(seed=40, faults=plan)
         run_rounds(engine, topo, rounds=5, seed=42)
         engine.finalize()
         # No round may be packed by a governor that was crashed at pack
@@ -116,9 +116,8 @@ class TestGovernorCrashRecovery:
 @pytest.mark.chaos
 class TestSequencerFailover:
     def test_primary_sequencer_crash_repairs_via_backup(self):
-        engine, topo = make_engine(seed=50)
         plan = lossy_plan(seed=51).with_crash(SEQUENCER_PRIMARY, at=0.3)
-        engine.install_faults(plan)
+        engine, topo = make_engine(seed=50, faults=plan)
         run_rounds(engine, topo, rounds=6, seed=52)
         engine.finalize()
         # Gaps opened by 10% loss still all closed with the primary dead.
@@ -130,9 +129,8 @@ class TestSequencerFailover:
 class TestCollectorChurn:
     def test_collector_crash_is_retired_and_readmitted(self):
         behaviors = {"c0": MisreportBehavior(0.3), "c1": ConcealBehavior(0.3)}
-        engine, topo = make_engine(seed=60, behaviors=behaviors)
         plan = lossy_plan(seed=61).with_crash("c2", at=0.5, recover_at=1.6)
-        engine.install_faults(plan)
+        engine, topo = make_engine(seed=60, behaviors=behaviors, faults=plan)
         run_rounds(engine, topo, rounds=6, seed=62)
         engine.finalize()
         # Re-admitted everywhere with a bootstrapped vector.
@@ -142,8 +140,8 @@ class TestCollectorChurn:
         assert_safety(engine, f=0.6)
 
     def test_retired_collector_labels_are_scrubbed(self):
-        engine, topo = make_engine(seed=70)
-        engine.install_faults(FaultPlan(seed=71))  # clean links, manual crash
+        # Clean links, manual crash.
+        engine, topo = make_engine(seed=70, faults=FaultPlan(seed=71))
         workload = BernoulliWorkload(topo.providers, p_valid=0.9, seed=72)
         engine.run_round(workload.take(8))
         engine.lifecycle.crash("c0")
@@ -165,13 +163,12 @@ class TestAcceptanceScenario:
     sequencer failover in one seeded multi-round run."""
 
     def test_full_fault_plan_run(self):
-        engine, topo = make_engine(seed=80, f=0.6)
         plan = (
             lossy_plan(seed=81, loss=0.10)
             .with_crash("g2", at=0.6, recover_at=1.8)
             .with_crash(SEQUENCER_PRIMARY, at=1.0)
         )
-        engine.install_faults(plan)
+        engine, topo = make_engine(seed=80, faults=plan)
         run_rounds(engine, topo, rounds=8, per_round=8, seed=82)
         engine.finalize()
         assert engine.store.height == 8
@@ -190,13 +187,12 @@ class TestFaultEdgeCases:
         by a partition spanning the pack/commit window: the failover
         leader packs, the partitioned governor repairs its gap on the
         next multicast, and everyone converges."""
-        engine, topo = make_engine(seed=100)
         plan = (
             lossy_plan(seed=101, loss=0.05)
             .with_crash("g0", at=0.1, recover_at=1.4)
             .with_partition(("g1",), start=0.3, end=1.1)
         )
-        engine.install_faults(plan)
+        engine, topo = make_engine(seed=100, faults=plan)
         run_rounds(engine, topo, rounds=6, seed=102)
         engine.finalize()
         engine.drain_recovery()
@@ -213,11 +209,10 @@ class TestFaultEdgeCases:
         """Heavy loss keeps gap-repair NACK traffic in flight when the
         primary sequencer crash-stops mid-run; the backup must answer
         from the same retained buffer and close every gap."""
-        engine, topo = make_engine(seed=110)
         plan = FaultPlan(seed=111).with_default_link(
             LinkFaultSpec(loss=0.28, reorder=0.10, reorder_delay=0.1)
         ).with_crash(SEQUENCER_PRIMARY, at=0.5)
-        engine.install_faults(plan)
+        engine, topo = make_engine(seed=110, faults=plan)
         run_rounds(engine, topo, rounds=6, seed=112)
         engine.finalize()
         engine.drain_recovery()
@@ -253,7 +248,7 @@ class TestByzantineAcceptance:
             "c2": ColludingCollectorBehavior(plan),
             "c3": adaptive,
         }
-        engine, topo = make_engine(seed=seed, f=0.6, behaviors=behaviors)
+        engine, topo = make_engine(seed=seed, behaviors=behaviors)
         adaptive.bind_probe(reputation_probe(engine, "g0", "c3"))
         tamperer = MessageTamperer(
             TamperSpec(strip_signature=0.05, flip_label=0.05, replay=0.05,

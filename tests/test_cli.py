@@ -156,6 +156,11 @@ class TestRunCommand:
             (["smoke", "--workers", "2"], "does not read workers"),
             (["sharded-quad", "--dir", "x"], "does not read storage_dir"),
             (["stream-smoke", "--misreporters", "1"], "does not read behavior_factory"),
+            (["smoke", "--rounds", "-2"], "rounds must be >= 1"),
+            (["smoke", "--rounds", "0"], "rounds must be >= 1"),
+            (["smoke", "--batch", "-3"], "batch must be >= 0"),
+            (["sharded-smoke", "--workers", "0"], "workers must be >= 1"),
+            (["sharded-smoke", "--workers", "-1"], "workers must be >= 1"),
         ],
     )
     def test_bad_configuration_is_a_one_line_error(self, argv, message, capsys):

@@ -85,6 +85,26 @@ def test_engine_modules_load_no_numpy():
     assert not [name for name in loaded if name.split(".")[0] == "numpy"]
 
 
+#: What only a networked, sharded, streaming, faulted or durable run loads.
+LAZY_STACKS = (
+    "repro.core.netengine", "repro.sharding", "repro.streaming",
+    "repro.faults", "repro.storage", "repro.parallel",
+)
+
+
+def test_scenario_registry_loads_no_host_stack():
+    # perfbench preloads the registry before it measures peak RSS, so what
+    # it pulls in is paid by every in-process workload.
+    loaded = _run(
+        "import json, sys\n"
+        "import repro.workloads.scenarios\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    ours = [name for name in loaded if name.split(".")[0] == "repro"]
+    assert not [name for name in ours if name.startswith(LAZY_STACKS)]
+    assert len(ours) == 48, ours
+
+
 #: Package inits that still re-export: perfbench imports through them.
 REEXPORTING_INITS = ("repro.obs", "repro.sharding", "repro.storage")
 

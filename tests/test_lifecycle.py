@@ -8,21 +8,25 @@ produce; these tests say what each transition must leave behind.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.agents.governor import Governor
 from repro.audit.auditor import AuditViolation, ViolationType
 from repro.byzantine.strategies import TwoFacedCollectorBehavior
-from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
 from repro.ledger.chain import check_agreement
-from repro.network.topology import Topology
-from repro.sharding import ShardCoordinator
 from repro.workloads.generator import BernoulliWorkload
-from repro.workloads.xshard import CrossShardWorkload
+from repro.workloads.scenarios import SCENARIOS, build
 
-PARAMS = ProtocolParams(f=0.5, delta=0.2, b_limit=16)
+#: The networked deployment every round trip runs on, repair on.
+ROUND_TRIP = replace(
+    SCENARIOS["durable-smoke"], name="round-trip", m=4, resilience=True,
+    params=ProtocolParams(f=0.5, delta=0.2, b_limit=16),
+    workload_factory=lambda topo, seed: BernoulliWorkload(topo.providers, 0.85, seed),
+)
 
 
 def violation_for(node: str) -> AuditViolation:
@@ -66,9 +70,7 @@ def assert_at_median(engine, cid):
 @pytest.mark.parametrize("way", sorted(WAYS))
 def test_round_trip(way, node):
     leave, come_back = WAYS[way]
-    topo = Topology.regular(l=8, n=4, m=4, r=2)
-    engine = NetworkedProtocolEngine(topo, PARAMS, seed=11, resilience=True)
-    workload = BernoulliWorkload(topo.providers, p_valid=0.85, seed=12)
+    engine, workload, _ = build(ROUND_TRIP, seed=11)
     engine.run_round(workload.take(8))
 
     leave(engine, node)
@@ -110,17 +112,14 @@ def test_round_trip(way, node):
         assert verdicts == [(node, violation_for(node).type.value)] and not kinds
 
 
-def build_coordinator(workers=None, behaviors=None, seed=5):
-    sharded = Topology.sharded(l=8, n=4, m=4, r=2, shards=2)
-    coordinator = ShardCoordinator(
-        sharded, PARAMS, behaviors=behaviors, seed=seed, workers=workers
-    )
-    providers = [p for topo in sharded.shards for p in topo.providers]
-    workload = CrossShardWorkload(
-        BernoulliWorkload(providers, p_valid=0.8, seed=seed + 1),
-        sharded.provider_shard,
-        p_cross=0.3,
-        seed=seed + 2,
+def build_coordinator(workers=None, behaviors=None):
+    """``sharded-smoke`` with more of its traffic cross-shard."""
+    coordinator, workload, _ = build(
+        replace(
+            SCENARIOS["sharded-smoke"], p_cross=0.3,
+            behavior_factory=lambda _topo: behaviors or {},
+        ),
+        seed=5, workers=workers,
     )
     return coordinator, workload
 

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import pathlib
 import re
+from dataclasses import replace
 
 import pytest
 
 from repro.byzantine.tampering import MessageTamperer, TamperSpec
-from repro.core.netengine import NetworkedProtocolEngine
-from repro.core.params import ProtocolParams
-from repro.core.protocol import ProtocolEngine
-from repro.network.topology import Topology
 from repro.obs import MetricsRegistry
-from repro.workloads.generator import BernoulliWorkload
+from repro.workloads.scenarios import SCENARIOS, build
 
 DOC = pathlib.Path(__file__).parent.parent / "OBSERVABILITY.md"
+#: ``durable-smoke`` with the engine's repair machinery on.
+RESILIENT = replace(SCENARIOS["durable-smoke"], resilience=True)
 
 
 def _metric_tokens(doc: str, names: list[str]) -> set[str]:
@@ -35,28 +34,12 @@ def _metric_tokens(doc: str, names: list[str]) -> set[str]:
 @pytest.fixture(scope="module")
 def registered() -> MetricsRegistry:
     """One registry that has seen every instrumented constructor."""
-    topo = Topology.regular(l=8, n=4, m=3, r=2)
     reg = MetricsRegistry()
-    NetworkedProtocolEngine(
-        topo,
-        ProtocolParams(f=0.5, delta=0.2),
-        seed=0,
-        max_delay=0.05,
-        resilience=True,
-        obs=reg,
-    )
-    ProtocolEngine(topo, ProtocolParams(f=0.5), seed=0, obs=reg)
+    # The sharding layer's coordinator metrics and the cross-shard
+    # auditor's counters ride on the same registry as the engines'.
+    for preset in (RESILIENT, "smoke", "sharded-smoke"):
+        build(preset, obs=reg)
     MessageTamperer(TamperSpec(flip_label=0.1), seed=0, obs=reg)
-    # The sharding layer: coordinator metrics plus the cross-shard
-    # auditor's counters ride on the same registry.
-    from repro.sharding import ShardCoordinator
-
-    ShardCoordinator(
-        Topology.sharded(l=4, n=2, m=2, r=1, shards=2),
-        ProtocolParams(f=0.5, delta=0.2),
-        seed=0,
-        obs=reg,
-    )
     # The transport family registers lazily inside RealNetwork; use the
     # fetch-or-register helper so no sockets are needed here.
     from repro.network.realnet import transport_metrics
@@ -91,17 +74,8 @@ def test_no_stale_metric_names_in_doc(registered):
 
 
 def test_every_recorded_span_name_is_documented():
-    topo = Topology.regular(l=8, n=4, m=3, r=2)
     reg = MetricsRegistry()
-    engine = NetworkedProtocolEngine(
-        topo,
-        ProtocolParams(f=0.5, delta=0.2),
-        seed=5,
-        max_delay=0.05,
-        resilience=True,
-        obs=reg,
-    )
-    workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=6)
+    engine, workload, _ = build(RESILIENT, seed=5, obs=reg)
     for _ in range(2):
         engine.run_round(workload.take(6))
     engine.finalize()

@@ -6,61 +6,44 @@ That a live registry leaves every run unchanged is the ``obs`` column of
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.agents.behaviors import ConcealBehavior, ForgeBehavior, MisreportBehavior
-from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
-from repro.core.protocol import ProtocolEngine
 from repro.faults.plan import FaultPlan, LinkFaultSpec
-from repro.network.topology import Topology
 from repro.obs import MetricsRegistry
 from repro.workloads.generator import BernoulliWorkload
+from repro.workloads.scenarios import Scenario, build
 
 ROUNDS = 5
 PER_ROUND = 8
 
+#: One deployment, run on either engine.
+OBSERVED = Scenario(
+    name="observed", description="three adversaries on the smallest regular shape",
+    l=8, n=4, m=3, r=2, params=ProtocolParams(f=0.6), rounds=ROUNDS, batch=PER_ROUND,
+    behavior_factory=lambda _topo: {
+        "c0": MisreportBehavior(0.4), "c1": ForgeBehavior(0.4), "c2": ConcealBehavior(0.3)
+    },
+    workload_factory=lambda topo, seed: BernoulliWorkload(topo.providers, 0.8, seed + 1),
+)
 
-def _topo():
-    return Topology.regular(l=8, n=4, m=3, r=2)
+
+def _lossy(_topo, _seed):
+    return FaultPlan(seed=12).with_default_link(LinkFaultSpec(loss=0.08))
 
 
-def _behaviors():
-    return {"c0": MisreportBehavior(0.4), "c1": ForgeBehavior(0.4), "c2": ConcealBehavior(0.3)}
-
-
-def _run_networked(obs=None, faults=False):
-    topo = _topo()
-    engine = NetworkedProtocolEngine(
-        topo,
-        ProtocolParams(f=0.6, delta=0.2),
-        behaviors=_behaviors(),
-        seed=11,
-        max_delay=0.05,
-        resilience=True,
-        obs=obs,
-    )
-    if faults:
-        engine.install_faults(
-            FaultPlan(seed=12).with_default_link(LinkFaultSpec(loss=0.08))
-        )
-    workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=13)
-    for _ in range(ROUNDS):
-        engine.run_round(workload.take(PER_ROUND))
+def _run(host, obs=None, faults=None):
+    """``OBSERVED`` at seed 11 on ``host`` (with its repair on ``net``)."""
+    scenario = replace(OBSERVED, host=host, resilience=host == "net", faults=faults)
+    engine, workload, _ = build(scenario, seed=11, obs=obs)
+    for _ in range(scenario.rounds):
+        engine.run_round(workload.take(scenario.batch))
     engine.finalize()
-    engine.drain_recovery()
-    return engine
-
-
-def _run_abstract(obs=None):
-    topo = _topo()
-    engine = ProtocolEngine(
-        topo, ProtocolParams(f=0.6), behaviors=_behaviors(), seed=11, obs=obs
-    )
-    workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=13)
-    for _ in range(ROUNDS):
-        engine.run_round(workload.take(PER_ROUND))
-    engine.finalize()
+    if host == "net":
+        engine.drain_recovery()
     return engine
 
 
@@ -148,7 +131,7 @@ class TestInstrumentation:
     @pytest.fixture(scope="class")
     def run(self):
         obs = MetricsRegistry()
-        engine = _run_networked(obs=obs, faults=True)
+        engine = _run("net", obs, faults=_lossy)
         return engine, obs
 
     def test_every_counter_and_gauge_has_a_record(self, run):
@@ -224,7 +207,7 @@ class TestInstrumentation:
 
     def test_abstract_engine_exports_counters(self):
         obs = MetricsRegistry()
-        _run_abstract(obs=obs)
+        _run("inproc", obs)
         assert obs.get("engine_rounds_total").value == ROUNDS
         assert {"gov_screenings_total", "rep_updates_total"} <= set(obs.names())
         assert 0 < obs.get("crypto_sig_cache_entries").value
@@ -232,5 +215,5 @@ class TestInstrumentation:
 
 
 def test_store_heights_agree():
-    engine = _run_networked(obs=MetricsRegistry())
+    engine = _run("net", MetricsRegistry())
     assert engine.store.height == ROUNDS

@@ -33,12 +33,12 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from multiprocessing.context import ForkProcess
 
 import pytest
 
 from repro.agents.behaviors import MisreportBehavior
-from repro.core.params import ProtocolParams
 from repro.exceptions import (
     ConfigurationError,
     WorkerCrashError,
@@ -46,18 +46,17 @@ from repro.exceptions import (
 )
 from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.network.custodian import start_server_thread
-from repro.network.topology import Topology
 from repro.obs import MetricsRegistry
 from repro.parallel.backend import ShardHost
 from repro.parallel.pool import ParallelBackend
 from repro.sharding import ShardCoordinator
 from repro.storage import StorageConfig
-from repro.workloads.generator import BernoulliWorkload
+from repro.workloads.scenarios import SCENARIOS, build
 from repro.workloads.xshard import CrossShardWorkload
 
 pytestmark = pytest.mark.parallel
 
-PARAMS = ProtocolParams(f=0.5, delta=0.2, b_limit=16)
+SMOKE = SCENARIOS["sharded-smoke"]
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: A driver that boots three shards on three workers, prints their pids,
@@ -66,13 +65,11 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: copies of its siblings' driver ends lets their EOF through.
 DRIVER_THAT_DIES = """
 import os, signal, time
-from repro.core.params import ProtocolParams
-from repro.network.topology import Topology
-from repro.sharding import ShardCoordinator
+from dataclasses import replace
+from repro.workloads.scenarios import SCENARIOS, build
 
-sharded = Topology.sharded(l=12, n=6, m=6, r=2, shards=3)
-params = ProtocolParams(f=0.5, delta=0.2, b_limit=16)
-coordinator = ShardCoordinator(sharded, params, seed=3, workers=3)
+three = replace(SCENARIOS["sharded-smoke"], l=12, n=6, m=6, shards=3)
+coordinator, _, _ = build(three, seed=3, workers=3)
 pids = [handle.proc.pid for handle in coordinator.backend._workers]
 print(*pids, flush=True)
 os.kill(pids[-1], signal.SIGSTOP)
@@ -82,25 +79,25 @@ os.kill(os.getpid(), signal.SIGKILL)
 """
 
 
-def build(shards=2, workers=None, seed=3, epoch_rounds=None, l=8, n=4, m=4,
-          r=2, faults=False, **kwargs):
-    sharded = Topology.sharded(l=l, n=n, m=m, r=r, shards=shards)
-    coordinator = ShardCoordinator(
-        sharded, PARAMS, seed=seed, epoch_rounds=epoch_rounds,
-        resilience=faults, workers=workers, **kwargs
-    )
-    if faults:
-        for k in range(shards):
-            plan = FaultPlan(seed=seed + 50 + k).with_default_link(
-                LinkFaultSpec(loss=0.02, duplicate=0.05)
-            )
-            coordinator.install_faults(k, plan)
-    providers = [p for topo in sharded.shards for p in topo.providers]
-    inner = BernoulliWorkload(providers, p_valid=0.8, seed=seed + 1)
-    workload = CrossShardWorkload(
-        inner, sharded.provider_shard, p_cross=0.3, seed=seed + 2
+def pool(workers=2, obs=None, **changes):
+    """``sharded-smoke`` with ``changes``, built on a pool of ``workers``."""
+    coordinator, workload, _ = build(
+        replace(SMOKE, **changes), seed=3, workers=workers, obs=obs
     )
     return coordinator, workload
+
+
+def hand_built(faults=False, **options):
+    """``sharded-smoke`` on two workers, given the coordinator arguments no
+    preset carries (per-shard ``storage``, ``worker_timeout``)."""
+    sharded, link = SMOKE.topology(), LinkFaultSpec(loss=0.02, duplicate=0.05)
+    coordinator = ShardCoordinator(
+        sharded, SMOKE.params, seed=3, resilience=faults, workers=2, **options
+    )
+    for k in range(SMOKE.shards if faults else 0):
+        coordinator.install_faults(k, FaultPlan(seed=53 + k).with_default_link(link))
+    inner = SMOKE.workload_factory(sharded, 4)
+    return coordinator, CrossShardWorkload(inner, sharded.provider_shard, SMOKE.p_cross, 5)
 
 
 def drive(coordinator, workload, rounds=4, batch=32):
@@ -166,7 +163,7 @@ def reaped_pids(monkeypatch):
 
 class TestBitIdentity:
     def test_worker_count_capped_at_shard_count(self):
-        coordinator, workload = build(shards=2, workers=8)
+        coordinator, workload = pool(workers=8)
         assert coordinator.backend.num_workers == 2
         report = drive(coordinator, workload, rounds=2)
         assert report.clean
@@ -198,7 +195,7 @@ class TestBoot:
         monkeypatch.setattr(ForkProcess, "start", recording_start)
         monkeypatch.setattr(ParallelBackend, "_recv", recording_recv)
         registry = MetricsRegistry()
-        parallel, _ = build(workers=2, obs=registry, **shape)
+        parallel, _ = pool(obs=registry, **shape)
         try:
             assert [kind for kind, _ in events] == ["start"] * 2 + ["ready"] * 2
             names = {"shard-worker-0", "shard-worker-1"}
@@ -225,7 +222,7 @@ class TestBoot:
             StorageConfig(directory=blocker, fsync=False),
         ]
         with pytest.raises(WorkerOpError) as err:
-            build(shards=2, workers=2, storage=storage)
+            hand_built(storage=storage)
         # ``err`` still holds the exception, and through its traceback the
         # half-built backend: nothing may depend on that being collected.
         assert [proc.name for proc in multiprocessing.active_children()] == []
@@ -250,14 +247,14 @@ class TestBoot:
         monkeypatch.setattr(ShardHost, "__init__", slow_init)
         monkeypatch.setattr("repro.parallel.pool._READY_TIMEOUT_FLOOR", 0.05)
         with pytest.raises(WorkerCrashError, match="boot deadline") as err:
-            build(shards=2, workers=2, worker_timeout=0.05)
+            hand_built(worker_timeout=0.05)
         assert [proc.name for proc in multiprocessing.active_children()] == []
         assert len(reaped_pids) == 2 and all(gone(pid) for pid in reaped_pids)
         assert err.value.worker == 0
         assert err.value.phase == "spawn"
 
     def test_close_leaves_no_worker_process(self):
-        coordinator, workload = build(shards=2, workers=2)
+        coordinator, workload = pool()
         drive(coordinator, workload, rounds=1)
         pids = worker_pids(coordinator)
         coordinator.close()
@@ -268,12 +265,12 @@ class TestBoot:
         server, stop = start_server_thread()
         try:
             with pytest.raises(ConfigurationError, match="live threads") as err:
-                build(shards=2, workers=2)
+                pool()
             assert "node-server" in str(err.value)
             assert [proc.name for proc in multiprocessing.active_children()] == []
         finally:
             stop()
-        coordinator, _ = build(shards=2, workers=2)
+        coordinator, _ = pool()
         try:
             workers = coordinator.backend._workers
             assert [handle.proc.is_alive() for handle in workers] == [True, True]
@@ -315,7 +312,7 @@ class TestBoot:
 
         registry = MetricsRegistry()
         before = children_cpu()
-        coordinator, workload = build(shards=2, workers=2, obs=registry)
+        coordinator, workload = pool(obs=registry)
         try:
             drive(coordinator, workload, rounds=4)
         finally:
@@ -328,7 +325,7 @@ class TestBoot:
 
 class TestBackendSurface:
     def test_engines_and_sim_are_serial_only(self):
-        coordinator, _ = build(shards=2, workers=2)
+        coordinator, _ = pool()
         try:
             with pytest.raises(ConfigurationError):
                 _ = coordinator.engines
@@ -349,16 +346,19 @@ class TestBackendSurface:
 
         with pytest.raises((pickle.PicklingError, AttributeError)):
             pickle.dumps(LocalLiar(0.5))
-        sharded = Topology.sharded(l=8, n=4, m=4, r=2, shards=2)
-        liars = {cid: LocalLiar(0.5) for cid in sharded.collectors}
-        coordinator, workload = build(epoch_rounds=1, behaviors=liars)
+        def liars(topo):
+            return {cid: LocalLiar(0.5) for cid in topo.collectors}
+
+        coordinator, workload = pool(
+            workers=None, epoch_rounds=1, behavior_factory=liars
+        )
         drive(coordinator, workload, rounds=2)
         assert any(moves for _, _, moves in coordinator.reshuffle_log)
         with pytest.raises(ConfigurationError, match="picklable"):
-            build(workers=2, epoch_rounds=1, behaviors=liars)
+            pool(epoch_rounds=1, behavior_factory=liars)
 
     def test_tamperer_rejected_on_parallel_backend(self):
-        coordinator, _ = build(shards=2, workers=2)
+        coordinator, _ = pool()
         try:
             plan = FaultPlan(seed=1)
             with pytest.raises(ConfigurationError, match="tamperer"):
@@ -368,7 +368,7 @@ class TestBackendSurface:
 
     def test_ipc_is_batched_and_counted(self):
         registry = MetricsRegistry()
-        coordinator, workload = build(shards=2, workers=2, obs=registry)
+        coordinator, workload = pool(obs=registry)
         try:
             drive(coordinator, workload, rounds=2)
             msgs = registry.get("par_ipc_msgs_total")
@@ -390,9 +390,7 @@ class TestBackendSurface:
 class TestCrashHandling:
     def test_sigkilled_worker_surfaces_as_structured_fault(self):
         registry = MetricsRegistry()
-        coordinator, workload = build(
-            shards=2, workers=2, obs=registry, worker_timeout=30.0
-        )
+        coordinator, workload = pool(obs=registry)
         try:
             coordinator.submit(workload.take(32))
             coordinator.run_super_round()
@@ -415,9 +413,8 @@ class TestCrashHandling:
         assert all(gone(pid) for pid in pids)
 
     def test_hung_worker_trips_barrier_timeout(self):
-        coordinator, workload = build(
-            shards=2, workers=2, worker_timeout=3.0
-        )
+        coordinator, workload = pool()
+        coordinator.backend.phase_timeout = 3.0
         try:
             coordinator.submit(workload.take(32))
             coordinator.run_super_round()
@@ -434,7 +431,7 @@ class TestCrashHandling:
             coordinator.close()
 
     def test_restart_without_storage_refused(self):
-        coordinator, _ = build(shards=2, workers=2)
+        coordinator, _ = pool()
         try:
             with pytest.raises(ConfigurationError, match="durable storage"):
                 coordinator.restart_worker(0)
@@ -450,9 +447,7 @@ class TestCrashHandling:
             )
             for k in range(2)
         ]
-        coordinator, workload = build(
-            shards=2, workers=2, storage=storage, worker_timeout=30.0
-        )
+        coordinator, workload = hand_built(storage=storage, worker_timeout=30.0)
         try:
             for _ in range(3):
                 coordinator.submit(workload.take(32))
@@ -491,9 +486,8 @@ class TestCrashHandling:
             )
             for k in range(2)
         ]
-        coordinator, workload = build(
-            shards=2, workers=2, faults=True, storage=storage,
-            worker_timeout=30.0,
+        coordinator, workload = hand_built(
+            faults=True, storage=storage, worker_timeout=30.0
         )
         try:
             for _ in range(2):

@@ -2,12 +2,14 @@
 
 The paper's Agreement, No-Skipping and Validity properties are checkable
 because a seed fixes the ledger.  This module asserts that promise as a
-table of **case × column**.  A *case* is one seeded deployment: every
-``inproc`` and ``stream`` preset, partial visibility, abusive providers,
-the networked engine plain, faulted, and through every way a node leaves
-and rejoins, two sharded deployments (S=4 with epoch reshuffles under
-link faults) and a durable run across a reopen.  A *column* reruns the
-case another way and must reproduce the ``pin`` run's :func:`fingerprint`:
+table of **case × column**.  A *case* is one seeded deployment, given as
+a :class:`~repro.workloads.scenarios.Scenario` that ``build()``
+materialises: every ``inproc`` and ``stream`` preset, partial
+visibility, abusive providers, the networked engine plain, faulted, and
+through every way a node leaves and rejoins, two sharded deployments
+(S=4 with epoch reshuffles under link faults) and a durable run across a
+reopen.  A *column* reruns the case another way, by a ``build()``
+option, and must reproduce the ``pin`` run's :func:`fingerprint`:
 
 ``pin``      the reference run; its pinned view is ``golden_matrix.json``;
 ``obs``      with a live ``MetricsRegistry()``;
@@ -17,12 +19,16 @@ case another way and must reproduce the ``pin`` run's :func:`fingerprint`:
 ``restart``  dropped after 2 rounds, reopened and filled from a peer
              (chain, replicas and audit: a restart re-seeds every RNG);
 ``tcp``      over real sockets to two custodian processes;
+``replay``   through ``repro run``, for a registered preset's case: the
+             last ``round k tip=`` line is the pinned tip;
 ``reseed``   at seed + 1, which must *differ*.
 
 A failing row writes ``$PARITY_REPORT_DIR/<column>-<case>.json`` (default
 ``parity-report/``; ``/`` in a case name becomes ``-``) with both
-fingerprints.  If a change legitimately alters a draw sequence or a hash
-input, regenerate the pins with::
+fingerprints, or with the traceback when the run raised; a row built
+from a registered preset also names the ``python -m repro run`` command
+that replays it.  If a change legitimately alters a draw sequence or a
+hash input, regenerate the pins with::
 
     PYTHONPATH=src python tests/test_parity.py --regen
 
@@ -35,9 +41,11 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from contextlib import closing, contextmanager
-from dataclasses import asdict
-from functools import cache, partial
+from dataclasses import asdict, replace
+from functools import cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -45,21 +53,15 @@ import pytest
 
 from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
 from repro.byzantine.scenario import install_equivocation
-from repro.core.netengine import NetworkedProtocolEngine
+from repro.cli import main
 from repro.core.params import ProtocolParams
-from repro.core.protocol import ProtocolEngine
 from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.network.cluster import launch_custodians
-from repro.network.realnet import RealNetwork
-from repro.network.topology import Topology
 from repro.network.visibility import VisibilityMap
 from repro.obs import MetricsRegistry
-from repro.sharding import ShardCoordinator
-from repro.storage import StorageConfig
 from repro.storage.checkpoints import reputation_digest
 from repro.workloads.generator import BernoulliWorkload
-from repro.workloads.scenarios import SCENARIOS, build
-from repro.workloads.xshard import CrossShardWorkload
+from repro.workloads.scenarios import SCENARIOS, Scenario, build
 
 GOLDEN_FILE = Path(__file__).with_name("golden_matrix.json")
 REPORT_DIR = Path(os.environ.get("PARITY_REPORT_DIR", "parity-report"))
@@ -70,6 +72,9 @@ INPROC_ROUNDS = 6
 #: Small enough that the book digest (which walks every member) is
 #: cheap, and divisible as every streaming preset's link degrees need.
 STREAM_UNIVERSE = 240
+
+#: Where a host keeps the audit ``finalize()`` closes, if not in ``audit_report``.
+AUDIT = {"net": "harness_auditor.report", "shard": "auditor.report"}
 
 
 def _chain(engine) -> dict:
@@ -83,7 +88,7 @@ def _chain(engine) -> dict:
     }
 
 
-def fingerprint(deployment, report) -> dict:
+def fingerprint(deployment, host: str) -> dict:
     """Everything a finished run determines, read the way its host allows.
 
     For an engine: the chain, every governor replica's (height, tip), the
@@ -92,10 +97,11 @@ def fingerprint(deployment, report) -> dict:
     logs.  For a coordinator: what either backend reports, plus each
     shard engine's chain when the engines live in this process.
     """
+    report = attrgetter(AUDIT.get(host, "audit_report"))(deployment)
     audit = [
         [v.type.value, v.culprit, v.round_number, v.serial] for v in report.violations
     ]
-    if isinstance(deployment, ShardCoordinator):
+    if host == "shard":
         stats = deployment.chain_stats()
         out = {
             "tips": deployment.tip_hashes(),
@@ -121,7 +127,7 @@ def fingerprint(deployment, report) -> dict:
         "draws": [repr(float(g.rng.random())) for _, g in governors]
         + [repr(float(deployment._master.random()))],
     }
-    if isinstance(deployment, NetworkedProtocolEngine):
+    if host == "net":
         out["clock"] = repr(deployment.sim.now)
         for log in ("fault_log", "quarantine_log"):
             out[log] = [[repr(t), *rest] for t, *rest in getattr(deployment, log)]
@@ -130,164 +136,129 @@ def fingerprint(deployment, report) -> dict:
 
 # -- the cases ----------------------------------------------------------------
 #
-# A runner builds its deployment, drives it to the end and yields it with
-# its audit report; the deployment is closed when the ``with`` ends, however
-# it ends.  Its keyword options (``obs``, ``workers``, ``storage``,
-# ``network_factory``) are the columns' ways of rerunning the case.
+# A case is a Scenario and the keys it pins.  ``drive`` runs it through its
+# script (``_plain``, bar two cases that step between rounds) and yields the
+# finished deployment, closed when the ``with`` ends.  Its keyword options
+# are ``build()``'s (``obs``, ``workers``, ``storage_dir``, ``custodians``):
+# the columns' ways of rerunning the case.
 
 
-@contextmanager
-def _inproc_preset(name: str, seed: int, **how):
-    engine, workload, scenario = build(name, seed=seed, **how)
-    with closing(engine):
-        for _ in range(INPROC_ROUNDS):
-            engine.run_round(workload.take(scenario.batch))
-        engine.finalize()
-        yield engine, engine.audit_report
+def _liars(_topo) -> dict:
+    return {"c0": MisreportBehavior(0.4), "c1": ConcealBehavior(0.4)}
 
 
-@contextmanager
-def _inproc_custom(seed: int, partial_view: bool = False, **how):
-    topo = Topology.regular(l=8, n=4, m=3, r=2)
-    if partial_view:
-        how["visibility"] = VisibilityMap.random_partial(topo, 0.3, seed=seed)
-    behaviors = {"c0": MisreportBehavior(0.4), "c1": ConcealBehavior(0.4)}
-    engine = ProtocolEngine(topo, ProtocolParams(f=0.6), behaviors, seed=seed, **how)
-    workload = BernoulliWorkload(topo.providers, p_valid=0.6, seed=seed + 1)
-    with closing(engine):
-        for _ in range(INPROC_ROUNDS):
-            engine.run_round(workload.take(12))
-        engine.finalize()
-        yield engine, engine.audit_report
+def _partial_view(topo, seed) -> VisibilityMap:
+    return VisibilityMap.random_partial(topo, 0.3, seed=seed)
 
 
-def _net_engine(case: str, seed: int, **how):
-    """A ``networked/*`` case's engine, faults installed, and its workload."""
-    churn = case == "networked/churn-quarantine"
-    topo = Topology.regular(l=8, n=4, m=4 if churn else 3, r=2)
-    engine = NetworkedProtocolEngine(
-        topo,
-        ProtocolParams(f=0.6, delta=0.2),
-        behaviors={"c0": MisreportBehavior(0.4), "c1": ConcealBehavior(0.4)},
-        seed=seed,
-        resilience=case != "networked/plain",
-        **how,
+def _lossy(seed: int, *crashes) -> FaultPlan:
+    """Link faults drawn at ``seed + 2``, and each ``(node, at, recover_at)``."""
+    plan = FaultPlan(seed=seed + 2).with_default_link(
+        LinkFaultSpec(loss=0.05, duplicate=0.1)
     )
-    plan = FaultPlan(seed=seed + 2)
-    plan.with_default_link(LinkFaultSpec(loss=0.05, duplicate=0.1))
-    if churn:
-        plan.with_crash("c2", at=0.5, recover_at=1.3)
-        engine.install_faults(plan.with_crash("g1", at=1.0, recover_at=1.8))
+    for node, at, recover_at in crashes:
+        plan.with_crash(node, at=at, recover_at=recover_at)
+    return plan
+
+
+def _lossy_shards(topo, seed: int) -> list[FaultPlan]:
+    link = LinkFaultSpec(loss=0.02, duplicate=0.05)
+    return [
+        FaultPlan(seed=seed + 50 + k).with_default_link(link)
+        for k in range(topo.num_shards)
+    ]
+
+
+SMALL = Scenario(
+    name="small", description="two adversaries on the smallest regular shape",
+    l=8, n=4, m=3, r=2, params=ProtocolParams(f=0.6), rounds=INPROC_ROUNDS, batch=12,
+    behavior_factory=_liars,
+    workload_factory=lambda topo, seed: BernoulliWorkload(
+        topo.providers, p_valid=0.6, seed=seed
+    ),
+)
+#: Small enough that checkpoints, segment rolls and compaction all
+#: happen in the ``disk`` and ``restart`` columns.
+NETWORKED = replace(
+    SMALL, name="networked", host="net", params=ProtocolParams(f=0.6, delta=0.2),
+    rounds=5, batch=8, checkpoint_interval=2, segment_bytes=4096,
+)
+
+
+def _sound_shards(coordinator) -> None:
+    """What every sharded deployment promises, once finalized."""
+    report = coordinator.auditor.report
+    assert report.clean, [str(v) for v in report.violations]
+    assert all(s.properties_hold for s in coordinator.chain_stats())
+    assert coordinator.reshuffle_log or not coordinator.epoch_rounds, "no reshuffle"
+
+
+def _retired(app) -> None:
+    assert app.metrics.retirements > 0, "retirement never exercised"
+
+
+#: What a finished run on each host must have exercised.
+SOUND = {"shard": _sound_shards, "stream": _retired}
+
+
+@contextmanager
+def _plain(row: Row, seed: int, **how):
+    """``build()``, the scenario's rounds, the row's empty ones, ``finalize()``."""
+    deployment, workload, scenario = build(row.scenario, seed, **how)
+    with closing(deployment):
+        for _ in range(scenario.rounds):
+            deployment.run_round(workload.take(scenario.batch))
+        for _ in range(row.tail):
+            deployment.run_round([])
+        deployment.finalize()
+        if scenario.host in SOUND:
+            SOUND[scenario.host](deployment)
+        yield deployment
+
+
+@contextmanager
+def _churn_quarantine(row: Row, seed: int, **how):
+    """Crash/recover a collector and a governor, quarantine/release another."""
+    engine, workload, scenario = build(row.scenario, seed, **how)
+    with closing(engine):
         # g3 sends its real hash to g0 and a signed fake to g1 and g2, so
         # g0 can only complete the proof from a vote one of them forwards.
         install_equivocation(engine, "g3", serial=2)
-    elif case == "networked/resilient-faults":
-        engine.install_faults(plan.with_crash("g1", at=0.5, recover_at=1.3))
-    return engine, BernoulliWorkload(topo.providers, p_valid=0.6, seed=seed + 1)
-
-
-@contextmanager
-def _networked(case: str, seed: int, **how):
-    engine, workload = _net_engine(case, seed, **how)
-    with closing(engine):
-        for _ in range(5):
-            engine.run_round(workload.take(8))
-        engine.run_round([])
-        engine.finalize()
-        yield engine, engine.harness_auditor.report
-
-
-@contextmanager
-def _churn_quarantine(seed: int, **how):
-    """Crash/recover a collector and a governor, quarantine/release another."""
-    engine, workload = _net_engine("networked/churn-quarantine", seed, **how)
-    with closing(engine):
-        for _ in range(3):
-            engine.run_round(workload.take(8))
-        assert engine.quarantined_nodes == {"g3"}
-        for _ in range(2):
-            engine.run_round(workload.take(8))
-        engine.lifecycle.release_quarantine("g3")
-        for _ in range(2):
-            engine.run_round(workload.take(8))
+        for k in range(scenario.rounds):
+            if k == 3:
+                assert engine.quarantined_nodes == {"g3"}
+            elif k == 5:
+                engine.lifecycle.release_quarantine("g3")
+            engine.run_round(workload.take(scenario.batch))
         engine.finalize()
         assert not engine.crashed_nodes and not engine.quarantined_nodes
-        yield engine, engine.harness_auditor.report
+        yield engine
 
 
 @contextmanager
-def _streaming(name: str, seed: int, **how):
-    app, _, scenario = build(name, seed=seed, universe=STREAM_UNIVERSE, **how)
-    with closing(app):
-        app.run(scenario.rounds)
-        app.finalize()
-        assert app.metrics.retirements > 0, "retirement never exercised"
-        yield app, app.audit_report
-
-
-def _sound(coordinator: ShardCoordinator):
-    """Finalize, and hold the run to what every sharded deployment promises."""
-    report = coordinator.finalize()
-    assert report.clean, [str(v) for v in report.violations]
-    assert all(s.properties_hold for s in coordinator.chain_stats())
-    return coordinator, report
-
-
-@contextmanager
-def _sharded_smoke(seed: int, **how):
-    coordinator, workload, scenario = build("sharded-smoke", seed=seed, **how)
-    with closing(coordinator):
-        for _ in range(scenario.rounds):
-            coordinator.run_round(workload.take(scenario.batch))
-        yield _sound(coordinator)
-
-
-@contextmanager
-def _sharded_quad_faults(seed: int, **how):
-    """S=4 with epoch reshuffles and receipts in flight under link faults."""
-    scenario = SCENARIOS["sharded-quad"]
-    sharded = scenario.topology()
-    coordinator = ShardCoordinator(
-        sharded, scenario.params, seed=seed,
-        epoch_rounds=scenario.epoch_rounds, resilience=True, **how,
-    )
-    with closing(coordinator):
-        for k in range(scenario.shards):
-            plan = FaultPlan(seed=seed + 50 + k)
-            plan.with_default_link(LinkFaultSpec(loss=0.02, duplicate=0.05))
-            coordinator.install_faults(k, plan)
-        providers = [p for topo in sharded.shards for p in topo.providers]
-        workload = CrossShardWorkload(
-            BernoulliWorkload(providers, p_valid=0.8, seed=seed + 1),
-            sharded.provider_shard, p_cross=scenario.p_cross, seed=seed + 2,
-        )
-        for _ in range(scenario.rounds):
-            coordinator.run_round(workload.take(scenario.batch))
-        assert coordinator.reshuffle_log, "no epoch reshuffle exercised"
-        yield _sound(coordinator)
-
-
-@contextmanager
-def _durable_reopen(seed: int, **how):
+def _durable_reopen(row: Row, seed: int, **how):
+    scenario = row.scenario
     with tempfile.TemporaryDirectory() as directory:
-        how["storage_dir"] = directory
-        first, workload, scenario = build("durable-smoke", seed=seed, **how)
+        first, workload, _ = build(scenario, seed, storage_dir=directory, **how)
         for _ in range(4):
             first.run_round(workload.take(scenario.batch))
         del first
-        engine, _, _ = build("durable-smoke", seed=seed, **how)
+        engine, _, _ = build(scenario, seed, storage_dir=directory, **how)
         with closing(engine):
             assert engine.recovery_report.clean
             for _ in range(2):
                 engine.run_round(workload.take(scenario.batch))
             engine.finalize()
-            yield engine, engine.harness_auditor.report
+            yield engine
 
 
 class Row(NamedTuple):
-    runner: Callable
+    scenario: Scenario
     #: The fingerprint keys ``golden_matrix.json`` pins for this case.
     pin: tuple[str, ...]
+    #: Empty rounds run after the scenario's own, before ``finalize()``.
+    tail: int = 0
+    script: Callable = _plain
 
 
 def _presets(host: str) -> list[str]:
@@ -295,34 +266,55 @@ def _presets(host: str) -> list[str]:
 
 
 CHAIN = ("tip", "height", "books")
+NET_PIN = (*CHAIN, "clock")
 CASES = {
     **{
-        f"inproc/{n}": Row(partial(_inproc_preset, n), CHAIN)
+        f"inproc/{n}": Row(replace(SCENARIOS[n], rounds=INPROC_ROUNDS), CHAIN)
         for n in _presets("inproc")
     },
-    "inproc/visibility": Row(partial(_inproc_custom, partial_view=True), CHAIN),
+    "inproc/visibility": Row(
+        replace(SMALL, name="visibility", visibility=_partial_view), CHAIN
+    ),
     "inproc/abusive-providers": Row(
-        partial(_inproc_custom, abusive_providers={f"p{k}": 0.9 for k in range(8)}),
+        replace(
+            SMALL, name="abusive-providers",
+            abusive_providers=lambda topo: dict.fromkeys(topo.providers, 0.9),
+        ),
         CHAIN,
     ),
-    **{
-        case: Row(partial(_networked, case), (*CHAIN, "clock"))
-        for case in ("networked/plain", "networked/resilient-faults")
-    },
+    "networked/plain": Row(NETWORKED, NET_PIN, tail=1),
+    "networked/resilient-faults": Row(
+        replace(
+            NETWORKED, name="resilient-faults", resilience=True,
+            faults=lambda _topo, seed: _lossy(seed, ("g1", 0.5, 1.3)),
+        ),
+        NET_PIN, tail=1,
+    ),
     "networked/churn-quarantine": Row(
-        _churn_quarantine, (*CHAIN, "clock", "fault_log", "quarantine_log")
+        replace(
+            NETWORKED, name="churn-quarantine", m=4, rounds=7, resilience=True,
+            faults=lambda _topo, seed: _lossy(seed, ("c2", 0.5, 1.3), ("g1", 1.0, 1.8)),
+        ),
+        (*NET_PIN, "fault_log", "quarantine_log"), script=_churn_quarantine,
     ),
     **{
-        f"streaming/{n}": Row(partial(_streaming, n), CHAIN)
+        f"streaming/{n}": Row(replace(SCENARIOS[n], l=STREAM_UNIVERSE), CHAIN)
         for n in _presets("stream")
     },
-    "sharded/sharded-smoke": Row(_sharded_smoke, ("shards", "clock")),
+    "sharded/sharded-smoke": Row(SCENARIOS["sharded-smoke"], ("shards", "clock")),
     "sharded/quad-faults-inprocess": Row(
-        _sharded_quad_faults, ("tips", "heights", "committed", "clock")
+        # S=4 with epoch reshuffles and receipts in flight under link faults.
+        replace(
+            SCENARIOS["sharded-quad"], name="quad-faults", resilience=True,
+            faults=_lossy_shards,
+        ),
+        ("tips", "heights", "committed", "clock"),
     ),
-    "durable/durable-smoke-reopen": Row(_durable_reopen, CHAIN),
+    "durable/durable-smoke-reopen": Row(
+        SCENARIOS["durable-smoke"], CHAIN, script=_durable_reopen
+    ),
 }
-NETWORKED = [case for case in CASES if case.startswith("networked/")]
+NETWORKED_CASES = [case for case in CASES if case.startswith("networked/")]
 SHARDED = [case for case in CASES if case.startswith("sharded/")]
 #: Sharded cases whose pins a pool run can read: no per-shard engine chain.
 POOL_PINNED = [case for case in SHARDED if "shards" not in CASES[case].pin]
@@ -337,23 +329,61 @@ RESEED = [
     "sharded/sharded-smoke",
     "durable/durable-smoke-reopen",
 ]
+#: The ``repro run`` flag of each preset field a case may change.
+RUN_FLAGS = {"rounds": "--rounds", "l": "--providers"}
 
 
-def run(case: str, seed: int = SEED, **how) -> dict:
-    with CASES[case].runner(seed, **how) as (deployment, report):
-        return fingerprint(deployment, report)
+def replay(case: str) -> str | None:
+    """The ``repro run`` command that reruns a case, if it is a registered
+    preset with only ``RUN_FLAGS`` fields changed and no script."""
+    row = CASES[case]
+    preset = SCENARIOS.get(row.scenario.name)
+    changed = {field: getattr(row.scenario, field) for field in RUN_FLAGS}
+    registered = preset is not None and replace(preset, **changed) == row.scenario
+    if not registered or row.script is not _plain:
+        return None
+    argv = ["python -m repro run", preset.name, "--seed", str(SEED)]
+    argv += [f"{RUN_FLAGS[f]} {v}" for f, v in changed.items() if v != getattr(preset, f)]
+    return " ".join(argv)
+
+
+def write_report(column: str, case: str, **content) -> Path:
+    """Write ``content`` to the column's report for ``case``."""
+    REPORT_DIR.mkdir(parents=True, exist_ok=True)
+    path = REPORT_DIR / f"{column}-{case.replace('/', '-')}.json"
+    report = {"case": case, "column": column, "replay": replay(case), **content}
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, default=repr) + "\n")
+    return path
+
+
+@contextmanager
+def drive(case: str, column: str, seed: int = SEED, **how):
+    """Run ``case`` to its end and yield the deployment; a raise, here or
+    in the ``with`` body, writes its traceback to the column's report."""
+    row = CASES[case]
+    try:
+        with row.script(row, seed, **how) as deployment:
+            yield deployment
+    except Exception:
+        write_report(column, case, traceback=traceback.format_exc())
+        raise
+
+
+def run(case: str, column: str, seed: int = SEED, **how) -> dict:
+    with drive(case, column, seed, **how) as deployment:
+        return fingerprint(deployment, CASES[case].scenario.host)
 
 
 @cache
 def reference(case: str) -> dict:
     """The ``pin`` run's fingerprint, which every other column reproduces."""
-    return run(case)
+    return run(case, "pin")
 
 
 @cache
 def pooled(case: str) -> dict:
     """The case's fingerprint on two worker processes."""
-    return run(case, workers=2)
+    return run(case, "pool", workers=2)
 
 
 def pinned(case: str, source: Callable[[str], dict] = reference) -> dict:
@@ -368,10 +398,7 @@ def check(column: str, case: str, got: dict, expected: dict, same: bool = True):
     """Fail, writing both fingerprints to the report, unless they are ``same``."""
     if (got == expected) == same:
         return
-    REPORT_DIR.mkdir(parents=True, exist_ok=True)
-    path = REPORT_DIR / f"{column}-{case.replace('/', '-')}.json"
-    both = {"case": case, "column": column, "expected": expected, "got": got}
-    path.write_text(json.dumps(both, indent=2, sort_keys=True, default=repr) + "\n")
+    path = write_report(column, case, expected=expected, got=got)
     verdict = "differ" if same else "did not change"
     pytest.fail(f"{column} x {case}: fingerprints {verdict}, both in {path}")
 
@@ -388,9 +415,24 @@ def test_golden_file_has_no_stale_cases():
     assert sorted(json.loads(GOLDEN_FILE.read_text())) == sorted(CASES)
 
 
+def test_a_raising_case_writes_its_report(monkeypatch, tmp_path):
+    def fail(_deployment):
+        raise AssertionError("planted")
+
+    monkeypatch.setattr(sys.modules[__name__], "REPORT_DIR", tmp_path)
+    monkeypatch.setitem(SOUND, "inproc", fail)
+    planted = Row(replace(SCENARIOS["smoke"], rounds=1), CHAIN)
+    monkeypatch.setitem(CASES, "planted/raises", planted)
+    with pytest.raises(AssertionError, match="planted"):
+        run("planted/raises", "obs", obs=MetricsRegistry())
+    report = json.loads((tmp_path / "obs-planted-raises.json").read_text())
+    assert "AssertionError: planted" in report["traceback"]
+    assert report["replay"] == "python -m repro run smoke --seed 7 --rounds 1"
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_obs(case):
-    check("obs", case, run(case, obs=MetricsRegistry()), reference(case))
+    check("obs", case, run(case, "obs", obs=MetricsRegistry()), reference(case))
 
 
 @pytest.mark.parallel
@@ -407,48 +449,53 @@ def test_pool_pin(case):
     check("pool_pin", case, pinned(case, pooled), golden(case))
 
 
-def _segment_log(directory) -> StorageConfig:
-    """Small enough that checkpoints, rolls and compaction all happen."""
-    return StorageConfig(directory, checkpoint_interval=2, segment_bytes=4096)
-
-
-@pytest.mark.parametrize("case", NETWORKED)
+@pytest.mark.parametrize("case", NETWORKED_CASES)
 def test_disk(case, tmp_path):
-    with CASES[case].runner(SEED, storage=_segment_log(tmp_path)) as (engine, report):
+    with drive(case, "disk", storage_dir=tmp_path) as engine:
         assert engine.store.segments_compacted > 0
-        check("disk", case, fingerprint(engine, report), reference(case))
+        check("disk", case, fingerprint(engine, "net"), reference(case))
 
 
 @pytest.mark.parametrize("case", RESTART)
 def test_restart(case, tmp_path):
-    storage = _segment_log(tmp_path)
-    dropped, workload = _net_engine(case, SEED, storage=storage)
+    scenario = CASES[case].scenario
+    dropped, workload, _ = build(scenario, SEED, storage_dir=tmp_path)
     for _ in range(2):
-        dropped.run_round(workload.take(8))
+        dropped.run_round(workload.take(scenario.batch))
     # No finalize and no close: the process is gone, its segment log stays.
-    restarted, _ = _net_engine(case, SEED, storage=storage)
+    restarted, _, _ = build(scenario, SEED, storage_dir=tmp_path)
     with closing(restarted):
         assert restarted.store.height == 2
-        with CASES[case].runner(SEED) as (peer, _):
+        with drive(case, "restart") as peer:
             pulled = restarted.handoff.sync_from_peer(peer.store)
         assert pulled == peer.store.height - 2
-        got = fingerprint(restarted, restarted.harness_auditor.report)
+        got = fingerprint(restarted, "net")
     got, expected = ({k: fp[k] for k in RESTART_KEYS} for fp in (got, reference(case)))
     check("restart", case, got, expected)
 
 
 @pytest.mark.realnet
-@pytest.mark.parametrize("case", NETWORKED)
+@pytest.mark.parametrize("case", NETWORKED_CASES)
 def test_tcp(case):
     with closing(launch_custodians(2)) as cluster:
-        factory = partial(RealNetwork, custodians=cluster.addresses)
-        got = run(case, network_factory=factory)
+        got = run(case, "tcp", custodians=cluster.addresses)
     check("tcp", case, got, reference(case))
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if replay(case)])
+def test_replay(case, capsys):
+    """The command a case's report names reproduces its pinned tip."""
+    main(replay(case).split()[3:])  # the argv after ``python -m repro``
+    out = capsys.readouterr().out.splitlines()
+    got = [line.split("tip=")[1] for line in out if line.startswith("round ")][-1]
+    pins = golden(case)
+    expected = ",".join(chain["tip"] for chain in pins.get("shards", [pins]))
+    check("replay", case, {"tip": got}, {"tip": expected})
 
 
 @pytest.mark.parametrize("case", RESEED)
 def test_reseed(case):
-    check("reseed", case, run(case, seed=SEED + 1), reference(case), same=False)
+    check("reseed", case, run(case, "reseed", seed=SEED + 1), reference(case), same=False)
 
 
 if __name__ == "__main__":

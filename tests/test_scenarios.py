@@ -2,20 +2,32 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.faults.plan import FaultPlan
 from repro.ledger.properties import check_all_properties
-from repro.workloads.scenarios import HOST_READS, SCENARIOS, build, scenario_names
+from repro.workloads.scenarios import (
+    HOST_READS,
+    SCENARIOS,
+    Deployment,
+    Scenario,
+    build,
+    scenario_names,
+)
 
 #: Stream presets are built over a small universe, as the parity table does.
 STREAM_UNIVERSE = 240
+FIELDS = {field.name for field in fields(Scenario)}
 
 
-def _build(name, seed=1, **options):
-    if SCENARIOS[name].host == "stream":
-        options.setdefault("universe", STREAM_UNIVERSE)
-    return build(name, seed=seed, **options)
+def _build(name, seed=1):
+    scenario = SCENARIOS[name]
+    if scenario.host == "stream":
+        scenario = replace(scenario, l=STREAM_UNIVERSE)
+    return build(scenario, seed=seed)
 
 
 class TestRegistry:
@@ -37,13 +49,25 @@ class TestRegistry:
             ("smoke", {"workers": 2}),
             ("smoke", {"storage_dir": "x"}),
             ("sharded-quad", {"storage_dir": "x"}),
-            ("durable-smoke", {"universe": 100}),
+            ("durable-smoke", {"visibility": lambda topo, seed: None}),
             ("stream-smoke", {"workers": 2}),
+            ("smoke", {"faults": lambda topo, seed: None}),
+            ("stream-smoke", {"resilience": True}),
+            ("smoke", {"custodians": [("custodian-0", "127.0.0.1", 1)]}),
         ],
     )
     def test_option_the_host_does_not_read_rejected(self, name, option):
-        with pytest.raises(ConfigurationError, match="does not read"):
-            build(name, **option)
+        # A preset field is set on the preset, a build option passed to build().
+        changes = {k: v for k, v in option.items() if k in FIELDS}
+        options = {k: v for k, v in option.items() if k not in FIELDS}
+        with pytest.raises(ConfigurationError, match="does not read " + [*option][0]):
+            build(replace(SCENARIOS[name], **changes), **options)
+
+    def test_one_fault_plan_per_shard(self):
+        one = [FaultPlan(seed=1)]
+        short = replace(SCENARIOS["sharded-smoke"], faults=lambda _topo, _seed: one)
+        with pytest.raises(ConfigurationError, match="1 fault plans for 2 shards"):
+            build(short, workers=2)
 
     def test_every_scenario_topology_valid(self):
         for scenario in SCENARIOS.values():
@@ -60,6 +84,7 @@ class TestRegistry:
         for name in scenario_names():
             deployment, workload, scenario = _build(name)
             try:
+                assert isinstance(deployment, Deployment)
                 assert len(workload.take(4)) == 4
                 deployment.run_round(workload.take(scenario.batch))
                 deployment.finalize()

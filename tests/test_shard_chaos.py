@@ -16,6 +16,8 @@ are still pending.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.params import ProtocolParams
@@ -25,6 +27,7 @@ from repro.network.topology import Topology
 from repro.obs import MetricsRegistry
 from repro.sharding import ShardCoordinator
 from repro.workloads.generator import BernoulliWorkload
+from repro.workloads.scenarios import SCENARIOS, build
 from repro.workloads.xshard import CrossShardWorkload
 
 pytestmark = pytest.mark.chaos
@@ -32,17 +35,21 @@ pytestmark = pytest.mark.chaos
 PARAMS = ProtocolParams(f=0.5, delta=0.2, b_limit=16)
 
 
-def build(seed=3, p_cross=0.5, obs=None, resilience=True):
-    sharded = Topology.sharded(l=8, n=4, m=4, r=2, shards=2)
-    coordinator = ShardCoordinator(
-        sharded, PARAMS, seed=seed, resilience=resilience, obs=obs
-    )
-    providers = [p for topo in sharded.shards for p in topo.providers]
-    inner = BernoulliWorkload(providers, p_valid=0.8, seed=seed + 1)
-    workload = CrossShardWorkload(
-        inner, sharded.provider_shard, p_cross=p_cross, seed=seed + 2
-    )
+#: Two shards, half the traffic cross-shard, the engines' repair on.
+CHAOS = replace(SCENARIOS["sharded-smoke"], p_cross=0.5, resilience=True)
+
+
+def deploy(seed=3, obs=None, **changes):
+    coordinator, workload, _ = build(replace(CHAOS, **changes), seed, obs=obs)
     return coordinator, workload
+
+
+def faulted(spec, offset):
+    """One plan per shard, seeded ``seed + offset + k``, every link ``spec``."""
+    return lambda topo, seed: [
+        FaultPlan(seed=seed + offset + k).with_default_link(spec)
+        for k in range(topo.num_shards)
+    ]
 
 
 def committed_receipt_ids(coordinator):
@@ -119,16 +126,11 @@ def stranded_specs(seed, rounds, flush):
 class TestDuplicateReceiptDelivery:
     def run_once(self, seed=3):
         registry = MetricsRegistry()
-        coordinator, workload = build(seed=seed, obs=registry)
         # Duplicate half of all messages on both shards — relays (which
         # are not fault-exempt) get re-delivered alongside retries.
-        for k in (0, 1):
-            coordinator.install_faults(
-                k,
-                FaultPlan(seed=seed + 10 + k).with_default_link(
-                    LinkFaultSpec(duplicate=0.5)
-                ),
-            )
+        coordinator, workload = deploy(
+            seed, obs=registry, faults=faulted(LinkFaultSpec(duplicate=0.5), 10)
+        )
         for _ in range(4):
             coordinator.submit(workload.take(16))
             coordinator.run_super_round()
@@ -157,19 +159,9 @@ class TestReceiptReplayRegression:
     """
 
     def run_pinned(self):
-        sharded = Topology.sharded(l=16, n=8, m=8, r=2, shards=4)
-        coordinator = ShardCoordinator(sharded, PARAMS, seed=11, resilience=True)
-        for k in range(4):
-            coordinator.install_faults(
-                k,
-                FaultPlan(seed=61 + k).with_default_link(
-                    LinkFaultSpec(loss=0.02, duplicate=0.05)
-                ),
-            )
-        providers = [p for topo in sharded.shards for p in topo.providers]
-        inner = BernoulliWorkload(providers, p_valid=0.8, seed=12)
-        workload = CrossShardWorkload(
-            inner, sharded.provider_shard, p_cross=0.3, seed=13
+        coordinator, workload = deploy(
+            11, l=16, n=8, m=8, shards=4, p_cross=0.3,
+            faults=faulted(LinkFaultSpec(loss=0.02, duplicate=0.05), 50),
         )
         for _ in range(6):
             coordinator.submit(workload.take(48))
@@ -218,7 +210,7 @@ class TestLeaderStarvationWait:
 
 class TestRelayRacesLeaderCrash:
     def test_remote_leader_crash_mid_relay(self):
-        coordinator, workload = build(seed=7)
+        coordinator, workload = deploy(7)
         remote = coordinator.engines[1]
         # Round 1 home-commits cross transactions; their receipts are
         # relayed right after, due to land in round 2's blocks.
@@ -240,7 +232,7 @@ class TestRelayRacesLeaderCrash:
 
     def test_crash_schedule_is_deterministic(self):
         def run():
-            coordinator, workload = build(seed=7)
+            coordinator, workload = deploy(7)
             remote = coordinator.engines[1]
             coordinator.submit(workload.take(16))
             coordinator.run_super_round()
@@ -259,7 +251,7 @@ class TestRelayRacesLeaderCrash:
 
 class TestReshuffleMidRelay:
     def test_epoch_reshuffle_lands_between_legs(self):
-        coordinator, workload = build(seed=11)
+        coordinator, workload = deploy(11)
         coordinator.submit(workload.take(16))
         coordinator.run_super_round()
         assert coordinator._pending, "no receipt in flight to disturb"

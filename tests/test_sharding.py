@@ -10,40 +10,30 @@ bit-identical is ``tests/test_parity.py``'s.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.ledger.properties import check_all_properties
-from repro.network.topology import Topology
 from repro.obs import MetricsRegistry
 from repro.sharding import (
     Migration,
-    ShardCoordinator,
     make_receipt,
     migration_moves,
     receipt_id_for,
     reshuffle_assignment,
     verify_receipt,
 )
-from repro.workloads.generator import BernoulliWorkload, TxSpec
-from repro.workloads.xshard import CrossShardWorkload
+from repro.workloads.generator import TxSpec
+from repro.workloads.scenarios import SCENARIOS, build
 
-PARAMS = ProtocolParams(f=0.5, delta=0.2, b_limit=16)
+#: ``sharded-smoke`` with more of its traffic cross-shard.
+CROSS = replace(SCENARIOS["sharded-smoke"], p_cross=0.3)
 
 
-def build_coordinator(
-    shards=2, l=8, n=4, m=4, r=2, seed=3, epoch_rounds=None, **kwargs
-):
-    sharded = Topology.sharded(l=l, n=n, m=m, r=r, shards=shards)
-    coordinator = ShardCoordinator(
-        sharded, PARAMS, seed=seed, epoch_rounds=epoch_rounds, **kwargs
-    )
-    providers = [p for topo in sharded.shards for p in topo.providers]
-    inner = BernoulliWorkload(providers, p_valid=0.8, seed=seed + 1)
-    workload = CrossShardWorkload(
-        inner, sharded.provider_shard, p_cross=0.3, seed=seed + 2
-    )
+def build_coordinator(seed=3, obs=None, **changes):
+    coordinator, workload, _ = build(replace(CROSS, **changes), seed, obs=obs)
     return coordinator, workload
 
 
@@ -163,7 +153,7 @@ class TestCoordinator:
         assert coordinator.backlog_depth() == 100
         coordinator.run_super_round()
         # Each of 2 shards packs at most b_limit=16 per round.
-        assert coordinator.backlog_depth() >= 100 - 2 * PARAMS.b_limit
+        assert coordinator.backlog_depth() >= 100 - 2 * CROSS.params.b_limit
 
     def test_flush_stashes_backlog_and_restores_it(self):
         # flush() must drain pending receipts with genuinely empty

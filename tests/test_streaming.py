@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -414,7 +414,7 @@ class TestStreamPresets:
 
     @pytest.mark.parametrize("name", STREAM_PRESETS)
     def test_preset_smoke(self, name):
-        runner, _, scenario = build(name, seed=2, universe=2_000)
+        runner, _, _ = build(replace(SCENARIOS[name], l=2_000), seed=2)
         runner.run(4)
         assert runner.report()["audit_clean"]
         assert runner.round_number >= 4

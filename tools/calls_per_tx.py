@@ -60,19 +60,6 @@ def calls_by_function(profile: cProfile.Profile) -> Counter:
     return counts
 
 
-def _committed(deployment) -> int:
-    """Origin (non-receipt) records in the deployment's committed blocks."""
-    total = getattr(deployment, "committed_total", None)  # a ShardCoordinator
-    if total is not None:
-        return total
-    store = deployment.store
-    return sum(
-        "xshard_receipt" not in record.tx.body.payload
-        for serial in range(store.base_serial + 1, store.height + 1)
-        for record in store.retrieve(serial).tx_list
-    )
-
-
 def measure(preset: str, seed: int) -> tuple[int, Counter]:
     """``(committed tx, calls per function)`` of one profiled run of ``preset``."""
     from repro.workloads.scenarios import build
@@ -85,7 +72,7 @@ def measure(preset: str, seed: int) -> tuple[int, Counter]:
             deployment.run_round(workload.take(scenario.batch))
         deployment.finalize()
         profile.disable()
-        return _committed(deployment), calls_by_function(profile)
+        return deployment.committed_total, calls_by_function(profile)
     finally:
         deployment.close()
 
