@@ -22,8 +22,7 @@ HORIZON = 2000
 def _mean_loss(**kwargs) -> float:
     losses = [
         ReputationGame(
-            standard_adversary_mix(), horizon=HORIZON, seed=s,
-            track_curves=False, **kwargs
+            standard_adversary_mix(), horizon=HORIZON, seed=s, **kwargs
         ).run().expected_loss
         for s in SEEDS
     ]

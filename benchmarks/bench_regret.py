@@ -87,7 +87,7 @@ def test_e1_latency_only_delays_updates(benchmark):
 
 def _single_game() -> float:
     return ReputationGame(
-        standard_adversary_mix(), horizon=1000, seed=0, track_curves=False
+        standard_adversary_mix(), horizon=1000, seed=0
     ).run().expected_loss
 
 

@@ -31,11 +31,9 @@ __all__ = [
     "MisreportBehavior",
     "ConcealBehavior",
     "ForgeBehavior",
-    "MixedAdversary",
     "FlipFlopBehavior",
     "SleeperBehavior",
     "AlwaysInvertBehavior",
-    "behavior_registry",
     "standard_adversary_mix",
 ]
 
@@ -121,34 +119,6 @@ class ForgeBehavior:
 
 
 @dataclass
-class MixedAdversary:
-    """Independent misreport/conceal/forge rates — the general adversary.
-
-    Conceal is evaluated first (a concealed transaction cannot also be
-    mislabeled), then misreport.
-    """
-
-    p_misreport: float = 0.0
-    p_conceal: float = 0.0
-    p_forge: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_probability("p_misreport", self.p_misreport)
-        _check_probability("p_conceal", self.p_conceal)
-        _check_probability("p_forge", self.p_forge)
-
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
-        if rng.random() < self.p_conceal:
-            return None
-        if rng.random() < self.p_misreport:
-            return Label.from_bool(not true_valid)
-        return Label.from_bool(true_valid)
-
-    def should_forge(self, rng: Generator) -> bool:
-        return bool(rng.random() < self.p_forge)
-
-
-@dataclass
 class FlipFlopBehavior:
     """Alternate honest/lying phases of ``period`` transactions each.
 
@@ -227,17 +197,3 @@ def standard_adversary_mix() -> list[CollectorBehavior]:
         MisreportBehavior(0.8),
         ConcealBehavior(0.8),
     ]
-
-
-def behavior_registry() -> dict[str, type]:
-    """Name -> behaviour class, for config-driven experiment sweeps."""
-    return {
-        "honest": HonestBehavior,
-        "misreport": MisreportBehavior,
-        "conceal": ConcealBehavior,
-        "forge": ForgeBehavior,
-        "mixed": MixedAdversary,
-        "flipflop": FlipFlopBehavior,
-        "sleeper": SleeperBehavior,
-        "invert": AlwaysInvertBehavior,
-    }

@@ -96,7 +96,6 @@ def run_regret_curve(
                 p_valid=p_valid,
                 reveal_lag=reveal_lag,
                 seed=seed,
-                track_curves=False,
             )
             result = game.run()
             losses.append(result.expected_loss)

@@ -14,7 +14,7 @@ from typing import Sequence
 from repro.analysis.metrics import SweepTable
 from repro.exceptions import ConfigurationError
 
-__all__ = ["format_table", "format_sweep", "sparkline"]
+__all__ = ["format_table", "format_sweep"]
 
 
 def _cell(value: object) -> str:
@@ -60,39 +60,3 @@ def format_sweep(table: SweepTable) -> str:
         for value, metrics in table.rows()
     ]
     return format_table(headers, rows)
-
-
-_SPARK_BARS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values, width: int = 60, log_scale: bool = False) -> str:
-    """An ASCII sparkline of a numeric series (for terminal examples).
-
-    Args:
-        values: The series; length > width is downsampled by striding.
-        width: Maximum characters.
-        log_scale: Plot log10(values) — right for reputation weights,
-            which decay multiplicatively over many orders of magnitude.
-
-    Returns:
-        A single-line bar string ("" for an empty series).
-    """
-    import math
-
-    series = [float(v) for v in values]
-    if not series:
-        return ""
-    if log_scale:
-        floor = min((v for v in series if v > 0), default=1e-300)
-        series = [math.log10(max(v, floor)) for v in series]
-    if len(series) > width:
-        stride = len(series) / width
-        series = [series[int(i * stride)] for i in range(width)]
-    lo, hi = min(series), max(series)
-    if hi == lo:
-        return _SPARK_BARS[0] * len(series)
-    out = []
-    for v in series:
-        idx = int((v - lo) / (hi - lo) * (len(_SPARK_BARS) - 1))
-        out.append(_SPARK_BARS[idx])
-    return "".join(out)

@@ -4,8 +4,6 @@
   runs, compared against Theorem 3's Hoeffding bound;
 * :func:`chi_squared_uniformity` — the E10 test that leader election is
   proportional to stake;
-* :func:`bootstrap_ci` — percentile bootstrap confidence intervals for
-  the sweep tables;
 * :func:`loglog_slope` — the scaling-exponent estimate used to verify
   O(sqrt(T)) regret and O(m^2) message growth.
 """
@@ -18,13 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.rng import default_rng
 
 __all__ = [
     "empirical_tail",
     "ChiSquaredResult",
     "chi_squared_uniformity",
-    "bootstrap_ci",
     "loglog_slope",
 ]
 
@@ -127,28 +123,6 @@ def chi_squared_uniformity(
     statistic = float(((obs - expected) ** 2 / expected).sum())
     dof = obs.size - 1
     return ChiSquaredResult(statistic=statistic, dof=dof, p_value=_chi2_sf(statistic, dof))
-
-
-def bootstrap_ci(
-    samples: Sequence[float],
-    confidence: float = 0.95,
-    n_resamples: int = 2000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile bootstrap CI for the mean of ``samples``."""
-    if not samples:
-        raise ConfigurationError("bootstrap needs at least one sample")
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError("confidence must be in (0, 1)")
-    arr = np.asarray(samples, dtype=float)
-    # numpy's ``choice(arr, size, replace=True)`` draws exactly these indices.
-    picks = default_rng(seed).integers(0, arr.size, size=n_resamples * arr.size)
-    means = arr[np.array(picks).reshape(n_resamples, arr.size)].mean(axis=1)
-    lo = (1.0 - confidence) / 2.0
-    return (
-        float(np.quantile(means, lo)),
-        float(np.quantile(means, 1.0 - lo)),
-    )
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

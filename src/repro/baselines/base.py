@@ -181,10 +181,12 @@ class PolicyStats:
 class PolicySimulation:
     """Replay one seeded stream through a policy.
 
-    The stream is generated from collector behaviours exactly as in
-    :class:`repro.core.game.ReputationGame`; identical (behaviours,
-    horizon, seed) produce identical (truth, labels) sequences, so
-    different policies face the same adversary.
+    The stream is generated from collector behaviours by the same
+    procedure as in :class:`repro.core.game.ReputationGame`, but not from
+    the same draws: the game also draws the governor's pick from its
+    generator.  Identical (behaviours, horizon, seed) produce identical
+    (truth, labels) sequences, so different policies face the same
+    adversary.
     """
 
     behaviors: Sequence[CollectorBehavior]

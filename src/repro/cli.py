@@ -9,10 +9,6 @@ Subcommands:
   harness drives that as a subprocess and SIGKILLs it mid-round),
   sharded (``--workers`` for a process pool) or streaming — and print
   that host's report.  The shape flags override the preset's fields;
-* ``regret`` — play the Theorem-1 reputation game against a named
-  adversary mix and print loss / S_min / bound rows;
-* ``sweep-f`` — the E5 efficiency table over an f grid;
-* ``baselines`` — the E8 policy comparison on one adversary mix;
 * ``recover`` — replay and verify a durable ledger directory, printing
   the recovery report without starting an engine;
 * ``serve`` — run a custodian peer for the real-socket transport on a
@@ -25,7 +21,9 @@ Example::
 
     python -m repro run --rounds 20 --batch 32 --f 0.6 --misreporters 2
     python -m repro run durable-smoke --dir /tmp/ledger
-    python -m repro regret --horizon 2000 --mix zoo
+
+The experiments' tables (E1, E5, E8, ...) are the benches' output:
+``pytest benchmarks/bench_<name>.py --benchmark-only``.
 """
 
 from __future__ import annotations
@@ -36,34 +34,14 @@ import time
 from dataclasses import replace
 from typing import Sequence
 
-from repro.agents.behaviors import (
-    AlwaysInvertBehavior,
-    HonestBehavior,
-    MisreportBehavior,
-    SleeperBehavior,
-    standard_adversary_mix,
-)
+from repro.agents.behaviors import MisreportBehavior
 from repro.analysis.metrics import summarize_run
 from repro.analysis.reporting import format_table
-from repro.core.params import ProtocolParams
-from repro.core.protocol import ProtocolEngine
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.ledger.properties import check_all_properties
-from repro.network.topology import Topology
-from repro.workloads.generator import BernoulliWorkload
 from repro.workloads.scenarios import SCENARIOS, build, reject_unread, scenario_names
 
 __all__ = ["main", "build_parser"]
-
-#: Named adversary mixes for the game subcommands (r = 8 collectors).
-MIXES = {
-    "honest": lambda: [HonestBehavior()] * 8,
-    "mild": lambda: [HonestBehavior()] * 6 + [MisreportBehavior(0.3)] * 2,
-    "hostile": lambda: [HonestBehavior()] * 2 + [AlwaysInvertBehavior()] * 6,
-    "sleepers": lambda: [HonestBehavior()] * 2
-    + [SleeperBehavior(150) for _ in range(6)],
-    "zoo": standard_adversary_mix,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,24 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "worker processes (default: serial in-process; "
                           "ledgers are bit-identical either way)")
 
-    regret = sub.add_parser("regret", help="play the Theorem-1 game")
-    regret.add_argument("--horizon", type=int, default=1000)
-    regret.add_argument("--mix", choices=sorted(MIXES), default="zoo")
-    regret.add_argument("--seeds", type=int, default=3)
-    regret.add_argument("--beta", type=float, default=None,
-                        help="fixed beta (default: tuned schedule)")
-
-    sweep = sub.add_parser("sweep-f", help="E5 efficiency sweep")
-    sweep.add_argument("--rounds", type=int, default=15)
-    sweep.add_argument("--batch", type=int, default=24)
-    sweep.add_argument("--seed", type=int, default=0)
-
-    baselines = sub.add_parser("baselines", help="E8 policy comparison")
-    baselines.add_argument("--mix", choices=sorted(MIXES), default="hostile")
-    baselines.add_argument("--horizon", type=int, default=2000)
-    baselines.add_argument("--f", type=float, default=0.7)
-    baselines.add_argument("--seed", type=int, default=0)
-
     recover = sub.add_parser(
         "recover", help="verify a durable ledger directory and print the report"
     )
@@ -147,9 +107,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["params"] = replace(scenario.params, f=args.f)
     if args.misreporters is not None:
         reject_unread(scenario, behavior_factory=args.misreporters)
+        n = overrides.get("n", scenario.n)
+        if not 0 <= args.misreporters <= n:
+            raise ConfigurationError(
+                f"misreporters must be in [0, {n}], got {args.misreporters}"
+            )
         overrides["behavior_factory"] = lambda topo: {
             c: MisreportBehavior(0.5) for c in topo.collectors[: args.misreporters]
         }
+    if args.round_delay is not None and args.round_delay < 0:
+        raise ConfigurationError(f"round delay must be >= 0, got {args.round_delay}")
     deployment, workload, scenario = build(
         replace(scenario, **overrides),
         args.seed, storage_dir=args.dir, workers=args.workers,
@@ -243,86 +210,6 @@ _REPORTS = {
 }
 
 
-def _cmd_regret(args: argparse.Namespace) -> int:
-    from repro.core.game import ReputationGame
-
-    rows = []
-    for seed in range(args.seeds):
-        game = ReputationGame(
-            MIXES[args.mix](), horizon=args.horizon, seed=seed,
-            beta=args.beta, track_curves=False,
-        )
-        result = game.run()
-        rows.append(
-            (seed, f"{result.expected_loss:.2f}", f"{result.s_min:.2f}",
-             f"{result.regret:.2f}", f"{result.theorem1_rhs():.1f}",
-             "yes" if result.expected_loss <= result.theorem1_rhs() else "NO")
-        )
-    print(f"mix = {args.mix}, T = {args.horizon}")
-    print(format_table(
-        ["seed", "L_T", "S_min", "regret", "Thm-1 RHS", "within"], rows
-    ))
-    return 0
-
-
-def _cmd_sweep_f(args: argparse.Namespace) -> int:
-    from repro.analysis.metrics import SweepTable
-    from repro.analysis.reporting import format_sweep
-
-    table = SweepTable(parameter="f")
-    for f in (0.1, 0.3, 0.5, 0.7, 0.9):
-        topo = Topology.regular(l=12, n=6, m=4, r=3)
-        engine = ProtocolEngine(
-            topo, ProtocolParams(f=f),
-            behaviors={"c0": MisreportBehavior(0.5)},
-            seed=args.seed, leader_rotation=True,
-        )
-        workload = BernoulliWorkload(topo.providers, p_valid=0.7, seed=args.seed + 1)
-        for _ in range(args.rounds):
-            engine.run_round(workload.take(args.batch))
-        engine.finalize()
-        summary = summarize_run(engine)
-        table.add(f, {
-            "validations/tx": round(
-                summary.total_validations / (summary.transactions * topo.m), 4
-            ),
-            "unchecked rate": round(summary.mean_unchecked_rate, 4),
-            "mistakes": float(summary.total_mistakes),
-        })
-    print(format_sweep(table))
-    return 0
-
-
-def _cmd_baselines(args: argparse.Namespace) -> int:
-    from repro.baselines.base import PolicySimulation, ReputationPolicy
-    from repro.baselines.check_all import CheckAllPolicy
-    from repro.baselines.check_none import CheckNonePolicy
-    from repro.baselines.majority_vote import MajorityVotePolicy
-    from repro.baselines.no_reputation import UniformSelectionPolicy
-
-    params = ProtocolParams(f=args.f)
-    collector_ids = [f"c{i}" for i in range(8)]
-    policies = {
-        "reputation (paper)": lambda: ReputationPolicy(
-            params=params, collector_ids=collector_ids
-        ),
-        "check-all": lambda: CheckAllPolicy(),
-        "check-none": lambda: CheckNonePolicy(),
-        "uniform": lambda: UniformSelectionPolicy(params=params),
-        "majority": lambda: MajorityVotePolicy(),
-    }
-    rows = []
-    for name, factory in policies.items():
-        sim = PolicySimulation(MIXES[args.mix](), horizon=args.horizon, seed=args.seed)
-        stats = sim.run(factory(), policy_seed=args.seed + 1)
-        rows.append(
-            (name, stats.mistakes, stats.validations, f"{stats.mistake_rate:.4f}")
-        )
-    print(f"mix = {args.mix}, horizon = {args.horizon}, f = {args.f}")
-    print(format_table(["policy", "mistakes", "validations", "mistake rate"], rows))
-    return 0
-
-
 def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.storage import recover
 
@@ -349,9 +236,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "regret": _cmd_regret,
-    "sweep-f": _cmd_sweep_f,
-    "baselines": _cmd_baselines,
     "recover": _cmd_recover,
     "serve": _cmd_serve,
 }

@@ -68,12 +68,6 @@ class ArgueManager:
             raise ProtocolViolationError(f"tx {tx_id} was never recorded unchecked") from None
         return self._next_position - 1 - position
 
-    def is_arguable(self, tx_id: str) -> bool:
-        """Whether an argue for ``tx_id`` would still be admitted."""
-        if tx_id not in self._positions or tx_id in self._resolved:
-            return False
-        return self.burial_depth(tx_id) <= self.window
-
     def argue(self, tx_id: str) -> ArgueOutcome:
         """Attempt an argue; idempotently rejects duplicates and expiries."""
         if tx_id not in self._positions:
@@ -96,22 +90,3 @@ class ArgueManager:
         """
         if tx_id in self._positions:
             self._resolved.add(tx_id)
-
-    def expired_unresolved(self) -> list[str]:
-        """Unchecked tx ids now permanently invalid (window passed, no argue)."""
-        return [
-            tx_id
-            for tx_id, pos in self._positions.items()
-            if tx_id not in self._resolved
-            and (self._next_position - 1 - pos) > self.window
-        ]
-
-    @property
-    def pending_count(self) -> int:
-        """Unchecked transactions still inside the window."""
-        return sum(
-            1
-            for tx_id, pos in self._positions.items()
-            if tx_id not in self._resolved
-            and (self._next_position - 1 - pos) <= self.window
-        )

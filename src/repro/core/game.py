@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.agents.behaviors import CollectorBehavior
 from repro.core.params import ProtocolParams, tuned_beta
 from repro.core.regret import rwm_bound, theorem1_bound
@@ -69,8 +67,6 @@ class GameResult:
     realized_loss: float
     collector_losses: dict[str, float]
     final_weights: dict[str, float]
-    expected_loss_curve: np.ndarray
-    best_collector_curve: np.ndarray
 
     @property
     def s_min(self) -> float:
@@ -114,7 +110,6 @@ class ReputationGame:
             governor's draws, in a fixed order).
         gamma_override: Force a fixed gamma (for the ablation that
             violates the paper's inequality); None uses the paper rule.
-        track_curves: Record per-step cumulative curves (costs memory).
     """
 
     behaviors: Sequence[CollectorBehavior]
@@ -124,7 +119,6 @@ class ReputationGame:
     reveal_lag: int = 0
     seed: int = 0
     gamma_override: float | None = None
-    track_curves: bool = True
     #: Source-selection rule: "proportional" (the paper), "uniform" and
     #: "greedy" (ablations), or "wmajority" — follow the *weighted
     #: majority* label deterministically (the non-randomised WM
@@ -156,8 +150,6 @@ class ReputationGame:
         collector_losses = {c: 0.0 for c in self.collector_ids}
         expected_loss = 0.0
         realized_loss = 0.0
-        expected_curve = np.zeros(self.horizon) if self.track_curves else np.zeros(0)
-        best_curve = np.zeros(self.horizon) if self.track_curves else np.zeros(0)
         # Reveal pipeline: list of (due_step, labels, truth) awaiting update.
         pending: list[tuple[int, dict[str, Label], Label]] = []
 
@@ -187,7 +179,7 @@ class ReputationGame:
                 if self.selection == "proportional":
                     probs = row.probabilities()
                 elif self.selection == "uniform":
-                    probs = np.full(len(reporters), 1.0 / len(reporters))
+                    probs = [1.0 / len(reporters)] * len(reporters)
                 elif self.selection == "wmajority":
                     # Deterministic WM: all mass on the side with more
                     # reputation; model as choosing any reporter whose
@@ -200,19 +192,21 @@ class ReputationGame:
                     majority = (
                         Label.VALID if mass_valid * 2 >= row.total else Label.INVALID
                     )
-                    probs = np.array(
-                        [1.0 if labels[c] is majority else 0.0 for c in reporters]
-                    )
-                    probs = probs / probs.sum()
-                else:  # greedy: all mass on the max-weight reporter
-                    probs = np.zeros(len(reporters))
-                    probs[int(np.argmax(row.weights))] = 1.0
+                    agreeing = sum(labels[c] is majority for c in reporters)
+                    probs = [
+                        (1.0 if labels[c] is majority else 0.0) / agreeing
+                        for c in reporters
+                    ]
+                else:  # greedy: all mass on the (first) max-weight reporter
+                    best = max(range(len(reporters)), key=row.weights.__getitem__)
+                    probs = [0.0] * len(reporters)
+                    probs[best] = 1.0
                 # Expected loss under the governor's *actual* rule uses the
                 # actual selection probabilities.
-                expected_loss += 2.0 * float(
-                    sum(p for p, c in zip(probs, reporters) if labels[c] is not truth)
+                expected_loss += 2.0 * sum(
+                    p for p, c in zip(probs, reporters) if labels[c] is not truth
                 )
-                drawn = reporters[int(rng.choice(len(reporters), p=probs))]
+                drawn = reporters[rng.choice(len(reporters), p=probs)]
                 if labels[drawn] is not truth:
                     realized_loss += 2.0
             # (If every collector concealed, the governor has nothing to
@@ -222,10 +216,6 @@ class ReputationGame:
             while pending and pending[0][0] <= t:
                 _due, old_labels, old_truth = pending.pop(0)
                 reveal(old_labels, old_truth)
-
-            if self.track_curves:
-                expected_curve[t] = expected_loss
-                best_curve[t] = min(collector_losses.values())
 
         # Flush remaining reveals (the theorem reveals everything "sometime").
         for _due, old_labels, old_truth in pending:
@@ -239,6 +229,4 @@ class ReputationGame:
             realized_loss=realized_loss,
             collector_losses=collector_losses,
             final_weights=book.weights_for(PROVIDER, self.collector_ids),
-            expected_loss_curve=expected_curve,
-            best_collector_curve=best_curve,
         )

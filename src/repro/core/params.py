@@ -22,7 +22,7 @@ choices knowingly.  :func:`tuned_beta` is the proof's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 
@@ -163,11 +163,6 @@ class ProtocolParams:
     def gamma(self, loss: float) -> float:
         """``gamma_tx`` for a transaction with expected loss ``loss``."""
         return gamma_for(self.beta, loss)
-
-    def with_tuned_beta(self, r: int, horizon: int) -> "ProtocolParams":
-        """A copy whose beta follows the Theorem-1 schedule."""
-        return replace(self, beta=tuned_beta(r, horizon))
-
 
 #: Sensible defaults used by examples and quick tests.
 DEFAULT_PARAMS = ProtocolParams()

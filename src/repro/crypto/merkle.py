@@ -1,22 +1,19 @@
-"""Merkle trees over block transaction lists.
+"""Merkle roots over block transaction lists and checkpoint windows.
 
-The paper stores the full ``TXList`` in each block; production
-permissioned chains (Fabric, Tendermint) commit to the list with a
-Merkle root so that membership can be proven in O(log b) hashes.  We
-provide the same facility: blocks carry a Merkle root of their
-transaction digests, and light clients (e.g. a provider checking how his
-transaction was labeled before invoking ``argue``) can verify inclusion
-proofs without downloading other transactions.
+The paper stores the full ``TXList`` in each block; a block here also
+commits to its list with a Merkle root over the records' digests, which
+every auditor recomputes from the delivered TXList (the ``merkle-root``
+check), and each durable checkpoint commits to its window of block
+hashes the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.crypto.hashing import hash_value, sha256
 
-__all__ = ["MerkleTree", "MerkleProof", "merkle_root"]
+__all__ = ["MerkleTree", "merkle_root"]
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
@@ -34,92 +31,32 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
     return sha256(_NODE_PREFIX + left + right)
 
 
-@dataclass(frozen=True)
-class MerkleProof:
-    """An inclusion proof: the leaf index plus sibling hashes bottom-up.
-
-    ``path`` holds ``(sibling_digest, sibling_is_right)`` pairs from the
-    leaf's level to just below the root.
-    """
-
-    index: int
-    leaf: bytes
-    path: tuple[tuple[bytes, bool], ...]
-
-    def compute_root(self) -> bytes:
-        """Fold the path to recover the root this proof commits to."""
-        digest = self.leaf
-        for sibling, sibling_is_right in self.path:
-            if sibling_is_right:
-                digest = _node_hash(digest, sibling)
-            else:
-                digest = _node_hash(sibling, digest)
-        return digest
-
-
 class MerkleTree:
-    """A Merkle tree over an ordered sequence of items.
+    """The Merkle root over an ordered sequence of items (only the root is kept).
 
     Odd nodes at any level are promoted unchanged (Bitcoin-style
     duplication is avoided because it admits mutation attacks).
     """
 
     def __init__(self, items: Sequence[Any]):
-        self._leaves = [_leaf_hash(item) for item in items]
-        self._levels: list[list[bytes]] = [list(self._leaves)]
-        if not self._leaves:
-            self._root = EMPTY_ROOT
-            return
-        level = self._levels[0]
+        level = [_leaf_hash(item) for item in items]
+        self._size = len(level)
         while len(level) > 1:
             nxt: list[bytes] = []
             for i in range(0, len(level) - 1, 2):
                 nxt.append(_node_hash(level[i], level[i + 1]))
             if len(level) % 2 == 1:
                 nxt.append(level[-1])
-            self._levels.append(nxt)
             level = nxt
-        self._root = level[0]
+        self._root = level[0] if level else EMPTY_ROOT
 
     def __len__(self) -> int:
-        return len(self._leaves)
+        return self._size
 
     @property
     def root(self) -> bytes:
         """The tree's root commitment."""
         return self._root
-
-    def prove(self, index: int) -> MerkleProof:
-        """Build an inclusion proof for the leaf at ``index``.
-
-        Raises:
-            IndexError: if ``index`` is out of range.
-        """
-        if not 0 <= index < len(self._leaves):
-            raise IndexError(f"leaf index {index} out of range [0, {len(self._leaves)})")
-        path: list[tuple[bytes, bool]] = []
-        pos = index
-        for level in self._levels[:-1]:
-            if pos % 2 == 0:
-                if pos + 1 < len(level):
-                    path.append((level[pos + 1], True))
-                # else: last node of an odd level is promoted with no sibling
-            else:
-                path.append((level[pos - 1], False))
-            # Both paired and promoted nodes land at index pos // 2 above.
-            pos //= 2
-        return MerkleProof(index=index, leaf=self._leaves[index], path=tuple(path))
-
-    def verify(self, proof: MerkleProof) -> bool:
-        """Whether ``proof`` is valid against this tree's root."""
-        return proof.compute_root() == self._root
-
-    @staticmethod
-    def verify_against(root: bytes, item: Any, proof: MerkleProof) -> bool:
-        """Verify that ``item`` is committed under ``root`` via ``proof``."""
-        if proof.leaf != _leaf_hash(item):
-            return False
-        return proof.compute_root() == root
 
 
 def merkle_root(items: Sequence[Any]) -> bytes:

@@ -3,10 +3,9 @@
 The paper defines a block as a serial number, a list of signed labeled
 transactions, and the hash of the previous block (Section 3.1), with a
 universal bound ``b_limit`` on the transaction count.  We additionally
-commit to the TXList with a Merkle root so providers can check how their
-transaction was labeled with an O(log b) proof before invoking
-``argue`` — a standard production refinement that changes no protocol
-behaviour.
+commit to the TXList with a Merkle root, which the block hash covers and
+every auditor recomputes from the delivered records — a standard
+production refinement that changes no protocol behaviour.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ class Block:
         round_number: Protocol round that produced the block.
         b_limit: The universal transaction-count bound in force.
 
-    The Merkle tree over the records' digests and ``H(B)`` are derived
+    The Merkle root over the records' digests and ``H(B)`` are derived
     once, at construction.
     """
 
@@ -46,7 +45,7 @@ class Block:
     proposer: str
     round_number: int
     b_limit: int = 1024
-    _tree: MerkleTree = field(init=False, repr=False, compare=False, hash=False)
+    _root: bytes = field(init=False, repr=False, compare=False, hash=False)
     _hash: bytes = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
@@ -61,34 +60,23 @@ class Block:
                 f"block holds {len(self.tx_list)} transactions, over b_limit={self.b_limit}"
             )
         leaves = [rec.hash() for rec in self.tx_list]
-        tree = MerkleTree(leaves)
+        root = MerkleTree(leaves).root
         header = (
-            "block", self.serial, self.prev_hash, tree.root,
+            "block", self.serial, self.prev_hash, root,
             self.proposer, self.round_number, len(leaves),
         )
         body = hash_value((header, tuple(leaves)))
-        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "_root", root)
         object.__setattr__(self, "_hash", hash_value(("block-hash", body)))
 
     @property
     def tx_root(self) -> bytes:
         """Merkle root committing to the TXList."""
-        return self._tree.root
+        return self._root
 
     def hash(self) -> bytes:
         """``H(B)`` — the CRHF over the header and every record."""
         return self._hash
-
-    def prove_inclusion(self, index: int):
-        """Merkle proof that ``tx_list[index].hash()`` is committed by ``tx_root``."""
-        return self._tree.prove(index)
-
-    def find_tx(self, tx_id: str) -> TxRecord | None:
-        """Locate a record by transaction id, or None if absent."""
-        for rec in self.tx_list:
-            if rec.tx.tx_id == tx_id:
-                return rec
-        return None
 
     def __len__(self) -> int:
         return len(self.tx_list)

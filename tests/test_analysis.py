@@ -12,7 +12,6 @@ from repro.analysis.metrics import SweepTable, summarize_run
 from repro.analysis.regret_curves import run_regret_curve
 from repro.analysis.reporting import format_sweep, format_table
 from repro.analysis.stats import (
-    bootstrap_ci,
     chi_squared_uniformity,
     empirical_tail,
     loglog_slope,
@@ -67,25 +66,6 @@ class TestChiSquared:
     def test_bad_proportions_rejected(self):
         with pytest.raises(ConfigurationError):
             chi_squared_uniformity([1, 2], [0.5, 0.4])
-
-
-class TestBootstrap:
-    def test_ci_contains_mean_for_tight_data(self):
-        lo, hi = bootstrap_ci([5.0] * 50, seed=1)
-        assert lo == pytest.approx(5.0)
-        assert hi == pytest.approx(5.0)
-
-    def test_ci_ordering(self):
-        rng = np.random.default_rng(2)
-        samples = rng.normal(10, 2, size=200).tolist()
-        lo, hi = bootstrap_ci(samples, seed=3)
-        assert lo < np.mean(samples) < hi
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci([], 0.95)
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci([1.0], confidence=1.5)
 
 
 class TestLogLogSlope:
@@ -209,36 +189,3 @@ class TestRegretCurve:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
             run_regret_curve(lambda: [HonestBehavior()] * 2, [], [1])
-
-
-class TestSparkline:
-    def test_empty(self):
-        from repro.analysis.reporting import sparkline
-
-        assert sparkline([]) == ""
-
-    def test_constant_series(self):
-        from repro.analysis.reporting import sparkline
-
-        line = sparkline([5, 5, 5])
-        assert len(line) == 3
-        assert len(set(line)) == 1
-
-    def test_monotone_series_monotone_bars(self):
-        from repro.analysis.reporting import sparkline
-
-        line = sparkline(list(range(8)))
-        assert list(line) == sorted(line)
-
-    def test_downsampling(self):
-        from repro.analysis.reporting import sparkline
-
-        line = sparkline(list(range(500)), width=40)
-        assert len(line) == 40
-
-    def test_log_scale_handles_tiny_weights(self):
-        from repro.analysis.reporting import sparkline
-
-        line = sparkline([1.0, 1e-50, 1e-100], log_scale=True)
-        assert len(line) == 3
-        assert line[0] != line[2]

@@ -70,15 +70,6 @@ class TestArguing:
     def test_never_unchecked_rejected(self):
         assert not ArgueManager(window=4).argue("ghost").accepted
 
-    def test_is_arguable(self):
-        mgr = ArgueManager(window=1)
-        mgr.record_unchecked("t0")
-        assert mgr.is_arguable("t0")
-        mgr.record_unchecked("t1")
-        mgr.record_unchecked("t2")
-        assert not mgr.is_arguable("t0")
-        assert not mgr.is_arguable("ghost")
-
     def test_resolve_silently_blocks_later_argue(self):
         mgr = ArgueManager(window=4)
         mgr.record_unchecked("t0")
@@ -87,22 +78,3 @@ class TestArguing:
 
     def test_resolve_silently_unknown_is_noop(self):
         ArgueManager(window=4).resolve_silently("ghost")
-
-
-class TestBookkeeping:
-    def test_expired_unresolved(self):
-        mgr = ArgueManager(window=1)
-        mgr.record_unchecked("old")
-        mgr.record_unchecked("mid")
-        mgr.record_unchecked("new")
-        assert mgr.expired_unresolved() == ["old"]
-
-    def test_pending_count(self):
-        mgr = ArgueManager(window=1)
-        mgr.record_unchecked("a")
-        mgr.record_unchecked("b")
-        assert mgr.pending_count == 2
-        mgr.record_unchecked("c")  # buries "a"
-        assert mgr.pending_count == 2
-        mgr.argue("b")
-        assert mgr.pending_count == 1

@@ -12,9 +12,7 @@ from repro.agents.behaviors import (
     ForgeBehavior,
     HonestBehavior,
     MisreportBehavior,
-    MixedAdversary,
     SleeperBehavior,
-    behavior_registry,
 )
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label
@@ -75,21 +73,6 @@ class TestForge:
         assert forges / 5000 == pytest.approx(0.25, abs=0.03)
 
 
-class TestMixedAdversary:
-    def test_all_zero_is_honest(self, rng):
-        b = MixedAdversary()
-        assert b.label_for(True, rng) is Label.VALID
-        assert not b.should_forge(rng)
-
-    def test_conceal_takes_priority(self, rng):
-        b = MixedAdversary(p_misreport=1.0, p_conceal=1.0)
-        assert all(b.label_for(True, rng) is None for _ in range(20))
-
-    def test_invalid_probabilities_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MixedAdversary(p_forge=-0.1)
-
-
 class TestFlipFlop:
     def test_alternates_by_period(self, rng):
         b = FlipFlopBehavior(period=3)
@@ -125,17 +108,3 @@ class TestInvert:
         b = AlwaysInvertBehavior()
         assert b.label_for(True, rng) is Label.INVALID
         assert b.label_for(False, rng) is Label.VALID
-
-
-class TestRegistry:
-    def test_registry_names(self):
-        reg = behavior_registry()
-        assert set(reg) == {
-            "honest", "misreport", "conceal", "forge",
-            "mixed", "flipflop", "sleeper", "invert",
-        }
-
-    def test_registry_instantiable(self, rng):
-        reg = behavior_registry()
-        assert reg["honest"]().label_for(True, rng) is Label.VALID
-        assert reg["misreport"](0.5) is not None

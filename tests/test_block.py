@@ -94,17 +94,3 @@ class TestCommitments:
     def test_tx_root_matches_merkle(self):
         block = make_block(n_tx=5)
         assert block.tx_root == MerkleTree([rec.hash() for rec in block.tx_list]).root
-
-    def test_inclusion_proofs(self):
-        block = make_block(n_tx=7)
-        for i in range(7):
-            proof = block.prove_inclusion(i)
-            leaf = block.tx_list[i].hash()
-            assert MerkleTree.verify_against(block.tx_root, leaf, proof)
-
-    def test_find_tx(self):
-        block = make_block(n_tx=3)
-        target = block.tx_list[1].tx
-        rec = block.find_tx(target.tx_id)
-        assert rec is not None and rec.tx.tx_id == target.tx_id
-        assert block.find_tx("nope") is None

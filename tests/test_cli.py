@@ -6,7 +6,7 @@ import multiprocessing
 
 import pytest
 
-from repro.cli import MIXES, build_parser, main
+from repro.cli import build_parser, main
 from repro.sharding import ShardCoordinator
 
 
@@ -15,12 +15,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_exactly_six_subcommands(self):
+    def test_exactly_three_subcommands(self):
         parser = build_parser()
         (sub,) = [a for a in parser._actions if a.dest == "command"]
-        assert sorted(sub.choices) == [
-            "baselines", "recover", "regret", "run", "serve", "sweep-f",
-        ]
+        assert sorted(sub.choices) == ["recover", "run", "serve"]
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
@@ -33,40 +31,8 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "does-not-exist"])
 
-    def test_regret_mix_choices(self):
-        args = build_parser().parse_args(["regret", "--mix", "hostile"])
-        assert args.mix == "hostile"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["regret", "--mix", "nonsense"])
-
-    def test_all_mixes_buildable(self):
-        assert sorted(MIXES) == ["honest", "hostile", "mild", "sleepers", "zoo"]
-        for factory in MIXES.values():
-            behaviors = factory()
-            assert len(behaviors) == 8
-
 
 class TestCommands:
-    def test_regret_small(self, capsys):
-        code = main(["regret", "--horizon", "200", "--mix", "mild", "--seeds", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Thm-1 RHS" in out
-        assert out.count("yes") >= 2
-
-    def test_sweep_f_small(self, capsys):
-        code = main(["sweep-f", "--rounds", "2", "--batch", "8"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "validations/tx" in out
-
-    def test_baselines_small(self, capsys):
-        code = main(["baselines", "--mix", "hostile", "--horizon", "300"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "reputation (paper)" in out
-        assert "majority" in out
-
     def test_recover_empty_dir_is_clean(self, tmp_path, capsys):
         code = main(["recover", "--dir", str(tmp_path / "nothing")])
         out = capsys.readouterr().out
@@ -161,6 +127,11 @@ class TestRunCommand:
             (["smoke", "--batch", "-3"], "batch must be >= 0"),
             (["sharded-smoke", "--workers", "0"], "workers must be >= 1"),
             (["sharded-smoke", "--workers", "-1"], "workers must be >= 1"),
+            (["smoke", "--misreporters", "-1"], "misreporters must be in [0, 4]"),
+            (["smoke", "--misreporters", "9"], "misreporters must be in [0, 4]"),
+            (["smoke", "--collectors", "8", "--misreporters", "9"],
+             "misreporters must be in [0, 8]"),
+            (["smoke", "--round-delay", "-1"], "round delay must be >= 0"),
         ],
     )
     def test_bad_configuration_is_a_one_line_error(self, argv, message, capsys):

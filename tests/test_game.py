@@ -94,16 +94,6 @@ class TestBasicDynamics:
         assert result.collector_losses["c2"] == 40.0
         assert result.best_collector == "c0"
 
-    def test_curves_tracked(self):
-        result = ReputationGame(mixed_behaviors(), horizon=64, seed=1).run()
-        assert len(result.expected_loss_curve) == 64
-        assert result.expected_loss_curve[-1] == pytest.approx(result.expected_loss)
-        # Cumulative curves are nondecreasing.
-        assert all(
-            a <= b + 1e-12
-            for a, b in zip(result.expected_loss_curve, result.expected_loss_curve[1:])
-        )
-
 
 class TestTheorem1:
     @pytest.mark.parametrize("horizon", [100, 400, 1600])

@@ -20,9 +20,9 @@ from repro.agents.behaviors import (
     ConcealBehavior,
     HonestBehavior,
     MisreportBehavior,
+    standard_adversary_mix,
 )
 from repro.baselines.base import PolicySimulation, ReputationPolicy
-from repro.cli import MIXES
 from repro.core.game import ReputationGame
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
@@ -68,7 +68,6 @@ def test_golden_game_losses_and_weights():
         ],
         horizon=200,
         seed=99,
-        track_curves=False,
     )
     result = game.run()
     assert result.expected_loss == pytest.approx(3.4905536614907997, rel=1e-12)
@@ -80,6 +79,12 @@ def test_golden_game_losses_and_weights():
 
 
 # -- E8 policy goldens ---------------------------------------------------------
+
+#: The r = 8 collector mixes the policy goldens replay.
+MIXES = {
+    "hostile": lambda: [HonestBehavior()] * 2 + [AlwaysInvertBehavior()] * 6,
+    "zoo": standard_adversary_mix,
+}
 
 GOLDEN_POLICY_RUNS = {
     # mix: (first-stream stats, second-stream stats, final weights); stats are

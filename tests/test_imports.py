@@ -61,13 +61,15 @@ def test_custodian_loads_neither_asyncio_nor_ssl():
 
 
 #: Modules on the path of ``repro run`` / ``recover`` / ``serve``, the
-#: deployments' hosts and the processes they fork: numpy stays in
-#: ``repro.analysis`` and the game's curves.
+#: deployments' hosts and the processes they fork, plus the reputation game
+#: and the E8 policy simulation: numpy stays in ``repro.analysis``.
 ENGINE_MODULES = (
     "repro.cli",
     "repro.workloads.scenarios",
     "repro.core.protocol",
     "repro.core.netengine",
+    "repro.core.game",
+    "repro.baselines.base",
     "repro.sharding.coordinator",
     "repro.parallel.worker",
     "repro.network.cluster",
@@ -92,17 +94,29 @@ LAZY_STACKS = (
 )
 
 
+def _repro_modules(module: str) -> list[str]:
+    """The ``repro`` modules a fresh interpreter holds after importing ``module``."""
+    loaded = _run(
+        "import json, sys\n"
+        f"import {module}\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    return [name for name in loaded if name.split(".")[0] == "repro"]
+
+
 def test_scenario_registry_loads_no_host_stack():
     # perfbench preloads the registry before it measures peak RSS, so what
     # it pulls in is paid by every in-process workload.
-    loaded = _run(
-        "import json, sys\n"
-        "import repro.workloads.scenarios\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
-    ours = [name for name in loaded if name.split(".")[0] == "repro"]
+    ours = _repro_modules("repro.workloads.scenarios")
     assert not [name for name in ours if name.startswith(LAZY_STACKS)]
     assert len(ours) == 48, ours
+
+
+def test_cli_loads_no_host_stack():
+    # Every ``repro`` process starts here; a host's stack loads when built.
+    ours = _repro_modules("repro.cli")
+    assert not [name for name in ours if name.startswith(LAZY_STACKS)]
+    assert len(ours) == 52, ours
 
 
 #: Package inits that still re-export: perfbench imports through them.

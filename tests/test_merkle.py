@@ -1,12 +1,11 @@
-"""Unit and property tests for Merkle trees."""
+"""Unit and property tests for Merkle roots."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.merkle import EMPTY_ROOT, MerkleProof, MerkleTree, merkle_root
+from repro.crypto.merkle import EMPTY_ROOT, MerkleTree, _leaf_hash, _node_hash, merkle_root
 
 
 class TestConstruction:
@@ -32,53 +31,9 @@ class TestConstruction:
         items = list(range(13))
         assert MerkleTree(items).root == MerkleTree(items).root
 
-
-class TestProofs:
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 8, 9, 16, 31])
-    def test_every_leaf_provable(self, size):
-        items = [f"tx{i}" for i in range(size)]
-        tree = MerkleTree(items)
-        for i in range(size):
-            proof = tree.prove(i)
-            assert tree.verify(proof)
-            assert MerkleTree.verify_against(tree.root, items[i], proof)
-
-    def test_out_of_range_index(self):
-        tree = MerkleTree(["a", "b"])
-        with pytest.raises(IndexError):
-            tree.prove(2)
-        with pytest.raises(IndexError):
-            tree.prove(-1)
-
-    def test_proof_fails_against_other_root(self):
-        t1 = MerkleTree(["a", "b", "c"])
-        t2 = MerkleTree(["a", "b", "d"])
-        proof = t1.prove(0)
-        assert not MerkleTree.verify_against(t2.root, "a", proof)
-
-    def test_proof_fails_for_wrong_item(self):
-        tree = MerkleTree(["a", "b", "c"])
-        proof = tree.prove(1)
-        assert not MerkleTree.verify_against(tree.root, "x", proof)
-
-    def test_tampered_path_fails(self):
-        tree = MerkleTree(["a", "b", "c", "d"])
-        proof = tree.prove(2)
-        bad_path = ((bytes(32), proof.path[0][1]),) + proof.path[1:]
-        tampered = MerkleProof(index=proof.index, leaf=proof.leaf, path=bad_path)
-        assert not tree.verify(tampered)
-
-    def test_proof_depth_logarithmic(self):
-        tree = MerkleTree(list(range(64)))
-        assert len(tree.prove(0).path) == 6
-
-
-@given(st.lists(st.integers(), min_size=1, max_size=40))
-def test_property_all_proofs_verify(items):
-    """Inclusion proofs verify for every leaf at every size."""
-    tree = MerkleTree(items)
-    for i in range(len(items)):
-        assert MerkleTree.verify_against(tree.root, items[i], tree.prove(i))
+    def test_odd_node_promoted_unpaired(self):
+        a, b, c = (_leaf_hash(x) for x in "abc")
+        assert MerkleTree(["a", "b", "c"]).root == _node_hash(_node_hash(a, b), c)
 
 
 @given(

@@ -141,10 +141,3 @@ class TestProtocolParams:
     def test_gamma_helper_uses_own_beta(self):
         params = ProtocolParams(beta=0.8)
         assert params.gamma(1.0) == gamma_for(0.8, 1.0)
-
-    def test_with_tuned_beta(self):
-        params = ProtocolParams(beta=0.5)
-        tuned = params.with_tuned_beta(r=8, horizon=1000)
-        assert tuned.beta == tuned_beta(8, 1000)
-        assert tuned.f == params.f  # everything else preserved
-        assert params.beta == 0.5  # original frozen
