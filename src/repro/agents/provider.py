@@ -52,7 +52,10 @@ class Provider:
     argue_abuse_rate: float = 0.0
     abuse_rng: object | None = None
     _nonce: int = field(default=0, repr=False)
-    sent_tx_ids: set[str] = field(default_factory=set, repr=False)
+    #: Nonce of this object's first signature (None until it signs): its
+    #: own transactions are exactly those naming it with a nonce in
+    #: ``[_first_nonce, _nonce)``.
+    _first_nonce: int | None = field(default=None, repr=False)
     argued_tx_ids: set[str] = field(default_factory=set, repr=False)
     spurious_argues: int = field(default=0, repr=False)
 
@@ -70,9 +73,13 @@ class Provider:
 
     def create_transaction(self, payload: object, timestamp: float) -> SignedTransaction:
         """Generate and sign the next transaction (fresh nonce)."""
-        tx = make_signed_transaction(self.key, payload, timestamp, nonce=self._nonce)
-        self._nonce += 1
-        self.sent_tx_ids.add(tx.tx_id)
+        nonce = self._nonce
+        if self._first_nonce is None:
+            # Taken here, not at construction: a re-instantiated provider
+            # resumes at a nonce its host sets after building it.
+            self._first_nonce = nonce
+        tx = make_signed_transaction(self.key, payload, timestamp, nonce=nonce)
+        self._nonce = nonce + 1
         return tx
 
     def review_block(self, block: Block, oracle: ValidityOracle) -> list[str]:
@@ -82,7 +89,9 @@ class Provider:
         recorded as invalid *and unchecked* (a checked-invalid record
         means the governor already validated, and with a truthful oracle
         that cannot contradict the provider).  Each transaction is argued
-        at most once.
+        at most once.  His own transactions are the ones naming him with
+        a nonce this object signed: only he holds the key, and a forged
+        or tampered copy fails its signature and is never packed.
 
         Args:
             block: A freshly retrieved block.
@@ -92,12 +101,17 @@ class Provider:
         Returns:
             tx ids to invoke ``argue(tx, s)`` for, in block order.
         """
-        if not self.active:
+        first = self._first_nonce
+        if not self.active or first is None:
             return []
+        me, end = self.provider_id, self._nonce
         to_argue: list[str] = []
         for rec in block.tx_list:
+            body = rec.tx.body
+            if body.provider != me or not first <= body.nonce < end:
+                continue
             tx_id = rec.tx.tx_id
-            if tx_id not in self.sent_tx_ids or tx_id in self.argued_tx_ids:
+            if tx_id in self.argued_tx_ids:
                 continue
             if rec.label is not Label.INVALID or rec.status is not CheckStatus.UNCHECKED:
                 continue

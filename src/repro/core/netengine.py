@@ -52,6 +52,7 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.ledger.block import Block
+from repro.ledger.properties import UPLOADED
 from repro.ledger.store import BlockStore
 from repro.ledger.transaction import LabeledTransaction, SignedTransaction, TxRecord
 from repro.network.broadcast import AtomicBroadcast, walk_recovery_drain
@@ -358,8 +359,9 @@ class NetworkedProtocolEngine(RoundCore):
                 # retransmission of it) was in flight: the delivery is
                 # lost, as one to a crashed collector is.
                 return
+            flags = self.transcript.flags
             for labeled in collector.process_all(tx, self.oracle):
-                self.transcript.collector_uploads.add(tx.tx_id)
+                flags[tx.tx_id] |= UPLOADED  # a feed carries only what _originate flagged
                 self.broadcast.broadcast("uploads", cid, labeled)
         return handle
 

@@ -47,7 +47,7 @@ from repro.core.params import ProtocolParams
 from repro.crypto.identity import IdentityManager, Role
 from repro.exceptions import ConfigurationError
 from repro.ledger.block import Block
-from repro.ledger.properties import RunTranscript
+from repro.ledger.properties import BROADCAST, HONEST_VALID, UPLOADED, RunTranscript
 from repro.ledger.transaction import LabeledTransaction, SignedTransaction, TxRecord
 from repro.ledger.validation import CountingOracle, GroundTruthOracle
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -211,13 +211,14 @@ class RoundCore:
     ) -> list[tuple[Provider, SignedTransaction]]:
         """Collecting: each spec's provider signs, the oracle learns the truth."""
         originated = []
+        flags = self.transcript.flags
         for spec in specs:
             provider = provider_of(spec.provider)
             tx = provider.create_transaction(spec.payload, timestamp)
             self.oracle.assign(tx, spec.is_valid)
-            self.transcript.provider_broadcasts.add(tx.tx_id)
-            if spec.is_valid and provider.active:
-                self.transcript.honest_valid_tx.add(tx.tx_id)
+            flags[tx.tx_id] = (
+                BROADCAST | HONEST_VALID if spec.is_valid and provider.active else BROADCAST
+            )
             originated.append((provider, tx))
         return originated
 
@@ -245,7 +246,6 @@ class RoundCore:
             fresh = self.store.next_for(provider.provider_id)
             while fresh is not None:
                 for tx_id in provider.review_block(fresh, self.oracle):
-                    self.transcript.argue_calls.add(tx_id)
                     yield provider.provider_id, tx_id, fresh.serial
                 fresh = self.store.next_for(provider.provider_id)
 
@@ -269,12 +269,13 @@ class RoundCore:
         # Collecting and uploading: every linked collector labels.
         uploads: list[LabeledTransaction] = []
         deliveries = 0
+        flags = self.transcript.flags
         for provider, tx in self._originate(specs, provider_of, timestamp):
             deliveries += len(provider.linked_collectors)
             for cid in provider.linked_collectors:
                 for labeled in self.collectors[cid].process_all(tx, self.oracle):
                     uploads.append(labeled)
-                    self.transcript.collector_uploads.add(tx.tx_id)
+                    flags[tx.tx_id] |= UPLOADED
         # Forgery opportunities: once per collector per round.
         forged = 0
         for collector in self.collectors.values():

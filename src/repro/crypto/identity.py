@@ -22,7 +22,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.crypto.hashing import sha256
 from repro.crypto.signatures import Signature, SigningKey, verify_with_key
 from repro.exceptions import UnknownIdentityError
 from repro.obs import MetricsRegistry, NULL_REGISTRY
@@ -64,7 +63,7 @@ class IdentityManager:
     their own :class:`SigningKey`.
 
     Verdicts are cached in a bounded LRU keyed on
-    ``(signer, payload digest, tag)``: the r-fold collector fan-out and
+    ``(signer, signed bytes, tag)``: the r-fold collector fan-out and
     the per-governor re-verification of the same upload hit the cache
     instead of redoing identical HMACs.  The cache is sound because
     credentials are immutable once enrolled (re-enrolment of an id
@@ -173,7 +172,8 @@ class IdentityManager:
             return False
         if signature.signer != sender_id:
             return False  # verify_with_key rejects this unconditionally
-        key = (sender_id, sha256(message), signature.tag)
+        # ``bytes`` caches its own hash, so the message keys the LRU as is.
+        key = (sender_id, message, signature.tag)
         cache = self._verify_cache
         cached = cache.get(key, _MISS)
         if cached is not _MISS:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from repro.exceptions import SignatureError
 
@@ -69,7 +70,19 @@ class FrozenSlots:
     __slots__ = ()
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        cls = type(self)
+        get = _FIELD_GETTERS.get(cls)
+        if get is None:
+            # Resolved once per class, not per pickle: a pool or TCP run
+            # pickles every record that crosses a pipe or a socket.
+            get = _FIELD_GETTERS[cls] = attrgetter(*(f.name for f in fields(cls)))
+        return cls, get(self)
+
+
+#: ``FrozenSlots`` subclass -> getter of its fields' values as a tuple, in
+#: declaration order (every subclass has at least two fields, so
+#: ``attrgetter`` returns a tuple).
+_FIELD_GETTERS: dict[type, attrgetter] = {}
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ class Ledger:
 
     owner: str = "replica"
     _blocks: list[Block] = field(default_factory=list)
-    _tx_index: dict[str, tuple[int, int]] = field(default_factory=dict)
     #: Checkpoint base: serials ``<= _base_serial`` are compacted away
     #: and vouched for by a durable Merkle checkpoint (repro.storage).
     _base_serial: int = 0
@@ -83,10 +82,6 @@ class Ledger:
                 f"{self.owner}: block {block.serial} prev_hash mismatch"
             )
         self._blocks.append(block)
-        for idx, rec in enumerate(block.tx_list):
-            # Later occurrences win: a re-evaluated transaction appears in a
-            # newer block, and lookups should see its final disposition.
-            self._tx_index[rec.tx.tx_id] = (block.serial, idx)
 
     # -- reads ---------------------------------------------------------
 
@@ -125,14 +120,6 @@ class Ledger:
     def blocks(self) -> Iterator[Block]:
         """Iterate blocks in serial order."""
         return iter(self._blocks)
-
-    def find_record(self, tx_id: str) -> tuple[Block, TxRecord] | None:
-        """Latest (block, record) containing ``tx_id``, or None."""
-        loc = self._tx_index.get(tx_id)
-        if loc is None:
-            return None
-        block = self._blocks[loc[0] - self._base_serial - 1]
-        return block, block.tx_list[loc[1]]
 
     def all_records(self) -> Iterator[tuple[int, TxRecord]]:
         """Iterate (serial, record) pairs over the whole chain."""

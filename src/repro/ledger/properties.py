@@ -31,7 +31,20 @@ from repro.exceptions import (
 from repro.ledger.chain import Ledger, check_agreement
 from repro.ledger.transaction import CheckStatus, Label
 
-__all__ = ["RunTranscript", "PropertyReport", "check_all_properties"]
+__all__ = [
+    "BROADCAST",
+    "HONEST_VALID",
+    "UPLOADED",
+    "RunTranscript",
+    "PropertyReport",
+    "check_all_properties",
+]
+
+
+#: Per-transaction flags of a :class:`RunTranscript`, OR-ed together.
+BROADCAST = 1  # went through broadcast_provider
+UPLOADED = 2  # went through broadcast_collector
+HONEST_VALID = 4  # valid, from an honest active provider (Validity quantifies these)
 
 
 @dataclass
@@ -39,17 +52,12 @@ class RunTranscript:
     """What happened during a run, as needed by the property checkers.
 
     Attributes:
-        provider_broadcasts: tx ids that went through broadcast_provider.
-        collector_uploads: tx ids that went through broadcast_collector.
-        honest_valid_tx: tx ids of *valid* transactions sent by honest,
-            active providers (the Validity property quantifies these).
-        argue_calls: tx ids the provider argued about.
+        flags: tx id -> ``BROADCAST | UPLOADED | HONEST_VALID`` bits: one
+            entry per transaction the run saw, so each id is held once.
+            Writers update it in place (``flags[tx_id] |= UPLOADED``).
     """
 
-    provider_broadcasts: set[str] = field(default_factory=set)
-    collector_uploads: set[str] = field(default_factory=set)
-    honest_valid_tx: set[str] = field(default_factory=set)
-    argue_calls: set[str] = field(default_factory=set)
+    flags: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -84,7 +92,7 @@ def check_all_properties(
 
     Args:
         replicas: Every governor's ledger copy.
-        transcript: The run's broadcast/argue trace.
+        transcript: The run's broadcast trace.
         run_complete: When False, the Validity check is skipped — a
             still-running system has not had "eventually" yet.
 
@@ -117,16 +125,18 @@ def check_all_properties(
 
     # Almost No Creation: everything in any replica must have been both
     # provider-broadcast and collector-uploaded.
+    flags = transcript.flags
     for ledger in ledgers:
         for serial, rec in ledger.all_records():
             tx_id = rec.tx.tx_id
-            if tx_id not in transcript.provider_broadcasts:
+            seen = flags.get(tx_id, 0)
+            if not seen & BROADCAST:
                 report.almost_no_creation = False
                 report.violations.append(
                     f"almost-no-creation: tx {tx_id} in block {serial} of "
                     f"{ledger.owner} was never provider-broadcast"
                 )
-            if tx_id not in transcript.collector_uploads:
+            if not seen & UPLOADED:
                 report.almost_no_creation = False
                 report.violations.append(
                     f"almost-no-creation: tx {tx_id} in block {serial} of "
@@ -134,16 +144,19 @@ def check_all_properties(
                 )
 
     if run_complete:
-        reference = ledgers[0]
-        for tx_id in transcript.honest_valid_tx:
-            found = reference.find_record(tx_id)
-            if found is None:
+        # Latest occurrence wins: a re-evaluated transaction appears again
+        # in a newer block, and Validity judges its final disposition.
+        latest = {rec.tx.tx_id: rec for _serial, rec in ledgers[0].all_records()}
+        for tx_id, seen in flags.items():
+            if not seen & HONEST_VALID:
+                continue
+            rec = latest.get(tx_id)
+            if rec is None:
                 report.validity = False
                 report.violations.append(
                     f"validity: honest valid tx {tx_id} never appeared in a block"
                 )
                 continue
-            _block, rec = found
             # "Appear in a block eventually" with its true (valid) status:
             # either checked-valid, or re-evaluated to valid after an argue.
             ok = rec.label is Label.VALID or rec.status is CheckStatus.REEVALUATED

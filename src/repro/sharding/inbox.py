@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 from repro.crypto.identity import Role
 from repro.ledger.block import Block
+from repro.ledger.properties import BROADCAST, UPLOADED
 from repro.ledger.transaction import (
     CheckStatus,
     Label,
@@ -129,8 +130,7 @@ class ReceiptInbox:
         # The relay is the provider *and* collector of record for the
         # receipt (it was already screened on its home shard), so the
         # Almost-No-Creation transcript sees both broadcast legs.
-        engine.transcript.provider_broadcasts.add(tx.tx_id)
-        engine.transcript.collector_uploads.add(tx.tx_id)
+        engine.transcript.flags[tx.tx_id] = BROADCAST | UPLOADED
         return TxRecord(tx=tx, label=Label.VALID, status=CheckStatus.CHECKED)
 
     def committed(self, gid: str, block: Block) -> None:

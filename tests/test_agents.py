@@ -93,7 +93,24 @@ class TestProvider:
         a = provider.create_transaction("x", 1.0)
         b = provider.create_transaction("x", 1.0)
         assert a.tx_id != b.tx_id
-        assert provider.sent_tx_ids == {a.tx_id, b.tx_id}
+        # What the provider counts as sent is exactly {a, b}: a twin holding
+        # the same key signs the next nonce, and neither claims the other's.
+        twin = make_provider(world)
+        twin._nonce = provider._nonce
+        c = twin.create_transaction("x", 1.0)
+        _topo, _im, oracle = world
+        for tx in (a, b, c):
+            oracle.assign(tx, True)
+        block = Block(
+            serial=1,
+            tx_list=tuple(
+                TxRecord(tx=tx, label=Label.INVALID, status=CheckStatus.UNCHECKED)
+                for tx in (a, b, c)
+            ),
+            prev_hash=GENESIS_PREV_HASH, proposer="g0", round_number=1,
+        )
+        assert provider.review_block(block, oracle) == [a.tx_id, b.tx_id]
+        assert twin.review_block(block, oracle) == [c.tx_id]
 
     def test_review_block_argues_on_mislabel(self, world):
         _topo, _im, oracle = world

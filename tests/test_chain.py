@@ -98,26 +98,6 @@ class TestRetrieve:
         with pytest.raises(BlockNotFoundError):
             ledger.retrieve(0)
 
-    def test_find_record(self):
-        ledger = Ledger()
-        rec = record("target")
-        extend(ledger, 1, records=(rec,))
-        found = ledger.find_record(rec.tx.tx_id)
-        assert found is not None
-        block, got = found
-        assert block.serial == 1 and got.tx.tx_id == rec.tx.tx_id
-        assert ledger.find_record("missing") is None
-
-    def test_find_record_prefers_latest(self):
-        ledger = Ledger()
-        tx = make_signed_transaction(KEY, "re", 1.0, nonce=next(_NONCE))
-        first = TxRecord(tx=tx, label=Label.INVALID, status=CheckStatus.UNCHECKED)
-        second = TxRecord(tx=tx, label=Label.VALID, status=CheckStatus.REEVALUATED)
-        extend(ledger, 1, records=(first,))
-        extend(ledger, 1, records=(second,))
-        _block, got = ledger.find_record(tx.tx_id)
-        assert got.status is CheckStatus.REEVALUATED
-
     def test_all_records(self):
         ledger = Ledger()
         extend(ledger, 3)

@@ -8,7 +8,13 @@ from repro.crypto.signatures import SigningKey
 from repro.exceptions import LedgerError
 from repro.ledger.block import Block
 from repro.ledger.chain import Ledger
-from repro.ledger.properties import RunTranscript, check_all_properties
+from repro.ledger.properties import (
+    BROADCAST,
+    HONEST_VALID,
+    UPLOADED,
+    RunTranscript,
+    check_all_properties,
+)
 from repro.ledger.transaction import (
     CheckStatus,
     Label,
@@ -40,12 +46,21 @@ def chain_with(records_per_block):
     return ledger
 
 
-def full_transcript(ledger):
+def full_transcript(*ledgers):
     t = RunTranscript()
-    for _serial, rec in ledger.all_records():
-        t.provider_broadcasts.add(rec.tx.tx_id)
-        t.collector_uploads.add(rec.tx.tx_id)
+    for ledger in ledgers:
+        for _serial, rec in ledger.all_records():
+            t.flags[rec.tx.tx_id] = BROADCAST | UPLOADED
     return t
+
+
+def mark_honest_valid(t, tx_id):
+    t.flags[tx_id] = t.flags.get(tx_id, 0) | HONEST_VALID
+
+
+def clear(t, flag):
+    for tx_id in t.flags:
+        t.flags[tx_id] &= ~flag
 
 
 class TestHappyPath:
@@ -59,7 +74,7 @@ class TestHappyPath:
         rec = record()
         ledger = chain_with([[rec]])
         t = full_transcript(ledger)
-        t.honest_valid_tx.add(rec.tx.tx_id)
+        mark_honest_valid(t, rec.tx.tx_id)
         report = check_all_properties([ledger], t)
         assert report.validity
 
@@ -72,7 +87,7 @@ class TestViolations:
     def test_almost_no_creation_missing_provider_broadcast(self):
         ledger = chain_with([[record()]])
         t = full_transcript(ledger)
-        t.provider_broadcasts.clear()
+        clear(t, BROADCAST)
         report = check_all_properties([ledger], t)
         assert not report.almost_no_creation
         assert not report.all_hold
@@ -80,14 +95,14 @@ class TestViolations:
     def test_almost_no_creation_missing_collector_upload(self):
         ledger = chain_with([[record()]])
         t = full_transcript(ledger)
-        t.collector_uploads.clear()
+        clear(t, UPLOADED)
         report = check_all_properties([ledger], t)
         assert not report.almost_no_creation
 
     def test_validity_missing_tx(self):
         ledger = chain_with([[record()]])
         t = full_transcript(ledger)
-        t.honest_valid_tx.add("never-included")
+        mark_honest_valid(t, "never-included")
         report = check_all_properties([ledger], t)
         assert not report.validity
 
@@ -95,7 +110,7 @@ class TestViolations:
         rec = record(label=Label.INVALID, status=CheckStatus.UNCHECKED)
         ledger = chain_with([[rec]])
         t = full_transcript(ledger)
-        t.honest_valid_tx.add(rec.tx.tx_id)
+        mark_honest_valid(t, rec.tx.tx_id)
         report = check_all_properties([ledger], t)
         assert not report.validity
 
@@ -106,26 +121,51 @@ class TestViolations:
         )
         ledger = chain_with([[buried], [fixed]])
         t = full_transcript(ledger)
-        t.honest_valid_tx.add(buried.tx.tx_id)
+        mark_honest_valid(t, buried.tx.tx_id)
         report = check_all_properties([ledger], t)
         assert report.validity
 
     def test_validity_skipped_when_run_incomplete(self):
         ledger = chain_with([[record()]])
         t = full_transcript(ledger)
-        t.honest_valid_tx.add("still-in-flight")
+        mark_honest_valid(t, "still-in-flight")
         report = check_all_properties([ledger], t, run_complete=False)
         assert report.validity  # not evaluated yet
 
     def test_agreement_violation_reported(self):
         a = chain_with([[record()]])
         b = chain_with([[record()]])  # different contents at serial 1
-        t = RunTranscript(
-            provider_broadcasts={r.tx.tx_id for _s, r in a.all_records()}
-            | {r.tx.tx_id for _s, r in b.all_records()},
-            collector_uploads={r.tx.tx_id for _s, r in a.all_records()}
-            | {r.tx.tx_id for _s, r in b.all_records()},
-        )
+        t = full_transcript(a, b)
         report = check_all_properties([a, b], t)
         assert not report.agreement
         assert any("agreement" in v for v in report.violations)
+
+
+class TestValidityLookup:
+    """Validity reads the reference replica's latest record of each tx."""
+
+    def test_record_found_in_any_block(self):
+        rec = record()
+        ledger = chain_with([[record()], [record(), rec]])
+        t = full_transcript(ledger)
+        mark_honest_valid(t, rec.tx.tx_id)
+        assert check_all_properties([ledger], t).validity
+        mark_honest_valid(t, "missing")
+        report = check_all_properties([ledger], t)
+        assert not report.validity
+        assert report.violations == [
+            "validity: honest valid tx missing never appeared in a block"
+        ]
+
+    @pytest.mark.parametrize("reevaluated_last", [True, False])
+    def test_latest_record_decides(self, reevaluated_last):
+        tx = record().tx
+        buried = TxRecord(tx=tx, label=Label.INVALID, status=CheckStatus.UNCHECKED)
+        fixed = TxRecord(tx=tx, label=Label.VALID, status=CheckStatus.REEVALUATED)
+        order = [[buried], [fixed]] if reevaluated_last else [[fixed], [buried]]
+        ledger = chain_with(order)
+        t = full_transcript(ledger)
+        mark_honest_valid(t, tx.tx_id)
+        report = check_all_properties([ledger], t)
+        assert report.validity is reevaluated_last
+        assert report.all_hold is reevaluated_last

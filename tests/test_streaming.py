@@ -43,7 +43,9 @@ from repro.exceptions import (
     ProtocolViolationError,
     TopologyError,
 )
+from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.properties import check_all_properties
+from repro.ledger.transaction import CheckStatus, Label, TxRecord
 from repro.network.topology import Topology, provider_id
 from repro.obs import MetricsRegistry
 from repro.streaming.app import StreamingApp
@@ -360,6 +362,27 @@ class TestStreamingSession:
         assert any(
             rec.tx.body.provider == "p0" for rec in block.tx_list
         )
+
+    def test_rearrived_provider_argues_only_about_its_own_new_tx(self):
+        session = _session(retirement_rounds=1)
+        before = session.run_round(_specs("p0")).tx_list[0].tx
+        session.run_round(_specs("p1"))
+        session.run_round(_specs("p1"))
+        assert "p0" not in session.providers  # retired
+        after = session.run_round(_specs("p0")).tx_list[0].tx
+        assert before.body.provider == after.body.provider == "p0"
+        # Both truly valid, both recorded invalid and unchecked: the new
+        # object claims only what it signed itself.
+        block = Block(
+            serial=99,
+            tx_list=tuple(
+                TxRecord(tx=tx, label=Label.INVALID, status=CheckStatus.UNCHECKED)
+                for tx in (before, after)
+            ),
+            prev_hash=GENESIS_PREV_HASH, proposer="g0", round_number=99,
+        )
+        provider = session.providers["p0"]
+        assert provider.review_block(block, session.oracle) == [after.tx_id]
 
     def test_backlog_spills_and_drains(self):
         session = _session(retirement_rounds=8)
