@@ -294,8 +294,9 @@ class Governor:
             # dropped before any attribution is attempted.
             return False
         tx, label = upload.parse()
-        # The signed bytes are derived once per record and feed the IM's
-        # verification cache: every governor checks them, only the first pays.
+        # The signed bytes are derived once per record, and the IM keeps
+        # each verdict on its signature: every governor checks them, only
+        # the first pays.
         collector_ok = self.im.verify(
             upload.collector, upload.message, upload.collector_signature
         )

@@ -607,11 +607,12 @@ class NetworkedProtocolEngine(RoundCore):
         for provider, tx in originated:
             for cid in provider.linked_collectors:
                 self.broadcast.broadcast(f"feed:{cid}", provider.provider_id, tx)
-        # Pre-warm the IM's verification cache with this round's provider
-        # signatures: when the drain below delivers the r-fold collector
-        # fan-out and every governor re-checks each upload, they all hit
-        # the cached verdict instead of redoing the HMAC.  Verification
-        # consumes no randomness, so the drain is unaffected otherwise.
+        # Verify this round's provider signatures up front: the IM keeps
+        # each verdict on its signature, so when the drain below delivers
+        # the r-fold collector fan-out and every governor re-checks each
+        # upload, they all read it instead of redoing the HMAC.
+        # Verification consumes no randomness, so the drain is unaffected
+        # otherwise.
         self.im.verify_batch(
             (tx.provider, tx.message, tx.provider_signature)
             for _provider, tx in originated

@@ -18,7 +18,6 @@ the IM's link table.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -26,9 +25,6 @@ from repro.crypto.signatures import Signature, SigningKey, verify_with_key
 from repro.exceptions import UnknownIdentityError
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 from repro.rng import Generator, default_rng
-
-#: Sentinel distinguishing "not cached" from a cached ``False`` verdict.
-_MISS = object()
 
 __all__ = ["Role", "NodeRecord", "IdentityManager"]
 
@@ -62,22 +58,21 @@ class IdentityManager:
     simulation keeps all secrets in one registry; nodes only ever receive
     their own :class:`SigningKey`.
 
-    Verdicts are cached in a bounded LRU keyed on
-    ``(signer, signed bytes, tag)``: the r-fold collector fan-out and
-    the per-governor re-verification of the same upload hit the cache
-    instead of redoing identical HMACs.  The cache is sound because
-    credentials are immutable once enrolled (re-enrolment of an id
-    raises): a first-seen key always goes through ``verify_with_key``.
+    Each verdict is kept on the :class:`Signature` it is about: the r-fold
+    collector fan-out and the per-governor re-verification of the same
+    upload hand this IM the same signature object, so they read the held
+    verdict instead of redoing identical HMACs.  A held verdict is read
+    only by the IM that computed it and only for the bytes it was
+    computed over; anything else goes through ``verify_with_key``.  That
+    is sound because credentials are immutable once enrolled
+    (re-enrolment of an id raises).
 
     Args:
         seed: Seed for credential generation, for reproducible runs.
         obs: Metrics registry receiving the ``crypto_sig_cache_*``
-            hit/miss counters and size gauge (defaults to the no-op
+            hit/miss counters and entries gauge (defaults to the no-op
             registry).
     """
-
-    #: Maximum number of cached verification verdicts before LRU eviction.
-    VERIFY_CACHE_SIZE = 1 << 13
 
     seed: int = 0
     _records: dict[str, NodeRecord] = field(default_factory=dict)
@@ -87,7 +82,6 @@ class IdentityManager:
 
     def __post_init__(self) -> None:
         self._rng = default_rng(self.seed)
-        self._verify_cache: OrderedDict[tuple[str, bytes, bytes], bool] = OrderedDict()
         self.sig_cache_hits = self.sig_cache_misses = 0
         self.obs.counter(
             "crypto_sig_cache_hits",
@@ -102,7 +96,8 @@ class IdentityManager:
         self.obs.gauge(
             "crypto_sig_cache_entries",
             "Verdicts the verification cache holds, as of the last closed round",
-            read=lambda: len(self._verify_cache),
+            # Every miss leaves one verdict on a signature.
+            read=lambda: self.sig_cache_misses,
         )
 
     # -- enrolment ----------------------------------------------------
@@ -172,20 +167,15 @@ class IdentityManager:
             return False
         if signature.signer != sender_id:
             return False  # verify_with_key rejects this unconditionally
-        # ``bytes`` caches its own hash, so the message keys the LRU as is.
-        key = (sender_id, message, signature.tag)
-        cache = self._verify_cache
-        cached = cache.get(key, _MISS)
-        if cached is not _MISS:
-            cache.move_to_end(key)
+        if signature.checked_by is self and signature.checked_message == message:
             self.sig_cache_hits += 1
-            return cached  # type: ignore[return-value]
-        # Credentials are immutable, so both verdicts are cacheable.
+            return signature.verdict
+        # Credentials are immutable, so both verdicts are kept.
         result = verify_with_key(record.key, message, signature)
         self.sig_cache_misses += 1
-        cache[key] = result
-        if len(cache) > self.VERIFY_CACHE_SIZE:
-            cache.popitem(last=False)
+        object.__setattr__(signature, "checked_by", self)
+        object.__setattr__(signature, "checked_message", message)
+        object.__setattr__(signature, "verdict", result)
         return result
 
     def verify_batch(
@@ -193,10 +183,10 @@ class IdentityManager:
     ) -> list[bool]:
         """Verify many ``(sender_id, message, signature)`` triples at once.
 
-        Drains the whole batch through the verification cache so
-        duplicate payloads — the r-fold collector fan-out delivering the
-        same provider signature to every linked collector, or every
-        governor re-checking the same upload — cost one HMAC total.
+        Each signature keeps its verdict, so duplicate payloads — the
+        r-fold collector fan-out delivering the same provider signature
+        to every linked collector, or every governor re-checking the
+        same upload — cost one HMAC total.
         Returns one verdict per triple, in input order.
         """
         return [

@@ -87,9 +87,18 @@ _FIELD_GETTERS: dict[type, attrgetter] = {}
 
 @dataclass(frozen=True)
 class Signature(FrozenSlots):
-    """A signature tag over a message, attributable to ``signer``."""
+    """A signature tag over a message, attributable to ``signer``.
 
-    __slots__ = ("signer", "tag")
+    Beside its two fields a signature holds the last verdict an Identity
+    Manager computed for it: ``checked_by`` (that manager), ``checked_message``
+    (the bytes it checked) and ``verdict``.  They are slots, not fields, so
+    ``==``, ``hash``, ``repr`` and pickle see the fields only, and a copied,
+    unpickled or delivered signature arrives with no verdict.  Only
+    :meth:`repro.crypto.identity.IdentityManager.verify` reads or writes
+    them.
+    """
+
+    __slots__ = ("signer", "tag", "checked_by", "checked_message", "verdict")
 
     signer: str
     tag: bytes
@@ -97,6 +106,8 @@ class Signature(FrozenSlots):
     def __post_init__(self) -> None:
         if len(self.tag) != 32:
             raise SignatureError("signature tag must be a 32-byte HMAC-SHA256 tag")
+        # No verdict yet; the other two slots are read only under this one.
+        object.__setattr__(self, "checked_by", None)
 
     def hex(self) -> str:
         """Hex form of the tag for display."""

@@ -92,14 +92,16 @@ class SignedTransaction(FrozenSlots):
     The signature covers (body, timestamp), so replaying a transaction
     under a different timestamp — the paper's "cannot simply replicate a
     transaction since it is signed together with the timestamp" — breaks
-    the signature.  Derived at construction: ``tx_id`` (hash of body +
+    the signature.  Derived at construction: ``provider`` (the body's
+    originating provider's node id), ``tx_id`` (hash of body +
     timestamp), ``message`` (the bytes the provider signed, checked once
     per linked collector and again per governor) and ``digest`` (covers
     the signature too; what a label or a record commits to).
     """
 
     __slots__ = (
-        "body", "timestamp", "provider_signature", "tx_id", "message", "digest",
+        "body", "timestamp", "provider_signature",
+        "provider", "tx_id", "message", "digest",
     )
 
     body: TransactionBody
@@ -113,14 +115,10 @@ class SignedTransaction(FrozenSlots):
         digest = hash_value(
             ("signed-tx", body_digest, timestamp, signature.signer, signature.tag)
         )
+        object.__setattr__(self, "provider", self.body.provider)
         object.__setattr__(self, "tx_id", tx_id)
         object.__setattr__(self, "message", tx_message(body_digest, timestamp))
         object.__setattr__(self, "digest", digest)
-
-    @property
-    def provider(self) -> str:
-        """Originating provider's node id."""
-        return self.body.provider
 
 
 @dataclass(frozen=True)

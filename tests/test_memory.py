@@ -4,11 +4,14 @@ The figures come from ``tools/heap_per_tx.py`` (``tracemalloc`` snapshots
 at window boundaries) on the ``paper-default`` shape, 32 tx per round.
 Windows are short here to keep tier-1 quick, so they read above the
 40-round windows PERFORMANCE.md quotes; each budget is a quarter over what
-this configuration reads on Python 3.11 (1,543 and 3,805–3,843 B since
-the per-replica tx index, the transcript's id sets and the providers' sent
-sets went; 1,713 and 4,430 B before), and the parent commit of the PR that
-introduced them read 3.2 KB and 9.3 KB.  The nightly soak checks that the
-figure stays flat as history grows.
+this configuration reads on Python 3.11 (906 and 3,178–3,191 B since each
+verification verdict moved from the Identity Manager's LRU onto its
+signature; 1,543 and 3,805–3,843 B with the LRU), and the parent commit
+of the PR that introduced them read 3.2 KB and 9.3 KB.  The nightly soak
+checks that the figure stays flat as history grows.
+
+The IM keeps no table of verdicts, so the last test here holds it to
+what the table bought: no HMAC is computed twice for one question.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import pathlib
 import pytest
 
 from repro.crypto.identity import IdentityManager
-from repro.obs import MetricsRegistry
 from repro.workloads.scenarios import SCENARIOS, build
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -37,34 +39,39 @@ def heap():
 
 
 def test_inproc_host_budget(heap):
-    # The last window (rounds 61-80) starts after the verify cache has
-    # filled (round 58): before that the cache itself is still growing.
-    engine, windows = heap.measure(PAPER_DEFAULT, rounds=20, windows=3)
-    assert len(engine.im._verify_cache) == IdentityManager.VERIFY_CACHE_SIZE
-    assert windows[-1].bytes_per_tx <= 1_930
+    _engine, windows = heap.measure(PAPER_DEFAULT, rounds=20, windows=3)
+    assert windows[-1].bytes_per_tx <= 1_140
 
 
 def test_net_host_budget(heap):
-    # In-memory store; rounds 11-20, so the verify cache is still filling.
+    # In-memory store; rounds 11-20.
     scenario = dataclasses.replace(PAPER_DEFAULT, host="net")
     _engine, (window,) = heap.measure(scenario, rounds=10)
-    assert window.bytes_per_tx <= 4_800
+    assert window.bytes_per_tx <= 3_990
 
 
-def test_verify_cache_is_bounded_and_costs_no_hmac(monkeypatch):
-    """The LRU never outgrows ``VERIFY_CACHE_SIZE``, and at that size the
-    run recomputes exactly the HMACs it does with room for every verdict."""
+@pytest.mark.parametrize("host", ["inproc", "net"])
+def test_no_hmac_is_recomputed(monkeypatch, host):
+    """Each IM computes one HMAC per distinct ``(signer, message, tag)`` it
+    is asked about, however long after the first check a question repeats."""
+    asked: dict[int, set] = {}
+    verify = IdentityManager.verify
 
-    def misses(size: int) -> float:
-        monkeypatch.setattr(IdentityManager, "VERIFY_CACHE_SIZE", size)
-        obs = MetricsRegistry()
-        engine, workload, scenario = build(PAPER_DEFAULT, seed=0, obs=obs)
+    def counting(im, sender_id, message, signature):
+        # Only the questions that reach the HMAC: an unknown sender or a
+        # signer other than the sender is rejected before any verdict.
+        if im.is_enrolled(sender_id) and signature.signer == sender_id:
+            asked.setdefault(id(im), set()).add((sender_id, message, signature.tag))
+        return verify(im, sender_id, message, signature)
+
+    monkeypatch.setattr(IdentityManager, "verify", counting)
+    scenario = dataclasses.replace(PAPER_DEFAULT, host=host)
+    engine, workload, scenario = build(scenario, seed=0)
+    try:
         for _ in range(80):
             engine.run_round(workload.take(scenario.batch))
-            assert len(engine.im._verify_cache) <= size
-        return obs.get("crypto_sig_cache_misses").value
-
-    size = IdentityManager.VERIFY_CACHE_SIZE
-    bounded = misses(size)
-    assert bounded > size  # verdicts were evicted, so the bound was exercised
-    assert bounded == misses(1 << 16)
+    finally:
+        engine.close()
+    im = engine.im
+    assert list(asked) == [id(im)]  # one IM per deployment
+    assert im.sig_cache_hits > im.sig_cache_misses == len(asked[id(im)])

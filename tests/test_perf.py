@@ -1,9 +1,10 @@
 """The caches are the implementation; these tests hold them to the primitives.
 
 * streaming ``hash_many`` equals ``hash_value`` of the tuple;
-* ``IdentityManager.verify`` (an LRU in front of the HMAC) agrees, verdict
-  for verdict, with ``signatures.verify_with_key`` under the sender's
-  enrolled key, on random payload / tamper pairs;
+* ``IdentityManager.verify`` (which keeps each verdict on its signature)
+  agrees, verdict for verdict, with ``signatures.verify_with_key`` under
+  the sender's enrolled key, on random payload / tamper pairs, and a held
+  verdict is read only by the IM that computed it, for the same bytes;
 * a value a ledger record derives from its fields equals the same value
   on a fresh build, and survives ``pickle`` and ``copy`` (the forms in
   which these objects cross pool pipes and TCP frames), which carry the
@@ -139,15 +140,76 @@ class TestVerifyCacheEquivalence:
         assert (misses.value, hits.value) == (1, 0)
         assert im.verify("p0", message, signature)
         assert (misses.value, hits.value) == (1, 1)
+        # One verdict held per miss.
+        assert obs.get("crypto_sig_cache_entries").value == misses.value
 
-    def test_lru_eviction_bound(self):
+    def test_another_im_never_reads_this_verdict(self):
+        # Two IMs enrol the same id under different keys.
+        first, second = IdentityManager(seed=5), IdentityManager(seed=6)
+        key = first.enroll("p0", Role.PROVIDER)
+        second.enroll("p0", Role.PROVIDER)
+        message = b"payload"
+        signature = sign(key, message)
+        assert first.verify("p0", message, signature)
+        assert not second.verify("p0", message, signature)
+        assert (second.sig_cache_misses, second.sig_cache_hits) == (1, 0)
+        # The second IM's verdict is not the first's either.
+        assert first.verify("p0", message, signature)
+        assert (first.sig_cache_misses, first.sig_cache_hits) == (2, 0)
+
+    def test_same_signature_on_changed_bytes_is_recomputed(self):
         im = IdentityManager(seed=3)
         key = im.enroll("p0", Role.PROVIDER)
-        im.VERIFY_CACHE_SIZE = 8
-        for i in range(32):
-            message = i.to_bytes(4, "big")
-            assert im.verify("p0", message, sign(key, message))
-        assert len(im._verify_cache) <= 8
+        message = b"payload"
+        signature = sign(key, message)
+        assert im.verify("p0", message, signature)
+        assert not im.verify("p0", message + b"\x00", signature)
+        assert (im.sig_cache_misses, im.sig_cache_hits) == (2, 0)
+        assert not im.verify("p0", message + b"\x00", signature)  # a held False
+        assert im.verify("p0", message, signature)
+        assert (im.sig_cache_misses, im.sig_cache_hits) == (3, 1)
+
+    def test_copies_carry_no_verdict(self):
+        im = IdentityManager(seed=3)
+        key = im.enroll("p0", Role.PROVIDER)
+        signature = sign(key, b"payload")
+        assert im.verify("p0", b"payload", signature)
+        assert signature.checked_by is im
+        shipped = (
+            pickle.loads(pickle.dumps(signature)),
+            copy.copy(signature),
+            copy.deepcopy(signature),
+        )
+        for copied in shipped:
+            assert copied == signature and copied is not signature
+            assert copied.checked_by is None
+            misses = im.sig_cache_misses
+            assert im.verify("p0", b"payload", copied)
+            assert im.sig_cache_misses == misses + 1
+        # The verdict is no field: a twin without one is equal, hashes and
+        # prints the same.
+        fresh = sign(key, b"payload")
+        assert fresh.checked_by is None
+        assert (fresh, hash(fresh), repr(fresh)) == (
+            signature, hash(signature), repr(signature)
+        )
+
+    def test_forged_signer_is_rejected_before_the_verdict_is_read(self):
+        im = IdentityManager(seed=3)
+        key = im.enroll("p0", Role.PROVIDER)
+        im.enroll("p1", Role.PROVIDER)
+        message = b"payload"
+        signature = sign(key, message)
+        assert im.verify("p0", message, signature)  # holds a True
+        # The honest signature presented as p1's, and p0's tag under p1's
+        # name carrying a planted True: both fail before any verdict is read.
+        forged = Signature(signer="p1", tag=signature.tag)
+        for name in ("checked_by", "checked_message", "verdict"):
+            object.__setattr__(forged, name, getattr(signature, name))
+        assert not im.verify("p1", message, signature)
+        assert not im.verify("p0", message, forged)
+        assert not im.verify("nobody", message, signature)
+        assert (im.sig_cache_misses, im.sig_cache_hits) == (1, 0)
 
 
 def _ledger_objects() -> dict:
