@@ -13,7 +13,6 @@ from typing import Iterable
 
 from repro.core.protocol import ProtocolEngine
 from repro.exceptions import ConfigurationError
-from repro.rng import pairwise_sum
 
 __all__ = ["GovernorSummary", "RunSummary", "summarize_run", "SweepTable"]
 
@@ -60,7 +59,7 @@ class RunSummary:
     def mean_unchecked_rate(self) -> float:
         """Average unchecked fraction across governors."""
         rates = [g.unchecked_rate for g in self.governors]
-        return pairwise_sum(rates) / len(rates) if rates else 0.0
+        return sum(rates) / len(rates) if rates else 0.0
 
     @property
     def total_mistakes(self) -> int:

@@ -17,7 +17,7 @@ from repro.baselines.base import PolicyDecision
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label
-from repro.rng import Generator, pairwise_sum
+from repro.rng import Generator
 
 __all__ = ["StaticTrustPolicy"]
 
@@ -43,7 +43,7 @@ class StaticTrustPolicy:
             # Only unknown reporters: fall back to checking.
             return PolicyDecision(recorded_label=Label.VALID, checked=True)
         w = [self.trust[c] for c in reporters]
-        total = pairwise_sum(w)
+        total = sum(w)
         probs = [x / total for x in w]
         drawn_idx = int(rng.choice(len(reporters), p=probs))
         label = labels[reporters[drawn_idx]]

@@ -26,7 +26,6 @@ from typing import Mapping
 from repro.core.params import ProtocolParams
 from repro.core.reputation import ReputationBook
 from repro.exceptions import ConfigurationError
-from repro.rng import pairwise_sum
 
 __all__ = [
     "log_score",
@@ -94,7 +93,7 @@ def distribute_rewards(
         return {c: share for c in collectors}
     top = max(finite)
     shifted = [math.exp(x - top) for x in logs]
-    total = pairwise_sum(shifted)
+    total = sum(shifted)
     return {c: amount * w / total for c, w in zip(collectors, shifted, strict=True)}
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.exceptions import TopologyError
 from repro.network.topology import Topology
-from repro.rng import default_rng, pairwise_sum
+from repro.rng import default_rng
 
 __all__ = ["VisibilityMap"]
 
@@ -123,4 +123,4 @@ class VisibilityMap:
         """Average fraction of collectors visible per governor."""
         n = topology.n
         fractions = [len(self.visible[g]) / n for g in topology.governors]
-        return pairwise_sum(fractions) / len(fractions)
+        return sum(fractions) / len(fractions)

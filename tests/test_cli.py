@@ -59,14 +59,14 @@ RUN_CASES = {
     ),
     "shard": (
         ["run", "sharded-smoke", "--rounds", "3"],
-        ["[serial backend]", "aggregate committed: 45 tx",
+        ["[serial backend]", "aggregate committed: 41 tx",
          "cross-shard atomicity clean: True",
          "properties hold on all shards: True"],
     ),
     "stream-synthetic": (
         ["run", "stream-smoke", "--rounds", "4", "--providers", "2000",
          "--seed", "3"],
-        ["scenario: stream-smoke", "l=2000", "4 rounds", "transactions    76",
+        ["scenario: stream-smoke", "l=2000", "4 rounds", "transactions    77",
          "touched reputation rows:"],
     ),
 }

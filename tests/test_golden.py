@@ -35,9 +35,9 @@ from repro.workloads.generator import BernoulliWorkload
 # -- protocol-run goldens ----------------------------------------------------
 
 GOLDEN_BLOCK_HASHES = [
-    "52916a6829d77e0cbdaece472c9b85c90a057d719ae33162bf5d6495d8c50e70",
-    "4ab1f4ec28c5447c042ae79bcd700e721877ed81f06eed2f2256ade2746da97e",
-    "1dde647af721f649614d07e6d4753e6209e8e2ebc5f3366c009b86f19db143e0",
+    "c43fe0a56d57af082646e72a2e3b1ba62986ad69c320283b7ed6ebb94ac6ce47",
+    "ddfd61e46e6eb3f5ed297f6ab1bfc8f0142437d0895d644933edc3dd93da4f50",
+    "a057369c93a81b092265ff3f0377089553235e16dbe8902c9e0a733e7b130e73",
 ]
 
 
@@ -70,12 +70,12 @@ def test_golden_game_losses_and_weights():
         seed=99,
     )
     result = game.run()
-    assert result.expected_loss == pytest.approx(3.4905536614907997, rel=1e-12)
+    assert result.expected_loss == pytest.approx(3.6706630157714897, rel=1e-12)
     assert result.realized_loss == 2.0
     assert result.final_weights["c0"] == 1.0
-    assert result.final_weights["c1"] == pytest.approx(3.861414422033345e-28, rel=1e-9)
-    assert result.final_weights["c2"] == pytest.approx(3.8896904024495416e-21, rel=1e-9)
-    assert result.final_weights["c3"] == pytest.approx(1.7711179113991065e-64, rel=1e-9)
+    assert result.final_weights["c1"] == pytest.approx(8.138440002230567e-35, rel=1e-9)
+    assert result.final_weights["c2"] == pytest.approx(6.533186235000687e-23, rel=1e-9)
+    assert result.final_weights["c3"] == pytest.approx(1.844914491040736e-64, rel=1e-9)
 
 
 # -- E8 policy goldens ---------------------------------------------------------
@@ -90,31 +90,31 @@ GOLDEN_POLICY_RUNS = {
     # mix: (first-stream stats, second-stream stats, final weights); stats are
     # (validations, unchecked, mistakes, realized_loss) over 400 transactions.
     "hostile": (
-        (355, 45, 8, 16.0),
-        (313, 87, 0, 0.0),
+        (356, 44, 5, 10.0),
+        (330, 70, 0, 0.0),
         {
             "c0": 1.0,
             "c1": 1.0,
-            "c2": 1.2289921231048547e-09,
-            "c3": 1.2289921231048547e-09,
-            "c4": 1.2289921231048547e-09,
-            "c6": 1.2289921231048547e-09,
-            "c7": 1.2289921231048547e-09,
-            "c8": 1.0656030117070476e-07,
+            "c2": 2.0613846335056296e-08,
+            "c3": 2.0613846335056296e-08,
+            "c4": 2.0613846335056296e-08,
+            "c6": 2.0613846335056296e-08,
+            "c7": 2.0613846335056296e-08,
+            "c8": 7.473201014311571e-07,
         },
     ),
     "zoo": (
-        (354, 46, 5, 10.0),
+        (357, 43, 4, 8.0),
         (331, 69, 0, 0.0),
         {
             "c0": 1.0,
             "c1": 1.0,
-            "c2": 0.0016530991083190346,
-            "c3": 0.014780882941434608,
-            "c4": 1.5268324500371742e-08,
-            "c6": 1.8721194092651674e-07,
-            "c7": 3.279185047850314e-05,
-            "c8": 4.085529049801371e-05,
+            "c2": 0.000636634585420544,
+            "c3": 0.009697737297875247,
+            "c4": 2.4081730145213042e-08,
+            "c6": 4.7242351395636434e-07,
+            "c7": 8.464149782874061e-05,
+            "c8": 5.016286912893609e-05,
         },
     ),
 }

@@ -108,11 +108,11 @@ def _durable_reopened(obs, tmp_path):
 
 
 PINNED = {
-    _paper_default: "ebf9b17d7c9c981fa5d04b8ce24143c945e61c77bd92fe74b4266bde9e8b1aeb",
-    _networked_faulted: "f725f65d262caca4509622e76e0fdefe5d86263a82aa2502e79610b048a33421",
-    _sharded_quad_serial: "bea1a7998bb84468d4136eb8182f453ef3b6a5e9e9fa542fe96e30ac069bd97b",
-    _stream_smoke: "856b8cd4a293112e7a131bb321dc2dbaed4d0b52d5e4c6ee363f3e0bfd42d61f",
-    _durable_reopened: "ad2fca32a48f3ef47e33cacf3a966060b2f38b07d830d9adb138c35f9dcf4958",
+    _paper_default: "24d8ebb0e83587aaf02c53d4479c171deff5105c4ad4d9fde067f4ddd8166773",
+    _networked_faulted: "2a1f36b4064a540d80a55d76a42e3b547eb1220dc0daf696d2309dbfbec5bc01",
+    _sharded_quad_serial: "fb30982e880ba197ed5fef0a7301257135a929c7aed262a77363d3f8ad833e9a",
+    _stream_smoke: "a80c4c53ab45bb5bffe14728a1b1293459f0c75edd921f815410526ede525444",
+    _durable_reopened: "d4aee90637a38882ad8c7d7bd969476fce4abd84183bf18131feb92afff33af3",
 }
 
 
