@@ -173,8 +173,9 @@ class TestNodeAndPartitionFaults:
         sim, net = make_net()
         got = []
         net.register("b", got.append)
-        FaultInjector(plan=FaultPlan().with_crash("b", at=0.02)).install(net)
-        # Sent before the crash, delivery would land after it.
+        # Every delay is at least min_delay (0.01 s), so a message sent at
+        # 0 is still in flight when b crashes inside (0, min_delay).
+        FaultInjector(plan=FaultPlan().with_crash("b", at=0.005)).install(net)
         net.send("a", "b", "in-flight")
         sim.run()
         assert got == []

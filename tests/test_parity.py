@@ -20,7 +20,8 @@ option, and must reproduce the ``pin`` run's :func:`fingerprint`:
              (chain, replicas and audit: a restart re-seeds every RNG);
 ``tcp``      over real sockets to two custodian processes;
 ``replay``   through ``repro run``, for a registered preset's case: the
-             last ``round k tip=`` line is the pinned tip;
+             last ``tip=`` it prints is the pinned tip (a sharded run's
+             ``final tip=``, after the flush rounds of its finalize);
 ``reseed``   at seed + 1, which must *differ*.
 
 A failing row writes ``$PARITY_REPORT_DIR/<column>-<case>.json`` (default
@@ -487,7 +488,7 @@ def test_replay(case, capsys):
     """The command a case's report names reproduces its pinned tip."""
     main(replay(case).split()[3:])  # the argv after ``python -m repro``
     out = capsys.readouterr().out.splitlines()
-    got = [line.split("tip=")[1] for line in out if line.startswith("round ")][-1]
+    got = [line.split("tip=")[1] for line in out if "tip=" in line][-1]
     pins = golden(case)
     expected = ",".join(chain["tip"] for chain in pins.get("shards", [pins]))
     check("replay", case, {"tip": got}, {"tip": expected})

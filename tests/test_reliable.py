@@ -133,8 +133,9 @@ class TestLossRecovery:
         assert channel.stats.retransmits == 3
         assert channel.unacked == 0  # sender state released
 
-    def test_delivery_under_heavy_seeded_loss(self):
-        sim, net, channel = make_channel(max_retries=6)
+    @staticmethod
+    def send_fifty_under_loss(max_retries):
+        sim, net, channel = make_channel(max_retries=max_retries)
         got = []
         channel.register("a", lambda m: None)
         channel.register("b", got.append)
@@ -142,6 +143,20 @@ class TestLossRecovery:
         for i in range(50):
             channel.send("a", "b", i)
         sim.run()
-        # 40% loss with 6 retries: effectively certain delivery of all 50.
-        assert sorted(m.payload for m in got) == list(range(50))
         assert channel.stats.retransmits > 0
+        return [m.payload for m in got], channel.stats.gave_up
+
+    def test_delivery_under_heavy_seeded_loss(self):
+        # 40% loss with 6 retries can lose a message (about one run in
+        # ten): the contract is that each payload is delivered exactly
+        # once or abandoned once, counted in gave_up.
+        delivered, gave_up = self.send_fifty_under_loss(max_retries=6)
+        assert len(delivered) == len(set(delivered))
+        assert set(delivered) <= set(range(50))
+        assert len(delivered) + gave_up == 50
+
+    def test_delivery_of_all_under_heavy_loss_with_a_deep_budget(self):
+        # 12 retries: a miss needs 13 losses in a row, at most 50 * 0.4**13.
+        delivered, gave_up = self.send_fifty_under_loss(max_retries=12)
+        assert sorted(delivered) == list(range(50))
+        assert gave_up == 0

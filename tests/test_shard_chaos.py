@@ -148,19 +148,20 @@ class TestDuplicateReceiptDelivery:
 class TestReceiptReplayRegression:
     """Pin the PR-5 pack-time replay hole (found while verifying PR 7).
 
-    At S=4, seed=11, ``FaultPlan(seed=61+k)`` with loss=0.02/dup=0.05, a
+    At S=4, seed=3, ``FaultPlan(seed=53+k)`` with loss=0.02/dup=0.05, a
     duplicated relay arriving between one leader's pack and the block's
     observation used to be re-buffered at the *next* round's leader —
     whose ``ReceiptInbox.ingest`` dedup ran before the applied set
     learned the id — and committed twice (a ``receipt-replay`` auditor
     violation). ``ReceiptInbox.take`` now re-checks the applied set at
-    pack time; this schedule reproduced the replay deterministically
-    before the fix.
+    pack time.  Seed 3 is the first deploy seed whose schedule commits
+    a receipt twice with that re-check removed (so are 6, 7 and 13 of
+    1–14), and it is clean with the re-check in place.
     """
 
     def run_pinned(self):
         coordinator, workload = deploy(
-            11, l=16, n=8, m=8, shards=4, p_cross=0.3,
+            3, l=16, n=8, m=8, shards=4, p_cross=0.3,
             faults=faulted(LinkFaultSpec(loss=0.02, duplicate=0.05), 50),
         )
         for _ in range(6):
@@ -178,34 +179,37 @@ class TestReshuffleKeepsDeliveredTransactions:
     """Pin PR 12's "stranded transaction", root-caused in PR 15.
 
     ``Governor.drop_collector`` forgets a buffered transaction once its
-    last label is scrubbed.  In this schedule p14's round-12 transaction
-    was reported by c3 and c5 to g0/g2/g4/g6 with the Δ timers pending
-    across the barrier; both collectors migrate at the round-12 reshuffle,
-    every governor forgot it, and one valid spec never committed while
-    every audit stayed clean.  ``NodeLifecycle.release`` now screens such a
-    transaction before the drop.
+    last label is scrubbed.  In this schedule g0, g2 and g4 hold p22's
+    round-4 transaction (payload ``seq`` 83) on c7's report alone, with
+    the Δ timers pending across the barrier; c7 migrates at the round-4
+    reshuffle, every governor forgets it, and one valid spec never
+    commits while every audit stays clean.  ``NodeLifecycle.release`` now
+    screens such a transaction before the drop.  Seed 166 is the first
+    soak seed that strands a spec with that screening removed (178 and
+    242 are the next), and it strands none with it in place.
     """
 
     def test_pinned_schedule_commits_every_valid_spec(self):
-        assert stranded_specs(seed=50, rounds=12, flush=8) == []
+        assert stranded_specs(seed=166, rounds=12, flush=8) == []
 
 
 class TestLeaderStarvationWait:
-    """Pin seed 159: a screened transaction waits for its governor's turn.
+    """Pin seed 644: a screened transaction waits for its governor's turn.
 
-    The same soak schedule at seed 159 leaves ``p16``'s transaction
-    (payload ``seq`` 944) screened but parked in one governor's
-    carry-over queue until the stake-weighted election picks that
-    governor: 8 flush super-rounds end the run before it does, 24 do
-    not.  This pins today's wait, not a promise — it is the regression
-    anchor for the liveness decision ROADMAP item 3 still has to take
-    (forward screened records to the leader, or bound the claim by the
-    election's expected return time).
+    The same soak schedule at seed 644 leaves ``p23``'s transaction
+    (payload ``seq`` 959) screened but parked in the carry-over queues of
+    shard 1's g1 and g7 until the stake-weighted election picks one of
+    them: 8 flush super-rounds end the run before it does, 24 do not.
+    Seed 644 is the first of 1–800 that strands a spec at 8 flushes (731
+    is the other).  This pins today's wait, not a promise — it is the
+    regression anchor for ROADMAP item 9, bounded Validity, which has
+    still to choose its fix (forward screened records to the leader, or
+    bound the claim by the election's expected return time).
     """
 
-    @pytest.mark.parametrize("flush, stranded", [(8, [("p16", 944)]), (24, [])])
+    @pytest.mark.parametrize("flush, stranded", [(8, [("p23", 959)]), (24, [])])
     def test_one_valid_spec_commits_only_after_a_long_flush(self, flush, stranded):
-        assert stranded_specs(seed=159, rounds=40, flush=flush) == stranded
+        assert stranded_specs(seed=644, rounds=40, flush=flush) == stranded
 
 
 class TestRelayRacesLeaderCrash:
@@ -251,7 +255,7 @@ class TestRelayRacesLeaderCrash:
 
 class TestReshuffleMidRelay:
     def test_epoch_reshuffle_lands_between_legs(self):
-        coordinator, workload = deploy(11)
+        coordinator, workload = deploy(1)
         coordinator.submit(workload.take(16))
         coordinator.run_super_round()
         assert coordinator._pending, "no receipt in flight to disturb"

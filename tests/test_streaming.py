@@ -278,7 +278,7 @@ class TestStreamingWorkload:
         universe = VirtualUniverse(universe=64, n=4, m=2, r=2)
 
         def hungry(spec, index, rng):
-            rng.random(index + 1)  # a domain that consumes a lot
+            [rng.random() for _ in range(index + 1)]  # a domain that consumes a lot
             return spec
 
         plain, hooked = (
