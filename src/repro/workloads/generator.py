@@ -95,7 +95,8 @@ class BernoulliWorkload(WorkloadGenerator):
 
 
 class PerProviderWorkload(WorkloadGenerator):
-    """Each provider has his own validity rate ~ Beta(a, b), drawn once."""
+    """Each provider has his own validity rate ~ Beta(a, b), drawn once
+    (``a`` and ``b`` whole numbers, as :meth:`repro.rng.Generator.beta` draws)."""
 
     def __init__(
         self,
@@ -105,8 +106,10 @@ class PerProviderWorkload(WorkloadGenerator):
         seed: int = 0,
     ):
         super().__init__(providers, seed)
-        if alpha <= 0 or beta <= 0:
-            raise ConfigurationError("Beta distribution parameters must be positive")
+        if min(alpha, beta) < 1 or alpha != int(alpha) or beta != int(beta):
+            raise ConfigurationError(
+                f"Beta parameters must be whole numbers >= 1, got {alpha}, {beta}"
+            )
         # Drawn up-front from the validity stream, as every golden run pins.
         self.rates = {p: self.rng.beta(alpha, beta) for p in self.providers}
 
