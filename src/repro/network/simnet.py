@@ -389,9 +389,8 @@ class SyncNetwork:
         Fast path: with no fault hook, no partitions, and all receivers
         registered, the per-edge latencies come from ONE batched RNG
         call instead of one scalar draw per edge.
-        :meth:`repro.rng.Generator.uniform` with ``size=n`` yields exactly
-        the same variates (and leaves the same generator state) as n
-        sequential scalar draws, so the fast path is bit-identical to the
+        :meth:`repro.rng.Generator.uniform` with ``size=n`` makes the n
+        scalar draws in order, so the fast path is bit-identical to the
         loop of :meth:`send` calls it replaces.
         """
         if (

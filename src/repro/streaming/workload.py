@@ -6,8 +6,9 @@ nothing is allocated per provider until a transaction actually names
 one.  Each transaction's provider is drawn uniformly from the universe
 and is valid with one rate, ``p_valid``, for everyone.  The validity
 draws come from the main seeded stream; provider selection and payload
-enrichment each draw from their own tagged ``SeedSequence`` spawn, so
-however much randomness one of them consumes never perturbs another.
+enrichment each draw from their own tagged stream
+(``default_rng([seed, TAG])``), so however much randomness one of them
+consumes never perturbs another.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.workloads.generator import TxSpec
 
 __all__ = ["StreamingWorkload"]
 
-#: Stream tags for the auxiliary RNGs (``SeedSequence([seed, TAG, ...])``).
+#: Stream tags for the auxiliary RNGs (``default_rng([seed, TAG])``).
 #: Frozen constants — changing one changes every seeded streaming run.
 _SELECT_TAG = 0x53545232  # "STR2": uniform provider selection
 _DOMAIN_TAG = 0x53545233  # "STR3": payload enrichment (``spec_hook``)

@@ -9,7 +9,7 @@ process controls offered load.  Three standard models:
 * :class:`BurstyArrivals` — two-state (background / burst) modulated
   Poisson, the flash-sale spike model.
 
-Each process derives its randomness from ``SeedSequence([seed, TAG])``
+Each process derives its randomness from ``default_rng([seed, TAG])``
 with a per-class stream tag, so two processes built from the same seed
 — or a process composed with a workload generator seeded identically —
 draw from decorrelated streams and never perturb each other's counts.
@@ -27,7 +27,7 @@ __all__ = [
     "BurstyArrivals",
 ]
 
-#: Per-class stream tags: spawn keys for ``SeedSequence([seed, TAG])``.
+#: Per-class stream tags, for ``default_rng([seed, TAG])``.
 #: Frozen constants — changing one changes every seeded arrival stream.
 _POISSON_TAG = 0x41525231  # "ARR1"
 _BURSTY_TAG = 0x41525233  # "ARR3"
