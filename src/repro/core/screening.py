@@ -115,7 +115,7 @@ def screen_transaction(
     """
     provider = reports.provider
     reporters = sorted(reports.labels)  # deterministic ordering for the draw
-    # Amortized-O(1) snapshot: weights, pairwise-order mass, and normalized
+    # Amortized-O(1) snapshot: weights, their total mass, and normalized
     # probabilities are all cached per (provider, reporters) row and
     # reused until some underlying reputation entry changes.
     row = book.selection_row(provider, reporters)
