@@ -29,7 +29,6 @@ Name: {_NAME}
 Version: {_VERSION}
 Summary: Reproduction of 'An Efficient Permissioned Blockchain with Provable Reputation Mechanism' (ICDCS 2021 poster)
 Requires-Python: >=3.10
-Requires-Dist: numpy>=1.24
 """
 
 _WHEEL_META = """\

@@ -13,7 +13,7 @@ prints the paper-style table, and persists it twice under
 
 Timing is reported by pytest-benchmark; the tables are the scientific
 output.  The JSON twin's ``meta`` block records the wall-clock duration
-and the python/numpy versions of the producing run; everything else is
+and the python version of the producing run; everything else is
 seed-determined, so reruns with the same seeds are byte-identical
 outside ``meta``.
 """
@@ -25,8 +25,6 @@ import pathlib
 import platform
 import re
 import time
-
-import numpy as np
 
 # Re-exported: the benches import the standard mix from here.
 from repro.agents.behaviors import standard_adversary_mix
@@ -126,7 +124,7 @@ def runtime_meta(duration_s: float | None = None) -> dict:
     """The metadata block stamped into every BENCH twin.
 
     Records the producing run's wall-clock duration (seconds) and the
-    python/numpy versions — enough to interpret throughput numbers and
+    python version — enough to interpret throughput numbers and
     spot environment drift between otherwise byte-identical reruns.
     """
     if duration_s is None:
@@ -134,7 +132,6 @@ def runtime_meta(duration_s: float | None = None) -> dict:
     return {
         "duration_s": round(float(duration_s), 3),
         "python": platform.python_version(),
-        "numpy": np.__version__,
     }
 
 

@@ -8,7 +8,7 @@ A4: argue window U — regret as truth-revelation latency grows.
 
 from __future__ import annotations
 
-import numpy as np
+from statistics import fmean
 
 from _helpers import emit, standard_adversary_mix
 from repro.agents.behaviors import AlwaysInvertBehavior, HonestBehavior
@@ -26,7 +26,7 @@ def _mean_loss(**kwargs) -> float:
         ).run().expected_loss
         for s in SEEDS
     ]
-    return float(np.mean(losses))
+    return fmean(losses)
 
 
 def _beta_sweep_table() -> str:

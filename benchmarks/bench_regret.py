@@ -9,7 +9,7 @@ log-log regret slope <= ~0.5.
 
 from __future__ import annotations
 
-import numpy as np
+from statistics import fmean
 
 from _helpers import emit, standard_adversary_mix
 from repro.analysis.regret_curves import run_regret_curve
@@ -70,7 +70,7 @@ def _latency_table() -> str:
                 standard_adversary_mix(), horizon=2000, seed=seed, reveal_lag=lag
             ).run()
             losses.append(result.expected_loss)
-        rows.append((lag, round(float(np.mean(losses)), 2)))
+        rows.append((lag, round(fmean(losses), 2)))
     return format_table(["reveal lag V (tx)", "L_T at T = 2000"], rows)
 
 

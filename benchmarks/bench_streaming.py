@@ -74,8 +74,8 @@ SUBLINEAR_FACTOR = 8.0
 #: Peak active sets across scales may differ only by sampling noise
 #: (uniform selection collides less in bigger universes).
 ACTIVE_SLACK = 0.25
-#: CI ceiling for --quick at 10^5 providers: far above the interpreter
-#: + numpy baseline, far below any universe-proportional blow-up.
+#: CI ceiling for --quick at 10^5 providers: far above the interpreter's
+#: baseline, far below any universe-proportional blow-up.
 QUICK_RSS_CEILING_BYTES = 512 * 1024 * 1024
 
 

@@ -7,7 +7,7 @@ tail P[count > (f+delta)N] sits below Hoeffding's exp(-2 delta^2 N).
 
 from __future__ import annotations
 
-import numpy as np
+from statistics import fmean
 
 from _helpers import emit, standard_adversary_mix
 from repro.analysis.reporting import format_table
@@ -35,7 +35,7 @@ def _lemma2_table() -> str:
     rows = []
     for f in [0.1, 0.3, 0.5, 0.7, 0.9]:
         rates = [_unchecked_rate(f, 2000, seed) for seed in range(5)]
-        mean_rate = float(np.mean(rates))
+        mean_rate = fmean(rates)
         rows.append(
             (f, round(mean_rate, 4), round(max(rates), 4), "yes" if max(rates) <= f else "NO")
         )

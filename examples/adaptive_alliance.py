@@ -15,8 +15,6 @@ Run:  python examples/adaptive_alliance.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.agents.behaviors import HonestBehavior, MisreportBehavior, SleeperBehavior
 from repro.analysis.reporting import format_table
 from repro.baselines.base import PolicySimulation, ReputationPolicy
@@ -25,6 +23,7 @@ from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.network.topology import Topology
 from repro.network.visibility import VisibilityMap
+from repro.rng import default_rng
 from repro.workloads.generator import BernoulliWorkload
 
 
@@ -41,7 +40,7 @@ def demo_adaptive_f() -> None:
         SleeperBehavior(1500) for _ in range(4)  # defect at tx 1500
     ]
     sim = PolicySimulation(behaviors, horizon=4000, seed=5)
-    rng = np.random.default_rng(6)
+    rng = default_rng(6)
     checkpoints = {750: None, 1500: None, 1700: None, 4000: None}
     step = 0
     for truth, labels in sim.stream():

@@ -9,9 +9,8 @@ every point must sit below Theorem 1's explicit bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import fmean
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.agents.behaviors import CollectorBehavior
 from repro.analysis.stats import loglog_slope
@@ -105,10 +104,10 @@ def run_regret_curve(
         points.append(
             RegretPoint(
                 horizon=horizon,
-                mean_expected_loss=float(np.mean(losses)),
-                mean_s_min=float(np.mean(s_mins)),
-                mean_regret=float(np.mean(regrets)),
-                bound_rhs=float(np.mean(bounds)),
+                mean_expected_loss=fmean(losses),
+                mean_s_min=fmean(s_mins),
+                mean_regret=fmean(regrets),
+                bound_rhs=fmean(bounds),
             )
         )
     return RegretCurve(points=tuple(points))

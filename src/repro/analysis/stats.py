@@ -10,10 +10,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import linear_regression
 from typing import Sequence
-
-import numpy as np
 
 from repro.exceptions import ConfigurationError
 
@@ -29,8 +29,7 @@ def empirical_tail(samples: Sequence[float], threshold: float) -> float:
     """Fraction of samples strictly above ``threshold``."""
     if not samples:
         raise ConfigurationError("empirical tail needs at least one sample")
-    arr = np.asarray(samples, dtype=float)
-    return float(np.mean(arr > threshold))
+    return sum(x > threshold for x in samples) / len(samples)
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ def _chi2_sf(x: float, k: int) -> float:
 
     Implemented with a series/continued-fraction split so the analysis
     layer stays importable without scipy (scipy is available in dev
-    environments; this keeps the runtime dependency footprint at numpy).
+    environments; this keeps the package free of runtime dependencies).
     """
     a = k / 2.0
     s = x / 2.0
@@ -62,8 +61,6 @@ def _chi2_sf(x: float, k: int) -> float:
     # Regularised lower incomplete gamma P(a, s) by series (s < a+1) or
     # upper Q(a, s) by continued fraction (s >= a+1); Numerical-Recipes
     # style with double precision tolerances.
-    import math
-
     gln = math.lgamma(a)
     if s < a + 1.0:
         term = 1.0 / a
@@ -106,22 +103,22 @@ def chi_squared_uniformity(
 
     Used by E10: observed leadership counts per governor vs stake shares.
     """
-    obs = np.asarray(observed, dtype=float)
-    props = np.asarray(expected_proportions, dtype=float)
-    if obs.shape != props.shape:
-        raise ConfigurationError("observed and expected shapes differ")
-    if obs.size < 2:
+    if len(observed) != len(expected_proportions):
+        raise ConfigurationError("observed and expected lengths differ")
+    if len(observed) < 2:
         raise ConfigurationError("need at least two categories")
-    if abs(props.sum() - 1.0) > 1e-9:
-        raise ConfigurationError(f"expected proportions sum to {props.sum()}, not 1")
-    total = obs.sum()
+    if abs(sum(expected_proportions) - 1.0) > 1e-9:
+        raise ConfigurationError(
+            f"expected proportions sum to {sum(expected_proportions)}, not 1"
+        )
+    total = sum(observed)
     if total <= 0:
         raise ConfigurationError("no observations")
-    expected = props * total
-    if np.any(expected <= 0):
+    expected = [p * total for p in expected_proportions]
+    if min(expected) <= 0:
         raise ConfigurationError("every category needs positive expectation")
-    statistic = float(((obs - expected) ** 2 / expected).sum())
-    dof = obs.size - 1
+    statistic = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    dof = len(observed) - 1
     return ChiSquaredResult(statistic=statistic, dof=dof, p_value=_chi2_sf(statistic, dof))
 
 
@@ -131,15 +128,13 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     ``ys`` entries that are zero are floored at the smallest positive
     value to keep the fit defined (a zero regret at small T is common).
     """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.size != y.size or x.size < 2:
+    if len(xs) != len(ys) or len(xs) < 2:
         raise ConfigurationError("need >= 2 paired points for a slope")
-    if np.any(x <= 0):
+    if min(xs) <= 0:
         raise ConfigurationError("x values must be positive for a log-log fit")
-    positive = y[y > 0]
-    if positive.size == 0:
+    positive = [y for y in ys if y > 0]
+    if not positive:
         return 0.0
-    y = np.maximum(y, positive.min())
-    slope, _intercept = np.polyfit(np.log(x), np.log(y), 1)
-    return float(slope)
+    floor = min(positive)
+    log_x = [math.log(x) for x in xs]
+    return linear_regression(log_x, [math.log(max(y, floor)) for y in ys]).slope

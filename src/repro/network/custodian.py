@@ -5,9 +5,9 @@ A custodian is the process at the far end of
 every conveyed frame and acknowledges it.  It holds no agent state (the
 driving engine does; see DESIGN.md, "The custodian split"), so this
 module imports nothing but the standard library and
-:mod:`repro.exceptions` — a peer boots without numpy and without the
-engines, and a custodian that one day runs engines will import the
-engine modules it runs, never the CLI.
+:mod:`repro.exceptions` — a peer boots without the engines, and a
+custodian that one day runs engines will import the engine modules it
+runs, never the CLI.
 
 Run one with ``python -m repro.network.custodian``: it binds an
 OS-assigned port on 127.0.0.1, prints the :data:`ANNOUNCEMENT` line and

@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import multiprocessing
 
-import numpy as np
 import pytest
 
 from repro.core.params import ProtocolParams
 from repro.crypto.identity import IdentityManager, Role
 from repro.network.topology import Topology
+from repro.rng import Generator, default_rng
 
 
 @pytest.fixture
-def rng() -> np.random.Generator:
+def rng() -> Generator:
     """A fresh, seeded RNG per test."""
-    return np.random.default_rng(12345)
+    return default_rng(12345)
 
 
 @pytest.fixture

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveF
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
+from repro.rng import default_rng
 
 
 class TestConstruction:
@@ -89,7 +89,7 @@ class TestDynamics:
     def test_converges_to_low_rate_regime(self):
         """Against a Bernoulli(q) mistake process with q << target, the
         controller climbs; with q >> target it collapses to the floor."""
-        rng = np.random.default_rng(3)
+        rng = default_rng(3)
         quiet = AdaptiveF(target_mistake_rate=0.05, initial_f=0.3)
         for _ in range(2000):
             quiet.observe_reveal(bool(rng.random() < 0.001))

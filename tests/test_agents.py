@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.agents.behaviors import (
@@ -25,6 +24,7 @@ from repro.ledger.transaction import (
 )
 from repro.ledger.validation import CountingOracle, GroundTruthOracle
 from repro.network.topology import Topology
+from repro.rng import default_rng
 
 
 @pytest.fixture
@@ -62,7 +62,7 @@ def make_collector(world, cid="c0", behavior=None, seed=0):
         key=im.record(cid).key,
         linked_providers=topo.providers_of(cid),
         behavior=behavior or HonestBehavior(),
-        rng=np.random.default_rng(seed),
+        rng=default_rng(seed),
     )
 
 
@@ -74,7 +74,7 @@ def make_governor(world, gid="g0", params=None):
         params=params or ProtocolParams(f=0.5),
         im=im,
         oracle=CountingOracle(inner=oracle),
-        rng=np.random.default_rng(99),
+        rng=default_rng(99),
     )
     gov.register_topology(topo)
     return gov
@@ -289,8 +289,10 @@ class TestGovernor:
         assert gov.metrics.transactions_screened == 1
 
     def test_checked_invalid_discarded(self, world):
+        # A +1 label is always checked (only a -1 may skip), so the
+        # invalid transaction is verified and dropped for any seed.
         gov = make_governor(world)
-        upload, _tx = self._upload(world, valid=False)
+        upload, _tx = self._upload(world, valid=False, label=Label.VALID)
         gov.ingest_upload(upload)
         records = gov.screen_pending()
         assert records == []
@@ -367,7 +369,7 @@ class TestGovernor:
         gov = Governor(
             governor_id="g0", key=im.record("g0").key,
             params=ProtocolParams(f=0.5), im=im,
-            oracle=CountingOracle(inner=oracle), rng=np.random.default_rng(99),
+            oracle=CountingOracle(inner=oracle), rng=default_rng(99),
         )
         gov.link_provider("p0", ("c0",))  # nothing visible yet: links nobody
         assert gov._linked["p0"] == ()
@@ -399,7 +401,7 @@ class TestAbusiveArguer:
             key=im.record("p0").key,
             linked_collectors=topo.collectors_of("p0"),
             argue_abuse_rate=1.0,
-            abuse_rng=np.random.default_rng(1),
+            abuse_rng=default_rng(1),
         )
         block, tx = self._invalid_unchecked_block(world, provider)
         assert provider.review_block(block, oracle) == [tx.tx_id]
@@ -425,7 +427,7 @@ class TestAbusiveArguer:
         provider = Provider(
             provider_id="p0", key=im.record("p0").key,
             linked_collectors=topo.collectors_of("p0"),
-            argue_abuse_rate=1.0, abuse_rng=np.random.default_rng(2),
+            argue_abuse_rate=1.0, abuse_rng=default_rng(2),
         )
         tx = provider.create_transaction("junk", 1.0)
         oracle.assign(tx, False)

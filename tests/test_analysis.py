@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.analysis.complexity import fit_linear, fit_power_law, fit_quadratic
@@ -21,6 +20,7 @@ from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.exceptions import ConfigurationError
 from repro.network.topology import Topology
+from repro.rng import default_rng
 from repro.workloads.generator import BernoulliWorkload
 
 
@@ -35,8 +35,10 @@ class TestEmpiricalTail:
 
 class TestChiSquared:
     def test_uniform_counts_consistent(self):
-        rng = np.random.default_rng(1)
-        counts = np.bincount(rng.integers(0, 4, size=4000), minlength=4)
+        rng = default_rng(1)
+        counts = [0] * 4
+        for _ in range(4000):
+            counts[rng.integers(4)] += 1
         result = chi_squared_uniformity(counts, [0.25] * 4)
         assert result.consistent(alpha=0.01)
 

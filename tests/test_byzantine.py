@@ -4,7 +4,6 @@ governor equivocation — and the auditor/quarantine responses to each.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.audit.auditor import ViolationType
@@ -30,6 +29,7 @@ from repro.ledger.transaction import (
 from repro.network.broadcast import SequencedPayload
 from repro.network.reliable import ReliableEnvelope
 from repro.network.topology import Topology
+from repro.rng import default_rng
 from repro.workloads.generator import BernoulliWorkload
 
 
@@ -203,7 +203,7 @@ class TestCartel:
 
     def test_cartel_conceals_only_the_target(self):
         plan = CartelPlan(target_provider="p0", mode="conceal")
-        rng = np.random.default_rng(0)
+        rng = default_rng(0)
         member = ColludingCollectorBehavior(plan)
         target_tx = make_signed_transaction(
             SigningKey(owner="p0", secret=b"\x0a" * 32), "x", 1.0, nonce=0
@@ -238,7 +238,7 @@ class TestCartel:
 
 class TestAdaptiveAttacker:
     def test_honest_until_probe_bound(self):
-        rng = np.random.default_rng(0)
+        rng = default_rng(0)
         attacker = AdaptiveAttackerBehavior(defect_above=1.0, p_defect=1.0)
         assert attacker.label_for(True, rng) is Label.VALID
         assert attacker.defections == 0
@@ -272,7 +272,7 @@ class TestTwoFaced:
             TwoFacedCollectorBehavior(period=0)
 
     def test_conflicting_label_every_period(self):
-        rng = np.random.default_rng(0)
+        rng = default_rng(0)
         behavior = TwoFacedCollectorBehavior(period=2)
         tx = make_signed_transaction(
             SigningKey(owner="p0", secret=b"\x0a" * 32), "x", 1.0, nonce=0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.agents.behaviors import AlwaysInvertBehavior, HonestBehavior
@@ -11,6 +10,7 @@ from repro.core.game import PROVIDER
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label
+from repro.rng import default_rng
 
 
 def make_policy(ids=("c0", "c1", "c2"), f=0.7):
@@ -101,7 +101,7 @@ class TestChurnMidStream:
         policy.add_collector("fresh", bootstrap="median")
         assert policy.weights["fresh"] >= inverter_weight
         # The policy still screens correctly with the extended roster.
-        rng = np.random.default_rng(11)
+        rng = default_rng(11)
         decision = policy.screen(
             {"c0": Label.VALID, "fresh": Label.VALID}, rng
         )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.agents.governor import Governor
@@ -19,6 +18,7 @@ from repro.ledger.transaction import (
     tx_message,
 )
 from repro.ledger.validation import CountingOracle, GroundTruthOracle
+from repro.rng import default_rng
 
 
 def ingest(im: IdentityManager, upload, governor: str = "g0") -> tuple[bool, int]:
@@ -34,7 +34,7 @@ def ingest(im: IdentityManager, upload, governor: str = "g0") -> tuple[bool, int
         params=ProtocolParams(f=0.5),
         im=im,
         oracle=CountingOracle(inner=GroundTruthOracle()),
-        rng=np.random.default_rng(0),
+        rng=default_rng(0),
     )
     gov.register_streaming({upload.collector: (upload.tx.provider,)})
     return gov.ingest_upload(upload), gov.metrics.forgeries_caught

@@ -1,14 +1,16 @@
 """Import hygiene: what a process loads, and that no import order is load-bearing.
 
-A custodian peer boots on :mod:`repro.network.custodian` alone, so the
-modules it pulls in are pinned: the standard library (without numpy,
-asyncio or ssl), ``repro.exceptions`` and the two package inits on the
-way.  Every module but
-``repro.__main__`` must also import as the *first* ``repro`` module of
-an interpreter — a cycle that only an earlier import's order hides fails
-here, naming the modules on it.  Each name has one import path, its
-defining module: a package init holds only its docstring, bar the three
-in ``REEXPORTING_INITS``.
+The package runs on the standard library alone: every ``import`` under
+``src/repro``, a lazy one inside a function included, names a
+``sys.stdlib_module_names`` module or ``repro`` itself.  A custodian
+peer boots on :mod:`repro.network.custodian` alone, so the modules it
+pulls in are pinned: the standard library (without numpy, asyncio or
+ssl), ``repro.exceptions`` and the two package inits on the way.  Every
+module but ``repro.__main__`` must also import as the *first* ``repro``
+module of an interpreter — a cycle that only an earlier import's order
+hides fails here, naming the modules on it.  Each name has one import
+path, its defining module: a package init holds only its docstring, bar
+the three in ``REEXPORTING_INITS``.
 """
 
 from __future__ import annotations
@@ -60,31 +62,24 @@ def test_custodian_loads_neither_asyncio_nor_ssl():
     assert not [name for name in loaded if name.split(".")[0] in ("asyncio", "ssl")]
 
 
-#: Modules on the path of ``repro run`` / ``recover`` / ``serve``, the
-#: deployments' hosts and the processes they fork, plus the reputation game
-#: and the E8 policy simulation: numpy stays in ``repro.analysis``.
-ENGINE_MODULES = (
-    "repro.cli",
-    "repro.workloads.scenarios",
-    "repro.core.protocol",
-    "repro.core.netengine",
-    "repro.core.game",
-    "repro.baselines.base",
-    "repro.sharding.coordinator",
-    "repro.parallel.worker",
-    "repro.network.cluster",
-    "repro.storage",
-)
+def _imported_roots(path: pathlib.Path):
+    """The top-level package of every absolute ``import`` in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
 
 
-def test_engine_modules_load_no_numpy():
-    loaded = _run(
-        "import importlib, json, sys\n"
-        f"for name in {ENGINE_MODULES!r}:\n"
-        "    importlib.import_module(name)\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
+def test_package_imports_only_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"repro"}
+    offenders = sorted(
+        f"{path.relative_to(_SRC)}: {root}"
+        for path in (_SRC / "repro").rglob("*.py")
+        for root in _imported_roots(path)
+        if root not in allowed
     )
-    assert not [name for name in loaded if name.split(".")[0] == "numpy"]
+    assert offenders == []
 
 
 #: What only a networked, sharded, streaming, faulted or durable run loads.

@@ -9,8 +9,8 @@ produce; these tests say what each transition must leave behind.
 from __future__ import annotations
 
 from dataclasses import replace
+from statistics import median
 
-import numpy as np
 import pytest
 
 from repro.agents.governor import Governor
@@ -63,7 +63,7 @@ def assert_at_median(engine, cid):
                 if other != cid
                 and provider in governor.book.vector(other).provider_weights
             ]
-            assert weight == pytest.approx(float(np.median(incumbents)))
+            assert weight == pytest.approx(median(incumbents))
 
 
 @pytest.mark.parametrize("node", ["g1", "c1"])

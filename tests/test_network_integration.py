@@ -13,7 +13,6 @@ to check the distributed-systems assumptions the engine relies on:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.agents.behaviors import HonestBehavior
@@ -25,6 +24,7 @@ from repro.ledger.validation import GroundTruthOracle
 from repro.network.broadcast import AtomicBroadcast
 from repro.network.simnet import Simulator, SyncNetwork
 from repro.network.topology import Topology
+from repro.rng import default_rng
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ def wired_world():
             provider_id=pid, key=key, linked_collectors=topo.collectors_of(pid)
         )
     collectors = {}
-    rng = np.random.default_rng(5)
+    rng = default_rng(5)
     for cid in topo.collectors:
         key = im.enroll(cid, Role.COLLECTOR)
         collectors[cid] = Collector(
@@ -52,7 +52,7 @@ def wired_world():
             key=key,
             linked_providers=topo.providers_of(cid),
             behavior=HonestBehavior(),
-            rng=np.random.default_rng(rng.integers(2**63)),
+            rng=default_rng(rng.integers(2**63)),
         )
         for pid in topo.providers_of(cid):
             im.register_link(cid, pid)

@@ -6,7 +6,8 @@ print the full tables; here we assert the claims hold at fixed sizes).
 
 from __future__ import annotations
 
-import numpy as np
+from statistics import fmean
+
 import pytest
 
 from repro.agents.behaviors import (
@@ -34,7 +35,7 @@ class TestTheorem1Scaling:
                 ReputationGame(standard_adversary_mix(), horizon=horizon, seed=s).run().regret
                 for s in range(5)
             ]
-            regrets.append(float(np.mean(per_seed)))
+            regrets.append(fmean(per_seed))
         slope = loglog_slope(horizons, regrets)
         assert slope <= 0.65  # sqrt growth with sampling noise margin
 

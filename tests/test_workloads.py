@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
+from statistics import fmean
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -66,7 +67,7 @@ class TestPerProvider:
         by_provider = {p: [] for p in PROVIDERS}
         for s in specs:
             by_provider[s.provider].append(s.is_valid)
-        empirical = {p: np.mean(v) for p, v in by_provider.items()}
+        empirical = {p: fmean(v) for p, v in by_provider.items()}
         for p in PROVIDERS:
             assert empirical[p] == pytest.approx(wl.rates[p], abs=0.06)
 
@@ -102,7 +103,7 @@ class TestArrivals:
     def test_poisson_mean(self):
         arr = PoissonArrivals(rate=10.0, seed=5)
         counts = [arr.count_for_round(r) for r in range(2000)]
-        assert np.mean(counts) == pytest.approx(10.0, abs=0.5)
+        assert fmean(counts) == pytest.approx(10.0, abs=0.5)
 
     def test_poisson_negative_rate_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -111,7 +112,7 @@ class TestArrivals:
     def test_bursty_mean_between_rates(self):
         arr = BurstyArrivals(5.0, 50.0, p_burst=0.2, p_end=0.3, seed=4)
         counts = [arr.count_for_round(r) for r in range(2000)]
-        assert 5.0 < np.mean(counts) < 50.0
+        assert 5.0 < fmean(counts) < 50.0
         assert min(counts) >= 0
 
     def test_bursty_burst_below_background_rejected(self):
