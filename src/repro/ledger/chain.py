@@ -39,33 +39,46 @@ class Ledger:
 
     owner: str = "replica"
     _blocks: list[Block] = field(default_factory=list)
+    #: Serial of the tip (0 when empty).  Stored rather than derived:
+    #: every reader cursor of the published store reads it each round.
+    height: int = field(default=0, init=False)
     #: Checkpoint base: serials ``<= _base_serial`` are compacted away
     #: and vouched for by a durable Merkle checkpoint (repro.storage).
-    _base_serial: int = 0
-    _base_hash: bytes = GENESIS_PREV_HASH
+    _base_serial: int = field(default=0, init=False)
+    _base_hash: bytes = field(default=GENESIS_PREV_HASH, init=False)
 
     @classmethod
     def from_checkpoint(cls, owner: str, serial: int, tip_hash: bytes) -> "Ledger":
-        """A replica anchored at a checkpoint instead of genesis.
+        """A replica anchored at a checkpoint instead of genesis (see :meth:`anchor`)."""
+        ledger = cls(owner=owner)
+        ledger.anchor(serial, tip_hash)
+        return ledger
+
+    def anchor(self, serial: int, tip_hash: bytes) -> None:
+        """Anchor an *empty* replica at a checkpoint base.
 
         Used after restart-from-disk when segments below the checkpoint
-        were compacted: the replica resumes appending at
-        ``serial + 1`` against ``tip_hash`` without holding the prefix.
+        were compacted: the replica resumes appending at ``serial + 1``
+        against ``tip_hash`` without holding the prefix.
 
         Raises:
-            LedgerError: malformed anchor.
+            LedgerError: the replica is not empty, or the anchor is
+                malformed.
         """
+        if self.height:
+            raise LedgerError(f"{self.owner}: cannot anchor a non-empty chain")
         if serial < 1 or len(tip_hash) != 32:
-            raise LedgerError(f"{owner}: malformed checkpoint anchor (serial {serial})")
-        ledger = cls(owner=owner)
-        ledger._base_serial = serial
-        ledger._base_hash = tip_hash
-        return ledger
+            raise LedgerError(f"{self.owner}: malformed checkpoint anchor (serial {serial})")
+        self._base_serial = self.height = serial
+        self._base_hash = tip_hash
 
     # -- writes --------------------------------------------------------
 
     def append(self, block: Block) -> None:
         """Append ``block``, enforcing No-Skipping and Chain Integrity.
+
+        The one home of the append rule: every replica, the published
+        store and crash recovery extend a chain through here.
 
         Raises:
             SkippedBlockError: serial is not ``height + 1``.
@@ -82,18 +95,19 @@ class Ledger:
                 f"{self.owner}: block {block.serial} prev_hash mismatch"
             )
         self._blocks.append(block)
+        self.height = expected_serial
 
     # -- reads ---------------------------------------------------------
-
-    @property
-    def height(self) -> int:
-        """Serial number of the tip (0 when empty)."""
-        return self._base_serial + len(self._blocks)
 
     @property
     def base_serial(self) -> int:
         """Serial this replica is anchored at (0 = genesis)."""
         return self._base_serial
+
+    @property
+    def base_hash(self) -> bytes:
+        """Tip hash at ``base_serial`` (the genesis hash when unanchored)."""
+        return self._base_hash
 
     def tip_hash(self) -> bytes:
         """Hash the next block must reference."""
@@ -128,25 +142,20 @@ class Ledger:
                 yield block.serial, rec
 
     def verify_integrity(self) -> None:
-        """Re-validate the held chain (serials + hash links) from its base.
+        """Re-validate the held chain by replaying it onto a fresh copy.
 
-        For an unanchored replica this is the full genesis check; an
-        anchored one verifies from the checkpoint hash instead.
+        The copy is anchored where this replica is (genesis, or the
+        checkpoint base), so an anchored replica verifies from the
+        checkpoint hash.
 
         Raises:
             SkippedBlockError / ChainIntegrityError: on corruption.
         """
-        prev = self._base_hash
-        for idx, block in enumerate(self._blocks, start=self._base_serial + 1):
-            if block.serial != idx:
-                raise SkippedBlockError(
-                    f"{self.owner}: serial {block.serial} at position {idx}"
-                )
-            if block.prev_hash != prev:
-                raise ChainIntegrityError(
-                    f"{self.owner}: hash link broken at serial {idx}"
-                )
-            prev = block.hash()
+        replay = Ledger(owner=self.owner)
+        if self._base_serial:
+            replay.anchor(self._base_serial, self._base_hash)
+        for block in self._blocks:
+            replay.append(block)
 
 
 def check_agreement(replicas: Iterable[Ledger]) -> None:

@@ -8,117 +8,55 @@ committed blocks, any node reads them, and per-reader cursors let active
 providers consume the chain in order without missing a block (the
 definition of an *active* node).
 
-A store may be *anchored* at a checkpoint base ``(base_serial,
-base_hash)``: blocks at or below the base have been compacted away
-(their integrity is pinned by a durable Merkle checkpoint — see
-:mod:`repro.storage`) and only the suffix is held in memory.  The
-default base is 0/genesis, which is the classic full store.
+The store *is* a :class:`~repro.ledger.chain.Ledger`: its height, tip,
+``retrieve`` and checkpoint anchor are the ledger's, and a block enters
+it only through ``Ledger.append`` — so the published chain keeps Chain
+Integrity and No Skipping exactly as every replica does.  What the store
+adds is the reader cursors and an idempotent ``publish``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.exceptions import AgreementError, BlockNotFoundError, LedgerError
-from repro.ledger.block import GENESIS_PREV_HASH, Block
+from repro.exceptions import AgreementError
+from repro.ledger.block import Block
+from repro.ledger.chain import Ledger
 
 __all__ = ["BlockStore"]
 
 
 @dataclass
-class BlockStore:
-    """Append-once, read-many block distribution.
+class BlockStore(Ledger):
+    """Append-once, read-many block distribution."""
 
-    Publishing the same serial twice with an identical block is a no-op
-    (every governor publishes each round); publishing a *different*
-    block for an existing serial raises — that would be an Agreement
-    violation surfacing at the storage layer.
-    """
-
-    _blocks: dict[int, Block] = field(default_factory=dict)
+    owner: str = "store"
     _cursors: dict[str, int] = field(default_factory=dict)
-    #: Highest serial published, tracked incrementally — ``height`` sits
-    #: on the per-round per-reader hot path via ``unread_count``.
-    _height: int = 0
-    _base_serial: int = 0
-    _base_hash: bytes = GENESIS_PREV_HASH
-
-    @property
-    def height(self) -> int:
-        """Highest serial published so far."""
-        return self._height
-
-    @property
-    def base_serial(self) -> int:
-        """Serial the store is anchored at (0 = full chain from genesis)."""
-        return self._base_serial
-
-    @property
-    def base_hash(self) -> bytes:
-        """Tip hash at ``base_serial`` (genesis hash when unanchored)."""
-        return self._base_hash
-
-    def tip_hash(self) -> bytes:
-        """Hash the next published block must reference."""
-        if self._height == self._base_serial:
-            return self._base_hash
-        return self.retrieve(self._height).hash()
-
-    def anchor(self, serial: int, tip_hash: bytes) -> None:
-        """Anchor an *empty* store at a checkpointed base.
-
-        Raises:
-            LedgerError: the store already holds blocks, or the anchor
-                is malformed.
-        """
-        if self._blocks or self._height:
-            raise LedgerError("cannot anchor a non-empty store")
-        if serial < 1 or len(tip_hash) != 32:
-            raise LedgerError(f"malformed anchor (serial {serial})")
-        self._base_serial = serial
-        self._base_hash = tip_hash
-        self._height = serial
 
     def publish(self, block: Block) -> None:
         """Make ``block`` available to all readers.
 
-        Publishing a serial at or below the anchored base is a no-op:
-        those blocks are already pinned by the checkpoint the base came
-        from, and the compacted store has nothing to conflict-check
-        against.
+        Every governor publishes each round, so publishing is idempotent:
+        a serial at or below the anchored base is a no-op (the checkpoint
+        the base came from already pins it), and so is a block identical
+        to the one held at its serial.  Anything else must extend the
+        tip.
 
         Raises:
-            AgreementError: a conflicting block exists for this serial.
+            AgreementError: a different block is held at this serial.
+            SkippedBlockError / ChainIntegrityError: the block does not
+                extend the tip.
         """
-        if block.serial <= self._base_serial:
+        offset = block.serial - self._base_serial
+        if offset <= 0:
             return
-        existing = self._blocks.get(block.serial)
-        if existing is not None:
-            if existing.hash() != block.hash():
+        if offset <= len(self._blocks):
+            if self._blocks[offset - 1].hash() != block.hash():
                 raise AgreementError(
                     f"conflicting blocks published for serial {block.serial}"
                 )
             return
-        self._blocks[block.serial] = block
-        if block.serial > self._height:
-            self._height = block.serial
-
-    def retrieve(self, serial: int) -> Block:
-        """The paper's ``retrieve(s)`` for any node.
-
-        Raises:
-            BlockNotFoundError: serial not yet published, or compacted
-                below the anchored base.
-        """
-        try:
-            return self._blocks[serial]
-        except KeyError:
-            if 1 <= serial <= self._base_serial:
-                raise BlockNotFoundError(
-                    f"serial {serial} compacted below checkpoint base "
-                    f"{self._base_serial}"
-                ) from None
-            raise BlockNotFoundError(f"no published block with serial {serial}") from None
+        self.append(block)
 
     def next_for(self, reader: str) -> Block | None:
         """Next unread block for ``reader`` in serial order, or None.
@@ -129,15 +67,14 @@ class BlockStore:
         replayed from this store).
         """
         cursor = self._cursors.get(reader, self._base_serial)
-        block = self._blocks.get(cursor + 1)
-        if block is None:
+        if cursor >= self.height:
             return None
         self._cursors[reader] = cursor + 1
-        return block
+        return self._blocks[cursor - self._base_serial]
 
     def unread_count(self, reader: str) -> int:
         """How many published blocks ``reader`` has not consumed yet."""
-        return self._height - self._cursors.get(reader, self._base_serial)
+        return self.height - self._cursors.get(reader, self._base_serial)
 
     def forget_reader(self, reader: str) -> None:
         """Drop ``reader``'s cursor (no-op if absent).

@@ -3,32 +3,24 @@
 The paper's synchronous model assumes governors never miss a block; real
 deployments still need a recovery path — a governor that rebooted or was
 briefly partitioned must catch up before participating again.  Because
-blocks are hash-chained and the store enforces Agreement at publish
-time, catch-up is just: fetch serials ``height+1 .. store.height`` and
-append, letting the ledger's own integrity checks reject anything
-inconsistent.
-
-:func:`sync_replica` performs that, and :func:`verify_sync` confirms the
-replica's tip now matches the store.
+blocks are hash-chained and the store is itself a ledger, catch-up is
+just: fetch serials ``height+1 .. store.height`` and append, letting the
+replica's own integrity checks reject anything inconsistent.
 """
 
 from __future__ import annotations
 
-from repro.exceptions import LedgerError
 from repro.ledger.chain import Ledger
-from repro.ledger.store import BlockStore
 
-__all__ = ["sync_replica", "verify_sync"]
+__all__ = ["sync_replica"]
 
 
-def sync_replica(ledger: Ledger, store: BlockStore, limit: int | None = None) -> int:
-    """Append missing blocks from ``store`` to ``ledger``.
+def sync_replica(ledger: Ledger, store: Ledger) -> int:
+    """Append the blocks ``ledger`` lacks from ``store``.
 
     Args:
         ledger: The lagging replica (possibly empty).
-        store: The published chain.
-        limit: Max blocks to fetch this call (None = all); lets callers
-            rate-limit catch-up to interleave with live traffic.
+        store: The published chain (a block store, or any replica).
 
     Returns:
         Number of blocks appended.
@@ -38,22 +30,8 @@ def sync_replica(ledger: Ledger, store: BlockStore, limit: int | None = None) ->
             the store (its own append checks fire), which indicates
             local corruption — the caller should rebuild from genesis.
     """
-    if limit is not None and limit < 0:
-        raise LedgerError(f"sync limit cannot be negative, got {limit}")
     appended = 0
     while ledger.height < store.height:
-        if limit is not None and appended >= limit:
-            break
-        block = store.retrieve(ledger.height + 1)
-        ledger.append(block)
+        ledger.append(store.retrieve(ledger.height + 1))
         appended += 1
     return appended
-
-
-def verify_sync(ledger: Ledger, store: BlockStore) -> bool:
-    """Whether ``ledger`` is fully caught up and consistent with ``store``."""
-    if ledger.height != store.height:
-        return False
-    if ledger.height == 0:
-        return True
-    return ledger.retrieve(ledger.height).hash() == store.retrieve(store.height).hash()

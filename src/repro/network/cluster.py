@@ -162,10 +162,9 @@ def _drive(engine: NetworkedProtocolEngine, scenario: ClusterScenario) -> dict:
         result = engine.run_round(next_batch(rnd))
         committed += len(result.block.tx_list)
     engine.finalize()
-    height = engine.store.height
     return {
-        "tip": engine.store.retrieve(height).hash().hex() if height else "",
-        "height": height,
+        "tip": engine.store.tip_hash().hex(),
+        "height": engine.store.height,
         "committed": committed,
         "clock": engine.sim.now,
         "audit_clean": engine.harness_auditor.report.clean,

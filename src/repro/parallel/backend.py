@@ -355,11 +355,7 @@ class ShardHost:
         }
 
     def tip_hashes(self) -> dict[int, str]:
-        tips = {}
-        for k, engine in self.engines.items():
-            height = engine.store.height
-            tips[k] = engine.store.retrieve(height).hash().hex() if height else ""
-        return tips
+        return {k: engine.store.tip_hash().hex() for k, engine in self.engines.items()}
 
     def chain_stats(self) -> dict[int, ShardChainStats]:
         return {k: shard_chain_stats(engine, k) for k, engine in self.engines.items()}

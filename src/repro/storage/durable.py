@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Callable
 
 from repro.crypto.merkle import EMPTY_ROOT
-from repro.exceptions import LedgerError
 from repro.ledger.codec import encode_block
 from repro.ledger.store import BlockStore
 from repro.obs import NULL_REGISTRY, MetricsRegistry
@@ -144,22 +143,16 @@ class DurableBlockStore(BlockStore):
     # -- publishing ----------------------------------------------------
 
     def publish(self, block) -> None:
-        """Publish and durably append ``block``.
+        """Publish ``block`` and, when it extends the tip, durably append it.
 
-        The durable log is strictly sequential: out-of-order publishes
-        that the in-memory store would tolerate are rejected here, so
-        the on-disk chain always equals the in-memory one.
+        :meth:`BlockStore.publish` decides first: a republish is a no-op
+        and a block that does not extend the tip raises, so only blocks
+        the in-memory chain accepted ever reach the segment log.
         """
         before = self.height
-        if block.serial <= before:
-            super().publish(block)  # idempotence / conflict detection
-            return
-        if block.serial != before + 1:
-            raise LedgerError(
-                f"durable store appends sequentially: got serial "
-                f"{block.serial}, expected {before + 1}"
-            )
         super().publish(block)
+        if self.height == before:
+            return
         payload = json.dumps(
             encode_block(block), sort_keys=True, separators=(",", ":")
         ).encode()
@@ -199,7 +192,7 @@ class DurableBlockStore(BlockStore):
         if report.base_serial > 0:
             self.anchor(report.base_serial, report.base_hash)
         for block in report.blocks:
-            BlockStore.publish(self, block)  # already on disk; memory only
+            self.append(block)  # already on disk; memory only
         self._prev_root = report.resume_prev_root
         self._window_start = report.resume_window_start
         self._window = list(report.resume_window)

@@ -13,7 +13,10 @@ rest of the way into a
   which blocks are already on chain, and restores the reputation books
   the checkpoint pinned;
 * :meth:`~RestartHandoff.sync_from_peer` later pulls only the suffix
-  the disk did not have from a live peer's published store.
+  the disk did not have from a live peer's published store.  The local
+  store is a :class:`~repro.ledger.chain.Ledger`, so a pulled block that
+  does not extend the recovered tip is refused at ``publish``, before
+  it reaches the segment log.
 """
 
 from __future__ import annotations
@@ -69,10 +72,7 @@ class RestartHandoff:
             sync_replica(gov.ledger, store)
         # Resume the round counter past the recovered tip so freshly
         # packed blocks never reuse a committed round number.
-        engine.resume_past(
-            (store.retrieve(serial) for serial in range(base + 1, store.height + 1)),
-            round_number=base,
-        )
+        engine.resume_past(store.blocks(), round_number=base)
         self._restore_books()
 
     def _restore_books(self) -> None:
@@ -116,10 +116,11 @@ class RestartHandoff:
         The second half of restart-from-disk: recovery replayed what the
         local segments held, and this fetches only the remainder from a
         peer's published store.  Each pulled block lands through
-        ``publish`` (so a durable store persists it) and then through
-        every governor replica's ``append`` — the hash chain, not the
-        peer, authenticates the transfer.  Returns the number of blocks
-        pulled.
+        ``publish``, which appends it to this node's store under the
+        ledger's append rule before a durable store persists it, and then
+        through every governor replica's ``append`` — the hash chain, not
+        the peer, authenticates the transfer.  Returns the number of
+        blocks pulled.
 
         Raises:
             LedgerError: the peer's chain does not extend this node's

@@ -13,9 +13,10 @@ The recovery state machine (documented in DESIGN.md §Durability):
    ``serial == first - 1`` must vouch for the compacted prefix.
    Unanchored segments are dropped (reported), degrading to the newest
    verified checkpoint alone, or to nothing (full peer sync).
-4. **Link** — replayed blocks must be serial-consecutive and
-   hash-chained from the anchor; the first broken link truncates the
-   usable chain there.
+4. **Link** — replayed blocks are appended to a
+   :class:`~repro.ledger.chain.Ledger` anchored there, so they must be
+   serial-consecutive and hash-chained by the ledger's own append rule;
+   the first block it refuses truncates the usable chain there.
 5. **Cross-check** — any verified checkpoint covering the recovered
    range must agree with the replayed tip hash at its serial.
 
@@ -35,6 +36,7 @@ from pathlib import Path
 from repro.crypto.merkle import EMPTY_ROOT
 from repro.exceptions import LedgerError
 from repro.ledger.block import GENESIS_PREV_HASH, Block
+from repro.ledger.chain import Ledger
 from repro.ledger.codec import decode_block
 from repro.storage.checkpoints import Checkpoint, load_checkpoints
 from repro.storage.segments import (
@@ -171,48 +173,46 @@ def recover(directory: str | Path) -> RecoveryReport:
         anchor_ckpt = latest
         base_serial, base_hash = latest.serial, latest.tip_hash
 
-    # Hash-chain verification from the anchor.
-    blocks: list[Block] = []
+    # Verify by appending: the replayed blocks must extend the anchored
+    # chain under the same rule every replica enforces.
+    chain = Ledger(owner="recovery")
+    if base_serial:
+        chain.anchor(base_serial, base_hash)
     good_records: list[ScannedRecord] = []
-    prev = base_hash
-    expect = base_serial + 1
     for rec, block in decoded:
-        if block.serial != expect or block.prev_hash != prev:
+        try:
+            chain.append(block)
+        except LedgerError as exc:
             corruptions.append(
                 StorageCorruption(
                     kind="chain-break",
                     target=rec.segment,
                     offset=rec.offset,
-                    detail=(
-                        f"block {block.serial} does not extend verified tip "
-                        f"(expected serial {expect})"
-                    ),
+                    detail=f"block does not extend verified tip: {exc}",
                 )
             )
             break
-        blocks.append(block)
         good_records.append(rec)
-        prev = block.hash()
-        expect += 1
-
-    height = base_serial + len(blocks)
+    blocks = list(chain.blocks())
+    height = chain.height
 
     # Cross-check every verified checkpoint that the recovered range covers.
     for ckpt in checkpoints:
-        if base_serial < ckpt.serial <= height:
-            replayed_tip = blocks[ckpt.serial - base_serial - 1].hash()
-            if replayed_tip != ckpt.tip_hash:
-                corruptions.append(
-                    StorageCorruption(
-                        kind="checkpoint-divergence",
-                        target=f"checkpoint-{ckpt.serial:08d}.json",
-                        offset=-1,
-                        detail=(
-                            f"checkpoint #{ckpt.serial} pins a different tip "
-                            "than the replayed (genesis-anchored) chain"
-                        ),
-                    )
+        if (
+            base_serial < ckpt.serial <= height
+            and chain.retrieve(ckpt.serial).hash() != ckpt.tip_hash
+        ):
+            corruptions.append(
+                StorageCorruption(
+                    kind="checkpoint-divergence",
+                    target=f"checkpoint-{ckpt.serial:08d}.json",
+                    offset=-1,
+                    detail=(
+                        f"checkpoint #{ckpt.serial} pins a different tip "
+                        "than the replayed (genesis-anchored) chain"
+                    ),
                 )
+            )
 
     # Rolling-root resume state: the newest verified checkpoint at or
     # below the recovered height starts the next window.

@@ -8,7 +8,7 @@ import pytest
 
 from repro.crypto.signatures import SigningKey
 from repro.exceptions import LedgerError
-from repro.ledger.block import Block
+from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.chain import Ledger, check_agreement
 from repro.ledger.store import BlockStore
 from repro.ledger.sync import sync_replica
@@ -263,6 +263,72 @@ class TestDurableStore:
         assert metrics["replay_s"].value > 0
 
 
+def anchored_at_two(kind: str, tmp_path) -> tuple[BlockStore, list[Block]]:
+    """A store anchored at checkpoint serial 2 with nothing above it.
+
+    The durable one gets there the way a restart does: a checkpoint per
+    block, one record per segment (so compaction drops serial 1), and a
+    reopen.  Returns the store and the chain it is a prefix of (1..5).
+    """
+    blocks = [make_block(1, GENESIS_PREV_HASH)]
+    for serial in range(2, 6):
+        blocks.append(make_block(serial, blocks[-1].hash()))
+    if kind == "memory":
+        store = BlockStore()
+        store.anchor(2, blocks[1].hash())
+        return store, blocks
+    cfg = durable(tmp_path, checkpoint_interval=1, segment_bytes=1, fsync=False)
+    first, _ = open_durable_store(cfg)
+    for block in blocks[:2]:
+        first.publish(block)
+    store, report = open_durable_store(cfg)
+    assert report.clean and (store.base_serial, store.height) == (2, 2)
+    return store, blocks
+
+
+class TestStoreParity:
+    """The in-memory and the durable store refuse and accept alike."""
+
+    @pytest.mark.parametrize("kind", ["memory", "durable"])
+    def test_same_outcomes_and_a_clean_disk(self, kind, tmp_path):
+        store, blocks = anchored_at_two(kind, tmp_path)
+        b3 = blocks[2]
+        steps = [
+            ("extend", b3),
+            ("gap", blocks[4]),
+            ("broken link", make_block(4, b"\x5a" * 32)),
+            ("conflict", make_block(3, blocks[1].hash(), payload="other")),
+            ("identical republish", b3),
+            ("below base", blocks[0]),
+            ("different block at base", make_block(2, blocks[0].hash(), "other")),
+            ("extend", blocks[3]),
+        ]
+        outcomes = []
+        for name, block in steps:
+            try:
+                store.publish(block)
+                outcomes.append((name, "ok"))
+            except LedgerError as exc:
+                outcomes.append((name, type(exc).__name__))
+        assert outcomes == [
+            ("extend", "ok"),
+            ("gap", "SkippedBlockError"),
+            ("broken link", "ChainIntegrityError"),
+            ("conflict", "AgreementError"),
+            ("identical republish", "ok"),
+            ("below base", "ok"),
+            ("different block at base", "ok"),
+            ("extend", "ok"),
+        ]
+        assert (store.base_serial, store.height) == (2, 4)
+        assert store.tip_hash() == blocks[3].hash()
+        assert [b.serial for b in iter(lambda: store.next_for("r"), None)] == [3, 4]
+        if kind == "durable":
+            report = recover(tmp_path)
+            assert report.clean, report.corruptions
+            assert report.height == 4
+
+
 class TestRecoveryStateMachine:
     def test_tampered_payload_with_fixed_crc_still_detected(self, tmp_path):
         """CRC-valid but hash-invalid records fail at decode_block."""
@@ -394,3 +460,51 @@ class TestEngineDurability:
         for gov in restarted.governors.values():
             assert gov.ledger.height == 4
             gov.ledger.verify_integrity()
+
+    def test_shard_host_reopened_at_a_checkpoint_reads_its_tip(self, tmp_path):
+        """A checkpoint per block and one record per segment leave each
+        shard's reopened store anchored at its tip with nothing above."""
+        from repro.sharding import ShardCoordinator
+        from repro.workloads.scenarios import SCENARIOS
+        from repro.workloads.xshard import CrossShardWorkload
+
+        smoke = SCENARIOS["sharded-smoke"]
+        sharded = smoke.topology()
+        storage = [
+            durable(tmp_path / f"shard-{k}", checkpoint_interval=1,
+                    segment_bytes=1, fsync=False)
+            for k in range(smoke.shards)
+        ]
+
+        def coordinator() -> ShardCoordinator:
+            return ShardCoordinator(sharded, smoke.params, seed=3, storage=storage)
+
+        first = coordinator()
+        workload = CrossShardWorkload(
+            smoke.workload_factory(sharded, 4), sharded.provider_shard, smoke.p_cross, 5
+        )
+        for _ in range(3):
+            first.submit(workload.take(16))
+            first.run_super_round()
+        tips = first.tip_hashes()
+        reopened = coordinator()
+        for engine in reopened.backend.engines.values():
+            assert engine.store.base_serial == engine.store.height == 3
+        assert reopened.tip_hashes() == tips
+
+    def test_divergent_peer_block_never_reaches_disk(self, tmp_path):
+        from repro.exceptions import ChainIntegrityError
+        from repro.workloads.scenarios import build
+
+        node, wl, sc = build("durable-smoke", seed=7, storage_dir=tmp_path)
+        for _ in range(2):
+            node.run_round(wl.take(sc.batch))
+        peer, peer_wl, _ = build("durable-smoke", seed=8)
+        for _ in range(4):
+            peer.run_round(peer_wl.take(sc.batch))
+        restarted, _, _ = build("durable-smoke", seed=7, storage_dir=tmp_path)
+        with pytest.raises(ChainIntegrityError):
+            restarted.handoff.sync_from_peer(peer.store)
+        assert restarted.store.height == 2
+        report = recover(tmp_path)
+        assert report.clean and report.height == 2

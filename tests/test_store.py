@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.signatures import SigningKey
-from repro.exceptions import AgreementError, BlockNotFoundError, LedgerError
+from repro.exceptions import (
+    AgreementError,
+    BlockNotFoundError,
+    ChainIntegrityError,
+    LedgerError,
+    SkippedBlockError,
+)
 from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.store import BlockStore
 from repro.ledger.transaction import CheckStatus, Label, TxRecord, make_signed_transaction
@@ -19,6 +25,22 @@ def block(serial: int, payload: str = "x", prev: bytes = GENESIS_PREV_HASH) -> B
     return Block(
         serial=serial, tx_list=(rec,), prev_hash=prev, proposer="g0", round_number=serial
     )
+
+
+def chain(n: int) -> list[Block]:
+    """Blocks ``1 .. n``, each linked to the one before."""
+    blocks, tip = [], GENESIS_PREV_HASH
+    for serial in range(1, n + 1):
+        blocks.append(block(serial, prev=tip))
+        tip = blocks[-1].hash()
+    return blocks
+
+
+def published(n: int) -> tuple[BlockStore, list[Block]]:
+    store, blocks = BlockStore(), chain(n)
+    for b in blocks:
+        store.publish(b)
+    return store, blocks
 
 
 class TestPublish:
@@ -49,10 +71,7 @@ class TestPublish:
 
 class TestCursors:
     def test_next_for_walks_in_order(self):
-        store = BlockStore()
-        b1, b2 = block(1), block(2)
-        store.publish(b1)
-        store.publish(b2)
+        store, _ = published(2)
         assert store.next_for("reader").serial == 1
         assert store.next_for("reader").serial == 2
         assert store.next_for("reader") is None
@@ -64,36 +83,40 @@ class TestCursors:
         assert store.next_for("b").serial == 1
 
     def test_unread_count(self):
-        store = BlockStore()
-        store.publish(block(1))
-        store.publish(block(2))
+        store, _ = published(2)
         assert store.unread_count("r") == 2
         store.next_for("r")
         assert store.unread_count("r") == 1
 
     def test_reader_resumes_after_gap_fill(self):
-        store = BlockStore()
-        store.publish(block(1))
+        store, (b1,) = published(1)
         store.next_for("r")
         assert store.next_for("r") is None
-        store.publish(block(2))
+        store.publish(block(2, prev=b1.hash()))
         assert store.next_for("r").serial == 2
 
 
 class TestIncrementalHeight:
     def test_height_tracks_max_serial(self):
+        # The store is a ledger: a gap or a broken link never lands, so
+        # the height is the highest serial of an unbroken chain.
+        b1, b2, b3 = chain(3)
         store = BlockStore()
-        store.publish(block(1))
-        store.publish(block(3))
-        assert store.height == 3
-        store.publish(block(2))
+        store.publish(b1)
+        with pytest.raises(SkippedBlockError):
+            store.publish(b3)
+        with pytest.raises(ChainIntegrityError):
+            store.publish(block(2, prev=b3.hash()))
+        assert store.height == 1
+        assert store.next_for("r") is b1 and store.next_for("r") is None
+        store.publish(b2)
+        store.publish(b3)
         assert store.height == 3
 
     def test_republish_leaves_height_alone(self):
-        store = BlockStore()
-        b = block(2)
-        store.publish(b)
-        store.publish(b)
+        store, blocks = published(2)
+        store.publish(blocks[1])
+        store.publish(blocks[0])
         assert store.height == 2
 
     def test_tip_hash_follows_latest(self):
@@ -106,9 +129,7 @@ class TestIncrementalHeight:
 
 class TestForgetReader:
     def test_forget_resets_cursor(self):
-        store = BlockStore()
-        store.publish(block(1))
-        store.publish(block(2))
+        store, _ = published(2)
         assert store.next_for("r").serial == 1
         store.forget_reader("r")
         assert store.next_for("r").serial == 1
@@ -133,8 +154,7 @@ class TestAnchoredStore:
         assert store.tip_hash() == self.TIP
 
     def test_anchor_nonempty_rejected(self):
-        store = BlockStore()
-        store.publish(block(1))
+        store, _ = published(1)
         with pytest.raises(LedgerError):
             store.anchor(serial=1, tip_hash=self.TIP)
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.signatures import SigningKey
-from repro.exceptions import ChainIntegrityError, LedgerError
+from repro.exceptions import ChainIntegrityError
 from repro.ledger.block import Block
 from repro.ledger.chain import Ledger
 from repro.ledger.store import BlockStore
-from repro.ledger.sync import sync_replica, verify_sync
+from repro.ledger.sync import sync_replica
 from repro.ledger.transaction import CheckStatus, Label, TxRecord, make_signed_transaction
 
 KEY = SigningKey(owner="p0", secret=b"\x15" * 32)
@@ -32,6 +32,11 @@ def publish_chain(store: BlockStore, n: int) -> list[Block]:
     return blocks
 
 
+def assert_caught_up(replica: Ledger, store: BlockStore) -> None:
+    assert replica.height == store.height
+    assert replica.tip_hash() == store.tip_hash()
+
+
 class TestSyncReplica:
     def test_full_catchup_from_genesis(self):
         store = BlockStore()
@@ -39,17 +44,7 @@ class TestSyncReplica:
         replica = Ledger(owner="late")
         appended = sync_replica(replica, store)
         assert appended == 5
-        assert verify_sync(replica, store)
-
-    def test_partial_catchup_with_limit(self):
-        store = BlockStore()
-        publish_chain(store, 6)
-        replica = Ledger(owner="late")
-        assert sync_replica(replica, store, limit=2) == 2
-        assert replica.height == 2
-        assert not verify_sync(replica, store)
-        assert sync_replica(replica, store) == 4
-        assert verify_sync(replica, store)
+        assert_caught_up(replica, store)
 
     def test_noop_when_caught_up(self):
         store = BlockStore()
@@ -58,11 +53,7 @@ class TestSyncReplica:
         for block in blocks:
             replica.append(block)
         assert sync_replica(replica, store) == 0
-        assert verify_sync(replica, store)
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(LedgerError):
-            sync_replica(Ledger(), BlockStore(), limit=-1)
+        assert_caught_up(replica, store)
 
     def test_corrupt_replica_detected(self):
         store = BlockStore()
@@ -77,14 +68,6 @@ class TestSyncReplica:
         )
         with pytest.raises(ChainIntegrityError):
             sync_replica(replica, store)
-
-    def test_verify_sync_empty_both(self):
-        assert verify_sync(Ledger(), BlockStore())
-
-    def test_verify_sync_height_mismatch(self):
-        store = BlockStore()
-        publish_chain(store, 2)
-        assert not verify_sync(Ledger(), store)
 
 
 class TestLocalCorruptionRecovery:
@@ -124,7 +107,7 @@ class TestLocalCorruptionRecovery:
         # Guidance: throw the corrupt replica away, start fresh.
         rebuilt = Ledger(owner="corrupt")
         assert sync_replica(rebuilt, store) == 4
-        assert verify_sync(rebuilt, store)
+        assert_caught_up(rebuilt, store)
         rebuilt.verify_integrity()
 
     def test_rebuild_from_checkpoint_base_when_peer_compacted(self):
@@ -207,7 +190,7 @@ class TestMidTransferCorruption:
         replica.verify_integrity()
         # Retry once the corruption clears: resumes, not restarts.
         assert sync_replica(replica, peer) == 3
-        assert verify_sync(replica, peer)
+        assert_caught_up(replica, peer)
         replica.verify_integrity()
 
     def test_persistent_corruptor_never_absorbed_then_peer_switch(self):
@@ -223,5 +206,5 @@ class TestMidTransferCorruption:
             assert replica.height == 2
         # Operator gives up on the bad peer; an honest one finishes.
         assert sync_replica(replica, good_peer) == 3
-        assert verify_sync(replica, good_peer)
+        assert_caught_up(replica, good_peer)
         replica.verify_integrity()
