@@ -34,7 +34,7 @@ def _ordinary_block_units(m: int, batch: int = 16) -> int:
     """
     topo = Topology.regular(l=8, n=4, m=m, r=2)
     engine = ProtocolEngine(
-        topo, ProtocolParams(f=0.5), seed=1, leader_rotation=True
+        topo, ProtocolParams(f=0.5), seed=1
     )
     workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=2)
     result = engine.run_round(workload.take(batch))

@@ -32,7 +32,6 @@ def _run_at_f(f: float, seed: int = 0):
     }
     engine = ProtocolEngine(
         topo, ProtocolParams(f=f), behaviors=behaviors, seed=seed,
-        leader_rotation=True,
     )
     workload = BernoulliWorkload(topo.providers, p_valid=0.7, seed=seed + 1)
     start = time.perf_counter()
@@ -82,7 +81,7 @@ def test_e5_round_throughput(benchmark):
     """Timing target: one full protocol round at f = 0.5."""
     topo = Topology.regular(l=12, n=6, m=4, r=3)
     engine = ProtocolEngine(
-        topo, ProtocolParams(f=0.5), seed=3, leader_rotation=True
+        topo, ProtocolParams(f=0.5), seed=3
     )
     workload = BernoulliWorkload(topo.providers, p_valid=0.7, seed=4)
 

@@ -97,7 +97,7 @@ def _visibility_table() -> str:
         engine = ProtocolEngine(
             topo, ProtocolParams(f=0.6),
             behaviors={"c0": MisreportBehavior(0.6)},
-            seed=72, visibility=vmap, leader_rotation=True,
+            seed=72, visibility=vmap,
         )
         workload = BernoulliWorkload(topo.providers, p_valid=0.7, seed=73)
         for _ in range(25):
@@ -141,7 +141,6 @@ def _griefing_table() -> str:
             ProtocolParams(f=0.8),
             behaviors={"c0": MisreportBehavior(0.4)},
             seed=81,
-            leader_rotation=True,
             abusive_providers=(
                 {p: abuse_rate for p in topo.providers} if abuse_rate else None
             ),

@@ -43,7 +43,6 @@ def _incentive_table() -> tuple[str, dict[str, float]]:
     }
     engine = ProtocolEngine(
         topo, ProtocolParams(f=0.6), behaviors=behaviors, seed=11,
-        leader_rotation=True,
     )
     workload = BernoulliWorkload(topo.providers, p_valid=0.6, seed=12)
     for _ in range(40):

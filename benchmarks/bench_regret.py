@@ -128,7 +128,6 @@ def _theorem4_table() -> tuple[str, bool]:
         }
         engine = ProtocolEngine(
             topo, ProtocolParams(f=f), behaviors=behaviors, seed=seed,
-            leader_rotation=True,
         )
         workload = BernoulliWorkload(topo.providers, p_valid=0.5, seed=seed + 50)
         n_tx = 0

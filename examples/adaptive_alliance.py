@@ -77,7 +77,6 @@ def demo_partial_visibility() -> None:
         behaviors={"c0": MisreportBehavior(0.6)},
         seed=10,
         visibility=vmap,
-        leader_rotation=True,
     )
     workload = BernoulliWorkload(topo.providers, p_valid=0.7, seed=11)
     for _ in range(20):

@@ -108,27 +108,21 @@ class ReputationPolicy:
         checked = bool(rng.random() >= skip)
         return PolicyDecision(recorded_label=Label.INVALID, checked=checked)
 
-    def add_collector(self, collector_id: str, bootstrap: str = "median") -> None:
+    def add_collector(self, collector_id: str) -> None:
         """Membership churn: admit a new collector mid-stream.
 
         The paper assumes a static collector set; real alliances churn.
-        The bootstrap weight decides the newcomer's standing, by the rule
-        of :meth:`repro.core.reputation.ReputationBook.readmit_collector`:
-
-        * ``"median"`` — the population median (a newcomer neither
-          dominates selection nor starves: it inherits the credibility
-          of the *typical* incumbent);
-        * ``"initial"`` — the protocol's fresh weight (optimistic: new
-          collectors start fully trusted, like at genesis);
-        * ``"min"`` — the worst incumbent's weight (pessimistic: trust
-          must be earned through checked transactions first).
+        The newcomer starts at the population median, by the rule of
+        :meth:`repro.core.reputation.ReputationBook.readmit_collector`:
+        it neither dominates selection nor starves, inheriting the
+        credibility of the *typical* incumbent.
 
         Raises:
-            ConfigurationError: duplicate id or unknown bootstrap rule.
+            ConfigurationError: duplicate id.
         """
         if self.book.is_registered(collector_id):
             raise ConfigurationError(f"collector {collector_id!r} already present")
-        self.book.readmit_collector(collector_id, (PROVIDER,), bootstrap)
+        self.book.readmit_collector(collector_id, (PROVIDER,))
         self.collector_ids = tuple(self.book.collectors())
 
     def retire_collector(self, collector_id: str) -> None:

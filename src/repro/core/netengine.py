@@ -232,7 +232,6 @@ class NetworkedProtocolEngine(RoundCore):
         else:
             self.store = BlockStore()
         self.sim = sim if sim is not None else Simulator()
-        self.obs.bind_clock(lambda: self.sim.now)
         # The transport backend is pluggable: the default is the
         # discrete-event SyncNetwork; a harness passes a factory that
         # builds its subclass repro.network.realnet.RealNetwork with the
@@ -246,7 +245,7 @@ class NetworkedProtocolEngine(RoundCore):
         self.broadcast = AtomicBroadcast(self.network, obs=self.obs)
         self.resilience = resilience
         self.channel: ReliableChannel | None = (
-            ReliableChannel(self.network, max_retries=5, obs=self.obs)
+            ReliableChannel(self.network, obs=self.obs)
             if resilience
             else None
         )
@@ -323,11 +322,7 @@ class NetworkedProtocolEngine(RoundCore):
         for pid in topology.providers:
             self.register(pid, lambda message: None)
         if self.resilience:
-            self.broadcast.enable_gap_repair(
-                primary=SEQUENCER_PRIMARY,
-                backup=SEQUENCER_BACKUP,
-                timeout=4 * max_delay,
-            )
+            self.broadcast.enable_gap_repair(SEQUENCER_PRIMARY, SEQUENCER_BACKUP)
 
     def wire_collector(self, cid: str) -> None:
         """Give ``cid`` its feed group and its endpoint on the fabric

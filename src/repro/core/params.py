@@ -82,7 +82,7 @@ def validate_discounts(beta: float, gamma: float, loss: float) -> None:
         raise ConfigurationError(f"(gamma-1)*L/2 + 1 = {upper:.6f} > 1")
 
 
-def tuned_beta(r: int, horizon: int, floor: float = 0.1, ceiling: float = 0.9) -> float:
+def tuned_beta(r: int, horizon: int) -> float:
     """The proof's schedule ``beta = 1 - 4*sqrt(log(r)/T)``, clamped.
 
     The Theorem-1 constant ``-log(beta)/(1-beta) <= 17/2 - 8*beta`` holds
@@ -102,7 +102,7 @@ def tuned_beta(r: int, horizon: int, floor: float = 0.1, ceiling: float = 0.9) -
     if horizon < 1:
         raise ConfigurationError(f"horizon T must be >= 1, got {horizon}")
     raw = 1.0 - 4.0 * math.sqrt(math.log2(r) / horizon)
-    return min(max(raw, floor), ceiling)
+    return min(max(raw, 0.1), 0.9)
 
 
 @dataclass(frozen=True)

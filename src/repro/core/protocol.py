@@ -90,9 +90,6 @@ class ProtocolEngine(RoundCore):
             providers also contest correctly-recorded invalid
             transactions, burning one governor validation per argue
             (bounded griefing; the record never flips).
-        leader_rotation: When True, bypass the VRF election and rotate
-            leaders round-robin (useful to de-noise non-consensus
-            experiments); the default is the paper's PoS election.
         obs: Optional :class:`~repro.obs.MetricsRegistry`; when given,
             the engine, its governors, and their reputation books feed
             the ``engine_* / gov_* / rep_*`` metric families (see
@@ -108,7 +105,6 @@ class ProtocolEngine(RoundCore):
         behaviors: Mapping[str, CollectorBehavior] | None = None,
         seed: int = 0,
         stake: Mapping[str, int] | None = None,
-        leader_rotation: bool = False,
         visibility: VisibilityMap | None = None,
         abusive_providers: Mapping[str, float] | None = None,
         obs: MetricsRegistry | None = None,
@@ -117,7 +113,6 @@ class ProtocolEngine(RoundCore):
             visibility.validate(topology)
         super().__init__(params, seed, obs)
         self.topology = topology
-        self.leader_rotation = leader_rotation
         self.visibility = visibility
         self.store = BlockStore()
         self.metrics = EngineMetrics()
@@ -193,8 +188,6 @@ class ProtocolEngine(RoundCore):
         # The election's order is the not-yet-expelled governors
         # (expel_governor shrinks it), which also fixes the VRF index j.
         eligible = self.election.governor_order
-        if self.leader_rotation:
-            return eligible[(round_number - 1) % len(eligible)]
         # VRF announcements: every staked eligible governor broadcasts
         # y_j outputs to the other m-1 governors.
         staked = sum(1 for g in eligible if self.stake.balance(g) > 0)

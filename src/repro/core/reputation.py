@@ -416,28 +416,23 @@ class ReputationBook:
         del self._vectors[collector]
         return vector
 
-    def readmit_collector(
-        self, collector: str, providers: Iterable[str], bootstrap: str = "median"
-    ) -> None:
+    def readmit_collector(self, collector: str, providers: Iterable[str]) -> None:
         """Re-admit a collector after churn (recovered from a crash).
 
-        The one site of the per-provider bootstrap rule (E8's
+        The one site of the bootstrap rule (E8's
         :meth:`repro.baselines.base.ReputationPolicy.add_collector`
-        admits through here too): ``"median"`` inherits the typical
-        incumbent's standing w.r.t. each provider, ``"initial"`` restarts
-        at genesis trust, ``"min"`` makes trust be re-earned from the
-        worst incumbent's level.
+        admits through here too): the newcomer inherits, per provider,
+        the median incumbent's standing, so it neither dominates
+        selection nor starts from a clean slate; a provider no incumbent
+        oversees starts at genesis trust.
 
         Raises:
             ProtocolViolationError: the collector is still registered.
-            ConfigurationError: unknown bootstrap rule.
         """
         if collector in self._vectors:
             raise ProtocolViolationError(
                 f"collector {collector!r} still registered with {self.governor!r}"
             )
-        if bootstrap not in ("median", "initial", "min"):
-            raise ConfigurationError(f"unknown bootstrap rule {bootstrap!r}")
         vector = ReputationVector.fresh(tuple(providers), self.initial)
         for provider in vector.provider_weights:
             incumbents = [
@@ -445,10 +440,9 @@ class ReputationBook:
                 for v in self._vectors.values()
                 if provider in v.provider_weights
             ]
-            if bootstrap == "initial" or not incumbents:
-                continue
-            weight = _median(incumbents) if bootstrap == "median" else min(incumbents)
-            vector.provider_weights[provider] = max(weight, WEIGHT_FLOOR)
+            if incumbents:
+                weight = max(_median(incumbents), WEIGHT_FLOOR)
+                vector.provider_weights[provider] = weight
         self._vectors[collector] = vector
 
     # -- durable state (checkpoint persistence) ---------------------------

@@ -86,15 +86,12 @@ class PropertyReport:
 def check_all_properties(
     replicas: Iterable[Ledger],
     transcript: RunTranscript,
-    run_complete: bool = True,
 ) -> PropertyReport:
     """Check the five Section-3.1 properties over a finished run.
 
     Args:
         replicas: Every governor's ledger copy.
         transcript: The run's broadcast trace.
-        run_complete: When False, the Validity check is skipped — a
-            still-running system has not had "eventually" yet.
 
     Returns:
         A :class:`PropertyReport`; inspect ``violations`` for details.
@@ -143,27 +140,26 @@ def check_all_properties(
                     f"{ledger.owner} was never collector-uploaded"
                 )
 
-    if run_complete:
-        # Latest occurrence wins: a re-evaluated transaction appears again
-        # in a newer block, and Validity judges its final disposition.
-        latest = {rec.tx.tx_id: rec for _serial, rec in ledgers[0].all_records()}
-        for tx_id, seen in flags.items():
-            if not seen & HONEST_VALID:
-                continue
-            rec = latest.get(tx_id)
-            if rec is None:
-                report.validity = False
-                report.violations.append(
-                    f"validity: honest valid tx {tx_id} never appeared in a block"
-                )
-                continue
-            # "Appear in a block eventually" with its true (valid) status:
-            # either checked-valid, or re-evaluated to valid after an argue.
-            ok = rec.label is Label.VALID or rec.status is CheckStatus.REEVALUATED
-            if not ok:
-                report.validity = False
-                report.violations.append(
-                    f"validity: honest valid tx {tx_id} is permanently "
-                    f"recorded as {rec.label.name}/{rec.status.value}"
-                )
+    # Latest occurrence wins: a re-evaluated transaction appears again
+    # in a newer block, and Validity judges its final disposition.
+    latest = {rec.tx.tx_id: rec for _serial, rec in ledgers[0].all_records()}
+    for tx_id, seen in flags.items():
+        if not seen & HONEST_VALID:
+            continue
+        rec = latest.get(tx_id)
+        if rec is None:
+            report.validity = False
+            report.violations.append(
+                f"validity: honest valid tx {tx_id} never appeared in a block"
+            )
+            continue
+        # "Appear in a block eventually" with its true (valid) status:
+        # either checked-valid, or re-evaluated to valid after an argue.
+        ok = rec.label is Label.VALID or rec.status is CheckStatus.REEVALUATED
+        if not ok:
+            report.validity = False
+            report.violations.append(
+                f"validity: honest valid tx {tx_id} is permanently "
+                f"recorded as {rec.label.name}/{rec.status.value}"
+            )
     return report

@@ -67,25 +67,15 @@ class GroundTruthOracle:
 
 @dataclass
 class CountingOracle:
-    """Wrap an oracle and count calls — the governor's validation cost.
-
-    ``cost_per_call`` lets efficiency benches convert counts into a time
-    model without re-running.
-    """
+    """Wrap an oracle and count calls — the governor's validation cost."""
 
     inner: ValidityOracle
-    cost_per_call: float = 1.0
     calls: int = 0
 
     def validate(self, tx: SignedTransaction) -> bool:
         """Delegate and count."""
         self.calls += 1
         return self.inner.validate(tx)
-
-    @property
-    def total_cost(self) -> float:
-        """Accumulated validation cost under the linear cost model."""
-        return self.calls * self.cost_per_call
 
     def reset(self) -> None:
         """Zero the counter (between experiment phases)."""

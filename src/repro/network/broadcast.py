@@ -28,7 +28,8 @@ bounded send-buffer of recent payloads, a receiver whose gap persists
 past a timeout sends a :class:`GapRepairRequest` (a NACK) to the
 sequencer node, and the sequencer retransmits the missing range.  If
 the primary sequencer node is itself crashed, the receiver fails over
-to a deterministic backup after ``failover_after`` unanswered attempts.
+to a deterministic backup after ``REPAIR_FAILOVER_AFTER`` unanswered
+attempts.
 The manual :meth:`AtomicBroadcast.skip_to` escape hatch remains for
 out-of-band recovery (ledger sync).
 """
@@ -59,6 +60,9 @@ RECOVERY_DRAIN_CYCLES = 6
 #: NACK budget per gap before a member gives up and waits for
 #: out-of-band recovery (``skip_to``).
 REPAIR_MAX_ATTEMPTS = 16
+#: NACKs addressed to the primary sequencer endpoint before a member
+#: fails over to the backup.
+REPAIR_FAILOVER_AFTER = 2
 
 
 def walk_recovery_drain(
@@ -122,24 +126,18 @@ class AtomicBroadcast:
     """Sequencer-based total-order broadcast over a :class:`SyncNetwork`.
 
     One instance manages many named groups.  Group membership is static
-    after :meth:`join` calls, matching the permissioned setting where
-    membership is known.
+    after :meth:`create_group` calls, matching the permissioned setting
+    where membership is known.
     """
 
     #: How many recent payloads the sequencer retains per group for
     #: gap repair.  Far larger than any gap a bounded fault plan can
     #: open; a request below the retention horizon is counted in
     #: ``repairs_expired`` and the member must fall back to ``skip_to``.
-    DEFAULT_RETENTION = 4096
+    RETENTION = 4096
 
-    def __init__(
-        self,
-        network: SyncNetwork,
-        retention: int = DEFAULT_RETENTION,
-        obs: MetricsRegistry | None = None,
-    ):
+    def __init__(self, network: SyncNetwork, obs: MetricsRegistry | None = None):
         self.network = network
-        self.retention = retention
         self.obs = obs if obs is not None else NULL_REGISTRY
         self._members: dict[str, list[str]] = {}
         self._deliver: dict[tuple[str, str], Callable[[str, Any], None]] = {}
@@ -151,7 +149,6 @@ class AtomicBroadcast:
         self._repair_primary: str | None = None
         self._repair_backup: str | None = None
         self._repair_timeout: float = 0.0
-        self._repair_failover_after: int = 0
         self.misrouted_dropped = 0
         self.repairs_requested = 0
         self.repairs_served = 0
@@ -254,7 +251,7 @@ class AtomicBroadcast:
         if self._repair_primary is not None:
             retained = self._sent.setdefault(group, {})
             retained[seqno] = (payload, size_hint)
-            if len(retained) > self.retention:
+            if len(retained) > self.RETENTION:
                 # Seqnos are inserted in increasing order: the first key
                 # is the oldest (``min`` would scan the whole log).
                 del retained[next(iter(retained))]
@@ -337,42 +334,32 @@ class AtomicBroadcast:
 
     # -- gap repair (NACK / retransmit) ---------------------------------
 
-    def enable_gap_repair(
-        self,
-        primary: str,
-        backup: str | None = None,
-        timeout: float | None = None,
-        failover_after: int = 2,
-    ) -> None:
+    def enable_gap_repair(self, primary: str, backup: str) -> None:
         """Turn on automatic NACK-based repair of sequence gaps.
+
+        A gap must persist ``4 * network.max_delay`` before the first
+        NACK; that is also the base of the mildly-exponential re-NACK
+        backoff.
 
         Args:
             primary: Node id of the sequencer's repair endpoint; it is
                 registered on the network here, so use a dedicated id
                 (not one of the group members).
             backup: Deterministic failover endpoint; receivers switch to
-                it after ``failover_after`` unanswered NACKs, removing
-                the sequencer as a single point of failure.  In the
-                simulation both endpoints answer from the same retained
-                send-buffer, modelling a sequencer that replicates its
-                buffer to the backup synchronously.
-            timeout: How long a gap must persist before the first NACK
-                (default ``4 * network.max_delay``); also the base of
-                the mildly-exponential re-NACK backoff.
-            failover_after: Attempts addressed to ``primary`` before
-                failing over to ``backup``.
+                it after ``REPAIR_FAILOVER_AFTER`` unanswered NACKs,
+                removing the sequencer as a single point of failure.  In
+                the simulation both endpoints answer from the same
+                retained send-buffer, modelling a sequencer that
+                replicates its buffer to the backup synchronously.
         """
-        if timeout is None:
-            timeout = 4 * self.network.max_delay
+        timeout = 4 * self.network.max_delay
         if timeout <= 0:
             raise SimulationError(f"repair timeout must be positive, got {timeout}")
         self._repair_primary = primary
         self._repair_backup = backup
         self._repair_timeout = timeout
-        self._repair_failover_after = failover_after
         self.network.register(primary, self._sequencer_handler(primary))
-        if backup is not None:
-            self.network.register(backup, self._sequencer_handler(backup))
+        self.network.register(backup, self._sequencer_handler(backup))
 
     def set_transport(self, transport, groups: set[str]) -> None:
         """Route the given groups' broadcasts through a reliable channel.
@@ -413,10 +400,7 @@ class AtomicBroadcast:
 
     def _active_repair_target(self, state: _ReceiverState) -> str:
         assert self._repair_primary is not None
-        if (
-            self._repair_backup is not None
-            and state.repair_attempts >= self._repair_failover_after
-        ):
+        if state.repair_attempts >= REPAIR_FAILOVER_AFTER:
             return self._repair_backup
         return self._repair_primary
 

@@ -65,6 +65,7 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.network.custodian import KIND_ACK, KIND_MSG, FrameReader, encode_frame
+from repro.network import simnet
 from repro.network.simnet import Message, Simulator, SyncNetwork
 from repro.obs.registry import MetricsRegistry
 
@@ -420,7 +421,7 @@ class RealNetwork(SyncNetwork):
             heapq.heappop(self._stamps)
         return self._stamps[0] if self._stamps else None
 
-    def run_until(self, until: float, max_events: int = 10_000_000) -> int:
+    def run_until(self, until: float) -> int:
         """Advance the seeded clock to ``until``, physically mediated.
 
         Identical to :meth:`SyncNetwork.run_until` in logical effect —
@@ -431,6 +432,7 @@ class RealNetwork(SyncNetwork):
         surface as :class:`~repro.exceptions.PeerUnreachableError`).
         """
         executed = 0
+        limit = simnet.MAX_EVENTS
         while True:
             next_time = self.sim.next_time()
             if next_time is None or next_time > until:
@@ -441,9 +443,9 @@ class RealNetwork(SyncNetwork):
                 continue
             self.sim.step()
             executed += 1
-            if executed > max_events:
+            if executed > limit:
                 raise SimulationError(
-                    f"exceeded max_events={max_events}; runaway simulation?"
+                    f"exceeded MAX_EVENTS={limit}; runaway simulation?"
                 )
         if self.sim.now < until:
             self.sim.advance_to(until)

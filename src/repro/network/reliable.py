@@ -12,7 +12,7 @@ collector→governor uploads):
 * the receiver acks each envelope and suppresses ``msg_id`` replays, so
   retransmissions and fault-injected duplicates deliver at most once;
 * the sender retransmits unacked envelopes with exponential backoff in
-  *simulated* time, up to ``max_retries``; a message unacked after the
+  *simulated* time, up to ``MAX_RETRIES``; a message unacked after the
   full budget is abandoned (``gave_up``) — bounded retries keep a
   crashed receiver from pinning sender state forever.
 
@@ -76,34 +76,27 @@ class _Pending:
 class ReliableChannel:
     """At-least-once delivery with dedup over a :class:`SyncNetwork`.
 
+    The first retransmit timer is ``3 * network.max_delay`` (one round
+    trip plus slack); each attempt multiplies it by ``BACKOFF``.
+
     Args:
         network: The underlying (possibly faulty) network.
-        max_retries: Retransmissions per message after the initial send.
-        base_timeout: First retransmit timer; defaults to
-            ``3 * network.max_delay`` (one round trip plus slack).
-        backoff: Multiplier applied to the timer per attempt.
         obs: Metrics registry (see OBSERVABILITY.md); defaults to the
             no-op registry.
     """
 
-    def __init__(
-        self,
-        network: SyncNetwork,
-        max_retries: int = 4,
-        base_timeout: float | None = None,
-        backoff: float = 2.0,
-        obs: MetricsRegistry | None = None,
-    ):
-        if base_timeout is None:
-            base_timeout = 3 * network.max_delay
-        if base_timeout <= 0:
-            raise SimulationError(f"base_timeout must be positive, got {base_timeout}")
-        if backoff < 1.0:
-            raise SimulationError(f"backoff must be >= 1, got {backoff}")
+    #: Retransmissions per message after the initial send.
+    MAX_RETRIES = 5
+    #: Multiplier applied to the retransmit timer per attempt.
+    BACKOFF = 2.0
+
+    def __init__(self, network: SyncNetwork, obs: MetricsRegistry | None = None):
+        self.base_timeout = 3 * network.max_delay
+        if self.base_timeout <= 0:
+            raise SimulationError(
+                f"a reliable channel needs max_delay > 0, got {network.max_delay}"
+            )
         self.network = network
-        self.max_retries = max_retries
-        self.base_timeout = base_timeout
-        self.backoff = backoff
         self.stats = ReliableStats()
         self._ids = itertools.count()
         self._pending: dict[int, _Pending] = {}
@@ -185,7 +178,7 @@ class ReliableChannel:
         self.network.send(
             pending.sender, pending.receiver, pending.envelope, pending.size_hint
         )
-        timeout = self.base_timeout * (self.backoff ** pending.attempts)
+        timeout = self.base_timeout * (self.BACKOFF ** pending.attempts)
         self._m_backoff.observe(timeout)
         self.network.sim.schedule_after(timeout, lambda: self._retry(msg_id))
 
@@ -193,7 +186,7 @@ class ReliableChannel:
         pending = self._pending.get(msg_id)
         if pending is None:
             return  # acked in the meantime
-        if pending.attempts >= self.max_retries:
+        if pending.attempts >= self.MAX_RETRIES:
             del self._pending[msg_id]
             self.stats.gave_up += 1
             return

@@ -28,6 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover - repro.faults imports this module
 
 __all__ = ["Message", "Simulator", "SyncNetwork", "NetworkStats"]
 
+#: Runaway guard: one call that drains more events than this raises
+#: instead of hanging a bench (read once per :meth:`Simulator.run` and
+#: ``RealNetwork.run_until`` call).
+MAX_EVENTS = 10_000_000
+
 
 @dataclass(frozen=True, slots=True)
 class Message:
@@ -135,7 +140,7 @@ class Simulator:
         callback()
         return True
 
-    def run(self, until: float | None = None, max_events: int = 10_000_000) -> int:
+    def run(self, until: float | None = None) -> int:
         """Drain the event queue, optionally stopping at time ``until``.
 
         With ``until`` given, the clock always ends exactly at ``until``
@@ -145,16 +150,17 @@ class Simulator:
         so optional traffic (audit votes) cannot shift the next round's
         start time.
 
-        Returns the number of events executed.  ``max_events`` is a
-        runaway guard: exceeding it raises instead of hanging a bench.
+        Returns the number of events executed; more than
+        :data:`MAX_EVENTS` raises instead of hanging a bench.
         """
         executed = 0
         heap = self._heap
+        limit = MAX_EVENTS
         while heap and (until is None or heap[0][0] <= until):
             self.step()
             executed += 1
-            if executed > max_events:
-                raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
+            if executed > limit:
+                raise SimulationError(f"exceeded MAX_EVENTS={limit}; runaway simulation?")
         if until is not None and self.now < until:
             self.advance_to(until)
         return executed

@@ -29,6 +29,7 @@ __all__ = [
     "ShardedTopology",
     "balanced_groups",
     "check_circulant_shape",
+    "circulant_indices",
     "provider_id",
     "collector_id",
     "governor_id",
@@ -68,6 +69,17 @@ def check_circulant_shape(l: int, n: int, m: int, r: int) -> None:
             f"r*l = {r * l} is not divisible by n = {n}; "
             "the paper requires r*l == s*n with integral s"
         )
+
+
+def circulant_indices(k: int, n: int, r: int) -> list[int]:
+    """The collector indices provider index ``k`` links to.
+
+    The circulant rule: start at ``(k * r) % n`` and take the next ``r``
+    collectors (mod ``n``), which keeps every collector's load at exactly
+    ``s = r * l / n``.
+    """
+    start = k * r
+    return [(start + offset) % n for offset in range(r)]
 
 
 @dataclass(frozen=True)
@@ -111,9 +123,7 @@ class Topology:
         provider_links: dict[str, tuple[str, ...]] = {}
         collector_links: dict[str, list[str]] = {c: [] for c in collectors}
         for k in range(l):
-            # Circulant stride keeps per-collector load exactly s.
-            start = (k * r) % n
-            chosen = tuple(collectors[(start + offset) % n] for offset in range(r))
+            chosen = tuple([collectors[i] for i in circulant_indices(k, n, r)])
             provider_links[providers[k]] = chosen
             for c in chosen:
                 collector_links[c].append(providers[k])
@@ -145,11 +155,10 @@ class Topology:
         collector_perm = rng.permutation(n)
         provider_links = {}
         for k in range(l):
-            start = (provider_perm[k] * r) % n
-            chosen = tuple(
-                collectors[collector_perm[(start + offset) % n]]
-                for offset in range(r)
-            )
+            chosen = [
+                collectors[collector_perm[i]]
+                for i in circulant_indices(provider_perm[k], n, r)
+            ]
             provider_links[providers[k]] = tuple(sorted(chosen))
         collector_links: dict[str, list[str]] = {c: [] for c in collectors}
         for p, cs in provider_links.items():
@@ -171,7 +180,6 @@ class Topology:
         r: int,
         shards: int,
         seed: int | None = None,
-        masses: dict[str, float] | None = None,
     ) -> "ShardedTopology":
         """Partition an ``(l, n, m, r)`` deployment into ``shards`` shards.
 
@@ -179,12 +187,12 @@ class Topology:
         ``n/shards`` collectors and ``m/shards`` governors, with the
         global id spaces (``p*``, ``c*``, ``g*``) preserved.  Providers
         and governors are dealt round-robin by index; collectors are
-        placed by :func:`balanced_groups` so each shard carries an equal
-        share of total reputation ``masses`` (uniform when omitted — the
-        genesis state).  Links within each shard follow the same
-        ergonomics as the flat builders: the deterministic circulant of
-        :meth:`regular`, or :meth:`random_regular` graphs (and a
-        permuted collector placement) when ``seed`` is given.
+        placed by :func:`balanced_groups` at the genesis state's uniform
+        reputation (epoch reshuffles rebalance by mass:
+        :mod:`repro.sharding.assignment`).  Links within each shard follow
+        the same ergonomics as the flat builders: the deterministic
+        circulant of :meth:`regular`, or :meth:`random_regular` graphs
+        (and a permuted collector placement) when ``seed`` is given.
 
         Raises:
             TopologyError: when any role count is not divisible by
@@ -202,7 +210,7 @@ class Topology:
         rng = default_rng(seed) if seed is not None else None
         if rng is not None:
             collectors = [collectors[i] for i in rng.permutation(n)]
-        groups = balanced_groups(collectors, masses or {}, shards)
+        groups = balanced_groups(collectors, {}, shards)
         shard_topos = []
         provider_shard: dict[str, int] = {}
         collector_shard: dict[str, int] = {}

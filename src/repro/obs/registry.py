@@ -32,9 +32,8 @@ name with the same type and label names returns the existing metric
 raises :class:`~repro.exceptions.ConfigurationError`.
 
 Sim-time spans live on the same registry (see :mod:`repro.obs.spans`):
-``registry.bind_clock(lambda: sim.now)`` once, then
-``with registry.span("round", round="3"): ...`` wherever a phase should
-be measured in simulated seconds.
+``registry.record_span("round", start, end, round="3")`` with both
+endpoints read from the simulator's clock by the caller.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import re
 from typing import Callable, Iterable, Mapping
 
 from repro.exceptions import ConfigurationError
-from repro.obs.spans import NULL_SPAN_CONTEXT, Span, SpanContext
+from repro.obs.spans import Span
 
 __all__ = [
     "Counter",
@@ -272,15 +271,10 @@ class MetricsRegistry:
     Args:
         enabled: When False every returned handle is a shared no-op and
             nothing is recorded — the zero-overhead disabled mode.
-        clock: Sim-time source for spans; components usually inject it
-            later via :meth:`bind_clock` once the simulator exists.
     """
 
-    def __init__(
-        self, enabled: bool = True, clock: Callable[[], float] | None = None
-    ):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._clock = clock
         self._metrics: dict[str, _Metric] = {}
         self.spans: list[Span] = []
 
@@ -352,29 +346,11 @@ class MetricsRegistry:
 
     # -- spans ----------------------------------------------------------
 
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the sim-time source spans read (idempotent)."""
-        if self.enabled:
-            self._clock = clock
-
-    def span(self, name: str, **labels: str) -> SpanContext:
-        """A context manager recording one sim-time span.
-
-        Without a bound clock the span is recorded at time 0.0 — the
-        event sequence is still useful even when durations are not.
-        """
-        if not self.enabled:
-            return NULL_SPAN_CONTEXT
-        return SpanContext(self, name, {k: str(v) for k, v in labels.items()})
-
     def record_span(
         self, name: str, start: float, end: float, **labels: str
     ) -> None:
-        """Record a span whose endpoints were captured by the caller.
-
-        The engines use this where the interval brackets ``sim.run``
-        calls and a ``with`` block would force awkward control flow.
-        """
+        """Record one sim-time span; the caller reads both endpoints
+        from its simulator's clock."""
         if self.enabled:
             self.spans.append(
                 Span(
@@ -388,9 +364,6 @@ class MetricsRegistry:
     def spans_of(self, name: str) -> list[Span]:
         """All recorded spans with the given name, in record order."""
         return [s for s in self.spans if s.name == name]
-
-    def _now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
 
     # -- introspection ---------------------------------------------------
 

@@ -6,11 +6,11 @@ the counters in :mod:`repro.obs.registry`: counters say *how much*,
 spans say *where the sim time went*.
 
 Spans are recorded through the registry so one object travels through
-the stack::
+the stack.  The caller reads the simulator's clock at both ends::
 
-    registry.bind_clock(lambda: sim.now)
-    with registry.span("round", round="3", leader="g1"):
-        ...  # simulated work; start/end read the bound clock
+    start = sim.now
+    ...  # simulated work
+    registry.record_span("round", start, sim.now, round="3", leader="g1")
 
 Deliberately minimal: no nesting bookkeeping, no ids — the (name,
 labels, start, end) tuple plus record order is everything the analysis
@@ -20,12 +20,9 @@ recipes in OBSERVABILITY.md need, and nothing here can perturb a run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.registry import MetricsRegistry
-
-__all__ = ["Span", "SpanContext", "NULL_SPAN_CONTEXT"]
+__all__ = ["Span"]
 
 
 @dataclass(frozen=True)
@@ -51,43 +48,3 @@ class Span:
             "end": self.end,
             "duration": self.duration,
         }
-
-
-class SpanContext:
-    """Context manager that records one span on exit."""
-
-    __slots__ = ("_registry", "_name", "_labels", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", name: str, labels: dict):
-        self._registry = registry
-        self._name = name
-        self._labels = labels
-
-    def __enter__(self) -> "SpanContext":
-        self._start = self._registry._now()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._registry.spans.append(
-            Span(
-                name=self._name,
-                labels=self._labels,
-                start=self._start,
-                end=self._registry._now(),
-            )
-        )
-
-
-class _NullSpanContext:
-    """The disabled registry's span: records nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpanContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-NULL_SPAN_CONTEXT = _NullSpanContext()

@@ -71,9 +71,12 @@ from repro.parallel.worker import worker_main
 
 __all__ = ["ParallelBackend", "parallel_metrics"]
 
-#: Floor of the one deadline a whole boot gets — building the engines
-#: and replaying a durable store takes longer than a phase.
-_READY_TIMEOUT_FLOOR = 120.0
+#: Seconds a worker may stay silent in one phase before the barrier
+#: declares it crashed.
+PHASE_TIMEOUT = 60.0
+#: The one deadline a whole boot gets — building the engines and
+#: replaying a durable store takes longer than a phase.
+BOOT_TIMEOUT = 120.0
 
 
 def parallel_metrics(
@@ -152,12 +155,10 @@ class ParallelBackend:
         spec: HostSpec,
         obs: MetricsRegistry | None = None,
         workers: int = 2,
-        phase_timeout: float = 60.0,
     ):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.obs = obs if obs is not None else NULL_REGISTRY
-        self.phase_timeout = phase_timeout
         #: ``send`` / ``recv`` -> pipe messages and pickled bytes moved.
         self.ipc_msgs: dict[str, int] = defaultdict(int)
         self.ipc_bytes: dict[str, int] = defaultdict(int)
@@ -236,15 +237,14 @@ class ParallelBackend:
                 handle.proc = proc
                 handle.seq = 0  # fresh process, fresh sequence space
             pending = {handle.conn: handle for handle in handles}
-            timeout = max(self.phase_timeout, _READY_TIMEOUT_FLOOR)
-            deadline = time.monotonic() + timeout
+            deadline = time.monotonic() + BOOT_TIMEOUT
             boot_seconds = self._metrics["boot"]
             while pending:
                 arrived = wait(list(pending), max(0.0, deadline - time.monotonic()))
                 if not arrived:
                     self._crash(
                         next(iter(pending.values())), "spawn",
-                        f"not ready within the {timeout:.0f}s boot deadline",
+                        f"not ready within the {BOOT_TIMEOUT:.0f}s boot deadline",
                     )
                 for conn in arrived:
                     handle = pending.pop(conn)
@@ -332,7 +332,7 @@ class ParallelBackend:
         self.ipc_bytes["send"] += len(blob)
 
     def _recv(self, handle: _WorkerHandle, phase: str, timeout: float | None = None):
-        timeout = self.phase_timeout if timeout is None else timeout
+        timeout = PHASE_TIMEOUT if timeout is None else timeout
         while True:
             try:
                 if not handle.conn.poll(timeout):

@@ -127,8 +127,6 @@ class ShardCoordinator:
         storage: Optional per-shard
             :class:`~repro.storage.StorageConfig` list — required for
             post-crash worker restarts under the parallel backend.
-        worker_timeout: Per-phase barrier timeout (seconds) before a
-            silent worker is declared crashed (parallel backend only).
     """
 
     def __init__(
@@ -144,7 +142,6 @@ class ShardCoordinator:
         obs: MetricsRegistry | None = None,
         workers: int | None = None,
         storage: Sequence[object | None] | None = None,
-        worker_timeout: float = 60.0,
     ):
         if epoch_rounds is not None and epoch_rounds < 1:
             raise ConfigurationError(f"epoch_rounds must be >= 1, got {epoch_rounds}")
@@ -166,12 +163,9 @@ class ShardCoordinator:
             shards=tuple(range(topology.num_shards)),
         )
         if workers is not None and workers >= 2:
-            self.backend = ParallelBackend(
-                spec, obs=self.obs, workers=workers, phase_timeout=worker_timeout
-            )
+            self.backend = ParallelBackend(spec, obs=self.obs, workers=workers)
         else:
             self.backend = ShardHost(spec, obs=self.obs)
-        self.obs.bind_clock(lambda: self.now)
         self.auditor = CrossShardAuditor(obs=self.obs)
         self.provider_shard = dict(topology.provider_shard)
         self.collector_shard = dict(topology.collector_shard)

@@ -14,9 +14,9 @@ A checkpoint pins three things at a block serial ``s``:
   to be stored to verify it.
 
 Checkpoint files are JSON wrapped with a CRC32, written atomically
-(tmp + rename) and fsynced, and the newest ``retain`` files are kept so
-a corrupt latest checkpoint degrades to the previous one rather than to
-a full peer replay.
+(tmp + rename) and fsynced, and the newest ``CHECKPOINT_RETAIN`` files
+are kept so a corrupt latest checkpoint degrades to the previous one
+rather than to a full peer replay.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ def write_checkpoint(
     ckpt: Checkpoint,
     *,
     fsync: bool = True,
-    retain: int = CHECKPOINT_RETAIN,
 ) -> Path:
-    """Atomically persist ``ckpt`` and prune all but the newest ``retain``."""
+    """Atomically persist ``ckpt`` and prune all but the newest
+    ``CHECKPOINT_RETAIN``."""
     directory = Path(directory)
     body = {
         "format": CHECKPOINT_FORMAT,
@@ -131,7 +131,7 @@ def write_checkpoint(
             os.fsync(fh.fileno())
     os.replace(tmp, path)
     existing = sorted(directory.glob("checkpoint-*.json"))
-    for stale in existing[:-retain] if retain > 0 else []:
+    for stale in existing[:-CHECKPOINT_RETAIN]:
         stale.unlink()
     return path
 

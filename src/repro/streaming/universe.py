@@ -22,6 +22,7 @@ from typing import Iterator
 from repro.exceptions import TopologyError
 from repro.network.topology import (
     check_circulant_shape,
+    circulant_indices,
     collector_id,
     governor_id,
     provider_id,
@@ -146,10 +147,7 @@ class VirtualUniverse:
             raise TopologyError(
                 f"provider index {k} outside universe [0, {self.universe})"
             )
-        start = (k * self.r) % self.n
-        return tuple(
-            collector_id((start + offset) % self.n) for offset in range(self.r)
-        )
+        return tuple([collector_id(i) for i in circulant_indices(k, self.n, self.r)])
 
     def collectors_of(self, pid: str) -> tuple[str, ...]:
         """Id-keyed variant of :meth:`collectors_of_index`."""

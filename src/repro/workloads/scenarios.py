@@ -107,7 +107,6 @@ class Scenario:
     )
     workload_factory: Callable[[Topology, int], WorkloadGenerator] = _mostly_valid
     host: str = "inproc"
-    max_delay: float = 0.05
     # ``shard`` hosts.
     shards: int = 1
     p_cross: float = 0.0
@@ -255,7 +254,7 @@ SCENARIOS: dict[str, Scenario] = {
             host="net",
             l=8, n=4, m=3, r=2,
             params=ProtocolParams(f=0.5, delta=0.2),
-            rounds=6, batch=8, max_delay=0.05,
+            rounds=6, batch=8,
             checkpoint_interval=2, segment_bytes=4096,
         ),
         Scenario(
@@ -264,7 +263,7 @@ SCENARIOS: dict[str, Scenario] = {
             host="net",
             l=12, n=6, m=3, r=3,
             params=ProtocolParams(f=0.5, delta=0.2),
-            rounds=20, batch=12, max_delay=0.05,
+            rounds=20, batch=12,
             checkpoint_interval=4, segment_bytes=8192,
         ),
         Scenario(
@@ -381,8 +380,8 @@ def build(
 
             common["network_factory"] = partial(RealNetwork, custodians=custodians)
         engine = NetworkedProtocolEngine(
-            topo, scenario.params, max_delay=scenario.max_delay,
-            resilience=scenario.resilience, storage=storage, **common,
+            topo, scenario.params, resilience=scenario.resilience, storage=storage,
+            **common,
         )
         if plans is not None:
             engine.install_faults(plans)
@@ -397,8 +396,8 @@ def build(
         raise ConfigurationError(f"{len(plans)} fault plans for {scenario.shards} shards")
     coordinator = ShardCoordinator(
         topo, scenario.params,
-        epoch_rounds=scenario.epoch_rounds, max_delay=scenario.max_delay,
-        resilience=scenario.resilience, workers=workers, **common,
+        epoch_rounds=scenario.epoch_rounds, resilience=scenario.resilience,
+        workers=workers, **common,
     )
     for shard, plan in enumerate(plans or ()):
         coordinator.install_faults(shard, plan)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SimulationError
+from repro.network import broadcast
 from repro.network.broadcast import AtomicBroadcast
 from repro.network.simnet import Simulator, SyncNetwork
 
@@ -168,7 +169,7 @@ class TestMisroutedPayloads:
 
 
 class TestGapRepair:
-    def build_repair(self, members=("x", "y", "z"), **kwargs):
+    def build_repair(self, members=("x", "y", "z")):
         sim = Simulator()
         net = SyncNetwork(sim, min_delay=0.0, max_delay=0.05, seed=3)
         ab = AtomicBroadcast(net)
@@ -179,7 +180,7 @@ class TestGapRepair:
             ab.register_handler(
                 "G", m, lambda sender, body, m=m: delivered[m].append(body)
             )
-        ab.enable_gap_repair("seq0", backup="seq1", **kwargs)
+        ab.enable_gap_repair("seq0", "seq1")
         return sim, net, ab, delivered
 
     def test_lost_payload_repaired_via_nack(self):
@@ -210,14 +211,14 @@ class TestGapRepair:
         assert ab.pending_gap_total() == 0
 
     def test_repair_timeout_required_positive(self):
-        sim = Simulator()
-        net = SyncNetwork(sim)
-        ab = AtomicBroadcast(net)
+        """The first NACK waits ``4 * max_delay``: a zero bound has no timer."""
+        net = SyncNetwork(Simulator(), min_delay=0.0, max_delay=0.0)
         with pytest.raises(SimulationError):
-            ab.enable_gap_repair("seq0", timeout=0.0)
+            AtomicBroadcast(net).enable_gap_repair("seq0", "seq1")
 
-    def test_sequencer_failover_to_backup(self):
-        sim, net, ab, delivered = self.build_repair(failover_after=1)
+    def test_sequencer_failover_to_backup(self, monkeypatch):
+        monkeypatch.setattr(broadcast, "REPAIR_FAILOVER_AFTER", 1)
+        sim, net, ab, delivered = self.build_repair()
         net.partition("seq0")  # primary sequencer endpoint is dead
         dropped = {"n": 0}
 
@@ -271,15 +272,16 @@ class TestGapRepair:
         sim.run()
         assert delivered["z"] == ["m0"]
 
-    def test_retention_eviction_counts_expired(self):
+    def test_retention_eviction_counts_expired(self, monkeypatch):
+        monkeypatch.setattr(AtomicBroadcast, "RETENTION", 2)
         sim = Simulator()
         net = SyncNetwork(sim, min_delay=0.0, max_delay=0.05, seed=3)
-        ab = AtomicBroadcast(net, retention=2)
+        ab = AtomicBroadcast(net)
         ab.create_group("G", ["z"])
         got = []
         net.register("z", lambda msg: ab.on_message("z", msg))
         ab.register_handler("G", "z", lambda s, b: got.append(b))
-        ab.enable_gap_repair("seq0")
+        ab.enable_gap_repair("seq0", "seq1")
         net.partition("z")
         for i in range(5):
             ab.broadcast("G", "x", f"m{i}")
@@ -297,14 +299,15 @@ class TestGapRepair:
         sim.run()
         assert got == ["m3", "m4"]
 
-    def test_full_log_holds_exactly_the_newest_retention_seqnos(self):
+    def test_full_log_holds_exactly_the_newest_retention_seqnos(self, monkeypatch):
+        retention = 64
+        monkeypatch.setattr(AtomicBroadcast, "RETENTION", retention)
         sim = Simulator()
         net = SyncNetwork(sim, min_delay=0.0, max_delay=0.05, seed=3)
-        retention = 64
-        ab = AtomicBroadcast(net, retention=retention)
+        ab = AtomicBroadcast(net)
         ab.create_group("G", ["z"])
         net.register("z", lambda msg: ab.on_message("z", msg))
-        ab.enable_gap_repair("seq0")
+        ab.enable_gap_repair("seq0", "seq1")
         net.partition("z")
         total = retention + 50
         for i in range(total):

@@ -28,29 +28,23 @@ class TestAddCollector:
     def test_median_bootstrap(self):
         policy = make_policy()
         seed_weights(policy, {"c0": 1.0, "c1": 0.5, "c2": 0.01})
-        policy.add_collector("c9", bootstrap="median")
+        policy.add_collector("c9")
         assert policy.weights["c9"] == pytest.approx(0.5)
         assert "c9" in policy.collector_ids
 
     def test_initial_bootstrap(self):
+        """With no incumbent left to take a median of, the newcomer
+        starts at genesis trust."""
         policy = make_policy()
         seed_weights(policy, {"c0": 1e-9, "c1": 1e-9, "c2": 1e-9})
-        policy.add_collector("c9", bootstrap="initial")
+        for cid in ("c0", "c1", "c2"):
+            policy.retire_collector(cid)
+        policy.add_collector("c9")
         assert policy.weights["c9"] == policy.params.initial_reputation
-
-    def test_min_bootstrap(self):
-        policy = make_policy()
-        seed_weights(policy, {"c0": 1.0, "c1": 0.5, "c2": 0.02})
-        policy.add_collector("c9", bootstrap="min")
-        assert policy.weights["c9"] == pytest.approx(0.02)
 
     def test_duplicate_rejected(self):
         with pytest.raises(ConfigurationError):
             make_policy().add_collector("c0")
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_policy().add_collector("c9", bootstrap="vibes")
 
 
 class TestRetireCollector:
@@ -98,7 +92,7 @@ class TestChurnMidStream:
         sim = PolicySimulation(behaviors, horizon=600, seed=9)
         sim.run(policy, policy_seed=10)
         inverter_weight = max(policy.weights[f"c{i}"] for i in (1, 2, 3))
-        policy.add_collector("fresh", bootstrap="median")
+        policy.add_collector("fresh")
         assert policy.weights["fresh"] >= inverter_weight
         # The policy still screens correctly with the extended roster.
         rng = default_rng(11)

@@ -138,7 +138,7 @@ def test_golden_policy_stats_and_weights_across_churn(mix):
         )
 
     first = stats_of(21)
-    policy.add_collector("c8", bootstrap="median")
+    policy.add_collector("c8")
     policy.retire_collector("c5")
     second = stats_of(23)
     assert (first, second, dict(policy.weights)) == GOLDEN_POLICY_RUNS[mix]

@@ -147,21 +147,12 @@ class TestGaugesAndHistograms:
 
 
 class TestSpans:
-    def test_span_context_uses_bound_clock(self):
-        reg = MetricsRegistry()
-        now = {"t": 1.0}
-        reg.bind_clock(lambda: now["t"])
-        with reg.span("work", node="a"):
-            now["t"] = 3.5
-        (span,) = reg.spans_of("work")
-        assert span.start == 1.0 and span.end == 3.5
-        assert span.duration == 2.5
-        assert span.labels == {"node": "a"}
-
     def test_record_span_coerces_labels(self):
         reg = MetricsRegistry()
-        reg.record_span("round", 0.0, 1.0, round=3)
+        reg.record_span("round", 1.0, 3.5, round=3)
         (span,) = reg.spans_of("round")
+        assert span.start == 1.0 and span.end == 3.5
+        assert span.duration == 2.5
         assert span.labels == {"round": "3"}
 
 
@@ -172,8 +163,6 @@ class TestDisabledRegistry:
         NULL_REGISTRY.histogram("h", "h").observe(1)
         NULL_REGISTRY.histogram("h", "h", labels=("k",)).labels(k="a").observe(1)
         NULL_REGISTRY.record_span("s", 0.0, 1.0)
-        with NULL_REGISTRY.span("s"):
-            pass
         assert NULL_REGISTRY.names() == []
         assert NULL_REGISTRY.spans == []
 

@@ -213,7 +213,7 @@ class TestInstrumentation:
         assert obs.get("engine_rounds_total").value == ROUNDS
         assert {"gov_screenings_total", "rep_updates_total"} <= set(obs.names())
         assert 0 < obs.get("crypto_sig_cache_entries").value
-        assert obs.spans == []  # no clock, no spans
+        assert obs.spans == []  # the in-process engine records no span
 
 
 def test_store_heights_agree():

@@ -89,7 +89,7 @@ def pool(workers=2, obs=None, **changes):
 
 def hand_built(faults=False, **options):
     """``sharded-smoke`` on two workers, given the coordinator arguments no
-    preset carries (per-shard ``storage``, ``worker_timeout``)."""
+    preset carries (per-shard ``storage``)."""
     sharded, link = SMOKE.topology(), LinkFaultSpec(loss=0.02, duplicate=0.05)
     coordinator = ShardCoordinator(
         sharded, SMOKE.params, seed=3, resilience=faults, workers=2, **options
@@ -245,9 +245,9 @@ class TestBoot:
             init(host, spec)
 
         monkeypatch.setattr(ShardHost, "__init__", slow_init)
-        monkeypatch.setattr("repro.parallel.pool._READY_TIMEOUT_FLOOR", 0.05)
+        monkeypatch.setattr("repro.parallel.pool.BOOT_TIMEOUT", 0.05)
         with pytest.raises(WorkerCrashError, match="boot deadline") as err:
-            hand_built(worker_timeout=0.05)
+            hand_built()
         assert [proc.name for proc in multiprocessing.active_children()] == []
         assert len(reaped_pids) == 2 and all(gone(pid) for pid in reaped_pids)
         assert err.value.worker == 0
@@ -412,9 +412,9 @@ class TestCrashHandling:
         assert err.value.exitcode == -signal.SIGKILL
         assert all(gone(pid) for pid in pids)
 
-    def test_hung_worker_trips_barrier_timeout(self):
+    def test_hung_worker_trips_barrier_timeout(self, monkeypatch):
+        monkeypatch.setattr("repro.parallel.pool.PHASE_TIMEOUT", 3.0)
         coordinator, workload = pool()
-        coordinator.backend.phase_timeout = 3.0
         try:
             coordinator.submit(workload.take(32))
             coordinator.run_super_round()
@@ -447,7 +447,7 @@ class TestCrashHandling:
             )
             for k in range(2)
         ]
-        coordinator, workload = hand_built(storage=storage, worker_timeout=30.0)
+        coordinator, workload = hand_built(storage=storage)
         try:
             for _ in range(3):
                 coordinator.submit(workload.take(32))
@@ -486,9 +486,7 @@ class TestCrashHandling:
             )
             for k in range(2)
         ]
-        coordinator, workload = hand_built(
-            faults=True, storage=storage, worker_timeout=30.0
-        )
+        coordinator, workload = hand_built(faults=True, storage=storage)
         try:
             for _ in range(2):
                 coordinator.submit(workload.take(32))

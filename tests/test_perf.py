@@ -316,6 +316,6 @@ class TestRowCacheEquivalence:
         check()
         retired = book.retire_collector("c1")
         check()
-        book.readmit_collector("c1", ["p0", "p1"], bootstrap="min")
+        book.readmit_collector("c1", ["p0", "p1"])
         assert book.vector("c1") is not retired
         check()

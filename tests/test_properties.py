@@ -125,13 +125,6 @@ class TestViolations:
         report = check_all_properties([ledger], t)
         assert report.validity
 
-    def test_validity_skipped_when_run_incomplete(self):
-        ledger = chain_with([[record()]])
-        t = full_transcript(ledger)
-        mark_honest_valid(t, "still-in-flight")
-        report = check_all_properties([ledger], t, run_complete=False)
-        assert report.validity  # not evaluated yet
-
     def test_agreement_violation_reported(self):
         a = chain_with([[record()]])
         b = chain_with([[record()]])  # different contents at serial 1

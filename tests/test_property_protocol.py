@@ -59,7 +59,6 @@ def _build(config):
         ProtocolParams(f=config["f"]),
         behaviors=behaviors,
         seed=config["seed"],
-        leader_rotation=True,
     )
     workload = BernoulliWorkload(
         topo.providers, p_valid=config["p_valid"], seed=config["seed"] + 1

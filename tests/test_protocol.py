@@ -20,13 +20,13 @@ from repro.network.topology import Topology
 from repro.workloads.generator import BernoulliWorkload
 
 
-def make_engine(f=0.5, behaviors=None, seed=0, m=4, leader_rotation=False, stake=None):
+def make_engine(f=0.5, behaviors=None, seed=0, m=4, stake=None):
     topo = Topology.regular(l=8, n=4, m=m, r=2)
     params = ProtocolParams(f=f)
     return (
         ProtocolEngine(
             topo, params, behaviors=behaviors, seed=seed,
-            leader_rotation=leader_rotation, stake=stake,
+            stake=stake,
         ),
         topo,
     )
@@ -70,9 +70,12 @@ class TestBasicExecution:
             engine.run_round(workload.take(ProtocolParams().b_limit + 1))
 
     def test_leader_rotation_mode(self):
-        engine, topo = make_engine(leader_rotation=True)
+        """With all stake on expelled governors the VRF has nobody to
+        elect: leadership rotates round-robin among the eligible."""
+        engine, topo = make_engine(stake={"g0": 4, "g1": 0, "g2": 0, "g3": 0})
+        engine.expel_governor("g0")
         results = run_rounds(engine, topo, rounds=4)
-        assert [r.leader for r in results] == ["g0", "g1", "g2", "g3"]
+        assert [r.leader for r in results] == ["g1", "g2", "g3", "g1"]
 
 
 class TestForgeries:

@@ -11,21 +11,19 @@ from repro.network.reliable import ReliableChannel, ReliableEnvelope
 from repro.network.simnet import Simulator, SyncNetwork
 
 
-def make_channel(max_retries=4, seed=0):
+def make_channel(seed=0):
     sim = Simulator()
     net = SyncNetwork(sim, min_delay=0.01, max_delay=0.05, seed=seed + 1)
-    channel = ReliableChannel(net, max_retries=max_retries)
+    channel = ReliableChannel(net)
     return sim, net, channel
 
 
 class TestConstruction:
     def test_bad_timeout_rejected(self):
-        sim = Simulator()
-        net = SyncNetwork(sim)
+        """The retransmit timer is ``3 * max_delay``: a zero bound has none."""
+        net = SyncNetwork(Simulator(), min_delay=0.0, max_delay=0.0)
         with pytest.raises(SimulationError):
-            ReliableChannel(net, base_timeout=0.0)
-        with pytest.raises(SimulationError):
-            ReliableChannel(net, backoff=0.5)
+            ReliableChannel(net)
 
 
 class TestCleanDelivery:
@@ -120,8 +118,9 @@ class TestLossRecovery:
         assert [m.payload for m in got] == ["x"]
         assert channel.stats.duplicates_suppressed >= 1
 
-    def test_bounded_retries_give_up(self):
-        sim, net, channel = make_channel(max_retries=3)
+    def test_bounded_retries_give_up(self, monkeypatch):
+        monkeypatch.setattr(ReliableChannel, "MAX_RETRIES", 3)
+        sim, net, channel = make_channel()
         got = []
         channel.register("a", lambda m: None)
         channel.register("b", got.append)
@@ -134,8 +133,9 @@ class TestLossRecovery:
         assert channel.unacked == 0  # sender state released
 
     @staticmethod
-    def send_fifty_under_loss(max_retries):
-        sim, net, channel = make_channel(max_retries=max_retries)
+    def send_fifty_under_loss(monkeypatch, max_retries):
+        monkeypatch.setattr(ReliableChannel, "MAX_RETRIES", max_retries)
+        sim, net, channel = make_channel()
         got = []
         channel.register("a", lambda m: None)
         channel.register("b", got.append)
@@ -146,17 +146,17 @@ class TestLossRecovery:
         assert channel.stats.retransmits > 0
         return [m.payload for m in got], channel.stats.gave_up
 
-    def test_delivery_under_heavy_seeded_loss(self):
+    def test_delivery_under_heavy_seeded_loss(self, monkeypatch):
         # 40% loss with 6 retries can lose a message (about one run in
         # ten): the contract is that each payload is delivered exactly
         # once or abandoned once, counted in gave_up.
-        delivered, gave_up = self.send_fifty_under_loss(max_retries=6)
+        delivered, gave_up = self.send_fifty_under_loss(monkeypatch, max_retries=6)
         assert len(delivered) == len(set(delivered))
         assert set(delivered) <= set(range(50))
         assert len(delivered) + gave_up == 50
 
-    def test_delivery_of_all_under_heavy_loss_with_a_deep_budget(self):
+    def test_delivery_of_all_under_heavy_loss_with_a_deep_budget(self, monkeypatch):
         # 12 retries: a miss needs 13 losses in a row, at most 50 * 0.4**13.
-        delivered, gave_up = self.send_fifty_under_loss(max_retries=12)
+        delivered, gave_up = self.send_fifty_under_loss(monkeypatch, max_retries=12)
         assert sorted(delivered) == list(range(50))
         assert gave_up == 0

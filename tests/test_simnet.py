@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SimulationError
+from repro.network import simnet
 from repro.network.simnet import Message, Simulator, SyncNetwork
 
 
@@ -52,13 +53,14 @@ class TestSimulator:
         sim.run()
         assert hits == ["outer", "inner"]
 
-    def test_runaway_guard(self):
+    def test_runaway_guard(self, monkeypatch):
+        monkeypatch.setattr(simnet, "MAX_EVENTS", 100)
         sim = Simulator()
         def reschedule():
             sim.schedule_after(0.001, reschedule)
         sim.schedule_after(0.0, reschedule)
         with pytest.raises(SimulationError):
-            sim.run(max_events=100)
+            sim.run()
 
     def test_fires_in_time_order(self):
         sim = Simulator()

@@ -174,7 +174,7 @@ class TestCheckpoints:
                 prev_root=prev_root,
                 root=Checkpoint.compute_root(prev_root, hashes),
             )
-            write_checkpoint(tmp_path, ckpt, retain=2)
+            write_checkpoint(tmp_path, ckpt)
             prev_root, start = ckpt.root, store.height
         files = sorted(p.name for p in tmp_path.glob("checkpoint-*.json"))
         assert files == ["checkpoint-00000006.json", "checkpoint-00000008.json"]

@@ -541,7 +541,7 @@ class TestBookCheckpointRestart:
 
         def open_engine():
             return NetworkedProtocolEngine(
-                topo, sc.params, seed=7, max_delay=sc.max_delay,
+                topo, sc.params, seed=7,
                 storage=StorageConfig(
                     directory=str(tmp_path),
                     checkpoint_interval=sc.checkpoint_interval,

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import TopologyError
-from repro.network.topology import Topology
+from repro.network.topology import Topology, balanced_groups
 from repro.streaming.universe import VirtualUniverse
 
 
@@ -178,13 +178,11 @@ class TestSharded:
             assert topo.r * topo.l == topo.s * topo.n
 
     def test_masses_balance_reputation(self):
-        # One heavy collector per pair: LPT must split heavies apart.
+        # The LPT placement behind sharded builds and epoch reshuffles:
+        # one heavy collector per pair, so it must split the heavies apart.
         masses = {"c0": 10.0, "c1": 10.0, "c2": 1.0, "c3": 1.0}
-        sharded = Topology.sharded(l=8, n=4, m=2, r=2, shards=2, masses=masses)
-        totals = [
-            sum(masses[c] for c in topo.collectors) for topo in sharded.shards
-        ]
-        assert totals[0] == totals[1] == 11.0
+        groups = balanced_groups(list(masses), masses, 2)
+        assert [sum(masses[c] for c in group) for group in groups] == [11.0, 11.0]
 
     def test_seeded_build_is_deterministic(self):
         a = Topology.sharded(l=8, n=4, m=4, r=2, shards=2, seed=5)
@@ -212,13 +210,11 @@ class TestSharded:
 
 class TestBalancedGroups:
     def test_uneven_split_rejected(self):
-        from repro.network.topology import balanced_groups
 
         with pytest.raises(TopologyError):
             balanced_groups(["a", "b", "c"], {}, 2)
 
     def test_equal_capacity_enforced(self):
-        from repro.network.topology import balanced_groups
 
         # Even with one dominant mass, bins stay equal-size.
         groups = balanced_groups(

@@ -64,12 +64,6 @@ class TestCountingOracle:
         assert counting.validate(t_good)
         assert not counting.validate(t_bad)
 
-    def test_cost_model(self):
-        counting = CountingOracle(inner=GroundTruthOracle(), cost_per_call=2.5)
-        counting.validate(tx())
-        counting.validate(tx("y", nonce=1))
-        assert counting.total_cost == pytest.approx(5.0)
-
     def test_reset(self):
         counting = CountingOracle(inner=GroundTruthOracle())
         counting.validate(tx())
