@@ -294,17 +294,13 @@ class Governor:
             # dropped before any attribution is attempted.
             return False
         tx, label = upload.parse()
-        # The signed bytes are derived once per record, and the IM keeps
-        # each verdict on its signature: every governor checks them, only
-        # the first pays.
-        collector_ok = self.im.verify(
-            upload.collector, upload.message, upload.collector_signature
-        )
-        if not collector_ok:
+        # The IM keeps each verdict on the record it checked: every
+        # governor checks them, only the first pays.
+        if not self.im.verify(upload):
             return False
-        provider_ok = self.im.verify(
-            tx.provider, tx.message, tx.provider_signature
-        ) and self.im.is_linked(upload.collector, tx.provider)
+        provider_ok = self.im.verify(tx) and self.im.is_linked(
+            upload.collector, tx.provider
+        )
         if not provider_ok:
             apply_forge_update(self.book, upload.collector)
             self.metrics.forgeries_caught += 1

@@ -208,8 +208,11 @@ class SafetyAuditor:
         # Evidence, held for the life of the run (nothing is pruned): per
         # serial / tx_id, each signer's first verified message — replaced
         # by the ``(first, second)`` pair once a conflicting one arrives.
+        # A serial's votes are keyed by governor; a transaction's labels
+        # are one tuple in arrival order, scanned by collector (at most r
+        # entries, and a tx outnumbers serials by a block's size).
         self._votes: dict[int, dict[str, "CommitVote | tuple"]] = {}
-        self._labels: dict[str, dict[str, "LabeledTransaction | tuple"]] = {}
+        self._labels: dict[str, tuple["LabeledTransaction | tuple", ...]] = {}
         # collector -> last observed reputation-vector version
         self._book_versions: dict[str, int] = {}
         self.report.declare(self.obs)
@@ -285,7 +288,7 @@ class SafetyAuditor:
             self._check("record-signatures")
             for rec in block.tx_list:
                 tx = rec.tx
-                if not self.im.verify(tx.provider, tx.message, tx.provider_signature):
+                if not self.im.verify(tx):
                     found.append(
                         AuditViolation(
                             type=ViolationType.BAD_SIGNATURE,
@@ -336,9 +339,7 @@ class SafetyAuditor:
         received the *other* equivocating vote can complete the proof).
         """
         self._check("commit-vote")
-        if self.im is not None and not self.im.verify(
-            vote.governor, vote.signed_message(), vote.signature
-        ):
+        if self.im is not None and not self.im.verify(vote):
             # Unverifiable votes are no evidence of anything; drop.
             self._record(
                 AuditViolation(
@@ -390,28 +391,34 @@ class SafetyAuditor:
         verification and therefore can never *frame* a collector.
         """
         self._check("upload-label")
-        if self.im is not None and not self.im.verify(
-            upload.collector, upload.message, upload.collector_signature
-        ):
+        if self.im is not None and not self.im.verify(upload):
             return None
-        by_collector = self._labels.setdefault(upload.tx.tx_id, {})
-        held = by_collector.setdefault(upload.collector, upload)
-        if type(held) is not tuple and held.label != upload.label:
-            held = by_collector[upload.collector] = (held, upload)
-        if type(held) is tuple:
+        tx_id, collector = upload.tx.tx_id, upload.collector
+        held = self._labels.get(tx_id, ())
+        for index, entry in enumerate(held):
+            pair = type(entry) is tuple
+            first = entry[0] if pair else entry
+            if first.collector != collector:
+                continue
+            if not pair:
+                if first.label == upload.label:
+                    return None
+                entry = (first, upload)
+                self._labels[tx_id] = held[:index] + (entry,) + held[index + 1:]
             return self._record(
                 AuditViolation(
                     type=ViolationType.COLLECTOR_EQUIVOCATION,
-                    culprit=upload.collector,
+                    culprit=collector,
                     round_number=round_number,
                     detail=(
-                        f"collector {upload.collector} signed conflicting labels "
-                        f"for tx {upload.tx.tx_id}"
+                        f"collector {collector} signed conflicting labels "
+                        f"for tx {tx_id}"
                     ),
                     provable=True,
-                    evidence=held,
+                    evidence=entry,
                 )
             )
+        self._labels[tx_id] = held + (upload,)
         return None
 
     # -- reputation-book invariants --------------------------------------

@@ -4,15 +4,18 @@ Each message dataclass carries a ``kind`` tag used by the network layer's
 per-kind counters, which is how the complexity experiments (E7) separate
 ordinary-block traffic from stake-transform traffic.  Each signed message
 is spelled once, by a ``*_message`` function that both its maker and its
-verifier call.
+verifier call; the signed records keep an Identity Manager's verdict
+beside their fields (:class:`~repro.crypto.signatures.SignedRecord`), so
+they are slotted and pickle as their field tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.crypto.hashing import canonical_encode
-from repro.crypto.signatures import Signature, SigningKey, sign
+from repro.crypto.signatures import Signature, SignedRecord, SigningKey, sign
 from repro.crypto.vrf import VRFOutput
 from repro.ledger.block import Block
 
@@ -72,8 +75,8 @@ class BlockProposal:
     kind: str = field(default="block-proposal", repr=False)
 
 
-@dataclass(frozen=True)
-class CommitVote:
+@dataclass(frozen=True, slots=True)
+class CommitVote(SignedRecord):
     """A governor's signed commitment to one block hash at one serial.
 
     The safety auditor's equivocation surface: honest governors send an
@@ -95,11 +98,9 @@ class CommitVote:
     signature: Signature
     kind: str = field(default="audit-commit", repr=False)
 
-    def signed_message(self) -> bytes:
-        """The bytes the governor's signature covers."""
-        return vote_message(
-            self.governor, self.serial, self.block_hash, self.round_number
-        )
+    signed_by = attrgetter("governor", "signature")
+    message_of = staticmethod(vote_message)
+    message_fields = attrgetter("governor", "serial", "block_hash", "round_number")
 
 
 def make_vote(
@@ -110,8 +111,8 @@ def make_vote(
     return CommitVote(key.owner, serial, block_hash, round_number, signature)
 
 
-@dataclass(frozen=True)
-class NewStateProposal:
+@dataclass(frozen=True, slots=True)
+class NewStateProposal(SignedRecord):
     """Step 1 of the stake-transform consensus: NEW_STATE + leader signature."""
 
     round_number: int
@@ -121,15 +122,13 @@ class NewStateProposal:
     signature: Signature
     kind: str = field(default="new-state", repr=False)
 
-    def signed_message(self) -> bytes:
-        """The bytes the leader's signature covers."""
-        return proposal_message(
-            self.round_number, self.new_state, self.transfers_digest
-        )
+    signed_by = attrgetter("leader", "signature")
+    message_of = staticmethod(proposal_message)
+    message_fields = attrgetter("round_number", "new_state", "transfers_digest")
 
 
-@dataclass(frozen=True)
-class StateAck:
+@dataclass(frozen=True, slots=True)
+class StateAck(SignedRecord):
     """Step 2: a non-leader's signature over the leader's proposal."""
 
     round_number: int
@@ -138,9 +137,9 @@ class StateAck:
     signature: Signature
     kind: str = field(default="state-ack", repr=False)
 
-    def signed_message(self) -> bytes:
-        """The bytes the acker's signature covers."""
-        return ack_message(self.round_number, self.proposal_digest)
+    signed_by = attrgetter("governor", "signature")
+    message_of = staticmethod(ack_message)
+    message_fields = attrgetter("round_number", "proposal_digest")
 
 
 @dataclass(frozen=True)

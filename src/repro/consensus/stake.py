@@ -13,10 +13,11 @@ snapshot at the end of a round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, Mapping
 
 from repro.crypto.hashing import canonical_encode, hash_value, sha256
-from repro.crypto.signatures import Signature, SigningKey, sign
+from repro.crypto.signatures import Signature, SignedRecord, SigningKey, sign
 from repro.exceptions import StakeError
 
 __all__ = ["StakeTransfer", "StakeLedger", "transfer_message", "make_transfer"]
@@ -27,8 +28,8 @@ def transfer_message(sender: str, receiver: str, amount: int, nonce: int) -> byt
     return canonical_encode(("stake-transfer", sender, receiver, amount, nonce))
 
 
-@dataclass(frozen=True)
-class StakeTransfer:
+@dataclass(frozen=True, slots=True)
+class StakeTransfer(SignedRecord):
     """A signed stake movement between governors."""
 
     sender: str
@@ -37,15 +38,15 @@ class StakeTransfer:
     nonce: int
     signature: Signature
 
+    signed_by = attrgetter("sender", "signature")
+    message_of = staticmethod(transfer_message)
+    message_fields = attrgetter("sender", "receiver", "amount", "nonce")
+
     def __post_init__(self) -> None:
         if self.amount <= 0:
             raise StakeError(f"transfer amount must be positive, got {self.amount}")
         if self.sender == self.receiver:
             raise StakeError("self-transfers are meaningless")
-
-    def signed_message(self) -> bytes:
-        """The bytes the sender signed."""
-        return transfer_message(self.sender, self.receiver, self.amount, self.nonce)
 
     def canonical_bytes(self) -> bytes:
         """Stable digest (for inclusion in NEW_STATE hashing)."""

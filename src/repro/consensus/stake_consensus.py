@@ -91,7 +91,7 @@ def evaluate_proposal(
     (every transfer is broadcast to all governors) to the previous state
     reproduces the leader's NEW_STATE.
     """
-    if not im.verify(proposal.leader, proposal.signed_message(), proposal.signature):
+    if not im.verify(proposal):
         return ExpelEvidence(
             round_number=proposal.round_number,
             accuser=key.owner,
@@ -149,7 +149,7 @@ def verify_commit(
     if len(digests) > 1:
         raise ProtocolViolationError("acks cover different proposal digests")
     for ack in commit.acks:
-        if not im.verify(ack.governor, ack.signed_message(), ack.signature):
+        if not im.verify(ack):
             raise ProtocolViolationError(f"invalid ack signature from {ack.governor!r}")
 
 

@@ -603,15 +603,12 @@ class NetworkedProtocolEngine(RoundCore):
             for cid in provider.linked_collectors:
                 self.broadcast.broadcast(f"feed:{cid}", provider.provider_id, tx)
         # Verify this round's provider signatures up front: the IM keeps
-        # each verdict on its signature, so when the drain below delivers
-        # the r-fold collector fan-out and every governor re-checks each
-        # upload, they all read it instead of redoing the HMAC.
-        # Verification consumes no randomness, so the drain is unaffected
-        # otherwise.
-        self.im.verify_batch(
-            (tx.provider, tx.message, tx.provider_signature)
-            for _provider, tx in originated
-        )
+        # each verdict on the tx it checked, so when the drain below
+        # delivers the r-fold collector fan-out and every governor
+        # re-checks each upload, they all read it instead of redoing the
+        # HMAC.  Verification consumes no randomness, so the drain is
+        # unaffected otherwise.
+        self.im.verify_batch(tx for _provider, tx in originated)
         # Forgery opportunities: once per live collector per round.
         for collector in self.collectors.values():
             if collector.collector_id in self.crashed_nodes:

@@ -88,8 +88,9 @@ class ProtocolEngine(RoundCore):
             Must satisfy the coverage constraint (validated).
         abusive_providers: provider id -> spurious-argue rate; these
             providers also contest correctly-recorded invalid
-            transactions, burning one governor validation per argue
-            (bounded griefing; the record never flips).
+            transactions, burning one validation per argue at every
+            governor that holds the record unchecked (bounded griefing;
+            the record never flips).
         obs: Optional :class:`~repro.obs.MetricsRegistry`; when given,
             the engine, its governors, and their reputation books feed
             the ``engine_* / gov_* / rep_*`` metric families (see

@@ -8,7 +8,8 @@ standard PKI methods and play the role of a Certificate Authority."*
 
 The :class:`IdentityManager` here is that component: it enrolls nodes
 with a role, issues signing credentials, and offers a global
-``verify(d, m)`` matching the paper's function over the bytes ``m``.
+``verify(d, m)`` matching the paper's function over a signed record:
+its claimed signer ``d`` and the bytes ``m`` it spells.
 The extra collector rule — a collector-uploaded message must carry a
 signature by a provider that collector is actually linked with — is
 checked by :meth:`repro.agents.governor.Governor.ingest_upload` against
@@ -21,7 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.crypto.signatures import Signature, SigningKey, verify_with_key
+from repro.crypto.signatures import SignedRecord, SigningKey, verify_with_key
 from repro.exceptions import UnknownIdentityError
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 from repro.rng import Generator, default_rng
@@ -58,14 +59,17 @@ class IdentityManager:
     simulation keeps all secrets in one registry; nodes only ever receive
     their own :class:`SigningKey`.
 
-    Each verdict is kept on the :class:`Signature` it is about: the r-fold
-    collector fan-out and the per-governor re-verification of the same
-    upload hand this IM the same signature object, so they read the held
-    verdict instead of redoing identical HMACs.  A held verdict is read
-    only by the IM that computed it and only for the bytes it was
-    computed over; anything else goes through ``verify_with_key``.  That
-    is sound because credentials are immutable once enrolled
-    (re-enrolment of an id raises).
+    Each verdict is kept on the signed record it is about
+    (:class:`~repro.crypto.signatures.SignedRecord`): the r-fold collector
+    fan-out and the per-governor re-verification of the same upload hand
+    this IM the same record object, so they read the held verdict instead
+    of re-encoding the signed bytes and redoing identical HMACs.  A held
+    verdict is read only by the IM that computed it; a record it has not
+    checked — a copy, a delivery off a pipe or a socket, a new record
+    around a checked record's signature — goes through
+    ``verify_with_key``.  That is sound because a record's fields are
+    immutable and credentials are immutable once enrolled (re-enrolment
+    of an id raises).
 
     Args:
         seed: Seed for credential generation, for reproducible runs.
@@ -96,7 +100,7 @@ class IdentityManager:
         self.obs.gauge(
             "crypto_sig_cache_entries",
             "Verdicts the verification cache holds, as of the last closed round",
-            # Every miss leaves one verdict on a signature.
+            # Every miss leaves one verdict on a record.
             read=lambda: self.sig_cache_misses,
         )
 
@@ -156,40 +160,42 @@ class IdentityManager:
 
     # -- authentication -----------------------------------------------
 
-    def verify(self, sender_id: str, message: bytes, signature: Signature) -> bool:
-        """The paper's ``verify(d, m)``: authenticate the bytes ``message`` from ``d``.
+    def verify(self, record: SignedRecord) -> bool:
+        """The paper's ``verify(d, m)``: authenticate a signed record as its signer's.
 
-        Returns False when the signature does not check out against the
-        registered credential of ``sender_id`` or the sender is unknown.
+        ``d`` is the signer the record claims and ``m`` the bytes it spells
+        (``record.signed_message()``).  Returns False when the signature
+        does not check out against the registered credential of that
+        signer, names another signer, or the signer is unknown — each
+        refused before the record's held verdict is read.
         """
-        record = self._records.get(sender_id)
-        if record is None:
-            return False
-        if signature.signer != sender_id:
-            return False  # verify_with_key rejects this unconditionally
-        if signature.checked_by is self and signature.checked_message == message:
+        sender_id, signature = record.signed_by(record)
+        enrolled = self._records.get(sender_id)
+        if enrolled is None or signature.signer != sender_id:
+            return False  # verify_with_key rejects a foreign signer unconditionally
+        try:
+            checked_by = record.checked_by
+        except AttributeError:
+            checked_by = None  # never checked: the slots are set together
+        if checked_by is self:
             self.sig_cache_hits += 1
-            return signature.verdict
-        # Credentials are immutable, so both verdicts are kept.
-        result = verify_with_key(record.key, message, signature)
+            return record.verdict
+        # ``record.signed_message()``, one frame fewer.  Credentials are
+        # immutable, so both verdicts are kept.
+        message = record.message_of(*record.message_fields(record))
+        result = verify_with_key(enrolled.key, message, signature)
         self.sig_cache_misses += 1
-        object.__setattr__(signature, "checked_by", self)
-        object.__setattr__(signature, "checked_message", message)
-        object.__setattr__(signature, "verdict", result)
+        object.__setattr__(record, "checked_by", self)
+        object.__setattr__(record, "verdict", result)
         return result
 
-    def verify_batch(
-        self, items: Iterable[tuple[str, bytes, Signature]]
-    ) -> list[bool]:
-        """Verify many ``(sender_id, message, signature)`` triples at once.
+    def verify_batch(self, records: Iterable[SignedRecord]) -> list[bool]:
+        """Verify many signed records at once.
 
-        Each signature keeps its verdict, so duplicate payloads — the
-        r-fold collector fan-out delivering the same provider signature
-        to every linked collector, or every governor re-checking the
-        same upload — cost one HMAC total.
-        Returns one verdict per triple, in input order.
+        Each record keeps its verdict, so a record delivered many times —
+        the r-fold collector fan-out handing the same provider-signed tx
+        to every linked collector, or every governor re-checking the same
+        upload — costs one HMAC total.
+        Returns one verdict per record, in input order.
         """
-        return [
-            self.verify(sender_id, message, signature)
-            for sender_id, message, signature in items
-        ]
+        return [self.verify(record) for record in records]

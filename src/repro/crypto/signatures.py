@@ -27,10 +27,13 @@ import hashlib
 import hmac
 from dataclasses import dataclass, fields
 from operator import attrgetter
+from typing import Callable, ClassVar
 
 from repro.exceptions import SignatureError
 
-__all__ = ["SigningKey", "FrozenSlots", "Signature", "sign", "verify_with_key"]
+__all__ = [
+    "SigningKey", "FrozenSlots", "Signature", "SignedRecord", "sign", "verify_with_key",
+]
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class SigningKey:
 class FrozenSlots:
     """``pickle`` / ``copy`` for a frozen dataclass that declares ``__slots__``.
 
-    Signatures and the ledger records are alive by the handful per
+    Signatures and the signed records are alive by the handful per
     transaction per replica, so they carry no ``__dict__``.  A copy is a
     constructor call on the fields: it re-runs the class's checks and
     re-derives every value computed from the fields, so state that
@@ -87,18 +90,9 @@ _FIELD_GETTERS: dict[type, attrgetter] = {}
 
 @dataclass(frozen=True)
 class Signature(FrozenSlots):
-    """A signature tag over a message, attributable to ``signer``.
+    """A signature tag over a message, attributable to ``signer``."""
 
-    Beside its two fields a signature holds the last verdict an Identity
-    Manager computed for it: ``checked_by`` (that manager), ``checked_message``
-    (the bytes it checked) and ``verdict``.  They are slots, not fields, so
-    ``==``, ``hash``, ``repr`` and pickle see the fields only, and a copied,
-    unpickled or delivered signature arrives with no verdict.  Only
-    :meth:`repro.crypto.identity.IdentityManager.verify` reads or writes
-    them.
-    """
-
-    __slots__ = ("signer", "tag", "checked_by", "checked_message", "verdict")
+    __slots__ = ("signer", "tag")
 
     signer: str
     tag: bytes
@@ -106,12 +100,44 @@ class Signature(FrozenSlots):
     def __post_init__(self) -> None:
         if len(self.tag) != 32:
             raise SignatureError("signature tag must be a 32-byte HMAC-SHA256 tag")
-        # No verdict yet; the other two slots are read only under this one.
-        object.__setattr__(self, "checked_by", None)
 
     def hex(self) -> str:
         """Hex form of the tag for display."""
         return self.tag.hex()
+
+
+class SignedRecord(FrozenSlots):
+    """A frozen record one member signed, and an Identity Manager's verdict on it.
+
+    A subclass names its claimed signer and its signature in ``signed_by``
+    (an ``attrgetter`` of those two fields), and the bytes the signature
+    covers by the type's one ``*_message`` function, ``message_of``, and
+    the fields it takes, ``message_fields``.  The bytes are built to sign
+    and on a check, and never kept.
+
+    Beside its fields a record holds the last verdict an Identity Manager
+    computed for it: ``checked_by`` (that manager) and ``verdict``.  They are
+    slots, not fields, so ``==``, ``hash``, ``repr`` and pickle see the fields
+    only, and a copied, unpickled or delivered record arrives with neither
+    slot set.  The fields are immutable, so the verdict stays true of the
+    bytes they spell; a record whose field holds a mutable value (a
+    proposal's NEW_STATE dict) must not have it changed after a check.
+    Only :meth:`repro.crypto.identity.IdentityManager.verify` reads or
+    writes them.
+    """
+
+    __slots__ = ("checked_by", "verdict")
+
+    #: Getter of ``(claimed signer id, signature)`` from a record.
+    signed_by: ClassVar[attrgetter]
+    #: The type's ``*_message`` function (a ``staticmethod``) ...
+    message_of: ClassVar[Callable[..., bytes]]
+    #: ... and a getter of the values it takes, in its argument order.
+    message_fields: ClassVar[attrgetter]
+
+    def signed_message(self) -> bytes:
+        """The bytes the record's signature covers."""
+        return self.message_of(*self.message_fields(self))
 
 
 def sign(key: SigningKey, message: bytes) -> Signature:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.crypto.hashing import canonical_encode, hash_value
-from repro.crypto.signatures import FrozenSlots, Signature, SigningKey, sign
+from repro.crypto.signatures import FrozenSlots, Signature, SignedRecord, SigningKey, sign
 
 __all__ = [
     "Label",
@@ -86,7 +87,7 @@ class TransactionBody(FrozenSlots):
 
 
 @dataclass(frozen=True)
-class SignedTransaction(FrozenSlots):
+class SignedTransaction(SignedRecord):
     """The paper's ``tx``: body + timestamp + provider signature.
 
     The signature covers (body, timestamp), so replaying a transaction
@@ -94,19 +95,22 @@ class SignedTransaction(FrozenSlots):
     transaction since it is signed together with the timestamp" — breaks
     the signature.  Derived at construction: ``provider`` (the body's
     originating provider's node id), ``tx_id`` (hash of body +
-    timestamp), ``message`` (the bytes the provider signed, checked once
-    per linked collector and again per governor) and ``digest`` (covers
-    the signature too; what a label or a record commits to).
+    timestamp) and ``digest`` (covers the signature too; what a label or
+    a record commits to).  The signed bytes are not kept: a check that
+    finds no verdict on the record rebuilds them.
     """
 
     __slots__ = (
-        "body", "timestamp", "provider_signature",
-        "provider", "tx_id", "message", "digest",
+        "body", "timestamp", "provider_signature", "provider", "tx_id", "digest",
     )
 
     body: TransactionBody
     timestamp: float
     provider_signature: Signature
+
+    signed_by = attrgetter("provider", "provider_signature")
+    message_of = staticmethod(tx_message)
+    message_fields = attrgetter("body.digest", "timestamp")
 
     def __post_init__(self) -> None:
         body_digest, timestamp = self.body.digest, self.timestamp
@@ -117,26 +121,23 @@ class SignedTransaction(FrozenSlots):
         )
         object.__setattr__(self, "provider", self.body.provider)
         object.__setattr__(self, "tx_id", tx_id)
-        object.__setattr__(self, "message", tx_message(body_digest, timestamp))
         object.__setattr__(self, "digest", digest)
 
 
 @dataclass(frozen=True)
-class LabeledTransaction(FrozenSlots):
-    """The paper's ``Tx``: a signed tx + the collector's label + signature.
+class LabeledTransaction(SignedRecord):
+    """The paper's ``Tx``: a signed tx + the collector's label + signature."""
 
-    ``message``, the bytes the collector signed, is derived at construction.
-    """
-
-    __slots__ = ("tx", "label", "collector", "collector_signature", "message")
+    __slots__ = ("tx", "label", "collector", "collector_signature")
 
     tx: SignedTransaction
     label: Label
     collector: str
     collector_signature: Signature
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "message", labeled_message(self.tx.digest, self.label))
+    signed_by = attrgetter("collector", "collector_signature")
+    message_of = staticmethod(labeled_message)
+    message_fields = attrgetter("tx.digest", "label")
 
     def parse(self) -> tuple[SignedTransaction, Label]:
         """The paper's ``parse(Tx)``: the original tx and the label."""

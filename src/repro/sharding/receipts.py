@@ -20,9 +20,10 @@ cannot authenticate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.crypto.hashing import canonical_encode, hash_value
-from repro.crypto.signatures import Signature, SigningKey, sign
+from repro.crypto.signatures import Signature, SignedRecord, SigningKey, sign
 
 __all__ = [
     "CrossShardReceipt", "make_receipt", "receipt_id_for", "receipt_message",
@@ -41,8 +42,8 @@ def receipt_message(
     )
 
 
-@dataclass(frozen=True)
-class CrossShardReceipt:
+@dataclass(frozen=True, slots=True)
+class CrossShardReceipt(SignedRecord):
     """A home-shard commit certificate for one cross-shard transaction.
 
     Attributes:
@@ -68,12 +69,11 @@ class CrossShardReceipt:
     #: dedup/retry machinery, not exemption, provides exactly-once.
     kind: str = field(default="xshard-receipt", repr=False)
 
-    def signed_message(self) -> bytes:
-        """The bytes ``signature`` covers."""
-        return receipt_message(
-            self.receipt_id, self.home_shard, self.remote_shard,
-            self.tx_id, self.home_serial, self.proposer,
-        )
+    signed_by = attrgetter("proposer", "signature")
+    message_of = staticmethod(receipt_message)
+    message_fields = attrgetter(
+        "receipt_id", "home_shard", "remote_shard", "tx_id", "home_serial", "proposer"
+    )
 
 
 def receipt_id_for(home_shard: int, tx_id: str) -> str:
@@ -106,4 +106,4 @@ def make_receipt(
 
 def verify_receipt(receipt: CrossShardReceipt, im) -> bool:
     """Authenticate a receipt against the home shard's identity manager."""
-    return im.verify(receipt.proposer, receipt.signed_message(), receipt.signature)
+    return im.verify(receipt)

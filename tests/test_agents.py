@@ -222,7 +222,7 @@ class TestCollector:
         forged = collector.maybe_forge(timestamp=1.0)
         assert forged is not None
         tx = forged.tx
-        assert not im.verify(tx.provider, tx.message, tx.provider_signature)
+        assert not im.verify(tx)
 
     def test_honest_never_forges(self, world):
         collector = make_collector(world)

@@ -261,9 +261,7 @@ class TestEvidenceScript:
         self.assert_provable(violation, kind, "c0", 506, early, late)
         self.expect(14, 5)
         for upload in violation.evidence:
-            assert self.im.verify(
-                "c0", upload.message, upload.collector_signature
-            )
+            assert self.im.verify(upload)
         assert {u.label for u in violation.evidence} == {Label.VALID, Label.INVALID}
         assert all(v.type is kind for v in self.auditor.report.violations)
 
@@ -322,7 +320,7 @@ class TestEvidenceScript:
         self.assert_provable(violation, kind, "g1", 505, early, late)
         self.expect(11, 5)
         for vote in violation.evidence:
-            assert self.im.verify("g1", vote.signed_message(), vote.signature)
+            assert self.im.verify(vote)
         assert violation.evidence[0].block_hash != violation.evidence[1].block_hash
 
 

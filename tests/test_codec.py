@@ -58,7 +58,7 @@ class TestTransactionRoundTrip:
         back = decode_transaction(encode_transaction(tx))
         assert back.tx_id == tx.tx_id
         assert back.digest == tx.digest
-        assert back.message == tx.message
+        assert back.signed_message() == tx.signed_message()
         assert back.provider_signature == tx.provider_signature
 
     def test_json_serialisable(self):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.agents.governor import Governor
 from repro.core.params import ProtocolParams
 from repro.crypto.identity import IdentityManager, Role
-from repro.crypto.signatures import Signature, sign
+from repro.crypto.signatures import Signature, SigningKey, sign
 from repro.exceptions import UnknownIdentityError
 from repro.ledger.transaction import (
     Label,
@@ -101,22 +103,27 @@ class TestLinks:
             im.register_link("c0", "ghost-provider")
 
 
+def _signed_as(im: IdentityManager, claimed: str, signer: str) -> SignedTransaction:
+    """A tx that names ``claimed`` as its provider, signed with ``signer``'s key."""
+    body = TransactionBody(provider=claimed, payload="msg", nonce=0)
+    signature = sign(im.record(signer).key, tx_message(body.digest, 1.0))
+    return SignedTransaction(body=body, timestamp=1.0, provider_signature=signature)
+
+
 class TestVerification:
     def test_sign_and_verify(self, im):
-        sig = sign(im.record("p0").key, b"msg")
-        assert im.verify("p0", b"msg", sig)
+        assert im.verify(_signed_as(im, "p0", "p0"))
 
     def test_reject_unknown_sender(self, im):
-        sig = sign(im.record("p0").key, b"msg")
-        assert not im.verify("stranger", b"msg", sig)
+        key = SigningKey(owner="stranger", secret=b"\x07" * 32)
+        assert not im.verify(make_signed_transaction(key, "msg", 1.0, nonce=0))
 
     def test_reject_cross_node_signature(self, im):
-        sig = sign(im.record("p0").key, b"msg")
-        assert not im.verify("p1", b"msg", sig)
+        assert not im.verify(_signed_as(im, "p1", "p0"))
 
     def test_reject_tampered_message(self, im):
-        sig = sign(im.record("p0").key, b"msg")
-        assert not im.verify("p0", b"other", sig)
+        tx = _signed_as(im, "p0", "p0")
+        assert not im.verify(dataclasses.replace(tx, timestamp=2.0))
 
     def test_collector_upload_verification_happy_path(self, im):
         tx = make_signed_transaction(im.record("p0").key, "x", 1.0, nonce=0)

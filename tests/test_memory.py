@@ -4,11 +4,13 @@ The figures come from ``tools/heap_per_tx.py`` (``tracemalloc`` snapshots
 at window boundaries) on the ``paper-default`` shape, 32 tx per round.
 Windows are short here to keep tier-1 quick, so they read above the
 40-round windows PERFORMANCE.md quotes; each budget is a quarter over what
-this configuration reads on Python 3.11 (906 and 3,178–3,191 B since each
-verification verdict moved from the Identity Manager's LRU onto its
-signature; 1,543 and 3,805–3,843 B with the LRU), and the parent commit
-of the PR that introduced them read 3.2 KB and 9.3 KB.  The nightly soak
-checks that the figure stays flat as history grows.
+this configuration reads on Python 3.11: 824 and 2,119–2,144 B since each
+verification verdict sits on the signed record, which keeps no signed
+bytes, and an auditor holds one tuple of uploads per transaction (920 and
+3,178–3,192 B with the verdict and the bytes on the signature; 1,543 and
+3,805–3,843 B with the Identity Manager's LRU; 3.2 KB and 9.3 KB before
+the budgets existed).  The nightly soak checks that the figure stays flat
+as history grows.
 
 The IM keeps no table of verdicts, so the last test here holds it to
 what the table bought: no HMAC is computed twice for one question.
@@ -40,14 +42,14 @@ def heap():
 
 def test_inproc_host_budget(heap):
     _engine, windows = heap.measure(PAPER_DEFAULT, rounds=20, windows=3)
-    assert windows[-1].bytes_per_tx <= 1_140
+    assert windows[-1].bytes_per_tx <= 1_030
 
 
 def test_net_host_budget(heap):
     # In-memory store; rounds 11-20.
     scenario = dataclasses.replace(PAPER_DEFAULT, host="net")
     _engine, (window,) = heap.measure(scenario, rounds=10)
-    assert window.bytes_per_tx <= 3_990
+    assert window.bytes_per_tx <= 2_680
 
 
 @pytest.mark.parametrize("host", ["inproc", "net"])
@@ -57,12 +59,14 @@ def test_no_hmac_is_recomputed(monkeypatch, host):
     asked: dict[int, set] = {}
     verify = IdentityManager.verify
 
-    def counting(im, sender_id, message, signature):
+    def counting(im, record):
         # Only the questions that reach the HMAC: an unknown sender or a
         # signer other than the sender is rejected before any verdict.
+        sender_id, signature = record.signed_by(record)
         if im.is_enrolled(sender_id) and signature.signer == sender_id:
-            asked.setdefault(id(im), set()).add((sender_id, message, signature.tag))
-        return verify(im, sender_id, message, signature)
+            question = (sender_id, record.signed_message(), signature.tag)
+            asked.setdefault(id(im), set()).add(question)
+        return verify(im, record)
 
     monkeypatch.setattr(IdentityManager, "verify", counting)
     scenario = dataclasses.replace(PAPER_DEFAULT, host=host)

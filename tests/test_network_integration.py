@@ -135,13 +135,8 @@ class TestUploadFlow:
 
         assert len(received) == 2
         for upload in received:
-            assert im.verify(
-                upload.collector, upload.message, upload.collector_signature
-            )
-            inner = upload.tx
-            assert im.verify(
-                inner.provider, inner.message, inner.provider_signature
-            )
+            assert im.verify(upload)
+            assert im.verify(upload.tx)
 
     def test_delta_window_covers_report_spread(self, wired_world):
         """All copies of one tx arrive within the network synchrony bound,

@@ -101,7 +101,7 @@ RECORDS = {
     "rep_norm_cache_misses": lambda e: _books(e, "row_misses"),
     "crypto_sig_cache_hits": lambda e: e.im.sig_cache_hits,
     "crypto_sig_cache_misses": lambda e: e.im.sig_cache_misses,
-    # Each miss leaves one verdict on the signature it checked.
+    # Each miss leaves one verdict on the record it checked.
     "crypto_sig_cache_entries": lambda e: e.im.sig_cache_misses,
     "audit_checks_total": lambda e: sum(r.checks_run for r in _reports(e)),
     "audit_violations_total": lambda e: sum(len(r.violations) for r in _reports(e)),

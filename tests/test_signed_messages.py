@@ -86,12 +86,14 @@ SIGNED_TYPES = {
 
 def _signed_bytes(obj) -> bytes:
     """The bytes ``obj`` says its signature covers (its verifier's view)."""
-    message = getattr(obj, "message", None)
-    return message if message is not None else obj.signed_message()
+    return obj.signed_message()
 
 
 def _verifies(im: IdentityManager, obj, signer: str, signature: str) -> bool:
-    return im.verify(getattr(obj, signer), _signed_bytes(obj), getattr(obj, signature))
+    # The IM reads the claimed signer and the signature through the
+    # record's ``signed_by``: it must name the table's two fields.
+    assert obj.signed_by(obj) == (getattr(obj, signer), getattr(obj, signature))
+    return im.verify(obj)
 
 
 def test_every_signed_type_is_covered():

@@ -45,7 +45,7 @@ class TestSignedTransaction:
         # direct key verification here.
         from repro.crypto.signatures import verify_with_key
 
-        assert verify_with_key(provider_key, tx.message, tx.provider_signature)
+        assert verify_with_key(provider_key, tx.signed_message(), tx.provider_signature)
 
     def test_tx_id_unique_per_nonce(self, provider_key):
         a = make_signed_transaction(provider_key, "x", 1.0, nonce=0)
@@ -65,13 +65,14 @@ class TestSignedTransaction:
             body=tx.body, timestamp=9.0, provider_signature=tx.provider_signature
         )
         assert not verify_with_key(
-            provider_key, replayed.message, replayed.provider_signature
+            provider_key, replayed.signed_message(), replayed.provider_signature
         )
 
     def test_canonical_bytes_stable(self, provider_key):
         tx = make_signed_transaction(provider_key, "x", 1.0, nonce=0)
         again = make_signed_transaction(provider_key, "x", 1.0, nonce=0)
-        assert tx.digest == again.digest and tx.message == again.message
+        assert tx.digest == again.digest
+        assert tx.signed_message() == again.signed_message()
 
 
 class TestLabeledTransaction:
@@ -96,10 +97,10 @@ class TestLabeledTransaction:
             collector_signature=labeled.collector_signature,
         )
         assert verify_with_key(
-            collector_key, labeled.message, labeled.collector_signature
+            collector_key, labeled.signed_message(), labeled.collector_signature
         )
         assert not verify_with_key(
-            collector_key, flipped.message, flipped.collector_signature
+            collector_key, flipped.signed_message(), flipped.collector_signature
         )
 
 
