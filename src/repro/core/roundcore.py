@@ -26,8 +26,9 @@ so it calls them one at a time (``_begin_round``, ``_originate``,
 What differs between the shells enters the shared body as a plain
 callable (provider lookup, upload visibility, leader choice); the body
 never asks which shell called it.  Draw order is part of the contract:
-enrolment consumes the Identity Manager's key stream and the master RNG
-providers → collectors → governors, as every seeded ledger pinned in
+enrolment consumes the Identity Manager's key stream providers →
+collectors → governors, and the master RNG collectors → governors →
+abusive providers, as every seeded ledger pinned in
 ``tests/golden_matrix.json`` expects.
 """
 
@@ -153,16 +154,7 @@ class RoundCore:
         _reject_unknown("behaviours", behaviors, "collectors", collectors)
         _reject_unknown("abuse rates", abuse_rates, "providers", providers)
         _reject_unknown("stake", initial_stake, "governors", governors)
-        for pid in providers:
-            key = self.im.enroll(pid, Role.PROVIDER)
-            rate = abuse_rates.get(pid, 0.0)
-            self.providers[pid] = Provider(
-                provider_id=pid,
-                key=key,
-                linked_collectors=population.collectors_of(pid),
-                argue_abuse_rate=rate,
-                abuse_rng=self.draw_rng() if rate > 0.0 else None,
-            )
+        keys = {pid: self.im.enroll(pid, Role.PROVIDER) for pid in providers}
         for cid in collectors:
             key = self.im.enroll(cid, Role.COLLECTOR)
             self.collectors[cid] = Collector(
@@ -172,9 +164,6 @@ class RoundCore:
                 behavior=behaviors.get(cid, HonestBehavior()),
                 rng=self.draw_rng(),
             )
-        for pid, provider in self.providers.items():
-            for cid in provider.linked_collectors:
-                self.im.register_link(cid, pid)
         for gid in governors:
             key = self.im.enroll(gid, Role.GOVERNOR)
             governor = Governor(
@@ -188,6 +177,19 @@ class RoundCore:
             )
             register_books(governor)
             self.governors[gid] = governor
+        # Abuse RNGs come last, so turning abuse on re-seeds no other agent.
+        for pid, key in keys.items():
+            linked = population.collectors_of(pid)
+            for cid in linked:
+                self.im.register_link(cid, pid)
+            rate = abuse_rates.get(pid, 0.0)
+            self.providers[pid] = Provider(
+                provider_id=pid,
+                key=key,
+                linked_collectors=linked,
+                argue_abuse_rate=rate,
+                abuse_rng=self.draw_rng() if rate > 0.0 else None,
+            )
         self.stake = StakeLedger.from_balances(initial_stake)
         self.election = LeaderElection(im=self.im, governor_order=list(governors))
 

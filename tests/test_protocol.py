@@ -218,6 +218,19 @@ class TestAbusiveProviders:
         spurious = sum(p.spurious_argues for p in abused.providers.values())
         assert spurious > 0
 
+    def test_abuse_reseeds_no_collector_or_governor(self):
+        """Abuse RNGs are drawn last: every other agent's stream is unmoved."""
+        topo = Topology.regular(l=8, n=4, m=4, r=2)
+
+        def next_draws(abusive):
+            engine = ProtocolEngine(
+                topo, ProtocolParams(f=0.5), seed=3, abusive_providers=abusive
+            )
+            agents = [*engine.collectors.values(), *engine.governors.values()]
+            return [agent.rng.random() for agent in agents]
+
+        assert next_draws(dict.fromkeys(topo.providers, 0.9)) == next_draws(None)
+
     def test_unknown_abusive_provider_rejected(self):
         topo = Topology.regular(l=8, n=4, m=4, r=2)
         with pytest.raises(ConfigurationError):
