@@ -148,7 +148,6 @@ def _griefing_table() -> str:
         workload = BernoulliWorkload(topo.providers, p_valid=0.5, seed=82)
         for _ in range(20):
             engine.run_round(workload.take(24))
-        engine.run_round([])
         engine.finalize()
         validations = sum(g.metrics.validations for g in engine.governors.values())
         spurious = sum(p.spurious_argues for p in engine.providers.values())

@@ -138,8 +138,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _report_inproc(engine) -> bool:
-    engine.run_round([])  # flush argued re-evaluations into a final block
     engine.finalize()
+    print(f"final tip={engine.store.tip_hash().hex()}")
     summary = summarize_run(engine)
     rows = [
         (g.governor, g.screened, g.validations, g.unchecked, g.mistakes,
@@ -196,6 +196,7 @@ def _report_shard(coordinator) -> bool:
 
 def _report_stream(app) -> bool:
     report = app.report()
+    print(f"final tip={app.store.tip_hash().hex()}")
     width = max(len(k) for k in report)
     for key, value in report.items():
         print(f"  {key:<{width}}  {value}")

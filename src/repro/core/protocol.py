@@ -287,9 +287,10 @@ class ProtocolEngine(RoundCore):
     # -- finalisation -------------------------------------------------------
 
     def finalize(self) -> None:
-        """Close the books: reveal every still-pending unchecked truth, then
-        run the harness audit into ``audit_report``."""
-        self._close_books("harness", r=self.topology.r)
+        """Close the books: a closing round packs any argue-admitted record,
+        then every still-pending unchecked truth is revealed and the harness
+        audit runs into ``audit_report``."""
+        self._close_books("harness", self.topology.r, lambda: self.run_round(()))
 
     # -- convenience accessors -----------------------------------------------
 

@@ -327,9 +327,17 @@ class RoundCore:
         for governor in self.governors.values():
             governor.reveal_pending(self.oracle)
 
-    def _close_books(self, owner: str, r: int) -> None:
-        """Reveal pending truths, then audit replica agreement and Theorem-1
-        regret into ``audit_report``."""
+    def _close_books(self, owner: str, r: int, closing_round: Callable[[], object]) -> None:
+        """Pack what an argue admitted, reveal pending truths, then audit
+        replica agreement and Theorem-1 regret into ``audit_report``.
+
+        An admitted record waits for "the next block" (Validity), so while
+        one waits ``closing_round`` runs that block through the host's own
+        round step, offering no specs.  One such block empties the queue,
+        so closing twice changes nothing.
+        """
+        if self._reevaluated_queue:
+            closing_round()
         self._reveal_pending()
         self.audit_report = harness_audit(
             owner,

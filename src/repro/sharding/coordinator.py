@@ -489,8 +489,8 @@ class ShardCoordinator:
             self._backlog = stashed
         return executed
 
-    def finalize(self, flush: bool = True):
-        """Close the run: drain relays, finalize engines, audit atomicity.
+    def finalize(self):
+        """Close the run: flush receipts, finalize engines, audit atomicity.
 
         Returns the :class:`~repro.audit.auditor.AuditReport` of the
         cross-shard auditor; ``report.clean`` means every cross-shard
@@ -498,8 +498,7 @@ class ShardCoordinator:
         any) stay up for post-run reporting — call :meth:`close` when
         done with the coordinator.
         """
-        if flush:
-            self.flush()
+        self.flush()
         self._drain_recovery()
         self.backend.finalize_engines()
         return self.auditor.finalize(self._round)

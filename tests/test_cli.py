@@ -46,7 +46,7 @@ RUN_CASES = {
         ["run", "--providers", "8", "--collectors", "4", "--governors", "3",
          "--r", "2", "--rounds", "3", "--batch", "8", "--misreporters", "1"],
         ["scenario: paper-default", "l=8 n=4 m=3 r=2", "properties hold: True",
-         "chain height: 4"],  # 3 rounds + the argue-flush round
+         "chain height: 3"],  # no argue admitted in round 3: no closing block
     ),
     "inproc-preset": (["run", "smoke"], ["properties hold: True"]),
     "inproc-rounds-override": (

@@ -73,7 +73,6 @@ def test_property_five_properties_always_hold(config):
     engine, workload = _build(config)
     for _ in range(4):
         engine.run_round(workload.take(8))
-    engine.run_round([])  # land pending argues
     engine.finalize()
     report = check_all_properties(engine.ledgers(), engine.transcript)
     assert report.all_hold, report.violations

@@ -114,8 +114,6 @@ class TestArgueLoop:
         behaviors = {f"c{i}": AlwaysInvertBehavior() for i in range(2)}
         engine, topo = make_engine(f=0.8, behaviors=behaviors, seed=9)
         run_rounds(engine, topo, rounds=15, p_valid=0.9)
-        # One extra empty round so last-round argues land in a block.
-        engine.run_round([])
         engine.finalize()
         report = check_all_properties(engine.ledgers(), engine.transcript)
         assert report.validity, report.violations
@@ -202,7 +200,6 @@ class TestAbusiveProviders:
             workload = BernoulliWorkload(topo.providers, p_valid=0.5, seed=7)
             for _ in range(15):
                 engine.run_round(workload.take(16))
-            engine.run_round([])
             engine.finalize()
             return engine
 
