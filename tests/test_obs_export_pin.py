@@ -108,7 +108,7 @@ def _durable_reopened(obs, tmp_path):
 
 
 PINNED = {
-    _paper_default: "24d8ebb0e83587aaf02c53d4479c171deff5105c4ad4d9fde067f4ddd8166773",
+    _paper_default: "2278fc3855b8a2121b5fe0da3205b524368d10958f60baef7b5720e5b0b655ba",
     _networked_faulted: "2a1f36b4064a540d80a55d76a42e3b547eb1220dc0daf696d2309dbfbec5bc01",
     _sharded_quad_serial: "fb30982e880ba197ed5fef0a7301257135a929c7aed262a77363d3f8ad833e9a",
     _stream_smoke: "a80c4c53ab45bb5bffe14728a1b1293459f0c75edd921f815410526ede525444",
