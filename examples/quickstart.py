@@ -4,12 +4,15 @@
 Builds the Figure-1 hierarchy (16 providers, 8 collectors, 4 governors),
 runs 20 rounds of a mixed-honesty workload through collecting /
 uploading / processing / arguing, then verifies the five Section-3.1
-safety & liveness properties and prints a per-governor summary.
+safety & liveness properties and prints a per-governor summary.  Exits
+1 if a property fails.
 
 Run:  python examples/quickstart.py
 """
 
 from __future__ import annotations
+
+import sys
 
 from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
 from repro.analysis.metrics import summarize_run
@@ -21,7 +24,7 @@ from repro.network.topology import Topology
 from repro.workloads.generator import BernoulliWorkload
 
 
-def main() -> None:
+def main() -> int:
     topo = Topology.regular(l=16, n=8, m=4, r=4)
     params = ProtocolParams(f=0.5, beta=0.9, argue_window=64)
     # Two collectors misbehave; the rest are honest.
@@ -67,14 +70,15 @@ def main() -> None:
     print()
     leader_book = engine.governors[topo.governors[0]].book
     weight_rows = [
-        (c, f"{leader_book.weight(c, topo.providers_of(c)[0]):.4f}")
+        (c, f"{min(leader_book.weight(c, p) for p in topo.providers_of(c)):.4f}")
         for c in topo.collectors
     ]
-    print(format_table(["collector", "weight (first provider)"], weight_rows))
+    print(format_table(["collector", "least weight over its providers"], weight_rows))
     print()
     print("note how c0 (misreporter) and c1 (concealer) lost weight;")
     print("their block-reward share collapses with it.")
+    return 0 if report.all_hold else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
