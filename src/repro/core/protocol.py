@@ -287,13 +287,6 @@ class ProtocolEngine(RoundCore):
     # -- finalisation -------------------------------------------------------
 
     def finalize(self) -> None:
-        """Close the books: a closing round packs any argue-admitted record,
-        then every still-pending unchecked truth is revealed and the harness
-        audit runs into ``audit_report``."""
+        """Close the books: pack what an argue admitted in a closing round,
+        reveal every pending truth, run the harness audit into ``audit_report``."""
         self._close_books("harness", self.topology.r, lambda: self.run_round(()))
-
-    # -- convenience accessors -----------------------------------------------
-
-    def governor(self, gid: str) -> Governor:
-        """Agent lookup helper."""
-        return self.governors[gid]

@@ -26,10 +26,9 @@ so it calls them one at a time (``_begin_round``, ``_originate``,
 What differs between the shells enters the shared body as a plain
 callable (provider lookup, upload visibility, leader choice); the body
 never asks which shell called it.  Draw order is part of the contract:
-enrolment consumes the Identity Manager's key stream providers →
-collectors → governors, and the master RNG collectors → governors →
-abusive providers, as every seeded ledger pinned in
-``tests/golden_matrix.json`` expects.
+enrolment draws keys providers → collectors → governors and RNG seeds
+collectors → governors → abusive providers, as every seeded ledger
+pinned in ``tests/golden_matrix.json`` expects.
 """
 
 from __future__ import annotations
@@ -184,10 +183,7 @@ class RoundCore:
                 self.im.register_link(cid, pid)
             rate = abuse_rates.get(pid, 0.0)
             self.providers[pid] = Provider(
-                provider_id=pid,
-                key=key,
-                linked_collectors=linked,
-                argue_abuse_rate=rate,
+                provider_id=pid, key=key, linked_collectors=linked, argue_abuse_rate=rate,
                 abuse_rng=self.draw_rng() if rate > 0.0 else None,
             )
         self.stake = StakeLedger.from_balances(initial_stake)
@@ -328,14 +324,10 @@ class RoundCore:
             governor.reveal_pending(self.oracle)
 
     def _close_books(self, owner: str, r: int, closing_round: Callable[[], object]) -> None:
-        """Pack what an argue admitted, reveal pending truths, then audit
-        replica agreement and Theorem-1 regret into ``audit_report``.
-
-        An admitted record waits for "the next block" (Validity), so while
-        one waits ``closing_round`` runs that block through the host's own
-        round step, offering no specs.  One such block empties the queue,
-        so closing twice changes nothing.
-        """
+        """While an argue-admitted record waits for "the next block", run
+        ``closing_round`` (the host's round step, offering no specs); then
+        reveal pending truths and audit replica agreement and Theorem-1 regret
+        into ``audit_report``.  One closing block empties the queue."""
         if self._reevaluated_queue:
             closing_round()
         self._reveal_pending()

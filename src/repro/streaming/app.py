@@ -276,8 +276,7 @@ class StreamingApp(RoundCore):
         return order[(round_number - 1) % len(order)]
 
     def finalize(self) -> None:
-        """Sample peak RSS, pack any argue-admitted record in a closing round
-        that takes no arrivals, reveal pending truths, run the harness audit.
+        """Sample peak RSS, then close the books with a round that takes no arrivals.
 
         The audit checks cross-replica agreement and the Theorem-1
         regret guardrail; neither walks the reputation books, so the
@@ -290,11 +289,8 @@ class StreamingApp(RoundCore):
         # ru_maxrss is bytes on macOS, kilobytes on Linux.
         scale = 1 if sys.platform == "darwin" else 1024
         self.metrics.peak_rss_bytes = rss_kb * scale
-        self._close_books(
-            "streaming-harness",
-            self.r,
-            lambda: self._run_zero_latency_round((), self._arrive, None, self._elect_leader),
-        )
+        self._close_books("streaming-harness", self.r, lambda: self._run_zero_latency_round(
+            (), self._arrive, None, self._elect_leader))
 
     # -- reading the run --------------------------------------------------
 

@@ -73,7 +73,9 @@ class Deployment(Protocol):
     """What every deployment :func:`build` returns answers, on any host."""
 
     def run_round(self, specs: Sequence[TxSpec]) -> object: ...
-    def finalize(self) -> object: ...
+    def finalize(self) -> object:
+        """Close the books: after it no admitted record is left unpacked
+        (the networked engine, alone or as a shard: ROADMAP.md item 9)."""
     def close(self) -> None: ...
     @property
     def committed_total(self) -> int: ...  # origin records committed

@@ -20,8 +20,8 @@ option, and must reproduce the ``pin`` run's :func:`fingerprint`:
              (chain, replicas and audit: a restart re-seeds every RNG);
 ``tcp``      over real sockets to two custodian processes;
 ``replay``   through ``repro run``, for a registered preset's case: the
-             last ``tip=`` it prints is the pinned tip (a sharded run's
-             ``final tip=``, after the flush rounds of its finalize);
+             last ``tip=`` it prints, the ``final tip=`` after its
+             ``finalize()``, is the pinned tip;
 ``reseed``   at seed + 1, which must *differ*.
 
 A failing row writes ``$PARITY_REPORT_DIR/<column>-<case>.json`` (default
@@ -211,7 +211,7 @@ def _sound_stream(app) -> None:
     _properties_hold(app)
 
 
-#: What a finished run on each host must have exercised.
+#: What a finished run on each host must have exercised, and must hold.
 SOUND = {"inproc": _properties_hold, "shard": _sound_shards, "stream": _sound_stream}
 
 
