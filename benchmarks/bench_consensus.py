@@ -3,7 +3,10 @@
 E7 (Section 4.1): ordinary-block consensus costs O(b_limit * m)
 messages; a stake-transform block costs O(m^2).  We count messages as m
 grows, fit growth laws, and set them beside the closed-form per-block
-costs of PBFT and Tendermint (Theta(m^2) *every* block) and Raft.
+costs of PBFT and Tendermint (Theta(m^2) *every* block) and Raft.  Two
+more rows run one stake transfer through the engine (Section 3.4.3):
+under an honest leader, and under an elected leader that tampers
+NEW_STATE, is expelled, and hands the round to the next leader.
 
 E10 (Section 3.4.3): VRF/PoS leadership is proportional to stake —
 checked with a chi-squared test over 600 rounds.
@@ -66,6 +69,28 @@ def _stake_block_messages(m: int) -> int:
     return consensus.messages_exchanged
 
 
+def _engine_stake_rows(m: int = 4) -> list[tuple]:
+    """``ProtocolEngine.transfer_stake`` with an honest leader, then with
+    the leader the VRF elects marked Byzantine: the governor messages
+    each transfer takes and the governors it leaves expelled."""
+    rows = []
+    for byzantine in (False, True):
+        topo = Topology.regular(l=8, n=4, m=m, r=2)
+        engine = ProtocolEngine(topo, ProtocolParams(f=0.5), seed=1)
+        # A transfer elects for the next round; it does not advance it.
+        leader = engine.election.run(engine.stake, engine.round_number + 1)
+        if byzantine:
+            engine.mark_byzantine_governor(leader)
+        messages = engine.transfer_stake("g0", "g1", 1)
+        rows.append((
+            "Byzantine leader" if byzantine else "honest leader",
+            leader,
+            messages,
+            ",".join(sorted(engine.expelled_governors)) or "none",
+        ))
+    return rows
+
+
 def _vrf_messages(m: int) -> int:
     """VRF announcement traffic per election: every staked governor to
     every other governor (small constant-size messages)."""
@@ -122,6 +147,10 @@ def _complexity_table() -> str:
         f"\nPBFT exponent: {fit_p.coefficients[1]:.2f} (textbook: 2)"
         f"\nTendermint exponent: "
         f"{fit_power_law(M_GRID, tendermint).coefficients[1]:.2f} (textbook: 2)"
+    )
+    table += "\n\n-- one stake transfer through ProtocolEngine, m = 4 (Section 3.4.3) --\n"
+    table += format_table(
+        ["transfer", "elected leader", "governor msgs", "expelled"], _engine_stake_rows()
     )
     return table
 

@@ -8,9 +8,10 @@ chain length; the no-checkpoint configuration replays from genesis and
 grows linearly — that contrast is the headline table.
 
 A seeded torn-tail crash (``DiskFaultPlan``'s ``torn_record``) rides
-along at the largest scale: the bench asserts the corruption is
-*detected*, the recovered state is a verified prefix of the original
-chain, and a peer fill converges back to the bit-identical tip.
+along at the largest scale, on a chain an engine committed: the bench
+asserts the corruption is *detected*, the recovered state is a verified
+prefix of the original chain, and an engine restarted from the scarred
+directory rejoins through ``sync_from_peer`` at the bit-identical tip.
 
 Run as a script::
 
@@ -28,6 +29,7 @@ import pathlib
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 if __name__ == "__main__":  # script mode: make _helpers + repro importable
     _here = pathlib.Path(__file__).resolve().parent
@@ -45,6 +47,7 @@ from repro.ledger.block import Block
 from repro.ledger.transaction import CheckStatus, Label, TxRecord, make_signed_transaction
 from repro.obs import MetricsRegistry
 from repro.storage import StorageConfig, open_durable_store, recover
+from repro.workloads.scenarios import SCENARIOS, build
 
 KEY = SigningKey(owner="p0", secret=b"\x44" * 32)
 SEED = 11
@@ -134,30 +137,32 @@ def run_case(n: int, checkpoint_interval: int) -> dict:
 
 
 def run_torn_tail_case(n: int, registry: MetricsRegistry | None = None) -> dict:
-    """Crash mid-append at scale ``n``: detect, truncate, peer-fill."""
+    """Crash mid-append at scale ``n``: detect, truncate, restart, rejoin.
+
+    An engine on ``durable-smoke``'s shape commits ``n`` rounds to its
+    segment log; a seeded torn record then scars the directory.  A second
+    engine restarts from the scarred directory and fills the suffix its
+    disk lacks from the first engine's store through
+    ``RestartHandoff.sync_from_peer``: it must hold the uninterrupted
+    run's tip.
+    """
+    scenario = replace(
+        SCENARIOS["durable-smoke"], rounds=n,
+        checkpoint_interval=CHECKPOINT_INTERVAL, segment_bytes=SEGMENT_BYTES,
+    )
     with tempfile.TemporaryDirectory(prefix="bench-recovery-torn-") as tmp:
-        blocks = _build_chain(tmp, n, CHECKPOINT_INTERVAL)
+        uninterrupted, workload, _ = build(scenario, SEED, storage_dir=tmp)
+        for _ in range(n):
+            uninterrupted.run_round(workload.take(scenario.batch))
+        peer = uninterrupted.store
+        blocks = [peer.retrieve(serial) for serial in range(1, peer.height + 1)]
         applied = DiskFaultPlan(seed=SEED).with_fault("torn_record").apply(tmp)
         stats = _measure(tmp, blocks)
-        # Degrade-and-rejoin: reopen the scarred directory, pull the
-        # missing suffix from an (in-memory) peer copy of the chain.
-        store, report = open_durable_store(
-            StorageConfig(
-                directory=tmp,
-                checkpoint_interval=CHECKPOINT_INTERVAL,
-                segment_bytes=SEGMENT_BYTES,
-                fsync=False,
-            ),
-            obs=registry,
-        )
-        peer_filled = 0
-        for block in blocks[store.height :]:
-            store.publish(block)
-            peer_filled += 1
-        store.recovered["peer"] += peer_filled
-        converged = store.tip_hash() == blocks[-1].hash()
+        restarted, _, _ = build(scenario, SEED, storage_dir=tmp, obs=registry)
+        peer_filled = restarted.handoff.sync_from_peer(peer)
+        converged = restarted.store.tip_hash() == peer.tip_hash()
     stats.update(
-        blocks=n,
+        blocks=len(blocks),
         checkpoint_interval=CHECKPOINT_INTERVAL,
         fault="torn_record" if applied else "none",
         detected="torn-tail" in stats["corruptions"],

@@ -58,32 +58,17 @@ class Collector:
                 f"key owner {self.key.owner!r} != collector {self.collector_id!r}"
             )
 
-    def process(
-        self, tx: SignedTransaction, oracle: ValidityOracle
-    ) -> LabeledTransaction | None:
-        """Algorithm 1's body for one delivered transaction.
-
-        The collector learns the true status via ``validate`` (collectors
-        can always check — the paper's efficiency concern is only the
-        governors), then lets the behaviour decide what to upload.
-
-        Single-upload view of :meth:`process_all`; a behaviour that
-        equivocates loses its second upload on this path.
-
-        Returns:
-            The signed labeled transaction, or None if concealed.
-        """
-        uploads = self.process_all(tx, oracle)
-        return uploads[0] if uploads else None
-
     def process_all(
         self, tx: SignedTransaction, oracle: ValidityOracle
     ) -> list[LabeledTransaction]:
-        """Byzantine-aware labelling: zero, one, or two signed uploads.
+        """Algorithm 1's body for one delivered transaction: zero, one or
+        two signed uploads.
 
-        Extends :meth:`process` with two *optional* behaviour hooks
-        (looked up with ``getattr``, so every pre-existing behaviour
-        works unchanged):
+        The collector learns the true status via ``validate`` (collectors
+        can always check — the paper's efficiency concern is only the
+        governors), then lets the behaviour decide what to upload.  Two
+        behaviour hooks are *optional* (looked up with ``getattr``, so a
+        behaviour that has neither works unchanged):
 
         * ``label_for_tx(tx, true_valid, rng)`` — provider-aware
           labelling, used by colluding cartels that target one

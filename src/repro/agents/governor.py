@@ -362,17 +362,9 @@ class Governor:
                 records.append(record)
         return records
 
-    @property
-    def buffered_tx_ids(self) -> list[str]:
-        """Transactions awaiting their screening timer."""
-        return sorted(self._received)
-
     def has_buffered(self, tx_id: str) -> bool:
-        """O(1) membership test against the report buffer.
-
-        Equivalent to ``tx_id in buffered_tx_ids`` without the per-call
-        sort; the networked engine probes this once per delivered upload.
-        """
+        """O(1) membership test against the report buffer; the networked
+        engine probes this once per delivered upload."""
         return tx_id in self._received
 
     # -- truth revelation / argue (Algorithm 2, deliver_argue arm) --------

@@ -118,11 +118,6 @@ class SweepTable:
         """Record the metrics measured at ``parameter = value``."""
         self._rows.append((value, dict(metrics)))
 
-    @property
-    def values(self) -> list[float]:
-        """The swept parameter values in insertion order."""
-        return [v for v, _ in self._rows]
-
     def column(self, name: str) -> list[float]:
         """One metric across the sweep.
 
@@ -145,9 +140,6 @@ class SweepTable:
             for name in metrics:
                 seen.setdefault(name)
         return list(seen)
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
     def rows(self) -> Iterable[tuple[float, dict[str, float]]]:
         """Iterate (value, metrics) rows."""

@@ -57,10 +57,6 @@ class RegretCurve:
         """Log-log slope of regret vs T (sqrt growth -> ~0.5)."""
         return loglog_slope(self.horizons, self.regrets)
 
-    def all_within_bound(self) -> bool:
-        """Whether every point respects Theorem 1."""
-        return all(p.within_bound for p in self.points)
-
 
 def run_regret_curve(
     behavior_factory: Callable[[], Sequence[CollectorBehavior]],

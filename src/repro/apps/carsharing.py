@@ -46,11 +46,6 @@ class RideRequest:
     fare: float
     funded: bool
 
-    @property
-    def distance(self) -> float:
-        """Euclidean trip length."""
-        return math.dist(self.pickup, self.dropoff)
-
     def as_payload(self) -> dict:
         """Canonically hashable payload form."""
         return {

@@ -136,11 +136,6 @@ class AuditReport:
     #: Check name -> times executed.
     checks: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
-    @property
-    def checks_run(self) -> int:
-        """Invariant checks executed, of every kind."""
-        return sum(self.checks.values())
-
     def declare(self, obs: MetricsRegistry) -> None:
         """Add this report to what ``audit_checks_total`` / ``audit_violations_total`` read."""
         obs.counter(
@@ -160,14 +155,6 @@ class AuditReport:
     def clean(self) -> bool:
         """True iff no violation of any kind was recorded."""
         return not self.violations
-
-    def by_type(self, vtype: ViolationType) -> list[AuditViolation]:
-        """All recorded violations of one type."""
-        return [v for v in self.violations if v.type is vtype]
-
-    def provable(self) -> list[AuditViolation]:
-        """The violations that meet the quarantine bar."""
-        return [v for v in self.violations if v.provable]
 
     def safety_violations(self) -> list[AuditViolation]:
         """Violations that compromise this replica's own safety.

@@ -19,7 +19,6 @@ pairs through a policy and accounts mistakes, validations and loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Mapping, Protocol, Sequence
 
 from repro.agents.behaviors import CollectorBehavior
@@ -75,8 +74,8 @@ class ReputationPolicy:
 
     The weights live in a one-provider
     :class:`~repro.core.reputation.ReputationBook` and move only through
-    the governors' own update and churn code, so E8 measures the
-    mechanism the engines run.
+    the governors' own update code, so E8 measures the mechanism the
+    engines run.
     """
 
     params: ProtocolParams
@@ -85,11 +84,6 @@ class ReputationPolicy:
 
     def __post_init__(self) -> None:
         self.book = theorem1_book(self.collector_ids, self.params.initial_reputation)
-
-    @property
-    def weights(self) -> Mapping[str, float]:
-        """collector id -> current weight (a read-only snapshot)."""
-        return MappingProxyType(self.book.weights_for(PROVIDER, self.book.collectors()))
 
     def screen(
         self, labels: Mapping[str, Label], rng: Generator
@@ -107,34 +101,6 @@ class ReputationPolicy:
         skip = self.params.f * float(probs[drawn_idx])
         checked = bool(rng.random() >= skip)
         return PolicyDecision(recorded_label=Label.INVALID, checked=checked)
-
-    def add_collector(self, collector_id: str) -> None:
-        """Membership churn: admit a new collector mid-stream.
-
-        The paper assumes a static collector set; real alliances churn.
-        The newcomer starts at the population median, by the rule of
-        :meth:`repro.core.reputation.ReputationBook.readmit_collector`:
-        it neither dominates selection nor starves, inheriting the
-        credibility of the *typical* incumbent.
-
-        Raises:
-            ConfigurationError: duplicate id.
-        """
-        if self.book.is_registered(collector_id):
-            raise ConfigurationError(f"collector {collector_id!r} already present")
-        self.book.readmit_collector(collector_id, (PROVIDER,))
-        self.collector_ids = tuple(self.book.collectors())
-
-    def retire_collector(self, collector_id: str) -> None:
-        """Membership churn: remove a collector (e.g. left the alliance).
-
-        Raises:
-            ConfigurationError: unknown collector.
-        """
-        if not self.book.is_registered(collector_id):
-            raise ConfigurationError(f"collector {collector_id!r} not present")
-        self.book.retire_collector(collector_id)
-        self.collector_ids = tuple(self.book.collectors())
 
     def on_truth(
         self, labels: Mapping[str, Label], truth: Label, was_checked: bool

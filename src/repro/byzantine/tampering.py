@@ -36,7 +36,7 @@ deployment without end-to-end authenticated acks.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Callable
 
 from repro.crypto.signatures import Signature
@@ -87,16 +87,6 @@ class TamperSpec:
             raise ConfigurationError(
                 f"replay_horizon must be >= 1, got {self.replay_horizon}"
             )
-
-    @property
-    def is_clean(self) -> bool:
-        """Whether this spec tampers with nothing."""
-        return (
-            self.strip_signature == 0.0
-            and self.flip_label == 0.0
-            and self.replay == 0.0
-            and self.corrupt_block == 0.0
-        )
 
 
 @dataclass

@@ -186,6 +186,7 @@ def _report_shard(coordinator) -> bool:
           f"throughput {coordinator.throughput():.2f} tx/sim-s")
     print(f"reshuffles: {len(coordinator.reshuffle_log)} "
           f"({migrations} collector migrations)")
+    print(f"quarantine verdicts: {sum(map(len, coordinator.quarantine_logs()))}")
     print(f"cross-shard atomicity clean: {report.clean}")
     all_hold = all(s.properties_hold for s in stats)
     print(f"properties hold on all shards: {all_hold}")

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from repro.crypto.hashing import canonical_encode, hash_value, sha256
+from repro.crypto.hashing import canonical_encode, sha256
 from repro.crypto.signatures import Signature, SignedRecord, SigningKey, sign
 from repro.exceptions import StakeError
 
@@ -88,12 +88,6 @@ class StakeLedger:
         """Total stake in the system."""
         return sum(self._balances.values())
 
-    def governors(self) -> Iterator[str]:
-        """Governors with a positive balance."""
-        for gov, amount in self._balances.items():
-            if amount > 0:
-                yield gov
-
     def apply(self, transfer: StakeTransfer) -> None:
         """Apply a transfer.
 
@@ -120,12 +114,3 @@ class StakeLedger:
     def snapshot(self) -> dict[str, int]:
         """A plain-dict snapshot (the NEW_STATE content)."""
         return dict(self._balances)
-
-    def state_hash(self) -> bytes:
-        """Commitment to the current balances."""
-        return hash_value(("stake-state", self.snapshot()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StakeLedger):
-            return NotImplemented
-        return self.snapshot() == other.snapshot()

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from repro.agents.behaviors import CollectorBehavior
 from repro.core.params import ProtocolParams, tuned_beta
-from repro.core.regret import rwm_bound, theorem1_bound
+from repro.core.regret import theorem1_bound
 from repro.core.reputation import ReputationBook
 from repro.core.updating import apply_reveal_update
 from repro.exceptions import ConfigurationError
@@ -74,11 +74,6 @@ class GameResult:
         return min(self.collector_losses.values())
 
     @property
-    def best_collector(self) -> str:
-        """Id of the best-behaving collector."""
-        return min(self.collector_losses, key=self.collector_losses.get)
-
-    @property
     def regret(self) -> float:
         """``L_T - S_min_T`` — what Theorem 1 bounds by O(sqrt(T))."""
         return self.expected_loss - self.s_min
@@ -86,10 +81,6 @@ class GameResult:
     def theorem1_rhs(self) -> float:
         """Theorem 1's bound value for this run."""
         return theorem1_bound(self.s_min, self.horizon, self.r)
-
-    def rwm_rhs(self) -> float:
-        """The fixed-beta weighted-majority bound for this run."""
-        return rwm_bound(self.s_min, self.r, self.beta)
 
 
 @dataclass

@@ -160,9 +160,5 @@ class ProtocolParams:
         if self.reward_pool_per_block < 0.0:
             raise ConfigurationError("reward pool cannot be negative")
 
-    def gamma(self, loss: float) -> float:
-        """``gamma_tx`` for a transaction with expected loss ``loss``."""
-        return gamma_for(self.beta, loss)
-
 #: Sensible defaults used by examples and quick tests.
 DEFAULT_PARAMS = ProtocolParams()

@@ -210,8 +210,9 @@ class ProtocolEngine(RoundCore):
         round re-runs under a new leader — the expulsion flow the paper
         adopts from CycLedger.
 
-        Returns the number of governor messages the exchange took, which
-        the E7 bench accumulates against the O(m^2) claim.
+        Returns the number of governor messages the exchange took, a
+        tampered attempt included; E7 reports it for an honest and a
+        Byzantine leader.
         """
         key = self.im.record(sender).key
         transfer = make_transfer(key, receiver, amount, self._stake_nonce)

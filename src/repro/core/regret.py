@@ -8,9 +8,7 @@ measured losses against:
 * :func:`theorem1_bound` — the tuned form ``S_min + 16 sqrt(log(r) T)``
   under ``beta = 1 - 4 sqrt(log(r)/T)``;
 * :func:`hoeffding_tail` — Theorem 3's ``exp(-2 delta^2 N)``;
-* :func:`theorem4_bound` — the end-to-end ``S + 16 sqrt(log(r) (f+delta) N)``;
-* :func:`log_beta_linearisation_holds` — the proof's helper inequality
-  ``-log(beta)/(1-beta) <= 17/2 - 8 beta`` on ``[0.1, 0.9]``.
+* :func:`theorem4_bound` — the end-to-end ``S + 16 sqrt(log(r) (f+delta) N)``.
 
 All logarithms are natural, matching the analysis.
 """
@@ -28,7 +26,6 @@ __all__ = [
     "hoeffding_tail",
     "theorem3_threshold",
     "theorem4_bound",
-    "log_beta_linearisation_holds",
 ]
 
 
@@ -94,14 +91,3 @@ def theorem4_bound(s: float, n: int, f: float, delta: float, r: int) -> float:
         raise ConfigurationError(f"N must be >= 1, got {n}")
     effective_t = theorem3_threshold(n, f, delta)
     return s + theorem1_constant() * math.sqrt(math.log(r) * max(effective_t, 1.0))
-
-
-def log_beta_linearisation_holds(beta: float) -> bool:
-    """Check ``-log(beta)/(1-beta) <= 17/2 - 8*beta`` (proof helper).
-
-    True on the proof's interval [0.1, 0.9]; exposed so property tests
-    can confirm the paper's claimed inequality numerically.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ConfigurationError(f"beta must be in (0, 1), got {beta}")
-    return -math.log(beta) / (1.0 - beta) <= 17.0 / 2.0 - 8.0 * beta + 1e-12

@@ -201,16 +201,6 @@ class ReputationVector:
         current = self.weight(provider)
         self.provider_weights[provider] = max(current * factor, WEIGHT_FLOOR)
 
-    def as_tuple(self) -> tuple:
-        """The (s+2)-vector in the paper's layout, provider entries sorted."""
-        ordered = tuple(self.provider_weights[p] for p in sorted(self.provider_weights))
-        return ordered + (self.misreport, self.forge)
-
-    @property
-    def s(self) -> int:
-        """Number of provider entries."""
-        return len(self.provider_weights)
-
 
 @dataclass
 class ReputationBook:
@@ -419,12 +409,10 @@ class ReputationBook:
     def readmit_collector(self, collector: str, providers: Iterable[str]) -> None:
         """Re-admit a collector after churn (recovered from a crash).
 
-        The one site of the bootstrap rule (E8's
-        :meth:`repro.baselines.base.ReputationPolicy.add_collector`
-        admits through here too): the newcomer inherits, per provider,
-        the median incumbent's standing, so it neither dominates
-        selection nor starts from a clean slate; a provider no incumbent
-        oversees starts at genesis trust.
+        The one site of the bootstrap rule: the newcomer inherits, per
+        provider, the median incumbent's standing, so it neither
+        dominates selection nor starts from a clean slate; a provider no
+        incumbent oversees starts at genesis trust.
 
         Raises:
             ProtocolViolationError: the collector is still registered.

@@ -29,9 +29,7 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "log_score",
-    "reputation_score",
     "distribute_rewards",
-    "pool_from_block",
 ]
 
 
@@ -48,13 +46,6 @@ def log_score(params: ProtocolParams, book: ReputationBook, collector: str) -> f
     total += vector.misreport * math.log(params.mu)
     total += vector.forge * math.log(params.nu)
     return total
-
-
-def reputation_score(
-    params: ProtocolParams, book: ReputationBook, collector: str
-) -> float:
-    """The raw (non-normalised) score; may underflow to 0.0 for pariahs."""
-    return math.exp(log_score(params, book, collector))
 
 
 def distribute_rewards(
@@ -95,37 +86,3 @@ def distribute_rewards(
     shifted = [math.exp(x - top) for x in logs]
     total = sum(shifted)
     return {c: amount * w / total for c, w in zip(collectors, shifted, strict=True)}
-
-
-def pool_from_block(
-    block,
-    fee_per_valid_tx: float,
-    collector_share: float = 0.5,
-) -> float:
-    """The paper's profit model: a constant proportion of executed value.
-
-    Section 3.4.3: *"A constant proportion of the profit gained by
-    executing these transactions will be allotted to the collectors"*.
-    With a per-transaction execution fee, the collectors' pool for a
-    block is ``collector_share * fee * #executed`` where executed =
-    records whose final label is valid (unchecked-invalid records are
-    not executed until re-evaluated).
-
-    Args:
-        block: The committed :class:`~repro.ledger.block.Block`.
-        fee_per_valid_tx: Profit per executed transaction.
-        collector_share: The constant proportion in (0, 1].
-
-    Raises:
-        ConfigurationError: on a non-positive fee or share outside (0, 1].
-    """
-    from repro.ledger.transaction import Label
-
-    if fee_per_valid_tx <= 0:
-        raise ConfigurationError(f"fee must be positive, got {fee_per_valid_tx}")
-    if not 0.0 < collector_share <= 1.0:
-        raise ConfigurationError(
-            f"collector share must be in (0, 1], got {collector_share}"
-        )
-    executed = sum(1 for rec in block.tx_list if rec.label is Label.VALID)
-    return collector_share * fee_per_valid_tx * executed

@@ -83,11 +83,6 @@ class ScreeningDecision:
     labels: Mapping[str, Label]
 
     @property
-    def unchecked(self) -> bool:
-        """Whether the transaction enters the block unverified."""
-        return not self.checked
-
-    @property
     def reported_mass(self) -> float:
         """``W_{+1} + W_{-1}`` — the selection denominator."""
         return self.w_plus + self.w_minus

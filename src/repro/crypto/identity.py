@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.crypto.signatures import SignedRecord, SigningKey, verify_with_key
 from repro.exceptions import UnknownIdentityError
@@ -45,10 +45,6 @@ class NodeRecord:
     node_id: str
     role: Role
     key: SigningKey
-
-    def fingerprint(self) -> str:
-        """Public identifier of the member's credential."""
-        return self.key.fingerprint()
 
 
 @dataclass
@@ -147,12 +143,6 @@ class IdentityManager:
     def is_enrolled(self, node_id: str) -> bool:
         """Whether ``node_id`` is a member of the chain."""
         return node_id in self._records
-
-    def members(self, role: Role | None = None) -> Iterator[str]:
-        """Iterate enrolled node ids, optionally filtered by role."""
-        for node_id, rec in self._records.items():
-            if role is None or rec.role is role:
-                yield node_id
 
     def is_linked(self, collector_id: str, provider_id: str) -> bool:
         """Whether the IM knows a collector-provider link."""

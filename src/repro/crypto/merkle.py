@@ -50,9 +50,6 @@ class MerkleTree:
             level = nxt
         self._root = level[0] if level else EMPTY_ROOT
 
-    def __len__(self) -> int:
-        return self._size
-
     @property
     def root(self) -> bytes:
         """The tree's root commitment."""

@@ -54,11 +54,6 @@ class SigningKey:
         if len(self.secret) < 16:
             raise SignatureError("signing key secret must be >= 16 bytes")
 
-    def fingerprint(self) -> str:
-        """Public, non-secret identifier for this key (for logging)."""
-        digest = hashlib.sha256(b"fp|" + self.secret).hexdigest()
-        return f"{self.owner}:{digest[:16]}"
-
 
 class FrozenSlots:
     """``pickle`` / ``copy`` for a frozen dataclass that declares ``__slots__``.
@@ -100,10 +95,6 @@ class Signature(FrozenSlots):
     def __post_init__(self) -> None:
         if len(self.tag) != 32:
             raise SignatureError("signature tag must be a 32-byte HMAC-SHA256 tag")
-
-    def hex(self) -> str:
-        """Hex form of the tag for display."""
-        return self.tag.hex()
 
 
 class SignedRecord(FrozenSlots):

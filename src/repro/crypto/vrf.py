@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.crypto.signatures import SigningKey
 from repro.exceptions import VRFError
 
-__all__ = ["VRFOutput", "vrf_evaluate", "vrf_verify", "vrf_output_to_unit_interval"]
+__all__ = ["VRFOutput", "vrf_evaluate", "vrf_verify"]
 
 #: Number of bytes of VRF output interpreted as the election hash value.
 OUTPUT_BYTES = 32
@@ -98,8 +98,3 @@ def vrf_verify(key: SigningKey, output: VRFOutput) -> bool:
         b"vrf-val|" + key.secret + b"|" + output.alpha
     ).digest()
     return hmac.compare_digest(expected_value, output.value)
-
-
-def vrf_output_to_unit_interval(output: VRFOutput) -> float:
-    """Map the VRF value to [0, 1) for statistical tests of uniformity."""
-    return output.as_int() / float(1 << (8 * OUTPUT_BYTES))

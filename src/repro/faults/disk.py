@@ -101,10 +101,6 @@ def _segments(directory: Path) -> list[Path]:
     return [p for p in sorted(directory.glob(SEGMENT_GLOB)) if p.stat().st_size > 0]
 
 
-def _checkpoints(directory: Path) -> list[Path]:
-    return sorted(directory.glob("checkpoint-*.json"))
-
-
 def _torn_record(directory: Path, rng: Generator) -> AppliedDiskFault | None:
     segs = _segments(directory)
     if not segs:
@@ -192,7 +188,7 @@ def _bit_flip(directory: Path, rng: Generator) -> AppliedDiskFault | None:
 def _corrupt_checkpoint(
     directory: Path, rng: Generator
 ) -> AppliedDiskFault | None:
-    ckpts = _checkpoints(directory)
+    ckpts = sorted(directory.glob("checkpoint-*.json"))
     if not ckpts:
         return None
     path = ckpts[-1]
@@ -212,7 +208,7 @@ def _corrupt_checkpoint(
 def _missing_checkpoint(
     directory: Path, rng: Generator
 ) -> AppliedDiskFault | None:
-    ckpts = _checkpoints(directory)
+    ckpts = sorted(directory.glob("checkpoint-*.json"))
     if not ckpts:
         return None
     path = ckpts[-1]

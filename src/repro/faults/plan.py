@@ -174,10 +174,3 @@ class FaultPlan:
     def spec_for(self, sender: str, receiver: str) -> LinkFaultSpec:
         """The effective spec on the directed link sender→receiver."""
         return self.links.get((sender, receiver), self.default_link)
-
-    @property
-    def has_message_faults(self) -> bool:
-        """Whether any link injects loss/duplication/reordering."""
-        return not self.default_link.is_clean or any(
-            not spec.is_clean for spec in self.links.values()
-        )

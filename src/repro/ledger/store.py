@@ -72,10 +72,6 @@ class BlockStore(Ledger):
         self._cursors[reader] = cursor + 1
         return self._blocks[cursor - self._base_serial]
 
-    def unread_count(self, reader: str) -> int:
-        """How many published blocks ``reader`` has not consumed yet."""
-        return self.height - self._cursors.get(reader, self._base_serial)
-
     def forget_reader(self, reader: str) -> None:
         """Drop ``reader``'s cursor (no-op if absent).
 

@@ -154,11 +154,6 @@ class TxRecord(FrozenSlots):
     label: Label
     status: CheckStatus
 
-    @property
-    def is_unchecked(self) -> bool:
-        """Whether the governor skipped validation for this record."""
-        return self.status is CheckStatus.UNCHECKED
-
     def hash(self) -> bytes:
         """The record's digest: its Merkle leaf and its share of the block hash.
 

@@ -57,13 +57,6 @@ class GroundTruthOracle:
         """The true status; unknown transactions are invalid (forgeries)."""
         return self._truth.get(tx.tx_id, False)
 
-    def knows(self, tx: SignedTransaction) -> bool:
-        """Whether ``tx`` was generated through this oracle."""
-        return tx.tx_id in self._truth
-
-    def __len__(self) -> int:
-        return len(self._truth)
-
 
 @dataclass
 class CountingOracle:
@@ -76,7 +69,3 @@ class CountingOracle:
         """Delegate and count."""
         self.calls += 1
         return self.inner.validate(tx)
-
-    def reset(self) -> None:
-        """Zero the counter (between experiment phases)."""
-        self.calls = 0

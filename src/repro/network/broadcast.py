@@ -222,13 +222,6 @@ class AtomicBroadcast:
         """Whether ``group`` has been declared."""
         return group in self._members
 
-    def members_of(self, group: str) -> list[str]:
-        """The receiver set of ``group``."""
-        try:
-            return list(self._members[group])
-        except KeyError:
-            raise SimulationError(f"unknown broadcast group {group!r}") from None
-
     def register_handler(
         self, group: str, member: str, handler: Callable[[str, Any], None]
     ) -> None:
@@ -307,11 +300,6 @@ class AtomicBroadcast:
             state.delivered += 1
             if handler is not None:
                 handler(payload.sender, payload.body)
-
-    def delivered_count(self, group: str, member: str) -> int:
-        """How many broadcasts this member has delivered in-order so far."""
-        state = self._state.get((group, member))
-        return 0 if state is None else state.next_seqno
 
     def skip_to(self, group: str, member: str, seqno: int) -> None:
         """Recovery hook: advance a member's delivery cursor to ``seqno``.

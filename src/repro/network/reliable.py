@@ -193,8 +193,3 @@ class ReliableChannel:
         pending.attempts += 1
         self.stats.retransmits += 1
         self._transmit(msg_id)
-
-    @property
-    def unacked(self) -> int:
-        """Messages still awaiting an ack (retry timers live)."""
-        return len(self._pending)

@@ -79,11 +79,6 @@ class NetworkStats:
         """
         self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
 
-    @property
-    def messages_dropped(self) -> int:
-        """Messages destroyed before delivery, whatever the cause."""
-        return sum(self.drops_by_reason.values())
-
 
 class Simulator:
     """Deterministic discrete-event loop: one clock, one heap.
@@ -284,7 +279,7 @@ class SyncNetwork:
         Dropped silently if either endpoint is partitioned — the sender
         cannot tell, exactly as with a real crash fault.  Dropped
         messages (partition or fault injection) are counted in
-        ``stats.messages_dropped`` and never in the sent counters.
+        ``stats.drops_by_reason`` and never in the sent counters.
 
         A fault hook may substitute the payload (``action.replace`` —
         Byzantine in-flight tampering); the receiver then gets the

@@ -19,7 +19,6 @@ builders are offered:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.exceptions import TopologyError
 from repro.rng import default_rng
@@ -244,11 +243,6 @@ class Topology:
     # -- derived quantities ----------------------------------------------
 
     @property
-    def l(self) -> int:
-        """Number of providers."""
-        return len(self.providers)
-
-    @property
     def n(self) -> int:
         """Number of collectors."""
         return len(self.collectors)
@@ -263,11 +257,6 @@ class Topology:
         """Collectors per provider."""
         return len(next(iter(self.provider_links.values())))
 
-    @property
-    def s(self) -> int:
-        """Providers per collector."""
-        return len(next(iter(self.collector_links.values())))
-
     def collectors_of(self, provider: str) -> tuple[str, ...]:
         """The ``r`` collectors a provider broadcasts to."""
         try:
@@ -281,12 +270,6 @@ class Topology:
             return self.collector_links[collector]
         except KeyError:
             raise TopologyError(f"unknown collector {collector!r}") from None
-
-    def edges(self) -> Iterator[tuple[str, str]]:
-        """Iterate (provider, collector) link pairs."""
-        for p, cs in self.provider_links.items():
-            for c in cs:
-                yield (p, c)
 
     def validate(self) -> None:
         """Check the degree equation r*l == s*n and link consistency.
@@ -429,10 +412,3 @@ class ShardedTopology:
     def collectors(self) -> tuple[str, ...]:
         """Every collector, shard by shard (what a behaviour map is keyed by)."""
         return tuple(c for topo in self.shards for c in topo.collectors)
-
-    def shard_of(self, node_id: str) -> int:
-        """The home shard index of any node id."""
-        for mapping in (self.provider_shard, self.collector_shard, self.governor_shard):
-            if node_id in mapping:
-                return mapping[node_id]
-        raise TopologyError(f"unknown node {node_id!r}")

@@ -34,12 +34,6 @@ class VisibilityMap:
     visible: dict[str, frozenset[str]]
 
     @staticmethod
-    def full(topology: Topology) -> "VisibilityMap":
-        """The paper's default: every governor sees every collector."""
-        all_collectors = frozenset(topology.collectors)
-        return VisibilityMap({g: all_collectors for g in topology.governors})
-
-    @staticmethod
     def random_partial(
         topology: Topology, keep_fraction: float, seed: int = 0
     ) -> "VisibilityMap":

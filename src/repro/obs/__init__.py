@@ -1,8 +1,8 @@
 """repro.obs — the unified observability layer.
 
 A dependency-free metrics registry (counters, gauges, histograms with
-labels), sim-time span tracing, and a pluggable export layer
-(Prometheus text / JSONL / dict snapshot).  Every instrumented
+labels), sim-time span tracing, and an export layer
+(Prometheus text / dict snapshot).  Every instrumented
 component takes an optional registry and defaults to the no-op
 :data:`NULL_REGISTRY`, so un-instrumented runs stay bit-identical.
 
@@ -14,14 +14,14 @@ Quickstart::
     engine = NetworkedProtocolEngine(topo, params, obs=obs)
     engine.run_round(workload.take(8))
     print(to_prometheus(obs))          # every counter the run touched
-    for span in obs.spans_of("round"): # where the sim time went
+    for span in obs.spans:             # where the sim time went
         print(span.name, span.duration)
 
 The full telemetry reference (every metric name, span name, and the
 ``BENCH_*.json`` schema) lives in OBSERVABILITY.md.
 """
 
-from repro.obs.export import snapshot, to_jsonl, to_prometheus, write_jsonl
+from repro.obs.export import snapshot, to_prometheus
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
@@ -41,7 +41,5 @@ __all__ = [
     "NULL_REGISTRY",
     "Span",
     "snapshot",
-    "to_jsonl",
     "to_prometheus",
-    "write_jsonl",
 ]

@@ -1,28 +1,22 @@
-"""Pluggable export layer: Prometheus text, JSONL, dict snapshot.
+"""Export layer: Prometheus text and dict snapshot.
 
-Three renderings of one :class:`~repro.obs.registry.MetricsRegistry`:
+Two renderings of one :class:`~repro.obs.registry.MetricsRegistry`:
 
 * :func:`to_prometheus` — the standard text exposition format, for
   eyeballs and for any Prometheus-compatible scraper;
 * :func:`snapshot` — a nested plain-dict form, the shape embedded in
-  the benches' ``BENCH_*.json`` files;
-* :func:`to_jsonl` — one JSON object per sample and per span, for jq /
-  pandas streaming.
+  the benches' ``BENCH_*.json`` files.
 
-All three are deterministic: metrics sort by name, series by label
+Both are deterministic: metrics sort by name, series by label
 values, spans keep record order.  See OBSERVABILITY.md for the schema
 reference and consumption recipes.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-from typing import TextIO
-
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
-__all__ = ["to_prometheus", "to_jsonl", "snapshot", "write_jsonl"]
+__all__ = ["to_prometheus", "snapshot"]
 
 
 def _fmt(value: float) -> str:
@@ -102,54 +96,3 @@ def snapshot(registry: MetricsRegistry) -> dict:
         "metrics": metrics,
         "spans": [span.as_dict() for span in registry.spans],
     }
-
-
-def to_jsonl(registry: MetricsRegistry) -> str:
-    """One JSON object per metric sample and per span, newline-delimited."""
-    lines: list[str] = []
-    for metric in registry.metrics():
-        if isinstance(metric, (Counter, Gauge)):
-            for values, value in metric.samples():
-                lines.append(
-                    json.dumps(
-                        {
-                            "metric": metric.name,
-                            "type": metric.kind,
-                            "labels": dict(zip(metric.label_names, values)),
-                            "value": value,
-                        },
-                        sort_keys=True,
-                    )
-                )
-        elif isinstance(metric, Histogram):
-            for values, state in metric.samples():
-                lines.append(
-                    json.dumps(
-                        {
-                            "metric": metric.name,
-                            "type": metric.kind,
-                            "labels": dict(zip(metric.label_names, values)),
-                            "buckets": list(metric.buckets),
-                            "bucket_counts": list(state.bucket_counts),
-                            "sum": state.sum,
-                            "count": state.count,
-                        },
-                        sort_keys=True,
-                    )
-                )
-    for span in registry.spans:
-        lines.append(json.dumps(span.as_dict(), sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_jsonl(registry: MetricsRegistry, fp: TextIO | str | pathlib.Path) -> int:
-    """Stream :func:`to_jsonl` into ``fp`` (a path or an open text file).
-
-    Returns the line count.
-    """
-    text = to_jsonl(registry)
-    if isinstance(fp, (str, pathlib.Path)):
-        pathlib.Path(fp).write_text(text)
-    else:
-        fp.write(text)
-    return text.count("\n")

@@ -230,11 +230,6 @@ class Histogram(_Metric):
                 state.bucket_counts[i] += 1
                 break
 
-    def state_of(self, **values: str) -> _HistogramState:
-        """The (bucket_counts, sum, count) state of one series."""
-        key = _label_key(self, values)
-        return self._states.setdefault(key, _HistogramState(len(self.buckets)))
-
     def samples(self) -> Iterable[tuple[tuple[str, ...], _HistogramState]]:
         return sorted(self._states.items())
 
@@ -361,26 +356,11 @@ class MetricsRegistry:
                 )
             )
 
-    def spans_of(self, name: str) -> list[Span]:
-        """All recorded spans with the given name, in record order."""
-        return [s for s in self.spans if s.name == name]
-
     # -- introspection ---------------------------------------------------
 
     def names(self) -> list[str]:
         """Registered metric names, sorted."""
         return sorted(self._metrics)
-
-    def get(self, name: str) -> _Metric:
-        """The metric registered under ``name``.
-
-        Raises:
-            ConfigurationError: unknown metric.
-        """
-        try:
-            return self._metrics[name]
-        except KeyError:
-            raise ConfigurationError(f"no metric registered as {name!r}") from None
 
     def metrics(self) -> Iterable[_Metric]:
         """Registered metrics in name order (deterministic)."""

@@ -140,10 +140,6 @@ class _WorkerHandle:
         #: replies left over from a crash-aborted phase are discardable.
         self.seq = 0
 
-    @property
-    def shards(self) -> tuple[int, ...]:
-        return self.spec.shards
-
 
 class ParallelBackend:
     """Run shard engines in forked worker processes with barrier sync."""
@@ -299,7 +295,7 @@ class ParallelBackend:
         its seed — the schedule stays seeded, not bit-continuous).
         """
         handle = self._workers[worker]
-        missing = [k for k in handle.shards if handle.spec.storage[k] is None]
+        missing = [k for k in handle.spec.shards if handle.spec.storage[k] is None]
         if missing:
             raise ConfigurationError(
                 f"cannot restart worker {worker}: shards {missing} have no "
@@ -307,7 +303,7 @@ class ParallelBackend:
             )
         self._reap([handle])
         self._boot([handle])
-        for shard in handle.shards:
+        for shard in handle.spec.shards:
             plan = self._fault_plans.get(shard)
             if plan is not None:
                 self._call("install_faults", {handle.index: (shard, plan)})
@@ -369,7 +365,7 @@ class ParallelBackend:
             exitcode = handle.proc.exitcode
         self.crashes[phase] += 1
         raise WorkerCrashError(
-            handle.index, handle.shards, phase, detail=detail, exitcode=exitcode
+            handle.index, handle.spec.shards, phase, detail=detail, exitcode=exitcode
         )
 
     def _call(self, op: str, calls: Mapping[int, tuple]) -> dict[int, object]:
@@ -385,7 +381,7 @@ class ParallelBackend:
         for handle in handles:
             if not handle.alive:
                 raise WorkerCrashError(
-                    handle.index, handle.shards, op, detail="worker already dead"
+                    handle.index, handle.spec.shards, op, detail="worker already dead"
                 )
             self._send(handle, op, calls[handle.index])
         results: dict[int, object] = {}

@@ -241,8 +241,8 @@ class ShardCoordinator:
         """The live shard engines, in shard order — serial backend only.
 
         Under the parallel backend the engines live in worker
-        processes; use :meth:`chain_stats`, :meth:`tip_hashes`, or
-        :meth:`collector_masses` for cross-backend reporting.
+        processes; use :meth:`chain_stats` or :meth:`tip_hashes` for
+        cross-backend reporting.
         """
         if self.backend.kind != "serial":
             raise ConfigurationError(
@@ -250,16 +250,6 @@ class ShardCoordinator:
                 "backend; use chain_stats()/tip_hashes() instead"
             )
         return list(self.backend.engines.values())
-
-    @property
-    def sim(self):
-        """The shared simulator — serial backend only (see :attr:`now`)."""
-        if self.backend.kind != "serial":
-            raise ConfigurationError(
-                "no shared in-process simulator under the parallel backend; "
-                "use .now for the barrier clock"
-            )
-        return self.backend.sim
 
     # -- workload routing -------------------------------------------------
 
@@ -275,10 +265,6 @@ class ShardCoordinator:
             if shard is None:
                 raise ConfigurationError(f"unknown provider {spec.provider!r}")
             self._backlog[shard].append(spec)
-
-    def backlog_depth(self) -> int:
-        """Total specs queued and not yet offered to a shard."""
-        return sum(len(q) for q in self._backlog)
 
     # -- super-round execution --------------------------------------------
 
@@ -424,10 +410,6 @@ class ShardCoordinator:
         """Origin (non-receipt) records committed so far, over every shard."""
         return sum(self.committed.values())
 
-    def collector_masses(self) -> dict[str, float]:
-        """Live reputation mass per collector, across every shard."""
-        return self.backend.collector_masses()
-
     def _read_masses(self) -> None:
         """Store what ``shard_reputation_mass`` reads — at a barrier, because
         a reader must not touch a worker's pipe."""
@@ -444,28 +426,16 @@ class ShardCoordinator:
         """Install a seeded fault plan on one shard's engine.
 
         The injector lives with the engine; read what fired through
-        :meth:`fault_stats`.  Tamperers (live callbacks) are rejected by
+        ``backend.fault_stats()``.  Tamperers (live callbacks) are rejected by
         the parallel backend.
         """
         self.backend.install_faults(shard, plan, tamperer=tamperer)
-
-    def fault_stats(self) -> dict[int, object]:
-        """Per-shard injector stats (None where no plan is installed)."""
-        return self.backend.fault_stats()
 
     def quarantine_logs(self) -> list[list[tuple]]:
         """Each shard's ``quarantine_log``, in shard order: the verdicts
         reached on it and those that arrived with a migrating collector."""
         logs = self.backend.quarantine_logs()
         return [logs[k] for k in range(self.topology.num_shards)]
-
-    def restart_worker(self, worker: int) -> None:
-        """Respawn a crashed worker from durable storage (parallel only)."""
-        if self.backend.kind != "parallel":
-            raise ConfigurationError(
-                "restart_worker requires the parallel backend"
-            )
-        self.backend.restart_worker(worker)
 
     def flush(self) -> int:
         """Run empty super-rounds until no receipt awaits its remote leg.

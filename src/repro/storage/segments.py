@@ -114,9 +114,6 @@ class SegmentLog:
     def active_path(self) -> Path:
         return self._paths[-1]
 
-    def segment_paths(self) -> list[Path]:
-        return list(self._paths)
-
     # -- writing -------------------------------------------------------
 
     def append(self, serial: int, payload: bytes) -> int:

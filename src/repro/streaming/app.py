@@ -241,11 +241,6 @@ class StreamingApp(RoundCore):
                 gov.unlink_provider(pid)
             self.metrics.retirements += 1
 
-    @property
-    def backlog_depth(self) -> int:
-        """Arrived transactions still awaiting a block slot."""
-        return len(self._backlog)
-
     # -- the run ----------------------------------------------------------
 
     def run_round(self, specs: Iterable[TxSpec] = ()):

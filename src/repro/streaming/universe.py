@@ -149,20 +149,6 @@ class VirtualUniverse:
             )
         return tuple([collector_id(i) for i in circulant_indices(k, self.n, self.r)])
 
-    def collectors_of(self, pid: str) -> tuple[str, ...]:
-        """Id-keyed variant of :meth:`collectors_of_index`."""
-        k = parse_provider_index(pid)
-        if k is None:
-            raise TopologyError(f"unknown provider {pid!r}")
-        return self.collectors_of_index(k)
-
-    def members_of(self, collector: str) -> CollectorMembers:
-        """The lazy membership view for one collector id."""
-        for i in range(self.n):
-            if collector_id(i) == collector:
-                return CollectorMembers(self.universe, self.n, self.r, i)
-        raise TopologyError(f"unknown collector {collector!r}")
-
     def collector_members(self) -> dict[str, CollectorMembers]:
         """collector id -> membership view, for book registration."""
         return {

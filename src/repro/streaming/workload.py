@@ -84,8 +84,3 @@ class StreamingWorkload:
     def for_round(self, round_number: int) -> list[TxSpec]:
         """One round's arrivals: ``arrivals.count_for_round`` then take."""
         return self.take(self.arrivals.count_for_round(round_number))
-
-    @property
-    def emitted(self) -> int:
-        """Transactions emitted so far."""
-        return self._count

@@ -1,9 +1,8 @@
 """Arrival processes: how many transactions enter per round.
 
 The paper's rounds pack up to ``b_limit`` transactions; the arrival
-process controls offered load.  Three standard models:
+process controls offered load.  Two standard models:
 
-* :class:`ConstantArrivals` — fixed batch per round;
 * :class:`PoissonArrivals` — Poisson(rate) per round, the classic
   open-loop model;
 * :class:`BurstyArrivals` — two-state (background / burst) modulated
@@ -22,7 +21,6 @@ from repro.rng import Generator, default_rng
 
 __all__ = [
     "ArrivalProcess",
-    "ConstantArrivals",
     "PoissonArrivals",
     "BurstyArrivals",
 ]
@@ -44,18 +42,6 @@ class ArrivalProcess:
     def count_for_round(self, round_number: int) -> int:
         """How many transactions arrive in ``round_number`` (>= 0)."""
         raise NotImplementedError
-
-
-class ConstantArrivals(ArrivalProcess):
-    """Exactly ``batch`` transactions every round."""
-
-    def __init__(self, batch: int):
-        if batch < 0:
-            raise ConfigurationError(f"batch cannot be negative, got {batch}")
-        self.batch = batch
-
-    def count_for_round(self, round_number: int) -> int:
-        return self.batch
 
 
 class PoissonArrivals(ArrivalProcess):

@@ -19,7 +19,7 @@ Validity models:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.rng import default_rng
@@ -74,11 +74,6 @@ class WorkloadGenerator:
         )
         self._count += 1
         return spec
-
-    def stream(self) -> Iterator[TxSpec]:
-        """An endless transaction stream."""
-        while True:
-            yield self._one()
 
 
 class BernoulliWorkload(WorkloadGenerator):

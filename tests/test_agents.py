@@ -194,8 +194,7 @@ class TestCollector:
         collector = make_collector(world)
         tx = provider.create_transaction("x", 1.0)
         oracle.assign(tx, True)
-        labeled = collector.process(tx, oracle)
-        assert labeled is not None
+        (labeled,) = collector.process_all(tx, oracle)
         assert labeled.label is Label.VALID
         assert collector.uploads == 1
 
@@ -205,7 +204,7 @@ class TestCollector:
         collector = make_collector(world, behavior=AlwaysInvertBehavior())
         tx = provider.create_transaction("x", 1.0)
         oracle.assign(tx, True)
-        assert collector.process(tx, oracle).label is Label.INVALID
+        assert [u.label for u in collector.process_all(tx, oracle)] == [Label.INVALID]
 
     def test_concealer_returns_none(self, world):
         _topo, _im, oracle = world
@@ -213,7 +212,7 @@ class TestCollector:
         collector = make_collector(world, behavior=ConcealBehavior(1.0))
         tx = provider.create_transaction("x", 1.0)
         oracle.assign(tx, True)
-        assert collector.process(tx, oracle) is None
+        assert collector.process_all(tx, oracle) == []
         assert collector.conceals == 1
 
     def test_forged_upload_fails_verification(self, world):

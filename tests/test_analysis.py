@@ -122,9 +122,7 @@ class TestSweepTable:
         table = SweepTable(parameter="f")
         table.add(0.1, {"mistakes": 3.0})
         table.add(0.5, {"mistakes": 7.0})
-        assert table.values == [0.1, 0.5]
         assert table.column("mistakes") == [3.0, 7.0]
-        assert len(table) == 2
 
     def test_missing_metric_rejected(self):
         table = SweepTable(parameter="f")
@@ -184,7 +182,7 @@ class TestRegretCurve:
             seeds=[1, 2],
         )
         assert len(curve.points) == 3
-        assert curve.all_within_bound()
+        assert all(p.within_bound for p in curve.points)
         # Regret grows sublinearly.
         assert curve.scaling_exponent() < 1.0
 

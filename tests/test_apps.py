@@ -16,12 +16,6 @@ from repro.ledger.transaction import Label
 
 
 class TestRideRequest:
-    def test_distance(self):
-        req = RideRequest(
-            rider="p0", pickup=(0.0, 0.0), dropoff=(3.0, 4.0), fare=9.5, funded=True
-        )
-        assert req.distance == pytest.approx(5.0)
-
     def test_payload_roundtrip(self):
         req = RideRequest(
             rider="p0", pickup=(1.0, 2.0), dropoff=(3.0, 4.0), fare=9.5, funded=False

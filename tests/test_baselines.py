@@ -16,6 +16,7 @@ from repro.baselines.check_none import CheckNonePolicy
 from repro.baselines.majority_vote import MajorityVotePolicy
 from repro.baselines.no_reputation import UniformSelectionPolicy
 from repro.baselines.static_trust import StaticTrustPolicy
+from repro.core.game import PROVIDER
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 
@@ -122,8 +123,9 @@ class TestReputationPolicy:
             params=params, collector_ids=[f"c{i}" for i in range(8)]
         )
         simulation(adversarial_mix(), horizon=2000).run(policy)
-        honest_w = [policy.weights[f"c{i}"] for i in range(3)]
-        liar_w = [policy.weights[f"c{i}"] for i in range(3, 8)]
+        weights = policy.book.weights_for(PROVIDER, policy.book.collectors())
+        honest_w = [weights[f"c{i}"] for i in range(3)]
+        liar_w = [weights[f"c{i}"] for i in range(3, 8)]
         assert min(honest_w) > max(liar_w) * 100
 
     def test_cheaper_than_check_all(self):

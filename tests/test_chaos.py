@@ -289,7 +289,8 @@ class TestByzantineAcceptance:
         provable = [
             v
             for gid in honest_govs
-            for v in engine.auditors[gid].report.provable()
+            for v in engine.auditors[gid].report.violations
+            if v.provable
         ]
         assert provable and {v.culprit for v in provable} == {"g2"}
         # 3. Honest governor loss stays under the Theorem-1 bound.

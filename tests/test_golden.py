@@ -23,7 +23,7 @@ from repro.agents.behaviors import (
     standard_adversary_mix,
 )
 from repro.baselines.base import PolicySimulation, ReputationPolicy
-from repro.core.game import ReputationGame
+from repro.core.game import PROVIDER, ReputationGame
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.crypto.hashing import canonical_encode, hash_value
@@ -138,10 +138,13 @@ def test_golden_policy_stats_and_weights_across_churn(mix):
         )
 
     first = stats_of(21)
-    policy.add_collector("c8")
-    policy.retire_collector("c5")
+    book = policy.book
+    book.readmit_collector("c8", (PROVIDER,))
+    book.retire_collector("c5")
+    policy.collector_ids = tuple(book.collectors())
     second = stats_of(23)
-    assert (first, second, dict(policy.weights)) == GOLDEN_POLICY_RUNS[mix]
+    weights = book.weights_for(PROVIDER, book.collectors())
+    assert (first, second, dict(weights)) == GOLDEN_POLICY_RUNS[mix]
 
 
 # -- crypto goldens --------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_quarantine_travels_with_a_reshuffled_collector(workers, monkeypatch):
         def assert_still_contained():
             # Registered in no book of any shard: a governor drops every
             # upload from an unregistered collector at ingestion.
-            assert "c0" not in coordinator.collector_masses()
+            assert "c0" not in coordinator.backend.collector_masses()
             assert coordinator.quarantine_logs()[away][-1][2:] == (
                 "c0",
                 "collector-equivocation",

@@ -15,7 +15,6 @@ class TestConstruction:
 
     def test_single_leaf(self):
         tree = MerkleTree(["only"])
-        assert len(tree) == 1
         assert tree.root != EMPTY_ROOT
 
     def test_root_depends_on_content(self):

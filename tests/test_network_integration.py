@@ -76,8 +76,7 @@ class TestUploadFlow:
         # Collector side: on delivery of a provider tx, label and upload.
         def collector_handler(cid):
             def handle(sender, tx):
-                labeled = collectors[cid].process(tx, oracle)
-                if labeled is not None:
+                for labeled in collectors[cid].process_all(tx, oracle):
                     ab.broadcast("uploads", cid, labeled)
             return handle
 
@@ -118,7 +117,7 @@ class TestUploadFlow:
                 f"feed:{cid}",
                 cid,
                 lambda sender, tx, cid=cid: ab.broadcast(
-                    "uploads", cid, collectors[cid].process(tx, oracle)
+                    "uploads", cid, collectors[cid].process_all(tx, oracle)[0]
                 ),
             )
         gid0 = topo.governors[0]
@@ -150,7 +149,7 @@ class TestUploadFlow:
                 f"feed:{cid}",
                 cid,
                 lambda sender, tx, cid=cid: ab.broadcast(
-                    "uploads", cid, collectors[cid].process(tx, oracle)
+                    "uploads", cid, collectors[cid].process_all(tx, oracle)[0]
                 ),
             )
         gid0 = topo.governors[0]
@@ -184,7 +183,7 @@ class TestUploadFlow:
                 f"feed:{cid}",
                 cid,
                 lambda sender, tx, cid=cid: ab.broadcast(
-                    "uploads", cid, collectors[cid].process(tx, oracle)
+                    "uploads", cid, collectors[cid].process_all(tx, oracle)[0]
                 ),
             )
         gid0 = topo.governors[0]

@@ -64,7 +64,7 @@ def _reports(engine):
 RECORDS = {
     "net_messages_sent_total": lambda e: e.network.stats.messages_sent,
     "net_bytes_sent_total": lambda e: e.network.stats.bytes_sent,
-    "net_messages_dropped_total": lambda e: e.network.stats.messages_dropped,
+    "net_messages_dropped_total": lambda e: sum(e.network.stats.drops_by_reason.values()),
     "abcast_broadcasts_total": lambda e: sum(e.broadcast._next_seqno.values()),
     "abcast_delivered_total": lambda e: sum(
         state.delivered for state in e.broadcast._state.values()
@@ -81,7 +81,7 @@ RECORDS = {
     "rel_duplicates_suppressed_total": lambda e: e.channel.stats.duplicates_suppressed,
     "rel_acks_total": lambda e: e.channel.stats.acks_sent,
     "rel_gave_up_total": lambda e: e.channel.stats.gave_up,
-    "rel_unacked": lambda e: e.channel.unacked,
+    "rel_unacked": lambda e: len(e.channel._pending),
     "engine_rounds_total": lambda e: ROUNDS,
     "engine_tx_offered_total": lambda e: ROUNDS * PER_ROUND,
     "engine_argues_total": lambda e: e._argues_sent,
@@ -103,7 +103,7 @@ RECORDS = {
     "crypto_sig_cache_misses": lambda e: e.im.sig_cache_misses,
     # Each miss leaves one verdict on the record it checked.
     "crypto_sig_cache_entries": lambda e: e.im.sig_cache_misses,
-    "audit_checks_total": lambda e: sum(r.checks_run for r in _reports(e)),
+    "audit_checks_total": lambda e: sum(sum(r.checks.values()) for r in _reports(e)),
     "audit_violations_total": lambda e: sum(len(r.violations) for r in _reports(e)),
     "audit_evidence_entries": lambda e: sum(
         len(a._labels) + len(a._votes) for a in e.auditors.values()
@@ -143,7 +143,7 @@ class TestInstrumentation:
     @pytest.mark.parametrize("name", RECORDS)
     def test_family_reads_its_record(self, run, name):
         engine, obs = run
-        total = sum(value for _labels, value in obs.get(name).samples())
+        total = sum(value for _labels, value in obs._metrics[name].samples())
         assert total == pytest.approx(RECORDS[name](engine))
 
     def test_every_subsystem_exports(self, run):
@@ -153,56 +153,56 @@ class TestInstrumentation:
 
     def test_engine_counters_match_run(self, run):
         engine, obs = run
-        assert obs.get("engine_rounds_total").value == ROUNDS
-        assert obs.get("engine_tx_offered_total").value == ROUNDS * PER_ROUND
-        assert obs.get("engine_block_size").samples()[0][1].count == ROUNDS
+        assert obs._metrics["engine_rounds_total"].value == ROUNDS
+        assert obs._metrics["engine_tx_offered_total"].value == ROUNDS * PER_ROUND
+        assert obs._metrics["engine_block_size"].samples()[0][1].count == ROUNDS
 
     def test_governor_counters_match_metrics(self, run):
         engine, obs = run
-        screened = obs.get("gov_screenings_total")
+        screened = obs._metrics["gov_screenings_total"]
         for gid, gov in engine.governors.items():
             total = screened.value_of(governor=gid, outcome="checked") + screened.value_of(
                 governor=gid, outcome="unchecked"
             )
             assert total == gov.metrics.transactions_screened
             assert (
-                obs.get("gov_mistakes_total").value_of(governor=gid)
+                obs._metrics["gov_mistakes_total"].value_of(governor=gid)
                 == gov.metrics.mistakes
             )
 
     def test_reliable_channel_counters_match_stats(self, run):
         engine, obs = run
         stats = engine.channel.stats
-        assert obs.get("rel_retransmits_total").value == stats.retransmits
-        assert obs.get("rel_gave_up_total").value == stats.gave_up
+        assert obs._metrics["rel_retransmits_total"].value == stats.retransmits
+        assert obs._metrics["rel_gave_up_total"].value == stats.gave_up
 
     def test_fault_drops_match_injector(self, run):
         engine, obs = run
         assert (
-            obs.get("net_messages_dropped_total").value_of(reason="fault")
+            obs._metrics["net_messages_dropped_total"].value_of(reason="fault")
             == engine.injector.stats.dropped
         )
 
     def test_spans_cover_rounds(self, run):
         _engine, obs = run
-        rounds = obs.spans_of("round")
+        rounds = [s for s in obs.spans if s.name == "round"]
         assert len(rounds) == ROUNDS
         assert [s.labels["round"] for s in rounds] == [str(i + 1) for i in range(ROUNDS)]
         assert all(s.duration > 0 for s in rounds)
-        assert len(obs.spans_of("argue_phase")) == ROUNDS
+        assert len([s for s in obs.spans if s.name == "argue_phase"]) == ROUNDS
         # finalize() drains too, so the explicit call makes at least two.
-        assert len(obs.spans_of("drain_recovery")) >= 1
+        assert len([s for s in obs.spans if s.name == "drain_recovery"]) >= 1
 
     def test_argue_spans_nest_inside_rounds(self, run):
         _engine, obs = run
-        for outer, inner in zip(obs.spans_of("round"), obs.spans_of("argue_phase")):
+        for outer, inner in zip([s for s in obs.spans if s.name == "round"], [s for s in obs.spans if s.name == "argue_phase"]):
             assert outer.start <= inner.start <= inner.end <= outer.end
 
     def test_resident_state_gauges_match_what_is_held(self, run):
         engine, obs = run
-        entries = obs.get("crypto_sig_cache_entries").value
-        assert 0 < entries == obs.get("crypto_sig_cache_misses").value
-        held = obs.get("audit_evidence_entries")
+        entries = obs._metrics["crypto_sig_cache_entries"].value
+        assert 0 < entries == obs._metrics["crypto_sig_cache_misses"].value
+        held = obs._metrics["audit_evidence_entries"]
         for gid, auditor in engine.auditors.items():
             assert held.value_of(auditor=gid) == len(auditor._labels) + len(auditor._votes)
             assert held.value_of(auditor=gid) >= ROUNDS * PER_ROUND
@@ -210,9 +210,9 @@ class TestInstrumentation:
     def test_abstract_engine_exports_counters(self):
         obs = MetricsRegistry()
         _run("inproc", obs)
-        assert obs.get("engine_rounds_total").value == ROUNDS
+        assert obs._metrics["engine_rounds_total"].value == ROUNDS
         assert {"gov_screenings_total", "rep_updates_total"} <= set(obs.names())
-        assert 0 < obs.get("crypto_sig_cache_entries").value
+        assert 0 < obs._metrics["crypto_sig_cache_entries"].value
         assert obs.spans == []  # the in-process engine records no span
 
 

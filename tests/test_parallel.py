@@ -207,9 +207,9 @@ class TestBoot:
             assert parallel.backend.worker_for_shard == {
                 k: k % 2 for k in range(shape["shards"])
             }
-            boot = registry.get("par_worker_boot_seconds")
+            boot = registry._metrics["par_worker_boot_seconds"]
             for part in ("host", "process"):
-                state = boot.state_of(part=part)
+                state = boot._states[(part,)]
                 assert state.count == 2 and state.sum > 0
         finally:
             parallel.close()
@@ -317,8 +317,8 @@ class TestBoot:
             drive(coordinator, workload, rounds=4)
         finally:
             coordinator.close()
-        rounds = registry.get("par_worker_round_seconds")
-        worked = sum(rounds.state_of(worker=str(w)).sum for w in range(2))
+        rounds = registry._metrics["par_worker_round_seconds"]
+        worked = sum(rounds._states[(str(w),)].sum for w in range(2))
         assert worked > 0
         assert children_cpu() - before >= worked / 2
 
@@ -329,8 +329,6 @@ class TestBackendSurface:
         try:
             with pytest.raises(ConfigurationError):
                 _ = coordinator.engines
-            with pytest.raises(ConfigurationError):
-                _ = coordinator.sim
             # The backend-neutral surface still works.
             assert len(coordinator.tip_hashes()) == 2
             assert len(coordinator.chain_stats()) == 2
@@ -371,11 +369,11 @@ class TestBackendSurface:
         coordinator, workload = pool(obs=registry)
         try:
             drive(coordinator, workload, rounds=2)
-            msgs = registry.get("par_ipc_msgs_total")
+            msgs = registry._metrics["par_ipc_msgs_total"]
             sent = msgs.value_of(direction="send")
             received = msgs.value_of(direction="recv")
             assert sent > 0 and received > 0
-            bytes_total = registry.get("par_ipc_bytes_total")
+            bytes_total = registry._metrics["par_ipc_bytes_total"]
             assert bytes_total.value_of(direction="send") > sent  # > 1 B/msg
             # Batching bound: per super-round the driver issues a fixed
             # command set (carryover, begin_round, run x2, begin_argue,
@@ -405,7 +403,7 @@ class TestCrashHandling:
             assert err.value.worker == 0
             assert err.value.shards == (0,)
             assert err.value.phase  # the in-flight phase is named
-            crashes = registry.get("par_worker_crashes_total")
+            crashes = registry._metrics["par_worker_crashes_total"]
             assert sum(v for _, v in crashes.samples()) == 1
         finally:
             coordinator.close()
@@ -434,7 +432,7 @@ class TestCrashHandling:
         coordinator, _ = pool()
         try:
             with pytest.raises(ConfigurationError, match="durable storage"):
-                coordinator.restart_worker(0)
+                coordinator.backend.restart_worker(0)
         finally:
             coordinator.close()
 
@@ -459,7 +457,7 @@ class TestCrashHandling:
             coordinator.submit(workload.take(32))
             with pytest.raises(WorkerCrashError):
                 coordinator.run_super_round()
-            coordinator.restart_worker(0)
+            coordinator.backend.restart_worker(0)
             # The respawned worker re-anchored shard 0 from its durable
             # segments; the deployment keeps committing on every shard.
             for _ in range(3):
@@ -491,7 +489,7 @@ class TestCrashHandling:
             for _ in range(2):
                 coordinator.submit(workload.take(32))
                 coordinator.run_super_round()
-            before = coordinator.fault_stats()
+            before = coordinator.backend.fault_stats()
             assert all(s is not None for s in before.values())
             victim = coordinator.backend._workers[0]
             os.kill(victim.proc.pid, signal.SIGKILL)
@@ -499,10 +497,10 @@ class TestCrashHandling:
             coordinator.submit(workload.take(32))
             with pytest.raises(WorkerCrashError):
                 coordinator.run_super_round()
-            coordinator.restart_worker(0)
+            coordinator.backend.restart_worker(0)
             # The replacement got shard 0's plan back: a live injector is
             # installed immediately after the respawn...
-            stats = coordinator.fault_stats()
+            stats = coordinator.backend.fault_stats()
             assert all(s is not None for s in stats.values())
             restarted_seen = stats[0].messages_seen
             for _ in range(3):
@@ -510,7 +508,7 @@ class TestCrashHandling:
                 coordinator.run_super_round()
             # ...and it keeps filtering traffic (the old behaviour ran the
             # replacement fault-free, so seen/dropped stayed frozen).
-            after = coordinator.fault_stats()
+            after = coordinator.backend.fault_stats()
             assert after[0].messages_seen > restarted_seen
             assert after[0].dropped + after[0].duplicated > 0
             report = coordinator.finalize()

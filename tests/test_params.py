@@ -137,7 +137,3 @@ class TestProtocolParams:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ProtocolParams(**kwargs)
-
-    def test_gamma_helper_uses_own_beta(self):
-        params = ProtocolParams(beta=0.8)
-        assert params.gamma(1.0) == gamma_for(0.8, 1.0)

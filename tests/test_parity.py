@@ -111,7 +111,7 @@ def fingerprint(deployment, host: str) -> dict:
             "committed": deployment.committed_total,
             "clock": repr(deployment.now),
             "stats": [asdict(s) for s in stats],
-            "faults": sorted(deployment.fault_stats().items()),
+            "faults": sorted(deployment.backend.fault_stats().items()),
             "reshuffles": deployment.reshuffle_log,
             "quarantine": deployment.quarantine_logs(),
             "audit": audit,

@@ -227,7 +227,7 @@ class TestVerifyCacheEquivalence:
         assert im.verify(tx)
         assert (misses.value, hits.value) == (1, 1)
         # One verdict held per miss.
-        assert obs.get("crypto_sig_cache_entries").value == misses.value
+        assert obs._metrics["crypto_sig_cache_entries"].value == misses.value
 
     def test_another_im_never_reads_this_verdict(self):
         rng = random.Random(5)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core.regret import (
     hoeffding_tail,
-    log_beta_linearisation_holds,
     rwm_bound,
     theorem1_bound,
     theorem3_threshold,
@@ -87,6 +86,11 @@ class TestTheorem4:
         assert theorem4_bound(0.0, 1000, 0.2, 0.05, 8) < theorem4_bound(
             0.0, 1000, 0.8, 0.05, 8
         )
+
+
+def log_beta_linearisation_holds(beta: float) -> bool:
+    """The proof's helper inequality ``-log(beta)/(1-beta) <= 17/2 - 8*beta``."""
+    return -math.log(beta) / (1.0 - beta) <= 17.0 / 2.0 - 8.0 * beta + 1e-12
 
 
 class TestLinearisation:

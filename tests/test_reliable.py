@@ -37,7 +37,7 @@ class TestCleanDelivery:
         assert [m.payload for m in got] == [{"hello": 1}]
         assert channel.stats.delivered == 1
         assert channel.stats.acks_sent == 1
-        assert channel.unacked == 0
+        assert not channel._pending
         assert channel.stats.retransmits == 0
 
     def test_plain_traffic_passes_through(self):
@@ -82,7 +82,7 @@ class TestLossRecovery:
         sim.run()
         assert [m.payload for m in got] == ["persistent"]
         assert channel.stats.retransmits == 2
-        assert channel.unacked == 0
+        assert not channel._pending
 
     def test_ack_loss_causes_dup_which_is_suppressed(self):
         sim, net, channel = make_channel()
@@ -104,7 +104,7 @@ class TestLossRecovery:
         # suppresses the duplicate and re-acks.
         assert [m.payload for m in got] == ["once"]
         assert channel.stats.duplicates_suppressed >= 1
-        assert channel.unacked == 0
+        assert not channel._pending
 
     def test_injected_duplicates_suppressed(self):
         sim, net, channel = make_channel()
@@ -130,7 +130,7 @@ class TestLossRecovery:
         assert got == []
         assert channel.stats.gave_up == 1
         assert channel.stats.retransmits == 3
-        assert channel.unacked == 0  # sender state released
+        assert not channel._pending  # sender state released
 
     @staticmethod
     def send_fifty_under_loss(monkeypatch, max_retries):

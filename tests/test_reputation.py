@@ -20,7 +20,7 @@ def make_book() -> ReputationBook:
 class TestReputationVector:
     def test_fresh_initialisation(self):
         vec = ReputationVector.fresh(["p0", "p1", "p2"], initial=2.0)
-        assert vec.s == 3
+        assert len(vec.provider_weights) == 3
         assert vec.weight("p1") == 2.0
         assert vec.misreport == 0
         assert vec.forge == 0
@@ -54,13 +54,6 @@ class TestReputationVector:
         for _ in range(3000):
             vec.scale("p0", 0.5)
         assert vec.weight("p0") > 0.0  # never collapses to exact zero
-
-    def test_as_tuple_layout(self):
-        vec = ReputationVector.fresh(["pb", "pa"], initial=1.0)
-        vec.misreport = 3
-        vec.forge = -1
-        assert vec.as_tuple() == (1.0, 1.0, 3, -1)
-        assert len(vec.as_tuple()) == vec.s + 2  # the paper's (s+2)-vector
 
 
 class TestReputationBook:

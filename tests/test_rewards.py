@@ -8,8 +8,13 @@ import pytest
 
 from repro.core.params import ProtocolParams
 from repro.core.reputation import ReputationBook
-from repro.core.rewards import distribute_rewards, log_score, reputation_score
+from repro.core.rewards import distribute_rewards, log_score
 from repro.exceptions import ConfigurationError
+
+
+def score(params, book, collector) -> float:
+    """The raw score ``exp(log_score)``; underflows to 0.0 for pariahs."""
+    return math.exp(log_score(params, book, collector))
 
 
 def make_book(n=3, providers=("p0", "p1")) -> ReputationBook:
@@ -23,7 +28,7 @@ class TestScores:
     def test_fresh_collector_score_is_one(self):
         params = ProtocolParams()
         book = make_book()
-        assert reputation_score(params, book, "c0") == pytest.approx(1.0)
+        assert score(params, book, "c0") == pytest.approx(1.0)
         assert log_score(params, book, "c0") == pytest.approx(0.0)
 
     def test_score_formula(self):
@@ -34,13 +39,13 @@ class TestScores:
         vec.misreport = 3
         vec.forge = -1
         expected = 0.5 * 1.0 * (2.0**3) * (4.0**-1)
-        assert reputation_score(params, book, "c0") == pytest.approx(expected)
+        assert score(params, book, "c0") == pytest.approx(expected)
 
     def test_misreport_increases_score_when_positive(self):
         params = ProtocolParams(mu=2.0)
         book = make_book()
         book.record_checked("c0", labeled_correctly=True)
-        assert reputation_score(params, book, "c0") > reputation_score(
+        assert score(params, book, "c0") > score(
             params, book, "c1"
         )
 
@@ -48,7 +53,7 @@ class TestScores:
         params = ProtocolParams(nu=4.0)
         book = make_book()
         book.record_forge("c0")
-        ratio = reputation_score(params, book, "c0") / reputation_score(
+        ratio = score(params, book, "c0") / score(
             params, book, "c1"
         )
         assert ratio == pytest.approx(0.25)
@@ -113,58 +118,3 @@ class TestDistribution:
         assert all(math.isfinite(v) for v in rewards.values())
         assert sum(rewards.values()) == pytest.approx(100.0)
         assert rewards["c0"] == pytest.approx(0.0, abs=1e-6)
-
-
-class TestPoolFromBlock:
-    def _block(self, labels):
-        from repro.crypto.signatures import SigningKey
-        from repro.ledger.block import GENESIS_PREV_HASH, Block
-        from repro.ledger.transaction import (
-            CheckStatus,
-            Label,
-            TxRecord,
-            make_signed_transaction,
-        )
-
-        key = SigningKey(owner="p0", secret=b"\x18" * 32)
-        records = []
-        for i, label in enumerate(labels):
-            tx = make_signed_transaction(key, f"t{i}", 1.0, nonce=i)
-            status = (
-                CheckStatus.CHECKED if label is Label.VALID else CheckStatus.UNCHECKED
-            )
-            records.append(TxRecord(tx=tx, label=label, status=status))
-        return Block(
-            serial=1, tx_list=tuple(records), prev_hash=GENESIS_PREV_HASH,
-            proposer="g0", round_number=1,
-        )
-
-    def test_counts_only_valid_records(self):
-        from repro.core.rewards import pool_from_block
-        from repro.ledger.transaction import Label
-
-        block = self._block([Label.VALID, Label.VALID, Label.INVALID])
-        assert pool_from_block(block, fee_per_valid_tx=10.0) == pytest.approx(10.0)
-
-    def test_share_scales_pool(self):
-        from repro.core.rewards import pool_from_block
-        from repro.ledger.transaction import Label
-
-        block = self._block([Label.VALID] * 4)
-        assert pool_from_block(block, 5.0, collector_share=1.0) == pytest.approx(20.0)
-        assert pool_from_block(block, 5.0, collector_share=0.25) == pytest.approx(5.0)
-
-    def test_empty_block_zero_pool(self):
-        from repro.core.rewards import pool_from_block
-
-        assert pool_from_block(self._block([]), 5.0) == 0.0
-
-    def test_invalid_inputs(self):
-        from repro.core.rewards import pool_from_block
-        from repro.ledger.transaction import Label
-
-        block = self._block([Label.VALID])
-        with pytest.raises(ConfigurationError):
-            pool_from_block(block, 0.0)
-        with pytest.raises(ConfigurationError):
-            pool_from_block(block, 1.0, collector_share=1.5)

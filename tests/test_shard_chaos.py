@@ -142,7 +142,7 @@ class TestDuplicateReceiptDelivery:
         assert_exactly_once(coordinator, report)
         # The dedup layer actually fired: duplicated deliveries (and the
         # coordinator's own retry relays) were absorbed at the buffer.
-        assert registry.get("shard_receipt_dups_total").value > 0
+        assert registry._metrics["shard_receipt_dups_total"].value > 0
 
 
 class TestReceiptReplayRegression:

@@ -150,10 +150,10 @@ class TestCoordinator:
     def test_backlog_buffers_saturating_load(self):
         coordinator, workload = build_coordinator()
         coordinator.submit(workload.take(100))
-        assert coordinator.backlog_depth() == 100
+        assert sum(map(len, coordinator._backlog)) == 100
         coordinator.run_super_round()
         # Each of 2 shards packs at most b_limit=16 per round.
-        assert coordinator.backlog_depth() >= 100 - 2 * CROSS.params.b_limit
+        assert sum(map(len, coordinator._backlog)) >= 100 - 2 * CROSS.params.b_limit
 
     def test_flush_stashes_backlog_and_restores_it(self):
         # flush() must drain pending receipts with genuinely empty
@@ -163,7 +163,7 @@ class TestCoordinator:
         coordinator, workload = build_coordinator()
         coordinator.submit(workload.take(64))
         coordinator.run_super_round()
-        depth_before = coordinator.backlog_depth()
+        depth_before = sum(map(len, coordinator._backlog))
         assert depth_before > 0
         committed_before = coordinator.committed_total
         executed = coordinator.flush()
@@ -171,7 +171,7 @@ class TestCoordinator:
         # Flush rounds committed no origin workload and the backlog
         # came back exactly as stashed.
         assert coordinator.committed_total == committed_before
-        assert coordinator.backlog_depth() == depth_before
+        assert sum(map(len, coordinator._backlog)) == depth_before
 
     def test_same_shard_counterparty_needs_no_receipt(self):
         coordinator, _ = build_coordinator()

@@ -71,7 +71,7 @@ class TestSegmentLog:
         log = SegmentLog(tmp_path, segment_bytes=64)
         for i in range(1, 6):
             log.append(i, b"z" * 40)
-        assert len(log.segment_paths()) == 5  # one frame each
+        assert len(log._paths) == 5  # one frame each
         assert log.segments_created == 4
 
     def test_oversized_record_still_lands(self, tmp_path):
@@ -111,7 +111,7 @@ class TestSegmentLog:
         log = SegmentLog(tmp_path, segment_bytes=16)  # one frame per segment
         for i in range(1, 4):
             log.append(i, b"p" * 8)
-        first = log.segment_paths()[0]
+        first = log._paths[0]
         data = bytearray(first.read_bytes())
         data[-1] ^= 0xFF  # payload byte -> CRC mismatch
         first.write_bytes(bytes(data))

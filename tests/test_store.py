@@ -82,12 +82,6 @@ class TestCursors:
         assert store.next_for("a").serial == 1
         assert store.next_for("b").serial == 1
 
-    def test_unread_count(self):
-        store, _ = published(2)
-        assert store.unread_count("r") == 2
-        store.next_for("r")
-        assert store.unread_count("r") == 1
-
     def test_reader_resumes_after_gap_fill(self):
         store, (b1,) = published(1)
         store.next_for("r")
@@ -133,7 +127,8 @@ class TestForgetReader:
         assert store.next_for("r").serial == 1
         store.forget_reader("r")
         assert store.next_for("r").serial == 1
-        assert store.unread_count("r") == 1
+        assert store.next_for("r").serial == 2
+        assert store.next_for("r") is None
 
     def test_forget_unknown_reader_is_noop(self):
         BlockStore().forget_reader("never-seen")
@@ -183,5 +178,5 @@ class TestAnchoredStore:
         assert store.next_for("r") is None
         b6 = block(6, prev=self.TIP)
         store.publish(b6)
-        assert store.unread_count("r") == 1
         assert store.next_for("r").serial == 6
+        assert store.next_for("r") is None

@@ -55,7 +55,7 @@ from repro.streaming.universe import (
     parse_provider_index,
 )
 from repro.streaming.workload import StreamingWorkload
-from repro.workloads.arrivals import ConstantArrivals
+from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.generator import BernoulliWorkload, TxSpec
 from repro.workloads.scenarios import SCENARIOS, build, scenario_names
 
@@ -223,7 +223,7 @@ class TestCollectorMembers:
         universe = VirtualUniverse(universe=l, n=n, m=3, r=r)
         for i, cid in enumerate(topo.collectors):
             dense = topo.providers_of(cid)
-            members = universe.members_of(cid)
+            members = universe.collector_members()[cid]
             assert isinstance(members, CollectorMembers)
             assert len(members) == len(dense)
             assert list(members) == list(dense)
@@ -234,11 +234,12 @@ class TestCollectorMembers:
             for j in range(len(members)):
                 assert members[j] == dense[j]
         for pid in topo.providers:
-            assert universe.collectors_of(pid) == topo.collectors_of(pid)
+            k = parse_provider_index(pid)
+            assert universe.collectors_of_index(k) == topo.collectors_of(pid)
 
     def test_contains_rejects_noncanonical_ids(self):
         universe = VirtualUniverse(universe=8, n=4, m=2, r=2)
-        members = universe.members_of("c0")
+        members = universe.collector_members()["c0"]
         assert "p007" not in members
         assert "x3" not in members
         assert "p999999" not in members
@@ -256,13 +257,13 @@ class TestCollectorMembers:
 
     def test_index_out_of_range(self):
         universe = VirtualUniverse(universe=8, n=4, m=2, r=2)
-        members = universe.members_of("c0")
+        members = universe.collector_members()["c0"]
         with pytest.raises(IndexError):
             members[len(members)]
 
     def test_million_scale_is_lazy(self):
         universe = VirtualUniverse(universe=1_000_000, n=8, m=4, r=4)
-        members = universe.members_of("c3")
+        members = universe.collector_members()["c3"]
         assert len(members) == 500_000  # r/n of the universe
         assert members[0] in members
         assert universe.contains_provider("p999999")
@@ -283,12 +284,11 @@ class TestStreamingWorkload:
 
         plain, hooked = (
             StreamingWorkload(
-                universe, ConstantArrivals(16), seed=9, spec_hook=hook
+                universe, PoissonArrivals(0.0), seed=9, spec_hook=hook
             )
             for hook in (None, hungry)
         )
-        assert plain.for_round(1) == hooked.for_round(1)
-        assert hooked.emitted == 16
+        assert plain.take(16) == hooked.take(16)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,7 @@ class _Offered(StreamingApp):
         super().__post_init__()
 
     def offered_load(self) -> dict:
-        return {"arrivals": ConstantArrivals(0)}
+        return {"arrivals": PoissonArrivals(0.0)}
 
 
 def _session(universe=64, retirement_rounds=2, seed=0, **kwargs):
@@ -388,10 +388,10 @@ class TestStreamingSession:
         session = _session(retirement_rounds=8)
         burst = _specs(*[f"p{k}" for k in range(20)])
         session.run_round(burst)  # b_limit=8
-        assert session.backlog_depth == 12
+        assert len(session._backlog) == 12
         session.run_round()
         session.run_round()
-        assert session.backlog_depth == 0
+        assert len(session._backlog) == 0
         assert session.metrics.transactions == 20
         assert session.metrics.peak_backlog == 20
 
@@ -554,9 +554,9 @@ class TestBookCheckpointRestart:
         workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=8)
         for _ in range(sc.rounds):
             engine.run_round(workload.take(sc.batch))
-        mismatches = lambda e: e.obs.get(  # noqa: E731
+        mismatches = lambda e: e.obs._metrics[  # noqa: E731
             "storage_corruptions_detected_total"
-        ).value_of(kind="book-state-mismatch")
+        ].value_of(kind="book-state-mismatch")
         assert mismatches(open_engine()) == 0  # the untampered reopen is clean
 
         ckpt = sorted(tmp_path.glob("checkpoint-*.json"))[-1]

@@ -11,15 +11,25 @@ from repro.network.topology import Topology, balanced_groups
 from repro.streaming.universe import VirtualUniverse
 
 
+def l_of(topo) -> int:
+    """``l``: providers."""
+    return len(topo.providers)
+
+
+def s_of(topo) -> int:
+    """``s``: providers per collector."""
+    return len(topo.providers_of(topo.collectors[0]))
+
+
 class TestRegular:
     def test_basic_shape(self):
         topo = Topology.regular(l=8, n=4, m=3, r=2)
-        assert topo.l == 8 and topo.n == 4 and topo.m == 3
-        assert topo.r == 2 and topo.s == 4
+        assert l_of(topo) == 8 and topo.n == 4 and topo.m == 3
+        assert topo.r == 2 and s_of(topo) == 4
 
     def test_degree_equation(self):
         topo = Topology.regular(l=12, n=6, m=2, r=3)
-        assert topo.r * topo.l == topo.s * topo.n
+        assert topo.r * l_of(topo) == s_of(topo) * topo.n
 
     def test_every_provider_has_r_distinct_collectors(self):
         topo = Topology.regular(l=10, n=5, m=2, r=3)
@@ -31,11 +41,11 @@ class TestRegular:
     def test_every_collector_has_s_providers(self):
         topo = Topology.regular(l=10, n=5, m=2, r=3)
         for c in topo.collectors:
-            assert len(topo.providers_of(c)) == topo.s
+            assert len(topo.providers_of(c)) == s_of(topo)
 
     def test_links_are_symmetric(self):
         topo = Topology.regular(l=8, n=4, m=2, r=2)
-        for p, c in topo.edges():
+        for p, c in ((p, c) for p in topo.providers for c in topo.collectors_of(p)):
             assert p in topo.providers_of(c)
             assert c in topo.collectors_of(p)
 
@@ -75,7 +85,7 @@ class TestRegular:
 class TestRandomRegular:
     def test_shape_and_degrees(self):
         topo = Topology.random_regular(l=12, n=6, m=3, r=3, seed=4)
-        assert topo.r == 3 and topo.s == 6
+        assert topo.r == 3 and s_of(topo) == 6
         topo.validate()
 
     def test_deterministic_in_seed(self):
@@ -128,7 +138,7 @@ def test_property_regular_topology_valid(args):
     l = n * mult  # guarantees r*l divisible by n
     topo = Topology.regular(l=l, n=n, m=m, r=r)
     topo.validate()
-    assert topo.r * topo.l == topo.s * topo.n
+    assert topo.r * l_of(topo) == s_of(topo) * topo.n
 
 
 class TestDuplicateIds:
@@ -158,7 +168,7 @@ class TestSharded:
         sharded = Topology.sharded(l=8, n=4, m=4, r=2, shards=2)
         assert sharded.num_shards == 2
         for topo in sharded.shards:
-            assert (topo.l, topo.n, topo.m, topo.r) == (4, 2, 2, 2)
+            assert (l_of(topo), topo.n, topo.m, topo.r) == (4, 2, 2, 2)
         all_providers = sorted(p for t in sharded.shards for p in t.providers)
         assert all_providers == sorted(f"p{k}" for k in range(8))
 
@@ -169,13 +179,12 @@ class TestSharded:
         assert sorted(sharded.governor_shard) == sorted(f"g{j}" for j in range(3))
         for node, shard in sharded.collector_shard.items():
             assert node in sharded.shards[shard].collectors
-            assert sharded.shard_of(node) == shard
 
     def test_each_shard_satisfies_degree_equation(self):
         sharded = Topology.sharded(l=24, n=8, m=8, r=2, shards=4)
         for topo in sharded.shards:
             topo.validate()
-            assert topo.r * topo.l == topo.s * topo.n
+            assert topo.r * l_of(topo) == s_of(topo) * topo.n
 
     def test_masses_balance_reputation(self):
         # The LPT placement behind sharded builds and epoch reshuffles:

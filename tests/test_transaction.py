@@ -108,9 +108,9 @@ class TestTxRecord:
     def test_unchecked_flag(self, provider_key):
         tx = make_signed_transaction(provider_key, "x", 1.0, nonce=0)
         rec = TxRecord(tx=tx, label=Label.INVALID, status=CheckStatus.UNCHECKED)
-        assert rec.is_unchecked
+        assert rec.status is CheckStatus.UNCHECKED
         rec2 = TxRecord(tx=tx, label=Label.VALID, status=CheckStatus.CHECKED)
-        assert not rec2.is_unchecked
+        assert rec2.status is not CheckStatus.UNCHECKED
 
     def test_canonical_bytes_distinguish_status(self, provider_key):
         tx = make_signed_transaction(provider_key, "x", 1.0, nonce=0)

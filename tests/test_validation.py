@@ -22,8 +22,6 @@ class TestGroundTruthOracle:
         t = tx()
         oracle.assign(t, True)
         assert oracle.validate(t)
-        assert oracle.knows(t)
-        assert len(oracle) == 1
 
     def test_unknown_tx_invalid(self):
         # Unknown = forged: never generated through the workload.
@@ -63,9 +61,3 @@ class TestCountingOracle:
         counting = CountingOracle(inner=inner)
         assert counting.validate(t_good)
         assert not counting.validate(t_bad)
-
-    def test_reset(self):
-        counting = CountingOracle(inner=GroundTruthOracle())
-        counting.validate(tx())
-        counting.reset()
-        assert counting.calls == 0

@@ -21,7 +21,7 @@ def topo():
 
 class TestVisibilityMap:
     def test_full_map(self, topo):
-        vmap = VisibilityMap.full(topo)
+        vmap = VisibilityMap({g: frozenset(topo.collectors) for g in topo.governors})
         vmap.validate(topo)
         assert vmap.mean_visibility(topo) == 1.0
         assert vmap.sees("g0", "c3")
@@ -67,7 +67,7 @@ class TestVisibilityMap:
 
     def test_unknown_governor_lookup(self, topo):
         with pytest.raises(TopologyError):
-            VisibilityMap.full(topo).collectors_for("g99")
+            VisibilityMap({g: frozenset(topo.collectors) for g in topo.governors}).collectors_for("g99")
 
 
 class TestEngineWithVisibility:
@@ -106,7 +106,7 @@ class TestEngineWithVisibility:
 
     def test_partial_governor_still_learns(self, topo):
         """A governor that sees the misreporter still demotes it."""
-        vmap = VisibilityMap.full(topo)
+        vmap = VisibilityMap({g: frozenset(topo.collectors) for g in topo.governors})
         engine = ProtocolEngine(
             topo, ProtocolParams(f=0.7),
             behaviors={"c0": MisreportBehavior(0.8)},

@@ -6,9 +6,9 @@ import pytest
 
 from repro.crypto.signatures import SigningKey
 from repro.crypto.vrf import (
+    OUTPUT_BYTES,
     VRFOutput,
     vrf_evaluate,
-    vrf_output_to_unit_interval,
     vrf_verify,
 )
 from repro.exceptions import VRFError
@@ -78,16 +78,21 @@ class TestVerification:
         assert not vrf_verify(key, spliced)
 
 
+def unit(output) -> float:
+    """The VRF value mapped to [0, 1)."""
+    return output.as_int() / float(1 << (8 * OUTPUT_BYTES))
+
+
 class TestDistribution:
     def test_unit_interval_range(self, key):
         xs = [
-            vrf_output_to_unit_interval(vrf_evaluate(key, r, 0, 1)) for r in range(200)
+            unit(vrf_evaluate(key, r, 0, 1)) for r in range(200)
         ]
         assert all(0.0 <= x < 1.0 for x in xs)
 
     def test_rough_uniformity(self, key):
         # Mean of 2000 draws should be near 0.5 (pseudorandomness check).
-        xs = [vrf_output_to_unit_interval(vrf_evaluate(key, r, 0, 1)) for r in range(2000)]
+        xs = [unit(vrf_evaluate(key, r, 0, 1)) for r in range(2000)]
         assert abs(sum(xs) / len(xs) - 0.5) < 0.03
         # And spread across quartiles.
         hist = [0] * 4

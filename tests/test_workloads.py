@@ -9,7 +9,6 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.workloads.arrivals import (
     BurstyArrivals,
-    ConstantArrivals,
     PoissonArrivals,
 )
 from repro.workloads.generator import (
@@ -42,11 +41,6 @@ class TestBernoulli:
         wl = BernoulliWorkload(PROVIDERS, seed=1)
         payloads = [str(s.payload) for s in wl.take(20)]
         assert len(set(payloads)) == 20
-
-    def test_stream_is_endless(self):
-        wl = BernoulliWorkload(PROVIDERS, seed=1)
-        stream = wl.stream()
-        assert [next(stream).provider for _ in range(7)] == (PROVIDERS * 2)[:7]
 
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
@@ -92,14 +86,6 @@ class TestBursty:
 
 
 class TestArrivals:
-    def test_constant(self):
-        arr = ConstantArrivals(batch=7)
-        assert [arr.count_for_round(r) for r in range(3)] == [7, 7, 7]
-
-    def test_constant_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ConstantArrivals(batch=-1)
-
     def test_poisson_mean(self):
         arr = PoissonArrivals(rate=10.0, seed=5)
         counts = [arr.count_for_round(r) for r in range(2000)]
