@@ -119,11 +119,11 @@ class Collector:
             nonce=self._forge_nonce,
         )
         self._forge_nonce += 1
-        # Fabricated provider signature: signed with the collector's key
-        # but claiming the victim as signer -> never verifies.
-        bogus_sig_raw = sign(self.key, tx_message(body.digest, timestamp))
-        forged_provider_sig = type(bogus_sig_raw)(signer=victim, tag=bogus_sig_raw.tag)
+        # Fabricated provider signature: a tag made with the collector's
+        # key on a tx in the victim's name -> never verifies.
         forged_tx = SignedTransaction(
-            body=body, timestamp=timestamp, provider_signature=forged_provider_sig
+            body=body,
+            timestamp=timestamp,
+            provider_signature=sign(self.key, tx_message(body.digest, timestamp)),
         )
         return make_labeled_transaction(self.key, forged_tx, Label.VALID)

@@ -39,7 +39,6 @@ from collections import deque
 from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Callable
 
-from repro.crypto.signatures import Signature
 from repro.exceptions import ConfigurationError
 from repro.ledger.block import Block
 from repro.ledger.transaction import Label, LabeledTransaction
@@ -197,13 +196,7 @@ class MessageTamperer:
         self._remember(receiver, inner)
         if spec.strip_signature and self._rng.random() < spec.strip_signature:
             self.stats.stripped += 1
-            stripped = dc_replace(
-                inner,
-                collector_signature=Signature(
-                    signer=inner.collector, tag=_STRIPPED_TAG
-                ),
-            )
-            return rebuild(stripped)
+            return rebuild(dc_replace(inner, collector_signature=_STRIPPED_TAG))
         if spec.flip_label and self._rng.random() < spec.flip_label:
             self.stats.flipped += 1
             # The original signature stays: it no longer covers the

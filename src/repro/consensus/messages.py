@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.crypto.hashing import canonical_encode
-from repro.crypto.signatures import Signature, SignedRecord, SigningKey, sign
+from repro.crypto.signatures import SignedRecord, SigningKey, sign
 from repro.crypto.vrf import VRFOutput
 from repro.ledger.block import Block
 
@@ -95,7 +95,7 @@ class CommitVote(SignedRecord):
     serial: int
     block_hash: bytes
     round_number: int
-    signature: Signature
+    signature: bytes
     kind: str = field(default="audit-commit", repr=False)
 
     signed_by = attrgetter("governor", "signature")
@@ -119,7 +119,7 @@ class NewStateProposal(SignedRecord):
     leader: str
     new_state: dict[str, int]
     transfers_digest: bytes
-    signature: Signature
+    signature: bytes
     kind: str = field(default="new-state", repr=False)
 
     signed_by = attrgetter("leader", "signature")
@@ -134,7 +134,7 @@ class StateAck(SignedRecord):
     round_number: int
     governor: str
     proposal_digest: bytes
-    signature: Signature
+    signature: bytes
     kind: str = field(default="state-ack", repr=False)
 
     signed_by = attrgetter("governor", "signature")

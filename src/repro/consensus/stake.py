@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import Mapping
 
 from repro.crypto.hashing import canonical_encode, sha256
-from repro.crypto.signatures import Signature, SignedRecord, SigningKey, sign
+from repro.crypto.signatures import SignedRecord, SigningKey, sign
 from repro.exceptions import StakeError
 
 __all__ = ["StakeTransfer", "StakeLedger", "transfer_message", "make_transfer"]
@@ -36,7 +36,7 @@ class StakeTransfer(SignedRecord):
     receiver: str
     amount: int
     nonce: int
-    signature: Signature
+    signature: bytes
 
     signed_by = attrgetter("sender", "signature")
     message_of = staticmethod(transfer_message)

@@ -155,14 +155,15 @@ class IdentityManager:
 
         ``d`` is the signer the record claims and ``m`` the bytes it spells
         (``record.signed_message()``).  Returns False when the signature
-        does not check out against the registered credential of that
-        signer, names another signer, or the signer is unknown — each
-        refused before the record's held verdict is read.
+        tag does not check out against the registered credential of that
+        signer — a tag another member made in its name included — or the
+        signer is unknown, which is refused before the record's held
+        verdict is read.
         """
-        sender_id, signature = record.signed_by(record)
+        sender_id, tag = record.signed_by(record)
         enrolled = self._records.get(sender_id)
-        if enrolled is None or signature.signer != sender_id:
-            return False  # verify_with_key rejects a foreign signer unconditionally
+        if enrolled is None:
+            return False
         try:
             checked_by = record.checked_by
         except AttributeError:
@@ -173,7 +174,7 @@ class IdentityManager:
         # ``record.signed_message()``, one frame fewer.  Credentials are
         # immutable, so both verdicts are kept.
         message = record.message_of(*record.message_fields(record))
-        result = verify_with_key(enrolled.key, message, signature)
+        result = verify_with_key(enrolled.key, message, tag)
         self.sig_cache_misses += 1
         object.__setattr__(record, "checked_by", self)
         object.__setattr__(record, "verdict", result)

@@ -31,9 +31,7 @@ from typing import Callable, ClassVar
 
 from repro.exceptions import SignatureError
 
-__all__ = [
-    "SigningKey", "FrozenSlots", "Signature", "SignedRecord", "sign", "verify_with_key",
-]
+__all__ = ["SigningKey", "FrozenSlots", "SignedRecord", "sign", "verify_with_key"]
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,8 @@ class SigningKey:
 class FrozenSlots:
     """``pickle`` / ``copy`` for a frozen dataclass that declares ``__slots__``.
 
-    Signatures and the signed records are alive by the handful per
-    transaction per replica, so they carry no ``__dict__``.  A copy is a
+    The signed records are alive by the handful per transaction per
+    replica, so they carry no ``__dict__``.  A copy is a
     constructor call on the fields: it re-runs the class's checks and
     re-derives every value computed from the fields, so state that
     arrives by pickle is never trusted over what the fields say.
@@ -83,28 +81,15 @@ class FrozenSlots:
 _FIELD_GETTERS: dict[type, attrgetter] = {}
 
 
-@dataclass(frozen=True)
-class Signature(FrozenSlots):
-    """A signature tag over a message, attributable to ``signer``."""
-
-    __slots__ = ("signer", "tag")
-
-    signer: str
-    tag: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.tag) != 32:
-            raise SignatureError("signature tag must be a 32-byte HMAC-SHA256 tag")
-
-
 class SignedRecord(FrozenSlots):
     """A frozen record one member signed, and an Identity Manager's verdict on it.
 
-    A subclass names its claimed signer and its signature in ``signed_by``
-    (an ``attrgetter`` of those two fields), and the bytes the signature
-    covers by the type's one ``*_message`` function, ``message_of``, and
-    the fields it takes, ``message_fields``.  The bytes are built to sign
-    and on a check, and never kept.
+    A subclass names its claimed signer and the field holding its signature
+    (the 32-byte tag :func:`sign` returned) in ``signed_by``, an
+    ``attrgetter`` of those two fields, so a record names its signer once.
+    The bytes the tag covers come from the type's one ``*_message``
+    function, ``message_of``, over the fields it takes, ``message_fields``.
+    The bytes are built to sign and on a check, and never kept.
 
     Beside its fields a record holds the last verdict an Identity Manager
     computed for it: ``checked_by`` (that manager) and ``verdict``.  They are
@@ -119,7 +104,7 @@ class SignedRecord(FrozenSlots):
 
     __slots__ = ("checked_by", "verdict")
 
-    #: Getter of ``(claimed signer id, signature)`` from a record.
+    #: Getter of ``(claimed signer id, signature tag)`` from a record.
     signed_by: ClassVar[attrgetter]
     #: The type's ``*_message`` function (a ``staticmethod``) ...
     message_of: ClassVar[Callable[..., bytes]]
@@ -131,20 +116,17 @@ class SignedRecord(FrozenSlots):
         return self.message_of(*self.message_fields(self))
 
 
-def sign(key: SigningKey, message: bytes) -> Signature:
-    """Sign the bytes ``message`` with ``key``."""
-    tag = hmac.new(key.secret, message, hashlib.sha256).digest()
-    return Signature(signer=key.owner, tag=tag)
+def sign(key: SigningKey, message: bytes) -> bytes:
+    """The 32-byte HMAC-SHA256 tag of the bytes ``message`` under ``key``."""
+    return hmac.new(key.secret, message, hashlib.sha256).digest()
 
 
-def verify_with_key(key: SigningKey, message: bytes, signature: Signature) -> bool:
-    """Verify ``signature`` over the bytes ``message`` against ``key``.
+def verify_with_key(key: SigningKey, message: bytes, tag: bytes) -> bool:
+    """Whether ``tag`` is ``key``'s signature over the bytes ``message``.
 
-    Returns False (never raises) on any mismatch, including a signature
-    claiming a different signer than the key owner.  Constant-time tag
-    comparison avoids timing side channels, matching real deployments.
+    Returns False (never raises) on any mismatch, a tag of another length
+    included.  Constant-time tag comparison avoids timing side channels,
+    matching real deployments.
     """
-    if signature.signer != key.owner:
-        return False
     expected = hmac.new(key.secret, message, hashlib.sha256).digest()
-    return hmac.compare_digest(expected, signature.tag)
+    return hmac.compare_digest(expected, tag)

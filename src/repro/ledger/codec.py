@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.crypto.signatures import Signature
 from repro.exceptions import LedgerError
 from repro.ledger.block import Block
 from repro.ledger.chain import Ledger
@@ -48,15 +47,23 @@ __all__ = [
 _FORMAT_VERSION = 1
 
 
-def _sig_to_json(sig: Signature) -> dict:
-    return {"signer": sig.signer, "tag": sig.tag.hex()}
+def _tag_from_json(obj: dict, signer: str) -> bytes:
+    """The tag of a stored signature object that must name ``signer``.
 
-
-def _sig_from_json(obj: dict) -> Signature:
+    A record names its signer once; the stored object names it again, so
+    this is where a signature in another member's name is refused.
+    """
     try:
-        return Signature(signer=obj["signer"], tag=bytes.fromhex(obj["tag"]))
+        stored_signer, tag = obj["signer"], bytes.fromhex(obj["tag"])
     except (KeyError, ValueError, TypeError) as exc:
         raise LedgerError(f"malformed signature object: {exc}") from exc
+    if stored_signer != signer:
+        raise LedgerError(
+            f"signature names {stored_signer!r}, not its signer {signer!r}"
+        )
+    if len(tag) != 32:
+        raise LedgerError(f"signature tag is {len(tag)} bytes, not 32")
+    return tag
 
 
 def encode_transaction(tx: SignedTransaction) -> dict:
@@ -66,7 +73,7 @@ def encode_transaction(tx: SignedTransaction) -> dict:
         "payload": tx.body.payload,
         "nonce": tx.body.nonce,
         "timestamp": tx.timestamp,
-        "signature": _sig_to_json(tx.provider_signature),
+        "signature": {"signer": tx.provider, "tag": tx.provider_signature.hex()},
     }
 
 
@@ -74,16 +81,18 @@ def decode_transaction(obj: dict) -> SignedTransaction:
     """Deserialise a signed transaction.
 
     Raises:
-        LedgerError: on missing or malformed fields.
+        LedgerError: on missing or malformed fields, or a signature object
+            naming a signer other than the provider.
     """
     try:
+        provider = obj["provider"]
         body = TransactionBody(
-            provider=obj["provider"], payload=obj["payload"], nonce=obj["nonce"]
+            provider=provider, payload=obj["payload"], nonce=obj["nonce"]
         )
         return SignedTransaction(
             body=body,
             timestamp=obj["timestamp"],
-            provider_signature=_sig_from_json(obj["signature"]),
+            provider_signature=_tag_from_json(obj["signature"], provider),
         )
     except (KeyError, TypeError) as exc:
         raise LedgerError(f"malformed transaction object: {exc}") from exc

@@ -3,7 +3,7 @@
 Terminology follows the paper:
 
 * ``tx`` — a *signed transaction*: payload + timestamp + the provider's
-  signature over both, so *"no collector could forge a transaction"*
+  signature tag over both, so *"no collector could forge a transaction"*
   (Section 3.1).
 * ``Tx`` — a *labeled transaction*: a tx plus a collector's ±1 label and
   the collector's signature over (tx, label) (Section 3.3).
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from repro.crypto.hashing import canonical_encode, hash_value
-from repro.crypto.signatures import FrozenSlots, Signature, SignedRecord, SigningKey, sign
+from repro.crypto.signatures import FrozenSlots, SignedRecord, SigningKey, sign
 
 __all__ = [
     "Label",
@@ -106,20 +106,20 @@ class SignedTransaction(SignedRecord):
 
     body: TransactionBody
     timestamp: float
-    provider_signature: Signature
+    provider_signature: bytes
 
     signed_by = attrgetter("provider", "provider_signature")
     message_of = staticmethod(tx_message)
     message_fields = attrgetter("body.digest", "timestamp")
 
     def __post_init__(self) -> None:
-        body_digest, timestamp = self.body.digest, self.timestamp
-        signature = self.provider_signature
+        body = self.body
+        body_digest, timestamp, provider = body.digest, self.timestamp, body.provider
         tx_id = hash_value(("tx-id", body_digest, timestamp)).hex()[:32]
         digest = hash_value(
-            ("signed-tx", body_digest, timestamp, signature.signer, signature.tag)
+            ("signed-tx", body_digest, timestamp, provider, self.provider_signature)
         )
-        object.__setattr__(self, "provider", self.body.provider)
+        object.__setattr__(self, "provider", provider)
         object.__setattr__(self, "tx_id", tx_id)
         object.__setattr__(self, "digest", digest)
 
@@ -133,7 +133,7 @@ class LabeledTransaction(SignedRecord):
     tx: SignedTransaction
     label: Label
     collector: str
-    collector_signature: Signature
+    collector_signature: bytes
 
     signed_by = attrgetter("collector", "collector_signature")
     message_of = staticmethod(labeled_message)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.crypto.hashing import canonical_encode, hash_value
-from repro.crypto.signatures import Signature, SignedRecord, SigningKey, sign
+from repro.crypto.signatures import SignedRecord, SigningKey, sign
 
 __all__ = [
     "CrossShardReceipt", "make_receipt", "receipt_id_for", "receipt_message",
@@ -62,7 +62,7 @@ class CrossShardReceipt(SignedRecord):
     tx_id: str
     home_serial: int
     proposer: str
-    signature: Signature
+    signature: bytes
     #: Payload discriminator for network dispatch.  Deliberately **not**
     #: in :data:`repro.faults.injector.EXEMPT_KINDS`: receipt relays are
     #: ordinary traffic the fault injector may drop or duplicate — the

@@ -13,7 +13,7 @@ from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.core.regret import rwm_bound
-from repro.crypto.signatures import Signature, SigningKey
+from repro.crypto.signatures import SigningKey
 from repro.consensus import messages
 from repro.consensus.messages import CommitVote
 from repro.crypto.identity import IdentityManager, Role
@@ -175,7 +175,7 @@ class TestObserveUpload:
         stripped = replace(
             honest,
             label=Label.INVALID,
-            collector_signature=Signature(signer="c0", tag=b"\x00" * 32),
+            collector_signature=b"\x00" * 32,
         )
         assert auditor.observe_upload(stripped, 1) is None
         assert auditor.report.clean
@@ -241,9 +241,7 @@ class TestEvidenceScript:
         # it cannot frame c1 and it does not occupy c1's slot.
         honest = make_labeled_transaction(c1, tx3, Label.VALID)
         flipped = replace(honest, label=Label.INVALID)
-        stripped = replace(
-            flipped, collector_signature=Signature(signer="c1", tag=b"\x00" * 32)
-        )
+        stripped = replace(flipped, collector_signature=b"\x00" * 32)
         assert observe(flipped, 4) is None
         assert observe(honest, 4) is None
         assert observe(stripped, 4) is None

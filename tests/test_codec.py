@@ -77,6 +77,26 @@ class TestTransactionRoundTrip:
         with pytest.raises(LedgerError):
             decode_transaction(obj)
 
+    def test_stored_signature_object_is_unchanged(self):
+        tx = make_tx()
+        assert encode_transaction(tx)["signature"] == {
+            "signer": "p0", "tag": tx.provider_signature.hex()
+        }
+
+    def test_foreign_signer_rejected(self):
+        # A record names its signer once: a stored signature object naming
+        # another member is refused at decode, not later at verify.
+        obj = encode_transaction(make_tx())
+        obj["signature"]["signer"] = "p1"
+        with pytest.raises(LedgerError, match="'p1'"):
+            decode_transaction(obj)
+
+    def test_short_tag_rejected(self):
+        obj = encode_transaction(make_tx())
+        obj["signature"]["tag"] = obj["signature"]["tag"][:62]  # 31 bytes
+        with pytest.raises(LedgerError, match="31 bytes"):
+            decode_transaction(obj)
+
 
 class TestRecordAndBlock:
     def test_record_roundtrip_all_statuses(self):

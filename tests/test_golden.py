@@ -163,8 +163,8 @@ def test_golden_signature_and_vrf_determinism():
     """Fixed key + fixed input -> fixed tag and VRF value, stable across
     runs and platforms (pure HMAC-SHA256)."""
     key = SigningKey(owner="gold", secret=b"\x42" * 32)
-    tag1 = sign(key, canonical_encode(("msg", 7))).tag
-    tag2 = sign(key, canonical_encode(("msg", 7))).tag
+    tag1 = sign(key, canonical_encode(("msg", 7)))
+    tag2 = sign(key, canonical_encode(("msg", 7)))
     assert tag1 == tag2
     out1 = vrf_evaluate(key, 3, 1, 2)
     out2 = vrf_evaluate(key, 3, 1, 2)

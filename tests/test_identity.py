@@ -9,7 +9,7 @@ import pytest
 from repro.agents.governor import Governor
 from repro.core.params import ProtocolParams
 from repro.crypto.identity import IdentityManager, Role
-from repro.crypto.signatures import Signature, SigningKey, sign
+from repro.crypto.signatures import SigningKey, sign
 from repro.exceptions import UnknownIdentityError
 from repro.ledger.transaction import (
     Label,
@@ -143,9 +143,6 @@ class TestVerification:
         collector = im.record("c0").key
         body = TransactionBody(provider="p0", payload="x", nonce=0)
         fake = sign(collector, tx_message(body.digest, 1.0))  # c0 pretends to be p0
-        forged = SignedTransaction(
-            body=body, timestamp=1.0,
-            provider_signature=Signature(signer="p0", tag=fake.tag),
-        )
+        forged = SignedTransaction(body=body, timestamp=1.0, provider_signature=fake)
         upload = make_labeled_transaction(collector, forged, Label.VALID)
         assert ingest(im, upload) == (False, 1)

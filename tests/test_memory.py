@@ -60,11 +60,11 @@ def test_no_hmac_is_recomputed(monkeypatch, host):
     verify = IdentityManager.verify
 
     def counting(im, record):
-        # Only the questions that reach the HMAC: an unknown sender or a
-        # signer other than the sender is rejected before any verdict.
-        sender_id, signature = record.signed_by(record)
-        if im.is_enrolled(sender_id) and signature.signer == sender_id:
-            question = (sender_id, record.signed_message(), signature.tag)
+        # Only the questions that reach the HMAC: an unknown sender is
+        # rejected before any verdict.
+        sender_id, tag = record.signed_by(record)
+        if im.is_enrolled(sender_id):
+            question = (sender_id, record.signed_message(), tag)
             asked.setdefault(id(im), set()).add(question)
         return verify(im, record)
 

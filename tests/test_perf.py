@@ -33,13 +33,7 @@ from repro.consensus.stake_consensus import make_proposal
 from repro.core.reputation import ReputationBook
 from repro.crypto.hashing import hash_many, hash_value
 from repro.crypto.identity import IdentityManager, Role
-from repro.crypto.signatures import (
-    Signature,
-    SignedRecord,
-    SigningKey,
-    sign,
-    verify_with_key,
-)
+from repro.crypto.signatures import SignedRecord, SigningKey, sign, verify_with_key
 from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.transaction import (
     CheckStatus,
@@ -146,24 +140,23 @@ RECORD_KINDS = {
 }
 
 
-def _with_signature(kind: str, record, signature: Signature):
-    """A new record of ``kind``: ``record``'s fields under ``signature``."""
-    return dataclasses.replace(record, **{RECORD_KINDS[kind][1]: signature})
+def _with_signature(kind: str, record, tag: bytes):
+    """A new record of ``kind``: ``record``'s fields under the signature ``tag``."""
+    return dataclasses.replace(record, **{RECORD_KINDS[kind][1]: tag})
 
 
 def _tampered(kind: str, record, keys: dict[str, SigningKey], rng: random.Random):
-    """One random tamper, as a new record: a flipped tag bit, a foreign signer
-    name on the tag, other signed bytes under the same signature object, or
-    another member's honest signature over the same bytes."""
-    signer_field, signature_field, changed, _claim = RECORD_KINDS[kind]
-    signature = getattr(record, signature_field)
+    """One random tamper, as a new record: a flipped tag bit, the honest tag
+    on a claim in another member's name, other signed bytes under the same
+    tag, or another member's honest signature over the same bytes."""
+    _signer_field, signature_field, changed, claim = RECORD_KINDS[kind]
     tamper = rng.randrange(4)
     if tamper == 0:
-        tag = bytearray(signature.tag)
+        tag = bytearray(getattr(record, signature_field))
         tag[rng.randrange(len(tag))] ^= 1 << rng.randrange(8)
-        return _with_signature(kind, record, Signature(signature.signer, bytes(tag)))
+        return _with_signature(kind, record, bytes(tag))
     if tamper == 1:
-        return _with_signature(kind, record, Signature("p_other", signature.tag))
+        return dataclasses.replace(record, **claim(record, "p_other"))
     if tamper == 2:
         return dataclasses.replace(record, **changed(record))
     return _with_signature(kind, record, sign(keys["p_other"], record.signed_message()))
@@ -208,9 +201,9 @@ class TestVerifyCacheEquivalence:
         tx = make_signed_transaction(keys["p0"], {"amount": 1}, 0.5, nonce=0)
         assert im.verify(tx)
         assert im.verify(tx)  # now a held True
-        tag = bytearray(tx.provider_signature.tag)
+        tag = bytearray(tx.provider_signature)
         tag[0] ^= 1
-        forged = _with_signature("tx", tx, Signature(signer="p0", tag=bytes(tag)))
+        forged = _with_signature("tx", tx, bytes(tag))
         assert not verify_with_key(keys["p0"], forged.signed_message(), forged.provider_signature)
         assert not im.verify(forged)
         assert im.verify(tx)
@@ -289,26 +282,30 @@ class TestVerifyCacheEquivalence:
 
     def test_forged_signer_is_rejected_before_the_verdict_is_read(self):
         rng = random.Random(9)
-        for kind, (signer_field, signature_field, _changed, claim) in RECORD_KINDS.items():
+        for kind, (signer_field, _signature_field, _changed, claim) in RECORD_KINDS.items():
             im, keys = _enrolled(seed=3)
             record = _random_record(kind, keys, rng)
             assert im.verify(record)  # holds a True
-            signature = getattr(record, signature_field)
             assert getattr(record, signer_field) != "p_other"
-            forged = (
-                # The honest tag under another enrolled member's name.
-                _with_signature(kind, record, Signature("p_other", signature.tag)),
-                # The honest signature on a claim in that member's name, and
-                # on a claim in a name nobody enrolled.
+            in_another_name = (
+                # A tag made with another enrolled member's key over the
+                # record's own bytes, and the honest tag on a claim in that
+                # member's name: each fails the HMAC under the claimed key.
+                _with_signature(
+                    kind, record, sign(keys["p_other"], record.signed_message())
+                ),
                 dataclasses.replace(record, **claim(record, "p_other")),
-                dataclasses.replace(record, **claim(record, "nobody")),
             )
-            for copy_ in forged:
-                # Each carries a planted True for this IM.
-                object.__setattr__(copy_, "checked_by", im)
-                object.__setattr__(copy_, "verdict", True)
+            for copy_ in in_another_name:
+                assert not _has_verdict(copy_)
                 assert not im.verify(copy_)
-            assert (im.sig_cache_misses, im.sig_cache_hits) == (1, 0)
+            # The honest signature on a claim in a name nobody enrolled,
+            # carrying a planted True for this IM: refused unread.
+            unknown = dataclasses.replace(record, **claim(record, "nobody"))
+            object.__setattr__(unknown, "checked_by", im)
+            object.__setattr__(unknown, "verdict", True)
+            assert not im.verify(unknown)
+            assert (im.sig_cache_misses, im.sig_cache_hits) == (3, 0)
 
 
 def _ledger_objects() -> dict:
@@ -373,15 +370,12 @@ class TestMemoisedEncodings:
     )
     def test_records_are_slotted_and_stay_frozen(self, kind):
         obj = _ledger_objects()[kind]
-        signature = sign(SigningKey(owner="p0", secret=b"\x01" * 32), b"m")
-        for slotted in (obj, signature):
-            assert not hasattr(slotted, "__dict__")
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                slotted.extra = 1
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.extra = 1
         for name in _derived_values(obj):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, b"forged")
-        assert pickle.loads(pickle.dumps(signature)) == signature
         # A derived name is a slot, never a field: ``==`` ignores it.
         slots = {name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())}
         derived = slots - {f.name for f in dataclasses.fields(obj)}

@@ -13,13 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.hashing import canonical_encode
-from repro.crypto.signatures import (
-    FrozenSlots,
-    Signature,
-    SigningKey,
-    sign,
-    verify_with_key,
-)
+from repro.crypto.signatures import FrozenSlots, SigningKey, sign, verify_with_key
 from repro.exceptions import SignatureError
 from repro.ledger.transaction import (
     CheckStatus,
@@ -60,9 +54,8 @@ class TestSignVerify:
         assert not verify_with_key(key, b"hellp", sig)
 
     def test_rejects_tampered_tag(self, key):
-        sig = sign(key, b"hello")
-        bad = Signature(signer=sig.signer, tag=bytes(32))
-        assert not verify_with_key(key, b"hello", bad)
+        sign(key, b"hello")
+        assert not verify_with_key(key, b"hello", bytes(32))
 
     def test_rejects_wrong_key(self, key):
         other = SigningKey(owner="node-1", secret=b"\x02" * 32)
@@ -70,23 +63,20 @@ class TestSignVerify:
         assert not verify_with_key(key, b"hello", sig)
 
     def test_rejects_claimed_other_signer(self, key):
-        # An adversary re-labels a signature with someone else's name.
+        # An adversary passes its own tag off as someone else's.
         sig = sign(key, b"hello")
-        forged = Signature(signer="victim", tag=sig.tag)
         victim_key = SigningKey(owner="victim", secret=b"\x03" * 32)
-        assert not verify_with_key(victim_key, b"hello", forged)
+        assert not verify_with_key(victim_key, b"hello", sig)
 
-    def test_signer_mismatch_with_key_owner(self, key):
+    def test_signature_tag_length_enforced(self, key):
         sig = sign(key, b"m")
-        other_key = SigningKey(owner="other", secret=key.secret)
-        assert not verify_with_key(other_key, b"m", sig)
-
-    def test_signature_tag_length_enforced(self):
-        with pytest.raises(SignatureError):
-            Signature(signer="x", tag=b"too-short")
+        assert isinstance(sig, bytes) and len(sig) == 32
+        for short in (sig[:31], sig[:16], b""):
+            assert not verify_with_key(key, b"m", short)
+        assert not verify_with_key(key, b"m", sig + b"\x00")
 
     def test_deterministic(self, key):
-        assert sign(key, b"m").tag == sign(key, b"m").tag
+        assert sign(key, b"m") == sign(key, b"m")
 
 
 @given(st.binary(min_size=0, max_size=128))
@@ -114,13 +104,15 @@ class TestStateFromPickle:
         loaded = pickle.loads(wire.replace(tx_id.encode(), b"f" * len(tx_id)))
         assert loaded.tx_id == tx_id
 
-    def test_short_tag_is_rejected_on_load(self, key):
-        sig = sign(key, b"m")
-        wire = pickle.dumps(sig, protocol=3)  # SHORT_BINBYTES, no framing
-        short = wire.replace(b"C\x20" + sig.tag, b"C\x10" + sig.tag[:16])
+    def test_short_tag_off_the_wire_fails_verification(self, key):
+        tx = make_signed_transaction(key, {"amount": 3}, timestamp=1.0, nonce=0)
+        tag = tx.provider_signature
+        wire = pickle.dumps(tx, protocol=3)  # SHORT_BINBYTES, no framing
+        short = wire.replace(b"C\x20" + tag, b"C\x10" + tag[:16])
         assert short != wire
-        with pytest.raises(SignatureError):
-            pickle.loads(short)
+        loaded = pickle.loads(short)
+        assert loaded.provider_signature == tag[:16]
+        assert not verify_with_key(key, loaded.signed_message(), loaded.provider_signature)
 
 
 def frozen_slots_samples() -> dict[str, FrozenSlots]:
@@ -129,7 +121,6 @@ def frozen_slots_samples() -> dict[str, FrozenSlots]:
     collector = SigningKey(owner="c0", secret=bytes(range(32, 64)))
     tx = make_signed_transaction(provider, {"ride": 7, "to": "depot"}, 2.5, nonce=3)
     return {
-        "Signature": tx.provider_signature,
         "TransactionBody": tx.body,
         "SignedTransaction": tx,
         "LabeledTransaction": make_labeled_transaction(collector, tx, Label.INVALID),

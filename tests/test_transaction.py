@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.signatures import Signature, SigningKey
+from repro.crypto.signatures import SigningKey
 from repro.ledger.transaction import (
     CheckStatus,
     Label,
