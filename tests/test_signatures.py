@@ -138,34 +138,31 @@ class _FieldsPerPickle(pickle.Pickler):
         return NotImplemented
 
 
-#: SHA-256 of ``pickle.dumps(sample, protocol)`` before the field getters
-#: were cached, read under CPython 3.11 (which pickles an enum member by
-#: name; other versions spell it differently).
+#: SHA-256 of ``pickle.dumps(sample, protocol)``, read under CPython 3.11
+#: (which pickles an enum member by name; other versions spell it
+#: differently).  ``TransactionBody``'s pin dates from before the field
+#: getters were cached; the others were re-read when a record's signature
+#: became its bare 32-byte tag instead of a pickled ``Signature`` object.
 PICKLE_PINS = {
-    "Signature": {
-        2: "a9a3d4b4a6ca970d3a106e2bf6496bae9288a6548911d6f3e876618351675c1b",
-        4: "1f5d6a476e17840b44999a4c6e2ddaa745ac22710982baa5698eae8cc92642b3",
-        5: "94919286a7bd778abdb695308234c31d5e36b6dfbd5d236da46ea233cf663ea6",
-    },
     "TransactionBody": {
         2: "82d2f7c5dfe06979bc8dcb1838eb7ae425e05632b22da9340ecc501730b7f358",
         4: "32a00ad344d96bb0823e832dfa086071faf1c928364a2b842dd2eca93c13f10d",
         5: "97aeafe0f1c1db56bec7195a934ce380a0df8fde4991673d0b3901517bb8fc6e",
     },
     "SignedTransaction": {
-        2: "a9aef8dcaedc1598055b3cfd18952eb7d29a4b996d684b2f222b4c14bec5584a",
-        4: "be291aedd79dd650dbce5e38d5c142d1b76c3369fe495044a1e105c9794d7bdd",
-        5: "d505364897369a6e2576c4a9106062327766246d409d97fec5b6c90627e22b6e",
+        2: "aa25e72e84d92ac5dab0213ce8c2d4df8504e65eda468cb8c1bede0e1779cd44",
+        4: "5361966dd222ac58799fd36b6e267b67c69126004d06808e536c7469b4150152",
+        5: "47582291f484737f9035ec837d60f0341be4ae545ad9193900776cb30e9558e5",
     },
     "LabeledTransaction": {
-        2: "b4c2957948da3f47bbb5e2f000c497ee81764e42fe239d726d08412df7366a61",
-        4: "42d732ba914343407881ae62a5348a22ca3f2c2acf90e90af068f70e5d5871c0",
-        5: "61cb3859f4d55bb8ba5557ed5698eb4646b3d050c1523f64abf5dc5eb73a2fac",
+        2: "8296700d60cd9a7517de0c54658efd6498507cf1be43a5fee0bbbc1378a55de1",
+        4: "a1d5f9685d0e70979bfe376d2d77bf4a4619bbc4bf5e5a8db6d4e28b0c17f777",
+        5: "ed9a4ac36a1cfda4258f53e439c78f53acb75613801f1241de5f54667361e1a1",
     },
     "TxRecord": {
-        2: "168d91d44a8f816c2cac8f2aad5e7e355b3a8bb38c8136a9f034596cd685107f",
-        4: "ad3da66deb7222370904c5304d614da405e9d8e6befb4406a8a39a8f033b510d",
-        5: "188de48104e61b1f00b116db55bbf69806de45e6546e9239da786046a4fdca0f",
+        2: "ced5edfdf537a7f6c67b2bf0800485cdc231d1c44d083b3b7324d2b678c45073",
+        4: "7b88e658c7c881649dfa4d1ef52809e8c725fdce09ec5011d92cd8b47a6755f5",
+        5: "07df9a7c3552b10af04cb4b0771aa2932025da5f83a780d0d6354c8f58150f19",
     },
 }
 
