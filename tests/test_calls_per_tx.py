@@ -4,21 +4,26 @@ pstats keys a function by (file, line, name), so two dataclasses'
 generated ``__init__`` methods — both ``<string>:2:__init__`` — collapse
 into one entry and one of their counts is lost; the tool sums the
 profiler's raw entries instead.  Every host's deployment is measurable:
-each has a ``store`` of committed blocks and a ``close()``.  ``--check``
-fails when a row or a module count reads above the file's last entry,
-and when the entry was recorded under another CPython.
+each has a ``store`` of committed blocks and a ``close()``.  Opcodes
+(bytecode instructions executed) are counted beside calls, so work that
+makes no call still shows.  ``--check`` fails when a row's calls or
+opcodes, or a module count, read above the file's last entry, and when
+the entry was recorded under another CPython.
 """
 
 from __future__ import annotations
 
 import cProfile
+import functools
 import importlib.util
 import json
 import pathlib
 import platform
+import shutil
 from dataclasses import dataclass
 
-_TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "calls_per_tx.py"
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_TOOL = _ROOT / "tools" / "calls_per_tx.py"
 
 
 def _tool():
@@ -67,28 +72,77 @@ def test_stream_preset_is_measured():
     assert sum(counts.values()) > committed
 
 
-def _entry(python, calls, committed, modules):
+def _spin(n: int) -> None:
+    for _ in range(n):
+        pass
+
+
+def test_opcodes_are_counted():
+    count = _tool().count_opcodes
+    ten, twenty, thirty = (count(functools.partial(_spin, n)) for n in (10, 20, 30))
+    assert 0 < ten < twenty < thirty
+    # The same instructions per iteration, and none of them a call.
+    assert thirty - twenty == twenty - ten > 0
+
+
+def _entry(python, calls, committed, modules, opcodes=None):
+    row = {"committed": committed, "calls": calls, "opcodes": opcodes or calls}
     return {"entries": [{
         "commit": "test", "python": python, "seed": 1, "modules": modules,
-        "presets": {"durable-smoke": {"committed": committed, "calls": calls}},
+        "presets": {"durable-smoke": row},
     }]}
 
 
-def test_check_fails_when_a_count_rises(tmp_path, capsys):
+def test_check_fails_when_a_count_rises(tmp_path, capsys, monkeypatch):
     tool = _tool()
+    # Every check below re-reads the same tree: measure each run once.
+    monkeypatch.setattr(tool, "fresh", functools.cache(tool.fresh))
     committed, counts = tool.fresh("durable-smoke", 1)
     calls = sum(counts.values())
+    opcodes = tool.fresh("durable-smoke", 1, opcodes=True)[1]["opcodes"]
+    assert opcodes > calls
     modules = {"repro.network.custodian": tool.module_count("repro.network.custodian")}
     bench = tmp_path / "bench.json"
     here = platform.python_version()
-    bench.write_text(json.dumps(_entry(here, calls, committed, modules)))
+    bench.write_text(json.dumps(_entry(here, calls, committed, modules, opcodes)))
     assert tool.check(bench) == 0
-    bench.write_text(json.dumps(_entry(here, calls - 1, committed, modules)))
+    bench.write_text(json.dumps(_entry(here, calls - 1, committed, modules, opcodes)))
+    assert tool.check(bench) == 1
+    bench.write_text(json.dumps(_entry(here, calls, committed, modules, opcodes - 1)))
     assert tool.check(bench) == 1
     fewer = {"repro.network.custodian": modules["repro.network.custodian"] - 1}
-    bench.write_text(json.dumps(_entry(here, calls, committed, fewer)))
+    bench.write_text(json.dumps(_entry(here, calls, committed, fewer, opcodes)))
     assert tool.check(bench) == 1
     assert "ROSE" in capsys.readouterr().out
+
+
+def test_call_free_loop_fails_only_the_opcode_gate(tmp_path, capsys, monkeypatch):
+    tool = _tool()
+    committed, counts = tool.fresh("durable-smoke", 1)
+    opcodes = tool.fresh("durable-smoke", 1, opcodes=True)[1]["opcodes"]
+    modules = {"repro.network.custodian": tool.module_count("repro.network.custodian")}
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps(_entry(
+        platform.python_version(), sum(counts.values()), committed, modules, opcodes
+    )))
+    # A copy of the package whose canonical_encode spins a loop that calls
+    # nothing the profiler sees (``range`` is a type, not a builtin function).
+    copy = tmp_path / "src" / "repro"
+    shutil.copytree(_ROOT / "src" / "repro", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    hashing = copy / "crypto" / "hashing.py"
+    body = "    parts: list[bytes] = []\n    _encode(value, parts)\n"
+    source = hashing.read_text()
+    assert source.count(body) == 1
+    hashing.write_text(source.replace(body, "    for _ in range(3):\n        pass\n" + body))
+    monkeypatch.setenv("PYTHONPATH", str(copy.parent))
+    assert tool.check(bench) == 1
+    verdicts = {
+        line.split()[1]: line.split()[-1]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("durable-smoke ") and "/tx" in line
+    }
+    assert verdicts == {"calls/tx": "ok", "opcodes/tx": "ROSE"}
 
 
 def test_check_asks_for_a_rerecord_on_another_python(tmp_path, capsys):

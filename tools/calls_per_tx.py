@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Python-level calls a deployment makes per committed transaction.
+"""Python-level calls and bytecode instructions per committed transaction.
 
 Builds each preset with :func:`repro.workloads.scenarios.build` (obs
 absent), drives its rounds and ``finalize()`` under ``cProfile`` and prints
@@ -8,19 +8,24 @@ the deterministic stand-in for a clock this host cannot hold (ROADMAP
 item 1 (iii)), and the table PERFORMANCE.md's "Calls per committed
 transaction" quotes — then, per preset, the 15 functions that make the
 most calls per committed transaction, by the same per-code-object sum.
-Every preset runs twice, each time in a fresh interpreter (a process's
-first run also pays the lazy imports and warms the module-level caches,
-so two runs in one process differ); the exit status is 1 if the two
-counts of any preset differ.  ``--host H`` runs each preset's shape on
+Calls weight a C builtin the same as a Python frame, so the same run is
+also driven under ``sys.settrace`` with ``frame.f_trace_opcodes`` set,
+counting the ``opcode`` events: the bytecode instructions executed (the
+tracer and the profiler never share a process).  Every preset runs twice
+per count, each time in a fresh interpreter (a process's first run also
+pays the lazy imports and warms the module-level caches, so two runs in
+one process differ); the exit status is 1 if the two readings of any
+count differ.  ``--host H`` runs each preset's shape on
 host ``H`` instead (``paper-default --host net`` is the networked round
 at the in-process preset's size); such a row is named ``PRESET@H``, and
 a ``PRESET@H`` argument names one directly.
 
 ``--check FILE`` is the gate: it measures every row of the last entry of
-``FILE`` (``BENCH_calls_per_tx.json``) and the ``repro`` modules each
-entry module loads, and exits 1 if any reads more than that entry, or if
-this interpreter is not the CPython version the entry was recorded
-under (counts are exact only within one version: re-record).
+``FILE`` (``BENCH_calls_per_tx.json``), calls and opcodes, and the
+``repro`` modules each entry module loads, and exits 1 if any reads more
+than that entry, or if this interpreter is not the CPython version the
+entry was recorded under (both counts are exact only within one version:
+re-record).
 ``--record FILE --commit REF`` appends an entry measured on this tree.
 
 Usage::
@@ -80,8 +85,33 @@ def calls_by_function(profile: cProfile.Profile) -> Counter:
     return counts
 
 
-def measure(preset: str, seed: int, host: str | None = None) -> tuple[int, Counter]:
-    """``(committed tx, calls per function)`` of one profiled run of ``preset``."""
+def count_opcodes(run) -> int:
+    """Bytecode instructions executed by ``run()`` (and everything it calls)."""
+    executed = 0
+
+    def local(frame, event, arg):
+        nonlocal executed
+        if event == "opcode":
+            executed += 1
+        return local
+
+    def new_frame(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(new_frame)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return executed
+
+
+def measure(
+    preset: str, seed: int, host: str | None = None, opcodes: bool = False
+) -> tuple[int, Counter]:
+    """``(committed tx, counts)`` of one run of ``preset``: calls per function
+    under ``cProfile``, or with ``opcodes`` ``{"opcodes": n}`` under a tracer."""
     import dataclasses
 
     from repro.workloads.scenarios import SCENARIOS, build
@@ -90,24 +120,34 @@ def measure(preset: str, seed: int, host: str | None = None) -> tuple[int, Count
     if host is not None:
         scenario = dataclasses.replace(scenario, host=host)
     deployment, workload, scenario = build(scenario, seed=seed)
-    profile = cProfile.Profile()
-    try:
-        profile.enable()
+
+    def run() -> None:
         for _ in range(scenario.rounds):
             deployment.run_round(workload.take(scenario.batch))
         deployment.finalize()
-        profile.disable()
-        return deployment.committed_total, calls_by_function(profile)
+
+    try:
+        if opcodes:
+            counts = Counter(opcodes=count_opcodes(run))
+        else:
+            profile = cProfile.Profile()
+            profile.enable()
+            run()
+            profile.disable()
+            counts = calls_by_function(profile)
+        return deployment.committed_total, counts
     finally:
         deployment.close()
 
 
-def fresh(row: str, seed: int) -> tuple[int, Counter]:
+def fresh(row: str, seed: int, opcodes: bool = False) -> tuple[int, Counter]:
     """:func:`measure` of ``row`` (``PRESET`` or ``PRESET@HOST``) in a new interpreter."""
     preset, _, host = row.partition("@")
     child = [sys.executable, __file__, preset, "--seed", str(seed), "--once"]
     if host:
         child += ["--host", host]
+    if opcodes:
+        child.append("--opcodes")
     out = subprocess.run(child, check=True, capture_output=True, text=True).stdout
     committed, counts = json.loads(out)
     return committed, Counter(counts)
@@ -125,30 +165,43 @@ def module_count(module: str) -> int:
     return int(out)
 
 
-def measure_rows(rows: list[str], seed: int) -> tuple[dict[str, tuple[int, Counter]], int]:
-    """Each row measured twice, with the table printed; status 1 on disagreement."""
+def _per(count: int, committed: int) -> float:
+    return count / committed if committed else float("nan")
+
+
+def measure_rows(
+    rows: list[str], seed: int
+) -> tuple[dict[str, tuple[int, Counter, int]], int]:
+    """Each row's ``(committed, calls per function, opcodes)``, each count
+    read twice, with the table printed; status 1 on disagreement."""
     status = 0
     runs = {}
-    print(f"{'preset':<22}{'committed tx':>14}{'calls':>14}{'calls/tx':>12}")
+    print(f"{'preset':<22}{'committed tx':>14}{'calls':>14}{'calls/tx':>12}"
+          f"{'opcodes':>16}{'opcodes/tx':>12}")
     for row in rows:
         (committed, counts), again = fresh(row, seed), fresh(row, seed)
-        calls = sum(counts.values())
-        runs[row] = committed, counts
-        per_tx = calls / committed if committed else float("nan")
-        print(f"{row:<22}{committed:>14,}{calls:>14,}{per_tx:>12,.1f}")
-        if (committed, calls) != (again[0], sum(again[1].values())):
-            print(f"FAIL: {row} read {(committed, calls)} then "
-                  f"{(again[0], sum(again[1].values()))}", file=sys.stderr)
-            status = 1
+        traced = [fresh(row, seed, opcodes=True) for _ in range(2)]
+        calls, executed = sum(counts.values()), traced[0][1]["opcodes"]
+        runs[row] = committed, counts, executed
+        print(f"{row:<22}{committed:>14,}{calls:>14,}{_per(calls, committed):>12,.1f}"
+              f"{executed:>16,}{_per(executed, committed):>12,.1f}")
+        readings = {
+            "calls": [(committed, calls), (again[0], sum(again[1].values()))],
+            "opcodes": [(n, ops["opcodes"]) for n, ops in traced],
+        }
+        for name, (first, second) in readings.items():
+            if first != second or first[0] != committed:
+                print(f"FAIL: {row} read (committed, {name}) {first} then {second}",
+                      file=sys.stderr)
+                status = 1
     return runs, status
 
 
-def print_top(runs: dict[str, tuple[int, Counter]]) -> None:
-    for row, (committed, counts) in runs.items():
+def print_top(runs: dict[str, tuple[int, Counter, int]]) -> None:
+    for row, (committed, counts, _executed) in runs.items():
         print(f"\n{row}: top {TOP} functions by calls per committed tx")
         for label, calls in counts.most_common(TOP):
-            per_tx = calls / committed if committed else float("nan")
-            print(f"{per_tx:>10,.1f}  {label}")
+            print(f"{_per(calls, committed):>10,.1f}  {label}")
 
 
 def check(path: Path) -> int:
@@ -157,21 +210,22 @@ def check(path: Path) -> int:
     here = platform.python_version()
     if last["python"] != here:
         print(f"FAIL: {path.name}'s last entry ({last['commit']}) was recorded "
-              f"under CPython {last['python']}, this is {here}: call counts are "
-              f"exact only within one version, so re-record the entry "
+              f"under CPython {last['python']}, this is {here}: call and opcode "
+              f"counts are exact only within one version, so re-record the entry "
               f"(--record, in a commit that changes nothing else)", file=sys.stderr)
         return 1
     runs, status = measure_rows(list(last["presets"]), last["seed"])
     print(f"\nagainst {last['commit']}:")
-    for row, (committed, counts) in runs.items():
+    for row, (committed, counts, executed) in runs.items():
         want = last["presets"][row]
-        calls = sum(counts.values())
-        # calls / committed > want_calls / want_committed, in integers
-        rose = calls * want["committed"] > want["calls"] * committed
-        print(f"{row:<22}{want['calls'] / want['committed']:>12,.1f} -> "
-              f"{calls / committed:>10,.1f}  {'ROSE' if rose else 'ok'}")
-        if rose:
-            status = 1
+        for name, got in (("calls", sum(counts.values())), ("opcodes", executed)):
+            # got / committed > want / want_committed, in integers
+            rose = got * want["committed"] > want[name] * committed
+            print(f"{row + ' ' + name + '/tx':<34}"
+                  f"{want[name] / want['committed']:>12,.1f} -> "
+                  f"{got / committed:>12,.1f}  {'ROSE' if rose else 'ok'}")
+            if rose:
+                status = 1
     for module, want in last["modules"].items():
         got = module_count(module)
         rose = got > want
@@ -201,9 +255,11 @@ def record(path: Path, commit: str, rows: list[str], seed: int) -> int:
                 "committed": committed,
                 "calls": sum(counts.values()),
                 "calls_per_tx": round(sum(counts.values()) / committed, 1),
+                "opcodes": executed,
+                "opcodes_per_tx": round(executed / committed, 1),
                 "top": dict(counts.most_common(TOP)),
             }
-            for row, (committed, counts) in runs.items()
+            for row, (committed, counts, executed) in runs.items()
         },
     })
     path.write_text(json.dumps(data, indent=1) + "\n")
@@ -221,9 +277,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="append an entry for this tree to FILE")
     parser.add_argument("--commit", help="the commit a --record entry names")
     parser.add_argument("--once", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--opcodes", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.once:  # the child: one measurement, as JSON on stdout
-        print(json.dumps(measure(args.presets[0], args.seed, args.host)))
+        print(json.dumps(measure(args.presets[0], args.seed, args.host, args.opcodes)))
         return 0
     if args.check is not None:
         return check(args.check)
