@@ -2,7 +2,8 @@
 """Functions under ``src/repro`` that no run of the system enters.
 
 Runs the system's own traffic — every preset through ``repro run`` (plus
-the pool, the segment log and ``repro recover``), the examples, the
+the pool, the segment log, ``repro recover``, and the options that select
+code a preset's defaults skip), the examples, the
 benchmark modules, ``tools/heap_per_tx.py`` and the four perfbench
 workloads — under a profiler that records each function the first time a
 process enters it, forked children included, and lists every function
@@ -274,6 +275,9 @@ def traffic(checkout: pathlib.Path, scratch: pathlib.Path) -> list[list[str]]:
         ["-m", "repro", "run", "sharded-smoke", "--workers", "2", "--misreporters", "1"],
         ["-m", "repro", "run", "durable-smoke", "--dir", ledger],
         ["-m", "repro", "recover", "--dir", ledger],
+        # Options that select code a preset's defaults skip.
+        ["-m", "repro", "run", "durable-smoke", "--round-delay", "0.01"],
+        *(["-m", "repro", "run", name, "--batch", "0"] for name in ("smoke", "durable-smoke")),
         *([str(script.relative_to(checkout))] for script in sorted(checkout.glob("examples/*.py"))),
         ["-m", "pytest", "benchmarks", "-q", "--benchmark-disable", "-p", "no:cacheprovider"],
         ["tools/heap_per_tx.py", "paper-default", "--host", "net", "--rounds", "10"],
