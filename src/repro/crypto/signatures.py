@@ -56,8 +56,8 @@ class SigningKey:
 class FrozenSlots:
     """``pickle`` / ``copy`` for a frozen dataclass that declares ``__slots__``.
 
-    The signed records are alive by the handful per transaction per
-    replica, so they carry no ``__dict__``.  A copy is a
+    The ledger and signed records are alive by the handful per
+    transaction per replica, so they carry no ``__dict__``.  A copy is a
     constructor call on the fields: it re-runs the class's checks and
     re-derives every value computed from the fields, so state that
     arrives by pickle is never trusted over what the fields say.

@@ -77,12 +77,6 @@ class TestTransactionRoundTrip:
         with pytest.raises(LedgerError):
             decode_transaction(obj)
 
-    def test_stored_signature_object_is_unchanged(self):
-        tx = make_tx()
-        assert encode_transaction(tx)["signature"] == {
-            "signer": "p0", "tag": tx.provider_signature.hex()
-        }
-
     def test_foreign_signer_rejected(self):
         # A record names its signer once: a stored signature object naming
         # another member is refused at decode, not later at verify.

@@ -4,13 +4,12 @@ The figures come from ``tools/heap_per_tx.py`` (``tracemalloc`` snapshots
 at window boundaries) on the ``paper-default`` shape, 32 tx per round.
 Windows are short here to keep tier-1 quick, so they read above the
 40-round windows PERFORMANCE.md quotes; each budget is a quarter over what
-this configuration reads on Python 3.11: 824 and 2,119–2,144 B since each
-verification verdict sits on the signed record, which keeps no signed
-bytes, and an auditor holds one tuple of uploads per transaction (920 and
-3,178–3,192 B with the verdict and the bytes on the signature; 1,543 and
-3,805–3,843 B with the Identity Manager's LRU; 3.2 KB and 9.3 KB before
-the budgets existed).  The nightly soak checks that the figure stays flat
-as history grows.
+this configuration reads on Python 3.11: 787 and 1,928 B since a signed
+record keeps its signature as a bare tag, not a ``Signature`` object (824
+and 2,119–2,157 B before; 920 and 3,178–3,192 B with the verdict and the
+signed bytes on the signature; 1,543 and 3,805–3,843 B with the Identity
+Manager's LRU; 3.2 KB and 9.3 KB before the budgets existed).  The
+nightly soak checks that the figure stays flat as history grows.
 
 The IM keeps no table of verdicts, so the last test here holds it to
 what the table bought: no HMAC is computed twice for one question.
@@ -42,14 +41,14 @@ def heap():
 
 def test_inproc_host_budget(heap):
     _engine, windows = heap.measure(PAPER_DEFAULT, rounds=20, windows=3)
-    assert windows[-1].bytes_per_tx <= 1_030
+    assert windows[-1].bytes_per_tx <= 985
 
 
 def test_net_host_budget(heap):
     # In-memory store; rounds 11-20.
     scenario = dataclasses.replace(PAPER_DEFAULT, host="net")
     _engine, (window,) = heap.measure(scenario, rounds=10)
-    assert window.bytes_per_tx <= 2_680
+    assert window.bytes_per_tx <= 2_410
 
 
 @pytest.mark.parametrize("host", ["inproc", "net"])

@@ -140,9 +140,7 @@ class _FieldsPerPickle(pickle.Pickler):
 
 #: SHA-256 of ``pickle.dumps(sample, protocol)``, read under CPython 3.11
 #: (which pickles an enum member by name; other versions spell it
-#: differently).  ``TransactionBody``'s pin dates from before the field
-#: getters were cached; the others were re-read when a record's signature
-#: became its bare 32-byte tag instead of a pickled ``Signature`` object.
+#: differently).
 PICKLE_PINS = {
     "TransactionBody": {
         2: "82d2f7c5dfe06979bc8dcb1838eb7ae425e05632b22da9340ecc501730b7f358",
