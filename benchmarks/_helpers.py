@@ -11,6 +11,10 @@ prints the paper-style table, and persists it twice under
   structured metrics the bench passes and, optionally, a full
   observability snapshot (see OBSERVABILITY.md for the schema).
 
+A quick-scale run (a bench's ``--quick`` smoke) writes both files to the
+git-ignored ``results/quick/`` instead, so it never overwrites the
+tracked full-scale twins.
+
 Timing is reported by pytest-benchmark; the tables are the scientific
 output.  The JSON twin's ``meta`` block records the wall-clock duration
 and the python version of the producing run; everything else is
@@ -142,6 +146,7 @@ def emit(
     metrics: dict | None = None,
     registry=None,
     duration_s: float | None = None,
+    quick: bool = False,
 ) -> None:
     """Print an experiment table and persist both result files.
 
@@ -157,12 +162,15 @@ def emit(
             ``"observability"``.
         duration_s: Wall-clock seconds the bench took; defaults to the
             elapsed time since this module was imported.
+        quick: The run was at the bench's quick scale: write to
+            ``results/quick/``, not over the tracked twins.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
+    directory = RESULTS_DIR / "quick" if quick else RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
     text = f"{title}\n{table}\n"
     print()
     print(text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text)
+    (directory / f"{name}.txt").write_text(text)
 
     doc: dict = {
         "schema": BENCH_SCHEMA,
@@ -175,6 +183,6 @@ def emit(
         doc["metrics"] = metrics
     if registry is not None:
         doc["observability"] = snapshot(registry)
-    (RESULTS_DIR / f"BENCH_{name}.json").write_text(
+    (directory / f"BENCH_{name}.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
     )

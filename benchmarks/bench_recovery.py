@@ -237,6 +237,7 @@ def run_suite(quick: bool = False) -> dict:
         metrics=metrics,
         registry=registry,
         duration_s=time.perf_counter() - t0,
+        quick=quick,
     )
     return metrics
 

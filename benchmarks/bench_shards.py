@@ -223,6 +223,7 @@ def run_suite(quick: bool = False) -> dict:
         metrics=metrics,
         registry=registry,
         duration_s=time.perf_counter() - t0,
+        quick=quick,
     )
     return metrics
 
@@ -297,6 +298,7 @@ def run_parity_suite(workers: int, quick: bool = False) -> dict:
         metrics=metrics,
         registry=registry,
         duration_s=time.perf_counter() - t0,
+        quick=quick,
     )
     return metrics
 

@@ -190,6 +190,7 @@ def run_suite(quick: bool = False) -> dict:
         table,
         metrics=metrics,
         duration_s=time.perf_counter() - t0,
+        quick=quick,
     )
     return metrics
 

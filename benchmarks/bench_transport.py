@@ -220,6 +220,7 @@ def run_suite(quick: bool = False) -> dict:
         metrics=metrics,
         registry=chaos_reg,
         duration_s=time.perf_counter() - t0,
+        quick=quick,
     )
     return metrics
 

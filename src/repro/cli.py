@@ -170,7 +170,7 @@ def _report_net(engine) -> bool:
 
 def _report_shard(coordinator) -> bool:
     report = coordinator.finalize()
-    # finalize() runs flush rounds while a receipt awaits its remote leg.
+    # finalize() runs flush rounds while a receipt or an admitted record waits.
     print(f"final tip={','.join(coordinator.tip_hashes())}")
     # Backend-neutral reporting: chain_stats works whether the engines
     # are in-process or in worker processes.

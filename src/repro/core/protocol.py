@@ -290,4 +290,5 @@ class ProtocolEngine(RoundCore):
     def finalize(self) -> None:
         """Close the books: pack what an argue admitted in a closing round,
         reveal every pending truth, run the harness audit into ``audit_report``."""
-        self._close_books("harness", self.topology.r, lambda: self.run_round(()))
+        self._close_books(lambda: self.run_round(()))
+        self._harness_audit("harness", self.topology.r)

@@ -21,7 +21,8 @@ The engines are shells around it.  ``ProtocolEngine`` and
 ``StreamingApp`` run :meth:`RoundCore._run_zero_latency_round`;
 ``NetworkedProtocolEngine`` puts timed messages between the same steps,
 so it calls them one at a time (``_begin_round``, ``_originate``,
-``_pack``, ``_argue_scan``, ``_reveal_pending``).
+``_pack``, ``_argue_scan``).  Every shell ends a run by
+:meth:`RoundCore._close_books`, its own round as the closing one.
 
 What differs between the shells enters the shared body as a plain
 callable (provider lookup, upload visibility, leader choice); the body
@@ -317,20 +318,23 @@ class RoundCore:
 
     # -- closing the books -------------------------------------------------
 
-    def _reveal_pending(self) -> None:
+    def reveal_pending(self) -> None:
         """Reveal every pending unchecked truth (Theorem 1 assumes all real
         states are revealed "sometime"), so loss metrics cover the full stream."""
         for governor in self.governors.values():
             governor.reveal_pending(self.oracle)
 
-    def _close_books(self, owner: str, r: int, closing_round: Callable[[], object]) -> None:
-        """While an argue-admitted record waits for "the next block", run
-        ``closing_round`` (the host's round step, offering no specs); then
-        reveal pending truths and audit replica agreement and Theorem-1 regret
-        into ``audit_report``.  One closing block empties the queue."""
-        if self._reevaluated_queue:
+    def _close_books(self, closing_round: Callable[[], object]) -> None:
+        """The closing rule of every host: while an argue-admitted record
+        waits for "the next block", run ``closing_round`` (the host's own
+        round on no specs); then reveal pending truths.  It ends: a block
+        packs the whole queue, and a transaction is argued at most once."""
+        while self._reevaluated_queue:
             closing_round()
-        self._reveal_pending()
+        self.reveal_pending()
+
+    def _harness_audit(self, owner: str, r: int) -> None:
+        """Audit replica agreement and Theorem-1 regret into ``audit_report``."""
         self.audit_report = harness_audit(
             owner,
             self.ledgers(),

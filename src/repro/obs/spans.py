@@ -40,7 +40,7 @@ class Span:
         return self.end - self.start
 
     def as_dict(self) -> dict:
-        """JSON-ready representation (used by the JSONL exporter)."""
+        """JSON-ready representation (what ``obs/export.py::snapshot`` records)."""
         return {
             "span": self.name,
             "labels": dict(self.labels),

@@ -361,10 +361,10 @@ class ShardHost:
         return {k: shard_chain_stats(engine, k) for k, engine in self.engines.items()}
 
     def finalize_engines(self) -> None:
-        # The driver already ran the barrier-synchronized recovery drain
-        # (see ShardCoordinator.finalize), so engines skip their own.
+        # The coordinator closed the books at its barrier (flush, then the
+        # recovery drain): no engine may run a round or a drain off it.
         for engine in self.engines.values():
-            engine.finalize(drain=False)
+            engine.reveal_pending()
 
     def now(self) -> float:
         return self.sim.now

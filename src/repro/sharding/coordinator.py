@@ -438,7 +438,9 @@ class ShardCoordinator:
         return [logs[k] for k in range(self.topology.num_shards)]
 
     def flush(self) -> int:
-        """Run empty super-rounds until no receipt awaits its remote leg.
+        """Close the books at the barrier: run empty super-rounds while a
+        receipt awaits its remote leg or an argue-admitted record waits on
+        any shard (RoundCore's closing rule, one super-round per round).
 
         Returns the number of flush rounds executed.  Bounded: a receipt
         that cannot land within ``FLUSH_MAX_ROUNDS`` (e.g. its remote shard
@@ -452,7 +454,9 @@ class ShardCoordinator:
         stashed = self._backlog
         self._backlog = [deque() for _ in range(self.topology.num_shards)]
         try:
-            while self._pending and executed < FLUSH_MAX_ROUNDS:
+            while (
+                self._pending or any(self._carryover.values())
+            ) and executed < FLUSH_MAX_ROUNDS:
                 self.run_super_round()
                 executed += 1
         finally:
@@ -460,7 +464,7 @@ class ShardCoordinator:
         return executed
 
     def finalize(self):
-        """Close the run: flush receipts, finalize engines, audit atomicity.
+        """Close the run: flush, drain recovery, reveal, audit atomicity.
 
         Returns the :class:`~repro.audit.auditor.AuditReport` of the
         cross-shard auditor; ``report.clean`` means every cross-shard

@@ -284,8 +284,9 @@ class StreamingApp(RoundCore):
         # ru_maxrss is bytes on macOS, kilobytes on Linux.
         scale = 1 if sys.platform == "darwin" else 1024
         self.metrics.peak_rss_bytes = rss_kb * scale
-        self._close_books("streaming-harness", self.r, lambda: self._run_zero_latency_round(
+        self._close_books(lambda: self._run_zero_latency_round(
             (), self._arrive, None, self._elect_leader))
+        self._harness_audit("streaming-harness", self.r)
 
     # -- reading the run --------------------------------------------------
 

@@ -74,8 +74,7 @@ class Deployment(Protocol):
 
     def run_round(self, specs: Sequence[TxSpec]) -> object: ...
     def finalize(self) -> object:
-        """Close the books: after it no admitted record is left unpacked
-        (the networked engine, alone or as a shard: ROADMAP.md item 9)."""
+        """Close the books: after it no admitted record is left unpacked."""
     def close(self) -> None: ...
     @property
     def committed_total(self) -> int: ...  # origin records committed

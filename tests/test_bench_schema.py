@@ -91,6 +91,14 @@ class TestEmit:
         doc = json.loads((tmp_path / "BENCH_T2_demo.json").read_text())
         assert "metrics" not in doc and "observability" not in doc
 
+    def test_quick_scale_leaves_the_tracked_twins_alone(self, helpers, tmp_path, monkeypatch):
+        monkeypatch.setattr(helpers, "RESULTS_DIR", tmp_path)
+        helpers.emit("T6_demo", "demo", format_table(["x"], [(1,)]), quick=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["quick"]
+        assert sorted(p.name for p in (tmp_path / "quick").iterdir()) == [
+            "BENCH_T6_demo.json", "T6_demo.txt",
+        ]
+
     def test_emit_is_deterministic_outside_meta(self, helpers, tmp_path, monkeypatch):
         monkeypatch.setattr(helpers, "RESULTS_DIR", tmp_path)
         table = format_table(["x"], [(1,)])

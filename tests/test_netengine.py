@@ -117,7 +117,6 @@ class TestRounds:
         workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=5)
         for _ in range(8):
             engine.run_round(workload.take(8))
-        engine.run_round([])  # flush argues
         engine.finalize()
         report = check_all_properties(engine.ledgers(), engine.transcript)
         assert report.all_hold, report.violations

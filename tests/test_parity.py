@@ -212,18 +212,21 @@ def _sound_stream(app) -> None:
 
 
 #: What a finished run on each host must have exercised, and must hold.
-SOUND = {"inproc": _properties_hold, "shard": _sound_shards, "stream": _sound_stream}
+SOUND = {
+    "inproc": _properties_hold,
+    "net": _properties_hold,
+    "shard": _sound_shards,
+    "stream": _sound_stream,
+}
 
 
 @contextmanager
 def _plain(row: Row, seed: int, **how):
-    """``build()``, the scenario's rounds, the row's empty ones, ``finalize()``."""
+    """``build()``, the scenario's rounds, ``finalize()``."""
     deployment, workload, scenario = build(row.scenario, seed, **how)
     with closing(deployment):
         for _ in range(scenario.rounds):
             deployment.run_round(workload.take(scenario.batch))
-        for _ in range(row.tail):
-            deployment.run_round([])
         deployment.finalize()
         if scenario.host in SOUND:
             SOUND[scenario.host](deployment)
@@ -270,8 +273,6 @@ class Row(NamedTuple):
     scenario: Scenario
     #: The fingerprint keys ``golden_matrix.json`` pins for this case.
     pin: tuple[str, ...]
-    #: Empty rounds run after the scenario's own, before ``finalize()``.
-    tail: int = 0
     script: Callable = _plain
 
 
@@ -296,13 +297,13 @@ CASES = {
         ),
         CHAIN,
     ),
-    "networked/plain": Row(NETWORKED, NET_PIN, tail=1),
+    "networked/plain": Row(NETWORKED, NET_PIN),
     "networked/resilient-faults": Row(
         replace(
             NETWORKED, name="resilient-faults", resilience=True,
             faults=lambda _topo, seed: _lossy(seed, ("g1", 0.5, 1.3)),
         ),
-        NET_PIN, tail=1,
+        NET_PIN,
     ),
     "networked/churn-quarantine": Row(
         replace(

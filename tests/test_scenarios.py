@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import pytest
 
@@ -22,10 +23,16 @@ from repro.workloads.scenarios import (
 #: Stream presets are built over a small universe, as the parity table does.
 STREAM_UNIVERSE = 240
 FIELDS = {field.name for field in fields(Scenario)}
+#: Presets whose adversaries get argues admitted, some in the last round.
+ARGUED = ("paper-default", "hostile-majority", "carsharing-rush", "insurance-fraud")
 
 
 def _build(name, seed=1):
+    """A registered preset; ``NAME@HOST`` runs its shape on another host."""
+    name, _, host = name.partition("@")
     scenario = SCENARIOS[name]
+    if host:
+        scenario = replace(scenario, host=host)
     if scenario.host == "stream":
         scenario = replace(scenario, l=STREAM_UNIVERSE)
     return build(scenario, seed=seed)
@@ -118,20 +125,19 @@ class TestExecution:
         check_agreement(engine.ledgers())
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "name", ["paper-default", "hostile-majority", "carsharing-rush", "insurance-fraud"]
-    )
+    @pytest.mark.parametrize("name", [preset + host for host in ("", "@net") for preset in ARGUED])
     def test_bare_finalize_closes_the_books(self, name, seed):
         """The preset's rounds, then ``finalize()`` and no flush round: an
-        argue admitted in the last round still reaches a block (Validity)."""
-        engine, workload, scenario = build(name, seed=seed)
+        argue admitted in the last round still reaches a block (Validity),
+        in-process and on the networked engine."""
+        engine, workload, scenario = _build(name, seed=seed)
         for _ in range(scenario.rounds):
             engine.run_round(workload.take(scenario.batch))
         engine.finalize()
         report = check_all_properties(engine.ledgers(), engine.transcript)
         assert report.all_hold, report.violations
 
-    @pytest.mark.parametrize("name", ["paper-default", "stream-smoke"])
+    @pytest.mark.parametrize("name", ["paper-default", "paper-default@net", "stream-smoke"])
     def test_second_finalize_changes_nothing(self, name):
         deployment, workload, scenario = _build(name)
         if scenario.host == "stream":
@@ -146,7 +152,10 @@ class TestExecution:
         def closed():
             deployment.finalize()
             store = deployment.store
-            return store.height, store.tip_hash(), deployment.audit_report
+            # The networked engine audits per round, not at finalize().
+            audit = "harness_auditor.report" if scenario.host == "net" else "audit_report"
+            report = attrgetter(audit)(deployment)
+            return store.height, store.tip_hash(), report.violations[:], dict(report.checks)
 
         first = closed()
         assert first[0] == scenario.rounds + 1

@@ -118,6 +118,31 @@ class TestReceipts:
         engine.receipts.ingest(gid, receipt)  # duplicate delivery
         assert list(engine.receipts.buffers[gid]) == [receipt.receipt_id]
 
+    def test_pack_filters_a_receipt_already_packed(self):
+        """A receipt re-buffered before the applied set learns its id (the
+        window a duplicate relay can slip through) meets the pack-time filter."""
+        coordinator, workload = build_coordinator()
+        coordinator.submit(workload.take(16))
+        coordinator.run_super_round()
+        receipt, _ = next(iter(coordinator._pending.values()))
+        coordinator.run_super_round()
+        engine = coordinator.engines[receipt.remote_shard]
+
+        def landed():
+            return [
+                record
+                for serial in range(1, engine.store.height + 1)
+                for record in engine.store.retrieve(serial).tx_list
+                if record.tx.body.payload.get("xshard_receipt") == receipt.receipt_id
+            ]
+
+        assert len(landed()) == 1
+        engine.receipts._applied.discard(receipt.receipt_id)
+        for gid in engine.topology.governors:
+            engine.receipts.ingest(gid, receipt)
+        coordinator.run_super_round()
+        assert len(landed()) == 1
+
 
 class TestCoordinator:
     def test_cross_shard_commits_exactly_once_on_both_legs(self):
