@@ -81,6 +81,19 @@ class TestChaosSmoke:
         assert engine.injector.stats.dropped > 0  # the plan actually bit
         assert engine.store.height == 4
 
+    def test_closing_rounds_are_drained(self):
+        # Seed 37's last round admits an argue, so finalize() runs closing
+        # rounds over the lossy links; undrained, their broadcast left a
+        # gap open and two replicas a block behind the store.
+        behaviors = {"c0": MisreportBehavior(0.3), "c1": ConcealBehavior(0.3)}
+        engine, topo = make_engine(seed=37, behaviors=behaviors, faults=lossy_plan(seed=38))
+        run_rounds(engine, topo, rounds=4, seed=39)
+        assert engine._reevaluated_queue
+        engine.finalize()
+        assert not engine._reevaluated_queue
+        assert engine.store.height > 4
+        assert_safety(engine, f=0.6)
+
 
 @pytest.mark.chaos
 class TestGovernorCrashRecovery:
