@@ -5,13 +5,14 @@
 the *hosts* that run the ``S`` protocol engines through the phase-split
 round API.  A :class:`ShardHost` is a subset of the deployment's shard
 engines on **one** :class:`~repro.network.simnet.Simulator`, built from
-one picklable :class:`HostSpec`; every op takes and returns plain
+one :class:`HostSpec`; every op takes and returns plain
 picklable ``{shard: value}`` data, so the same class serves as
 
 * the **in-process backend** — one host over all shards, called
   directly by the driver (``kind == "serial"``), and
-* a **pool worker** — one host over the worker's shards behind the pipe
-  loop of :mod:`repro.parallel.worker`, with
+* a **pool worker** — one host over the worker's shards, built in the
+  driver and served from the fork behind the pipe loop of
+  :mod:`repro.parallel.worker`, with
   :class:`~repro.parallel.pool.ParallelBackend` routing each op by shard
   and merging the replies.
 
@@ -64,12 +65,12 @@ __all__ = [
 class HostSpec:
     """Everything a host needs to build its shard engines from scratch.
 
-    The one place the engines' construction arguments are named.  A pool
-    worker is forked with its spec in hand, and the driver keeps it to
-    fork a replacement after a crash (engines then re-anchor from their
-    durable checkpoints, when storage is configured).  Its behaviours
-    must still pickle: an epoch reshuffle pipes a migrating collector's
-    live behaviour from one worker to another.
+    The one place the engines' construction arguments are named.  The
+    driver builds a pool worker's host from its spec before the fork,
+    and keeps the spec to build a replacement after a crash (engines then
+    re-anchor from their durable checkpoints, when storage is
+    configured).  Its behaviours must pickle: an epoch reshuffle pipes a
+    migrating collector's live behaviour from one worker to another.
     """
 
     topology: ShardedTopology

@@ -1,11 +1,11 @@
 """Shard worker processes: each a :class:`ShardHost` on a pipe, forked by the driver.
 
-:class:`~repro.parallel.pool.ParallelBackend` forks one worker per pipe
-straight from the driver and runs :func:`worker_main` in it.  The child
-first closes every driver-side pipe end it inherited, its own and its
-siblings' (so the driver's death reaches every worker as EOF), and resets
-SIGTERM to its default action (a handler the driver installed is not the
-worker's).
+:class:`~repro.parallel.pool.ParallelBackend` builds each worker's host
+in the driver, forks one worker per host and runs :func:`worker_main` in
+it, on the host the fork copied.  The child first closes every
+driver-side pipe end it inherited, its own and its siblings' (so the
+driver's death reaches every worker as EOF), and resets SIGTERM to its
+default action (a handler the driver installed is not the worker's).
 
 A worker is a :class:`~repro.parallel.backend.ShardHost` over its share
 of the shards — the same class the in-process backend is, so every shard
@@ -21,10 +21,8 @@ commands.  ``wall_seconds`` is the worker-side compute time for the op,
 which the driver accumulates into the ``par_worker_round_seconds``
 histogram — barrier skew (fast workers idling at the barrier) is then
 the difference between the slowest and fastest worker, exported as
-``par_barrier_wait_seconds``.  The first message, ``(0, "ok", "ready",
-wall_seconds)``, is unprompted: the driver forks every worker before
-it reads any, and this one's ``wall_seconds`` is the host build
-(engines plus, after a restart, durable replay).
+``par_barrier_wait_seconds``.  Every message answers a command: the
+host exists before the fork, so there is nothing to announce.
 
 Engines run with observability **disabled** in workers (metrics
 registries are process-local and the no-op registry is guaranteed
@@ -39,7 +37,7 @@ import time
 import traceback
 from typing import Sequence
 
-from repro.parallel.backend import HostSpec, ShardHost
+from repro.parallel.backend import ShardHost
 
 __all__ = ["worker_main"]
 
@@ -48,28 +46,18 @@ def _send(conn, obj) -> None:
     conn.send_bytes(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def worker_main(conn, spec: HostSpec, driver_ends: Sequence) -> None:
-    """Worker entry point: build engines, acknowledge, serve commands.
+def worker_main(conn, host: ShardHost, driver_ends: Sequence) -> None:
+    """Worker entry point: serve commands on the host the driver built.
 
     ``driver_ends`` are the driver-side pipe ends the fork copied, closed
-    first.  Never raises out: construction and per-op failures are
-    shipped back as ``("err", ...)`` replies so the driver can re-raise
-    them with the worker context attached.  The loop exits on
-    ``"shutdown"`` or when the driver end of the pipe closes.
+    first.  Never raises out: per-op failures are shipped back as
+    ``("err", ...)`` replies so the driver can re-raise them with the
+    worker context attached.  The loop exits on ``"shutdown"`` or when
+    the driver end of the pipe closes.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for end in driver_ends:
         end.close()
-    start = time.perf_counter()
-    try:
-        host = ShardHost(spec)
-    except BaseException as exc:  # construction failed: report, don't hang
-        _send(
-            conn, (0, "err", type(exc).__name__, str(exc), traceback.format_exc())
-        )
-        conn.close()
-        return
-    _send(conn, (0, "ok", "ready", time.perf_counter() - start))
     while True:
         try:
             raw = conn.recv_bytes()
