@@ -13,6 +13,8 @@ from repro.ledger.chain import check_agreement
 from repro.ledger.properties import check_all_properties
 from repro.ledger.transaction import CheckStatus, Label
 from repro.network.topology import Topology
+from repro.sharding.inbox import ReceiptInbox
+from repro.sharding.receipts import make_receipt
 from repro.workloads.generator import BernoulliWorkload
 
 
@@ -32,6 +34,12 @@ class TestConstruction:
             NetworkedProtocolEngine(
                 topo, ProtocolParams(delta=0.01), max_delay=0.05
             )
+
+    def test_delta_equal_to_the_spread_is_accepted(self):
+        # Two hops of at most max_delay each: a Δ of exactly that covers
+        # the last report, so the bound is inclusive.
+        engine, _ = make_engine(delta=0.1, max_delay=0.05)
+        assert engine.params.delta == 2 * 0.05
 
     def test_unknown_behavior_rejected(self):
         topo = Topology.regular(l=8, n=4, m=3, r=2)
@@ -73,6 +81,53 @@ class TestConstruction:
         ):
             engine.run_round(workload.take(5))
         assert engine.store.height == 0
+
+
+class TestCrashStop:
+    """What a governor's crash takes with it shows after its recovery."""
+
+    def crash_mid_round(self):
+        """Crash and recover ``g0`` while it buffers a cross-shard receipt
+        and holds armed Δ timers; returns the engine and one upload ``g0``
+        received before its crash."""
+        engine, topo = make_engine()
+        engine.receipts = ReceiptInbox(engine, relay_id="relay")
+        gid, other = topo.governors[:2]
+        receipt = make_receipt(engine.governors[other].key, 0, 1, "tx-x", home_serial=1)
+        for governor in (gid, other):
+            engine.receipts.ingest(governor, receipt)
+        uploads = []
+        ingest = engine.governors[gid].ingest_upload
+        engine.governors[gid].ingest_upload = lambda up: (uploads.append(up), ingest(up))[1]
+        workload = BernoulliWorkload(topo.providers, p_valid=1.0, seed=1)
+        engine.begin_round(workload.take(4))
+        engine.sim.run(until=engine.sim.now + 2 * 0.05 + 0.001)  # uploads in, Δ armed
+        assert engine._timers_pending[gid] and uploads
+        engine.lifecycle.crash(gid)
+        engine.lifecycle.recover(gid)
+        return engine, uploads[0]
+
+    def test_recovered_governor_packs_no_receipt_it_buffered_before(self):
+        engine, _ = self.crash_mid_round()
+        gid, other = engine.topology.governors[:2]
+        # The relay re-sends; until then the recovered governor, were it
+        # leader, has nothing to pack, while a governor that stayed up does.
+        assert engine.receipts.take(gid, 8) == []
+        assert len(engine.receipts.take(other, 8)) == 1
+
+    def test_recovered_governor_arms_a_timer_for_a_late_upload(self):
+        engine, upload = self.crash_mid_round()
+        gid = engine.topology.governors[0]
+        delta = engine.params.delta
+        engine.sim.run(until=engine.sim.now + delta + 0.001)  # old timers fire
+        assert not engine._timers_pending[gid]
+        engine._governor_on_upload(gid)(upload.collector, upload)
+        tx_id = upload.tx.tx_id
+        assert engine.governors[gid].has_buffered(tx_id)
+        engine.sim.run(until=engine.sim.now + delta + 0.001)
+        # Screened by the timer the late upload armed: a timer id kept
+        # across the crash would leave it buffered for good.
+        assert not engine.governors[gid].has_buffered(tx_id)
 
 
 class TestRounds:
