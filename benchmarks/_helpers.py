@@ -17,9 +17,10 @@ tracked full-scale twins.
 
 Timing is reported by pytest-benchmark; the tables are the scientific
 output.  The JSON twin's ``meta`` block records the wall-clock duration
-and the python version of the producing run; everything else is
-seed-determined, so reruns with the same seeds are byte-identical
-outside ``meta``.
+and the python version of the producing run, and its ``timing`` list
+names the fields its bench measured on the clock or over sockets;
+everything else is seed-determined, so reruns with the same seeds are
+byte-identical outside those two (``tools/fresh_twins.py`` checks it).
 """
 
 from __future__ import annotations
@@ -147,6 +148,7 @@ def emit(
     registry=None,
     duration_s: float | None = None,
     quick: bool = False,
+    timing: tuple[str, ...] = (),
 ) -> None:
     """Print an experiment table and persist both result files.
 
@@ -164,6 +166,9 @@ def emit(
             elapsed time since this module was imported.
         quick: The run was at the bench's quick scale: write to
             ``results/quick/``, not over the tracked twins.
+        timing: The twin's wall-clock or socket-timing fields, which a
+            rerun need not reproduce: dotted globs matched against the
+            end of a field's path (see ``tools/fresh_twins.py``).
     """
     directory = RESULTS_DIR / "quick" if quick else RESULTS_DIR
     directory.mkdir(parents=True, exist_ok=True)
@@ -179,6 +184,8 @@ def emit(
         "tables": parse_tables(table),
         "meta": runtime_meta(duration_s),
     }
+    if timing:
+        doc["timing"] = list(timing)
     if metrics is not None:
         doc["metrics"] = metrics
     if registry is not None:

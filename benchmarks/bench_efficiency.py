@@ -74,6 +74,7 @@ def test_e5_f_sweep(benchmark):
         "E5_efficiency",
         "E5: efficiency tuning with f (4 governors, 600 tx, 2 dishonest collectors)",
         table,
+        timing=("ms/tx",),
     )
 
 

@@ -238,6 +238,7 @@ def run_suite(quick: bool = False) -> dict:
         registry=registry,
         duration_s=time.perf_counter() - t0,
         quick=quick,
+        timing=("replay_ms", "blocks_per_s", "replay ms", "storage_recovery_replay_seconds"),
     )
     return metrics
 

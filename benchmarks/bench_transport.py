@@ -221,6 +221,7 @@ def run_suite(quick: bool = False) -> dict:
         registry=chaos_reg,
         duration_s=time.perf_counter() - t0,
         quick=quick,
+        timing=("chaos.bytes_*", "bytes_*.chaos", "tpt_bytes_total"),
     )
     return metrics
 

@@ -259,3 +259,61 @@ class TestShippedResults:
         names = set(doc["observability"]["metrics"])
         assert "storage_corruptions_detected_total" in names
         assert "storage_recovered_blocks_total" in names
+
+
+@pytest.fixture(scope="module")
+def fresh_twins():
+    path = pathlib.Path(__file__).parent.parent / "tools" / "fresh_twins.py"
+    spec = importlib.util.spec_from_file_location("fresh_twins", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFreshness:
+    """``tools/fresh_twins.py`` names what a rerun no longer reproduces."""
+
+    def twin(self, helpers, tmp_path, monkeypatch, rows, metrics=None, timing=()):
+        monkeypatch.setattr(helpers, "RESULTS_DIR", tmp_path)
+        table = format_table(["case", "ms/tx", "count"], rows)
+        helpers.emit("T7_demo", "demo", table, metrics=metrics, timing=timing)
+        return json.loads((tmp_path / "BENCH_T7_demo.json").read_text())
+
+    def test_a_rerun_that_differs_only_in_meta_is_fresh(
+        self, helpers, fresh_twins, tmp_path, monkeypatch
+    ):
+        first = self.twin(helpers, tmp_path, monkeypatch, [("a", 0.5, 3)])
+        first["meta"]["duration_s"] += 1.0
+        second = self.twin(helpers, tmp_path, monkeypatch, [("a", 0.5, 3)])
+        assert fresh_twins.differences(first, second) == []
+
+    def test_timing_fields_are_not_compared_and_the_rest_are_named(
+        self, helpers, fresh_twins, tmp_path, monkeypatch
+    ):
+        timing = ("ms/tx", "chaos.bytes_*")
+        tracked = self.twin(
+            helpers, tmp_path, monkeypatch, [("a", 0.5, 3), ("b", 0.7, 4)],
+            metrics={"real": {"bytes_out": 10}, "chaos": {"bytes_out": 12}},
+            timing=timing,
+        )
+        fresh = self.twin(
+            helpers, tmp_path, monkeypatch, [("a", 0.9, 3), ("b", 0.1, 5)],
+            metrics={"real": {"bytes_out": 11}, "chaos": {"bytes_out": 13}},
+            timing=timing,
+        )
+        assert fresh["timing"] == list(timing)
+        assert fresh_twins.differences(tracked, fresh) == [
+            "metrics.real.bytes_out",
+            "tables.0.rows.b.count",
+        ]
+
+    def test_rows_sharing_a_first_cell_are_named_by_index(
+        self, helpers, fresh_twins, tmp_path, monkeypatch
+    ):
+        tracked = self.twin(helpers, tmp_path, monkeypatch, [("a", 0.5, 3), ("a", 0.5, 4)])
+        fresh = self.twin(helpers, tmp_path, monkeypatch, [("a", 0.5, 3), ("a", 0.5, 5)])
+        tracked["metrics"] = {"gone": 1}
+        assert fresh_twins.differences(tracked, fresh) == [
+            "metrics",
+            "tables.0.rows.1.count",
+        ]
