@@ -92,13 +92,25 @@ def _slice_row(line: str, spans: list[tuple[int, int]]) -> list[str]:
     return cells
 
 
+def _fits(line: str, rule: str, spans: list[tuple[int, int]]) -> bool:
+    """Whether ``line`` is a row of the table ``rule`` heads: exactly as
+    wide as the rule, with blank column gaps (``format_table`` pads every
+    row to the rule)."""
+    return len(line) == len(rule) and all(
+        not line[end:start].strip() for (_, end), (start, _) in zip(spans, spans[1:])
+    )
+
+
 def parse_tables(text: str) -> list[dict]:
     """Parse ``format_table`` output (possibly several captioned tables).
 
     Returns a list of ``{"caption", "columns", "rows"}`` dicts where
     each row is a column-name -> typed-value mapping.  A table is a
-    header line followed by a dash rule; any non-blank line immediately
-    preceding the header (e.g. ``-- loss sweep --``) is its caption.
+    header line followed by a dash rule; its rows are the lines after
+    the rule that fit the rule's columns, up to the first that does not
+    (a trailer such as ``all tips bit-identical: yes`` is no row).  The
+    non-blank line immediately preceding the header (e.g.
+    ``-- loss sweep --``) is its caption.
     """
     lines = text.split("\n")
     tables: list[dict] = []
@@ -112,15 +124,14 @@ def parse_tables(text: str) -> list[dict]:
             columns = _slice_row(line, spans)
             rows = []
             i += 2
-            while i < len(lines) and lines[i].strip():
+            while i < len(lines) and _fits(lines[i], nxt, spans):
                 cells = [_coerce(c) for c in _slice_row(lines[i], spans)]
                 rows.append(dict(zip(columns, cells, strict=True)))
                 i += 1
             tables.append({"caption": caption, "columns": columns, "rows": rows})
             caption = None
         else:
-            if line.strip():
-                caption = line.strip()
+            caption = line.strip() or None
             i += 1
     return tables
 

@@ -299,6 +299,10 @@ def run_parity_suite(workers: int, quick: bool = False) -> dict:
         registry=registry,
         duration_s=time.perf_counter() - t0,
         quick=quick,
+        timing=(
+            "par_barrier_wait_seconds", "par_worker_boot_seconds",
+            "par_worker_round_seconds",
+        ),
     )
     return metrics
 

@@ -191,6 +191,7 @@ def run_suite(quick: bool = False) -> dict:
         metrics=metrics,
         duration_s=time.perf_counter() - t0,
         quick=quick,
+        timing=("peak_rss_bytes",),
     )
     return metrics
 

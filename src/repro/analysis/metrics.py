@@ -48,10 +48,6 @@ class RunSummary:
     governors: tuple[GovernorSummary, ...]
     rounds: int
     transactions: int
-    provider_messages: int
-    collector_messages: int
-    governor_messages: int
-    stake_messages: int
     argues: int
     rewards_paid: dict[str, float]
 
@@ -94,10 +90,6 @@ def summarize_run(engine: ProtocolEngine) -> RunSummary:
         governors=tuple(rows),
         rounds=em.rounds,
         transactions=em.transactions_offered,
-        provider_messages=em.provider_messages,
-        collector_messages=em.collector_messages,
-        governor_messages=em.governor_messages,
-        stake_messages=em.stake_messages,
         argues=em.argues_total,
         rewards_paid=dict(em.rewards_paid),
     )

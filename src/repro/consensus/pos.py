@@ -93,28 +93,26 @@ def elect_leader(
         The leader's governor id.
 
     Raises:
-        LeaderElectionError: no stake in the system or missing
-            announcements from staked governors.
+        LeaderElectionError: no governor in ``governor_order`` holds
+            stake, or a staked governor did not announce.
         VRFError: a proof failed verification.
     """
-    if stake.total <= 0:
-        raise LeaderElectionError("cannot elect a leader with zero total stake")
     by_gov = {a.governor: a for a in announcements}
-    index_of = {gov: j for j, gov in enumerate(governor_order)}
     best: tuple[int, str] | None = None
-    for gov in governor_order:
+    for j, gov in enumerate(governor_order):
         units = stake.balance(gov)
         if units == 0:
             continue
         announcement = by_gov.get(gov)
         if announcement is None:
             raise LeaderElectionError(f"staked governor {gov!r} did not announce")
-        _verify_announcement(im, announcement, round_number, index_of[gov], units)
+        _verify_announcement(im, announcement, round_number, j, units)
         for output in announcement.outputs:
             candidate = (output.as_int(), gov)
             if best is None or candidate < best:
                 best = candidate
-    assert best is not None  # guaranteed by stake.total > 0 + loop above
+    if best is None:
+        raise LeaderElectionError("no governor in the election order holds stake")
     return best[1]
 
 
@@ -130,13 +128,21 @@ class LeaderElection:
     governor_order: list[str]
 
     def run(self, stake: StakeLedger, round_number: int) -> str:
-        """Announce for every staked governor and elect."""
+        """Announce for every staked governor and elect.
+
+        When no governor in the order holds stake (all of it sits with
+        governors an engine expelled from the order), leadership falls
+        back to round-robin over the order, so the chain stays live.
+        """
         announcements = []
         for j, gov in enumerate(self.governor_order):
             units = stake.balance(gov)
             if units > 0:
                 key = self.im.record(gov).key
                 announcements.append(announce_stakes(key, round_number, j, units))
+        if not announcements:
+            order = self.governor_order
+            return order[(round_number - 1) % len(order)]
         return elect_leader(
             self.im, stake, self.governor_order, round_number, announcements
         )

@@ -83,11 +83,6 @@ class StakeLedger:
         """Stake units held by ``governor`` (0 if none)."""
         return self._balances.get(governor, 0)
 
-    @property
-    def total(self) -> int:
-        """Total stake in the system."""
-        return sum(self._balances.values())
-
     def apply(self, transfer: StakeTransfer) -> None:
         """Apply a transfer.
 

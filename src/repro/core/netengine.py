@@ -19,8 +19,7 @@ differs from the in-process :class:`~repro.core.protocol.ProtocolEngine`:
   carries to a later block instead of being lost.
 
 Message counts come from the network's real counters
-(``engine.network.stats``), which lets tests cross-check the in-process
-engine's analytic accounting against packet-level truth.
+(``engine.network.stats``); the in-process engine counts none.
 
 The engine is slower than the in-process one (every payload is a
 scheduled event), so the big statistical experiments use
@@ -46,8 +45,7 @@ from repro.audit.votes import CommitVoteAudit
 from repro.consensus.messages import CommitVote
 from repro.core.lifecycle import NodeLifecycle
 from repro.core.params import ProtocolParams
-from repro.core.rewards import distribute_rewards
-from repro.core.roundcore import RoundCore
+from repro.core.roundcore import RoundCore, RoundResult
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -68,7 +66,6 @@ from repro.workloads.generator import TxSpec
 
 __all__ = [
     "ArgueRequest",
-    "NetworkedRoundResult",
     "NetworkedProtocolEngine",
     "ReceiptInboxProtocol",
     "RoundContext",
@@ -94,17 +91,6 @@ class ArgueRequest:
 
 
 @dataclass
-class NetworkedRoundResult:
-    """Outcome of one networked round."""
-
-    round_number: int
-    leader: str
-    block: Block
-    argues_sent: int
-    rewards: Mapping[str, float]
-
-
-@dataclass
 class RoundContext:
     """In-flight state of a phase-split round (see :meth:`begin_round`).
 
@@ -125,12 +111,12 @@ class RoundContext:
     drain_until: float
     specs_count: int
     elected: str
+    forged: int
     argue_start: float = 0.0
-    argues_before: int = 0
-    #: Set by the pack at ``cutoff``: the block and who packed it (the
+    argues: int = 0
+    #: Set by the pack at ``cutoff``; its proposer is who packed it (the
     #: elected leader, or its failover).
     block: Block | None = None
-    leader: str = ""
 
 
 class ReceiptInboxProtocol(Protocol):
@@ -168,9 +154,8 @@ class NetworkedProtocolEngine(RoundCore):
         stake: governor id -> stake units (default 1 each).
         resilience: Enable the fault-tolerance machinery — reliable
             feed/upload delivery, broadcast gap repair with sequencer
-            failover, and crash-recovery wiring.  Off by default: the
-            fault-free engine's packet counts stay bit-identical to the
-            pre-resilience implementation.
+            failover, and crash-recovery wiring.  Off by default: no
+            ack, retransmit or repair message is sent.
         obs: Optional :class:`~repro.obs.MetricsRegistry` threaded
             through every layer — network, broadcast, reliable channel,
             governors, reputation books — plus engine-level counters
@@ -249,14 +234,9 @@ class NetworkedProtocolEngine(RoundCore):
             if resilience
             else None
         )
-        # Rounds closed and specs offered by *this* engine (``_round``
-        # also counts the rounds a restart resumed past).
-        self.rounds_closed = self.tx_offered = 0
-        self._register_engine_metrics(
-            lambda: self.rounds_closed,
-            lambda: self.tx_offered,
-            lambda: self._argues_sent,
-        )
+        # The run record counts the rounds *this* engine closed
+        # (``_round`` also counts the rounds a restart resumed past).
+        self._register_engine_metrics()
         self.injector: FaultInjector | None = None
         self.lifecycle = NodeLifecycle(self)
         # Live views of the lifecycle's state, where harnesses look for it.
@@ -277,8 +257,6 @@ class NetworkedProtocolEngine(RoundCore):
         # filter that lets late-screened records carry across rounds
         # without a later leader re-packing an on-chain transaction.
         self._packed_tx_ids: set[str] = set()
-        self._argues_sent = 0
-        self.rewards_paid: dict[str, float] = {}
         self._enroll(
             topology,
             topology.providers,
@@ -571,7 +549,7 @@ class NetworkedProtocolEngine(RoundCore):
 
     # -- round execution ----------------------------------------------------
 
-    def run_round(self, specs: Sequence[TxSpec]) -> NetworkedRoundResult:
+    def run_round(self, specs: Sequence[TxSpec]) -> RoundResult:
         """Execute one full round in simulated time.
 
         Composed from the phase-split API (:meth:`begin_round` /
@@ -610,12 +588,14 @@ class NetworkedProtocolEngine(RoundCore):
         # unaffected otherwise.
         self.im.verify_batch(tx for _provider, tx in originated)
         # Forgery opportunities: once per live collector per round.
+        forged = 0
         for collector in self.collectors.values():
             if collector.collector_id in self.crashed_nodes:
                 continue
-            forged = collector.maybe_forge(timestamp=t0)
-            if forged is not None:
-                self.broadcast.broadcast("uploads", collector.collector_id, forged)
+            upload = collector.maybe_forge(timestamp=t0)
+            if upload is not None:
+                forged += 1
+                self.broadcast.broadcast("uploads", collector.collector_id, upload)
 
         # Phase 3 trigger: leader packs at the cutoff.  Drain target:
         # block dissemination takes one more hop past the pack.
@@ -626,6 +606,7 @@ class NetworkedProtocolEngine(RoundCore):
             drain_until=cutoff + self.network.max_delay + 0.001,
             specs_count=len(specs),
             elected=self.election.run(self.stake, round_number),
+            forged=forged,
         )
         self.sim.schedule_at(cutoff, lambda: self._pack_block(ctx))
         return ctx
@@ -636,7 +617,7 @@ class NetworkedProtocolEngine(RoundCore):
         # have crashed mid-round, in which case the next live
         # governor in the (deterministic, globally known) order
         # packs instead.
-        live = ctx.leader = self.lifecycle.live_leader(ctx.elected)
+        live = self.lifecycle.live_leader(ctx.elected)
         budget = self.params.b_limit - len(self._reevaluated_queue)
         # Buffered cross-shard receipts (shard engines only) go ahead of
         # the leader's screened records, so a home-committed transaction's
@@ -690,42 +671,30 @@ class NetworkedProtocolEngine(RoundCore):
             raise SimulationError("leader failed to pack a block")
 
         ctx.argue_start = self.sim.now
-        ctx.argues_before = self._argues_sent
+        argues = 0
         for pid, tx_id, serial in self._argue_scan():
-            self._argues_sent += 1
+            argues += 1
             request = ArgueRequest(provider=pid, tx_id=tx_id, serial=serial)
             for gid in self.topology.governors:
                 self.network.send(pid, gid, request)
+        ctx.argues = argues
         return self.sim.now + self.network.max_delay + 0.001
 
-    def complete_round(self, ctx: RoundContext) -> NetworkedRoundResult:
-        """Close a round: rewards, end-of-round audit, telemetry."""
-        round_number = ctx.round_number
-        block = ctx.block
-        leader_id = ctx.leader
-        rewards = distribute_rewards(self.params, self.governors[leader_id].book)
-        for cid, amount in rewards.items():
-            self.rewards_paid[cid] = self.rewards_paid.get(cid, 0.0) + amount
-
-        self.votes.end_of_round(round_number)
-
-        self.rounds_closed += 1
-        self.tx_offered += ctx.specs_count
-        self._m_block_size.observe(float(len(block.tx_list)))
+    def complete_round(self, ctx: RoundContext) -> RoundResult:
+        """Close a round: rewards and the run record, end-of-round audit,
+        telemetry."""
+        result = self._close_round(RoundResult(
+            ctx.block, ctx.specs_count, ctx.argues, len(self._reevaluated_queue), ctx.forged
+        ))
+        self.votes.end_of_round(ctx.round_number)
         self.obs.record_span(
-            "argue_phase", ctx.argue_start, self.sim.now, round=round_number
+            "argue_phase", ctx.argue_start, self.sim.now, round=ctx.round_number
         )
         self.obs.record_span(
-            "round", ctx.t0, self.sim.now, round=round_number, leader=leader_id
+            "round", ctx.t0, self.sim.now, round=ctx.round_number,
+            leader=ctx.block.proposer,
         )
-
-        return NetworkedRoundResult(
-            round_number=round_number,
-            leader=leader_id,
-            block=block,
-            argues_sent=self._argues_sent - ctx.argues_before,
-            rewards=rewards,
-        )
+        return result
 
     def drain_recovery(self) -> None:
         """Let in-flight retransmits and gap repairs complete.

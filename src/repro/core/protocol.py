@@ -4,19 +4,12 @@
 Manager, topology, provider/collector/governor agents, PoS leader
 election, block store, reward distribution, optional stake-transform
 consensus — and executes the round of :mod:`repro.core.roundcore` with
-every hand-off delivered at once.
-
-Message accounting in this in-process engine is analytic: each phase
-adds exactly the messages the real exchange would send, so the E7
-complexity bench measures the paper's ``O(b_limit * m)`` ordinary-block
-and ``O(m^2)`` stake-transform terms without a packet-level run
-(the packet-level path is exercised separately by the
-:mod:`repro.network`-backed integration tests).
+every hand-off delivered at once.  It counts no messages; the
+networked engine's network counters are the packet-level record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.agents.behaviors import CollectorBehavior
@@ -25,53 +18,15 @@ from repro.consensus.stake import make_transfer
 from repro.consensus.messages import NewStateProposal
 from repro.consensus.stake_consensus import StakeConsensusRound, make_proposal
 from repro.core.params import ProtocolParams
-from repro.core.rewards import distribute_rewards
-from repro.core.roundcore import RoundCore
+from repro.core.roundcore import RoundCore, RoundResult
 from repro.exceptions import ConfigurationError, LeaderMisbehaviourError
-from repro.ledger.block import Block
 from repro.ledger.store import BlockStore
-from repro.ledger.transaction import LabeledTransaction
 from repro.network.topology import Topology
 from repro.network.visibility import VisibilityMap
 from repro.obs.registry import MetricsRegistry
 from repro.workloads.generator import TxSpec
 
-__all__ = ["RoundResult", "EngineMetrics", "ProtocolEngine"]
-
-
-@dataclass
-class RoundResult:
-    """Summary of one executed round.
-
-    ``uploads`` carries the round's verified collector uploads (the
-    labeled transactions), so applications can read the per-collector
-    labels — e.g. the car-sharing dispatcher reads driver willingness
-    from them.
-    """
-
-    round_number: int
-    leader: str
-    block: Block
-    transactions_offered: int
-    argues_admitted: int
-    rewards: Mapping[str, float]
-    uploads: tuple[LabeledTransaction, ...] = ()
-    stake_messages: int = 0
-
-
-@dataclass
-class EngineMetrics:
-    """Run-level counters across all rounds."""
-
-    rounds: int = 0
-    transactions_offered: int = 0
-    forged_uploads: int = 0
-    provider_messages: int = 0
-    collector_messages: int = 0
-    governor_messages: int = 0
-    stake_messages: int = 0
-    argues_total: int = 0
-    rewards_paid: dict[str, float] = field(default_factory=dict)
+__all__ = ["ProtocolEngine"]
 
 
 class ProtocolEngine(RoundCore):
@@ -116,15 +71,9 @@ class ProtocolEngine(RoundCore):
         self.topology = topology
         self.visibility = visibility
         self.store = BlockStore()
-        self.metrics = EngineMetrics()
         # Harness-level AuditReport, filled by finalize().
         self.audit_report = None
-        metrics = self.metrics
-        self._register_engine_metrics(
-            lambda: metrics.rounds,
-            lambda: metrics.transactions_offered,
-            lambda: metrics.argues_total,
-        )
+        self._register_engine_metrics()
 
         def register_books(governor: Governor) -> None:
             if visibility is None:
@@ -152,52 +101,10 @@ class ProtocolEngine(RoundCore):
     def run_round(self, specs: Sequence[TxSpec]) -> RoundResult:
         """Execute one full round over the given workload batch."""
         sees = None if self.visibility is None else self.visibility.sees
-        done = self._run_zero_latency_round(
-            specs, self.providers.__getitem__, sees, self._elect_leader
-        )
-        m = self.topology.m
-        metrics = self.metrics
-        metrics.provider_messages += done.deliveries
-        metrics.forged_uploads += done.forged
-        metrics.collector_messages += len(done.uploads) * m
-        # Leader broadcasts the block to the other m-1 governors; the
-        # paper's O(b_limit * m) term counts the payload size times m.
-        metrics.governor_messages += m - 1
-        metrics.argues_total += done.argues
-
-        # Rewards from the leader's reputation view.
-        block = done.block
-        rewards = distribute_rewards(self.params, self.governors[block.proposer].book)
-        for cid, amount in rewards.items():
-            metrics.rewards_paid[cid] = metrics.rewards_paid.get(cid, 0.0) + amount
-
-        metrics.rounds += 1
-        metrics.transactions_offered += len(specs)
-        self._m_block_size.observe(float(len(block.tx_list)))
-
-        return RoundResult(
-            round_number=block.round_number,
-            leader=block.proposer,
-            block=block,
-            transactions_offered=len(specs),
-            argues_admitted=done.argues_admitted,
-            rewards=rewards,
-            uploads=tuple(done.uploads),
-        )
-
-    def _elect_leader(self, round_number: int) -> str:
-        # The election's order is the not-yet-expelled governors
-        # (expel_governor shrinks it), which also fixes the VRF index j.
-        eligible = self.election.governor_order
-        # VRF announcements: every staked eligible governor broadcasts
-        # y_j outputs to the other m-1 governors.
-        staked = sum(1 for g in eligible if self.stake.balance(g) > 0)
-        self.metrics.governor_messages += staked * (self.topology.m - 1)
-        if not staked:
-            # All stake sits with expelled governors: fall back to
-            # round-robin among the eligible so the chain stays live.
-            return eligible[(round_number - 1) % len(eligible)]
-        return self.election.run(self.stake, round_number)
+        return self._close_round(self._run_zero_latency_round(
+            specs, self.providers.__getitem__, sees,
+            lambda r: self.election.run(self.stake, r),
+        ))
 
     # -- stake transfers ---------------------------------------------------
 
@@ -219,7 +126,7 @@ class ProtocolEngine(RoundCore):
         self._stake_nonce += 1
         total_messages = 0
         for _attempt in range(self.topology.m):
-            leader = self._elect_leader(self._round + 1)
+            leader = self.election.run(self.stake, self._round + 1)
             consensus = StakeConsensusRound(
                 im=self.im, governors=list(self.topology.governors)
             )
@@ -246,10 +153,7 @@ class ProtocolEngine(RoundCore):
                 self.expel_governor(leader, reason="tampered NEW_STATE")
                 continue
             self.stake.apply(transfer)
-            total_messages += consensus.messages_exchanged
-            self.metrics.stake_messages += total_messages
-            self.metrics.governor_messages += total_messages
-            return total_messages
+            return total_messages + consensus.messages_exchanged
         raise LeaderMisbehaviourError(
             "no honest leader could be elected for the stake transfer "
             f"(expelled: {sorted(self.expelled_governors)})"

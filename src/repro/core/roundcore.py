@@ -21,8 +21,12 @@ The engines are shells around it.  ``ProtocolEngine`` and
 ``StreamingApp`` run :meth:`RoundCore._run_zero_latency_round`;
 ``NetworkedProtocolEngine`` puts timed messages between the same steps,
 so it calls them one at a time (``_begin_round``, ``_originate``,
-``_pack``, ``_argue_scan``).  Every shell ends a run by
-:meth:`RoundCore._close_books`, its own round as the closing one.
+``_pack``, ``_argue_scan``).  Both engines close a round by
+:meth:`RoundCore._close_round` — the reward from the leader's book and
+one :class:`RunRecord` — and return one :class:`RoundResult`; the
+streaming shell pays no rewards and keeps its own counters.  Every shell
+ends a run by :meth:`RoundCore._close_books`, its own round as the
+closing one.
 
 What differs between the shells enters the shared body as a plain
 callable (provider lookup, upload visibility, leader choice); the body
@@ -34,7 +38,7 @@ pinned in ``tests/golden_matrix.json`` expects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.agents.behaviors import CollectorBehavior, HonestBehavior
@@ -45,6 +49,7 @@ from repro.audit.auditor import harness_audit
 from repro.consensus.pos import LeaderElection
 from repro.consensus.stake import StakeLedger
 from repro.core.params import ProtocolParams
+from repro.core.rewards import distribute_rewards
 from repro.crypto.identity import IdentityManager, Role
 from repro.exceptions import ConfigurationError
 from repro.ledger.block import Block
@@ -58,7 +63,7 @@ if TYPE_CHECKING:
     # repro.workloads imports the engines; a runtime import would cycle.
     from repro.workloads.generator import TxSpec
 
-__all__ = ["RoundCore", "ZeroLatencyRound"]
+__all__ = ["RoundCore", "RoundResult", "RunRecord"]
 
 
 def _reject_unknown(what: str, supplied: Iterable[str], role: str, known: Iterable[str]) -> None:
@@ -68,17 +73,34 @@ def _reject_unknown(what: str, supplied: Iterable[str], role: str, known: Iterab
 
 
 @dataclass
-class ZeroLatencyRound:
-    """What one zero-latency round did, for the caller's accounting."""
+class RoundResult:
+    """What one round did, on every engine."""
 
     #: Carries the round number and the leader (its proposer).
     block: Block
-    uploads: list[LabeledTransaction]
-    #: provider → collector deliveries (one per linked collector per tx).
-    deliveries: int
-    forged: int
+    transactions_offered: int
+    #: Argue messages providers raised after the block.
     argues: int
+    #: Records an argue admitted since the pack, queued for the next block.
     argues_admitted: int
+    forged: int
+    #: The round's collector uploads (zero-latency rounds only): the
+    #: car-sharing dispatcher reads driver willingness from their labels.
+    uploads: Sequence[LabeledTransaction] = ()
+    #: collector id -> reward paid from the leader's book; None until
+    #: :meth:`RoundCore._close_round` pays it (the streaming host never does).
+    rewards: Mapping[str, float] | None = field(default=None, init=False)
+
+
+@dataclass
+class RunRecord:
+    """Run-level counters over the rounds an engine closed (``engine.metrics``)."""
+
+    rounds: int = 0
+    transactions_offered: int = 0
+    argues_total: int = 0
+    forged_uploads: int = 0
+    rewards_paid: dict[str, float] = field(default_factory=dict)
 
 
 class RoundCore:
@@ -103,17 +125,22 @@ class RoundCore:
         self._reevaluated_queue: dict[str, TxRecord] = {}
         self._master = default_rng(seed)
 
-    def _register_engine_metrics(self, rounds, offered, argues) -> None:
-        """The ``engine_*`` family: three readers off the subclass's own
-        record, and the one histogram (see OBSERVABILITY.md)."""
-        self.obs.counter("engine_rounds_total", "Protocol rounds executed", read=rounds)
+    def _register_engine_metrics(self) -> None:
+        """Open the run record ``metrics`` and the ``engine_*`` family that
+        reads it, with the one histogram (see OBSERVABILITY.md)."""
+        record = self.metrics = RunRecord()
+        self.obs.counter(
+            "engine_rounds_total", "Protocol rounds executed", read=lambda: record.rounds
+        )
         self.obs.counter(
             "engine_tx_offered_total",
             "Workload transactions offered to providers",
-            read=offered,
+            read=lambda: record.transactions_offered,
         )
         self.obs.counter(
-            "engine_argues_total", "Argue messages raised by providers", read=argues
+            "engine_argues_total",
+            "Argue messages raised by providers",
+            read=lambda: record.argues_total,
         )
         self._m_block_size = self.obs.histogram(
             "engine_block_size",
@@ -254,23 +281,22 @@ class RoundCore:
         provider_of: Callable[[str], Provider],
         sees: Callable[[str, str], bool] | None,
         elect: Callable[[int], str],
-    ) -> ZeroLatencyRound:
+    ) -> RoundResult:
         """One full round with every hand-off delivered at once.
 
         ``provider_of`` maps a provider id to its agent (and may create
         it); ``sees(governor, collector)`` says whether the governor
         receives that collector's uploads (None = full view);
-        ``elect`` maps the round number to the leader id.
+        ``elect`` maps the round number to the leader id.  No reward is
+        paid: a shell that pays one passes the result to :meth:`_close_round`.
         """
         round_number = self._begin_round(specs)
         timestamp = float(round_number)
 
         # Collecting and uploading: every linked collector labels.
         uploads: list[LabeledTransaction] = []
-        deliveries = 0
         flags = self.transcript.flags
         for provider, tx in self._originate(specs, provider_of, timestamp):
-            deliveries += len(provider.linked_collectors)
             for cid in provider.linked_collectors:
                 for labeled in self.collectors[cid].process_all(tx, self.oracle):
                     uploads.append(labeled)
@@ -301,7 +327,7 @@ class RoundCore:
 
         # Arguing: an admitted argue is re-validated by every governor
         # (case-3 update) and its record enters the next block.
-        argues = argues_admitted = 0
+        argues = 0
         for _provider, tx_id, _serial in self._argue_scan():
             argues += 1
             admitted: TxRecord | None = None
@@ -310,11 +336,27 @@ class RoundCore:
                 if record is not None:
                     admitted = record
             if admitted is not None:
-                argues_admitted += 1
                 self._reevaluated_queue[tx_id] = admitted
-        return ZeroLatencyRound(
-            block, uploads, deliveries, forged, argues, argues_admitted
+        return RoundResult(
+            block, len(specs), argues, len(self._reevaluated_queue), forged, uploads
         )
+
+    def _close_round(self, result: RoundResult) -> RoundResult:
+        """Close a round on both engines: pay the reward from the leader's
+        book into ``result.rewards``, add the round to the run record and
+        observe the block's size."""
+        block = result.block
+        result.rewards = distribute_rewards(self.params, self.governors[block.proposer].book)
+        record = self.metrics
+        paid = record.rewards_paid
+        for cid, amount in result.rewards.items():
+            paid[cid] = paid.get(cid, 0.0) + amount
+        record.rounds += 1
+        record.transactions_offered += result.transactions_offered
+        record.argues_total += result.argues
+        record.forged_uploads += result.forged
+        self._m_block_size.observe(float(len(block.tx_list)))
+        return result
 
     # -- closing the books -------------------------------------------------
 

@@ -287,9 +287,9 @@ class SyncNetwork:
 
         ``fixed_delay`` bypasses the latency RNG entirely and delivers
         after exactly that many seconds (must respect the synchrony
-        bound).  Audit traffic uses it so that enabling the auditor
-        consumes no draw from the latency stream — seeded runs stay
-        bit-identical with the auditor on or off.
+        bound).  Commit votes use it: Byzantine vote strategies and
+        vote forwarding change how many votes are sent, and with no
+        latency draw per vote they shift no other message's delay.
         """
         if receiver not in self._handlers:
             raise SimulationError(f"no handler registered for receiver {receiver!r}")

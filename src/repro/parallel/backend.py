@@ -291,13 +291,14 @@ class ShardHost:
         for k, ctx in self._ctxs.items():
             engine = self.engines[k]
             result = engine.complete_round(ctx)
+            block = result.block
             infos[k] = ShardRoundInfo(
                 shard=k,
-                round_number=result.round_number,
-                leader=result.leader,
-                block_serial=result.block.serial,
-                block_size=len(result.block.tx_list),
-                argues_sent=result.argues_sent,
+                round_number=block.round_number,
+                leader=block.proposer,
+                block_serial=block.serial,
+                block_size=len(block.tx_list),
+                argues_sent=result.argues,
                 carryover=engine.carryover_depth(),
             )
         self._ctxs = {}

@@ -57,6 +57,18 @@ class TestParseTables:
         assert parsed["rows"][0]["scenario"] == "governor crash-recovery"
         assert parsed["rows"][1]["latency (s)"] == 0.4
 
+    def test_trailer_lines_end_the_table(self, helpers):
+        table = format_table(["universe", "ok"], [(10_000, True), (100_000, False)])
+        text = (
+            f"{table}\nopen-loop arrivals; identities retire after 6 idle rounds.\n"
+            "all tips bit-identical: yes\n"
+        )
+        (parsed,) = helpers.parse_tables(text)
+        assert parsed["rows"] == [
+            {"universe": 10_000, "ok": True},
+            {"universe": 100_000, "ok": False},
+        ]
+
     def test_scientific_and_grouped_numbers(self, helpers):
         table = format_table(["x"], [(123456.789,), (0.0000123,)])
         (parsed,) = helpers.parse_tables(table)

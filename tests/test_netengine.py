@@ -184,7 +184,7 @@ class TestRounds:
         reevaluated = []
         for _ in range(12):
             result = engine.run_round(workload.take(8))
-            total_argues += result.argues_sent
+            total_argues += result.argues
             reevaluated.extend(
                 rec for rec in result.block.tx_list
                 if rec.status is CheckStatus.REEVALUATED

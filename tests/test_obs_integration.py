@@ -84,7 +84,7 @@ RECORDS = {
     "rel_unacked": lambda e: len(e.channel._pending),
     "engine_rounds_total": lambda e: ROUNDS,
     "engine_tx_offered_total": lambda e: ROUNDS * PER_ROUND,
-    "engine_argues_total": lambda e: e._argues_sent,
+    "engine_argues_total": lambda e: e.metrics.argues_total,
     "engine_crash_events_total": lambda e: len(e.fault_log),
     "gov_screenings_total": lambda e: _governors(e, "transactions_screened"),
     "gov_unchecked_ratio": lambda e: sum(

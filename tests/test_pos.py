@@ -78,6 +78,18 @@ class TestElection:
         with pytest.raises(LeaderElectionError):
             elect_leader(gov_im, stake, GOVS, 1, [])
 
+    def test_stake_only_outside_the_order_rejected(self, gov_im):
+        stake = StakeLedger.from_balances({"g0": 1, "g1": 0})
+        with pytest.raises(LeaderElectionError):
+            elect_leader(gov_im, stake, ["g1"], 1, [])
+
+    def test_unstaked_order_rotates(self, gov_im):
+        # All stake sits outside the order (an expelled governor's):
+        # the election falls back to round-robin and the chain stays live.
+        stake = StakeLedger.from_balances({"g0": 4, "g1": 0, "g2": 0})
+        election = LeaderElection(gov_im, ["g1", "g2"])
+        assert [election.run(stake, r) for r in (1, 2, 3)] == ["g1", "g2", "g1"]
+
     def test_missing_announcement_rejected(self, gov_im):
         stake = StakeLedger.from_balances({g: 1 for g in GOVS})
         anns = self._announce_all(gov_im, stake, 1)[:-1]

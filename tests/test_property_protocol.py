@@ -5,7 +5,8 @@ workload validity rate) must always preserve the run-level invariants:
 
 * the five Section-3.1 properties;
 * Lemma 2 in expectation (unchecked count bounded);
-* conservation of rewards (payouts sum to pool per round);
+* conservation of rewards (payouts sum to pool per round, on both
+  engines, and the run record and its ``engine_*`` export add them up);
 * determinism (same config + seed => identical chains).
 """
 
@@ -22,9 +23,11 @@ from repro.agents.behaviors import (
     MisreportBehavior,
 )
 from repro.core.params import ProtocolParams
+from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.protocol import ProtocolEngine
 from repro.ledger.properties import check_all_properties
 from repro.network.topology import Topology
+from repro.obs.registry import MetricsRegistry
 from repro.workloads.generator import BernoulliWorkload
 
 _engine_configs = st.fixed_dictionaries(
@@ -47,18 +50,19 @@ _slow = settings(
 )
 
 
-def _build(config):
+def _build(config, host="inproc", obs=None):
     n = config["n"]
     topo = Topology.regular(l=n * config["mult"], n=n, m=config["m"], r=config["r"])
     kinds = [MisreportBehavior(0.5), ConcealBehavior(0.5), AlwaysInvertBehavior()]
     behaviors = {
         topo.collectors[i]: kinds[i % len(kinds)] for i in range(config["adversaries"])
     }
-    engine = ProtocolEngine(
+    engine = {"inproc": ProtocolEngine, "net": NetworkedProtocolEngine}[host](
         topo,
         ProtocolParams(f=config["f"]),
         behaviors=behaviors,
         seed=config["seed"],
+        obs=obs,
     )
     workload = BernoulliWorkload(
         topo.providers, p_valid=config["p_valid"], seed=config["seed"] + 1
@@ -78,15 +82,40 @@ def test_property_five_properties_always_hold(config):
     assert report.all_hold, report.violations
 
 
-@given(_engine_configs)
-@_slow
-def test_property_rewards_conserved(config):
-    """Every round's payouts sum to the configured pool."""
-    engine, workload = _build(config)
+def _check_rewards(config, host):
+    obs = MetricsRegistry()
+    engine, workload = _build(config, host, obs)
     pool = engine.params.reward_pool_per_block
+    paid: dict[str, float] = {}
     for _ in range(3):
         result = engine.run_round(workload.take(8))
         assert sum(result.rewards.values()) == pytest.approx(pool)
+        for cid, amount in result.rewards.items():
+            paid[cid] = paid.get(cid, 0.0) + amount
+    record = engine.metrics
+    assert record.rewards_paid == pytest.approx(paid)
+    readings = {
+        "engine_rounds_total": record.rounds,
+        "engine_tx_offered_total": record.transactions_offered,
+        "engine_argues_total": record.argues_total,
+    }
+    assert {name: obs._metrics[name].value for name in readings} == readings
+    assert (record.rounds, record.transactions_offered) == (3, 24)
+
+
+@given(_engine_configs)
+@_slow
+def test_property_rewards_conserved(config):
+    """Every round's payouts sum to the configured pool; the run record
+    sums the payouts, and the ``engine_*`` counters read the record."""
+    _check_rewards(config, "inproc")
+
+
+@given(_engine_configs)
+@_slow
+def test_property_rewards_conserved_net(config):
+    """The same on the networked engine, which closes a round the same way."""
+    _check_rewards(config, "net")
 
 
 @given(_engine_configs)

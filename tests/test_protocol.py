@@ -75,7 +75,7 @@ class TestBasicExecution:
         engine, topo = make_engine(stake={"g0": 4, "g1": 0, "g2": 0, "g3": 0})
         engine.expel_governor("g0")
         results = run_rounds(engine, topo, rounds=4)
-        assert [r.leader for r in results] == ["g1", "g2", "g3", "g1"]
+        assert [r.block.proposer for r in results] == ["g1", "g2", "g3", "g1"]
 
 
 class TestForgeries:
@@ -144,7 +144,6 @@ class TestStake:
         assert msgs > 0
         assert engine.stake.balance("g0") == 2
         assert engine.stake.balance("g1") == 4
-        assert engine.metrics.stake_messages == msgs
 
     def test_transfer_beyond_balance_fails(self):
         engine, _topo = make_engine(stake={"g0": 1, "g1": 1, "g2": 1, "g3": 1})
@@ -155,21 +154,6 @@ class TestStake:
         topo = Topology.regular(l=8, n=4, m=4, r=2)
         with pytest.raises(ConfigurationError):
             ProtocolEngine(topo, ProtocolParams(), stake={"gX": 1})
-
-
-class TestMessageAccounting:
-    def test_provider_messages_count(self):
-        engine, topo = make_engine()
-        run_rounds(engine, topo, rounds=2, per_round=10)
-        # Each tx goes to r = 2 collectors.
-        assert engine.metrics.provider_messages == 2 * 10 * 2
-
-    def test_collector_messages_scale_with_m(self):
-        e4, t4 = make_engine(m=4)
-        run_rounds(e4, t4, rounds=2, per_round=10)
-        e8, t8 = make_engine(m=8)
-        run_rounds(e8, t8, rounds=2, per_round=10)
-        assert e8.metrics.collector_messages == 2 * e4.metrics.collector_messages
 
 
 class TestLemma2InEngine:

@@ -23,7 +23,7 @@ class TestStakeLedger:
     def test_from_balances(self):
         ledger = StakeLedger.from_balances({"g0": 3, "g1": 1})
         assert ledger.balance("g0") == 3
-        assert ledger.total == 4
+        assert sum(ledger.snapshot().values()) == 4
 
     def test_negative_initial_rejected(self):
         with pytest.raises(StakeError):
@@ -37,7 +37,7 @@ class TestStakeLedger:
         ledger.apply(transfer(amount=2))
         assert ledger.balance("g0") == 1
         assert ledger.balance("g1") == 3
-        assert ledger.total == 4
+        assert sum(ledger.snapshot().values()) == 4
 
     def test_apply_to_unseen_receiver(self):
         ledger = StakeLedger.from_balances({"g0": 3})

@@ -2,8 +2,10 @@
 """Tracked benchmark twins that no longer match what the code produces.
 
 Runs ``pytest benchmarks --benchmark-disable`` in a copy of the checkout
-(the run rewrites ``benchmarks/results/``), then compares each tracked
-``BENCH_*.json`` twin with the one the run wrote.  Two kinds of field
+(the run rewrites ``benchmarks/results/``), then the two full-scale
+scripts that alone write E16's and E18's twins (``bench_shards.py
+--workers 4`` and ``bench_streaming.py``), then compares each tracked
+``BENCH_*.json`` twin with the one the runs wrote.  Two kinds of field
 never count: ``meta`` (the run's duration and interpreter) and the
 wall-clock or socket-timing fields a bench names when it writes the twin
 (``emit(timing=...)``, kept in the twin's ``timing`` list).  Every other
@@ -20,9 +22,7 @@ Usage::
 
     python tools/fresh_twins.py
 
-Exit status 1 if the bench run failed or any twin differs.  E16's and
-E18's twins are written only by their full-scale scripts, which this run
-does not start, so they always compare equal here.
+Exit status 1 if a bench run failed or any twin differs.
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: What the bench run reads, copied out of the checkout before it starts.
 COPIED = ("src", "benchmarks", "pyproject.toml")
+
+#: What the bench runs execute in the copy: the suite, then the scripts
+#: that alone write a tracked twin at full scale (E16, E18).
+RUNS = (
+    ("-m", "pytest", "benchmarks", "--benchmark-disable", "-q", "-p", "no:cacheprovider"),
+    ("benchmarks/bench_shards.py", "--workers", "4"),
+    ("benchmarks/bench_streaming.py",),
+)
 
 #: Twin fields no comparison reads.
 UNCOMPARED = ("meta", "timing")
@@ -112,11 +120,11 @@ def main() -> int:
                 )
             else:
                 shutil.copy2(source, checkout / name)
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "benchmarks", "--benchmark-disable",
-             "-q", "-p", "no:cacheprovider"],
-            cwd=checkout, env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
-        )
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+        failed = [
+            " ".join(args) for args in RUNS
+            if subprocess.run([sys.executable, *args], cwd=checkout, env=env).returncode
+        ]
         stale = []
         for path in sorted(results.glob("BENCH_*.json")):
             fresh = checkout / "benchmarks" / "results" / path.name
@@ -127,10 +135,10 @@ def main() -> int:
                 print(f"{path.name}: {field}")
             if fields:
                 stale.append(path.name)
-    if run.returncode:
-        print(f"the bench run failed (exit {run.returncode})")
+    for args in failed:
+        print(f"the bench run failed: python {args}")
     print(f"stale twins (regenerate them): {', '.join(stale)}" if stale else "every twin is fresh")
-    return 1 if run.returncode or stale else 0
+    return 1 if failed or stale else 0
 
 
 if __name__ == "__main__":
