@@ -104,7 +104,7 @@ def _run_scale(universe: int, rounds: int, seed: int = SEED) -> dict:
     return {
         "universe": universe,
         "rounds": m.rounds,
-        "committed": m.transactions,
+        "committed": m.transactions_offered,
         "peak_active": m.peak_active,
         "instantiations": m.instantiations,
         "retirements": m.retirements,

@@ -4,8 +4,10 @@
 Manager, topology, provider/collector/governor agents, PoS leader
 election, block store, reward distribution, optional stake-transform
 consensus — and executes the round of :mod:`repro.core.roundcore` with
-every hand-off delivered at once.  It counts no messages; the
-networked engine's network counters are the packet-level record.
+every hand-off delivered at once.  It is the one zero-latency engine:
+the ``stream`` host (:class:`~repro.streaming.app.StreamingApp`) is this
+engine over a lazy population.  It counts no messages; the networked
+engine's network counters are the packet-level record.
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.agents.behaviors import CollectorBehavior
-from repro.agents.governor import Governor
+from repro.audit.auditor import harness_audit
 from repro.consensus.stake import make_transfer
 from repro.consensus.messages import NewStateProposal
 from repro.consensus.stake_consensus import StakeConsensusRound, make_proposal
 from repro.core.params import ProtocolParams
 from repro.core.roundcore import RoundCore, RoundResult
 from repro.exceptions import ConfigurationError, LeaderMisbehaviourError
+from repro.ledger.properties import UPLOADED
 from repro.ledger.store import BlockStore
+from repro.ledger.transaction import LabeledTransaction, TxRecord
 from repro.network.topology import Topology
 from repro.network.visibility import VisibilityMap
 from repro.obs.registry import MetricsRegistry
@@ -33,7 +37,9 @@ class ProtocolEngine(RoundCore):
     """In-process execution of the full three-tier protocol.
 
     Args:
-        topology: The provider/collector/governor link structure.
+        topology: The provider/collector/governor link structure: a
+            :class:`~repro.network.topology.Topology`, or a population
+            that answers the same questions lazily.
         params: Protocol parameters.
         behaviors: collector id -> behaviour; missing ids are honest.
         seed: Master seed; all agent RNGs derive from it.
@@ -74,24 +80,7 @@ class ProtocolEngine(RoundCore):
         # Harness-level AuditReport, filled by finalize().
         self.audit_report = None
         self._register_engine_metrics()
-
-        def register_books(governor: Governor) -> None:
-            if visibility is None:
-                governor.register_topology(topology)
-            else:
-                governor.register_topology(
-                    topology, visibility.collectors_for(governor.governor_id)
-                )
-
-        self._enroll(
-            topology,
-            topology.providers,
-            topology.providers_of,
-            register_books,
-            behaviors,
-            stake,
-            abusive_providers,
-        )
+        self._enroll(topology, behaviors, stake, abusive_providers)
         self._stake_nonce = 0
         self._byzantine: set[str] = set()
         self.expulsions: list[tuple[str, str]] = []
@@ -99,11 +88,59 @@ class ProtocolEngine(RoundCore):
     # -- round execution -------------------------------------------------
 
     def run_round(self, specs: Sequence[TxSpec]) -> RoundResult:
-        """Execute one full round over the given workload batch."""
-        sees = None if self.visibility is None else self.visibility.sees
-        return self._close_round(self._run_zero_latency_round(
-            specs, self.providers.__getitem__, sees,
-            lambda r: self.election.run(self.stake, r),
+        """Execute one full round over the given workload batch, every
+        hand-off delivered at once."""
+        round_number = self._begin_round(specs)
+        timestamp = float(round_number)
+
+        # Collecting and uploading: every linked collector labels.
+        uploads: list[LabeledTransaction] = []
+        flags = self.transcript.flags
+        for provider, tx in self._originate(specs, self.providers.__getitem__, timestamp):
+            for cid in provider.linked_collectors:
+                for labeled in self.collectors[cid].process_all(tx, self.oracle):
+                    uploads.append(labeled)
+                    flags[tx.tx_id] |= UPLOADED
+        # Forgery opportunities: once per collector per round.
+        forged = 0
+        for collector in self.collectors.values():
+            upload = collector.maybe_forge(timestamp)
+            if upload is not None:
+                uploads.append(upload)
+                forged += 1
+
+        # Processing: every governor screens independently (own draws,
+        # own book) what its view receives; the leader's records become
+        # the block.
+        leader_id = self.election.run(self.stake, round_number)
+        visibility = self.visibility
+        leader_records: list[TxRecord] = []
+        for gid, governor in self.governors.items():
+            for upload in uploads:
+                if visibility is None or visibility.sees(gid, upload.collector):
+                    governor.ingest_upload(upload)
+            records = governor.screen_pending()
+            if gid == leader_id:
+                leader_records = records
+        prev_hash = self.governors[leader_id].ledger.tip_hash()
+        block = self._pack(leader_id, prev_hash, leader_records, round_number)
+        for governor in self.governors.values():
+            governor.ledger.append(block)
+
+        # Arguing: an admitted argue is re-validated by every governor
+        # (case-3 update) and its record enters the next block.
+        argues = 0
+        for _provider, tx_id, _serial in self._argue_scan():
+            argues += 1
+            admitted: TxRecord | None = None
+            for governor in self.governors.values():
+                record = governor.handle_argue(tx_id)
+                if record is not None:
+                    admitted = record
+            if admitted is not None:
+                self._reevaluated_queue[tx_id] = admitted
+        return self._close_round(RoundResult(
+            block, len(specs), argues, len(self._reevaluated_queue), forged, uploads
         ))
 
     # -- stake transfers ---------------------------------------------------
@@ -193,6 +230,18 @@ class ProtocolEngine(RoundCore):
 
     def finalize(self) -> None:
         """Close the books: pack what an argue admitted in a closing round,
-        reveal every pending truth, run the harness audit into ``audit_report``."""
-        self._close_books(lambda: self.run_round(()))
-        self._harness_audit("harness", self.topology.r)
+        reveal every pending truth, then audit replica agreement and the
+        Theorem-1 regret into ``audit_report``."""
+        # The engine's own round: a host's run_round may add load (the
+        # stream host's arrivals), and a closing round takes none.
+        self._close_books(lambda: ProtocolEngine.run_round(self, ()))
+        self.audit_report = harness_audit(
+            "harness",
+            self.ledgers(),
+            list(self.governors.values()),
+            r=self.topology.r,
+            beta=self.params.beta,
+            round_number=self._round,
+            s_min=0.0,  # the paper's premise: one well-behaved collector
+            obs=self.obs,
+        )

@@ -15,7 +15,10 @@ claim experiment E6 measures.
 Scores are computed in log-space: the product of hundreds of weights in
 (0, 1] underflows double precision long before the *ratios* between
 collectors become meaningless, and only ratios matter for a
-proportional split.
+proportional split.  Every untouched provider entry holds the book's
+default weight, so a score reads only the touched entries: O(touched),
+not O(providers), which is what lets a streaming host over 10^6
+providers pay a reward every round.
 """
 
 from __future__ import annotations
@@ -36,13 +39,17 @@ __all__ = [
 def log_score(params: ProtocolParams, book: ReputationBook, collector: str) -> float:
     """``log score(c_i)`` under governor ``book.governor``'s view.
 
-    Returns ``-inf`` only if a provider weight hit the representational
-    floor, which in practice means "no share".
+    The sum of ``log w`` over the touched entries, plus the untouched
+    ones' ``log(default)`` times their count; it never iterates the
+    membership.  Returns ``-inf`` only if a provider weight hit the
+    representational floor, which in practice means "no share".
     """
     vector = book.vector(collector)
+    weights = vector.provider_weights
     total = 0.0
-    for weight in vector.provider_weights.values():
+    for weight in weights.overrides.values():
         total += math.log(weight)
+    total += (len(weights) - weights.touched) * math.log(weights.default)
     total += vector.misreport * math.log(params.mu)
     total += vector.forge * math.log(params.nu)
     return total

@@ -17,23 +17,22 @@
    trigger case-3 reputation updates on every governor, and the records
    enter the *next* block.
 
-The engines are shells around it.  ``ProtocolEngine`` and
-``StreamingApp`` run :meth:`RoundCore._run_zero_latency_round`;
+Two engines drive it.  :class:`~repro.core.protocol.ProtocolEngine`
+runs the steps back to back with every hand-off delivered at once, over
+a materialised :class:`~repro.network.topology.Topology` or, as the
+``stream`` host (:class:`~repro.streaming.app.StreamingApp`), over a
+lazy :class:`~repro.streaming.universe.VirtualUniverse`;
 ``NetworkedProtocolEngine`` puts timed messages between the same steps,
 so it calls them one at a time (``_begin_round``, ``_originate``,
-``_pack``, ``_argue_scan``).  Both engines close a round by
+``_pack``, ``_argue_scan``).  Both close a round by
 :meth:`RoundCore._close_round` — the reward from the leader's book and
-one :class:`RunRecord` — and return one :class:`RoundResult`; the
-streaming shell pays no rewards and keeps its own counters.  Every shell
-ends a run by :meth:`RoundCore._close_books`, its own round as the
-closing one.
+one :class:`RunRecord` — and return one :class:`RoundResult`; both end a
+run by :meth:`RoundCore._close_books`, their own round as the closing one.
 
-What differs between the shells enters the shared body as a plain
-callable (provider lookup, upload visibility, leader choice); the body
-never asks which shell called it.  Draw order is part of the contract:
-enrolment draws keys providers → collectors → governors and RNG seeds
-collectors → governors → abusive providers, as every seeded ledger
-pinned in ``tests/golden_matrix.json`` expects.
+Draw order is part of the contract: enrolment draws keys providers →
+collectors → governors and RNG seeds collectors → governors → abusive
+providers, as every seeded ledger pinned in ``tests/golden_matrix.json``
+expects.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.agents.behaviors import CollectorBehavior, HonestBehavior
 from repro.agents.collector import Collector
 from repro.agents.governor import Governor
 from repro.agents.provider import Provider
-from repro.audit.auditor import harness_audit
 from repro.consensus.pos import LeaderElection
 from repro.consensus.stake import StakeLedger
 from repro.core.params import ProtocolParams
@@ -53,13 +51,14 @@ from repro.core.rewards import distribute_rewards
 from repro.crypto.identity import IdentityManager, Role
 from repro.exceptions import ConfigurationError
 from repro.ledger.block import Block
-from repro.ledger.properties import BROADCAST, HONEST_VALID, UPLOADED, RunTranscript
+from repro.ledger.properties import BROADCAST, HONEST_VALID, RunTranscript
 from repro.ledger.transaction import LabeledTransaction, SignedTransaction, TxRecord
 from repro.ledger.validation import CountingOracle, GroundTruthOracle
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.rng import Generator, default_rng
 
 if TYPE_CHECKING:
+    from repro.network.visibility import VisibilityMap
     # repro.workloads imports the engines; a runtime import would cycle.
     from repro.workloads.generator import TxSpec
 
@@ -88,7 +87,7 @@ class RoundResult:
     #: car-sharing dispatcher reads driver willingness from their labels.
     uploads: Sequence[LabeledTransaction] = ()
     #: collector id -> reward paid from the leader's book; None until
-    #: :meth:`RoundCore._close_round` pays it (the streaming host never does).
+    #: :meth:`RoundCore._close_round` pays it.
     rewards: Mapping[str, float] | None = field(default=None, init=False)
 
 
@@ -110,6 +109,9 @@ class RoundCore:
     or its durable twin) and own whatever surrounds the round.
     """
 
+    #: The run record's type: a host that counts more extends it.
+    run_record = RunRecord
+
     def __init__(self, params: ProtocolParams, seed: int, obs: MetricsRegistry | None):
         self.params = params
         self.seed = seed
@@ -120,6 +122,9 @@ class RoundCore:
         self.providers: dict[str, Provider] = {}
         self.collectors: dict[str, Collector] = {}
         self.governors: dict[str, Governor] = {}
+        #: Which collectors' uploads each governor receives (paper §3.1's
+        #: partial view); None is the full view.
+        self.visibility: VisibilityMap | None = None
         self._round = 0
         # Records admitted by an argue, awaiting the next block.
         self._reevaluated_queue: dict[str, TxRecord] = {}
@@ -128,7 +133,7 @@ class RoundCore:
     def _register_engine_metrics(self) -> None:
         """Open the run record ``metrics`` and the ``engine_*`` family that
         reads it, with the one histogram (see OBSERVABILITY.md)."""
-        record = self.metrics = RunRecord()
+        record = self.metrics = self.run_record()
         self.obs.counter(
             "engine_rounds_total", "Protocol rounds executed", read=lambda: record.rounds
         )
@@ -157,9 +162,6 @@ class RoundCore:
     def _enroll(
         self,
         population,
-        providers: Sequence[str],
-        members_of: Callable[[str], Sequence[str]],
-        register_books: Callable[[Governor], None],
         behaviors: Mapping[str, CollectorBehavior] | None,
         stake: Mapping[str, int] | None = None,
         abuse_rates: Mapping[str, float] | None = None,
@@ -167,27 +169,26 @@ class RoundCore:
         """Enrol every agent in role order, then open the PoS ledger.
 
         ``population`` (a ``Topology`` or a ``VirtualUniverse``) names the
-        collectors and governors and maps a provider to its collectors.
-        ``providers`` are enrolled now — none for a streaming population,
-        which enrols on arrival — and get their links registered;
-        ``members_of(cid)`` is a collector's provider membership (a
-        tuple, or a lazy view); ``register_books`` creates a governor's
-        reputation vectors; ``stake`` defaults to one unit each.
+        agents and links: its ``providers`` are enrolled now — none for a
+        streaming population, which enrols on arrival — and each
+        governor's books register its visible collectors' memberships
+        (``providers_of``: a tuple, or a lazy view).  ``stake`` defaults
+        to one unit each.
         """
         collectors, governors = population.collectors, population.governors
         behaviors = behaviors or {}
         abuse_rates = abuse_rates or {}
         initial_stake = dict(stake) if stake else {g: 1 for g in governors}
         _reject_unknown("behaviours", behaviors, "collectors", collectors)
-        _reject_unknown("abuse rates", abuse_rates, "providers", providers)
+        _reject_unknown("abuse rates", abuse_rates, "providers", population.providers)
         _reject_unknown("stake", initial_stake, "governors", governors)
-        keys = {pid: self.im.enroll(pid, Role.PROVIDER) for pid in providers}
+        keys = {pid: self.im.enroll(pid, Role.PROVIDER) for pid in population.providers}
         for cid in collectors:
             key = self.im.enroll(cid, Role.COLLECTOR)
             self.collectors[cid] = Collector(
                 collector_id=cid,
                 key=key,
-                linked_providers=members_of(cid),
+                linked_providers=population.providers_of(cid),
                 behavior=behaviors.get(cid, HonestBehavior()),
                 rng=self.draw_rng(),
             )
@@ -202,7 +203,10 @@ class RoundCore:
                 rng=self.draw_rng(),
                 obs=self.obs,
             )
-            register_books(governor)
+            governor.register_topology(
+                population,
+                None if self.visibility is None else self.visibility.collectors_for(gid),
+            )
             self.governors[gid] = governor
         # Abuse RNGs come last, so turning abuse on re-seeds no other agent.
         for pid, key in keys.items():
@@ -275,74 +279,8 @@ class RoundCore:
                     yield provider.provider_id, tx_id, fresh.serial
                 fresh = self.store.next_for(provider.provider_id)
 
-    def _run_zero_latency_round(
-        self,
-        specs: Sequence[TxSpec],
-        provider_of: Callable[[str], Provider],
-        sees: Callable[[str, str], bool] | None,
-        elect: Callable[[int], str],
-    ) -> RoundResult:
-        """One full round with every hand-off delivered at once.
-
-        ``provider_of`` maps a provider id to its agent (and may create
-        it); ``sees(governor, collector)`` says whether the governor
-        receives that collector's uploads (None = full view);
-        ``elect`` maps the round number to the leader id.  No reward is
-        paid: a shell that pays one passes the result to :meth:`_close_round`.
-        """
-        round_number = self._begin_round(specs)
-        timestamp = float(round_number)
-
-        # Collecting and uploading: every linked collector labels.
-        uploads: list[LabeledTransaction] = []
-        flags = self.transcript.flags
-        for provider, tx in self._originate(specs, provider_of, timestamp):
-            for cid in provider.linked_collectors:
-                for labeled in self.collectors[cid].process_all(tx, self.oracle):
-                    uploads.append(labeled)
-                    flags[tx.tx_id] |= UPLOADED
-        # Forgery opportunities: once per collector per round.
-        forged = 0
-        for collector in self.collectors.values():
-            upload = collector.maybe_forge(timestamp)
-            if upload is not None:
-                uploads.append(upload)
-                forged += 1
-
-        # Processing: every governor screens independently (own draws,
-        # own book); the leader's records become the block.
-        leader_id = elect(round_number)
-        leader_records: list[TxRecord] = []
-        for gid, governor in self.governors.items():
-            for upload in uploads:
-                if sees is None or sees(gid, upload.collector):
-                    governor.ingest_upload(upload)
-            records = governor.screen_pending()
-            if gid == leader_id:
-                leader_records = records
-        prev_hash = self.governors[leader_id].ledger.tip_hash()
-        block = self._pack(leader_id, prev_hash, leader_records, round_number)
-        for governor in self.governors.values():
-            governor.ledger.append(block)
-
-        # Arguing: an admitted argue is re-validated by every governor
-        # (case-3 update) and its record enters the next block.
-        argues = 0
-        for _provider, tx_id, _serial in self._argue_scan():
-            argues += 1
-            admitted: TxRecord | None = None
-            for governor in self.governors.values():
-                record = governor.handle_argue(tx_id)
-                if record is not None:
-                    admitted = record
-            if admitted is not None:
-                self._reevaluated_queue[tx_id] = admitted
-        return RoundResult(
-            block, len(specs), argues, len(self._reevaluated_queue), forged, uploads
-        )
-
     def _close_round(self, result: RoundResult) -> RoundResult:
-        """Close a round on both engines: pay the reward from the leader's
+        """Close a round on every host: pay the reward from the leader's
         book into ``result.rewards``, add the round to the run record and
         observe the block's size."""
         block = result.block
@@ -374,19 +312,6 @@ class RoundCore:
         while self._reevaluated_queue:
             closing_round()
         self.reveal_pending()
-
-    def _harness_audit(self, owner: str, r: int) -> None:
-        """Audit replica agreement and Theorem-1 regret into ``audit_report``."""
-        self.audit_report = harness_audit(
-            owner,
-            self.ledgers(),
-            list(self.governors.values()),
-            r=r,
-            beta=self.params.beta,
-            round_number=self._round,
-            s_min=0.0,  # the paper's premise: one well-behaved collector
-            obs=self.obs,
-        )
 
     # -- accessors ---------------------------------------------------------
 

@@ -16,6 +16,7 @@ other).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterator
 
@@ -115,7 +116,10 @@ class VirtualUniverse:
     reputation overrides are only instantiated for those that actually
     arrive.  At any ``universe == l`` the structure is link-for-link the
     topology :meth:`Topology.regular` builds (locked by a test), so the
-    streaming path is a strict lazification, not a new graph family.
+    streaming path is a strict lazification, not a new graph family.  It
+    answers an engine's enrolment questions the way a ``Topology`` does:
+    :attr:`providers` names none up front, and :meth:`providers_of` is a
+    collector's lazy membership view.
     """
 
     universe: int
@@ -125,6 +129,11 @@ class VirtualUniverse:
 
     def __post_init__(self) -> None:
         check_circulant_shape(self.universe, self.n, self.m, self.r)
+
+    @property
+    def providers(self) -> tuple[str, ...]:
+        """None: a streaming population enrols each provider on its first arrival."""
+        return ()
 
     @property
     def collectors(self) -> tuple[str, ...]:
@@ -149,8 +158,15 @@ class VirtualUniverse:
             )
         return tuple([collector_id(i) for i in circulant_indices(k, self.n, self.r)])
 
-    def collector_members(self) -> dict[str, CollectorMembers]:
-        """collector id -> membership view, for book registration."""
+    def providers_of(self, collector: str) -> CollectorMembers:
+        """The lazy membership view of the providers ``collector`` oversees."""
+        try:
+            return self._members[collector]
+        except KeyError:
+            raise TopologyError(f"unknown collector {collector!r}") from None
+
+    @cached_property
+    def _members(self) -> dict[str, CollectorMembers]:
         return {
             collector_id(i): CollectorMembers(self.universe, self.n, self.r, i)
             for i in range(self.n)

@@ -20,6 +20,7 @@ from repro.ledger.transaction import (
     tx_message,
 )
 from repro.ledger.validation import CountingOracle, GroundTruthOracle
+from repro.network.topology import Topology
 from repro.rng import default_rng
 
 
@@ -38,7 +39,11 @@ def ingest(im: IdentityManager, upload, governor: str = "g0") -> tuple[bool, int
         oracle=CountingOracle(inner=GroundTruthOracle()),
         rng=default_rng(0),
     )
-    gov.register_streaming({upload.collector: (upload.tx.provider,)})
+    provider, collector = upload.tx.provider, upload.collector
+    gov.register_topology(Topology(
+        (provider,), (collector,), (governor,),
+        {provider: (collector,)}, {collector: (provider,)},
+    ))
     return gov.ingest_upload(upload), gov.metrics.forgeries_caught
 
 

@@ -45,11 +45,11 @@ def _family(line: str) -> str:
     return line.partition(" ")[0].partition("{")[0]
 
 
-def export_digest(obs: MetricsRegistry, leave_out: tuple[str, ...] = ()) -> str:
+def export_digest(obs: MetricsRegistry) -> str:
     kept = [
         line
         for line in to_prometheus(obs).splitlines()
-        if not _family(line).startswith(HOST_DEPENDENT + leave_out)
+        if not _family(line).startswith(HOST_DEPENDENT)
     ]
     assert kept, "a live registry exported nothing"
     return hashlib.sha256("\n".join(kept).encode()).hexdigest()
@@ -111,19 +111,14 @@ PINNED = {
     _paper_default: "2278fc3855b8a2121b5fe0da3205b524368d10958f60baef7b5720e5b0b655ba",
     _networked_faulted: "2a1f36b4064a540d80a55d76a42e3b547eb1220dc0daf696d2309dbfbec5bc01",
     _sharded_quad_serial: "fb30982e880ba197ed5fef0a7301257135a929c7aed262a77363d3f8ad833e9a",
-    _stream_smoke: "a80c4c53ab45bb5bffe14728a1b1293459f0c75edd921f815410526ede525444",
+    _stream_smoke: "0df7b21ecfc88dd30f1febab39770f415808e9f58afe7ff5dd7c136af6684ed5",
     _durable_reopened: "d4aee90637a38882ad8c7d7bd969476fce4abd84183bf18131feb92afff33af3",
 }
 
-
-#: A streaming session never published the verification-cache size (its
-#: rounds do not pass through the engines' round close), so on that host
-#: the gauge read 0 whatever the cache held.  Not a value worth pinning.
-NEVER_PUBLISHED = {_stream_smoke: ("crypto_sig_cache_entries",)}
 
 
 @pytest.mark.parametrize("run", PINNED, ids=lambda run: run.__name__.lstrip("_"))
 def test_export_digest_is_pinned(run, tmp_path):
     obs = MetricsRegistry()
     run(obs, tmp_path)
-    assert export_digest(obs, NEVER_PUBLISHED.get(run, ())) == PINNED[run]
+    assert export_digest(obs) == PINNED[run]

@@ -5,8 +5,8 @@ workload validity rate) must always preserve the run-level invariants:
 
 * the five Section-3.1 properties;
 * Lemma 2 in expectation (unchecked count bounded);
-* conservation of rewards (payouts sum to pool per round, on both
-  engines, and the run record and its ``engine_*`` export add them up);
+* conservation of rewards (payouts sum to pool per round, on every
+  host, and the run record and its ``engine_*`` export add them up);
 * determinism (same config + seed => identical chains).
 """
 
@@ -28,6 +28,8 @@ from repro.core.protocol import ProtocolEngine
 from repro.ledger.properties import check_all_properties
 from repro.network.topology import Topology
 from repro.obs.registry import MetricsRegistry
+from repro.streaming.app import StreamingApp
+from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.generator import BernoulliWorkload
 
 _engine_configs = st.fixed_dictionaries(
@@ -50,6 +52,13 @@ _slow = settings(
 )
 
 
+class _OfferedOnly(StreamingApp):
+    """A stream host that draws no arrivals: a round takes what it is offered."""
+
+    def offered_load(self) -> dict:
+        return {"arrivals": PoissonArrivals(0.0)}
+
+
 def _build(config, host="inproc", obs=None):
     n = config["n"]
     topo = Topology.regular(l=n * config["mult"], n=n, m=config["m"], r=config["r"])
@@ -57,13 +66,16 @@ def _build(config, host="inproc", obs=None):
     behaviors = {
         topo.collectors[i]: kinds[i % len(kinds)] for i in range(config["adversaries"])
     }
-    engine = {"inproc": ProtocolEngine, "net": NetworkedProtocolEngine}[host](
-        topo,
-        ProtocolParams(f=config["f"]),
-        behaviors=behaviors,
-        seed=config["seed"],
-        obs=obs,
-    )
+    params = ProtocolParams(f=config["f"])
+    if host == "stream":  # a lazy population of the same shape, no adversaries
+        engine = _OfferedOnly(
+            universe=len(topo.providers), n=n, m=config["m"], r=config["r"],
+            params=params, seed=config["seed"], obs=obs,
+        )
+    else:
+        engine = {"inproc": ProtocolEngine, "net": NetworkedProtocolEngine}[host](
+            topo, params, behaviors=behaviors, seed=config["seed"], obs=obs
+        )
     workload = BernoulliWorkload(
         topo.providers, p_valid=config["p_valid"], seed=config["seed"] + 1
     )
@@ -116,6 +128,13 @@ def test_property_rewards_conserved(config):
 def test_property_rewards_conserved_net(config):
     """The same on the networked engine, which closes a round the same way."""
     _check_rewards(config, "net")
+
+
+@given(_engine_configs)
+@_slow
+def test_property_rewards_conserved_stream(config):
+    """The same on the stream host, whose books are lazy membership views."""
+    _check_rewards(config, "stream")
 
 
 @given(_engine_configs)

@@ -10,6 +10,7 @@ from repro.core.params import ProtocolParams
 from repro.core.reputation import ReputationBook
 from repro.core.rewards import distribute_rewards, log_score
 from repro.exceptions import ConfigurationError
+from repro.streaming.universe import CollectorMembers
 
 
 def score(params, book, collector) -> float:
@@ -57,6 +58,37 @@ class TestScores:
             params, book, "c1"
         )
         assert ratio == pytest.approx(0.25)
+
+    def test_log_score_reads_only_touched_entries(self):
+        class Unwalkable(CollectorMembers):
+            def __iter__(self):
+                raise AssertionError("log_score walked the membership")
+
+        params = ProtocolParams(mu=2.0)
+        book = ReputationBook(governor="g0", initial=0.75)
+        book.register_collector("c0", Unwalkable(1_000_000, n=8, r=4, collector_index=0))
+        members = book.vector("c0").provider_weights
+        assert len(members) == 500_000
+        for pid, factor in (("p0", 0.5), ("p2", 0.25), ("p999998", 0.9)):
+            book.vector("c0").scale(pid, factor)
+        book.record_checked("c0", labeled_correctly=True)
+        expected = (
+            math.log(0.375) + math.log(0.1875) + math.log(0.675)
+            + (500_000 - 3) * math.log(0.75) + math.log(2.0)
+        )
+        assert log_score(params, book, "c0") == pytest.approx(expected)
+
+    def test_log_score_equals_the_member_walk(self):
+        params = ProtocolParams(mu=2.0, nu=4.0)
+        book = ReputationBook(governor="g0", initial=0.9)
+        book.register_collector("c0", tuple(f"p{k}" for k in range(40)))
+        vec = book.vector("c0")
+        for k in range(0, 40, 3):
+            vec.scale(f"p{k}", 0.5 + k / 100)
+        vec.misreport, vec.forge = 2, -1
+        walked = sum(math.log(w) for w in vec.provider_weights.values())
+        walked += 2 * math.log(2.0) - math.log(4.0)
+        assert log_score(params, book, "c0") == pytest.approx(walked)
 
     def test_log_score_avoids_underflow(self):
         params = ProtocolParams()
