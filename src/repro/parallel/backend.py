@@ -78,8 +78,6 @@ class HostSpec:
     #: Global behaviour map; each engine filters to its own collectors.
     behaviors: Mapping[str, object]
     seed: int
-    min_delay: float
-    max_delay: float
     resilience: bool
     #: Per-shard :class:`~repro.storage.StorageConfig` (or None).
     storage: tuple
@@ -164,8 +162,6 @@ def build_shard_engine(
             cid: b for cid, b in spec.behaviors.items() if cid in topology.collectors
         },
         seed=spec.seed + 7919 * (shard + 1),
-        min_delay=spec.min_delay,
-        max_delay=spec.max_delay,
         resilience=spec.resilience,
         obs=obs,
         sim=sim,

@@ -61,6 +61,7 @@ from typing import Mapping, Sequence
 
 from repro.agents.behaviors import CollectorBehavior
 from repro.audit.xshard import CrossShardAuditor
+from repro.core.netengine import MAX_DELAY
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan
@@ -118,9 +119,9 @@ class ShardCoordinator:
             from it, and reshuffle permutations mix in the epoch.
         epoch_rounds: Reshuffle every this many super-rounds (None:
             only on explicit :meth:`reshuffle` calls).
-        min_delay / max_delay / resilience / obs: Forwarded to
-            every shard engine (see
-            :class:`~repro.core.netengine.NetworkedProtocolEngine`).
+        resilience / obs: Forwarded to every shard engine (see
+            :class:`~repro.core.netengine.NetworkedProtocolEngine`),
+            which runs the engine's default channel delays.
         workers: ``None`` or ``1`` selects the serial in-process
             backend; ``>= 2`` spawns that many worker processes and
             distributes shards round-robin (capped at the shard count).
@@ -136,8 +137,6 @@ class ShardCoordinator:
         behaviors: Mapping[str, CollectorBehavior] | None = None,
         seed: int = 0,
         epoch_rounds: int | None = None,
-        min_delay: float = 0.005,
-        max_delay: float = 0.05,
         resilience: bool = False,
         obs: MetricsRegistry | None = None,
         workers: int | None = None,
@@ -150,14 +149,11 @@ class ShardCoordinator:
         self.seed = seed
         self.epoch_rounds = epoch_rounds
         self.obs = obs if obs is not None else NULL_REGISTRY
-        self._max_delay = max_delay
         spec = HostSpec(
             topology=topology,
             params=params,
             behaviors=dict(behaviors or {}),
             seed=seed,
-            min_delay=min_delay,
-            max_delay=max_delay,
             resilience=resilience,
             storage=tuple(storage or [None] * topology.num_shards),
             shards=tuple(range(topology.num_shards)),
@@ -492,7 +488,7 @@ class ShardCoordinator:
             walk_recovery_drain(
                 lambda: self.backend.repair_scan(k),
                 lambda dt: self.backend.run_until(self.now + dt),
-                self._max_delay,
+                MAX_DELAY,
             )
 
     def close(self) -> None:

@@ -36,8 +36,8 @@ PARAMETERS = {
         "stake", "resilience", "obs", "sim", "storage", "network_factory",
     ),
     ShardCoordinator: (
-        "topology", "params", "behaviors", "seed", "epoch_rounds", "min_delay",
-        "max_delay", "resilience", "obs", "workers", "storage",
+        "topology", "params", "behaviors", "seed", "epoch_rounds", "resilience",
+        "obs", "workers", "storage",
     ),
     build: ("preset", "seed", "storage_dir", "workers", "custodians", "obs"),
     AtomicBroadcast: ("network", "obs"),
