@@ -67,6 +67,9 @@ __all__ = ["ParallelBackend", "parallel_metrics"]
 #: Seconds a worker may stay silent in one phase before the barrier
 #: declares it crashed.
 PHASE_TIMEOUT = 60.0
+#: Seconds a worker has to exit once told to (a ``shutdown``, a kill, or
+#: its driver's death, which its pipe reads as EOF).
+EXIT_TIMEOUT = 5.0
 
 
 def parallel_metrics(
@@ -236,16 +239,16 @@ class ParallelBackend:
         for handle in serving:
             with suppress(ParallelExecutionError):
                 if handle.alive:  # the send reached it
-                    self._recv(handle, "shutdown", timeout=5.0)
+                    self._recv(handle, "shutdown", timeout=EXIT_TIMEOUT)
         for handle in handles:
             handle.alive = False
             if handle.proc is not None:
                 if handle not in serving:  # hung or already dead
                     handle.proc.kill()
-                handle.proc.join(timeout=5.0)
+                handle.proc.join(timeout=EXIT_TIMEOUT)
                 if handle.proc.is_alive():
                     handle.proc.kill()
-                    handle.proc.join(timeout=5.0)
+                    handle.proc.join(timeout=EXIT_TIMEOUT)
             if handle.conn is not None:
                 handle.conn.close()
 
@@ -329,7 +332,7 @@ class ParallelBackend:
             # ends even a wedged or stopped process, so the driver never
             # blocks.
             handle.proc.kill()
-            handle.proc.join(timeout=5.0)
+            handle.proc.join(timeout=EXIT_TIMEOUT)
             exitcode = handle.proc.exitcode
         self.crashes[phase] += 1
         raise WorkerCrashError(

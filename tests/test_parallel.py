@@ -46,7 +46,7 @@ from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.network.custodian import start_server_thread
 from repro.obs import MetricsRegistry
 from repro.parallel.backend import ShardHost
-from repro.parallel.pool import ParallelBackend
+from repro.parallel.pool import EXIT_TIMEOUT, ParallelBackend
 from repro.sharding import ShardCoordinator
 from repro.storage import StorageConfig
 from repro.workloads.scenarios import SCENARIOS, build
@@ -60,16 +60,35 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: A driver that boots three shards on three workers, prints their pids,
 #: stops the last one forked and SIGKILLs itself, so nothing of it can
 #: shut them down.  The stopped worker cannot exit, so only closing the
-#: copies of its siblings' driver ends lets their EOF through.
+#: copies of its siblings' driver ends lets their EOF through.  It closes
+#: them first thing, but a fork returns before the child has run at all:
+#: the driver waits for the close before the stop, or a worker stopped
+#: earlier would hold its siblings' ends open until it is continued.
 DRIVER_THAT_DIES = """
 import os, signal, time
 from dataclasses import replace
+from repro.parallel.pool import PHASE_TIMEOUT
 from repro.workloads.scenarios import SCENARIOS, build
 
 three = replace(SCENARIOS["sharded-smoke"], l=12, n=6, m=6, shards=3)
 coordinator, _, _ = build(three, seed=3, workers=3)
-pids = [handle.proc.pid for handle in coordinator.backend._workers]
+workers = coordinator.backend._workers
+pids = [handle.proc.pid for handle in workers]
 print(*pids, flush=True)
+driver_ends = {f"socket:[{os.fstat(h.conn.fileno()).st_ino}]" for h in workers}
+
+def holds_driver_ends(pid):
+    links = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            links.add(os.readlink(f"/proc/{pid}/fd/{fd}"))
+        except FileNotFoundError:
+            pass
+    return links & driver_ends
+
+deadline = time.monotonic() + PHASE_TIMEOUT
+while holds_driver_ends(pids[-1]) and time.monotonic() < deadline:
+    time.sleep(0.01)
 os.kill(pids[-1], signal.SIGSTOP)
 while open(f"/proc/{pids[-1]}/stat").read().rsplit(")", 1)[1].split()[0] != "T":
     time.sleep(0.01)
@@ -294,9 +313,9 @@ class TestBoot:
             assert (returncode, len(pids)) == (-signal.SIGKILL, 3), stderr.read()
         *siblings, stopped = pids
         try:
-            assert still_running(siblings, within=5.0) == []
+            assert still_running(siblings, within=EXIT_TIMEOUT) == []
             os.kill(stopped, signal.SIGCONT)
-            assert still_running([stopped], within=5.0) == []
+            assert still_running([stopped], within=EXIT_TIMEOUT) == []
         finally:
             for pid in pids:  # orphans: nothing else will end them
                 if not exited(pid):
