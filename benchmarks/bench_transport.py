@@ -80,6 +80,16 @@ CONFIG = TransportConfig(
     stall_timeout=30.0,
 )
 
+#: The chaos run's wire counters that its send deadlines and reconnect
+#: backoff decide on the wall clock (one late ack is one more
+#: retransmit, and every frame after it meets other proxy draws), so a
+#: rerun on a loaded host need not reproduce them; its tip, height and
+#: sim clock must.
+CHAOS_TIMED = (
+    "frames_*", "retransmits", "deadline_expiries", "backoff_sleeps",
+    "reconnects", "proxy_frames_*",
+)
+
 
 def _tpt_snapshot(registry: MetricsRegistry, peers: list[str]) -> dict:
     metrics = transport_metrics(registry)
@@ -221,7 +231,14 @@ def run_suite(quick: bool = False) -> dict:
         registry=chaos_reg,
         duration_s=time.perf_counter() - t0,
         quick=quick,
-        timing=("chaos.bytes_*", "bytes_*.chaos", "tpt_bytes_total"),
+        timing=(
+            "chaos.bytes_*", "bytes_*.chaos", "tpt_bytes_total",
+            *(f"chaos.{c}" for c in CHAOS_TIMED),
+            *(f"{c}.chaos" for c in CHAOS_TIMED),
+            "tpt_frames_total", "tpt_retransmits_total",
+            "tpt_send_deadline_expiries_total", "tpt_reconnects_total",
+            "tpt_backoff_sleeps_total",
+        ),
     )
     return metrics
 
