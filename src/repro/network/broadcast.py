@@ -253,8 +253,8 @@ class AtomicBroadcast:
             for member in self._members[group]:
                 self._transport.send(sender, member, payload, size_hint=size_hint)
         else:
-            # One vectorized latency draw for the whole fan-out (see
-            # SyncNetwork.multicast); bit-identical to per-member sends.
+            # One fan-out call (see SyncNetwork.multicast), bit-identical
+            # to per-member sends.
             self.network.multicast(
                 sender, self._members[group], payload, size_hint=size_hint
             )

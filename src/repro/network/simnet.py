@@ -388,10 +388,10 @@ class SyncNetwork:
         """Send the same payload to each receiver (independent delays).
 
         Fast path: with no fault hook, no partitions, and all receivers
-        registered, the per-edge latencies come from ONE batched RNG
-        call instead of one scalar draw per edge.
-        :meth:`repro.rng.Generator.uniform` with ``size=n`` makes the n
-        scalar draws in order, so the fast path is bit-identical to the
+        registered, it skips :meth:`send`'s per-edge fault and
+        partition checks.  The latencies still come one scalar draw per
+        edge (:meth:`repro.rng.Generator.uniform` with ``size=n`` loops
+        over n draws in order), so the fast path is bit-identical to the
         loop of :meth:`send` calls it replaces.
         """
         if (
