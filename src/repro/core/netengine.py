@@ -104,14 +104,15 @@ class RoundContext:
     """In-flight state of a phase-split round (see :meth:`begin_round`).
 
     :meth:`NetworkedProtocolEngine.run_round` is split into
-    ``begin_round`` / ``begin_argue`` / ``complete_round`` so a
-    :class:`~repro.sharding.ShardCoordinator` can start one round on
-    *every* shard engine and drain them all with a single shared
-    ``sim.run`` — the shards' rounds overlap in simulated time instead
-    of running back to back.  The context carries everything the later
-    phases need; callers must advance the shared simulator to
-    ``drain_until`` between ``begin_round`` and ``begin_argue``, and to
-    ``begin_argue``'s returned time before ``complete_round``.
+    ``begin_round`` / ``begin_argue`` / ``complete_round`` so a shard
+    host (:meth:`~repro.parallel.backend.ShardHost.run_round`) can start
+    one round on *every* engine it hosts and drain them all with a
+    single ``sim.run`` on its one simulator — the shards' rounds overlap
+    in simulated time instead of running back to back.  The context
+    carries everything the later phases need; the caller advances the
+    simulator to ``drain_until`` between ``begin_round`` and
+    ``begin_argue``, and to ``begin_argue``'s returned time before
+    ``complete_round``.
     """
 
     round_number: int
@@ -570,8 +571,7 @@ class NetworkedProtocolEngine(RoundCore):
 
         Schedules but does not drain — the caller advances the simulator
         to ``ctx.drain_until`` before :meth:`begin_argue`, which is what
-        lets a :class:`~repro.sharding.ShardCoordinator` overlap all
-        shards' rounds on one shared clock.
+        lets a shard host overlap its shards' rounds on one clock.
         """
         round_number = self._begin_round(specs)
         t0 = self.sim.now

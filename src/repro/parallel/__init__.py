@@ -9,10 +9,9 @@ through the ops of one class, :class:`~repro.parallel.backend.ShardHost`
   every shard, called directly (``kind == "serial"``);
 * :class:`~repro.parallel.pool.ParallelBackend` spreads the shards over
   forked worker processes, each serving a ``ShardHost`` over its share
-  that the driver built before the fork, synchronized at
-  the ``begin_round`` / ``begin_argue`` / ``complete_round`` phase
-  barriers, receipts batched over pipes (:mod:`~repro.parallel.worker`
-  is the worker side).
+  that the driver built before the fork: one ``run_round`` command per
+  worker runs a whole super-round, and receipts are batched over pipes
+  (:mod:`~repro.parallel.worker` is the worker side).
 
 Both produce bit-identical ledgers for the same seed; the parallel
 backend turns E14's sim-time shard scaling into *wall-clock* scaling

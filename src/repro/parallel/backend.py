@@ -1,12 +1,13 @@
-"""Shard ops, written once: :class:`ShardHost` runs shard engines in phases.
+"""Shard ops, written once: :class:`ShardHost` runs shard engines a super-round at a time.
 
 :class:`~repro.sharding.ShardCoordinator` is split into a *driver*
 (workload routing, receipt bookkeeping, auditing, epoch reshuffles) and
-the *hosts* that run the ``S`` protocol engines through the phase-split
-round API.  A :class:`ShardHost` is a subset of the deployment's shard
-engines on **one** :class:`~repro.network.simnet.Simulator`, built from
-one :class:`HostSpec`; every op takes and returns plain
-picklable ``{shard: value}`` data, so the same class serves as
+the *hosts* that run the ``S`` protocol engines, each super-round in
+one :meth:`ShardHost.run_round` call over the phase-split round API.
+A :class:`ShardHost` is a subset of the deployment's shard engines on
+**one** :class:`~repro.network.simnet.Simulator`, built from one
+:class:`HostSpec`; every op takes and returns plain picklable
+``{shard: value}`` data, so the same class serves as
 
 * the **in-process backend** — one host over all shards, called
   directly by the driver (``kind == "serial"``), and
@@ -24,14 +25,16 @@ simulator's own RNG is never consumed; no event of one engine reads or
 writes another engine's state; and the heap breaks ties at equal times
 by insertion order, which any interleaving with another engine's events
 preserves *within* each engine.  Every phase ends with the clock parked
-at the barrier maximum (``Simulator.run(until=...)`` always parks).  So
-a shard's event history depends only on (a) its own seeded state and
-(b) the barrier times — the same on a host that runs every shard, a
-host that runs two of four, and a host that runs one.  The one
-cross-shard interaction — receipt relays — happens only while the clock
-is parked between super-rounds, and the driver preserves the
-per-remote-shard relay order, so each remote network's latency-RNG draw
-sequence is unchanged.  The in-process backend is the reference every
+at the latest of its shards' targets (``Simulator.run(until=...)``
+always parks), and every shard engine computes a target by one formula
+from the clock the phase starts at, so the latest over a host's shards
+is the latest over all of them.  So a shard's event history depends
+only on (a) its own seeded state and (b) the clock targets — the same
+on a host that runs every shard, a host that runs two of four, and a
+host that runs one.  The one cross-shard interaction — receipt relays —
+happens only while the clock is parked between super-rounds, and the
+driver preserves the per-remote-shard relay order, so each remote
+network's latency-RNG draw sequence is unchanged.  The in-process backend is the reference every
 parallel parity test compares against.
 """
 
@@ -40,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from repro.exceptions import ConfigurationError
 from repro.ledger.properties import check_all_properties
 from repro.network.simnet import Simulator
 from repro.network.topology import ShardedTopology
@@ -247,12 +249,10 @@ def shard_chain_stats(
 class ShardHost:
     """Some of a deployment's shard engines on one simulator clock.
 
-    Ops mirror the driver's super-round: :meth:`relay` (retries),
-    :meth:`begin_round`, :meth:`run_until`, :meth:`begin_argue`,
-    :meth:`run_until`, :meth:`complete_round`, :meth:`scan_commits`,
-    :meth:`relay` (first sends) — then, on epoch boundaries,
-    :meth:`collector_masses` / :meth:`release_collectors` /
-    :meth:`adopt_collectors`.  Engines run with ``obs`` when the host is
+    A super-round is :meth:`run_round` then :meth:`relay` (first sends),
+    and on epoch boundaries :meth:`collector_masses` /
+    :meth:`release_collectors` / :meth:`adopt_collectors`; the host keeps
+    no state between ops.  Engines run with ``obs`` when the host is
     the in-process backend and without in a pool worker (registries are
     process-local; the no-op registry is behaviour-neutral).
     """
@@ -266,45 +266,38 @@ class ShardHost:
         self.engines: dict[int, "NetworkedProtocolEngine"] = {
             k: build_shard_engine(spec, k, self.sim, obs) for k in spec.shards
         }
-        self._ctxs: dict[int, object] = {}
 
-    def begin_round(self, specs: Mapping[int, Sequence[TxSpec]]) -> dict[int, float]:
-        self._ctxs = {k: self.engines[k].begin_round(batch) for k, batch in specs.items()}
-        return {k: ctx.drain_until for k, ctx in self._ctxs.items()}
-
-    def run_until(self, until: float) -> None:
-        self.sim.run(until=until)
-
-    def begin_argue(self) -> dict[int, float]:
-        if not self._ctxs:
-            raise ConfigurationError("begin_argue before begin_round")
-        return {k: self.engines[k].begin_argue(ctx) for k, ctx in self._ctxs.items()}
-
-    def complete_round(self) -> dict[int, ShardRoundInfo]:
-        if not self._ctxs:
-            raise ConfigurationError("complete_round before begin_round")
+    def run_round(
+        self, relays: Mapping[int, Sequence], specs: Mapping[int, Sequence[TxSpec]],
+        cursors: Mapping[int, int],
+    ) -> tuple[float, dict[int, ShardRoundInfo], dict[int, ShardScan]]:
+        """One super-round on every hosted shard: relay the retries, begin
+        the rounds and run to the latest drain target, begin the argues and
+        run to the latest argue target, close the rounds, then scan the
+        commits past the driver's ``cursors``."""
+        self.relay(relays)
+        ctxs = {k: self.engines[k].begin_round(batch) for k, batch in specs.items()}
+        self.sim.run(until=max(ctx.drain_until for ctx in ctxs.values()))
+        argue_until = max(self.engines[k].begin_argue(ctx) for k, ctx in ctxs.items())
+        self.sim.run(until=argue_until)
         infos = {}
-        for k, ctx in self._ctxs.items():
+        for k, ctx in ctxs.items():
             engine = self.engines[k]
             result = engine.complete_round(ctx)
             block = result.block
             infos[k] = ShardRoundInfo(
-                shard=k,
-                round_number=block.round_number,
-                leader=block.proposer,
-                block_serial=block.serial,
-                block_size=len(block.tx_list),
-                argues_sent=result.argues,
-                carryover=engine.carryover_depth(),
+                shard=k, round_number=block.round_number, leader=block.proposer,
+                block_serial=block.serial, block_size=len(block.tx_list),
+                argues_sent=result.argues, carryover=engine.carryover_depth(),
             )
-        self._ctxs = {}
-        return infos
-
-    def scan_commits(self, cursors: Mapping[int, int]) -> dict[int, ShardScan]:
-        return {
+        scans = {
             k: scan_shard_commits(self.engines[k], k, cursor, self.provider_shard)
             for k, cursor in cursors.items()
         }
+        return self.sim.now, infos, scans
+
+    def run_until(self, until: float) -> None:
+        self.sim.run(until=until)
 
     def relay(self, batches: Mapping[int, Sequence]) -> None:
         for k, receipts in batches.items():

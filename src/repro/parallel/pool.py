@@ -1,4 +1,4 @@
-"""Process-pool shard execution: forked workers behind phase barriers.
+"""Process-pool shard execution: forked workers, one barrier per command.
 
 :class:`ParallelBackend` spreads the ``S`` shard engines over ``N``
 worker processes (shards assigned round-robin, so ``N`` may be
@@ -7,9 +7,10 @@ over its share.  It offers the driver the host's own ops and owns only
 what a process boundary adds: boot / crash / restart, the barrier call
 (:meth:`ParallelBackend._call`), and routing a ``{shard: arg}`` payload
 to the hosting workers and merging their ``{shard: value}`` replies.
-Every phase of the super-round is one broadcast of pickled ``(op,
-args)`` commands — one message per worker, receipts and specs batched
-inside it — followed by a barrier collect of the replies.
+Every command is one broadcast of pickled ``(op, args)`` — one message
+per worker, receipts and specs batched inside it — followed by a
+barrier collect of the replies.  A super-round is at most two: its
+``run_round`` and the first relays of the receipts that minted.
 
 **Boot.**  :meth:`ParallelBackend._boot` builds every worker's
 :class:`~repro.parallel.backend.ShardHost` in the driver, then forks one
@@ -21,9 +22,9 @@ kill can hit a recycled pid, and their CPU and ``ru_maxrss`` reach its
 thread is alive (``RealNetwork`` starts none).
 
 **Crash handling.**  A worker that dies (SIGKILL, OOM, bug) or hangs
-past the per-phase barrier timeout surfaces as a structured
+past the per-command barrier timeout surfaces as a structured
 :class:`~repro.exceptions.WorkerCrashError` carrying the worker index,
-its hosted shards, and the in-flight phase — a *detected* fault, the
+its hosted shards, and the in-flight command — a *detected* fault, the
 same contract the in-process :class:`~repro.faults.injector.FaultInjector` gives
 for simulated crashes, never a hung barrier.  With durable storage
 configured, :meth:`restart_worker` rebuilds the host from its
@@ -34,7 +35,8 @@ semantics: the continuation is correct but not bit-identical — the
 fresh injector replays its plan's RNG from the start).
 
 **Determinism.**  Each worker's host advances its one simulator to the
-exact barrier targets the in-process host would use, and the driver
+exact clock targets the in-process host would use (:meth:`run_round`
+checks that every worker parked at the same clock), and the driver
 preserves per-remote-shard receipt-relay order inside each batch, so a
 parallel run's ledgers are bit-identical to a serial run with the same
 seed however the shards are spread over workers (the full argument
@@ -58,13 +60,13 @@ from repro.exceptions import (
     WorkerOpError,
 )
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.parallel.backend import HostSpec, ShardHost, ShardRoundInfo
+from repro.parallel.backend import HostSpec, ShardHost
 from repro.parallel.fork import refuse_beside_threads
 from repro.parallel.worker import worker_main
 
 __all__ = ["ParallelBackend", "parallel_metrics"]
 
-#: Seconds a worker may stay silent in one phase before the barrier
+#: Seconds a worker may stay silent on one command before the barrier
 #: declares it crashed.
 PHASE_TIMEOUT = 60.0
 #: Seconds a worker has to exit once told to (a ``shutdown``, a kill, or
@@ -98,7 +100,7 @@ def parallel_metrics(
     return {
         "barrier_wait": obs.histogram(
             "par_barrier_wait_seconds",
-            "Wall-clock barrier skew per phase: slowest minus fastest worker reply",
+            "Wall-clock barrier skew per command: slowest minus fastest worker reply",
             buckets=(0.0005, 0.002, 0.01, 0.05, 0.2, 1.0, 5.0),
         ),
         "worker_round": obs.histogram(
@@ -130,7 +132,7 @@ class _WorkerHandle:
         self.conn = None
         self.alive = False
         #: Last command sequence number sent; replies echo it, so stale
-        #: replies left over from a crash-aborted phase are discardable.
+        #: replies left over from a crash-aborted command are discardable.
         self.seq = 0
 
 
@@ -263,7 +265,8 @@ class ParallelBackend:
         the restart is refused.  Fault plans previously installed on the
         worker's shards are re-applied to the replacement (fresh
         injectors, so each plan's RNG restarts from its seed — the
-        schedule stays seeded, not bit-continuous).
+        schedule stays seeded, not bit-continuous).  Every host then parks at
+        the latest clock (a survivor may have run the round the crash aborted).
         """
         handle = self._workers[worker]
         missing = [k for k in handle.spec.shards if handle.spec.storage[k] is None]
@@ -278,6 +281,8 @@ class ParallelBackend:
             plan = self._fault_plans.get(shard)
             if plan is not None:
                 self._call("install_faults", {handle.index: (shard, plan)})
+        clocks = self._call("now", {h.index: () for h in self._workers})
+        self.run_until(max(clocks.values()))
         self.restarts += 1
 
     def close(self) -> None:
@@ -315,7 +320,7 @@ class ParallelBackend:
             reply = pickle.loads(blob)
             if reply[0] == handle.seq:
                 break
-            # A reply to an older command: the phase it answered was
+            # A reply to an older command, whose collect was
             # aborted by a sibling worker's crash before this worker's
             # reply was collected.  Skip it and keep waiting for ours.
         if reply[1] == "err":
@@ -370,14 +375,16 @@ class ParallelBackend:
         """The same call on every worker; their dict replies merged."""
         return self._merged(self._call(op, {h.index: args for h in self._workers}))
 
-    def _by_shard(self, op: str, by_shard: Mapping[int, object]) -> dict:
-        """A ``{shard: arg}`` call split over the hosting workers — one
-        message per worker, its shards' arguments batched in payload
-        order — and their dict replies merged."""
-        parts: dict[int, dict] = {}
-        for shard, arg in by_shard.items():
-            parts.setdefault(self.worker_for_shard[shard], {})[shard] = arg
-        return self._merged(self._call(op, {w: (part,) for w, part in parts.items()}))
+    def _by_shard(self, op: str, *payloads: Mapping[int, object]) -> dict[int, object]:
+        """A call whose ``{shard: arg}`` payloads are split over the hosting
+        workers: one message per worker, in worker order, its shards' share
+        of each payload as one argument.  Returns ``{worker: reply}``."""
+        parts: dict[int, tuple] = {}
+        for i, by_shard in enumerate(payloads):
+            for shard, arg in by_shard.items():
+                worker = self.worker_for_shard[shard]
+                parts.setdefault(worker, tuple({} for _ in payloads))[i][shard] = arg
+        return self._call(op, dict(sorted(parts.items())))
 
     @staticmethod
     def _merged(replies: Mapping[int, dict | None]) -> dict:
@@ -392,27 +399,26 @@ class ParallelBackend:
     def num_workers(self) -> int:
         return len(self._workers)
 
-    def begin_round(self, specs: Mapping[int, Sequence]) -> dict[int, float]:
-        return self._by_shard("begin_round", specs)
+    def run_round(self, relays, specs, cursors) -> tuple[float, dict, dict]:
+        """One command per worker; refused unless every worker parks at
+        the same clock."""
+        replies = self._by_shard("run_round", relays, specs, cursors)
+        clocks = {w: clock for w, (clock, _, _) in replies.items()}
+        if len(set(clocks.values())) > 1:
+            raise ParallelExecutionError(f"workers parked at different clocks: {clocks}")
+        for w, wall in enumerate(self._round_wall):
+            self._metrics["worker_round"].labels(worker=str(w)).observe(wall)
+        self._round_wall = [0.0] * self.num_workers
+        infos, scans = {}, {}
+        for _, part_infos, part_scans in replies.values():
+            infos.update(part_infos)
+            scans.update(part_scans)
+        self._now = clocks[0]
+        return self._now, infos, scans
 
     def run_until(self, until: float) -> None:
         self._on_all("run_until", until)
         self._now = until
-
-    def begin_argue(self) -> dict[int, float]:
-        return self._on_all("begin_argue")
-
-    def complete_round(self) -> dict[int, ShardRoundInfo]:
-        infos = self._on_all("complete_round")
-        for w in range(self.num_workers):
-            self._metrics["worker_round"].labels(worker=str(w)).observe(
-                self._round_wall[w]
-            )
-            self._round_wall[w] = 0.0
-        return infos
-
-    def scan_commits(self, cursors: Mapping[int, int]) -> dict:
-        return self._by_shard("scan_commits", cursors)
 
     def relay(self, batches: Mapping[int, Sequence]) -> None:
         # Per-shard relay order is the order the remote network draws
@@ -427,7 +433,7 @@ class ParallelBackend:
         return self._on_all("collector_masses")
 
     def release_collectors(self, by_shard: Mapping[int, Sequence[str]]) -> dict:
-        return self._by_shard("release_collectors", by_shard)
+        return self._merged(self._by_shard("release_collectors", by_shard))
 
     def adopt_collectors(self, by_shard: Mapping[int, Sequence[tuple]]) -> None:
         self._by_shard("adopt_collectors", by_shard)

@@ -15,7 +15,7 @@ length-prefixed pickles over a ``multiprocessing.Pipe``: the driver sends
 ``(seq, op, args)`` — ``op`` names a host method — and the worker replies
 ``(seq, "ok", result, wall_seconds)`` or ``(seq, "err", type, message,
 traceback)``.  The echoed sequence number lets the driver discard stale
-replies after a sibling worker's crash aborted a phase mid-collect —
+replies after a sibling worker's crash aborted a command mid-collect —
 survivors' unread replies are skipped, not misread as answers to later
 commands.  ``wall_seconds`` is the worker-side compute time for the op,
 which the driver accumulates into the ``par_worker_round_seconds``

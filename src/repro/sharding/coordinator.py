@@ -9,21 +9,22 @@ mass — while the actual protocol engines run on shard hosts
   host over all ``S`` engines, in-process, called directly;
 * the **parallel** backend (``workers >= 2``) is a
   :class:`~repro.parallel.pool.ParallelBackend` that runs worker
-  processes, each a host over its share of the shards, with
-  deterministic barrier sync at the phase boundaries
-  (:mod:`repro.parallel`), turning sim-time shard scaling into
-  *wall-clock* scaling on multi-core hosts.
+  processes, each a host over its share of the shards, one command per
+  worker per super-round (:mod:`repro.parallel`), turning sim-time
+  shard scaling into *wall-clock* scaling on multi-core hosts.
 
-Both backends produce **bit-identical ledgers** for the same seed: the
-driver issues the same phase targets, preserves per-remote-shard
-receipt-relay order, and performs reshuffle release/adopt calls in the
-same per-engine order regardless of where the engines live.
+Both backends produce **bit-identical ledgers** for the same seed: every
+host reaches the same clock targets, and the driver preserves
+per-remote-shard receipt-relay order and makes reshuffle release/adopt
+calls in the same per-engine order regardless of where the engines live.
 
-**Super-rounds.**  A super-round starts round ``t`` on *every* shard
-(:meth:`~repro.core.netengine.NetworkedProtocolEngine.begin_round`),
-drains every shard's simulator to the same barrier time so the shards'
-rounds overlap in simulated time, runs every argue phase, drains again,
-and closes all rounds.  S shards commit up to ``S * b_limit`` records
+**Super-rounds.**  A super-round is one
+:meth:`~repro.parallel.backend.ShardHost.run_round` call per host: it
+relays the receipt retries, starts round ``t`` on *every* shard, drains
+the host's simulator to the shared drain target so the shards' rounds
+overlap in simulated time, runs every argue phase, drains again, closes
+all rounds and scans the new commits; the driver then relays the
+receipts they minted.  S shards commit up to ``S * b_limit`` records
 in the same sim-seconds one shard commits ``b_limit`` — the aggregate
 throughput scaling ``benchmarks/bench_shards.py`` (E14) measures, and
 the parallel backend realises in wall-clock (E16).
@@ -73,6 +74,7 @@ from repro.parallel.backend import (
     ShardChainStats,
     ShardHost,
     ShardRoundInfo,
+    ShardScan,
 )
 from repro.parallel.pool import ParallelBackend, parallel_metrics
 from repro.sharding.assignment import (
@@ -275,25 +277,20 @@ class ShardCoordinator:
         # Re-relay receipts whose remote commit is still outstanding
         # (first relay lost to faults, or the remote leader crashed
         # before packing).  Receiver-side dedup makes retries harmless.
-        if self._pending:
-            retry: dict[int, list[CrossShardReceipt]] = {}
-            for rid in sorted(self._pending):
-                receipt = self._pending[rid][0]
-                retry.setdefault(receipt.remote_shard, []).append(receipt)
-                self.relays["retry"] += 1
-            self.backend.relay(retry)
+        retry: dict[int, list[CrossShardReceipt]] = {}
+        for rid in sorted(self._pending):
+            receipt = self._pending[rid][0]
+            retry.setdefault(receipt.remote_shard, []).append(receipt)
+            self.relays["retry"] += 1
         specs: dict[int, list[TxSpec]] = {}
         for k, queue in enumerate(self._backlog):
             capacity = self.params.b_limit - self._carryover[k]
             specs[k] = [
                 queue.popleft() for _ in range(min(max(capacity, 0), len(queue)))
             ]
-        self.backend.run_until(max(self.backend.begin_round(specs).values()))
-        self.backend.run_until(max(self.backend.begin_argue().values()))
-        infos = self.backend.complete_round()
-        for k in range(self.topology.num_shards):
-            self._carryover[k] = infos[k].carryover
-        minted, receipts_in, origin = self._ingest_scans()
+        _, infos, scans = self.backend.run_round(retry, specs, self._cursors)
+        self._carryover = {k: info.carryover for k, info in infos.items()}
+        minted, receipts_in, origin = self._ingest_scans(scans)
         migrations: list[Migration] = []
         if self.epoch_rounds is not None and self._round % self.epoch_rounds == 0:
             migrations = self.reshuffle()
@@ -307,11 +304,11 @@ class ShardCoordinator:
             migrations=migrations,
         )
 
-    def _ingest_scans(self) -> tuple[int, int, int]:
+    def _ingest_scans(self, scans: Mapping[int, ShardScan]) -> tuple[int, int, int]:
         """Advance block cursors: mint+relay receipts, settle remote legs.
 
-        The backend scans each shard's chain past the driver's cursor
-        and reports, in exact commit order, receipt landings and freshly
+        The backend scanned each shard's chain past the driver's cursor
+        and reported, in exact commit order, receipt landings and freshly
         minted (home-verified) receipts.  The driver audits both legs
         and batches first relays per remote shard — batch order is each
         remote shard's arrival order under the old per-receipt relay
@@ -319,7 +316,6 @@ class ShardCoordinator:
         """
         minted = receipts_in = origin = 0
         first: dict[int, list[CrossShardReceipt]] = {}
-        scans = self.backend.scan_commits(self._cursors)
         for k in range(self.topology.num_shards):
             scan = scans[k]
             self._cursors[k] = scan.cursor

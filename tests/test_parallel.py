@@ -18,7 +18,7 @@ The other guarantees under test:
 * **accounting** — workers are the driver's children, so their CPU time
   reaches the driver's ``RUSAGE_CHILDREN``;
 * **IPC discipline** — commands and receipt batches travel as one
-  message per worker per phase, accounted by the ``par_ipc_*``
+  message per worker per command, accounted by the ``par_ipc_*``
   counters.
 
 Everything here spawns real processes, so the module is marked
@@ -41,7 +41,12 @@ from multiprocessing.context import ForkProcess
 import pytest
 
 from repro.agents.behaviors import MisreportBehavior
-from repro.exceptions import ConfigurationError, WorkerCrashError, WorkerOpError
+from repro.exceptions import (
+    ConfigurationError,
+    ParallelExecutionError,
+    WorkerCrashError,
+    WorkerOpError,
+)
 from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.network.custodian import start_server_thread
 from repro.obs import MetricsRegistry
@@ -391,16 +396,34 @@ class TestBackendSurface:
             drive(coordinator, workload, rounds=2)
             msgs = registry._metrics["par_ipc_msgs_total"]
             sent = msgs.value_of(direction="send")
-            received = msgs.value_of(direction="recv")
-            assert sent > 0 and received > 0
+            assert msgs.value_of(direction="recv") == sent
             bytes_total = registry._metrics["par_ipc_bytes_total"]
             assert bytes_total.value_of(direction="send") > sent  # > 1 B/msg
-            # Batching bound: per super-round the driver issues a fixed
-            # command set (carryover, begin_round, run x2, begin_argue,
-            # complete, scan, <=2 relay/mass ops) per worker — far fewer
-            # than one message per receipt/spec would produce.
-            rounds_total = 2 + 6  # driven + finalize-flush bound
-            assert sent <= rounds_total * 12 * coordinator.backend.num_workers
+            # Four super-rounds (two driven, two flushed) send one
+            # run_round, at most one first relay and one mass read per
+            # worker each; the boot's mass read and finalize's recovery
+            # probes and reveal add the rest.  The phase-barrier driver,
+            # eight commands per super-round, sent 72.
+            assert coordinator._round == 4
+            assert sent == 27
+        finally:
+            coordinator.close()
+
+    def test_workers_parked_at_different_clocks_are_refused(self):
+        coordinator, workload = pool()
+        try:
+            coordinator.submit(workload.take(32))
+            coordinator.run_super_round()
+            backend = coordinator.backend
+            backend._call("run_until", {1: (coordinator.now + 1.0,)})
+            coordinator.submit(workload.take(32))
+            with pytest.raises(ParallelExecutionError) as err:
+                coordinator.run_super_round()
+            assert type(err.value) is ParallelExecutionError
+            clocks = backend._call("now", {0: (), 1: ()})
+            assert clocks[0] != clocks[1]
+            for clock in clocks.values():
+                assert repr(clock) in str(err.value)
         finally:
             coordinator.close()
 
@@ -451,13 +474,14 @@ class TestCrashHandling:
     def test_an_op_that_raises_in_a_worker_surfaces_with_its_worker(self):
         coordinator, workload = pool()
         try:
-            with pytest.raises(WorkerOpError, match="begin_argue before begin_round") as err:
-                coordinator.backend.begin_argue()
+            nobody = {0: ["no-such-collector"], 1: ["no-such-collector"]}
+            with pytest.raises(WorkerOpError, match="unknown collector") as err:
+                coordinator.backend.release_collectors(nobody)
             assert (err.value.worker, err.value.phase, err.value.exc_type) == (
-                0, "begin_argue", "ConfigurationError"
+                0, "release_collectors", "ConfigurationError"
             )
             # Both workers serve on; worker 1's unread error reply is
-            # skipped as stale by the next phase.
+            # skipped as stale by the next command.
             assert drive(coordinator, workload, rounds=1).clean
         finally:
             coordinator.close()
@@ -506,6 +530,43 @@ class TestCrashHandling:
             assert not report.violations or all(
                 v.type.value != "receipt-replay" for v in report.violations
             )
+        finally:
+            coordinator.close()
+
+    def test_restart_parks_every_host_at_the_round_a_survivor_finished(
+        self, tmp_path
+    ):
+        storage = [
+            StorageConfig(directory=tmp_path / f"shard-{k}", fsync=False)
+            for k in range(2)
+        ]
+        coordinator, workload = hand_built(storage=storage)
+        try:
+            for _ in range(3):
+                coordinator.submit(workload.take(32))
+                coordinator.run_super_round()
+            heights_before = [s.height for s in coordinator.chain_stats()]
+            # Worker 1 is last in send order: worker 0 gets the round and
+            # runs it through before the send to worker 1 fails.
+            victim = coordinator.backend._workers[1]
+            os.kill(victim.proc.pid, signal.SIGKILL)
+            victim.proc.join(timeout=10.0)
+            coordinator.submit(workload.take(32))
+            with pytest.raises(WorkerCrashError) as err:
+                coordinator.run_super_round()
+            assert (err.value.worker, err.value.phase) == (1, "run_round")
+            coordinator.backend.restart_worker(1)
+            clocks = coordinator.backend._call("now", {0: (), 1: ()})
+            assert list(clocks.values()) == [coordinator.now] * 2
+            for _ in range(3):
+                coordinator.submit(workload.take(32))
+                coordinator.run_super_round()
+            heights_after = [s.height for s in coordinator.chain_stats()]
+            assert all(
+                after > before
+                for before, after in zip(heights_before, heights_after)
+            ), (heights_before, heights_after)
+            assert coordinator.finalize().clean
         finally:
             coordinator.close()
 
