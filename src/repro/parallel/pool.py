@@ -46,6 +46,7 @@ lives in :mod:`repro.parallel.backend`).
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import time
 from collections import defaultdict
@@ -215,7 +216,8 @@ class ParallelBackend:
                 # included, so a dead driver's EOF reaches every worker.
                 driver_ends = [h.conn for h in self._workers if h.conn is not None]
                 proc = self._ctx.Process(
-                    target=worker_main, args=(end, hosts.pop(0), driver_ends),
+                    target=worker_main,
+                    args=(end, hosts.pop(0), driver_ends, os.getpid()),
                     name=f"shard-worker-{handle.index}", daemon=True,
                 )
                 proc.start()  # drops the Process's own hold on its args

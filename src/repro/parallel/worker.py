@@ -6,23 +6,21 @@ it, on the host the fork copied.  The child first closes every
 driver-side pipe end it inherited, its own and its siblings' (so the
 driver's death reaches every worker as EOF), and resets SIGTERM to its
 default action (a handler the driver installed is not the worker's).
+A sibling forked later holds this worker's driver end until it runs
+that close, so a waiting worker also checks every ``ORPHAN_CHECK``
+seconds that its parent is still the driver.
 
 A worker is a :class:`~repro.parallel.backend.ShardHost` over its share
 of the shards — the same class the in-process backend is, so every shard
-op is written once (why the partition over hosts cannot change a ledger
-is argued in :mod:`repro.parallel.backend`).  Its command loop speaks
-length-prefixed pickles over a ``multiprocessing.Pipe``: the driver sends
-``(seq, op, args)`` — ``op`` names a host method — and the worker replies
-``(seq, "ok", result, wall_seconds)`` or ``(seq, "err", type, message,
-traceback)``.  The echoed sequence number lets the driver discard stale
-replies after a sibling worker's crash aborted a command mid-collect —
-survivors' unread replies are skipped, not misread as answers to later
-commands.  ``wall_seconds`` is the worker-side compute time for the op,
-which the driver accumulates into the ``par_worker_round_seconds``
-histogram — barrier skew (fast workers idling at the barrier) is then
-the difference between the slowest and fastest worker, exported as
-``par_barrier_wait_seconds``.  Every message answers a command: the
-host exists before the fork, so there is nothing to announce.
+op is written once.  Its command loop speaks length-prefixed pickles
+over a ``multiprocessing.Pipe``: the driver sends ``(seq, op, args)`` —
+``op`` names a host method — and the worker replies ``(seq, "ok",
+result, wall_seconds)`` or ``(seq, "err", type, message, traceback)``.
+The echoed sequence number lets the driver skip a survivor's unread
+reply to a command a sibling's crash aborted; ``wall_seconds``, the
+op's worker-side compute, feeds ``par_worker_round_seconds``.  Every
+message answers a command: the host exists before the fork, so there
+is nothing to announce.
 
 Engines run with observability **disabled** in workers (metrics
 registries are process-local and the no-op registry is guaranteed
@@ -31,6 +29,7 @@ behaviour-neutral); all shard/parallel metrics live driver-side.
 
 from __future__ import annotations
 
+import os
 import pickle
 import signal
 import time
@@ -41,25 +40,30 @@ from repro.parallel.backend import ShardHost
 
 __all__ = ["worker_main"]
 
+#: Seconds a waiting worker goes between checks that its driver lives
+#: (below the pool's ``EXIT_TIMEOUT``, within which an orphan must exit).
+ORPHAN_CHECK = 0.1
+
 
 def _send(conn, obj) -> None:
     conn.send_bytes(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def worker_main(conn, host: ShardHost, driver_ends: Sequence) -> None:
-    """Worker entry point: serve commands on the host the driver built.
+def worker_main(conn, host: ShardHost, driver_ends: Sequence, driver: int) -> None:
+    """Serve commands on the host the driver (pid ``driver``) built.
 
-    ``driver_ends`` are the driver-side pipe ends the fork copied, closed
-    first.  Never raises out: per-op failures are shipped back as
-    ``("err", ...)`` replies so the driver can re-raise them with the
-    worker context attached.  The loop exits on ``"shutdown"`` or when
-    the driver end of the pipe closes.
+    Never raises out: an op's failure goes back as an ``("err", ...)``
+    reply.  Exits on ``"shutdown"``, on EOF, or once orphaned.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for end in driver_ends:
         end.close()
     while True:
         try:
+            if not conn.poll(ORPHAN_CHECK):
+                if os.getppid() != driver:
+                    break
+                continue
             raw = conn.recv_bytes()
         except EOFError:
             break

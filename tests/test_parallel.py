@@ -35,6 +35,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import suppress
 from dataclasses import replace
 from multiprocessing.context import ForkProcess
 
@@ -62,41 +63,50 @@ pytestmark = pytest.mark.parallel
 SMOKE = SCENARIOS["sharded-smoke"]
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-#: A driver that boots three shards on three workers, prints their pids,
-#: stops the last one forked and SIGKILLs itself, so nothing of it can
-#: shut them down.  The stopped worker cannot exit, so only closing the
-#: copies of its siblings' driver ends lets their EOF through.  It closes
-#: them first thing, but a fork returns before the child has run at all:
-#: the driver waits for the close before the stop, or a worker stopped
-#: earlier would hold its siblings' ends open until it is continued.
+#: A driver that boots three shards on three workers, holds the last one
+#: forked asleep before it serves, stops it there and SIGKILLs itself, so
+#: nothing of it can shut them down.  Asleep, that worker has not yet closed
+#: the copies of its siblings' driver ends the fork gave it, and stopped,
+#: it never will: their pipes cannot read EOF, so only their check that
+#: the driver lives can end them.  It prints the worker pids, then the
+#: siblings' driver sockets; a SIGCONT wakes the sleeper to serve.
 DRIVER_THAT_DIES = """
-import os, signal, time
+import os, select, signal, time
 from dataclasses import replace
-from repro.parallel.pool import PHASE_TIMEOUT
+import repro.parallel.pool as pool
 from repro.workloads.scenarios import SCENARIOS, build
 
+class Woken(Exception):
+    pass
+
+def woken(*_):
+    raise Woken
+
+asleep_r, asleep_w = os.pipe()
+serve = pool.worker_main
+
+def late_worker_main(conn, host, *rest):
+    if 2 in host.engines:  # the last worker forked
+        signal.signal(signal.SIGCONT, woken)
+        os.write(asleep_w, b"z")
+        try:
+            time.sleep(pool.PHASE_TIMEOUT)
+        except Woken:
+            pass
+    serve(conn, host, *rest)
+
+pool.worker_main = late_worker_main
 three = replace(SCENARIOS["sharded-smoke"], l=12, n=6, m=6, shards=3)
 coordinator, _, _ = build(three, seed=3, workers=3)
 workers = coordinator.backend._workers
 pids = [handle.proc.pid for handle in workers]
-print(*pids, flush=True)
-driver_ends = {f"socket:[{os.fstat(h.conn.fileno()).st_ino}]" for h in workers}
-
-def holds_driver_ends(pid):
-    links = set()
-    for fd in os.listdir(f"/proc/{pid}/fd"):
-        try:
-            links.add(os.readlink(f"/proc/{pid}/fd/{fd}"))
-        except FileNotFoundError:
-            pass
-    return links & driver_ends
-
-deadline = time.monotonic() + PHASE_TIMEOUT
-while holds_driver_ends(pids[-1]) and time.monotonic() < deadline:
-    time.sleep(0.01)
+if not select.select([asleep_r], [], [], pool.PHASE_TIMEOUT)[0]:
+    raise SystemExit("the last worker never fell asleep")
 os.kill(pids[-1], signal.SIGSTOP)
 while open(f"/proc/{pids[-1]}/stat").read().rsplit(")", 1)[1].split()[0] != "T":
     time.sleep(0.01)
+print(*pids, flush=True)
+print(*(f"socket:[{os.fstat(h.conn.fileno()).st_ino}]" for h in workers[:-1]), flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
 
@@ -159,6 +169,15 @@ def still_running(pids, within):
     while not all(map(exited, pids)) and time.monotonic() < deadline:
         time.sleep(0.02)
     return [pid for pid in pids if not exited(pid)]
+
+
+def fd_links(pid):
+    """What ``pid``'s open descriptors point at (``socket:[inode]``, ...)."""
+    links = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        with suppress(FileNotFoundError):
+            links.add(os.readlink(f"/proc/{pid}/fd/{fd}"))
+    return links
 
 
 def parent_of(pid):
@@ -304,7 +323,8 @@ class TestBoot:
 
     def test_driver_death_takes_every_worker_with_it(self, tmp_path):
         # A worker's pipe reads EOF only once no process holds the driver's
-        # end, so each must have closed the copies the fork handed it.
+        # end; a sibling stopped before it closed its copies holds them, so
+        # each worker also exits once its parent is no longer the driver.
         with open(tmp_path / "stderr", "w+", encoding="utf-8") as stderr:
             driver = subprocess.Popen(
                 [sys.executable, "-c", DRIVER_THAT_DIES],
@@ -313,11 +333,14 @@ class TestBoot:
             )
             with driver:
                 pids = [int(pid) for pid in driver.stdout.readline().split()]
+                sibling_ends = set(driver.stdout.readline().split())
                 returncode = driver.wait(timeout=60)
             stderr.seek(0)
             assert (returncode, len(pids)) == (-signal.SIGKILL, 3), stderr.read()
         *siblings, stopped = pids
         try:
+            assert len(sibling_ends) == 2
+            assert sibling_ends <= fd_links(stopped)
             assert still_running(siblings, within=EXIT_TIMEOUT) == []
             os.kill(stopped, signal.SIGCONT)
             assert still_running([stopped], within=EXIT_TIMEOUT) == []
