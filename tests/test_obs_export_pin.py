@@ -109,10 +109,10 @@ def _durable_reopened(obs, tmp_path):
 
 PINNED = {
     _paper_default: "2278fc3855b8a2121b5fe0da3205b524368d10958f60baef7b5720e5b0b655ba",
-    _networked_faulted: "2a1f36b4064a540d80a55d76a42e3b547eb1220dc0daf696d2309dbfbec5bc01",
-    _sharded_quad_serial: "fb30982e880ba197ed5fef0a7301257135a929c7aed262a77363d3f8ad833e9a",
+    _networked_faulted: "ca818c7dac7c09694ce5144efcfadaa7525e8a25de47446c57b8657fe253b2aa",
+    _sharded_quad_serial: "3723295274267d21e3eae741277bece7d60ad8a6c15dd81ace39372432dd5cac",
     _stream_smoke: "0df7b21ecfc88dd30f1febab39770f415808e9f58afe7ff5dd7c136af6684ed5",
-    _durable_reopened: "d4aee90637a38882ad8c7d7bd969476fce4abd84183bf18131feb92afff33af3",
+    _durable_reopened: "98a1e7b01ec48e94cb92020a520cbfc7bfae08a72509c14966d55cba90f3967b",
 }
 
 

@@ -69,6 +69,8 @@ ALLOWED: dict[str, str] = {
         "read by tools/calls_per_tx.py, the CI call gate, whose cProfile displaces this profiler",
     "repro/crypto/hashing.py::hash_many":
         "a perfbench SPAN_TABLE row names it, and only a benchmark PR may change perfbench",
+    "repro/crypto/identity.py::IdentityManager.verify_batch":
+        "a perfbench SPAN_TABLE row names it, and only a benchmark PR may change perfbench",
     "repro/exceptions.py":
         "constructors of the structured errors raised on give-up paths",
     "repro/faults/disk.py::_bit_flip":
