@@ -131,7 +131,7 @@ def test_call_free_loop_fails_only_the_opcode_gate(tmp_path, capsys, monkeypatch
     shutil.copytree(_ROOT / "src" / "repro", copy,
                     ignore=shutil.ignore_patterns("__pycache__"))
     hashing = copy / "crypto" / "hashing.py"
-    body = "    parts: list[bytes] = []\n    _encode(value, parts)\n"
+    body = "    out = bytearray()\n    _encode(value, out)\n"
     source = hashing.read_text()
     assert source.count(body) == 1
     hashing.write_text(source.replace(body, "    for _ in range(3):\n        pass\n" + body))

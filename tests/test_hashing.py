@@ -112,3 +112,106 @@ def test_property_distinct_int_lists_distinct_hashes(a, b):
 def test_property_bytes_injective(a, b):
     """Injectivity on raw byte strings."""
     assert (hash_value(a) == hash_value(b)) == (a == b)
+
+
+def _frozen_encode(value, out: list[bytes]) -> None:
+    """The encoder before its exact-type dispatch and header tables, kept
+    here only as the oracle the property below checks the bytes against."""
+    if value is None:
+        out.append(b"N")
+    elif value is True:
+        out.append(b"T")
+    elif value is False:
+        out.append(b"f")
+    elif isinstance(value, bytes):
+        out.append(b"B")
+        out.append(len(value).to_bytes(8, "big"))
+        out.append(value)
+    elif isinstance(value, str):
+        raw = value.encode("utf-8")
+        out.append(b"S")
+        out.append(len(raw).to_bytes(8, "big"))
+        out.append(raw)
+    elif isinstance(value, int):
+        raw = str(value).encode("ascii")
+        out.append(b"I")
+        out.append(len(raw).to_bytes(8, "big"))
+        out.append(raw)
+    elif isinstance(value, float):
+        raw = repr(value).encode("ascii")
+        out.append(b"F")
+        out.append(len(raw).to_bytes(8, "big"))
+        out.append(raw)
+    elif isinstance(value, (tuple, list)):
+        out.append(b"L")
+        out.append(len(value).to_bytes(8, "big"))
+        for item in value:
+            _frozen_encode(item, out)
+    elif isinstance(value, dict):
+        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
+        out.append(b"M")
+        out.append(len(items).to_bytes(8, "big"))
+        for key, val in items:
+            _frozen_encode(key, out)
+            _frozen_encode(val, out)
+    else:
+        raise TypeError(f"cannot canonically hash value of type {type(value)!r}")
+
+
+def _frozen_canonical_encode(value) -> bytes:
+    parts: list[bytes] = []
+    _frozen_encode(value, parts)
+    return b"".join(parts)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Bytes(bytes):
+    pass
+
+
+#: Leaves of every supported kind, subclasses included, with lengths on
+#: both sides of the 256 the header tables cover.
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**255, max_value=10**300)
+    | st.floats()
+    | st.text()
+    | st.text(min_size=250, max_size=260)
+    | st.binary()
+    | st.binary(min_size=250, max_size=260)
+    | st.text(max_size=4).map(_Str)
+    | st.integers().map(_Int)
+    | st.binary(max_size=4).map(_Bytes)
+)
+
+
+@given(st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=5) | st.integers(), children, max_size=4),
+    max_leaves=12,
+))
+def test_property_encoding_matches_the_frozen_encoder(value):
+    """The exact-type encoder emits the bytes the isinstance chain did,
+    through canonical_encode, hash_value and hash_many alike."""
+    frozen = _frozen_canonical_encode(value)
+    assert canonical_encode(value) == frozen
+    assert hash_value(value) == sha256(frozen)
+    members = value if isinstance(value, (list, tuple)) else [value]
+    assert hash_many(iter(members)) == sha256(_frozen_canonical_encode(list(members)))
+
+
+def test_long_sequences_and_maps_match_the_frozen_encoder():
+    for value in ([0] * 300, tuple("ab" * 150), {k: k for k in range(300)}):
+        assert canonical_encode(value) == _frozen_canonical_encode(value)
+        assert hash_many(value) == sha256(_frozen_canonical_encode(list(value)))
