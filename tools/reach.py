@@ -4,7 +4,8 @@
 Runs the system's own traffic — every preset through ``repro run`` (plus
 the pool, the segment log, ``repro recover``, and the options that select
 code a preset's defaults skip), the examples, the
-benchmark modules, ``tools/heap_per_tx.py`` and the four perfbench
+benchmark modules, E16's full-scale pool sweep, ``tools/heap_per_tx.py``
+and the four perfbench
 workloads — under a profiler that records each function the first time a
 process enters it, forked children included, and lists every function
 none of them entered.  Such a function is reached by tests or by nothing:
@@ -91,10 +92,6 @@ ALLOWED: dict[str, str] = {
         "the in-process custodian peer transport tests and driver scripts start",
     "repro/obs/export.py":
         "the Prometheus exporter tests/test_obs_export_pin.py pins; ROADMAP item 4 picks what a run writes",
-    "repro/obs/registry.py::Histogram.labels":
-        "labelled histograms (the pool's boot and round timings) record only under a registry",
-    "repro/obs/registry.py::_BoundHistogram":
-        "labelled histograms (the pool's boot and round timings) record only under a registry",
     "repro/parallel/pool.py::ParallelBackend._crash":
         "the structured fault a dead or hung worker raises; the chaos tests kill workers",
     "repro/parallel/pool.py::ParallelBackend.restart_worker":
@@ -282,6 +279,8 @@ def traffic(checkout: pathlib.Path, scratch: pathlib.Path) -> list[list[str]]:
         *(["-m", "repro", "run", name, "--batch", "0"] for name in ("smoke", "durable-smoke")),
         *([str(script.relative_to(checkout))] for script in sorted(checkout.glob("examples/*.py"))),
         ["-m", "pytest", "benchmarks", "-q", "--benchmark-disable", "-p", "no:cacheprovider"],
+        # E16 at full scale: its pool runs finish with the recovery drain.
+        ["benchmarks/bench_shards.py", "--workers", "4"],
         ["tools/heap_per_tx.py", "paper-default", "--host", "net", "--rounds", "10"],
         *(
             ["-m", "perfbench", "run", "--workload", workload["name"], "--seed", "1",
