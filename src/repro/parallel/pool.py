@@ -92,7 +92,8 @@ def parallel_metrics(
         ("par_ipc_bytes_total", "ipc_bytes", ("direction",),
          "Pickled payload bytes between driver and workers, by direction"),
         ("par_worker_crashes_total", "crashes", ("phase",),
-         "Worker processes detected dead or hung at a phase barrier, by phase"),
+         "Worker processes detected dead or hung at a command's barrier, "
+         "by the in-flight host op"),
         ("par_worker_restarts_total", "restarts", (),
          "Worker processes respawned from durable checkpoints after a crash"),
     ):

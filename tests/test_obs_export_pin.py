@@ -110,7 +110,7 @@ def _durable_reopened(obs, tmp_path):
 PINNED = {
     _paper_default: "2278fc3855b8a2121b5fe0da3205b524368d10958f60baef7b5720e5b0b655ba",
     _networked_faulted: "ca818c7dac7c09694ce5144efcfadaa7525e8a25de47446c57b8657fe253b2aa",
-    _sharded_quad_serial: "3723295274267d21e3eae741277bece7d60ad8a6c15dd81ace39372432dd5cac",
+    _sharded_quad_serial: "3414c04f53639cf4ba88a48b40cf46d718abf51ab78cfe275bad1c7de0f964ce",
     _stream_smoke: "0df7b21ecfc88dd30f1febab39770f415808e9f58afe7ff5dd7c136af6684ed5",
     _durable_reopened: "98a1e7b01ec48e94cb92020a520cbfc7bfae08a72509c14966d55cba90f3967b",
 }
