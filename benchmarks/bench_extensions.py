@@ -9,14 +9,18 @@ X3: partial visibility — screening quality as each governor's collector
 from __future__ import annotations
 
 from _helpers import emit
-from repro.agents.behaviors import HonestBehavior, MisreportBehavior, SleeperBehavior
+from repro.agents.behaviors import (
+    ArgueAbuse,
+    HonestBehavior,
+    MisreportBehavior,
+    SleeperBehavior,
+)
 from repro.analysis.reporting import format_table
 from repro.baselines.base import PolicySimulation, ReputationPolicy
 from repro.core.adaptive import AdaptiveF
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.network.topology import Topology
-from repro.network.visibility import VisibilityMap
 from repro.workloads.generator import BernoulliWorkload
 
 COLLECTOR_IDS = [f"c{i}" for i in range(8)]
@@ -92,12 +96,11 @@ def test_x1_adaptive_f(benchmark):
 def _visibility_table() -> str:
     rows = []
     for keep in [1.0, 0.5, 0.25, 0.0]:
-        topo = Topology.regular(l=12, n=6, m=4, r=3)
-        vmap = VisibilityMap.random_partial(topo, keep_fraction=keep, seed=71)
+        topo = Topology.regular(l=12, n=6, m=4, r=3).random_partial(keep, seed=71)
         engine = ProtocolEngine(
             topo, ProtocolParams(f=0.6),
             behaviors={"c0": MisreportBehavior(0.6)},
-            seed=72, visibility=vmap,
+            seed=72,
         )
         workload = BernoulliWorkload(topo.providers, p_valid=0.7, seed=73)
         for _ in range(25):
@@ -109,7 +112,7 @@ def _visibility_table() -> str:
         )
         rows.append(
             (
-                f"{vmap.mean_visibility(topo):.2f}",
+                f"{topo.mean_visibility:.2f}",
                 screened,
                 mistakes,
                 f"{mistakes / screened:.4f}" if screened else "-",
@@ -136,14 +139,12 @@ def _griefing_table() -> str:
     topo = Topology.regular(l=12, n=6, m=4, r=3)
     rows = []
     for abuse_rate in (0.0, 0.5, 1.0):
+        abusers = dict.fromkeys(topo.providers, ArgueAbuse(abuse_rate)) if abuse_rate else {}
         engine = ProtocolEngine(
             topo,
             ProtocolParams(f=0.8),
-            behaviors={"c0": MisreportBehavior(0.4)},
+            behaviors={"c0": MisreportBehavior(0.4), **abusers},
             seed=81,
-            abusive_providers=(
-                {p: abuse_rate for p in topo.providers} if abuse_rate else None
-            ),
         )
         workload = BernoulliWorkload(topo.providers, p_valid=0.5, seed=82)
         for _ in range(20):

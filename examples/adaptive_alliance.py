@@ -22,7 +22,6 @@ from repro.core.adaptive import AdaptiveF
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.network.topology import Topology
-from repro.network.visibility import VisibilityMap
 from repro.rng import default_rng
 from repro.workloads.generator import BernoulliWorkload
 
@@ -69,14 +68,12 @@ def demo_adaptive_f() -> None:
 
 def demo_partial_visibility() -> None:
     print("=== 2. partial visibility: thin governor views still work ===")
-    topo = Topology.regular(l=12, n=6, m=4, r=3)
-    vmap = VisibilityMap.random_partial(topo, keep_fraction=0.0, seed=9)
+    topo = Topology.regular(l=12, n=6, m=4, r=3).random_partial(keep_fraction=0.0, seed=9)
     engine = ProtocolEngine(
         topo,
         ProtocolParams(f=0.6),
         behaviors={"c0": MisreportBehavior(0.6)},
         seed=10,
-        visibility=vmap,
     )
     workload = BernoulliWorkload(topo.providers, p_valid=0.7, seed=11)
     for _ in range(20):
@@ -84,10 +81,10 @@ def demo_partial_visibility() -> None:
     engine.finalize()
     rows = []
     for gid, gov in sorted(engine.governors.items()):
-        visible = ", ".join(sorted(vmap.collectors_for(gid)))
+        visible = ", ".join(sorted(topo.view[gid]))
         rows.append((gid, visible, gov.metrics.mistakes))
     print(format_table(["governor", "visible collectors", "mistakes"], rows))
-    print(f"mean visibility: {vmap.mean_visibility(topo):.2f} "
+    print(f"mean visibility: {topo.mean_visibility:.2f} "
           f"(coverage constraint keeps every provider screenable)")
     print(f"chain height: {engine.store.height} — agreement holds under partial views")
 

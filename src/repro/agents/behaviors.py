@@ -1,4 +1,4 @@
-"""Collector behaviour models — the adversary space of Section 4.2.
+"""Agent behaviour models — the adversary space of Section 4.2.
 
 The paper names three classes of collector misbehaviour:
 
@@ -14,6 +14,10 @@ decisions.
 
 Theorem 1 quantifies over arbitrary behaviour as long as *one* collector
 behaves well, so the experiments mix these models freely.
+
+A provider has one misbehaviour, :class:`ArgueAbuse`: it also argues
+about its own correctly recorded invalid transactions.  An engine's
+``behaviors`` map takes both kinds, keyed by agent id.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "FlipFlopBehavior",
     "SleeperBehavior",
     "AlwaysInvertBehavior",
+    "ArgueAbuse",
     "standard_adversary_mix",
 ]
 
@@ -183,6 +188,19 @@ class AlwaysInvertBehavior:
 
     def should_forge(self, rng: Generator) -> bool:
         return False
+
+
+@dataclass(frozen=True)
+class ArgueAbuse:
+    """A provider that also contests correctly recorded invalid transactions
+    with probability ``rate``: each spurious argue burns one validation at
+    every governor holding the record unchecked (bounded griefing; the
+    record never flips)."""
+
+    rate: float
+
+    def __post_init__(self) -> None:
+        _check_probability("argue abuse rate", self.rate)
 
 
 def standard_adversary_mix() -> list[CollectorBehavior]:

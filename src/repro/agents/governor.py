@@ -97,7 +97,11 @@ class Governor:
     _pending_unchecked: dict[str, ScreeningDecision] = field(
         default_factory=dict, repr=False
     )
+    #: The collectors whose uploads this governor receives (its row of the
+    #: topology's view); None is the full view.
+    view: frozenset[str] | None = field(default=None, init=False, repr=False)
     _linked: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
+    # The view less the collectors churned out since.
     _visible: frozenset[str] = field(default=frozenset(), repr=False)
 
     def __post_init__(self) -> None:
@@ -146,9 +150,7 @@ class Governor:
 
     # -- setup ----------------------------------------------------------
 
-    def register_topology(
-        self, topology: Topology, visible_collectors: frozenset[str] | None = None
-    ) -> None:
+    def register_topology(self, topology: Topology) -> None:
         """Create reputation vectors for the collectors this governor sees.
 
         Args:
@@ -157,19 +159,19 @@ class Governor:
                 answers ``providers_of`` with a lazy membership view and
                 names no provider up front, so :meth:`link_provider` adds
                 each on its first arrival and governor memory is bounded
-                by the *active* provider set.
-            visible_collectors: Partial-visibility restriction (paper
-                §3.1: "a governor may only perceive partial
-                information"); None means the default full view.  The
+                by the *active* provider set.  Its ``view`` row for this
+                governor (paper §3.1: "a governor may only perceive
+                partial information") becomes :attr:`view`.  The
                 per-provider linked set — the universe over which the
                 silent mass ``W_0`` is computed — is intersected with
-                the visible set, since a governor cannot fault a
-                collector he never hears from.
+                the view, since a governor cannot fault a collector he
+                never hears from.
         """
-        visible = set(
-            topology.collectors if visible_collectors is None else visible_collectors
+        view = topology.view
+        self.view = None if view is None else frozenset(view[self.governor_id])
+        self._visible = frozenset(
+            c for c in topology.collectors if self.view is None or c in self.view
         )
-        self._visible = frozenset(c for c in topology.collectors if c in visible)
         for collector in topology.collectors:
             if collector in self._visible:
                 self.book.register_collector(collector, topology.providers_of(collector))
@@ -243,7 +245,10 @@ class Governor:
         Its vector starts at the incumbents' median
         (:meth:`repro.core.reputation.ReputationBook.readmit_collector`);
         the collector rejoins the linked sets of exactly ``providers``.
+        A collector outside this governor's view is not admitted.
         """
+        if self.view is not None and collector not in self.view:
+            return
         providers = tuple(providers)
         self.book.readmit_collector(collector, providers)
         self._visible |= {collector}

@@ -116,10 +116,11 @@ class NodeLifecycle:
     def live_leader(self, elected: str) -> str:
         """Deterministic leader failover: next eligible governor in order.
 
-        Skips crashed *and* quarantined governors — a provably-Byzantine
-        governor must never pack a block while contained.
+        Walks the election's order, so an expelled governor is never a
+        failover; skips crashed *and* quarantined governors — a
+        provably-Byzantine governor must never pack a block while contained.
         """
-        order = list(self.engine.topology.governors)
+        order = self.engine.election.governor_order
         start = order.index(elected)
         for offset in range(len(order)):
             candidate = order[(start + offset) % len(order)]

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
-from repro.agents.behaviors import CollectorBehavior
+from repro.agents.behaviors import ArgueAbuse, CollectorBehavior
 from repro.audit.auditor import SafetyAuditor, ViolationType
 from repro.audit.votes import CommitVoteAudit
 from repro.consensus.messages import CommitVote
@@ -153,11 +153,13 @@ class NetworkedProtocolEngine(RoundCore):
     """The protocol over real (simulated) packets.
 
     Args:
-        topology: Node link structure.
+        topology: Node link structure, with its governors' view.
         params: Protocol parameters; ``params.delta`` is the screening
             timer and must cover the upload-arrival spread, i.e. be at
             least ``2 * max_delay`` (checked at construction).
-        behaviors: collector id -> behaviour (honest default).
+        behaviors: agent id -> behaviour: a collector's
+            ``CollectorBehavior``, a provider's ``ArgueAbuse`` (honest
+            default).
         seed: Master seed for agents, network latencies, and draws.
         min_delay / max_delay: Channel latency bounds (the synchrony
             assumption's Δ-net).
@@ -190,7 +192,7 @@ class NetworkedProtocolEngine(RoundCore):
         self,
         topology: Topology,
         params: ProtocolParams,
-        behaviors: Mapping[str, CollectorBehavior] | None = None,
+        behaviors: Mapping[str, CollectorBehavior | ArgueAbuse] | None = None,
         seed: int = 0,
         min_delay: float = 0.005,
         max_delay: float = MAX_DELAY,
@@ -363,8 +365,13 @@ class NetworkedProtocolEngine(RoundCore):
 
     def _governor_on_upload(self, gid: str):
         started, pending = self._timers_started[gid], self._timers_pending[gid]
+        view = self.governors[gid].view
 
         def handle(sender: str, upload: LabeledTransaction) -> None:
+            # Outside this governor's view (paper §3.1's partial view): the
+            # upload is never counted, audited or ingested.
+            if view is not None and sender not in view:
+                return
             # Quarantine containment: a provably-Byzantine collector's
             # uploads are suppressed at every honest receiver.  (The
             # broadcast seqno was still consumed upstream, so honest

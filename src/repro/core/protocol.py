@@ -1,32 +1,29 @@
-"""The full protocol engine: collecting, uploading, processing, arguing.
+"""The zero-latency protocol engine: collecting, uploading, processing, arguing.
 
-:class:`ProtocolEngine` wires the whole hierarchy together — Identity
-Manager, topology, provider/collector/governor agents, PoS leader
-election, block store, reward distribution, optional stake-transform
-consensus — and executes the round of :mod:`repro.core.roundcore` with
-every hand-off delivered at once.  It is the one zero-latency engine:
-the ``stream`` host (:class:`~repro.streaming.app.StreamingApp`) is this
-engine over a lazy population.  It counts no messages; the networked
-engine's network counters are the packet-level record.
+:class:`ProtocolEngine` is a thin shell over :class:`~repro.core.roundcore.RoundCore`:
+a constructor, :meth:`~ProtocolEngine.run_round`, which executes the
+round with every hand-off delivered at once, and
+:meth:`~ProtocolEngine.finalize`.  Everything else — enrolment, the
+population's partial view, provider abuse, PoS election, stake transfer
+and expulsion, rewards — is the round's, so the networked engine has it
+too.  It is the one zero-latency engine: the ``stream`` host
+(:class:`~repro.streaming.app.StreamingApp`) is this engine over a lazy
+population.  It counts no messages; the networked engine's network
+counters are the packet-level record.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.agents.behaviors import CollectorBehavior
+from repro.agents.behaviors import ArgueAbuse, CollectorBehavior
 from repro.audit.auditor import harness_audit
-from repro.consensus.stake import make_transfer
-from repro.consensus.messages import NewStateProposal
-from repro.consensus.stake_consensus import StakeConsensusRound, make_proposal
 from repro.core.params import ProtocolParams
 from repro.core.roundcore import RoundCore, RoundResult
-from repro.exceptions import ConfigurationError, LeaderMisbehaviourError
 from repro.ledger.properties import UPLOADED
 from repro.ledger.store import BlockStore
 from repro.ledger.transaction import LabeledTransaction, TxRecord
 from repro.network.topology import Topology
-from repro.network.visibility import VisibilityMap
 from repro.obs.registry import MetricsRegistry
 from repro.workloads.generator import TxSpec
 
@@ -37,21 +34,15 @@ class ProtocolEngine(RoundCore):
     """In-process execution of the full three-tier protocol.
 
     Args:
-        topology: The provider/collector/governor link structure: a
-            :class:`~repro.network.topology.Topology`, or a population
-            that answers the same questions lazily.
+        topology: The provider/collector/governor link structure, with
+            its governors' view: a :class:`~repro.network.topology.Topology`,
+            or a population that answers the same questions lazily.
         params: Protocol parameters.
-        behaviors: collector id -> behaviour; missing ids are honest.
+        behaviors: agent id -> behaviour: a collector's
+            ``CollectorBehavior``, a provider's ``ArgueAbuse``; missing
+            ids are honest.
         seed: Master seed; all agent RNGs derive from it.
         stake: governor id -> stake units (default: 1 each).
-        visibility: Partial governor visibility (paper §3.1's "partial
-            information" adjustment); None = the default full view.
-            Must satisfy the coverage constraint (validated).
-        abusive_providers: provider id -> spurious-argue rate; these
-            providers also contest correctly-recorded invalid
-            transactions, burning one validation per argue at every
-            governor that holds the record unchecked (bounded griefing;
-            the record never flips).
         obs: Optional :class:`~repro.obs.MetricsRegistry`; when given,
             the engine, its governors, and their reputation books feed
             the ``engine_* / gov_* / rep_*`` metric families (see
@@ -64,26 +55,18 @@ class ProtocolEngine(RoundCore):
         self,
         topology: Topology,
         params: ProtocolParams,
-        behaviors: Mapping[str, CollectorBehavior] | None = None,
+        behaviors: Mapping[str, CollectorBehavior | ArgueAbuse] | None = None,
         seed: int = 0,
         stake: Mapping[str, int] | None = None,
-        visibility: VisibilityMap | None = None,
-        abusive_providers: Mapping[str, float] | None = None,
         obs: MetricsRegistry | None = None,
     ):
-        if visibility is not None:
-            visibility.validate(topology)
         super().__init__(params, seed, obs)
         self.topology = topology
-        self.visibility = visibility
         self.store = BlockStore()
         # Harness-level AuditReport, filled by finalize().
         self.audit_report = None
         self._register_engine_metrics()
-        self._enroll(topology, behaviors, stake, abusive_providers)
-        self._stake_nonce = 0
-        self._byzantine: set[str] = set()
-        self.expulsions: list[tuple[str, str]] = []
+        self._enroll(topology, behaviors, stake)
 
     # -- round execution -------------------------------------------------
 
@@ -113,12 +96,12 @@ class ProtocolEngine(RoundCore):
         # own book) what its view receives; the leader's records become
         # the block.
         leader_id = self.election.run(self.stake, round_number)
-        visibility = self.visibility
         leader_records: list[TxRecord] = []
         for gid, governor in self.governors.items():
-            for upload in uploads:
-                if visibility is None or visibility.sees(gid, upload.collector):
-                    governor.ingest_upload(upload)
+            view = governor.view
+            seen = uploads if view is None else [u for u in uploads if u.collector in view]
+            for upload in seen:
+                governor.ingest_upload(upload)
             records = governor.screen_pending()
             if gid == leader_id:
                 leader_records = records
@@ -142,89 +125,6 @@ class ProtocolEngine(RoundCore):
         return self._close_round(RoundResult(
             block, len(specs), argues, len(self._reevaluated_queue), forged, uploads
         ))
-
-    # -- stake transfers ---------------------------------------------------
-
-    def transfer_stake(self, sender: str, receiver: str, amount: int) -> int:
-        """Run a stake transfer through the 3-step consensus.
-
-        A leader marked Byzantine (see :meth:`mark_byzantine_governor`)
-        proposes a tampered NEW_STATE; honest governors broadcast expel
-        evidence, the leader is removed from future elections, and the
-        round re-runs under a new leader — the expulsion flow the paper
-        adopts from CycLedger.
-
-        Returns the number of governor messages the exchange took, a
-        tampered attempt included; E7 reports it for an honest and a
-        Byzantine leader.
-        """
-        key = self.im.record(sender).key
-        transfer = make_transfer(key, receiver, amount, self._stake_nonce)
-        self._stake_nonce += 1
-        total_messages = 0
-        for _attempt in range(self.topology.m):
-            leader = self.election.run(self.stake, self._round + 1)
-            consensus = StakeConsensusRound(
-                im=self.im, governors=list(self.topology.governors)
-            )
-            tampered = None
-            if leader in self._byzantine:
-                honest = make_proposal(
-                    self.im.record(leader).key, 0, self.stake, [transfer]
-                )
-                bad_state = dict(honest.new_state)
-                bad_state[leader] = bad_state.get(leader, 0) + amount
-                tampered = NewStateProposal(
-                    round_number=honest.round_number,
-                    leader=leader,
-                    new_state=bad_state,
-                    transfers_digest=honest.transfers_digest,
-                    signature=honest.signature,
-                )
-            try:
-                consensus.run(
-                    leader, self.stake, [transfer], tampered_proposal=tampered
-                )
-            except LeaderMisbehaviourError:
-                total_messages += consensus.messages_exchanged
-                self.expel_governor(leader, reason="tampered NEW_STATE")
-                continue
-            self.stake.apply(transfer)
-            return total_messages + consensus.messages_exchanged
-        raise LeaderMisbehaviourError(
-            "no honest leader could be elected for the stake transfer "
-            f"(expelled: {sorted(self.expelled_governors)})"
-        )
-
-    # -- failure injection & expulsion ---------------------------------------
-
-    def mark_byzantine_governor(self, gid: str) -> None:
-        """Fault-inject: this governor tampers NEW_STATE when leading."""
-        if gid not in self.governors:
-            raise ConfigurationError(f"unknown governor {gid!r}")
-        self._byzantine.add(gid)
-
-    def expel_governor(self, gid: str, reason: str = "") -> None:
-        """Remove a governor from future leader elections.
-
-        The expelled governor keeps its ledger replica (it can still
-        read), but can no longer lead rounds or stake-consensus.
-
-        Raises:
-            ConfigurationError: expelling the last eligible governor.
-        """
-        if gid not in self.governors:
-            raise ConfigurationError(f"unknown governor {gid!r}")
-        remaining = [g for g in self.election.governor_order if g != gid]
-        if not remaining:
-            raise ConfigurationError("cannot expel the last eligible governor")
-        self.election.governor_order = remaining
-        self.expulsions.append((gid, reason))
-
-    @property
-    def expelled_governors(self) -> frozenset[str]:
-        """Governors removed from leadership."""
-        return frozenset(gid for gid, _reason in self.expulsions)
 
     # -- finalisation -------------------------------------------------------
 

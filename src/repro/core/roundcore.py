@@ -29,6 +29,13 @@ so it calls them one at a time (``_begin_round``, ``_originate``,
 one :class:`RunRecord` — and return one :class:`RoundResult`; both end a
 run by :meth:`RoundCore._close_books`, their own round as the closing one.
 
+Both engines therefore run every feature the round has: the population's
+partial view (paper §3.1; each governor ingests only the uploads of the
+collectors its ``Governor.view`` names), providers whose behaviour is
+:class:`~repro.agents.behaviors.ArgueAbuse`, and the governors' stake
+transfer with the expulsion of a tampering leader (§3.4.3,
+:meth:`RoundCore.transfer_stake`).
+
 Draw order is part of the contract: enrolment draws keys providers →
 collectors → governors and RNG seeds collectors → governors → abusive
 providers, as every seeded ledger pinned in ``tests/golden_matrix.json``
@@ -40,16 +47,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.agents.behaviors import CollectorBehavior, HonestBehavior
+from repro.agents.behaviors import ArgueAbuse, CollectorBehavior, HonestBehavior
 from repro.agents.collector import Collector
 from repro.agents.governor import Governor
 from repro.agents.provider import Provider
+from repro.consensus.messages import NewStateProposal
 from repro.consensus.pos import LeaderElection
-from repro.consensus.stake import StakeLedger
+from repro.consensus.stake import StakeLedger, make_transfer
+from repro.consensus.stake_consensus import StakeConsensusRound, make_proposal
 from repro.core.params import ProtocolParams
 from repro.core.rewards import distribute_rewards
 from repro.crypto.identity import IdentityManager, Role
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, LeaderMisbehaviourError
 from repro.ledger.block import Block
 from repro.ledger.properties import BROADCAST, HONEST_VALID, RunTranscript
 from repro.ledger.transaction import LabeledTransaction, SignedTransaction, TxRecord
@@ -58,7 +67,6 @@ from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.rng import Generator, default_rng
 
 if TYPE_CHECKING:
-    from repro.network.visibility import VisibilityMap
     # repro.workloads imports the engines; a runtime import would cycle.
     from repro.workloads.generator import TxSpec
 
@@ -122,13 +130,14 @@ class RoundCore:
         self.providers: dict[str, Provider] = {}
         self.collectors: dict[str, Collector] = {}
         self.governors: dict[str, Governor] = {}
-        #: Which collectors' uploads each governor receives (paper §3.1's
-        #: partial view); None is the full view.
-        self.visibility: VisibilityMap | None = None
         self._round = 0
         # Records admitted by an argue, awaiting the next block.
         self._reevaluated_queue: dict[str, TxRecord] = {}
         self._master = default_rng(seed)
+        self._stake_nonce = 0
+        self._byzantine: set[str] = set()
+        #: (governor, reason) per expulsion, in order.
+        self.expulsions: list[tuple[str, str]] = []
 
     def _register_engine_metrics(self) -> None:
         """Open the run record ``metrics`` and the ``engine_*`` family that
@@ -162,25 +171,31 @@ class RoundCore:
     def _enroll(
         self,
         population,
-        behaviors: Mapping[str, CollectorBehavior] | None,
+        behaviors: Mapping[str, CollectorBehavior | ArgueAbuse] | None,
         stake: Mapping[str, int] | None = None,
-        abuse_rates: Mapping[str, float] | None = None,
     ) -> None:
         """Enrol every agent in role order, then open the PoS ledger.
 
         ``population`` (a ``Topology`` or a ``VirtualUniverse``) names the
         agents and links: its ``providers`` are enrolled now — none for a
         streaming population, which enrols on arrival — and each
-        governor's books register its visible collectors' memberships
-        (``providers_of``: a tuple, or a lazy view).  ``stake`` defaults
-        to one unit each.
+        governor's books register the memberships (``providers_of``: a
+        tuple, or a lazy view) of the collectors its ``view`` row names.
+        ``behaviors`` maps a collector to a ``CollectorBehavior`` and a
+        provider to an ``ArgueAbuse``.  ``stake`` defaults to one unit each.
         """
         collectors, governors = population.collectors, population.governors
         behaviors = behaviors or {}
-        abuse_rates = abuse_rates or {}
         initial_stake = dict(stake) if stake else {g: 1 for g in governors}
-        _reject_unknown("behaviours", behaviors, "collectors", collectors)
-        _reject_unknown("abuse rates", abuse_rates, "providers", population.providers)
+        providers = set(population.providers)
+        _reject_unknown("behaviours", behaviors, "collectors or providers",
+                        providers.union(collectors))
+        for aid, behavior in behaviors.items():
+            if isinstance(behavior, ArgueAbuse) != (aid in providers):
+                role = "provider" if aid in providers else "collector"
+                raise ConfigurationError(
+                    f"behaviour {type(behavior).__name__} given to {role} {aid!r}"
+                )
         _reject_unknown("stake", initial_stake, "governors", governors)
         keys = {pid: self.im.enroll(pid, Role.PROVIDER) for pid in population.providers}
         for cid in collectors:
@@ -203,17 +218,15 @@ class RoundCore:
                 rng=self.draw_rng(),
                 obs=self.obs,
             )
-            governor.register_topology(
-                population,
-                None if self.visibility is None else self.visibility.collectors_for(gid),
-            )
+            governor.register_topology(population)
             self.governors[gid] = governor
         # Abuse RNGs come last, so turning abuse on re-seeds no other agent.
         for pid, key in keys.items():
             linked = population.collectors_of(pid)
             for cid in linked:
                 self.im.register_link(cid, pid)
-            rate = abuse_rates.get(pid, 0.0)
+            abuse = behaviors.get(pid)
+            rate = 0.0 if abuse is None else abuse.rate
             self.providers[pid] = Provider(
                 provider_id=pid, key=key, linked_collectors=linked, argue_abuse_rate=rate,
                 abuse_rng=self.draw_rng() if rate > 0.0 else None,
@@ -295,6 +308,83 @@ class RoundCore:
         record.forged_uploads += result.forged
         self._m_block_size.observe(float(len(block.tx_list)))
         return result
+
+    # -- stake transfers and expulsion (paper §3.4.3) -------------------------
+
+    def transfer_stake(self, sender: str, receiver: str, amount: int) -> int:
+        """Run a stake transfer through the 3-step consensus.
+
+        A leader marked Byzantine (see :meth:`mark_byzantine_governor`)
+        proposes a tampered NEW_STATE; honest governors broadcast expel
+        evidence, the leader is removed from future elections, and the
+        round re-runs under a new leader — the expulsion flow the paper
+        adopts from CycLedger.  The exchange runs in memory
+        (:class:`~repro.consensus.stake_consensus.StakeConsensusRound`),
+        not as network messages.
+
+        Returns the number of governor messages the exchange took, a
+        tampered attempt included; E7 reports it for an honest and a
+        Byzantine leader.
+        """
+        key = self.im.record(sender).key
+        transfer = make_transfer(key, receiver, amount, self._stake_nonce)
+        self._stake_nonce += 1
+        total_messages = 0
+        for _attempt in range(len(self.governors)):
+            leader = self.election.run(self.stake, self._round + 1)
+            consensus = StakeConsensusRound(im=self.im, governors=list(self.governors))
+            tampered = None
+            if leader in self._byzantine:
+                honest = make_proposal(self.im.record(leader).key, 0, self.stake, [transfer])
+                bad_state = dict(honest.new_state)
+                bad_state[leader] = bad_state.get(leader, 0) + amount
+                tampered = NewStateProposal(
+                    round_number=honest.round_number,
+                    leader=leader,
+                    new_state=bad_state,
+                    transfers_digest=honest.transfers_digest,
+                    signature=honest.signature,
+                )
+            try:
+                consensus.run(leader, self.stake, [transfer], tampered_proposal=tampered)
+            except LeaderMisbehaviourError:
+                total_messages += consensus.messages_exchanged
+                self.expel_governor(leader, reason="tampered NEW_STATE")
+                continue
+            self.stake.apply(transfer)
+            return total_messages + consensus.messages_exchanged
+        raise LeaderMisbehaviourError(
+            "no honest leader could be elected for the stake transfer "
+            f"(expelled: {sorted(self.expelled_governors)})"
+        )
+
+    def mark_byzantine_governor(self, gid: str) -> None:
+        """Fault-inject: this governor tampers NEW_STATE when leading."""
+        if gid not in self.governors:
+            raise ConfigurationError(f"unknown governor {gid!r}")
+        self._byzantine.add(gid)
+
+    def expel_governor(self, gid: str, reason: str = "") -> None:
+        """Remove a governor from future leader elections.
+
+        The expelled governor keeps its ledger replica (it can still
+        read), but can no longer lead rounds or stake-consensus.
+
+        Raises:
+            ConfigurationError: expelling the last eligible governor.
+        """
+        if gid not in self.governors:
+            raise ConfigurationError(f"unknown governor {gid!r}")
+        remaining = [g for g in self.election.governor_order if g != gid]
+        if not remaining:
+            raise ConfigurationError("cannot expel the last eligible governor")
+        self.election.governor_order = remaining
+        self.expulsions.append((gid, reason))
+
+    @property
+    def expelled_governors(self) -> frozenset[str]:
+        """Governors removed from leadership."""
+        return frozenset(gid for gid, _reason in self.expulsions)
 
     # -- closing the books -------------------------------------------------
 

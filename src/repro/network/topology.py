@@ -3,10 +3,17 @@
 The model links ``l`` providers, ``n`` collectors and ``m`` governors:
 each provider submits to ``r`` collectors, each collector receives from
 ``s`` providers, hence ``r * l == s * n``; every governor connects to
-all collectors (the default the paper assumes).
+all collectors (the default the paper assumes).  The paper notes that
+*"in real cases, a governor may only perceive partial information"*
+(Section 3.1), so a topology may carry a **view** instead: each
+governor's subset of collectors whose uploads it receives.  A view must
+keep **coverage** — every governor sees at least one collector linked
+with every provider — or that governor could never screen the
+provider's transactions (and, leading, would drop them).
 
 :class:`Topology` constructs and validates such a structure.  Two
-builders are offered:
+builders are offered, and :meth:`Topology.random_partial` thins a
+built topology's view:
 
 * :meth:`Topology.regular` — a deterministic circulant design where
   provider ``k`` links to collectors ``k*r//s ... `` in a balanced way,
@@ -18,7 +25,7 @@ builders are offered:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.exceptions import TopologyError
 from repro.rng import default_rng
@@ -91,6 +98,8 @@ class Topology:
         governors: Ordered governor ids (length ``m``).
         provider_links: provider id -> tuple of its ``r`` collector ids.
         collector_links: collector id -> tuple of its ``s`` provider ids.
+        view: governor id -> the collectors whose uploads it receives;
+            None is the full view.
     """
 
     providers: tuple[str, ...]
@@ -98,6 +107,7 @@ class Topology:
     governors: tuple[str, ...]
     provider_links: dict[str, tuple[str, ...]] = field(hash=False)
     collector_links: dict[str, tuple[str, ...]] = field(hash=False)
+    view: dict[str, frozenset[str]] | None = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -240,6 +250,43 @@ class Topology:
             governor_shard=governor_shard,
         )
 
+    def random_partial(self, keep_fraction: float, seed: int = 0) -> "Topology":
+        """This topology under a random coverage-preserving partial view.
+
+        Each governor first builds a *small* covering set greedily (the
+        collector covering the most still-uncovered providers wins, ties
+        broken randomly), then keeps each remaining collector
+        independently with probability ``keep_fraction``.  At
+        ``keep_fraction = 0`` the view is a near-minimal set cover; at 1
+        it is the full view.
+        """
+        if not 0.0 <= keep_fraction <= 1.0:
+            raise TopologyError(f"keep_fraction must be in [0, 1], got {keep_fraction}")
+        rng = default_rng(seed)
+        view: dict[str, frozenset[str]] = {}
+        for governor in self.governors:
+            uncovered = set(self.providers)
+            keep: set[str] = set()
+            while uncovered:
+                best_gain = 0
+                candidates: list[str] = []
+                for collector in self.collectors:
+                    if collector in keep:
+                        continue
+                    gain = len(uncovered & set(self.providers_of(collector)))
+                    if gain > best_gain:
+                        best_gain, candidates = gain, [collector]
+                    elif gain == best_gain and gain > 0:
+                        candidates.append(collector)
+                chosen = candidates[rng.integers(len(candidates))]
+                keep.add(chosen)
+                uncovered -= set(self.providers_of(chosen))
+            for collector in self.collectors:
+                if collector not in keep and rng.random() < keep_fraction:
+                    keep.add(collector)
+            view[governor] = frozenset(keep)
+        return replace(self, view=view)
+
     # -- derived quantities ----------------------------------------------
 
     @property
@@ -257,6 +304,13 @@ class Topology:
         """Collectors per provider."""
         return len(next(iter(self.provider_links.values())))
 
+    @property
+    def mean_visibility(self) -> float:
+        """Average fraction of collectors a governor sees."""
+        if self.view is None:
+            return 1.0
+        return sum(len(self.view[g]) for g in self.governors) / (self.n * self.m)
+
     def collectors_of(self, provider: str) -> tuple[str, ...]:
         """The ``r`` collectors a provider broadcasts to."""
         try:
@@ -272,7 +326,8 @@ class Topology:
             raise TopologyError(f"unknown collector {collector!r}") from None
 
     def validate(self) -> None:
-        """Check the degree equation r*l == s*n and link consistency.
+        """Check the degree equation r*l == s*n, link consistency and the
+        view's coverage constraint.
 
         Raises:
             TopologyError: on any inconsistency.
@@ -317,6 +372,27 @@ class Topology:
             for p in ps:
                 if c not in self.provider_links.get(p, ()):
                     raise TopologyError(f"asymmetric link: {c!r} -> {p!r} not mirrored")
+        if self.view is None:
+            return
+        if set(self.view) != set(self.governors):
+            raise TopologyError(
+                f"the view names governors {sorted(self.view)}, not {sorted(self.governors)}"
+            )
+        for governor, collectors in self.view.items():
+            collectors = frozenset(collectors)
+            unknown = collectors.difference(self.collectors)
+            if unknown:
+                raise TopologyError(
+                    f"governor {governor!r} sees unknown collectors {sorted(unknown)}"
+                )
+            if not collectors:
+                raise TopologyError(f"governor {governor!r} sees no collectors")
+            for provider, linked in self.provider_links.items():
+                if collectors.isdisjoint(linked):
+                    raise TopologyError(
+                        f"coverage violated: governor {governor!r} sees no "
+                        f"collector linked with provider {provider!r}"
+                    )
 
 
 def _relabel(

@@ -77,7 +77,7 @@ class HostSpec:
 
     topology: ShardedTopology
     params: object
-    #: Global behaviour map; each engine filters to its own collectors.
+    #: Global behaviour map; each engine filters to its own collectors and providers.
     behaviors: Mapping[str, object]
     seed: int
     resilience: bool
@@ -161,7 +161,8 @@ def build_shard_engine(
         topology,
         spec.params,
         behaviors={
-            cid: b for cid, b in spec.behaviors.items() if cid in topology.collectors
+            aid: b for aid, b in spec.behaviors.items()
+            if aid in topology.collectors or aid in topology.providers
         },
         seed=spec.seed + 7919 * (shard + 1),
         resilience=spec.resilience,

@@ -126,6 +126,8 @@ class VirtualUniverse:
     n: int
     m: int
     r: int
+    #: Every governor sees every collector (a class constant, not a field).
+    view = None
 
     def __post_init__(self) -> None:
         check_circulant_shape(self.universe, self.n, self.m, self.r)

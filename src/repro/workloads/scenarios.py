@@ -3,8 +3,8 @@
 The paper defines one deployment — ``l`` providers, ``n`` collectors,
 ``m`` governors, link degree ``r``, the tunables of
 :class:`~repro.core.params.ProtocolParams` — and a :class:`Scenario`
-names one instance of it plus the collector behaviours, the workload,
-the round count and the *host* that executes the round:
+names one instance of it plus the agent behaviours, an optional partial
+view, the workload, the round count and the *host* that executes the round:
 
 * ``inproc`` — :class:`~repro.core.protocol.ProtocolEngine`;
 * ``net`` — :class:`~repro.core.netengine.NetworkedProtocolEngine`, on an
@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, runtime
 
 from repro.agents.behaviors import (
     AlwaysInvertBehavior,
+    ArgueAbuse,
     CollectorBehavior,
     ForgeBehavior,
     MisreportBehavior,
@@ -52,7 +53,6 @@ from repro.workloads.generator import (
 
 if TYPE_CHECKING:  # names only: in-process runs never load these stacks
     from repro.faults.plan import FaultPlan
-    from repro.network.visibility import VisibilityMap
 
 __all__ = [
     "Deployment", "Scenario", "SCENARIOS", "scenario_names", "build", "reject_unread",
@@ -61,8 +61,10 @@ __all__ = [
 #: The optional preset fields and build options each host reads (a ``stream``
 #: app has no adversaries and draws its own workload).
 HOST_READS = {
-    "inproc": {"behavior_factory", "visibility", "abusive_providers"},
-    "net": {"behavior_factory", "faults", "resilience", "storage_dir", "custodians"},
+    "inproc": {"behavior_factory", "visibility"},
+    "net": {
+        "behavior_factory", "visibility", "faults", "resilience", "storage_dir", "custodians",
+    },
     "shard": {"behavior_factory", "faults", "resilience", "workers"},
     "stream": set(),
 }
@@ -103,9 +105,11 @@ class Scenario:
     rounds: int
     #: Specs offered per round (router-buffered beyond a shard's capacity).
     batch: int
-    behavior_factory: Callable[[Topology], Mapping[str, CollectorBehavior]] = (
-        _no_adversaries
-    )
+    #: Agent id -> behaviour: a collector's ``CollectorBehavior``, a
+    #: provider's ``ArgueAbuse``.
+    behavior_factory: Callable[
+        [Topology], Mapping[str, CollectorBehavior | ArgueAbuse]
+    ] = _no_adversaries
     workload_factory: Callable[[Topology, int], WorkloadGenerator] = _mostly_valid
     host: str = "inproc"
     # ``shard`` hosts.
@@ -118,8 +122,9 @@ class Scenario:
     # Engine arguments, read by the hosts HOST_READS names.  ``faults`` gets
     # ``(topology(), seed)``: one plan on ``net``, one per shard on ``shard``.
     faults: Callable[[Topology, int], FaultPlan | Sequence[FaultPlan]] | None = None
-    visibility: Callable[[Topology, int], VisibilityMap] | None = None
-    abusive_providers: Callable[[Topology], Mapping[str, float]] | None = None
+    #: ``(topology(), seed)`` -> that topology under a partial view
+    #: (e.g. ``Topology.random_partial``).
+    visibility: Callable[[Topology, int], Topology] | None = None
     resilience: bool = False
 
     def topology(self) -> Topology | ShardedTopology:
@@ -339,7 +344,6 @@ def build(
     reject_unread(
         scenario, storage_dir=storage_dir, workers=workers, custodians=custodians,
         faults=scenario.faults, visibility=scenario.visibility,
-        abusive_providers=scenario.abusive_providers,
         resilience=scenario.resilience or None,
     )
     # Each stack is imported where it is built: in-process users (and
@@ -354,13 +358,11 @@ def build(
         )
         return deployment, deployment.workload, scenario
     topo = scenario.topology()
+    if scenario.visibility is not None:
+        topo = scenario.visibility(topo, seed)
     workload = scenario.workload_factory(topo, seed + 1)
     common = {"behaviors": scenario.behavior_factory(topo), "seed": seed, "obs": obs}
     if scenario.host == "inproc":
-        if scenario.visibility is not None:
-            common["visibility"] = scenario.visibility(topo, seed)
-        if scenario.abusive_providers is not None:
-            common["abusive_providers"] = scenario.abusive_providers(topo)
         return ProtocolEngine(topo, scenario.params, **common), workload, scenario
     # What build() can refuse is drawn before the deployment exists, so a bad
     # plan or ``p_cross`` leaves no worker pool or socket behind.

@@ -1,9 +1,15 @@
-"""Tests for leader expulsion and Byzantine-governor fault injection."""
+"""Tests for leader expulsion and Byzantine-governor fault injection.
+
+Stake transfer and expulsion are the round's (``RoundCore``), so every
+case runs on the in-process engine and again, in its ``...Networked``
+twin class, on the networked one.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.exceptions import ConfigurationError, LeaderMisbehaviourError
@@ -16,9 +22,14 @@ from repro.workloads.generator import BernoulliWorkload
 SEEDS = (0, 1, 4, 8, 10)
 
 
-def make_engine(seed=0, stake=None):
-    topo = Topology.regular(l=8, n=4, m=4, r=2)
-    return ProtocolEngine(topo, ProtocolParams(f=0.5), seed=seed, stake=stake), topo
+class OnEngine:
+    """Builds each case's engine; a ``...Networked`` twin swaps the class."""
+
+    engine_cls = ProtocolEngine
+
+    def make_engine(self, seed=0, stake=None):
+        topo = Topology.regular(l=8, n=4, m=4, r=2)
+        return self.engine_cls(topo, ProtocolParams(f=0.5), seed=seed, stake=stake), topo
 
 
 def next_leader(engine):
@@ -27,10 +38,10 @@ def next_leader(engine):
     return engine.election.run(engine.stake, engine.round_number + 1)
 
 
-class TestExpulsion:
+class TestExpulsion(OnEngine):
     def test_expelled_governor_never_leads(self):
         for seed in SEEDS:
-            engine, topo = make_engine(seed=seed)
+            engine, topo = self.make_engine(seed=seed)
             # Expel the governor the VRF would elect next, so the
             # expulsion (not the draw) is what keeps it out.
             favourite = next_leader(engine)
@@ -41,35 +52,35 @@ class TestExpulsion:
             assert leaders <= set(topo.governors) - {favourite}
 
     def test_expelled_governor_never_wins_vrf(self):
-        engine, topo = make_engine(stake={"g0": 100, "g1": 1, "g2": 1, "g3": 1})
+        engine, topo = self.make_engine(stake={"g0": 100, "g1": 1, "g2": 1, "g3": 1})
         engine.expel_governor("g0")
         workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=2)
         leaders = {engine.run_round(workload.take(8)).block.proposer for _ in range(10)}
         assert "g0" not in leaders
 
     def test_cannot_expel_everyone(self):
-        engine, _topo = make_engine()
+        engine, _topo = self.make_engine()
         for gid in ("g0", "g1", "g2"):
             engine.expel_governor(gid)
         with pytest.raises(ConfigurationError):
             engine.expel_governor("g3")
 
     def test_unknown_governor_rejected(self):
-        engine, _topo = make_engine()
+        engine, _topo = self.make_engine()
         with pytest.raises(ConfigurationError):
             engine.expel_governor("ghost")
         with pytest.raises(ConfigurationError):
             engine.mark_byzantine_governor("ghost")
 
     def test_expulsions_recorded(self):
-        engine, _topo = make_engine()
+        engine, _topo = self.make_engine()
         engine.expel_governor("g2", reason="equivocation")
         assert engine.expelled_governors == frozenset({"g2"})
         assert engine.expulsions == [("g2", "equivocation")]
 
     def test_expelled_still_replicates_chain(self):
         for seed in SEEDS:
-            engine, topo = make_engine(seed=seed)
+            engine, topo = self.make_engine(seed=seed)
             favourite = next_leader(engine)
             engine.expel_governor(favourite)
             workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=3)
@@ -79,10 +90,10 @@ class TestExpulsion:
             assert engine.governors[favourite].ledger.height == 4
 
 
-class TestByzantineLeader:
+class TestByzantineLeader(OnEngine):
     def test_byzantine_leader_expelled_and_transfer_completes(self):
         for seed in SEEDS:
-            engine, _topo = make_engine(
+            engine, _topo = self.make_engine(
                 seed=seed, stake={"g0": 10, "g1": 1, "g2": 1, "g3": 1}
             )
             # Mark exactly the governor the transfer will elect: it must
@@ -96,7 +107,7 @@ class TestByzantineLeader:
             assert sum(engine.stake.snapshot().values()) == 13
 
     def test_all_byzantine_fails_loudly(self):
-        engine, _topo = make_engine()
+        engine, _topo = self.make_engine()
         for gid in ("g0", "g1", "g2", "g3"):
             engine.mark_byzantine_governor(gid)
         with pytest.raises((LeaderMisbehaviourError, ConfigurationError)):
@@ -104,9 +115,27 @@ class TestByzantineLeader:
                 engine.transfer_stake("g0", "g1", 1)
 
     def test_honest_run_unaffected_by_marking_nonleader(self):
-        engine, _topo = make_engine(stake={"g0": 100, "g1": 1, "g2": 1, "g3": 1})
+        engine, _topo = self.make_engine(stake={"g0": 100, "g1": 1, "g2": 1, "g3": 1})
         engine.mark_byzantine_governor("g3")  # tiny stake, rarely leads
         # Byzantine flag only matters when that governor actually leads.
         messages = engine.transfer_stake("g0", "g1", 5)
         assert messages > 0
         assert engine.stake.balance("g1") == 6
+
+
+class TestExpulsionNetworked(TestExpulsion):
+    engine_cls = NetworkedProtocolEngine
+
+    def test_failover_skips_an_expelled_governor(self):
+        """The elected leader crashed: the pack goes to the next governor
+        of the election's order, never to an expelled one."""
+        engine, topo = self.make_engine(stake={"g0": 100, "g1": 1, "g2": 1, "g3": 1})
+        engine.expel_governor("g1")
+        assert next_leader(engine) == "g0"
+        engine.lifecycle.crash("g0")
+        workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=4)
+        assert engine.run_round(workload.take(8)).block.proposer == "g2"
+
+
+class TestByzantineLeaderNetworked(TestByzantineLeader):
+    engine_cls = NetworkedProtocolEngine

@@ -104,14 +104,14 @@ def test_scenario_registry_loads_no_host_stack():
     # it pulls in is paid by every in-process workload.
     ours = _repro_modules("repro.workloads.scenarios")
     assert not [name for name in ours if name.startswith(LAZY_STACKS)]
-    assert len(ours) == 48, ours
+    assert len(ours) == 47, ours
 
 
 def test_cli_loads_no_host_stack():
     # Every ``repro`` process starts here; a host's stack loads when built.
     ours = _repro_modules("repro.cli")
     assert not [name for name in ours if name.startswith(LAZY_STACKS)]
-    assert len(ours) == 52, ours
+    assert len(ours) == 51, ours
 
 
 #: Package inits that still re-export: perfbench imports through them.

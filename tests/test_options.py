@@ -28,8 +28,7 @@ from repro.workloads.scenarios import Scenario, build
 #: Callable -> its parameters, in signature order.
 PARAMETERS = {
     ProtocolEngine: (
-        "topology", "params", "behaviors", "seed", "stake", "visibility",
-        "abusive_providers", "obs",
+        "topology", "params", "behaviors", "seed", "stake", "obs",
     ),
     NetworkedProtocolEngine: (
         "topology", "params", "behaviors", "seed", "min_delay", "max_delay",
@@ -51,7 +50,7 @@ FIELDS = {
         "name", "description", "l", "n", "m", "r", "params", "rounds", "batch",
         "behavior_factory", "workload_factory", "host", "shards", "p_cross",
         "epoch_rounds", "checkpoint_interval", "segment_bytes", "faults",
-        "visibility", "abusive_providers", "resilience",
+        "visibility", "resilience",
     ),
     ClusterScenario: (
         "l", "n", "m", "r", "rounds", "batch", "seed", "p_valid", "min_delay",

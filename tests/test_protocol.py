@@ -6,10 +6,12 @@ import pytest
 
 from repro.agents.behaviors import (
     AlwaysInvertBehavior,
+    ArgueAbuse,
     ConcealBehavior,
     ForgeBehavior,
     MisreportBehavior,
 )
+from repro.core.netengine import NetworkedProtocolEngine
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
 from repro.exceptions import ConfigurationError
@@ -169,18 +171,19 @@ class TestLemma2InEngine:
 
 
 class TestAbusiveProviders:
+    """A provider's abuse is its behaviour; ``...Networked`` reruns each case
+    on the networked engine."""
+
+    engine_cls = ProtocolEngine
+
     def test_spurious_argues_burn_validations_but_not_correctness(self):
         topo = Topology.regular(l=8, n=4, m=4, r=2)
-        behaviors = {"c0": MisreportBehavior(0.3)}
 
         def run(abuse):
-            engine = ProtocolEngine(
-                topo, ProtocolParams(f=0.9), behaviors=dict(behaviors),
-                seed=6,
-                abusive_providers=(
-                    {p: 1.0 for p in topo.providers} if abuse else None
-                ),
-            )
+            behaviors = {"c0": MisreportBehavior(0.3)}
+            if abuse:
+                behaviors.update(dict.fromkeys(topo.providers, ArgueAbuse(1.0)))
+            engine = self.engine_cls(topo, ProtocolParams(f=0.9), behaviors=behaviors, seed=6)
             workload = BernoulliWorkload(topo.providers, p_valid=0.5, seed=7)
             for _ in range(15):
                 engine.run_round(workload.take(16))
@@ -192,8 +195,6 @@ class TestAbusiveProviders:
         # Griefing burns extra validations...
         assert abused.metrics.argues_total > honest.metrics.argues_total
         # ...but never corrupts the chain.
-        from repro.ledger.properties import check_all_properties
-
         report = check_all_properties(abused.ledgers(), abused.transcript)
         assert report.all_hold, report.violations
         spurious = sum(p.spurious_argues for p in abused.providers.values())
@@ -203,18 +204,29 @@ class TestAbusiveProviders:
         """Abuse RNGs are drawn last: every other agent's stream is unmoved."""
         topo = Topology.regular(l=8, n=4, m=4, r=2)
 
-        def next_draws(abusive):
-            engine = ProtocolEngine(
-                topo, ProtocolParams(f=0.5), seed=3, abusive_providers=abusive
+        def next_draws(behaviors):
+            engine = self.engine_cls(
+                topo, ProtocolParams(f=0.5), seed=3, behaviors=behaviors
             )
             agents = [*engine.collectors.values(), *engine.governors.values()]
             return [agent.rng.random() for agent in agents]
 
-        assert next_draws(dict.fromkeys(topo.providers, 0.9)) == next_draws(None)
+        assert next_draws(dict.fromkeys(topo.providers, ArgueAbuse(0.9))) == next_draws(None)
 
     def test_unknown_abusive_provider_rejected(self):
         topo = Topology.regular(l=8, n=4, m=4, r=2)
-        with pytest.raises(ConfigurationError):
-            ProtocolEngine(
-                topo, ProtocolParams(f=0.5), abusive_providers={"pX": 0.5}
+        with pytest.raises(ConfigurationError, match="unknown collectors or providers"):
+            self.engine_cls(
+                topo, ProtocolParams(f=0.5), behaviors={"pX": ArgueAbuse(0.5)}
             )
+
+    def test_behaviour_for_the_wrong_role_rejected(self):
+        topo = Topology.regular(l=8, n=4, m=4, r=2)
+        with pytest.raises(ConfigurationError, match="MisreportBehavior given to provider 'p0'"):
+            self.engine_cls(topo, ProtocolParams(), behaviors={"p0": MisreportBehavior(0.1)})
+        with pytest.raises(ConfigurationError, match="ArgueAbuse given to collector 'c0'"):
+            self.engine_cls(topo, ProtocolParams(), behaviors={"c0": ArgueAbuse(0.1)})
+
+
+class TestAbusiveProvidersNetworked(TestAbusiveProviders):
+    engine_cls = NetworkedProtocolEngine
