@@ -272,14 +272,16 @@ class Governor:
 
     # -- upload ingestion (Algorithm 2, deliver arm) ----------------------
 
-    def ingest_upload(self, upload: LabeledTransaction) -> bool:
+    def ingest_upload(self, upload: LabeledTransaction, buffer: bool = True) -> bool:
         """Verify and buffer one collector upload.
 
         Performs the paper's ``verify(c_i, Tx)``: the collector's
         signature over (tx, label), the embedded provider signature, and
         the collector-provider link.  A failed embedded-provider check is
         a *forgery* — case-1 reputation update; a failed collector
-        signature is simply dropped (cannot be attributed).
+        signature is simply dropped (cannot be attributed).  With
+        ``buffer`` false (the transaction is screened already) the upload
+        is checked and then dropped.
 
         Returns:
             True if buffered for screening.
@@ -295,12 +297,11 @@ class Governor:
         # governor checks them, only the first pays.
         if not self.im.verify(upload):
             return False
-        provider_ok = self.im.verify(tx) and self.im.is_linked(
-            upload.collector, tx.provider
-        )
-        if not provider_ok:
+        if not (self.im.verify(tx) and self.im.is_linked(upload.collector, tx.provider)):
             apply_forge_update(self.book, upload.collector)
             self.metrics.forgeries_caught += 1
+            return False
+        if not buffer:
             return False
         _tx, labels = self._received.setdefault(tx.tx_id, (tx, {}))
         if upload.collector in labels:
@@ -360,8 +361,7 @@ class Governor:
         return records
 
     def has_buffered(self, tx_id: str) -> bool:
-        """O(1) membership test against the report buffer; the networked
-        engine probes this once per delivered upload."""
+        """O(1) membership test against the report buffer."""
         return tx_id in self._received
 
     # -- truth revelation / argue (Algorithm 2, deliver_argue arm) --------

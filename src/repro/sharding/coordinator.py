@@ -38,8 +38,8 @@ home identity manager, and the driver relays it to every governor of
 the remote shard (surviving any single governor crash).  The remote
 leader packs the receipt as a relay-signed record.  Exactly-once is
 layered: content-derived receipt ids, per-governor buffer dedup, the
-engine-wide applied-id set, and the pack-time ``_packed_tx_ids``
-filter.  Receipts are *not* fault-exempt — lost relays are re-sent
+engine-wide applied-id set, and the pack-time filter on each slot's
+packed bit.  Receipts are *not* fault-exempt — lost relays are re-sent
 every super-round until the remote commit lands, and the
 :class:`~repro.audit.xshard.CrossShardAuditor` certifies no receipt was ever
 half-applied or replayed.

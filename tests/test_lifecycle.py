@@ -185,8 +185,8 @@ def test_quarantine_travels_with_a_reshuffled_collector(workers, monkeypatch):
     accepted = []
     ingest = Governor.ingest_upload
 
-    def spy(self, upload):
-        ok = ingest(self, upload)
+    def spy(self, upload, *buffer):
+        ok = ingest(self, upload, *buffer)
         if ok and upload.collector == "c0":
             accepted.append(self.governor_id)
         return ok

@@ -106,7 +106,7 @@ RECORDS = {
     "audit_checks_total": lambda e: sum(sum(r.checks.values()) for r in _reports(e)),
     "audit_violations_total": lambda e: sum(len(r.violations) for r in _reports(e)),
     "audit_evidence_entries": lambda e: sum(
-        len(a._labels) + len(a._votes) for a in e.auditors.values()
+        a.tx_evidence + len(a._votes) for a in e.auditors.values()
     ),
     "audit_commit_votes_total": lambda e: sum(e.votes.sent.values()),
     "audit_quarantines_total": lambda e: len(e.quarantine_log),
@@ -204,7 +204,7 @@ class TestInstrumentation:
         assert 0 < entries == obs._metrics["crypto_sig_cache_misses"].value
         held = obs._metrics["audit_evidence_entries"]
         for gid, auditor in engine.auditors.items():
-            assert held.value_of(auditor=gid) == len(auditor._labels) + len(auditor._votes)
+            assert held.value_of(auditor=gid) == auditor.tx_evidence + len(auditor._votes)
             assert held.value_of(auditor=gid) >= ROUNDS * PER_ROUND
 
     def test_abstract_engine_exports_counters(self):

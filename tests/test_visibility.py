@@ -127,16 +127,18 @@ class TestEngineWithVisibilityNetworked(TestEngineWithVisibility):
         for _ in range(4):
             engine.run_round(workload.take(8))
         blind, full = engine.governors["g0"], engine.governors["g1"]
-
-        def held(gid):
-            return [u for labels in engine.auditors[gid]._labels.values() for u in labels]
-
-        from_drop = [u for u in held("g1") if u.collector == drop]
+        slots = engine.slots.values()
+        uploads = [u for slot in slots for u in slot.uploads]
+        from_drop = [u for u in uploads if u.collector == drop]
         assert from_drop, "the spared collector uploaded nothing"
-        assert all(u.collector != drop for u in held("g0"))
-        assert engine.auditors["g0"].report.checks["upload-label"] == len(held("g0"))
-        assert blind.metrics.uploads_received == len(held("g0"))
-        assert full.metrics.uploads_received - blind.metrics.uploads_received == len(from_drop)
+        # g1 sees every collector: it audited and counted every upload once,
+        # and g0 every one but the spared collector's.
+        checks = {gid: a.report.checks["upload-label"] for gid, a in engine.auditors.items()}
+        assert checks["g1"] == full.metrics.uploads_received == len(uploads)
+        assert checks["g0"] == blind.metrics.uploads_received == len(uploads) - len(from_drop)
+        seen = [slot for slot in slots if any(u.collector != drop for u in slot.uploads)]
+        assert engine.auditors["g0"].tx_evidence == len(seen)
+        assert engine.auditors["g1"].tx_evidence == len(engine.slots)
 
     def test_recovered_collector_is_readmitted_only_where_seen(self, topo):
         viewed, drop = _sparing_g0(topo)
