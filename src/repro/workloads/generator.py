@@ -27,7 +27,7 @@ from repro.rng import default_rng
 __all__ = ["TxSpec", "WorkloadGenerator", "BernoulliWorkload", "PerProviderWorkload", "BurstyWorkload"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxSpec:
     """One workload entry: who sends what, and whether it is valid.
 
