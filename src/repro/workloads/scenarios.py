@@ -65,7 +65,7 @@ HOST_READS = {
     "net": {
         "behavior_factory", "visibility", "faults", "resilience", "storage_dir", "custodians",
     },
-    "shard": {"behavior_factory", "faults", "resilience", "workers"},
+    "shard": {"behavior_factory", "epoch_rounds", "faults", "resilience", "workers"},
     "stream": set(),
 }
 
@@ -344,7 +344,7 @@ def build(
     reject_unread(
         scenario, storage_dir=storage_dir, workers=workers, custodians=custodians,
         faults=scenario.faults, visibility=scenario.visibility,
-        resilience=scenario.resilience or None,
+        resilience=scenario.resilience or None, epoch_rounds=scenario.epoch_rounds,
     )
     # Each stack is imported where it is built: in-process users (and
     # perfbench's tracer, which preloads this module) never pay for the

@@ -64,6 +64,8 @@ class TestRegistry:
             ("stream-smoke", {"resilience": True}),
             ("smoke", {"custodians": [("custodian-0", "127.0.0.1", 1)]}),
             ("sharded-smoke", {"visibility": lambda topo, seed: topo}),
+            ("smoke", {"epoch_rounds": 2}),
+            ("durable-smoke", {"epoch_rounds": 2}),
         ],
     )
     def test_option_the_host_does_not_read_rejected(self, name, option):
@@ -79,10 +81,9 @@ class TestRegistry:
             assert names <= FIELDS | options, (host, names - FIELDS - options)
 
     def test_every_optional_engine_field_is_read_by_a_host(self):
-        # ``epoch_rounds`` sizes a shard host's run, as ``shards`` does.
         optional = {
             f.name for f in fields(Scenario) if f.default is None or f.default is False
-        } - {"epoch_rounds"}
+        }
         unread = optional - set().union(*HOST_READS.values())
         assert not unread, unread
 
