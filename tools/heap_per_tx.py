@@ -13,10 +13,12 @@ Usage::
 
     PYTHONPATH=src python tools/heap_per_tx.py paper-default --host net --rounds 40
 
-With two or more windows the exit status is 1 unless the least window of
-the later half retains at most ``FLATNESS`` times the least of the earlier
-half: a structure that grows faster than linearly with history lifts every
-later window.  The *least* window, because ``set`` and ``dict`` tables grow
+With ``--budget B`` the exit status is 1 if the last window retains more
+than ``B`` bytes per offered transaction (the nightly job gates the
+networked figure this way).  With two or more windows it is also 1 unless
+the least window of the later half retains at most ``FLATNESS`` times the
+least of the earlier half: a structure that grows faster than linearly
+with history lifts every later window.  The *least* window, because ``set`` and ``dict`` tables grow
 in steps — a window in which the id sets of every replica quadruple reads
 half as much again as its neighbours, on a run that is perfectly linear
 (the nightly soak runs ``durable-soak --rounds 50 --windows 8``).
@@ -121,6 +123,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=40, help="rounds per window")
     parser.add_argument("--windows", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--budget", type=float, help="fail if the last window retains more B per offered tx"
+    )
     args = parser.parse_args(argv)
 
     from repro.workloads.scenarios import SCENARIOS
@@ -140,6 +145,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         for owner in window.owners[:TOP]:
             print(f"  {owner.bytes_per_tx:9,.1f} B/tx  {owner.blocks:8d} blocks  {owner.where}")
+    last = measured[-1].bytes_per_tx
+    if args.budget is not None and last > args.budget:
+        print(f"FAIL: the last window retains {last:,.0f} B/tx, over the budget of {args.budget:,.0f}")
+        return 1
     half = len(measured) // 2
     if half:
         early = min(window.bytes_per_tx for window in measured[:half])
