@@ -252,13 +252,15 @@ class SafetyAuditor:
         # ``(first, second)`` pair once a conflicting one arrives; per
         # transaction, each collector's labels, in ``slots``.
         self._votes: dict[int, dict[str, "CommitVote | tuple"]] = {}
+        if slots is None:  # a standalone auditor: a private one-governor table
+            slots = SlotTable()
         self._slots = slots
         self._index = index
         #: Transactions this auditor holds label evidence for.
         self.tx_evidence = 0
-        self._held = 1 << 2 * (slots.width if slots is not None else 1) + index
+        self._held = 1 << 2 * slots.width + index
         # (collector, label) -> this auditor's SlotTable.label_bits
-        self._label_bits = {} if slots is None else {
+        self._label_bits = {
             (c, label): slots.label_bits(c, label, index)
             for c in slots.collectors for label in (Label.VALID, Label.INVALID)
         }
@@ -444,8 +446,6 @@ class SafetyAuditor:
         if self.im is not None and not self.im.verify(upload):
             return None
         if slot is None:
-            if self._slots is None:
-                self._slots = SlotTable()
             slot = self._slots[upload.tx.tx_id]
         bits = slot.bits
         try:

@@ -17,11 +17,9 @@ from operator import attrgetter
 from repro.crypto.hashing import canonical_encode
 from repro.crypto.signatures import SignedRecord, SigningKey, sign
 from repro.crypto.vrf import VRFOutput
-from repro.ledger.block import Block
 
 __all__ = [
     "VRFAnnouncement",
-    "BlockProposal",
     "CommitVote",
     "NewStateProposal",
     "StateAck",
@@ -63,16 +61,6 @@ class VRFAnnouncement:
     governor: str
     outputs: tuple[VRFOutput, ...]
     kind: str = field(default="vrf-announce", repr=False)
-
-
-@dataclass(frozen=True)
-class BlockProposal:
-    """The leader's ordinary block for the round."""
-
-    round_number: int
-    block: Block
-    leader: str
-    kind: str = field(default="block-proposal", repr=False)
 
 
 @dataclass(frozen=True, slots=True)

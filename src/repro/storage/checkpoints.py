@@ -27,7 +27,7 @@ import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.crypto.hashing import hash_value
 from repro.crypto.merkle import EMPTY_ROOT, merkle_root
@@ -181,7 +181,3 @@ def load_checkpoints(
                 )
             )
     return good, bad
-
-
-#: Type of the callback a durable store uses to snapshot the books.
-BookDigestFn = Callable[[], bytes]

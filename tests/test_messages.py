@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus.messages import (
-    BlockProposal,
     ExpelEvidence,
     NewStateProposal,
     StateAck,
@@ -14,16 +13,8 @@ from repro.consensus.messages import (
 )
 from repro.crypto.signatures import SigningKey, sign
 from repro.crypto.vrf import vrf_evaluate
-from repro.ledger.block import GENESIS_PREV_HASH, Block
 
 KEY = SigningKey(owner="g0", secret=b"\x19" * 32)
-
-
-def make_block():
-    return Block(
-        serial=1, tx_list=(), prev_hash=GENESIS_PREV_HASH,
-        proposer="g0", round_number=1,
-    )
 
 
 class TestKindTags:
@@ -33,10 +24,6 @@ class TestKindTags:
         out = vrf_evaluate(KEY, 1, 0, 1)
         msg = VRFAnnouncement(round_number=1, governor="g0", outputs=(out,))
         assert msg.kind == "vrf-announce"
-
-    def test_block_proposal(self):
-        msg = BlockProposal(round_number=1, block=make_block(), leader="g0")
-        assert msg.kind == "block-proposal"
 
     def test_state_messages(self):
         sig = sign(KEY, b"x")
@@ -93,6 +80,6 @@ class TestSignedShapes:
         assert a.signed_message() != b.signed_message()
 
     def test_messages_are_immutable(self):
-        msg = BlockProposal(round_number=1, block=make_block(), leader="g0")
+        msg = VRFAnnouncement(round_number=1, governor="g0", outputs=())
         with pytest.raises(AttributeError):
-            msg.leader = "g1"
+            msg.governor = "g1"
