@@ -194,22 +194,24 @@ class TestReshuffleKeepsDeliveredTransactions:
 
 
 class TestLeaderStarvationWait:
-    """Pin seed 644: a screened transaction waits for its governor's turn.
+    """Seed 644: a reshuffle no longer strands a screened transaction.
 
-    The same soak schedule at seed 644 leaves ``p23``'s transaction
+    The same soak schedule at seed 644 used to leave ``p23``'s transaction
     (payload ``seq`` 959) screened but parked in the carry-over queues of
-    shard 1's g1 and g7 until the stake-weighted election picks one of
-    them: 8 flush super-rounds end the run before it does, 24 do not.
-    Seed 644 is the first of 1–800 that strands a spec at 8 flushes (731
-    is the other).  This pins today's wait, not a promise — it is the
-    regression anchor for ROADMAP item 9, bounded Validity, which has
-    still to choose its fix (forward screened records to the leader, or
-    bound the claim by the election's expected return time).
+    shard 1's g1 and g7 until the stake-weighted election picked one of
+    them: 8 flush super-rounds ended the run before it did, 24 did not.
+    Seed 644 was the first of 1–800 to strand a spec at 8 flushes (731
+    the other).  The leaders had lost it: a reshuffle released its last
+    reporter while their Δ timers were pending, and a governor screened
+    before the release only when no other governor kept the transaction.
+    Every governor now screens what a release would make it forget, so
+    the spec commits at 8.  Seed 644 stays the regression anchor for
+    ROADMAP item 9, bounded Validity, whose rule is still to be chosen.
     """
 
-    @pytest.mark.parametrize("flush, stranded", [(8, [("p23", 959)]), (24, [])])
-    def test_one_valid_spec_commits_only_after_a_long_flush(self, flush, stranded):
-        assert stranded_specs(seed=644, rounds=40, flush=flush) == stranded
+    @pytest.mark.parametrize("flush", [8, 24])
+    def test_one_valid_spec_commits_within_eight_flushes(self, flush):
+        assert stranded_specs(seed=644, rounds=40, flush=flush) == []
 
 
 class TestRelayRacesLeaderCrash:
