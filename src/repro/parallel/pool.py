@@ -428,7 +428,7 @@ class ParallelBackend:
         # latencies in, hence part of the determinism contract.
         self._by_shard("relay", batches)
 
-    def repair_scan(self, shard: int) -> bool:
+    def repair_scan(self, shard: int) -> int:
         worker = self.worker_for_shard[shard]
         return self._call("repair_scan", {worker: (shard,)})[worker]
 

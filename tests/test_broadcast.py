@@ -321,3 +321,27 @@ class TestGapRepair:
         sim.run()
         assert ab.repairs_expired >= total - retention
         assert ab.repairs_served >= 1
+
+
+class TestRecoveryDrain:
+    """``walk_recovery_drain`` stops at 0, or after a run of slices that
+    repair nothing; a repair that keeps gaining is never cut off."""
+
+    def walk(self, readings) -> int:
+        """Walk over successive ``lagging()`` readings; the slices advanced."""
+        probes, slices = iter(readings), []
+        broadcast.walk_recovery_drain(lambda: next(probes), slices.append, max_delay=0.05)
+        return len(slices)
+
+    def test_stops_once_nothing_is_missing(self):
+        assert self.walk([3, 2, 0]) == 2
+        assert self.walk([0]) == 0
+
+    def test_a_slow_repair_runs_past_the_stall_budget(self):
+        cycles = broadcast.RECOVERY_DRAIN_CYCLES
+        readings = [n for n in range(cycles + 2, 0, -1) for _ in (0, 1)] + [0]
+        assert self.walk(readings) == len(readings) - 1 > cycles
+
+    def test_gives_up_after_slices_that_repair_nothing(self):
+        cycles = broadcast.RECOVERY_DRAIN_CYCLES
+        assert self.walk([5, 4] + [4] * cycles) == cycles + 1
