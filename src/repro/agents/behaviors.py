@@ -10,7 +10,9 @@ A behaviour decides, per received transaction, whether to report the
 truth, lie, or stay silent, and how often to attempt forgeries.  All
 randomness flows through the caller-supplied RNG, keeping runs
 reproducible.  Stateful behaviours (flip-flop, sleeper) count their own
-decisions.
+decisions, and switch only when told a round closed (their optional
+``end_round`` hook): every transaction of one round reads the same
+count, whatever order the collector meets them in.
 
 Theorem 1 quantifies over arbitrary behaviour as long as *one* collector
 behaves well, so the experiments mix these models freely.
@@ -27,7 +29,7 @@ from typing import Protocol
 
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label
-from repro.rng import Generator
+from repro.rng import Draws
 
 __all__ = [
     "CollectorBehavior",
@@ -46,11 +48,11 @@ __all__ = [
 class CollectorBehavior(Protocol):
     """Strategy interface for a collector's per-transaction conduct."""
 
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Draws) -> Label | None:
         """The label to upload for a transaction, or None to conceal."""
         ...
 
-    def should_forge(self, rng: Generator) -> bool:
+    def should_forge(self, rng: Draws) -> bool:
         """Whether to also submit a forged transaction this opportunity."""
         ...
 
@@ -64,10 +66,10 @@ def _check_probability(name: str, p: float) -> None:
 class HonestBehavior:
     """Always report the true label, never forge — the well-behaved collector."""
 
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Draws) -> Label | None:
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: Generator) -> bool:
+    def should_forge(self, rng: Draws) -> bool:
         return False
 
 
@@ -80,12 +82,12 @@ class MisreportBehavior:
     def __post_init__(self) -> None:
         _check_probability("misreport probability p", self.p)
 
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Draws) -> Label | None:
         if rng.random() < self.p:
             return Label.from_bool(not true_valid)
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: Generator) -> bool:
+    def should_forge(self, rng: Draws) -> bool:
         return False
 
 
@@ -98,12 +100,12 @@ class ConcealBehavior:
     def __post_init__(self) -> None:
         _check_probability("conceal probability q", self.q)
 
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Draws) -> Label | None:
         if rng.random() < self.q:
             return None
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: Generator) -> bool:
+    def should_forge(self, rng: Draws) -> bool:
         return False
 
 
@@ -116,42 +118,54 @@ class ForgeBehavior:
     def __post_init__(self) -> None:
         _check_probability("forge probability w", self.w)
 
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Draws) -> Label | None:
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: Generator) -> bool:
+    def should_forge(self, rng: Draws) -> bool:
         return bool(rng.random() < self.w)
 
 
 @dataclass
-class FlipFlopBehavior:
-    """Alternate honest/lying phases of ``period`` transactions each.
+class _RoundCounter:
+    """Transactions labelled in closed rounds (``_seen``) and in the open one."""
+
+    _seen: int = field(default=0, init=False, repr=False)
+    _this_round: int = field(default=0, init=False, repr=False)
+
+    def end_round(self) -> None:
+        self._seen += self._this_round
+        self._this_round = 0
+
+
+@dataclass
+class FlipFlopBehavior(_RoundCounter):
+    """Alternate honest/lying phases of ``period`` transactions each,
+    switching at the first round boundary past each phase's end.
 
     A worst-case pattern for naive (windowed-average) reputation schemes;
     the multiplicative scheme keeps punishing each lying phase.
     """
 
     period: int = 10
-    _seen: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.period < 1:
             raise ConfigurationError(f"flip-flop period must be >= 1, got {self.period}")
 
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
-        phase = (self._seen // self.period) % 2
-        self._seen += 1
-        if phase == 0:
+    def label_for(self, true_valid: bool, rng: Draws) -> Label | None:
+        self._this_round += 1
+        if (self._seen // self.period) % 2 == 0:
             return Label.from_bool(true_valid)
         return Label.from_bool(not true_valid)
 
-    def should_forge(self, rng: Generator) -> bool:
+    def should_forge(self, rng: Draws) -> bool:
         return False
 
 
 @dataclass
-class SleeperBehavior:
-    """Behave perfectly for ``honest_prefix`` transactions, then defect.
+class SleeperBehavior(_RoundCounter):
+    """Behave perfectly for ``honest_prefix`` transactions, then defect
+    from the first round that begins past them.
 
     Models reputation farming: build weight, then spend it lying with
     probability ``p_after``.  Theorem 1 still bounds the damage because
@@ -160,22 +174,21 @@ class SleeperBehavior:
 
     honest_prefix: int = 100
     p_after: float = 1.0
-    _seen: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.honest_prefix < 0:
             raise ConfigurationError("honest_prefix cannot be negative")
         _check_probability("p_after", self.p_after)
 
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
-        self._seen += 1
-        if self._seen <= self.honest_prefix:
+    def label_for(self, true_valid: bool, rng: Draws) -> Label | None:
+        self._this_round += 1
+        if self._seen < self.honest_prefix:
             return Label.from_bool(true_valid)
         if rng.random() < self.p_after:
             return Label.from_bool(not true_valid)
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: Generator) -> bool:
+    def should_forge(self, rng: Draws) -> bool:
         return False
 
 
@@ -183,10 +196,10 @@ class SleeperBehavior:
 class AlwaysInvertBehavior:
     """Deterministically report the opposite label — maximal misreporting."""
 
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Draws) -> Label | None:
         return Label.from_bool(not true_valid)
 
-    def should_forge(self, rng: Generator) -> bool:
+    def should_forge(self, rng: Draws) -> bool:
         return False
 
 

@@ -36,7 +36,7 @@ from repro.ledger.transaction import (
 from repro.ledger.validation import CountingOracle, ValidityOracle
 from repro.network.topology import Topology
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.rng import Generator
+from repro.rng import keyed_draws
 
 __all__ = ["GovernorMetrics", "Governor"]
 
@@ -73,7 +73,8 @@ class Governor:
         im: Identity Manager handle for ``verify``.
         oracle: The governor's ``validate`` — wrapped in a
             :class:`CountingOracle` so validation cost is measured.
-        rng: The governor's private randomness for screening draws.
+        seed: The run seed, which keys the governor's screening draws
+            (:func:`repro.rng.keyed_draws`).
         obs: Metrics registry shared with the engine (the ``gov_*``
             family, labeled by governor id; see OBSERVABILITY.md).
     """
@@ -83,7 +84,7 @@ class Governor:
     params: ProtocolParams
     im: IdentityManager
     oracle: CountingOracle
-    rng: Generator
+    seed: int
     obs: MetricsRegistry = field(default_factory=lambda: NULL_REGISTRY)
     book: ReputationBook = field(init=False)
     ledger: Ledger = field(init=False)
@@ -333,9 +334,8 @@ class Governor:
             labels=labels,
             linked_collectors=self._linked.get(tx.provider, tuple(sorted(labels))),
         )
-        decision = screen_transaction(
-            self.params, self.book, reports, self.oracle.validate, self.rng
-        )
+        rng = keyed_draws(self.seed, self.governor_id, tx.body.digest)
+        decision = screen_transaction(self.params, self.book, reports, self.oracle.validate, rng)
         self.metrics.transactions_screened += 1
         if decision.checked:
             self.metrics.validations += 1

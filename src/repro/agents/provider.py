@@ -20,6 +20,7 @@ from repro.ledger.transaction import (
     make_signed_transaction,
 )
 from repro.ledger.validation import ValidityOracle
+from repro.rng import keyed_draws
 
 __all__ = ["Provider"]
 
@@ -41,8 +42,8 @@ class Provider:
             argue, and the burial window U caps how long a transaction
             stays arguable) but can never flip the record, since the
             governors' own ``validate`` settles it.
-        abuse_rng: Randomness for the abuse decision (required when
-            ``argue_abuse_rate > 0``).
+        seed: The run seed, which keys the abuse draw about each record
+            (:func:`repro.rng.keyed_draws`).
     """
 
     provider_id: str
@@ -50,7 +51,7 @@ class Provider:
     linked_collectors: tuple[str, ...]
     active: bool = True
     argue_abuse_rate: float = 0.0
-    abuse_rng: object | None = None
+    seed: int = 0
     _nonce: int = field(default=0, repr=False)
     #: Nonce of this object's first signature (None until it signs): its
     #: own transactions are exactly those naming it with a nonce in
@@ -68,8 +69,6 @@ class Provider:
             raise ValueError(
                 f"argue_abuse_rate must be in [0, 1], got {self.argue_abuse_rate}"
             )
-        if self.argue_abuse_rate > 0.0 and self.abuse_rng is None:
-            raise ValueError("argue_abuse_rate > 0 requires an abuse_rng")
 
     def create_transaction(self, payload: object, timestamp: float) -> SignedTransaction:
         """Generate and sign the next transaction (fresh nonce)."""
@@ -118,9 +117,8 @@ class Provider:
             if oracle.validate(rec.tx):
                 self.argued_tx_ids.add(tx_id)
                 to_argue.append(tx_id)
-            elif (
-                self.argue_abuse_rate > 0.0
-                and self.abuse_rng.random() < self.argue_abuse_rate
+            elif self.argue_abuse_rate > 0.0 and (
+                keyed_draws(self.seed, me, body.digest).random() < self.argue_abuse_rate
             ):
                 # Spurious argue: the record is correct, but the abusive
                 # provider contests it anyway to burn governor validations.

@@ -165,6 +165,8 @@ class PolicySimulation:
         rng = default_rng(self.seed)
         ids = [f"c{i}" for i in range(len(self.behaviors))]
         out: list[tuple[Label, dict[str, Label]]] = []
+        # One transaction a round: a counting behaviour closes one after each.
+        round_ends = [b.end_round for b in self.behaviors if hasattr(b, "end_round")]
         for _ in range(self.horizon):
             truth_valid = bool(rng.random() < self.p_valid)
             labels: dict[str, Label] = {}
@@ -172,6 +174,8 @@ class PolicySimulation:
                 label = behavior.label_for(truth_valid, rng)
                 if label is not None:
                     labels[cid] = label
+            for end_round in round_ends:
+                end_round()
             out.append((Label.from_bool(truth_valid), labels))
         return out
 

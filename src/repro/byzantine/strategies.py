@@ -21,7 +21,7 @@ from typing import Callable
 
 from repro.exceptions import ConfigurationError
 from repro.ledger.transaction import Label, SignedTransaction
-from repro.rng import Generator
+from repro.rng import Draws
 
 __all__ = [
     "CartelPlan",
@@ -71,15 +71,15 @@ class ColludingCollectorBehavior:
     plan: CartelPlan
     suppressed: int = field(default=0, repr=False)
 
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Draws) -> Label | None:
         # Provider-blind fallback (in-process paths): honest.
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: Generator) -> bool:
+    def should_forge(self, rng: Draws) -> bool:
         return False
 
     def label_for_tx(
-        self, tx: SignedTransaction, true_valid: bool, rng: Generator
+        self, tx: SignedTransaction, true_valid: bool, rng: Draws
     ) -> Label | None:
         if tx.provider != self.plan.target_provider:
             return Label.from_bool(true_valid)
@@ -116,14 +116,14 @@ class AdaptiveAttackerBehavior:
         """Attach the live reputation read-out this attacker conditions on."""
         self.weight_probe = probe
 
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Draws) -> Label | None:
         weight = 0.0 if self.weight_probe is None else float(self.weight_probe())
         if weight > self.defect_above and rng.random() < self.p_defect:
             self.defections += 1
             return Label.from_bool(not true_valid)
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: Generator) -> bool:
+    def should_forge(self, rng: Draws) -> bool:
         return False
 
 
@@ -145,14 +145,14 @@ class TwoFacedCollectorBehavior:
         if self.period < 1:
             raise ConfigurationError(f"period must be >= 1, got {self.period}")
 
-    def label_for(self, true_valid: bool, rng: Generator) -> Label | None:
+    def label_for(self, true_valid: bool, rng: Draws) -> Label | None:
         return Label.from_bool(true_valid)
 
-    def should_forge(self, rng: Generator) -> bool:
+    def should_forge(self, rng: Draws) -> bool:
         return False
 
     def conflicting_label_for(
-        self, tx: SignedTransaction, primary: Label, rng: Generator
+        self, tx: SignedTransaction, primary: Label, rng: Draws
     ) -> Label | None:
         self._count += 1
         if self._count % self.period == 0:

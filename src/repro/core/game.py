@@ -150,6 +150,8 @@ class ReputationGame:
                 gamma_override=self.gamma_override,
             )
 
+        # One transaction a round: a counting behaviour closes one after each.
+        round_ends = [b.end_round for b in self.behaviors if hasattr(b, "end_round")]
         for t in range(self.horizon):
             truth_valid = bool(rng.random() < self.p_valid)
             truth = Label.from_bool(truth_valid)
@@ -163,6 +165,8 @@ class ReputationGame:
                     collector_losses[cid] += 1.0
                 elif label is not truth:
                     collector_losses[cid] += 2.0
+            for end_round in round_ends:
+                end_round()
 
             if labels:
                 reporters = sorted(labels)

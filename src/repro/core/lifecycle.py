@@ -281,7 +281,7 @@ class NodeLifecycle:
             key=key,
             linked_providers=providers,
             behavior=behavior if behavior is not None else HonestBehavior(),
-            rng=engine.draw_rng(),
+            seed=engine.seed,
         )
         for pid in providers:
             engine.im.register_link(cid, pid)

@@ -198,7 +198,7 @@ class StreamingApp(ProtocolEngine):
             # the Identity Manager, so old signatures keep verifying.
             key = self.im.record(pid).key
             self.metrics.reinstantiations += 1
-        provider = Provider(provider_id=pid, key=key, linked_collectors=linked)
+        provider = Provider(provider_id=pid, key=key, linked_collectors=linked, seed=self.seed)
         if nonce is not None:
             provider._nonce = nonce
         self.providers[pid] = provider

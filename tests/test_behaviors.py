@@ -72,13 +72,28 @@ class TestForge:
         assert forges / 5000 == pytest.approx(0.25, abs=0.03)
 
 
+def label_rounds(behavior, rng, sizes) -> list[list[Label | None]]:
+    """Label ``sizes[k]`` valid transactions in round ``k``, closing each."""
+    rounds = []
+    for size in sizes:
+        rounds.append([behavior.label_for(True, rng) for _ in range(size)])
+        behavior.end_round()
+    return rounds
+
+
 class TestFlipFlop:
     def test_alternates_by_period(self, rng):
         b = FlipFlopBehavior(period=3)
-        labels = [b.label_for(True, rng) for _ in range(9)]
+        labels = [label for (label,) in label_rounds(b, rng, [1] * 9)]
         assert labels[:3] == [Label.VALID] * 3
         assert labels[3:6] == [Label.INVALID] * 3
         assert labels[6:9] == [Label.VALID] * 3
+
+    def test_phase_switches_at_a_round_boundary(self, rng):
+        b = FlipFlopBehavior(period=3)
+        first, second = label_rounds(b, rng, [5, 2])
+        assert first == [Label.VALID] * 5
+        assert second == [Label.INVALID] * 2
 
     def test_bad_period(self):
         with pytest.raises(ConfigurationError):
@@ -88,9 +103,14 @@ class TestFlipFlop:
 class TestSleeper:
     def test_honest_prefix(self, rng):
         b = SleeperBehavior(honest_prefix=5, p_after=1.0)
-        labels = [b.label_for(True, rng) for _ in range(8)]
+        labels = [label for (label,) in label_rounds(b, rng, [1] * 8)]
         assert labels[:5] == [Label.VALID] * 5
         assert labels[5:] == [Label.INVALID] * 3
+
+    def test_defects_from_the_first_round_past_the_prefix(self, rng):
+        b = SleeperBehavior(honest_prefix=5, p_after=1.0)
+        rounds = label_rounds(b, rng, [4, 4, 2])
+        assert rounds == [[Label.VALID] * 4, [Label.VALID] * 4, [Label.INVALID] * 2]
 
     def test_partial_defection(self, rng):
         b = SleeperBehavior(honest_prefix=0, p_after=0.5)

@@ -82,12 +82,13 @@ class TestChaosSmoke:
         assert engine.store.height == 4
 
     def test_closing_rounds_are_drained(self):
-        # Seed 37's last round admits an argue, so finalize() runs closing
-        # rounds over the lossy links; undrained, their broadcast left a
-        # gap open and two replicas a block behind the store.
+        # Seed 8's last round admits an argue (the first seed of 1-300 whose
+        # does), so finalize() runs closing rounds over the lossy links;
+        # undrained, their broadcast left a gap open and two replicas a
+        # block behind the store.
         behaviors = {"c0": MisreportBehavior(0.3), "c1": ConcealBehavior(0.3)}
-        engine, topo = make_engine(seed=37, behaviors=behaviors, faults=lossy_plan(seed=38))
-        run_rounds(engine, topo, rounds=4, seed=39)
+        engine, topo = make_engine(seed=8, behaviors=behaviors, faults=lossy_plan(seed=9))
+        run_rounds(engine, topo, rounds=4, seed=10)
         assert engine._reevaluated_queue
         engine.finalize()
         assert not engine._reevaluated_queue

@@ -59,7 +59,7 @@ RUN_CASES = {
     ),
     "shard": (
         ["run", "sharded-smoke", "--rounds", "3"],
-        ["[serial backend]", "aggregate committed: 41 tx",
+        ["[serial backend]", "aggregate committed: 43 tx",
          "cross-shard atomicity clean: True",
          "properties hold on all shards: True"],
     ),

@@ -35,9 +35,9 @@ from repro.workloads.generator import BernoulliWorkload
 # -- protocol-run goldens ----------------------------------------------------
 
 GOLDEN_BLOCK_HASHES = [
-    "c43fe0a56d57af082646e72a2e3b1ba62986ad69c320283b7ed6ebb94ac6ce47",
-    "ddfd61e46e6eb3f5ed297f6ab1bfc8f0142437d0895d644933edc3dd93da4f50",
-    "a057369c93a81b092265ff3f0377089553235e16dbe8902c9e0a733e7b130e73",
+    "6ce6251286550e284ef7c7e0acc5395f1a2c98eb2f1919b1ca7b6265e761adc9",
+    "84a7d63adcd092b170c61a627071d795ddf384fdc421e586f82bee6620b8798a",
+    "c8d11a86981ff5d070f2718f90c893f5e92dfe68a9b2b40644fac38d0ed4b6b1",
 ]
 
 

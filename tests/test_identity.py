@@ -21,7 +21,6 @@ from repro.ledger.transaction import (
 )
 from repro.ledger.validation import CountingOracle, GroundTruthOracle
 from repro.network.topology import Topology
-from repro.rng import default_rng
 
 
 def ingest(im: IdentityManager, upload, governor: str = "g0") -> tuple[bool, int]:
@@ -37,7 +36,7 @@ def ingest(im: IdentityManager, upload, governor: str = "g0") -> tuple[bool, int
         params=ProtocolParams(f=0.5),
         im=im,
         oracle=CountingOracle(inner=GroundTruthOracle()),
-        rng=default_rng(0),
+        seed=0,
     )
     provider, collector = upload.tx.provider, upload.collector
     gov.register_topology(Topology(

@@ -24,7 +24,6 @@ from repro.ledger.validation import GroundTruthOracle
 from repro.network.broadcast import AtomicBroadcast
 from repro.network.simnet import Simulator, SyncNetwork
 from repro.network.topology import Topology
-from repro.rng import default_rng
 
 
 @pytest.fixture
@@ -44,7 +43,6 @@ def wired_world():
             provider_id=pid, key=key, linked_collectors=topo.collectors_of(pid)
         )
     collectors = {}
-    rng = default_rng(5)
     for cid in topo.collectors:
         key = im.enroll(cid, Role.COLLECTOR)
         collectors[cid] = Collector(
@@ -52,7 +50,7 @@ def wired_world():
             key=key,
             linked_providers=topo.providers_of(cid),
             behavior=HonestBehavior(),
-            rng=default_rng(rng.integers(2**63)),
+            seed=5,
         )
         for pid in topo.providers_of(cid):
             im.register_link(cid, pid)

@@ -108,11 +108,11 @@ def _durable_reopened(obs, tmp_path):
 
 
 PINNED = {
-    _paper_default: "2278fc3855b8a2121b5fe0da3205b524368d10958f60baef7b5720e5b0b655ba",
-    _networked_faulted: "ca818c7dac7c09694ce5144efcfadaa7525e8a25de47446c57b8657fe253b2aa",
-    _sharded_quad_serial: "3414c04f53639cf4ba88a48b40cf46d718abf51ab78cfe275bad1c7de0f964ce",
-    _stream_smoke: "0df7b21ecfc88dd30f1febab39770f415808e9f58afe7ff5dd7c136af6684ed5",
-    _durable_reopened: "98a1e7b01ec48e94cb92020a520cbfc7bfae08a72509c14966d55cba90f3967b",
+    _paper_default: "00a09b81d610a2318461bc16f216666f80912df94a15f8451c144f1c2b10f17e",
+    _networked_faulted: "6beb833401508b6dc811bb9e960fc37a5123228c4d52f150778687a992476493",
+    _sharded_quad_serial: "3721416799ab9350844854d47d8ec160eefe9925287ba5492f25ab541c36fd56",
+    _stream_smoke: "2abc1c89e7517eff62a0ed9b0bda9dfa0281c153f364f699372acc0a0d4c248a",
+    _durable_reopened: "ad38b53b761909262d4bf9f0b269b92cdc09a1c8b6cfe8bac4100f4c912dfca3",
 }
 
 

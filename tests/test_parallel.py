@@ -422,13 +422,13 @@ class TestBackendSurface:
             assert msgs.value_of(direction="recv") == sent
             bytes_total = registry._metrics["par_ipc_bytes_total"]
             assert bytes_total.value_of(direction="send") > sent  # > 1 B/msg
-            # Four super-rounds (two driven, two flushed) send one
+            # Three super-rounds (two driven, one flushed) send one
             # run_round, at most one first relay and one mass read per
             # worker each; the boot's mass read and finalize's recovery
             # probes and reveal add the rest.  The phase-barrier driver,
-            # eight commands per super-round, sent 72.
-            assert coordinator._round == 4
-            assert sent == 27
+            # eight commands per super-round, sent 72 over four.
+            assert coordinator._round == 3
+            assert sent == 22
         finally:
             coordinator.close()
 

@@ -201,17 +201,22 @@ class TestAbusiveProviders:
         assert spurious > 0
 
     def test_abuse_reseeds_no_collector_or_governor(self):
-        """Abuse RNGs are drawn last: every other agent's stream is unmoved."""
+        """Draws are keyed by (agent, transaction): with abuse on, every
+        collector labels and every governor screens each transaction as
+        with it off, so the first block (packed before any argue) is the same."""
         topo = Topology.regular(l=8, n=4, m=4, r=2)
 
-        def next_draws(behaviors):
-            engine = self.engine_cls(
-                topo, ProtocolParams(f=0.5), seed=3, behaviors=behaviors
-            )
-            agents = [*engine.collectors.values(), *engine.governors.values()]
-            return [agent.rng.random() for agent in agents]
+        def first_round(abuse):
+            behaviors = {"c0": MisreportBehavior(0.5), "c1": ConcealBehavior(0.5)}
+            if abuse:
+                behaviors.update(dict.fromkeys(topo.providers, ArgueAbuse(0.9)))
+            engine = self.engine_cls(topo, ProtocolParams(f=0.9), seed=3, behaviors=behaviors)
+            engine.run_round(BernoulliWorkload(topo.providers, p_valid=0.5, seed=3).take(16))
+            block = engine.store.retrieve(1)
+            screened = {gid: g.metrics.unchecked for gid, g in engine.governors.items()}
+            return [(r.tx.body.digest, r.label, r.status) for r in block.tx_list], screened
 
-        assert next_draws(dict.fromkeys(topo.providers, ArgueAbuse(0.9))) == next_draws(None)
+        assert first_round(abuse=True) == first_round(abuse=False)
 
     def test_unknown_abusive_provider_rejected(self):
         topo = Topology.regular(l=8, n=4, m=4, r=2)
