@@ -2,7 +2,9 @@
 
 The frozen table pins each method's first draws at seed 1.  Every draw
 is made from ``random.Random.random()``, which CPython keeps bit-stable
-for a seed, so the table is the cross-version contract.
+for a seed, so the table is the cross-version contract.  An agent's
+keyed draws are cut from ``sha256``, stable by construction; their first
+four are pinned too.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng import Generator, default_rng
+from repro.rng import Generator, default_rng, keyed_draws
 
 seeds = st.one_of(
     st.integers(min_value=0, max_value=2**64),
@@ -155,3 +157,36 @@ def test_every_draw_is_made_from_random_alone(monkeypatch):
         default_rng(1).randrange(10)  # the patch does reach library draws
     for draw, expected in FROZEN:
         assert draw(default_rng(1)) == expected
+
+
+class TestKeyedDraws:
+    KEY = bytes(32)
+
+    def test_the_four_draws_are_pinned(self):
+        draws = keyed_draws(1, "c0", self.KEY)
+        assert [draws.random() for _ in range(4)] == [
+            0.9403844775562147, 0.8486767392436244, 0.19307605778177417, 0.9157347757793927,
+        ]
+        with pytest.raises(IndexError):
+            draws.random()
+
+    def test_seed_agent_and_key_each_separate_the_draws(self):
+        first = keyed_draws(1, "c0", self.KEY).random()
+        assert keyed_draws(1, "c0", self.KEY).random() == first
+        for other in (
+            keyed_draws(2, "c0", self.KEY),
+            keyed_draws(1, "c1", self.KEY),
+            keyed_draws(1, "c0", b"\x01" + self.KEY[1:]),
+        ):
+            assert other.random() != first
+
+    def test_choice_reads_one_draw_as_the_generator_does(self):
+        weights = [0.2, 0.5, 0.3]
+        draws = keyed_draws(3, "g0", self.KEY)
+        u = keyed_draws(3, "g0", self.KEY).random()
+
+        class Fixed(Generator):
+            def random(self):
+                return u
+
+        assert draws.choice(3, weights) == Fixed(0).choice(3, weights)
