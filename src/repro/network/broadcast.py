@@ -29,7 +29,7 @@ past a timeout sends a :class:`GapRepairRequest` (a NACK) to the
 sequencer node, and the sequencer retransmits the missing range.  If
 the primary sequencer node is itself crashed, the receiver fails over
 to a deterministic backup after ``REPAIR_FAILOVER_AFTER`` unanswered
-attempts.
+attempts, and NACKs the backup from then on.
 The manual :meth:`AtomicBroadcast.skip_to` escape hatch remains for
 out-of-band recovery (ledger sync).
 """
@@ -119,10 +119,12 @@ class _ReceiverState:
     delivered: int = 0
     pending: list[tuple[int, int, SequencedPayload, Message]] = field(default_factory=list)
     tiebreak: itertools.count = field(default_factory=itertools.count)
-    # Gap-repair bookkeeping: whether a repair timer is outstanding and
-    # how many NACKs this gap has already cost.
+    # Gap-repair bookkeeping: whether a repair timer is outstanding, how
+    # many NACKs this gap has already cost, and whether this member has
+    # failed over to the backup (for good: a later gap NACKs it too).
     repair_scheduled: bool = False
     repair_attempts: int = 0
+    failed_over: bool = False
 
 
 class AtomicBroadcast:
@@ -336,12 +338,13 @@ class AtomicBroadcast:
             primary: Node id of the sequencer's repair endpoint; it is
                 registered on the network here, so use a dedicated id
                 (not one of the group members).
-            backup: Deterministic failover endpoint; receivers switch to
-                it after ``REPAIR_FAILOVER_AFTER`` unanswered NACKs,
-                removing the sequencer as a single point of failure.  In
-                the simulation both endpoints answer from the same
-                retained send-buffer, modelling a sequencer that
-                replicates its buffer to the backup synchronously.
+            backup: Deterministic failover endpoint; a receiver switches
+                to it after ``REPAIR_FAILOVER_AFTER`` unanswered NACKs and
+                stays with it for every later gap, removing the sequencer
+                as a single point of failure.  In the simulation both
+                endpoints answer from the same retained send-buffer,
+                modelling a sequencer that replicates its buffer to the
+                backup synchronously.
         """
         timeout = 4 * self.network.max_delay
         if timeout <= 0:
@@ -392,8 +395,8 @@ class AtomicBroadcast:
     def _active_repair_target(self, state: _ReceiverState) -> str:
         assert self._repair_primary is not None
         if state.repair_attempts >= REPAIR_FAILOVER_AFTER:
-            return self._repair_backup
-        return self._repair_primary
+            state.failed_over = True
+        return self._repair_backup if state.failed_over else self._repair_primary
 
     def _gap_head(self, state: _ReceiverState) -> int | None:
         """Seqno of the oldest buffered-but-undeliverable payload, or None."""

@@ -21,10 +21,11 @@ from dataclasses import replace
 import pytest
 
 from repro.agents.behaviors import ConcealBehavior, MisreportBehavior
-from repro.core.netengine import SEQUENCER_PRIMARY
+from repro.core.netengine import SEQUENCER_BACKUP, SEQUENCER_PRIMARY
 from repro.core.params import ProtocolParams
 from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.ledger.chain import check_agreement
+from repro.network.broadcast import GapRepairRequest
 from repro.workloads.generator import BernoulliWorkload
 from repro.workloads.scenarios import Scenario, build
 
@@ -136,6 +137,41 @@ class TestSequencerFailover:
         engine.finalize()
         # Gaps opened by 10% loss still all closed with the primary dead.
         assert engine.broadcast.pending_gap_total() == 0
+        assert_safety(engine, f=0.6)
+
+    @pytest.mark.parametrize("plan, dead_at", [
+        # E12's two schedules that crash the primary (benchmarks/bench_faults.py).
+        (FaultPlan(seed=132).with_loss(0.10).with_crash(SEQUENCER_PRIMARY, at=0.4), 0.4),
+        (
+            FaultPlan(seed=134).with_loss(0.10).with_crash("g2", at=0.6, recover_at=1.8)
+            .with_crash(SEQUENCER_PRIMARY, at=1.0),
+            1.0,
+        ),
+    ], ids=["sequencer-failover", "combined"])
+    def test_failover_is_sticky(self, plan, dead_at):
+        """A member that has NACKed the backup never NACKs the dead primary
+        again: its next gap goes straight to the backup."""
+        behaviors = {"c0": MisreportBehavior(0.4), "c1": ConcealBehavior(0.4)}
+        engine, topo = make_engine(seed=140, behaviors=behaviors, faults=plan)
+        nacks = []
+        send = engine.network.send
+
+        def spy(sender, receiver, payload, *args, **kwargs):
+            if isinstance(payload, GapRepairRequest):
+                nacks.append((engine.sim.now, payload.group, sender, receiver))
+            return send(sender, receiver, payload, *args, **kwargs)
+
+        engine.network.send = spy
+        run_rounds(engine, topo, rounds=10, p_valid=0.8, seed=141)
+        engine.finalize()
+        failed_over, to_dead_primary = set(), 0
+        for now, group, member, target in nacks:
+            if target == SEQUENCER_BACKUP:
+                failed_over.add((group, member))
+            elif (group, member) in failed_over and now >= dead_at:
+                to_dead_primary += 1
+        assert failed_over
+        assert to_dead_primary == 0
         assert_safety(engine, f=0.6)
 
 
