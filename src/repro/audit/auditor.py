@@ -1,14 +1,17 @@
 """Runtime safety auditor — per-round invariant monitor with structured verdicts.
 
-Each governor runs a :class:`SafetyAuditor`; the harness (engine) runs
-the cross-replica checks on top.  The monitored invariants:
+Each governor of a networked engine runs a :class:`SafetyAuditor`; every
+engine (:class:`~repro.core.roundcore.RoundCore`) runs one more, the
+harness's, over its live governors: :func:`harness_audit` after every
+round and the Theorem-1 guardrail once the books close.  The monitored
+invariants:
 
 * **cross-governor agreement** — no two committed blocks share a serial
   with different hashes.  At the protocol layer this reuses the
   :class:`~repro.ledger.store.BlockStore` publication rule (``publish``
   raises :class:`~repro.exceptions.AgreementError` on a conflicting
-  same-serial block); the harness re-checks replicas after every round
-  via :func:`repro.ledger.chain.check_agreement`.
+  same-serial block); the harness re-checks the replicas after every
+  round, each from the last serial it compared.
 * **block integrity** — serial/prev-hash link against the local tip, a
   recomputed Merkle root over the TXList, per-record provider
   signatures, and a cross-check against the published store's hash
@@ -17,7 +20,8 @@ the cross-replica checks on top.  The monitored invariants:
 * **reputation-book invariants** — every weight positive and finite,
   every provider row normalizable, vector versions monotone.
 * **Theorem-1 guardrail** — the measured governor loss never exceeds
-  ``rwm_bound(s_min, r, beta)`` (:mod:`repro.core.regret`).
+  ``rwm_bound(s_min, r, beta)`` (:mod:`repro.core.regret`), checked
+  after the last reveal.
 * **equivocation** — two *conflicting signed messages* from one node:
   a governor emitting commit votes for two different block hashes at
   one serial, or a collector emitting two different signed labels for
@@ -36,11 +40,11 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.regret import rwm_bound
 from repro.crypto.merkle import MerkleTree
-from repro.ledger.chain import Ledger, check_agreement
+from repro.ledger.chain import Ledger
 from repro.ledger.transaction import Label, LabeledTransaction
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
@@ -48,8 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.consensus.messages import CommitVote
     from repro.crypto.identity import IdentityManager
     from repro.ledger.block import Block
-
-from repro.exceptions import AgreementError
 
 __all__ = [
     "ViolationType",
@@ -218,12 +220,14 @@ class SlotTable(dict):
 
 
 class SafetyAuditor:
-    """Per-governor invariant monitor.
+    """Per-governor (or harness) invariant monitor.
 
     Stateless with respect to the protocol (it only observes), stateful
     in its evidence buffers: signed commit votes per ``(governor,
     serial)`` and signed labels per ``(collector, tx_id)``, which is
-    what turns a second conflicting message into a provable violation.
+    what turns a second conflicting message into a provable violation;
+    the harness's also remembers where its book and agreement sweeps
+    left off.
 
     Args:
         owner: The governor (or harness) this auditor reports for.
@@ -264,8 +268,13 @@ class SafetyAuditor:
             (c, label): slots.label_bits(c, label, index)
             for c in slots.collectors for label in (Label.VALID, Label.INVALID)
         }
-        # collector -> last observed reputation-vector version
-        self._book_versions: dict[str, int] = {}
+        # (governor, collector) -> the reputation vector last read and
+        # its version then: the harness re-reads a row only once it changed.
+        self._book_reads: dict[tuple[str, str], tuple[object, int]] = {}
+        # Agreement: the hash each compared serial agreed on, and per
+        # replica owner the ledger object and the last serial compared.
+        self._agreed: dict[int, bytes] = {}
+        self._compared: dict[str, tuple[Ledger, int]] = {}
         self.report.declare(self.obs)
         self.obs.gauge(
             "audit_evidence_entries",
@@ -496,75 +505,79 @@ class SafetyAuditor:
         """Check the reputation-book invariants after a round.
 
         Weights positive and finite, per-collector rows normalizable
-        (positive finite sum), and vector versions monotone across
-        calls (the multiplicative update only ever *advances* state).
+        (finite sum), and vector versions monotone across calls (the
+        multiplicative update only ever *advances* state).  A row is
+        re-read only when its vector object or its version changed since
+        the last call (a vector readmitted after churn is new, not
+        "backwards"), and it is read as its default plus its overrides:
+        O(touched), whatever the size of its membership.
         """
         found: list[AuditViolation] = []
         self._check("reputation-book")
-        for collector in book.collectors():
-            vector = book.vector(collector)
-            total = 0.0
-            for provider, weight in vector.provider_weights.items():
-                if not (weight > 0.0 and math.isfinite(weight)):
-                    found.append(
-                        AuditViolation(
-                            type=ViolationType.REPUTATION_INVARIANT,
-                            culprit=book.governor,
-                            round_number=round_number,
-                            detail=(
-                                f"weight w[{collector}][{provider}] = {weight!r} "
-                                "is not a positive finite number"
-                            ),
-                        )
-                    )
-                else:
-                    total += weight
-            if vector.provider_weights and not (total > 0.0 and math.isfinite(total)):
-                found.append(
-                    AuditViolation(
-                        type=ViolationType.REPUTATION_INVARIANT,
-                        culprit=book.governor,
-                        round_number=round_number,
-                        detail=f"row of {collector} is not normalizable (sum {total!r})",
-                    )
-                )
+        governor = book.governor
+        for collector, vector in book._vectors.items():
             version = vector._version
-            last = self._book_versions.get(collector)
-            if last is not None and version < last:
-                found.append(
-                    AuditViolation(
-                        type=ViolationType.REPUTATION_INVARIANT,
-                        culprit=book.governor,
-                        round_number=round_number,
-                        detail=(
-                            f"vector version of {collector} went backwards "
-                            f"({last} -> {version})"
-                        ),
+            last = self._book_reads.get((governor, collector))
+            details = []
+            if last is not None and last[0] is vector:
+                if version == last[1]:
+                    continue
+                if version < last[1]:
+                    details.append(
+                        f"vector version of {collector} went backwards ({last[1]} -> {version})"
                     )
-                )
-            self._book_versions[collector] = version
-        for violation in found:
-            self._record(violation)
+            self._book_reads[governor, collector] = (vector, version)
+            row = vector.provider_weights
+            overrides = row.overrides
+            untouched = len(row.members) - len(overrides)
+            total = sum(overrides.values()) + row.default * untouched
+            low = min(overrides.values(), default=1.0)  # the map refuses a default <= 0
+            # NaN fails every comparison, so a clean row passes both tests;
+            # an empty row has none to fail.
+            if not (0.0 < total < math.inf and 0.0 < low) and row.members:
+                weights = list(overrides.items())
+                if untouched:  # the default stands for every untouched member
+                    weights.append(("<untouched>", row.default))
+                details += [
+                    f"weight w[{collector}][{provider}] = {weight!r} is not positive finite"
+                    for provider, weight in weights if not 0.0 < weight < math.inf
+                ] or [f"row of {collector} is not normalizable (sum {total!r})"]
+            for detail in details:
+                found.append(self._record(AuditViolation(
+                    type=ViolationType.REPUTATION_INVARIANT,
+                    culprit=governor,
+                    round_number=round_number,
+                    detail=detail,
+                )))
         return found
 
     # -- harness-level checks --------------------------------------------
 
     def audit_agreement(
-        self, ledgers: Iterable[Ledger], round_number: int
+        self, ledgers: Sequence[Ledger], round_number: int
     ) -> AuditViolation | None:
-        """Cross-replica agreement over the given (honest, live) ledgers."""
+        """Cross-replica agreement over the given (honest, live) ledgers,
+        up to the shortest one's height: each replica is walked from the
+        last serial it was compared at against the hash the first replica
+        to reach each serial set (its checkpoint vouches below its base)."""
         self._check("agreement")
-        try:
-            check_agreement(list(ledgers))
-        except AgreementError as exc:
-            return self._record(
-                AuditViolation(
-                    type=ViolationType.AGREEMENT,
-                    culprit="unknown",
-                    round_number=round_number,
-                    detail=str(exc),
-                )
-            )
+        common = min((ledger.height for ledger in ledgers), default=0)
+        agreed, compared = self._agreed, self._compared
+        for ledger in ledgers:
+            last = compared.get(ledger.owner)
+            start = last[1] if last is not None and last[0] is ledger else 0
+            for serial in range(max(start, ledger.base_serial) + 1, common + 1):
+                block_hash = ledger.retrieve(serial).hash()
+                if agreed.setdefault(serial, block_hash) != block_hash:
+                    return self._record(AuditViolation(
+                        type=ViolationType.AGREEMENT,
+                        culprit="unknown",
+                        round_number=round_number,
+                        serial=serial,
+                        detail=f"replica {ledger.owner!r} disagrees at serial {serial}",
+                    ))
+            if common > start:
+                compared[ledger.owner] = (ledger, common)
         return None
 
     def audit_regret(
@@ -594,28 +607,10 @@ class SafetyAuditor:
         return None
 
 
-def harness_audit(
-    owner: str,
-    ledgers: Iterable[Ledger],
-    governors: Iterable,
-    r: int,
-    beta: float,
-    round_number: int,
-    s_min: float = 0.0,
-    obs: MetricsRegistry | None = None,
-) -> AuditReport:
-    """One-shot harness audit over a finished (or paused) run.
-
-    Checks cross-replica agreement and the Theorem-1 guardrail against
-    the worst (maximum) governor ``expected_loss``.  Used by the
-    in-process engine's ``finalize`` and by benches; the networked
-    engine runs the same checks incrementally per round.
-    """
-    auditor = SafetyAuditor(owner=owner, im=None, obs=obs)
-    auditor.audit_agreement(ledgers, round_number)
-    losses = [g.metrics.expected_loss for g in governors]
-    if losses:
-        auditor.audit_regret(
-            max(losses), r=r, beta=beta, round_number=round_number, s_min=s_min
-        )
+def harness_audit(auditor: SafetyAuditor, governors: Sequence, round_number: int) -> AuditReport:
+    """One round's harness sweep over the live ``governors``: each one's
+    reputation book, then agreement among their ledgers."""
+    for governor in governors:
+        auditor.audit_book(governor.book, round_number)
+    auditor.audit_agreement([governor.ledger for governor in governors], round_number)
     return auditor.report

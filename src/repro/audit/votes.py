@@ -16,8 +16,7 @@ Audit traffic rides a fixed-delay, fault-exempt path that consumes no
 RNG from any simulation stream, which is what keeps it ledger-neutral.
 
 :class:`CommitVoteAudit` owns the vote flow's state — the Byzantine
-strategy overrides and the evidence-forward dedup set — and the
-per-round invariant sweep over the governors still standing.
+strategy overrides and the evidence-forward dedup set.
 """
 
 from __future__ import annotations
@@ -125,28 +124,3 @@ class CommitVoteAudit:
         for peer in self.engine.topology.governors:
             if peer not in (gid, vote.governor):
                 self._send(gid, peer, vote, "forward")
-
-    def end_of_round(self, round_number: int) -> None:
-        """Per-round invariant sweep (books, agreement, Theorem-1 bound)."""
-        engine = self.engine
-        honest = [
-            engine.governors[gid]
-            for gid in engine.topology.governors
-            if not engine.lifecycle.is_down(gid)
-        ]
-        for governor in honest:
-            engine.auditors[governor.governor_id].audit_book(
-                governor.book, round_number
-            )
-        if len(honest) >= 2:
-            engine.harness_auditor.audit_agreement(
-                [governor.ledger for governor in honest], round_number
-            )
-        if honest:
-            engine.harness_auditor.audit_regret(
-                max(governor.metrics.expected_loss for governor in honest),
-                r=engine.topology.r,
-                beta=engine.params.beta,
-                round_number=round_number,
-                s_min=0.0,  # the paper's premise: one well-behaved collector
-            )

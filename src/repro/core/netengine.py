@@ -32,10 +32,9 @@ integration tests and the Δ-timing experiments.
 
 What surrounds the round lives beside it, each in an object that owns
 its own state: who is crashed, quarantined or migrating
-(:mod:`repro.core.lifecycle`), commit votes and the end-of-round sweep
-(:mod:`repro.audit.votes`), the restart-from-disk hand-off
-(:mod:`repro.storage.handoff`) and, on shard engines only, cross-shard
-receipts (:mod:`repro.sharding.inbox`).
+(:mod:`repro.core.lifecycle`), commit votes (:mod:`repro.audit.votes`),
+the restart-from-disk hand-off (:mod:`repro.storage.handoff`) and, on
+shard engines only, cross-shard receipts (:mod:`repro.sharding.inbox`).
 """
 
 from __future__ import annotations
@@ -256,7 +255,6 @@ class NetworkedProtocolEngine(RoundCore):
         self.quarantined_nodes = self.lifecycle.quarantined_nodes
         self.fault_log = self.lifecycle.fault_log
         self.quarantine_log = self.lifecycle.quarantine_log
-        self.harness_auditor = SafetyAuditor("harness", im=None, obs=self.obs)
         self.votes = CommitVoteAudit(self)
         self.handoff = RestartHandoff(self)
         #: Cross-shard receipt inbox; only ``build_shard_engine`` sets one.
@@ -678,12 +676,11 @@ class NetworkedProtocolEngine(RoundCore):
         return self.sim.now + self.network.max_delay + 0.001
 
     def complete_round(self, ctx: RoundContext) -> RoundResult:
-        """Close a round: rewards and the run record, end-of-round audit,
-        telemetry."""
+        """Close a round: rewards, the run record and the harness sweep
+        (:meth:`RoundCore._close_round`), then telemetry."""
         result = self._close_round(RoundResult(
             ctx.block, ctx.specs_count, ctx.argues, len(self._reevaluated_queue), ctx.forged
         ))
-        self.votes.end_of_round(ctx.round_number)
         self.obs.record_span(
             "argue_phase", ctx.argue_start, self.sim.now, round=ctx.round_number
         )
@@ -692,6 +689,11 @@ class NetworkedProtocolEngine(RoundCore):
             leader=ctx.block.proposer,
         )
         return result
+
+    def _live_governors(self) -> list:
+        """The governors the harness audits: those the lifecycle has not
+        taken down."""
+        return [g for gid, g in self.governors.items() if not self.lifecycle.is_down(gid)]
 
     def drain_recovery(self) -> None:
         """Let in-flight retransmits and gap repairs complete.
@@ -713,8 +715,7 @@ class NetworkedProtocolEngine(RoundCore):
     def finalize(self) -> None:
         """Drain recovery, then close the books by RoundCore's rule: a
         closing round (drained in turn) packs any argue-admitted record,
-        and every pending truth is revealed.  The audit stays per round
-        (``harness_auditor``)."""
+        every pending truth is revealed and the Theorem-1 guardrail runs."""
         self.drain_recovery()
         self._close_books(lambda: (self.run_round(()), self.drain_recovery()))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.agents.behaviors import ArgueAbuse, CollectorBehavior
-from repro.audit.auditor import harness_audit
 from repro.core.params import ProtocolParams
 from repro.core.roundcore import RoundCore, RoundResult
 from repro.ledger.properties import UPLOADED
@@ -63,8 +62,6 @@ class ProtocolEngine(RoundCore):
         super().__init__(params, seed, obs)
         self.topology = topology
         self.store = BlockStore()
-        # Harness-level AuditReport, filled by finalize().
-        self.audit_report = None
         self._register_engine_metrics()
         self._enroll(topology, behaviors, stake)
 
@@ -130,18 +127,7 @@ class ProtocolEngine(RoundCore):
 
     def finalize(self) -> None:
         """Close the books: pack what an argue admitted in a closing round,
-        reveal every pending truth, then audit replica agreement and the
-        Theorem-1 regret into ``audit_report``."""
+        then reveal every pending truth and check the Theorem-1 guardrail."""
         # The engine's own round: a host's run_round may add load (the
         # stream host's arrivals), and a closing round takes none.
         self._close_books(lambda: ProtocolEngine.run_round(self, ()))
-        self.audit_report = harness_audit(
-            "harness",
-            self.ledgers(),
-            list(self.governors.values()),
-            r=self.topology.r,
-            beta=self.params.beta,
-            round_number=self._round,
-            s_min=0.0,  # the paper's premise: one well-behaved collector
-            obs=self.obs,
-        )

@@ -52,6 +52,7 @@ from repro.agents.behaviors import ArgueAbuse, CollectorBehavior, HonestBehavior
 from repro.agents.collector import Collector
 from repro.agents.governor import Governor
 from repro.agents.provider import Provider
+from repro.audit.auditor import AuditReport, SafetyAuditor, harness_audit
 from repro.consensus.messages import NewStateProposal
 from repro.consensus.pos import LeaderElection
 from repro.consensus.stake import StakeLedger, make_transfer
@@ -137,6 +138,11 @@ class RoundCore:
         self._byzantine: set[str] = set()
         #: (governor, reason) per expulsion, in order.
         self.expulsions: list[tuple[str, str]] = []
+        #: The deployment's one harness auditor (see :meth:`_close_round`
+        #: and :meth:`reveal_pending`).
+        self.harness_auditor = SafetyAuditor("harness", im=None, obs=self.obs)
+        # The round the Theorem-1 guardrail last ran at.
+        self._guarded_round: int | None = None
 
     def _register_engine_metrics(self) -> None:
         """Open the run record ``metrics`` and the ``engine_*`` family that
@@ -288,8 +294,9 @@ class RoundCore:
 
     def _close_round(self, result: RoundResult) -> RoundResult:
         """Close a round on every host: pay the reward from the leader's
-        book into ``result.rewards``, add the round to the run record and
-        observe the block's size."""
+        book into ``result.rewards``, add the round to the run record,
+        observe the block's size, and run the harness sweep (each live
+        governor's book, agreement among their ledgers)."""
         block = result.block
         result.rewards = distribute_rewards(self.params, self.governors[block.proposer].book)
         record = self.metrics
@@ -304,7 +311,12 @@ class RoundCore:
         for collector in self.collectors.values():  # a counting behaviour's hook
             if hasattr(collector.behavior, "end_round"):
                 collector.behavior.end_round()
+        harness_audit(self.harness_auditor, self._live_governors(), self._round)
         return result
+
+    def _live_governors(self) -> list[Governor]:
+        """The governors the harness audits: all of them, on this host."""
+        return list(self.governors.values())
 
     # -- stake transfers and expulsion (paper §3.4.3) -------------------------
 
@@ -387,9 +399,22 @@ class RoundCore:
 
     def reveal_pending(self) -> None:
         """Reveal every pending unchecked truth (Theorem 1 assumes all real
-        states are revealed "sometime"), so loss metrics cover the full stream."""
+        states are revealed "sometime"), so loss metrics cover the full
+        stream, then check the Theorem-1 guardrail: a loss only grows and
+        the bound has no ``T``, so this one check is as strong as one per
+        round.  Closing again with no new round adds no check."""
         for governor in self.governors.values():
             governor.reveal_pending(self.oracle)
+        losses = [governor.metrics.expected_loss for governor in self._live_governors()]
+        if losses and self._guarded_round != self._round:
+            self._guarded_round = self._round
+            self.harness_auditor.audit_regret(
+                max(losses),
+                r=self.topology.r,
+                beta=self.params.beta,
+                round_number=self._round,
+                s_min=0.0,  # the paper's premise: one well-behaved collector
+            )
 
     def _close_books(self, closing_round: Callable[[], object]) -> None:
         """The closing rule of every host: while an argue-admitted record
@@ -406,6 +431,11 @@ class RoundCore:
     def round_number(self) -> int:
         """Rounds executed so far."""
         return self._round
+
+    @property
+    def audit_report(self) -> AuditReport:
+        """The harness auditor's verdicts so far."""
+        return self.harness_auditor.report
 
     def ledgers(self) -> list:
         """Every governor's ledger replica (for property checks)."""

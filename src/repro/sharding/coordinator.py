@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.agents.behaviors import ArgueAbuse, CollectorBehavior
+from repro.audit.auditor import AuditReport
 from repro.audit.xshard import CrossShardAuditor
 from repro.core.netengine import MAX_DELAY
 from repro.core.params import ProtocolParams
@@ -408,6 +409,11 @@ class ShardCoordinator:
     def committed_total(self) -> int:
         """Origin (non-receipt) records committed so far, over every shard."""
         return sum(self.committed.values())
+
+    @property
+    def audit_report(self) -> AuditReport:
+        """The cross-shard auditor's verdicts so far."""
+        return self.auditor.report
 
     def _read_masses(self) -> None:
         """Store what ``shard_reputation_mass`` reads — at a barrier, because

@@ -137,8 +137,4 @@ class RestartHandoff:
         if pulled:
             for gov in engine.governors.values():
                 sync_replica(gov.ledger, store)
-            if len(engine.governors) >= 2:
-                engine.harness_auditor.audit_agreement(
-                    engine.ledgers(), engine.round_number
-                )
         return pulled

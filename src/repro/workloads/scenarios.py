@@ -52,6 +52,7 @@ from repro.workloads.generator import (
 )
 
 if TYPE_CHECKING:  # names only: in-process runs never load these stacks
+    from repro.audit.auditor import AuditReport
     from repro.faults.plan import FaultPlan
 
 __all__ = [
@@ -81,6 +82,8 @@ class Deployment(Protocol):
     @property
     def committed_total(self) -> int: ...  # origin records committed
     def tip_hashes(self) -> list[str]: ...  # one per shard, in hex
+    @property
+    def audit_report(self) -> AuditReport: ...  # the deployment's harness verdicts
 
 
 def _no_adversaries(_topo: Topology) -> dict:

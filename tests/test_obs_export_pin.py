@@ -108,11 +108,11 @@ def _durable_reopened(obs, tmp_path):
 
 
 PINNED = {
-    _paper_default: "00a09b81d610a2318461bc16f216666f80912df94a15f8451c144f1c2b10f17e",
-    _networked_faulted: "6beb833401508b6dc811bb9e960fc37a5123228c4d52f150778687a992476493",
-    _sharded_quad_serial: "3721416799ab9350844854d47d8ec160eefe9925287ba5492f25ab541c36fd56",
-    _stream_smoke: "2abc1c89e7517eff62a0ed9b0bda9dfa0281c153f364f699372acc0a0d4c248a",
-    _durable_reopened: "ad38b53b761909262d4bf9f0b269b92cdc09a1c8b6cfe8bac4100f4c912dfca3",
+    _paper_default: "23ce0b3ffc394a83d00dc77df5ea7e623b9ad091842afb8fb57d0609826725f8",
+    _networked_faulted: "63dd73bff2f516a4f89e6822911d5eb3d25f4bfdf94fe09b1a5121bbd1601cc3",
+    _sharded_quad_serial: "a1d9d25b626baabe5edc02740045343ede25299ce529b08f8464fcf6bbcd57ee",
+    _stream_smoke: "2663a190c79c1f1f78e5fb3ebd9dcdb5d41e8f7977d8e0e7e7718648ac554b8c",
+    _durable_reopened: "b8e891547961619be43189c849a5393f19f7e0826bd4d44bbd71b9e7a744deaf",
 }
 
 

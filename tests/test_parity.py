@@ -33,7 +33,8 @@ option, and must reproduce the ``pin`` run's :func:`fingerprint`:
              that left it unchecked packs later, so only ``net`` commits
              it, as ``(-1, unchecked)``.  Agents draw by (seed, agent,
              transaction body), so the order in which an engine delivers
-             transactions moves no draw.
+             transactions moves no draw.  The harness audit reports the
+             same violations (type and round) on both engines.
 
 A failing row writes ``$PARITY_REPORT_DIR/<column>-<case>.json`` (default
 ``parity-report/``; ``/`` in a case name becomes ``-``) with both
@@ -58,7 +59,6 @@ from collections import defaultdict
 from contextlib import closing, contextmanager
 from dataclasses import asdict, replace
 from functools import cache
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -86,9 +86,6 @@ INPROC_ROUNDS = 6
 #: cheap, and divisible as every streaming preset's link degrees need.
 STREAM_UNIVERSE = 240
 
-#: Where a host keeps the audit ``finalize()`` closes, if not in ``audit_report``.
-AUDIT = {"net": "harness_auditor.report", "shard": "auditor.report"}
-
 
 def _chain(engine) -> dict:
     """Tip hash, height and book digest: what every engine case pins."""
@@ -111,9 +108,9 @@ def fingerprint(deployment, host: str) -> dict:
     the fault and quarantine logs.  For a coordinator: what either backend reports, plus each
     shard engine's chain when the engines live in this process.
     """
-    report = attrgetter(AUDIT.get(host, "audit_report"))(deployment)
     audit = [
-        [v.type.value, v.culprit, v.round_number, v.serial] for v in report.violations
+        [v.type.value, v.culprit, v.round_number, v.serial]
+        for v in deployment.audit_report.violations
     ]
     if host == "shard":
         stats = deployment.chain_stats()
@@ -572,10 +569,13 @@ def test_engines(case, seed, record_property):
     preset = SCENARIOS.get(row.scenario.name)
     # The preset's own rounds: sleeper-attack's sleepers defect past round 6.
     scenario = replace(row.scenario, rounds=preset.rounds) if preset else row.scenario
-    runs = {}
+    runs, audits = {}, {}
     for host in ("inproc", "net"):
         with _plain(row._replace(scenario=replace(scenario, host=host)), seed) as deployment:
             runs[host] = committed_bodies(deployment)
+            audits[host] = [
+                [v.type.value, v.round_number] for v in deployment.audit_report.violations
+            ]
     inproc, net = runs["inproc"], runs["net"]
     discarded = [
         body for body in net.keys() - inproc.keys()
@@ -584,7 +584,10 @@ def test_engines(case, seed, record_property):
     record_property("leader_discarded", len(discarded))
     for body in discarded:
         del net[body]
-    check(f"engines{seed}", case, net, inproc)
+    check(
+        f"engines{seed}", case,
+        {**net, "audit": audits["net"]}, {**inproc, "audit": audits["inproc"]},
+    )
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import fields, replace
-from operator import attrgetter
 
 import pytest
 
@@ -168,9 +167,7 @@ class TestExecution:
         def closed():
             deployment.finalize()
             store = deployment.store
-            # The networked engine audits per round, not at finalize().
-            audit = "harness_auditor.report" if scenario.host == "net" else "audit_report"
-            report = attrgetter(audit)(deployment)
+            report = deployment.audit_report
             return store.height, store.tip_hash(), report.violations[:], dict(report.checks)
 
         first = closed()
