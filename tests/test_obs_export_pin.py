@@ -108,10 +108,10 @@ def _durable_reopened(obs, tmp_path):
 
 
 PINNED = {
-    _paper_default: "23ce0b3ffc394a83d00dc77df5ea7e623b9ad091842afb8fb57d0609826725f8",
+    _paper_default: "251faee4dd8ee7c6bc7ca14eec116075a4ab6603783370d6354b49cddb916fb8",
     _networked_faulted: "63dd73bff2f516a4f89e6822911d5eb3d25f4bfdf94fe09b1a5121bbd1601cc3",
     _sharded_quad_serial: "a1d9d25b626baabe5edc02740045343ede25299ce529b08f8464fcf6bbcd57ee",
-    _stream_smoke: "2663a190c79c1f1f78e5fb3ebd9dcdb5d41e8f7977d8e0e7e7718648ac554b8c",
+    _stream_smoke: "daa0467d194df35286675832d5f987ff7846beeb6270f23957392201d8656179",
     _durable_reopened: "b8e891547961619be43189c849a5393f19f7e0826bd4d44bbd71b9e7a744deaf",
 }
 
