@@ -23,6 +23,7 @@ side-effect-free and unit-testable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -115,9 +116,10 @@ def screen_transaction(
     row = book.selection_row(provider, reporters)
     weights = row.weights
     mass = row.total
-    if mass <= 0.0:
+    if not 0.0 < mass < math.inf:
         raise ProtocolViolationError(
-            f"non-positive reputation mass {mass} for provider {provider!r}"
+            f"governor {book.governor!r} holds reputation mass {mass} for provider "
+            f"{provider!r}: not positive and finite"
         )
     w_plus = sum(
         w

@@ -6,6 +6,8 @@ import math
 import sys
 from dataclasses import replace
 
+import pytest
+
 from repro.audit.auditor import (
     AuditReport,
     AuditViolation,
@@ -22,6 +24,7 @@ from repro.crypto.signatures import SigningKey
 from repro.consensus import messages
 from repro.consensus.messages import CommitVote
 from repro.crypto.identity import IdentityManager, Role
+from repro.exceptions import ProtocolViolationError
 from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.chain import Ledger
 from repro.ledger.transaction import (
@@ -425,6 +428,21 @@ class TestHarnessAudit:
         engine.run_round([])  # screening would choke on the NaN row
         found = [(v.type, v.culprit, v.round_number) for v in engine.audit_report.violations]
         assert found == [(ViolationType.REPUTATION_INVARIANT, "g1", 3)]
+
+    def test_inprocess_nan_mass_raises_naming_its_governor(self):
+        topo = Topology.regular(l=8, n=4, m=3, r=2)
+        engine = ProtocolEngine(topo, ProtocolParams(f=0.5), seed=21)
+        workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=22)
+        for _ in range(2):
+            engine.run_round(workload.take(8))
+        vector = engine.governors["g1"].book.vector("c0")
+        pid = next(iter(vector.provider_weights))
+        vector.provider_weights[pid] = math.nan
+        with pytest.raises(ProtocolViolationError) as raised:
+            engine.run_round(workload.take(8))
+        assert str(raised.value).startswith(
+            f"governor 'g1' holds reputation mass nan for provider {pid!r}"
+        )
 
     def test_guardrail_runs_once_after_the_last_reveal(self):
         # sleeper-attack's worst governor loss passes the bound only once
