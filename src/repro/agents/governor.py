@@ -38,7 +38,7 @@ from repro.network.topology import Topology
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.rng import keyed_draws
 
-__all__ = ["GovernorMetrics", "Governor"]
+__all__ = ["GovernorMetrics", "AwaitingTruth", "Governor"]
 
 
 @dataclass
@@ -60,6 +60,47 @@ class GovernorMetrics:
     realized_loss: float = 0.0
     expected_loss: float = 0.0
     argues_served: int = 0
+
+
+@dataclass(slots=True)
+class AwaitingTruth:
+    """What a governor keeps of an unchecked transaction until its truth
+    arrives, by an admitted argue or :meth:`Governor.reveal_truth`.
+
+    ``w_plus`` and ``w_minus`` are the screening-time masses the expected
+    loss is booked against.  ``reporters`` are the collectors whose labels
+    were screened, in arrival order, the order
+    :func:`~repro.core.updating.compute_loss` sums their weights in; bit
+    ``i`` of ``valid`` is set iff ``reporters[i]`` labelled it +1.
+    """
+
+    tx: SignedTransaction
+    w_plus: float
+    w_minus: float
+    reporters: tuple[str, ...]
+    valid: int
+
+    @classmethod
+    def of(cls, decision: ScreeningDecision) -> AwaitingTruth:
+        """The record of an unchecked decision."""
+        valid = 0
+        for i, label in enumerate(decision.labels.values()):
+            if label is Label.VALID:
+                valid |= 1 << i
+        return cls(decision.tx, decision.w_plus, decision.w_minus, tuple(decision.labels), valid)
+
+    def labels(self) -> dict[str, Label]:
+        """collector -> label, in arrival order."""
+        return {
+            collector: Label.VALID if self.valid >> i & 1 else Label.INVALID
+            for i, collector in enumerate(self.reporters)
+        }
+
+    def drop(self, collector: str) -> None:
+        """Forget a reporter's label (it was churned out)."""
+        i = self.reporters.index(collector)
+        self.reporters = self.reporters[:i] + self.reporters[i + 1:]
+        self.valid = (self.valid & ((1 << i) - 1)) | ((self.valid >> (i + 1)) << i)
 
 
 @dataclass
@@ -94,8 +135,8 @@ class Governor:
     _received: dict[str, tuple[SignedTransaction, dict[str, Label]]] = field(
         default_factory=dict, repr=False
     )
-    # tx_id -> decision, for unchecked transactions awaiting truth
-    _pending_unchecked: dict[str, ScreeningDecision] = field(
+    # tx_id -> what an unchecked transaction keeps until its truth arrives
+    _pending_unchecked: dict[str, AwaitingTruth] = field(
         default_factory=dict, repr=False
     )
     #: The collectors whose uploads this governor receives (its row of the
@@ -218,16 +259,14 @@ class Governor:
                 del labels[collector]
                 if not labels:
                     del self._received[tx_id]
-        # Screening-time snapshots awaiting truth revelation must be
-        # scrubbed too: a reveal after the churn would otherwise look up
-        # the retired collector's weight in a book that no longer holds
-        # it.  (A decision left with no labels has nobody to update.)
-        for tx_id in list(self._pending_unchecked):
-            decision = self._pending_unchecked[tx_id]
-            if collector in decision.labels:
-                del decision.labels[collector]
-                if not decision.labels:
-                    del self._pending_unchecked[tx_id]
+        # Records awaiting their truth must be scrubbed too: a reveal
+        # after the churn would otherwise look up the retired collector's
+        # weight in a book that no longer holds it.  A record left with
+        # no reporter is kept, so that an argue about it is still served;
+        # its truth has nobody to update.
+        for record in self._pending_unchecked.values():
+            if collector in record.reporters:
+                record.drop(collector)
 
     def last_reports(self, collector: str) -> list[str]:
         """Buffered transactions :meth:`drop_collector` would forget for good:
@@ -266,7 +305,7 @@ class Governor:
         """Model a crash-stop: volatile screening state is lost.
 
         The ledger (durable storage) survives; the in-memory report
-        buffer does not.  Pending-unchecked decisions survive too — they
+        buffer does not.  Records awaiting their truth survive too — they
         are reconstructable from the ledger's unchecked records.
         """
         self._received.clear()
@@ -343,7 +382,7 @@ class Governor:
             apply_checked_update(self.book, decision.labels, true_label)
         else:
             self.metrics.unchecked += 1
-            self._pending_unchecked[tx_id] = decision
+            self._pending_unchecked[tx_id] = AwaitingTruth.of(decision)
             self.argues.record_unchecked(tx_id)
         return decision_to_record(decision)
 
@@ -376,20 +415,17 @@ class Governor:
         outcome = self.argues.argue(tx_id)
         if not outcome.accepted:
             return None
-        decision = self._pending_unchecked.pop(tx_id, None)
-        if decision is None:
+        record = self._pending_unchecked.pop(tx_id, None)
+        if record is None:
             raise ProtocolViolationError(
                 f"argue admitted for {tx_id} but no pending decision is held"
             )
         self.metrics.argues_served += 1
         self.metrics.validations += 1
-        is_valid = self.oracle.validate(decision.tx)
-        true_label = Label.from_bool(is_valid)
-        self._on_unchecked_truth(decision, true_label)
+        is_valid = self.oracle.validate(record.tx)
+        self._on_unchecked_truth(record, Label.from_bool(is_valid))
         if is_valid:
-            return TxRecord(
-                tx=decision.tx, label=Label.VALID, status=CheckStatus.REEVALUATED
-            )
+            return TxRecord(tx=record.tx, label=Label.VALID, status=CheckStatus.REEVALUATED)
         return None
 
     def reveal_truth(self, tx_id: str, oracle: ValidityOracle) -> None:
@@ -399,40 +435,42 @@ class Governor:
         revealed sometime after they appeared in the ledger"; benches
         reveal through this method when no provider argues.
         """
-        decision = self._pending_unchecked.pop(tx_id, None)
-        if decision is None:
+        record = self._pending_unchecked.pop(tx_id, None)
+        if record is None:
             return
         self.argues.resolve_silently(tx_id)
-        true_label = Label.from_bool(oracle.validate(decision.tx))
-        self._on_unchecked_truth(decision, true_label)
+        self._on_unchecked_truth(record, Label.from_bool(oracle.validate(record.tx)))
 
     def reveal_pending(self, oracle: ValidityOracle) -> None:
         """Reveal every unchecked truth still pending (closes the loss books)."""
         for tx_id in list(self._pending_unchecked):
             self.reveal_truth(tx_id, oracle)
 
-    def _on_unchecked_truth(
-        self, decision: ScreeningDecision, true_label: Label
-    ) -> None:
+    def _on_unchecked_truth(self, record: AwaitingTruth, true_label: Label) -> None:
         """An unchecked truth arrives: book the loss, apply the case-3 update.
 
         The theorem's per-transaction expected loss is
         ``L_t = 2 W_wrong / (W_right + W_wrong)`` with right/wrong
         resolved against the revealed truth and the weights taken at
-        screening time (the decision snapshot).
+        screening time.  A record whose every reporter was churned out
+        books nothing and updates nobody.
         """
-        wrong_mass = decision.w_minus if true_label is Label.VALID else decision.w_plus
-        denom = decision.reported_mass
+        if not record.reporters:
+            return
+        wrong_mass = record.w_minus if true_label is Label.VALID else record.w_plus
+        denom = record.w_plus + record.w_minus
         self.metrics.expected_loss += 2.0 * wrong_mass / denom if denom else 0.0
         if true_label is Label.VALID:
             # Recorded invalid-unchecked but actually valid: a mistake.
             self.metrics.mistakes += 1
             self.metrics.realized_loss += 2.0
+        labels = record.labels()
+        provider = record.tx.provider
         apply_reveal_update(
             self.params,
             self.book,
-            decision.provider,
-            self._linked.get(decision.provider, tuple(sorted(decision.labels))),
-            decision.labels,
+            provider,
+            self._linked.get(provider, tuple(sorted(labels))),
+            labels,
             true_label,
         )

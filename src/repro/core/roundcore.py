@@ -128,8 +128,9 @@ class RoundCore:
         self.seed = seed
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.im = IdentityManager(seed=seed, obs=self.obs)
-        self.oracle = GroundTruthOracle()
         self.transcript = RunTranscript()
+        # One entry per offered id: the truth is two bits of its flags.
+        self.oracle = GroundTruthOracle(self.transcript.flags)
         self.providers: dict[str, Provider] = {}
         self.collectors: dict[str, Collector] = {}
         self.governors: dict[str, Governor] = {}
@@ -264,7 +265,7 @@ class RoundCore:
             provider = provider_of(spec.provider)
             tx = provider.create_transaction(spec.payload, timestamp)
             self.oracle.assign(tx, spec.is_valid)
-            flags[tx.tx_id] = (
+            flags[tx.tx_id] |= (
                 BROADCAST | HONEST_VALID if spec.is_valid and provider.active else BROADCAST
             )
             originated.append((provider, tx))

@@ -81,11 +81,6 @@ class ScreeningDecision:
     w_silent: float
     labels: Mapping[str, Label]
 
-    @property
-    def reported_mass(self) -> float:
-        """``W_{+1} + W_{-1}`` — the selection denominator."""
-        return self.w_plus + self.w_minus
-
 
 def screen_transaction(
     params: ProtocolParams,

@@ -34,6 +34,8 @@ from repro.ledger.transaction import CheckStatus, Label
 __all__ = [
     "BROADCAST",
     "HONEST_VALID",
+    "TRUTH_KNOWN",
+    "TRUTH_VALID",
     "UPLOADED",
     "RunTranscript",
     "PropertyReport",
@@ -45,6 +47,8 @@ __all__ = [
 BROADCAST = 1  # went through broadcast_provider
 UPLOADED = 2  # went through broadcast_collector
 HONEST_VALID = 4  # valid, from an honest active provider (Validity quantifies these)
+TRUTH_KNOWN = 8  # a GroundTruthOracle over these flags holds the truth
+TRUTH_VALID = 16  # ... and the truth is valid
 
 
 @dataclass
@@ -54,7 +58,9 @@ class RunTranscript:
     Attributes:
         flags: tx id -> ``BROADCAST | UPLOADED | HONEST_VALID`` bits: one
             entry per transaction the run saw, so each id is held once.
-            Writers update it in place (``flags[tx_id] |= UPLOADED``).
+            An engine's :class:`~repro.ledger.validation.GroundTruthOracle`
+            keeps its ``TRUTH_*`` bits in the same entry.  Writers OR their
+            bits in (``flags[tx_id] |= UPLOADED``), never assign.
     """
 
     flags: dict[str, int] = field(default_factory=dict)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.exceptions import LedgerError
+from repro.ledger.properties import TRUTH_KNOWN, TRUTH_VALID
 from repro.ledger.transaction import SignedTransaction
 
 __all__ = [
@@ -37,9 +38,15 @@ class ValidityOracle(Protocol):
 
 @dataclass
 class GroundTruthOracle:
-    """Validity fixed per transaction id at workload-generation time."""
+    """Validity fixed per transaction id at workload-generation time.
 
-    _truth: dict[str, bool] = field(default_factory=dict)
+    Each truth is two bits of ``table`` (``TRUTH_KNOWN``, ``TRUTH_VALID``).
+    An engine passes its :class:`~repro.ledger.properties.RunTranscript`'s
+    ``flags``, so one entry per offered id holds both the transcript's
+    bits and the truth.
+    """
+
+    table: dict[str, int] = field(default_factory=dict)
 
     def assign(self, tx: SignedTransaction, is_valid: bool) -> None:
         """Record the ground truth for ``tx`` (idempotent if unchanged).
@@ -48,14 +55,15 @@ class GroundTruthOracle:
             LedgerError: on an attempt to flip an already-assigned truth,
                 which would make experiment accounting meaningless.
         """
-        prior = self._truth.get(tx.tx_id)
-        if prior is not None and prior != is_valid:
+        truth = TRUTH_KNOWN | TRUTH_VALID if is_valid else TRUTH_KNOWN
+        prior = self.table.get(tx.tx_id, 0)
+        if prior & TRUTH_KNOWN and (prior ^ truth) & TRUTH_VALID:
             raise LedgerError(f"conflicting ground truth for tx {tx.tx_id}")
-        self._truth[tx.tx_id] = is_valid
+        self.table[tx.tx_id] = prior | truth
 
     def validate(self, tx: SignedTransaction) -> bool:
         """The true status; unknown transactions are invalid (forgeries)."""
-        return self._truth.get(tx.tx_id, False)
+        return self.table.get(tx.tx_id, 0) & TRUTH_VALID != 0
 
 
 @dataclass

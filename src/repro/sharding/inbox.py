@@ -130,7 +130,7 @@ class ReceiptInbox:
         # The relay is the provider *and* collector of record for the
         # receipt (it was already screened on its home shard), so the
         # Almost-No-Creation transcript sees both broadcast legs.
-        engine.transcript.flags[tx.tx_id] = BROADCAST | UPLOADED
+        engine.transcript.flags[tx.tx_id] |= BROADCAST | UPLOADED
         return TxRecord(tx=tx, label=Label.VALID, status=CheckStatus.CHECKED)
 
     def committed(self, gid: str, block: Block) -> None:

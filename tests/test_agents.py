@@ -13,10 +13,11 @@ from repro.agents.behaviors import (
 )
 import repro.agents.governor as governor_module
 from repro.agents.collector import Collector
-from repro.agents.governor import Governor
+from repro.agents.governor import AwaitingTruth, Governor
 from repro.agents.provider import Provider
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolEngine
+from repro.core.screening import ScreeningDecision
 from repro.crypto.identity import IdentityManager, Role
 from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.transaction import (
@@ -337,6 +338,47 @@ class TestGovernor:
         assert gov.metrics.realized_loss == 2.0
         # The lying collector's weight was discounted.
         assert gov.book.weight("c0", tx.provider) < 1.0
+
+    def test_argue_after_its_only_reporter_churned_out(self, world, skippy_draws):
+        # The record awaiting truth outlives its last reporter, so the
+        # argue is served and Validity holds; nobody reported, so no loss
+        # is booked and no weight moves.
+        topo, im, oracle = world
+        gov = Governor(
+            governor_id="g0", key=im.record("g0").key,
+            params=ProtocolParams(f=0.99), im=im,
+            oracle=CountingOracle(inner=oracle), seed=0,
+        )
+        gov.register_topology(topo)
+        upload, tx = self._upload(world, valid=True, label=Label.INVALID)
+        gov.ingest_upload(upload)
+        assert gov.screen_pending()[0].status is CheckStatus.UNCHECKED
+        gov.drop_collector("c0")
+        others = [c for c in topo.collectors_of(tx.provider) if c != "c0"]
+        before = [gov.book.weight(c, tx.provider) for c in others]
+
+        reevaluated = gov.handle_argue(tx.tx_id)
+        assert reevaluated == TxRecord(
+            tx=tx, label=Label.VALID, status=CheckStatus.REEVALUATED
+        )
+        assert gov.metrics.argues_served == 1
+        assert (gov.metrics.mistakes, gov.metrics.expected_loss) == (0, 0.0)
+        assert [gov.book.weight(c, tx.provider) for c in others] == before
+        assert gov.handle_argue(tx.tx_id) is None  # resolved once
+
+    def test_awaiting_truth_keeps_arrival_order_through_a_drop(self, world):
+        _upload, tx = self._upload(world)
+        labels = {"c3": Label.VALID, "c0": Label.INVALID, "c1": Label.VALID, "c2": Label.INVALID}
+        decision = ScreeningDecision(
+            tx=tx, provider=tx.provider, chosen_collector="c0", checked=False,
+            validation_result=None, w_plus=1.0, w_minus=2.0, w_silent=0.0, labels=labels,
+        )
+        record = AwaitingTruth.of(decision)
+        assert record.labels() == labels and list(record.labels()) == list(labels)
+        record.drop("c0")
+        del labels["c0"]
+        assert list(record.labels().items()) == list(labels.items())
+        assert (record.w_plus, record.w_minus) == (1.0, 2.0)
 
     def test_argue_for_unknown_tx_rejected(self, world):
         gov = make_governor(world)

@@ -4,11 +4,13 @@ The figures come from ``tools/heap_per_tx.py`` (``tracemalloc`` snapshots
 at window boundaries) on the ``paper-default`` shape, 32 tx per round.
 Windows are short here to keep tier-1 quick, so they read above the
 40-round windows PERFORMANCE.md quotes; each budget is a quarter over what
-this configuration reads on Python 3.11: 787 and 1,676 B since one slot
-per transaction holds the networked host's label evidence, Δ timers and
-packed bit (1,928 B on the networked host before it; 824 and
-2,119–2,157 B before a signed record kept its signature as a bare tag,
-not a ``Signature`` object; 920 and 3,178–3,192 B with the verdict and the
+this configuration reads on Python 3.11: 730 and 1,589 B since a record
+awaiting its truth keeps only what its readers use and the oracle keeps
+each truth as two bits of the transcript's flags (776 and 1,660 B before;
+787 and 1,676 B since one slot per transaction holds the networked host's
+label evidence, Δ timers and packed bit; 1,928 B on the networked host
+before it; 824 and 2,119–2,157 B before a signed record kept its
+signature as a bare tag, not a ``Signature`` object; 920 and 3,178–3,192 B with the verdict and the
 signed bytes on the signature; 1,543 and 3,805–3,843 B with the Identity
 Manager's LRU; 3.2 KB and 9.3 KB before the budgets existed).  The
 nightly soak checks that the figure stays flat as history grows.
@@ -43,14 +45,14 @@ def heap():
 
 def test_inproc_host_budget(heap):
     _engine, windows = heap.measure(PAPER_DEFAULT, rounds=20, windows=3)
-    assert windows[-1].bytes_per_tx <= 985
+    assert windows[-1].bytes_per_tx <= 915
 
 
 def test_net_host_budget(heap):
     # In-memory store; rounds 11-20.
     scenario = dataclasses.replace(PAPER_DEFAULT, host="net")
     _engine, (window,) = heap.measure(scenario, rounds=10)
-    assert window.bytes_per_tx <= 2_095
+    assert window.bytes_per_tx <= 1_990
 
 
 @pytest.mark.parametrize("host", ["inproc", "net"])

@@ -125,7 +125,6 @@ class TestScreeningDecision:
         assert decision.w_plus == pytest.approx(2.0)
         assert decision.w_minus == pytest.approx(1.5)
         assert decision.w_silent == pytest.approx(1.0)  # c3 stayed silent
-        assert decision.reported_mass == pytest.approx(3.5)
 
     def test_validate_called_at_most_once(self, rng):
         calls = []

@@ -6,6 +6,7 @@ import pytest
 
 from repro.crypto.signatures import SigningKey
 from repro.exceptions import LedgerError
+from repro.ledger.properties import BROADCAST, UPLOADED
 from repro.ledger.transaction import make_signed_transaction
 from repro.ledger.validation import CountingOracle, GroundTruthOracle
 
@@ -38,6 +39,19 @@ class TestGroundTruthOracle:
         oracle = GroundTruthOracle()
         t = tx()
         oracle.assign(t, True)
+        with pytest.raises(LedgerError):
+            oracle.assign(t, False)
+
+    def test_shares_a_transcript_table(self):
+        # Over a run's flags, the truth bits sit beside the transcript's.
+        flags = {}
+        oracle = GroundTruthOracle(flags)
+        t = tx()
+        flags[t.tx_id] = BROADCAST
+        oracle.assign(t, True)
+        flags[t.tx_id] |= UPLOADED
+        assert flags[t.tx_id] & (BROADCAST | UPLOADED) == BROADCAST | UPLOADED
+        assert oracle.validate(t)
         with pytest.raises(LedgerError):
             oracle.assign(t, False)
 
