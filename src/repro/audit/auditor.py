@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.core.regret import rwm_bound
 from repro.crypto.merkle import MerkleTree
 from repro.ledger.chain import Ledger
-from repro.ledger.transaction import Label, LabeledTransaction
+from repro.ledger.transaction import Label, LabeledTransaction, SignedTransaction
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -60,6 +60,8 @@ __all__ = [
     "SafetyAuditor",
     "SlotTable",
     "TxSlot",
+    "VoteSlot",
+    "VoteTable",
     "harness_audit",
 ]
 
@@ -173,15 +175,20 @@ class AuditReport:
 class TxSlot:
     """What one deployment's governors know about one transaction.
 
-    ``uploads`` holds, once for every governor, each collector's first
-    verified upload with each label, as the broadcast delivered it;
-    ``bits`` holds the rest, laid out by :class:`SlotTable`.
+    ``tx`` is the transaction as the first kept upload carried it.
+    ``tags`` holds, once for every governor, each collector's first
+    verified label on ``tx`` that any governor holds, as 34 bytes: a
+    2-byte key (twice the collector's index in the :class:`SlotTable`,
+    plus one for the -1 label), then the upload's 32-byte signature tag.
+    :meth:`SlotTable.uploads` rebuilds the uploads from them.  ``bits``
+    holds the rest, laid out by :class:`SlotTable`.
     """
 
-    __slots__ = ("uploads", "bits")
+    __slots__ = ("tx", "tags", "bits")
 
     def __init__(self) -> None:
-        self.uploads: tuple[LabeledTransaction, ...] = ()
+        self.tx: SignedTransaction | None = None
+        self.tags = b""
         self.bits = 0
 
 
@@ -198,6 +205,13 @@ class SlotTable(dict):
     * three rows for the ``k``-th collector the table meets, from row
       ``4 + 3k``: ``g``'s auditor holds its +1 label, its -1 label, and,
       holding both, got the -1 label second.
+
+    An upload that cannot be rebuilt from its slot's ``tx`` and a tag is
+    kept whole, in :attr:`whole`: the second label of a collector that
+    already has one kept (the rare conflict, kept as delivered), one on
+    another copy of the transaction (same ``tx_id``, another digest), or
+    one whose tag is not 32 bytes (an auditor with no Identity Manager
+    checks no tag).  :attr:`votes` holds the deployment's commit votes.
     """
 
     def __init__(self, width: int = 1, collectors: Iterable[str] = ()):
@@ -205,18 +219,122 @@ class SlotTable(dict):
         self.packed = 1 << 3 * width
         #: collector -> the bit its rows start at
         self.collectors = {c: (4 + 3 * k) * width for k, c in enumerate(collectors)}
+        #: tx_id -> the uploads kept whole for it, in the order kept
+        self.whole: dict[str, tuple[LabeledTransaction, ...]] = {}
+        self.votes = VoteTable(width)
 
     def __missing__(self, tx_id: str) -> TxSlot:
         slot = self[tx_id] = TxSlot()
         return slot
 
-    def label_bits(self, collector: str, label: int, index: int) -> tuple[int, int, int]:
+    def label_bits(
+        self, collector: str, label: int, index: int
+    ) -> tuple[int, int, int, int, bytes | None]:
         """Governor ``index``'s bit for holding ``collector``'s ``label``, its
-        bits for either label, and every governor's for ``label``."""
+        bits for either label, every governor's for ``label`` and for
+        either, and the key that names the label in a slot's ``tags``
+        (None past 2**15 collectors: such labels are kept whole)."""
         width = self.width
         plus = self.collectors.setdefault(collector, (4 + 3 * len(self.collectors)) * width)
-        row = plus if label > 0 else plus + width
-        return 1 << row + index, (1 | 1 << width) << plus + index, (1 << width) - 1 << row
+        minus = int(label < 0)
+        row = plus + minus * width
+        every = (1 << width) - 1
+        k = (plus // width - 4) // 3
+        return (
+            1 << row + index,
+            (1 | 1 << width) << plus + index,
+            every << row,
+            (every | every << width) << plus,
+            (2 * k + minus).to_bytes(2, "big") if k < 1 << 15 else None,
+        )
+
+    def keep(self, slot: TxSlot, upload: LabeledTransaction, key: bytes | None) -> None:
+        """Keep ``upload``, the first of its label any governor holds, in
+        ``slot``: as ``key`` and its tag when a key is given, the tag is 32
+        bytes and the upload labels the slot's ``tx``; else whole."""
+        tx = slot.tx
+        if tx is None:
+            tx = slot.tx = upload.tx
+        tag = upload.collector_signature
+        if key is not None and len(tag) == 32 and (
+            upload.tx is tx or upload.tx.digest == tx.digest
+        ):
+            slot.tags += key + tag
+        else:
+            tx_id = tx.tx_id
+            self.whole[tx_id] = self.whole.get(tx_id, ()) + (upload,)
+
+    def uploads(
+        self, tx_id: str, upload: LabeledTransaction | None = None
+    ) -> tuple[LabeledTransaction, ...]:
+        """The uploads kept for ``tx_id``: those held as tags, rebuilt in the
+        order kept, then those kept whole.  ``upload``, the one in hand,
+        stands for the rebuilt copy it equals."""
+        slot = self.get(tx_id)
+        if slot is None:
+            return ()
+        tx, tags, names, found = slot.tx, slot.tags, list(self.collectors), []
+        for at in range(0, len(tags), 34):
+            key = int.from_bytes(tags[at:at + 2], "big")
+            collector, tag = names[key >> 1], tags[at + 2:at + 34]
+            label = Label.INVALID if key & 1 else Label.VALID
+            if (
+                upload is not None
+                and (upload.collector, upload.label, upload.collector_signature)
+                == (collector, label, tag)
+                and upload.tx.digest == tx.digest
+            ):
+                found.append(upload)
+            else:
+                found.append(LabeledTransaction(
+                    tx=tx, label=label, collector=collector, collector_signature=tag
+                ))
+        return (*found, *self.whole.get(tx_id, ()))
+
+
+class VoteSlot:
+    """What one deployment's auditors hold of the commit votes at one serial.
+
+    ``votes`` holds, once for every auditor, each governor's first
+    verified vote any auditor got; ``bits`` holds rows of one bit per
+    auditor, laid out by :class:`VoteTable`.
+    """
+
+    __slots__ = ("votes", "bits")
+
+    def __init__(self) -> None:
+        self.votes: dict[str, "CommitVote"] = {}
+        self.bits = 0
+
+
+class VoteTable(dict):
+    """``serial -> VoteSlot`` for one deployment of ``width`` auditors.
+
+    Auditor ``a`` is bit ``a`` of each row of a slot's ``bits``: row 0,
+    it holds a vote at the serial; row ``1 + j``, for the ``j``-th
+    governor the table meets, it holds that governor's vote in the
+    slot's ``votes`` as its first.  What an auditor holds otherwise — a
+    first vote for another hash, or a conflicting pair — is in
+    :attr:`own`.
+    """
+
+    def __init__(self, width: int = 1):
+        self.width = width
+        #: governor -> the bit its row starts at
+        self.rows: dict[str, int] = {}
+        #: (serial, governor, auditor bit) -> that auditor's vote or pair
+        self.own: dict[tuple[int, str, int], "CommitVote | tuple"] = {}
+
+    def __missing__(self, serial: int) -> VoteSlot:
+        slot = self[serial] = VoteSlot()
+        return slot
+
+    def row(self, governor: str) -> int:
+        """The bit ``governor``'s row starts at (made on first use)."""
+        row = self.rows.get(governor)
+        if row is None:
+            row = self.rows[governor] = (1 + len(self.rows)) * self.width
+        return row
 
 
 class SafetyAuditor:
@@ -251,23 +369,28 @@ class SafetyAuditor:
         self.im = im
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.report = AuditReport(auditor=owner)
-        # Evidence, held for the life of the run (nothing is pruned): per
-        # serial, each governor's first verified vote — replaced by the
-        # ``(first, second)`` pair once a conflicting one arrives; per
-        # transaction, each collector's labels, in ``slots``.
-        self._votes: dict[int, dict[str, "CommitVote | tuple"]] = {}
+        # Evidence, held for the life of the run (nothing is pruned), in
+        # ``slots``: per transaction, each collector's labels; per serial
+        # (``slots.votes``), each governor's first verified vote — replaced
+        # by the ``(first, second)`` pair once a conflicting one arrives.
         if slots is None:  # a standalone auditor: a private one-governor table
             slots = SlotTable()
         self._slots = slots
+        self._votes = slots.votes
         self._index = index
         #: Transactions this auditor holds label evidence for.
         self.tx_evidence = 0
+        #: Block serials this auditor holds vote evidence for.
+        self.serial_evidence = 0
         self._held = 1 << 2 * slots.width + index
         # (collector, label) -> this auditor's SlotTable.label_bits
         self._label_bits = {
             (c, label): slots.label_bits(c, label, index)
             for c in slots.collectors for label in (Label.VALID, Label.INVALID)
         }
+        # governor -> this auditor's bit in its VoteTable row; row 0's bit
+        self._vote_bits: dict[str, int] = {}
+        self._any_vote = 1 << index
         # (governor, collector) -> the reputation vector last read and
         # its version then: the harness re-reads a row only once it changed.
         self._book_reads: dict[tuple[str, str], tuple[object, int]] = {}
@@ -281,7 +404,7 @@ class SafetyAuditor:
             "Transactions and block serials an auditor holds signed evidence "
             "for, as of the last closed round",
             labels=("auditor",),
-            read=lambda: {owner: self.tx_evidence + len(self._votes)},
+            read=lambda: {owner: self.tx_evidence + self.serial_evidence},
         )
 
     # -- bookkeeping ----------------------------------------------------
@@ -414,11 +537,32 @@ class SafetyAuditor:
                 )
             )
             return None, False
-        by_governor = self._votes.setdefault(vote.serial, {})
-        held = by_governor.setdefault(vote.governor, vote)
+        table, governor = self._votes, vote.governor
+        slot = table[vote.serial]
+        try:
+            mine = self._vote_bits[governor]
+        except KeyError:
+            mine = self._vote_bits[governor] = 1 << table.row(governor) + self._index
+        kept = slot.votes.setdefault(governor, vote)
         mismatch = own_hash is not None and vote.block_hash != own_hash
+        bits = slot.bits
+        if bits & mine:
+            held = kept
+        else:
+            own = table.own
+            held = own.get((vote.serial, governor, self._index)) if own else None
+            if held is None:  # the first vote from this governor
+                if not bits & self._any_vote:
+                    self.serial_evidence += 1
+                if kept is vote or kept.block_hash == vote.block_hash:
+                    slot.bits = bits | self._any_vote | mine
+                else:
+                    own[vote.serial, governor, self._index] = vote
+                    slot.bits = bits | self._any_vote
+                return None, mismatch
         if type(held) is not tuple and held.block_hash != vote.block_hash:
-            held = by_governor[vote.governor] = (held, vote)
+            held = table.own[vote.serial, governor, self._index] = (held, vote)
+            slot.bits &= ~mine
         if type(held) is tuple:
             return (
                 self._record(
@@ -458,15 +602,16 @@ class SafetyAuditor:
             slot = self._slots[upload.tx.tx_id]
         bits = slot.bits
         try:
-            mine, either, kept = self._label_bits[upload.collector, upload.label]
+            mine, either, kept, both, key = self._label_bits[upload.collector, upload.label]
         except KeyError:
-            mine, either, kept = self._label_bits[upload.collector, upload.label] = (
-                self._slots.label_bits(upload.collector, upload.label, self._index)
-            )
+            mine, either, kept, both, key = self._label_bits[
+                upload.collector, upload.label
+            ] = self._slots.label_bits(upload.collector, upload.label, self._index)
         held = bits & either
         if not held:  # the first label from this collector
             if not bits & kept:  # and no governor holds it yet
-                slot.uploads += (upload,)
+                # Kept whole when a governor holds the collector's other label.
+                self._slots.keep(slot, upload, None if bits & both else key)
             if not bits & self._held:
                 self.tx_evidence += 1
             slot.bits = bits | self._held | mine
@@ -474,14 +619,15 @@ class SafetyAuditor:
         if held == mine:
             return None  # a replay
         # The third of the collector's rows, two above its +1 row.
-        minus_second = (either & -either) << 2 * self._slots.width
+        slots = self._slots
+        minus_second = (either & -either) << 2 * slots.width
         if held != either:  # the first conflicting label
             if not bits & kept:
-                slot.uploads += (upload,)
+                slots.keep(slot, upload, None)
             bits = slot.bits = bits | mine | (minus_second if upload.label < 0 else 0)
         # Both labels held: the pair, in the order this auditor got them.
         collector, by_label = upload.collector, {}
-        for kept_upload in slot.uploads:
+        for kept_upload in slots.uploads(upload.tx.tx_id, upload):
             if kept_upload.collector == collector:
                 by_label[kept_upload.label] = kept_upload
         second = Label.INVALID if bits & minus_second else Label.VALID

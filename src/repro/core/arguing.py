@@ -39,9 +39,10 @@ class ArgueManager:
     """
 
     window: int
+    #: tx_id -> its position in the unchecked sequence, shifted left one
+    #: bit, with the low bit set once the transaction is resolved.
     _positions: dict[str, int] = field(default_factory=dict)
     _next_position: int = 0
-    _resolved: set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -56,30 +57,31 @@ class ArgueManager:
         if tx_id in self._positions:
             raise ProtocolViolationError(f"tx {tx_id} already recorded as unchecked")
         position = self._next_position
-        self._positions[tx_id] = position
+        self._positions[tx_id] = position << 1
         self._next_position += 1
         return position
 
     def burial_depth(self, tx_id: str) -> int:
         """How many unchecked transactions have followed ``tx_id``."""
         try:
-            position = self._positions[tx_id]
+            position = self._positions[tx_id] >> 1
         except KeyError:
             raise ProtocolViolationError(f"tx {tx_id} was never recorded unchecked") from None
         return self._next_position - 1 - position
 
     def argue(self, tx_id: str) -> ArgueOutcome:
         """Attempt an argue; idempotently rejects duplicates and expiries."""
-        if tx_id not in self._positions:
+        entry = self._positions.get(tx_id)
+        if entry is None:
             return ArgueOutcome(tx_id, False, "transaction was never unchecked")
-        if tx_id in self._resolved:
+        if entry & 1:
             return ArgueOutcome(tx_id, False, "already resolved")
         depth = self.burial_depth(tx_id)
         if depth > self.window:
             return ArgueOutcome(
                 tx_id, False, f"buried by {depth} > U = {self.window} transactions"
             )
-        self._resolved.add(tx_id)
+        self._positions[tx_id] = entry | 1
         return ArgueOutcome(tx_id, True, "admitted")
 
     def resolve_silently(self, tx_id: str) -> None:
@@ -88,5 +90,6 @@ class ArgueManager:
         Used when the truth is revealed through another channel (e.g. an
         experiment's reveal schedule) so a later argue is rejected.
         """
-        if tx_id in self._positions:
-            self._resolved.add(tx_id)
+        entry = self._positions.get(tx_id)
+        if entry is not None:
+            self._positions[tx_id] = entry | 1

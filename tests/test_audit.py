@@ -12,6 +12,7 @@ from repro.audit.auditor import (
     AuditReport,
     AuditViolation,
     SafetyAuditor,
+    SlotTable,
     ViolationType,
     harness_audit,
 )
@@ -29,6 +30,7 @@ from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.chain import Ledger
 from repro.ledger.transaction import (
     Label,
+    LabeledTransaction,
     make_labeled_transaction,
     make_signed_transaction,
 )
@@ -211,7 +213,10 @@ class TestEvidenceScript:
         assert violation.provable and violation.culprit == culprit
         assert violation.round_number == rnd
         assert violation.evidence == (first, second)
-        assert violation.evidence[0] is first and violation.evidence[1] is second
+        # The first member is rebuilt from what the auditor holds; the
+        # second is the message in hand.
+        assert violation.evidence[0] == first and violation.evidence[1] is second
+        assert self.im.verify(violation.evidence[0])
 
     def test_observe_upload_script(self):
         from dataclasses import replace
@@ -331,6 +336,113 @@ class TestEvidenceScript:
         for vote in violation.evidence:
             assert self.im.verify(vote)
         assert violation.evidence[0].block_hash != violation.evidence[1].block_hash
+
+
+class TestCompactEvidence:
+    """A deployment keeps each collector's first label as a tag in the
+    transaction's slot and rebuilds the upload only to convict; what
+    cannot be rebuilt from the slot is kept whole.  Votes are kept once
+    per deployment, with bits per auditor."""
+
+    def setup_method(self):
+        self.im = IdentityManager(seed=9)
+        self.c0 = self.im.enroll("c0", Role.COLLECTOR)
+        self.c1 = self.im.enroll("c1", Role.COLLECTOR)
+        provider = self.im.enroll("p0", Role.PROVIDER)
+        self.txs = [make_signed_transaction(provider, "x", 1.0, nonce=i) for i in range(600)]
+        self.table = SlotTable(2)
+        self.a, self.b = (
+            SafetyAuditor(f"g{i}", im=self.im, slots=self.table, index=i) for i in range(2)
+        )
+
+    def test_conflict_500_rounds_later_is_provable_from_tags(self):
+        tx = self.txs[0]
+        early = make_labeled_transaction(self.c0, tx, Label.VALID)
+        late = make_labeled_transaction(self.c0, tx, Label.INVALID)
+        assert self.a.observe_upload(early, 1) is None
+        assert self.b.observe_upload(late, 1) is None  # b got the other label first
+        for rnd in range(2, 502):
+            upload = make_labeled_transaction(self.c1, self.txs[rnd % 599 + 1], Label.VALID)
+            assert self.a.observe_upload(upload, rnd) is None
+            assert self.b.observe_upload(upload, rnd) is None
+        # early lives on as c0's tag in the slot; late, the conflict, whole.
+        assert len(self.table[tx.tx_id].tags) == 34
+        assert self.table.whole == {tx.tx_id: (late,)}
+        violation = self.a.observe_upload(late, 502)
+        assert violation.provable and violation.culprit == "c0"
+        rebuilt, second = violation.evidence
+        assert rebuilt == early and rebuilt is not early and second is late
+        # Each auditor reports the pair in the order it got the labels.
+        violation = self.b.observe_upload(early, 503)
+        assert violation.evidence[0] is late and violation.evidence[1] is early
+        fresh = IdentityManager(seed=9)
+        for key in ("c0", "c1", "p0"):
+            fresh.enroll(key, Role.COLLECTOR if key[0] == "c" else Role.PROVIDER)
+        assert all(fresh.verify(upload) for upload in (rebuilt, second))
+        assert self.a.tx_evidence == self.b.tx_evidence == len(self.table)
+
+    def test_conflict_on_a_tampered_copy_convicts(self):
+        tx = self.txs[0]
+        copy = replace(tx, provider_signature=b"\x07" * 32)
+        assert copy.tx_id == tx.tx_id and copy.digest != tx.digest
+        first = make_labeled_transaction(self.c0, tx, Label.VALID)
+        assert self.a.observe_upload(first, 1) is None
+        # c1's first label names the copy: it cannot be rebuilt from the
+        # slot's transaction, so it is kept whole.
+        on_copy = make_labeled_transaction(self.c1, copy, Label.INVALID)
+        assert self.a.observe_upload(on_copy, 1) is None
+        assert self.table.whole == {tx.tx_id: (on_copy,)}
+        second = make_labeled_transaction(self.c1, tx, Label.VALID)
+        violation = self.a.observe_upload(second, 2)
+        assert violation.provable and violation.culprit == "c1"
+        assert violation.evidence[0] is on_copy and violation.evidence[1] is second
+        # And c0 labelling the copy the other way convicts c0.
+        violation = self.a.observe_upload(
+            make_labeled_transaction(self.c0, copy, Label.INVALID), 3
+        )
+        assert violation.culprit == "c0" and violation.evidence[0] == first
+        assert violation.evidence[1].tx is copy
+        assert all(self.im.verify(upload) for upload in violation.evidence)
+
+    def test_auditor_without_an_identity_manager_keeps_any_tag(self):
+        table = SlotTable()
+        auditor = SafetyAuditor("g0", slots=table)
+        tx = self.txs[0]
+        first = LabeledTransaction(tx, Label.VALID, "c0", b"not-a-tag")
+        second = LabeledTransaction(tx, Label.INVALID, "c0", b"another")
+        assert auditor.observe_upload(first, 1) is None
+        assert table[tx.tx_id].tags == b"" and table.whole == {tx.tx_id: (first,)}
+        violation = auditor.observe_upload(second, 2)
+        assert violation.provable and violation.culprit == "c0"
+        assert violation.evidence[0] is first and violation.evidence[1] is second
+
+    def test_honest_run_keeps_only_tags_that_rebuild_verified(self):
+        engine, topo = make_engine(seed=5)
+        run_rounds(engine, topo, 3, seed=6)
+        slots = engine.slots
+        assert slots.whole == {}
+        kept = [upload for tx_id in slots for upload in slots.uploads(tx_id)]
+        assert len(kept) == sum(len(slot.tags) // 34 for slot in slots.values()) > 0
+        assert all(engine.im.verify(upload) for upload in kept)
+        assert slots.uploads("no-such-tx") == ()
+
+    def test_votes_are_kept_once_with_each_auditors_order(self):
+        g0 = self.im.enroll("g0", Role.GOVERNOR)
+        g1 = self.im.enroll("g1", Role.GOVERNOR)
+        x, y = bytes([1]) * 32, bytes([2]) * 32
+        vx, vy = make_vote(g0, 1, x), make_vote(g0, 1, y)
+        assert self.a.ingest_vote(vx, x, 1) == (None, False)
+        assert self.b.ingest_vote(vy, y, 1) == (None, False)
+        assert self.a.ingest_vote(make_vote(g1, 1, x), x, 1) == (None, False)
+        votes = self.table.votes
+        assert list(votes) == [1] and votes[1].votes == {"g0": vx, "g1": make_vote(g1, 1, x)}
+        violation, mismatch = self.a.ingest_vote(vy, x, 2)
+        assert mismatch and violation.evidence == (vx, vy)
+        violation, mismatch = self.b.ingest_vote(vx, y, 2)
+        assert mismatch and violation.evidence == (vy, vx)
+        assert self.a.serial_evidence == self.b.serial_evidence == 1
+        assert self.a.ingest_vote(make_vote(g1, 2, x), None, 3) == (None, False)
+        assert (self.a.serial_evidence, self.b.serial_evidence) == (2, 1)
 
 
 class TestBookAndRegret:
@@ -540,11 +652,7 @@ class TestBitIdentity:
     def test_audit_traffic_flows_when_enabled(self):
         engine, topo = make_engine(seed=7)
         run_rounds(engine, topo, 2, seed=8)
-        voted = sum(
-            len(votes)
-            for auditor in engine.auditors.values()
-            for votes in auditor._votes.values()
-        )
+        voted = sum(auditor.serial_evidence for auditor in engine.auditors.values())
         assert voted > 0
 
 

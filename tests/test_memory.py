@@ -4,9 +4,12 @@ The figures come from ``tools/heap_per_tx.py`` (``tracemalloc`` snapshots
 at window boundaries) on the ``paper-default`` shape, 32 tx per round.
 Windows are short here to keep tier-1 quick, so they read above the
 40-round windows PERFORMANCE.md quotes; each budget is a quarter over what
-this configuration reads on Python 3.11: 730 and 1,589 B since a record
-awaiting its truth keeps only what its readers use and the oracle keeps
-each truth as two bits of the transcript's flags (776 and 1,660 B before;
+this configuration reads on Python 3.11: 739 and 1,164 B since a slot
+keeps each label as its collector's signature tag beside the
+transaction, not as the delivered upload (730 and 1,589 B before, since a
+record awaiting its truth keeps only what its readers use and the oracle
+keeps each truth as two bits of the transcript's flags; 776 and 1,660 B
+before that;
 787 and 1,676 B since one slot per transaction holds the networked host's
 label evidence, Δ timers and packed bit; 1,928 B on the networked host
 before it; 824 and 2,119–2,157 B before a signed record kept its
@@ -52,7 +55,7 @@ def test_net_host_budget(heap):
     # In-memory store; rounds 11-20.
     scenario = dataclasses.replace(PAPER_DEFAULT, host="net")
     _engine, (window,) = heap.measure(scenario, rounds=10)
-    assert window.bytes_per_tx <= 1_990
+    assert window.bytes_per_tx <= 1_455
 
 
 @pytest.mark.parametrize("host", ["inproc", "net"])

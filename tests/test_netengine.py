@@ -224,7 +224,8 @@ class TestUploadDelivery:
             v for auditor in engine.auditors.values() for v in auditor.report.violations
         ]
         assert violation.provable and violation.culprit == self.cid
-        assert violation.evidence[0] is first and violation.evidence[1] is second
+        assert violation.evidence[0] == first and violation.evidence[1] is second
+        assert engine.im.verify(violation.evidence[0])
 
 
 class TestRounds:

@@ -127,8 +127,8 @@ class TestEngineWithVisibilityNetworked(TestEngineWithVisibility):
         for _ in range(4):
             engine.run_round(workload.take(8))
         blind, full = engine.governors["g0"], engine.governors["g1"]
-        slots = engine.slots.values()
-        uploads = [u for slot in slots for u in slot.uploads]
+        slots = engine.slots
+        uploads = [u for tx_id in slots for u in slots.uploads(tx_id)]
         from_drop = [u for u in uploads if u.collector == drop]
         assert from_drop, "the spared collector uploaded nothing"
         # g1 sees every collector: it audited and counted every upload once,
@@ -136,7 +136,9 @@ class TestEngineWithVisibilityNetworked(TestEngineWithVisibility):
         checks = {gid: a.report.checks["upload-label"] for gid, a in engine.auditors.items()}
         assert checks["g1"] == full.metrics.uploads_received == len(uploads)
         assert checks["g0"] == blind.metrics.uploads_received == len(uploads) - len(from_drop)
-        seen = [slot for slot in slots if any(u.collector != drop for u in slot.uploads)]
+        seen = [
+            tx_id for tx_id in slots if any(u.collector != drop for u in slots.uploads(tx_id))
+        ]
         assert engine.auditors["g0"].tx_evidence == len(seen)
         assert engine.auditors["g1"].tx_evidence == len(engine.slots)
 

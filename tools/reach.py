@@ -52,6 +52,8 @@ COPIED = ("src", "benchmarks", "examples", "tools", "perfbench", "pyproject.toml
 ALLOWED: dict[str, str] = {
     "repro/agents/behaviors.py::FlipFlopBehavior.should_forge":
         "the CollectorBehavior forge hook; the example runs this behaviour in the game, which never forges",
+    "repro/audit/auditor.py::SlotTable.uploads":
+        "rebuilds a slot's uploads to convict; no run's collector equivocates (tests plant TwoFacedCollectorBehavior)",
     "repro/audit/xshard.py::CrossShardAuditor._record":
         "books a cross-shard atomicity violation; every run's audit is clean",
     "repro/byzantine/strategies.py::ColludingCollectorBehavior.label_for":
